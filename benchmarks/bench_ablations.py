@@ -51,7 +51,7 @@ def test_reducer_empty_policy(benchmark):
     """Zero-policy keeps explicit zeros for droppers; drop-policy removes
     them at the reducer. Both yield the same dense result."""
     from repro.blocks import ScalarReducer, Sink, StreamFeeder
-    from repro.sim.engine import run_blocks
+    from repro.sim import run_blocks
     from repro.streams import Channel, DONE, Stop
 
     tokens = [1.0, Stop(0), Stop(0), 2.0, Stop(1), DONE]

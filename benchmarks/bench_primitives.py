@@ -20,7 +20,7 @@ from repro.blocks import (
     make_scanner,
 )
 from repro.formats import CompressedLevel
-from repro.sim.engine import run_blocks
+from repro.sim import run_blocks
 from repro.streams import Channel, DONE, Stop
 
 N = 2000

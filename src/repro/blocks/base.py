@@ -3,7 +3,7 @@
 Every SAM primitive is written once, as a Python generator that yields
 exactly once per simulated cycle.  A ``yield True`` means the block did
 work this cycle; ``yield False`` means it stalled waiting for input.  The
-cycle engine (:mod:`repro.sim.engine`) steps all blocks each cycle, which
+cycle engine (:mod:`repro.sim`) steps all blocks each cycle, which
 realises the paper's cycle-approximate model: fully pipelined blocks that
 produce one token per port per cycle, with unbounded queues and
 single-cycle memories.

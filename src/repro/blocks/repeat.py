@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..jit import get_kernel
 from ..streams.batch import (
     CODE_DONE,
     CODE_EMPTY,
@@ -42,6 +43,41 @@ from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 
 #: the repeat token emitted by RepeatSigGen for every coordinate
 REPEAT = "R"
+
+
+def _flat_sig(rd_sig):
+    """``(codes, stamps)`` over a timed reader's pure-control prefix.
+
+    Repeat-signal batches carry no data tokens, so in practice this is
+    the whole held window; a data-carrying batch ends the prefix and the
+    remaining tokens take the token-exact branches."""
+    codes, stamps = [], []
+    for batch, _, sctrl in rd_sig.held:
+        if batch._d < len(batch.data):
+            break
+        c = batch._c
+        if c < len(batch.ctrl_code):
+            codes.append(batch.ctrl_code[c:])
+            stamps.append(sctrl[c:])
+    if not codes:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    if len(codes) == 1:
+        return codes[0], stamps[0]
+    return np.concatenate(codes), np.concatenate(stamps)
+
+
+def _consume_sig(rd_sig, n):
+    """Advance a timed reader past *n* leading control tokens (all from
+    data-exhausted batches, so cursor bumps keep stamp alignment)."""
+    for batch, _, _ in rd_sig.held:
+        if n <= 0:
+            break
+        c = batch._c
+        take = min(n, len(batch.ctrl_code) - c)
+        batch._c = c + take
+        n -= take
+    rd_sig._trim()
 
 
 class RepeatSigGen(Block):
@@ -313,18 +349,57 @@ class Repeater(Block):
     def drain_timed(self) -> bool:
         """Timed drain: one event per emitted token; reference pops and
         fold pops happen between yields, so they carry into the next
-        event's gate instead of owning a cycle."""
+        event's gate instead of owning a cycle.
+
+        *Regular spans* — a leading run of ``R`` codes plus as many
+        complete ``S0``-closed driver fibers as the reference stream has
+        data for — collapse to one batch: a single ``_t_advance`` over
+        the span's signal stamps with each reference pop's arrival
+        folded in at its fiber-head position, one ``np.repeat`` over the
+        reference run, one builder push.  Equivalence with the
+        token-by-token loop is exact: ``rate1_schedule`` composes over
+        arbitrary splits of the arrival sequence (the clock carries),
+        ``_t_event`` is the one-token case of the same recurrence, and
+        ``_t_defer`` is a max folded into the next event's gate — which
+        is precisely the positional fold applied here.  Elevated stops,
+        folds, ``N`` references, empty-fiber pairings, and done handling
+        stay token-exact."""
         if self.finished:
             return False
         rd_ref = self._treader(self.in_ref)
         rd_sig = self._treader(self.in_repsig)
         out = self._tbuilder(self.out_ref)
         progressed = False
+        # Flat view of the signal window plus cursors: token position,
+        # index into the precomputed control positions, and a pointer to
+        # the next non-S0 control.  Precomputing once keeps the span
+        # loop linear in the window size (a per-iteration flatnonzero is
+        # O(n^2) on 1e6-token windows); any scalar reader consumption
+        # invalidates the view (codes = None).
+        codes = stamps = ends_all = nonclose = None
+        pos = ei = nci = 0
 
         def park(channel):
             out.flush()
             self._wait = (channel, "data")
             return progressed
+
+        def close_fiber() -> bool:
+            """The driver stop ending the pending reference's fiber (one
+            event); False while that signal has not arrived."""
+            signal, s_sig = rd_sig.peek()
+            if signal is NO_TOKEN:
+                return False
+            if not is_stop(signal):
+                raise BlockError(
+                    f"{self.name}: driver stream ended mid-fiber ({signal!r})"
+                )
+            rd_sig.pop()
+            out.ctrl(signal.level, self._t_event(s_sig))
+            if signal.level >= 1:
+                self._rep_fold = signal.level
+            self._rep_ref = NO_TOKEN
+            return True
 
         while True:
             if self._rep_fold is not None:
@@ -358,6 +433,7 @@ class Repeater(Block):
                     return park(self.in_repsig)
                 rd_ref.pop()
                 rd_sig.pop()
+                codes = None
                 cyc = self._t_event(max(s, s_sig))
                 progressed = True
                 if is_done(token):
@@ -379,29 +455,94 @@ class Repeater(Block):
                 out.ctrl(signal.level, cyc)
                 continue
             # A reference is pending: replay it once per R of the fiber.
-            repeats, s_r = rd_sig.pop_repeat_run()
-            if repeats:
-                c = self._t_advance(s_r)
-                if is_empty(self._rep_ref):
-                    out.ctrl_run(CODE_EMPTY, c)
+            empty_ref = is_empty(self._rep_ref)
+            if codes is None and not empty_ref:
+                codes, stamps = _flat_sig(rd_sig)
+                pos = ei = nci = 0
+                kern = get_kernel("repsig_ends")
+                if kern is not None and len(codes):
+                    ends_all, nonclose = kern(
+                        np.ascontiguousarray(codes), CODE_REPEAT
+                    )
                 else:
-                    out.data(np.full(repeats, self._rep_ref), c)
+                    ends_all = np.flatnonzero(codes != CODE_REPEAT)
+                    nonclose = np.flatnonzero(codes[ends_all] != 0)
+            if empty_ref or pos >= len(codes):
+                # Token-exact: N references repeat as control runs, and
+                # so does whatever follows an exhausted (or not purely
+                # control) signal view.
+                repeats, s_r = rd_sig.pop_repeat_run()
+                codes = None
+                if repeats:
+                    c = self._t_advance(s_r)
+                    if empty_ref:
+                        out.ctrl_run(CODE_EMPTY, c)
+                    else:
+                        out.data(np.full(repeats, self._rep_ref), c)
+                elif not close_fiber():
+                    return park(self.in_repsig)
                 progressed = True
                 continue
-            signal, s_sig = rd_sig.peek()
-            if signal is NO_TOKEN:
-                return park(self.in_repsig)
-            if not is_stop(signal):
-                raise BlockError(
-                    f"{self.name}: driver stream ended mid-fiber ({signal!r})"
-                )
-            rd_sig.pop()
-            cyc = self._t_event(s_sig)
-            progressed = True
-            out.ctrl(signal.level, cyc)
-            if signal.level >= 1:
-                self._rep_fold = signal.level
+            if ei >= len(ends_all):
+                # Window tail is one partial R-run: emit it whole, keep
+                # the reference pending for the next window.
+                k = len(codes) - pos
+                c = self._t_advance(stamps[pos:])
+                out.data(np.full(k, self._rep_ref), c)
+                _consume_sig(rd_sig, k)
+                pos = len(codes)
+                progressed = True
+                continue
+            while nci < len(nonclose) and nonclose[nci] < ei:
+                nci += 1
+            nreg = (
+                len(ends_all) - ei
+                if nci >= len(nonclose)
+                else int(nonclose[nci]) - ei
+            )
+            if nreg == 0:
+                # The pending fiber closes with a non-S0 code: emit its
+                # R-run (possibly empty), then the stop takes its event.
+                k = int(ends_all[ei]) - pos
+                if k:
+                    c = self._t_advance(stamps[pos:pos + k])
+                    out.data(np.full(k, self._rep_ref), c)
+                    _consume_sig(rd_sig, k)
+                close_fiber()
+                pos = int(ends_all[ei]) + 1
+                ei += 1
+                progressed = True
+                continue
+            # nreg complete S0-closed fibers; fibers beyond the first
+            # need a data reference each from the front run.
+            J = min(nreg, 1 + rd_ref.run_length())
+            bounds = ends_all[ei:ei + J] - pos
+            span = int(bounds[-1]) + 1
+            refs1, s_refs = rd_ref.pop_run_upto(J - 1)
+            arrivals = np.array(stamps[pos:pos + span])
+            if J > 1:
+                # Each reference pop's _t_defer lands on the following
+                # fiber's first event — a positional max into its gate.
+                heads = bounds[:-1] + 1
+                arrivals[heads] = np.maximum(arrivals[heads], s_refs)
+            c = self._t_advance(arrivals)
+            r_counts = np.diff(bounds, prepend=-1) - 1
+            ref0 = np.asarray([self._rep_ref])
+            refs_all = np.concatenate([ref0, refs1]) if J > 1 else ref0
+            mask = np.ones(span, dtype=bool)
+            mask[bounds] = False
+            out.data_with_ctrl(
+                np.repeat(refs_all, r_counts),
+                np.cumsum(r_counts),
+                np.zeros(J, dtype=np.int64),
+                c[mask],
+                c[bounds],
+            )
+            _consume_sig(rd_sig, span)
+            pos += span
+            ei += J
             self._rep_ref = NO_TOKEN
+            progressed = True
 
     def _run(self):
         # Invariant: the driving coordinate stream is exactly one nesting

@@ -441,6 +441,8 @@ def _cmd_graph(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .sim.backends import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction harness for 'The Sparse Abstract Machine' "
@@ -448,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=("cycle", "event", "timed-batch", "compiled", "functional",
-                 "functional-seq"),
+        choices=tuple(BACKENDS),
         default=None,
         help="simulation backend (default: cycle, or $REPRO_ENGINE)",
     )

@@ -108,18 +108,6 @@ class GraphValidationError(RuntimeError):
         )
 
 
-#: execution planes a backend can drive; every engine falls back to the
-#: scalar generator per block, so "scalar" appears everywhere
-_BACKEND_PLANES = {
-    "cycle": ("scalar",),
-    "event": ("scalar",),
-    "timed-batch": ("timed", "scalar"),
-    "compiled": ("timed", "scalar"),
-    "functional": ("batched", "scalar"),
-    "functional-seq": ("scalar",),
-}
-
-
 class GraphBuilder:
     """Collects the channels and blocks of one dataflow graph."""
 
@@ -432,10 +420,9 @@ class Graph(GraphBuilder):
         """
         violations, _, _ = self._scan(allow_open=False)
         if backend is not None:
-            from ..sim.backends import resolve_backend
+            from ..sim.backends import get_backend
 
-            planes = set(_BACKEND_PLANES.get(resolve_backend(backend),
-                                             ("scalar",)))
+            planes = set(get_backend(backend).planes)
             for block in self.blocks:
                 caps = type(block).capabilities()
                 if not caps & planes:

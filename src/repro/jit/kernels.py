@@ -212,7 +212,7 @@ def repsig_ends_k(codes, code_repeat):
     ``ends`` are the indices of non-``R`` control codes (fiber
     boundaries); ``nonclose`` indexes *into ends* at the codes that are
     not plain ``S0`` — the two ``np.flatnonzero`` scans of
-    ``_RepeaterUnit._drain_rep`` fused.
+    ``Repeater.drain_timed`` in one counting pass.
     """
     n = codes.shape[0]
     ends = np.empty(n, dtype=np.int64)

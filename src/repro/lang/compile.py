@@ -17,7 +17,7 @@ from ..formats.tensor import FiberTensor, scalar_tensor
 from ..graph.bind import BoundGraph, bind
 from ..graph.dot import to_dot
 from ..graph.ir import SamGraph
-from ..sim.engine import SimulationReport
+from ..sim import SimulationReport
 from .ast import Assignment, ExpressionError
 from .formats import FormatSpec
 from .lower import LoweredInfo, lower

@@ -35,7 +35,7 @@ from ..blocks import (
     make_scanner,
 )
 from ..formats import FiberTensor
-from ..sim.engine import run_blocks
+from ..sim import run_blocks
 from ..streams.channel import Channel
 from ..streams.token import is_data
 from .hierarchy import DramModel, NBufferedPipeline

@@ -5,8 +5,8 @@ Backend API
 
 A *backend* is an :class:`~repro.sim.backends.base.Engine` subclass: it
 takes the graph's block list, validates it (non-empty, unique names),
-and implements ``run(max_cycles=None) -> SimulationReport``.  Three
-backends ship in :mod:`repro.sim.backends`:
+and implements ``run(max_cycles=None) -> SimulationReport``.  The
+registry :data:`repro.sim.backends.BACKENDS` lists the shipped ones:
 
 ``cycle`` (:class:`CycleEngine`)
     The reference model — every unfinished block is stepped once per
@@ -24,12 +24,20 @@ backends ship in :mod:`repro.sim.backends`:
     timing descriptors advance over whole control-free token segments
     analytically (one vectorized schedule per segment) while the rest
     fall back per block to the scalar timed path.  Bit-identical
-    reports (cycles, busy/stall, token counts) to ``cycle``; the
-    fastest timed backend on large workloads.
+    reports (cycles, busy/stall, token counts) to ``cycle``.
+
+``compiled`` (:class:`CompiledEngine`)
+    The same timed plane and run loop with control-free segments
+    fused into super-blocks (composed schedules, chained kernels);
+    identical reports, the fastest timed backend on large workloads.
 
 ``functional`` (:class:`FunctionalEngine`)
     Drains every block to completion with no cycle accounting; the
     report carries ``cycles == 0``.  For fast correctness-only runs.
+
+``functional-seq`` (:class:`SequentialFunctionalEngine`)
+    ``functional`` pinned to the per-token scalar plane: the
+    differential oracle for the batched data plane.
 
 Selecting a backend
 -------------------
@@ -39,14 +47,16 @@ Every entry point that runs a graph — :func:`run_blocks`,
 kernels, and the study drivers — accepts ``backend=`` (a registry name
 or an Engine class).  ``backend=None`` defers to the ``REPRO_ENGINE``
 environment variable and finally to ``"cycle"``.  The CLI exposes the
-same choice as ``repro --engine {cycle,event,functional} <command>``.
+same choice as ``repro --engine <registry key> <command>``.
 
 Adding a backend
 ----------------
 
 Subclass :class:`~repro.sim.backends.base.Engine`, set a unique
-``backend`` class attribute, implement ``run``, and register the class
-in :data:`repro.sim.backends.BACKENDS`.  Blocks expose everything a
+``backend`` class attribute (and ``planes``, when it drives more than
+the scalar generators), implement ``run``, and register the class in
+:data:`repro.sim.backends.BACKENDS` — graph validation and the CLI's
+``--engine`` choices are derived from the registry.  Blocks expose everything a
 scheduler needs: ``step()`` (one cycle), ``drain()`` (run-to-stall),
 ``finished``, and ``waiting_on`` — the ``(channel, "data"|"space")``
 reason for the last stall.  Channels accept one-shot wake callbacks via
@@ -55,11 +65,13 @@ reason for the last stall.  Channels accept one-shot wake callbacks via
 
 from .backends import (
     BACKENDS,
+    CompiledEngine,
     CycleEngine,
     DeadlockError,
     Engine,
     EventEngine,
     FunctionalEngine,
+    SequentialFunctionalEngine,
     SimulationReport,
     TimedBatchEngine,
     get_backend,
@@ -71,11 +83,13 @@ from .stats import TokenBreakdown, channel_breakdown, graph_token_counts
 
 __all__ = [
     "BACKENDS",
+    "CompiledEngine",
     "CycleEngine",
     "DeadlockError",
     "Engine",
     "EventEngine",
     "FunctionalEngine",
+    "SequentialFunctionalEngine",
     "SimulationReport",
     "TimedBatchEngine",
     "TokenBreakdown",

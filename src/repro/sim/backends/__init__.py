@@ -8,11 +8,13 @@ The registry maps backend names to engine classes:
                         faster on stall-heavy graphs.
 ``"timed-batch"``       Epoch-batched timing on the TokenBatch plane;
                         identical cycles/stats/token counts.
-``"compiled"``          Timed-batch plus static segment fusion: linear
-                        chains run as one super-block (composed
-                        schedules, fused kernels); identical reports,
-                        fastest timed backend on large workloads.
+``"compiled"``          The timed-batch run loop plus static segment
+                        fusion: linear chains run as one super-block
+                        (composed schedules, fused kernels); identical
+                        reports, fastest timed backend at scale.
 ``"functional"``        Outputs only (``cycles == 0``); fastest.
+``"functional-seq"``    ``functional`` on the per-token scalar plane
+                        (the batched plane's differential oracle).
 ======================  ==============================================
 
 ``resolve_backend(None)`` consults the ``REPRO_ENGINE`` environment

@@ -2,16 +2,8 @@
 
 Every backend consumes the same graph — a list of :class:`~repro.blocks.base.Block`
 instances wired by channels — and produces a :class:`SimulationReport`.
-Backends differ only in *how* they schedule generator resumptions:
-
-* :class:`~repro.sim.backends.cycle.CycleEngine` — the reference model;
-  steps every unfinished block once per cycle.
-* :class:`~repro.sim.backends.event.EventEngine` — event-driven; sleeps
-  stalled blocks on their blocking channel and only resumes them after
-  the channel sees a push (or a pop, for finite-capacity back-pressure),
-  reproducing the reference cycle counts and busy/stall stats exactly.
-* :class:`~repro.sim.backends.functional.FunctionalEngine` — drains each
-  block to completion with no cycle accounting; outputs only.
+Backends differ only in *how* they schedule the blocks' work; the
+registry in :mod:`repro.sim.backends` is the one list of them.
 """
 
 from __future__ import annotations
@@ -46,8 +38,13 @@ class SimulationReport:
 class Engine:
     """Base class for simulation backends: validates the block list."""
 
-    #: registry key; subclasses override ("cycle", "event", "functional")
+    #: registry key; subclasses override
     backend = "abstract"
+    #: execution planes this backend can drive a block on ("scalar" =
+    #: the per-token generator, "batched" = ``drain_batch``, "timed" =
+    #: ``drain_timed``); every engine falls back to the scalar generator
+    #: per block, so "scalar" appears in every subclass's tuple
+    planes = ("scalar",)
 
     def __init__(self, blocks: Iterable[Block]):
         self.blocks: List[Block] = list(blocks)

@@ -35,13 +35,15 @@ writer tails additionally capturing the writer's rate-1 commit
 (crd/seg extension, fiber counts, value appends) from the chain's
 schedule endpoints; ``merge-head`` segments (a two-sided
 intersect/union with its dedicated upstream side scanners and an
-optional compressed-writer tail) are *co-scheduled* — members run
+optional compressed-writer tail) and ``repeater`` segments
+(``RepeatSigGen`` → ``Repeater``) are *co-scheduled* — members run
 their stock timed drains back-to-back in flow order inside one
-worklist visit, preserving the merge's windowed chunk protocol
-bit-for-bit while eliminating the per-epoch scheduling hops;
-``repeater`` segments (``RepeatSigGen`` → ``Repeater``) replace the
-per-fiber repeat loop with one vectorised pass per window span (see
-:class:`_RepeaterUnit`).
+worklist visit (:class:`_CoScheduledUnit`), preserving the merge's
+windowed chunk protocol and the repeater's whole-window drain
+bit-for-bit while eliminating the per-epoch scheduling hops.  The
+vectorised repeat pass itself is ``Repeater.drain_timed`` — the block's
+one timed drain, the same code on the unfused plane — so on
+repeater-bound graphs (Gamma) the two engines do the same work.
 
 Fallback ladder: a segment whose members or links fail validation at
 compile time is *rejected* (members run on the plain timed-batch
@@ -55,15 +57,15 @@ are only consumed once the whole step is guaranteed to commit, and all
 member state (``_tclock``, carries, reducer accumulators) is kept in
 the members themselves.
 
-The engine's ``run`` mirrors ``TimedBatchEngine.run`` line for line
-outside the fusion hooks; keeping the base engine free of fusion logic
-keeps the reference path auditable.
+There is one run loop: :meth:`TimedBatchEngine.run` steps whatever
+unit table ``_compile_segments`` hands it (empty for the plain engine)
+and handles dissolution itself.  This class only builds that table,
+freezes chain plans, and annotates the finished report with
+``report.fusion`` / ``report.jit``; token-order and ramp helpers are the
+shared ones from :mod:`repro.streams.timing`.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from typing import List, Optional
 
 import numpy as np
 
@@ -73,40 +75,20 @@ from ...streams.batch import (
     CODE_EMPTY,
     NO_TOKEN,
     TokenBatch,
-    UnbatchableTokens,
     exact_segment_sums,
 )
-from ...streams.timing import compose_rate1, split_done_stamped
+from ...streams.timing import (
+    compose_rate1,
+    index_ramp,
+    merge_stamps,
+    split_done_stamped,
+    token_order_indices,
+)
 from ...streams.token import is_stop
-from .base import SimulationReport
-from .timed_batch import TimedBatchEngine
+from .timed_batch import _DISSOLVE, TimedBatchEngine
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
-
-#: fusion statistics of the most recent :class:`CompiledEngine` run.
-#: The stock kernels return bare result arrays rather than report
-#: handles, so benchmarks read the numbers from here; the same dict is
-#: also attached to the returned report as ``report.fusion``.
-#: ``kinds`` maps segment kind (``value-chain``, ``scan-locate``,
-#: ``merge-head``, ``repeater``, ``writer-tail``) to live segment count;
-#: ``total_blocks`` lets callers compute the fused-block fraction.
-LAST_FUSION_STATS = {
-    "segments": 0,
-    "fused_blocks": 0,
-    "fallbacks": 0,
-    "total_blocks": 0,
-    "kinds": {},
-}
-
-#: JIT statistics of the most recent :class:`CompiledEngine` run —
-#: dispatcher inventory, plan-cache hit/miss deltas, and per-segment
-#: plan digests.  Mirrors ``report.jit`` the way
-#: :data:`LAST_FUSION_STATS` mirrors ``report.fusion``.
-LAST_JIT_STATS = {}
-
-#: sentinel returned by a unit step that must dissolve its segment
-_DISSOLVE = object()
 
 
 def _unary_parts(block):
@@ -140,39 +122,6 @@ def _unary_parts(block):
     return None
 
 
-_IDX_CACHE = np.arange(1 << 16, dtype=np.int64)
-
-
-def _idx(n):
-    """A read-only 0..n-1 ramp from a growing module-level cache."""
-    global _IDX_CACHE
-    if n > len(_IDX_CACHE):
-        _IDX_CACHE = np.arange(1 << int(n - 1).bit_length(), dtype=np.int64)
-    return _IDX_CACHE[:n]
-
-
-def _token_order_fast(cpos, ndata):
-    """`token_order_indices` via a bincount prefix sum (no searchsorted).
-
-    Fused-local on purpose: speeding the shared helper would also speed
-    the timed-batch reference this backend is benchmarked against.
-    """
-    ci = cpos + _idx(len(cpos))
-    before = np.bincount(cpos, minlength=ndata + 1)[:ndata].cumsum()
-    di = before + _idx(ndata)
-    return di, ci
-
-
-def _merge_fast(batch, sdata, sctrl):
-    """`merge_stamps` with the bincount token order."""
-    data, cpos, _ = batch.remaining_arrays()
-    di, ci = _token_order_fast(cpos, len(data))
-    merged = np.empty(len(di) + len(ci), dtype=np.int64)
-    merged[di] = sdata
-    merged[ci] = sctrl
-    return merged, di, ci
-
-
 def _fast_advance(member, arrivals):
     """``member._t_advance`` with the max-plus accumulate elided.
 
@@ -190,7 +139,7 @@ def _fast_advance(member, arrivals):
     ii = member.timing.ii
     if n > 1 and not bool((arrivals[1:] - arrivals[:-1] >= ii).all()):
         return member._t_advance(arrivals)
-    c = (_idx(n) * ii if ii != 1 else _idx(n)) + member._tclock
+    c = (index_ramp(n) * ii if ii != 1 else index_ramp(n)) + member._tclock
     np.maximum(arrivals, c, out=c)
     end = int(c[-1]) + ii
     member.busy_cycles += n
@@ -213,7 +162,7 @@ def _compose_fast(arrivals, stages):
     iis = [s[1] for s in stages]
     if any(iis[k] > iis[k - 1] for k in range(1, len(iis))):
         return None
-    idx = _idx(n)
+    idx = index_ramp(n)
     c = (idx * ii0 if ii0 != 1 else idx) + clock0
     np.maximum(arrivals, c, out=c)
     out = [c]
@@ -398,7 +347,7 @@ class _Side:
         the bincount/cumsum pass is skipped and only the scatter runs.
         """
         if reuse is None:
-            di, ci = _token_order_fast(self.cpos, len(self.data))
+            di, ci = token_order_indices(self.cpos, len(self.data))
         else:
             di, ci = reuse
         merged = np.empty(len(di) + len(ci), dtype=np.int64)
@@ -612,7 +561,7 @@ class _ChainUnit:
             elif side_b.empty is None:
                 ci = side_b.ci
             else:
-                ci = pa + _idx(len(ca))
+                ci = pa + index_ramp(len(ca))
             va, csa, ea = side_a.commit_at(ci)
             vb, csb, eb = side_b.commit_at(ci)
             vals = blk._fn(va, vb)
@@ -629,7 +578,7 @@ class _ChainUnit:
         elif side_b.empty is None:
             di, ci = side_b.di, side_b.ci
         else:
-            di, ci = _token_order_fast(pa, na)
+            di, ci = token_order_indices(pa, na)
         vals = blk._fn(va, vb)
         # both arrival arrays are fresh — reuse one for the zip max
         np.maximum(arr_a, arr_b, out=arr_a)
@@ -643,14 +592,13 @@ class _ChainUnit:
             blk._wait = (self.head_in, "data")
             return None
         head, sd, sc, tail = split_done_stamped(*window)
-        merged, di, ci = _merge_fast(head, sd, sc)
+        merged, di, ci = merge_stamps(head, sd, sc)
         if len(merged) == 0:
             blk._wait = (self.head_in, "data")
             return None
         data, cpos, ccode = head.remaining_arrays()
         fn, empty_value = self.parts[0]
         vals = fn(data)
-        cd_src = None
         empty = ccode == CODE_EMPTY
         if empty.any():
             # N tokens become data at their stream position, exactly as
@@ -663,7 +611,7 @@ class _ChainUnit:
             shift = np.cumsum(empty) - empty
             cpos = (cpos + shift)[keep]
             ccode = ccode[keep]
-            di, ci = _token_order_fast(cpos, len(vals))
+            di, ci = token_order_indices(cpos, len(vals))
         ends_done = bool(len(ccode)) and int(ccode[-1]) == CODE_DONE
         return (vals, cpos, ccode), merged, di, ci, ends_done, tail, None
 
@@ -987,7 +935,7 @@ class _ScanLocateUnit:
                         np.maximum(offs, scan._tclock, out=offs)
                         end = int(offs[-1]) + span
                         offs_l = np.maximum(offs + delta, loc._tclock)
-                        ramp = _idx(total) * ii if ii != 1 else _idx(total)
+                        ramp = index_ramp(total) * ii if ii != 1 else index_ramp(total)
                         sched = np.repeat(offs_l, np.diff(pos, append=total))
                         sched += ramp
                     scan.busy_cycles += total
@@ -1041,22 +989,23 @@ class _ScanLocateUnit:
             scan._fiber_index += 1
 
 
-class _MergeHeadUnit:
-    """A fused 2-ary intersect/union head: the merge co-scheduled with
-    its per-side scanner feeders and an optional level-writer tail on
-    its coordinate output.
+class _CoScheduledUnit:
+    """Members co-scheduled through their own stock timed drains.
 
-    The merge's chunk protocol is windowed — each epoch advance is gated
-    by whole fiber chunks from *both* sides (``_chunk_status`` /
-    ``_merge_events``), so the interior channels stay materialised and
-    every member runs its own stock ``drain_timed``.  Fusion here is a
-    scheduling contraction: one ``step()`` services scanners → merge →
-    writer back to back in flow order, so a fiber chunk crosses the
-    whole segment in a single worklist visit instead of one wake/visit
-    round trip per member.  Counters, stamps, and outputs are the
-    members' own — bit-identity with the unfused plane is by
-    construction.  Any member that bails the timed plane mid-run
-    surfaces as ``_DISSOLVE`` and the engine drops the segment."""
+    Serves the two segment kinds whose interior channels must stay
+    materialised: ``merge-head`` (a 2-ary intersect/union with its
+    per-side scanner feeders and an optional level-writer tail — the
+    merge's chunk protocol is windowed, each epoch advance gated by
+    whole fiber chunks from *both* sides) and ``repeater``
+    (``RepeatSigGen`` → ``Repeater``, whose drain consumes the whole
+    repeat-signal window at once).  Fusion here is a scheduling
+    contraction: one ``step()`` services the members back to back in
+    flow order, so a window crosses the whole segment in a single
+    worklist visit instead of one wake/visit round trip per member.
+    Counters, stamps, and outputs are the members' own — bit-identity
+    with the unfused plane is by construction.  Any member that bails
+    the timed plane mid-run surfaces as ``_DISSOLVE`` and the engine
+    drops the segment."""
 
     __slots__ = ("members", "blocks", "active", "emitters", "kind", "plan")
 
@@ -1076,296 +1025,6 @@ class _MergeHeadUnit:
             if not blk._timed_ok:
                 return _DISSOLVE
         return progressed
-
-
-class _RepeaterUnit:
-    """A fused RepeatSigGen→Repeater pipeline with a vectorised repeat
-    stage.
-
-    The signal generator runs its stock drain (a uniform rate-1 map
-    pushing pure-control batches onto the real repeat-signal link), so
-    its schedule, counters, and channel statistics are untouched.  The
-    repeat stage replays ``Repeater.drain_timed`` with one change:
-    *regular spans* — a leading run of ``R`` codes plus as many complete
-    ``S0``-closed driver fibers as the reference stream has data for —
-    collapse to one batch: a single ``_t_advance`` over the span's
-    signal stamps with each reference pop's arrival folded in at its
-    fiber-head position, one ``np.repeat`` over the reference run, one
-    builder push.  Equivalence with the token-by-token loop is exact:
-    ``rate1_schedule`` composes over arbitrary splits of the arrival
-    sequence (the clock carries), ``_t_event`` is the one-token case of
-    the same recurrence, and ``_t_defer`` is a max folded into the next
-    event's gate — which is precisely the positional fold applied here.
-    Elevated stops, folds, ``N`` references, empty-fiber pairings, and
-    done handling run the stock branches verbatim."""
-
-    __slots__ = ("members", "sig", "rep", "active", "emitters", "kind", "plan")
-
-    def __init__(self, blocks, segment):
-        self.plan = None
-        self.members = list(segment.members)
-        self.sig = blocks[segment.members[0]]
-        self.rep = blocks[segment.members[1]]
-        self.active = True
-
-    def step(self):
-        sig, rep = self.sig, self.rep
-        progressed = False
-        if not sig.finished:
-            if sig.drain_timed():
-                progressed = True
-            if not sig._timed_ok:
-                return _DISSOLVE
-        if not rep.finished:
-            if self._drain_rep():
-                progressed = True
-            if not rep._timed_ok:
-                return _DISSOLVE
-        return progressed
-
-    @staticmethod
-    def _flat_sig(rd_sig):
-        """``(codes, stamps)`` over the reader's pure-control prefix.
-
-        Repeat-signal batches carry no data tokens, so in practice this
-        is the whole held window; a data-carrying batch ends the prefix
-        and the remaining tokens take the token-exact branches."""
-        codes, stamps = [], []
-        for batch, _, sctrl in rd_sig.held:
-            if batch._d < len(batch.data):
-                break
-            c = batch._c
-            if c < len(batch.ctrl_code):
-                codes.append(batch.ctrl_code[c:])
-                stamps.append(sctrl[c:])
-        if not codes:
-            return _EMPTY_I64, _EMPTY_I64
-        if len(codes) == 1:
-            return codes[0], stamps[0]
-        return np.concatenate(codes), np.concatenate(stamps)
-
-    @staticmethod
-    def _consume_sig(rd_sig, n):
-        """Advance the reader past *n* leading control tokens (all from
-        data-exhausted batches, so cursor bumps keep stamp alignment)."""
-        for batch, _, _ in rd_sig.held:
-            if n <= 0:
-                break
-            c = batch._c
-            take = min(n, len(batch.ctrl_code) - c)
-            batch._c = c + take
-            n -= take
-        rd_sig._trim()
-
-    def _drain_rep(self):
-        from ...blocks.base import BlockError
-        from ...streams.batch import CODE_REPEAT
-        from ...streams.token import is_data, is_done, is_empty, is_stop
-
-        rep = self.rep
-        rd_ref = rep._treader(rep.in_ref)
-        rd_sig = rep._treader(rep.in_repsig)
-        out = rep._tbuilder(rep.out_ref)
-        progressed = False
-        # Flat view of the signal window plus cursors: token position,
-        # index into the precomputed control positions, and a pointer to
-        # the next non-S0 control.  Precomputing once keeps the span
-        # loop linear in the window size; any scalar reader consumption
-        # invalidates the view (codes = None).
-        codes = stamps = ends_all = nonclose = None
-        pos = ei = nci = 0
-
-        def park(channel):
-            out.flush()
-            rep._wait = (channel, "data")
-            return progressed
-
-        while True:
-            if rep._rep_fold is not None:
-                token, s = rd_ref.peek()
-                if token is NO_TOKEN:
-                    return park(rep.in_ref)
-                if not (is_stop(token) and token.level == rep._rep_fold - 1):
-                    raise BlockError(
-                        f"{rep.name}: driver stop S{rep._rep_fold} expects "
-                        f"reference stop S{rep._rep_fold - 1}, got {token!r}"
-                    )
-                rd_ref.pop()
-                rep._t_defer(s)
-                rep._rep_fold = None
-                progressed = True
-                continue
-            if rep._rep_ref is NO_TOKEN:
-                token, s = rd_ref.peek()
-                if token is NO_TOKEN:
-                    return park(rep.in_ref)
-                if is_data(token) or is_empty(token):
-                    rd_ref.pop()
-                    rep._t_defer(s)
-                    rep._rep_ref = token
-                    progressed = True
-                    continue
-                signal, s_sig = rd_sig.peek()
-                if signal is NO_TOKEN:
-                    return park(rep.in_repsig)
-                rd_ref.pop()
-                rd_sig.pop()
-                codes = None
-                cyc = rep._t_event(max(s, s_sig))
-                progressed = True
-                if is_done(token):
-                    if not is_done(signal):
-                        raise BlockError(
-                            f"{rep.name}: driver stream out of sync at D "
-                            f"({signal!r})"
-                        )
-                    out.ctrl(CODE_DONE, cyc)
-                    out.flush()
-                    rep.finished = True
-                    rep._wait = None
-                    return True
-                if not (is_stop(signal) and signal.level == token.level + 1):
-                    raise BlockError(
-                        f"{rep.name}: reference stop {token!r} expects driver "
-                        f"stop S{token.level + 1}, got {signal!r}"
-                    )
-                out.ctrl(signal.level, cyc)
-                continue
-            if is_empty(rep._rep_ref):
-                # N references repeat as control runs — token-exact.
-                repeats, s_r = rd_sig.pop_repeat_run()
-                codes = None
-                if repeats:
-                    c = rep._t_advance(s_r)
-                    out.ctrl_run(CODE_EMPTY, c)
-                    progressed = True
-                    continue
-                signal, s_sig = rd_sig.peek()
-                if signal is NO_TOKEN:
-                    return park(rep.in_repsig)
-                if not is_stop(signal):
-                    raise BlockError(
-                        f"{rep.name}: driver stream ended mid-fiber "
-                        f"({signal!r})"
-                    )
-                rd_sig.pop()
-                cyc = rep._t_event(s_sig)
-                progressed = True
-                out.ctrl(signal.level, cyc)
-                if signal.level >= 1:
-                    rep._rep_fold = signal.level
-                rep._rep_ref = NO_TOKEN
-                continue
-            # A data reference is pending: vectorise the regular span.
-            if codes is None:
-                codes, stamps = self._flat_sig(rd_sig)
-                pos, ei, nci = 0, 0, 0
-                kern = get_kernel("repsig_ends")
-                if kern is not None and len(codes):
-                    ends_all, nonclose = kern(
-                        np.ascontiguousarray(codes), CODE_REPEAT
-                    )
-                else:
-                    ends_all = np.flatnonzero(codes != CODE_REPEAT)
-                    nonclose = np.flatnonzero(codes[ends_all] != 0)
-            if pos >= len(codes):
-                # Held window exhausted (or not pure control): fall back
-                # to the stock token-exact branch for the remainder.
-                repeats, s_r = rd_sig.pop_repeat_run()
-                codes = None
-                if repeats:
-                    c = rep._t_advance(s_r)
-                    out.data(np.full(repeats, rep._rep_ref), c)
-                    progressed = True
-                    continue
-                signal, s_sig = rd_sig.peek()
-                if signal is NO_TOKEN:
-                    return park(rep.in_repsig)
-                if not is_stop(signal):
-                    raise BlockError(
-                        f"{rep.name}: driver stream ended mid-fiber "
-                        f"({signal!r})"
-                    )
-                rd_sig.pop()
-                cyc = rep._t_event(s_sig)
-                progressed = True
-                out.ctrl(signal.level, cyc)
-                if signal.level >= 1:
-                    rep._rep_fold = signal.level
-                rep._rep_ref = NO_TOKEN
-                continue
-            if ei >= len(ends_all):
-                # Window tail is one partial R-run: emit it whole, keep
-                # the reference pending for the next window.
-                k = len(codes) - pos
-                c = rep._t_advance(stamps[pos:])
-                out.data(np.full(k, rep._rep_ref), c)
-                self._consume_sig(rd_sig, k)
-                pos = len(codes)
-                progressed = True
-                continue
-            while nci < len(nonclose) and nonclose[nci] < ei:
-                nci += 1
-            nreg = (
-                len(ends_all) - ei
-                if nci >= len(nonclose)
-                else int(nonclose[nci]) - ei
-            )
-            if nreg == 0:
-                # The pending fiber closes with a non-S0 code: emit its
-                # R-run (possibly empty) then run the stock stop branch.
-                k = int(ends_all[ei]) - pos
-                if k:
-                    c = rep._t_advance(stamps[pos:pos + k])
-                    out.data(np.full(k, rep._rep_ref), c)
-                    self._consume_sig(rd_sig, k)
-                    progressed = True
-                signal, s_sig = rd_sig.peek()
-                if not is_stop(signal):
-                    raise BlockError(
-                        f"{rep.name}: driver stream ended mid-fiber "
-                        f"({signal!r})"
-                    )
-                rd_sig.pop()
-                cyc = rep._t_event(s_sig)
-                out.ctrl(signal.level, cyc)
-                if signal.level >= 1:
-                    rep._rep_fold = signal.level
-                rep._rep_ref = NO_TOKEN
-                pos = int(ends_all[ei]) + 1
-                ei += 1
-                progressed = True
-                continue
-            # nreg complete S0-closed fibers; fibers beyond the first
-            # need a data reference each from the front run.
-            J = min(nreg, 1 + rd_ref.run_length())
-            bounds = ends_all[ei:ei + J] - pos
-            span = int(bounds[-1]) + 1
-            refs1, s_refs = rd_ref.pop_run_upto(J - 1)
-            arrivals = np.array(stamps[pos:pos + span])
-            if J > 1:
-                # Each reference pop's _t_defer lands on the following
-                # fiber's first event — a positional max into its gate.
-                heads = bounds[:-1] + 1
-                arrivals[heads] = np.maximum(arrivals[heads], s_refs)
-            c = rep._t_advance(arrivals)
-            r_counts = np.diff(bounds, prepend=-1) - 1
-            ref0 = np.asarray([rep._rep_ref])
-            refs_all = np.concatenate([ref0, refs1]) if J > 1 else ref0
-            mask = np.ones(span, dtype=bool)
-            mask[bounds] = False
-            out.data_with_ctrl(
-                np.repeat(refs_all, r_counts),
-                np.cumsum(r_counts),
-                np.zeros(J, dtype=np.int64),
-                c[mask],
-                c[bounds],
-            )
-            self._consume_sig(rd_sig, span)
-            pos += span
-            ei += J
-            rep._rep_ref = NO_TOKEN
-            progressed = True
 
 
 class CompiledEngine(TimedBatchEngine):
@@ -1389,14 +1048,8 @@ class CompiledEngine(TimedBatchEngine):
         from ...graph.bind import partition_segments, segment_plan_key
 
         units = {}
-        plans = []
-        stats = {
-            "segments": 0,
-            "fused_blocks": 0,
-            "fallbacks": 0,
-            "total_blocks": len(blocks),
-            "kinds": {},
-        }
+        compiled, rejected, plans = [], 0, []
+        cache_mark = (PLAN_CACHE.hits, PLAN_CACHE.misses)
         writer_types = (ValsWriter, CompressedLevelWriter,
                         UncompressedLevelWriter)
         for seg in partition_segments(blocks):
@@ -1438,24 +1091,22 @@ class CompiledEngine(TimedBatchEngine):
                 ok = seg.links[0].timed.delta == seg.links[1].timed.delta
                 if ok:
                     unit = _ScanLocateUnit(blocks, seg)
-            elif ok and seg.shape == "merge_head":
+            elif ok and seg.shape in ("merge_head", "repeater"):
+                # a merge head's writer tail must be a stock writer
+                # (repeater pipelines have no write member)
                 ok = all(
                     isinstance(blocks[i], writer_types)
                     for i in seg.members
                     if blocks[i].timing.fuse_role == "write"
                 )
                 if ok:
-                    unit = _MergeHeadUnit(blocks, seg)
-            elif ok and seg.shape == "repeater":
-                unit = _RepeaterUnit(blocks, seg)
+                    unit = _CoScheduledUnit(blocks, seg)
             else:
                 ok = False
             if not ok:
-                stats["fallbacks"] += 1
+                rejected += 1
                 continue
-            stats["segments"] += 1
-            stats["fused_blocks"] += len(seg.members)
-            stats["kinds"][seg.kind] = stats["kinds"].get(seg.kind, 0) + 1
+            compiled.append(unit)
             interior_ids = {id(ch) for ch in interior}
             unit.kind = seg.kind
             unit.emitters = [
@@ -1478,7 +1129,12 @@ class CompiledEngine(TimedBatchEngine):
             })
             for i in seg.members:
                 units[i] = unit
-        return units, stats, plans
+        #: the one per-run record _report reads: every compiled unit (a
+        #: dissolve only flips its ``active`` flag), the compile-time
+        #: rejections, the per-segment plan records and the cache
+        #: counters from before them
+        self._segment_log = (compiled, rejected, plans, cache_mark)
+        return units
 
     @staticmethod
     def _build_plan(key, segment, unit):
@@ -1499,279 +1155,28 @@ class CompiledEngine(TimedBatchEngine):
                 stage_deltas[1:] = unit.deltas
         return SegmentPlan(key, segment.kind, iis, stage_deltas)
 
-    def run(self, max_cycles: Optional[int] = None) -> SimulationReport:
-        blocks = self.blocks
-        n = len(blocks)
-        producers = {}
-        consumers = {}
-        for i, block in enumerate(blocks):
-            for ch in block.outputs.values():
-                producers[ch] = i
-            for ch in block.inputs.values():
-                consumers[ch] = i
-        channels = list(dict.fromkeys(list(producers) + list(consumers)))
-
-        # -- classification (identical to TimedBatchEngine) ----------------
-        timed = [
-            type(b).drain_timed is not None
-            and b.timing is not None
-            and b._timed_ok
-            and b.timed_capable()
-            for b in blocks
-        ]
-        changed = True
-        while changed:
-            changed = False
-            for ch in channels:
-                if ch.capacity is None:
-                    continue
-                p = producers.get(ch)
-                c = consumers.get(ch)
-                keep = (
-                    p is not None
-                    and c is not None
-                    and timed[p]
-                    and timed[c]
-                    and blocks[p].timed_credit_producer
-                    and blocks[c].timed_credit_consumer
-                )
-                if not keep:
-                    if p is not None and timed[p]:
-                        timed[p] = False
-                        changed = True
-                    if c is not None and timed[c]:
-                        timed[c] = False
-                        changed = True
-
-        # -- timed channel state + prefilled queues ------------------------
-        for ch in channels:
-            p = producers.get(ch)
-            c = consumers.get(ch)
-            if not ((p is not None and timed[p]) or (c is not None and timed[c])):
-                continue
-            if p is not None and c is not None:
-                delta = 0 if c > p else 1
-                delta_pop = 0 if p > c else 1
-            else:
-                delta = delta_pop = 0
-            state = ch.init_timed(delta, delta_pop)
-            if ch.queue:
-                try:
-                    batch = ch.take_batch()
-                except UnbatchableTokens:
-                    if c is not None:
-                        timed[c] = False
-                    if p is not None:
-                        timed[p] = False
-                    ch.timed = None
-                    continue
-                if batch is not None and not batch.exhausted:
-                    data, _, ccode = batch.remaining_arrays()
-                    state.pending.append(
-                        (
-                            batch,
-                            np.ones(len(data), dtype=np.int64),
-                            np.ones(len(ccode), dtype=np.int64),
-                        )
-                    )
-
-        # -- segment fusion ------------------------------------------------
-        cache_hits, cache_misses = PLAN_CACHE.hits, PLAN_CACHE.misses
-        units, stats, plans = self._compile_segments(blocks, timed)
-
-        out_ch = [list(b.outputs.values()) for b in blocks]
-        in_ch = [list(b.inputs.values()) for b in blocks]
-        finished = [b.finished for b in blocks]
-        active_from = [1] * n
-        T = 1
-        last_busy_T = 0
-
-        dirty = deque(i for i in range(n) if timed[i])
-        in_dirty = list(timed)
-
-        def mark_dirty(i: int) -> None:
-            if timed[i] and not finished[i] and not in_dirty[i]:
-                in_dirty[i] = True
-                dirty.append(i)
-
-        def wake_after(i: int) -> None:
-            for ch in out_ch[i]:
-                if ch.timed is None:
-                    continue
-                c = consumers.get(ch)
-                if c is not None:
-                    mark_dirty(c)
-            for ch in in_ch[i]:
-                if ch.capacity is not None and ch.timed is not None:
-                    p = producers.get(ch)
-                    if p is not None:
-                        mark_dirty(p)
-
-        def dissolve(unit) -> None:
-            """Mid-run fallback: members rejoin the plain timed plane."""
-            if not unit.active:
-                return
-            unit.active = False
-            stats["segments"] -= 1
-            stats["fused_blocks"] -= len(unit.members)
-            stats["fallbacks"] += 1
-            stats["kinds"][unit.kind] -= 1
-            for i in unit.members:
-                units.pop(i, None)
-                mark_dirty(i)
-
-        def convert_to_scalar(i: int) -> None:
-            unit = units.get(i)
-            if unit is not None:
-                dissolve(unit)
-            timed[i] = False
-            active_from[i] = blocks[i]._tclock
-
-        def advance(i: int) -> None:
-            unit = units.get(i)
-            if unit is not None:
-                outcome = unit.step()
-                if outcome is _DISSOLVE:
-                    dissolve(unit)
-                    # a member that bailed the timed plane inside the
-                    # unit must not be re-entered by the timed worklist
-                    for m in unit.members:
-                        if not blocks[m]._timed_ok:
-                            convert_to_scalar(m)
-                    return
-                for m in unit.members:
-                    if blocks[m].finished and not finished[m]:
-                        finished[m] = True
-                if outcome:
-                    for m in unit.emitters:
-                        wake_after(m)
-                return
-            block = blocks[i]
-            progressed = block.drain_timed()
-            if not block._timed_ok:
-                convert_to_scalar(i)
-                return
-            if block.finished and not finished[i]:
-                finished[i] = True
-            if progressed:
-                wake_after(i)
-
-        def drain_worklist() -> None:
-            while dirty:
-                i = dirty.popleft()
-                in_dirty[i] = False
-                if finished[i] or not timed[i]:
-                    continue
-                advance(i)
-
-        def sweep_outputs(i: int) -> None:
-            for ch in out_ch[i]:
-                state = ch.timed
-                if state is None or not ch.queue:
-                    continue
-                c = consumers.get(ch)
-                if c is None or not timed[c]:
-                    continue
-                try:
-                    batch = ch.take_batch()
-                except UnbatchableTokens:
-                    unit = units.get(c)
-                    if unit is not None:
-                        dissolve(unit)
-                    blocks[c]._bail_timed()
-                    convert_to_scalar(c)
-                    continue
-                if batch is None or batch.exhausted:
-                    continue
-                v = T + state.delta
-                data, _, ccode = batch.remaining_arrays()
-                state.pending.append(
-                    (
-                        batch,
-                        np.full(len(data), v, dtype=np.int64),
-                        np.full(len(ccode), v, dtype=np.int64),
-                    )
-                )
-                mark_dirty(c)
-
-        budget_msg = f"exceeded max_cycles={max_cycles}"
-        while True:
-            drain_worklist()
-            scalar_alive = [
-                i for i in range(n) if not timed[i] and not finished[i]
-            ]
-            if not scalar_alive:
-                if all(finished):
-                    break
-                stuck = [b.name for k, b in enumerate(blocks) if not finished[k]]
-                raise self._deadlock(self._cycles_so_far(last_busy_T), stuck)
-            progress = False
-            for i in range(n):
-                if timed[i] or finished[i] or T < active_from[i]:
-                    continue
-                drain_worklist()
-                for ch in in_ch[i]:
-                    if ch.timed is not None:
-                        ch.materialize_timed(T)
-                block = blocks[i]
-                if block.step():
-                    progress = True
-                if block.finished:
-                    finished[i] = True
-                sweep_outputs(i)
-            if progress:
-                last_busy_T = T
-                if max_cycles is not None and T > max_cycles:
-                    raise RuntimeError(budget_msg)
-                T += 1
-                continue
-            drain_worklist()
-            if dirty:
-                continue
-            target = None
-            for ch in channels:
-                if ch.timed is None:
-                    continue
-                c = consumers.get(ch)
-                if c is None or timed[c] or finished[c]:
-                    continue
-                stamp = ch.timed_pending_min_stamp()
-                if stamp is not None and stamp > T:
-                    target = stamp if target is None else min(target, stamp)
-            for i in range(n):
-                if not timed[i] and not finished[i] and active_from[i] > T:
-                    target = (
-                        active_from[i]
-                        if target is None
-                        else min(target, active_from[i])
-                    )
-            if target is None:
-                if all(finished):
-                    break
-                stuck = [b.name for k, b in enumerate(blocks) if not finished[k]]
-                raise self._deadlock(self._cycles_so_far(last_busy_T), stuck)
-            for i in range(n):
-                if not timed[i] and not finished[i] and T >= active_from[i]:
-                    blocks[i].stall_cycles += target - T - 1
-            T = target
-
-        for ch in channels:
-            if ch.timed is not None:
-                ch.materialize_timed(None)
-        cycles = self._cycles_so_far(last_busy_T)
-        if max_cycles is not None and cycles > max_cycles:
-            raise RuntimeError(budget_msg)
-        LAST_FUSION_STATS.clear()
-        LAST_FUSION_STATS.update(stats)
-        LAST_FUSION_STATS["kinds"] = dict(stats["kinds"])
-        jit_info = jit_stats()
-        jit_info["plan_cache"]["run_hits"] = PLAN_CACHE.hits - cache_hits
-        jit_info["plan_cache"]["run_misses"] = PLAN_CACHE.misses - cache_misses
-        jit_info["plans"] = plans
-        LAST_JIT_STATS.clear()
-        LAST_JIT_STATS.update(jit_info)
-        report = SimulationReport(cycles, self.blocks)
-        report.fusion = dict(stats)
-        report.fusion["kinds"] = dict(stats["kinds"])
-        report.jit = jit_info
+    def _report(self, cycles):
+        """Attach ``report.fusion`` (segment statistics as of the end of
+        the run: a dissolved unit counts as a fallback, its kind stays
+        listed at the reduced count) and ``report.jit``."""
+        report = super()._report(cycles)
+        compiled, rejected, plans, (hits, misses) = self._segment_log
+        fusion = {
+            "segments": 0,
+            "fused_blocks": 0,
+            "fallbacks": rejected,
+            "total_blocks": len(self.blocks),
+            "kinds": {},
+        }
+        for unit in compiled:
+            live = int(unit.active)
+            fusion["segments"] += live
+            fusion["fused_blocks"] += live * len(unit.members)
+            fusion["fallbacks"] += 1 - live
+            fusion["kinds"][unit.kind] = fusion["kinds"].get(unit.kind, 0) + live
+        report.fusion = fusion
+        report.jit = jit_stats()
+        report.jit["plan_cache"]["run_hits"] = PLAN_CACHE.hits - hits
+        report.jit["plan_cache"]["run_misses"] = PLAN_CACHE.misses - misses
+        report.jit["plans"] = plans
         return report

@@ -39,31 +39,20 @@ large workloads before paying for a timed backend.
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from typing import Iterable, Optional
+from typing import Optional
 
 from ...streams.batch import UnbatchableTokens
 from .base import Engine, SimulationReport
-
-#: environment switch: set to "0"/"off" to default new engines to the
-#: scalar plane (the ``functional-seq`` registry key does the same)
-BATCH_ENV_VAR = "REPRO_FUNCTIONAL_BATCH"
 
 
 class FunctionalEngine(Engine):
     """Runs the graph to completion; outputs only, no timing."""
 
     backend = "functional"
-    #: subclasses flip this to pin the scalar plane
-    use_batch_default = True
-
-    def __init__(self, blocks: Iterable, use_batch: Optional[bool] = None):
-        super().__init__(blocks)
-        if use_batch is None:
-            env = os.environ.get(BATCH_ENV_VAR, "").strip().lower()
-            use_batch = self.use_batch_default and env not in ("0", "off", "false")
-        self.use_batch = bool(use_batch)
+    #: the ``functional-seq`` subclass drops "batched" to pin the scalar
+    #: plane; that registry key is the one way to select it
+    planes = ("batched", "scalar")
 
     def run(
         self,
@@ -81,8 +70,9 @@ class FunctionalEngine(Engine):
         resumptions = 0
         # Frozen at run start: batched blocks stay batched unless they
         # bail (self._batch_ok); scalar blocks never switch mid-stream.
+        use_batch = "batched" in self.planes
         batched = [
-            self.use_batch
+            use_batch
             and type(block).drain_batch is not None
             and block._can_batch()
             for block in blocks
@@ -164,4 +154,4 @@ class SequentialFunctionalEngine(FunctionalEngine):
     """
 
     backend = "functional-seq"
-    use_batch_default = False
+    planes = ("scalar",)

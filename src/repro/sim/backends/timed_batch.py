@@ -30,6 +30,17 @@ their channels exactly when the reference engine would make them
 visible, and crediting stall spans arithmetically when every live scalar
 block is parked.  A graph whose blocks all carry descriptors never runs
 the per-cycle loop at all.
+
+The loop also services *fused units*: a subclass may return, from
+:meth:`TimedBatchEngine._compile_segments`, a table mapping member block
+indices to a unit object that the worklist steps in place of the
+members' own ``drain_timed`` (see :mod:`repro.sim.backends.compiled`).
+A unit exposes ``members`` (block indices), ``emitters`` (the members
+with an output leaving the unit), an ``active`` flag the loop clears
+when it dissolves the unit, and ``step()`` returning True on progress,
+False when parked, or :data:`_DISSOLVE` when its members must rejoin the
+plain timed plane.  This engine's own table
+is empty, so every hook below is a no-op for it.
 """
 
 from __future__ import annotations
@@ -42,11 +53,23 @@ import numpy as np
 from ...streams.batch import UnbatchableTokens
 from .base import Engine, SimulationReport
 
+#: sentinel returned by a unit step that must dissolve its segment
+_DISSOLVE = object()
+
 
 class TimedBatchEngine(Engine):
     """Event-driven epoch advance over stamped token batches."""
 
     backend = "timed-batch"
+    planes = ("timed", "scalar")
+
+    def _compile_segments(self, blocks, timed) -> dict:
+        """Fused units by member block index; the plain plane has none."""
+        return {}
+
+    def _report(self, cycles: int) -> SimulationReport:
+        """The finished run's report (subclasses attach annotations)."""
+        return SimulationReport(cycles, self.blocks)
 
     def run(self, max_cycles: Optional[int] = None) -> SimulationReport:
         blocks = self.blocks
@@ -131,6 +154,8 @@ class TimedBatchEngine(Engine):
                         )
                     )
 
+        units = self._compile_segments(blocks, timed)
+
         out_ch = [list(b.outputs.values()) for b in blocks]
         in_ch = [list(b.inputs.values()) for b in blocks]
         finished = [b.finished for b in blocks]
@@ -159,12 +184,40 @@ class TimedBatchEngine(Engine):
                     if p is not None:
                         mark_dirty(p)
 
+        def dissolve(unit) -> None:
+            """Mid-run fallback: members rejoin the plain timed plane."""
+            unit.active = False
+            for i in unit.members:
+                del units[i]
+                mark_dirty(i)
+
         def convert_to_scalar(i: int) -> None:
             """Per-block fallback: the generator takes over at _tclock."""
+            unit = units.get(i)
+            if unit is not None:
+                dissolve(unit)
             timed[i] = False
             active_from[i] = blocks[i]._tclock
 
         def advance(i: int) -> None:
+            unit = units.get(i)
+            if unit is not None:
+                outcome = unit.step()
+                if outcome is _DISSOLVE:
+                    dissolve(unit)
+                    # a member that bailed the timed plane inside the
+                    # unit must not be re-entered by the timed worklist
+                    for m in unit.members:
+                        if not blocks[m]._timed_ok:
+                            convert_to_scalar(m)
+                    return
+                for m in unit.members:
+                    if blocks[m].finished and not finished[m]:
+                        finished[m] = True
+                if outcome:
+                    for m in unit.emitters:
+                        wake_after(m)
+                return
             block = blocks[i]
             progressed = block.drain_timed()
             if not block._timed_ok:
@@ -288,7 +341,7 @@ class TimedBatchEngine(Engine):
         cycles = self._cycles_so_far(last_busy_T)
         if max_cycles is not None and cycles > max_cycles:
             raise RuntimeError(budget_msg)
-        return SimulationReport(cycles, self.blocks)
+        return self._report(cycles)
 
     def _cycles_so_far(self, last_busy_T: int) -> int:
         """Reference cycle count: the latest busy cycle on either plane."""

@@ -5,7 +5,7 @@ from typing import Dict, List
 import pytest
 
 from repro.blocks import StreamFeeder
-from repro.sim.engine import run_blocks
+from repro.sim import run_blocks
 from repro.streams import Channel, Stream
 
 

@@ -13,7 +13,7 @@ from repro.blocks import (
     UncompressedLevelWriter,
     ValsWriter,
 )
-from repro.sim.engine import run_blocks
+from repro.sim import run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
 

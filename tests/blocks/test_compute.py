@@ -3,7 +3,7 @@
 import pytest
 
 from repro.blocks import ALU, BlockError, Exp, ScalarALU, StreamFeeder
-from repro.sim.engine import run_blocks
+from repro.sim import run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.blocks import BlockError, CoordDropper, StreamFeeder, ValueDropper
-from repro.sim.engine import run_blocks
+from repro.sim import run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
 

@@ -14,7 +14,7 @@ from repro.blocks import (
     StreamFeeder,
 )
 from repro.formats import CompressedLevel, DenseLevel
-from repro.sim.engine import run_blocks
+from repro.sim import run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
 

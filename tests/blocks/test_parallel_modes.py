@@ -2,7 +2,7 @@
 
 from repro.blocks import InterleaveSerializer, Parallelizer, StreamFeeder
 from repro.blocks.base import BlockError
-from repro.sim.engine import run_blocks
+from repro.sim import run_blocks
 from repro.streams import Channel, DONE, Stop
 
 import pytest

@@ -9,7 +9,7 @@ from repro.blocks import (
     StreamFeeder,
     VectorReducer,
 )
-from repro.sim.engine import run_blocks
+from repro.sim import run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
 

@@ -1,21 +1,85 @@
 """Repeater tests, including the paper's Figure 6 example."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.blocks import BlockError, StreamFeeder, make_repeater
-from repro.sim.engine import DeadlockError, run_blocks
+from repro.blocks import (
+    Block,
+    BlockError,
+    RepeatSigGen,
+    Repeater,
+    StreamFeeder,
+)
+from repro.blocks.repeat import REPEAT
+from repro.sim import DeadlockError, graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
+from repro.streams.token import is_data, is_done
+
+
+class Relay(Block):
+    """Scalar-only pass-through.  It has no timed hook, so the timed
+    engines step its generator and its consumer is fed one-token
+    windows, one per cycle."""
+
+    def __init__(self, in_, out, name):
+        super().__init__(name)
+        self.in_ = self._in("in_", in_)
+        self.out = self._out("out", out)
+
+    def _run(self):
+        while True:
+            token = yield from self._get(self.in_)
+            self.out.push(token)
+            yield True
+            if is_done(token):
+                return
+
+
+#: how the RepeatSigGen -> Repeater pair is wired.  The compiled backend
+#: fuses the first and the relayed ones; a recorded signal link never
+#: forms a segment and a prefilled one is rejected at compile time (the
+#: pair then runs unfused, as under timed-batch).
+WIRINGS = ("plain", "recorded-signal", "prefilled-signal",
+           "relay-driver", "relay-refs")
+
+
+def pipeline(crd_tokens, ref_tokens, wiring="plain", prefill=0):
+    """``(blocks, recorded output channel)`` of one repeater pipeline.
+
+    *prefill* (``prefilled-signal`` only) is how many leading repeat
+    signals already sit on the signal link when the run starts; the
+    driver feeder plays the rest.
+    """
+    crd = Channel("crd")
+    ref = Channel("ref", kind="ref")
+    sig = Channel("sig", kind="repsig", record=wiring == "recorded-signal")
+    out = Channel("out", kind="ref", record=True)
+    crd_tokens, ref_tokens = list(crd_tokens), list(ref_tokens)
+    blocks = []
+    if wiring == "prefilled-signal":
+        prefill = min(prefill, len(crd_tokens) - 1)
+        for token in crd_tokens[:prefill]:
+            sig.push(REPEAT if is_data(token) else token)
+        crd_tokens = crd_tokens[prefill:]
+    crd_in, ref_in = crd, ref
+    if wiring == "relay-driver":
+        crd_in = Channel("crd_raw")
+        blocks.append(Relay(crd_in, crd, name="relay"))
+    elif wiring == "relay-refs":
+        ref_in = Channel("ref_raw", kind="ref")
+        blocks.append(Relay(ref_in, ref, name="relay"))
+    blocks += [
+        StreamFeeder(crd_tokens, crd_in, name="fc"),
+        StreamFeeder(ref_tokens, ref_in, name="fr"),
+        RepeatSigGen(crd, sig, name="repeat.sig"),
+        Repeater(ref, sig, out, name="repeat"),
+    ]
+    return blocks, out
 
 
 def repeat(crd_tokens, ref_tokens):
-    crd = Channel("crd")
-    ref = Channel("ref", kind="ref")
-    out = Channel("out", kind="ref", record=True)
-    blocks = [
-        StreamFeeder(crd_tokens, crd, name="fc"),
-        StreamFeeder(ref_tokens, ref, name="fr"),
-        *make_repeater(crd, ref, out),
-    ]
+    blocks, out = pipeline(crd_tokens, ref_tokens)
     run_blocks(blocks)
     return list(out.history)
 
@@ -75,3 +139,64 @@ class TestProtocolErrors:
     def test_done_mismatch_detected(self):
         with pytest.raises((BlockError, DeadlockError)):
             repeat([DONE], [1, Stop(0), DONE])
+
+
+#: supergroups -> groups -> references as (is N, driving-fiber length)
+repeat_shapes = st.lists(
+    st.lists(
+        st.lists(st.tuples(st.booleans(), st.integers(0, 6)), max_size=3),
+        min_size=1, max_size=3,
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def protocol_streams(shape):
+    """A (driver, reference) pair obeying the repeat protocol.
+
+    One driving fiber per reference, closed by ``S0`` — or by an
+    elevated stop when it also closes its group (``S1``) or its
+    supergroup (``S2``), which the reference stream mirrors one level
+    down.  Empty groups, empty driving fibers and ``N`` references all
+    occur.
+    """
+    drv, refs = [], []
+    for supergroup in shape:
+        for gi, group in enumerate(supergroup):
+            up = 1 if gi == len(supergroup) - 1 else 0
+            for j, (empty, length) in enumerate(group):
+                refs.append(EMPTY if empty else float(len(refs)))
+                drv.extend(range(length))
+                drv.append(Stop(up + 1) if j == len(group) - 1 else Stop(0))
+            if not group:
+                drv.append(Stop(up + 1))
+            refs.append(Stop(up))
+    return drv + [DONE], refs + [DONE]
+
+
+class TestTimedDrainUnfused:
+    """The vectorised ``Repeater.drain_timed`` is the block's only timed
+    drain, so it also runs outside a fused segment: under timed-batch,
+    and under compiled when the segment is rejected.  Every wiring must
+    reproduce the cycle engine's full report."""
+
+    @pytest.mark.parametrize("wiring", WIRINGS)
+    @settings(max_examples=40, deadline=None)
+    @given(shape=repeat_shapes, prefill=st.integers(1, 12))
+    def test_full_report_identity(self, wiring, shape, prefill):
+        drv, refs = protocol_streams(shape)
+        runs = {}
+        for backend in ("cycle", "timed-batch", "compiled"):
+            blocks, out = pipeline(drv, refs, wiring, prefill)
+            report = run_blocks(blocks, backend=backend)
+            runs[backend] = (
+                report.cycles,
+                report.block_activity(),
+                graph_token_counts(blocks),
+                list(out.history),
+            )
+        assert runs["timed-batch"] == runs["cycle"]
+        assert runs["compiled"] == runs["cycle"]
+        unfused = wiring in ("recorded-signal", "prefilled-signal")
+        assert report.fusion["kinds"] == ({} if unfused else {"repeater": 1})
+        assert report.fusion["fallbacks"] == (wiring == "prefilled-signal")

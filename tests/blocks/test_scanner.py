@@ -13,7 +13,7 @@ FIG1_J = CompressedLevel([0, 1, 3, 5], [1, 0, 2, 1, 3])
 
 def scan(level, input_tokens, skip_tokens=None):
     from repro.blocks import StreamFeeder
-    from repro.sim.engine import run_blocks
+    from repro.sim import run_blocks
 
     in_ref = Channel("in_ref", kind="ref")
     out_crd = Channel("crd", record=True)
@@ -83,7 +83,7 @@ class TestSkipping:
 
     def test_skip_statistics(self):
         from repro.blocks import StreamFeeder
-        from repro.sim.engine import run_blocks
+        from repro.sim import run_blocks
 
         level = CompressedLevel.from_fibers([list(range(10))])
         in_ref = Channel("r", kind="ref")
@@ -103,7 +103,7 @@ class TestBitvectorScanner:
         out_bv = Channel("bv", kind="bv", record=True)
         out_ref = Channel("ref", kind="ref", record=True)
         from repro.blocks import StreamFeeder
-        from repro.sim.engine import run_blocks
+        from repro.sim import run_blocks
 
         scanner = BitvectorLevelScanner(level, in_ref, out_bv, out_ref)
         run_blocks([StreamFeeder(harness.paper("D, 0"), in_ref), scanner])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.blocks import Intersect, MergeSide, StreamFeeder, Union, make_scanner
 from repro.formats import CompressedLevel
-from repro.sim.engine import run_blocks
+from repro.sim import run_blocks
 from repro.streams import Channel, DONE, Stop, from_stream, to_stream
 
 coord_sets = st.lists(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.blocks import CompressedLevelWriter, StreamFeeder, ValsWriter, assemble_tensor
 from repro.graph import GraphError, Node, node_ports
-from repro.sim.engine import run_blocks
+from repro.sim import run_blocks
 from repro.streams import Channel, DONE, Stop
 
 

@@ -7,10 +7,9 @@ at compile time.  A change to the fusion passes that drops (or grows)
 coverage shows up here as a diff against the committed expectations
 rather than as an unexplained performance shift in the benchmarks.
 
-Expectations are asserted on ``report.fusion`` where the kernel exposes
-a bound graph, and on :data:`LAST_FUSION_STATS` (the same dict the
-engine attaches to the report) for kernels that only return result
-objects.
+Expectations are asserted on ``report.fusion``; kernels that only
+return result objects are run under :func:`capture_runs` to reach the
+report of the graph they launch.
 """
 
 import numpy as np
@@ -19,12 +18,12 @@ import pytest
 from repro.data.synthetic import random_sparse_matrix
 from repro.formats import FiberTensor
 from repro.graph.bind import bind
+from repro.graph.builder import capture_runs
 from repro.kernels.elementwise import vecmul
 from repro.kernels.gamma import gamma_spmm
 from repro.kernels.spmm import run_spmm
 from repro.kernels.spmv import spmv_locate, spmv_scatter
 from repro.lang import compile_expression
-from repro.sim.backends import compiled as compiled_mod
 
 
 def _spmat(n, density, seed):
@@ -36,10 +35,12 @@ def _sparse_vec(size, density, seed):
     return np.where(rng.random(size) < density, rng.random(size), 0.0)
 
 
-def _stats():
-    stats = dict(compiled_mod.LAST_FUSION_STATS)
-    stats["kinds"] = dict(stats["kinds"])
-    return stats
+def _fusion(fn, *args, **kwargs):
+    """``report.fusion`` of the one graph a kernel call launches."""
+    with capture_runs() as capture:
+        fn(*args, backend="compiled", **kwargs)
+    (_, report), = capture.runs
+    return report.fusion
 
 
 #: committed fusion expectations: kernel -> (kinds, fused_blocks, total_blocks)
@@ -55,29 +56,25 @@ EXPECTED = {
 
 def _run_kernel(name):
     if name == "gamma":
-        B, C = _spmat(60, 0.1, 42), _spmat(60, 0.1, 43)
-        gamma_spmm(B, C, backend="compiled")
-    elif name in ("vecmul_crd", "vecmul_crd_split"):
+        return _fusion(gamma_spmm, _spmat(60, 0.1, 42), _spmat(60, 0.1, 43))
+    if name in ("vecmul_crd", "vecmul_crd_split"):
         b = _sparse_vec(512, 0.3, 0)
         c = _sparse_vec(512, 0.3, 1)
-        vecmul(name.split("vecmul_")[1], b, c, backend="compiled")
-    elif name == "spmv_locate":
-        spmv_locate(_spmat(50, 0.1, 7), np.random.default_rng(2).random(50),
-                    backend="compiled")
-    elif name == "spmv_scatter":
-        spmv_scatter(_spmat(50, 0.1, 7), np.random.default_rng(2).random(50),
-                     backend="compiled")
-    else:  # spmm_ikj
-        run_spmm(_spmat(20, 0.15, 1), _spmat(20, 0.15, 2), "ikj",
-                 backend="compiled")
+        return _fusion(vecmul, name.split("vecmul_")[1], b, c)
+    if name == "spmv_locate":
+        return _fusion(spmv_locate, _spmat(50, 0.1, 7),
+                       np.random.default_rng(2).random(50))
+    if name == "spmv_scatter":
+        return _fusion(spmv_scatter, _spmat(50, 0.1, 7),
+                       np.random.default_rng(2).random(50))
+    return _fusion(run_spmm, _spmat(20, 0.15, 1), _spmat(20, 0.15, 2), "ikj")
 
 
 class TestFusionCoverage:
     @pytest.mark.parametrize("kernel", sorted(EXPECTED))
     def test_kernel_fusion_matches_expectation(self, kernel):
         kinds, fused, total = EXPECTED[kernel]
-        _run_kernel(kernel)
-        stats = _stats()
+        stats = _run_kernel(kernel)
         assert stats["kinds"] == kinds, kernel
         assert stats["fused_blocks"] == fused, kernel
         assert stats["total_blocks"] == total, kernel
@@ -95,7 +92,7 @@ class TestFusionCoverage:
         assert fused / total > 0.5
 
     def test_report_fusion_attached(self):
-        """The engine attaches the same stats to report.fusion."""
+        """The engine attaches the stats to the run's own report."""
         b = _sparse_vec(256, 0.4, 3)
         c = _sparse_vec(256, 0.4, 4)
         prog = compile_expression("x(i) = b(i) * c(i)")
@@ -105,7 +102,6 @@ class TestFusionCoverage:
         }
         bound = bind(prog.graph, tensors)
         report = bound.run(backend="compiled")
-        assert report.fusion == _stats()
         assert report.fusion["kinds"] == {"merge-head": 1, "writer-tail": 1}
         assert report.fusion["fused_blocks"] == 8
         assert report.fusion["fallbacks"] == 0
@@ -116,7 +112,6 @@ class TestFusionCoverage:
         c = _sparse_vec(512, 0.3, 1)
         for config in ("dense", "crd", "crd_skip", "crd_split", "bv",
                        "bv_split"):
-            vecmul(config, b, c, backend="compiled")
-            stats = _stats()
+            stats = _fusion(vecmul, config, b, c)
             assert stats["kinds"].get("writer-tail", 0) >= 1, config
             assert stats["fallbacks"] == 0, config

@@ -6,7 +6,7 @@ a first fiber of ordinary tokens, so the segment makes real fused
 progress before the fallback ladder fires: the engine dissolves the
 super-block, bails the affected members onto the scalar plane, and the
 ``SimulationReport`` must still be bit-identical to every unfused
-backend.  ``LAST_FUSION_STATS`` records the dissolve as a fallback.
+backend.  ``report.fusion`` records the dissolve as a fallback.
 """
 
 import numpy as np
@@ -21,8 +21,7 @@ from repro.blocks import (
     Union,
     make_repeater,
 )
-from repro.sim import graph_token_counts, run_blocks
-from repro.sim.backends.compiled import LAST_FUSION_STATS
+from repro.sim import BACKENDS as REGISTRY, graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, Stop
 
 BACKENDS = ("cycle", "event", "timed-batch", "compiled")
@@ -67,6 +66,14 @@ def _merge_writer_graph(merger_cls):
     return blocks
 
 
+def test_compiled_engine_has_no_run_loop_of_its_own():
+    # Dissolution is handled by the one timed run loop; a `run` on the
+    # compiled engine would be a second copy of it.
+    compiled, timed = REGISTRY["compiled"], REGISTRY["timed-batch"]
+    assert "run" not in vars(compiled)
+    assert compiled.run is timed.run
+
+
 class TestMergeDissolve:
     @pytest.mark.parametrize("merger_cls", [Intersect, Union])
     def test_tuple_coordinates_dissolve_fused_merge(self, merger_cls):
@@ -82,8 +89,8 @@ class TestMergeDissolve:
             assert writers[be] == writers["cycle"], be
 
     def test_dissolve_recorded_as_fallback(self):
-        _full_report(_merge_writer_graph(Intersect), "compiled")
-        stats = dict(LAST_FUSION_STATS)
+        stats = run_blocks(_merge_writer_graph(Intersect),
+                           backend="compiled").fusion
         # The merge-head segment compiled, then dissolved mid-run.
         assert stats["fallbacks"] >= 1
         assert stats["kinds"].get("merge-head", 0) == 0
@@ -106,8 +113,7 @@ class TestMergeDissolve:
             Sink(ob, name="sink_b"),
             CompressedLevelWriter(oc, name="wr"),
         ]
-        _full_report(blocks, "compiled")
-        stats = dict(LAST_FUSION_STATS)
+        stats = run_blocks(blocks, backend="compiled").fusion
         assert stats["fallbacks"] == 0
         assert stats["kinds"].get("merge-head", 0) == 1
 
@@ -138,7 +144,7 @@ class TestRepeaterDissolve:
         reports = {be: _full_report(build(), be) for be in BACKENDS}
         for be in BACKENDS[1:]:
             assert reports[be] == reports["cycle"], be
-        stats = dict(LAST_FUSION_STATS)
+        stats = run_blocks(build(), backend="compiled").fusion
         assert stats["fallbacks"] >= 1
         assert stats["kinds"].get("repeater", 0) == 0
 

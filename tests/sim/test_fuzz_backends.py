@@ -249,12 +249,13 @@ def test_fusion_degenerate_operands(case):
 
 
 def test_fusion_stats_populated():
-    from repro.sim.backends.compiled import LAST_FUSION_STATS
+    from repro.graph.builder import capture_runs
 
     B = np.asarray(random_sparse_matrix(12, 12, 0.4, seed=30))
     c = urandom_vector(12, 8, seed=31)
-    spmv_locate(B, c, backend="compiled")
-    stats = dict(LAST_FUSION_STATS)
+    with capture_runs() as capture:
+        spmv_locate(B, c, backend="compiled")
+    stats = capture.runs[-1][1].fusion
     assert stats["segments"] >= 1
     assert stats["fused_blocks"] >= 2
     assert stats["fallbacks"] >= 0
@@ -263,6 +264,7 @@ def test_fusion_stats_populated():
 # -- fused merge heads and repeater pipelines, randomized ----------------
 
 def _full_report(blocks, backend):
+    """``(everything the backends must agree on, the report itself)``."""
     from repro.blocks import Sink
 
     report = run_blocks(blocks, backend=backend)
@@ -271,7 +273,7 @@ def _full_report(blocks, backend):
         report.block_activity(),
         graph_token_counts(blocks),
         [b.tokens for b in blocks if isinstance(b, Sink)],
-    )
+    ), report
 
 
 def _random_level(rng, universe, n_fibers):
@@ -371,7 +373,7 @@ def test_merge_heavy_fuzz(seed):
             for i, tag in enumerate(("a", "b", "c"))
         }
         blocks = build()
-        reports[be] = _full_report(blocks, be)
+        reports[be], report = _full_report(blocks, be)
         if with_writer:
             from repro.blocks import CompressedLevelWriter as CLW
 
@@ -381,9 +383,8 @@ def test_merge_heavy_fuzz(seed):
         assert reports[be] == reports["cycle"], be
         if with_writer:
             assert writers[be] == writers["cycle"], be
-    from repro.sim.backends.compiled import LAST_FUSION_STATS
-
-    assert LAST_FUSION_STATS["kinds"].get("merge-head", 0) >= 1
+    # BACKENDS ends with "compiled": `report` is its report
+    assert report.fusion["kinds"].get("merge-head", 0) >= 1
 
 
 def _repeat_streams(rng):
@@ -435,9 +436,7 @@ def test_repeater_heavy_fuzz(seed):
             blocks.append(Sink(out, name=f"sink{i}"))
         return blocks
 
-    reports = {be: _full_report(build(), be) for be in BACKENDS}
+    runs = {be: _full_report(build(), be) for be in BACKENDS}
     for be in BACKENDS[1:]:
-        assert reports[be] == reports["cycle"], be
-    from repro.sim.backends.compiled import LAST_FUSION_STATS
-
-    assert LAST_FUSION_STATS["kinds"].get("repeater", 0) == 2
+        assert runs[be][0] == runs["cycle"][0], be
+    assert runs["compiled"][1].fusion["kinds"].get("repeater", 0) == 2
