@@ -23,18 +23,61 @@ section 4.2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..jit import get_kernel
 from ..streams.batch import CODE_DONE, CODE_EMPTY, decode_code
 from ..streams.channel import Channel
+from ..streams.timing import I64_MAX, index_ramp
 from ..streams.token import DONE, EMPTY, Stop, is_data, is_done, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 
 #: sentinel for "no token held" in the batched intersecter drain
 _NO_TOKEN = object()
+
+
+def _window_capacity(stride: int) -> int:
+    """Fibers whose composite keys ``fiber * stride + crd`` fit int64: a
+    timed window holding more merges in sub-windows of this many, and 0
+    (one fiber's stop key would already wrap) leaves it to the scalar path."""
+    return I64_MAX // stride
+
+
+def _held_window(reader):
+    """A timed reader's whole window as ONE held entry, cursors intact."""
+    if len(reader.held) > 1:
+        window = reader.take_window()
+        if window is not None:
+            reader.put_back(window)
+    return reader.held[0] if reader.held else None
+
+
+class _Fibers(NamedTuple):
+    """The leading fibers of one stream's timed window."""
+
+    data: np.ndarray
+    ends: np.ndarray  # data position each fiber's terminator sits at
+    lens: np.ndarray
+    codes: np.ndarray  # terminator codes
+    sdata: np.ndarray  # arrival stamps of data / of codes
+    scodes: np.ndarray
+
+
+def _front_fibers(entry, k: int) -> _Fibers:
+    """The first *k* fibers of a held entry, read through its cursors, so
+    a long backlog behind them costs nothing."""
+    batch, sdata, sctrl = entry
+    d, c = batch._d, batch._c
+    ends = batch.ctrl_pos[c:c + k] - d
+    lens = ends.copy()  # np.diff(ends, prepend=0) without its concatenate
+    lens[1:] -= ends[:-1]
+    top = d + int(ends[-1])
+    return _Fibers(
+        batch.data[d:top], ends, lens, batch.ctrl_code[c:c + k],
+        sdata[d:top], sctrl[c:c + k],
+    )
 
 
 def _match_empty_dtype(a: np.ndarray, b: np.ndarray):
@@ -199,79 +242,313 @@ class _Merger(Block):
                 return "dirty", None  # a non-zero value is not a phantom
         return "ok", (code_c, m)
 
-    def _pop_chunk_timed(self, rd_c, rd_refs, m: int):
-        """Consume one stamped fiber chunk from a side's timed readers.
+    def drain_batch(self):
+        """Batched drain: per-fiber sorted-set merge with numpy.
 
-        Returns ``(crds, refs, arrivals, close)``: per-element arrival is
-        the max over the coordinate and reference stamps (a side's tuple
-        pops together); *close* is the boundary tuple's arrival, phantom
-        zeros included (they are drained inside the boundary cycle).
+        Handles every two-sided shape, with any number of reference
+        streams per side (multi-ref sides chain mergers; post-compute
+        unions carry value streams).  Each iteration needs one complete
+        fiber chunk — a data run plus its terminating control token —
+        from both sides; SAM's merge protocol keeps the two sides'
+        control structures identical, so fibers pair one-to-one and
+        each pair goes through the subclass's ``_merge_fiber``
+        (``np.intersect1d`` / ``np.union1d``).  Trailing phantom zeros
+        on reference-port value streams are validated and dropped;
+        anything else off-protocol (ragged crd/ref alignment, empty
+        tokens, higher arities) requeues the window and falls back to
+        the scalar drain permanently.
         """
-        crds, s_c = rd_c.pop_run()
-        _, close = rd_c.pop()
-        arrivals = np.asarray(s_c, dtype=np.int64)
+        if self.finished:
+            return False, 0
+        if self.arity != 2:
+            return self._bail_batch()
+        readers = [
+            (self._breader(side.crd), [self._breader(ch) for ch in side.refs])
+            for side in self.sides
+        ]
+        out_crd = self._bbuilder(self.out_crd)
+        out_groups = [
+            [self._bbuilder(ch) for ch in group] for group in self.out_refs
+        ]
+        builders = [out_crd] + [b for group in out_groups for b in group]
+        steps = 0
+
+        def park(channel):
+            nonlocal steps
+            for builder in builders:
+                steps += builder.flush()
+            self._wait = (channel, "data")
+            return steps > 0, steps
+
+        while True:
+            infos = []
+            for i, (rd_c, rd_refs) in enumerate(readers):
+                status, payload = self._chunk_status(i, rd_c, rd_refs)
+                if status == "stall":
+                    return park(payload)
+                if status == "dirty":
+                    for builder in builders:
+                        builder.flush()
+                    return self._bail_batch()
+                infos.append(payload)
+            (code_a, _), (code_b, _) = infos
+            crds = []
+            refs = []
+            for (rd_c, rd_refs), (_, m) in zip(readers, infos):
+                crds.append(rd_c.pop_run())
+                rd_c.pop()
+                side_refs = []
+                for rd_r in rd_refs:
+                    run = rd_r.pop_run()
+                    steps += len(run) + 1
+                    side_refs.append(run[:m])
+                    rd_r.pop()
+                refs.append(side_refs)
+                steps += m + 1
+            self._merge_fiber(crds, refs, out_crd, out_groups)
+            if code_a == CODE_DONE and code_b == CODE_DONE:
+                for builder in builders:
+                    builder.ctrl(CODE_DONE)
+                for builder in builders:
+                    steps += builder.flush()
+                self.finished = True
+                self._wait = None
+                return True, steps
+            if code_a != code_b:
+                self._raise_misaligned_codes(code_a, code_b)
+            for builder in builders:
+                builder.ctrl(code_a)
+
+    # -- timed window --------------------------------------------------------
+    # A window of K complete fiber pairs is ONE fiber over composite keys
+    # ``fiber * S + crd`` (``S = max crd + 2``) with each side's stop at
+    # ``fiber * S + (S - 1)``: a fiber's boundary event becomes a
+    # coordinate both sides carry, and "the successor stamp of a consumed
+    # token" crosses fiber boundaries exactly as the generator's refill
+    # does.  The two-finger schedule, the epoch advance and every output
+    # builder therefore run once per window, whatever K is.
+    timing = TimingDescriptor(fuse_role="merge")
+
+    def timed_capable(self) -> bool:
+        # Skip hints feed a timing side channel the windowed merge does
+        # not model; graphs that wire them run the scalar timed path on
+        # both the merger and its scanners.
+        return self.arity == 2 and all(side.skip is None for side in self.sides)
+
+    def drain_timed(self) -> bool:
+        """Timed drain: one composite-key merge per window.
+
+        A pass merges the leading fiber pairs that are complete and
+        clean on both sides and leaves the rest held, tokens after the
+        first ``D`` included.  A stream with no terminator yet parks the
+        block on its channel; a dirty chunk (:meth:`_clean_fibers`,
+        :meth:`_side_keys`) stays unconsumed behind the clean prefix and
+        bails to the scalar path; mismatched terminators raise.
+        """
+        if self.finished:
+            return False
+        sides = [
+            [self._treader(side.crd)] + [self._treader(ch) for ch in side.refs]
+            for side in self.sides
+        ]
+        readers, split = sides[0] + sides[1], len(sides[0])
+        groups = [[self._tbuilder(self.out_crd)]] + [
+            [self._tbuilder(ch) for ch in group] for group in self.out_refs
+        ]
+        progressed = False
+        while True:
+            windows = [_held_window(reader) for reader in readers]
+            counts = [
+                0 if w is None else len(w[0].ctrl_code) - w[0]._c for w in windows
+            ]
+            whole = k = min(counts)
+            if k:
+                views = [_front_fibers(w, k) for w in windows]
+                codes, codes_b = views[0].codes, views[split].codes
+                done = np.flatnonzero((codes == CODE_DONE) | (codes_b == CODE_DONE))
+                if len(done):
+                    whole = k = int(done[0]) + 1
+                k = min(
+                    k, self._clean_fibers(views[:split]), self._clean_fibers(views[split:])
+                )
+                odd = np.flatnonzero(codes[:k] != codes_b[:k])
+                if len(odd):
+                    k = int(odd[0])
+                    if k == 0:
+                        self._raise_misaligned_codes(int(codes[0]), int(codes_b[0]))
+            if k:
+                stride = 2 + max(
+                    int(views[i].data.max(initial=-1)) for i in (0, split)
+                )
+                k = min(k, _window_capacity(stride))
+            if k:
+                if k < len(codes):
+                    views = [_front_fibers(w, k) for w in windows]
+                keys_a, arr_a, refs_a, clean_a = self._side_keys(views[:split], stride)
+                keys_b, arr_b, refs_b, clean_b = self._side_keys(views[split:], stride)
+                k = min(clean_a, clean_b)
+            if k:
+                progressed = True
+                cut_a = int(views[0].ends[k - 1]) + k
+                cut_b = int(views[split].ends[k - 1]) + k
+                events = self._merge_events(
+                    keys_a[:cut_a], arr_a[:cut_a], keys_b[:cut_b], arr_b[:cut_b]
+                )
+                self._emit_window(groups, stride, codes, events, refs_a, refs_b)
+                for batch, _, _ in windows:  # tokens after a D stay held
+                    batch._d = int(batch.ctrl_pos[batch._c + k - 1])
+                    batch._c += k
+            if 0 < k < whole:
+                continue  # a sub-window or a clean prefix: the next pass decides
+            for group in groups:
+                for builder in group:
+                    builder.flush()
+            if whole == 0:
+                self._wait = (readers[counts.index(0)].channel, "data")
+            elif k == 0:
+                return self._bail_timed()
+            elif codes[k - 1] == CODE_DONE:
+                self.finished = True
+                self._wait = None
+            else:
+                self._wait = (readers[counts.index(k)].channel, "data")
+            return progressed
+
+    def _clean_fibers(self, views) -> int:
+        """How many of a side's viewed fibers are structurally clean.
+
+        Dirty (scalar territory): an ``N``/``R`` code on the coordinate
+        stream, a reference terminator unlike the coordinate one, a
+        reference run shorter than its coordinates, non-integer
+        coordinates.  Up to the first dirty chunk, where this stops,
+        fiber *f* of every stream is its *f*-th control token.
+        """
+        crd = views[0]
+        if len(crd.data) and crd.data.dtype.kind != "i":
+            return 0
+        bad = crd.codes < CODE_DONE
+        for ref in views[1:]:
+            bad |= ref.codes != crd.codes
+            bad |= ref.lens < crd.lens
+        return int(bad.argmax()) if bad.any() else len(bad)
+
+    def _side_keys(self, views, stride: int):
+        """One side's viewed fibers as a single composite-key fiber.
+
+        Returns ``(keys, stamps, refs, clean)``: each fiber's coordinates
+        as ``fiber * stride + crd`` then its stop key; the arrival of
+        each (a side's tuple pops together, so the max over coordinate
+        and reference stamps, trailing phantom zeros included for the
+        boundary tuple — they are drained inside its cycle); the
+        reference runs aligned with the coordinates, phantoms dropped;
+        and how many leading fibers trail no non-zero "phantom" and keep
+        the keys strictly increasing (a duplicate or unsorted coordinate
+        would let the window's ``cumsum(present)`` drift from a fiber's).
+        """
+        crds, ends, lens, _, arrivals, closes = views[0]
+        k, n = len(ends), len(crds)
+        ramp_k, ramp_n = index_ramp(k), index_ramp(n)
+        fiber = np.repeat(ramp_k, lens)
+        clean = k
         refs = []
-        for rd_r in rd_refs:
-            run, s_r = rd_r.pop_run()
-            if len(run) > m and len(s_r):
-                close = max(close, int(s_r[-1]))
-            if m:
-                arrivals = np.maximum(arrivals, s_r[:m])
-            _, s_rc = rd_r.pop()
-            close = max(close, s_rc)
-            refs.append(run[:m])
-        return crds, refs, arrivals, close
+        for run, r_ends, r_lens, _, s_r, sc_r in views[1:]:
+            closes = np.maximum(closes, sc_r)
+            if len(run) > n:
+                extra = r_lens - lens
+                pick = ramp_n + (np.cumsum(extra) - extra)[fiber]
+                phantom = np.ones(len(run), dtype=bool)
+                phantom[pick] = False
+                stray = np.flatnonzero(phantom & (run != 0))
+                if len(stray):  # a non-zero value is not a phantom
+                    clean = min(clean, int(np.searchsorted(r_ends, stray[0], "right")))
+                trailed = np.flatnonzero(extra)
+                closes[trailed] = np.maximum(closes[trailed], s_r[r_ends[trailed] - 1])
+                run, s_r = run[pick], s_r[pick]
+            arrivals = np.maximum(arrivals, s_r)
+            refs.append(run)
+        at_stop, at_crd = ends + ramp_k, ramp_n + fiber
+        keys = np.empty(n + k, dtype=np.int64)
+        keys[at_stop] = ramp_k * stride + (stride - 1)
+        keys[at_crd] = fiber * stride + crds
+        stamps = np.empty(n + k, dtype=np.int64)
+        stamps[at_stop] = closes
+        stamps[at_crd] = arrivals
+        unsorted = np.flatnonzero(keys[1:] <= keys[:-1])
+        if keys[0] < 0:
+            clean = 0
+        elif len(unsorted):
+            clean = min(clean, int(np.searchsorted(at_stop, unsorted[0] + 1)))
+        return keys, stamps, refs, clean
 
-    def _merge_events(self, crds_a, arr_a, close_a, crds_b, arr_b, close_b):
-        """Cycle schedule of one fiber-pair merge (2-ary m-finger).
+    def _merge_events(self, keys_a, arr_a, keys_b, arr_b):
+        """Cycle schedule of one window's merge (2-ary m-finger).
 
-        Both mergers run one comparison event per distinct coordinate of
-        the two fibers plus one boundary event; event *k+1* is gated by
-        the arrival of whatever event *k*'s consumption pulled in next
-        (the generator refills consumed fingers right after its yield).
-        Returns ``(values, present_a, present_b, idx_a, idx_b, cycles)``
-        where ``idx_*`` are each side's searchsorted positions of
-        *values*, ``cycles[:-1]`` the comparison events and
-        ``cycles[-1]`` the boundary event.
+        One comparison event per distinct key of the two composite
+        fibers, boundaries included (the window's final stop is last);
+        event *k+1* is gated by the arrival of whatever event *k*'s
+        consumption pulled in next (the generator refills consumed
+        fingers right after its yield).  Returns ``(values, present_a,
+        present_b, idx_a, idx_b, cycles)``, ``idx_*`` being each side's
+        searchsorted positions of *values*.
         """
-        crds_a, crds_b = _match_empty_dtype(crds_a, crds_b)
         kern = get_kernel("merge_events")
-        if kern is not None and crds_a.dtype == crds_b.dtype:
-            # One two-finger pass replaces union1d + 2x searchsorted +
-            # the cumsum successor gathers; bit-identical (see
-            # repro.jit.kernels.merge_events_k).
+        if kern is not None:
+            # One two-finger pass replaces the sorted union, 2x searchsorted
+            # and the cumsum successor gathers; bit-identical (see
+            # repro.jit.kernels.merge_events_k).  Both sides end on the
+            # final stop key, so the kernel's closing gate goes unused.
             values, present_a, present_b, ia, ib, arrivals = kern(
-                np.ascontiguousarray(crds_a),
-                np.ascontiguousarray(crds_b),
-                np.ascontiguousarray(arr_a, dtype=np.int64),
-                np.ascontiguousarray(arr_b, dtype=np.int64),
-                int(close_a),
-                int(close_b),
+                keys_a, keys_b, arr_a, arr_b, 0, 0
             )
-            cycles = self._t_advance(arrivals)
-            return values, present_a, present_b, ia, ib, cycles
-        values = np.union1d(crds_a, crds_b)
-        m = len(values)
-        ia = np.searchsorted(crds_a, values)
-        present_a = np.zeros(m, dtype=bool)
-        valid = ia < len(crds_a)
-        present_a[valid] = crds_a[ia[valid]] == values[valid]
-        ib = np.searchsorted(crds_b, values)
-        present_b = np.zeros(m, dtype=bool)
-        valid = ib < len(crds_b)
-        present_b[valid] = crds_b[ib[valid]] == values[valid]
-        arrivals = np.zeros(m + 1, dtype=np.int64)
-        head_a = int(arr_a[0]) if len(arr_a) else close_a
-        head_b = int(arr_b[0]) if len(arr_b) else close_b
-        arrivals[0] = max(head_a, head_b)
-        if m:
-            succ_a = np.append(arr_a[1:], close_a)
-            gate_a = np.where(present_a, succ_a[np.cumsum(present_a) - 1], 0)
-            succ_b = np.append(arr_b[1:], close_b)
-            gate_b = np.where(present_b, succ_b[np.cumsum(present_b) - 1], 0)
-            np.maximum(arrivals[1:], np.maximum(gate_a, gate_b), out=arrivals[1:])
-        cycles = self._t_advance(arrivals)
-        return values, present_a, present_b, ia, ib, cycles
+            arrivals = arrivals[:-1]
+        else:
+            # union of two strictly increasing runs: a stable sort is one
+            # merge pass (np.union1d's hash-based unique is ~80x slower)
+            both = np.concatenate((keys_a, keys_b))
+            both.sort(kind="stable")
+            fresh = np.ones(len(both), dtype=bool)
+            np.not_equal(both[1:], both[:-1], out=fresh[1:])
+            values = both[fresh]
+            ia = np.searchsorted(keys_a, values)
+            present_a = keys_a[ia] == values
+            ib = np.searchsorted(keys_b, values)
+            present_b = keys_b[ib] == values
+            arrivals = np.empty(len(values), dtype=np.int64)
+            arrivals[0] = max(arr_a[0], arr_b[0])
+            took_a, took_b = present_a[:-1], present_b[:-1]
+            np.maximum(
+                np.where(took_a, arr_a[np.cumsum(took_a)], 0),
+                np.where(took_b, arr_b[np.cumsum(took_b)], 0),
+                out=arrivals[1:],
+            )
+        return values, present_a, present_b, ia, ib, self._t_advance(arrivals)
+
+    def _emit_window(self, groups, stride, codes, events, refs_a, refs_b):
+        """Push one merged window: a ``data_with_ctrl`` call per builder.
+
+        On each output the events its ``_select`` mask picks (out_crd,
+        side-a refs, side-b refs; *real* = not a boundary) are data,
+        every boundary is its fiber's terminator, and an emitted
+        coordinate the side does not carry is an ``N``.
+        """
+        values, present_a, present_b, ia, ib, cycles = events
+        fiber, crd = np.divmod(values, stride)
+        stop = crd == stride - 1
+        code = np.where(stop, codes[fiber], CODE_EMPTY)
+        masks = self._select(present_a, present_b, ~stop)
+        runs = ([crd], refs_a, refs_b)
+        slots = (None, ia - fiber, ib - fiber)
+        layouts = {}
+        for mask, group, side_runs, slot in zip(masks, groups, runs, slots):
+            layout = layouts.get(id(mask))
+            if layout is None:
+                ctrl = stop | (masks[0] & ~mask)
+                layout = layouts[id(mask)] = (
+                    np.cumsum(mask)[ctrl], code[ctrl], cycles[mask], cycles[ctrl]
+                )
+            pick = mask if slot is None else slot[mask]
+            for builder, run in zip(group, side_runs):
+                builder.data_with_ctrl(run[pick], *layout)
 
 
 class Intersect(_Merger):
@@ -376,172 +653,22 @@ class Intersect(_Merger):
                 if c < high:
                     self._tup[i] = None
 
-    def drain_batch(self):
-        """Batched drain: per-fiber sorted-set intersection with numpy.
-
-        Handles every two-sided shape, with any number of reference
-        streams per side (multi-ref sides chain mergers).  Each
-        iteration needs one complete fiber chunk — a data run plus its
-        terminating control token — from both sides; SAM's merge
-        protocol keeps the two sides' control structures identical, so
-        fibers pair one-to-one and each pair intersects with
-        ``np.intersect1d`` (fiber coordinates are sorted and unique).
-        Trailing phantom zeros on reference-port value streams are
-        validated and dropped; anything else off-protocol (ragged
-        crd/ref alignment, empty tokens, higher arities) requeues the
-        window and falls back to the scalar drain permanently.
-        """
-        if self.finished:
-            return False, 0
-        if self.arity != 2:
-            return self._bail_batch()
-        readers = [
-            (self._breader(side.crd), [self._breader(ch) for ch in side.refs])
-            for side in self.sides
-        ]
-        out_crd = self._bbuilder(self.out_crd)
-        out_groups = [
-            [self._bbuilder(ch) for ch in group] for group in self.out_refs
-        ]
-        builders = [out_crd] + [b for group in out_groups for b in group]
-        steps = 0
-
-        def park(channel):
-            nonlocal steps
-            for builder in builders:
-                steps += builder.flush()
-            self._wait = (channel, "data")
-            return steps > 0, steps
-
-        while True:
-            infos = []
-            for i, (rd_c, rd_refs) in enumerate(readers):
-                status, payload = self._chunk_status(i, rd_c, rd_refs)
-                if status == "stall":
-                    return park(payload)
-                if status == "dirty":
-                    for builder in builders:
-                        builder.flush()
-                    return self._bail_batch()
-                infos.append(payload)
-            (code_a, ma), (code_b, mb) = infos
-            crds = []
-            refs = []
-            for (rd_c, rd_refs), (_, m) in zip(readers, infos):
-                crds.append(rd_c.pop_run())
-                rd_c.pop()
-                side_refs = []
-                for rd_r in rd_refs:
-                    run = rd_r.pop_run()
-                    steps += len(run) + 1
-                    side_refs.append(run[:m])
-                    rd_r.pop()
-                refs.append(side_refs)
-                steps += m + 1
-            if ma and mb:
-                common, ia, ib = np.intersect1d(
-                    crds[0], crds[1], assume_unique=True, return_indices=True
-                )
-                if len(common):
-                    out_crd.data(common)
-                    for builder, run in zip(out_groups[0], refs[0]):
-                        builder.data(run[ia])
-                    for builder, run in zip(out_groups[1], refs[1]):
-                        builder.data(run[ib])
-            if code_a == CODE_DONE and code_b == CODE_DONE:
-                for builder in builders:
-                    builder.ctrl(CODE_DONE)
-                for builder in builders:
-                    steps += builder.flush()
-                self.finished = True
-                self._wait = None
-                return True, steps
-            if code_a != code_b:
-                self._raise_misaligned_codes(code_a, code_b)
-            for builder in builders:
-                builder.ctrl(code_a)
-            self._side_fibers[0] += 1
-            self._side_fibers[1] += 1
-
-    timing = TimingDescriptor(fuse_role="merge")
-
-    def timed_capable(self) -> bool:
-        # Skip hints feed a timing side channel the batched merge does
-        # not model; graphs that wire them run the scalar timed path on
-        # both the merger and its scanners.
-        return self.arity == 2 and all(side.skip is None for side in self.sides)
-
-    def drain_timed(self) -> bool:
-        """Timed drain: per-fiber merge with one epoch advance per fiber.
-
-        One comparison event per distinct coordinate plus one boundary
-        event — exactly the generator's two-finger schedule — computed
-        by :meth:`_Merger._merge_events`.
-        """
-        if self.finished:
-            return False
-        readers = [
-            (self._treader(side.crd), [self._treader(ch) for ch in side.refs])
-            for side in self.sides
-        ]
-        out_crd = self._tbuilder(self.out_crd)
-        out_groups = [
-            [self._tbuilder(ch) for ch in group] for group in self.out_refs
-        ]
-        builders = [out_crd] + [b for group in out_groups for b in group]
-        progressed = False
-
-        def park(channel):
-            for builder in builders:
-                builder.flush()
-            self._wait = (channel, "data")
-            return progressed
-
-        while True:
-            infos = []
-            for i, (rd_c, rd_refs) in enumerate(readers):
-                status, payload = self._chunk_status(i, rd_c, rd_refs)
-                if status == "stall":
-                    return park(payload)
-                if status == "dirty":
-                    for builder in builders:
-                        builder.flush()
-                    return self._bail_timed()
-                infos.append(payload)
-            (code_a, ma), (code_b, mb) = infos
-            crds_a, refs_a, arr_a, close_a = self._pop_chunk_timed(
-                readers[0][0], readers[0][1], ma
+    def _merge_fiber(self, crds, refs, out_crd, out_groups):
+        # fiber coordinates are sorted and unique
+        if len(crds[0]) and len(crds[1]):
+            common, ia, ib = np.intersect1d(
+                crds[0], crds[1], assume_unique=True, return_indices=True
             )
-            crds_b, refs_b, arr_b, close_b = self._pop_chunk_timed(
-                readers[1][0], readers[1][1], mb
-            )
-            values, pa, pb, ia, ib, c = self._merge_events(
-                crds_a, arr_a, close_a, crds_b, arr_b, close_b
-            )
-            progressed = True
-            match = pa & pb
-            if match.any():
-                stamps = c[:-1][match]
-                out_crd.data(values[match], stamps)
-                for builder, run in zip(out_groups[0], refs_a):
-                    builder.data(run[ia[match]], stamps)
-                for builder, run in zip(out_groups[1], refs_b):
-                    builder.data(run[ib[match]], stamps)
-            boundary = int(c[-1])
-            if code_a == CODE_DONE and code_b == CODE_DONE:
-                for builder in builders:
-                    builder.ctrl(CODE_DONE, boundary)
-                for builder in builders:
-                    builder.flush()
-                self.finished = True
-                self._wait = None
-                return True
-            if code_a != code_b:
-                self._raise_misaligned_codes(code_a, code_b)
-            for builder in builders:
-                builder.ctrl(code_a, boundary)
-            self._side_fibers[0] += 1
-            self._side_fibers[1] += 1
+            if len(common):
+                out_crd.data(common)
+                for builder, run in zip(out_groups[0], refs[0]):
+                    builder.data(run[ia])
+                for builder, run in zip(out_groups[1], refs[1]):
+                    builder.data(run[ib])
+
+    def _select(self, present_a, present_b, real):
+        match = present_a & present_b & real
+        return match, match, match
 
     def _drain2(self):
         """Two-sided, one-reference-each fast path of the batched drain."""
@@ -647,167 +774,24 @@ class Union(_Merger):
 
     primitive = "union"
 
-    def drain_batch(self):
-        """Batched drain: per-fiber sorted-set union with numpy.
+    def _merge_fiber(self, crds, refs, out_crd, out_groups):
+        # present sides contribute their references, absent sides get
+        # ``N`` tokens at the matching positions (Figure 5)
+        values = np.union1d(*_match_empty_dtype(crds[0], crds[1]))
+        if len(values):
+            out_crd.data(values)
+            for side_crds, side_refs, group in zip(crds, refs, out_groups):
+                idx = np.searchsorted(side_crds, values)
+                present = np.zeros(len(values), dtype=bool)
+                valid = idx < len(side_crds)
+                present[valid] = side_crds[idx[valid]] == values[valid]
+                absent_pos = (np.cumsum(present) - present)[~present]
+                empties = np.full(len(absent_pos), CODE_EMPTY, dtype=np.int64)
+                for builder, run in zip(group, side_refs):
+                    builder.data_with_ctrl(run[idx[present]], absent_pos, empties)
 
-        Two-sided unions (any reference count per side) merge fiber by
-        fiber: the output coordinates are ``np.union1d`` of the pair,
-        present sides contribute their references, absent sides get
-        ``N`` tokens at the matching positions (Figure 5).  Trailing
-        phantom zeros on reference-port value streams — the post-compute
-        union shape elementwise-add graphs build — are validated and
-        dropped.  Anything else off-protocol, or an arity above two,
-        requeues the window and falls back to the scalar drain.
-        """
-        if self.finished:
-            return False, 0
-        if self.arity != 2:
-            return self._bail_batch()
-        readers = [
-            (self._breader(side.crd), [self._breader(ch) for ch in side.refs])
-            for side in self.sides
-        ]
-        out_crd = self._bbuilder(self.out_crd)
-        out_groups = [
-            [self._bbuilder(ch) for ch in group] for group in self.out_refs
-        ]
-        builders = [out_crd] + [b for group in out_groups for b in group]
-        steps = 0
-
-        def park(channel):
-            nonlocal steps
-            for builder in builders:
-                steps += builder.flush()
-            self._wait = (channel, "data")
-            return steps > 0, steps
-
-        while True:
-            infos = []
-            for i, (rd_c, rd_refs) in enumerate(readers):
-                status, payload = self._chunk_status(i, rd_c, rd_refs)
-                if status == "stall":
-                    return park(payload)
-                if status == "dirty":
-                    for builder in builders:
-                        builder.flush()
-                    return self._bail_batch()
-                infos.append(payload)
-            (code_a, ma), (code_b, mb) = infos
-            crds = []
-            refs = []
-            for (rd_c, rd_refs), (_, m) in zip(readers, infos):
-                crds.append(rd_c.pop_run())
-                rd_c.pop()
-                side_refs = []
-                for rd_r in rd_refs:
-                    run = rd_r.pop_run()
-                    steps += len(run) + 1
-                    side_refs.append(run[:m])
-                    rd_r.pop()
-                refs.append(side_refs)
-                steps += m + 1
-            values = np.union1d(*_match_empty_dtype(crds[0], crds[1]))
-            if len(values):
-                out_crd.data(values)
-                for side_crds, side_refs, group in zip(crds, refs, out_groups):
-                    idx = np.searchsorted(side_crds, values)
-                    present = np.zeros(len(values), dtype=bool)
-                    valid = idx < len(side_crds)
-                    present[valid] = side_crds[idx[valid]] == values[valid]
-                    absent_pos = (np.cumsum(present) - present)[~present]
-                    empties = np.full(len(absent_pos), CODE_EMPTY, dtype=np.int64)
-                    for builder, run in zip(group, side_refs):
-                        builder.data_with_ctrl(
-                            run[idx[present]], absent_pos, empties
-                        )
-            if code_a == CODE_DONE and code_b == CODE_DONE:
-                for builder in builders:
-                    builder.ctrl(CODE_DONE)
-                for builder in builders:
-                    steps += builder.flush()
-                self.finished = True
-                self._wait = None
-                return True, steps
-            if code_a != code_b:
-                self._raise_misaligned_codes(code_a, code_b)
-            for builder in builders:
-                builder.ctrl(code_a)
-
-    timing = TimingDescriptor(fuse_role="merge")
-
-    def timed_capable(self) -> bool:
-        return self.arity == 2 and all(side.skip is None for side in self.sides)
-
-    def drain_timed(self) -> bool:
-        """Timed drain: one event per union coordinate plus the boundary."""
-        if self.finished:
-            return False
-        readers = [
-            (self._treader(side.crd), [self._treader(ch) for ch in side.refs])
-            for side in self.sides
-        ]
-        out_crd = self._tbuilder(self.out_crd)
-        out_groups = [
-            [self._tbuilder(ch) for ch in group] for group in self.out_refs
-        ]
-        builders = [out_crd] + [b for group in out_groups for b in group]
-        progressed = False
-
-        def park(channel):
-            for builder in builders:
-                builder.flush()
-            self._wait = (channel, "data")
-            return progressed
-
-        while True:
-            infos = []
-            for i, (rd_c, rd_refs) in enumerate(readers):
-                status, payload = self._chunk_status(i, rd_c, rd_refs)
-                if status == "stall":
-                    return park(payload)
-                if status == "dirty":
-                    for builder in builders:
-                        builder.flush()
-                    return self._bail_timed()
-                infos.append(payload)
-            (code_a, ma), (code_b, mb) = infos
-            crds_a, refs_a, arr_a, close_a = self._pop_chunk_timed(
-                readers[0][0], readers[0][1], ma
-            )
-            crds_b, refs_b, arr_b, close_b = self._pop_chunk_timed(
-                readers[1][0], readers[1][1], mb
-            )
-            values, pa, pb, ia, ib, c = self._merge_events(
-                crds_a, arr_a, close_a, crds_b, arr_b, close_b
-            )
-            progressed = True
-            if len(values):
-                stamps = c[:-1]
-                out_crd.data(values, stamps)
-                for present, idx, side_refs, group in (
-                    (pa, ia, refs_a, out_groups[0]),
-                    (pb, ib, refs_b, out_groups[1]),
-                ):
-                    absent_pos = (np.cumsum(present) - present)[~present]
-                    empties = np.full(len(absent_pos), CODE_EMPTY, dtype=np.int64)
-                    for builder, run in zip(group, side_refs):
-                        builder.data_with_ctrl(
-                            run[idx[present]], absent_pos, empties,
-                            stamps[present], stamps[~present],
-                        )
-            boundary = int(c[-1])
-            if code_a == CODE_DONE and code_b == CODE_DONE:
-                for builder in builders:
-                    builder.ctrl(CODE_DONE, boundary)
-                for builder in builders:
-                    builder.flush()
-                self.finished = True
-                self._wait = None
-                return True
-            if code_a != code_b:
-                self._raise_misaligned_codes(code_a, code_b)
-            for builder in builders:
-                builder.ctrl(code_a, boundary)
+    def _select(self, present_a, present_b, real):
+        return real, present_a & real, present_b & real
 
     def _run(self):
         tokens = yield from self._pop_all()

@@ -150,7 +150,7 @@ def warmup() -> List[str]:
         k["compose_rate1"](i64, one, np.ones(1, dtype=np.int64), one)
         k["segment_sums"](f64, one, np.ones(1, dtype=np.int64))
         k["scan_sched"](one, one, 1, 1, 0, 0, 0)
-        k["merge_events"](f64, f64, i64, i64, 2, 2)
+        # the mergers' composite keys are always int64
         k["merge_events"](i64, i64, i64, i64, 2, 2)
         k["repsig_ends"](i64, -3)
     except Exception:

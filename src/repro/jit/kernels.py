@@ -25,9 +25,10 @@ path and must be **bit-identical** to it:
   max replaces ``np.maximum.accumulate`` over ``val - pos*ii`` and the
   ``np.repeat`` + ramp schedule is emitted in the same pass.
 * :func:`merge_events_k` — the two-finger coiteration behind
-  ``_Merger._merge_events``: union coordinates, searchsorted-left
-  positions, presence masks, and successor-gated arrivals in one pass
-  instead of ``np.union1d`` + two ``searchsorted`` + cumsum gathers.
+  ``_Merger._merge_events`` (called once per window, on int64
+  composite keys): union coordinates, searchsorted-left positions,
+  presence masks, and successor-gated arrivals in one pass instead of
+  a sorted union + two ``searchsorted`` + cumsum gathers.
 * :func:`repsig_ends_k` — the repeater's window expansion
   (``ends_all``/``nonclose``) as one counting pass instead of two
   ``np.flatnonzero`` scans.

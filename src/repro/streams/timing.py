@@ -43,6 +43,7 @@ from .batch import (
 )
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+I64_MAX = int(np.iinfo(np.int64).max)
 
 
 def rate1_schedule(arrivals: np.ndarray, clock: int, ii: int = 1) -> np.ndarray:
@@ -347,7 +348,7 @@ class TimedReader:
 
     def pop_run(self) -> Tuple[np.ndarray, np.ndarray]:
         """Pop the maximal front data run: ``(values, stamps)``."""
-        return self.pop_run_upto(np.iinfo(np.int64).max)
+        return self.pop_run_upto(I64_MAX)
 
     def run_values(self) -> np.ndarray:
         """The data run at the front without consuming it."""
@@ -535,6 +536,7 @@ class TimedBuilder:
 
 
 __all__ = [
+    "I64_MAX",
     "TimedBuilder",
     "TimedReader",
     "index_ramp",

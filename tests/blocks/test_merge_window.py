@@ -1,0 +1,360 @@
+"""Window-at-a-time timed mergers against the cycle oracle.
+
+``Intersect``/``Union.drain_timed`` merge a whole window of fiber pairs
+as one fiber over composite keys.  Everything here is differential:
+random two-sided fiber structures, delivered whole or in random slices,
+must give the cycle engine's cycles, block activity, token counts and
+recorded outputs under ``timed-batch`` and ``compiled`` — including the
+chunks the window must refuse (dirty) wherever they fall in it.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.blocks import Block, BlockError, Intersect, MergeSide, StreamFeeder, Union
+from repro.blocks import merge as merge_module
+from repro.kernels.spmm import spmm_program
+from repro.lang import compile_expression
+from repro.sim import graph_token_counts, run_blocks
+from repro.streams import Channel, DONE, EMPTY, Stop
+
+TIMED = ("timed-batch", "compiled")
+MERGERS = (Intersect, Union)
+
+
+class Slicer(Block):
+    """Scalar-only source pushing its tokens in slices, idling between.
+
+    It has no timed hook, so every engine steps its generator: the
+    merger downstream sees windows that end wherever a slice does —
+    mid-fiber, between a coordinate and its references, after the stop.
+    """
+
+    def __init__(self, tokens, plan, out, name):
+        super().__init__(name)
+        self.tokens, self.plan = list(tokens), plan
+        self.out = self._out("out", out)
+
+    def _run(self):
+        pos = 0
+        for size, gap in self.plan:
+            for token in self.tokens[pos:pos + size]:
+                self.out.push(token)
+            pos += size
+            yield True
+            for _ in range(gap):
+                yield True
+        for token in self.tokens[pos:]:
+            self.out.push(token)
+        yield True
+
+
+def build(cls, sides, rng=None):
+    """``(blocks, recorded outputs)`` of one merger fed by *sides*.
+
+    *sides* is ``[(crd tokens, [ref tokens, ...]), ...]``.  With *rng*
+    every stream is delivered in random slices by a :class:`Slicer`,
+    otherwise whole by a ``StreamFeeder``.
+    """
+    blocks, merge_sides, out_groups, outs = [], [], [], []
+
+    def source(tokens, channel, name):
+        if rng is None:
+            return StreamFeeder(tokens, channel, name=name)
+        plan = [(rng.randint(1, 5), rng.randint(0, 3)) for _ in range(len(tokens) // 3)]
+        return Slicer(tokens, plan, channel, name)
+
+    for i, (crd_tokens, ref_streams) in enumerate(sides):
+        crd = Channel(f"crd{i}")
+        blocks.append(source(crd_tokens, crd, f"fc{i}"))
+        refs, group = [], []
+        for j, tokens in enumerate(ref_streams):
+            ref = Channel(f"ref{i}_{j}", kind="ref")
+            blocks.append(source(tokens, ref, f"fr{i}_{j}"))
+            refs.append(ref)
+            group.append(Channel(f"oref{i}_{j}", kind="ref", record=True))
+        merge_sides.append(MergeSide(crd, refs))
+        out_groups.append(group)
+        outs.extend(group)
+    out_crd = Channel("ocrd", record=True)
+    blocks.append(cls(merge_sides, out_crd, out_groups, name="merge"))
+    return blocks, [out_crd] + outs
+
+
+def run(cls, sides, backend, slicing_seed=None):
+    """Everything a backend may not change, for one run."""
+    rng = None if slicing_seed is None else random.Random(slicing_seed)
+    blocks, outs = build(cls, sides, rng)
+    report = run_blocks(blocks, backend=backend)
+    return (
+        report.cycles,
+        report.block_activity(),
+        graph_token_counts(blocks),
+        [list(ch.history) for ch in outs],
+    )
+
+
+def assert_matches_cycle(cls, sides, slicing_seed=None, timing=True):
+    """Full report identity, or just tokens and outputs (``timing=False``)."""
+    want = run(cls, sides, "cycle", slicing_seed)
+    for backend in TIMED:
+        got = run(cls, sides, backend, slicing_seed)
+        assert got[2:] == want[2:], backend
+        if timing:
+            assert got[:2] == want[:2], backend
+    return want
+
+
+# -- random two-sided fiber structures ----------------------------------------
+crd_sets = st.sets(st.integers(0, 9), max_size=5).map(sorted)
+#: fiber pair: side-a coordinates, side-b coordinates, closing stop level
+fiber_pairs = st.tuples(crd_sets, crd_sets, st.integers(0, 2))
+structures = st.fixed_dictionaries({
+    "fibers": st.lists(fiber_pairs, min_size=1, max_size=8),
+    "empty_side": st.sampled_from([None, None, 0, 1]),
+    "nrefs": st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    #: trailing phantom zeros per (side, ref, fiber) are drawn from this
+    "phantoms": st.randoms(use_true_random=False),
+    "tail": st.booleans(),
+    "dirty": st.one_of(
+        st.none(),
+        st.tuples(
+            st.sampled_from(["empty-ref", "non-zero-phantom", "duplicate"]),
+            st.integers(0, 7),
+            st.integers(0, 1),
+        ),
+    ),
+})
+
+
+def streams(shape, value_refs=False):
+    """The two sides' token streams of one drawn structure.
+
+    Reference streams carry distinct values (floats when *value_refs*,
+    the post-compute-union shape that trails phantom zeros).  A dirty
+    spec ``(kind, fiber, side)`` plants, in that fiber of that side: an
+    ``N`` in place of a reference, a non-zero value trailing the
+    references, or a repeated coordinate.
+    """
+    fibers = shape["fibers"]
+    rnd = shape["phantoms"]
+    dirty = shape["dirty"]
+    if dirty is not None:
+        kind, at, on = dirty
+        at %= len(fibers)
+        if shape["nrefs"][on] == 0:
+            kind = "duplicate"  # nothing but coordinates to corrupt
+    sides = []
+    for s in range(2):
+        crd, refs = [], [[] for _ in range(shape["nrefs"][s])]
+        for f, pair in enumerate(fibers):
+            crds = [] if shape["empty_side"] == s else list(pair[s])
+            hit = dirty is not None and (at, on) == (f, s)
+            if hit and kind == "duplicate":
+                crds = crds[:1] * 2 + crds[1:] if crds else [4, 4]
+            stop = Stop(pair[2])
+            crd += crds + [stop]
+            for j, ref in enumerate(refs):
+                base = 100 * (1 + j + 4 * s) + 10 * f
+                run = [base + i + (0.5 if value_refs else 0) for i in range(len(crds))]
+                if hit and kind == "empty-ref" and j == 0:
+                    run = [EMPTY] + run[1:] if run else run
+                if value_refs:
+                    run += [0.0] * rnd.randint(0, 2)
+                if hit and kind == "non-zero-phantom" and j == 0:
+                    run.append(7.5)
+                ref += run + [stop]
+        for stream in [crd] + refs:
+            stream.append(DONE)
+            if shape["tail"]:
+                stream += [3, Stop(0), DONE]
+        sides.append((crd, refs))
+    return sides
+
+
+class TestWindowDifferential:
+    """Whole-stream windows (K = every fiber) and sliced ones (ragged K,
+    stalls mid-fiber) reproduce the cycle engine bit for bit.
+
+    One combination is checked for tokens and outputs only: a dirty
+    chunk behind a *scalar* producer.  Leaving the timed plane is
+    cycle-exact when the window's stamps lie ahead of the engine clock
+    (timed producers); a merger that waited several cycles for a fiber's
+    terminator before finding the fiber dirty hands its generator a
+    backlog the cycle engine's generator consumed as it arrived.
+    """
+
+    @pytest.mark.parametrize("cls", MERGERS)
+    @settings(max_examples=60, deadline=None)
+    @given(shape=structures, value_refs=st.booleans())
+    def test_whole_windows(self, cls, shape, value_refs):
+        assert_matches_cycle(cls, streams(shape, value_refs))
+
+    @pytest.mark.parametrize("cls", MERGERS)
+    @settings(max_examples=60, deadline=None)
+    @given(shape=structures, value_refs=st.booleans(), seed=st.integers(0, 2**16))
+    def test_sliced_windows(self, cls, shape, value_refs, seed):
+        assert_matches_cycle(
+            cls, streams(shape, value_refs), slicing_seed=seed,
+            timing=shape["dirty"] is None,
+        )
+
+
+def _fibers(n, dirty=None):
+    shape = {
+        "fibers": [([0, 2, 5], [2, 3, 5], 0)] * (n - 1) + [([1], [1, 4], 1)],
+        "empty_side": None, "nrefs": (2, 1), "tail": False, "dirty": dirty,
+        "phantoms": random.Random(0),
+    }
+    return streams(shape, value_refs=True)
+
+
+class TestDirtyChunks:
+    """A dirty chunk leaves the timed plane — after the clean prefix when
+    it is not the window's first fiber — and never changes a report."""
+
+    @pytest.mark.parametrize("cls", MERGERS)
+    @pytest.mark.parametrize("kind", ["empty-ref", "non-zero-phantom", "duplicate"])
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_bails_at_the_dirty_fiber(self, cls, kind, at, monkeypatch):
+        merged, bails = [], []
+        real_merge, real_bail = cls._merge_events, cls._bail_timed
+
+        def merge_events(self, *keys_and_stamps):
+            merged.append(self.name)
+            return real_merge(self, *keys_and_stamps)
+
+        def bail(self):
+            bails.append(self.name)
+            return real_bail(self)
+
+        sides = _fibers(6, dirty=(kind, at, 0))
+        want = assert_matches_cycle(cls, sides)
+        monkeypatch.setattr(cls, "_merge_events", merge_events)
+        monkeypatch.setattr(cls, "_bail_timed", bail)
+        assert run(cls, sides, "timed-batch") == want
+        assert bails == ["merge"]
+        # one window merge for the clean prefix, none when there is none
+        assert len(merged) == (1 if at else 0)
+
+    @pytest.mark.parametrize("cls", MERGERS)
+    def test_clean_stream_is_one_merge(self, cls, monkeypatch):
+        calls = []
+        real = cls._merge_events
+        monkeypatch.setattr(
+            cls, "_merge_events",
+            lambda self, *a: calls.append(1) or real(self, *a),
+        )
+        sides = _fibers(6)
+        run(cls, sides, "timed-batch")
+        assert calls == [1]
+
+    @pytest.mark.parametrize("cls", MERGERS)
+    @pytest.mark.parametrize("backend", ("cycle",) + TIMED)
+    def test_mismatched_stops_raise(self, cls, backend):
+        sides = [
+            ([0, Stop(0), 1, Stop(0), DONE], []),
+            ([0, Stop(0), 1, Stop(1), DONE], []),
+        ]
+        with pytest.raises(BlockError, match="misaligned stops"):
+            run(cls, sides, backend)
+
+
+class TestKeyCapacity:
+    """Composite keys must fit int64: windows that would wrap split."""
+
+    def _huge(self, base, fibers):
+        crd_a, crd_b, ref_a, ref_b = [], [], [], []
+        for f in range(fibers):
+            a = [base + f, base + f + 2, base + f + 5]
+            b = [base + f + 2, base + f + 3]
+            crd_a += a + [Stop(0)]
+            crd_b += b + [Stop(0)]
+            ref_a += [10 * f + i for i in range(3)] + [Stop(0)]
+            ref_b += [10 * f + i for i in range(2)] + [Stop(0)]
+        return [(crd_a + [DONE], [ref_a + [DONE]]), (crd_b + [DONE], [ref_b + [DONE]])]
+
+    @pytest.mark.parametrize("cls", MERGERS)
+    def test_huge_coordinates_many_fibers(self, cls):
+        want = assert_matches_cycle(cls, self._huge(2**40, 300))
+        # the coordinates come back whole, not as key remainders
+        assert want[3][0][0] == 2**40 + (2 if cls is Intersect else 0)
+
+    @pytest.mark.parametrize("cls", MERGERS)
+    def test_window_splits_instead_of_wrapping(self, cls, monkeypatch):
+        base, fibers = 2**61, 10
+        capacity = merge_module._window_capacity(base + fibers + 5 + 1)
+        assert capacity == 3
+        sides = self._huge(base, fibers)
+        want = run(cls, sides, "cycle")
+        windows = []
+        real = cls._merge_events
+        monkeypatch.setattr(
+            cls, "_merge_events",
+            lambda self, keys_a, *a: windows.append(len(keys_a)) or real(self, keys_a, *a),
+        )
+        assert run(cls, sides, "timed-batch") == want
+        # side a's keys: 10 fibers of 3 coordinates + stop and the empty
+        # chunk D closes, at most 3 chunks a window
+        assert windows == [12, 12, 12, 5]
+
+    def test_capacity_zero_goes_scalar(self):
+        top = int(np.iinfo(np.int64).max) - 1
+        sides = [([5, top, Stop(0), DONE], []), ([top, Stop(0), DONE], [])]
+        assert merge_module._window_capacity(top + 2) == 0
+        for cls in MERGERS:
+            assert_matches_cycle(cls, sides)
+
+
+class TestOneAdvancePerWindow:
+    """Wall-clock-free perf guard: a merger's epoch advances never
+    outnumber its visits, so per-fiber stepping cannot come back."""
+
+    def _count(self, monkeypatch, run_it):
+        visits, advances = {}, {}
+        real_drain = merge_module._Merger.drain_timed
+        real_advance = Block._t_advance
+
+        def drain(self):
+            visits[self.name] = visits.get(self.name, 0) + 1
+            return real_drain(self)
+
+        def advance(self, arrivals):
+            advances[self.name] = advances.get(self.name, 0) + 1
+            return real_advance(self, arrivals)
+
+        monkeypatch.setattr(merge_module._Merger, "drain_timed", drain)
+        monkeypatch.setattr(merge_module._Merger, "_t_advance", advance)
+        for backend in TIMED:
+            visits.clear()
+            advances.clear()
+            run_it(backend)
+            assert advances, backend
+            for name, count in advances.items():
+                assert count <= visits[name], (backend, name, count, visits[name])
+
+    def test_spmm_ijk_40x40_d8(self, monkeypatch):
+        from repro.data.synthetic import random_sparse_matrix
+
+        B = np.asarray(random_sparse_matrix(40, 40, 0.08, seed=42), float)
+        C = np.asarray(random_sparse_matrix(40, 40, 0.08, seed=43), float)
+        prog = spmm_program("ijk")
+        # ~1600 (i, j) fiber pairs reach the k-level intersecter
+        self._count(
+            monkeypatch, lambda backend: prog.run({"B": B, "C": C}, backend=backend)
+        )
+
+    def test_table1_union(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        operands = {
+            name: rng.random((9, 11)) * (rng.random((9, 11)) < 0.45)
+            for name in "BC"
+        }
+        prog = compile_expression("X(i,j) = B(i,j) + C(i,j)")
+        self._count(
+            monkeypatch, lambda backend: prog.run(operands, backend=backend)
+        )
