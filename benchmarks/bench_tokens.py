@@ -1,13 +1,16 @@
-"""Token data-plane wall-clock: batched vs generator functional backend.
+"""Token data-plane wall-clock: ``functional`` vs its generator oracle.
 
 Times functional-backend SpMV (the iterate-locate kernel over a prebuilt
-two-level FiberTensor) under the batched ``TokenBatch`` data plane
-(``backend="functional"``) against the scalar/generator plane
+two-level FiberTensor) with the blocks on the timed plane
+(``backend="functional"``: ``drain_timed`` over ``TokenBatch`` windows,
+stamps ignored) against every block stepping its generator
 (``backend="functional-seq"``, the differential oracle) at 1e4, 1e5 and
-1e6 nnz.  Outputs are asserted **bit-identical** between the planes at
+1e6 nnz.  Outputs are asserted **bit-identical** between the two at
 every size, so this benchmark doubles as a differential test at scales
 the unit tests do not reach, and the 1e6-nnz row asserts the >= 5x
-speedup the batch path exists for (``--min-speedup`` to override).
+speedup a block's windowed definition exists for (``--min-speedup`` to
+override).  The ``batch_*`` keys of the JSON rows are the ``functional``
+leg.
 
 Usage::
 
@@ -28,9 +31,9 @@ from repro.kernels import spmv_locate
 
 SIZES = (10_000, 100_000, 1_000_000)
 
-#: wall-clock gate asserted at the largest size (acceptance criterion of
-#: the batched data plane); smaller sizes are reported but not gated —
-#: fixed per-run overheads dominate there
+#: wall-clock gate asserted at the largest size (what ``drain_timed``
+#: must buy over the generator); smaller sizes are reported but not
+#: gated — fixed per-run overheads dominate there
 MIN_SPEEDUP_AT_1E6 = 5.0
 
 
@@ -78,7 +81,7 @@ def run(rounds: int, seq_cap: int, min_speedup: float) -> dict:
                 list(out_batch[0]) == list(out_seq[0])
                 and list(out_batch[1]) == list(out_seq[1])
             )
-            assert identical, f"batch/generator outputs diverge at nnz={nnz}"
+            assert identical, f"functional/generator outputs diverge at nnz={nnz}"
             row.update(
                 generator_seconds=round(t_seq, 6),
                 speedup=round(t_seq / t_batch, 2),
@@ -86,7 +89,7 @@ def run(rounds: int, seq_cap: int, min_speedup: float) -> dict:
             )
             if nnz >= 1_000_000 and row["speedup"] < min_speedup:
                 raise SystemExit(
-                    f"batch plane only {row['speedup']}x over the generator "
+                    f"functional only {row['speedup']}x over the generator "
                     f"at nnz={nnz} (need >= {min_speedup}x)"
                 )
         rows.append(row)
@@ -108,7 +111,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--min-speedup", type=float, default=MIN_SPEEDUP_AT_1E6,
-        help="required batch-vs-generator speedup at 1e6 nnz",
+        help="required functional-vs-generator speedup at 1e6 nnz",
     )
     parser.add_argument("-o", "--output", default=None)
     args = parser.parse_args(argv)

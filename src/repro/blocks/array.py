@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..streams.batch import CODE_DONE, CODE_EMPTY
 from ..streams.channel import Channel
 from ..streams.token import is_data, is_done, is_empty
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
@@ -65,71 +64,6 @@ class ArrayLoad(Block):
             yield True
             if is_done(token):
                 return
-
-    def drain(self, limit=None):
-        if self.finished or not self._can_batch():
-            return super().drain(limit)
-        in_ref, out, memory = self.in_ref, self.out_data, self.memory
-        steps = 0
-        while not in_ref.empty():
-            token = in_ref.pop()
-            if is_data(token):
-                self.loads += 1
-                out.push(memory[token])
-            elif is_empty(token):
-                out.push(self.empty_value)
-            else:
-                out.push(token)
-            steps += 1
-            if is_done(token):
-                self.finished = True
-                self._wait = None
-                return True, steps
-        self._wait = (in_ref, "data")
-        return steps > 0, steps
-
-    def drain_batch(self):
-        """Batched drain: gather whole reference runs from the memory.
-
-        The memory is snapshotted as a numpy array at the first batched
-        call (stores into a load block's memory mid-run are not part of
-        any kernel here; the scalar path keeps the live-list semantics).
-        """
-        if self.finished:
-            return False, 0
-        mem = getattr(self, "_mem_array", None)
-        if mem is None:
-            arr = np.asarray(self.memory)
-            if arr.ndim != 1 or arr.dtype.kind not in "if":
-                return self._bail_batch()
-            mem = self._mem_array = arr
-        reader = self._breader(self.in_ref)
-        out = self._bbuilder(self.out_data)
-        steps = 0
-        while True:
-            ctrl = reader.front_ctrl()
-            if ctrl is None:
-                refs = reader.pop_run()
-                if len(refs) == 0:
-                    steps += out.flush()
-                    self._wait = (self.in_ref, "data")
-                    return steps > 0, steps
-                self.loads += len(refs)
-                steps += len(refs)
-                out.data(mem[refs.astype(np.int64, copy=False)])
-                continue
-            reader.pop()
-            steps += 1
-            if ctrl == CODE_EMPTY:
-                out.scalar(self.empty_value)
-            elif ctrl == CODE_DONE:
-                out.ctrl(CODE_DONE)
-                steps += out.flush()
-                self.finished = True
-                self._wait = None
-                return True, steps
-            else:
-                out.ctrl(ctrl)
 
     timing = TimingDescriptor(fuse_role="map")
 

@@ -17,12 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..streams.batch import (
-    BatchBuilder,
-    BatchReader,
-    TokenBatch,
-    concat_batches,
-)
+from ..streams.batch import CODE_EMPTY, TokenBatch
 from ..streams.channel import Channel
 from ..streams.timing import (
     TimedBuilder,
@@ -207,16 +202,6 @@ class Block:
     #: deadlock analysis excludes them from cycle enumeration.
     nonblocking_inputs: Tuple[str, ...] = ()
 
-    #: batched-drain hook.  Subclasses that support the numpy token fast
-    #: path override this with a method ``drain_batch(self) -> (bool, int)``
-    #: following the :meth:`drain` contract (progress flag, token-operation
-    #: count, ``self._wait`` set while stalled).  ``None`` means the block
-    #: only has the scalar/generator path; the functional engine falls
-    #: back per block, so mixed graphs work.  A batched implementation may
-    #: permanently opt out mid-run by calling :meth:`_bail_batch`, which
-    #: requeues its held input and flips :attr:`_batch_ok`.
-    drain_batch = None
-
     #: timed segment hook for the timed-batch backend: a method
     #: ``drain_timed(self) -> bool`` that consumes stamped batches from
     #: its inputs, pushes stamped batches, and advances
@@ -247,11 +232,8 @@ class Block:
         self.busy_cycles = 0
         self.stall_cycles = 0
         self._gen = None
-        #: False once a batched drain bailed out; the engine then sticks
-        #: to the scalar path for the rest of the run
-        self._batch_ok = True
-        #: False once a timed-batch drain bailed out (per-block fallback
-        #: to the scalar timed path, mirroring ``_batch_ok``)
+        #: False once a timed drain bailed out (per-block fallback to the
+        #: generator for the rest of the run)
         self._timed_ok = True
         #: timed-plane local clock: the next cycle this block could act in
         self._tclock = 1
@@ -299,17 +281,14 @@ class Block:
         """Execution planes this block supports, derived from its hooks.
 
         ``scalar`` is present iff the class implements the generator
-        path (:meth:`_run`); ``batched`` and ``timed`` iff it overrides
-        ``drain_batch`` / ``drain_timed``.  Every stock primitive has
-        the scalar path; the declarative graph layer intersects these
-        per edge to reject capability mismatches for a requested
-        backend at bind time.
+        path (:meth:`_run`); ``timed`` iff it overrides ``drain_timed``.
+        Every stock primitive has the scalar path; the declarative graph
+        layer intersects these per edge to reject capability mismatches
+        for a requested backend at bind time.
         """
         caps = set()
         if cls._run is not Block._run:
             caps.add("scalar")
-        if cls.drain_batch is not None:
-            caps.add("batched")
         if cls.drain_timed is not None:
             caps.add("timed")
         return frozenset(caps)
@@ -383,12 +362,11 @@ class Block:
     def drain(self, limit: Optional[int] = None) -> Tuple[bool, int]:
         """Resume the generator until it stalls or finishes (functional mode).
 
-        Unlike :meth:`step`, this performs no busy/stall accounting — it is
-        the fast path for correctness-only simulation.  Returns
-        ``(made_progress, resumptions)``.  *limit* is advisory: the
-        generator path stops early after that many resumptions, while
-        batched overrides may finish the input already queued before the
-        caller re-checks its budget.
+        Unlike :meth:`step`, this performs no busy/stall accounting.
+        Returns ``(made_progress, resumptions)``; the drain stops early
+        after *limit* resumptions.  No block overrides this: it is how
+        the functional backends run every block that is off the timed
+        plane, and all of ``functional-seq``.
         """
         if self.finished:
             return False, 0
@@ -412,76 +390,6 @@ class Block:
     def waiting_on(self) -> Optional[Tuple[Channel, str]]:
         """What the last stall was blocked on: (channel, "data"|"space")."""
         return self._wait
-
-    def _can_batch(self) -> bool:
-        """Whether a batched drain override may run instead of the generator.
-
-        Batched drains push without modelling back-pressure, so they bail
-        to the generator when any output FIFO is finite — and when the
-        generator is already live (a mixed step()/drain() run must not
-        fork the block's state).
-        """
-        return self._gen is None and all(
-            ch.capacity is None for ch in self.outputs.values()
-        )
-
-    # -- batched-drain helpers ---------------------------------------------
-    def _breader(self, channel: Channel) -> BatchReader:
-        """Cached input reader for *channel*, refilled from the queue."""
-        try:
-            readers = self._batch_readers
-        except AttributeError:
-            readers = self._batch_readers = {}
-        reader = readers.get(channel)
-        if reader is None:
-            reader = readers[channel] = BatchReader(channel)
-        reader.pull()
-        return reader
-
-    def _bbuilder(self, channel: Channel) -> BatchBuilder:
-        """Cached output builder for *channel* (flush before returning)."""
-        try:
-            builders = self._batch_builders
-        except AttributeError:
-            builders = self._batch_builders = {}
-        builder = builders.get(channel)
-        if builder is None:
-            builder = builders[channel] = BatchBuilder(channel)
-        return builder
-
-    def _batch_bail_safe(self) -> bool:
-        """Whether the scalar path can take over right now.
-
-        True by default: most blocks keep their mid-stream state in
-        instance attributes shared with the scalar path (or can requeue
-        it — see the overrides).  Blocks whose batched state cannot be
-        handed back (a half-folded repeater, a held dropper boundary)
-        return False, turning a mid-stream bail into a loud error
-        instead of silent corruption.
-        """
-        return True
-
-    def _bail_batch(self) -> Tuple[bool, int]:
-        """Opt out of batched draining for the rest of the run.
-
-        Requeues every reader's unconsumed window onto its channel and
-        delegates to the scalar :meth:`drain`.  Only safe at points where
-        the scalar path can take over — either before anything was
-        consumed, or when all mid-stream state lives in instance
-        attributes shared with the scalar path (guarded by
-        :meth:`_batch_bail_safe`; stateful blocks override it, or
-        override this method to requeue their carried state first).
-        """
-        if not self._batch_bail_safe():
-            raise BlockError(
-                f"{self.name}: cannot leave the batched plane mid-stream "
-                f"(unbatchable tokens arrived after stateful batched "
-                f"processing)"
-            )
-        for reader in getattr(self, "_batch_readers", {}).values():
-            reader.requeue()
-        self._batch_ok = False
-        return self.drain()
 
     # -- timed-batch helpers -----------------------------------------------
     def timed_capable(self) -> bool:
@@ -570,8 +478,6 @@ class Block:
         — without it, streams fragmented by per-fiber stops would pay a
         Python iteration per fiber.
         """
-        from ..streams.batch import CODE_EMPTY
-
         reader = self._treader(channel)
         window = reader.take_window()
         if window is None:
@@ -610,10 +516,10 @@ class Block:
     def _timed_bail_safe(self) -> bool:
         """Whether the scalar timed path can take over right now.
 
-        Unlike the functional plane, timed processing already charged
-        busy/stall cycles for everything consumed, so a bail is only
-        safe when no consumed-but-unemitted state is pending (carried
-        arrivals included).  Stateful blocks override with their own
+        Timed processing already charged busy/stall cycles for
+        everything consumed, so a bail is only safe when no
+        consumed-but-unemitted state is pending (carried arrivals
+        included).  Stateful blocks override with their own
         cleanliness checks.
         """
         return self._t_carry == 0
@@ -705,30 +611,6 @@ class StreamFeeder(Block):
         for token in self.tokens:
             yield from self._put(self.out, token)
             yield True
-
-    def drain(self, limit: Optional[int] = None) -> Tuple[bool, int]:
-        if self.finished or not self._can_batch():
-            return super().drain(limit)
-        out = self.out
-        for token in self.tokens:
-            out.push(token)
-        self.finished = True
-        self._wait = None
-        return bool(self.tokens), len(self.tokens)
-
-    def drain_batch(self) -> Tuple[bool, int]:
-        if self.finished:
-            return False, 0
-        try:
-            batch = TokenBatch.from_tokens(self.tokens)
-        except (TypeError, ValueError):
-            # Unbatchable payloads (tuples — uniform or ragged — and
-            # custom objects): scalar path.
-            return self._bail_batch()
-        self.out.push_batch(batch)
-        self.finished = True
-        self._wait = None
-        return bool(self.tokens), len(self.tokens)
 
     timing = TimingDescriptor()
     timed_credit_producer = True
@@ -830,46 +712,6 @@ class Fanout(Block):
             if is_done(token):
                 return
 
-    def drain(self, limit: Optional[int] = None) -> Tuple[bool, int]:
-        if self.finished or not self._can_batch():
-            return super().drain(limit)
-        in_, outs = self.in_, self.outs
-        steps = 0
-        while not in_.empty():
-            token = in_.pop()
-            for channel in outs:
-                channel.push(token)
-            steps += 1
-            if is_done(token):
-                self.finished = True
-                self._wait = None
-                return True, steps
-        self._wait = (in_, "data")
-        return steps > 0, steps
-
-    def drain_batch(self) -> Tuple[bool, int]:
-        if self.finished:
-            return False, 0
-        reader = self._breader(self.in_)
-        if not reader.held:
-            self._wait = (self.in_, "data")
-            return False, 0
-        window = concat_batches(reader.held)
-        reader.held.clear()
-        head, tail = window.split_done()
-        for channel in self.outs:
-            channel.push_batch(head)
-        steps = len(head)
-        if head.ends_done:
-            if tail is not None:
-                # The generator stops at D and leaves trailing tokens.
-                self.in_.requeue_front(tail)
-            self.finished = True
-            self._wait = None
-            return True, steps
-        self._wait = (self.in_, "data")
-        return steps > 0, steps
-
     timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
@@ -918,43 +760,6 @@ class Sink(Block):
             yield True
             if is_done(token):
                 return
-
-    def drain(self, limit: Optional[int] = None) -> Tuple[bool, int]:
-        if self.finished or not self._can_batch():
-            return super().drain(limit)
-        in_, tokens = self.in_, self.tokens
-        steps = 0
-        while not in_.empty():
-            token = in_.pop()
-            tokens.append(token)
-            steps += 1
-            if is_done(token):
-                self.finished = True
-                self._wait = None
-                return True, steps
-        self._wait = (in_, "data")
-        return steps > 0, steps
-
-    def drain_batch(self) -> Tuple[bool, int]:
-        if self.finished:
-            return False, 0
-        reader = self._breader(self.in_)
-        if not reader.held:
-            self._wait = (self.in_, "data")
-            return False, 0
-        window = concat_batches(reader.held)
-        reader.held.clear()
-        head, tail = window.split_done()
-        self.tokens.extend(head.tokens())
-        steps = len(head)
-        if head.ends_done:
-            if tail is not None:
-                self.in_.requeue_front(tail)
-            self.finished = True
-            self._wait = None
-            return True, steps
-        self._wait = (self.in_, "data")
-        return steps > 0, steps
 
     timing = TimingDescriptor(fuse_role="sink")
     timed_credit_consumer = True

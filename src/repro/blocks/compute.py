@@ -13,11 +13,11 @@ and the adder treats them as 0.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 import numpy as np
 
-from ..streams.batch import CODE_DONE, CODE_EMPTY, decode_code
+from ..streams.batch import CODE_DONE, decode_code
 from ..streams.channel import Channel
 from ..streams.timing import merge_stamps
 from ..streams.token import DONE, is_data, is_done, is_empty, is_stop
@@ -28,11 +28,6 @@ OPERATORS = {
     "sub": operator.sub,
     "mul": operator.mul,
 }
-
-#: sentinel for "no token held" in batched drains (None is not a token,
-#: but a dedicated sentinel keeps that invariant out of the hot path)
-_NO_TOKEN = object()
-
 
 def _as_number(token) -> float:
     """Value of a data token, with ``N`` reading as zero."""
@@ -71,8 +66,6 @@ class ALU(Block):
         self.in_a = self._in("in_a", in_a)
         self.in_b = self._in("in_b", in_b)
         self.out = self._out("out", out)
-        self._held_a = _NO_TOKEN
-        self._held_b = _NO_TOKEN
 
     def _drain_phantoms(self, a, b):
         """Realign around phantom zeros.
@@ -120,175 +113,6 @@ class ALU(Block):
                 yield True
                 continue
             raise BlockError(f"{self.name}: misaligned value streams ({a!r} vs {b!r})")
-
-    def drain(self, limit: Optional[int] = None) -> Tuple[bool, int]:
-        if self.finished or not self._can_batch():
-            return super().drain(limit)
-        qa, qb, out, fn = self.in_a, self.in_b, self.out, self._fn
-        a, b = self._held_a, self._held_b
-        steps = 0
-        while True:
-            if a is _NO_TOKEN:
-                if qa.empty():
-                    self._held_a, self._held_b = a, b
-                    self._wait = (qa, "data")
-                    return steps > 0, steps
-                a = qa.pop()
-            if b is _NO_TOKEN:
-                if qb.empty():
-                    self._held_a, self._held_b = a, b
-                    self._wait = (qb, "data")
-                    return steps > 0, steps
-                b = qb.pop()
-            a_is_value = is_data(a) or is_empty(a)
-            b_is_value = is_data(b) or is_empty(b)
-            if a_is_value != b_is_value:
-                # Same phantom-zero realignment as _drain_phantoms.
-                if a_is_value:
-                    if _as_number(a) != 0.0:
-                        raise BlockError(
-                            f"{self.name}: misaligned value streams ({a!r} vs {b!r})"
-                        )
-                    a = _NO_TOKEN
-                else:
-                    if _as_number(b) != 0.0:
-                        raise BlockError(
-                            f"{self.name}: misaligned value streams ({a!r} vs {b!r})"
-                        )
-                    b = _NO_TOKEN
-                continue
-            steps += 1
-            if a_is_value:
-                out.push(fn(_as_number(a), _as_number(b)))
-            elif is_done(a) and is_done(b):
-                out.push(DONE)
-                self._held_a = self._held_b = _NO_TOKEN
-                self._wait = None
-                self.finished = True
-                return True, steps
-            elif is_stop(a) and is_stop(b):
-                if a.level != b.level:
-                    raise BlockError(f"{self.name}: misaligned stops {a!r} vs {b!r}")
-                out.push(a)
-            else:
-                raise BlockError(
-                    f"{self.name}: misaligned value streams ({a!r} vs {b!r})"
-                )
-            a = b = _NO_TOKEN
-
-    def drain_batch(self):
-        """Batched drain: apply the operator to aligned numpy runs.
-
-        Empty tokens densify to explicit zeros first (the ALU's N-as-zero
-        rule), so aligned streams reduce to matching data runs and
-        matching control tokens; the phantom-zero realignment of
-        ``_drain_phantoms`` shows up as a data front against a control
-        front and is resolved token-wise.
-        """
-        if self.finished:
-            return False, 0
-        rd_a = self._breader(self.in_a)
-        rd_b = self._breader(self.in_b)
-        rd_a.densify_empty(0.0)
-        rd_b.densify_empty(0.0)
-        out = self._bbuilder(self.out)
-        fn = self._fn
-        steps = 0
-
-        def park(channel):
-            nonlocal steps
-            steps += out.flush()
-            self._wait = (channel, "data")
-            return steps > 0, steps
-
-        # Whole-window fast path: when both windows carry the identical
-        # control structure (the aligned common case), the entire window
-        # reduces to one vectorized operation — no per-fiber iteration.
-        wa = rd_a.take_window()
-        wb = rd_b.take_window()
-        if wa is not None and wb is not None:
-            da, pa, ca = wa.remaining_arrays()
-            db, pb, cb = wb.remaining_arrays()
-            if (
-                len(da) == len(db)
-                and np.array_equal(pa, pb)
-                and np.array_equal(ca, cb)
-                and (len(ca) == 0 or (ca[:-1] >= 0).all())
-                and (len(ca) == 0 or ca[-1] >= CODE_DONE)
-            ):
-                out.data_with_ctrl(fn(da, db), pa, ca)
-                steps += 2 * (len(da) + len(ca))
-                if wa.ends_done:
-                    steps += out.flush()
-                    self.finished = True
-                    self._wait = None
-                    return True, steps
-                return park(self.in_a)
-            # Structures differ (phantom zeros, ragged arrival): hand the
-            # windows back and fall through to the token-accurate loop.
-            rd_a.held = [wa]
-            rd_b.held = [wb]
-        else:
-            if wa is not None:
-                rd_a.held = [wa]
-            if wb is not None:
-                rd_b.held = [wb]
-
-        while True:
-            ca = rd_a.front_ctrl()
-            cb = rd_b.front_ctrl()
-            la = rd_a.run_length() if ca is None else 0
-            lb = rd_b.run_length() if cb is None else 0
-            if ca is None and la == 0:
-                return park(self.in_a)
-            if cb is None and lb == 0:
-                return park(self.in_b)
-            if ca is None and cb is None:
-                m = min(la, lb)
-                a = rd_a.pop_run_upto(m)
-                b = rd_b.pop_run_upto(m)
-                out.data(fn(a, b))
-                steps += m
-                continue
-            if ca is not None and cb is not None:
-                rd_a.pop()
-                rd_b.pop()
-                steps += 2
-                if ca == CODE_DONE and cb == CODE_DONE:
-                    out.ctrl(CODE_DONE)
-                    steps += out.flush()
-                    self.finished = True
-                    self._wait = None
-                    return True, steps
-                if ca >= 0 and cb >= 0:
-                    if ca != cb:
-                        raise BlockError(
-                            f"{self.name}: misaligned stops "
-                            f"{decode_code(ca)!r} vs {decode_code(cb)!r}"
-                        )
-                    out.ctrl(ca)
-                    continue
-                raise BlockError(
-                    f"{self.name}: misaligned value streams "
-                    f"({decode_code(ca)!r} vs {decode_code(cb)!r})"
-                )
-            # Phantom-zero realignment (see _drain_phantoms): the data
-            # side must carry an exact zero, which is discarded.
-            if ca is None:
-                v = rd_a.pop()
-                other = decode_code(cb)
-                if v != 0.0:
-                    raise BlockError(
-                        f"{self.name}: misaligned value streams ({v!r} vs {other!r})"
-                    )
-            else:
-                v = rd_b.pop()
-                other = decode_code(ca)
-                if v != 0.0:
-                    raise BlockError(
-                        f"{self.name}: misaligned value streams ({other!r} vs {v!r})"
-                    )
-            steps += 1
 
     timing = TimingDescriptor(fuse_role="zip")
 
@@ -450,56 +274,6 @@ class ScalarALU(Block):
             if is_done(a):
                 return
 
-    def drain(self, limit: Optional[int] = None) -> Tuple[bool, int]:
-        if self.finished or not self._can_batch():
-            return super().drain(limit)
-        qa, out, fn, const = self.in_a, self.out, self._fn, self.constant
-        steps = 0
-        while not qa.empty():
-            a = qa.pop()
-            if is_data(a) or is_empty(a):
-                out.push(fn(_as_number(a), const))
-            else:
-                out.push(a)
-            steps += 1
-            if is_done(a):
-                self.finished = True
-                self._wait = None
-                return True, steps
-        self._wait = (qa, "data")
-        return steps > 0, steps
-
-    def drain_batch(self):
-        if self.finished:
-            return False, 0
-        reader = self._breader(self.in_a)
-        out = self._bbuilder(self.out)
-        fn, const = self._fn, self.constant
-        steps = 0
-        while True:
-            ctrl = reader.front_ctrl()
-            if ctrl is None:
-                run = reader.pop_run()
-                if len(run) == 0:
-                    steps += out.flush()
-                    self._wait = (self.in_a, "data")
-                    return steps > 0, steps
-                out.data(fn(run, const))
-                steps += len(run)
-                continue
-            reader.pop()
-            steps += 1
-            if ctrl == CODE_EMPTY:
-                out.scalar(fn(0.0, const))
-            elif ctrl == CODE_DONE:
-                out.ctrl(CODE_DONE)
-                steps += out.flush()
-                self.finished = True
-                self._wait = None
-                return True, steps
-            else:
-                out.ctrl(ctrl)
-
     timing = TimingDescriptor(fuse_role="map")
 
     def drain_timed(self) -> bool:
@@ -545,58 +319,6 @@ class Exp(Block):
             yield True
             if is_done(a):
                 return
-
-    def drain(self, limit=None):
-        if self.finished or not self._can_batch():
-            return super().drain(limit)
-        qa, out, fn = self.in_a, self.out, self._fn
-        steps = 0
-        while not qa.empty():
-            a = qa.pop()
-            if is_data(a) or is_empty(a):
-                out.push(fn(_as_number(a)))
-            else:
-                out.push(a)
-            steps += 1
-            if is_done(a):
-                self.finished = True
-                self._wait = None
-                return True, steps
-        self._wait = (qa, "data")
-        return steps > 0, steps
-
-    def drain_batch(self):
-        """Batched drain; *fn* is applied per element (it is an arbitrary
-        Python callable, so vectorising it could change results)."""
-        if self.finished:
-            return False, 0
-        reader = self._breader(self.in_a)
-        out = self._bbuilder(self.out)
-        fn = self._fn
-        steps = 0
-        while True:
-            ctrl = reader.front_ctrl()
-            if ctrl is None:
-                run = reader.pop_run()
-                if len(run) == 0:
-                    steps += out.flush()
-                    self._wait = (self.in_a, "data")
-                    return steps > 0, steps
-                out.data(np.asarray([fn(v) for v in run.tolist()]))
-                steps += len(run)
-                continue
-            reader.pop()
-            steps += 1
-            if ctrl == CODE_EMPTY:
-                out.scalar(fn(0.0))
-            elif ctrl == CODE_DONE:
-                out.ctrl(CODE_DONE)
-                steps += out.flush()
-                self.finished = True
-                self._wait = None
-                return True, steps
-            else:
-                out.ctrl(ctrl)
 
     timing = TimingDescriptor(fuse_role="map")
 

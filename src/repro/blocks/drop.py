@@ -68,16 +68,10 @@ class CoordDropper(Block):
         #: zeros as ineffectual
         self.drop_zeros = drop_zeros
         self.dropped = 0
-        #: batched-drain state: lazily-held inner boundary stop and a
+        #: timed-drain state: lazily-held inner boundary stop and a
         #: pending fold level (elevated fiber stop owing its outer stop)
         self._cd_held: Optional[Stop] = None
         self._cd_fold: Optional[int] = None
-
-    def _batch_bail_safe(self) -> bool:
-        # A held boundary / pending fold belongs to fibers the batched
-        # plane already emitted or dropped; a fresh generator could not
-        # reconstruct it, so a mid-stream bail must fail loudly instead.
-        return self._cd_held is None and self._cd_fold is None
 
     def _effectual(self, fiber: List) -> bool:
         if self.drop_zeros:
@@ -95,150 +89,10 @@ class CoordDropper(Block):
         # an outer level, which must stay visible.
         return stop if stop.level > 0 else None
 
-    @staticmethod
-    def _pop_fiber(reader):
-        """Pop one complete inner fiber: ``(fiber_batch, closing_code)``.
-
-        Empty (``N``) tokens belong to the fiber body; the fiber closes
-        at the first stop (or done) control token.  Returns None without
-        consuming anything when the window holds no complete fiber yet.
-        """
-        ready = False
-        for batch in reader.held:
-            _, _, ccode = batch.remaining_arrays()
-            if np.any(ccode != CODE_EMPTY):
-                ready = True
-                break
-        if not ready:
-            return None
-        datas: List[np.ndarray] = []
-        cpos: List[int] = []
-        ccode_out: List[int] = []
-        n = 0
-        while True:
-            run = reader.pop_run()
-            if len(run):
-                datas.append(run)
-                n += len(run)
-            code = reader.front_ctrl()
-            reader.pop()
-            if code == CODE_EMPTY:
-                cpos.append(n)
-                ccode_out.append(CODE_EMPTY)
-                continue
-            fiber = TokenBatch(
-                np.concatenate(datas) if datas else np.empty(0, dtype=np.int64),
-                np.asarray(cpos, dtype=np.int64),
-                np.asarray(ccode_out, dtype=np.int64),
-            )
-            return fiber, code
-
     def _effectual_batch(self, fiber: TokenBatch) -> bool:
         if self.drop_zeros:
             return bool(np.any(fiber.data != 0))
         return len(fiber.data) > 0
-
-    def drain_batch(self):
-        """Batched drain: whole inner fibers move (or vanish) as one run."""
-        if self.finished:
-            return False, 0
-        rd_out = self._breader(self.in_outer_crd)
-        rd_in = self._breader(self.in_inner)
-        out_outer = self._bbuilder(self.out_outer_crd)
-        out_inner = self._bbuilder(self.out_inner)
-        steps = 0
-
-        def park(channel):
-            nonlocal steps
-            steps += out_outer.flush()
-            steps += out_inner.flush()
-            self._wait = (channel, "data")
-            return steps > 0, steps
-
-        while True:
-            if self._cd_fold is not None:
-                # The elevated fiber stop folds the outer boundary: pull
-                # the outer stream's matching stop token through.
-                nxt = rd_out.peek()
-                if nxt is NO_TOKEN:
-                    return park(self.in_outer_crd)
-                fold = self._cd_fold
-                if not (is_stop(nxt) and nxt.level == fold - 1):
-                    raise BlockError(
-                        f"{self.name}: inner stop {Stop(fold)!r} expects outer "
-                        f"stop S{fold - 1}, got {nxt!r}"
-                    )
-                rd_out.pop()
-                steps += 1
-                out_outer.ctrl(nxt.level)
-                self._cd_fold = None
-                continue
-            outer = rd_out.peek()
-            if outer is NO_TOKEN:
-                return park(self.in_outer_crd)
-            if is_done(outer):
-                inner = rd_in.peek()
-                if inner is NO_TOKEN:
-                    return park(self.in_inner)
-                rd_out.pop()
-                rd_in.pop()
-                steps += 2
-                if not is_done(inner):
-                    raise BlockError(
-                        f"{self.name}: inner stream out of sync at D, got {inner!r}"
-                    )
-                if self._cd_held is not None:
-                    out_inner.ctrl(self._cd_held.level)
-                    self._cd_held = None
-                out_outer.ctrl(CODE_DONE)
-                out_inner.ctrl(CODE_DONE)
-                steps += out_outer.flush()
-                steps += out_inner.flush()
-                self.finished = True
-                self._wait = None
-                return True, steps
-            if is_stop(outer):
-                # Empty outer region: consume the matching elevated stop.
-                inner = rd_in.peek()
-                if inner is NO_TOKEN:
-                    return park(self.in_inner)
-                rd_out.pop()
-                rd_in.pop()
-                steps += 2
-                if not (is_stop(inner) and inner.level == outer.level + 1):
-                    raise BlockError(
-                        f"{self.name}: outer stop {outer!r} expects inner stop "
-                        f"S{outer.level + 1}, got {inner!r}"
-                    )
-                self._cd_held = (
-                    Stop(max(self._cd_held.level, inner.level))
-                    if self._cd_held is not None
-                    else inner
-                )
-                out_outer.ctrl(outer.level)
-                continue
-            # Outer coordinate: it owns the next complete inner fiber.
-            popped = self._pop_fiber(rd_in)
-            if popped is None:
-                return park(self.in_inner)
-            fiber, closing = popped
-            if closing == CODE_DONE:
-                raise BlockError(f"{self.name}: inner stream ended mid-fiber")
-            rd_out.pop()
-            steps += 2 + len(fiber)
-            if self._effectual_batch(fiber):
-                out_outer.token(outer)
-                if self._cd_held is not None:
-                    out_inner.ctrl(self._cd_held.level)
-                out_inner.batch(fiber)
-                self._cd_held = Stop(closing)
-            else:
-                self.dropped += 1
-                self._cd_held = self._merge_held(
-                    self._cd_held, Stop(closing), dropped=True
-                )
-            if closing >= 1:
-                self._cd_fold = closing
 
     timing = TimingDescriptor()
 
@@ -251,9 +105,14 @@ class CoordDropper(Block):
 
     @staticmethod
     def _pop_fiber_timed(reader):
-        """Stamped :meth:`_pop_fiber`: also returns the body token stamps
-        (in stream order, the gather-cycle gates) and the closing stamp.
-        Returns None without consuming when no complete fiber is held."""
+        """Pop one complete inner fiber with its stamps:
+        ``(fiber_batch, body_stamps, closing_code, closing_stamp)``.
+
+        Empty (``N``) tokens belong to the fiber body; the fiber closes
+        at the first stop (or done) control token.  The body stamps are
+        in stream order (the gather-cycle gates).  Returns None without
+        consuming anything when the window holds no complete fiber yet.
+        """
         ready = False
         for batch, _, _ in reader.held:
             _, _, ccode = batch.remaining_arrays()
@@ -506,123 +365,6 @@ class ValueDropper(Block):
         self.out_crd = self._out("out_crd", out_crd)
         self.out_val = self._out("out_val", out_val)
         self.dropped = 0
-        #: batched-drain state: a coordinate waiting for its value
-        self._vd_crd = NO_TOKEN
-
-    def _bail_batch(self):
-        # A held coordinate is simply an unprocessed input token (any
-        # phantom zeros already drained are gone either way): requeue it
-        # ahead of the reader window for the scalar path.
-        for reader in getattr(self, "_batch_readers", {}).values():
-            reader.requeue()
-        if self._vd_crd is not NO_TOKEN:
-            self.in_crd.requeue_front(TokenBatch.from_tokens([self._vd_crd]))
-            self._vd_crd = NO_TOKEN
-        self._batch_ok = False
-        return self.drain()
-
-    def drain_batch(self):
-        """Batched drain: filter aligned (crd, val) runs with one mask."""
-        if self.finished:
-            return False, 0
-        rd_c = self._breader(self.in_crd)
-        rd_v = self._breader(self.in_val)
-        rd_v.densify_empty(0.0)
-        out_c = self._bbuilder(self.out_crd)
-        out_v = self._bbuilder(self.out_val)
-        steps = 0
-
-        def park(channel):
-            nonlocal steps
-            steps += out_c.flush()
-            steps += out_v.flush()
-            self._wait = (channel, "data")
-            return steps > 0, steps
-
-        while True:
-            if self._vd_crd is NO_TOKEN:
-                cc = rd_c.front_ctrl()
-                cv = rd_v.front_ctrl()
-                if cc is None and cv is None:
-                    lc = rd_c.run_length()
-                    lv = rd_v.run_length()
-                    if lc == 0:
-                        return park(self.in_crd)
-                    if lv == 0:
-                        return park(self.in_val)
-                    m = min(lc, lv)
-                    crds = rd_c.pop_run_upto(m)
-                    vals = rd_v.pop_run_upto(m)
-                    steps += 2 * m
-                    keep = np.asarray(vals) != 0
-                    dropped = m - int(keep.sum())
-                    if dropped:
-                        self.dropped += dropped
-                        crds = crds[keep]
-                        vals = vals[keep]
-                    out_c.data(crds)
-                    out_v.data(vals)
-                    continue
-                if rd_c.peek() is NO_TOKEN:
-                    return park(self.in_crd)
-                self._vd_crd = rd_c.pop()
-                steps += 1
-                continue
-            crd = self._vd_crd
-            if is_data(crd):
-                token = rd_v.peek()
-                if token is NO_TOKEN:
-                    return park(self.in_val)
-                rd_v.pop()
-                steps += 1
-                if is_stop(token) or is_done(token):
-                    raise BlockError(
-                        f"{self.name}: value stream ran out mid-fiber ({token!r})"
-                    )
-                if token == 0:  # empties were densified to 0.0
-                    self.dropped += 1
-                else:
-                    out_c.token(crd)
-                    out_v.token(token)
-                self._vd_crd = NO_TOKEN
-                continue
-            # Boundary (stop or done): drain phantom zero values first.
-            while True:
-                cv = rd_v.front_ctrl()
-                if cv is None:
-                    lv = rd_v.run_length()
-                    if lv == 0:
-                        return park(self.in_val)
-                    vals = rd_v.pop_run_upto(lv)
-                    steps += len(vals)
-                    bad = np.flatnonzero(np.asarray(vals) != 0)
-                    if len(bad):
-                        raise BlockError(
-                            f"{self.name}: non-zero value "
-                            f"{vals[bad[0]]!r} has no coordinate"
-                        )
-                    continue
-                break
-            val = rd_v.pop()
-            steps += 1
-            if is_done(crd) and is_done(val):
-                out_c.ctrl(CODE_DONE)
-                out_v.ctrl(CODE_DONE)
-                steps += out_c.flush()
-                steps += out_v.flush()
-                self.finished = True
-                self._wait = None
-                return True, steps
-            if is_stop(crd) and is_stop(val):
-                if crd.level != val.level:
-                    raise BlockError(
-                        f"{self.name}: misaligned stops {crd!r}/{val!r}"
-                    )
-                out_c.ctrl(crd.level)
-                out_v.ctrl(val.level)
-                self._vd_crd = NO_TOKEN
-                continue
-            raise BlockError(f"{self.name}: misaligned streams ({crd!r} vs {val!r})")
 
     timing = TimingDescriptor()
 

@@ -22,8 +22,8 @@ from ..formats.level import Level
 from ..streams.batch import CODE_DONE, CODE_EMPTY, NO_TOKEN
 from ..streams.channel import Channel
 from ..streams.timing import merge_stamps
-from ..streams.token import DONE, EMPTY, is_data, is_done, is_empty, is_stop
-from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
+from ..streams.token import DONE, EMPTY, is_done, is_empty, is_stop
+from .base import Block, PortSpec, StreamXfer, TimingDescriptor
 
 
 class Locator(Block):
@@ -80,16 +80,9 @@ class Locator(Block):
         )
         self.probes = 0
         self.hits = 0
-        #: batched-drain mirror of the generator's target-fetch state
+        #: timed-drain mirror of the generator's target-fetch state
         self._loc_target = 0
         self._loc_have = in_target_ref is None
-
-    def _batch_bail_safe(self) -> bool:
-        # With a wired target stream, a fetched target for the current
-        # fiber is batched-plane state a fresh generator would re-derive
-        # wrongly (it restarts with have_target=False); without one the
-        # state always matches the generator's initial locals.
-        return self.in_target_ref is None or not self._loc_have
 
     def _outs(self):
         return (self.out_crd, self.out_ref_found, self.out_ref_in)
@@ -136,209 +129,6 @@ class Locator(Block):
                 self.out_ref_in.push(ref)
             yield True
 
-    def _locate_window(self, rd_crd, rd_ref, builders):
-        """Fixed-target whole-window probe; None = use the general loop.
-
-        Requires the crd/ref windows to carry identical control
-        structure (they come from one scanner, so they normally do).
-        Misses become ``N`` tokens merged into the copied control arrays
-        at the position of the dropped coordinate.
-        """
-        wc = rd_crd.take_window()
-        wr = rd_ref.take_window()
-        if wc is None or wr is None:
-            if wc is not None:
-                rd_crd.held = [wc]
-            if wr is not None:
-                rd_ref.held = [wr]
-            return 0 if wc is None and wr is None else None
-        dc, pc, cc = wc.remaining_arrays()
-        dr, pr, cr = wr.remaining_arrays()
-        if not (
-            len(dc) == len(dr)
-            and np.array_equal(pc, pr)
-            and np.array_equal(cc, cr)
-            and (len(cc) == 0 or ((cc >= CODE_EMPTY).all()
-                                  and (cc[:-1] != CODE_DONE).all()))
-        ):
-            rd_crd.held = [wc]
-            rd_ref.held = [wr]
-            return None
-        m = len(dc)
-        found, hit = self.level.locate_arrays(self._loc_target, dc)
-        self.probes += m
-        kept = int(hit.sum())
-        self.hits += kept
-        if kept == m:
-            for builder, data in zip(builders, (dc, found, dr)):
-                builder.data_with_ctrl(data, pc, cc)
-        else:
-            prefix = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(hit)]
-            )
-            miss_idx = np.flatnonzero(~hit)
-            positions = np.concatenate([pc, miss_idx])
-            codes = np.concatenate(
-                [cc, np.full(len(miss_idx), CODE_EMPTY, dtype=np.int64)]
-            )
-            # A control token at position p precedes the data token p it
-            # pairs with, so copied controls sort before miss markers.
-            tiebreak = np.concatenate(
-                [np.zeros(len(pc), dtype=np.int64),
-                 np.ones(len(miss_idx), dtype=np.int64)]
-            )
-            order = np.lexsort((tiebreak, positions))
-            for builder, data in zip(builders, (dc[hit], found[hit], dr[hit])):
-                builder.data_with_ctrl(
-                    data, prefix[positions][order], codes[order]
-                )
-        if len(cc) and cc[-1] == CODE_DONE:
-            self.finished = True
-        return 2 * (m + len(cc))
-
-    def drain_batch(self):
-        """Batched drain: probe whole coordinate runs per target fiber."""
-        if self.finished:
-            return False, 0
-        level = self.level
-        if not hasattr(level, "locate_arrays"):
-            return self._bail_batch()
-        rd_crd = self._breader(self.in_crd)
-        rd_ref = self._breader(self.in_ref)
-        rd_target = (
-            self._breader(self.in_target_ref)
-            if self.in_target_ref is not None
-            else None
-        )
-        builders = [self._bbuilder(ch) for ch in self._outs()]
-        steps = 0
-
-        if rd_target is None:
-            # Fixed-target fast path (vectors/root levels): the whole
-            # window probes one fiber, so every data run and every stop
-            # passes through a single vectorized probe — no per-fiber
-            # iteration.
-            done = self._locate_window(rd_crd, rd_ref, builders)
-            if done is not None:
-                steps = done
-                for builder in builders:
-                    steps += builder.flush()
-                if self.finished:
-                    self._wait = None
-                    return True, steps
-                self._wait = (self.in_crd, "data")
-                return steps > 0, steps
-
-        def flush() -> int:
-            nonlocal steps
-            for builder in builders:
-                steps += builder.flush()
-            return steps
-
-        def park(channel):
-            self._wait = (channel, "data")
-            return flush() > 0, steps
-
-        while True:
-            ctrl = rd_crd.front_ctrl()
-            front = rd_crd.peek()
-            if front is NO_TOKEN:
-                return park(self.in_crd)
-            if ctrl is None or ctrl == CODE_EMPTY:
-                # Data (or empty) coordinates need this fiber's target.
-                if not self._loc_have:
-                    while True:
-                        target = rd_target.peek()
-                        if target is NO_TOKEN:
-                            return park(self.in_target_ref)
-                        rd_target.pop()
-                        steps += 1
-                        if not is_stop(target):
-                            break
-                    self._loc_target = target
-                    self._loc_have = True
-            if ctrl is None:
-                m = min(rd_crd.run_length(), rd_ref.run_length())
-                if m == 0:
-                    # Reference stream behind (or misaligned): handle one
-                    # pair the scalar way once a token shows up.
-                    ref_front = rd_ref.peek()
-                    if ref_front is NO_TOKEN:
-                        return park(self.in_ref)
-                    crd = rd_crd.pop()
-                    ref = rd_ref.pop()
-                    steps += 2
-                    if is_empty(self._loc_target):
-                        for builder in builders:
-                            builder.ctrl(CODE_EMPTY)
-                        continue
-                    self.probes += 1
-                    found = level.locate(self._loc_target, crd)
-                    if found is None:
-                        for builder in builders:
-                            builder.ctrl(CODE_EMPTY)
-                    else:
-                        self.hits += 1
-                        builders[0].token(crd)
-                        builders[1].token(found)
-                        builders[2].token(ref)
-                    continue
-                crds = rd_crd.pop_run_upto(m)
-                refs = rd_ref.pop_run_upto(m)
-                steps += 2 * m
-                if is_empty(self._loc_target):
-                    for builder in builders:
-                        builder.ctrl(CODE_EMPTY, count=m)
-                    continue
-                self.probes += m
-                found, hit = level.locate_arrays(self._loc_target, crds)
-                n_hit = int(hit.sum())
-                self.hits += n_hit
-                if n_hit == m:
-                    builders[0].data(crds)
-                    builders[1].data(found)
-                    builders[2].data(refs)
-                else:
-                    # Misses become N tokens interleaved at the position
-                    # of the corresponding kept (hit) prefix.
-                    pref = np.cumsum(hit)
-                    miss_pos = (pref - hit)[~hit]
-                    empties = np.full(len(miss_pos), CODE_EMPTY, dtype=np.int64)
-                    builders[0].data_with_ctrl(crds[hit], miss_pos, empties)
-                    builders[1].data_with_ctrl(found[hit], miss_pos, empties)
-                    builders[2].data_with_ctrl(refs[hit], miss_pos, empties)
-                continue
-            # Control coordinate: consume the paired reference token too.
-            if rd_ref.peek() is NO_TOKEN:
-                return park(self.in_ref)
-            rd_crd.pop()
-            rd_ref.pop()
-            steps += 2
-            if ctrl == CODE_DONE:
-                if rd_target is not None:
-                    # Drain the target stream's trailing control tokens.
-                    while True:
-                        token = rd_target.peek()
-                        if token is NO_TOKEN:
-                            break
-                        rd_target.pop()
-                        if is_done(token):
-                            break
-                for builder in builders:
-                    builder.ctrl(CODE_DONE)
-                flush()
-                self.finished = True
-                self._wait = None
-                return True, steps
-            if ctrl == CODE_EMPTY:
-                for builder in builders:
-                    builder.ctrl(CODE_EMPTY)
-                continue
-            for builder in builders:
-                builder.ctrl(ctrl)
-            if self.in_target_ref is not None:
-                self._loc_have = False  # next fiber probes a fresh target
-
     timing = TimingDescriptor(fuse_role="locate")
 
     def timed_capable(self) -> bool:
@@ -352,9 +142,12 @@ class Locator(Block):
     def _locate_window_timed(self, rd_crd, rd_ref, builders):
         """Fixed-target whole-window probe with one epoch advance.
 
-        Mirrors :meth:`_locate_window`; misses become ``N`` tokens that
-        keep the probe event's cycle stamp.  Returns None to use the
-        general loop, else whether anything was processed.
+        Requires the crd/ref windows to carry identical control
+        structure (they come from one scanner, so they normally do).
+        Misses become ``N`` tokens merged into the copied control arrays
+        at the position of the dropped coordinate, keeping the probe
+        event's cycle stamp.  Returns None to use the general loop, else
+        whether anything was processed.
         """
         wc = rd_crd.take_window()
         wr = rd_ref.take_window()
@@ -400,6 +193,8 @@ class Locator(Block):
                 [cc, np.full(len(miss_idx), CODE_EMPTY, dtype=np.int64)]
             )
             stamps = np.concatenate([cstamps, dstamps[~hit]])
+            # A control token at position p precedes the data token p it
+            # pairs with, so copied controls sort before miss markers.
             tiebreak = np.concatenate(
                 [np.zeros(len(pc), dtype=np.int64),
                  np.ones(len(miss_idx), dtype=np.int64)]

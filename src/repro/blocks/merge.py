@@ -31,11 +31,8 @@ from ..jit import get_kernel
 from ..streams.batch import CODE_DONE, CODE_EMPTY, decode_code
 from ..streams.channel import Channel
 from ..streams.timing import I64_MAX, index_ramp
-from ..streams.token import DONE, EMPTY, Stop, is_data, is_done, is_stop
+from ..streams.token import DONE, EMPTY, is_data, is_done, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
-
-#: sentinel for "no token held" in the batched intersecter drain
-_NO_TOKEN = object()
 
 
 def _window_capacity(stride: int) -> int:
@@ -78,20 +75,6 @@ def _front_fibers(entry, k: int) -> _Fibers:
         batch.data[d:top], ends, lens, batch.ctrl_code[c:c + k],
         sdata[d:top], sctrl[c:c + k],
     )
-
-
-def _match_empty_dtype(a: np.ndarray, b: np.ndarray):
-    """Give an empty operand the other side's dtype.
-
-    Empty data runs decode as float64 (no tokens to infer from); merging
-    one against an integer coordinate fiber must not promote the result
-    to float, or the merged coordinates change type.
-    """
-    if len(a) == 0 and len(b) != 0:
-        a = a.astype(b.dtype, copy=False)
-    elif len(b) == 0 and len(a) != 0:
-        b = b.astype(a.dtype, copy=False)
-    return a, b
 
 
 @dataclass
@@ -210,114 +193,6 @@ class _Merger(Block):
                 f"[{decode_code(code_a)!r}, {decode_code(code_b)!r}]"
             )
         )
-
-    # -- batched fiber chunks ------------------------------------------------
-    # Both batched mergers work fiber by fiber: a *chunk* is one side's
-    # complete fiber — a data run on the coordinate stream, the aligned
-    # runs on every reference stream, and the shared terminating control
-    # code.  Reference runs may trail extra zeros (phantom values from
-    # zero-policy reducers in fully-empty regions, riding value streams
-    # wired to reference ports); they are validated *before* anything is
-    # consumed so a dirty chunk can still bail to the scalar path with
-    # the window intact.
-    def _chunk_status(self, index: int, rd_c, rd_refs):
-        """('stall', channel) | ('dirty', None) | ('ok', (code, m))."""
-        side = self.sides[index]
-        code_c = rd_c.next_ctrl_code()
-        if code_c is None:
-            return "stall", side.crd
-        if code_c < CODE_DONE:
-            return "dirty", None  # empty/repeat codes: scalar territory
-        m = rd_c.run_length()
-        for channel, rd_r in zip(side.refs, rd_refs):
-            code_r = rd_r.next_ctrl_code()
-            if code_r is None:
-                return "stall", channel
-            if code_r != code_c:
-                return "dirty", None
-            vals = rd_r.run_values()
-            if len(vals) < m:
-                return "dirty", None
-            if len(vals) > m and np.any(np.asarray(vals[m:]) != 0):
-                return "dirty", None  # a non-zero value is not a phantom
-        return "ok", (code_c, m)
-
-    def drain_batch(self):
-        """Batched drain: per-fiber sorted-set merge with numpy.
-
-        Handles every two-sided shape, with any number of reference
-        streams per side (multi-ref sides chain mergers; post-compute
-        unions carry value streams).  Each iteration needs one complete
-        fiber chunk — a data run plus its terminating control token —
-        from both sides; SAM's merge protocol keeps the two sides'
-        control structures identical, so fibers pair one-to-one and
-        each pair goes through the subclass's ``_merge_fiber``
-        (``np.intersect1d`` / ``np.union1d``).  Trailing phantom zeros
-        on reference-port value streams are validated and dropped;
-        anything else off-protocol (ragged crd/ref alignment, empty
-        tokens, higher arities) requeues the window and falls back to
-        the scalar drain permanently.
-        """
-        if self.finished:
-            return False, 0
-        if self.arity != 2:
-            return self._bail_batch()
-        readers = [
-            (self._breader(side.crd), [self._breader(ch) for ch in side.refs])
-            for side in self.sides
-        ]
-        out_crd = self._bbuilder(self.out_crd)
-        out_groups = [
-            [self._bbuilder(ch) for ch in group] for group in self.out_refs
-        ]
-        builders = [out_crd] + [b for group in out_groups for b in group]
-        steps = 0
-
-        def park(channel):
-            nonlocal steps
-            for builder in builders:
-                steps += builder.flush()
-            self._wait = (channel, "data")
-            return steps > 0, steps
-
-        while True:
-            infos = []
-            for i, (rd_c, rd_refs) in enumerate(readers):
-                status, payload = self._chunk_status(i, rd_c, rd_refs)
-                if status == "stall":
-                    return park(payload)
-                if status == "dirty":
-                    for builder in builders:
-                        builder.flush()
-                    return self._bail_batch()
-                infos.append(payload)
-            (code_a, _), (code_b, _) = infos
-            crds = []
-            refs = []
-            for (rd_c, rd_refs), (_, m) in zip(readers, infos):
-                crds.append(rd_c.pop_run())
-                rd_c.pop()
-                side_refs = []
-                for rd_r in rd_refs:
-                    run = rd_r.pop_run()
-                    steps += len(run) + 1
-                    side_refs.append(run[:m])
-                    rd_r.pop()
-                refs.append(side_refs)
-                steps += m + 1
-            self._merge_fiber(crds, refs, out_crd, out_groups)
-            if code_a == CODE_DONE and code_b == CODE_DONE:
-                for builder in builders:
-                    builder.ctrl(CODE_DONE)
-                for builder in builders:
-                    steps += builder.flush()
-                self.finished = True
-                self._wait = None
-                return True, steps
-            if code_a != code_b:
-                self._raise_misaligned_codes(code_a, code_b)
-            for builder in builders:
-                builder.ctrl(code_a)
 
     # -- timed window --------------------------------------------------------
     # A window of K complete fiber pairs is ONE fiber over composite keys
@@ -562,168 +437,9 @@ class Intersect(_Merger):
 
     primitive = "intersect"
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._side_fibers = [0] * self.arity
-        # Batched-drain state: completed (crd, refs) tuples per side, plus
-        # the partially-filled side being popped when an input ran dry.
-        self._tup: List = [None] * self.arity
-        self._fill_crd: List = [_NO_TOKEN] * self.arity
-        self._fill_refs: List = [[] for _ in range(self.arity)]
-
-    def _try_pop_side(self, i: int) -> bool:
-        """Batched _pop_side: True when side *i* holds a full tuple."""
-        side = self.sides[i]
-        crd = self._fill_crd[i]
-        if crd is _NO_TOKEN:
-            if side.crd.empty():
-                self._wait = (side.crd, "data")
-                return False
-            crd = self._fill_crd[i] = side.crd.pop()
-        refs = self._fill_refs[i]
-        is_ctrl = is_stop(crd) or is_done(crd)
-        while len(refs) < len(side.refs):
-            channel = side.refs[len(refs)]
-            while True:
-                if channel.empty():
-                    self._wait = (channel, "data")
-                    return False
-                ref = channel.pop()
-                if is_ctrl and is_data(ref) and ref == 0:
-                    continue  # phantom zero from a zero-policy reducer
-                break
-            refs.append(ref)
-        self._tup[i] = (crd, refs)
-        self._fill_crd[i] = _NO_TOKEN
-        self._fill_refs[i] = []
-        return True
-
-    def drain(self, limit=None):
-        # Batched m-finger merge.  Skip hints are a timing optimisation
-        # (they never change what survives the intersection), so the
-        # batched path does not emit them.
-        if self.finished or not self._can_batch():
-            return super().drain(limit)
-        if self.arity == 2 and len(self.sides[0].refs) == 1 == len(self.sides[1].refs):
-            return self._drain2()
-        arity = self.arity
-        steps = 0
-        while True:
-            for i in range(arity):
-                if self._tup[i] is None and not self._try_pop_side(i):
-                    return steps > 0, steps
-            crds = [t[0] for t in self._tup]
-            steps += 1
-            if all(is_done(c) for c in crds):
-                for channel in self._all_outs():
-                    channel.push(DONE)
-                self.finished = True
-                self._wait = None
-                return True, steps
-            if all(is_stop(c) for c in crds):
-                self._check_stops(self._tup)
-                for channel in self._all_outs():
-                    channel.push(crds[0])
-                for i in range(arity):
-                    self._side_fibers[i] += 1
-                    self._tup[i] = None
-                continue
-            data_sides = [i for i, c in enumerate(crds) if is_data(c)]
-            if not data_sides:
-                # Mixed control tokens (e.g. stop vs done) never resolve;
-                # the generator would spin here, the batched path rejects.
-                raise BlockError(f"{self.name}: misaligned control tokens {crds}")
-            if len(data_sides) < arity:
-                # Some side hit its fiber boundary: drain the sides that
-                # still carry coordinates (they cannot match anything).
-                for i in data_sides:
-                    self._tup[i] = None
-                continue
-            low = min(crds)
-            if all(c == low for c in crds):
-                self.out_crd.push(low)
-                for group, (_, refs) in zip(self.out_refs, self._tup):
-                    for channel, ref in zip(group, refs):
-                        channel.push(ref)
-                for i in range(arity):
-                    self._tup[i] = None
-                continue
-            high = max(crds)
-            for i, c in enumerate(crds):
-                if c < high:
-                    self._tup[i] = None
-
-    def _merge_fiber(self, crds, refs, out_crd, out_groups):
-        # fiber coordinates are sorted and unique
-        if len(crds[0]) and len(crds[1]):
-            common, ia, ib = np.intersect1d(
-                crds[0], crds[1], assume_unique=True, return_indices=True
-            )
-            if len(common):
-                out_crd.data(common)
-                for builder, run in zip(out_groups[0], refs[0]):
-                    builder.data(run[ia])
-                for builder, run in zip(out_groups[1], refs[1]):
-                    builder.data(run[ib])
-
     def _select(self, present_a, present_b, real):
         match = present_a & present_b & real
         return match, match, match
-
-    def _drain2(self):
-        """Two-sided, one-reference-each fast path of the batched drain."""
-        tup = self._tup
-        out_crd = self.out_crd
-        out_a, out_b = self.out_refs[0][0], self.out_refs[1][0]
-        steps = 0
-        while True:
-            if tup[0] is None and not self._try_pop_side(0):
-                return steps > 0, steps
-            if tup[1] is None and not self._try_pop_side(1):
-                return steps > 0, steps
-            (ca, refs_a), (cb, refs_b) = tup
-            steps += 1
-            a_data = is_data(ca)
-            b_data = is_data(cb)
-            if a_data and b_data:
-                if ca == cb:
-                    out_crd.push(ca)
-                    out_a.push(refs_a[0])
-                    out_b.push(refs_b[0])
-                    tup[0] = tup[1] = None
-                elif ca < cb:
-                    tup[0] = None
-                else:
-                    tup[1] = None
-                continue
-            if a_data:
-                tup[0] = None  # b hit its fiber boundary: drain a
-                continue
-            if b_data:
-                tup[1] = None
-                continue
-            if ca.__class__ is Stop and cb.__class__ is Stop:
-                if ca.level != cb.level:
-                    raise BlockError(
-                        f"{self.name}: misaligned stops [{ca!r}, {cb!r}]"
-                    )
-                out_crd.push(ca)
-                out_a.push(ca)
-                out_b.push(ca)
-                self._side_fibers[0] += 1
-                self._side_fibers[1] += 1
-                tup[0] = tup[1] = None
-                continue
-            if is_done(ca) and is_done(cb):
-                out_crd.push(DONE)
-                out_a.push(DONE)
-                out_b.push(DONE)
-                self.finished = True
-                self._wait = None
-                return True, steps
-            raise BlockError(
-                f"{self.name}: misaligned control tokens [{ca!r}, {cb!r}]"
-            )
 
     def _run(self):
         self._side_fibers = [0] * self.arity
@@ -773,22 +489,6 @@ class Union(_Merger):
     """M-ary unioner (Definition 3.3, Figure 5)."""
 
     primitive = "union"
-
-    def _merge_fiber(self, crds, refs, out_crd, out_groups):
-        # present sides contribute their references, absent sides get
-        # ``N`` tokens at the matching positions (Figure 5)
-        values = np.union1d(*_match_empty_dtype(crds[0], crds[1]))
-        if len(values):
-            out_crd.data(values)
-            for side_crds, side_refs, group in zip(crds, refs, out_groups):
-                idx = np.searchsorted(side_crds, values)
-                present = np.zeros(len(values), dtype=bool)
-                valid = idx < len(side_crds)
-                present[valid] = side_crds[idx[valid]] == values[valid]
-                absent_pos = (np.cumsum(present) - present)[~present]
-                empties = np.full(len(absent_pos), CODE_EMPTY, dtype=np.int64)
-                for builder, run in zip(group, side_refs):
-                    builder.data_with_ctrl(run[idx[present]], absent_pos, empties)
 
     def _select(self, present_a, present_b, real):
         return real, present_a & real, present_b & real

@@ -26,7 +26,7 @@ the configuration Table 1's dropper counts assume.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -75,37 +75,20 @@ class ScalarReducer(Block):
         self.in_val = self._in("in_val", in_val)
         self.out_val = self._out("out_val", out_val)
         self.empty_policy = empty_policy
-        #: batched-drain carry: unflushed value run + whether the open
+        #: timed-drain carry: unflushed value run + whether the open
         #: region has seen a value (mirrors the generator's locals)
         self._acc_parts: List[np.ndarray] = []
         self._acc_saw = False
 
-    def _bail_batch(self):
-        # The carry is verbatim unprocessed input: hand it back to the
-        # channel ahead of the reader windows so the scalar path replays
-        # it (the saw flag re-derives from the replayed data tokens).
-        for reader in getattr(self, "_batch_readers", {}).values():
-            reader.requeue()
-        if self._acc_parts:
-            from ..streams.batch import data_only_batch
-
-            self.in_val.requeue_front(
-                data_only_batch(np.concatenate(self._acc_parts))
-            )
-            self._acc_parts = []
-            self._acc_saw = False
-        self._batch_ok = False
-        return self.drain()
-
     def _region_sums(self, data, cpos, ccode, sums_fn=sequential_segment_sums):
-        """Region aggregation shared by the batched and timed planes.
+        """Region aggregation of one timed window.
 
         Region boundaries are the window's control tokens; sums go
         through *sums_fn* (:func:`sequential_segment_sums` by default;
         the compiled backend's fused path passes the vectorised
         :func:`~repro.streams.batch.exact_segment_sums`), which
         accumulates in the exact order of the generator's running
-        ``acc`` so results are bit-identical to the scalar plane.
+        ``acc`` so results are bit-identical to the generator.
         Consumes the carried open-region state; returns ``(sums, emit,
         elevated, pref)`` — per-boundary sums, the emission mask for the
         empty policy, the level-elevated boundaries, and the
@@ -130,48 +113,6 @@ class ScalarReducer(Block):
         elevated = stops & (ccode >= 1)
         return sums, emit, elevated, np.cumsum(emit)
 
-    def drain_batch(self):
-        """Batched drain: all region sums in one pass over the window."""
-        if self.finished:
-            return False, 0
-        reader = self._breader(self.in_val)
-        reader.densify_empty(0.0)
-        out = self._bbuilder(self.out_val)
-        window = reader.take_window()
-        if window is None:
-            self._wait = (self.in_val, "data")
-            return False, 0
-        head, tail = window.split_done()
-        data, cpos, ccode = head.remaining_arrays()
-        data = np.asarray(data, dtype=np.float64)
-        steps = len(head)
-        if len(ccode) == 0:
-            # No region boundary in the window yet: carry and wait.
-            if len(data):
-                self._acc_parts.append(data)
-                self._acc_saw = True
-            self._wait = (self.in_val, "data")
-            return steps > 0, steps
-        sums, emit, elevated, pref = self._region_sums(data, cpos, ccode)
-        out.data_with_ctrl(sums[emit], pref[elevated], ccode[elevated] - 1)
-        if head.ends_done:
-            # A trailing unterminated accumulation would be a protocol
-            # error (streams close fibers before D), so just forward.
-            out.ctrl(CODE_DONE)
-            steps += out.flush()
-            if tail is not None:
-                self.in_val.requeue_front(tail)
-            self.finished = True
-            self._wait = None
-            return True, steps
-        rest = data[int(cpos[-1]):]
-        if len(rest):
-            self._acc_parts.append(rest)
-            self._acc_saw = True
-        steps += out.flush()
-        self._wait = (self.in_val, "data")
-        return steps > 0, steps
-
     timing = TimingDescriptor(fuse_role="reduce")
 
     def _timed_bail_safe(self) -> bool:
@@ -185,7 +126,7 @@ class ScalarReducer(Block):
         Region sums are pushed within their closing stop's event cycle
         (the generator accumulates one value per cycle and emits at the
         boundary cycle), so the whole window is one epoch advance plus
-        the batched segment sums.
+        the segment sums.
         """
         if self.finished:
             return False
@@ -308,37 +249,18 @@ class VectorReducer(Block):
         #: absorbed (they separate the repeated fibers being accumulated).
         self.flush_level = flush_level
         self._emitted_since_flush = False
-        #: batched-drain workspace: (crd, val) runs of the open region in
+        #: timed-drain workspace: (crd, val) runs of the open region in
         #: arrival order (deduplication happens at flush, preserving the
         #: generator's per-coordinate accumulation order exactly)
         self._region_crds: List[np.ndarray] = []
         self._region_vals: List[np.ndarray] = []
-
-    def _bail_batch(self):
-        # The open region is verbatim unprocessed input: requeue both
-        # streams ahead of the reader windows for the scalar path.
-        for reader in getattr(self, "_batch_readers", {}).values():
-            reader.requeue()
-        if self._region_crds:
-            from ..streams.batch import data_only_batch
-
-            self.in_crd.requeue_front(
-                data_only_batch(np.concatenate(self._region_crds))
-            )
-            self.in_val.requeue_front(
-                data_only_batch(np.concatenate(self._region_vals))
-            )
-            self._region_crds = []
-            self._region_vals = []
-        self._batch_ok = False
-        return self.drain()
 
     def _dedup_workspace(self):
         """Flush the open region: unique sorted coords with summed values.
 
         ``np.add.at`` is unbuffered (strictly in index order), so
         duplicate coordinates accumulate in exact arrival order — the
-        invariant both fast planes need for bit-identical sums.
+        invariant the timed plane needs for bit-identical sums.
         Consumes the workspace; returns ``(uniq, sums)`` or None.
         """
         if not self._region_crds:
@@ -351,103 +273,6 @@ class VectorReducer(Block):
         self._region_crds = []
         self._region_vals = []
         return uniq, sums
-
-    def _flush_batch(self, out_crd, out_val, stop_level: int) -> None:
-        flushed = self._dedup_workspace()
-        if flushed is not None:
-            uniq, sums = flushed
-            out_crd.data(uniq)
-            out_val.data(sums + 0.0)
-        out_crd.ctrl(stop_level)
-        out_val.ctrl(stop_level)
-        self._emitted_since_flush = True
-
-    def drain_batch(self):
-        """Batched drain: accumulate aligned (crd, val) runs, dedup at flush."""
-        if self.finished:
-            return False, 0
-        rd_c = self._breader(self.in_crd)
-        rd_v = self._breader(self.in_val)
-        rd_v.densify_empty(0.0)
-        out_c = self._bbuilder(self.out_crd)
-        out_v = self._bbuilder(self.out_val)
-        steps = 0
-
-        def park(channel):
-            nonlocal steps
-            steps += out_c.flush()
-            steps += out_v.flush()
-            self._wait = (channel, "data")
-            return steps > 0, steps
-
-        while True:
-            cc = rd_c.front_ctrl()
-            cv = rd_v.front_ctrl()
-            lc = rd_c.run_length() if cc is None else 0
-            lv = rd_v.run_length() if cv is None else 0
-            if cc is None and lc == 0:
-                return park(self.in_crd)
-            if cc is None and cv is None:
-                if lv == 0:
-                    return park(self.in_val)
-                m = min(lc, lv)
-                self._region_crds.append(rd_c.pop_run_upto(m))
-                self._region_vals.append(
-                    np.asarray(rd_v.pop_run_upto(m), dtype=np.float64)
-                )
-                steps += 2 * m
-                continue
-            if cc is not None and cv is None:
-                # Phantom zeros from upstream zero-policy reducers:
-                # values in a region with no coordinates at all.
-                if lv == 0:
-                    return park(self.in_val)
-                vals = rd_v.pop_run_upto(lv)
-                steps += len(vals)
-                bad = np.flatnonzero(np.asarray(vals) != 0.0)
-                if len(bad):
-                    raise BlockError(
-                        f"{self.name}: non-zero value {vals[bad[0]]!r} without a "
-                        f"coordinate"
-                    )
-                continue
-            if cc is None:
-                # Data coordinate against a control value token: the
-                # pairing can never resolve (the scalar path would crash
-                # adding a Stop into the table).
-                raise BlockError(
-                    f"{self.name}: misaligned inputs "
-                    f"({rd_c.peek()!r} vs {rd_v.peek()!r})"
-                )
-            rd_c.pop()
-            rd_v.pop()
-            steps += 2
-            if cc == CODE_DONE and cv == CODE_DONE:
-                if self._region_crds or not self._emitted_since_flush:
-                    # Reduction over an outermost variable: the whole
-                    # stream was one region, closed only by D.
-                    self._flush_batch(out_c, out_v, 0)
-                out_c.ctrl(CODE_DONE)
-                out_v.ctrl(CODE_DONE)
-                steps += out_c.flush()
-                steps += out_v.flush()
-                self.finished = True
-                self._wait = None
-                return True, steps
-            if cc >= 0 and cv >= 0:
-                if cc != cv:
-                    raise BlockError(
-                        f"{self.name}: misaligned stops "
-                        f"{decode_code(cc)!r}/{decode_code(cv)!r}"
-                    )
-                if cc < self.flush_level:
-                    continue  # same region continues; absorb the boundary
-                self._flush_batch(out_c, out_v, cc - self.flush_level)
-                continue
-            raise BlockError(
-                f"{self.name}: misaligned inputs "
-                f"({decode_code(cc)!r} vs {decode_code(cv)!r})"
-            )
 
     timing = TimingDescriptor()
 

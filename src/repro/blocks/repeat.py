@@ -111,44 +111,6 @@ class RepeatSigGen(Block):
             if is_done(token):
                 return
 
-    def drain_batch(self):
-        """Batched drain: a repeat-signal batch is pure control tokens.
-
-        Every data coordinate becomes an ``R`` code; control tokens pass
-        through, so the output batch has an empty data array and one
-        control code per input token.
-        """
-        if self.finished:
-            return False, 0
-        reader = self._breader(self.in_crd)
-        window = reader.take_window()
-        if window is None:
-            self._wait = (self.in_crd, "data")
-            return False, 0
-        head, tail = window.split_done()
-        data, cpos, ccode = head.remaining_arrays()
-        total = len(data) + len(ccode)
-        codes = np.full(total, CODE_REPEAT, dtype=np.int64)
-        # Input control token i lands after its cpos[i] coordinates plus
-        # the i control tokens that preceded it.
-        codes[cpos + np.arange(len(ccode), dtype=np.int64)] = ccode
-        self.out_repsig.push_batch(
-            TokenBatch(
-                np.empty(0, dtype=np.int64),
-                np.zeros(total, dtype=np.int64),
-                codes,
-            )
-        )
-        steps = total
-        if head.ends_done:
-            if tail is not None:
-                self.in_crd.requeue_front(tail)
-            self.finished = True
-            self._wait = None
-            return True, steps
-        self._wait = (self.in_crd, "data")
-        return steps > 0, steps
-
     timing = TimingDescriptor(fuse_role="repsig")
 
     def drain_timed(self) -> bool:
@@ -219,123 +181,12 @@ class Repeater(Block):
         self.in_ref = self._in("in_ref", in_ref)
         self.in_repsig = self._in("in_repsig", in_repsig)
         self.out_ref = self._out("out_ref", out_ref)
-        #: batched-drain state: the reference being repeated (NO_TOKEN
+        #: timed-drain state: the reference being repeated (NO_TOKEN
         #: when none is pending) and a pending fold level — a driver stop
         #: of level n >= 1 still owing the matching S(n-1) consumption
         #: from the reference stream
         self._rep_ref = NO_TOKEN
         self._rep_fold = None
-
-    def _batch_bail_safe(self) -> bool:
-        # A pending fold already consumed (and emitted) the driver stop;
-        # a fresh generator cannot reconstruct that, so fail loudly.
-        return self._rep_fold is None
-
-    def _bail_batch(self):
-        # A partially-repeated reference replays correctly: the scalar
-        # path re-pops it and repeats it for the *remaining* R signals.
-        if not self._batch_bail_safe():
-            raise BlockError(
-                f"{self.name}: cannot leave the batched plane mid-fold "
-                f"(unbatchable tokens arrived after stateful batched "
-                f"processing)"
-            )
-        for reader in getattr(self, "_batch_readers", {}).values():
-            reader.requeue()
-        if self._rep_ref is not NO_TOKEN:
-            self.in_ref.requeue_front(TokenBatch.from_tokens([self._rep_ref]))
-            self._rep_ref = NO_TOKEN
-        self._batch_ok = False
-        return self.drain()
-
-    def drain_batch(self):
-        """Batched drain: emit each pending reference as one numpy run."""
-        if self.finished:
-            return False, 0
-        rd_ref = self._breader(self.in_ref)
-        rd_sig = self._breader(self.in_repsig)
-        out = self._bbuilder(self.out_ref)
-        steps = 0
-
-        def park(channel):
-            nonlocal steps
-            steps += out.flush()
-            self._wait = (channel, "data")
-            return steps > 0, steps
-
-        while True:
-            if self._rep_fold is not None:
-                # The elevated driver stop folds the reference stream's
-                # matching stop; consume (and discard) it.
-                token = rd_ref.peek()
-                if token is NO_TOKEN:
-                    return park(self.in_ref)
-                if not (is_stop(token) and token.level == self._rep_fold - 1):
-                    raise BlockError(
-                        f"{self.name}: driver stop S{self._rep_fold} expects "
-                        f"reference stop S{self._rep_fold - 1}, got {token!r}"
-                    )
-                rd_ref.pop()
-                steps += 1
-                self._rep_fold = None
-                continue
-            if self._rep_ref is NO_TOKEN:
-                token = rd_ref.peek()
-                if token is NO_TOKEN:
-                    return park(self.in_ref)
-                if is_data(token) or is_empty(token):
-                    rd_ref.pop()
-                    steps += 1
-                    self._rep_ref = token
-                    continue
-                # Stop or done on the reference stream: the driver must
-                # carry the matching (elevated or done) token.
-                signal = rd_sig.peek()
-                if signal is NO_TOKEN:
-                    return park(self.in_repsig)
-                rd_ref.pop()
-                rd_sig.pop()
-                steps += 2
-                if is_done(token):
-                    if not is_done(signal):
-                        raise BlockError(
-                            f"{self.name}: driver stream out of sync at D "
-                            f"({signal!r})"
-                        )
-                    out.ctrl(CODE_DONE)
-                    steps += out.flush()
-                    self.finished = True
-                    self._wait = None
-                    return True, steps
-                if not (is_stop(signal) and signal.level == token.level + 1):
-                    raise BlockError(
-                        f"{self.name}: reference stop {token!r} expects driver "
-                        f"stop S{token.level + 1}, got {signal!r}"
-                    )
-                out.ctrl(signal.level)
-                continue
-            # A reference is pending: replay it once per R of the fiber.
-            repeats = rd_sig.pop_repeat_run()
-            if repeats:
-                steps += repeats
-                if is_empty(self._rep_ref):
-                    out.ctrl(CODE_EMPTY, count=repeats)
-                else:
-                    out.data(np.full(repeats, self._rep_ref))
-                continue
-            signal = rd_sig.peek()
-            if signal is NO_TOKEN:
-                return park(self.in_repsig)
-            if not is_stop(signal):
-                raise BlockError(
-                    f"{self.name}: driver stream ended mid-fiber ({signal!r})"
-                )
-            rd_sig.pop()
-            steps += 1
-            out.ctrl(signal.level)
-            if signal.level >= 1:
-                self._rep_fold = signal.level
-            self._rep_ref = NO_TOKEN
 
     timing = TimingDescriptor(fuse_role="repeat")
 

@@ -79,7 +79,7 @@ class LevelScanner(Block):
         #: previous fiber scan are ignored (scanners may rescan a level
         #: many times, e.g. a broadcast vector).
         self._fiber_index = 0
-        #: batched-drain state: a fiber was fully emitted and its closing
+        #: timed-drain state: a fiber was fully emitted and its closing
         #: stop token still needs the next input token to pick its level
         self._after_fiber = False
 
@@ -150,135 +150,6 @@ class LevelScanner(Block):
             self.out_ref.push(stop)
             self._fiber_index += 1
             yield True
-
-    def drain(self, limit=None):
-        # Batched mode emits every fiber coordinate in one pass.  Skip
-        # hints are a timing optimisation (they never change what survives
-        # the downstream intersection), so they are ignored here.
-        if self.finished or not self._can_batch():
-            return super().drain(limit)
-        in_ref, out_crd, out_ref = self.in_ref, self.out_crd, self.out_ref
-        steps = 0
-        while True:
-            if self._after_fiber:
-                # The closing stop's level depends on the next input token.
-                if in_ref.empty():
-                    self._wait = (in_ref, "data")
-                    return steps > 0, steps
-                nxt = in_ref.peek()
-                if is_stop(nxt):
-                    in_ref.pop()
-                    stop = Stop(nxt.level + 1)
-                else:
-                    stop = Stop(0)
-                out_crd.push(stop)
-                out_ref.push(stop)
-                self._fiber_index += 1
-                self._after_fiber = False
-                steps += 1
-                continue
-            if in_ref.empty():
-                self._wait = (in_ref, "data")
-                return steps > 0, steps
-            token = in_ref.pop()
-            steps += 1
-            if is_done(token):
-                out_crd.push(DONE)
-                out_ref.push(DONE)
-                self.finished = True
-                self._wait = None
-                return True, steps
-            if is_stop(token):
-                level_up = Stop(token.level + 1)
-                out_crd.push(level_up)
-                out_ref.push(level_up)
-                self._fiber_index += 1
-                continue
-            if not is_empty(token):
-                for crd, child in self.level.fiber(token):
-                    out_crd.push(crd)
-                    out_ref.push(child)
-                    steps += 1
-            self._after_fiber = True
-
-    def drain_batch(self):
-        """Batched drain: emit whole fibers as numpy runs.
-
-        Needs a level with the array interface (compressed/dense); other
-        formats bail to the scalar path up front.  Skip hints are a
-        timing optimisation (they never change what survives the
-        downstream intersection), so — like the scalar ``drain`` — the
-        batched path ignores them.
-        """
-        if self.finished:
-            return False, 0
-        level = self.level
-        if not hasattr(level, "fiber_arrays"):
-            return self._bail_batch()
-        reader = self._breader(self.in_ref)
-        out_crd = self._bbuilder(self.out_crd)
-        out_ref = self._bbuilder(self.out_ref)
-        steps = 0
-
-        def flush() -> int:
-            nonlocal steps
-            steps += out_crd.flush()
-            steps += out_ref.flush()
-            return steps
-
-        while True:
-            if self._after_fiber:
-                # The closing stop's level depends on the next input token.
-                token = reader.peek()
-                if token is NO_TOKEN:
-                    self._wait = (self.in_ref, "data")
-                    return flush() > 0, steps
-                if is_stop(token):
-                    reader.pop()
-                    steps += 1
-                    level_code = token.level + 1
-                else:
-                    level_code = 0
-                out_crd.ctrl(level_code)
-                out_ref.ctrl(level_code)
-                self._fiber_index += 1
-                self._after_fiber = False
-                continue
-            ctrl = reader.front_ctrl()
-            if ctrl is None:
-                refs = reader.pop_run()
-                if len(refs) == 0:
-                    self._wait = (self.in_ref, "data")
-                    return flush() > 0, steps
-                steps += len(refs)
-                crds, children, lens = level.fiber_arrays(refs)
-                # Fibers before the last are followed by more data refs,
-                # so their closing stops are S0 at the cumulative breaks.
-                breaks = np.cumsum(lens[:-1])
-                zeros = np.zeros(len(breaks), dtype=np.int64)
-                out_crd.data_with_ctrl(crds, breaks, zeros)
-                out_ref.data_with_ctrl(children, breaks, zeros)
-                self._fiber_index += len(refs) - 1
-                self._after_fiber = True
-                continue
-            reader.pop()
-            steps += 1
-            if ctrl == CODE_DONE:
-                out_crd.ctrl(CODE_DONE)
-                out_ref.ctrl(CODE_DONE)
-                flush()
-                self.finished = True
-                self._wait = None
-                return True, steps
-            if ctrl == CODE_EMPTY:
-                # An empty input reference scans as an empty fiber.
-                self._after_fiber = True
-                continue
-            # Stray stop (region of empty fibers upstream): re-emit one
-            # level up to preserve the hierarchy.
-            out_crd.ctrl(ctrl + 1)
-            out_ref.ctrl(ctrl + 1)
-            self._fiber_index += 1
 
     timing = TimingDescriptor(fuse_role="scan")
 
@@ -483,50 +354,6 @@ class BitvectorLevelScanner(Block):
             self.out_bv.push(stop)
             self.out_ref.push(stop)
             yield True
-
-    def drain(self, limit=None):
-        if self.finished or not self._can_batch():
-            return super().drain(limit)
-        in_ref, out_bv, out_ref = self.in_ref, self.out_bv, self.out_ref
-        steps = 0
-        while True:
-            if self._after_fiber:
-                if in_ref.empty():
-                    self._wait = (in_ref, "data")
-                    return steps > 0, steps
-                nxt = in_ref.peek()
-                if is_stop(nxt):
-                    in_ref.pop()
-                    stop = Stop(nxt.level + 1)
-                else:
-                    stop = Stop(0)
-                out_bv.push(stop)
-                out_ref.push(stop)
-                self._after_fiber = False
-                steps += 1
-                continue
-            if in_ref.empty():
-                self._wait = (in_ref, "data")
-                return steps > 0, steps
-            token = in_ref.pop()
-            steps += 1
-            if is_done(token):
-                out_bv.push(DONE)
-                out_ref.push(DONE)
-                self.finished = True
-                self._wait = None
-                return True, steps
-            if is_stop(token):
-                level_up = Stop(token.level + 1)
-                out_bv.push(level_up)
-                out_ref.push(level_up)
-                continue
-            if not is_empty(token):
-                for _, word, base in self.level.words(token):
-                    out_bv.push(word)
-                    out_ref.push(base)
-                    steps += 1
-            self._after_fiber = True
 
 
 def make_scanner(level, in_ref, out_crd, out_ref, in_skip=None, name="scan"):

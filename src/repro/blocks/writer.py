@@ -83,55 +83,6 @@ class CompressedLevelWriter(Block):
                 return
             yield True
 
-    def drain(self, limit=None):
-        if self.finished or not self._can_batch():
-            return super().drain(limit)
-        in_crd, crd, seg = self.in_crd, self.crd, self.seg
-        steps = 0
-        while not in_crd.empty():
-            token = in_crd.pop()
-            steps += 1
-            if is_data(token):
-                crd.append(token)
-            elif is_stop(token):
-                seg.append(len(crd))
-            elif is_done(token):
-                if seg[-1] != len(crd):  # unterminated trailing fiber
-                    seg.append(len(crd))
-                self._level = CompressedLevel(seg, crd)
-                self.finished = True
-                self._wait = None
-                return True, steps
-        self._wait = (in_crd, "data")
-        return steps > 0, steps
-
-    def drain_batch(self):
-        if self.finished:
-            return False, 0
-        reader = self._breader(self.in_crd)
-        window = reader.take_window()
-        if window is None:
-            self._wait = (self.in_crd, "data")
-            return False, 0
-        head, tail = window.split_done()
-        data, cpos, ccode = head.remaining_arrays()
-        steps = len(head)
-        base = len(self.crd)
-        self.crd.extend(data.tolist())
-        # Every stop closes a fiber at the then-current coordinate count.
-        self.seg.extend((base + cpos[ccode >= 0]).tolist())
-        if head.ends_done:
-            if tail is not None:
-                self.in_crd.requeue_front(tail)
-            if self.seg[-1] != len(self.crd):  # unterminated trailing fiber
-                self.seg.append(len(self.crd))
-            self._level = CompressedLevel(self.seg, self.crd)
-            self.finished = True
-            self._wait = None
-            return True, steps
-        self._wait = (self.in_crd, "data")
-        return steps > 0, steps
-
     timing = TimingDescriptor(fuse_role="write")
 
     def drain_timed(self) -> bool:
@@ -193,28 +144,6 @@ class UncompressedLevelWriter(Block):
                 return
             yield True
 
-    def drain_batch(self):
-        if self.finished:
-            return False, 0
-        reader = self._breader(self.in_crd)
-        window = reader.take_window()
-        if window is None:
-            self._wait = (self.in_crd, "data")
-            return False, 0
-        head, tail = window.split_done()
-        _, _, ccode = head.remaining_arrays()
-        steps = len(head)
-        self._fibers += int((ccode >= 0).sum())
-        if head.ends_done:
-            if tail is not None:
-                self.in_crd.requeue_front(tail)
-            self._level = DenseLevel(self.size, num_fibers=max(1, self._fibers))
-            self.finished = True
-            self._wait = None
-            return True, steps
-        self._wait = (self.in_crd, "data")
-        return steps > 0, steps
-
     timing = TimingDescriptor(fuse_role="write")
 
     def drain_timed(self) -> bool:
@@ -269,47 +198,6 @@ class ValsWriter(Block):
             yield True
             if is_done(token):
                 return
-
-    def drain(self, limit=None):
-        if self.finished or not self._can_batch():
-            return super().drain(limit)
-        in_val, vals = self.in_val, self.vals
-        steps = 0
-        while not in_val.empty():
-            token = in_val.pop()
-            steps += 1
-            if is_data(token):
-                vals.append(float(token))
-            elif is_empty(token):
-                vals.append(0.0)
-            elif is_done(token):
-                self.finished = True
-                self._wait = None
-                return True, steps
-        self._wait = (in_val, "data")
-        return steps > 0, steps
-
-    def drain_batch(self):
-        if self.finished:
-            return False, 0
-        reader = self._breader(self.in_val)
-        reader.densify_empty(0.0)
-        window = reader.take_window()
-        if window is None:
-            self._wait = (self.in_val, "data")
-            return False, 0
-        head, tail = window.split_done()
-        data, _, _ = head.remaining_arrays()
-        steps = len(head)
-        self.vals.extend(np.asarray(data, dtype=np.float64).tolist())
-        if head.ends_done:
-            if tail is not None:
-                self.in_val.requeue_front(tail)
-            self.finished = True
-            self._wait = None
-            return True, steps
-        self._wait = (self.in_val, "data")
-        return steps > 0, steps
 
     timing = TimingDescriptor(fuse_role="write")
 
@@ -367,68 +255,6 @@ class ScatterValsWriter(Block):
             if is_data(ref) and (is_data(val) or is_empty(val)):
                 self.vals[ref] += 0.0 if is_empty(val) else val
             yield True
-
-    def _bail_batch(self):
-        # Sync the private accumulator back into the public list before
-        # the scalar path resumes mutating it directly.
-        acc = getattr(self, "_vals_array", None)
-        if acc is not None:
-            self.vals[:] = acc.tolist()
-            self._vals_array = None
-        return super()._bail_batch()
-
-    def drain_batch(self):
-        """Batched drain: scatter-add whole runs with ``np.add.at``.
-
-        The accumulator is a private float64 array synced back into the
-        public ``vals`` list when the stream completes (and on a bail to
-        the scalar plane); ``np.add.at`` is unbuffered (strictly in
-        index order), so duplicate references accumulate bit-identically
-        to the scalar path.
-        """
-        if self.finished:
-            return False, 0
-        acc = getattr(self, "_vals_array", None)
-        if acc is None:
-            acc = self._vals_array = np.asarray(self.vals, dtype=np.float64)
-        rd_r = self._breader(self.in_ref)
-        rd_v = self._breader(self.in_val)
-        rd_v.densify_empty(0.0)
-        steps = 0
-
-        def park(channel):
-            self._wait = (channel, "data")
-            return steps > 0, steps
-
-        while True:
-            cr = rd_r.front_ctrl()
-            cv = rd_v.front_ctrl()
-            lr = rd_r.run_length() if cr is None else 0
-            lv = rd_v.run_length() if cv is None else 0
-            if cr is None and lr == 0:
-                return park(self.in_ref)
-            if cv is None and lv == 0:
-                return park(self.in_val)
-            if cr is None and cv is None:
-                m = min(lr, lv)
-                refs = rd_r.pop_run_upto(m).astype(np.int64, copy=False)
-                vals = np.asarray(rd_v.pop_run_upto(m), dtype=np.float64)
-                np.add.at(acc, refs, vals)
-                steps += 2 * m
-                continue
-            if cr == CODE_DONE and cv == CODE_DONE:
-                rd_r.pop()
-                rd_v.pop()
-                self.vals[:] = acc.tolist()
-                self.finished = True
-                self._wait = None
-                return True, steps + 2
-            # Any other pairing is consumed without effect (control
-            # tokens in lockstep, or a data token against a control one),
-            # exactly like the scalar loop.
-            rd_r.pop()
-            rd_v.pop()
-            steps += 2
 
     timing = TimingDescriptor()
 

@@ -27,6 +27,7 @@ from ..formats import FiberTensor
 from ..graph.bind import bind
 from ..graph.ir import SamGraph
 from ..lang import compile_expression
+from ..lang.compile import check_extents
 
 
 @dataclass
@@ -37,7 +38,11 @@ class SDDMMResult:
 
 
 def _as_arrays(B, C, D):
-    return (np.asarray(B, float), np.asarray(C, float), np.asarray(D, float))
+    """``B(i,j)``, ``C(i,k)``, ``D(j,k)`` as float arrays with one extent
+    per index variable (``D`` passed as K x J must not run)."""
+    B, C, D = (np.asarray(B, float), np.asarray(C, float), np.asarray(D, float))
+    check_extents((("B", "ij", B.shape), ("C", "ik", C.shape), ("D", "jk", D.shape)))
+    return B, C, D
 
 
 def sddmm_reference(B, C, D) -> np.ndarray:

@@ -9,7 +9,7 @@ simulated on any inputs matching the expression's signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,6 +23,31 @@ from .formats import FormatSpec
 from .lower import LoweredInfo, lower
 from .parser import parse
 from .schedule import ConcreteIndexNotation, Schedule, apply_schedule
+
+
+def check_extents(operands: Iterable[Tuple[str, Sequence[str], Sequence[int]]]) -> None:
+    """Reject operands an expression cannot mean.
+
+    *operands* are ``(tensor, index variables, shape)`` triples, one per
+    access.  Raises :class:`ExpressionError` for an access whose rank is
+    not its tensor's and for an index variable with two extents (a graph
+    run on those silently iterates the shorter one).
+    """
+    extents: Dict[str, Tuple[int, str]] = {}
+    for tensor, indices, shape in operands:
+        shape = tuple(shape)
+        if len(shape) != len(indices):
+            raise ExpressionError(
+                f"tensor {tensor!r} has rank {len(shape)} (shape {shape}) but "
+                f"is accessed as {tensor}({','.join(indices)})"
+            )
+        for var, extent in zip(indices, shape):
+            first, owner = extents.setdefault(var, (extent, tensor))
+            if first != extent:
+                raise ExpressionError(
+                    f"index variable {var!r} has two extents: {first} in "
+                    f"{owner!r} and {extent} in {tensor!r}"
+                )
 
 
 @dataclass
@@ -74,10 +99,15 @@ class CompiledProgram:
 
     # -- execution -------------------------------------------------------
     def _prepare_inputs(self, tensors: Dict) -> Dict[str, FiberTensor]:
-        prepared: Dict[str, FiberTensor] = {}
         for name in self.assignment.input_tensors:
             if name not in tensors:
                 raise ExpressionError(f"missing input tensor {name!r}")
+        check_extents(
+            (a.tensor, a.indices, np.shape(tensors[a.tensor]))
+            for a in self.assignment.accesses
+        )
+        prepared: Dict[str, FiberTensor] = {}
+        for name in self.assignment.input_tensors:
             value = tensors[name]
             if isinstance(value, (int, float, np.number)):
                 prepared[name] = scalar_tensor(float(value), name=name)

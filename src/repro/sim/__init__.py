@@ -32,12 +32,14 @@ registry :data:`repro.sim.backends.BACKENDS` lists the shipped ones:
     identical reports, the fastest timed backend on large workloads.
 
 ``functional`` (:class:`FunctionalEngine`)
-    Drains every block to completion with no cycle accounting; the
-    report carries ``cycles == 0``.  For fast correctness-only runs.
+    Runs every block until it stalls, with no clock: timed-capable
+    blocks through ``drain_timed`` (stamps ignored), the rest through
+    their generators; the report carries ``cycles == 0``.  For
+    outputs-only runs on any graph.
 
 ``functional-seq`` (:class:`SequentialFunctionalEngine`)
-    ``functional`` pinned to the per-token scalar plane: the
-    differential oracle for the batched data plane.
+    ``functional`` with every block on its generator: the differential
+    oracle.
 
 Selecting a backend
 -------------------

@@ -41,9 +41,9 @@ class Engine:
     #: registry key; subclasses override
     backend = "abstract"
     #: execution planes this backend can drive a block on ("scalar" =
-    #: the per-token generator, "batched" = ``drain_batch``, "timed" =
-    #: ``drain_timed``); every engine falls back to the scalar generator
-    #: per block, so "scalar" appears in every subclass's tuple
+    #: the ``_run`` generator, "timed" = ``drain_timed``); every engine
+    #: falls back to the generator per block, so "scalar" appears in
+    #: every subclass's tuple
     planes = ("scalar",)
 
     def __init__(self, blocks: Iterable[Block]):

@@ -1,40 +1,39 @@
-"""Functional backend: correctness-only runs at maximum speed.
+"""Functional backend: outputs only, on any graph, with no clock.
 
-Drains each block to completion with no per-cycle accounting: a block
-runs until it stalls, parks on the channel it is blocked on, and is only
-revisited once that channel sees the push (or pop) it is waiting for.
-There is no cycle loop at all.
+There is no cycle loop.  Blocks sit on a worklist; a visited block runs
+until it stalls and is revisited only after a neighbour pushed onto one
+of its inputs (or popped a finite FIFO it fills).  Each block has two
+definitions and the engine picks one per block, by the same rule as the
+timed backends (:func:`~repro.sim.backends.timed_batch.timed_plane`):
 
-Two data planes are available per block:
+* **timed-capable blocks** advance through ``drain_timed``, whole
+  numpy token windows at a time.  The cycle stamps that hook computes
+  are simply ignored — there is no stamps-off switch and no functional
+  branch inside any block;
+* **every other block** (bitvector scanners, matrix reducers, linked-list
+  writers, anything behind a finite FIFO or a skip channel, a block that
+  bailed off the timed plane) runs its ``_run`` generator through
+  :meth:`~repro.blocks.base.Block.drain`: its stamped inputs are
+  materialised first, and what it pushed is swept back onto the stamped
+  plane for timed consumers.  This is where the timed backends step
+  cycle by cycle, and why this backend is the quick way to get outputs
+  from graphs dominated by such blocks.
 
-* the **batched** plane (default): blocks that implement
-  :meth:`~repro.blocks.base.Block.drain_batch` move whole numpy token
-  runs (:class:`~repro.streams.batch.TokenBatch`) through their channels,
-  processing entire data segments between control tokens at C speed;
-* the **scalar** plane: the generator/per-token ``drain`` path, kept as
-  the differential oracle (register key ``"functional-seq"``).
+``"functional-seq"`` is this loop with the timed plane switched off in
+``planes``: every block steps its generator — the differential oracle.
 
-The planes mix freely within one graph: channels split batches for
-scalar consumers and coalesce scalar tokens for batched ones, so blocks
-without a batched implementation simply fall back.
+Budgets (documented contract):
 
-Budget semantics (documented contract):
+* ``max_resumptions`` bounds the total number of *operations*: one
+  generator resumption off the timed plane, one busy event (the
+  ``yield True`` the generator would have made, read off the block's
+  busy counter) on it.  Exceeding it raises ``RuntimeError``; the exact
+  count of a run is ``report.resumptions``, so exact budgets can be
+  derived.
+* ``max_cycles`` is accepted for signature compatibility and is
+  **advisory only**: no cycles are modelled (``report.cycles == 0``).
 
-* ``max_resumptions`` — explicit bound on the total number of token
-  operations (generator resumptions on the scalar plane, tokens
-  processed on the batched plane).  Exceeding it raises ``RuntimeError``.
-  The exact count for a given graph is reported as
-  ``report.resumptions``, so callers can derive exact budgets.
-* ``max_cycles`` — accepted for signature compatibility with the timed
-  backends but **advisory only**: the functional backend models no
-  cycles (``report.cycles == 0``), so a cycle budget neither rejects nor
-  admits a run here.  Earlier revisions scaled it into a resumption
-  budget (``max_cycles * n_blocks``), which could reject runs the
-  cycle/event backends accept at the same budget and vice versa.
-
-The returned report carries ``cycles == 0`` and leaves per-block
-busy/stall counters untouched.  Use this backend to validate outputs on
-large workloads before paying for a timed backend.
+The report leaves every block's busy/stall counters as it found them.
 """
 
 from __future__ import annotations
@@ -44,15 +43,14 @@ from typing import Optional
 
 from ...streams.batch import UnbatchableTokens
 from .base import Engine, SimulationReport
+from .timed_batch import timed_plane
 
 
 class FunctionalEngine(Engine):
     """Runs the graph to completion; outputs only, no timing."""
 
     backend = "functional"
-    #: the ``functional-seq`` subclass drops "batched" to pin the scalar
-    #: plane; that registry key is the one way to select it
-    planes = ("batched", "scalar")
+    planes = ("timed", "scalar")
 
     def run(
         self,
@@ -62,95 +60,91 @@ class FunctionalEngine(Engine):
         del max_cycles  # advisory: no cycles are modelled (see module docs)
         blocks = self.blocks
         n = len(blocks)
+        producers, consumers, channels, timed = timed_plane(blocks, self.planes)
+        in_ch = [list(b.inputs.values()) for b in blocks]
+        # Who to wake after a visit: the consumer of each output that
+        # saw a push, the producer of each finite FIFO this block pops.
+        outs = [[(ch, consumers.get(ch)) for ch in b.outputs.values()]
+                for b in blocks]
+        fillers = [[producers.get(ch) for ch in ins if ch.capacity is not None]
+                   for ins in in_ch]
+        counters = [(b.busy_cycles, b.stall_cycles) for b in blocks]
         ready = deque(range(n))
         queued = [True] * n
-        finished = [False] * n
-        remaining = n
         budget = max_resumptions
         resumptions = 0
-        # Frozen at run start: batched blocks stay batched unless they
-        # bail (self._batch_ok); scalar blocks never switch mid-stream.
-        use_batch = "batched" in self.planes
-        batched = [
-            use_batch
-            and type(block).drain_batch is not None
-            and block._can_batch()
-            for block in blocks
-        ]
-        # Consecutive drains with no True yield; bounds the pathological
-        # case of blocks that stall without declaring a wait channel.
+        # Consecutive visits without a busy event; bounds blocks that
+        # stall without declaring a wait channel (they are retried).
         idle_streak = 0
 
-        def make_waker(i: int):
-            def wake() -> None:
-                if not finished[i] and not queued[i]:
-                    queued[i] = True
-                    ready.append(i)
+        def wake(i: Optional[int]) -> None:
+            if i is not None and not queued[i] and not blocks[i].finished:
+                queued[i] = True
+                ready.append(i)
 
-            return wake
-
-        wakers = [make_waker(i) for i in range(n)]
-
-        while ready:
+        while ready and idle_streak <= 2 * n + 2:
             i = ready.popleft()
             queued[i] = False
             block = blocks[i]
-            if batched[i] and block._batch_ok:
-                try:
-                    progressed, steps = block.drain_batch()
-                except UnbatchableTokens:
-                    # A stream carries tokens the numpy plane cannot
-                    # represent (tuple skip hints etc.): the offending
-                    # queue is intact, so the block requeues its window
-                    # and continues on the scalar plane.
-                    progressed, steps = block._bail_batch()
+            pushed = [ch.pushed_total for ch, _ in outs[i]]
+            if timed[i]:
+                busy = block.busy_cycles
+                progressed = block.drain_timed()
+                steps = block.busy_cycles - busy
+                if not block._timed_ok:
+                    # Bailed with its window requeued: the generator
+                    # continues from here.
+                    timed[i] = False
+                    wake(i)
             else:
+                for ch in in_ch[i]:
+                    ch.materialize_timed(None)
                 limit = None if budget is None else budget - resumptions + 1
                 progressed, steps = block.drain(limit=limit)
+                for ch, c in outs[i]:
+                    if ch.timed is None or c is None or not timed[c]:
+                        continue
+                    try:
+                        ch.stamp_queue(1)
+                    except UnbatchableTokens:
+                        # The consumer cannot batch these tokens (tuple
+                        # skip hints etc.): the queue is intact behind
+                        # the window it hands back.
+                        blocks[c]._bail_timed()
+                        timed[c] = False
+                if not (progressed or block.finished or block._wait):
+                    wake(i)  # spontaneous stall, no declared wait: retry
             resumptions += steps
             if budget is not None and resumptions > budget:
                 raise RuntimeError(
                     f"exceeded max_resumptions={max_resumptions} "
-                    f"(functional backend token-operation budget)"
+                    f"(functional backend operation budget)"
                 )
-            if block.finished:
-                finished[i] = True
-                remaining -= 1
-                idle_streak = 0
-                continue
-            if progressed:
-                idle_streak = 0
-            else:
-                idle_streak += 1
-                if idle_streak > 2 * n + 2:
-                    stuck = [b.name for k, b in enumerate(blocks) if not finished[k]]
-                    raise self._deadlock(0, stuck)
-            wait = block._wait
-            if wait is not None:
-                channel, need = wait
-                if need == "data":
-                    channel.add_push_waiter(wakers[i])
-                else:
-                    channel.add_pop_waiter(wakers[i])
-            else:
-                # Spontaneous stall with no declared wait: retry round-robin.
-                queued[i] = True
-                ready.append(i)
-        if remaining:
-            stuck = [b.name for k, b in enumerate(blocks) if not finished[k]]
+            idle_streak = 0 if progressed or block.finished else idle_streak + 1
+            for (ch, c), before in zip(outs[i], pushed):
+                if ch.pushed_total != before:
+                    wake(c)
+            for p in fillers[i]:
+                wake(p)
+        for ch in channels:
+            ch.materialize_timed(None)
+        for block, (busy, stall) in zip(blocks, counters):
+            block.busy_cycles, block.stall_cycles = busy, stall
+        stuck = [b.name for b in blocks if not b.finished]
+        if stuck:
             raise self._deadlock(0, stuck)
-        report = SimulationReport(0, self.blocks)
+        report = SimulationReport(0, blocks)
         report.resumptions = resumptions
         return report
 
 
 class SequentialFunctionalEngine(FunctionalEngine):
-    """The scalar-plane functional backend: the differential oracle.
+    """``functional`` with every block on its generator: the oracle.
 
-    Identical scheduling, but every block uses its generator/per-token
-    ``drain`` path; batched drains are never invoked.  Registered as
-    ``"functional-seq"`` so benchmarks and differential tests can pit the
-    two planes against each other through any ``backend=`` parameter.
+    Identical scheduling, no ``drain_timed`` call anywhere.  Registered
+    as ``"functional-seq"`` so benchmarks and differential tests can pit
+    the two definitions of each block against each other through any
+    ``backend=`` parameter.
     """
 
     backend = "functional-seq"

@@ -23,8 +23,8 @@ token carrying the cycle it was pushed.  The key facts making this exact:
 
 Blocks without a descriptor (bitvector scanners, matrix reducers,
 parallelizers, anything wired to a skip side channel, or any block that
-bails mid-run exactly like the functional plane's ``_bail_batch``) fall
-back **per block** to the scalar timed path: the engine steps their
+bails mid-run through ``_bail_timed``) fall back **per block** to the
+scalar timed path: the engine steps their
 generators one global cycle at a time, materialising stamped tokens into
 their channels exactly when the reference engine would make them
 visible, and crediting stall spans arithmetically when every live scalar
@@ -46,15 +46,107 @@ is empty, so every hook below is a no-op for it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
-
-import numpy as np
+from typing import NamedTuple, Optional
 
 from ...streams.batch import UnbatchableTokens
 from .base import Engine, SimulationReport
 
 #: sentinel returned by a unit step that must dissolve its segment
 _DISSOLVE = object()
+
+
+class TimedPlane(NamedTuple):
+    """Who is on the timed plane, and the wiring both run loops walk."""
+
+    producers: dict  # channel -> index of the block that pushes it
+    consumers: dict  # channel -> index of the block that pops it
+    channels: list
+    timed: list  # per block: advances through ``drain_timed``
+
+
+def timed_plane(blocks, planes) -> TimedPlane:
+    """Decide which blocks run on the timed plane and set its channels up.
+
+    The one rule, shared by :class:`TimedBatchEngine` (and its compiled
+    subclass) and the functional engine.  A block is timed when the
+    engine drives the ``"timed"`` plane at all, its class has a
+    ``drain_timed`` hook and a :class:`~repro.blocks.base.TimingDescriptor`,
+    this instance can use it (:meth:`~repro.blocks.base.Block.timed_capable`),
+    it has not bailed and its generator is not already live.  Both
+    endpoints of a finite-capacity FIFO are then demoted unless they are
+    a credit-aware pair.  Every channel with a timed endpoint gets its
+    stamped state, and tokens queued before the run are stamped visible
+    at cycle 1 (unbatchable ones demote both endpoints instead).
+    """
+    producers = {}
+    consumers = {}
+    for i, block in enumerate(blocks):
+        for ch in block.outputs.values():
+            producers[ch] = i
+        for ch in block.inputs.values():
+            consumers[ch] = i
+    channels = list(dict.fromkeys(list(producers) + list(consumers)))
+
+    drives_timed = "timed" in planes
+    timed = [
+        drives_timed
+        and type(b).drain_timed is not None
+        and b.timing is not None
+        and b._timed_ok
+        and b._gen is None
+        and b.timed_capable()
+        for b in blocks
+    ]
+    # Finite-capacity channels need credit-aware endpoints on the
+    # batched plane (producer push schedules gated by recorded pop
+    # cycles; see Block.timed_credit_producer/consumer — the stock
+    # pairing is StreamFeeder -> Sink).  Everything else drops both
+    # endpoints to the generator, where ``_put``/``pop`` back-pressure
+    # is exact by construction.
+    changed = True
+    while changed:
+        changed = False
+        for ch in channels:
+            if ch.capacity is None:
+                continue
+            p = producers.get(ch)
+            c = consumers.get(ch)
+            keep = (
+                p is not None
+                and c is not None
+                and timed[p]
+                and timed[c]
+                and blocks[p].timed_credit_producer
+                and blocks[c].timed_credit_consumer
+            )
+            if not keep:
+                if p is not None and timed[p]:
+                    timed[p] = False
+                    changed = True
+                if c is not None and timed[c]:
+                    timed[c] = False
+                    changed = True
+
+    for ch in channels:
+        p = producers.get(ch)
+        c = consumers.get(ch)
+        if not ((p is not None and timed[p]) or (c is not None and timed[c])):
+            continue
+        if p is not None and c is not None:
+            delta = 0 if c > p else 1
+            delta_pop = 0 if p > c else 1
+        else:
+            delta = delta_pop = 0
+        ch.init_timed(delta, delta_pop)
+        try:
+            ch.stamp_queue(1)
+        except UnbatchableTokens:
+            if c is not None:
+                timed[c] = False
+            if p is not None:
+                timed[p] = False
+            ch.timed = None
+    return TimedPlane(producers, consumers, channels, timed)
 
 
 class TimedBatchEngine(Engine):
@@ -74,86 +166,7 @@ class TimedBatchEngine(Engine):
     def run(self, max_cycles: Optional[int] = None) -> SimulationReport:
         blocks = self.blocks
         n = len(blocks)
-        producers = {}
-        consumers = {}
-        for i, block in enumerate(blocks):
-            for ch in block.outputs.values():
-                producers[ch] = i
-            for ch in block.inputs.values():
-                consumers[ch] = i
-        channels = list(dict.fromkeys(list(producers) + list(consumers)))
-
-        # -- classification ------------------------------------------------
-        timed = [
-            type(b).drain_timed is not None
-            and b.timing is not None
-            and b._timed_ok
-            and b.timed_capable()
-            for b in blocks
-        ]
-        # Finite-capacity channels need credit-aware endpoints on the
-        # batched plane (producer push schedules gated by recorded pop
-        # cycles; see Block.timed_credit_producer/consumer — the stock
-        # pairing is StreamFeeder -> Sink).  Everything else drops both
-        # endpoints to the scalar timed path, where ``_put``/``pop``
-        # back-pressure is exact by construction.
-        changed = True
-        while changed:
-            changed = False
-            for ch in channels:
-                if ch.capacity is None:
-                    continue
-                p = producers.get(ch)
-                c = consumers.get(ch)
-                keep = (
-                    p is not None
-                    and c is not None
-                    and timed[p]
-                    and timed[c]
-                    and blocks[p].timed_credit_producer
-                    and blocks[c].timed_credit_consumer
-                )
-                if not keep:
-                    if p is not None and timed[p]:
-                        timed[p] = False
-                        changed = True
-                    if c is not None and timed[c]:
-                        timed[c] = False
-                        changed = True
-
-        # -- timed channel state + prefilled queues ------------------------
-        for ch in channels:
-            p = producers.get(ch)
-            c = consumers.get(ch)
-            if not ((p is not None and timed[p]) or (c is not None and timed[c])):
-                continue
-            if p is not None and c is not None:
-                delta = 0 if c > p else 1
-                delta_pop = 0 if p > c else 1
-            else:
-                delta = delta_pop = 0
-            state = ch.init_timed(delta, delta_pop)
-            if ch.queue:
-                # Tokens queued before the run are visible at cycle 1.
-                try:
-                    batch = ch.take_batch()
-                except UnbatchableTokens:
-                    if c is not None:
-                        timed[c] = False
-                    if p is not None:
-                        timed[p] = False
-                    ch.timed = None
-                    continue
-                if batch is not None and not batch.exhausted:
-                    data, _, ccode = batch.remaining_arrays()
-                    state.pending.append(
-                        (
-                            batch,
-                            np.ones(len(data), dtype=np.int64),
-                            np.ones(len(ccode), dtype=np.int64),
-                        )
-                    )
-
+        producers, consumers, channels, timed = timed_plane(blocks, self.planes)
         units = self._compile_segments(blocks, timed)
 
         out_ch = [list(b.outputs.values()) for b in blocks]
@@ -246,7 +259,7 @@ class TimedBatchEngine(Engine):
                 if c is None or not timed[c]:
                     continue  # plane switched mid-run: queue is now direct
                 try:
-                    batch = ch.take_batch()
+                    moved = ch.stamp_queue(T + state.delta)
                 except UnbatchableTokens:
                     # The consumer cannot batch these tokens: it leaves
                     # the timed plane; the queue stays intact behind the
@@ -254,18 +267,8 @@ class TimedBatchEngine(Engine):
                     blocks[c]._bail_timed()
                     convert_to_scalar(c)
                     continue
-                if batch is None or batch.exhausted:
-                    continue
-                v = T + state.delta
-                data, _, ccode = batch.remaining_arrays()
-                state.pending.append(
-                    (
-                        batch,
-                        np.full(len(data), v, dtype=np.int64),
-                        np.full(len(ccode), v, dtype=np.int64),
-                    )
-                )
-                mark_dirty(c)
+                if moved:
+                    mark_dirty(c)
 
         budget_msg = f"exceeded max_cycles={max_cycles}"
         while True:

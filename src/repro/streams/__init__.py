@@ -1,6 +1,6 @@
 """Stream data model of the Sparse Abstract Machine (paper section 3.1-3.2)."""
 
-from .batch import BatchBuilder, BatchReader, NO_TOKEN, TokenBatch, concat_batches
+from .batch import NO_TOKEN, TokenBatch, concat_batches
 from .channel import Channel
 from .nested import flatten_values, from_stream, nesting_depth, to_stream
 from .stream import Stream, StreamError, root_ref_stream, stream_from_paper
@@ -17,8 +17,6 @@ from .token import (
 )
 
 __all__ = [
-    "BatchBuilder",
-    "BatchReader",
     "Channel",
     "DONE",
     "NO_TOKEN",

@@ -17,9 +17,9 @@ built — consumers advance private cursors, never touch the arrays —
 which lets a fanout hand the same arrays to several consumers.
 
 Blocks process whole ``data`` segments between control tokens with numpy
-instead of resuming a generator once per token; see
-:meth:`~repro.blocks.base.Block.drain_batch` for the block-side protocol
-and :mod:`repro.sim.backends.functional` for the engine that prefers it.
+instead of resuming a generator once per token: batches travel with
+cycle stamps (:mod:`repro.streams.timing` has the block-side reader and
+builder), and a block's ``drain_timed`` hook consumes them.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class UnbatchableTokens(TypeError):
 
     Raised when batching tuples (skip hints) or other structured
     payloads; the queue the tokens came from is left intact, so the
-    functional engine catches this and drops the consumer onto the
-    scalar plane (:meth:`~repro.blocks.base.Block._bail_batch`).
+    engine catches this and drops the consumer onto its generator
+    (:meth:`~repro.blocks.base.Block._bail_timed`).
     """
 
 
@@ -236,15 +236,6 @@ def _as_data_array(values: List) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
-def data_only_batch(data: np.ndarray) -> TokenBatch:
-    """A batch of pure data tokens (no control tokens at all).
-
-    Used by stateful blocks bailing off the batched plane to hand a
-    carried-but-unprocessed data run back to its channel.
-    """
-    return TokenBatch(np.asarray(data), _EMPTY_I64, _EMPTY_I64)
-
-
 def concat_batches(batches: List[TokenBatch]) -> TokenBatch:
     """Concatenate the remaining contents of *batches* into one batch."""
     if len(batches) == 1:
@@ -271,286 +262,6 @@ def _concat_data(parts: List[np.ndarray]) -> np.ndarray:
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts)
-
-
-class BatchReader:
-    """Block-side input cursor over a channel carrying batches.
-
-    A reader *takes* whatever the channel holds (scalar tokens are
-    coalesced into batches by the channel) and serves it as data runs and
-    control tokens, holding leftovers between ``drain_batch`` calls.
-    :meth:`requeue` pushes the unconsumed remainder back onto the front
-    of the channel so a block can bail out to its scalar drain path.
-    """
-
-    __slots__ = ("channel", "held")
-
-    def __init__(self, channel):
-        self.channel = channel
-        self.held: List[TokenBatch] = []
-
-    # -- window management ---------------------------------------------------
-    def pull(self) -> None:
-        """Move everything currently queued on the channel into the window."""
-        batch = self.channel.take_batch()
-        if batch is not None and not batch.exhausted:
-            self.held.append(batch)
-
-    def requeue(self) -> None:
-        """Return the unconsumed window to the channel (front, stats-free)."""
-        while self.held:
-            batch = self.held.pop()
-            if not batch.exhausted:
-                self.channel.requeue_front(batch)
-
-    def _trim(self) -> None:
-        while self.held and self.held[0].exhausted:
-            self.held.pop(0)
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self.held)
-
-    # -- scalar access -------------------------------------------------------
-    def peek(self):
-        self._trim()
-        for batch in self.held:
-            token = batch.peek_front()
-            if token is not NO_TOKEN:
-                return token
-        return NO_TOKEN
-
-    def pop(self):
-        self._trim()
-        for batch in self.held:
-            if not batch.exhausted:
-                return batch.pop_front()
-        raise IndexError("pop from an empty BatchReader")
-
-    # -- run access ----------------------------------------------------------
-    def front_ctrl(self) -> Optional[int]:
-        """The control code at the front, or None (data or empty window)."""
-        self._trim()
-        for batch in self.held:
-            if not batch.exhausted:
-                d, c = batch._d, batch._c
-                if c < len(batch.ctrl_code) and batch.ctrl_pos[c] <= d:
-                    return int(batch.ctrl_code[c])
-                return None
-        return None
-
-    def pop_run(self) -> np.ndarray:
-        """Pop the maximal data run at the front (may span held batches).
-
-        Returns an empty array when the front is a control token or the
-        window is empty.
-        """
-        parts: List[np.ndarray] = []
-        self._trim()
-        for batch in self.held:
-            if batch.exhausted:
-                continue
-            d, c = batch._d, batch._c
-            stop_at = int(batch.ctrl_pos[c]) if c < len(batch.ctrl_code) else len(batch.data)
-            if stop_at > d:
-                parts.append(batch.data[d:stop_at])
-                batch._d = stop_at
-            if c < len(batch.ctrl_code):
-                break  # a control token interrupts the run
-        self._trim()
-        return _concat_data(parts)
-
-    def run_length(self) -> int:
-        """Length of the data run at the front without consuming it."""
-        total = 0
-        for batch in self.held:
-            if batch.exhausted:
-                continue
-            d, c = batch._d, batch._c
-            stop_at = int(batch.ctrl_pos[c]) if c < len(batch.ctrl_code) else len(batch.data)
-            total += stop_at - d
-            if c < len(batch.ctrl_code):
-                break
-        return total
-
-    def run_values(self) -> np.ndarray:
-        """The data run at the front *without* consuming it.
-
-        Lets mergers validate trailing phantom zeros before committing to
-        a batched fiber chunk (a dirty run bails to the scalar path with
-        the window intact).
-        """
-        parts: List[np.ndarray] = []
-        for batch in self.held:
-            if batch.exhausted:
-                continue
-            d, c = batch._d, batch._c
-            stop_at = int(batch.ctrl_pos[c]) if c < len(batch.ctrl_code) else len(batch.data)
-            if stop_at > d:
-                parts.append(batch.data[d:stop_at])
-            if c < len(batch.ctrl_code):
-                break
-        return _concat_data(parts)
-
-    def pop_run_upto(self, limit: int) -> np.ndarray:
-        """Pop at most *limit* tokens of the data run at the front."""
-        parts: List[np.ndarray] = []
-        need = limit
-        self._trim()
-        for batch in self.held:
-            if need <= 0:
-                break
-            if batch.exhausted:
-                continue
-            d, c = batch._d, batch._c
-            stop_at = int(batch.ctrl_pos[c]) if c < len(batch.ctrl_code) else len(batch.data)
-            take = min(stop_at - d, need)
-            if take > 0:
-                parts.append(batch.data[d:d + take])
-                batch._d = d + take
-                need -= take
-            if batch._d < stop_at or c < len(batch.ctrl_code):
-                break
-        self._trim()
-        return _concat_data(parts)
-
-    def take_window(self) -> Optional[TokenBatch]:
-        """Consume and return the whole held window as one batch."""
-        self._trim()
-        if not self.held:
-            return None
-        window = concat_batches(self.held)
-        self.held = []
-        return window
-
-    def has_ctrl(self) -> bool:
-        """True when any control token remains in the window."""
-        for batch in self.held:
-            if batch._c < len(batch.ctrl_code):
-                return True
-        return False
-
-    def next_ctrl_code(self) -> Optional[int]:
-        """Code of the first control token in the window (None if none).
-
-        This is the control token that terminates the front data run,
-        however long that run is.
-        """
-        for batch in self.held:
-            if batch._c < len(batch.ctrl_code):
-                return int(batch.ctrl_code[batch._c])
-        return None
-
-    def pop_repeat_run(self) -> int:
-        """Pop consecutive ``R`` codes at the front; returns how many."""
-        count = 0
-        self._trim()
-        for batch in self.held:
-            if batch.exhausted:
-                continue
-            d, c = batch._d, batch._c
-            code, pos = batch.ctrl_code, batch.ctrl_pos
-            n = len(code)
-            # Only control tokens at the current data cursor qualify.
-            while c < n and pos[c] <= d and code[c] == CODE_REPEAT:
-                c += 1
-                count += 1
-            batch._c = c
-            if c < n and pos[c] <= d:
-                break  # a non-repeat control token ends the run
-            if d < len(batch.data):
-                break  # a data token ends the run
-        self._trim()
-        return count
-
-    def densify_empty(self, zero) -> None:
-        """Rewrite ``N`` control tokens in the window as data *zero*.
-
-        Used by value-stream consumers (ALUs, reducers, droppers) for
-        which the empty token reads as an explicit zero.
-        """
-        for i, batch in enumerate(self.held):
-            data, cpos, ccode = batch.remaining_arrays()
-            empty = ccode == CODE_EMPTY
-            if not empty.any():
-                continue
-            new_data = np.insert(
-                np.asarray(data, dtype=np.float64), cpos[empty], zero
-            )
-            keep = ~empty
-            # Each kept control token shifts right by the number of
-            # empties that came before it in the control array.
-            shift = np.cumsum(empty) - empty
-            self.held[i] = TokenBatch(
-                new_data, (cpos + shift)[keep], ccode[keep]
-            )
-
-
-class BatchBuilder:
-    """Accumulates output tokens and flushes them as one batch per drain.
-
-    All appends are positional: data arrays extend the data run, control
-    codes land after whatever data has been appended so far.
-    """
-
-    __slots__ = ("channel", "_data", "_n", "_cpos", "_ccode")
-
-    def __init__(self, channel):
-        self.channel = channel
-        self._data: List[np.ndarray] = []
-        self._n = 0
-        self._cpos: List[np.ndarray] = []
-        self._ccode: List[np.ndarray] = []
-
-    def data(self, arr: np.ndarray) -> None:
-        if len(arr):
-            self._data.append(arr)
-            self._n += len(arr)
-
-    def scalar(self, value) -> None:
-        self._data.append(np.asarray([value]))
-        self._n += 1
-
-    def ctrl(self, code: int, count: int = 1) -> None:
-        self._cpos.append(np.full(count, self._n, dtype=np.int64))
-        self._ccode.append(np.full(count, code, dtype=np.int64))
-
-    def token(self, token) -> None:
-        code = encode_token(token)
-        if code is None:
-            self.scalar(token)
-        else:
-            self.ctrl(code)
-
-    def data_with_ctrl(self, arr: np.ndarray, cpos: np.ndarray, ccode: np.ndarray) -> None:
-        """Append a data run with control tokens at relative positions."""
-        if len(cpos):
-            self._cpos.append(np.asarray(cpos, dtype=np.int64) + self._n)
-            self._ccode.append(np.asarray(ccode, dtype=np.int64))
-        self.data(arr)
-
-    def batch(self, batch: TokenBatch) -> None:
-        """Append the remaining contents of a TokenBatch."""
-        data, cpos, ccode = batch.remaining_arrays()
-        self.data_with_ctrl(data, cpos, ccode)
-
-    @property
-    def pending(self) -> int:
-        return self._n + sum(len(c) for c in self._ccode)
-
-    def flush(self) -> int:
-        """Push everything accumulated as one TokenBatch; returns token count."""
-        count = self.pending
-        if count == 0:
-            return 0
-        batch = TokenBatch(
-            _concat_data(self._data),
-            np.concatenate(self._cpos) if self._cpos else _EMPTY_I64,
-            np.concatenate(self._ccode) if self._ccode else _EMPTY_I64,
-        )
-        self._data, self._cpos, self._ccode = [], [], []
-        self._n = 0
-        self.channel.push_batch(batch)
-        return count
 
 
 def _validate_segments(ndata: int, starts: np.ndarray,

@@ -136,28 +136,6 @@ class Channel:
         )
 
     # -- batched fast path ---------------------------------------------------
-    def push_batch(self, batch: TokenBatch) -> None:
-        """Push a whole token batch as one queue element.
-
-        Only meaningful on unbounded channels (batched producers check
-        :meth:`~repro.blocks.base.Block._can_batch` first).  The pushed
-        object is re-wrapped in a fresh-cursor view so one batch can fan
-        out to several channels safely.
-        """
-        if batch.exhausted:
-            return
-        batch = batch.view()
-        self.queue.append(batch)
-        n_data, n_stop, n_done, n_empty = batch.counts()
-        self.pushed_data += n_data
-        self.pushed_stop += n_stop
-        self.pushed_done += n_done
-        self.pushed_empty += n_empty
-        if self.record:
-            self.history.extend(batch.tokens())
-        if self._push_waiters:
-            self._fire(self._push_waiters)
-
     def take_batch(self) -> Optional[TokenBatch]:
         """Pop *everything* queued as one TokenBatch (None when empty).
 
@@ -184,15 +162,6 @@ class Channel:
         if self._pop_waiters:
             self._fire(self._pop_waiters)
         return concat_batches(parts)
-
-    def requeue_front(self, batch: TokenBatch) -> None:
-        """Put an (already counted) batch back at the front of the queue.
-
-        Used by blocks bailing out of a batched drain: the tokens were
-        pushed (and counted) once already, so no statistics are touched.
-        """
-        if not batch.exhausted:
-            self.queue.appendleft(batch)
 
     # -- event-driven scheduling ---------------------------------------------
     # Simulation backends that sleep stalled blocks (repro.sim.backends.event)
@@ -262,7 +231,7 @@ class Channel:
         Stamps are *push* cycles; the channel stores consumer-visible
         cycles (push + the producer/consumer ordering delta) so readers
         and the materialiser never re-derive visibility.  Statistics are
-        counted here, exactly like :meth:`push_batch`.
+        counted here, once, exactly as :meth:`push` counts scalar tokens.
         """
         if batch.exhausted:
             return
@@ -281,6 +250,27 @@ class Channel:
         if self.record:
             self.history.extend(batch.tokens())
         state.pending.append((batch, sdata, sctrl))
+
+    def stamp_queue(self, stamp: int) -> bool:
+        """Move everything queued onto the stamped plane, visible at *stamp*.
+
+        How directly pushed tokens (queued before the run, or pushed by a
+        generator-driven producer) reach a timed consumer.  Raises
+        :class:`~repro.streams.batch.UnbatchableTokens` with the queue
+        intact; returns whether anything moved.
+        """
+        batch = self.take_batch()
+        if batch is None or batch.exhausted:
+            return False
+        data, _, ccode = batch.remaining_arrays()
+        self.timed.pending.append(
+            (
+                batch,
+                np.full(len(data), stamp, dtype=np.int64),
+                np.full(len(ccode), stamp, dtype=np.int64),
+            )
+        )
+        return True
 
     def timed_take(self) -> list:
         """Hand the whole stamped pending queue to a timed reader."""

@@ -1,9 +1,10 @@
 """Stamped token runs: the timing layer of the batched data plane.
 
-The timed-batch backend (:mod:`repro.sim.backends.timed_batch`) moves the
-same :class:`~repro.streams.batch.TokenBatch` runs as the functional
-backend, but every token additionally carries a *cycle stamp*: the
-simulated cycle at which the token becomes visible to its consumer.
+The timed backends (:mod:`repro.sim.backends.timed_batch`) and the
+functional backend move :class:`~repro.streams.batch.TokenBatch` runs
+between blocks, and every token carries a *cycle stamp*: the simulated
+cycle at which the token becomes visible to its consumer (the functional
+backend computes the stamps and ignores them).
 Stamps ride next to the batch as two int64 arrays mirroring the batch
 layout — ``sdata[i]`` stamps ``data[i]``, ``sctrl[i]`` stamps the control
 token ``ctrl_code[i]`` — and are non-decreasing in stream order (a block
@@ -18,10 +19,10 @@ Three pieces live here:
   a max-plus scan, computed with one ``np.maximum.accumulate`` instead
   of a per-token Python loop — this is what lets a timed block cross an
   entire control-free segment in one step.
-* :class:`TimedReader` / :class:`TimedBuilder` — stamped mirrors of
-  :class:`~repro.streams.batch.BatchReader` / ``BatchBuilder``: readers
-  serve data runs *with* their arrival stamps, builders accumulate
-  output tokens with the cycle each was pushed.
+* :class:`TimedReader` / :class:`TimedBuilder` — the block-side input
+  cursor and output accumulator: readers serve data runs *with* their
+  arrival stamps, builders accumulate output tokens with the cycle each
+  was pushed.
 * :func:`merge_stamps` / :func:`split_done_stamped` — token-order
   plumbing shared by the block hooks.
 """
@@ -228,7 +229,7 @@ def stamp_split_at(
 
 
 class TimedReader:
-    """Block-side stamped input cursor (the timed mirror of BatchReader).
+    """Block-side stamped input cursor over a channel's pending batches.
 
     Holds ``(batch, sdata, sctrl)`` triples pulled from the channel's
     timed pending queue.  The batch's own ``_d``/``_c`` cursors index

@@ -35,8 +35,8 @@ from repro.graph.builder import Graph
 from repro.streams.token import DONE
 
 
-class BatchedOnly(Block):
-    """Synthetic block with only the batched drain hook (no generator)."""
+class TimedOnly(Block):
+    """Synthetic block with only the timed drain hook (no generator)."""
 
     primitive = "alu"
     port_specs = (
@@ -44,13 +44,13 @@ class BatchedOnly(Block):
         PortSpec("out", "out", kind=None),
     )
 
-    def __init__(self, in_, out, name="batched_only"):
+    def __init__(self, in_, out, name="timed_only"):
         super().__init__(name)
         self._in("in", in_)
         self._out("out", out)
 
-    def drain_batch(self):
-        return False, 0
+    def drain_timed(self):
+        return False
 
 
 class OptionalWiring(Block):
@@ -94,20 +94,22 @@ class TestWiringErrors:
     def test_capability_mismatch_per_backend(self):
         g = Graph("caps")
         _feed(g, "a", [1.0, DONE])
-        g.add(BatchedOnly(g.in_("a"), g.out("x", "vals")))
+        g.add(TimedOnly(g.in_("a"), g.out("x", "vals")))
         g.add(Sink(g.in_("x"), name="sink"))
-        # The functional backend drives the batched plane: fine.
-        g.validate(backend="functional")
-        # The cycle engine only steps scalar generators: rejected.
-        with pytest.raises(GraphValidationError) as err:
-            g.validate(backend="cycle")
-        assert "batched_only" in str(err.value)
-        assert "no common execution plane" in str(err.value)
+        # Backends that drive the timed plane: fine.
+        for backend in ("functional", "timed-batch", "compiled"):
+            g.validate(backend=backend)
+        # Engines that only step generators: rejected.
+        for backend in ("cycle", "event", "functional-seq"):
+            with pytest.raises(GraphValidationError) as err:
+                g.validate(backend=backend)
+            assert "timed_only" in str(err.value)
+            assert "no common execution plane" in str(err.value)
 
     def test_capabilities_derived_from_hooks(self):
-        assert BatchedOnly.capabilities() == frozenset({"batched"})
-        assert "scalar" in Sink.capabilities()
-        assert "batched" in StreamFeeder.capabilities()
+        assert TimedOnly.capabilities() == frozenset({"timed"})
+        assert Sink.capabilities() == frozenset({"scalar", "timed"})
+        assert OptionalWiring.capabilities() == frozenset({"scalar"})
 
     def test_unconnected_required_port(self):
         g = Graph("unbound")

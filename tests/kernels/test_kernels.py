@@ -126,6 +126,19 @@ class TestSDDMM:
         for fn in (sddmm_unfused, sddmm_fused_coiter, sddmm_fused_locate):
             assert np.allclose(fn(B, C, D).output, reference)
 
+    @pytest.mark.parametrize(
+        "fn", [sddmm_unfused, sddmm_fused_coiter, sddmm_fused_locate]
+    )
+    def test_transposed_d_rejected(self, fn, rng):
+        # D is J x K; passed as K x J the first two variants used to
+        # "work" and the third died mid-run with a BlockError.
+        B = random_sparse_matrix(10, 12, 0.1, seed=4)
+        C, D = rng.random((10, 5)), rng.random((5, 12))
+        with pytest.raises(ValueError) as err:
+            fn(B, C, D)
+        message = str(err.value)
+        assert all(part in message for part in ("'j'", "B", "D", "12", "5"))
+
     def test_fusion_saves_cycles(self, rng):
         B = random_sparse_matrix(16, 16, 0.05, seed=5)
         C = rng.random((16, 4))

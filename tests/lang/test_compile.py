@@ -140,6 +140,24 @@ class TestFormatsAndSchedules:
         with pytest.raises(ExpressionError):
             prog.run({})
 
+    def test_two_extents_for_one_index_rejected(self):
+        # Used to return a length-30 vector, silently iterating 12 of
+        # the 30 columns.
+        from repro.lang import ExpressionError
+
+        prog = compile_expression("x(i) = B(i,j) * c(j)")
+        with pytest.raises(ExpressionError) as err:
+            prog.run({"B": np.eye(30), "c": np.ones(12)})
+        message = str(err.value)
+        assert all(part in message for part in ("'j'", "'B'", "'c'", "30", "12"))
+
+    def test_access_rank_mismatch_rejected(self):
+        from repro.lang import ExpressionError
+
+        prog = compile_expression("x(i) = B(i,j) * c(j)")
+        with pytest.raises(ExpressionError, match=r"'c' has rank 2.*c\(j\)"):
+            prog.run({"B": np.eye(4), "c": np.ones((4, 1))})
+
 
 class TestRunResult:
     def test_cycles_positive_and_report(self, rng):

@@ -262,17 +262,24 @@ class TestMaxCycles:
         assert report.cycles == 0
         assert blocks[1].tokens[-1] is DONE
 
+    @pytest.mark.parametrize("mixed", [False, True])
     @pytest.mark.parametrize("backend", ["functional", "functional-seq"])
-    def test_functional_max_resumptions_exact(self, backend):
+    def test_functional_max_resumptions_exact(self, backend, mixed):
         tokens = list(range(50)) + [DONE]
 
         def build():
-            src = Channel("s")
-            return [StreamFeeder(tokens, src), Sink(src)]
+            if not mixed:
+                src = Channel("s")
+                return [StreamFeeder(tokens, src), Sink(src)]
+            # A capacity-1 FIFO into a Fanout keeps both its endpoints
+            # on their generators while the Sink stays timed: the count
+            # mixes generator resumptions with busy events.
+            src, out = Channel("s", capacity=1), Channel("o")
+            return [StreamFeeder(tokens, src), Fanout(src, [out]), Sink(out)]
 
         exact = run_blocks(build(), backend=backend).resumptions
         assert exact > 0
-        # An exact token-operation budget passes; one less raises.
+        # An exact operation budget passes; one less raises.
         report = run_blocks(build(), backend=backend, max_resumptions=exact)
         assert report.resumptions == exact
         with pytest.raises(RuntimeError, match="max_resumptions"):

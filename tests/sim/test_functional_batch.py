@@ -1,17 +1,27 @@
-"""Differential tests: batched vs generator functional data plane.
+"""Differential tests: ``functional`` vs its generator oracle.
 
-The batched token fast path (``drain_batch`` + ``TokenBatch``) must be
-**bit-identical** to the scalar/generator plane (``functional-seq``, the
-differential oracle) for every kernel, including degenerate operands and
-real ``.mtx`` inputs resolved through the dataset registry.  Comparisons
-use exact equality — float results must match to the last bit, which is
-why the batched reducers go out of their way to accumulate in the same
-order as the generators.
+``functional`` runs every timed-capable block through ``drain_timed``
+(whole ``TokenBatch`` windows, stamps ignored) and everything else
+through its generator; ``functional-seq`` steps every generator.  The
+two must be **bit-identical** for every kernel, including degenerate
+operands and real ``.mtx`` inputs resolved through the dataset registry.
+Comparisons use exact equality — float results must match to the last
+bit, which is why the windowed reducers go out of their way to
+accumulate in the same order as the generators.
 """
+
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.blocks
+import repro.streams
+from repro.blocks import Block, Fanout, ScalarALU, Sink, StreamFeeder
 from repro.data import DatasetRegistry
 from repro.data.synthetic import random_sparse_matrix, urandom_vector
 from repro.formats import FiberTensor
@@ -27,6 +37,9 @@ from repro.kernels import (
     vecmul,
 )
 from repro.lang import compile_expression
+from repro.sim import BACKENDS, DeadlockError, graph_token_counts, run_blocks
+from repro.streams import Channel, DONE, Stop
+from repro.streams.token import is_done
 
 B = random_sparse_matrix(20, 24, 0.2, seed=1)
 C = random_sparse_matrix(24, 18, 0.2, seed=2)
@@ -38,12 +51,12 @@ D2 = np.asarray(random_sparse_matrix(24, 6, 0.5, seed=7))
 
 
 def both(fn, extract):
-    """Run *fn* under the oracle and the batched plane; return outputs."""
+    """Run *fn* under the oracle and under ``functional``; return outputs."""
     return extract(fn("functional-seq")), extract(fn("functional"))
 
 
 class TestKernelBitIdentity:
-    """All six kernels, batched plane == generator oracle exactly."""
+    """All six kernels, ``functional`` == generator oracle exactly."""
 
     def test_spmv_locate(self):
         seq, bat = both(
@@ -188,12 +201,8 @@ class TestUnbatchableTokens:
     )
     def test_tuple_streams_fall_back_to_scalar_plane(self, payload):
         # Skip-hint style tuple tokens cannot ride the numpy plane; the
-        # feeder AND any batched consumer must drop to the scalar drain
+        # feeder AND any timed consumer must drop to their generators
         # without corrupting the stream.
-        from repro.blocks.base import Fanout, Sink, StreamFeeder
-        from repro.sim.backends import run_blocks
-        from repro.streams import Channel, DONE
-
         tokens = payload + [DONE]
         for backend in ("functional", "functional-seq"):
             src, a, b = Channel("s"), Channel("a"), Channel("b")
@@ -211,10 +220,10 @@ class TestUnbatchableTokens:
 class TestMixedPlaneGraphs:
     def test_generator_only_blocks_fall_back(self):
         # OuterSPACE uses LinkedListLevelWriter / MatrixReducer, which have
-        # no batched drain: the engine must mix planes inside one graph.
+        # no timed drain: the engine must mix planes inside one graph.
         from repro.blocks.writer import LinkedListLevelWriter
 
-        assert LinkedListLevelWriter.drain_batch is None
+        assert "timed" not in LinkedListLevelWriter.capabilities()
         seq, bat = both(
             lambda be: outerspace_spmm(B, C, backend=be),
             lambda r: r.output.tolist(),
@@ -236,3 +245,151 @@ class TestMixedPlaneGraphs:
             }
 
         assert counts("functional-seq") == counts("functional")
+
+
+class Relay(Block):
+    """Generator-only pass-through (no timed hook) with back-pressure."""
+
+    def __init__(self, in_, out, name):
+        super().__init__(name)
+        self.in_ = self._in("in_", in_)
+        self.out = self._out("out", out)
+
+    def _run(self):
+        while True:
+            token = yield from self._get(self.in_)
+            yield from self._put(self.out, token)
+            yield True
+            if is_done(token):
+                return
+
+
+#: fibers of values -> ``v.. S0 v.. S0 .. D``
+fiber_streams = st.lists(
+    st.lists(st.integers(0, 9).map(float), max_size=5), min_size=1, max_size=5
+)
+
+
+def mixed_pipeline(fibers, stages, cap_link, prefill_link, prefill, tuple_at,
+                   done=True):
+    """``feeder -> stage.. -> fanout -> two sinks`` with hazards planted.
+
+    *stages* are ``"fanout"`` / ``"scale"`` (timed-capable) or
+    ``"relay"`` (generator-only); link *cap_link* is a capacity-1 FIFO
+    where its producer models back-pressure; link *prefill_link* already
+    holds the first *prefill* stream tokens; *tuple_at* swaps one data
+    token for an unbatchable tuple (scales then become fanouts, which
+    pass any payload).
+    """
+    tokens = [t for fiber in fibers for t in fiber + [Stop(0)]]
+    data_at = [k for k, t in enumerate(tokens) if not isinstance(t, Stop)]
+    if tuple_at is not None and data_at:
+        tokens[data_at[tuple_at % len(data_at)]] = (3, 4)
+        stages = ["fanout" if s == "scale" else s for s in stages]
+    if done:
+        tokens.append(DONE)
+    links = []
+    for j in range(len(stages) + 1):
+        producer = "feeder" if j == 0 else stages[j - 1]
+        finite = j == cap_link and producer != "scale"
+        links.append(Channel(f"l{j}", kind="vals", capacity=1 if finite else None))
+    held = min(prefill, len(tokens) - 1, 1 if links[prefill_link].capacity else 99)
+    for token in tokens[:held]:
+        links[prefill_link].push(token)
+    blocks = [StreamFeeder(tokens[held:], links[0], name="feeder")]
+    for j, stage in enumerate(stages):
+        src, dst, name = links[j], links[j + 1], f"s{j}_{stage}"
+        if stage == "relay":
+            blocks.append(Relay(src, dst, name))
+        elif stage == "scale":
+            blocks.append(ScalarALU("mul", 2.0, src, dst, name=name))
+        else:
+            blocks.append(Fanout(src, [dst], name=name))
+    a = Channel("a", kind="vals", record=True)
+    b = Channel("b", kind="vals", record=True)
+    blocks += [Fanout(links[-1], [a, b], name="split"),
+               Sink(a, name="sink_a"), Sink(b, name="sink_b")]
+    return blocks, (a, b)
+
+
+class TestMixedPlaneDifferential:
+    """Hazards at random positions of a timed-capable pipeline."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fibers=fiber_streams,
+        stages=st.lists(st.sampled_from(["fanout", "scale", "relay"]),
+                        min_size=1, max_size=5),
+        cap_link=st.integers(0, 5),
+        prefill_link=st.integers(0, 5),
+        prefill=st.integers(0, 6),
+        tuple_at=st.none() | st.integers(0, 30),
+    )
+    def test_outputs_and_token_counts(self, fibers, stages, cap_link,
+                                      prefill_link, prefill, tuple_at):
+        plan = (fibers, stages, cap_link, prefill_link % (len(stages) + 1),
+                prefill, tuple_at)
+        runs = {}
+        for backend in ("cycle", "functional-seq", "functional"):
+            blocks, outs = mixed_pipeline(*plan)
+            report = run_blocks(blocks, backend=backend)
+            runs[backend] = (
+                [list(ch.history) for ch in outs],
+                [blocks[-2].tokens, blocks[-1].tokens],
+                graph_token_counts(blocks),
+            )
+        assert runs["functional"] == runs["functional-seq"] == runs["cycle"]
+        assert report.cycles == 0 and report.resumptions > 0
+        assert all(v == {"busy": 0, "stall": 0}
+                   for v in report.block_activity().values())
+        # Starved: the stream never ends, so everything past the feeder
+        # is stuck and must be named.
+        blocks, _ = mixed_pipeline(*plan, done=False)
+        with pytest.raises(DeadlockError) as err:
+            run_blocks(blocks, backend="functional")
+        stuck = str(err.value).split("stuck blocks: ")[1]
+        assert "feeder" not in stuck
+        assert all(repr(b.name) in stuck for b in blocks[1:])
+
+
+def _block_classes():
+    for info in pkgutil.iter_modules(repro.blocks.__path__):
+        module = importlib.import_module(f"repro.blocks.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, Block) and cls.__module__ == module.__name__:
+                yield cls
+
+
+class TestOneFastOneReferenceDefinition:
+    """The two deleted encodings stay deleted."""
+
+    def test_no_block_has_a_batched_drain_or_overrides_drain(self):
+        classes = list(_block_classes())
+        assert len(classes) > 30
+        for cls in classes:
+            assert not hasattr(cls, "drain_batch"), cls
+            assert cls.drain is Block.drain, cls
+            assert "batched" not in cls.capabilities(), cls
+
+    def test_no_engine_drives_a_batched_plane(self):
+        for engine in BACKENDS.values():
+            assert set(engine.planes) <= {"scalar", "timed"}, engine
+        assert BACKENDS["functional"].planes == BACKENDS["timed-batch"].planes
+        assert BACKENDS["functional-seq"].planes == ("scalar",)
+
+    def test_streams_exports_no_untimed_reader_or_builder(self):
+        assert not hasattr(repro.streams, "BatchReader")
+        assert not hasattr(repro.streams, "BatchBuilder")
+
+    def test_functional_seq_steps_every_generator(self):
+        from repro.graph import capture_runs
+
+        live = {}
+        for backend in ("functional-seq", "functional"):
+            with capture_runs() as capture:
+                spmv_locate(B, VEC, backend=backend)
+            blocks, _ = capture.runs[-1]
+            live[backend] = [b._gen is not None for b in blocks]
+        assert all(live["functional-seq"])
+        # ... and `functional` really left them alone on the timed plane.
+        assert not any(live["functional"])

@@ -1,12 +1,14 @@
-"""TokenBatch / batched-channel unit tests (the numpy data plane)."""
+"""TokenBatch / batched-channel unit tests (the numpy data plane).
+
+Batches reach a channel's queue the way they do in a run: pushed with
+stamps (``push_batch_timed``) and materialised for a scalar consumer.
+"""
 
 import numpy as np
 import pytest
 
 from repro.streams import Channel, DONE, EMPTY, Stop, TokenBatch
 from repro.streams.batch import (
-    BatchBuilder,
-    BatchReader,
     CODE_DONE,
     CODE_EMPTY,
     CODE_REPEAT,
@@ -17,8 +19,20 @@ from repro.streams.batch import (
     exact_segment_sums,
     sequential_segment_sums,
 )
+from repro.streams.timing import TimedBuilder, TimedReader
 
 MIXED = [3, 7, EMPTY, Stop(0), 2.5, "R", Stop(1), Stop(0), DONE]
+
+
+def push_batch(channel, batch):
+    """Queue *batch* on *channel* as one materialised queue element."""
+    if channel.timed is None:
+        channel.init_timed()
+    data, _, ccode = batch.remaining_arrays()
+    channel.push_batch_timed(
+        batch, np.zeros(len(data), np.int64), np.zeros(len(ccode), np.int64)
+    )
+    channel.materialize_timed(None)
 
 
 class TestTokenBatch:
@@ -41,7 +55,7 @@ class TestTokenBatch:
         for token in MIXED:
             scalar.push(token)
         batched = Channel("b")
-        batched.push_batch(batch)
+        push_batch(batched, batch)
         assert scalar.token_counts() == batched.token_counts()
 
     def test_consecutive_controls_keep_order(self):
@@ -75,7 +89,7 @@ class TestTokenBatch:
 class TestChannelBatching:
     def test_scalar_consumer_splits_batches(self):
         channel = Channel("c")
-        channel.push_batch(TokenBatch.from_tokens(MIXED))
+        push_batch(channel, TokenBatch.from_tokens(MIXED))
         assert len(channel) == len(MIXED)
         popped = []
         while not channel.empty():
@@ -88,7 +102,7 @@ class TestChannelBatching:
     def test_take_batch_coalesces_scalars_and_batches(self):
         channel = Channel("c")
         channel.push(1)
-        channel.push_batch(TokenBatch.from_tokens([2, Stop(0)]))
+        push_batch(channel, TokenBatch.from_tokens([2, Stop(0)]))
         channel.push(DONE)
         window = channel.take_batch()
         assert window.tokens() == [1, 2, Stop(0), DONE]
@@ -97,120 +111,140 @@ class TestChannelBatching:
 
     def test_drain_expands_batches(self):
         channel = Channel("c")
-        channel.push_batch(TokenBatch.from_tokens([1, Stop(0)]))
+        push_batch(channel, TokenBatch.from_tokens([1, Stop(0)]))
         channel.push(2)
         assert channel.drain() == [1, Stop(0), 2]
 
     def test_record_history_expands_batches(self):
         channel = Channel("c", record=True)
-        channel.push_batch(TokenBatch.from_tokens(MIXED))
+        push_batch(channel, TokenBatch.from_tokens(MIXED))
         assert channel.history == MIXED
 
-    def test_requeue_front_is_stat_free(self):
+    def test_take_batch_is_stat_free(self):
         channel = Channel("c")
-        channel.push_batch(TokenBatch.from_tokens([1, 2, DONE]))
+        push_batch(channel, TokenBatch.from_tokens([1, 2, DONE]))
         before = channel.token_counts()
         window = channel.take_batch()
-        channel.requeue_front(window)
         assert channel.token_counts() == before
-        assert channel.drain() == [1, 2, DONE]
+        assert window.tokens() == [1, 2, DONE]
 
-    def test_push_waiters_fire_on_push_batch(self):
+    def test_push_waiters_fire_on_materialize(self):
         channel = Channel("c")
         fired = []
         channel.add_push_waiter(lambda: fired.append(True))
-        channel.push_batch(TokenBatch.from_tokens([1]))
+        push_batch(channel, TokenBatch.from_tokens([1]))
         assert fired == [True]
 
 
-class TestBatchReader:
-    def test_runs_and_ctrl(self):
-        channel = Channel("c")
-        channel.push_batch(TokenBatch.from_tokens([1, 2, 3, Stop(0), 4, DONE]))
-        reader = BatchReader(channel)
+def stamped(tokens, start=1):
+    """A channel holding *tokens* on the stamped plane, token k visible
+    at cycle ``start + k``."""
+    channel = Channel("c")
+    channel.init_timed()
+    is_ctrl = np.array([encode_token(t) is not None for t in tokens])
+    stamps = np.arange(start, start + len(tokens))
+    channel.push_batch_timed(
+        TokenBatch.from_tokens(tokens), stamps[~is_ctrl], stamps[is_ctrl]
+    )
+    return channel
+
+
+class TestTimedReader:
+    def test_runs_ctrl_and_stamps(self):
+        reader = TimedReader(stamped([1, 2, 3, Stop(0), 4, DONE]))
         reader.pull()
         assert reader.front_ctrl() is None
         assert reader.run_length() == 3
-        assert reader.pop_run().tolist() == [1, 2, 3]
+        values, stamps = reader.pop_run()
+        assert values.tolist() == [1, 2, 3] and stamps.tolist() == [1, 2, 3]
         assert reader.front_ctrl() == 0
-        assert reader.pop() == Stop(0)
-        assert reader.pop_run_upto(5).tolist() == [4]
-        assert reader.peek() is DONE
+        assert reader.pop() == (Stop(0), 4)
+        values, stamps = reader.pop_run_upto(5)
+        assert values.tolist() == [4] and stamps.tolist() == [5]
+        assert reader.peek() == (DONE, 6)
 
     def test_run_spans_batches(self):
-        channel = Channel("c")
-        channel.push_batch(TokenBatch.from_tokens([1, 2]))
-        channel.push_batch(TokenBatch.from_tokens([3, Stop(0)]))
-        reader = BatchReader(channel)
+        channel = stamped([1, 2])
+        batch = TokenBatch.from_tokens([3, Stop(0)])
+        channel.push_batch_timed(batch, np.array([7]), np.array([8]))
+        reader = TimedReader(channel)
         reader.pull()
-        assert reader.pop_run().tolist() == [1, 2, 3]
-        assert reader.pop() == Stop(0)
+        values, stamps = reader.pop_run()
+        assert values.tolist() == [1, 2, 3] and stamps.tolist() == [1, 2, 7]
+        assert reader.pop() == (Stop(0), 8)
 
-    def test_densify_empty(self):
-        channel = Channel("c")
-        channel.push_batch(
-            TokenBatch.from_tokens([EMPTY, 1.0, EMPTY, Stop(0), EMPTY, DONE])
-        )
-        reader = BatchReader(channel)
+    def test_densify_empty_keeps_stamps(self):
+        reader = TimedReader(stamped([EMPTY, 1.0, EMPTY, Stop(0), EMPTY, DONE]))
         reader.pull()
         reader.densify_empty(0.0)
-        assert reader.pop_run().tolist() == [0.0, 1.0, 0.0]
-        assert reader.pop() == Stop(0)
-        assert reader.pop_run().tolist() == [0.0]
-        assert reader.pop() is DONE
+        values, stamps = reader.pop_run()
+        assert values.tolist() == [0.0, 1.0, 0.0] and stamps.tolist() == [1, 2, 3]
+        assert reader.pop() == (Stop(0), 4)
+        values, stamps = reader.pop_run()
+        assert values.tolist() == [0.0] and stamps.tolist() == [5]
+        assert reader.pop() == (DONE, 6)
 
     def test_pop_repeat_run(self):
-        channel = Channel("c", kind="repsig")
-        channel.push_batch(
-            TokenBatch.from_tokens(["R", "R", Stop(0), "R", Stop(1), DONE])
-        )
-        reader = BatchReader(channel)
+        reader = TimedReader(stamped(["R", "R", Stop(0), "R", Stop(1), DONE]))
         reader.pull()
-        assert reader.pop_repeat_run() == 2
-        assert reader.pop() == Stop(0)
-        assert reader.pop_repeat_run() == 1
-        assert reader.pop() == Stop(1)
-        assert reader.pop_repeat_run() == 0
+        count, stamps = reader.pop_repeat_run()
+        assert count == 2 and stamps.tolist() == [1, 2]
+        assert reader.pop() == (Stop(0), 3)
+        assert reader.pop_repeat_run()[0] == 1
+        assert reader.pop() == (Stop(1), 5)
+        assert reader.pop_repeat_run()[0] == 0
 
-    def test_requeue_restores_remainder(self):
-        channel = Channel("c")
-        channel.push_batch(TokenBatch.from_tokens([1, 2, Stop(0), DONE]))
-        reader = BatchReader(channel)
+    def test_requeue_restores_remainder_with_stamps(self):
+        channel = stamped([1, 2, Stop(0), DONE])
+        reader = TimedReader(channel)
         reader.pull()
         reader.pop()
         reader.requeue()
+        assert channel.timed_pending_min_stamp() == 2
+        channel.materialize_timed(None)
         assert channel.drain() == [2, Stop(0), DONE]
 
     def test_peek_empty(self):
-        reader = BatchReader(Channel("c"))
+        channel = Channel("c")
+        channel.init_timed()
+        reader = TimedReader(channel)
         reader.pull()
-        assert reader.peek() is NO_TOKEN
+        assert reader.peek() == (NO_TOKEN, 0)
 
 
-class TestBatchBuilder:
+class TestTimedBuilder:
     def test_interleaved_build(self):
         channel = Channel("c")
-        builder = BatchBuilder(channel)
-        builder.data(np.array([1, 2]))
-        builder.ctrl(0)
-        builder.scalar(9)
-        builder.token(DONE)
+        channel.init_timed()
+        builder = TimedBuilder(channel)
+        builder.data(np.array([1, 2]), np.array([3, 4]))
+        builder.ctrl(0, 5)
+        builder.scalar(9, 6)
+        builder.token(DONE, 7)
         assert builder.flush() == 5
-        assert channel.drain() == [1, 2, Stop(0), 9, DONE]
+        assert channel.timed_pending_min_stamp() == 3
+        channel.materialize_timed(5)
+        assert channel.drain() == [1, 2, Stop(0)]
+        channel.materialize_timed(None)
+        assert channel.drain() == [9, DONE]
 
     def test_data_with_ctrl_positions(self):
         channel = Channel("c")
-        builder = BatchBuilder(channel)
+        channel.init_timed()
+        builder = TimedBuilder(channel)
         builder.data_with_ctrl(
-            np.array([5, 6, 7]), np.array([1, 3]), np.array([0, 1])
+            np.array([5, 6, 7]), np.array([1, 3]), np.array([0, 1]),
+            np.array([1, 3, 4]), np.array([2, 5]),
         )
         builder.flush()
+        channel.materialize_timed(None)
         assert channel.drain() == [5, Stop(0), 6, 7, Stop(1)]
 
     def test_empty_flush_is_noop(self):
         channel = Channel("c")
-        assert BatchBuilder(channel).flush() == 0
-        assert channel.empty()
+        channel.init_timed()
+        assert TimedBuilder(channel).flush() == 0
+        assert channel.timed_pending_min_stamp() is None
 
 
 class TestSequentialSegmentSums:
