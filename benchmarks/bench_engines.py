@@ -22,12 +22,11 @@ Four sections:
   and ~1e5 nnz under ``timed-batch`` and ``compiled`` only (the scalar
   backends would take minutes at these sizes), the two engines' rounds
   interleaved.  Cycle counts must agree bit for bit.  Both engines
-  share one run loop and one vectorised repeater drain, so on Gamma —
-  where the co-scheduled merge heads and repeaters dominate — fusion is
-  a scheduling contraction, not a speedup to gate a ratio on; the third
-  gate is a guard against the fused plane doing *more* work: on the
-  largest Gamma row ``compiled`` must burn no more user CPU than
-  ``timed-batch`` (>= 0.8x).  Rows carry wall-clock and user-CPU
+  share one run loop, and mergers and repeaters — which dominate Gamma
+  — run their own ``drain_timed`` under either, so there is no speedup
+  to gate a ratio on there; the third gate is a guard against the fused
+  plane doing *more* work: on the largest Gamma row ``compiled`` must
+  burn no more user CPU than ``timed-batch`` (>= 0.8x).  Rows carry wall-clock and user-CPU
   medians; the wall-clock ratio is reported, not gated (see
   ``GAMMA_FLOOR``).
 * **jit comparison** — the compiled backend on spmv_locate at 1e5 nnz

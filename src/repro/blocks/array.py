@@ -79,10 +79,11 @@ class ArrayLoad(Block):
             return ok
         return True
 
-    def drain_timed(self) -> bool:
-        """Timed drain: rate-1 single-cycle memory, whole windows gathered."""
-        if self.finished:
-            return False
+    def plan_tag(self):
+        return ("array_load",)
+
+    def map_parts(self):
+        """``(gather, empty_value)``: the load as a window transform."""
         mem = getattr(self, "_mem_array", None)
         if mem is None:
             mem = self._mem_array = np.asarray(self.memory)
@@ -91,8 +92,14 @@ class ArrayLoad(Block):
             self.loads += len(refs)
             return mem[refs.astype(np.int64, copy=False)]
 
+        return gather, self.empty_value
+
+    def drain_timed(self) -> bool:
+        """Timed drain: rate-1 single-cycle memory, whole windows gathered."""
+        if self.finished:
+            return False
         return self._t_unary_window(
-            self.in_ref, self._tbuilder(self.out_data), gather, self.empty_value
+            self.in_ref, self._tbuilder(self.out_data), *self.map_parts()
         )
 
 

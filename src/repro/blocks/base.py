@@ -147,28 +147,35 @@ class TimingDescriptor:
 
     ``fuse_role`` is the compiled backend's segment-fusion capability
     flag: how this block may participate in a fused super-block (see
-    :func:`repro.graph.bind.partition_segments`).  Roles:
+    :func:`repro.graph.bind.partition_segments`).  A fusible block also
+    exports, next to its ``timing =`` line, the hook its own
+    ``drain_timed`` is written in terms of; the fused unit calls the
+    same hook, so a block's behaviour is defined once.  Roles:
 
     * ``"zip"`` — two-input elementwise head (ALU): may only *start* a
-      fused value chain, reading both operand channels itself.
+      fused value chain, reading both operand channels itself.  Hook:
+      ``_fn``, the elementwise operator.
     * ``"map"`` — uniform rate-1 unary map (ArrayLoad, ScalarALU, Exp):
-      may start, continue, or end a chain.
+      may start, continue, or end a chain.  Hook: ``map_parts()``, the
+      ``(data_fn, empty_value)`` pair :meth:`Block._t_unary_window`
+      applies.
+    * ``"reduce"`` / ``"sink"`` / ``"write"`` — scalar reducer, Sink,
+      and the single-input level/vals writers: chain tails (pure
+      consumers, or emitting fewer tokens than they consume, so nothing
+      fuses after them).  Hook: ``commit_window(...)``, what
+      :meth:`Block._t_tail_window` stores or emits for one scheduled
+      window.
     * ``"scan"`` — level scanner: may only head a scanner→locator pair.
+      Hook: ``LevelScanner._scan_timed``, the scanner's one timed loop.
     * ``"locate"`` — locator: may only close a scanner→locator pair
-      (it has three outputs, so nothing can fuse after it).
-    * ``"reduce"`` — scalar reducer: chain tail (emits fewer tokens
-      than it consumes, so nothing fuses after it in v1).
-    * ``"sink"`` — pure consumer (Sink): chain tail.
-    * ``"merge"`` — 2-ary intersect/union: may head a merge segment,
-      absorbing its per-side scanner feeders and an optional
-      coordinate-writer tail.
-    * ``"repsig"`` / ``"repeat"`` — repeat-signal generator and its
-      repeater: fuse pairwise into a repeater pipeline.
-    * ``"write"`` — level/vals writer: pure consumer tail; a
-      ``ValsWriter`` may close a value chain, any writer may close a
-      merge head's coordinate output.
-    * ``""`` — not fusible; the block always runs on the per-block
-      timed path.
+      (it has three outputs, so nothing can fuse after it).  Hook:
+      ``Locator._emit_probed``.
+    * ``""`` — not fusible; the block always runs its own
+      ``drain_timed`` on the per-block timed path (mergers, repeaters,
+      droppers, vector reducers, feeders, fanouts …).
+
+    :meth:`Block.plan_tag` names a member's data transform in the
+    compiled backend's plan-cache keys.
     """
 
     ii: int = 1
@@ -403,6 +410,13 @@ class Block:
         """
         return True
 
+    def plan_tag(self) -> Tuple:
+        """Hashable identity of this block's data transform, for the
+        compiled backend's plan-cache keys: two segments whose members
+        apply different ops (or scalar constants) must not share a plan
+        even though their timing descriptors match."""
+        return ()
+
     def _treader(self, channel: Channel) -> TimedReader:
         """Cached stamped input reader for *channel* (refilled)."""
         try:
@@ -475,8 +489,9 @@ class Block:
         (one vectorized call for the whole window), ``N`` tokens become
         the data value *empty_value* at their stream position, stops and
         done pass through.  This is the shape of ArrayLoad/ScalarALU/Exp
-        — without it, streams fragmented by per-fiber stops would pay a
-        Python iteration per fiber.
+        (called with their ``map_parts()``) — without it, streams
+        fragmented by per-fiber stops would pay a Python iteration per
+        fiber.
         """
         reader = self._treader(channel)
         window = reader.take_window()
@@ -504,14 +519,47 @@ class Block:
             cc = cc[keep]
         out.data_with_ctrl(vals, cpos, ccode, cd, cc)
         out.flush()
-        if head.ends_done:
+        self._t_window_done(channel, head.ends_done, tail)
+        return True
+
+    def _t_tail_window(self, channel, commit, zero=None) -> Optional[np.ndarray]:
+        """Whole-window epoch advance for uniform rate-1 chain tails.
+
+        Every input token is one event (``N`` reads as the data value
+        *zero* when given); what the block stores or emits for the
+        window is ``commit(data, cpos, ccode, cctrl, ends_done)`` —
+        *cctrl* the event cycles of the control tokens.  This is the
+        shape of Sink/ScalarReducer/the single-input writers, called
+        with their ``commit_window``, which a fused chain calls with its
+        own composed schedule instead.  Returns the window's busy
+        schedule, or None when starved.
+        """
+        reader = self._treader(channel)
+        if zero is not None:
+            reader.densify_empty(zero)
+        window = reader.take_window()
+        if window is None:
+            self._wait = (channel, "data")
+            return None
+        head, sd, sc, tail = split_done_stamped(*window)
+        merged, _, ci = merge_stamps(head, sd, sc)
+        if len(merged) == 0:
+            self._wait = (channel, "data")
+            return None
+        c = self._t_advance(merged)
+        commit(*head.remaining_arrays(), c[ci], head.ends_done)
+        self._t_window_done(channel, head.ends_done, tail)
+        return c
+
+    def _t_window_done(self, channel, ends_done, tail) -> None:
+        """Finish (requeueing what follows ``D``) or park on *channel*."""
+        if ends_done:
             if tail is not None:
                 channel.timed_requeue_front(*tail)
             self.finished = True
             self._wait = None
         else:
             self._wait = (channel, "data")
-        return True
 
     def _timed_bail_safe(self) -> bool:
         """Whether the scalar timed path can take over right now.
@@ -764,6 +812,9 @@ class Sink(Block):
     timing = TimingDescriptor(fuse_role="sink")
     timed_credit_consumer = True
 
+    def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
+        self.tokens.extend(TokenBatch(data, cpos, ccode).tokens())
+
     def drain_timed(self) -> bool:
         """Timed drain: consume one token per cycle, recording pops.
 
@@ -773,27 +824,11 @@ class Sink(Block):
         """
         if self.finished:
             return False
-        reader = self._treader(self.in_)
-        window = reader.take_window()
-        if window is None:
-            self._wait = (self.in_, "data")
+        c = self._t_tail_window(self.in_, self.commit_window)
+        if c is None:
             return False
-        head, sd, sc, tail = split_done_stamped(*window)
-        merged, _, _ = merge_stamps(head, sd, sc)
-        if len(merged) == 0:
-            self._wait = (self.in_, "data")
-            return False
-        c = self._t_advance(merged)
-        self.tokens.extend(head.tokens())
         if self.in_.capacity is not None:
             self.in_.record_pops(c + self.in_.timed.delta_pop)
-        if head.ends_done:
-            if tail is not None:
-                self.in_.timed_requeue_front(*tail)
-            self.finished = True
-            self._wait = None
-        else:
-            self._wait = (self.in_, "data")
         return True
 
 

@@ -116,6 +116,9 @@ class ALU(Block):
 
     timing = TimingDescriptor(fuse_role="zip")
 
+    def plan_tag(self):
+        return ("alu", self.op)
+
     def drain_timed(self) -> bool:
         """Timed drain: one output per cycle, gated by both operands.
 
@@ -276,16 +279,19 @@ class ScalarALU(Block):
 
     timing = TimingDescriptor(fuse_role="map")
 
+    def plan_tag(self):
+        return ("scalar_alu", self.op, self.constant)
+
+    def map_parts(self):
+        fn, const = self._fn, self.constant
+        return (lambda run: fn(run, const)), fn(0.0, const)
+
     def drain_timed(self) -> bool:
         """Timed drain: uniform rate-1 unary map (one token, one cycle)."""
         if self.finished:
             return False
-        fn, const = self._fn, self.constant
         return self._t_unary_window(
-            self.in_a,
-            self._tbuilder(self.out),
-            lambda run: fn(run, const),
-            fn(0.0, const),
+            self.in_a, self._tbuilder(self.out), *self.map_parts()
         )
 
 
@@ -322,14 +328,17 @@ class Exp(Block):
 
     timing = TimingDescriptor(fuse_role="map")
 
+    def plan_tag(self):
+        return ("exp", getattr(self._fn, "__name__", "fn"))
+
+    def map_parts(self):
+        fn = self._fn
+        return (lambda run: np.asarray([fn(v) for v in run.tolist()])), fn(0.0)
+
     def drain_timed(self) -> bool:
         """Timed drain: rate-1 unary map; *fn* applied per element."""
         if self.finished:
             return False
-        fn = self._fn
         return self._t_unary_window(
-            self.in_a,
-            self._tbuilder(self.out),
-            lambda run: np.asarray([fn(v) for v in run.tolist()]),
-            fn(0.0),
+            self.in_a, self._tbuilder(self.out), *self.map_parts()
         )

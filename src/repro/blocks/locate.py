@@ -76,7 +76,9 @@ class Locator(Block):
         self.out_ref_found = self._out("out_ref_found", out_ref_found)
         self.out_ref_in = self._out("out_ref_in", out_ref_in)
         self.in_target_ref = (
-            self._in("in_target_ref", in_target_ref) if in_target_ref is not None else None
+            self._in("in_target_ref", in_target_ref)
+            if in_target_ref is not None
+            else None
         )
         self.probes = 0
         self.hits = 0
@@ -139,15 +141,50 @@ class Locator(Block):
             self.in_target_ref is None or not self._loc_have
         )
 
+    def _emit_probed(self, builders, dc, dr, pc, cc, dstamps, cstamps):
+        """Probe the fixed target for one scheduled (crd, ref) window and
+        emit it on all three outputs.
+
+        Misses become ``N`` tokens merged into the copied control arrays
+        at the position of the dropped coordinate, keeping the probe
+        event's cycle stamp.
+        """
+        m = len(dc)
+        found, hit = self.level.locate_arrays(self._loc_target, dc)
+        self.probes += m
+        kept = int(hit.sum())
+        self.hits += kept
+        if kept == m:
+            for builder, data in zip(builders, (dc, found, dr)):
+                builder.data_with_ctrl(data, pc, cc, dstamps, cstamps)
+            return
+        prefix = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(hit)])
+        miss_idx = np.flatnonzero(~hit)
+        positions = np.concatenate([pc, miss_idx])
+        codes = np.concatenate(
+            [cc, np.full(len(miss_idx), CODE_EMPTY, dtype=np.int64)]
+        )
+        stamps = np.concatenate([cstamps, dstamps[~hit]])
+        # A control token at position p precedes the data token p it
+        # pairs with, so copied controls sort before miss markers.
+        tiebreak = np.concatenate(
+            [np.zeros(len(pc), dtype=np.int64),
+             np.ones(len(miss_idx), dtype=np.int64)]
+        )
+        order = np.lexsort((tiebreak, positions))
+        for builder, data in zip(builders, (dc[hit], found[hit], dr[hit])):
+            builder.data_with_ctrl(
+                data, prefix[positions][order], codes[order],
+                dstamps[hit], stamps[order],
+            )
+
     def _locate_window_timed(self, rd_crd, rd_ref, builders):
         """Fixed-target whole-window probe with one epoch advance.
 
         Requires the crd/ref windows to carry identical control
         structure (they come from one scanner, so they normally do).
-        Misses become ``N`` tokens merged into the copied control arrays
-        at the position of the dropped coordinate, keeping the probe
-        event's cycle stamp.  Returns None to use the general loop, else
-        whether anything was processed.
+        Returns None to use the general loop, else whether anything was
+        processed.
         """
         wc = rd_crd.take_window()
         wr = rd_ref.take_window()
@@ -169,42 +206,12 @@ class Locator(Block):
             rd_crd.put_back(wc)
             rd_ref.put_back(wr)
             return None
-        m = len(dc)
-        if m == 0 and len(cc) == 0:
+        if len(dc) == 0 and len(cc) == 0:
             return False
         mc, di, ci = merge_stamps(wc[0], wc[1], wc[2])
         mr, _, _ = merge_stamps(wr[0], wr[1], wr[2])
         c = self._t_advance(np.maximum(mc, mr))
-        dstamps, cstamps = c[di], c[ci]
-        found, hit = self.level.locate_arrays(self._loc_target, dc)
-        self.probes += m
-        kept = int(hit.sum())
-        self.hits += kept
-        if kept == m:
-            for builder, data in zip(builders, (dc, found, dr)):
-                builder.data_with_ctrl(data, pc, cc, dstamps, cstamps)
-        else:
-            prefix = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(hit)]
-            )
-            miss_idx = np.flatnonzero(~hit)
-            positions = np.concatenate([pc, miss_idx])
-            codes = np.concatenate(
-                [cc, np.full(len(miss_idx), CODE_EMPTY, dtype=np.int64)]
-            )
-            stamps = np.concatenate([cstamps, dstamps[~hit]])
-            # A control token at position p precedes the data token p it
-            # pairs with, so copied controls sort before miss markers.
-            tiebreak = np.concatenate(
-                [np.zeros(len(pc), dtype=np.int64),
-                 np.ones(len(miss_idx), dtype=np.int64)]
-            )
-            order = np.lexsort((tiebreak, positions))
-            for builder, data in zip(builders, (dc[hit], found[hit], dr[hit])):
-                builder.data_with_ctrl(
-                    data, prefix[positions][order], codes[order],
-                    dstamps[hit], stamps[order],
-                )
+        self._emit_probed(builders, dc, dr, pc, cc, c[di], c[ci])
         if len(cc) and cc[-1] == CODE_DONE:
             self.finished = True
         return True

@@ -202,7 +202,7 @@ class _Merger(Block):
     # token" crosses fiber boundaries exactly as the generator's refill
     # does.  The two-finger schedule, the epoch advance and every output
     # builder therefore run once per window, whatever K is.
-    timing = TimingDescriptor(fuse_role="merge")
+    timing = TimingDescriptor()
 
     def timed_capable(self) -> bool:
         # Skip hints feed a timing side channel the windowed merge does

@@ -30,9 +30,13 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..streams.batch import CODE_DONE, decode_code, sequential_segment_sums
+from ..streams.batch import (
+    CODE_DONE,
+    decode_code,
+    exact_segment_sums,
+    sequential_segment_sums,
+)
 from ..streams.channel import Channel
-from ..streams.timing import merge_stamps, split_done_stamped
 from ..streams.token import DONE, Stop, is_data, is_done, is_empty, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 
@@ -80,13 +84,11 @@ class ScalarReducer(Block):
         self._acc_parts: List[np.ndarray] = []
         self._acc_saw = False
 
-    def _region_sums(self, data, cpos, ccode, sums_fn=sequential_segment_sums):
+    def _region_sums(self, data, cpos, ccode):
         """Region aggregation of one timed window.
 
         Region boundaries are the window's control tokens; sums go
-        through *sums_fn* (:func:`sequential_segment_sums` by default;
-        the compiled backend's fused path passes the vectorised
-        :func:`~repro.streams.batch.exact_segment_sums`), which
+        through :func:`~repro.streams.batch.exact_segment_sums`, which
         accumulates in the exact order of the generator's running
         ``acc`` so results are bit-identical to the generator.
         Consumes the carried open-region state; returns ``(sums, emit,
@@ -96,7 +98,7 @@ class ScalarReducer(Block):
         """
         starts = np.concatenate([np.zeros(1, dtype=np.int64), cpos[:-1]])
         lens = cpos - starts
-        sums = sums_fn(data[: int(cpos[-1])], starts, lens)
+        sums = exact_segment_sums(data[: int(cpos[-1])], starts, lens)
         saw = lens > 0
         if self._acc_parts:
             region0 = np.concatenate(self._acc_parts + [data[: int(cpos[0])]])
@@ -120,59 +122,43 @@ class ScalarReducer(Block):
             self._acc_parts or self._acc_saw
         )
 
-    def drain_timed(self) -> bool:
-        """Timed drain: uniform rate 1 — every input token is one event.
+    def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
+        """Emit one scheduled window's region sums; carry the open tail.
 
         Region sums are pushed within their closing stop's event cycle
         (the generator accumulates one value per cycle and emits at the
-        boundary cycle), so the whole window is one epoch advance plus
-        the segment sums.
+        boundary cycle).
         """
-        if self.finished:
-            return False
-        reader = self._treader(self.in_val)
-        reader.densify_empty(0.0)
-        out = self._tbuilder(self.out_val)
-        window = reader.take_window()
-        if window is None:
-            self._wait = (self.in_val, "data")
-            return False
-        head, sd, sc, tail = split_done_stamped(*window)
-        data, cpos, ccode = head.remaining_arrays()
         data = np.asarray(data, dtype=np.float64)
-        merged, di, ci = merge_stamps(head, sd, sc)
-        if len(merged) == 0:
-            self._wait = (self.in_val, "data")
-            return False
-        c = self._t_advance(merged)
-        cctrl = c[ci]
         if len(ccode) == 0:
             # No region boundary in the window yet: carry and wait.
             if len(data):
                 self._acc_parts.append(data)
                 self._acc_saw = True
-            self._wait = (self.in_val, "data")
-            return True
+            return
+        out = self._tbuilder(self.out_val)
         sums, emit, elevated, pref = self._region_sums(data, cpos, ccode)
         out.data_with_ctrl(
             sums[emit], pref[elevated], ccode[elevated] - 1,
             cctrl[emit], cctrl[elevated],
         )
-        if head.ends_done:
+        if ends_done:
             out.ctrl(CODE_DONE, int(cctrl[-1]))
-            out.flush()
-            if tail is not None:
-                self.in_val.timed_requeue_front(*tail)
-            self.finished = True
-            self._wait = None
-            return True
-        rest = data[int(cpos[-1]):]
-        if len(rest):
-            self._acc_parts.append(rest)
-            self._acc_saw = True
+        else:
+            rest = data[int(cpos[-1]):]
+            if len(rest):
+                self._acc_parts.append(rest)
+                self._acc_saw = True
         out.flush()
-        self._wait = (self.in_val, "data")
-        return True
+
+    def drain_timed(self) -> bool:
+        """Timed drain: uniform rate 1 — every input token is one event,
+        so the whole window is one epoch advance plus the segment sums."""
+        if self.finished:
+            return False
+        return self._t_tail_window(
+            self.in_val, self.commit_window, 0.0
+        ) is not None
 
     def _run(self):
         acc = 0.0

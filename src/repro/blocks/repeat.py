@@ -111,7 +111,7 @@ class RepeatSigGen(Block):
             if is_done(token):
                 return
 
-    timing = TimingDescriptor(fuse_role="repsig")
+    timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
         """Timed drain: uniform rate-1 map onto a pure-control batch."""
@@ -188,7 +188,7 @@ class Repeater(Block):
         self._rep_ref = NO_TOKEN
         self._rep_fold = None
 
-    timing = TimingDescriptor(fuse_role="repeat")
+    timing = TimingDescriptor()
 
     def _timed_bail_safe(self) -> bool:
         return (

@@ -158,43 +158,47 @@ class LevelScanner(Block):
         # scanner's schedule to the intersecter's — scalar timed path.
         return self.in_skip is None and hasattr(self.level, "fiber_arrays")
 
-    def drain_timed(self) -> bool:
-        """Timed drain: whole fibers as one epoch advance each run.
+    def _t_run(self, stamps, lens, starts, stop_idx, total):
+        """Busy schedule of one run's *total* events, arrivals built
+        densely: only fiber starts (the ref's own stamp) and closing
+        stops (the next ref's stamp) are gated."""
+        arrivals = np.zeros(total, dtype=np.int64)
+        has_fiber = lens > 0
+        arrivals[starts[has_fiber]] = stamps[has_fiber]
+        if len(stamps) > 1:
+            np.maximum.at(arrivals, stop_idx, stamps[1:])
+        return self._t_advance(arrivals)
+
+    def _scan_timed(self, sched_run, emit_run, emit_ctrl) -> bool:
+        """The scanner's one timed loop: whole fibers, one schedule a run.
 
         The generator emits one (crd, ref) pair per cycle while a fiber
         streams and one closing-stop cycle per fiber gated by the *next*
         input token (the ``_peek``); within a run of data refs all those
         gates are known, so an entire run costs one vectorized schedule.
+
+        The arguments are what a fused scanner→locator pair changes:
+        ``sched_run`` (the signature of :meth:`_t_run`) returns the
+        cycles a run's events are emitted at, and ``emit_run(crds,
+        children, breaks, zeros, dstamps, cstamps)`` / ``emit_ctrl(code,
+        cycle)`` are where emissions go.  The caller flushes on return.
         """
-        if self.finished:
-            return False
         level = self.level
         reader = self._treader(self.in_ref)
-        out_crd = self._tbuilder(self.out_crd)
-        out_ref = self._tbuilder(self.out_ref)
         progressed = False
-
-        def park():
-            out_crd.flush()
-            out_ref.flush()
-            self._wait = (self.in_ref, "data")
-            return progressed
-
         while True:
             if self._after_fiber:
                 # The closing stop's level (and cycle) depend on the next
                 # input token: S(n+1) consumes a stop, S0 just peeks.
                 token, stamp = reader.peek()
                 if token is NO_TOKEN:
-                    return park()
+                    break
                 if is_stop(token):
                     reader.pop()
                     level_code = token.level + 1
                 else:
                     level_code = 0
-                cyc = self._t_event(stamp)
-                out_crd.ctrl(level_code, cyc)
-                out_ref.ctrl(level_code, cyc)
+                emit_ctrl(level_code, self._t_event(stamp))
                 self._fiber_index += 1
                 self._after_fiber = False
                 progressed = True
@@ -204,7 +208,7 @@ class LevelScanner(Block):
                 refs, stamps = reader.pop_run()
                 n = len(refs)
                 if n == 0:
-                    return park()
+                    break
                 crds, children, lens = level.fiber_arrays(refs)
                 lens = np.asarray(lens, dtype=np.int64)
                 # Events per ref: its pair emissions plus — for every ref
@@ -217,21 +221,13 @@ class LevelScanner(Block):
                 starts = np.concatenate(
                     [np.zeros(1, dtype=np.int64), np.cumsum(ev_per_ref)[:-1]]
                 )
-                arrivals = np.zeros(total, dtype=np.int64)
-                has_fiber = lens > 0
-                arrivals[starts[has_fiber]] = stamps[has_fiber]
                 stop_idx = (starts + lens)[: n - 1]
-                if n > 1:
-                    np.maximum.at(arrivals, stop_idx, stamps[1:])
-                c = self._t_advance(arrivals)
+                c = sched_run(stamps, lens, starts, stop_idx, total)
                 emit_mask = np.ones(total, dtype=bool)
                 emit_mask[stop_idx] = False
                 breaks = np.cumsum(lens[:-1])
                 zeros = np.zeros(len(breaks), dtype=np.int64)
-                out_crd.data_with_ctrl(crds, breaks, zeros, c[emit_mask], c[stop_idx])
-                out_ref.data_with_ctrl(
-                    children, breaks, zeros, c[emit_mask], c[stop_idx]
-                )
+                emit_run(crds, children, breaks, zeros, c[emit_mask], c[stop_idx])
                 self._fiber_index += n - 1
                 self._after_fiber = True
                 self._t_defer(int(stamps[-1]))
@@ -240,11 +236,7 @@ class LevelScanner(Block):
             _, stamp = reader.pop()
             progressed = True
             if ctrl == CODE_DONE:
-                cyc = self._t_event(stamp)
-                out_crd.ctrl(CODE_DONE, cyc)
-                out_ref.ctrl(CODE_DONE, cyc)
-                out_crd.flush()
-                out_ref.flush()
+                emit_ctrl(CODE_DONE, self._t_event(stamp))
                 self.finished = True
                 self._wait = None
                 return True
@@ -255,10 +247,30 @@ class LevelScanner(Block):
                 self._after_fiber = True
                 continue
             # Stray stop: one pass-through event, one level up.
-            cyc = self._t_event(stamp)
-            out_crd.ctrl(ctrl + 1, cyc)
-            out_ref.ctrl(ctrl + 1, cyc)
+            emit_ctrl(ctrl + 1, self._t_event(stamp))
             self._fiber_index += 1
+        self._wait = (self.in_ref, "data")
+        return progressed
+
+    def drain_timed(self) -> bool:
+        """Timed drain: :meth:`_scan_timed` onto the two output streams."""
+        if self.finished:
+            return False
+        out_crd = self._tbuilder(self.out_crd)
+        out_ref = self._tbuilder(self.out_ref)
+
+        def emit_run(crds, children, breaks, zeros, dstamps, cstamps):
+            out_crd.data_with_ctrl(crds, breaks, zeros, dstamps, cstamps)
+            out_ref.data_with_ctrl(children, breaks, zeros, dstamps, cstamps)
+
+        def emit_ctrl(code, cyc):
+            out_crd.ctrl(code, cyc)
+            out_ref.ctrl(code, cyc)
+
+        progressed = self._scan_timed(self._t_run, emit_run, emit_ctrl)
+        out_crd.flush()
+        out_ref.flush()
+        return progressed
 
 
 class CompressedLevelScanner(LevelScanner):
@@ -267,7 +279,8 @@ class CompressedLevelScanner(LevelScanner):
     def __init__(self, level, *args, **kwargs):
         if level.format_name != "compressed":
             raise BlockError(
-                f"CompressedLevelScanner needs a compressed level, got {level.format_name}"
+                "CompressedLevelScanner needs a compressed level, "
+                f"got {level.format_name}"
             )
         super().__init__(level, *args, **kwargs)
 
@@ -318,7 +331,8 @@ class BitvectorLevelScanner(Block):
         super().__init__(name)
         if level.format_name != "bitvector":
             raise BlockError(
-                f"BitvectorLevelScanner needs a bitvector level, got {level.format_name}"
+                "BitvectorLevelScanner needs a bitvector level, "
+                f"got {level.format_name}"
             )
         self.level = level
         self.in_ref = self._in("in_ref", in_ref)

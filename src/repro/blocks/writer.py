@@ -22,28 +22,8 @@ from ..formats.dense import DenseLevel
 from ..formats.linkedlist import LinkedListLevel
 from ..formats.tensor import FiberTensor
 from ..streams.channel import Channel
-from ..streams.timing import merge_stamps, split_done_stamped
 from ..streams.token import is_data, is_done, is_empty, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
-
-
-def _sink_window_timed(block, channel, reader):
-    """Shared uniform rate-1 sink advance for the level writers.
-
-    Every input token costs one cycle and produces no output; returns
-    the consumed ``(head, tail)`` stamped window or None when starved.
-    """
-    window = reader.take_window()
-    if window is None:
-        block._wait = (channel, "data")
-        return None
-    head, sd, sc, tail = split_done_stamped(*window)
-    merged, _, _ = merge_stamps(head, sd, sc)
-    if len(merged) == 0:
-        block._wait = (channel, "data")
-        return None
-    block._t_advance(merged)
-    return head, tail
 
 
 class CompressedLevelWriter(Block):
@@ -85,29 +65,19 @@ class CompressedLevelWriter(Block):
 
     timing = TimingDescriptor(fuse_role="write")
 
-    def drain_timed(self) -> bool:
-        if self.finished:
-            return False
-        reader = self._treader(self.in_crd)
-        consumed = _sink_window_timed(self, self.in_crd, reader)
-        if consumed is None:
-            return False
-        head, tail = consumed
-        data, cpos, ccode = head.remaining_arrays()
+    def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
         base = len(self.crd)
-        self.crd.extend(data.tolist())
+        self.crd.extend(np.asarray(data).tolist())
         self.seg.extend((base + cpos[ccode >= 0]).tolist())
-        if head.ends_done:
-            if tail is not None:
-                self.in_crd.timed_requeue_front(*tail)
+        if ends_done:
             if self.seg[-1] != len(self.crd):  # unterminated trailing fiber
                 self.seg.append(len(self.crd))
             self._level = CompressedLevel(self.seg, self.crd)
-            self.finished = True
-            self._wait = None
-        else:
-            self._wait = (self.in_crd, "data")
-        return True
+
+    def drain_timed(self) -> bool:
+        if self.finished:
+            return False
+        return self._t_tail_window(self.in_crd, self.commit_window) is not None
 
     @property
     def level(self) -> CompressedLevel:
@@ -146,25 +116,15 @@ class UncompressedLevelWriter(Block):
 
     timing = TimingDescriptor(fuse_role="write")
 
+    def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
+        self._fibers += int((ccode >= 0).sum())
+        if ends_done:
+            self._level = DenseLevel(self.size, num_fibers=max(1, self._fibers))
+
     def drain_timed(self) -> bool:
         if self.finished:
             return False
-        reader = self._treader(self.in_crd)
-        consumed = _sink_window_timed(self, self.in_crd, reader)
-        if consumed is None:
-            return False
-        head, tail = consumed
-        _, _, ccode = head.remaining_arrays()
-        self._fibers += int((ccode >= 0).sum())
-        if head.ends_done:
-            if tail is not None:
-                self.in_crd.timed_requeue_front(*tail)
-            self._level = DenseLevel(self.size, num_fibers=max(1, self._fibers))
-            self.finished = True
-            self._wait = None
-        else:
-            self._wait = (self.in_crd, "data")
-        return True
+        return self._t_tail_window(self.in_crd, self.commit_window) is not None
 
     @property
     def level(self) -> DenseLevel:
@@ -201,25 +161,15 @@ class ValsWriter(Block):
 
     timing = TimingDescriptor(fuse_role="write")
 
+    def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
+        self.vals.extend(np.asarray(data, dtype=np.float64).tolist())
+
     def drain_timed(self) -> bool:
         if self.finished:
             return False
-        reader = self._treader(self.in_val)
-        reader.densify_empty(0.0)
-        consumed = _sink_window_timed(self, self.in_val, reader)
-        if consumed is None:
-            return False
-        head, tail = consumed
-        data, _, _ = head.remaining_arrays()
-        self.vals.extend(np.asarray(data, dtype=np.float64).tolist())
-        if head.ends_done:
-            if tail is not None:
-                self.in_val.timed_requeue_front(*tail)
-            self.finished = True
-            self._wait = None
-        else:
-            self._wait = (self.in_val, "data")
-        return True
+        return self._t_tail_window(
+            self.in_val, self.commit_window, 0.0
+        ) is not None
 
 
 class ScatterValsWriter(Block):
@@ -239,7 +189,9 @@ class ScatterValsWriter(Block):
     # Scatter target and value arrive as one aligned pair per event.
     stream_xfer = StreamXfer(ins=(("in_ref", "d"), ("in_val", "d")))
 
-    def __init__(self, size: int, in_ref: Channel, in_val: Channel, name: str = "wr_scatter"):
+    def __init__(
+        self, size: int, in_ref: Channel, in_val: Channel, name: str = "wr_scatter"
+    ):
         super().__init__(name)
         self.in_ref = self._in("in_ref", in_ref)
         self.in_val = self._in("in_val", in_val)

@@ -99,6 +99,19 @@ def _load_body(handle, min_cols: int) -> np.ndarray:
     return data
 
 
+def _zero_indexed(path: str, raw: np.ndarray) -> np.ndarray:
+    """1-indexed coordinate columns (parsed as floats) as int64 - 1; a
+    fractional index is an error, never a silent truncation."""
+    coords = raw.astype(np.int64)
+    if (coords != raw).any():
+        bad = int(np.flatnonzero((coords != raw).any(axis=1))[0])
+        raise ValueError(
+            f"{path}: non-integer coordinate in entry {bad + 1}: "
+            f"{raw[bad].tolist()}"
+        )
+    return coords - 1
+
+
 def read_mtx(path: str) -> CooTensor:
     """Read a Matrix Market file into zero-indexed COO form."""
     with _open_text(path) as handle:
@@ -119,12 +132,19 @@ def read_mtx(path: str) -> CooTensor:
 
         if fmt == "coordinate":
             rows, cols, nnz = (int(s) for s in sizes[:3])
-            body = _load_body(handle, 2 if field == "pattern" else 3)
+            need = 2 if field == "pattern" else 3
+            body = _load_body(handle, need)
             if body.shape[0] != nnz:
                 raise ValueError(
                     f"{path}: header promises {nnz} entries, found {body.shape[0]}"
                 )
-            coords = body[:, :2].astype(np.int64) - 1
+            if body.shape[1] < need:
+                raise ValueError(
+                    f"{path}: {field} entries need {need} columns "
+                    f"(row, column{', value' if need == 3 else ''}), "
+                    f"found {body.shape[1]}"
+                )
+            coords = _zero_indexed(path, body[:, :2])
             if field == "pattern":
                 values = np.ones(body.shape[0], dtype=np.float64)
             else:
@@ -210,7 +230,7 @@ def read_tns(path: str, shape: Optional[Sequence[int]] = None) -> CooTensor:
     else:
         if data.shape[1] < 2:
             raise ValueError(f"{path}: .tns lines need coordinates and a value")
-        coords = data[:, :-1].astype(np.int64) - 1
+        coords = _zero_indexed(path, data[:, :-1])
         values = data[:, -1].astype(np.float64)
     if shape is None:
         shape = tuple(int(m) + 1 for m in coords.max(axis=0))

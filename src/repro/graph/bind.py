@@ -421,23 +421,15 @@ class FusedSegment:
     * ``"chain"`` — zip/map head, map interiors, map/reduce/sink/write
       tail;
     * ``"scan_locate"`` — a scanner whose crd/ref outputs both feed one
-      locator;
-    * ``"merge_head"`` — a 2-ary intersect/union, optionally absorbing
-      the dedicated scanner feeding each side and/or a level writer
-      consuming its coordinate output;
-    * ``"repeater"`` — a RepeatSigGen paired with its Repeater through
-      the internal repeat-signal link.
+      locator.
 
     ``kind`` is the human-readable classification used in fusion stats
     and DOT labels: ``"value-chain"``, ``"writer-tail"`` (a chain closed
-    by a writer), ``"scan-locate"``, ``"merge-head"``, ``"repeater"``.
+    by a writer), ``"scan-locate"``.
 
-    ``links`` holds the interior channels in flow order.  Chain and
-    scan-locate execution never pushes tokens through them, so the
-    engine reconstructs their token counts arithmetically; merge-head
-    and repeater units keep the interior channels materialised (the
-    merge chunk protocol and the repeat-signal stream are windowed) and
-    fuse at the scheduling level.
+    ``links`` holds the interior channels in flow order.  Fused
+    execution never pushes tokens through them, so the engine
+    reconstructs their token counts arithmetically.
 
     A zip head may additionally absorb one *feeder* per operand: a map
     block whose single output is that operand (e.g. the two value loads
@@ -445,8 +437,6 @@ class FusedSegment:
     feeder→head channel)`` pairs aligned with the head's input order,
     ``None`` for operands wired directly; feeder indices also appear in
     ``members`` (before the head) so claiming and reporting see them.
-    A merge head reuses the same slot per side with ``(scanner index,
-    (crd channel, ref channel))`` entries.
     """
 
     shape: str
@@ -489,14 +479,12 @@ def partition_segments(blocks) -> List[FusedSegment]:
       it, and ``map``/``reduce``/``sink``/``write`` may close it;
     * a ``scan`` head fuses only with the ``locate`` block consuming both
       of its outputs (scanner skip ports and locator target ports break
-      the pair);
-    * a 2-ary ``merge`` head absorbs, per side, the scanner whose
-      crd/ref outputs are exactly that side's operand pair, plus (when
-      present) the ``write`` block consuming its coordinate output —
-      the merge's reference outputs stay external;
-    * a ``repsig`` generator fuses with the ``repeat`` block consuming
-      its signal stream (the repeater's reference input stays external,
-      so the no-side-entrance rule is waived for that port).
+      the pair).
+
+    Blocks without a fuse role (mergers, repeaters, droppers …) are
+    never claimed: they run their own ``drain_timed`` on the plain timed
+    plane, where a co-scheduled unit measured no faster
+    (docs/architecture.md, "Segment fusion").
     """
     producers: Dict[Channel, List[int]] = {}
     consumers: Dict[Channel, List[int]] = {}
@@ -555,88 +543,7 @@ def partition_segments(blocks) -> List[FusedSegment]:
                          kind="scan-locate")
         )
 
-    # Pass 2: merge heads.  A 2-ary intersect/union absorbs, per side,
-    # the unclaimed scanner whose crd/ref outputs are exactly that
-    # side's operand pair, and (when wired) the writer consuming its
-    # coordinate output.  Reference outputs stay external, so only the
-    # absorbed ports need the no-side-entrance discipline.
-    def side_scanner(side):
-        """(scanner index, (crd, ref) channels) feeding *side*, or None."""
-        ch_crd, ch_ref = side.crd, side.refs[0]
-        if not (
-            _link_ok(ch_crd, producers, consumers)
-            and _link_ok(ch_ref, producers, consumers)
-        ):
-            return None
-        prev = producers[ch_crd][0]
-        if (
-            claimed[prev]
-            or producers[ch_ref][0] != prev
-            or roles[prev] != "scan"
-            or "in_skip" in blocks[prev].inputs
-            or len(blocks[prev].outputs) != 2
-            or blocks[prev].outputs.get("out_crd") is not ch_crd
-            or blocks[prev].outputs.get("out_ref") is not ch_ref
-        ):
-            return None
-        return prev, (ch_crd, ch_ref)
-
-    for i, block in enumerate(blocks):
-        if claimed[i] or roles[i] != "merge":
-            continue
-        sides = getattr(block, "sides", None)
-        if (
-            sides is None
-            or len(sides) != 2
-            or any(len(s.refs) != 1 or s.skip is not None for s in sides)
-        ):
-            continue
-        feeders = [side_scanner(side) for side in sides]
-        tail: List[int] = []
-        tail_links: List[Channel] = []
-        out_crd = block.outputs.get("out_crd")
-        if out_crd is not None and _link_ok(out_crd, producers, consumers):
-            w = consumers[out_crd][0]
-            if (
-                w != i
-                and not claimed[w]
-                and roles[w] == "write"
-                and len(blocks[w].inputs) == 1
-            ):
-                tail = [w]
-                tail_links = [out_crd]
-        scan_members = [f[0] for f in feeders if f is not None]
-        if len(scan_members) + 1 + len(tail) < 2:
-            continue
-        members = scan_members + [i] + tail
-        links = [ch for f in feeders if f is not None for ch in f[1]]
-        links.extend(tail_links)
-        for m in members:
-            claimed[m] = True
-        segments.append(
-            FusedSegment("merge_head", members, links, feeders,
-                         kind="merge-head")
-        )
-
-    # Pass 3: repeater pipelines — a RepeatSigGen whose sole output is
-    # the repeat-signal stream of an unclaimed Repeater.
-    for i, block in enumerate(blocks):
-        if claimed[i] or roles[i] != "repsig":
-            continue
-        outs = list(block.outputs.values())
-        if len(outs) != 1 or not _link_ok(outs[0], producers, consumers):
-            continue
-        nxt = consumers[outs[0]][0]
-        if nxt == i or claimed[nxt] or roles[nxt] != "repeat":
-            continue
-        if blocks[nxt].inputs.get("in_repsig") is not outs[0]:
-            continue
-        claimed[i] = claimed[nxt] = True
-        segments.append(
-            FusedSegment("repeater", [i, nxt], [outs[0]], kind="repeater")
-        )
-
-    # Pass 4: value chains.  A head is a zip/map block that could not
+    # Pass 2: value chains.  A head is a zip/map block that could not
     # itself be the continuation of an earlier fusible member.
     def could_continue(i: int) -> bool:
         ins = list(blocks[i].inputs.values())
@@ -706,32 +613,6 @@ def partition_segments(blocks) -> List[FusedSegment]:
     return segments
 
 
-def fused_segment_names(blocks) -> List[List[str]]:
-    """Block-name lists of :func:`partition_segments`, for DOT/reporting."""
-    return [[blocks[i].name for i in seg.members]
-            for seg in partition_segments(blocks)]
-
-
-def _plan_transform_tag(block) -> Tuple:
-    """Hashable identity of a member's data transform, for plan keys.
-
-    Two segments whose members apply different ALU ops (or different
-    scalar constants) must not share a plan even though their timing
-    descriptors match.
-    """
-    from ..blocks.compute import Exp
-
-    if isinstance(block, ScalarALU):
-        return ("scalar_alu", block.op, float(block.constant))
-    if isinstance(block, ALU):
-        return ("alu", block.op)
-    if isinstance(block, Exp):
-        return ("exp", getattr(block._fn, "__name__", "fn"))
-    if isinstance(block, ArrayLoad):
-        return ("array_load",)
-    return ()
-
-
 def segment_plan_key(blocks, segment: "FusedSegment") -> Tuple:
     """Structural plan-cache key of one fused segment.
 
@@ -762,8 +643,7 @@ def segment_plan_key(blocks, segment: "FusedSegment") -> Tuple:
         else:
             desc = (timing.ii, timing.latency, timing.ctrl_cycles)
         members.append(
-            (type(block).__name__, _fuse_role(block), desc,
-             _plan_transform_tag(block))
+            (type(block).__name__, _fuse_role(block), desc, block.plan_tag())
         )
     deltas = []
     for ch in segment.links:

@@ -18,32 +18,30 @@ executes as **one super-block**:
 * *fused data transforms* — member kernels are chained directly on the
   value arrays (gather → multiply → region sums …) without
   materialising intermediate ``TokenBatch`` pushes, stamp merges, or
-  reader windows on the interior channels.  The reducer stage swaps
-  its default ordered segment-sum kernel for the vectorised
-  :func:`~repro.streams.batch.exact_segment_sums` (bit-identical by
-  construction: pairwise association is never used);
+  reader windows on the interior channels;
 * *arithmetic statistics* — interior channels never see a push, so
   their ``pushed_*`` counters are reconstructed from the would-be batch
   structure, and every member's busy/stall/``_tclock`` bookkeeping is
   applied from its composed schedule exactly as its own ``_t_advance``
   would have.
 
-Five segment kinds are compiled (``report.fusion["kinds"]`` counts
-them per run): ``value-chain`` and ``writer-tail`` chains plus
-``scan-locate`` pairs run the composed-schedule machinery above, with
-writer tails additionally capturing the writer's rate-1 commit
-(crd/seg extension, fiber counts, value appends) from the chain's
-schedule endpoints; ``merge-head`` segments (a two-sided
-intersect/union with its dedicated upstream side scanners and an
-optional compressed-writer tail) and ``repeater`` segments
-(``RepeatSigGen`` → ``Repeater``) are *co-scheduled* — members run
-their stock timed drains back-to-back in flow order inside one
-worklist visit (:class:`_CoScheduledUnit`), preserving the merge's
-windowed chunk protocol and the repeater's whole-window drain
-bit-for-bit while eliminating the per-epoch scheduling hops.  The
-vectorised repeat pass itself is ``Repeater.drain_timed`` — the block's
-one timed drain, the same code on the unfused plane — so on
-repeater-bound graphs (Gamma) the two engines do the same work.
+This module is a *scheduler* of blocks, not a second author of them:
+what a member does with a scheduled window is the hook the block itself
+exports and its own ``drain_timed`` is written in terms of
+(:data:`_ROLE_HOOK` — a map's ``map_parts()``, a reduce/sink/write
+tail's ``commit_window()``, the scanner's ``_scan_timed`` loop, the
+locator's ``_emit_probed``).  What lives here is schedule composition:
+two-phase acquire/commit, the composed and lazy advances, the sparse
+scan→locate advance, and the interior-link token counts.
+
+Three segment kinds are compiled (``report.fusion["kinds"]`` counts
+them per run): ``value-chain`` and ``writer-tail`` chains
+(:class:`_ChainUnit`; a writer tail is a chain closed by a level/vals
+writer) and ``scan-locate`` pairs (:class:`_ScanLocateUnit`).  Mergers
+and repeaters carry no fuse role: they run their one ``drain_timed`` on
+the plain timed plane here exactly as under ``timed-batch`` (a
+co-scheduled unit around them measures no faster; see
+docs/architecture.md, "Segment fusion").
 
 Fallback ladder: a segment whose members or links fail validation at
 compile time is *rejected* (members run on the plain timed-batch
@@ -51,11 +49,11 @@ plane); a fused zip head whose operand windows lose structural
 alignment mid-run *dissolves* its segment the same way — both count as
 ``fallbacks`` in the fusion statistics; and any member that bails the
 timed plane entirely drops to the engine's scalar per-cycle loop, the
-same per-block ladder the timed-batch backend uses.  Dissolution is
-safe at any step boundary because acquisition is two-phase: windows
-are only consumed once the whole step is guaranteed to commit, and all
-member state (``_tclock``, carries, reducer accumulators) is kept in
-the members themselves.
+same per-block ladder the timed-batch backend uses.  Only the zip head
+returns ``_DISSOLVE``, and only from acquisition, which is two-phase:
+windows are only consumed once the whole step is guaranteed to commit,
+and all member state (``_tclock``, carries, reducer accumulators) is
+kept in the members themselves.
 
 There is one run loop: :meth:`TimedBatchEngine.run` steps whatever
 unit table ``_compile_segments`` hands it (empty for the plain engine)
@@ -70,13 +68,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...jit import PLAN_CACHE, SegmentPlan, get_kernel, jit_stats
-from ...streams.batch import (
-    CODE_DONE,
-    CODE_EMPTY,
-    NO_TOKEN,
-    TokenBatch,
-    exact_segment_sums,
-)
+from ...streams.batch import CODE_DONE, CODE_EMPTY
 from ...streams.timing import (
     compose_rate1,
     index_ramp,
@@ -84,42 +76,10 @@ from ...streams.timing import (
     split_done_stamped,
     token_order_indices,
 )
-from ...streams.token import is_stop
 from .timed_batch import _DISSOLVE, TimedBatchEngine
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
-
-
-def _unary_parts(block):
-    """(data_fn, empty_value) of a rate-1 unary map member, or None.
-
-    Mirrors each block's own ``drain_timed`` transform exactly — same
-    callables, same counters — so fused output values are bit-identical.
-    """
-    from ...blocks.array import ArrayLoad
-    from ...blocks.compute import Exp, ScalarALU
-
-    if isinstance(block, ArrayLoad):
-        mem = getattr(block, "_mem_array", None)
-        if mem is None:
-            mem = block._mem_array = np.asarray(block.memory)
-
-        def gather(refs, block=block, mem=mem):
-            block.loads += len(refs)
-            return mem[refs.astype(np.int64, copy=False)]
-
-        return gather, block.empty_value
-    if isinstance(block, ScalarALU):
-        fn, const = block._fn, block.constant
-        return (lambda run: fn(run, const)), fn(0.0, const)
-    if isinstance(block, Exp):
-        fn = block._fn
-        return (
-            lambda run: np.asarray([fn(v) for v in run.tolist()]),
-            fn(0.0),
-        )
-    return None
 
 
 def _fast_advance(member, arrivals):
@@ -300,6 +260,21 @@ def _bump_counts(channel, ndata, ccode):
     channel.pushed_empty += n_empty
 
 
+#: the block-owned hook a member of each fuse role is driven through
+#: (the one its own ``drain_timed`` is written in terms of — for a zip
+#: head that is just the operator, ``ALU._fn``); a member without it
+#: sends its segment to the plain timed plane
+_ROLE_HOOK = {
+    "zip": "_fn",
+    "map": "map_parts",
+    "reduce": "commit_window",
+    "sink": "commit_window",
+    "write": "commit_window",
+    "scan": "_scan_timed",
+    "locate": "_emit_probed",
+}
+
+
 class _Side:
     """One operand side of a fused zip head (direct or through a feeder)."""
 
@@ -310,12 +285,14 @@ class _Side:
         "data", "cpos", "ccode", "empty", "post", "tail",
     )
 
-    def __init__(self, feeder, channel, link, parts):
+    def __init__(self, feeder, channel, link):
         self.feeder = feeder  # feeder block or None (direct operand)
         self.channel = channel  # the channel this side actually reads
         self.link = link  # feeder→head channel (None when direct)
         self.delta = link.timed.delta if link is not None else 0
-        self.fn, self.empty_value = parts if parts is not None else (None, None)
+        self.fn, self.empty_value = (
+            feeder.map_parts() if feeder is not None else (None, None)
+        )
 
     def take(self, head_block):
         """Take this side's window; False = parked (nothing held)."""
@@ -447,7 +424,7 @@ class _ChainUnit:
         "emitters", "kind", "plan",
     )
 
-    def __init__(self, blocks, segment, parts):
+    def __init__(self, blocks, segment):
         self.plan = None
         self.members = list(segment.members)
         n_feeders = sum(1 for f in segment.feeders if f is not None)
@@ -457,9 +434,12 @@ class _ChainUnit:
         self.deltas = [ch.timed.delta for ch in segment.links]
         self.head = self.blocks[0]
         self.roles = [b.timing.fuse_role for b in self.blocks]
-        # spine-positional (fn, empty_value) transforms; feeder
-        # transforms live on their _Side instead
-        self.parts = [parts.get(i) for i in spine]
+        # spine-positional (fn, empty_value) transforms of the map
+        # members; feeder transforms live on their _Side instead
+        self.parts = [
+            b.map_parts() if role == "map" else None
+            for b, role in zip(self.blocks, self.roles)
+        ]
         ins = list(self.head.inputs.values())
         self.head_in = ins[0] if self.roles[0] == "map" else None
         self.sides = None
@@ -467,14 +447,12 @@ class _ChainUnit:
             self.sides = []
             for chan, entry in zip(ins, segment.feeders):
                 if entry is None:
-                    self.sides.append(_Side(None, chan, None, None))
+                    self.sides.append(_Side(None, chan, None))
                 else:
                     idx, link = entry
                     feeder = blocks[idx]
                     fin = list(feeder.inputs.values())[0]
-                    self.sides.append(
-                        _Side(feeder, fin, link, parts[idx])
-                    )
+                    self.sides.append(_Side(feeder, fin, link))
         outs = list(self.blocks[-1].outputs.values())
         # any non-reduce/sink/write tail (a zip head may itself be the
         # tail when it closed the segment purely by absorbing feeders)
@@ -616,61 +594,6 @@ class _ChainUnit:
         return (vals, cpos, ccode), merged, di, ci, ends_done, tail, None
 
     # -- phase 2: commit (cannot fail) ----------------------------------
-    def _commit_reduce(self, blk, vals, cpos, ccode, cctrl, ends_done):
-        out = blk._tbuilder(blk.out_val)
-        data = np.asarray(vals, dtype=np.float64)
-        if len(ccode) == 0:
-            if len(data):
-                blk._acc_parts.append(data)
-                blk._acc_saw = True
-            blk._wait = (blk.in_val, "data")
-            return
-        sums, emit, elevated, pref = blk._region_sums(
-            data, cpos, ccode, sums_fn=exact_segment_sums
-        )
-        out.data_with_ctrl(
-            sums[emit], pref[elevated], ccode[elevated] - 1,
-            cctrl[emit], cctrl[elevated],
-        )
-        if ends_done:
-            out.ctrl(CODE_DONE, int(cctrl[-1]))
-            out.flush()
-            return
-        rest = data[int(cpos[-1]):]
-        if len(rest):
-            blk._acc_parts.append(rest)
-            blk._acc_saw = True
-        out.flush()
-
-    @staticmethod
-    def _commit_write(blk, vals, cpos, ccode, ends_done):
-        """Writer-tail subset evaluation: the writer stores the chain's
-        final values/structure directly; no schedule array is consumed
-        (a writer emits nothing), only its composed busy/stall advance,
-        which the caller already applied.  Interior chain streams never
-        carry ``N`` after the head stage, so the writers' densify steps
-        are no-ops by construction."""
-        from ...blocks.writer import CompressedLevelWriter, ValsWriter
-        from ...formats.compressed import CompressedLevel
-        from ...formats.dense import DenseLevel
-
-        if isinstance(blk, ValsWriter):
-            blk.vals.extend(np.asarray(vals, dtype=np.float64).tolist())
-        elif isinstance(blk, CompressedLevelWriter):
-            base = len(blk.crd)
-            blk.crd.extend(np.asarray(vals).tolist())
-            blk.seg.extend((base + cpos[ccode >= 0]).tolist())
-            if ends_done:
-                if blk.seg[-1] != len(blk.crd):  # unterminated fiber
-                    blk.seg.append(len(blk.crd))
-                blk._level = CompressedLevel(blk.seg, blk.crd)
-        else:  # UncompressedLevelWriter
-            blk._fibers += int((ccode >= 0).sum())
-            if ends_done:
-                blk._level = DenseLevel(
-                    blk.size, num_fibers=max(1, blk._fibers)
-                )
-
     def step(self):
         if self.blocks[-1].finished:
             return False
@@ -712,18 +635,14 @@ class _ChainUnit:
         for k in range(1, len(self.blocks)):
             blk = self.blocks[k]
             _bump_counts(self.links[k - 1], len(vals), ccode)
-            role = self.roles[k]
-            if role == "map":
-                fn, _ = self.parts[k]
-                vals = fn(vals)
+            if self.roles[k] == "map":
                 # interior streams never carry N after the head stage,
                 # so the structure (and di/ci) is unchanged
-            elif role == "reduce":
-                self._commit_reduce(blk, vals, cpos, ccode, cctrl, ends_done)
-            elif role == "write":
-                self._commit_write(blk, vals, cpos, ccode, ends_done)
-            else:  # sink
-                blk.tokens.extend(TokenBatch(vals, cpos, ccode).tokens())
+                vals = self.parts[k][0](vals)
+            else:
+                # reduce/sink/write tail: the block's own commit of the
+                # window, at the chain's composed control-token cycles
+                blk.commit_window(vals, cpos, ccode, cctrl, ends_done)
         if self.tail_out is not None:
             out = self.blocks[-1]._tbuilder(self.tail_out)
             out.data_with_ctrl(vals, cpos, ccode, scheds[-1][di], scheds[-1][ci])
@@ -760,11 +679,13 @@ class _ChainUnit:
 class _ScanLocateUnit:
     """A fused scanner→locator pair.
 
-    Runs the scanner's own timed loop on its real input, but every
-    emission chunk is probed through the locator inline — the interior
-    crd/ref channels never see a push, a merge, or a window.  Chunk
-    boundaries are schedule-neutral (``rate1_schedule`` composes over
-    splits), so stats and output stamps are bit-identical to the
+    Runs the scanner's own timed loop (``LevelScanner._scan_timed``) on
+    its real input with the two things the pair changes: a run's events
+    are scheduled through *both* members at once, and every emission is
+    probed through the locator inline (``Locator._emit_probed``) — the
+    interior crd/ref channels never see a push, a merge, or a window.
+    Chunk boundaries are schedule-neutral (``rate1_schedule`` composes
+    over splits), so stats and output stamps are bit-identical to the
     unfused pair."""
 
     __slots__ = (
@@ -778,252 +699,96 @@ class _ScanLocateUnit:
         self.scan = blocks[segment.members[0]]
         self.loc = blocks[segment.members[1]]
         self.links = list(segment.links)
+        # both links run scanner -> locator, and a link's delta depends
+        # on its endpoints' block order alone, so one delta serves both
         self.delta = self.links[0].timed.delta
         self.active = True
 
-    def _probe(self, builders, dc, dr, pc, cc, arr_tok, di, ci, sched=None):
-        """Locator window math over one scanner emission chunk (mirrors
-        ``Locator._locate_window_timed`` with precomputed indices).
-
-        *sched* is an optional precomputed busy schedule (the sparse
-        composed-advance path); the locator's bookkeeping is then applied
-        here exactly as its ``_t_advance`` would."""
-        loc = self.loc
-        m = len(dc)
-        if m == 0 and len(cc) == 0:
-            return
-        if sched is None:
-            c = _fast_advance(loc, arr_tok)
+    def _sched_run(self, stamps, lens, starts, stop_idx, total):
+        """The *locator's* busy schedule of one scanner run, with both
+        members' bookkeeping applied (``LevelScanner._t_run`` signature)."""
+        scan, loc = self.scan, self.loc
+        ii = scan.timing.ii
+        if not total or ii != loc.timing.ii or loc._t_carry:
+            c = scan._t_run(stamps, lens, starts, stop_idx, total)
+            return _fast_advance(loc, c + self.delta)
+        # Sparse composed advance.  Arrival constraints only exist at
+        # fiber starts/stops, so both members' busy schedules are ramps
+        # between those events: ``c[k] = offs[seg(k)] + k*ii`` with
+        # ``offs`` the running max of ``stamp - pos*ii`` clipped at the
+        # clock — the dense arrival array and its max-plus accumulates
+        # are never built.  Bit-identical to ``scan._t_advance`` + the
+        # locator advance.
+        n = len(stamps)
+        if n > 1:
+            pos = np.empty(2 * n - 1, dtype=np.int64)
+            val = np.empty(2 * n - 1, dtype=np.int64)
+            pos[0::2] = starts
+            pos[1::2] = stop_idx
+            val[0::2] = np.where(lens > 0, stamps, 0)
+            val[1::2] = stamps[1:]
         else:
-            c = sched
-            ii = loc.timing.ii
-            end = int(c[-1]) + ii
-            loc.busy_cycles += len(c)
-            loc.stall_cycles += (end - loc._tclock) - ii * len(c)
-            loc._tclock = end
-        dstamps, cstamps = c[di], c[ci]
-        found, hit = loc.level.locate_arrays(loc._loc_target, dc)
-        loc.probes += m
-        kept = int(hit.sum())
-        loc.hits += kept
-        if kept == m:
-            for builder, data in zip(builders, (dc, found, dr)):
-                builder.data_with_ctrl(data, pc, cc, dstamps, cstamps)
+            pos = starts
+            val = np.where(lens > 0, stamps, 0)
+        if scan._t_carry:
+            if scan._t_carry > val[0]:
+                val[0] = scan._t_carry
+            scan._t_carry = 0
+        kern = get_kernel("scan_sched")
+        if kern is not None:
+            sched, off_last = kern(
+                np.ascontiguousarray(pos),
+                np.ascontiguousarray(val),
+                total, ii, scan._tclock, self.delta, loc._tclock,
+            )
+            end = int(off_last) + total * ii
         else:
-            prefix = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(hit)]
+            offs = np.maximum.accumulate(
+                val - (pos * ii if ii != 1 else pos)
             )
-            miss_idx = np.flatnonzero(~hit)
-            positions = np.concatenate([pc, miss_idx])
-            codes = np.concatenate(
-                [cc, np.full(len(miss_idx), CODE_EMPTY, dtype=np.int64)]
-            )
-            stamps = np.concatenate([cstamps, dstamps[~hit]])
-            tiebreak = np.concatenate(
-                [np.zeros(len(pc), dtype=np.int64),
-                 np.ones(len(miss_idx), dtype=np.int64)]
-            )
-            order = np.lexsort((tiebreak, positions))
-            for builder, data in zip(builders, (dc[hit], found[hit], dr[hit])):
-                builder.data_with_ctrl(
-                    data, prefix[positions][order], codes[order],
-                    dstamps[hit], stamps[order],
-                )
-
-    def _ctrl_event(self, builders, code, cyc):
-        """One control token through both planes (a 1-token chunk)."""
-        for link in self.links:
-            _bump_counts(link, 0, np.asarray([code], dtype=np.int64))
-        self._probe(
-            builders, _EMPTY_F64, _EMPTY_F64,
-            np.zeros(1, dtype=np.int64),
-            np.asarray([code], dtype=np.int64),
-            np.asarray([cyc + self.delta], dtype=np.int64),
-            _EMPTY_I64, np.zeros(1, dtype=np.int64),
-        )
+            np.maximum(offs, scan._tclock, out=offs)
+            end = int(offs[-1]) + total * ii
+            offs_l = np.maximum(offs + self.delta, loc._tclock)
+            ramp = index_ramp(total) * ii if ii != 1 else index_ramp(total)
+            sched = np.repeat(offs_l, np.diff(pos, append=total))
+            sched += ramp
+        for member, last in ((scan, end), (loc, int(sched[-1]) + ii)):
+            member.busy_cycles += total
+            member.stall_cycles += (last - member._tclock) - ii * total
+            member._tclock = last
+        return sched
 
     def step(self):
         scan, loc = self.scan, self.loc
         if scan.finished:
             return False
-        level = scan.level
-        reader = scan._treader(scan.in_ref)
         builders = [loc._tbuilder(ch) for ch in loc._outs()]
-        delta = self.delta
-        progressed = False
 
-        def park():
-            for builder in builders:
-                builder.flush()
-            scan._wait = (scan.in_ref, "data")
-            loc._wait = (loc.in_crd, "data")
-            return progressed
+        def emit_run(crds, children, breaks, zeros, dstamps, cstamps):
+            for link in self.links:
+                _bump_counts(link, len(crds), zeros)
+            loc._emit_probed(
+                builders, crds, children, breaks, zeros, dstamps, cstamps
+            )
 
-        while True:
-            if scan._after_fiber:
-                token, stamp = reader.peek()
-                if token is NO_TOKEN:
-                    return park()
-                if is_stop(token):
-                    reader.pop()
-                    level_code = token.level + 1
-                else:
-                    level_code = 0
-                cyc = scan._t_event(stamp)
-                self._ctrl_event(builders, level_code, cyc)
-                scan._fiber_index += 1
-                scan._after_fiber = False
-                progressed = True
-                continue
-            ctrl = reader.front_ctrl()
-            if ctrl is None:
-                refs, stamps = reader.pop_run()
-                n = len(refs)
-                if n == 0:
-                    return park()
-                crds, children, lens = level.fiber_arrays(refs)
-                lens = np.asarray(lens, dtype=np.int64)
-                ev_per_ref = lens.copy()
-                if n > 1:
-                    ev_per_ref[: n - 1] += 1
-                total = int(ev_per_ref.sum())
-                starts = np.concatenate(
-                    [np.zeros(1, dtype=np.int64), np.cumsum(ev_per_ref)[:-1]]
-                )
-                stop_idx = (starts + lens)[: n - 1]
-                breaks = np.cumsum(lens[:-1])
-                zeros = np.zeros(len(breaks), dtype=np.int64)
-                for link in self.links:
-                    _bump_counts(link, len(crds), zeros)
-                ii = scan.timing.ii
-                if total and ii == loc.timing.ii and not loc._t_carry:
-                    # Sparse composed advance.  Arrival constraints only
-                    # exist at fiber starts/stops, so both members' busy
-                    # schedules are ramps between those events:
-                    # ``c[k] = offs[seg(k)] + k*ii`` with ``offs`` the
-                    # running max of ``stamp - pos*ii`` clipped at the
-                    # clock — the dense arrival array and its max-plus
-                    # accumulates are never built.  Bit-identical to
-                    # ``scan._t_advance`` + the locator advance.
-                    if n > 1:
-                        pos = np.empty(2 * n - 1, dtype=np.int64)
-                        val = np.empty(2 * n - 1, dtype=np.int64)
-                        pos[0::2] = starts
-                        pos[1::2] = stop_idx
-                        val[0::2] = np.where(lens > 0, stamps, 0)
-                        val[1::2] = stamps[1:]
-                    else:
-                        pos = starts
-                        val = np.where(lens > 0, stamps, 0)
-                    if scan._t_carry:
-                        if scan._t_carry > val[0]:
-                            val[0] = scan._t_carry
-                        scan._t_carry = 0
-                    span = (total - 1) * ii + ii
-                    kern = get_kernel("scan_sched")
-                    if kern is not None:
-                        sched, off_last = kern(
-                            np.ascontiguousarray(pos),
-                            np.ascontiguousarray(val),
-                            total, ii, scan._tclock, delta, loc._tclock,
-                        )
-                        end = int(off_last) + span
-                    else:
-                        offs = np.maximum.accumulate(
-                            val - (pos * ii if ii != 1 else pos)
-                        )
-                        np.maximum(offs, scan._tclock, out=offs)
-                        end = int(offs[-1]) + span
-                        offs_l = np.maximum(offs + delta, loc._tclock)
-                        ramp = index_ramp(total) * ii if ii != 1 else index_ramp(total)
-                        sched = np.repeat(offs_l, np.diff(pos, append=total))
-                        sched += ramp
-                    scan.busy_cycles += total
-                    scan.stall_cycles += (end - scan._tclock) - ii * total
-                    scan._tclock = end
-                    emit_mask = np.ones(total, dtype=bool)
-                    emit_mask[stop_idx] = False
-                    self._probe(
-                        builders, crds, children, breaks, zeros,
-                        None, np.flatnonzero(emit_mask), stop_idx,
-                        sched=sched,
-                    )
-                elif total:
-                    arrivals = np.zeros(total, dtype=np.int64)
-                    has_fiber = lens > 0
-                    arrivals[starts[has_fiber]] = stamps[has_fiber]
-                    if n > 1:
-                        np.maximum.at(arrivals, stop_idx, stamps[1:])
-                    c = scan._t_advance(arrivals)
-                    emit_mask = np.ones(total, dtype=bool)
-                    emit_mask[stop_idx] = False
-                    self._probe(
-                        builders, crds, children, breaks, zeros,
-                        c + delta, np.flatnonzero(emit_mask), stop_idx,
-                    )
-                scan._fiber_index += n - 1
-                scan._after_fiber = True
-                scan._t_defer(int(stamps[-1]))
-                progressed = True
-                continue
-            _, stamp = reader.pop()
-            progressed = True
-            if ctrl == CODE_DONE:
-                cyc = scan._t_event(stamp)
-                self._ctrl_event(builders, CODE_DONE, cyc)
-                for builder in builders:
-                    builder.flush()
-                for blk in (scan, loc):
-                    blk.finished = True
-                    blk._wait = None
-                return True
-            if ctrl == CODE_EMPTY:
-                # An empty reference scans as an empty fiber: no event,
-                # no emission; the closing stop is gated by this token.
-                scan._t_defer(stamp)
-                scan._after_fiber = True
-                continue
-            # Stray stop: one pass-through event, one level up.
-            cyc = scan._t_event(stamp)
-            self._ctrl_event(builders, ctrl + 1, cyc)
-            scan._fiber_index += 1
+        def emit_ctrl(code, cyc):
+            """One control token through both planes (a 1-token chunk)."""
+            codes = np.asarray([code], dtype=np.int64)
+            for link in self.links:
+                _bump_counts(link, 0, codes)
+            c = _fast_advance(
+                loc, np.asarray([cyc + self.delta], dtype=np.int64)
+            )
+            loc._emit_probed(
+                builders, _EMPTY_F64, _EMPTY_F64,
+                np.zeros(1, dtype=np.int64), codes, _EMPTY_I64, c,
+            )
 
-
-class _CoScheduledUnit:
-    """Members co-scheduled through their own stock timed drains.
-
-    Serves the two segment kinds whose interior channels must stay
-    materialised: ``merge-head`` (a 2-ary intersect/union with its
-    per-side scanner feeders and an optional level-writer tail — the
-    merge's chunk protocol is windowed, each epoch advance gated by
-    whole fiber chunks from *both* sides) and ``repeater``
-    (``RepeatSigGen`` → ``Repeater``, whose drain consumes the whole
-    repeat-signal window at once).  Fusion here is a scheduling
-    contraction: one ``step()`` services the members back to back in
-    flow order, so a window crosses the whole segment in a single
-    worklist visit instead of one wake/visit round trip per member.
-    Counters, stamps, and outputs are the members' own — bit-identity
-    with the unfused plane is by construction.  Any member that bails
-    the timed plane mid-run surfaces as ``_DISSOLVE`` and the engine
-    drops the segment."""
-
-    __slots__ = ("members", "blocks", "active", "emitters", "kind", "plan")
-
-    def __init__(self, blocks, segment):
-        self.plan = None
-        self.members = list(segment.members)
-        self.blocks = [blocks[i] for i in segment.members]
-        self.active = True
-
-    def step(self):
-        progressed = False
-        for blk in self.blocks:
-            if blk.finished:
-                continue
-            if blk.drain_timed():
-                progressed = True
-            if not blk._timed_ok:
-                return _DISSOLVE
+        progressed = scan._scan_timed(self._sched_run, emit_run, emit_ctrl)
+        for builder in builders:
+            builder.flush()
+        loc.finished = scan.finished
+        loc._wait = None if scan.finished else (loc.in_crd, "data")
         return progressed
 
 
@@ -1037,75 +802,35 @@ class CompiledEngine(TimedBatchEngine):
 
         Rejection (→ plain timed-batch execution for the members) when:
         a member is off the timed plane, an interior link lost its timed
-        state or holds prefilled tokens, or a chain member's transform
-        cannot be resolved to a vectorised kernel.
+        state or holds prefilled tokens, or a member lacks the hook its
+        role is fused through (:data:`_ROLE_HOOK`).
         """
-        from ...blocks.writer import (
-            CompressedLevelWriter,
-            UncompressedLevelWriter,
-            ValsWriter,
-        )
         from ...graph.bind import partition_segments, segment_plan_key
 
         units = {}
         compiled, rejected, plans = [], 0, []
         cache_mark = (PLAN_CACHE.hits, PLAN_CACHE.misses)
-        writer_types = (ValsWriter, CompressedLevelWriter,
-                        UncompressedLevelWriter)
         for seg in partition_segments(blocks):
-            ok = all(timed[i] for i in seg.members)
             interior = list(seg.links)
-            if seg.shape == "chain":
-                # merge-head feeders describe channel *pairs* already in
-                # seg.links; only chain feeders add interior channels
-                interior += [f[1] for f in seg.feeders if f is not None]
-            for ch in interior:
-                ok = ok and (
-                    ch.timed is not None
-                    and not ch.queue
-                    and not ch.timed.pending
-                    and ch.capacity is None
-                    and not ch.record
-                )
-            unit = None
-            if ok and seg.shape == "chain":
-                parts = {}
-                for i in seg.members:
-                    role = blocks[i].timing.fuse_role
-                    if role == "map":
-                        part = _unary_parts(blocks[i])
-                        if part is None:
-                            ok = False
-                            break
-                        parts[i] = part
-                    elif role == "write" and not isinstance(
-                        blocks[i], writer_types
-                    ):
-                        # only the single-input writers have a captured
-                        # commit; anything exotic runs unfused
-                        ok = False
-                        break
-                if ok:
-                    unit = _ChainUnit(blocks, seg, parts)
-            elif ok and seg.shape == "scan_locate":
-                ok = seg.links[0].timed.delta == seg.links[1].timed.delta
-                if ok:
-                    unit = _ScanLocateUnit(blocks, seg)
-            elif ok and seg.shape in ("merge_head", "repeater"):
-                # a merge head's writer tail must be a stock writer
-                # (repeater pipelines have no write member)
-                ok = all(
-                    isinstance(blocks[i], writer_types)
-                    for i in seg.members
-                    if blocks[i].timing.fuse_role == "write"
-                )
-                if ok:
-                    unit = _CoScheduledUnit(blocks, seg)
-            else:
-                ok = False
+            interior += [f[1] for f in seg.feeders if f is not None]
+            ok = all(timed[i] for i in seg.members) and all(
+                ch.timed is not None
+                and not ch.queue
+                and not ch.timed.pending
+                and ch.capacity is None
+                and not ch.record
+                for ch in interior
+            )
+            ok = ok and all(
+                hasattr(blocks[i], _ROLE_HOOK[blocks[i].timing.fuse_role])
+                for i in seg.members
+            )
             if not ok:
                 rejected += 1
                 continue
+            unit = (_ChainUnit if seg.shape == "chain" else _ScanLocateUnit)(
+                blocks, seg
+            )
             compiled.append(unit)
             interior_ids = {id(ch) for ch in interior}
             unit.kind = seg.kind

@@ -39,8 +39,11 @@ A unit exposes ``members`` (block indices), ``emitters`` (the members
 with an output leaving the unit), an ``active`` flag the loop clears
 when it dissolves the unit, and ``step()`` returning True on progress,
 False when parked, or :data:`_DISSOLVE` when its members must rejoin the
-plain timed plane.  This engine's own table
-is empty, so every hook below is a no-op for it.
+plain timed plane.  A step that dissolves must have consumed nothing
+and left every member on the timed plane (the only one today is a fused
+zip head handing misaligned operand windows back untouched), so the
+loop just re-queues the members.  This engine's own table is empty, so
+every hook below is a no-op for it.
 """
 
 from __future__ import annotations
@@ -218,11 +221,6 @@ class TimedBatchEngine(Engine):
                 outcome = unit.step()
                 if outcome is _DISSOLVE:
                     dissolve(unit)
-                    # a member that bailed the timed plane inside the
-                    # unit must not be re-entered by the timed worklist
-                    for m in unit.members:
-                        if not blocks[m]._timed_ok:
-                            convert_to_scalar(m)
                     return
                 for m in unit.members:
                     if blocks[m].finished and not finished[m]:

@@ -36,10 +36,9 @@ class Relay(Block):
                 return
 
 
-#: how the RepeatSigGen -> Repeater pair is wired.  The compiled backend
-#: fuses the first and the relayed ones; a recorded signal link never
-#: forms a segment and a prefilled one is rejected at compile time (the
-#: pair then runs unfused, as under timed-batch).
+#: how the RepeatSigGen -> Repeater pair is wired: straight, with a
+#: recorded or a prefilled signal link, or fed one token per cycle
+#: through a scalar relay on either input.
 WIRINGS = ("plain", "recorded-signal", "prefilled-signal",
            "relay-driver", "relay-refs")
 
@@ -176,9 +175,9 @@ def protocol_streams(shape):
 
 class TestTimedDrainUnfused:
     """The vectorised ``Repeater.drain_timed`` is the block's only timed
-    drain, so it also runs outside a fused segment: under timed-batch,
-    and under compiled when the segment is rejected.  Every wiring must
-    reproduce the cycle engine's full report."""
+    drain, under timed-batch and compiled alike (repeaters carry no fuse
+    role).  Every wiring must reproduce the cycle engine's full
+    report."""
 
     @pytest.mark.parametrize("wiring", WIRINGS)
     @settings(max_examples=40, deadline=None)
@@ -197,6 +196,5 @@ class TestTimedDrainUnfused:
             )
         assert runs["timed-batch"] == runs["cycle"]
         assert runs["compiled"] == runs["cycle"]
-        unfused = wiring in ("recorded-signal", "prefilled-signal")
-        assert report.fusion["kinds"] == ({} if unfused else {"repeater": 1})
-        assert report.fusion["fallbacks"] == (wiring == "prefilled-signal")
+        assert report.fusion["kinds"] == {}
+        assert report.fusion["fallbacks"] == 0

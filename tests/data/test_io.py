@@ -181,6 +181,33 @@ class TestMtxReader:
         with pytest.raises(ValueError, match="outside shape"):
             read_mtx(str(path))
 
+    @pytest.mark.parametrize("field", ["real", "integer"])
+    def test_missing_value_column_rejected(self, field, tmp_path):
+        path = tmp_path / "novalue.mtx"
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate {field} general\n3 3 1\n1 1\n"
+        )
+        with pytest.raises(ValueError, match=r"novalue\.mtx.*need 3 columns"):
+            read_mtx(str(path))
+
+    def test_pattern_missing_column_rejected(self, tmp_path):
+        path = tmp_path / "onecol.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1\n"
+        )
+        with pytest.raises(ValueError, match=r"onecol\.mtx.*need 2 columns"):
+            read_mtx(str(path))
+
+    def test_fractional_coordinate_rejected(self, tmp_path):
+        # 1.5 used to truncate into row 0 through astype(int64).
+        path = tmp_path / "frac.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 3 2\n1 1 2.0\n1.5 1 1.0\n"
+        )
+        with pytest.raises(ValueError, match=r"frac\.mtx.*entry 2.*1\.5"):
+            read_mtx(str(path))
+
     def test_write_read_round_trip_scipy(self, tmp_path):
         rng = np.random.default_rng(3)
         matrix = sparse.random(17, 23, density=0.2, random_state=3,
@@ -330,6 +357,13 @@ class TestTnsReader:
         path.write_text("1 1 1.0\n")
         with pytest.raises(ValueError, match="order"):
             read_tns(str(path), shape=(5, 6, 7))
+
+    def test_fractional_coordinate_rejected(self, tmp_path):
+        # 1.7 used to truncate into slice 0 through astype(int64).
+        path = tmp_path / "frac.tns"
+        path.write_text("1 2 3 0.5\n1.7 2 3 1.5\n")
+        with pytest.raises(ValueError, match=r"frac\.tns.*entry 2.*1\.7"):
+            read_tns(str(path))
 
     def test_empty_needs_shape(self, tmp_path):
         path = tmp_path / "e.tns"

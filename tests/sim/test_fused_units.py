@@ -1,0 +1,267 @@
+"""Block-level differential tests of the compiled backend's fused units.
+
+The kernels only ever drive the scan→locate unit through ``spmv_locate``
+with whole-window delivery; here both surviving unit classes are wired
+by hand and fed hypothesis-drawn streams — ``N`` references, stray
+``S0``/``S1`` stops, empty and all-miss fibers — whole or one token per
+cycle through the scalar ``Relay`` (so units park mid-fiber and carries
+are live).  Every wiring must reproduce the ``cycle`` engine's full
+report under ``timed-batch`` and ``compiled``.
+
+The structural guards at the bottom pin what makes that cheap to keep
+true: the units drive hooks the blocks own (no third encoding in
+``compiled.py``), and only the kinds measured to pay are partitioned.
+"""
+
+import inspect
+import os
+import re
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.blocks
+from repro.blocks import (
+    ALU,
+    ArrayLoad,
+    Block,
+    CompressedLevelWriter,
+    Locator,
+    ScalarALU,
+    ScalarReducer,
+    Sink,
+    StreamFeeder,
+    UncompressedLevelWriter,
+    ValsWriter,
+    make_scanner,
+)
+from repro.formats import CompressedLevel
+from repro.graph.bind import partition_segments
+from repro.graph.builder import capture_runs
+from repro.sim import graph_token_counts, run_blocks
+from repro.streams import Channel, DONE, EMPTY, Stop
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "blocks"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "graph"))
+from _goldenlib import kernel_cases  # noqa: E402
+from test_repeat import Relay  # noqa: E402
+
+TIMED = ("timed-batch", "compiled")
+
+
+def _full_report(blocks, backend):
+    report = run_blocks(blocks, backend=backend)
+    stored = []
+    for b in blocks:
+        if isinstance(b, Sink):
+            stored.append(b.tokens)
+        elif isinstance(b, ValsWriter):
+            stored.append(b.vals)
+        elif isinstance(b, CompressedLevelWriter):
+            stored.append((b.level.seg.tolist(), b.level.crd.tolist()))
+        elif isinstance(b, UncompressedLevelWriter):
+            stored.append(b.level.num_fibers())
+    return (
+        report.cycles,
+        report.block_activity(),
+        graph_token_counts(blocks),
+        stored,
+    ), report
+
+
+def _assert_identity(build, kind, unrelayed):
+    runs = {be: _full_report(build(), be) for be in ("cycle",) + TIMED}
+    for be in TIMED:
+        assert runs[be][0] == runs["cycle"][0], be
+    if unrelayed:
+        fusion = runs["compiled"][1].fusion
+        assert fusion["kinds"] == {kind: 1}
+        assert fusion["fallbacks"] == 0
+
+
+def _feed(tokens, channel, name, relay, blocks):
+    """Play *tokens* onto *channel*, whole or one per cycle via a Relay."""
+    if relay:
+        raw = Channel(f"{name}_raw", kind=channel.kind)
+        blocks.append(StreamFeeder(tokens, raw, name=name))
+        blocks.append(Relay(raw, channel, name=f"{name}_relay"))
+    else:
+        blocks.append(StreamFeeder(tokens, channel, name=name))
+
+
+# -- scanner -> locator ----------------------------------------------------
+
+UNIVERSE = 12
+
+fibers = st.lists(
+    st.lists(st.integers(0, UNIVERSE - 1), unique=True, max_size=6).map(sorted),
+    min_size=1, max_size=4,
+)
+
+
+@st.composite
+def scan_locate_case(draw):
+    scanned = draw(fibers)
+    # fiber 0 of the probed level; empty -> every probe misses
+    target = draw(st.lists(st.integers(0, UNIVERSE - 1), unique=True,
+                           max_size=UNIVERSE).map(sorted))
+    ref = st.one_of(
+        st.integers(0, len(scanned) - 1),
+        st.sampled_from([EMPTY, Stop(0), Stop(1)]),
+    )
+    refs = draw(st.lists(ref, max_size=12)) + [DONE]
+    return scanned, target, refs
+
+
+class TestScanLocateUnit:
+    @pytest.mark.parametrize("relay", [False, True], ids=["whole", "relayed"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "rev"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=scan_locate_case())
+    def test_full_report_identity(self, relay, reverse, case):
+        scanned, target, refs = case
+
+        def build():
+            in_ref = Channel("in_ref", kind="ref")
+            crd, ref = Channel("crd"), Channel("ref", kind="ref")
+            outs = [Channel("o_crd"), Channel("o_found", kind="ref"),
+                    Channel("o_in", kind="ref")]
+            blocks = []
+            _feed(list(refs), in_ref, "feed", relay, blocks)
+            blocks.append(make_scanner(CompressedLevel.from_fibers(scanned),
+                                       in_ref, crd, ref, name="scan"))
+            blocks.append(Locator(CompressedLevel.from_fibers([target]),
+                                  crd, ref, *outs, name="locate"))
+            blocks += [Sink(ch, name=f"sink_{ch.name}") for ch in outs]
+            # reversed block order flips every link's visibility delta
+            return blocks[::-1] if reverse else blocks
+
+        _assert_identity(build, "scan-locate", unrelayed=not relay)
+
+
+# -- value chains ----------------------------------------------------------
+
+TAILS = ("reduce", "vals", "sink", "compressed", "dense")
+
+value = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False,
+                  allow_infinity=False, width=64)
+
+
+@st.composite
+def chain_case(draw):
+    memory = [draw(st.lists(value, min_size=1, max_size=6)) for _ in range(2)]
+    # one shared shape (value slot or stop level); each operand draws a
+    # reference or N per slot, so densified structures agree
+    shape = draw(st.lists(st.sampled_from(["v", "v", "v", 0, 1]), max_size=14))
+    refs = []
+    for mem in memory:
+        slot = st.one_of(st.integers(0, len(mem) - 1), st.just(EMPTY))
+        refs.append([draw(slot) if s == "v" else Stop(s) for s in shape]
+                    + [DONE])
+    const = draw(st.one_of(st.none(), value))
+    return memory, refs, const
+
+
+class TestChainUnit:
+    @pytest.mark.parametrize("relay", ["whole", "relay-both", "relay-a"])
+    @pytest.mark.parametrize("head", ["zip", "map"])
+    @pytest.mark.parametrize("tail", TAILS)
+    @settings(max_examples=25, deadline=None)
+    @given(case=chain_case())
+    def test_full_report_identity(self, tail, head, relay, case):
+        memory, refs, const = case
+        if tail in ("compressed", "dense"):
+            # level writers store what they are fed as coordinates
+            memory = [[float(int(v) % 50) for v in mem] for mem in memory]
+            const = None if const is None else float(int(const) % 50)
+
+        def build():
+            blocks = []
+            loaded = []
+            for k in range(2 if head == "zip" else 1):
+                in_ref = Channel(f"ref{k}", kind="ref")
+                val = Channel(f"val{k}", kind="vals")
+                _feed(list(refs[k]), in_ref, f"feed{k}",
+                      relay == "relay-both" or (relay == "relay-a" and k == 0),
+                      blocks)
+                blocks.append(ArrayLoad(memory[k], in_ref, val, name=f"load{k}"))
+                loaded.append(val)
+            cur = loaded[0]
+            if head == "zip":
+                cur = Channel("sum", kind="vals")
+                blocks.append(ALU("add", loaded[0], loaded[1], cur, name="alu"))
+            if const is not None or head == "map":
+                scaled = Channel("scaled", kind="vals")
+                blocks.append(ScalarALU("mul", 1.5 if const is None else const,
+                                        cur, scaled, name="scale"))
+                cur = scaled
+            if tail == "reduce":
+                out = Channel("reduced", kind="vals")
+                blocks.append(ScalarReducer(cur, out, name="reduce"))
+                blocks.append(Sink(out, name="sink"))
+            elif tail == "vals":
+                blocks.append(ValsWriter(cur, name="wr"))
+            elif tail == "sink":
+                blocks.append(Sink(cur, name="sink"))
+            elif tail == "compressed":
+                blocks.append(CompressedLevelWriter(cur, name="wr"))
+            else:
+                blocks.append(UncompressedLevelWriter(50, cur, name="wr"))
+            return blocks
+
+        kind = "value-chain" if tail in ("reduce", "sink") else "writer-tail"
+        _assert_identity(build, kind, unrelayed=relay == "whole")
+
+
+# -- structural guards (each fails on the pre-refactor tree) ---------------
+
+def _table1_blocks():
+    from repro.lang import compile_expression
+    from repro.studies.table1 import ENTRIES, _random_inputs
+
+    for entry in ENTRIES:
+        prog = compile_expression(entry.expression, formats=entry.formats,
+                                  schedule=entry.schedule)
+        with capture_runs() as capture:
+            prog.run(_random_inputs(prog, 0), backend="functional")
+        for blocks, _ in capture.runs:
+            yield entry.name, blocks
+
+
+def _kernel_blocks():
+    for name, runner in kernel_cases():
+        with capture_runs() as capture:
+            runner("functional")
+        for blocks, _ in capture.runs:
+            yield name, blocks
+
+
+def test_compiled_backend_is_a_scheduler_not_a_third_encoding():
+    from repro.sim.backends import compiled
+
+    source = inspect.getsource(compiled)
+    assert "isinstance(" not in source
+    imports = re.findall(r"^\s*(?:from|import)\s+(\S+)", source, re.M)
+    assert not [m for m in imports if "blocks" in m or "formats" in m], imports
+
+
+def test_only_paying_segment_shapes_are_partitioned():
+    seen = 0
+    for source in (_kernel_blocks, _table1_blocks):
+        for name, blocks in source():
+            shapes = {s.shape for s in partition_segments(blocks)}
+            assert shapes <= {"chain", "scan_locate"}, (name, shapes)
+            seen += 1
+    assert seen >= 18
+
+
+def test_no_block_declares_a_co_scheduled_role():
+    for _, cls in inspect.getmembers(repro.blocks, inspect.isclass):
+        if issubclass(cls, Block) and cls.timing is not None:
+            assert cls.timing.fuse_role not in ("merge", "repsig", "repeat"), cls
+
+
+def test_region_sums_has_one_sum_kernel():
+    assert "sums_fn" not in inspect.signature(ScalarReducer._region_sums).parameters

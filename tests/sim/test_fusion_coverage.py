@@ -1,11 +1,13 @@
 """Fusion-coverage harness for the compiled backend.
 
 Pins the segment-fusion decisions of :func:`partition_segments` on the
-paper kernels: how many segments of each kind form, what fraction of
-the graph's blocks they absorb, and that no kernel silently falls back
-at compile time.  A change to the fusion passes that drops (or grows)
+paper kernels: how many segments of each kind form, how many of the
+graph's blocks they absorb, and that no kernel silently falls back at
+compile time.  A change to the fusion passes that drops (or grows)
 coverage shows up here as a diff against the committed expectations
 rather than as an unexplained performance shift in the benchmarks.
+Coverage itself is not a goal: a kind stays only while the benchmarks
+show it paying (docs/architecture.md, "Segment fusion").
 
 Expectations are asserted on ``report.fusion``; kernels that only
 return result objects are run under :func:`capture_runs` to reach the
@@ -45,12 +47,12 @@ def _fusion(fn, *args, **kwargs):
 
 #: committed fusion expectations: kernel -> (kinds, fused_blocks, total_blocks)
 EXPECTED = {
-    "gamma": ({"repeater": 8, "merge-head": 4, "value-chain": 4}, 40, 67),
-    "vecmul_crd": ({"merge-head": 1, "writer-tail": 1}, 8, 10),
-    "vecmul_crd_split": ({"merge-head": 2, "writer-tail": 1}, 10, 15),
+    "gamma": ({"value-chain": 4}, 12, 67),
+    "vecmul_crd": ({"writer-tail": 1}, 4, 10),
+    "vecmul_crd_split": ({"writer-tail": 1}, 4, 15),
     "spmv_locate": ({"scan-locate": 1, "value-chain": 1}, 6, 11),
-    "spmv_scatter": ({"merge-head": 1, "repeater": 1, "value-chain": 1}, 8, 13),
-    "spmm_ikj": ({"repeater": 2, "merge-head": 1, "value-chain": 1}, 10, 21),
+    "spmv_scatter": ({"value-chain": 1}, 3, 13),
+    "spmm_ikj": ({"value-chain": 1}, 3, 21),
 }
 
 
@@ -83,14 +85,6 @@ class TestFusionCoverage:
         # a fallback; fallbacks here would mean a mid-run dissolve fired.
         assert stats["fallbacks"] == 0, kernel
 
-    def test_gamma_majority_fused(self):
-        kinds, fused, total = EXPECTED["gamma"]
-        assert fused / total > 0.5
-
-    def test_elementwise_majority_fused(self):
-        kinds, fused, total = EXPECTED["vecmul_crd"]
-        assert fused / total > 0.5
-
     def test_report_fusion_attached(self):
         """The engine attaches the stats to the run's own report."""
         b = _sparse_vec(256, 0.4, 3)
@@ -102,8 +96,8 @@ class TestFusionCoverage:
         }
         bound = bind(prog.graph, tensors)
         report = bound.run(backend="compiled")
-        assert report.fusion["kinds"] == {"merge-head": 1, "writer-tail": 1}
-        assert report.fusion["fused_blocks"] == 8
+        assert report.fusion["kinds"] == {"writer-tail": 1}
+        assert report.fusion["fused_blocks"] == 4
         assert report.fusion["fallbacks"] == 0
 
     def test_all_vecmul_configs_carry_writer_tail(self):

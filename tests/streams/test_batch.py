@@ -277,6 +277,38 @@ class TestSequentialSegmentSums:
         for fn in (sequential_segment_sums, exact_segment_sums):
             assert fn(data, starts, lens).tolist() == [1.5, 0.0, 6.25, 0.0, 0.0]
 
+    def test_exact_bit_identical_on_adversarial_floats(self):
+        # >= 16 segments, so exact_segment_sums takes its vectorised
+        # column walk (plus the overlong-segment delegation) rather than
+        # the shared scalar loop; the reducer calls it on every plane.
+        rng = np.random.default_rng(11)
+        lens = rng.integers(0, 12, 40).astype(np.int64)
+        lens[3] = 5
+        lens[7] = 400  # overlong: summed the scalar way
+        starts = np.concatenate(
+            [np.zeros(1, dtype=np.int64), np.cumsum(lens)[:-1]]
+        )
+        total = int(lens.sum())
+        # wide exponent range: any other association changes low bits
+        data = rng.uniform(0.1, 1.0, total) * (
+            10.0 ** rng.integers(-12, 12, total)
+        ) * rng.choice([-1.0, 1.0], total)
+        special = rng.choice(total, 24, replace=False)
+        data[special] = np.resize(
+            [-0.0, 0.0, np.inf, -np.inf, np.nan, -0.0], len(special)
+        )
+        # all -0.0: the 0.0 start makes the sum +0.0 on both paths
+        data[starts[3]:starts[3] + 5] = -0.0
+        seq = sequential_segment_sums(data, starts, lens)
+        exact = exact_segment_sums(data, starts, lens)
+        nan = np.isnan(seq)
+        assert nan.any() and np.isinf(seq).any()
+        assert not np.signbit(seq[3]) and not np.signbit(exact[3])
+        assert np.array_equal(nan, np.isnan(exact))
+        assert np.array_equal(
+            seq[~nan].view(np.uint64), exact[~nan].view(np.uint64)
+        )
+
     def test_malformed_tables_raise(self):
         data = np.arange(10, dtype=np.float64)
         cases = [

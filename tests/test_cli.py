@@ -43,16 +43,14 @@ class TestCLI:
             body = chunk.split("}")[0]
             kind = body.split("[")[1].split("]")[0]
             clusters[kind] = body
-        assert set(clusters) == {"repeater", "merge-head", "value-chain"}
+        assert set(clusters) == {"value-chain"}
         # The SpMV value chain fuses: both loads feed the multiplier,
         # which feeds the reducer.
         assert '"mul_t0_0"' in clusters["value-chain"]
         assert '"reduce_j_t0"' in clusters["value-chain"]
-        # The intersect head absorbs both upstream scanners.
-        assert '"intersect_j_t0"' in clusters["merge-head"]
-        assert '"scan_B_0_0_j"' in clusters["merge-head"]
-        assert '"scan_c_0_1_j"' in clusters["merge-head"]
-        assert '"repeat_c_0_1_i"' in clusters["repeater"]
+        # Mergers, scanners feeding them and repeaters stay unclustered.
+        for name in ("intersect_j_t0", "scan_B_0_0_j", "repeat_c_0_1_i"):
+            assert f'"{name}"' not in clusters["value-chain"]
 
     def test_graph_check_reports_ok(self, capsys):
         assert main(["graph", "x(i) = B(i,j) * c(j)", "--check"]) == 0
