@@ -2,9 +2,10 @@
 
 Four sections:
 
-* **bound-graph workloads** — fig13-sized element-wise multiplies plus
-  SpM*SpM graphs, timed under every backend (cycle, event, timed-batch,
-  compiled, functional).  The timed backends' cycle counts are asserted
+* **bound-graph workloads** — fig13-sized element-wise multiplies,
+  SpM*SpM graphs and Table 1's Plus3 (two three-way unioners), timed
+  under every backend (cycle, event, timed-batch, compiled,
+  functional).  The timed backends' cycle counts are asserted
   identical to the reference engine; functional is outputs-only.  One
   gate rides this section: on ``spmm_ijk_40x40_d8`` — ~1600 fiber pairs
   through the k-level intersecter, the graph the window-at-a-time
@@ -13,7 +14,7 @@ Four sections:
   four timed backends.  Two gates ride this section (both asserted, so
   CI fails on regressions): the epoch-batching headline — ``timed-batch``
   must beat ``event`` by >= 5x wall-clock at 1e5 nnz — and the fusion
-  headline — ``compiled`` must beat ``timed-batch`` by >= 2.3x there —
+  headline — ``compiled`` must beat ``timed-batch`` by >= 1.6x there —
   both while reproducing the reference cycle count bit for bit.
   Compiled rows also carry the segment-fusion statistics
   (segments/fused blocks/fallbacks/kinds) and JIT dispatcher/plan-cache
@@ -64,6 +65,7 @@ from repro.graph.builder import capture_runs
 from repro.kernels.spmm import spmm_program
 from repro.kernels.spmv import spmv_locate
 from repro.lang import compile_expression
+from repro.studies.table1 import ENTRIES
 
 ENGINES = ("cycle", "event", "timed-batch", "compiled", "functional")
 #: backends that model time (and must agree with the reference exactly)
@@ -73,12 +75,16 @@ SCALING_SIZES = (10_000, 100_000)
 #: required timed-batch speedup over event at the largest scaling size
 SCALING_GATE = 5.0
 #: required compiled speedup over timed-batch at the largest scaling size.
-#: The former 3.0 re-based by the denominator's own speedup: sharing the
-#: bincount token-order helpers took timed-batch from 56 to 44 ms here
-#: with compiled flat at 14-15 ms (40 alternating parent/change samples
-#: of this statistic: median 3.93x -> 3.05x), so 3.0 * 44/56 bounds
-#: compiled's seconds exactly as tightly as before.
-COMPILED_GATE = 2.3
+#: A ratio gate drifts with its denominator (ROADMAP item 1(a)): 2.3
+#: stopped holding when timed-batch's unfused reducer got vectorised
+#: sums (36.7 -> 25.4 ms here) with compiled flat at ~12.5 ms, so it is
+#: re-based by the denominator's own speedup, 2.3 * 25.4 / 36.7 = 1.6 —
+#: the same ~16 ms bound on compiled's seconds as before.  Alternating
+#: the two engines in one process reads 1.8-2.1x (22-25 ms / 12 ms);
+#: this script times them one after the other, where single runs have
+#: read 1.52x and 1.75x, so an absolute-cost gate (item 1(a)) is still
+#: what this wants.
+COMPILED_GATE = 1.6
 #: matrix densities for the kernel-scaling section (2000x2000 operands:
 #: ~2e4 and ~1e5 nnz per matrix)
 KERNEL_DENSITIES = (0.005, 0.025)
@@ -201,6 +207,20 @@ def _spmm_case(name: str, size: int, density: float, order: str):
     return name, prog.graph, tensors
 
 
+def _table1_matrix_case(name: str, entry_name: str, size: int, density: float):
+    """A Table-1 expression whose operands are all size x size matrices."""
+    entry = next(e for e in ENTRIES if e.name == entry_name)
+    prog = compile_expression(entry.expression, formats=entry.formats,
+                              schedule=entry.schedule)
+    operands = {
+        tensor: np.asarray(
+            random_sparse_matrix(size, size, density, seed=44 + k), float
+        )
+        for k, tensor in enumerate(prog.assignment.input_tensors)
+    }
+    return name, prog.graph, prog._prepare_inputs(operands)
+
+
 def build_cases():
     return [
         _vecmul_case("vecmul_crd_2000_nnz400", 2000, 400, dense=False),
@@ -208,6 +228,7 @@ def build_cases():
         _vecmul_case("vecmul_dense_2000", 2000, 400, dense=True),
         _spmm_case("spmm_ikj_50x50_d8", 50, 0.08, "ikj"),
         _spmm_case("spmm_ijk_40x40_d8", 40, 0.08, "ijk"),
+        _table1_matrix_case("plus3_40x40_d10", "Plus3", 40, 0.10),
     ]
 
 

@@ -166,7 +166,7 @@ class TimingDescriptor:
       :meth:`Block._t_tail_window` stores or emits for one scheduled
       window.
     * ``"scan"`` — level scanner: may only head a scanner→locator pair.
-      Hook: ``LevelScanner._scan_timed``, the scanner's one timed loop.
+      Hook: ``LevelScanner._scan_timed``, the scanner's one timed pass.
     * ``"locate"`` — locator: may only close a scanner→locator pair
       (it has three outputs, so nothing can fuse after it).  Hook:
       ``Locator._emit_probed``.
@@ -482,6 +482,23 @@ class Block:
         self._tclock = end
         return c
 
+    def _t_take_window(self, channel):
+        """Take *channel*'s stamped window up to its first ``D``.
+
+        Returns ``(head, merged, di, ci, tail)`` — the head batch, its
+        token-order stamps with the (data, ctrl) stream indices, and the
+        entry that follows the ``D`` — or None, parked on *channel*,
+        when nothing is waiting.
+        """
+        window = self._treader(channel).take_window()
+        if window is not None:
+            head, sd, sc, tail = split_done_stamped(*window)
+            merged, di, ci = merge_stamps(head, sd, sc)
+            if len(merged):
+                return head, merged, di, ci, tail
+        self._wait = (channel, "data")
+        return None
+
     def _t_unary_window(self, channel, out, data_fn, empty_value) -> bool:
         """Whole-window epoch advance for uniform rate-1 unary maps.
 
@@ -493,16 +510,10 @@ class Block:
         fragmented by per-fiber stops would pay a Python iteration per
         fiber.
         """
-        reader = self._treader(channel)
-        window = reader.take_window()
-        if window is None:
-            self._wait = (channel, "data")
+        taken = self._t_take_window(channel)
+        if taken is None:
             return False
-        head, sd, sc, tail = split_done_stamped(*window)
-        merged, di, ci = merge_stamps(head, sd, sc)
-        if len(merged) == 0:
-            self._wait = (channel, "data")
-            return False
+        head, merged, di, ci, tail = taken
         c = self._t_advance(merged)
         data, cpos, ccode = head.remaining_arrays()
         vals = data_fn(data)
@@ -534,18 +545,12 @@ class Block:
         own composed schedule instead.  Returns the window's busy
         schedule, or None when starved.
         """
-        reader = self._treader(channel)
         if zero is not None:
-            reader.densify_empty(zero)
-        window = reader.take_window()
-        if window is None:
-            self._wait = (channel, "data")
+            self._treader(channel).densify_empty(zero)
+        taken = self._t_take_window(channel)
+        if taken is None:
             return None
-        head, sd, sc, tail = split_done_stamped(*window)
-        merged, _, ci = merge_stamps(head, sd, sc)
-        if len(merged) == 0:
-            self._wait = (channel, "data")
-            return None
+        head, merged, _, ci, tail = taken
         c = self._t_advance(merged)
         commit(*head.remaining_arrays(), c[ci], head.ends_done)
         self._t_window_done(channel, head.ends_done, tail)
@@ -766,26 +771,14 @@ class Fanout(Block):
         """Timed drain: copy one token per cycle to every output."""
         if self.finished:
             return False
-        reader = self._treader(self.in_)
-        window = reader.take_window()
-        if window is None:
-            self._wait = (self.in_, "data")
+        taken = self._t_take_window(self.in_)
+        if taken is None:
             return False
-        head, sd, sc, tail = split_done_stamped(*window)
-        merged, di, ci = merge_stamps(head, sd, sc)
-        if len(merged) == 0:
-            self._wait = (self.in_, "data")
-            return False
+        head, merged, di, ci, tail = taken
         c = self._t_advance(merged)
         for channel in self.outs:
             channel.push_batch_timed(head, c[di], c[ci])
-        if head.ends_done:
-            if tail is not None:
-                self.in_.timed_requeue_front(*tail)
-            self.finished = True
-            self._wait = None
-        else:
-            self._wait = (self.in_, "data")
+        self._t_window_done(self.in_, head.ends_done, tail)
         return True
 
 

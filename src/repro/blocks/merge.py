@@ -182,39 +182,34 @@ class _Merger(Block):
         if len(levels) != 1:
             raise BlockError(f"{self.name}: misaligned stops {[t[0] for t in tokens]}")
 
-    def _raise_misaligned_codes(self, code_a: int, code_b: int):
+    def _raise_misaligned_codes(self, codes):
         """Shared protocol error for mismatched fiber-chunk terminators."""
+        what = "stops" if all(code >= 0 for code in codes) else "control tokens"
         raise BlockError(
-            f"{self.name}: misaligned "
-            + (
-                f"stops [{decode_code(code_a)!r}, {decode_code(code_b)!r}]"
-                if code_a >= 0 and code_b >= 0
-                else f"control tokens "
-                f"[{decode_code(code_a)!r}, {decode_code(code_b)!r}]"
-            )
+            f"{self.name}: misaligned {what} {[decode_code(int(c)) for c in codes]!r}"
         )
 
     # -- timed window --------------------------------------------------------
-    # A window of K complete fiber pairs is ONE fiber over composite keys
+    # A window of K complete fiber tuples is ONE fiber over composite keys
     # ``fiber * S + crd`` (``S = max crd + 2``) with each side's stop at
     # ``fiber * S + (S - 1)``: a fiber's boundary event becomes a
-    # coordinate both sides carry, and "the successor stamp of a consumed
+    # coordinate every side carries, and "the successor stamp of a consumed
     # token" crosses fiber boundaries exactly as the generator's refill
-    # does.  The two-finger schedule, the epoch advance and every output
-    # builder therefore run once per window, whatever K is.
+    # does.  The m-finger schedule, the epoch advance and every output
+    # builder therefore run once per window, whatever K and m are.
     timing = TimingDescriptor()
 
     def timed_capable(self) -> bool:
         # Skip hints feed a timing side channel the windowed merge does
         # not model; graphs that wire them run the scalar timed path on
         # both the merger and its scanners.
-        return self.arity == 2 and all(side.skip is None for side in self.sides)
+        return all(side.skip is None for side in self.sides)
 
     def drain_timed(self) -> bool:
         """Timed drain: one composite-key merge per window.
 
-        A pass merges the leading fiber pairs that are complete and
-        clean on both sides and leaves the rest held, tokens after the
+        A pass merges the leading fiber tuples that are complete and
+        clean on every side and leaves the rest held, tokens after the
         first ``D`` included.  A stream with no terminator yet parks the
         block on its channel; a dirty chunk (:meth:`_clean_fibers`,
         :meth:`_side_keys`) stays unconsumed behind the clean prefix and
@@ -226,50 +221,50 @@ class _Merger(Block):
             [self._treader(side.crd)] + [self._treader(ch) for ch in side.refs]
             for side in self.sides
         ]
-        readers, split = sides[0] + sides[1], len(sides[0])
+        readers = [reader for side in sides for reader in side]
         groups = [[self._tbuilder(self.out_crd)]] + [
             [self._tbuilder(ch) for ch in group] for group in self.out_refs
         ]
         progressed = False
         while True:
-            windows = [_held_window(reader) for reader in readers]
+            # per side: its coordinate stream's window, then its references'
+            held = [[_held_window(reader) for reader in side] for side in sides]
+            windows = [w for side in held for w in side]
             counts = [
                 0 if w is None else len(w[0].ctrl_code) - w[0]._c for w in windows
             ]
             whole = k = min(counts)
             if k:
-                views = [_front_fibers(w, k) for w in windows]
-                codes, codes_b = views[0].codes, views[split].codes
-                done = np.flatnonzero((codes == CODE_DONE) | (codes_b == CODE_DONE))
-                if len(done):
-                    whole = k = int(done[0]) + 1
-                k = min(
-                    k, self._clean_fibers(views[:split]), self._clean_fibers(views[split:])
-                )
-                odd = np.flatnonzero(codes[:k] != codes_b[:k])
-                if len(odd):
-                    k = int(odd[0])
+                views = [[_front_fibers(w, k) for w in side] for side in held]
+                crd_codes = [side[0].codes for side in views]
+                codes = crd_codes[0]
+                done = np.logical_or.reduce([c == CODE_DONE for c in crd_codes])
+                if done.any():
+                    whole = k = int(done.argmax()) + 1
+                k = min(k, *(self._clean_fibers(side) for side in views))
+                odd = np.logical_or.reduce([c[:k] != codes[:k] for c in crd_codes[1:]])
+                if odd.any():
+                    k = int(odd.argmax())
                     if k == 0:
-                        self._raise_misaligned_codes(int(codes[0]), int(codes_b[0]))
+                        self._raise_misaligned_codes([c[0] for c in crd_codes])
             if k:
-                stride = 2 + max(
-                    int(views[i].data.max(initial=-1)) for i in (0, split)
-                )
+                stride = 2 + max(int(side[0].data.max(initial=-1)) for side in views)
                 k = min(k, _window_capacity(stride))
             if k:
                 if k < len(codes):
-                    views = [_front_fibers(w, k) for w in windows]
-                keys_a, arr_a, refs_a, clean_a = self._side_keys(views[:split], stride)
-                keys_b, arr_b, refs_b, clean_b = self._side_keys(views[split:], stride)
-                k = min(clean_a, clean_b)
+                    views = [[_front_fibers(w, k) for w in side] for side in held]
+                keys, arrs, refs, clean = zip(
+                    *(self._side_keys(side, stride) for side in views)
+                )
+                k = min(clean)
             if k:
                 progressed = True
-                cut_a = int(views[0].ends[k - 1]) + k
-                cut_b = int(views[split].ends[k - 1]) + k
+                cuts = [int(side[0].ends[k - 1]) + k for side in views]
                 events = self._merge_events(
-                    keys_a[:cut_a], arr_a[:cut_a], keys_b[:cut_b], arr_b[:cut_b]
+                    [key[:cut] for key, cut in zip(keys, cuts)],
+                    [arr[:cut] for arr, cut in zip(arrs, cuts)],
                 )
-                self._emit_window(groups, stride, codes, events, refs_a, refs_b)
+                self._emit_window(groups, stride, codes, events, refs)
                 for batch, _, _ in windows:  # tokens after a D stay held
                     batch._d = int(batch.ctrl_pos[batch._c + k - 1])
                     batch._c += k
@@ -355,74 +350,75 @@ class _Merger(Block):
             clean = min(clean, int(np.searchsorted(at_stop, unsorted[0] + 1)))
         return keys, stamps, refs, clean
 
-    def _merge_events(self, keys_a, arr_a, keys_b, arr_b):
-        """Cycle schedule of one window's merge (2-ary m-finger).
+    def _merge_events(self, keys, arrs):
+        """Cycle schedule of one window's m-finger merge.
 
-        One comparison event per distinct key of the two composite
-        fibers, boundaries included (the window's final stop is last);
-        event *k+1* is gated by the arrival of whatever event *k*'s
-        consumption pulled in next (the generator refills consumed
-        fingers right after its yield).  Returns ``(values, present_a,
-        present_b, idx_a, idx_b, cycles)``, ``idx_*`` being each side's
-        searchsorted positions of *values*.
+        *keys*/*arrs* hold one composite fiber and its arrival stamps per
+        side.  One comparison event per distinct key, boundaries included
+        (the window's final stop is last, on every side); event *k+1* is
+        gated by the arrival of whatever event *k*'s consumption pulled
+        in next — the max over the sides it consumed, since the generator
+        refills every consumed finger right after its yield.  Returns
+        ``(values, presents, idx, cycles)``: per side the presence mask
+        and the searchsorted positions of *values*.
         """
-        kern = get_kernel("merge_events")
+        kern = get_kernel("merge_events") if len(keys) == 2 else None
         if kern is not None:
             # One two-finger pass replaces the sorted union, 2x searchsorted
             # and the cumsum successor gathers; bit-identical (see
             # repro.jit.kernels.merge_events_k).  Both sides end on the
             # final stop key, so the kernel's closing gate goes unused.
             values, present_a, present_b, ia, ib, arrivals = kern(
-                keys_a, keys_b, arr_a, arr_b, 0, 0
+                keys[0], keys[1], arrs[0], arrs[1], 0, 0
             )
-            arrivals = arrivals[:-1]
+            presents, idx, arrivals = [present_a, present_b], [ia, ib], arrivals[:-1]
         else:
-            # union of two strictly increasing runs: a stable sort is one
+            # union of strictly increasing runs: a stable sort is one
             # merge pass (np.union1d's hash-based unique is ~80x slower)
-            both = np.concatenate((keys_a, keys_b))
+            both = np.concatenate(keys)
             both.sort(kind="stable")
             fresh = np.ones(len(both), dtype=bool)
             np.not_equal(both[1:], both[:-1], out=fresh[1:])
             values = both[fresh]
-            ia = np.searchsorted(keys_a, values)
-            present_a = keys_a[ia] == values
-            ib = np.searchsorted(keys_b, values)
-            present_b = keys_b[ib] == values
-            arrivals = np.empty(len(values), dtype=np.int64)
-            arrivals[0] = max(arr_a[0], arr_b[0])
-            took_a, took_b = present_a[:-1], present_b[:-1]
-            np.maximum(
-                np.where(took_a, arr_a[np.cumsum(took_a)], 0),
-                np.where(took_b, arr_b[np.cumsum(took_b)], 0),
-                out=arrivals[1:],
-            )
-        return values, present_a, present_b, ia, ib, self._t_advance(arrivals)
+            arrivals = np.zeros(len(values), dtype=np.int64)
+            arrivals[0] = max(arr[0] for arr in arrs)
+            gate = arrivals[1:]
+            presents, idx = [], []
+            for side_keys, arr in zip(keys, arrs):
+                at = np.searchsorted(side_keys, values)
+                present = side_keys[at] == values
+                took = present[:-1]
+                np.maximum(gate, np.where(took, arr[np.cumsum(took)], 0), out=gate)
+                presents.append(present)
+                idx.append(at)
+        return values, presents, idx, self._t_advance(arrivals)
 
-    def _emit_window(self, groups, stride, codes, events, refs_a, refs_b):
+    def _emit_window(self, groups, stride, codes, events, refs):
         """Push one merged window: a ``data_with_ctrl`` call per builder.
 
         On each output the events its ``_select`` mask picks (out_crd,
-        side-a refs, side-b refs; *real* = not a boundary) are data,
+        then one mask per side's refs; *real* = not a boundary) are data,
         every boundary is its fiber's terminator, and an emitted
         coordinate the side does not carry is an ``N``.
         """
-        values, present_a, present_b, ia, ib, cycles = events
+        values, presents, idx, cycles = events
         fiber, crd = np.divmod(values, stride)
         stop = crd == stride - 1
         code = np.where(stop, codes[fiber], CODE_EMPTY)
-        masks = self._select(present_a, present_b, ~stop)
-        runs = ([crd], refs_a, refs_b)
-        slots = (None, ia - fiber, ib - fiber)
+        masks = self._select(presents, ~stop)
         layouts = {}
-        for mask, group, side_runs, slot in zip(masks, groups, runs, slots):
+        for g, (mask, group) in enumerate(zip(masks, groups)):
+            if not group:
+                continue
             layout = layouts.get(id(mask))
             if layout is None:
                 ctrl = stop | (masks[0] & ~mask)
                 layout = layouts[id(mask)] = (
                     np.cumsum(mask)[ctrl], code[ctrl], cycles[mask], cycles[ctrl]
                 )
-            pick = mask if slot is None else slot[mask]
-            for builder, run in zip(group, side_runs):
+            # a side's reference slot: its key position less the stops before it
+            pick = mask if g == 0 else (idx[g - 1] - fiber)[mask]
+            for builder, run in zip(group, refs[g - 1] if g else [crd]):
                 builder.data_with_ctrl(run[pick], *layout)
 
 
@@ -437,9 +433,15 @@ class Intersect(_Merger):
 
     primitive = "intersect"
 
-    def _select(self, present_a, present_b, real):
-        match = present_a & present_b & real
-        return match, match, match
+    def timed_capable(self) -> bool:
+        # The m-ary generator advances *every* side below the max in one
+        # cycle — not one event per distinct key, which is what the
+        # window schedules — so only the two-finger case is windowed.
+        return self.arity == 2 and super().timed_capable()
+
+    def _select(self, presents, real):
+        match = np.logical_and.reduce(presents) & real
+        return [match] * (len(presents) + 1)
 
     def _run(self):
         self._side_fibers = [0] * self.arity
@@ -490,8 +492,8 @@ class Union(_Merger):
 
     primitive = "union"
 
-    def _select(self, present_a, present_b, real):
-        return real, present_a & real, present_b & real
+    def _select(self, presents, real):
+        return [real] + [present & real for present in presents]
 
     def _run(self):
         tokens = yield from self._pop_all()

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from ..formats.level import Level
-from ..streams.batch import CODE_DONE, CODE_EMPTY, NO_TOKEN
+from ..streams.batch import CODE_DONE, CODE_EMPTY
 from ..streams.channel import Channel
 from ..streams.token import DONE, Stop, is_data, is_done, is_empty, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
@@ -158,119 +158,86 @@ class LevelScanner(Block):
         # scanner's schedule to the intersecter's — scalar timed path.
         return self.in_skip is None and hasattr(self.level, "fiber_arrays")
 
-    def _t_run(self, stamps, lens, starts, stop_idx, total):
-        """Busy schedule of one run's *total* events, arrivals built
-        densely: only fiber starts (the ref's own stamp) and closing
-        stops (the next ref's stamp) are gated."""
+    def _t_run(self, pos, val, total):
+        """Busy schedule of one window's *total* events from its sparse
+        gates: event ``pos[i]`` waits for stamp ``val[i]``, the rest are
+        free (the dense form of what a fused pair composes sparsely)."""
         arrivals = np.zeros(total, dtype=np.int64)
-        has_fiber = lens > 0
-        arrivals[starts[has_fiber]] = stamps[has_fiber]
-        if len(stamps) > 1:
-            np.maximum.at(arrivals, stop_idx, stamps[1:])
+        arrivals[pos] = val
         return self._t_advance(arrivals)
 
-    def _scan_timed(self, sched_run, emit_run, emit_ctrl) -> bool:
-        """The scanner's one timed loop: whole fibers, one schedule a run.
+    def _scan_timed(self, sched, emit) -> bool:
+        """The scanner's one timed pass: a whole window, one schedule.
 
-        The generator emits one (crd, ref) pair per cycle while a fiber
-        streams and one closing-stop cycle per fiber gated by the *next*
-        input token (the ``_peek``); within a run of data refs all those
-        gates are known, so an entire run costs one vectorized schedule.
+        Per input token the generator spends ``lens`` cycles streaming a
+        data reference's (crd, ref) pairs, one cycle on a stray stop or
+        ``D``, none on ``N`` or an empty fiber — plus, when the previous
+        token opened a fiber, that fiber's closing-stop cycle first: it
+        is gated by *this* token (the ``_peek``) and absorbs it when it
+        is a stop.  Only a token's first event waits for its stamp (and
+        stamps never decrease along a stream, so a token with no event
+        needs no gate of its own: the next token's covers it), which
+        makes the window one sparse schedule, one ``fiber_arrays``
+        gather and one control layout shared by both outputs.
 
         The arguments are what a fused scanner→locator pair changes:
-        ``sched_run`` (the signature of :meth:`_t_run`) returns the
-        cycles a run's events are emitted at, and ``emit_run(crds,
-        children, breaks, zeros, dstamps, cstamps)`` / ``emit_ctrl(code,
-        cycle)`` are where emissions go.  The caller flushes on return.
+        ``sched(pos, val, total)`` (the signature of :meth:`_t_run`)
+        returns the cycles the events are emitted at and ``emit(crds,
+        children, cpos, codes, dstamps, cstamps)`` is where they go.
         """
-        level = self.level
-        reader = self._treader(self.in_ref)
-        progressed = False
-        while True:
-            if self._after_fiber:
-                # The closing stop's level (and cycle) depend on the next
-                # input token: S(n+1) consumes a stop, S0 just peeks.
-                token, stamp = reader.peek()
-                if token is NO_TOKEN:
-                    break
-                if is_stop(token):
-                    reader.pop()
-                    level_code = token.level + 1
-                else:
-                    level_code = 0
-                emit_ctrl(level_code, self._t_event(stamp))
-                self._fiber_index += 1
-                self._after_fiber = False
-                progressed = True
-                continue
-            ctrl = reader.front_ctrl()
-            if ctrl is None:
-                refs, stamps = reader.pop_run()
-                n = len(refs)
-                if n == 0:
-                    break
-                crds, children, lens = level.fiber_arrays(refs)
-                lens = np.asarray(lens, dtype=np.int64)
-                # Events per ref: its pair emissions plus — for every ref
-                # but the last — the closing stop (the last ref's stop
-                # waits for a token outside this run).
-                ev_per_ref = lens.copy()
-                if n > 1:
-                    ev_per_ref[: n - 1] += 1
-                total = int(ev_per_ref.sum())
-                starts = np.concatenate(
-                    [np.zeros(1, dtype=np.int64), np.cumsum(ev_per_ref)[:-1]]
-                )
-                stop_idx = (starts + lens)[: n - 1]
-                c = sched_run(stamps, lens, starts, stop_idx, total)
-                emit_mask = np.ones(total, dtype=bool)
-                emit_mask[stop_idx] = False
-                breaks = np.cumsum(lens[:-1])
-                zeros = np.zeros(len(breaks), dtype=np.int64)
-                emit_run(crds, children, breaks, zeros, c[emit_mask], c[stop_idx])
-                self._fiber_index += n - 1
-                self._after_fiber = True
-                self._t_defer(int(stamps[-1]))
-                progressed = True
-                continue
-            _, stamp = reader.pop()
-            progressed = True
-            if ctrl == CODE_DONE:
-                emit_ctrl(CODE_DONE, self._t_event(stamp))
-                self.finished = True
-                self._wait = None
-                return True
-            if ctrl == CODE_EMPTY:
-                # An empty reference scans as an empty fiber: no emission
-                # event; the closing stop is gated by this token too.
-                self._t_defer(stamp)
-                self._after_fiber = True
-                continue
-            # Stray stop: one pass-through event, one level up.
-            emit_ctrl(ctrl + 1, self._t_event(stamp))
-            self._fiber_index += 1
-        self._wait = (self.in_ref, "data")
-        return progressed
+        taken = self._t_take_window(self.in_ref)
+        if taken is None:
+            return False
+        head, stamps, di, ci, tail = taken
+        refs, _, ccode = head.remaining_arrays()
+        crds, children, lens = self.level.fiber_arrays(refs)
+        n, ends_done = len(stamps), bool(head.ends_done)
+        pairs = np.zeros(n, dtype=np.int64)
+        pairs[di] = lens
+        code = np.full(n, CODE_EMPTY, dtype=np.int64)  # a data ref opens a fiber as N does
+        code[ci] = ccode
+        opens = code == CODE_EMPTY
+        after = np.empty(n, dtype=bool)  # this token closes the previous one's fiber
+        after[0] = self._after_fiber
+        after[1:] = opens[:-1]
+        # control events per token: the closer and/or its own stop or D
+        nctrl = (after | ~opens).astype(np.int64)
+        if ends_done:
+            nctrl[-1] += after[-1]
+        counts = pairs + nctrl
+        starts = np.cumsum(counts)
+        total = int(starts[-1])
+        starts -= counts
+        has = counts > 0
+        if total:
+            c = sched(starts[has], stamps[has], total)
+            at = np.repeat(starts, nctrl)
+            codes = np.repeat(np.where(code >= 0, code + 1, 0), nctrl)
+            if ends_done:
+                at[-1], codes[-1] = total - 1, CODE_DONE
+            is_pair = np.ones(total, dtype=bool)
+            is_pair[at] = False
+            cpos = np.repeat(np.cumsum(pairs) - pairs, nctrl)
+            emit(crds, children, cpos, codes, c[is_pair], c[at])
+            self._fiber_index += len(at) - ends_done
+        self._after_fiber = bool(opens[-1])
+        if not has[-1]:
+            self._t_defer(int(stamps[-1]))  # gates the closer, a window away
+        self._t_window_done(self.in_ref, ends_done, tail)
+        return True
 
     def drain_timed(self) -> bool:
         """Timed drain: :meth:`_scan_timed` onto the two output streams."""
         if self.finished:
             return False
-        out_crd = self._tbuilder(self.out_crd)
-        out_ref = self._tbuilder(self.out_ref)
+        outs = (self._tbuilder(self.out_crd), self._tbuilder(self.out_ref))
 
-        def emit_run(crds, children, breaks, zeros, dstamps, cstamps):
-            out_crd.data_with_ctrl(crds, breaks, zeros, dstamps, cstamps)
-            out_ref.data_with_ctrl(children, breaks, zeros, dstamps, cstamps)
+        def emit(crds, children, cpos, codes, dstamps, cstamps):
+            for out, data in zip(outs, (crds, children)):
+                out.data_with_ctrl(data, cpos, codes, dstamps, cstamps)
+                out.flush()
 
-        def emit_ctrl(code, cyc):
-            out_crd.ctrl(code, cyc)
-            out_ref.ctrl(code, cyc)
-
-        progressed = self._scan_timed(self._t_run, emit_run, emit_ctrl)
-        out_crd.flush()
-        out_ref.flush()
-        return progressed
+        return self._scan_timed(self._t_run, emit)
 
 
 class CompressedLevelScanner(LevelScanner):

@@ -28,6 +28,20 @@ def default_cache_dir() -> str:
     return os.environ.get(CACHE_DIR_ENV_VAR) or DEFAULT_CACHE_DIR
 
 
+def _read_entry(path: str) -> Optional[ExperimentResult]:
+    """The result stored at *path*, or None when it does not hold one.
+
+    Unreadable files, a write cut short by a crash that bypassed the
+    atomic rename, and JSON that parses but is not a result record
+    (``{}``, ``[]``, ``null``, a non-dict spec) are all the same miss.
+    """
+    try:
+        with open(path) as handle:
+            return ExperimentResult.from_dict(json.load(handle), cached=True)
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
 class ResultCache:
     """Directory of cached :class:`ExperimentResult` records."""
 
@@ -44,16 +58,13 @@ class ResultCache:
     def load(self, spec: ExperimentSpec) -> Optional[ExperimentResult]:
         """The cached result for *spec*, or None on a miss.
 
-        Unreadable/corrupt entries (e.g. a write cut short by a crash
-        that bypassed the atomic rename) count as misses.
+        A malformed entry, or one recording a different spec than its
+        key claims, counts as a miss; the next :meth:`store` of the
+        re-executed point overwrites it.
         """
-        path = self.path(spec)
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        result = _read_entry(self.path(spec))
+        if result is None or result.spec.canonical() != spec.canonical():
             return None
-        result = ExperimentResult.from_dict(data, cached=True)
         result.code_version = self.version
         return result
 
@@ -96,11 +107,9 @@ class ResultCache:
             for filename in sorted(os.listdir(study_dir)):
                 if not filename.endswith(".json"):
                     continue
-                try:
-                    with open(os.path.join(study_dir, filename)) as handle:
-                        yield ExperimentResult.from_dict(json.load(handle), cached=True)
-                except (OSError, json.JSONDecodeError):
-                    continue
+                entry = _read_entry(os.path.join(study_dir, filename))
+                if entry is not None:
+                    yield entry
 
     def size(self, study: Optional[str] = None) -> int:
         return sum(1 for _ in self.iter_entries(study))
@@ -123,12 +132,8 @@ class ResultCache:
                 path = os.path.join(study_dir, filename)
                 if not filename.endswith(".json"):
                     continue
-                try:
-                    with open(path) as handle:
-                        version = json.load(handle).get("code_version")
-                except (OSError, json.JSONDecodeError):
-                    version = None
-                if version != self.version:
+                entry = _read_entry(path)
+                if entry is None or entry.code_version != self.version:
                     os.unlink(path)
                     removed += 1
         return removed

@@ -29,7 +29,7 @@ This module is a *scheduler* of blocks, not a second author of them:
 what a member does with a scheduled window is the hook the block itself
 exports and its own ``drain_timed`` is written in terms of
 (:data:`_ROLE_HOOK` — a map's ``map_parts()``, a reduce/sink/write
-tail's ``commit_window()``, the scanner's ``_scan_timed`` loop, the
+tail's ``commit_window()``, the scanner's ``_scan_timed`` pass, the
 locator's ``_emit_probed``).  What lives here is schedule composition:
 two-phase acquire/commit, the composed and lazy advances, the sparse
 scan→locate advance, and the interior-link token counts.
@@ -79,7 +79,6 @@ from ...streams.timing import (
 from .timed_batch import _DISSOLVE, TimedBatchEngine
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_F64 = np.empty(0, dtype=np.float64)
 
 
 def _fast_advance(member, arrivals):
@@ -679,14 +678,14 @@ class _ChainUnit:
 class _ScanLocateUnit:
     """A fused scanner→locator pair.
 
-    Runs the scanner's own timed loop (``LevelScanner._scan_timed``) on
-    its real input with the two things the pair changes: a run's events
-    are scheduled through *both* members at once, and every emission is
-    probed through the locator inline (``Locator._emit_probed``) — the
-    interior crd/ref channels never see a push, a merge, or a window.
-    Chunk boundaries are schedule-neutral (``rate1_schedule`` composes
-    over splits), so stats and output stamps are bit-identical to the
-    unfused pair."""
+    Runs the scanner's own timed pass (``LevelScanner._scan_timed``) on
+    its real input with the two things the pair changes: a window's
+    events are scheduled through *both* members at once, and the
+    emission is probed through the locator inline
+    (``Locator._emit_probed``) — the interior crd/ref channels never see
+    a push, a merge, or a window.  Window boundaries are schedule-neutral
+    (``rate1_schedule`` composes over splits), so stats and output stamps
+    are bit-identical to the unfused pair."""
 
     __slots__ = (
         "members", "scan", "loc", "links", "delta", "active",
@@ -704,32 +703,20 @@ class _ScanLocateUnit:
         self.delta = self.links[0].timed.delta
         self.active = True
 
-    def _sched_run(self, stamps, lens, starts, stop_idx, total):
-        """The *locator's* busy schedule of one scanner run, with both
+    def _sched_run(self, pos, val, total):
+        """The *locator's* busy schedule of one scanner window, with both
         members' bookkeeping applied (``LevelScanner._t_run`` signature)."""
         scan, loc = self.scan, self.loc
         ii = scan.timing.ii
-        if not total or ii != loc.timing.ii or loc._t_carry:
-            c = scan._t_run(stamps, lens, starts, stop_idx, total)
-            return _fast_advance(loc, c + self.delta)
+        if ii != loc.timing.ii or loc._t_carry:
+            return _fast_advance(loc, scan._t_run(pos, val, total) + self.delta)
         # Sparse composed advance.  Arrival constraints only exist at
-        # fiber starts/stops, so both members' busy schedules are ramps
-        # between those events: ``c[k] = offs[seg(k)] + k*ii`` with
-        # ``offs`` the running max of ``stamp - pos*ii`` clipped at the
-        # clock — the dense arrival array and its max-plus accumulates
-        # are never built.  Bit-identical to ``scan._t_advance`` + the
-        # locator advance.
-        n = len(stamps)
-        if n > 1:
-            pos = np.empty(2 * n - 1, dtype=np.int64)
-            val = np.empty(2 * n - 1, dtype=np.int64)
-            pos[0::2] = starts
-            pos[1::2] = stop_idx
-            val[0::2] = np.where(lens > 0, stamps, 0)
-            val[1::2] = stamps[1:]
-        else:
-            pos = starts
-            val = np.where(lens > 0, stamps, 0)
+        # each input token's first event, so both members' busy schedules
+        # are ramps between those events: ``c[k] = offs[seg(k)] + k*ii``
+        # with ``offs`` the running max of ``stamp - pos*ii`` clipped at
+        # the clock — the dense arrival array and its max-plus
+        # accumulates are never built.  Bit-identical to
+        # ``scan._t_advance`` + the locator advance.
         if scan._t_carry:
             if scan._t_carry > val[0]:
                 val[0] = scan._t_carry
@@ -764,29 +751,14 @@ class _ScanLocateUnit:
             return False
         builders = [loc._tbuilder(ch) for ch in loc._outs()]
 
-        def emit_run(crds, children, breaks, zeros, dstamps, cstamps):
+        def emit(crds, children, cpos, codes, dstamps, cstamps):
             for link in self.links:
-                _bump_counts(link, len(crds), zeros)
-            loc._emit_probed(
-                builders, crds, children, breaks, zeros, dstamps, cstamps
-            )
+                _bump_counts(link, len(crds), codes)
+            loc._emit_probed(builders, crds, children, cpos, codes, dstamps, cstamps)
+            for builder in builders:
+                builder.flush()
 
-        def emit_ctrl(code, cyc):
-            """One control token through both planes (a 1-token chunk)."""
-            codes = np.asarray([code], dtype=np.int64)
-            for link in self.links:
-                _bump_counts(link, 0, codes)
-            c = _fast_advance(
-                loc, np.asarray([cyc + self.delta], dtype=np.int64)
-            )
-            loc._emit_probed(
-                builders, _EMPTY_F64, _EMPTY_F64,
-                np.zeros(1, dtype=np.int64), codes, _EMPTY_I64, c,
-            )
-
-        progressed = scan._scan_timed(self._sched_run, emit_run, emit_ctrl)
-        for builder in builders:
-            builder.flush()
+        progressed = scan._scan_timed(self._sched_run, emit)
         loc.finished = scan.finished
         loc._wait = None if scan.finished else (loc.in_crd, "data")
         return progressed

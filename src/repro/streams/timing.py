@@ -300,12 +300,6 @@ class TimedReader:
                 return None
         return None
 
-    def next_ctrl_code(self) -> Optional[int]:
-        for batch, _, _ in self.held:
-            if batch._c < len(batch.ctrl_code):
-                return int(batch.ctrl_code[batch._c])
-        return None
-
     # -- run access ----------------------------------------------------------
     def run_length(self) -> int:
         total = 0
@@ -350,22 +344,6 @@ class TimedReader:
     def pop_run(self) -> Tuple[np.ndarray, np.ndarray]:
         """Pop the maximal front data run: ``(values, stamps)``."""
         return self.pop_run_upto(I64_MAX)
-
-    def run_values(self) -> np.ndarray:
-        """The data run at the front without consuming it."""
-        parts: List[np.ndarray] = []
-        for batch, _, _ in self.held:
-            if batch.exhausted:
-                continue
-            d, c = batch._d, batch._c
-            stop_at = (
-                int(batch.ctrl_pos[c]) if c < len(batch.ctrl_code) else len(batch.data)
-            )
-            if stop_at > d:
-                parts.append(batch.data[d:stop_at])
-            if c < len(batch.ctrl_code):
-                break
-        return _concat_data(parts)
 
     def pop_repeat_run(self) -> Tuple[int, np.ndarray]:
         """Pop consecutive front ``R`` codes: ``(count, stamps)``."""

@@ -22,6 +22,8 @@ from repro.lang import compile_expression
 from repro.sim import graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
+from test_repeat import Relay
+
 TIMED = ("timed-batch", "compiled")
 MERGERS = (Intersect, Union)
 
@@ -53,28 +55,34 @@ class Slicer(Block):
         yield True
 
 
-def build(cls, sides, rng=None):
+def build(cls, sides, rng=None, relayed=()):
     """``(blocks, recorded outputs)`` of one merger fed by *sides*.
 
     *sides* is ``[(crd tokens, [ref tokens, ...]), ...]``.  With *rng*
     every stream is delivered in random slices by a :class:`Slicer`,
-    otherwise whole by a ``StreamFeeder``.
+    otherwise whole by a ``StreamFeeder`` — through a scalar ``Relay``
+    (one token a cycle) for the sides listed in *relayed*.
     """
     blocks, merge_sides, out_groups, outs = [], [], [], []
 
-    def source(tokens, channel, name):
-        if rng is None:
-            return StreamFeeder(tokens, channel, name=name)
-        plan = [(rng.randint(1, 5), rng.randint(0, 3)) for _ in range(len(tokens) // 3)]
-        return Slicer(tokens, plan, channel, name)
+    def source(tokens, channel, name, side):
+        if rng is not None:
+            plan = [(rng.randint(1, 5), rng.randint(0, 3)) for _ in range(len(tokens) // 3)]
+            blocks.append(Slicer(tokens, plan, channel, name))
+        elif side in relayed:
+            raw = Channel(f"{name}_raw", kind=channel.kind)
+            blocks.append(StreamFeeder(tokens, raw, name=name))
+            blocks.append(Relay(raw, channel, f"{name}_relay"))
+        else:
+            blocks.append(StreamFeeder(tokens, channel, name=name))
 
     for i, (crd_tokens, ref_streams) in enumerate(sides):
         crd = Channel(f"crd{i}")
-        blocks.append(source(crd_tokens, crd, f"fc{i}"))
+        source(crd_tokens, crd, f"fc{i}", i)
         refs, group = [], []
         for j, tokens in enumerate(ref_streams):
             ref = Channel(f"ref{i}_{j}", kind="ref")
-            blocks.append(source(tokens, ref, f"fr{i}_{j}"))
+            source(tokens, ref, f"fr{i}_{j}", i)
             refs.append(ref)
             group.append(Channel(f"oref{i}_{j}", kind="ref", record=True))
         merge_sides.append(MergeSide(crd, refs))
@@ -85,10 +93,10 @@ def build(cls, sides, rng=None):
     return blocks, [out_crd] + outs
 
 
-def run(cls, sides, backend, slicing_seed=None):
+def run(cls, sides, backend, slicing_seed=None, relayed=()):
     """Everything a backend may not change, for one run."""
     rng = None if slicing_seed is None else random.Random(slicing_seed)
-    blocks, outs = build(cls, sides, rng)
+    blocks, outs = build(cls, sides, rng, relayed)
     report = run_blocks(blocks, backend=backend)
     return (
         report.cycles,
@@ -98,11 +106,11 @@ def run(cls, sides, backend, slicing_seed=None):
     )
 
 
-def assert_matches_cycle(cls, sides, slicing_seed=None, timing=True):
+def assert_matches_cycle(cls, sides, slicing_seed=None, timing=True, relayed=()):
     """Full report identity, or just tokens and outputs (``timing=False``)."""
-    want = run(cls, sides, "cycle", slicing_seed)
+    want = run(cls, sides, "cycle", slicing_seed, relayed)
     for backend in TIMED:
-        got = run(cls, sides, backend, slicing_seed)
+        got = run(cls, sides, backend, slicing_seed, relayed)
         assert got[2:] == want[2:], backend
         if timing:
             assert got[:2] == want[:2], backend
@@ -204,6 +212,97 @@ class TestWindowDifferential:
         )
 
 
+# -- m-ary unions --------------------------------------------------------------
+@st.composite
+def mary_structures(draw):
+    m = draw(st.integers(2, 4))
+    fiber = st.tuples(st.tuples(*[crd_sets] * m), st.integers(0, 2))
+    return {
+        "fibers": draw(st.lists(fiber, min_size=1, max_size=7)),
+        "nrefs": draw(st.tuples(*[st.integers(0, 2)] * m)),
+        "empty_side": draw(st.sampled_from([None, None] + list(range(m)))),
+        #: (fiber, side) whose first reference arrives as ``N``
+        "n_ref": draw(st.one_of(st.none(), st.tuples(st.integers(0, 6), st.integers(0, m - 1)))),
+        #: 2**61 leaves ``_window_capacity`` at 3 fibers a merge
+        "base": draw(st.sampled_from([0, 0, 2**40, 2**61])),
+        "relayed": draw(st.sets(st.integers(0, m - 1))),
+        "tail": draw(st.booleans()),
+    }
+
+
+def mary_streams(shape):
+    """One ``(crd, refs)`` token-stream pair per side of a drawn structure."""
+    sides = []
+    for s, nrefs in enumerate(shape["nrefs"]):
+        crd, refs = [], [[] for _ in range(nrefs)]
+        for f, (crd_sets, level) in enumerate(shape["fibers"]):
+            crds = [] if shape["empty_side"] == s else [shape["base"] + c for c in crd_sets[s]]
+            crd += crds + [Stop(level)]
+            for j, ref in enumerate(refs):
+                run = [100 * (1 + j + 4 * s) + 10 * f + i for i in range(len(crds))]
+                if shape["n_ref"] == (f, s) and j == 0 and run:
+                    run[0] = EMPTY
+                ref += run + [Stop(level)]
+        for stream in [crd] + refs:
+            stream.append(DONE)
+            if shape["tail"]:
+                stream += [3, Stop(0), DONE]
+        sides.append((crd, refs))
+    return sides
+
+
+class TestMaryUnion:
+    """``Union`` windows at arity 2-4: ragged and empty fibers, sides
+    arriving whole or a token a cycle through a scalar ``Relay``, huge
+    coordinates that split the window — full report against ``cycle``.
+    An ``N`` reference is a dirty chunk: exact when every side arrives
+    whole, tokens and outputs only behind a scalar producer (see
+    :class:`TestWindowDifferential`)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(shape=mary_structures())
+    def test_full_report_identity(self, shape):
+        assert_matches_cycle(
+            Union, mary_streams(shape), relayed=shape["relayed"],
+            timing=shape["n_ref"] is None or not shape["relayed"],
+        )
+
+    @pytest.mark.parametrize("arity", [3, 4])
+    def test_one_merge_and_one_advance_per_window(self, arity, monkeypatch):
+        merges, advances = [], []
+        real_merge, real_advance = Union._merge_events, Union._t_advance
+        monkeypatch.setattr(
+            Union, "_merge_events",
+            lambda self, keys, arrs: merges.append(len(keys)) or real_merge(self, keys, arrs),
+        )
+        monkeypatch.setattr(
+            Union, "_t_advance",
+            lambda self, arrivals: advances.append(1) or real_advance(self, arrivals),
+        )
+        shape = {
+            "fibers": [(([0, 2, 5], [2, 3], [], [1, 5])[:arity], 0)] * 5,
+            "nrefs": (1, 2, 0, 1)[:arity], "empty_side": None, "n_ref": None,
+            "base": 0, "relayed": (), "tail": False,
+        }
+        assert_matches_cycle(Union, mary_streams(shape))
+        # one m-ary merge per timed engine, never a cascade of 2-ary ones
+        assert merges == [arity] * len(TIMED) and len(advances) == len(TIMED)
+
+    @pytest.mark.parametrize("backend", ("cycle",) + TIMED)
+    def test_mismatched_stops_raise_naming_every_side(self, backend):
+        sides = [
+            ([0, Stop(0), DONE], []), ([1, Stop(0), DONE], []), ([1, Stop(1), DONE], []),
+        ]
+        with pytest.raises(BlockError, match=r"misaligned stops \[S0, S0, S1\]"):
+            run(Union, sides, backend)
+
+    def test_intersect_beyond_two_sides_keeps_its_generator(self):
+        sides = [([0, 2, Stop(0), DONE], []), ([2, Stop(0), DONE], []), ([1, 2, Stop(0), DONE], [])]
+        blocks, _ = build(Intersect, sides)
+        assert not blocks[-1].timed_capable()
+        assert_matches_cycle(Intersect, sides)
+
+
 def _fibers(n, dirty=None):
     shape = {
         "fibers": [([0, 2, 5], [2, 3, 5], 0)] * (n - 1) + [([1], [1, 4], 1)],
@@ -295,7 +394,7 @@ class TestKeyCapacity:
         real = cls._merge_events
         monkeypatch.setattr(
             cls, "_merge_events",
-            lambda self, keys_a, *a: windows.append(len(keys_a)) or real(self, keys_a, *a),
+            lambda self, keys, arrs: windows.append(len(keys[0])) or real(self, keys, arrs),
         )
         assert run(cls, sides, "timed-batch") == want
         # side a's keys: 10 fibers of 3 coordinates + stop and the empty

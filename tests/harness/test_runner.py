@@ -74,6 +74,17 @@ class TestCachingAndResume:
         rerun = SweepRunner(cache=cache).run(specs)
         assert rerun.executed == 2 and rerun.hits == len(specs) - 2
 
+    @pytest.mark.parametrize("text", ["{}", "[]", "null", '{"spec": 3}', '{"sp'])
+    def test_malformed_entry_is_reexecuted_and_overwritten(self, cache, text):
+        specs = fig11_specs()
+        cold = SweepRunner(cache=cache).run(specs)
+        with open(cache.path(specs[1]), "w") as handle:
+            handle.write(text)
+        rerun = SweepRunner(cache=cache).run(specs)
+        assert (rerun.executed, rerun.hits) == (1, len(specs) - 1)
+        assert [r.payload for r in rerun.results] == [r.payload for r in cold.results]
+        assert cache.load(specs[1]).payload == cold.results[1].payload
+
     def test_force_reexecutes_everything(self, cache):
         specs = fig11_specs()
         SweepRunner(cache=cache).run(specs)

@@ -113,6 +113,36 @@ class TestResultCache:
             handle.write("{truncated")
         assert cache.load(spec) is None
 
+    @pytest.mark.parametrize(
+        "text",
+        ["{}", "[]", "null", '{"spec": 3}', '{"spec": {"study": "fig11", "poi'],
+        ids=["empty-dict", "list", "null", "non-dict-spec", "truncated"],
+    )
+    def test_entry_that_is_not_a_result_is_a_miss(self, cache, text):
+        spec = ExperimentSpec("fig11", {"k": 1})
+        path = cache.store(ExperimentResult(spec, {"cycles": 42}))
+        with open(path, "w") as handle:
+            handle.write(text)
+        assert cache.load(spec) is None
+        assert cache.size() == 0
+        # the re-executed point's store overwrites the bad file
+        assert cache.store(ExperimentResult(spec, {"cycles": 43})) == path
+        assert cache.load(spec).payload == {"cycles": 43}
+        assert cache.prune_stale() == 0
+
+    def test_entry_recording_another_spec_is_a_miss(self, cache):
+        spec, other = ExperimentSpec("fig11", {"k": 1}), ExperimentSpec("fig11", {"k": 2})
+        cache.store(ExperimentResult(other, {"cycles": 7}))
+        os.replace(cache.path(other), cache.path(spec))
+        assert cache.load(spec) is None
+
+    def test_prune_stale_removes_malformed_entries(self, cache):
+        spec = ExperimentSpec("fig11", {"k": 1})
+        with open(cache.store(ExperimentResult(spec, {"cycles": 42})), "w") as handle:
+            handle.write("[]")
+        assert cache.prune_stale() == 1
+        assert spec not in cache
+
     def test_evict(self, cache):
         spec = ExperimentSpec("fig11", {"k": 1})
         cache.store(ExperimentResult(spec, {"cycles": 42}))

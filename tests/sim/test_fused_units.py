@@ -37,7 +37,7 @@ from repro.blocks import (
     ValsWriter,
     make_scanner,
 )
-from repro.formats import CompressedLevel
+from repro.formats import CompressedLevel, DenseLevel
 from repro.graph.bind import partition_segments
 from repro.graph.builder import capture_runs
 from repro.sim import graph_token_counts, run_blocks
@@ -46,6 +46,7 @@ from repro.streams import Channel, DONE, EMPTY, Stop
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "blocks"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "graph"))
 from _goldenlib import kernel_cases  # noqa: E402
+from test_merge_window import Slicer  # noqa: E402
 from test_repeat import Relay  # noqa: E402
 
 TIMED = ("timed-batch", "compiled")
@@ -139,6 +140,70 @@ class TestScanLocateUnit:
             return blocks[::-1] if reverse else blocks
 
         _assert_identity(build, "scan-locate", unrelayed=not relay)
+
+
+# -- scanner windows -------------------------------------------------------
+
+@st.composite
+def scanner_case(draw):
+    """A level, a reference stream over it, and a locator target.
+
+    The stream mixes data refs (zero-length fibers included), ``N``,
+    stops of several levels — stray ones and ones directly after a
+    fiber — and, sometimes, tokens after the ``D``.
+    """
+    if draw(st.booleans()):
+        count = draw(st.integers(1, 3))
+        level = DenseLevel(draw(st.integers(1, 4)), count)
+    else:
+        scanned = draw(fibers)
+        count, level = len(scanned), CompressedLevel.from_fibers(scanned)
+    ref = st.one_of(
+        st.integers(0, count - 1),
+        st.sampled_from([EMPTY, Stop(0), Stop(1), Stop(2)]),
+    )
+    refs = draw(st.lists(ref, max_size=9)) + [DONE]
+    refs += draw(st.sampled_from([[], [0, Stop(0), DONE]]))
+    target = draw(st.lists(st.integers(0, UNIVERSE - 1), unique=True,
+                           max_size=UNIVERSE).map(sorted))
+    return level, refs, target, draw(st.integers(0, 3)), draw(st.booleans())
+
+
+class TestScannerWindow:
+    """``LevelScanner._scan_timed`` takes whatever window it is handed:
+    the whole stream, or the stream cut in two at every position (the
+    second piece a few cycles later), alone or fused as ``scan-locate``."""
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "scan-locate"])
+    @settings(max_examples=40, deadline=None)
+    @given(case=scanner_case())
+    def test_full_report_identity_at_every_cut(self, fused, case):
+        level, refs, target, gap, reverse = case
+
+        def build(cut):
+            in_ref = Channel("in_ref", kind="ref")
+            crd, ref = Channel("crd"), Channel("ref", kind="ref")
+            if cut is None:
+                blocks = [StreamFeeder(list(refs), in_ref, name="feed")]
+            else:
+                blocks = [Slicer(refs, [(cut, gap)], in_ref, "feed")]
+            blocks.append(make_scanner(level, in_ref, crd, ref, name="scan"))
+            outs = [crd, ref]
+            if fused:
+                outs = [Channel("o_crd"), Channel("o_found", kind="ref"),
+                        Channel("o_in", kind="ref")]
+                blocks.append(Locator(CompressedLevel.from_fibers([target]),
+                                      crd, ref, *outs, name="locate"))
+            blocks += [Sink(ch, name=f"sink_{ch.name}") for ch in outs]
+            return blocks[::-1] if reverse else blocks
+
+        for cut in [None] + list(range(len(refs) + 1)):
+            want, _ = _full_report(build(cut), "cycle")
+            for be in TIMED:
+                got, report = _full_report(build(cut), be)
+                assert got == want, (be, cut)
+            if fused and cut is None:
+                assert report.fusion["kinds"] == {"scan-locate": 1}
 
 
 # -- value chains ----------------------------------------------------------
