@@ -27,7 +27,6 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..jit import get_kernel
 from ..streams.batch import CODE_DONE, CODE_EMPTY, decode_code
 from ..streams.channel import Channel
 from ..streams.timing import I64_MAX, index_ramp
@@ -362,35 +361,24 @@ class _Merger(Block):
         ``(values, presents, idx, cycles)``: per side the presence mask
         and the searchsorted positions of *values*.
         """
-        kern = get_kernel("merge_events") if len(keys) == 2 else None
-        if kern is not None:
-            # One two-finger pass replaces the sorted union, 2x searchsorted
-            # and the cumsum successor gathers; bit-identical (see
-            # repro.jit.kernels.merge_events_k).  Both sides end on the
-            # final stop key, so the kernel's closing gate goes unused.
-            values, present_a, present_b, ia, ib, arrivals = kern(
-                keys[0], keys[1], arrs[0], arrs[1], 0, 0
-            )
-            presents, idx, arrivals = [present_a, present_b], [ia, ib], arrivals[:-1]
-        else:
-            # union of strictly increasing runs: a stable sort is one
-            # merge pass (np.union1d's hash-based unique is ~80x slower)
-            both = np.concatenate(keys)
-            both.sort(kind="stable")
-            fresh = np.ones(len(both), dtype=bool)
-            np.not_equal(both[1:], both[:-1], out=fresh[1:])
-            values = both[fresh]
-            arrivals = np.zeros(len(values), dtype=np.int64)
-            arrivals[0] = max(arr[0] for arr in arrs)
-            gate = arrivals[1:]
-            presents, idx = [], []
-            for side_keys, arr in zip(keys, arrs):
-                at = np.searchsorted(side_keys, values)
-                present = side_keys[at] == values
-                took = present[:-1]
-                np.maximum(gate, np.where(took, arr[np.cumsum(took)], 0), out=gate)
-                presents.append(present)
-                idx.append(at)
+        # union of strictly increasing runs: a stable sort is one
+        # merge pass (np.union1d's hash-based unique is ~80x slower)
+        both = np.concatenate(keys)
+        both.sort(kind="stable")
+        fresh = np.ones(len(both), dtype=bool)
+        np.not_equal(both[1:], both[:-1], out=fresh[1:])
+        values = both[fresh]
+        arrivals = np.zeros(len(values), dtype=np.int64)
+        arrivals[0] = max(arr[0] for arr in arrs)
+        gate = arrivals[1:]
+        presents, idx = [], []
+        for side_keys, arr in zip(keys, arrs):
+            at = np.searchsorted(side_keys, values)
+            present = side_keys[at] == values
+            took = present[:-1]
+            np.maximum(gate, np.where(took, arr[np.cumsum(took)], 0), out=gate)
+            presents.append(present)
+            idx.append(at)
         return values, presents, idx, self._t_advance(arrivals)
 
     def _emit_window(self, groups, stride, codes, events, refs):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..jit import get_kernel
 from ..streams.batch import (
     CODE_DONE,
     CODE_EMPTY,
@@ -310,14 +309,8 @@ class Repeater(Block):
             if codes is None and not empty_ref:
                 codes, stamps = _flat_sig(rd_sig)
                 pos = ei = nci = 0
-                kern = get_kernel("repsig_ends")
-                if kern is not None and len(codes):
-                    ends_all, nonclose = kern(
-                        np.ascontiguousarray(codes), CODE_REPEAT
-                    )
-                else:
-                    ends_all = np.flatnonzero(codes != CODE_REPEAT)
-                    nonclose = np.flatnonzero(codes[ends_all] != 0)
+                ends_all = np.flatnonzero(codes != CODE_REPEAT)
+                nonclose = np.flatnonzero(codes[ends_all] != 0)
             if empty_ref or pos >= len(codes):
                 # Token-exact: N references repeat as control runs, and
                 # so does whatever follows an exhausted (or not purely

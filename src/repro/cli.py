@@ -332,12 +332,9 @@ def _cmd_lint(args) -> None:
     print(f"linted {len(results)} graphs: {total_findings} findings, "
           f"{errors} errors")
     if args.json:
-        from .jit import jit_stats
-
         payload = {"graphs": results,
                    "errors": errors,
-                   "findings": total_findings,
-                   "jit": jit_stats()}
+                   "findings": total_findings}
         with open(args.json, "w") as handle:
             jsonlib.dump(payload, handle, indent=1, sort_keys=True)
             handle.write("\n")
@@ -411,16 +408,11 @@ def _cmd_graph(args) -> None:
               + (f" (engine {engine})" if engine else ""))
         return
     bound = bind(program.graph, program._prepare_inputs(tensors))
-    if getattr(args, "jit_stats", False):
+    if getattr(args, "dump_plan", False):
         from .graph.bind import segment_plan_key
-        from .jit import PLAN_CACHE, jit_stats, plan_digest
+        from .jit import PLAN_CACHE, plan_digest
 
-        stats = jit_stats()
-        print(f"jit: mode={stats['mode']} backend={stats['backend']}"
-              + (f" (numba {stats['numba']})" if stats["numba"] else ""))
-        for kname, tier in sorted(stats["kernels"].items()):
-            print(f"  kernel {kname}: {tier}")
-        cache = stats["plan_cache"]
+        cache = PLAN_CACHE.snapshot()
         print(f"plan cache: {cache['size']} plans, {cache['hits']} hits, "
               f"{cache['misses']} misses")
         for seg in partition_segments(bound.blocks):
@@ -555,10 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="validate the wired graph (ports, kinds, backend "
                    "capabilities) instead of printing DOT; exits non-zero "
                    "listing every violation")
-    p.add_argument("--jit-stats", action="store_true",
-                   help="report the JIT tier instead of DOT: dispatcher "
-                   "resolution (compiled vs fallback) per kernel plus each "
-                   "fused segment's plan-cache key")
+    p.add_argument("--dump-plan", action="store_true",
+                   help="print the plan cache counters and each fused "
+                   "segment's kind, plan digest and warm/cold state "
+                   "instead of DOT")
 
     p = sub.add_parser(
         "lint", help="static analysis (protocol, deadlock, rate) over "

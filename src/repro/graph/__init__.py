@@ -3,7 +3,6 @@
 from .bind import BoundGraph, bind, node_ports
 from .builder import (
     Graph,
-    GraphBuilder,
     GraphNode,
     GraphValidationError,
     RunCapture,
@@ -16,7 +15,6 @@ from .ir import Edge, GraphError, Node, SamGraph, fanout_groups
 __all__ = [
     "BoundGraph",
     "Graph",
-    "GraphBuilder",
     "GraphNode",
     "GraphValidationError",
     "RunCapture",

@@ -621,10 +621,10 @@ def segment_plan_key(blocks, segment: "FusedSegment") -> Tuple:
     (ii/latency/ctrl cycles), transform tags, link visibility deltas,
     and feeder placement — and nothing run-specific (no clocks, no
     data), so repeated bindings of the same expression shape map to the
-    same :class:`repro.jit.SegmentPlan`.  Link deltas are derived
+    same :data:`repro.jit.PLAN_CACHE` entry.  Link deltas are derived
     structurally (0 when the consumer runs later in the block list, 1
     otherwise — the rule the engine applies at init time), so keys
-    computed without timed state (e.g. by ``repro graph --jit-stats``)
+    computed without timed state (e.g. by ``repro graph --dump-plan``)
     match the engine's.
     """
     producers: Dict[Channel, int] = {}

@@ -1,23 +1,19 @@
 """Declarative graph construction: typed ports, auto-wiring, validation.
 
-Two layers live here:
-
-* :class:`GraphBuilder` — the original imperative surface (``ch``/
-  ``add``/``run``), kept as a thin compatibility shim.
-* :class:`Graph` — the declarative layer every kernel now uses.  A
-  stream is *named once* at its producer (:meth:`Graph.out`) and
-  referenced by the same name at its consumer (:meth:`Graph.in_`);
-  matching names auto-wire the edge, exactly as the SAM paper draws
-  graphs (named streams between typed block ports).  Explicit
-  :meth:`Graph.connect` rebinds an input port past the name matching,
-  and :meth:`Graph.validate` checks the whole graph *before it runs*:
-  duplicate producers, multi-consumer streams without a ``Fanout``,
-  unconnected required ports, port/stream kind mismatches against each
-  block's :class:`~repro.blocks.base.PortSpec` declarations, and
-  capability mismatches for the requested backend.  A validated graph
-  can also be nested: :meth:`Graph.as_node` exposes its open streams as
-  ports so a PE-array lane or a tiled kernel composes as a single node
-  (:meth:`Graph.include`).
+:class:`Graph` is the layer every kernel uses.  A stream is *named
+once* at its producer (:meth:`Graph.out`) and referenced by the same
+name at its consumer (:meth:`Graph.in_`); matching names auto-wire the
+edge, exactly as the SAM paper draws graphs (named streams between
+typed block ports).  Explicit :meth:`Graph.connect` rebinds an input
+port past the name matching, and :meth:`Graph.validate` checks the
+whole graph *before it runs*: duplicate producers, multi-consumer
+streams without a ``Fanout``, unconnected required ports, port/stream
+kind mismatches against each block's
+:class:`~repro.blocks.base.PortSpec` declarations, and capability
+mismatches for the requested backend.  A validated graph can also be
+nested: :meth:`Graph.as_node` exposes its open streams as ports so a
+PE-array lane or a tiled kernel composes as a single node
+(:meth:`Graph.include`).
 
 Typical use::
 
@@ -43,7 +39,7 @@ class RunCapture:
     """Recorder for simulation launches made while a capture is active.
 
     ``runs`` collects one ``(blocks, report)`` pair per launch through
-    :meth:`GraphBuilder.run` or :meth:`repro.graph.bind.BoundGraph.run`.
+    :meth:`Graph.run` or :meth:`repro.graph.bind.BoundGraph.run`.
     With ``simulate=False`` the launch is intercepted entirely: the
     block list is recorded and a zero-cycle report returned without
     running, so ``repro lint`` can collect graph structure from kernels
@@ -108,79 +104,6 @@ class GraphValidationError(RuntimeError):
         )
 
 
-class GraphBuilder:
-    """Collects the channels and blocks of one dataflow graph."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.blocks: List = []
-        self.channels: Dict[str, Channel] = {}
-
-    # -- channels --------------------------------------------------------
-    def channel(
-        self,
-        name: str,
-        kind: str = "crd",
-        capacity: Optional[int] = None,
-        record: bool = False,
-    ) -> Channel:
-        """Create and register a channel; duplicate names are rejected."""
-        if name in self.channels:
-            raise ValueError(f"duplicate channel name {name!r}")
-        chan = Channel(name, kind=kind, capacity=capacity, record=record)
-        self.channels[name] = chan
-        return chan
-
-    #: short alias matching the old local ``ch(...)`` helpers
-    ch = channel
-
-    def __getitem__(self, name: str) -> Channel:
-        return self.channels[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.channels
-
-    # -- blocks ----------------------------------------------------------
-    def add(self, block):
-        """Register one block; returns it so writer handles can be kept."""
-        self.blocks.append(block)
-        return block
-
-    def add_all(self, blocks: Iterable) -> None:
-        """Register several blocks (e.g. the pair from ``make_repeater``)."""
-        self.blocks.extend(blocks)
-
-    # -- execution -------------------------------------------------------
-    def run(
-        self,
-        max_cycles: Optional[int] = None,
-        backend: Optional[str] = None,
-        max_resumptions: Optional[int] = None,
-    ) -> SimulationReport:
-        """Simulate the collected graph on the chosen backend.
-
-        ``max_resumptions`` is the functional backends' explicit
-        token-operation budget (``max_cycles`` is advisory there).
-        """
-        capture = active_capture()
-        if capture is not None and not capture.simulate:
-            report = SimulationReport(0, list(self.blocks))
-            capture.record(self.blocks, report)
-            return report
-        report = run_blocks(self.blocks, max_cycles=max_cycles,
-                            backend=backend,
-                            max_resumptions=max_resumptions)
-        if capture is not None:
-            capture.record(self.blocks, report)
-        return report
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}({self.name!r}, blocks={len(self.blocks)}, "
-            f"channels={len(self.channels)})"
-        )
-
-
 class GraphNode:
     """A validated subgraph exposed as a single composite node.
 
@@ -211,7 +134,7 @@ class GraphNode:
         )
 
 
-class Graph(GraphBuilder):
+class Graph:
     """Declarative dataflow graph: named streams, typed ports, validation.
 
     A stream is declared exactly once at its producer with :meth:`out`
@@ -225,7 +148,9 @@ class Graph(GraphBuilder):
     """
 
     def __init__(self, name: str = ""):
-        super().__init__(name)
+        self.name = name
+        self.blocks: List[Block] = []
+        self.channels: Dict[str, Channel] = {}
         #: stream names already claimed by a producer via :meth:`out`
         self._produced: Set[str] = set()
         #: channel ids exempt from connectivity checks (see :meth:`unused`)
@@ -233,6 +158,36 @@ class Graph(GraphBuilder):
         #: subgraph name -> member blocks, recorded by :meth:`include`
         #: (consumed by the DOT renderer for cluster grouping)
         self.groups: Dict[str, List[Block]] = {}
+
+    # -- channels and blocks --------------------------------------------
+    def channel(
+        self,
+        name: str,
+        kind: str = "crd",
+        capacity: Optional[int] = None,
+        record: bool = False,
+    ) -> Channel:
+        """Create and register a channel; duplicate names are rejected."""
+        if name in self.channels:
+            raise ValueError(f"duplicate channel name {name!r}")
+        chan = Channel(name, kind=kind, capacity=capacity, record=record)
+        self.channels[name] = chan
+        return chan
+
+    def __getitem__(self, name: str) -> Channel:
+        return self.channels[name]
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.channels
+
+    def add(self, block):
+        """Register one block; returns it so writer handles can be kept."""
+        self.blocks.append(block)
+        return block
+
+    def add_all(self, blocks: Iterable) -> None:
+        """Register several blocks (e.g. the pair from ``make_repeater``)."""
+        self.blocks.extend(blocks)
 
     # -- declarative wiring ---------------------------------------------
     def out(
@@ -485,8 +440,27 @@ class Graph(GraphBuilder):
         max_resumptions: Optional[int] = None,
         validate: bool = True,
     ) -> SimulationReport:
-        """Validate (by default), then simulate on the chosen backend."""
+        """Validate (by default), then simulate on the chosen backend.
+
+        ``max_resumptions`` is the functional backends' explicit
+        token-operation budget (``max_cycles`` is advisory there).
+        """
         if validate:
             self.validate(backend=backend)
-        return super().run(max_cycles=max_cycles, backend=backend,
-                           max_resumptions=max_resumptions)
+        capture = active_capture()
+        if capture is not None and not capture.simulate:
+            report = SimulationReport(0, list(self.blocks))
+            capture.record(self.blocks, report)
+            return report
+        report = run_blocks(self.blocks, max_cycles=max_cycles,
+                            backend=backend,
+                            max_resumptions=max_resumptions)
+        if capture is not None:
+            capture.record(self.blocks, report)
+        return report
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({self.name!r}, blocks={len(self.blocks)}, "
+            f"channels={len(self.channels)})"
+        )

@@ -39,22 +39,6 @@ def _pool_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _warm_jit() -> None:
-    """Precompile the JIT kernels once, outside any timed point.
-
-    ``@njit(cache=True)`` persists machine code on disk, so the first
-    sweep worker pays the compile and every later worker (and later
-    sweep) loads it back; point timings never include compile time.
-    No-op without numba.
-    """
-    try:
-        from ..jit import warmup
-
-        warmup()
-    except Exception:
-        pass
-
-
 @dataclass
 class SweepReport:
     """Outcome of one :meth:`SweepRunner.run` call."""
@@ -120,7 +104,6 @@ class SweepRunner:
         if self.jobs == 1 or len(pending) == 1:
             from .registry import execute_spec
 
-            _warm_jit()
             for index, spec in pending:
                 begin = time.perf_counter()
                 payload = execute_spec(spec)
@@ -132,7 +115,7 @@ class SweepRunner:
         jobs = min(self.jobs, len(pending))
         specs = dict(pending)
         tasks = [(index, spec.to_dict()) for index, spec in pending]
-        with ctx.Pool(processes=jobs, initializer=_warm_jit) as pool:
+        with ctx.Pool(processes=jobs) as pool:
             # Collect in completion order so every finished point reaches
             # the caller (and the cache) immediately; an interrupt loses
             # at most the points still in flight.

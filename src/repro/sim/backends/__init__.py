@@ -16,7 +16,7 @@ The registry maps backend names to engine classes:
                         timed-capable blocks run ``drain_timed`` with
                         the stamps ignored, the rest their generator.
                         Not the fastest where segments fuse
-                        (``compiled`` is 3.5x ahead on 1e6-nnz SpMV);
+                        (``compiled`` is ~1.7x ahead on 1e6-nnz SpMV);
                         it is the quick one where the timed engines
                         step generator-only blocks cycle by cycle
                         (OuterSPACE, ``spmm_kij``: ~5x ``compiled``).

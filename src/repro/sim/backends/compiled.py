@@ -58,8 +58,8 @@ kept in the members themselves.
 There is one run loop: :meth:`TimedBatchEngine.run` steps whatever
 unit table ``_compile_segments`` hands it (empty for the plain engine)
 and handles dissolution itself.  This class only builds that table,
-freezes chain plans, and annotates the finished report with
-``report.fusion`` / ``report.jit``; token-order and ramp helpers are the
+records plan digests, and annotates the finished report with
+``report.fusion`` / ``report.plans``; token-order and ramp helpers are the
 shared ones from :mod:`repro.streams.timing`.
 """
 
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...jit import PLAN_CACHE, SegmentPlan, get_kernel, jit_stats
+from ...jit import PLAN_CACHE
 from ...streams.batch import CODE_DONE, CODE_EMPTY
 from ...streams.timing import (
     compose_rate1,
@@ -133,7 +133,7 @@ def _compose_fast(arrivals, stages):
     return out
 
 
-def _advance_members(members, deltas, arrivals, plan=None):
+def _advance_members(members, deltas, arrivals):
     """Composed ``_t_advance`` across a fused chain: one schedule each.
 
     *arrivals* is the head's token-order arrival array (already
@@ -142,11 +142,6 @@ def _advance_members(members, deltas, arrivals, plan=None):
     exactly what its own ``_t_advance`` would apply.  Falls back to the
     member-by-member calls when any carry is pending (carries interact
     with the first arrival, which the composed pass does not model).
-
-    With the JIT tier active the whole composition runs as one fused
-    2-D kernel pass; *plan* (the segment's cached
-    :class:`~repro.jit.SegmentPlan`) supplies the precomputed stage
-    ii/delta vectors so warm runs skip rebuilding them per window.
     """
     if any(m._t_carry for m in members):
         scheds = []
@@ -158,30 +153,13 @@ def _advance_members(members, deltas, arrivals, plan=None):
             scheds.append(cur)
         return scheds
     arrivals = np.asarray(arrivals, dtype=np.int64)
-    kern = get_kernel("compose_rate1")
-    if kern is not None:
-        nm = len(members)
-        clocks = np.empty(nm, dtype=np.int64)
-        for k, member in enumerate(members):
-            clocks[k] = member._tclock
-        if plan is not None and plan.iis is not None:
-            iis, stage_deltas = plan.iis, plan.stage_deltas
-        else:
-            iis = np.empty(nm, dtype=np.int64)
-            stage_deltas = np.empty(nm, dtype=np.int64)
-            for k, member in enumerate(members):
-                iis[k] = member.timing.ii
-                stage_deltas[k] = 0 if k == 0 else deltas[k - 1]
-        mat = kern(np.ascontiguousarray(arrivals), clocks, iis, stage_deltas)
-        scheds = [mat[k] for k in range(nm)]
-    else:
-        stages = [
-            (m._tclock, m.timing.ii, 0 if k == 0 else deltas[k - 1])
-            for k, m in enumerate(members)
-        ]
-        scheds = _compose_fast(arrivals, stages)
-        if scheds is None:
-            scheds = compose_rate1(arrivals, stages)
+    stages = [
+        (m._tclock, m.timing.ii, 0 if k == 0 else deltas[k - 1])
+        for k, m in enumerate(members)
+    ]
+    scheds = _compose_fast(arrivals, stages)
+    if scheds is None:
+        scheds = compose_rate1(arrivals, stages)
     n = len(scheds[0])
     for member, c in zip(members, scheds):
         ii = member.timing.ii
@@ -420,11 +398,10 @@ class _ChainUnit:
     __slots__ = (
         "members", "blocks", "links", "deltas", "head", "roles",
         "parts", "head_in", "tail_out", "sides", "active", "lazy_ok",
-        "emitters", "kind", "plan",
+        "emitters", "kind",
     )
 
     def __init__(self, blocks, segment):
-        self.plan = None
         self.members = list(segment.members)
         n_feeders = sum(1 for f in segment.feeders if f is not None)
         spine = segment.members[n_feeders:]
@@ -625,9 +602,7 @@ class _ChainUnit:
                 self.blocks, self.deltas, merged, ci, known
             )
         if cctrl is None:
-            scheds = _advance_members(
-                self.blocks, self.deltas, merged, self.plan
-            )
+            scheds = _advance_members(self.blocks, self.deltas, merged)
             cctrl = scheds[-1][ci]
         else:
             scheds = None
@@ -689,11 +664,10 @@ class _ScanLocateUnit:
 
     __slots__ = (
         "members", "scan", "loc", "links", "delta", "active",
-        "emitters", "kind", "plan",
+        "emitters", "kind",
     )
 
     def __init__(self, blocks, segment):
-        self.plan = None
         self.members = list(segment.members)
         self.scan = blocks[segment.members[0]]
         self.loc = blocks[segment.members[1]]
@@ -721,24 +695,15 @@ class _ScanLocateUnit:
             if scan._t_carry > val[0]:
                 val[0] = scan._t_carry
             scan._t_carry = 0
-        kern = get_kernel("scan_sched")
-        if kern is not None:
-            sched, off_last = kern(
-                np.ascontiguousarray(pos),
-                np.ascontiguousarray(val),
-                total, ii, scan._tclock, self.delta, loc._tclock,
-            )
-            end = int(off_last) + total * ii
-        else:
-            offs = np.maximum.accumulate(
-                val - (pos * ii if ii != 1 else pos)
-            )
-            np.maximum(offs, scan._tclock, out=offs)
-            end = int(offs[-1]) + total * ii
-            offs_l = np.maximum(offs + self.delta, loc._tclock)
-            ramp = index_ramp(total) * ii if ii != 1 else index_ramp(total)
-            sched = np.repeat(offs_l, np.diff(pos, append=total))
-            sched += ramp
+        offs = np.maximum.accumulate(
+            val - (pos * ii if ii != 1 else pos)
+        )
+        np.maximum(offs, scan._tclock, out=offs)
+        end = int(offs[-1]) + total * ii
+        offs_l = np.maximum(offs + self.delta, loc._tclock)
+        ramp = index_ramp(total) * ii if ii != 1 else index_ramp(total)
+        sched = np.repeat(offs_l, np.diff(pos, append=total))
+        sched += ramp
         for member, last in ((scan, end), (loc, int(sched[-1]) + ii)):
             member.busy_cycles += total
             member.stall_cycles += (last - member._tclock) - ii * total
@@ -815,13 +780,10 @@ class CompiledEngine(TimedBatchEngine):
             ]
             key = segment_plan_key(blocks, seg)
             cached = key in PLAN_CACHE
-            unit.plan = PLAN_CACHE.get(
-                key, lambda k=key, s=seg, u=unit: self._build_plan(k, s, u)
-            )
             plans.append({
                 "kind": seg.kind,
                 "members": len(seg.members),
-                "key": unit.plan.digest,
+                "key": PLAN_CACHE.get(key),
                 "cached": cached,
             })
             for i in seg.members:
@@ -833,29 +795,11 @@ class CompiledEngine(TimedBatchEngine):
         self._segment_log = (compiled, rejected, plans, cache_mark)
         return units
 
-    @staticmethod
-    def _build_plan(key, segment, unit):
-        """Freeze a chain unit's stage ii/delta vectors into its plan.
-
-        Non-chain shapes carry no composed-schedule parameters (their
-        scheduling state is per-window), so their plans cache only the
-        key/kind identity for reporting.
-        """
-        iis = stage_deltas = None
-        if segment.shape == "chain":
-            nm = len(unit.blocks)
-            iis = np.fromiter(
-                (b.timing.ii for b in unit.blocks), np.int64, nm
-            )
-            stage_deltas = np.zeros(nm, dtype=np.int64)
-            if len(unit.deltas):
-                stage_deltas[1:] = unit.deltas
-        return SegmentPlan(key, segment.kind, iis, stage_deltas)
-
     def _report(self, cycles):
         """Attach ``report.fusion`` (segment statistics as of the end of
         the run: a dissolved unit counts as a fallback, its kind stays
-        listed at the reduced count) and ``report.jit``."""
+        listed at the reduced count) and ``report.plans`` (the fused
+        segments' plan digests and this run's cache hits/misses)."""
         report = super()._report(cycles)
         compiled, rejected, plans, (hits, misses) = self._segment_log
         fusion = {
@@ -872,8 +816,9 @@ class CompiledEngine(TimedBatchEngine):
             fusion["fallbacks"] += 1 - live
             fusion["kinds"][unit.kind] = fusion["kinds"].get(unit.kind, 0) + live
         report.fusion = fusion
-        report.jit = jit_stats()
-        report.jit["plan_cache"]["run_hits"] = PLAN_CACHE.hits - hits
-        report.jit["plan_cache"]["run_misses"] = PLAN_CACHE.misses - misses
-        report.jit["plans"] = plans
+        report.plans = {
+            "segments": plans,
+            "run_hits": PLAN_CACHE.hits - hits,
+            "run_misses": PLAN_CACHE.misses - misses,
+        }
         return report

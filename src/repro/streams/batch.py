@@ -28,7 +28,6 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..jit import get_kernel
 from .token import DONE, EMPTY, Stop, is_stop
 
 #: control codes (ctrl_code entries); stop tokens use their level (>= 0)
@@ -317,10 +316,8 @@ def sequential_segment_sums(data: np.ndarray, starts: np.ndarray,
     ``tolist()`` so it reproduces the generators' ``acc = 0.0; acc += v``
     accumulator exactly — numpy's vectorised reductions (``np.sum``,
     ``np.add.reduceat``) use pairwise summation, whose rounding order
-    differs from the sequential loop for longer segments.  With the JIT
-    tier active the same left-to-right loop runs compiled
-    (:func:`repro.jit.kernels.segment_sums_k`), preserving the rounding
-    order.  Malformed segment tables raise :class:`ValueError`.
+    differs from the sequential loop for longer segments.  Malformed
+    segment tables raise :class:`ValueError`.
     """
     if len(starts) == 0:
         return _EMPTY_F64
@@ -328,13 +325,6 @@ def sequential_segment_sums(data: np.ndarray, starts: np.ndarray,
     starts = np.asarray(starts, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
     _validate_segments(len(data), starts, lens)
-    kern = get_kernel("segment_sums")
-    if kern is not None:
-        return kern(
-            np.ascontiguousarray(data),
-            np.ascontiguousarray(starts),
-            np.ascontiguousarray(lens),
-        )
     return _sequential_sums_loop(data, starts, lens)
 
 
@@ -363,13 +353,6 @@ def exact_segment_sums(data: np.ndarray, starts: np.ndarray,
     lens = np.asarray(lens, dtype=np.int64)
     data = np.asarray(data, dtype=np.float64)
     _validate_segments(len(data), starts, lens)
-    kern = get_kernel("segment_sums")
-    if kern is not None:
-        return kern(
-            np.ascontiguousarray(data),
-            np.ascontiguousarray(starts),
-            np.ascontiguousarray(lens),
-        )
     if n < 16:
         return _sequential_sums_loop(data, starts, lens)
     out = np.empty(n)

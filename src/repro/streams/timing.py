@@ -33,7 +33,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..jit import get_kernel
 from .batch import (
     CODE_DONE,
     CODE_EMPTY,
@@ -56,11 +55,6 @@ def rate1_schedule(arrivals: np.ndarray, clock: int, ii: int = 1) -> np.ndarray:
     n = len(arrivals)
     if n == 0:
         return _EMPTY_I64
-    kern = get_kernel("rate1_schedule")
-    if kern is not None:
-        return kern(
-            np.ascontiguousarray(arrivals, dtype=np.int64), int(clock), int(ii)
-        )
     idx = np.arange(n, dtype=np.int64) * ii
     base = np.maximum(np.asarray(arrivals, dtype=np.int64) - idx, clock)
     return np.maximum.accumulate(base) + idx
@@ -95,20 +89,6 @@ def compose_rate1(
     """
     if not stages:
         return []
-    kern = get_kernel("compose_rate1")
-    if kern is not None:
-        s = len(stages)
-        clocks = np.empty(s, dtype=np.int64)
-        iis = np.empty(s, dtype=np.int64)
-        deltas = np.empty(s, dtype=np.int64)
-        for j, (clock, ii, delta) in enumerate(stages):
-            clocks[j] = clock
-            iis[j] = ii
-            deltas[j] = delta
-        mat = kern(
-            np.ascontiguousarray(arrivals, dtype=np.int64), clocks, iis, deltas
-        )
-        return [mat[j] for j in range(s)]
     clock0, ii0, delta0 = stages[0]
     gated = np.asarray(arrivals, dtype=np.int64)
     if delta0:
