@@ -23,13 +23,19 @@ section 4.2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..streams.batch import CODE_DONE, CODE_EMPTY, decode_code
 from ..streams.channel import Channel
-from ..streams.timing import I64_MAX, index_ramp
+from ..streams.timing import (
+    I64_MAX,
+    drop_fibers,
+    front_fibers,
+    held_fibers,
+    index_ramp,
+)
 from ..streams.token import DONE, EMPTY, is_data, is_done, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 
@@ -39,41 +45,6 @@ def _window_capacity(stride: int) -> int:
     timed window holding more merges in sub-windows of this many, and 0
     (one fiber's stop key would already wrap) leaves it to the scalar path."""
     return I64_MAX // stride
-
-
-def _held_window(reader):
-    """A timed reader's whole window as ONE held entry, cursors intact."""
-    if len(reader.held) > 1:
-        window = reader.take_window()
-        if window is not None:
-            reader.put_back(window)
-    return reader.held[0] if reader.held else None
-
-
-class _Fibers(NamedTuple):
-    """The leading fibers of one stream's timed window."""
-
-    data: np.ndarray
-    ends: np.ndarray  # data position each fiber's terminator sits at
-    lens: np.ndarray
-    codes: np.ndarray  # terminator codes
-    sdata: np.ndarray  # arrival stamps of data / of codes
-    scodes: np.ndarray
-
-
-def _front_fibers(entry, k: int) -> _Fibers:
-    """The first *k* fibers of a held entry, read through its cursors, so
-    a long backlog behind them costs nothing."""
-    batch, sdata, sctrl = entry
-    d, c = batch._d, batch._c
-    ends = batch.ctrl_pos[c:c + k] - d
-    lens = ends.copy()  # np.diff(ends, prepend=0) without its concatenate
-    lens[1:] -= ends[:-1]
-    top = d + int(ends[-1])
-    return _Fibers(
-        batch.data[d:top], ends, lens, batch.ctrl_code[c:c + k],
-        sdata[d:top], sctrl[c:c + k],
-    )
 
 
 @dataclass
@@ -227,14 +198,12 @@ class _Merger(Block):
         progressed = False
         while True:
             # per side: its coordinate stream's window, then its references'
-            held = [[_held_window(reader) for reader in side] for side in sides]
+            held = [[reader.held_window() for reader in side] for side in sides]
             windows = [w for side in held for w in side]
-            counts = [
-                0 if w is None else len(w[0].ctrl_code) - w[0]._c for w in windows
-            ]
+            counts = [held_fibers(w) for w in windows]
             whole = k = min(counts)
             if k:
-                views = [[_front_fibers(w, k) for w in side] for side in held]
+                views = [[front_fibers(w, k) for w in side] for side in held]
                 crd_codes = [side[0].codes for side in views]
                 codes = crd_codes[0]
                 done = np.logical_or.reduce([c == CODE_DONE for c in crd_codes])
@@ -251,7 +220,7 @@ class _Merger(Block):
                 k = min(k, _window_capacity(stride))
             if k:
                 if k < len(codes):
-                    views = [[_front_fibers(w, k) for w in side] for side in held]
+                    views = [[front_fibers(w, k) for w in side] for side in held]
                 keys, arrs, refs, clean = zip(
                     *(self._side_keys(side, stride) for side in views)
                 )
@@ -264,9 +233,8 @@ class _Merger(Block):
                     [arr[:cut] for arr, cut in zip(arrs, cuts)],
                 )
                 self._emit_window(groups, stride, codes, events, refs)
-                for batch, _, _ in windows:  # tokens after a D stay held
-                    batch._d = int(batch.ctrl_pos[batch._c + k - 1])
-                    batch._c += k
+                for window in windows:  # tokens after a D stay held
+                    drop_fibers(window, k)
             if 0 < k < whole:
                 continue  # a sub-window or a clean prefix: the next pass decides
             for group in groups:

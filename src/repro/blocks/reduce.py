@@ -31,16 +31,67 @@ from typing import Dict, List
 import numpy as np
 
 from ..streams.batch import (
+    _EMPTY_F64,
+    _EMPTY_I64,
     CODE_DONE,
+    _concat_data,
     decode_code,
     exact_segment_sums,
     sequential_segment_sums,
 )
 from ..streams.channel import Channel
-from ..streams.token import DONE, Stop, is_data, is_done, is_empty, is_stop
+from ..streams.timing import (
+    drop_fibers,
+    front_fibers,
+    held_fibers,
+    index_ramp,
+)
+from ..streams.token import (
+    DONE,
+    Stop,
+    is_data,
+    is_done,
+    is_empty,
+    is_stop,
+    token_repr,
+)
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 
 EMPTY_POLICIES = ("zero", "drop")
+
+
+def _show_value(token) -> str:
+    """A value-stream token as error messages print it: ``0.5`` whether
+    it came as a Python number or, off a batch, as ``np.float64(0.5)``,
+    and an ``N`` as the zero the timed plane has already made of it."""
+    if is_empty(token):
+        token = 0.0
+    elif isinstance(token, (int, float, np.number)):
+        token = float(token)
+    return token_repr(token)
+
+
+def _dedup_regions(crds, vals, sizes):
+    """Unique sorted coordinates and their sums, region by region.
+
+    *sizes* counts the ``(crd, val)`` pairs of each region, in arrival
+    order.  One ``np.lexsort`` by ``(region, crd)`` — stable, and with
+    no composite key there is no int64 capacity rule — keeps equal
+    coordinates in arrival order and ``np.add.at`` is unbuffered
+    (strictly in index order), so every sum is the left-to-right float64
+    sum the generator's ``table[crd] = table.get(crd, 0.0) + val``
+    computes — bit-identical, ``-0.0``, NaN and the infinities included.
+    Returns ``(uniq, sums, counts)``, *counts* per region.
+    """
+    region = np.repeat(index_ramp(len(sizes)), sizes)
+    order = np.lexsort((crds, region))
+    crds, region = crds[order], region[order]
+    fresh = np.ones(len(crds), dtype=bool)
+    fresh[1:] = (crds[1:] != crds[:-1]) | (region[1:] != region[:-1])
+    sums = np.zeros(int(fresh.sum()))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN are results
+        np.add.at(sums, np.cumsum(fresh) - 1, vals[order])
+    return crds[fresh], sums, np.bincount(region[fresh], minlength=len(sizes))
 
 
 class ScalarReducer(Block):
@@ -241,137 +292,219 @@ class VectorReducer(Block):
         self._region_crds: List[np.ndarray] = []
         self._region_vals: List[np.ndarray] = []
 
-    def _dedup_workspace(self):
-        """Flush the open region: unique sorted coords with summed values.
-
-        ``np.add.at`` is unbuffered (strictly in index order), so
-        duplicate coordinates accumulate in exact arrival order — the
-        invariant the timed plane needs for bit-identical sums.
-        Consumes the workspace; returns ``(uniq, sums)`` or None.
-        """
-        if not self._region_crds:
-            return None
-        crds = np.concatenate(self._region_crds).astype(np.int64, copy=False)
-        vals = np.concatenate(self._region_vals).astype(np.float64, copy=False)
-        uniq, inverse = np.unique(crds, return_inverse=True)
-        sums = np.zeros(len(uniq))
-        np.add.at(sums, inverse, vals)
-        self._region_crds = []
-        self._region_vals = []
-        return uniq, sums
-
     timing = TimingDescriptor()
 
     def _timed_bail_safe(self) -> bool:
         return super()._timed_bail_safe() and not self._region_crds
 
-    def _flush_timed(self, out_c, out_v, stop_level: int, arrival: int) -> None:
-        """Flush the workspace: one event per unique coordinate + the stop.
-
-        The first flush event is gated by the boundary pair's arrival
-        (the generator pops the boundary, then streams the workspace one
-        pair per cycle, then the stop pair in its own cycle).
-        """
-        flushed = self._dedup_workspace()
-        n_out = 0 if flushed is None else len(flushed[0])
-        arrivals = np.zeros(n_out + 1, dtype=np.int64)
-        arrivals[0] = arrival
-        c = self._t_advance(arrivals)
-        if n_out:
-            uniq, sums = flushed
-            out_c.data(uniq, c[:n_out])
-            out_v.data(sums + 0.0, c[:n_out])
-        out_c.ctrl(stop_level, int(c[n_out]))
-        out_v.ctrl(stop_level, int(c[n_out]))
-        self._emitted_since_flush = True
-
     def drain_timed(self) -> bool:
-        """Timed drain: accumulate aligned runs rate 1, flush at boundaries."""
+        """Timed drain: one sort, one accumulation, one schedule per window.
+
+        A pass consumes the leading chunks (runs closed by a control
+        token) that are complete on both streams, up to the first ``D``;
+        an unterminated trailing run stays held — rate-1 schedules
+        compose over any split, so consuming it a visit later is
+        cycle-exact.  A chunk that is not clean raises ``_run``'s error
+        before anything is consumed (:meth:`_raise_dirty`).
+        """
         if self.finished:
             return False
-        rd_c = self._treader(self.in_crd)
-        rd_v = self._treader(self.in_val)
-        rd_v.densify_empty(0.0)
-        out_c = self._tbuilder(self.out_crd)
-        out_v = self._tbuilder(self.out_val)
-        progressed = False
-
-        def park(channel):
-            out_c.flush()
-            out_v.flush()
-            self._wait = (channel, "data")
-            return progressed
-
-        while True:
-            cc = rd_c.front_ctrl()
-            cv = rd_v.front_ctrl()
-            lc = rd_c.run_length() if cc is None else 0
-            lv = rd_v.run_length() if cv is None else 0
-            if cc is None and lc == 0:
-                return park(self.in_crd)
-            if cc is None and cv is None:
-                if lv == 0:
-                    return park(self.in_val)
-                m = min(lc, lv)
-                crds, s_c = rd_c.pop_run_upto(m)
-                vals, s_v = rd_v.pop_run_upto(m)
-                self._region_crds.append(crds)
-                self._region_vals.append(np.asarray(vals, dtype=np.float64))
-                self._t_advance(np.maximum(s_c, s_v))
-                progressed = True
-                continue
-            if cc is not None and cv is None:
-                # Phantom zeros (regions with no coordinates at all):
-                # consumed inside the boundary's cycle, no events.
-                if lv == 0:
-                    return park(self.in_val)
-                vals, s_v = rd_v.pop_run_upto(lv)
-                bad = np.flatnonzero(np.asarray(vals) != 0.0)
-                if len(bad):
-                    raise BlockError(
-                        f"{self.name}: non-zero value {vals[bad[0]]!r} without a "
-                        f"coordinate"
-                    )
-                self._t_defer(int(s_v[-1]))
-                progressed = True
-                continue
-            if cc is None:
-                raise BlockError(
-                    f"{self.name}: misaligned inputs "
-                    f"({rd_c.peek()[0]!r} vs {rd_v.peek()[0]!r})"
+        readers = (self._treader(self.in_crd), self._treader(self.in_val))
+        readers[1].densify_empty(0.0)
+        windows = [reader.held_window() for reader in readers]
+        counts = [held_fibers(w) for w in windows]
+        k = min(counts)
+        if k == 0:
+            self._wait = (readers[counts.index(0)].channel, "data")
+            return False
+        crd, val = (front_fibers(w, k) for w in windows)
+        done = (crd.codes == CODE_DONE) | (val.codes == CODE_DONE)
+        if done.any():
+            k = int(done.argmax()) + 1
+            crd, val = (front_fibers(w, k) for w in windows)
+        clean = self._aligned_chunks(crd, val)
+        if clean < k:
+            if clean:  # a non-zero phantom before it is the earlier error
+                self._pair_values(
+                    windows, *(front_fibers(w, clean) for w in windows)
                 )
-            _, s_c = rd_c.pop()
-            _, s_v = rd_v.pop()
-            arrival = max(s_c, s_v)
-            progressed = True
-            if cc == CODE_DONE and cv == CODE_DONE:
-                if self._region_crds or not self._emitted_since_flush:
-                    self._flush_timed(out_c, out_v, 0, arrival)
-                    cyc = self._t_event(0)
-                else:
-                    cyc = self._t_event(arrival)
-                out_c.ctrl(CODE_DONE, cyc)
-                out_v.ctrl(CODE_DONE, cyc)
-                out_c.flush()
-                out_v.flush()
-                self.finished = True
-                self._wait = None
-                return True
-            if cc >= 0 and cv >= 0:
-                if cc != cv:
-                    raise BlockError(
-                        f"{self.name}: misaligned stops "
-                        f"{decode_code(cc)!r}/{decode_code(cv)!r}"
-                    )
-                if cc < self.flush_level:
-                    self._t_event(arrival)  # absorb the boundary: one cycle
-                    continue
-                self._flush_timed(out_c, out_v, cc - self.flush_level, arrival)
-                continue
-            raise BlockError(
-                f"{self.name}: misaligned inputs "
-                f"({decode_code(cc)!r} vs {decode_code(cv)!r})"
+            self._raise_dirty(windows, clean)
+        self._reduce_window(crd, *self._pair_values(windows, crd, val))
+        for window in windows:  # tokens after a D stay held
+            drop_fibers(window, k)
+        if crd.codes[-1] == CODE_DONE:
+            self.finished = True
+            self._wait = None
+        else:
+            self._wait = (readers[counts.index(k)].channel, "data")
+        return True
+
+    def _aligned_chunks(self, crd, val) -> int:
+        """How many leading chunks pair up structurally.
+
+        Not aligned: an ``N``/``R`` code on the coordinate stream, a
+        value terminator unlike the coordinate one, a value run shorter
+        than its coordinates, non-integer coordinates.
+        """
+        bad = crd.codes < CODE_DONE
+        bad |= val.codes != crd.codes
+        bad |= val.lens < crd.lens
+        if crd.data.dtype.kind != "i":
+            # a batch stores a mixed run as floats: the fractional ones
+            # are the error if there are any, else the first of all
+            chunk = np.repeat(index_ramp(len(bad)), crd.lens)
+            with np.errstate(invalid="ignore"):  # inf % 1 is NaN: not 0
+                odd = chunk[crd.data % 1 != 0]
+            bad[odd if len(odd) else chunk[:1]] = True
+        return int(bad.argmax()) if bad.any() else len(bad)
+
+    def _pair_values(self, windows, crd, val):
+        """Values and arrivals of the aligned ``(crd, val)`` pairs.
+
+        Returns ``(chunk, vals, arrivals, closes)``: the chunk each pair
+        sits in, its value, the cycle the pair is poppable (both tokens
+        arrived), and per chunk the arrival of its boundary pair.  A
+        value run longer than its coordinates trails phantom zeros (a
+        zero-policy reducer upstream saw a region with no coordinates):
+        they are popped inside the boundary's cycle, so they are no
+        events, and the value terminator behind them — stamps never
+        decrease along a stream — already gates it.  A non-zero one
+        raises.
+        """
+        n = len(crd.data)
+        chunk = np.repeat(index_ramp(len(crd.lens)), crd.lens)
+        vals, stamps = np.asarray(val.data, dtype=np.float64), val.sdata
+        if len(vals) > n:
+            extra = val.lens - crd.lens
+            pick = index_ramp(n) + (np.cumsum(extra) - extra)[chunk]
+            phantom = np.ones(len(vals), dtype=bool)
+            phantom[pick] = False
+            stray = np.flatnonzero(phantom & (vals != 0))
+            if len(stray):
+                at = int(np.searchsorted(val.ends, stray[0], "right"))
+                self._raise_dirty(windows, at)
+            vals, stamps = vals[pick], stamps[pick]
+        closes = np.maximum(crd.scodes, val.scodes)
+        return chunk, vals, np.maximum(crd.sdata, stamps), closes
+
+    def _reduce_window(self, crd, chunk, vals, arrivals, closes) -> None:
+        """Accumulate, schedule and emit one window of clean chunks.
+
+        Events, in stream order: one per pair; one per absorbed stop,
+        gated by its arrival; ``U + 1`` per flush (the region's ``U``
+        unique coordinates, then the lowered stop) with only the first
+        gated, by the boundary's arrival; ``D`` after an at-``D`` flush
+        in a cycle of its own, else gated by its arrival.  Hence one
+        arrivals array and one ``_t_advance``.
+        """
+        crds, codes = crd.data, crd.codes
+        n, ends_done = len(crds), bool(codes[-1] == CODE_DONE)
+        flush = codes >= self.flush_level
+        if ends_done:
+            # A region only D closes flushes there; so does a stream
+            # that never flushed (it was one, possibly empty, region).
+            closed = np.flatnonzero(flush)
+            since = int(crd.ends[closed[-1]]) if len(closed) else 0
+            carried = not len(closed) and bool(self._region_crds)
+            fresh = not (len(closed) or self._emitted_since_flush)
+            flush[-1] = n > since or carried or fresh
+        closed = np.flatnonzero(flush)
+        events = np.ones(len(codes), dtype=np.int64)  # per chunk terminator
+        uniq, sums, counts, cut = _EMPTY_F64, _EMPTY_F64, _EMPTY_I64, 0
+        if len(closed):
+            cut = int(crd.ends[closed[-1]])
+            sizes = np.diff(crd.ends[closed], prepend=0)
+            sizes[0] += sum(len(run) for run in self._region_crds)
+            uniq, sums, counts = _dedup_regions(
+                _concat_data(self._region_crds + [crds[:cut]]),
+                _concat_data(self._region_vals + [vals[:cut]]),
+                sizes,
             )
+            self._region_crds, self._region_vals = [], []
+            self._emitted_since_flush = True
+            events[closed] += counts
+            events[-1] += ends_done and flush[-1]  # then D, a cycle of its own
+        if cut < n:
+            self._region_crds.append(crds[cut:])
+            self._region_vals.append(vals[cut:])
+        before = np.cumsum(events) - events
+        at_close = crd.ends + before  # each terminator's first event
+        gates = np.zeros(n + int(before[-1] + events[-1]), dtype=np.int64)
+        gates[index_ramp(n) + before[chunk]] = arrivals
+        gates[at_close] = closes
+        cycles = self._t_advance(gates)
+        if not (len(closed) or ends_done):
+            return
+        cpos, first = np.cumsum(counts), at_close[closed]
+        dstamps = cycles[
+            index_ramp(len(uniq)) + np.repeat(first - (cpos - counts), counts)
+        ]
+        # the at-D flush closes with S0 whatever the flush level
+        ccode = np.maximum(codes[closed] - self.flush_level, 0)
+        cstamps = cycles[first + counts]
+        if ends_done:
+            cpos = np.append(cpos, len(uniq))
+            ccode = np.append(ccode, CODE_DONE)
+            cstamps = np.append(cstamps, cycles[-1])
+        for channel, run in ((self.out_crd, uniq), (self.out_val, sums)):
+            out = self._tbuilder(channel)
+            out.data_with_ctrl(run, cpos, ccode, dstamps, cstamps)
+            out.flush()
+
+    def _raise_dirty(self, windows, f: int):
+        """Raise the protocol error of chunk *f*, the first dirty one:
+        ``_run``'s checks over the chunk's token pairs, in its order."""
+        crd, val = (front_fibers(w, f + 1) for w in windows)
+        crds = crd.data[int(crd.ends[f] - crd.lens[f]):]
+        tokens = crds.tolist()
+        if crds.dtype.kind != "i":
+            # a batch stores a mixed run as floats; only the fractional
+            # ones cannot have been integers on the scalar plane
+            tokens = [int(t) if t.is_integer() else t for t in tokens]
+        vals = val.data[int(val.ends[f] - val.lens[f]):].tolist()
+        vals = iter(vals + [decode_code(int(val.codes[f]))])
+        for token in tokens:
+            self._check_pair(token, next(vals))
+        close, other = decode_code(int(crd.codes[f])), next(vals)
+        if is_data(close):  # a repeat signal is no coordinate
+            self._check_pair(close, other)
+        if is_stop(close) or is_done(close):
+            while is_data(other):
+                self._check_phantom(other)
+                other = next(vals)
+        if is_stop(close) and is_stop(other):
+            self._check_stops(close, other)
+        elif not (is_done(close) and is_done(other)):
+            raise self._misaligned(close, other)
+        raise BlockError(f"{self.name}: non-integer coordinate {crds[0]}")
+
+    # -- protocol checks, shared by both definitions ----------------------
+    def _check_pair(self, crd, val) -> None:
+        """A data coordinate must be an integer and pair with a value."""
+        if isinstance(crd, bool) or not isinstance(crd, (int, np.integer)):
+            raise BlockError(
+                f"{self.name}: non-integer coordinate {token_repr(crd)}"
+            )
+        if is_stop(val) or is_done(val):
+            raise self._misaligned(crd, val)
+
+    def _check_phantom(self, val) -> None:
+        """A value without a coordinate must be a (phantom) zero."""
+        if not is_empty(val) and val != 0.0:
+            raise BlockError(
+                f"{self.name}: non-zero value {_show_value(val)} without a "
+                f"coordinate"
+            )
+
+    def _check_stops(self, crd, val) -> None:
+        if crd.level != val.level:
+            raise BlockError(f"{self.name}: misaligned stops {crd!r}/{val!r}")
+
+    def _misaligned(self, crd, val) -> BlockError:
+        return BlockError(
+            f"{self.name}: misaligned inputs "
+            f"({token_repr(crd)} vs {_show_value(val)})"
+        )
 
     def _flush(self, table: Dict[int, float], stop: Stop):
         for crd in sorted(table):
@@ -393,11 +526,7 @@ class VectorReducer(Block):
                 # Drain phantom zeros from upstream zero-policy reducers
                 # (fully-empty regions have values but no coordinates).
                 while is_data(val) or is_empty(val):
-                    if not is_empty(val) and val != 0.0:
-                        raise BlockError(
-                            f"{self.name}: non-zero value {val!r} without a "
-                            f"coordinate"
-                        )
+                    self._check_phantom(val)
                     val = yield from self._get(self.in_val)
             if is_done(crd) and is_done(val):
                 if table or not self._emitted_since_flush:
@@ -409,18 +538,18 @@ class VectorReducer(Block):
                 yield True
                 return
             if is_stop(crd) and is_stop(val):
-                if crd.level != val.level:
-                    raise BlockError(f"{self.name}: misaligned stops {crd!r}/{val!r}")
+                self._check_stops(crd, val)
                 if crd.level < self.flush_level:
                     yield True  # same region continues; absorb the boundary
                     continue
                 yield from self._flush(table, Stop(crd.level - self.flush_level))
                 continue
             if is_data(crd):
+                self._check_pair(crd, val)
                 table[crd] = table.get(crd, 0.0) + (0.0 if is_empty(val) else val)
                 yield True
                 continue
-            raise BlockError(f"{self.name}: misaligned inputs ({crd!r} vs {val!r})")
+            raise self._misaligned(crd, val)
 
 
 class MatrixReducer(Block):

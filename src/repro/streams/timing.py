@@ -10,7 +10,7 @@ layout — ``sdata[i]`` stamps ``data[i]``, ``sctrl[i]`` stamps the control
 token ``ctrl_code[i]`` — and are non-decreasing in stream order (a block
 pushes in its own cycle order).
 
-Three pieces live here:
+Four pieces live here:
 
 * :func:`rate1_schedule` — the epoch advance rule.  A block whose
   descriptor declares initiation interval ``ii`` services one *event*
@@ -25,11 +25,15 @@ Three pieces live here:
   was pushed.
 * :func:`merge_stamps` / :func:`split_done_stamped` — token-order
   plumbing shared by the block hooks.
+* :meth:`TimedReader.held_window` / :func:`front_fibers` /
+  :func:`drop_fibers` — the window-at-a-time view the mergers and the
+  vector reducer share: the leading *k* control-terminated chunks of a
+  stream, read through the batch cursors and consumed by moving them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -381,15 +385,27 @@ class TimedReader:
         """Return a ``take_window`` result to the front of the window."""
         self.held.insert(0, entry)
 
+    def held_window(self):
+        """The whole window as ONE held entry, cursors intact (or None).
+
+        Consolidates only when batches arrived behind an entry that is
+        not used up, so a long backlog costs nothing per visit; a run
+        held for its terminator is copied once per batch that extends it.
+        """
+        self._trim()
+        if len(self.held) > 1:
+            self.put_back(self.take_window())
+        return self.held[0] if self.held else None
+
     def densify_empty(self, zero) -> None:
         """Rewrite ``N`` control tokens as data *zero*, stamps preserved."""
         for i, (batch, sdata, sctrl) in enumerate(self.held):
+            empty = batch.ctrl_code[batch._c:] == CODE_EMPTY
+            if not empty.any():
+                continue
             data, cpos, ccode = batch.remaining_arrays()
             sdata = sdata[batch._d:]
             sctrl = sctrl[batch._c:]
-            empty = ccode == CODE_EMPTY
-            if not empty.any():
-                continue
             new_data = np.insert(
                 np.asarray(data, dtype=np.float64), cpos[empty], zero
             )
@@ -410,6 +426,44 @@ def _concat_i64(parts: List[np.ndarray]) -> np.ndarray:
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts)
+
+
+class Fibers(NamedTuple):
+    """The leading fibers (control-terminated chunks) of a held entry."""
+
+    data: np.ndarray
+    ends: np.ndarray  # data position each fiber's terminator sits at
+    lens: np.ndarray
+    codes: np.ndarray  # terminator codes
+    sdata: np.ndarray  # arrival stamps of data / of codes
+    scodes: np.ndarray
+
+
+def held_fibers(entry) -> int:
+    """How many complete fibers a held entry (or None) still carries."""
+    return 0 if entry is None else len(entry[0].ctrl_code) - entry[0]._c
+
+
+def front_fibers(entry, k: int) -> Fibers:
+    """The first *k* fibers of a held entry, read through its cursors, so
+    a long backlog behind them costs nothing."""
+    batch, sdata, sctrl = entry
+    d, c = batch._d, batch._c
+    ends = batch.ctrl_pos[c:c + k] - d
+    lens = ends.copy()  # np.diff(ends, prepend=0) without its concatenate
+    lens[1:] -= ends[:-1]
+    top = d + int(ends[-1])
+    return Fibers(
+        batch.data[d:top], ends, lens, batch.ctrl_code[c:c + k],
+        sdata[d:top], sctrl[c:c + k],
+    )
+
+
+def drop_fibers(entry, k: int) -> None:
+    """Consume the first *k* fibers of a held entry; the rest stays held."""
+    batch = entry[0]
+    batch._d = int(batch.ctrl_pos[batch._c + k - 1])
+    batch._c += k
 
 
 class TimedBuilder:
@@ -495,9 +549,13 @@ class TimedBuilder:
 
 
 __all__ = [
+    "Fibers",
     "I64_MAX",
     "TimedBuilder",
     "TimedReader",
+    "drop_fibers",
+    "front_fibers",
+    "held_fibers",
     "index_ramp",
     "merge_stamps",
     "rate1_schedule",
