@@ -389,7 +389,7 @@ def _cmd_graph(args) -> None:
         shape = (args.size,) * ndim
         dense = rng.uniform(0.1, 1.0, size=shape)
         tensors[name] = np.where(rng.random(shape) < 0.5, dense, 0.0)
-    engine = args.engine or os.environ.get(ENGINE_ENV_VAR)
+    engine = args.engine or os.environ.get(ENGINE_ENV_VAR) or None
     if getattr(args, "check", False):
         # bind() validates the wired graph; revalidate explicitly against
         # the selected backend so capability gaps are also reported.

@@ -2,16 +2,14 @@
 
 from .extensor import ExTensorConfig, ExTensorResult, extensor_spmm_cycles
 from .tilegraph import TiledSpMMResult, sequence_tile_pairs, tiled_spmm
-from .hierarchy import BufferModel, DramModel, NBufferedPipeline
-from .tiling import TileInfo, TiledMatrix
+from .hierarchy import DramModel, NBufferedPipeline
+from .tiling import TiledMatrix
 
 __all__ = [
-    "BufferModel",
     "DramModel",
     "ExTensorConfig",
     "ExTensorResult",
     "NBufferedPipeline",
-    "TileInfo",
     "TiledMatrix",
     "TiledSpMMResult",
     "extensor_spmm_cycles",

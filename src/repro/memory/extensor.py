@@ -16,12 +16,16 @@ B-tile-row step, DRAM loads overlap with compute (n-buffering), tile
 pairs whose intersection is provably empty are skipped (sparse tile
 skipping), and within a tile pair the intersection cost uses the
 coordinate-skipping bound min(nnz_a, nnz_b) plus the multiply work.
+
+Every tile pair is costed at once with array operations over the two
+tile maps (see "The tile map as arrays" in ``docs/architecture.md``);
+only the LLB residency walk, which is order-dependent, is a loop — over
+B tiles, never over pairs or nonzeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -46,6 +50,14 @@ class ExTensorConfig:
     value_bytes: int = 8
     index_bytes: int = 4
 
+    def __post_init__(self):
+        for name in ("pe_tile", "num_pes", "n_buffering",
+                     "llb_bytes", "value_bytes", "index_bytes"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"ExTensorConfig.{name} must be positive, got {getattr(self, name)}"
+                )
+
 
 @dataclass
 class ExTensorResult:
@@ -58,111 +70,90 @@ class ExTensorResult:
     nonempty_pairs: int
 
 
-class _TileCounts:
-    """Cached per-tile count vectors so pair costs are O(tile) once."""
+def extensor_spmm_cycles(B, C, config: ExTensorConfig = None) -> ExTensorResult:
+    """Model SpM*SpM runtime on the ExTensor-like two-level hierarchy.
 
-    def __init__(self):
-        self._cols: dict = {}
-        self._rows: dict = {}
-
-    def col_counts(self, key, tile) -> np.ndarray:
-        if key not in self._cols:
-            self._cols[key] = np.asarray((tile != 0).sum(axis=0)).ravel()
-        return self._cols[key]
-
-    def row_counts(self, key, tile) -> np.ndarray:
-        if key not in self._rows:
-            self._rows[key] = np.asarray((tile != 0).sum(axis=1)).ravel()
-        return self._rows[key]
-
-
-def _pair_compute_cycles(
-    b_key, b_tile, c_key, c_tile, counts: _TileCounts, config: ExTensorConfig
-) -> float:
-    """Cycles for one PE-tile pair of Gustavson SpM*SpM.
-
-    Intersection with hierarchical coordinate skipping costs the smaller
-    operand's coordinate count; every surviving (i,k) pairs with C's row
-    k, so the multiply work is the exact co-product count.
+    Per tile pair of Gustavson SpM*SpM: intersection with hierarchical
+    coordinate skipping costs the smaller operand's coordinate count,
+    and every surviving (i,k) pairs with C's row k, so the multiply work
+    is the exact co-product count.
     """
-    b_col_counts = counts.col_counts(b_key, b_tile)
-    c_row_counts = counts.row_counts(c_key, c_tile)
-    k = min(len(b_col_counts), len(c_row_counts))
-    multiplies = float(b_col_counts[:k] @ c_row_counts[:k])
-    intersection = float(min(b_tile.nnz, c_tile.nnz))
-    return config.pair_overhead_cycles + intersection + multiplies
-
-
-def extensor_spmm_cycles(
-    B, C, config: ExTensorConfig = None
-) -> ExTensorResult:
-    """Model SpM*SpM runtime on the ExTensor-like two-level hierarchy."""
     config = config or ExTensorConfig()
     B = sparse.csr_matrix(B)
     C = sparse.csr_matrix(C)
+    if B.shape[1] != C.shape[0]:
+        raise ValueError(
+            f"cannot contract B of shape {B.shape} with C of shape {C.shape}: "
+            f"B has {B.shape[1]} columns, C has {C.shape[0]} rows"
+        )
     tb = TiledMatrix(B, config.pe_tile)
     tc = TiledMatrix(C, config.pe_tile)
+    b_tiles, k_tiles = tb.num_nonempty_tiles, tc.grid[0]
+    b_bytes = tb.all_tile_bytes(config.value_bytes, config.index_bytes)
+    c_bytes = tc.all_tile_bytes(config.value_bytes, config.index_bytes)
 
-    # Index C's nonempty tiles by tile-row (the contracted dimension).
-    c_by_k: Dict[int, List[Tuple[int, int]]] = {}
-    for (k, j) in tc.tiles:
-        c_by_k.setdefault(k, []).append((k, j))
+    # Group C's nonempty tiles by tile-row (the contracted dimension).
+    c_by_k = np.argsort(tc.tile_rows)
+    c_per_k = np.bincount(tc.tile_rows, minlength=k_tiles)
+    c_start = np.cumsum(c_per_k) - c_per_k
+    c_row_bytes = np.bincount(tc.tile_rows, weights=c_bytes, minlength=k_tiles).tolist()
+
+    # Sparse tile skipping: B tile (i, k) pairs with the C tiles under k and
+    # nothing else.  Pair p of B tile b is the (p - pair_start[b])-th of them.
+    pairs_per_b = c_per_k[tb.tile_cols]
+    pair_start = np.cumsum(pairs_per_b) - pairs_per_b
+    pair_b = np.repeat(np.arange(b_tiles), pairs_per_b)
+    pair_c = c_by_k[
+        np.arange(len(pair_b)) - (pair_start - c_start[tb.tile_cols])[pair_b]
+    ]
+    intersections = np.minimum(tb.tile_nnzs[pair_b], tc.tile_nnzs[pair_c])
+    # Multiplies of B tile b summed over its pairs: the C tiles under k
+    # partition C's rows there, so each nonzero B entry (i, k) meets every
+    # nonzero of C's whole row k — a gather, no pair enters the count.
+    c_row_nonzeros = np.bincount(
+        tc.matrix.tocoo().row, weights=tc.matrix.data != 0, minlength=C.shape[0]
+    )
+    multiplies = (tb.matrix.data != 0) * c_row_nonzeros[tb.matrix.indices]
+    # Integer-valued terms below 2**53: the float sums are order-free.
+    compute_per_b = (
+        config.pair_overhead_cycles * pairs_per_b
+        + np.bincount(pair_b, weights=intersections, minlength=b_tiles)
+        + np.bincount(tb.entry_tile, weights=multiplies, minlength=b_tiles)
+    )
+
+    # LLB residency: C tile-rows stay cached across steps until one does
+    # not fit, which flushes the buffer.  Order-dependent, so it walks the
+    # B tiles in tile-map order (grouped by tile-row, first appearance).
+    c_loaded = np.zeros(b_tiles)
+    resident_c, resident_bytes = set(), 0.0
+    for b, k in enumerate(tb.tile_cols.tolist()):
+        if not c_row_bytes[k] or k in resident_c:
+            continue  # no C tiles under this k, or already in the LLB
+        if resident_bytes + c_row_bytes[k] > config.llb_bytes:
+            resident_c.clear()
+            resident_bytes = 0.0
+        resident_c.add(k)
+        resident_bytes += c_row_bytes[k]
+        c_loaded[b] = c_row_bytes[k]
 
     # One pipeline step per nonempty B tile-row: load the row's B tiles
-    # plus the C tile-rows it references, then compute the row's pairs.
-    b_rows: Dict[int, List[Tuple[int, int]]] = {}
-    for (i, k) in tb.tiles:
-        b_rows.setdefault(i, []).append((i, k))
+    # plus the C tile-rows it brings in, then compute the row's pairs.
+    steps = np.unique(tb.tile_rows)
+    load_bytes = np.bincount(tb.tile_rows, weights=b_bytes + c_loaded)[steps]
+    step_compute = np.bincount(tb.tile_rows, weights=compute_per_b)[steps]
+    loads = config.dram.load_cycles(load_bytes).tolist()
+    computes = (step_compute / config.num_pes).tolist()
 
-    counts = _TileCounts()
-    loads: List[float] = []
-    computes: List[float] = []
-    nonempty_pairs = 0
-    resident_c: set = set()  # C tile-rows cached in the LLB across steps
-    resident_bytes = 0.0
-    for i in sorted(b_rows):
-        row_tiles = b_rows[i]
-        load_bytes = sum(
-            tb.tile_bytes(r, c, config.value_bytes, config.index_bytes)
-            for r, c in row_tiles
-        )
-        step_compute = 0.0
-        for (r, k) in row_tiles:
-            needed_c = c_by_k.get(k, [])
-            if not needed_c:
-                continue  # sparse tile skipping: no C tiles under this k
-            if k not in resident_c:
-                c_bytes = sum(
-                    tc.tile_bytes(kk, j, config.value_bytes, config.index_bytes)
-                    for kk, j in needed_c
-                )
-                if resident_bytes + c_bytes > config.llb_bytes:
-                    resident_c.clear()
-                    resident_bytes = 0.0
-                resident_c.add(k)
-                resident_bytes += c_bytes
-                load_bytes += c_bytes
-            b_tile = tb.tile(r, k)
-            for (_, j) in needed_c:
-                nonempty_pairs += 1
-                step_compute += _pair_compute_cycles(
-                    (r, k), b_tile, (k, j), tc.tile(k, j), counts, config
-                )
-        loads.append(config.dram.load_cycles(load_bytes))
-        computes.append(step_compute / config.num_pes)
-
-    pipeline = NBufferedPipeline(config.n_buffering)
-    overlapped = pipeline.total_cycles(loads, computes)
+    overlapped = NBufferedPipeline(config.n_buffering).total_cycles(loads, computes)
     sequencing = config.sequencing_cycles_per_tile * (
-        tb.num_nonempty_tiles + tc.num_nonempty_tiles + nonempty_pairs
+        b_tiles + tc.num_nonempty_tiles + len(pair_b)
     )
-    total = overlapped + sequencing
     return ExTensorResult(
         dimension=B.shape[0],
         nnz=B.nnz,
-        cycles=total,
+        cycles=overlapped + sequencing,
         compute_cycles=sum(computes),
         dram_cycles=sum(loads),
         sequencing_cycles=sequencing,
-        nonempty_pairs=nonempty_pairs,
+        nonempty_pairs=len(pair_b),
     )

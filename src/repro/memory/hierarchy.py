@@ -3,7 +3,8 @@
 The paper's ExTensor recreation models two buffer levels — a last-level
 buffer (LLB) and per-PE buffers (PEB) — fed by DRAM at a fixed bandwidth,
 with n-buffering overlapping loads with compute.  This module provides
-those pieces as small composable models measured in cycles.
+the DRAM and pipeline pieces as small composable models measured in
+cycles; buffer capacity is a byte count on the model that uses them.
 """
 
 from __future__ import annotations
@@ -21,19 +22,15 @@ class DramModel:
 
     bytes_per_cycle: float = 68.256
 
+    def __post_init__(self):
+        if not self.bytes_per_cycle > 0:
+            raise ValueError(
+                f"DramModel.bytes_per_cycle must be positive, "
+                f"got {self.bytes_per_cycle}"
+            )
+
     def load_cycles(self, num_bytes: float) -> float:
         return num_bytes / self.bytes_per_cycle
-
-
-@dataclass
-class BufferModel:
-    """A buffer level with a capacity; admission is all-or-nothing."""
-
-    capacity_bytes: float
-    name: str = "buffer"
-
-    def fits(self, num_bytes: float) -> bool:
-        return num_bytes <= self.capacity_bytes
 
 
 @dataclass

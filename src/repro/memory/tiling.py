@@ -7,53 +7,62 @@ values are references to tiles), while the inner levels are the tiles the
 computation graph runs over.
 
 :class:`TiledMatrix` captures exactly that split for matrices: a sparse
-outer structure of nonempty (tile-row, tile-col) IDs, each holding a
-scipy CSR tile that fits the accelerator's memory.
+outer structure of nonempty (tile-row, tile-col) IDs held as parallel
+arrays (one slot per nonempty tile), over a canonical CSR matrix from
+which a tile that fits the accelerator's memory is cut on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 from scipy import sparse
 
 
-@dataclass
-class TileInfo:
-    """Metadata for one nonempty tile."""
-
-    row: int
-    col: int
-    nnz: int
-    bytes: int
-
-
 class TiledMatrix:
-    """A sparse matrix split into fixed-size tiles with a sparse tile map."""
+    """A sparse matrix split into fixed-size tiles with a sparse tile map.
+
+    ``tile_rows``/``tile_cols``/``tile_nnzs``/``tile_nonempty_rows`` have
+    one slot per nonempty tile, in order of first appearance in the
+    row-major scan of the canonical entries (indices sorted, duplicates
+    summed, explicit zeros kept) — hence grouped by ascending tile-row.
+    ``entry_tile`` is each entry's slot; ``tiles`` maps tile ID -> slot.
+    """
 
     def __init__(self, matrix, tile_size: int):
+        if tile_size < 1:
+            raise ValueError(f"tile_size must be >= 1, got {tile_size}")
         matrix = sparse.csr_matrix(matrix)
+        if not matrix.has_canonical_format:
+            matrix = matrix.copy()  # the caller's arrays may be shared
+            matrix.sum_duplicates()
+        self.matrix = matrix
         self.shape = matrix.shape
         self.tile_size = tile_size
         self.grid = (
             -(-matrix.shape[0] // tile_size),
             -(-matrix.shape[1] // tile_size),
         )
-        self.tiles: Dict[Tuple[int, int], sparse.csr_matrix] = {}
         coo = matrix.tocoo()
-        buckets: Dict[Tuple[int, int], list] = {}
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            key = (r // tile_size, c // tile_size)
-            buckets.setdefault(key, []).append((r % tile_size, c % tile_size, v))
-        for key, entries in buckets.items():
-            rows, cols, vals = zip(*entries)
-            height = min(tile_size, matrix.shape[0] - key[0] * tile_size)
-            width = min(tile_size, matrix.shape[1] - key[1] * tile_size)
-            self.tiles[key] = sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(height, width)
-            )
+        tile_row, tile_col = coo.row // tile_size, coo.col // tile_size
+        flat = tile_row.astype(np.int64) * self.grid[1] + tile_col
+        ids, first, inverse, counts = np.unique(
+            flat, return_index=True, return_inverse=True, return_counts=True
+        )
+        order = np.argsort(first)
+        self.tile_rows = ids[order] // self.grid[1]
+        self.tile_cols = ids[order] % self.grid[1]
+        self.tile_nnzs = counts[order]
+        self.entry_tile = np.argsort(order)[inverse]
+        # Columns ascend inside a row, so each (row, tile) is one run of
+        # entries; a tile's nonempty rows are the runs in it (at least one).
+        starts = np.ones(len(flat), dtype=bool)
+        starts[1:] = (coo.row[1:] != coo.row[:-1]) | (flat[1:] != flat[:-1])
+        self.tile_nonempty_rows = np.bincount(self.entry_tile[starts])
+        self.tiles: Dict[Tuple[int, int], int] = dict(
+            zip(zip(self.tile_rows.tolist(), self.tile_cols.tolist()), range(len(ids)))
+        )
 
     # -- queries -------------------------------------------------------------
     @property
@@ -61,25 +70,29 @@ class TiledMatrix:
         return len(self.tiles)
 
     def tile(self, row: int, col: int):
-        return self.tiles.get((row, col))
+        """The CSR tile cut from the matrix, or ``None`` for an empty tile."""
+        if (row, col) not in self.tiles:
+            return None
+        size = self.tile_size
+        return self.matrix[row * size:(row + 1) * size, col * size:(col + 1) * size]
 
     def tile_nnz(self, row: int, col: int) -> int:
-        tile = self.tiles.get((row, col))
-        return 0 if tile is None else tile.nnz
+        slot = self.tiles.get((row, col))
+        return 0 if slot is None else int(self.tile_nnzs[slot])
+
+    def all_tile_bytes(self, value_bytes: int = 8, index_bytes: int = 4) -> np.ndarray:
+        """Approximate DCSR storage footprint of every nonempty tile."""
+        return (
+            self.tile_nnzs * (value_bytes + index_bytes)
+            + self.tile_nonempty_rows * 2 * index_bytes
+        )
 
     def tile_bytes(self, row: int, col: int, value_bytes: int = 8, index_bytes: int = 4) -> int:
         """Approximate DCSR storage footprint of one tile."""
-        nnz = self.tile_nnz(row, col)
-        if nnz == 0:
+        slot = self.tiles.get((row, col))
+        if slot is None:
             return 0
-        tile = self.tiles[(row, col)]
-        nonempty_rows = int(np.count_nonzero(np.diff(tile.indptr)))
-        return nnz * (value_bytes + index_bytes) + nonempty_rows * 2 * index_bytes
-
-    def row_tiles(self, row: int) -> Iterator[TileInfo]:
-        for (r, c), tile in self.tiles.items():
-            if r == row:
-                yield TileInfo(r, c, tile.nnz, self.tile_bytes(r, c))
+        return int(self.all_tile_bytes(value_bytes, index_bytes)[slot])
 
     def occupancy(self) -> float:
         """Fraction of grid tiles that are nonempty (tile-skipping leverage)."""

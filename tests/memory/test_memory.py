@@ -18,7 +18,8 @@ class TestTiledMatrix:
     def test_tiles_partition_nonzeros(self):
         matrix = extensor_matrix(100, 50, seed=0)
         tiled = TiledMatrix(matrix, 32)
-        assert sum(t.nnz for t in tiled.tiles.values()) == matrix.nnz
+        assert sum(tiled.tile_nnz(*key) for key in tiled.tiles) == matrix.nnz
+        assert sum(tiled.tile(*key).nnz for key in tiled.tiles) == matrix.nnz
 
     def test_tile_coordinates_local(self):
         dense = np.zeros((8, 8))

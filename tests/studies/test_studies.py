@@ -77,3 +77,28 @@ class TestFig15:
         assert all(p.cycles > 0 for p in points)
         text = fig15.format_fig15(points)
         assert "1000 nnz" in text
+
+    def test_paper_grid_shape(self):
+        """The Figure-15 claim on the paper's own grid (EXPERIMENTS.md)."""
+        points = fig15.run_fig15()  # PAPER_DIMENSIONS x PAPER_NNZS, seed 0
+        assert len(points) == len(fig15.PAPER_DIMENSIONS) * len(fig15.PAPER_NNZS)
+        series = {
+            nnz: [p.cycles for p in points if p.nnz == nnz]  # dimension order
+            for nnz in fig15.PAPER_NNZS
+        }
+        for nnz, cycles in series.items():
+            # region 1: every series rises from the first dimension
+            assert cycles[1] > cycles[0]
+            assert fig15.regions(points, nnz)[0]
+        for fewer, more in zip(fig15.PAPER_NNZS, fig15.PAPER_NNZS[1:]):
+            assert all(a <= b for a, b in zip(series[fewer], series[more]))
+        # region 2 (sparse tile skipping wins) is reached inside the grid
+        # by the 5 000-nnz series only: it peaks at dimension 11 712 ...
+        assert fig15.regions(points, 5000) == (True, True)
+        peak = series[5000].index(max(series[5000]))
+        assert fig15.PAPER_DIMENSIONS[peak] == 11712
+        assert series[5000][peak:] == sorted(series[5000][peak:], reverse=True)
+        # ... while the denser series are still climbing at dimension 15 720.
+        for nnz in (10000, 25000, 50000):
+            assert fig15.regions(points, nnz) == (True, False)
+            assert series[nnz] == sorted(series[nnz])

@@ -64,6 +64,12 @@ class TestCLI:
                      "x(i) = B(i,j) * c(j)", "--check"]) == 0
         assert "(engine compiled)" in capsys.readouterr().out
 
+    def test_graph_check_treats_empty_repro_engine_as_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "")
+        assert main(["graph", "x(i) = B(i,j) * c(j)", "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "graph ok" in out and "(engine" not in out
+
     def test_graph_check_fails_on_violations(self, capsys, monkeypatch):
         # Sabotage validation so the command sees a wiring violation.
         from repro.graph import GraphValidationError
