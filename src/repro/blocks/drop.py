@@ -24,9 +24,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..streams.batch import CODE_DONE, CODE_EMPTY, NO_TOKEN, TokenBatch
+from ..streams.batch import CODE_DATA, CODE_DONE, NO_TOKEN
 from ..streams.channel import Channel
-from ..streams.timing import _concat_i64
+from ..streams.timing import (
+    align_chunks,
+    drop_tokens,
+    index_ramp,
+    stream_view,
+    view_token,
+)
 from ..streams.token import DONE, Stop, is_data, is_done, is_empty, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 
@@ -68,17 +74,18 @@ class CoordDropper(Block):
         #: zeros as ineffectual
         self.drop_zeros = drop_zeros
         self.dropped = 0
-        #: timed-drain state: lazily-held inner boundary stop and a
-        #: pending fold level (elevated fiber stop owing its outer stop)
-        self._cd_held: Optional[Stop] = None
-        self._cd_fold: Optional[int] = None
+        #: timed-drain state: level of the lazily-held inner boundary
+        #: stop, -1 while none is held
+        self._cd_held = -1
 
-    def _effectual(self, fiber: List) -> bool:
-        if self.drop_zeros:
-            return any(is_data(tok) and tok != 0 for tok in fiber)
-        return any(is_data(tok) for tok in fiber)
+    def _effectual(self, data, value):
+        """Whether a token keeps its fiber alive (scalars or arrays):
+        *data* says it is a data token, *value* is the token."""
+        return data & (value != 0) if self.drop_zeros else data
 
-    def _merge_held(self, held: Optional[Stop], stop: Stop, dropped: bool) -> Optional[Stop]:
+    def _merge_held(
+        self, held: Optional[Stop], stop: Stop, dropped: bool
+    ) -> Optional[Stop]:
         """Combine a fiber's terminating stop into the lazily-held boundary."""
         if not dropped:
             return stop
@@ -89,178 +96,166 @@ class CoordDropper(Block):
         # an outer level, which must stay visible.
         return stop if stop.level > 0 else None
 
-    def _effectual_batch(self, fiber: TokenBatch) -> bool:
-        if self.drop_zeros:
-            return bool(np.any(fiber.data != 0))
-        return len(fiber.data) > 0
-
     timing = TimingDescriptor()
 
     def _timed_bail_safe(self) -> bool:
-        return (
-            super()._timed_bail_safe()
-            and self._cd_held is None
-            and self._cd_fold is None
-        )
-
-    @staticmethod
-    def _pop_fiber_timed(reader):
-        """Pop one complete inner fiber with its stamps:
-        ``(fiber_batch, body_stamps, closing_code, closing_stamp)``.
-
-        Empty (``N``) tokens belong to the fiber body; the fiber closes
-        at the first stop (or done) control token.  The body stamps are
-        in stream order (the gather-cycle gates).  Returns None without
-        consuming anything when the window holds no complete fiber yet.
-        """
-        ready = False
-        for batch, _, _ in reader.held:
-            _, _, ccode = batch.remaining_arrays()
-            if np.any(ccode != CODE_EMPTY):
-                ready = True
-                break
-        if not ready:
-            return None
-        datas: List[np.ndarray] = []
-        cpos: List[int] = []
-        ccode_out: List[int] = []
-        ev_stamps: List[np.ndarray] = []
-        n = 0
-        while True:
-            run, s_run = reader.pop_run()
-            if len(run):
-                datas.append(run)
-                ev_stamps.append(s_run)
-                n += len(run)
-            code = reader.front_ctrl()
-            _, s_ctrl = reader.pop()
-            if code == CODE_EMPTY:
-                cpos.append(n)
-                ccode_out.append(CODE_EMPTY)
-                ev_stamps.append(np.asarray([s_ctrl], dtype=np.int64))
-                continue
-            fiber = TokenBatch(
-                np.concatenate(datas) if datas else np.empty(0, dtype=np.int64),
-                np.asarray(cpos, dtype=np.int64),
-                np.asarray(ccode_out, dtype=np.int64),
-            )
-            return fiber, _concat_i64(ev_stamps), code, s_ctrl
+        return super()._timed_bail_safe() and self._cd_held < 0
 
     def drain_timed(self) -> bool:
-        """Timed drain: gather one cycle per inner body token, then emit
-        (or drop) the whole fiber in one burst cycle at the closing stop.
+        """Timed drain: one alignment, one schedule, one push per output.
+
+        :meth:`_drop_window` takes every inner fiber that is complete,
+        owned and — when elevated — followed by the outer stop it folds;
+        an open fiber stays held (nothing leaves before its decision).
+        What is then in front is a wait, the closing ``D`` pair or a
+        protocol error — ``_run``'s own checks raise it.
         """
         if self.finished:
             return False
         rd_out = self._treader(self.in_outer_crd)
         rd_in = self._treader(self.in_inner)
-        out_outer = self._tbuilder(self.out_outer_crd)
-        out_inner = self._tbuilder(self.out_inner)
+        outs = self._tbuilder(self.out_outer_crd), self._tbuilder(self.out_inner)
+        for reader in (rd_out, rd_in):  # every step pops both streams
+            if reader.held_window() is None:
+                self._wait = (reader.channel, "data")
+                return False
         progressed = False
-
-        def park(channel):
-            out_outer.flush()
-            out_inner.flush()
-            self._wait = (channel, "data")
-            return progressed
-
-        while True:
-            if self._cd_fold is not None:
-                nxt, s_n = rd_out.peek()
-                if nxt is NO_TOKEN:
-                    return park(self.in_outer_crd)
-                fold = self._cd_fold
-                if not (is_stop(nxt) and nxt.level == fold - 1):
-                    raise BlockError(
-                        f"{self.name}: inner stop {Stop(fold)!r} expects outer "
-                        f"stop S{fold - 1}, got {nxt!r}"
-                    )
-                rd_out.pop()
-                cyc = self._t_event(s_n)
-                out_outer.ctrl(nxt.level, cyc)
-                self._cd_fold = None
-                progressed = True
-                continue
-            outer, s_o = rd_out.peek()
-            if outer is NO_TOKEN:
-                return park(self.in_outer_crd)
-            if is_done(outer):
-                inner, s_i = rd_in.peek()
-                if inner is NO_TOKEN:
-                    return park(self.in_inner)
-                rd_out.pop()
-                rd_in.pop()
-                cyc = self._t_event(max(s_o, s_i))
-                progressed = True
-                if not is_done(inner):
-                    raise BlockError(
-                        f"{self.name}: inner stream out of sync at D, got {inner!r}"
-                    )
-                if self._cd_held is not None:
-                    out_inner.ctrl(self._cd_held.level, cyc)
-                    self._cd_held = None
-                out_outer.ctrl(CODE_DONE, cyc)
-                out_inner.ctrl(CODE_DONE, cyc)
-                out_outer.flush()
-                out_inner.flush()
-                self.finished = True
-                self._wait = None
-                return True
-            if is_stop(outer):
-                inner, s_i = rd_in.peek()
-                if inner is NO_TOKEN:
-                    return park(self.in_inner)
-                rd_out.pop()
-                rd_in.pop()
-                cyc = self._t_event(max(s_o, s_i))
-                progressed = True
-                if not (is_stop(inner) and inner.level == outer.level + 1):
-                    raise BlockError(
-                        f"{self.name}: outer stop {outer!r} expects inner stop "
-                        f"S{outer.level + 1}, got {inner!r}"
-                    )
-                self._cd_held = (
-                    Stop(max(self._cd_held.level, inner.level))
-                    if self._cd_held is not None
-                    else inner
-                )
-                out_outer.ctrl(outer.level, cyc)
-                continue
-            # Outer coordinate: it owns the next complete inner fiber.
-            popped = self._pop_fiber_timed(rd_in)
-            if popped is None:
-                return park(self.in_inner)
-            fiber, ev_stamps, closing, s_close = popped
-            if closing == CODE_DONE:
-                raise BlockError(f"{self.name}: inner stream ended mid-fiber")
+        again = True
+        while again:
+            windows = rd_out.held_window(), rd_in.held_window()
+            ov, iv = (stream_view(window) for window in windows)
+            used, taken, again = self._drop_window(ov, iv, outs)
+            drop_tokens(windows[0], ov, used)
+            drop_tokens(windows[1], iv, taken)
+            progressed |= taken > 0
+        outer, s_o = rd_out.peek()
+        inner, s_i = rd_in.peek()
+        self._wait = None
+        if outer is NO_TOKEN:
+            self._wait = (self.in_outer_crd, "data")
+        elif not (is_stop(outer) or is_done(outer)):
+            # an owner whose fiber the window left: open, cut short by
+            # D, or elevated ahead of the outer stop it folds
+            closers = iv.code[taken:][iv.code[taken:] >= 0]
+            nxt = view_token(ov, used + 1)
+            if len(closers) == 0:
+                if iv.done:
+                    raise self._mid_fiber()
+                self._wait = (self.in_inner, "data")
+            elif nxt is NO_TOKEN:
+                self._wait = (self.in_outer_crd, "data")
+            else:
+                self._check_fold(Stop(int(closers[0])), nxt)
+        elif inner is NO_TOKEN:
+            self._wait = (self.in_inner, "data")
+        elif is_done(outer):
+            self._check_done(inner)
             rd_out.pop()
-            # Gather cycles: one per body token, the first also gated by
-            # the outer coordinate's pop (no yield between those pops).
-            if len(ev_stamps):
-                arrivals = ev_stamps.copy()
-                if s_o > arrivals[0]:
-                    arrivals[0] = s_o
-                self._t_advance(arrivals)
-            else:
-                self._t_defer(s_o)
-            cyc = self._t_event(s_close)  # the emit/drop decision cycle
-            progressed = True
-            if self._effectual_batch(fiber):
-                out_outer.token(outer, cyc)
-                if self._cd_held is not None:
-                    out_inner.ctrl(self._cd_held.level, cyc)
-                data, cpos, ccode = fiber.remaining_arrays()
-                stamps = np.full(len(data), cyc, dtype=np.int64)
-                cstamps = np.full(len(ccode), cyc, dtype=np.int64)
-                out_inner.data_with_ctrl(data, cpos, ccode, stamps, cstamps)
-                self._cd_held = Stop(closing)
-            else:
-                self.dropped += 1
-                self._cd_held = self._merge_held(
-                    self._cd_held, Stop(closing), dropped=True
-                )
-            if closing >= 1:
-                self._cd_fold = closing
+            rd_in.pop()
+            cyc = self._t_event(max(s_o, s_i))
+            if self._cd_held >= 0:
+                outs[1].ctrl(self._cd_held, cyc)
+                self._cd_held = -1
+            for out in outs:
+                out.ctrl(CODE_DONE, cyc)
+            self.finished = progressed = True
+        else:
+            self._check_bare(outer, inner)
+        if self._wait is None and not self.finished:
+            raise AssertionError(f"{self.name}: aligned tokens left in front")
+        for out in outs:
+            out.flush()
+        return progressed
+
+    def _drop_window(self, ov, iv, outs):
+        """Gather, decide and emit the aligned prefix of the two views.
+
+        Events, in order: every inner token — a fiber's closing stop is
+        its emit/drop decision, its first token is also gated by the
+        owner's arrival — and behind an elevated stop the outer stop it
+        folds.  A fiber survives if any of its tokens is effectual;
+        everything a survivor emits (its coordinate, the boundary held
+        back in front of it, its body) carries the decision cycle.  A
+        bare outer stop passes through at the cycle of the empty fiber
+        it pairs with.  Returns ``(outer tokens, inner tokens, again)``.
+        """
+        aligned = align_chunks(ov.code, iv.code)
+        owner, fold, ends = aligned.owner, aligned.fold, aligned.ends
+        if len(ends) == 0:
+            return 0, 0, False
+        used, taken = aligned.used, int(ends[-1]) + 1
+        code, value = iv.code[:taken], iv.value[:taken]
+        level, first = code[ends], np.append(0, ends[:-1] + 1)
+        chunk = np.repeat(index_ramp(len(ends)), ends + 1 - first)
+        folds = fold >= 0
+        shift = np.cumsum(folds) - folds  # fold events in front of a chunk
+        arrivals = np.empty(taken + int(folds.sum()), dtype=np.int64)
+        arrivals[index_ramp(taken) + shift[chunk]] = iv.stamp[:taken]
+        heads = first + shift
+        arrivals[heads] = np.maximum(arrivals[heads], ov.stamp[owner])
+        fold_at = (ends + shift + 1)[folds]
+        arrivals[fold_at] = ov.stamp[fold[folds]]
+        cycles = self._t_advance(arrivals)
+        decided = cycles[ends + shift]
+
+        alive = np.logical_or.reduceat(self._effectual(code == CODE_DATA, value), first)
+        bare = ov.code[owner] >= 0
+        self.dropped += int(np.count_nonzero(~(alive | bare)))
+        keep = np.ones(used, dtype=bool)
+        keep[owner] = alive | bare
+        stamp = np.empty(used, dtype=np.int64)
+        stamp[owner] = decided
+        stamp[fold[folds]] = cycles[fold_at]
+        outs[0].stream(ov.code[:used][keep], ov.value[:used][keep], stamp[keep])
+
+        # The held boundary is a running max of the closing levels that
+        # a survivor resets (_merge_held; -1 is "none", and so is what a
+        # dropped S0 adds): offsetting each survivor's segment by more
+        # than the level range makes it one accumulate.
+        segment = np.cumsum(alive)
+        big = max(int(level.max()), self._cd_held) + 2
+        run = np.where(alive | (level > 0), level, -1) + segment * big
+        run = np.maximum.accumulate(np.append(self._cd_held, run))
+        before = run[:-1] - (segment - alive) * big  # held in front of a chunk
+        self._cd_held = int(run[-1] - segment[-1] * big)
+        # a survivor's boundary rides in the slot of the stop before it
+        emit = alive & (before >= 0)
+        if emit[0]:
+            outs[1].ctrl(int(before[0]), int(decided[0]))
+        keep = alive[chunk]
+        keep[ends] = False
+        keep[ends[:-1]] = emit[1:]
+        code, stamp = code.copy(), decided[chunk]
+        code[ends[:-1]] = before[1:]
+        stamp[ends[:-1]] = decided[1:]
+        outs[1].stream(code[keep], value[keep], stamp[keep])
+        return used, taken, aligned.again
+
+    # -- protocol checks, shared by both definitions ----------------------
+    def _mid_fiber(self) -> BlockError:
+        return BlockError(f"{self.name}: inner stream ended mid-fiber")
+
+    def _check_done(self, inner) -> None:
+        if not is_done(inner):
+            raise BlockError(
+                f"{self.name}: inner stream out of sync at D, got {inner!r}"
+            )
+
+    def _check_bare(self, outer, inner) -> None:
+        """An outer stop no fiber folded pairs with a bare elevated stop."""
+        if not (is_stop(inner) and inner.level == outer.level + 1):
+            raise BlockError(
+                f"{self.name}: outer stop {outer!r} expects inner stop "
+                f"S{outer.level + 1}, got {inner!r}"
+            )
+
+    def _check_fold(self, fiber_stop, nxt) -> None:
+        """An elevated fiber stop folds the outer stream's next stop."""
+        if not (is_stop(nxt) and nxt.level == fiber_stop.level - 1):
+            raise BlockError(
+                f"{self.name}: inner stop {fiber_stop!r} expects outer "
+                f"stop S{fiber_stop.level - 1}, got {nxt!r}"
+            )
 
     def _run(self):
         # The inner stream mirrors the outer one: each outer coordinate
@@ -273,10 +268,7 @@ class CoordDropper(Block):
             outer = yield from self._get(self.in_outer_crd)
             if is_done(outer):
                 inner = yield from self._get(self.in_inner)
-                if not is_done(inner):
-                    raise BlockError(
-                        f"{self.name}: inner stream out of sync at D, got {inner!r}"
-                    )
+                self._check_done(inner)
                 if held_stop is not None:
                     self.out_inner.push(held_stop)
                 self.out_outer_crd.push(DONE)
@@ -286,11 +278,7 @@ class CoordDropper(Block):
             if is_stop(outer):
                 # Empty outer region: consume the matching elevated stop.
                 inner = yield from self._get(self.in_inner)
-                if not (is_stop(inner) and inner.level == outer.level + 1):
-                    raise BlockError(
-                        f"{self.name}: outer stop {outer!r} expects inner stop "
-                        f"S{outer.level + 1}, got {inner!r}"
-                    )
+                self._check_bare(outer, inner)
                 held_stop = (
                     Stop(max(held_stop.level, inner.level))
                     if held_stop is not None
@@ -307,10 +295,10 @@ class CoordDropper(Block):
                     fiber_stop = token
                     break
                 if is_done(token):
-                    raise BlockError(f"{self.name}: inner stream ended mid-fiber")
+                    raise self._mid_fiber()
                 fiber.append(token)
                 yield True
-            if self._effectual(fiber):
+            if any(self._effectual(is_data(tok), tok) for tok in fiber):
                 self.out_outer_crd.push(outer)
                 if held_stop is not None:
                     self.out_inner.push(held_stop)
@@ -325,11 +313,7 @@ class CoordDropper(Block):
                 # The elevated fiber stop folds the outer boundary: pull
                 # the outer stream's matching stop token through.
                 nxt = yield from self._get(self.in_outer_crd)
-                if not (is_stop(nxt) and nxt.level == fiber_stop.level - 1):
-                    raise BlockError(
-                        f"{self.name}: inner stop {fiber_stop!r} expects outer "
-                        f"stop S{fiber_stop.level - 1}, got {nxt!r}"
-                    )
+                self._check_fold(fiber_stop, nxt)
                 self.out_outer_crd.push(nxt)
                 yield True
 

@@ -21,9 +21,15 @@ from typing import List
 
 import numpy as np
 
-from ..streams.batch import CODE_DONE, CODE_EMPTY, NO_TOKEN
+from ..streams.batch import CODE_DATA, CODE_DONE, CODE_EMPTY, NO_TOKEN
 from ..streams.channel import Channel
-from ..streams.timing import merge_stamps, split_done_stamped
+from ..streams.timing import (
+    consume,
+    held_runs,
+    index_ramp,
+    merge_stamps,
+    split_done_stamped,
+)
 from ..streams.token import DONE, Stop, is_data, is_done, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 
@@ -198,7 +204,8 @@ class Serializer(Block):
                     other = yield from self._get(channel)
                     if other != token:
                         raise BlockError(
-                            f"{self.name}: lane {i} out of sync ({other!r} vs {token!r})"
+                            f"{self.name}: lane {i} out of sync "
+                            f"({other!r} vs {token!r})"
                         )
                 self.out.push(token)
                 lane += 1
@@ -261,7 +268,8 @@ class InterleaveSerializer(Block):
 
     def _run(self):
         while True:
-            active = self.ins[self._fi % len(self.ins)]
+            lane = self._fi % len(self.ins)
+            active = self.ins[lane]
             token = yield from self._get(active)
             if not self._mid:
                 if is_done(token):
@@ -269,10 +277,7 @@ class InterleaveSerializer(Block):
                         if channel is active:
                             continue
                         other = yield from self._get(channel)
-                        if not is_done(other):
-                            raise BlockError(
-                                f"{self.name}: lane {i} desync at D ({other!r})"
-                            )
+                        self._check_done(i, other)
                     if self._pending is not None:
                         # The joined stream's last fiber also closes the
                         # level above (hierarchical stops, Figure 1d).
@@ -288,6 +293,7 @@ class InterleaveSerializer(Block):
             # Copy one whole fiber (data tokens, holding back its stop,
             # normalised to a plain fiber boundary).
             while not is_stop(token):
+                self._check_in_fiber(lane, token)
                 self.out.push(token)
                 yield True
                 token = yield from self._get(active)
@@ -296,93 +302,140 @@ class InterleaveSerializer(Block):
             self._mid = False
             yield True
 
+    # -- protocol checks, shared by both definitions ----------------------
+    def _check_done(self, lane: int, other) -> None:
+        if not is_done(other):
+            raise BlockError(f"{self.name}: lane {lane} desync at D ({other!r})")
+
+    def _check_in_fiber(self, lane: int, token) -> None:
+        """Only a stop ends a fiber: ``D`` inside one is a truncated lane."""
+        if is_done(token):
+            raise BlockError(f"{self.name}: lane {lane} ended mid-fiber")
+
     timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
-        """Timed drain: whole data runs per epoch advance, one event per
-        fiber-closing stop, pending-stop emission gated by the peeked
-        arrival of the next fiber's first token — the exact cycle
-        schedule of the generator."""
+        """Timed drain: one rotation gather, one schedule, one push.
+
+        :meth:`_join_window` takes every fiber the rotation can reach.
+        What is then in front of the active lane is a wait, the ``D``
+        that every lane must carry, or a ``D`` inside a fiber —
+        ``_run``'s own checks raise those.
+        """
         if self.finished:
             return False
         out = self._tbuilder(self.out)
-        L = len(self.ins)
-        progressed = False
-
-        def park(channel):
-            out.flush()
-            self._wait = (channel, "data")
-            return progressed
-
-        while True:
-            active = self.ins[self._fi % L]
-            rd = self._treader(active)
-            if not self._mid:
-                token, s = rd.peek()
-                if token is NO_TOKEN:
-                    return park(active)
-                if is_done(token):
-                    gate = s
-                    others = []
-                    for i, channel in enumerate(self.ins):
-                        if channel is active:
-                            continue
-                        other = self._treader(channel)
-                        tok2, s2 = other.peek()
-                        if tok2 is NO_TOKEN:
-                            return park(channel)
-                        if not is_done(tok2):
-                            raise BlockError(
-                                f"{self.name}: lane {i} desync at D ({tok2!r})"
-                            )
-                        gate = max(gate, s2)
-                        others.append(other)
-                    rd.pop()
-                    for other in others:
-                        other.pop()
-                    cyc = self._t_event(gate)
-                    if self._pending is not None:
-                        out.ctrl(self._pending + 1, cyc)
-                        self._pending = None
-                    out.ctrl(CODE_DONE, cyc)
-                    out.flush()
-                    self.finished = True
-                    self._wait = None
-                    return True
+        readers = [self._treader(channel) for channel in self.ins]
+        progressed = self._join_window(readers, out)
+        lane = self._fi % len(readers)
+        token, _ = readers[lane].peek()
+        if token is NO_TOKEN:
+            self._wait = (self.ins[lane], "data")
+        elif self._mid or not is_done(token):
+            self._check_in_fiber(lane, token)
+            raise AssertionError(f"{self.name}: joinable tokens left in front")
+        else:
+            gate = 0
+            for i, reader in enumerate(readers):
+                other, stamp = reader.peek()
+                if other is NO_TOKEN:
+                    self._wait = (self.ins[i], "data")
+                    break
+                self._check_done(i, other)
+                gate = max(gate, stamp)
+            else:
+                for reader in readers:
+                    reader.pop()
+                cyc = self._t_event(gate)
                 if self._pending is not None:
-                    cyc = self._t_event(s)
-                    out.ctrl(self._pending, cyc)
+                    out.ctrl(self._pending + 1, cyc)
                     self._pending = None
-                    progressed = True
-                self._mid = True
-                continue
-            ctrl = rd.front_ctrl()
-            if ctrl is None:
-                vals, stamps = rd.pop_run()
-                if len(vals) == 0:
-                    return park(active)
-                c = self._t_advance(stamps)
-                out.data(vals, c)
-                progressed = True
-                continue
-            if ctrl >= 0:
-                # Fiber-closing stop: one consumption cycle, no output;
-                # the normalised Stop(0) is held for the next fiber.
-                _, s = rd.pop()
-                self._t_event(s)
-                self._pending = 0
-                self._fi += 1
-                self._mid = False
-                progressed = True
-                continue
-            if ctrl == CODE_EMPTY:
-                # The generator copies N through like data, at rate 1.
-                _, s = rd.pop()
-                cyc = self._t_event(s)
-                out.ctrl(CODE_EMPTY, cyc)
-                progressed = True
-                continue
-            # Done (or any other control) mid-fiber is malformed input;
-            # keep the generator's behaviour on the scalar plane.
-            out.flush()
-            return self._bail_timed()
+                out.ctrl(CODE_DONE, cyc)
+                self.finished = progressed = True
+                self._wait = None
+        out.flush()
+        return progressed
+
+    def _join_window(self, readers, out) -> bool:
+        """Join the fibers the held lane windows complete, in rotation.
+
+        With ``k_r`` stop-closed fibers held on the lane at rotation
+        offset *r*, fibers ``0 .. F-1`` are joinable, ``F = min_r(r +
+        k_r * L)``; whatever has arrived of fiber *F* follows them (it
+        stays open in ``_mid``).  A lane is read as *runs* — a control
+        token and the data in front of it — so only data moves in bulk.
+        Events, per fiber: the ``S0`` held back from the fiber before
+        it, gated by this fiber's first token, then run by run its data
+        and the token closing the run; a stop emits nothing.
+        """
+        L = len(readers)
+        windows = [readers[(self._fi + r) % L].held_window() for r in range(L)]
+        lanes = [held_runs(window) for window in windows]
+        stops = [np.flatnonzero(lane.codes >= 0) for lane in lanes]
+        joinable = min(r + len(at) * L for r, at in enumerate(stops))
+        # One row per run taken.  Fiber F's lane gives all it holds: N
+        # tokens, then the run no token closes yet (closed by CODE_DATA).
+        rows = []
+        for r, (lane, at) in enumerate(zip(lanes, stops)):
+            count = len(range(r, joinable, L))
+            taken = int(at[count - 1]) + 1 if count else 0
+            if r == joinable % L:
+                taken = len(lane.codes) + 1
+            ends = np.append(lane.ends, len(lane.data))[:taken]
+            rows.append((
+                r + L * np.append(0, np.cumsum(lane.codes >= 0))[:taken],
+                np.full(taken, r),
+                ends - np.append(0, ends)[:taken],
+                np.append(lane.codes, CODE_DATA)[:taken],
+                np.append(lane.scodes, 0)[:taken],
+            ))
+            consume(windows[r], int(ends[-1]) if taken else 0,
+                    min(taken, len(lane.codes)))
+        fiber, lane_of, size, code, stamp = map(np.concatenate, zip(*rows))
+        real = np.flatnonzero((code != CODE_DATA) | (size > 0))
+        real = real[np.argsort(fiber[real], kind="stable")]  # joined order
+        if len(real) == 0:
+            return False
+        fiber, lane_of, size, code, stamp = (
+            column[real] for column in (fiber, lane_of, size, code, stamp)
+        )
+        closed = code != CODE_DATA
+        leads = np.append(True, fiber[1:] != fiber[:-1])  # an S0 goes in front
+        leads[0] = not (self._mid or self._pending is None)
+        span = leads + size + closed
+        first = np.cumsum(span) - span
+        arrivals = np.empty(int(span.sum()), dtype=np.int64)
+        kinds = [lane.data.dtype for lane in lanes if len(lane.data)]
+        payload = np.zeros(len(arrivals), dtype=np.result_type(np.int64, *kinds))
+        is_data = np.ones(len(arrivals), dtype=bool)
+        for r, lane in enumerate(lanes):
+            mine = lane_of == r
+            n, begin = size[mine], (first + leads)[mine]
+            slot = np.repeat(begin - (np.cumsum(n) - n), n) + index_ramp(int(n.sum()))
+            arrivals[slot] = lane.sdata[:len(slot)]
+            payload[slot] = lane.data[:len(slot)]
+        close_at, lead_at = (first + leads + size)[closed], first[leads]
+        arrivals[close_at] = stamp[closed]
+        arrivals[lead_at] = arrivals[lead_at + 1]
+        is_data[close_at] = is_data[lead_at] = False
+        cycles = self._t_advance(arrivals)
+        # control tokens out, run by run: the S0 if the run leads its
+        # fiber, the closing token unless it is a stop
+        ahead = np.cumsum(size) - size
+        emit = _pairs(leads, closed & (code < 0))
+        out.data_with_ctrl(
+            payload[is_data],
+            _pairs(ahead, ahead + size)[emit],
+            _pairs(np.zeros_like(code), code)[emit],
+            cycles[is_data],
+            cycles[_pairs(first, first + leads + size)[emit]],
+        )
+        self._fi += joinable
+        self._mid = bool(fiber[-1] == joinable)
+        self._pending = None if self._mid else 0
+        return True
+
+
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[0], b[0], a[1], b[1], ...``"""
+    return np.column_stack((a, b)).ravel()

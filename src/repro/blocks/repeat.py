@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..streams.batch import (
+    CODE_DATA,
     CODE_DONE,
     CODE_EMPTY,
     CODE_REPEAT,
@@ -36,47 +37,19 @@ from ..streams.batch import (
     TokenBatch,
 )
 from ..streams.channel import Channel
-from ..streams.timing import merge_stamps, split_done_stamped
-from ..streams.token import DONE, is_data, is_done, is_empty, is_stop
+from ..streams.timing import (
+    align_chunks,
+    drop_tokens,
+    index_ramp,
+    merge_stamps,
+    split_done_stamped,
+    stream_view,
+)
+from ..streams.token import DONE, EMPTY, is_data, is_done, is_empty, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 
 #: the repeat token emitted by RepeatSigGen for every coordinate
 REPEAT = "R"
-
-
-def _flat_sig(rd_sig):
-    """``(codes, stamps)`` over a timed reader's pure-control prefix.
-
-    Repeat-signal batches carry no data tokens, so in practice this is
-    the whole held window; a data-carrying batch ends the prefix and the
-    remaining tokens take the token-exact branches."""
-    codes, stamps = [], []
-    for batch, _, sctrl in rd_sig.held:
-        if batch._d < len(batch.data):
-            break
-        c = batch._c
-        if c < len(batch.ctrl_code):
-            codes.append(batch.ctrl_code[c:])
-            stamps.append(sctrl[c:])
-    if not codes:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    if len(codes) == 1:
-        return codes[0], stamps[0]
-    return np.concatenate(codes), np.concatenate(stamps)
-
-
-def _consume_sig(rd_sig, n):
-    """Advance a timed reader past *n* leading control tokens (all from
-    data-exhausted batches, so cursor bumps keep stamp alignment)."""
-    for batch, _, _ in rd_sig.held:
-        if n <= 0:
-            break
-        c = batch._c
-        take = min(n, len(batch.ctrl_code) - c)
-        batch._c = c + take
-        n -= take
-    rd_sig._trim()
 
 
 class RepeatSigGen(Block):
@@ -180,213 +153,145 @@ class Repeater(Block):
         self.in_ref = self._in("in_ref", in_ref)
         self.in_repsig = self._in("in_repsig", in_repsig)
         self.out_ref = self._out("out_ref", out_ref)
-        #: timed-drain state: the reference being repeated (NO_TOKEN
-        #: when none is pending) and a pending fold level — a driver stop
-        #: of level n >= 1 still owing the matching S(n-1) consumption
-        #: from the reference stream
+        #: timed-drain state: the reference whose driving fiber is still
+        #: open (NO_TOKEN when none is)
         self._rep_ref = NO_TOKEN
-        self._rep_fold = None
 
     timing = TimingDescriptor()
 
     def _timed_bail_safe(self) -> bool:
-        return (
-            super()._timed_bail_safe()
-            and self._rep_ref is NO_TOKEN
-            and self._rep_fold is None
-        )
+        return super()._timed_bail_safe() and self._rep_ref is NO_TOKEN
 
     def drain_timed(self) -> bool:
-        """Timed drain: one event per emitted token; reference pops and
-        fold pops happen between yields, so they carry into the next
-        event's gate instead of owning a cycle.
+        """Timed drain: one alignment, one schedule, one push per window.
 
-        *Regular spans* — a leading run of ``R`` codes plus as many
-        complete ``S0``-closed driver fibers as the reference stream has
-        data for — collapse to one batch: a single ``_t_advance`` over
-        the span's signal stamps with each reference pop's arrival
-        folded in at its fiber-head position, one ``np.repeat`` over the
-        reference run, one builder push.  Equivalence with the
-        token-by-token loop is exact: ``rate1_schedule`` composes over
-        arbitrary splits of the arrival sequence (the clock carries),
-        ``_t_event`` is the one-token case of the same recurrence, and
-        ``_t_defer`` is a max folded into the next event's gate — which
-        is precisely the positional fold applied here.  Elevated stops,
-        folds, ``N`` references, empty-fiber pairings, and done handling
-        stay token-exact."""
+        Every signal token is one event and every reference-stream pop
+        happens between two yields, so a window is the signal's stamps
+        with the pops max-ed in where the generator would have carried
+        them (:meth:`_repeat_window`).  What that leaves in front is a
+        wait, the closing ``D`` pair or a protocol error — ``_run``'s
+        own checks raise it.
+        """
         if self.finished:
             return False
-        rd_ref = self._treader(self.in_ref)
-        rd_sig = self._treader(self.in_repsig)
+        rd_ref, rd_sig = self._treader(self.in_ref), self._treader(self.in_repsig)
         out = self._tbuilder(self.out_ref)
         progressed = False
-        # Flat view of the signal window plus cursors: token position,
-        # index into the precomputed control positions, and a pointer to
-        # the next non-S0 control.  Precomputing once keeps the span
-        # loop linear in the window size (a per-iteration flatnonzero is
-        # O(n^2) on 1e6-token windows); any scalar reader consumption
-        # invalidates the view (codes = None).
-        codes = stamps = ends_all = nonclose = None
-        pos = ei = nci = 0
-
-        def park(channel):
-            out.flush()
-            self._wait = (channel, "data")
-            return progressed
-
-        def close_fiber() -> bool:
-            """The driver stop ending the pending reference's fiber (one
-            event); False while that signal has not arrived."""
-            signal, s_sig = rd_sig.peek()
+        again = True
+        while again:
+            moved, again = self._repeat_window(
+                rd_ref.held_window(), rd_sig.held_window(), out
+            )
+            progressed |= moved
+        token, s = rd_ref.peek()
+        signal, s_sig = rd_sig.peek()
+        self._wait = None
+        if self._rep_ref is not NO_TOKEN:
+            # an open fiber whose next signal is not an R
             if signal is NO_TOKEN:
-                return False
-            if not is_stop(signal):
-                raise BlockError(
-                    f"{self.name}: driver stream ended mid-fiber ({signal!r})"
-                )
+                self._wait = (self.in_repsig, "data")
+            elif not is_stop(signal):
+                raise self._mid_fiber(signal)
+            elif token is NO_TOKEN:  # an elevated stop ahead of its fold
+                self._wait = (self.in_ref, "data")
+            else:
+                self._check_fold(signal, token)
+        elif token is NO_TOKEN:
+            self._wait = (self.in_ref, "data")
+        elif signal is NO_TOKEN:
+            self._wait = (self.in_repsig, "data")
+        elif is_done(token):
+            self._check_done(signal)
+            rd_ref.pop()
             rd_sig.pop()
-            out.ctrl(signal.level, self._t_event(s_sig))
-            if signal.level >= 1:
-                self._rep_fold = signal.level
-            self._rep_ref = NO_TOKEN
-            return True
+            out.ctrl(CODE_DONE, self._t_event(max(s, s_sig)))
+            self.finished = progressed = True
+        else:
+            self._check_bare(token, signal)
+        if self._wait is None and not self.finished:
+            raise AssertionError(f"{self.name}: aligned tokens left in front")
+        out.flush()
+        return progressed
 
-        while True:
-            if self._rep_fold is not None:
-                token, s = rd_ref.peek()
-                if token is NO_TOKEN:
-                    return park(self.in_ref)
-                if not (is_stop(token) and token.level == self._rep_fold - 1):
-                    raise BlockError(
-                        f"{self.name}: driver stop S{self._rep_fold} expects "
-                        f"reference stop S{self._rep_fold - 1}, got {token!r}"
-                    )
-                rd_ref.pop()
-                self._t_defer(s)
-                self._rep_fold = None
-                progressed = True
-                continue
-            if self._rep_ref is NO_TOKEN:
-                token, s = rd_ref.peek()
-                if token is NO_TOKEN:
-                    return park(self.in_ref)
-                if is_data(token) or is_empty(token):
-                    rd_ref.pop()
-                    self._t_defer(s)
-                    self._rep_ref = token
-                    progressed = True
-                    continue
-                # Stop or done on the reference stream: the driver must
-                # carry the matching (elevated or done) token.
-                signal, s_sig = rd_sig.peek()
-                if signal is NO_TOKEN:
-                    return park(self.in_repsig)
-                rd_ref.pop()
-                rd_sig.pop()
-                codes = None
-                cyc = self._t_event(max(s, s_sig))
-                progressed = True
-                if is_done(token):
-                    if not is_done(signal):
-                        raise BlockError(
-                            f"{self.name}: driver stream out of sync at D "
-                            f"({signal!r})"
-                        )
-                    out.ctrl(CODE_DONE, cyc)
-                    out.flush()
-                    self.finished = True
-                    self._wait = None
-                    return True
-                if not (is_stop(signal) and signal.level == token.level + 1):
-                    raise BlockError(
-                        f"{self.name}: reference stop {token!r} expects driver "
-                        f"stop S{token.level + 1}, got {signal!r}"
-                    )
-                out.ctrl(signal.level, cyc)
-                continue
-            # A reference is pending: replay it once per R of the fiber.
-            empty_ref = is_empty(self._rep_ref)
-            if codes is None and not empty_ref:
-                codes, stamps = _flat_sig(rd_sig)
-                pos = ei = nci = 0
-                ends_all = np.flatnonzero(codes != CODE_REPEAT)
-                nonclose = np.flatnonzero(codes[ends_all] != 0)
-            if empty_ref or pos >= len(codes):
-                # Token-exact: N references repeat as control runs, and
-                # so does whatever follows an exhausted (or not purely
-                # control) signal view.
-                repeats, s_r = rd_sig.pop_repeat_run()
-                codes = None
-                if repeats:
-                    c = self._t_advance(s_r)
-                    if empty_ref:
-                        out.ctrl_run(CODE_EMPTY, c)
-                    else:
-                        out.data(np.full(repeats, self._rep_ref), c)
-                elif not close_fiber():
-                    return park(self.in_repsig)
-                progressed = True
-                continue
-            if ei >= len(ends_all):
-                # Window tail is one partial R-run: emit it whole, keep
-                # the reference pending for the next window.
-                k = len(codes) - pos
-                c = self._t_advance(stamps[pos:])
-                out.data(np.full(k, self._rep_ref), c)
-                _consume_sig(rd_sig, k)
-                pos = len(codes)
-                progressed = True
-                continue
-            while nci < len(nonclose) and nonclose[nci] < ei:
-                nci += 1
-            nreg = (
-                len(ends_all) - ei
-                if nci >= len(nonclose)
-                else int(nonclose[nci]) - ei
+    def _repeat_window(self, ref, sig, out):
+        """Repeat across the aligned prefix of the two held windows.
+
+        Events are the signal's tokens, in order: every complete chunk
+        (an R-run and its stop) :func:`align_chunks` pairs with an owner,
+        then the R-run that has arrived for the next reference — which
+        stays open in ``_rep_ref`` and heads the next window as an owner
+        without a stamp.  A chunk's first event is also gated by its
+        owner's arrival and by the stop the chunk before it folded (a
+        fold behind the last event is carried); an R emits its owner, a
+        stop itself.  Returns ``(progressed, align again)``.
+        """
+        rv, sv = stream_view(ref), stream_view(sig)
+        ocode, ostamp, ovalue = rv.code, rv.stamp, rv.value
+        pending = self._rep_ref is not NO_TOKEN
+        if pending:  # an owner in front of the window, with no arrival to wait for
+            blank = is_empty(self._rep_ref)
+            ocode = np.concatenate(([CODE_EMPTY if blank else CODE_DATA], ocode))
+            ostamp = np.concatenate(([0], ostamp))
+            ovalue = np.concatenate(([0 if blank else self._rep_ref], ovalue))
+        scode = sv.code
+        odd = (scode < 0) & (scode != CODE_REPEAT)
+        if odd.any():  # neither R nor stop: no chunk holds it
+            scode = scode[:int(odd.argmax())]
+        aligned = align_chunks(ocode, scode)
+        own, used = aligned.owner, aligned.used
+        at = np.append(0, aligned.ends + 1)  # first event of chunk j
+        total = int(at[-1])
+        self._rep_ref = NO_TOKEN
+        if used < len(ocode) and ocode[used] < 0:
+            # the next reference: its R-run as far as it has arrived
+            closer = scode[total:] >= 0
+            total += int(closer.argmax()) if closer.any() else len(closer)
+            own = np.append(own, used)
+            self._rep_ref = ovalue[used].item() if ocode[used] == CODE_DATA else EMPTY
+            used += 1
+        gate = np.zeros(len(at), dtype=np.int64)
+        gate[:len(own)] = ostamp[own]
+        folds = aligned.fold >= 0
+        np.maximum(gate[1:], np.where(folds, ostamp[aligned.fold], 0), out=gate[1:])
+        # one slot past the last event catches what has no event to gate
+        arrivals = np.append(sv.stamp[:total], 0)
+        arrivals[at] = np.maximum(arrivals[at], gate)
+        cycles = self._t_advance(arrivals[:-1])
+        self._t_defer(int(arrivals[-1]))
+        if total:
+            chunk = np.repeat(index_ramp(len(at)), np.append(at[1:], total) - at)
+            code = scode[:total]
+            code = np.where(code == CODE_REPEAT, ocode[own][chunk], code)
+            out.stream(code, ovalue[own][chunk], cycles)
+        drop_tokens(sig, sv, total)
+        drop_tokens(ref, rv, used - pending)
+        return total + used - pending > 0, aligned.again
+
+    # -- protocol checks, shared by both definitions ----------------------
+    def _mid_fiber(self, signal) -> BlockError:
+        return BlockError(f"{self.name}: driver stream ended mid-fiber ({signal!r})")
+
+    def _check_fold(self, signal, nxt) -> None:
+        """An elevated driver stop folds the reference stream's next stop."""
+        if not (is_stop(nxt) and nxt.level == signal.level - 1):
+            raise BlockError(
+                f"{self.name}: driver stop {signal!r} expects "
+                f"reference stop S{signal.level - 1}, got {nxt!r}"
             )
-            if nreg == 0:
-                # The pending fiber closes with a non-S0 code: emit its
-                # R-run (possibly empty), then the stop takes its event.
-                k = int(ends_all[ei]) - pos
-                if k:
-                    c = self._t_advance(stamps[pos:pos + k])
-                    out.data(np.full(k, self._rep_ref), c)
-                    _consume_sig(rd_sig, k)
-                close_fiber()
-                pos = int(ends_all[ei]) + 1
-                ei += 1
-                progressed = True
-                continue
-            # nreg complete S0-closed fibers; fibers beyond the first
-            # need a data reference each from the front run.
-            J = min(nreg, 1 + rd_ref.run_length())
-            bounds = ends_all[ei:ei + J] - pos
-            span = int(bounds[-1]) + 1
-            refs1, s_refs = rd_ref.pop_run_upto(J - 1)
-            arrivals = np.array(stamps[pos:pos + span])
-            if J > 1:
-                # Each reference pop's _t_defer lands on the following
-                # fiber's first event — a positional max into its gate.
-                heads = bounds[:-1] + 1
-                arrivals[heads] = np.maximum(arrivals[heads], s_refs)
-            c = self._t_advance(arrivals)
-            r_counts = np.diff(bounds, prepend=-1) - 1
-            ref0 = np.asarray([self._rep_ref])
-            refs_all = np.concatenate([ref0, refs1]) if J > 1 else ref0
-            mask = np.ones(span, dtype=bool)
-            mask[bounds] = False
-            out.data_with_ctrl(
-                np.repeat(refs_all, r_counts),
-                np.cumsum(r_counts),
-                np.zeros(J, dtype=np.int64),
-                c[mask],
-                c[bounds],
+
+    def _check_bare(self, token, signal) -> None:
+        """A reference stop no fiber folded: the driver carries it elevated."""
+        if not (is_stop(signal) and signal.level == token.level + 1):
+            raise BlockError(
+                f"{self.name}: reference stop {token!r} expects driver "
+                f"stop S{token.level + 1}, got {signal!r}"
             )
-            _consume_sig(rd_sig, span)
-            pos += span
-            ei += J
-            self._rep_ref = NO_TOKEN
-            progressed = True
+
+    def _check_done(self, signal) -> None:
+        if not is_done(signal):
+            raise BlockError(
+                f"{self.name}: driver stream out of sync at D ({signal!r})"
+            )
 
     def _run(self):
         # Invariant: the driving coordinate stream is exactly one nesting
@@ -407,31 +312,18 @@ class Repeater(Block):
                         yield True
                         if signal.level >= 1:
                             nxt = yield from self._get(self.in_ref)
-                            if not (is_stop(nxt) and nxt.level == signal.level - 1):
-                                raise BlockError(
-                                    f"{self.name}: driver stop {signal!r} expects "
-                                    f"reference stop S{signal.level - 1}, got {nxt!r}"
-                                )
+                            self._check_fold(signal, nxt)
                         break
-                    raise BlockError(
-                        f"{self.name}: driver stream ended mid-fiber ({signal!r})"
-                    )
+                    raise self._mid_fiber(signal)
             elif is_stop(token):
                 # Empty reference fiber: the driver carries the elevated stop.
                 signal = yield from self._get(self.in_repsig)
-                if not (is_stop(signal) and signal.level == token.level + 1):
-                    raise BlockError(
-                        f"{self.name}: reference stop {token!r} expects driver "
-                        f"stop S{token.level + 1}, got {signal!r}"
-                    )
+                self._check_bare(token, signal)
                 self.out_ref.push(signal)
                 yield True
             else:  # done
                 signal = yield from self._get(self.in_repsig)
-                if not is_done(signal):
-                    raise BlockError(
-                        f"{self.name}: driver stream out of sync at D ({signal!r})"
-                    )
+                self._check_done(signal)
                 self.out_ref.push(DONE)
                 yield True
                 return

@@ -34,6 +34,9 @@ from .token import DONE, EMPTY, Stop, is_stop
 CODE_DONE = -1
 CODE_EMPTY = -2
 CODE_REPEAT = -3
+#: not a control code: marks a data token where a stream is laid out in
+#: token order (:func:`repro.streams.timing.stream_view`)
+CODE_DATA = -4
 
 #: the repeater's ``R`` signal (imported here to avoid a blocks dependency)
 _REPEAT_TOKEN = "R"

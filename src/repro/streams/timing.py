@@ -10,7 +10,7 @@ layout — ``sdata[i]`` stamps ``data[i]``, ``sctrl[i]`` stamps the control
 token ``ctrl_code[i]`` — and are non-decreasing in stream order (a block
 pushes in its own cycle order).
 
-Four pieces live here:
+Five pieces live here:
 
 * :func:`rate1_schedule` — the epoch advance rule.  A block whose
   descriptor declares initiation interval ``ii`` services one *event*
@@ -29,6 +29,12 @@ Four pieces live here:
   :func:`drop_fibers` — the window-at-a-time view the mergers and the
   vector reducer share: the leading *k* control-terminated chunks of a
   stream, read through the batch cursors and consumed by moving them.
+* :func:`stream_view` / :func:`align_chunks` /
+  :meth:`TimedBuilder.stream` — a window as stream-order arrays, for
+  the blocks whose events follow the token order of two streams at
+  once: the repeater and the coordinate dropper share one alignment of
+  an outer stream with the chunks of the stream one level deeper, the
+  interleaving serializer gathers lane fibers in rotation order.
 """
 
 from __future__ import annotations
@@ -38,12 +44,13 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .batch import (
+    CODE_DATA,
     CODE_DONE,
     CODE_EMPTY,
-    CODE_REPEAT,
     NO_TOKEN,
     TokenBatch,
     _concat_data,
+    decode_code,
 )
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -325,31 +332,6 @@ class TimedReader:
         self._trim()
         return _concat_data(parts), _concat_i64(stamps)
 
-    def pop_run(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Pop the maximal front data run: ``(values, stamps)``."""
-        return self.pop_run_upto(I64_MAX)
-
-    def pop_repeat_run(self) -> Tuple[int, np.ndarray]:
-        """Pop consecutive front ``R`` codes: ``(count, stamps)``."""
-        stamps: List[int] = []
-        self._trim()
-        for batch, _, sctrl in self.held:
-            if batch.exhausted:
-                continue
-            d, c = batch._d, batch._c
-            code, pos = batch.ctrl_code, batch.ctrl_pos
-            n = len(code)
-            while c < n and pos[c] <= d and code[c] == CODE_REPEAT:
-                stamps.append(int(sctrl[c]))
-                c += 1
-            batch._c = c
-            if c < n and pos[c] <= d:
-                break
-            if d < len(batch.data):
-                break
-        self._trim()
-        return len(stamps), np.asarray(stamps, dtype=np.int64)
-
     def take_window(self):
         """Consume the whole window: ``(batch, sdata, sctrl)`` or None."""
         self._trim()
@@ -466,6 +448,140 @@ def drop_fibers(entry, k: int) -> None:
     batch._c += k
 
 
+class Runs(NamedTuple):
+    """A held entry's tokens before its first ``D``, split at the control
+    tokens: every one closes a run of data (``data`` keeps what trails
+    the last of them too)."""
+
+    data: np.ndarray
+    sdata: np.ndarray
+    ends: np.ndarray  # data position each control token sits at
+    codes: np.ndarray
+    scodes: np.ndarray
+    done: bool  # a ``D`` follows
+
+
+def held_runs(entry) -> Runs:
+    """The runs of a held entry (or None), read through its cursors."""
+    if entry is None:
+        return Runs(*[_EMPTY_I64] * 5, False)
+    batch, sdata, sctrl = entry
+    d, c = batch._d, batch._c
+    codes = batch.ctrl_code[c:]
+    done = codes == CODE_DONE
+    k, top = len(codes), len(batch.data)
+    if done.any():
+        k = int(done.argmax())
+        top = int(batch.ctrl_pos[c + k])
+    return Runs(
+        batch.data[d:top], sdata[d:top],
+        batch.ctrl_pos[c:c + k] - d, codes[:k], sctrl[c:c + k], k < len(codes),
+    )
+
+
+def consume(entry, ndata: int, nctrl: int) -> None:
+    """Move a held entry past its next *ndata* data, *nctrl* control tokens."""
+    if ndata or nctrl:
+        entry[0]._d += ndata
+        entry[0]._c += nctrl
+
+
+class StreamView(NamedTuple):
+    """A held entry's tokens before its first ``D``, in stream order."""
+
+    code: np.ndarray  # CODE_DATA, or the token's control code
+    stamp: np.ndarray
+    value: np.ndarray  # the data tokens' payload, 0 under control tokens
+    done: bool  # a ``D`` follows the viewed tokens
+
+
+def stream_view(entry) -> StreamView:
+    """Stream-order arrays over a held entry (or None), cursors intact."""
+    data, sdata, ends, codes, scodes, done = held_runs(entry)
+    di, ci = token_order_indices(ends, len(data))
+    code = np.full(len(data) + len(codes), CODE_DATA, dtype=np.int64)
+    code[ci] = codes
+    stamp = np.empty(len(code), dtype=np.int64)
+    stamp[di] = sdata
+    stamp[ci] = scodes
+    # a control-only window says nothing about the payload type: int64
+    # promotes to whatever it is joined with
+    value = np.zeros(len(code), dtype=data.dtype if len(data) else np.int64)
+    value[di] = data
+    return StreamView(code, stamp, value, done)
+
+
+def view_token(view: StreamView, i: int):
+    """Scalar token *i* of a view (its ``D`` when *i* is one past the end)."""
+    if i == len(view.code):
+        return decode_code(CODE_DONE) if view.done else NO_TOKEN
+    code = int(view.code[i])
+    return view.value[i].item() if code == CODE_DATA else decode_code(code)
+
+
+def drop_tokens(entry, view: StreamView, count: int) -> None:
+    """Consume the first *count* viewed tokens of a held entry."""
+    ndata = int(np.count_nonzero(view.code[:count] == CODE_DATA))
+    consume(entry, ndata, count - ndata)
+
+
+class Alignment(NamedTuple):
+    """Leading chunks of an inner stream paired with their outer tokens."""
+
+    owner: np.ndarray  # per chunk, outer index of the token that owns it
+    fold: np.ndarray  # ... of the outer stop its closer folds, else -1
+    ends: np.ndarray  # ... inner index of its closer
+    used: int  # outer tokens the chunks consume
+    again: bool  # the prefix ended where alignment restarts, not at a fault
+
+
+def align_chunks(outer: np.ndarray, inner: np.ndarray) -> Alignment:
+    """Pair an outer stream with the stop-closed chunks one level deeper.
+
+    *outer* and *inner* are stream-order code arrays (:func:`stream_view`)
+    of a stream at depth *d* and one at *d* + 1.  The repeater (references
+    against repeat-signal runs) and the coordinate dropper (outer
+    coordinates against inner fibers) walk them by one rule: an outer
+    datum owns the next chunk; a chunk closing with ``Sn``, n >= 1, folds
+    the outer stream's next token, which must be ``S(n-1)``; a bare outer
+    ``Sn`` — one that no datum's chunk folds — owns an *empty* chunk
+    closing ``S(n+1)``.  Returns the longest prefix of complete chunks for
+    which that holds *and every token it needs has arrived*; the caller
+    tells a fault from a wait by looking at what is in front afterwards.
+
+    A stop is taken to be folded iff it follows a datum.  The one place
+    that guess is wrong — a datum whose chunk closes ``S0`` in front of a
+    stop, which is then bare — ends the prefix behind that chunk with
+    ``again`` set: the next call starts at the stop and sees it bare.
+    """
+    ends = (inner >= 0).nonzero()[0]
+    # one sentinel datum: "no token yet" reads as neither stop nor fold
+    outer = np.append(outer, CODE_DATA)
+    stop = outer >= 0
+    folded = stop.copy()
+    folded[1:] &= ~stop[:-1]
+    folded[0] = False
+    owner = (~folded[:-1]).nonzero()[0][:len(ends)]
+    k = len(owner)
+    ends = ends[:k]
+    level, after = inner[ends], owner + 1
+    bare, folds = stop[owner], folded[after]
+    want = np.where(bare | folds, outer[np.where(bare, owner, after)] + 1, 0)
+    # a datum's S0 in front of a stop: that stop is bare after all
+    restart = folds & (level == 0)
+    bad = (level != want) & ~restart
+    if bare.any():  # the chunk a bare stop owns is empty
+        bad |= bare & (np.diff(ends, prepend=-1) != 1)
+    if bad.any():
+        k = int(bad.argmax())
+    again = bool(restart[:k].any())
+    if again:
+        k = int(restart.argmax()) + 1
+    fold = np.where(folds & ~restart, after, -1)[:k]
+    used = int(max(owner[k - 1], fold[k - 1])) + 1 if k else 0
+    return Alignment(owner[:k], fold, ends[:k], used, again)
+
+
 class TimedBuilder:
     """Accumulates stamped output tokens; flushes one stamped batch."""
 
@@ -526,6 +642,15 @@ class TimedBuilder:
             self._sctrl.append(np.asarray(cstamps, dtype=np.int64))
         self.data(arr, dstamps)
 
+    def stream(self, code: np.ndarray, value: np.ndarray, stamps: np.ndarray) -> None:
+        """Append a stream-order run: the inverse of :func:`stream_view`."""
+        is_data = code == CODE_DATA
+        ctrl = np.flatnonzero(~is_data)
+        self.data_with_ctrl(
+            value[is_data], ctrl - index_ramp(len(ctrl)), code[ctrl],
+            stamps[is_data], stamps[ctrl],
+        )
+
     @property
     def pending(self) -> int:
         return self._n + sum(len(c) for c in self._ccode)
@@ -549,17 +674,26 @@ class TimedBuilder:
 
 
 __all__ = [
+    "Alignment",
     "Fibers",
     "I64_MAX",
+    "Runs",
+    "StreamView",
     "TimedBuilder",
     "TimedReader",
+    "align_chunks",
+    "consume",
     "drop_fibers",
+    "drop_tokens",
     "front_fibers",
     "held_fibers",
+    "held_runs",
     "index_ramp",
     "merge_stamps",
     "rate1_schedule",
     "split_done_stamped",
     "stamp_split_at",
+    "stream_view",
     "token_order_indices",
+    "view_token",
 ]

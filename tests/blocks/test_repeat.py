@@ -12,7 +12,7 @@ from repro.blocks import (
     StreamFeeder,
 )
 from repro.blocks.repeat import REPEAT
-from repro.sim import DeadlockError, graph_token_counts, run_blocks
+from repro.sim import BACKENDS, DeadlockError, graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 from repro.streams.token import is_data, is_done
 
@@ -198,3 +198,60 @@ class TestTimedDrainUnfused:
         assert runs["compiled"] == runs["cycle"]
         assert report.fusion["kinds"] == {}
         assert report.fusion["fallbacks"] == 0
+
+
+#: three clean driving fibers, so a defect can sit behind a window
+CLEAN = ([0, 1, Stop(0), 2, Stop(1), 3, Stop(1)], [10, 11, Stop(0), 12, Stop(0)])
+ERRORS = {
+    "repeat: driver stream ended mid-fiber (D)":
+        ([5, DONE], [1, Stop(0), DONE]),
+    "repeat: reference stop S0 expects driver stop S1, got 'R'":
+        ([5, Stop(1), DONE], [Stop(0), DONE]),
+    "repeat: reference stop S0 expects driver stop S1, got S0":
+        ([Stop(0), DONE], [Stop(0), DONE]),
+    "repeat: reference stop S1 expects driver stop S2, got D":
+        ([DONE], [Stop(1), DONE]),
+    "repeat: driver stop S1 expects reference stop S0, got 2":
+        ([5, Stop(1), 6, Stop(1), DONE], [1, 2, Stop(0), DONE]),
+    "repeat: driver stop S2 expects reference stop S1, got S0":
+        ([5, Stop(2), DONE], [1, Stop(0), DONE]),
+    "repeat: driver stop S1 expects reference stop S0, got D":
+        ([Stop(1), DONE], [1, DONE]),
+    "repeat: driver stream out of sync at D ('R')":
+        ([5, Stop(0), DONE], [DONE]),
+    "repeat: driver stream out of sync at D (S0)":
+        ([Stop(0), DONE], [DONE]),
+}
+
+
+class TestProtocolErrorTable:
+    """Both definitions raise through the same checks: one message per
+    defect on every engine, wherever in a window it sits."""
+
+    @pytest.mark.parametrize("wiring", ("plain", "relay-driver", "relay-refs"))
+    @pytest.mark.parametrize("clean", (0, 1, 3), ids="after{}".format)
+    @pytest.mark.parametrize("message", ERRORS)
+    def test_one_message_on_every_engine(self, message, clean, wiring):
+        drv, refs = ERRORS[message]
+        for backend in BACKENDS:
+            blocks, _ = pipeline(
+                CLEAN[0] * clean + drv, CLEAN[1] * clean + refs, wiring
+            )
+            with pytest.raises(BlockError) as caught:
+                run_blocks(blocks, backend=backend)
+            assert str(caught.value) == message, backend
+
+    def test_s0_closed_fiber_in_front_of_a_bare_stop(self):
+        # not a stream the paper draws, but one the generator accepts:
+        # the driving fiber closes S0, so the reference stop behind its
+        # owner is bare and pairs with the empty S1
+        drv = [4, Stop(0), Stop(1), 5, Stop(1), DONE]
+        refs = [7, Stop(0), 8, Stop(0), DONE]
+        for wiring in WIRINGS:
+            runs = set()
+            for backend in ("cycle", "timed-batch", "compiled"):
+                blocks, out = pipeline(drv, refs, wiring, prefill=2)
+                report = run_blocks(blocks, backend=backend)
+                assert list(out.history) == [7, Stop(0), Stop(1), 8, Stop(1), DONE]
+                runs.add((report.cycles, repr(report.block_activity())))
+            assert len(runs) == 1, wiring

@@ -1,0 +1,153 @@
+"""Wall-clock-free guard: a window block takes a window, not a run.
+
+``VectorReducer.drain_timed`` walking its streams one run at a time was
+43 % of a ``gamma_spmm`` op; ``Repeater``, ``CoordDropper`` and
+``InterleaveSerializer`` walking theirs one fiber at a time were 58 % of
+what was left (2 504 of the op's 2 548 schedules, all 3 010 of its
+single events).  Counting calls pins the window form without a clock:
+on the Gamma and OuterSPACE graphs and the twelve Table-1 programs under
+``compiled`` every such block schedules at most once per visit (+ 1),
+accounts at most two single events per visit, pops no run, never bails —
+and the reports are still ``cycle``'s.
+"""
+
+import numpy as np
+import pytest
+
+from repro.blocks import (
+    Block,
+    CoordDropper,
+    InterleaveSerializer,
+    Repeater,
+    VectorReducer,
+)
+from repro.blocks import base as blocks_base
+from repro.data.synthetic import random_sparse_matrix
+from repro.graph.builder import capture_runs
+from repro.kernels.gamma import gamma_spmm
+from repro.kernels.outerspace import outerspace_spmm
+from repro.lang import compile_expression
+from repro.streams import timing
+from repro.streams.timing import TimedReader
+from repro.studies.table1 import ENTRIES, _random_inputs
+
+WINDOW_BLOCKS = (VectorReducer, Repeater, CoordDropper, InterleaveSerializer)
+
+
+def run_kernel(kernel):
+    B = random_sparse_matrix(60, 60, 0.1, seed=7)
+    C = random_sparse_matrix(60, 60, 0.1, seed=8)
+    return lambda backend: kernel(B, C, backend=backend).output
+
+
+def run_entry(entry):
+    prog = compile_expression(
+        entry.expression, formats=entry.formats, schedule=entry.schedule
+    )
+    inputs = _random_inputs(prog, 0)
+    return lambda backend: prog.run(inputs, backend=backend).to_numpy()
+
+
+class Counts:
+    """Per-block call counts of one run, taken by patching the hooks."""
+
+    def __init__(self, monkeypatch):
+        self.visits, self.advances, self.events = {}, {}, {}
+        self.popped, self.bailed, self.schedules = [], [], 0
+        inside = []
+
+        def counted(real, table):
+            def call(block, *args):
+                table[block.name] = table.get(block.name, 0) + 1
+                return real(block, *args)
+            return call
+
+        def drain(real):
+            real = counted(real, self.visits)
+
+            def call(block):
+                inside.append(block.name)
+                try:
+                    return real(block)
+                finally:
+                    inside.pop()
+            return call
+
+        def bail(block, real=Block._bail_timed):
+            self.bailed.append(block.name)
+            return real(block)
+
+        def pop(reader, *args, real=TimedReader.pop_run_upto):
+            self.popped.extend(inside)
+            return real(reader, *args)
+
+        def schedule(*args, real=timing.rate1_schedule):
+            self.schedules += 1
+            return real(*args)
+
+        for cls in WINDOW_BLOCKS:
+            monkeypatch.setattr(cls, "drain_timed", drain(cls.drain_timed))
+        for name, table in (("_t_advance", self.advances), ("_t_event", self.events)):
+            monkeypatch.setattr(Block, name, counted(getattr(Block, name), table))
+        monkeypatch.setattr(Block, "_bail_timed", bail)
+        monkeypatch.setattr(TimedReader, "pop_run_upto", pop)
+        for module in (timing, blocks_base):
+            monkeypatch.setattr(module, "rate1_schedule", schedule)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [pytest.param(run_kernel(kernel), id=kernel.__name__)
+     for kernel in (gamma_spmm, outerspace_spmm)]
+    + [pytest.param(run_entry(entry), id=entry.name) for entry in ENTRIES],
+)
+def test_window_blocks_take_whole_windows(run, monkeypatch):
+    with capture_runs() as oracle:
+        want = run("cycle")
+    counts = Counts(monkeypatch)
+    with capture_runs() as capture:
+        got = run("compiled")
+
+    present = {b.name for blocks, _ in capture.runs for b in blocks
+               if isinstance(b, WINDOW_BLOCKS)}
+    assert set(counts.visits) == present
+    for name, visits in counts.visits.items():
+        advances, events = counts.advances.get(name, 0), counts.events.get(name, 0)
+        assert advances <= visits + 1, (name, advances, visits)
+        assert events <= 2 * visits, (name, events, visits)
+    assert counts.popped == []
+    assert counts.bailed == []
+    np.testing.assert_array_equal(got, want)
+    assert len(capture.runs) == len(oracle.runs)
+    for (_, report), (_, reference) in zip(capture.runs, oracle.runs):
+        assert report.cycles == reference.cycles
+        assert report.block_activity() == reference.block_activity()
+
+
+def test_gamma_op_schedules_per_visit(monkeypatch):
+    """The whole op: no block left that pays a schedule per run."""
+    run = run_kernel(gamma_spmm)
+    counts = Counts(monkeypatch)
+    visits = []
+    for cls in set(_timed_classes()) - set(WINDOW_BLOCKS):
+        real = cls.drain_timed
+
+        def drain(block, real=real):
+            visits.append(block.name)
+            return real(block)
+
+        monkeypatch.setattr(cls, "drain_timed", drain)
+    run("compiled")
+    total = len(visits) + sum(counts.visits.values())
+    assert 0 < counts.schedules <= 3 * total, (counts.schedules, total)
+
+
+def _timed_classes():
+    """Every block class that defines its own ``drain_timed``."""
+    seen, stack = [], [Block]
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if "drain_timed" in vars(cls) and cls.drain_timed is not None:
+            seen.append(cls)
+    return seen

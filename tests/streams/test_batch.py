@@ -155,7 +155,7 @@ class TestTimedReader:
         reader.pull()
         assert reader.front_ctrl() is None
         assert reader.run_length() == 3
-        values, stamps = reader.pop_run()
+        values, stamps = reader.pop_run_upto(reader.run_length())
         assert values.tolist() == [1, 2, 3] and stamps.tolist() == [1, 2, 3]
         assert reader.front_ctrl() == 0
         assert reader.pop() == (Stop(0), 4)
@@ -169,7 +169,7 @@ class TestTimedReader:
         channel.push_batch_timed(batch, np.array([7]), np.array([8]))
         reader = TimedReader(channel)
         reader.pull()
-        values, stamps = reader.pop_run()
+        values, stamps = reader.pop_run_upto(reader.run_length())
         assert values.tolist() == [1, 2, 3] and stamps.tolist() == [1, 2, 7]
         assert reader.pop() == (Stop(0), 8)
 
@@ -177,22 +177,12 @@ class TestTimedReader:
         reader = TimedReader(stamped([EMPTY, 1.0, EMPTY, Stop(0), EMPTY, DONE]))
         reader.pull()
         reader.densify_empty(0.0)
-        values, stamps = reader.pop_run()
+        values, stamps = reader.pop_run_upto(reader.run_length())
         assert values.tolist() == [0.0, 1.0, 0.0] and stamps.tolist() == [1, 2, 3]
         assert reader.pop() == (Stop(0), 4)
-        values, stamps = reader.pop_run()
+        values, stamps = reader.pop_run_upto(reader.run_length())
         assert values.tolist() == [0.0] and stamps.tolist() == [5]
         assert reader.pop() == (DONE, 6)
-
-    def test_pop_repeat_run(self):
-        reader = TimedReader(stamped(["R", "R", Stop(0), "R", Stop(1), DONE]))
-        reader.pull()
-        count, stamps = reader.pop_repeat_run()
-        assert count == 2 and stamps.tolist() == [1, 2]
-        assert reader.pop() == (Stop(0), 3)
-        assert reader.pop_repeat_run()[0] == 1
-        assert reader.pop() == (Stop(1), 5)
-        assert reader.pop_repeat_run()[0] == 0
 
     def test_requeue_restores_remainder_with_stamps(self):
         channel = stamped([1, 2, Stop(0), DONE])
