@@ -1,12 +1,16 @@
 """Construction wall-clock for the vectorized fibertree data plane, as JSON.
 
-Times ``FiberTensor.from_coords`` (the numpy lexsort + segment-boundary
-pipeline) against ``FiberTensor.from_coords_reference`` (the pre-PR
-per-entry Python pipeline, kept as the differential oracle) at 1e4, 1e5
-and 1e6 nnz, across the DCSR, CSR, and bitvector format mixes, plus one
-``.mtx`` ingestion timing through :mod:`repro.data.io`.  The reference
-path is skipped above ``--reference-cap`` nnz (default 1e5) to keep CI
-runs short.
+Times ``FiberTensor.from_coords`` (the numpy order-check/lexsort +
+segment-boundary pipeline) against ``FiberTensor.from_coords_reference``
+(the pre-PR per-entry Python pipeline, kept as the differential oracle)
+at 1e4, 1e5 and 1e6 nnz, across the DCSR, CSR, and bitvector format
+mixes.  ``make_coo`` draws its coordinates unordered, so ``vectorized_s``
+is the path that sorts; ``vectorized_sorted_s`` builds the same entries
+arriving in row-major order -- what scipy, ``np.nonzero`` and ``.mtx``
+files deliver -- where the sort is skipped.  One ``.mtx`` ingestion
+through :mod:`repro.data.io` is timed as its two halves (``read_mtx``,
+then the fibertree build).  The reference path is skipped above
+``--reference-cap`` nnz (default 1e5) to keep CI runs short.
 
 The structural-equality check (seg/crd/vals arrays identical between the
 two paths) runs whenever both paths execute, so this benchmark is also
@@ -28,7 +32,7 @@ import time
 
 import numpy as np
 
-from repro.data.io import load_tensor, write_mtx
+from repro.data.io import CooTensor, read_mtx, write_mtx
 from repro.formats import FiberTensor
 
 SIZES = (10_000, 100_000, 1_000_000)
@@ -47,6 +51,12 @@ def make_coo(nnz: int, density: float = 0.01, seed: int = 0):
     coords = np.column_stack([flat // dim, flat % dim]).astype(np.int64)
     values = rng.uniform(0.1, 1.0, size=nnz)
     return (dim, dim), coords, values
+
+
+def row_major(coords, values):
+    """The same entries in the order scipy and ``.mtx`` files deliver them."""
+    order = np.lexsort(coords.T[::-1])
+    return coords[order], values[order]
 
 
 def _assert_same(fast: FiberTensor, slow: FiberTensor) -> None:
@@ -82,6 +92,7 @@ def run_bench(rounds: int = 3, reference_cap: int = 100_000) -> dict:
     for nnz in SIZES:
         shape, coords, values = make_coo(nnz)
         coords_list, values_list = coords.tolist(), values.tolist()
+        sorted_coords, sorted_values = row_major(coords, values)
         for mix_name, formats in FORMAT_MIXES.items():
             # The bitvector mix spans the full column range per word, so
             # keep it to the smaller sizes (word count ~ fibers * cols / b).
@@ -93,6 +104,12 @@ def run_bench(rounds: int = 3, reference_cap: int = 100_000) -> dict:
                                                 formats=formats),
                 rounds,
             )
+            entry["vectorized_sorted_s"], presorted = _best(
+                lambda: FiberTensor.from_coords(shape, sorted_coords,
+                                                sorted_values, formats=formats),
+                rounds,
+            )
+            _assert_same(presorted, fast)
             if nnz <= reference_cap:
                 entry["reference_s"], slow = _best(
                     lambda: FiberTensor.from_coords_reference(
@@ -105,14 +122,14 @@ def run_bench(rounds: int = 3, reference_cap: int = 100_000) -> dict:
                 entry["identical_to_reference"] = True
             cases.append(entry)
 
-    # .mtx ingestion wall-clock at 1e5 nnz through the io layer.
+    # .mtx ingestion wall-clock at 1e5 nnz through the io layer, the file
+    # row-major as real ones are: parse, then build.
     shape, coords, values = make_coo(100_000)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bench.mtx")
-        from repro.data.io import CooTensor
-
-        write_mtx(path, CooTensor(shape, coords, values))
-        mtx_s, _ = _best(lambda: load_tensor(path), max(1, rounds - 1))
+        write_mtx(path, CooTensor(shape, *row_major(coords, values)))
+        read_s, coo = _best(lambda: read_mtx(path), max(1, rounds - 1))
+        build_s, _ = _best(coo.to_fibertensor, max(1, rounds - 1))
     speedups = [c["speedup"] for c in cases if "speedup" in c]
     summary = {
         "min_speedup": min(speedups) if speedups else None,
@@ -127,7 +144,8 @@ def run_bench(rounds: int = 3, reference_cap: int = 100_000) -> dict:
     return {
         "rounds": rounds,
         "cases": cases,
-        "mtx_ingest_1e5_s": mtx_s,
+        "mtx_read_1e5_s": read_s,
+        "mtx_build_1e5_s": build_s,
         "summary": summary,
     }
 

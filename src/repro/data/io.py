@@ -1,11 +1,18 @@
 """Real-tensor ingestion: Matrix Market (.mtx) and FROSTT (.tns) readers.
 
-Both formats are line-oriented text; parsing goes through numpy
-(``np.loadtxt`` over the data body) so million-nnz operands load in
-seconds and feed straight into the vectorized
+Both formats are line-oriented text.  The readers parse the header lines
+themselves and hand numpy the *path* of the file for the data body
+(``np.loadtxt`` with ``skiprows``: its chunked reader, no Python ``str``
+per line), so million-nnz operands load in seconds and feed straight
+into the vectorized
 :meth:`~repro.formats.tensor.FiberTensor.from_coords` pipeline without a
-per-entry Python loop.  ``.gz``-compressed files are handled
-transparently.
+per-entry Python loop.  A Matrix Market coordinate body is read with
+typed columns (``int64 int64 float64``); a body that parse refuses is
+read again as all-float by the general reader
+(:func:`_coordinate_entries` says why both stay).  Every parse failure
+is a ``ValueError`` naming the file and the 1-based entry or the size
+line.  The writers format a chunk of rows per ``%`` operation.
+``.gz``-compressed files are handled transparently both ways.
 
 Matrix Market support covers the coordinate and array formats, the
 ``real``/``integer``/``pattern`` fields, and the ``general``/
@@ -19,10 +26,11 @@ from __future__ import annotations
 
 import gzip
 import io
+import itertools
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,24 +93,86 @@ def _open_text(path: str):
     return open(path, "r", encoding="latin-1")
 
 
-def _loadtxt(handle, comments: str) -> np.ndarray:
+def _loadtxt(path: str, comments: str, skiprows: int, dtype) -> np.ndarray:
+    """``np.loadtxt`` over the body of *path*, opened by numpy itself.
+
+    Given a path numpy decompresses ``.gz`` by extension and reads the
+    text in chunks; given an open handle it would iterate it one Python
+    ``str`` per line.  A structured *dtype* comes back as one record per
+    entry, a plain one as an ``(entries, columns)`` array.
+    """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*no data.*")
-        return np.loadtxt(handle, ndmin=2, comments=comments)
+        return np.loadtxt(
+            path, dtype=dtype, comments=comments, skiprows=skiprows,
+            encoding="latin-1", ndmin=1 if np.dtype(dtype).names else 2,
+        )
 
 
-def _load_body(handle, min_cols: int) -> np.ndarray:
-    """Parse the remaining lines into a 2-D float array (possibly empty)."""
-    data = _loadtxt(handle, comments="%")
-    if data.size == 0:
-        return np.empty((0, min_cols))
-    return data
+def _load_floats(path: str, comments: str, skiprows: int = 0) -> np.ndarray:
+    """The general reader: the body of *path* as a 2-D float64 array
+    (possibly empty), any number of columns, any float spelling."""
+    try:
+        return _loadtxt(path, comments, skiprows, np.float64)
+    except ValueError as err:
+        raise _body_error(path, comments, skiprows, err) from None
+
+
+def _body_error(path: str, comments: str, skiprows: int, err) -> ValueError:
+    """Name the file and the first entry ``np.loadtxt`` cannot have parsed.
+
+    numpy's own message carries neither (and counts rows from 1 for a
+    ragged body but from 0 for a bad token), so after a failure, and only
+    then, the body is walked a second time line by line.
+    """
+    width = entry = 0
+    with _open_text(path) as handle:
+        for line in itertools.islice(handle, skiprows, None):
+            tokens = line.split(comments, 1)[0].split()
+            if not tokens:
+                continue
+            entry += 1
+            width = width or len(tokens)
+            if len(tokens) != width:
+                return ValueError(
+                    f"{path}: entry {entry} has {len(tokens)} columns, the "
+                    f"entries before it have {width}: {line.strip()!r}"
+                )
+            for token in tokens:
+                if not _is_number(token):
+                    return ValueError(
+                        f"{path}: entry {entry}: {token!r} is not a number: "
+                        f"{line.strip()!r}"
+                    )
+    return ValueError(f"{path}: {err}")
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return "_" not in token  # float() takes 1_000, numpy's strtod does not
+
+
+def _sizes(
+    path: str, what: str, line: str, tokens: Sequence[str], at_least: int = 0
+) -> List[int]:
+    """*tokens* of a size line or shape comment as non-negative ints."""
+    try:
+        sizes = [int(token) for token in tokens]
+    except ValueError:
+        sizes = None
+    if sizes is None or len(sizes) < at_least or min(sizes, default=0) < 0:
+        raise ValueError(f"{path}: malformed {what} {line!r}")
+    return sizes
 
 
 def _zero_indexed(path: str, raw: np.ndarray) -> np.ndarray:
     """1-indexed coordinate columns (parsed as floats) as int64 - 1; a
     fractional index is an error, never a silent truncation."""
-    coords = raw.astype(np.int64)
+    with np.errstate(invalid="ignore"):  # 1e20 has no int64: caught below
+        coords = raw.astype(np.int64)
     if (coords != raw).any():
         bad = int(np.flatnonzero((coords != raw).any(axis=1))[0])
         raise ValueError(
@@ -110,6 +180,53 @@ def _zero_indexed(path: str, raw: np.ndarray) -> np.ndarray:
             f"{raw[bad].tolist()}"
         )
     return coords - 1
+
+
+#: one coordinate entry as typed columns (a ``pattern`` entry is the first two)
+_ENTRY_COLUMNS = [("row", np.int64), ("column", np.int64), ("value", np.float64)]
+
+
+def _coordinate_entries(
+    path: str, skiprows: int, field: str, nnz: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Zero-indexed ``(nnz, 2)`` coordinates and values of a coordinate body.
+
+    Two parses, chosen by what the bytes are and by no option.  Nearly
+    every file spells an entry ``int int [float]`` and nothing else; read
+    with typed columns, its index tokens are parsed as integers instead
+    of as floats that are cast and compared back.  Whatever that parse
+    refuses -- an index written ``3.0`` or ``1e3``, values in a
+    ``pattern`` file, a fourth column, a fractional or overflowing index,
+    a short or ragged row -- is read again by the general float reader,
+    which accepts it or names the error.  The typed parse cannot accept
+    what the general one rejects, and where both accept they agree: the
+    same ``strtod`` reads the values, and an integer token reads the same
+    either way (up to 2**53, past which only the integer parse is exact).
+    """
+    need = 2 if field == "pattern" else 3
+    try:
+        body = _loadtxt(path, "%", skiprows, _ENTRY_COLUMNS[:need])
+    except ValueError:
+        body = _load_floats(path, "%", skiprows)
+    if body.shape[0] != nnz:
+        raise ValueError(
+            f"{path}: header promises {nnz} entries, found {body.shape[0]}"
+        )
+    if body.dtype.names:
+        coords = np.column_stack((body["row"], body["column"]))
+        coords -= 1
+        column = body["value"] if need == 3 else None
+    else:
+        if body.shape[1] < need:
+            raise ValueError(
+                f"{path}: {field} entries need {need} columns "
+                f"(row, column{', value' if need == 3 else ''}), "
+                f"found {body.shape[1]}"
+            )
+        coords = _zero_indexed(path, body[:, :2])
+        column = body[:, 2] if need == 3 else None
+    values = np.ones(nnz) if column is None else column.astype(np.float64)
+    return coords, values
 
 
 def read_mtx(path: str) -> CooTensor:
@@ -123,60 +240,45 @@ def read_mtx(path: str) -> CooTensor:
             raise ValueError(f"{path}: unsupported object {obj!r}")
         if field in ("complex", "hermitian") or symmetry == "hermitian":
             raise ValueError(f"{path}: complex matrices are not supported")
+        consumed = 2  # the banner and the size line
         line = handle.readline()
         while line and (line.lstrip().startswith("%") or not line.strip()):
+            consumed += 1
             line = handle.readline()
-        sizes = line.split()
-        if len(sizes) < (3 if fmt == "coordinate" else 2):
-            raise ValueError(f"{path}: malformed size line {line!r}")
+    count = 3 if fmt == "coordinate" else 2
+    sizes = _sizes(path, "size line", line, line.split()[:count], at_least=count)
 
-        if fmt == "coordinate":
-            rows, cols, nnz = (int(s) for s in sizes[:3])
-            need = 2 if field == "pattern" else 3
-            body = _load_body(handle, need)
-            if body.shape[0] != nnz:
-                raise ValueError(
-                    f"{path}: header promises {nnz} entries, found {body.shape[0]}"
-                )
-            if body.shape[1] < need:
-                raise ValueError(
-                    f"{path}: {field} entries need {need} columns "
-                    f"(row, column{', value' if need == 3 else ''}), "
-                    f"found {body.shape[1]}"
-                )
-            coords = _zero_indexed(path, body[:, :2])
-            if field == "pattern":
-                values = np.ones(body.shape[0], dtype=np.float64)
-            else:
-                values = body[:, 2].astype(np.float64)
-        elif fmt == "array":
-            rows, cols = (int(s) for s in sizes[:2])
-            body = _load_body(handle, 1).reshape(-1)
-            if symmetry in ("symmetric", "skew-symmetric"):
-                # Array symmetric files store the lower triangle by column
-                # (strictly lower for skew-symmetric: the diagonal is zero
-                # by definition and not stored).
-                dense = np.zeros((rows, cols))
-                first = 1 if symmetry == "skew-symmetric" else 0
-                # Column-major (strictly-)lower-triangle indices, vectorized.
-                col_idx = np.arange(cols, dtype=np.int64)
-                counts = np.maximum(rows - (col_idx + first), 0)
-                c_rep = np.repeat(col_idx, counts)
-                r_idx = c_rep + first + segment_offsets(counts)
-                if body.size != r_idx.size:
-                    raise ValueError(f"{path}: triangular array size mismatch")
-                dense[r_idx, c_rep] = body
-            else:
-                if body.size != rows * cols:
-                    raise ValueError(
-                        f"{path}: array body has {body.size} values, "
-                        f"expected {rows * cols}"
-                    )
-                # Array files list values column-major.
-                dense = body.reshape((cols, rows)).T
-            coords, values = dense_nonzeros(dense)
+    if fmt == "coordinate":
+        rows, cols, nnz = sizes
+        coords, values = _coordinate_entries(path, consumed, field, nnz)
+    elif fmt == "array":
+        rows, cols = sizes
+        body = _load_floats(path, "%", consumed).reshape(-1)
+        if symmetry in ("symmetric", "skew-symmetric"):
+            # Array symmetric files store the lower triangle by column
+            # (strictly lower for skew-symmetric: the diagonal is zero
+            # by definition and not stored).
+            dense = np.zeros((rows, cols))
+            first = 1 if symmetry == "skew-symmetric" else 0
+            # Column-major (strictly-)lower-triangle indices, vectorized.
+            col_idx = np.arange(cols, dtype=np.int64)
+            counts = np.maximum(rows - (col_idx + first), 0)
+            c_rep = np.repeat(col_idx, counts)
+            r_idx = c_rep + first + segment_offsets(counts)
+            if body.size != r_idx.size:
+                raise ValueError(f"{path}: triangular array size mismatch")
+            dense[r_idx, c_rep] = body
         else:
-            raise ValueError(f"{path}: unsupported format {fmt!r}")
+            if body.size != rows * cols:
+                raise ValueError(
+                    f"{path}: array body has {body.size} values, "
+                    f"expected {rows * cols}"
+                )
+            # Array files list values column-major.
+            dense = body.reshape((cols, rows)).T
+        coords, values = dense_nonzeros(dense)
+    else:
+        raise ValueError(f"{path}: unsupported format {fmt!r}")
 
     if symmetry in ("symmetric", "skew-symmetric"):
         off_diag = coords[:, 0] != coords[:, 1]
@@ -204,21 +306,19 @@ def read_tns(path: str, shape: Optional[Sequence[int]] = None) -> CooTensor:
     :func:`write_tns`) pins the shape; otherwise it is inferred from the
     per-mode coordinate maxima unless *shape* is given explicitly.
     """
+    header_shape = None
     with _open_text(path) as handle:
-        header_shape = None
-        # Scan every leading comment line for a shape annotation, then
-        # rewind to the first data line.
-        position = handle.tell()
-        line = handle.readline()
-        while line and line.lstrip().startswith("#"):
+        # Every leading comment line may carry the shape annotation; the
+        # body parse skips them again as comments.
+        for line in handle:
+            if not line.lstrip().startswith("#"):
+                break
             if header_shape is None and "shape:" in line:
-                header_shape = tuple(
-                    int(s) for s in line.split("shape:", 1)[1].split()
-                )
-            position = handle.tell()
-            line = handle.readline()
-        handle.seek(position)
-        data = _loadtxt(handle, comments="#")
+                header_shape = tuple(_sizes(
+                    path, "shape comment", line,
+                    line.split("shape:", 1)[1].split(),
+                ))
+    data = _load_floats(path, "#")
     if shape is None:
         shape = header_shape
     if data.size == 0:
@@ -260,6 +360,20 @@ def _open_write(path: str):
 #: Matrix Market value fields the writer (and reader) support
 MTX_FIELDS = ("real", "integer", "pattern")
 MTX_SYMMETRIES = ("general", "symmetric", "skew-symmetric")
+
+
+#: rows formatted per ``%`` operation; all rows at once would hold every
+#: entry as a Python object at the same time (+14 % peak RSS on 2e5 nnz)
+_WRITE_ROWS = 8192
+
+
+def _write_rows(handle, fmt: str, body: np.ndarray) -> None:
+    """Write 2-D *body* one *fmt* line per row -- the bytes a per-row
+    ``fmt % tuple(row)`` loop writes, a chunk of rows per ``%`` operation."""
+    line = fmt + "\n"
+    for start in range(0, body.shape[0], _WRITE_ROWS):
+        chunk = body[start:start + _WRITE_ROWS]
+        handle.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
 def _check_symmetry(coo: CooTensor, symmetry: str) -> np.ndarray:
@@ -342,13 +456,13 @@ def write_mtx(
             handle.write(f"% {line}\n")
         handle.write(f"{coo.shape[0]} {coo.shape[1]} {len(values)}\n")
         if field == "pattern":
-            np.savetxt(handle, coords + 1, fmt="%d %d")
+            _write_rows(handle, "%d %d", coords + 1)
         elif field == "integer":
             body = np.column_stack([coords + 1, values.astype(np.int64)])
-            np.savetxt(handle, body, fmt="%d %d %d")
+            _write_rows(handle, "%d %d %d", body)
         else:
             body = np.column_stack([coords + 1, values.reshape(-1, 1)])
-            np.savetxt(handle, body, fmt="%d %d %.17g")
+            _write_rows(handle, "%d %d %.17g", body)
     return path
 
 
@@ -359,7 +473,7 @@ def write_tns(path: str, data) -> str:
         handle.write(f"# shape: {' '.join(str(s) for s in coo.shape)}\n")
         fmt = " ".join(["%d"] * coo.order + ["%.17g"])
         body = np.column_stack([coo.coords + 1, coo.values.reshape(-1, 1)])
-        np.savetxt(handle, body, fmt=fmt)
+        _write_rows(handle, fmt, body)
     return path
 
 

@@ -95,8 +95,9 @@ def load(spec: MatrixSpec, seed: int = 0,
     )
 
 
-def load_all(seed: int = 0, max_nnz: int = None,
-             data_dir: Optional[str] = None) -> List[Tuple[MatrixSpec, sparse.csr_matrix]]:
+def load_all(
+    seed: int = 0, max_nnz: int = None, data_dir: Optional[str] = None
+) -> List[Tuple[MatrixSpec, sparse.csr_matrix]]:
     """All Table 3 matrices (optionally capped by nnz for quick runs)."""
     out = []
     for spec in TABLE3:

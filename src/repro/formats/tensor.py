@@ -15,12 +15,13 @@ matrix is just the same data with ``mode_order=(1, 0)`` — the format
 language of section 5 (``C=({comp., comp.}, {mode1, mode0})``).
 
 Construction is fully vectorized: COO input is validated, permuted,
-lexsorted and deduplicated with numpy, and every level's segment/
-coordinate (or word) arrays fall out of segment-boundary masks — no
-per-entry Python loops, so million-nnz operands build in ~100ms.  The
-pre-vectorization pure-Python pipeline is kept as
-:meth:`FiberTensor.from_coords_reference`, serving as a differential-
-testing oracle and as the baseline for ``benchmarks/bench_formats.py``.
+lexsorted (only if its rows do not already arrive in order) and
+deduplicated with numpy, and every level's segment/coordinate (or word)
+arrays fall out of segment-boundary masks — no per-entry Python loops,
+so million-nnz operands build in ~100ms.  The pre-vectorization
+pure-Python pipeline is kept as :meth:`FiberTensor.from_coords_reference`,
+serving as a differential-testing oracle and as the baseline for
+``benchmarks/bench_formats.py``.
 """
 
 from __future__ import annotations
@@ -100,40 +101,61 @@ def _coerce_coo(
     return coords_arr, values_arr
 
 
+def _rows_ascend(key: np.ndarray) -> Optional[np.ndarray]:
+    """Where consecutive *key* rows strictly ascend, or ``None`` if any
+    pair descends (the rows are not in lexicographic order).
+
+    One pass per column over adjacent rows: a column decides a pair the
+    first time its two entries differ.  In ordered rows a pair that does
+    not ascend is a pair of equal rows, so the mask is also the
+    duplicate-head mask :func:`_dedupe_sorted` needs.
+    """
+    ascends = np.zeros(key.shape[0] - 1, dtype=bool)
+    for d in range(key.shape[1]):
+        above, below = key[:-1, d], key[1:, d]
+        descends = above > below
+        if d:
+            descends &= ~ascends
+        if descends.any():
+            return None
+        ascends |= above < below
+    return ascends
+
+
 def _dedupe_sorted(
     key: np.ndarray, values: np.ndarray, keep_zeros: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Lexsort *key* rows, sum duplicate values, optionally drop zeros.
+    """Order *key* rows, sum duplicate values, optionally drop zeros.
 
-    The sort is stable, so duplicates are summed in arrival order; entries
-    whose merged value is exactly zero (e.g. ``+1.0`` cancelled by
+    Rows that already arrive in lexicographic order (scipy's canonical
+    COO, ``np.nonzero``, every file :func:`~repro.data.io.write_mtx`
+    produces) are not sorted again: a stable sort of ordered rows is the
+    identity, so skipping it changes no bit of the result.  Otherwise the
+    sort is stable, so either way duplicates are summed in arrival order;
+    entries whose merged value is exactly zero (e.g. ``+1.0`` cancelled by
     ``-1.0``) are dropped unless ``keep_zeros`` asks for explicit zeros.
     """
-    n = key.shape[0]
-    if n == 0:
+    if key.shape[0] == 0:
         return key, values
-    if key.shape[1]:
+    ascends = _rows_ascend(key)
+    if ascends is None:
         sort_idx = np.lexsort(key.T[::-1])
         key = key[sort_idx]
         values = values[sort_idx]
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    if key.shape[1]:
-        head[1:] = (key[1:] != key[:-1]).any(axis=1)
-    else:
-        head[1:] = False
-    starts = np.flatnonzero(head)
-    if starts.size == n:
+        ascends = (key[1:] != key[:-1]).any(axis=1)
+    if ascends.all():
         merged = values.copy()
     else:
+        head = np.concatenate(([True], ascends))
         # np.add.at applies the additions element-by-element in array
         # order (unbuffered), so duplicates really are summed in arrival
         # order — np.add.reduceat would pairwise-sum groups larger than
         # numpy's unrolling block, silently diverging from the
         # from_coords_reference oracle in the last bits.
-        merged = np.zeros(starts.size, dtype=np.float64)
-        np.add.at(merged, np.cumsum(head) - 1, values)
-    key = key[starts]
+        slot = np.cumsum(head) - 1
+        merged = np.zeros(int(slot[-1]) + 1, dtype=np.float64)
+        np.add.at(merged, slot, values)
+        key = key[head]
     if not keep_zeros:
         nonzero = merged != 0
         if not nonzero.all():
@@ -202,7 +224,8 @@ class FiberTensor:
             raise ValueError(f"need {order} level formats, got {len(formats)}")
 
         coords_arr, values_arr = _coerce_coo(shape, coords, values)
-        # Permute to storage order, sort lexicographically, merge duplicates.
+        # Permute to storage order, put the rows in lexicographic order
+        # (a sort only if they are not already), merge duplicates.
         key = coords_arr[:, list(perm)] if order else coords_arr
         key, merged = _dedupe_sorted(key, values_arr, keep_zeros)
 

@@ -2,9 +2,12 @@
 tensors driven through all three simulation backends."""
 
 import gzip
+import io
 import os
+import re
 import subprocess
 import sys
+from typing import NamedTuple, Union
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from repro.data import (
     write_mtx,
     write_tns,
 )
-from repro.data.io import CooTensor
+from repro.data.io import _WRITE_ROWS, CooTensor
 from repro.formats import FiberTensor
 from repro.lang import compile_expression
 
@@ -330,6 +333,293 @@ class TestMtxWriterRoundTrip:
         assert np.allclose(tensor.to_numpy(), dense)
 
 
+class Coo(NamedTuple):
+    """What ``read_mtx`` returns, values as ``repr`` (``nan``, ``-0.0``)."""
+
+    shape: tuple
+    coords: list
+    values: list
+    field: str = "real"
+
+
+class Case(NamedTuple):
+    name: str
+    head: str                  # banner, comments, size line
+    body: str
+    expect: Union[Coo, str]    # or the exception text, ``{path}`` to fill in
+
+
+def coordinate(name, body, expect, field="real", symmetry="general",
+               size="3 3 {n}"):
+    entries = sum(
+        1 for line in re.split(r"\r\n|\r|\n", body) if line.split("%")[0].strip()
+    )
+    head = (f"%%MatrixMarket matrix coordinate {field} {symmetry}\n"
+            + size.format(n=entries) + "\n")
+    return Case(name, head, body, expect)
+
+
+def array(name, body, expect, symmetry="general"):
+    head = f"%%MatrixMarket matrix array real {symmetry}\n2 2\n"
+    return Case(name, head, body, expect)
+
+
+TWO = Coo((3, 3), [[0, 1], [1, 0]], ["1.5", "2.0"])
+
+#: every kind of body the reader meets -> the CooTensor or the error.
+#: Well-formed files read with typed columns; the rest fall to the
+#: general float reader, and the table does not care which.
+READER_TABLE = [
+    coordinate("plain", "1 2 1.5\n2 1 -2\n3 3 1e-3\n",
+               Coo((3, 3), [[0, 1], [1, 0], [2, 2]], ["1.5", "-2.0", "0.001"])),
+    coordinate("short", "1 2 1.5\n", size="3 3 2",
+               expect="{path}: header promises 2 entries, found 1"),
+    coordinate("long", "1 2 1.5\n2 2 1\n", size="3 3 1",
+               expect="{path}: header promises 1 entries, found 2"),
+    coordinate("ragged", "1 2 1.5\n2 1\n3 3 1\n",
+               "{path}: entry 2 has 2 columns, the entries before it have 3: "
+               "'2 1'"),
+    coordinate("out-of-range", "4 1 1.0\n",
+               "{path}: coordinates outside shape (3, 3)"),
+    coordinate("zero-index", "0 1 1.0\n",
+               "{path}: coordinates outside shape (3, 3)"),
+    coordinate("negative-index", "-1 1 1.0\n",
+               "{path}: coordinates outside shape (3, 3)"),
+    coordinate("fractional-index", "1 1 2.0\n1.5 1 1.0\n",
+               "{path}: non-integer coordinate in entry 2: [1.5, 1.0]"),
+    coordinate("float-spelled-index", "1.0 2 1.5\n2 1.0 2\n", TWO),
+    coordinate("exponent-index", "1e0 2 1.5\n", Coo((3, 3), [[0, 1]], ["1.5"])),
+    coordinate("float-index-on-last-row", "1 1 1\n2 2 2\n3.0 3 3\n",
+               Coo((3, 3), [[0, 0], [1, 1], [2, 2]], ["1.0", "2.0", "3.0"])),
+    coordinate("overflowing-index", "99999999999999999999 1 1\n",
+               "{path}: non-integer coordinate in entry 1: [1e+20, 1.0]"),
+    coordinate("missing-value-real", "1 1\n",
+               "{path}: real entries need 3 columns (row, column, value), "
+               "found 2"),
+    coordinate("missing-value-integer", "1 1\n", field="integer",
+               expect="{path}: integer entries need 3 columns (row, column, "
+                      "value), found 2"),
+    coordinate("pattern", "1 1\n2 3\n", field="pattern",
+               expect=Coo((3, 3), [[0, 0], [1, 2]], ["1.0", "1.0"], "pattern")),
+    coordinate("pattern-one-column", "1\n", field="pattern",
+               expect="{path}: pattern entries need 2 columns (row, column), "
+                      "found 1"),
+    coordinate("pattern-with-values", "1 1 7.5\n2 3 2\n", field="pattern",
+               expect=Coo((3, 3), [[0, 0], [1, 2]], ["1.0", "1.0"], "pattern")),
+    coordinate("extra-column", "1 2 1.5 9\n2 1 2 9\n", TWO),
+    coordinate("body-comment", "1 2 1.5\n% note\n2 1 2\n", TWO),
+    coordinate("trailing-comment", "1 2 1.5 % note\n2 1 2\n", TWO),
+    coordinate("blank-lines", "1 2 1.5\n\n\n2 1 2\n\n", TWO),
+    coordinate("crlf", "1 2 1.5\r\n2 1 2\r\n", TWO),
+    coordinate("cr-only", "1 2 1.5\r2 1 2\r", TWO),
+    coordinate("tabs-and-padding", "1\t2\t1.5\n 2  1   2 \n", TWO),
+    coordinate("no-final-newline", "1 2 1.5\n2 1 2", TWO),
+    coordinate("plus-signs", "+1 +2 +1.5\n", Coo((3, 3), [[0, 1]], ["1.5"])),
+    Case("crlf-throughout",
+         "%%MatrixMarket matrix coordinate real general\r\n% c\r\n3 3 2\r\n",
+         "1 2 1.5\r\n2 1 2\r\n", TWO),
+    Case("comments-and-blank-before-size-line",
+         "%%MatrixMarket matrix coordinate real general\n% a\n\n%b\n  \n"
+         "3 3 2\n", "1 2 1.5\n2 1 2\n", TWO),
+    Case("upper-case-banner",
+         "%%MatrixMarket MATRIX COORDINATE REAL GENERAL\n3 3 1\n", "1 2 1.5\n",
+         Coo((3, 3), [[0, 1]], ["1.5"])),
+    coordinate("nan-inf-negative-zero",
+               "1 1 nan\n1 2 inf\n2 1 -0.0\n2 2 1e400\n3 3 -inf\n",
+               Coo((3, 3), [[0, 0], [0, 1], [1, 0], [1, 1], [2, 2]],
+                   ["nan", "inf", "-0.0", "inf", "-inf"])),
+    coordinate("integer-field", "1 1 4\n2 2 -7\n", field="integer",
+               expect=Coo((3, 3), [[0, 0], [1, 1]], ["4.0", "-7.0"], "integer")),
+    coordinate("integer-field-fraction", "1 1 7.5\n", field="integer",
+               expect=Coo((3, 3), [[0, 0]], ["7.5"], "integer")),
+    coordinate("integer-field-overflow", "1 1 99999999999999999999\n",
+               field="integer",
+               expect=Coo((3, 3), [[0, 0]], ["1e+20"], "integer")),
+    coordinate("duplicates-kept", "1 1 1\n1 1 2\n",
+               Coo((3, 3), [[0, 0], [0, 0]], ["1.0", "2.0"])),
+    coordinate("file-order-kept", "3 3 1\n1 1 2\n2 1 4\n",
+               Coo((3, 3), [[2, 2], [0, 0], [1, 0]], ["1.0", "2.0", "4.0"])),
+    coordinate("symmetric", "1 1 1.0\n2 1 2.0\n3 2 3.0\n", symmetry="symmetric",
+               expect=Coo((3, 3), [[0, 0], [1, 0], [2, 1], [0, 1], [1, 2]],
+                          ["1.0", "2.0", "3.0", "2.0", "3.0"])),
+    coordinate("skew-symmetric", "2 1 5.0\n", symmetry="skew-symmetric",
+               expect=Coo((3, 3), [[1, 0], [0, 1]], ["5.0", "-5.0"])),
+    coordinate("skew-with-diagonal", "1 1 5.0\n", symmetry="skew-symmetric",
+               expect="{path}: skew-symmetric matrix with nonzero diagonal"),
+    coordinate("empty", "", size="3 4 0", expect=Coo((3, 4), [], [])),
+    coordinate("fortran-exponent", "1 2 1.5\n2 1 1d3\n",
+               "{path}: entry 2: '1d3' is not a number: '2 1 1d3'"),
+    coordinate("digit-underscore", "1 2 1_0\n",
+               "{path}: entry 1: '1_0' is not a number: '1 2 1_0'"),
+    coordinate("hex-value", "1 2 0x10\n",
+               "{path}: entry 1: '0x10' is not a number: '1 2 0x10'"),
+    coordinate("decimal-comma", "% note\n1 2 3,5\n",
+               "{path}: entry 1: '3,5' is not a number: '1 2 3,5'"),
+    coordinate("size-line-not-a-number", "1 1 1\n", size="3 x 1",
+               expect="{path}: malformed size line '3 x 1\\n'"),
+    coordinate("size-line-negative", "1 1 1\n", size="-3 3 1",
+               expect="{path}: malformed size line '-3 3 1\\n'"),
+    coordinate("size-line-short", "", size="3 3",
+               expect="{path}: malformed size line '3 3\\n'"),
+    Case("no-banner", "3 3 1\n", "1 1 1.0\n",
+         "{path}: missing %%MatrixMarket header"),
+    Case("complex", "%%MatrixMarket matrix coordinate complex general\n1 1 1\n",
+         "1 1 1 0\n", "{path}: complex matrices are not supported"),
+    array("array", "1\n0\n3\n4\n",
+          Coo((2, 2), [[0, 0], [0, 1], [1, 1]], ["1.0", "3.0", "4.0"])),
+    array("array-symmetric", "1\n2\n3\n", symmetry="symmetric",
+          expect=Coo((2, 2), [[0, 0], [1, 0], [1, 1], [0, 1]],
+                     ["1.0", "2.0", "3.0", "2.0"])),
+    array("array-short", "1\n0\n3\n",
+          "{path}: array body has 3 values, expected 4"),
+    array("array-bad-token", "1\n0\nx\n4\n",
+          "{path}: entry 3: 'x' is not a number: 'x'"),
+    array("array-ragged", "1\n0 3\n4\n",
+          "{path}: entry 2 has 2 columns, the entries before it have 1: '0 3'"),
+]
+
+
+def _opener(path):
+    return gzip.open if path.endswith(".gz") else open
+
+
+def _write_case(directory, case, body, suffix):
+    path = str(directory / f"{case.name}.{suffix}")
+    with _opener(path)(path, "wb") as handle:
+        handle.write((case.head + body).encode("latin-1"))
+    return path
+
+
+def _as_coo(coo):
+    return Coo(coo.shape, coo.coords.tolist(),
+               [repr(v) for v in coo.values.tolist()], coo.field)
+
+
+def _float_spelled(body):
+    """Row indices rewritten ``3`` -> ``3.0``: only the float reader takes it."""
+    return re.sub(r"(?m)^([ \t]*[+-]?\d+)(?=[ \t])", r"\1.0", body)
+
+
+class TestReaderOutcomeTable:
+    def test_table_is_as_wide_as_promised(self):
+        assert len(READER_TABLE) >= 39
+        assert len({case.name for case in READER_TABLE}) == len(READER_TABLE)
+
+    @pytest.mark.parametrize("suffix", ["mtx", "mtx.gz"])
+    @pytest.mark.parametrize("case", READER_TABLE, ids=lambda case: case.name)
+    def test_outcome(self, case, suffix, tmp_path):
+        path = _write_case(tmp_path, case, case.body, suffix)
+        if isinstance(case.expect, Coo):
+            coo = read_mtx(path)
+            assert _as_coo(coo) == case.expect
+            assert coo.coords.dtype == np.int64 and coo.values.dtype == np.float64
+            assert coo.coords.shape == (len(case.expect.values), 2)
+        else:
+            with pytest.raises(ValueError) as raised:
+                read_mtx(path)
+            assert str(raised.value) == case.expect.format(path=path)
+
+    @pytest.mark.parametrize("case", [
+        case for case in READER_TABLE
+        if isinstance(case.expect, Coo) and _float_spelled(case.body) != case.body
+    ], ids=lambda case: case.name)
+    def test_float_spelled_indices_read_the_same(self, case, tmp_path):
+        # The two parses agree with no switch to flip: the same entries
+        # with their row indices spelled as floats must give the same data.
+        path = _write_case(tmp_path, case, _float_spelled(case.body), "mtx")
+        assert _as_coo(read_mtx(path)) == case.expect
+
+    def test_index_beyond_float_precision_is_exact(self, tmp_path):
+        # 2**53 + 1 has no float64; the integer parse does not round it.
+        path = tmp_path / "big.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "9007199254740994 1 1\n9007199254740993 1 1\n"
+        )
+        assert read_mtx(str(path)).coords.tolist() == [[9007199254740992, 0]]
+
+
+def _savetxt(head, body, fmt):
+    out = io.StringIO()
+    out.write(head)
+    np.savetxt(out, body, fmt=fmt)
+    return out.getvalue().encode("ascii")
+
+
+def _file_bytes(path):
+    with _opener(path)(path, "rb") as handle:
+        return handle.read()
+
+
+class TestWriterBytes:
+    """A chunk of rows per ``%`` operation writes np.savetxt's bytes."""
+
+    #: not a multiple of the chunk, and more than two chunks
+    ROWS = 2 * _WRITE_ROWS + 5
+
+    def _coo(self, field="real"):
+        rng = np.random.default_rng(11)
+        flat = np.sort(rng.choice(400 * 300, self.ROWS, replace=False))
+        coords = np.column_stack(np.unravel_index(flat, (400, 300)))
+        if field == "real":
+            values = rng.standard_normal(self.ROWS) * 10.0 ** rng.integers(
+                -300, 300, self.ROWS
+            )
+            values[:4] = [np.nan, np.inf, -0.0, 5e-324]
+        elif field == "integer":
+            values = rng.integers(-2**40, 2**40, self.ROWS).astype(float)
+        else:
+            values = np.ones(self.ROWS)
+        return CooTensor((400, 300), coords.astype(np.int64), values, field=field)
+
+    @pytest.mark.parametrize("suffix", ["mtx", "mtx.gz"])
+    @pytest.mark.parametrize("field, fmt", [
+        ("real", "%d %d %.17g"), ("integer", "%d %d %d"), ("pattern", "%d %d"),
+    ])
+    def test_mtx_fields(self, field, fmt, suffix, tmp_path):
+        coo = self._coo(field)
+        path = write_mtx(str(tmp_path / f"w.{suffix}"), coo, comment="a\nb")
+        columns = [coo.coords + 1]
+        if field == "integer":
+            columns.append(coo.values.astype(np.int64))
+        elif field == "real":
+            columns.append(coo.values.reshape(-1, 1))
+        head = (f"%%MatrixMarket matrix coordinate {field} general\n% a\n% b\n"
+                f"400 300 {self.ROWS}\n")
+        assert _file_bytes(path) == _savetxt(head, np.column_stack(columns), fmt)
+
+    def test_mtx_symmetric_stores_lower_triangle(self, tmp_path):
+        dense = np.array([[2.5, -1.25, 0.0], [-1.25, 0.0, 4.0], [0.0, 4.0, 0.1]])
+        path = write_mtx(str(tmp_path / "s.mtx"), dense, symmetry="symmetric")
+        lower = np.array([[1, 1, 2.5], [2, 1, -1.25], [3, 2, 4.0], [3, 3, 0.1]])
+        head = "%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n"
+        assert _file_bytes(path) == _savetxt(head, lower, "%d %d %.17g")
+
+    def test_mtx_no_rows(self, tmp_path):
+        path = write_mtx(str(tmp_path / "z.mtx"), np.zeros((3, 4)))
+        assert _file_bytes(path) == (
+            b"%%MatrixMarket matrix coordinate real general\n3 4 0\n"
+        )
+
+    @pytest.mark.parametrize("suffix", ["tns", "tns.gz"])
+    def test_tns_order3(self, suffix, tmp_path):
+        rng = np.random.default_rng(12)
+        flat = rng.choice(30 * 40 * 50, self.ROWS, replace=False)
+        coords = np.column_stack(np.unravel_index(flat, (30, 40, 50)))
+        values = rng.standard_normal(self.ROWS)
+        coo = CooTensor((30, 40, 50), coords.astype(np.int64), values)
+        path = write_tns(str(tmp_path / f"w.{suffix}"), coo)
+        body = np.column_stack([coords + 1, values.reshape(-1, 1)])
+        assert _file_bytes(path) == _savetxt(
+            "# shape: 30 40 50\n", body, "%d %d %d %.17g"
+        )
+
+    def test_tns_no_rows(self, tmp_path):
+        coo = CooTensor((2, 3), np.empty((0, 2), dtype=np.int64), np.empty(0))
+        path = write_tns(str(tmp_path / "z.tns"), coo)
+        assert _file_bytes(path) == b"# shape: 2 3\n"
+
+
 class TestTnsReader:
     def test_order3_with_comments(self, tmp_path):
         path = tmp_path / "t.tns"
@@ -364,6 +654,35 @@ class TestTnsReader:
         path.write_text("1 2 3 0.5\n1.7 2 3 1.5\n")
         with pytest.raises(ValueError, match=r"frac\.tns.*entry 2.*1\.7"):
             read_tns(str(path))
+
+    def test_ragged_body_names_file_and_entry(self, tmp_path):
+        path = tmp_path / "ragged.tns"
+        path.write_text("# shape: 3 3 3\n1 1 1 1.0\n2 2 2.0\n")
+        with pytest.raises(ValueError) as raised:
+            read_tns(str(path))
+        assert str(raised.value) == (
+            f"{path}: entry 2 has 3 columns, the entries before it have 4: "
+            "'2 2 2.0'"
+        )
+
+    def test_unparsable_token_names_file_and_entry(self, tmp_path):
+        path = tmp_path / "fortran.tns"
+        path.write_text("1 1 1.0\n# note\n2 2 1d3\n")
+        with pytest.raises(ValueError) as raised:
+            read_tns(str(path))
+        assert str(raised.value) == (
+            f"{path}: entry 2: '1d3' is not a number: '2 2 1d3'"
+        )
+
+    @pytest.mark.parametrize("shape", ["3 x 1", "-3 3"])
+    def test_malformed_shape_comment_names_file_and_line(self, shape, tmp_path):
+        path = tmp_path / "shape.tns"
+        path.write_text(f"# shape: {shape}\n1 1 1.0\n")
+        with pytest.raises(ValueError) as raised:
+            read_tns(str(path))
+        assert str(raised.value) == (
+            f"{path}: malformed shape comment '# shape: {shape}\\n'"
+        )
 
     def test_empty_needs_shape(self, tmp_path):
         path = tmp_path / "e.tns"
