@@ -1,6 +1,6 @@
 """Wall-clock comparison of the simulation backends, emitting JSON.
 
-Three sections:
+Four sections:
 
 * **bound-graph workloads** — fig13-sized element-wise multiplies,
   SpM*SpM graphs and Table 1's Plus3 (two three-way unioners), timed
@@ -31,6 +31,14 @@ Three sections:
   burn no more user CPU than ``timed-batch`` (>= 0.8x).  Rows carry wall-clock and user-CPU
   medians; the wall-clock ratio is reported, not gated (see
   ``GAMMA_FLOOR``).
+* **mixed plane** — the graphs with generator-only blocks among timed
+  ones: Figure 13's ``crd_skip`` / ``bv`` / ``bv_split`` at the paper's
+  2000 / 400 nnz, OuterSPACE at 200x200 and ``spmm_kij`` at 40x40, under
+  ``cycle``, ``timed-batch`` and ``compiled``, rounds interleaved.
+  Cycle counts must agree; seconds are rows, not a gate — the scale-free
+  guard on these graphs is a visit count
+  (``tests/sim/test_wake_on_demand.py``), and a ratio against ``cycle``
+  would drift with its denominator (ROADMAP item 1(c)).
 
 Every measured number is the **median** of ``--rounds`` timing rounds
 taken *after* ``--warmup`` untimed rounds, so single-shot wall-clock
@@ -401,16 +409,67 @@ def run_kernel_scaling(rounds: int, warmup: int) -> list:
     return results
 
 
+#: engines of the mixed-plane section (``event`` steps every block and
+#: ``functional`` models no cycles; neither is what these rows are about)
+MIXED_ENGINES = ("cycle", "timed-batch", "compiled")
+
+
+def run_mixed_plane(rounds: int, warmup: int) -> list:
+    from repro.kernels.elementwise import vecmul
+    from repro.kernels.outerspace import outerspace_spmm
+    from repro.kernels.spmm import run_spmm
+
+    b = urandom_vector(2000, 400, seed=40)
+    c = urandom_vector(2000, 400, seed=41)
+    kernels = {
+        f"vecmul_{config}_2000_nnz400": (
+            lambda engine, config=config:
+                vecmul(config, b, c, split=50, backend=engine).cycles
+        )
+        for config in ("crd_skip", "bv", "bv_split")
+    }
+    B2 = np.asarray(random_sparse_matrix(200, 200, 0.02, seed=42), float)
+    C2 = np.asarray(random_sparse_matrix(200, 200, 0.02, seed=43), float)
+    kernels["outerspace_200x200_d2"] = lambda engine: outerspace_spmm(
+        B2, C2, backend=engine
+    ).total_cycles
+    B4 = np.asarray(random_sparse_matrix(40, 40, 0.2, seed=42), float)
+    C4 = np.asarray(random_sparse_matrix(40, 40, 0.2, seed=43), float)
+    kernels["spmm_kij_40x40_d20"] = lambda engine: run_spmm(
+        B4, C4, order="kij", backend=engine
+    ).cycles
+    results = []
+    for name, kernel in kernels.items():
+        timed = _median_times(
+            {engine: lambda engine=engine: kernel(engine)
+             for engine in MIXED_ENGINES},
+            rounds, warmup,
+        )
+        entry = {"workload": name, "engines": {}}
+        for engine in MIXED_ENGINES:
+            seconds, _, cycles = timed[engine]
+            if cycles != timed["cycle"][2]:
+                raise AssertionError(
+                    f"{name}: {engine} cycles {cycles} != "
+                    f"cycle reference {timed['cycle'][2]}"
+                )
+            entry["engines"][engine] = {"seconds": seconds, "cycles": cycles}
+        results.append(entry)
+    return results
+
+
 def run_bench(rounds: int = 3, warmup: int = 1) -> dict:
     workloads = run_bound_graphs(rounds, warmup)
     scaling = run_timed_scaling(rounds, warmup)
     kernels = run_kernel_scaling(rounds, warmup)
+    mixed = run_mixed_plane(rounds, warmup)
     return {
         "rounds": rounds,
         "warmup": warmup,
         "workloads": workloads,
         "timed_scaling": scaling,
         "kernel_scaling": kernels,
+        "mixed_plane": mixed,
         "summary": {
             "best_functional_speedup": max(
                 e["engines"]["functional"]["speedup_vs_cycle"] for e in workloads

@@ -231,6 +231,17 @@ class Block:
     timed_credit_producer = False
     timed_credit_consumer = False
 
+    #: whether ``drain_timed`` may itself call :meth:`_bail_timed` (a
+    #: data-dependent exit from the timed plane).  The generator then
+    #: resumes at ``_tclock``, which is only the right cycle if the block
+    #: was never behind the engine clock with work undone — so the timed
+    #: engines bring a block that declares this, and everything timed
+    #: upstream of it, current after every generator step instead of
+    #: waking it when a generator needs its output.  A fact about the
+    #: hook's source, not a setting: ``tests/sim/test_wake_on_demand.py``
+    #: derives it.
+    timed_may_bail = False
+
     def __init__(self, name: str = ""):
         self.name = name or type(self).__name__
         self.inputs: Dict[str, Channel] = {}
@@ -667,6 +678,7 @@ class StreamFeeder(Block):
 
     timing = TimingDescriptor()
     timed_credit_producer = True
+    timed_may_bail = True  # an unbatchable suffix goes to the generator
 
     def drain_timed(self) -> bool:
         """Timed drain: one token per cycle, credit-limited on finite FIFOs.

@@ -168,6 +168,7 @@ class _Merger(Block):
     # does.  The m-finger schedule, the epoch advance and every output
     # builder therefore run once per window, whatever K and m are.
     timing = TimingDescriptor()
+    timed_may_bail = True  # a dirty chunk goes to the generator
 
     def timed_capable(self) -> bool:
         # Skip hints feed a timing side channel the windowed merge does

@@ -24,12 +24,35 @@ token carrying the cycle it was pushed.  The key facts making this exact:
 Blocks without a descriptor (bitvector scanners, matrix reducers,
 parallelizers, anything wired to a skip side channel, or any block that
 bails mid-run through ``_bail_timed``) fall back **per block** to the
-scalar timed path: the engine steps their
-generators one global cycle at a time, materialising stamped tokens into
-their channels exactly when the reference engine would make them
-visible, and crediting stall spans arithmetically when every live scalar
+scalar timed path: the engine steps their generators one global cycle at
+a time and credits stall spans arithmetically when every live scalar
 block is parked.  A graph whose blocks all carry descriptors never runs
 the per-cycle loop at all.
+
+Where the two planes meet, work is done when somebody needs it, not when
+a token lands (the first fact above is why that is exact — *when* a
+timed block is visited changes nothing it computes):
+
+* a generator's pushes are **noted**, not batched: each queue element
+  gets its visible cycle in a plain list
+  (:meth:`~repro.streams.channel.Channel.note_pushes`), and the one
+  ``TokenBatch`` with its stamp arrays is built when a timed reader
+  pulls, a scalar reader materialises, or the run ends.  Whether a token
+  can be batched at all is still decided the cycle it is pushed;
+* a timed block is **woken** — brought current through ``drain_timed`` —
+  before a scalar block steps only if it is one of that block's
+  ancestors through timed blocks; stamped tokens are materialised into a
+  scalar reader's queue exactly when the reference engine would make
+  them visible.  Everything else waits on the worklist for one of three
+  full drains: before the loop, when no generator made progress in a
+  cycle (before the clock jumps), and when no generator is left;
+* the exception is a block whose ``drain_timed`` may itself call
+  ``_bail_timed`` (:attr:`~repro.blocks.base.Block.timed_may_bail`): its
+  generator resumes at ``_tclock``, which is only the right cycle if the
+  block never fell behind, so it and its timed ancestors are brought
+  current after every generator step.  A lagging block that must leave
+  because an unbatchable token was pushed at it is brought current, with
+  its ancestors, just before it bails.
 
 The loop also services *fused units*: a subclass may return, from
 :meth:`TimedBatchEngine._compile_segments`, a table mapping member block
@@ -174,18 +197,44 @@ class TimedBatchEngine(Engine):
 
         out_ch = [list(b.outputs.values()) for b in blocks]
         in_ch = [list(b.inputs.values()) for b in blocks]
+        # What a visit of block i can depend on: the producers of its
+        # inputs and, through the credit log, the readers of the finite
+        # FIFOs it fills.
+        feeders = [
+            [producers[ch] for ch in in_ch[i] if ch in producers]
+            + [consumers[ch] for ch in out_ch[i]
+               if ch.capacity is not None and ch in consumers]
+            for i in range(n)
+        ]
+        # Where a generator's pushes are noted: its stamped outputs.
+        feeds = [
+            [(ch, consumers[ch]) for ch in outs
+             if ch.timed is not None and ch in consumers]
+            for outs in out_ch
+        ]
         finished = [b.finished for b in blocks]
         active_from = [1] * n
         T = 1
+        #: blocks at or past this index still get their cycle-T slot
+        cursor = 0
         last_busy_T = 0
 
+        # The worklist: ``in_dirty`` says a block needs a visit,
+        # ``queued`` that the deque holds an entry for it (a targeted
+        # drain serves the visit and leaves the entry behind).
         dirty = deque(i for i in range(n) if timed[i])
         in_dirty = list(timed)
+        queued = list(timed)
+        #: scalar block -> the timed blocks it needs current (None: the
+        #: blocks every cycle needs current); emptied when planes change
+        wake_sets: dict = {}
 
         def mark_dirty(i: int) -> None:
             if timed[i] and not finished[i] and not in_dirty[i]:
                 in_dirty[i] = True
-                dirty.append(i)
+                if not queued[i]:
+                    queued[i] = True
+                    dirty.append(i)
 
         def wake_after(i: int) -> None:
             for ch in out_ch[i]:
@@ -203,17 +252,30 @@ class TimedBatchEngine(Engine):
         def dissolve(unit) -> None:
             """Mid-run fallback: members rejoin the plain timed plane."""
             unit.active = False
+            wake_sets.clear()
             for i in unit.members:
                 del units[i]
                 mark_dirty(i)
 
         def convert_to_scalar(i: int) -> None:
-            """Per-block fallback: the generator takes over at _tclock."""
+            """Per-block fallback: the generator takes over.
+
+            Its first step is the one the reference engine's generator
+            makes next: not before ``_tclock`` (everything earlier is
+            accounted) and not before the loop next reaches the block —
+            this cycle if its slot is still ahead, else the next.  The
+            cycles it sat idle on the timed plane until then are the
+            stalls the reference generator spent on an empty input.
+            """
             unit = units.get(i)
             if unit is not None:
                 dissolve(unit)
             timed[i] = False
-            active_from[i] = blocks[i]._tclock
+            wake_sets.clear()
+            block = blocks[i]
+            start = max(block._tclock, T if i >= cursor else T + 1)
+            block.stall_cycles += start - block._tclock
+            active_from[i] = start
 
         def advance(i: int) -> None:
             unit = units.get(i)
@@ -240,41 +302,110 @@ class TimedBatchEngine(Engine):
                 wake_after(i)
 
         def drain_worklist() -> None:
+            """Bring every timed block current."""
             while dirty:
                 i = dirty.popleft()
-                in_dirty[i] = False
-                if finished[i] or not timed[i]:
-                    continue
-                advance(i)
+                queued[i] = False
+                if in_dirty[i]:
+                    in_dirty[i] = False
+                    if timed[i] and not finished[i]:
+                        advance(i)
+
+        def drain(members) -> None:
+            """Bring *members* current; the rest of the worklist waits."""
+            again = True
+            while again:
+                again = False
+                for j in members:
+                    if in_dirty[j]:
+                        in_dirty[j] = False
+                        if timed[j] and not finished[j]:
+                            advance(j)
+                            again = True
+
+        def upstream(seeds) -> set:
+            """The timed blocks *seeds* depend on: backwards through
+            timed blocks (a fused unit moves as one), stopping at
+            generator-driven ones — their pushes are noted as they step."""
+            found: set = set()
+            stack = list(seeds)
+            while stack:
+                j = stack.pop()
+                if timed[j] and j not in found:
+                    found.add(j)
+                    stack += feeders[j]
+                    unit = units.get(j)
+                    if unit is not None:
+                        stack += unit.members
+            return found
+
+        def wake_set(i: Optional[int]):
+            """Who must be current before scalar block *i* steps.
+
+            A timed block's schedule is a function of its inputs'
+            stamps, not of when it is visited, so it only has to be
+            current when a generator is about to read what it produced:
+            *i*'s timed ancestors.  The exception is a block whose
+            ``drain_timed`` may itself leave the plane
+            (:attr:`~repro.blocks.base.Block.timed_may_bail`): its
+            generator resumes at ``_tclock``, which is only right if it
+            was never behind, so it and its ancestors are brought
+            current after every generator step (``wake_set(None)``).
+            """
+            members = wake_sets.get(i)
+            if members is None:
+                if i is None:
+                    found = upstream(
+                        j for j in range(n) if blocks[j].timed_may_bail
+                    )
+                else:
+                    found = upstream(feeders[i])
+                members = wake_sets[i] = tuple(sorted(found))
+            return members
 
         def sweep_outputs(i: int) -> None:
-            """Move a scalar block's cycle-T pushes onto the stamped plane."""
-            for ch in out_ch[i]:
-                state = ch.timed
-                if state is None or not ch.queue:
-                    continue
-                c = consumers.get(ch)
-                if c is None or not timed[c]:
-                    continue  # plane switched mid-run: queue is now direct
-                try:
-                    moved = ch.stamp_queue(T + state.delta)
-                except UnbatchableTokens:
-                    # The consumer cannot batch these tokens: it leaves
-                    # the timed plane; the queue stays intact behind the
-                    # stamped backlog it still owes (materialised below).
-                    blocks[c]._bail_timed()
-                    convert_to_scalar(c)
-                    continue
-                if moved:
+            """Note a scalar block's cycle-T pushes for their timed readers.
+
+            A reader that cannot batch what it was sent leaves the plane
+            before any of this cycle's pushes is noted (it bails from
+            the state the cycle found it in), once it and its ancestors
+            are current; its queue stays intact behind the stamped
+            backlog it still owes.
+            """
+            fresh = []
+            for ch, c in feeds[i]:
+                if timed[c]:
+                    try:
+                        kind = ch.fresh_kind()
+                    except UnbatchableTokens:
+                        drain(sorted(upstream([c])))
+                        if timed[c]:
+                            blocks[c]._bail_timed()
+                            convert_to_scalar(c)
+                        continue
+                    if kind is not None:
+                        fresh.append((ch, c, kind))
+            for ch, c, kind in fresh:
+                if timed[c]:  # else the plane switched: the queue is direct
+                    ch.note_pushes(T + ch.timed.delta, kind)
                     mark_dirty(c)
+            # A block that may leave the plane does so in the cycle the
+            # pushes reach it, in time for its own slot of this cycle.
+            drain(wake_set(None))
+
+        def generators_left() -> bool:
+            return not all(timed[i] or finished[i] for i in range(n))
 
         budget_msg = f"exceeded max_cycles={max_cycles}"
+        drain_worklist()
         while True:
-            drain_worklist()
-            scalar_alive = [
-                i for i in range(n) if not timed[i] and not finished[i]
-            ]
-            if not scalar_alive:
+            cursor = 0
+            if not generators_left():
+                # Whatever is still queued runs to the end (or into a
+                # bail) in whole windows.
+                drain_worklist()
+                if generators_left():
+                    continue
                 if all(finished):
                     break
                 stuck = [b.name for k, b in enumerate(blocks) if not finished[k]]
@@ -284,7 +415,8 @@ class TimedBatchEngine(Engine):
             for i in range(n):
                 if timed[i] or finished[i] or T < active_from[i]:
                     continue
-                drain_worklist()
+                cursor = i
+                drain(wake_set(i))
                 for ch in in_ch[i]:
                     if ch.timed is not None:
                         ch.materialize_timed(T)
@@ -293,20 +425,21 @@ class TimedBatchEngine(Engine):
                     progress = True
                 if block.finished:
                     finished[i] = True
+                cursor = i + 1
                 sweep_outputs(i)
+            cursor = n
             if progress:
                 last_busy_T = T
                 if max_cycles is not None and T > max_cycles:
                     raise RuntimeError(budget_msg)
                 T += 1
                 continue
-            drain_worklist()
-            if dirty:
-                continue
             # Nothing moved at cycle T: jump to the next future event,
             # crediting the skipped stall cycles to every live stepped
             # block (the reference engine steps them to a stalled yield
-            # each of those cycles).
+            # each of those cycles).  The event may be a token a lazily
+            # woken block has yet to produce, so everyone is current.
+            drain_worklist()
             target = None
             for ch in channels:
                 if ch.timed is None:

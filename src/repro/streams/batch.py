@@ -72,6 +72,34 @@ def encode_token(token) -> Optional[int]:
     return None
 
 
+_INT64_SPAN = 1 << 63
+
+
+def batch_kind(token) -> str:
+    """How a single token rides a :class:`TokenBatch`.
+
+    ``""`` for a control token, ``"i"`` / ``"f"`` for a Python int or
+    float (a datum of an int64 / float64 run), ``"x"`` for what is
+    batchable but leaves the run's dtype to ``np.asarray`` (numpy
+    scalars, a whole batch queued as one element).  Raises
+    :class:`UnbatchableTokens` for what :meth:`TokenBatch.from_tokens`
+    refuses or would silently reinterpret — tuples, ``bool``, strings,
+    integers beyond int64 — so one token can be judged the cycle it is
+    pushed, before the run it will share a batch with exists.
+    """
+    cls = token.__class__
+    if cls is float:
+        return "f"
+    if cls is int:
+        if -_INT64_SPAN <= token < _INT64_SPAN:
+            return "i"
+    elif encode_token(token) is not None:
+        return ""
+    elif cls is TokenBatch or isinstance(token, (np.signedinteger, np.floating)):
+        return "x"
+    raise UnbatchableTokens(f"cannot batch data token {token!r}")
+
+
 def decode_code(code: int):
     """The scalar token a control code stands for."""
     if code >= 0:

@@ -92,7 +92,8 @@ def _random_inputs(program, seed: int):
 
 
 def crd_drop_differential(program, counts: Dict[str, int], paper: Dict[str, int],
-                          seeds: Sequence[int] = (0, 1, 2)) -> Dict[str, Any]:
+                          seeds: Sequence[int] = (0, 1, 2),
+                          backend: str = "compiled") -> Dict[str, Any]:
     """Executed differential check for a ``crd_drop`` count divergence.
 
     The paper's hand-derived graphs place one value dropper after *each*
@@ -111,6 +112,11 @@ def crd_drop_differential(program, counts: Dict[str, int], paper: Dict[str, int]
     redundant* only if the reduced outputs are bit-identical on every
     trial (and the structural count matches paper = ours + #chained
     reducer boundaries).
+
+    Recorded channels, ``Sink.tokens`` and ``ValueDropper.dropped`` are
+    the same on every engine, so the trials run on the windowed one;
+    ``tests/studies`` holds the report equal under *backend* ``cycle``,
+    ``functional`` and the all-generator oracle ``functional-seq``.
     """
     from ..blocks import ScalarReducer, Sink, StreamFeeder, ValueDropper
     from ..sim.backends import run_blocks
@@ -157,7 +163,7 @@ def crd_drop_differential(program, counts: Dict[str, int], paper: Dict[str, int]
     dropped_total = 0
     for seed in seeds:
         inputs = _random_inputs(program, seed)
-        result = program.run(inputs, record=tuple(record), backend="functional-seq")
+        result = program.run(inputs, record=tuple(record), backend=backend)
         for src, dst in chains:
             var = graph.nodes[dst].params["var"]
             crd_node = program.info.merged_crd_nodes[var]
@@ -171,7 +177,7 @@ def crd_drop_differential(program, counts: Dict[str, int], paper: Dict[str, int]
                 run_blocks(
                     [StreamFeeder(val_tokens, val_ch),
                      ScalarReducer(val_ch, out, empty_policy=policy), sink],
-                    backend="functional-seq",
+                    backend=backend,
                 )
                 return sink.tokens
 
@@ -186,7 +192,7 @@ def crd_drop_differential(program, counts: Dict[str, int], paper: Dict[str, int]
                 [StreamFeeder(crds, crd_ch, name="fc"),
                  StreamFeeder(vals, val_ch, name="fv"),
                  dropper, sink_c, sink_v],
-                backend="functional-seq",
+                backend=backend,
             )
             dropped_total += dropper.dropped
             if reduce_stream(sink_v.tokens) != reduce_stream(vals):

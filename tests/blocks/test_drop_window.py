@@ -27,10 +27,15 @@ from repro.streams import Channel, DONE, EMPTY, Stop
 
 from test_merge_window import Slicer
 from test_reduce_window import canon
-from test_repeat import Relay
+from test_repeat import Relay, assert_windows_sliced, probes, window_log
 
 WIRINGS = ("plain", "relay-outer", "relay-inner", "prefilled-outer",
            "prefilled-inner", "relay-outputs", "sliced")
+
+
+#: wiring -> the input links whose every push must be a window of its own
+SLICING = {"relay-outer": ["outer"], "relay-inner": ["inner"],
+           "sliced": ["outer", "inner"]}
 
 
 def build(outer_tokens, inner_tokens, drop_zeros, wiring="plain", prefill=0):
@@ -42,7 +47,9 @@ def build(outer_tokens, inner_tokens, drop_zeros, wiring="plain", prefill=0):
     a scalar consumer behind both outputs, which sees a token the cycle
     it is stamped visible and no earlier; ``sliced`` delivers both
     inputs in slices of 1-5 tokens 1-4 cycles apart (seeded by
-    *prefill*), so windows end anywhere.
+    *prefill*), so windows end anywhere.  An input relay and the slices
+    come with a scalar probe behind each output: the dropper is woken
+    every cycle and its windows end where the pushes do.
     """
     blocks, ins = [], []
     rng = random.Random(prefill)
@@ -72,13 +79,20 @@ def build(outer_tokens, inner_tokens, drop_zeros, wiring="plain", prefill=0):
         blocks += [Relay(mid, out, f"tail_{out.name}")
                    for mid, out in zip(pushed, outs)]
     dropper = CoordDropper(*ins, *pushed, drop_zeros=drop_zeros, name="drop")
-    return blocks + [dropper], outs, dropper
+    blocks.append(dropper)
+    if wiring in SLICING:
+        blocks += probes(outs)
+    return blocks, outs, dropper
 
 
 def run(streams, drop_zeros, backend, wiring="plain", prefill=0):
     """Everything a backend may not change, outputs and count last."""
     blocks, outs, dropper = build(*streams, drop_zeros, wiring, prefill)
-    report = run_blocks(blocks, backend=backend)
+    with window_log() as log:
+        report = run_blocks(blocks, backend=backend)
+    if backend in ("timed-batch", "compiled"):
+        for link in SLICING.get(wiring, ()):
+            assert_windows_sliced(log, link)
     return (
         report.cycles,
         report.block_activity(),

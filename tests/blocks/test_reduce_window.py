@@ -24,7 +24,7 @@ from repro.sim import BACKENDS, graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
 from test_merge_window import Slicer
-from test_repeat import Relay
+from test_repeat import Relay, assert_windows_sliced, probes, window_log
 
 TIMED = ("timed-batch", "compiled")
 UNTIMED = ("functional", "functional-seq")
@@ -45,7 +45,9 @@ def build(crd_tokens, val_tokens, flush_level, delivery=("whole", None)):
     ``StreamFeeder``s; ``("cut", (side, cut, gap))`` pushes *side*'s
     first *cut* tokens at once and the rest ``gap + 1`` cycles later;
     ``("relay", sides)`` passes the listed sides through a scalar
-    ``Relay``, one token a cycle.
+    ``Relay``, one token a cycle.  The last two put a scalar probe
+    behind each output, so the reducer's windows end where the
+    delivery's pushes do.
     """
     mode, how = delivery
     blocks, ins = [], []
@@ -65,13 +67,25 @@ def build(crd_tokens, val_tokens, flush_level, delivery=("whole", None)):
         ins.append(channel)
     outs = [Channel("oc", record=True), Channel("ov", kind="vals", record=True)]
     blocks.append(VectorReducer(*ins, *outs, flush_level=flush_level, name="red"))
+    if mode != "whole":
+        blocks += probes(outs)
     return blocks, outs
 
 
 def run(streams, flush_level, backend, delivery=("whole", None)):
     """Everything a backend may not change, for one run."""
     blocks, outs = build(*streams, flush_level, delivery)
-    report = run_blocks(blocks, backend=backend)
+    with window_log() as log:
+        report = run_blocks(blocks, backend=backend)
+    if backend in TIMED and delivery[0] == "cut":
+        side, cut, _ = delivery[1]
+        live = streams[side].index(DONE) + 1  # the reducer ends at the first D
+        assert_windows_sliced(log, f"in{side}", pushes=(0 < cut) + (cut < live))
+    if backend in TIMED and delivery[0] == "relay":
+        for side in delivery[1]:
+            assert_windows_sliced(
+                log, f"in{side}", pushes=streams[side].index(DONE) + 1
+            )
     return (
         report.cycles,
         report.block_activity(),
@@ -217,7 +231,7 @@ class TestOneOfEverythingPerWindow:
                     Channel("ov", kind="vals", record=True)]
             blocks = [
                 Slicer(crd, plan, ins[0], "fc"), Slicer(val, plan, ins[1], "fv"),
-                VectorReducer(*ins, *outs, name="red"),
+                VectorReducer(*ins, *outs, name="red"), *probes(outs),
             ]
             report = run_blocks(blocks, backend=backend)
             return (report.cycles, report.block_activity(),

@@ -1,5 +1,8 @@
 """Repeater tests, including the paper's Figure 6 example."""
 
+from collections import Counter
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,9 +39,83 @@ class Relay(Block):
                 return
 
 
+class Probe(Block):
+    """Scalar-only consumer, one token a cycle.
+
+    The timed engines wake a timed block when a generator needs what it
+    produced; a block whose outputs nobody steps for is drained in one
+    window however its input was sliced.  A probe behind the block
+    under test is that generator: the block is brought current before
+    every cycle's step, so its windows end where the slices do."""
+
+    def __init__(self, in_, name):
+        super().__init__(name)
+        self.in_ = self._in("in_", in_)
+
+    def _run(self):
+        while True:
+            token = yield from self._get(self.in_)
+            yield True
+            if is_done(token):
+                return
+
+
+def probes(outs):
+    """One :class:`Probe` behind each of *outs*."""
+    return [Probe(ch, f"probe_{ch.name}") for ch in outs]
+
+
+def woken(cls):
+    """*cls* as a block the timed engines keep current every cycle.
+
+    For a block under test with no output to put a :class:`Probe`
+    behind (writers, sinks): the engines bring a block that declares it
+    may leave the timed plane, and everything timed upstream of it,
+    current every cycle — the test-only subclass declares just that."""
+    return type(cls.__name__, (cls,), {"timed_may_bail": True})
+
+
+@contextmanager
+def window_log():
+    """``(noted, taken)`` counters by channel name while a timed engine
+    runs: the cycles in which a generator's pushes were noted for a
+    timed reader, and the non-empty stamped windows handed to one."""
+    noted, taken = Counter(), Counter()
+    real_note, real_take = Channel.note_pushes, Channel.timed_take
+
+    def note(channel, stamp, kind):
+        noted[channel.name] += 1
+        return real_note(channel, stamp, kind)
+
+    def take(channel):
+        window = real_take(channel)
+        taken[channel.name] += bool(window)
+        return window
+
+    Channel.note_pushes, Channel.timed_take = note, take
+    try:
+        yield noted, taken
+    finally:
+        Channel.note_pushes, Channel.timed_take = real_note, real_take
+
+
+def assert_windows_sliced(log, source, reader=None, pushes=None):
+    """Each cycle's pushes on the channel named *source* made a window
+    of their own on *reader* (default: the same channel; another one
+    when a timed block sits in between): the delivery still cuts the
+    windows of the block under test, wall-clock-free.  *pushes* is how
+    many of them the reader lives to see, when a ``D`` ends it early."""
+    noted, taken = log
+    if pushes is None:
+        pushes = noted[source]
+    assert noted[source] >= pushes > 0, (source, noted)
+    assert taken[reader or source] >= pushes, (source, pushes, taken)
+
+
 #: how the RepeatSigGen -> Repeater pair is wired: straight, with a
 #: recorded or a prefilled signal link, or fed one token per cycle
-#: through a scalar relay on either input.
+#: through a scalar relay on either input (a scalar probe behind the
+#: output then keeps the repeater's windows one token long).
 WIRINGS = ("plain", "recorded-signal", "prefilled-signal",
            "relay-driver", "relay-refs")
 
@@ -74,6 +151,8 @@ def pipeline(crd_tokens, ref_tokens, wiring="plain", prefill=0):
         RepeatSigGen(crd, sig, name="repeat.sig"),
         Repeater(ref, sig, out, name="repeat"),
     ]
+    if wiring.startswith("relay"):
+        blocks += probes([out])
     return blocks, out
 
 
@@ -187,13 +266,18 @@ class TestTimedDrainUnfused:
         runs = {}
         for backend in ("cycle", "timed-batch", "compiled"):
             blocks, out = pipeline(drv, refs, wiring, prefill)
-            report = run_blocks(blocks, backend=backend)
+            with window_log() as log:
+                report = run_blocks(blocks, backend=backend)
             runs[backend] = (
                 report.cycles,
                 report.block_activity(),
                 graph_token_counts(blocks),
                 list(out.history),
             )
+            if backend != "cycle" and wiring == "relay-driver":
+                assert_windows_sliced(log, "crd", "sig")
+            if backend != "cycle" and wiring == "relay-refs":
+                assert_windows_sliced(log, "ref")
         assert runs["timed-batch"] == runs["cycle"]
         assert runs["compiled"] == runs["cycle"]
         assert report.fusion["kinds"] == {}

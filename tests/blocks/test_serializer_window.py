@@ -25,7 +25,7 @@ from repro.streams import Channel, DONE, EMPTY, Stop
 
 from test_merge_window import Slicer
 from test_reduce_window import canon
-from test_repeat import Relay
+from test_repeat import Relay, assert_windows_sliced, probes, window_log
 
 
 def build(lanes, wiring=("plain", None), prefill=0):
@@ -37,7 +37,10 @@ def build(lanes, wiring=("plain", None), prefill=0):
     visible and no earlier); ``("prefilled", i)`` starts the run with
     lane *i*'s first *prefill* tokens already queued; ``("sliced",
     None)`` delivers every lane in slices of 1-5 tokens 1-4 cycles
-    apart (seeded by *prefill*), so windows end anywhere.
+    apart (seeded by *prefill*), so windows end anywhere.  A lane relay
+    and the slices come with a scalar probe behind the output: the
+    serializer is woken every cycle and its windows end where the
+    pushes do.
     """
     how, which = wiring
     blocks, ins = [], []
@@ -66,12 +69,26 @@ def build(lanes, wiring=("plain", None), prefill=0):
         joined = Channel("joined", kind="vals")
         blocks.append(Relay(joined, out, "tail"))
     blocks.append(InterleaveSerializer(ins, joined, name="join"))
+    if sliced_lanes(lanes, wiring):
+        blocks += probes([out])
     return blocks, out
+
+
+def sliced_lanes(lanes, wiring):
+    """The lanes whose every push must be a window of its own."""
+    how, which = wiring
+    if how == "sliced":
+        return range(len(lanes))
+    return [which] if how == "relay" and which >= 0 else []
 
 
 def run(lanes, backend, wiring=("plain", None), prefill=0):
     blocks, out = build(lanes, wiring, prefill)
-    report = run_blocks(blocks, backend=backend)
+    with window_log() as log:
+        report = run_blocks(blocks, backend=backend)
+    if backend in ("timed-batch", "compiled"):
+        for i in sliced_lanes(lanes, wiring):
+            assert_windows_sliced(log, f"lane{i}")
     return (
         report.cycles,
         report.block_activity(),

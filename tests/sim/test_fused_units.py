@@ -5,8 +5,10 @@ with whole-window delivery; here both surviving unit classes are wired
 by hand and fed hypothesis-drawn streams — ``N`` references, stray
 ``S0``/``S1`` stops, empty and all-miss fibers — whole or one token per
 cycle through the scalar ``Relay`` (so units park mid-fiber and carries
-are live).  Every wiring must reproduce the ``cycle`` engine's full
-report under ``timed-batch`` and ``compiled``.
+are live; the tails are then ``woken`` ones, so the one-token windows
+reach the unit — asserted, wall-clock-free).  Every wiring must
+reproduce the ``cycle`` engine's full report under ``timed-batch`` and
+``compiled``.
 
 The structural guards at the bottom pin what makes that cheap to keep
 true: the units drive hooks the blocks own (no third encoding in
@@ -47,7 +49,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "blocks"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "graph"))
 from _goldenlib import kernel_cases  # noqa: E402
 from test_merge_window import Slicer  # noqa: E402
-from test_repeat import Relay  # noqa: E402
+from test_repeat import (  # noqa: E402
+    Relay, assert_windows_sliced, window_log, woken,
+)
 
 TIMED = ("timed-batch", "compiled")
 
@@ -72,10 +76,15 @@ def _full_report(blocks, backend):
     ), report
 
 
-def _assert_identity(build, kind, unrelayed):
-    runs = {be: _full_report(build(), be) for be in ("cycle",) + TIMED}
+def _assert_identity(build, kind, unrelayed, relayed=()):
+    """*relayed*: the links a ``Relay`` feeds one token a cycle."""
+    runs = {"cycle": _full_report(build(), "cycle")}
     for be in TIMED:
+        with window_log() as log:
+            runs[be] = _full_report(build(), be)
         assert runs[be][0] == runs["cycle"][0], be
+        for link in relayed:
+            assert_windows_sliced(log, link)
     if unrelayed:
         fusion = runs["compiled"][1].fusion
         assert fusion["kinds"] == {kind: 1}
@@ -135,11 +144,13 @@ class TestScanLocateUnit:
                                        in_ref, crd, ref, name="scan"))
             blocks.append(Locator(CompressedLevel.from_fibers([target]),
                                   crd, ref, *outs, name="locate"))
-            blocks += [Sink(ch, name=f"sink_{ch.name}") for ch in outs]
+            sink = woken(Sink) if relay else Sink
+            blocks += [sink(ch, name=f"sink_{ch.name}") for ch in outs]
             # reversed block order flips every link's visibility delta
             return blocks[::-1] if reverse else blocks
 
-        _assert_identity(build, "scan-locate", unrelayed=not relay)
+        _assert_identity(build, "scan-locate", unrelayed=not relay,
+                         relayed=["in_ref"] if relay else [])
 
 
 # -- scanner windows -------------------------------------------------------
@@ -194,14 +205,20 @@ class TestScannerWindow:
                         Channel("o_in", kind="ref")]
                 blocks.append(Locator(CompressedLevel.from_fibers([target]),
                                       crd, ref, *outs, name="locate"))
-            blocks += [Sink(ch, name=f"sink_{ch.name}") for ch in outs]
+            sink = Sink if cut is None else woken(Sink)
+            blocks += [sink(ch, name=f"sink_{ch.name}") for ch in outs]
             return blocks[::-1] if reverse else blocks
 
+        live = refs.index(DONE) + 1  # the scanner ends at the first D
         for cut in [None] + list(range(len(refs) + 1)):
             want, _ = _full_report(build(cut), "cycle")
             for be in TIMED:
-                got, report = _full_report(build(cut), be)
+                with window_log() as log:
+                    got, report = _full_report(build(cut), be)
                 assert got == want, (be, cut)
+                if cut is not None:
+                    assert_windows_sliced(log, "in_ref",
+                                          pushes=(0 < cut) + (cut < live))
             if fused and cut is None:
                 assert report.fusion["kinds"] == {"scan-locate": 1}
 
@@ -262,22 +279,26 @@ class TestChainUnit:
                 blocks.append(ScalarALU("mul", 1.5 if const is None else const,
                                         cur, scaled, name="scale"))
                 cur = scaled
+            last = (lambda cls: cls) if relay == "whole" else woken
             if tail == "reduce":
                 out = Channel("reduced", kind="vals")
                 blocks.append(ScalarReducer(cur, out, name="reduce"))
-                blocks.append(Sink(out, name="sink"))
+                blocks.append(last(Sink)(out, name="sink"))
             elif tail == "vals":
-                blocks.append(ValsWriter(cur, name="wr"))
+                blocks.append(last(ValsWriter)(cur, name="wr"))
             elif tail == "sink":
-                blocks.append(Sink(cur, name="sink"))
+                blocks.append(last(Sink)(cur, name="sink"))
             elif tail == "compressed":
-                blocks.append(CompressedLevelWriter(cur, name="wr"))
+                blocks.append(last(CompressedLevelWriter)(cur, name="wr"))
             else:
-                blocks.append(UncompressedLevelWriter(50, cur, name="wr"))
+                blocks.append(last(UncompressedLevelWriter)(50, cur, name="wr"))
             return blocks
 
         kind = "value-chain" if tail in ("reduce", "sink") else "writer-tail"
-        _assert_identity(build, kind, unrelayed=relay == "whole")
+        relayed = {"whole": [], "relay-a": ["ref0"],
+                   "relay-both": ["ref0", "ref1"][:2 if head == "zip" else 1]}
+        _assert_identity(build, kind, unrelayed=relay == "whole",
+                         relayed=relayed[relay])
 
 
 # -- structural guards (each fails on the pre-refactor tree) ---------------

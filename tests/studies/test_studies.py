@@ -15,6 +15,29 @@ class TestTable1:
         text = table1.format_table1(table1.run_table1())
         assert "SpMV" in text and "MatTransMul" in text
 
+    def test_crd_drop_differential_is_the_same_on_every_plane(self):
+        # The study runs its three trials on the windowed engine; the
+        # all-generator oracle it used to pin is the cross-check.
+        from repro.lang import compile_expression, primitive_row
+
+        entry = next(e for e in table1.ENTRIES if e.name == "MTTKRP")
+        program = compile_expression(
+            entry.expression, formats=entry.formats, schedule=entry.schedule
+        )
+        counts = primitive_row(program)
+        paper = dict(zip(table1.TABLE1_COLUMNS, entry.paper))
+        reports = {
+            backend: table1.crd_drop_differential(
+                program, counts, paper, backend=backend
+            )
+            for backend in ("cycle", "compiled", "functional", "functional-seq")
+        }
+        want = reports["functional-seq"]
+        assert want["redundant"] and want["trials"] == 3
+        assert want["dropped_pairs"] > 0 and "proved redundant" in want["detail"]
+        assert all(report == want for report in reports.values()), reports
+        assert table1.crd_drop_differential(program, counts, paper) == want
+
 
 class TestTable2:
     def test_small_corpus_ablation(self):
