@@ -30,21 +30,14 @@ import numpy as np
 from ..streams.batch import CODE_DONE, CODE_EMPTY, decode_code
 from ..streams.channel import Channel
 from ..streams.timing import (
-    I64_MAX,
     drop_fibers,
     front_fibers,
     held_fibers,
     index_ramp,
+    window_capacity,
 )
 from ..streams.token import DONE, EMPTY, is_data, is_done, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
-
-
-def _window_capacity(stride: int) -> int:
-    """Fibers whose composite keys ``fiber * stride + crd`` fit int64: a
-    timed window holding more merges in sub-windows of this many, and 0
-    (one fiber's stop key would already wrap) leaves it to the scalar path."""
-    return I64_MAX // stride
 
 
 @dataclass
@@ -64,7 +57,8 @@ class _Merger(Block):
         PortSpec('ref{i}_{j}', 'in', kind=None, variadic=True),
         PortSpec('out_crd', 'out', kind='crd'),
         PortSpec('out_ref{i}_{j}', 'out', kind=None, variadic=True),
-        PortSpec('skip{i}', 'out', kind='crd', required=False, variadic=True, sideband=True),
+        PortSpec('skip{i}', 'out', kind='crd', required=False, variadic=True,
+                 sideband=True),
     )
     # An m-finger merge over same-level fibers: every side iterates the
     # same nesting depth and the merged outputs stay at it.  Reference
@@ -166,7 +160,9 @@ class _Merger(Block):
     # coordinate every side carries, and "the successor stamp of a consumed
     # token" crosses fiber boundaries exactly as the generator's refill
     # does.  The m-finger schedule, the epoch advance and every output
-    # builder therefore run once per window, whatever K and m are.
+    # builder therefore run once per window, whatever K and m are, and
+    # the builders touch only the slots they emit: an intersecter's
+    # layouts are as long as its output, not as its longest side.
     timing = TimingDescriptor()
     timed_may_bail = True  # a dirty chunk goes to the generator
 
@@ -216,8 +212,9 @@ class _Merger(Block):
                     if k == 0:
                         self._raise_misaligned_codes([c[0] for c in crd_codes])
             if k:
+                # 0 (one fiber's stop key would already wrap) is scalar territory
                 stride = 2 + max(int(side[0].data.max(initial=-1)) for side in views)
-                k = min(k, _window_capacity(stride))
+                k = min(k, window_capacity(stride))
             if k:
                 if k < len(codes):
                     views = [[front_fibers(w, k) for w in side] for side in held]
@@ -228,11 +225,11 @@ class _Merger(Block):
             if k:
                 progressed = True
                 cuts = [int(side[0].ends[k - 1]) + k for side in views]
+                keys = [key[:cut] for key, cut in zip(keys, cuts)]
                 events = self._merge_events(
-                    [key[:cut] for key, cut in zip(keys, cuts)],
-                    [arr[:cut] for arr, cut in zip(arrs, cuts)],
+                    keys, [arr[:cut] for arr, cut in zip(arrs, cuts)]
                 )
-                self._emit_window(groups, stride, codes, events, refs)
+                self._emit_window(groups, stride, codes, keys, events, refs)
                 for window in windows:  # tokens after a D stay held
                     drop_fibers(window, k)
             if 0 < k < whole:
@@ -275,7 +272,8 @@ class _Merger(Block):
         reference runs aligned with the coordinates, phantoms dropped;
         and how many leading fibers trail no non-zero "phantom" and keep
         the keys strictly increasing (a duplicate or unsorted coordinate
-        would let the window's ``cumsum(present)`` drift from a fiber's).
+        would give a side two keys in one slot of the merge, or its keys
+        out of their slots' order).
         """
         crds, ends, lens, _, arrivals, closes = views[0]
         k, n = len(ends), len(crds)
@@ -316,61 +314,86 @@ class _Merger(Block):
         """Cycle schedule of one window's m-finger merge.
 
         *keys*/*arrs* hold one composite fiber and its arrival stamps per
-        side.  One comparison event per distinct key, boundaries included
-        (the window's final stop is last, on every side); event *k+1* is
-        gated by the arrival of whatever event *k*'s consumption pulled
-        in next — the max over the sides it consumed, since the generator
-        refills every consumed finger right after its yield.  Returns
-        ``(values, presents, idx, cycles)``: per side the presence mask
-        and the searchsorted positions of *values*.
+        side.  One comparison event per distinct key — a *slot* —
+        boundaries included (the window's final stop is last, on every
+        side); event *k+1* is gated by the arrival of whatever event *k*'s
+        consumption pulled in next — the max over the sides it consumed,
+        since the generator refills every consumed finger right after its
+        yield.  Returns ``(slots, held, cycles)``: per side the slot of
+        each of its keys, per slot how many sides hold it, and its cycle.
         """
-        # union of strictly increasing runs: a stable sort is one
-        # merge pass (np.union1d's hash-based unique is ~80x slower)
+        # the sides are strictly increasing runs: a stable argsort of
+        # their concatenation is one merge pass and keeps each slot's
+        # keys side by side
         both = np.concatenate(keys)
-        both.sort(kind="stable")
-        fresh = np.ones(len(both), dtype=bool)
-        np.not_equal(both[1:], both[:-1], out=fresh[1:])
-        values = both[fresh]
-        arrivals = np.zeros(len(values), dtype=np.int64)
+        order = np.argsort(both, kind="stable")
+        ranked = both[order]
+        fresh = np.empty(len(both), dtype=bool)
+        fresh[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+        starts = np.flatnonzero(fresh)
+        held = np.empty(len(starts), dtype=np.int64)
+        np.subtract(starts[1:], starts[:-1], out=held[:-1])
+        held[-1] = len(both) - starts[-1]
+        slot = np.empty(len(both), dtype=np.int64)
+        slot[order] = np.repeat(index_ramp(len(held)), held)
+        slots, top = [], 0
+        for key in keys:
+            slots.append(slot[top:top + len(key)])
+            top += len(key)
+        arrivals = np.zeros(len(held), dtype=np.int64)
         arrivals[0] = max(arr[0] for arr in arrs)
         gate = arrivals[1:]
-        presents, idx = [], []
-        for side_keys, arr in zip(keys, arrs):
-            at = np.searchsorted(side_keys, values)
-            present = side_keys[at] == values
-            took = present[:-1]
-            np.maximum(gate, np.where(took, arr[np.cumsum(took)], 0), out=gate)
-            presents.append(present)
-            idx.append(at)
-        return values, presents, idx, self._t_advance(arrivals)
+        # the key a side gives up at slot k pulls its successor in: the
+        # longest side's successors go in as they are, the others' by max
+        longest = sorted(zip(slots, arrs), key=lambda side: -len(side[0]))
+        for n, (at, arr) in enumerate(longest):
+            at = at[:-1]
+            gate[at] = np.maximum(gate[at], arr[1:]) if n else arr[1:]
+        return slots, held, self._t_advance(arrivals)
 
-    def _emit_window(self, groups, stride, codes, events, refs):
+    def _emit_window(self, groups, stride, codes, keys, events, refs):
         """Push one merged window: a ``data_with_ctrl`` call per builder.
 
-        On each output the events its ``_select`` mask picks (out_crd,
-        then one mask per side's refs; *real* = not a boundary) are data,
-        every boundary is its fiber's terminator, and an emitted
-        coordinate the side does not carry is an ``N``.
+        Every output emits a token at each slot ``_select`` picks: a
+        boundary is its fiber's terminator on all of them; a coordinate
+        is data on out_crd and on the reference outputs of the sides
+        that hold it, and an ``N`` on the others.  Work is per picked
+        slot: keys no output emits are never looked at again.
         """
-        values, presents, idx, cycles = events
+        slots, held, cycles = events
+        tokens, picks = self._select(slots, held)
+        values = np.empty(len(tokens), dtype=np.int64)
+        for key, (at, where) in zip(keys, picks):
+            values[where] = key[at]
         fiber, crd = np.divmod(values, stride)
-        stop = crd == stride - 1
-        code = np.where(stop, codes[fiber], CODE_EMPTY)
-        masks = self._select(presents, ~stop)
-        layouts = {}
-        for g, (mask, group) in enumerate(zip(masks, groups)):
+        real = crd != stride - 1
+        code = np.where(real, CODE_EMPTY, codes[fiber])
+        cycles = cycles[tokens]
+
+        def layout(mask):
+            ctrl = np.flatnonzero(~mask)
+            return ctrl - index_ramp(len(ctrl)), code[ctrl], cycles[mask], cycles[ctrl]
+
+        shared = None
+        for g, group in enumerate(groups):
             if not group:
                 continue
-            layout = layouts.get(id(mask))
-            if layout is None:
-                ctrl = stop | (masks[0] & ~mask)
-                layout = layouts[id(mask)] = (
-                    np.cumsum(mask)[ctrl], code[ctrl], cycles[mask], cycles[ctrl]
-                )
-            # a side's reference slot: its key position less the stops before it
-            pick = mask if g == 0 else (idx[g - 1] - fiber)[mask]
-            for builder, run in zip(group, refs[g - 1] if g else [crd]):
-                builder.data_with_ctrl(run[pick], *layout)
+            if g == 0:
+                pick, runs, where = real, [crd], tokens
+            else:
+                # a reference's index: its key's position less the stops before it
+                at, where = picks[g - 1]
+                pick, runs = (at - fiber[where])[real[where]], refs[g - 1]
+            if len(where) == len(tokens):  # data at every picked coordinate
+                shared = shared or layout(real)
+                lay = shared
+            else:
+                mask = np.zeros(len(tokens), dtype=bool)
+                mask[where] = True
+                lay = layout(mask & real)
+            for builder, run in zip(group, runs):
+                builder.data_with_ctrl(run[pick], *lay)
 
 
 class Intersect(_Merger):
@@ -390,9 +413,13 @@ class Intersect(_Merger):
         # window schedules — so only the two-finger case is windowed.
         return self.arity == 2 and super().timed_capable()
 
-    def _select(self, presents, real):
-        match = np.logical_and.reduce(presents) & real
-        return [match] * (len(presents) + 1)
+    def _select(self, slots, held):
+        # the slots every side holds, found from each side's own keys: the
+        # keys the other side walks past cost one gather and compare each
+        at = [np.flatnonzero(held[side] == len(slots)) for side in slots]
+        tokens = slots[0][at[0]]
+        where = index_ramp(len(tokens))
+        return tokens, [(side_at, where) for side_at in at]
 
     def _run(self):
         self._side_fibers = [0] * self.arity
@@ -443,8 +470,9 @@ class Union(_Merger):
 
     primitive = "union"
 
-    def _select(self, presents, real):
-        return [real] + [present & real for present in presents]
+    def _select(self, slots, held):
+        # every slot, each side's keys at their own
+        return index_ramp(len(held)), [(index_ramp(len(side)), side) for side in slots]
 
     def _run(self):
         tokens = yield from self._pop_all()

@@ -45,6 +45,7 @@ from ..streams.timing import (
     front_fibers,
     held_fibers,
     index_ramp,
+    window_capacity,
 )
 from ..streams.token import (
     DONE,
@@ -71,12 +72,37 @@ def _show_value(token) -> str:
     return token_repr(token)
 
 
+def _region_order(crds, region, sizes):
+    """The stable ``(region, crd)`` order of a window's pairs.
+
+    One stable argsort of the composite key ``region * span + (crd -
+    lo)``, *lo* the smallest coordinate and *span* the coordinates'
+    range; regions whose keys would not fit int64 together
+    (:func:`~repro.streams.timing.window_capacity`) are sorted in
+    pieces of as many as do, and a piece of one region sorts by its
+    coordinates alone.
+    """
+    if not len(crds):
+        return index_ramp(0)
+    lo = int(crds.min())
+    span = int(crds.max()) - lo + 1
+    per = max(window_capacity(span), 1)
+    ends = np.cumsum(sizes)
+    parts = []
+    for first in range(0, len(sizes), per):
+        a, b = ends[first] - sizes[first], ends[min(first + per, len(sizes)) - 1]
+        key = crds[a:b]
+        if per > 1:
+            key = (region[a:b] - first) * span + (key - lo)
+        parts.append(np.argsort(key, kind="stable") + a)
+    return np.concatenate(parts)
+
+
 def _dedup_regions(crds, vals, sizes):
     """Unique sorted coordinates and their sums, region by region.
 
     *sizes* counts the ``(crd, val)`` pairs of each region, in arrival
-    order.  One ``np.lexsort`` by ``(region, crd)`` — stable, and with
-    no composite key there is no int64 capacity rule — keeps equal
+    order.  The stable sort (:func:`_region_order`) keeps equal
     coordinates in arrival order and ``np.add.at`` is unbuffered
     (strictly in index order), so every sum is the left-to-right float64
     sum the generator's ``table[crd] = table.get(crd, 0.0) + val``
@@ -84,7 +110,7 @@ def _dedup_regions(crds, vals, sizes):
     Returns ``(uniq, sums, counts)``, *counts* per region.
     """
     region = np.repeat(index_ramp(len(sizes)), sizes)
-    order = np.lexsort((crds, region))
+    order = _region_order(crds, region, sizes)
     crds, region = crds[order], region[order]
     fresh = np.ones(len(crds), dtype=bool)
     fresh[1:] = (crds[1:] != crds[:-1]) | (region[1:] != region[:-1])

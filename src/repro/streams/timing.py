@@ -28,7 +28,9 @@ Five pieces live here:
 * :meth:`TimedReader.held_window` / :func:`front_fibers` /
   :func:`drop_fibers` — the window-at-a-time view the mergers and the
   vector reducer share: the leading *k* control-terminated chunks of a
-  stream, read through the batch cursors and consumed by moving them.
+  stream, read through the batch cursors and consumed by moving them;
+  :func:`window_capacity` is the int64 rule both sort their windows'
+  composite keys under.
 * :func:`stream_view` / :func:`align_chunks` /
   :meth:`TimedBuilder.stream` — a window as stream-order arrays, for
   the blocks whose events follow the token order of two streams at
@@ -55,6 +57,14 @@ from .batch import (
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 I64_MAX = int(np.iinfo(np.int64).max)
+
+
+def window_capacity(stride: int) -> int:
+    """Groups whose composite keys ``group * stride + offset`` (``0 <=
+    offset < stride``) fit int64: the mergers' fibers and the vector
+    reducer's regions.  A window holding more works in pieces of this
+    many; 0 means one group's keys alone would wrap."""
+    return I64_MAX // stride
 
 
 def rate1_schedule(arrivals: np.ndarray, clock: int, ii: int = 1) -> np.ndarray:
@@ -703,4 +713,5 @@ __all__ = [
     "stream_view",
     "token_order_indices",
     "view_token",
+    "window_capacity",
 ]

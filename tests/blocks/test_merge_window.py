@@ -21,6 +21,8 @@ from repro.kernels.spmm import spmm_program
 from repro.lang import compile_expression
 from repro.sim import graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
+from repro.streams.timing import window_capacity
+from repro.streams.token import is_data
 
 from test_repeat import TIMED, Relay, Slicer, window_log
 
@@ -201,7 +203,7 @@ def mary_structures(draw):
         "empty_side": draw(st.sampled_from([None, None] + list(range(m)))),
         #: (fiber, side) whose first reference arrives as ``N``
         "n_ref": draw(st.one_of(st.none(), st.tuples(st.integers(0, 6), st.integers(0, m - 1)))),
-        #: 2**61 leaves ``_window_capacity`` at 3 fibers a merge
+        #: 2**61 leaves ``window_capacity`` at 3 fibers a merge
         "base": draw(st.sampled_from([0, 0, 2**40, 2**61])),
         "relayed": draw(st.sets(st.integers(0, m - 1))),
         "tail": draw(st.booleans()),
@@ -279,6 +281,66 @@ class TestMaryUnion:
         blocks, _ = build(Intersect, sides)
         assert not blocks[-1].timed_capable()
         assert_matches_cycle(Intersect, sides)
+
+
+# -- asymmetric windows ---------------------------------------------------------
+def asymmetric_sides(arity, relation, long_side, seed):
+    """Sides of one window where side *long_side* holds 150 coordinates a
+    fiber and every other side at most 3 (Gamma's k-intersect: a row of
+    B against all of C's k-level), their keys *related* to the long
+    side's as drawn: ``identical`` (every side the long one), ``inside``
+    (a subset), ``disjoint`` or ``interleaved`` (some of each).  Each
+    side carries one reference stream."""
+    rng = random.Random(seed)
+    sides = [([], []) for _ in range(arity)]
+    for f in range(5):
+        stop = Stop(rng.randint(0, 1))
+        evens = sorted(rng.sample(range(0, 600, 2), 150))
+        odds = list(range(1, 600, 2))
+        for s, (crd, ref) in enumerate(sides):
+            if s == long_side or relation == "identical":
+                crds = evens
+            else:
+                inside = rng.sample(evens, rng.randint(0, 3))
+                outside = rng.sample(odds, rng.randint(0, 3))
+                crds = sorted({
+                    "inside": inside, "disjoint": outside,
+                    "interleaved": inside[:2] + outside[:2],
+                }[relation])
+            crd += crds + [stop]
+            ref += [1000 * s + 100 * f + i for i in range(len(crds))] + [stop]
+    return [(crd + [DONE], [ref + [DONE]]) for crd, ref in sides]
+
+
+ASYMMETRIC = [
+    pytest.param(cls, arity, long_side, id=f"{cls.__name__}-{arity}-long{long_side}")
+    for cls, arity in ((Intersect, 2), (Union, 2), (Union, 3))
+    for long_side in range(arity)
+]
+
+
+class TestAsymmetricWindows:
+    """One side >= 50x longer than the others — the shape whose work
+    must follow the short side and the output — with keys identical,
+    inside, disjoint or interleaved: full report against ``cycle`` on
+    the timed engines, tokens and outputs on ``functional`` (it
+    reports no cycles)."""
+
+    @pytest.mark.parametrize("cls, arity, long_side", ASYMMETRIC)
+    @pytest.mark.parametrize(
+        "relation", ["identical", "inside", "disjoint", "interleaved"]
+    )
+    @pytest.mark.parametrize("slicing_seed", [None, 3])
+    def test_full_report_identity(self, cls, arity, long_side, relation, slicing_seed):
+        sides = asymmetric_sides(arity, relation, long_side, seed=arity + long_side)
+        want = assert_matches_cycle(cls, sides, slicing_seed)
+        got = run(cls, sides, "functional", slicing_seed)
+        assert got[2:] == want[2:]
+        if cls is Intersect:
+            # the short side's keys that the long side (all even) holds
+            short = sides[1 - long_side][0]
+            kept = [t for t in short if is_data(t) and t % 2 == 0]
+            assert [t for t in want[3][0] if is_data(t)] == kept
 
 
 def _fibers(n, dirty=None):
@@ -364,7 +426,7 @@ class TestKeyCapacity:
     @pytest.mark.parametrize("cls", MERGERS)
     def test_window_splits_instead_of_wrapping(self, cls, monkeypatch):
         base, fibers = 2**61, 10
-        capacity = merge_module._window_capacity(base + fibers + 5 + 1)
+        capacity = window_capacity(base + fibers + 5 + 1)
         assert capacity == 3
         sides = self._huge(base, fibers)
         want = run(cls, sides, "cycle")
@@ -382,7 +444,7 @@ class TestKeyCapacity:
     def test_capacity_zero_goes_scalar(self):
         top = int(np.iinfo(np.int64).max) - 1
         sides = [([5, top, Stop(0), DONE], []), ([top, Stop(0), DONE], [])]
-        assert merge_module._window_capacity(top + 2) == 0
+        assert window_capacity(top + 2) == 0
         for cls in MERGERS:
             assert_matches_cycle(cls, sides)
 

@@ -13,6 +13,8 @@ every engine.
 """
 
 import math
+import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,9 @@ from repro.streams import Channel, DONE, EMPTY, Stop
 from test_repeat import (
     TIMED, Relay, Slicer, assert_windows_sliced, probes, window_log,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
+from numpy_counters import numpy_calls  # noqa: E402
 
 UNTIMED = ("functional", "functional-seq")
 
@@ -244,6 +249,30 @@ class TestOneOfEverythingPerWindow:
         calls = self._counted(monkeypatch)
         assert go("timed-batch") == want
         assert calls == {"window": 3, "sort": 1, "advance": 3}
+
+    @pytest.mark.parametrize("regions, pieces", [
+        # negative coordinates: one piece, keys offset by the smallest
+        ([[-5, -9, -5, -1], [-(2**40), -3, -(2**40)], [-7], []], 1),
+        # near I64_MAX with a span of 6: one piece, only thanks to the offset
+        ([[2**63 - 10, 2**63 - 15, 2**63 - 10]] * 10, 1),
+        # span 2**61 + 1 fits three regions a key: ten regions, four pieces
+        ([[2**61, 0, 2**61, 5, 0]] * 10, 4),
+        # span past I64_MAX: every region sorts alone
+        ([[-(2**62), 2**62, -(2**62)], [2**62, 1, 2**62], [-(2**62)]], 3),
+    ], ids=["negative", "offset", "split", "alone"])
+    def test_key_capacity_splits_by_region(self, regions, pieces):
+        crd, val = [], []
+        for r, crds in enumerate(regions):
+            crd += crds + [Stop(1)]
+            val += [(0.1, 1e16, 0.2, -1e16, 0.3)[i] * (r + 1) for i in range(len(crds))]
+            val.append(Stop(1))
+        want = assert_matches_cycle((crd + [DONE], val + [DONE]), 1)
+        assert [int(t) for t in want[3][0] if t.lstrip("-").isdigit()] == [
+            c for crds in regions for c in sorted(set(crds))
+        ]
+        with numpy_calls("argsort") as sorted_by:
+            run((crd + [DONE], val + [DONE]), 1, "timed-batch")
+        assert sorted_by.count("repro.blocks.reduce") == pieces
 
     def test_huge_coordinates_sort_without_a_composite_key(self):
         top = 2**63 - 1

@@ -11,9 +11,8 @@ reference, and compare every stored array as bytes.  The guards count
 """
 
 import itertools
+import os
 import sys
-from contextlib import contextmanager
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,22 +26,10 @@ from repro.formats.tensor import FORMAT_NAMES, _rows_ascend
 from repro.lang import compile_expression
 from repro.studies.table1 import ENTRIES, _random_inputs
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
+from numpy_counters import lexsort_callers  # noqa: E402
+
 INGEST = "repro.formats.tensor"
-
-
-@contextmanager
-def lexsort_callers():
-    """Module name of every ``np.lexsort`` caller inside the block (the
-    vector reducer sorts windows of its own; ingest is *INGEST*)."""
-    callers = []
-    real = np.lexsort
-
-    def counted(*args, **kwargs):
-        callers.append(sys._getframe(1).f_globals["__name__"])
-        return real(*args, **kwargs)
-
-    with mock.patch.object(np, "lexsort", counted):
-        yield callers
 
 
 def tree_bytes(tensor):

@@ -11,6 +11,9 @@ accounts at most two single events per visit, pops no run, never bails —
 and the reports are still ``cycle``'s.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,8 @@ from repro.blocks import (
     VectorReducer,
 )
 from repro.blocks import base as blocks_base
+from repro.blocks import merge as merge_module
+from repro.blocks import reduce as reduce_module
 from repro.data.synthetic import random_sparse_matrix
 from repro.graph.builder import capture_runs
 from repro.kernels.gamma import gamma_spmm
@@ -30,6 +35,9 @@ from repro.lang import compile_expression
 from repro.streams import timing
 from repro.streams.timing import TimedReader
 from repro.studies.table1 import ENTRIES, _random_inputs
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
+from numpy_counters import lexsort_callers, numpy_calls  # noqa: E402
 
 WINDOW_BLOCKS = (VectorReducer, Repeater, CoordDropper, InterleaveSerializer)
 
@@ -140,6 +148,37 @@ def test_gamma_op_schedules_per_visit(monkeypatch):
     run("compiled")
     total = len(visits) + sum(counts.visits.values())
     assert 0 < counts.schedules <= 3 * total, (counts.schedules, total)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "timed-batch"])
+def test_gamma_sorts_and_merges_without_union_sized_lookups(backend, monkeypatch):
+    """The vector reducer orders a window with one argsort, not
+    ``np.lexsort``; the k-intersect locates no union-length needle
+    array with ``np.searchsorted`` (it used to, once per side)."""
+    unions, regions = [], []
+    real_merge = merge_module._Merger._merge_events
+    real_dedup = reduce_module._dedup_regions
+
+    def merge_events(block, keys, arrs):
+        events = real_merge(block, keys, arrs)
+        unions.append(len(events[-1]))  # one cycle per union slot
+        return events
+
+    def dedup(crds, vals, sizes):
+        regions.append(len(sizes))
+        return real_dedup(crds, vals, sizes)
+
+    def lookup(frame, args):
+        return frame.f_code.co_name, np.size(args[1])
+
+    monkeypatch.setattr(merge_module._Merger, "_merge_events", merge_events)
+    monkeypatch.setattr(reduce_module, "_dedup_regions", dedup)
+    with lexsort_callers() as sorted_by, numpy_calls("searchsorted", lookup) as lookups:
+        run_kernel(gamma_spmm)(backend)
+    assert unions and regions  # both window paths ran
+    assert "repro.blocks.reduce" not in sorted_by
+    needles = {size for where, size in lookups if where == "_merge_events"}
+    assert not needles & set(unions), (needles, unions)
 
 
 def _timed_classes():
