@@ -24,16 +24,29 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..streams.batch import CODE_DATA, CODE_DONE, NO_TOKEN
+from ..streams.batch import CODE_DATA, CODE_DONE, NO_TOKEN, decode_code
 from ..streams.channel import Channel
 from ..streams.timing import (
     align_chunks,
+    drop_fibers,
     drop_tokens,
+    front_fibers,
+    held_fibers,
     index_ramp,
+    open_run,
+    pair_chunks,
     stream_view,
     view_token,
 )
-from ..streams.token import DONE, Stop, is_data, is_done, is_empty, is_stop
+from ..streams.token import (
+    DONE,
+    Stop,
+    is_data,
+    is_done,
+    is_empty,
+    is_stop,
+    show_value,
+)
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 
 
@@ -363,94 +376,125 @@ class ValueDropper(Block):
     timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
-        """Timed drain: one event per (crd, val) pair and per phantom.
+        """Timed drain: one pairing, one schedule, one push per output.
 
-        Unlike the reducers, this generator yields once per phantom zero
-        drained at a boundary, so phantoms are events, not carries.
+        A visit takes every chunk (a run closed by a control token) that
+        is complete on both streams, up to the first ``D``, and then the
+        pairs of the open chunk whose two tokens have arrived: a reader
+        behind the dropper sees each pair the cycle the generator pushes
+        it, so no pair waits for its chunk's terminator.  Phantom values
+        do: they emit nothing.  Events, in stream order: a pair is one,
+        gated by both its tokens; each phantom is one, the first also
+        gated by the coordinate terminator popped in front of it; the
+        terminator pair is one, and ``D`` finishes the block.  So the
+        events are the value stream's tokens in order.  A chunk that does
+        not pair up raises ``_run``'s error (:meth:`_raise_dirty`).
         """
         if self.finished:
             return False
-        rd_c = self._treader(self.in_crd)
-        rd_v = self._treader(self.in_val)
-        rd_v.densify_empty(0.0)
-        out_c = self._tbuilder(self.out_crd)
-        out_v = self._tbuilder(self.out_val)
-        progressed = False
+        readers = self._treader(self.in_crd), self._treader(self.in_val)
+        readers[1].densify_empty(0.0)
+        windows = [reader.held_window() for reader in readers]
+        if windows[0] is None or windows[1] is None:
+            return False
+        k = min(held_fibers(w) for w in windows)
+        crd, val = (front_fibers(w, k) for w in windows)
+        done = (crd.codes == CODE_DONE) | (val.codes == CODE_DONE)
+        ends_done = bool(done.any())
+        if ends_done:  # the block ends there; what follows stays held
+            k, tail = int(done.argmax()) + 1, 0
+        else:
+            tail = min(open_run(w, k) for w in windows)
+        if k + tail == 0:
+            return False
+        if tail or k < len(crd.codes):
+            crd, val = (front_fibers(w, k, tail) for w in windows)
+        pairing = pair_chunks(crd, val)
+        if pairing.clean < k:
+            self._raise_dirty(windows, pairing.clean)
+        self._drop_window(crd, val, pairing.pick, tail)
+        for window in windows:
+            drop_fibers(window, k, tail)
+        self.finished = ends_done
+        return True
 
-        def park():
-            out_c.flush()
-            out_v.flush()
-            return progressed
+    def _drop_window(self, crd, val, pick, tail) -> None:
+        """Schedule and emit paired chunks and the *tail* open pairs.
 
-        while True:
-            cc = rd_c.front_ctrl()
-            if cc is None:
-                lc = rd_c.run_length()
-                if lc == 0:
-                    return park()
-                cv = rd_v.front_ctrl()
-                if cv is None:
-                    lv = rd_v.run_length()
-                    if lv == 0:
-                        return park()
-                    m = min(lc, lv)
-                    crds, s_c = rd_c.pop_run_upto(m)
-                    vals, s_v = rd_v.pop_run_upto(m)
-                    c = self._t_advance(np.maximum(s_c, s_v))
-                    progressed = True
-                    keep = np.asarray(vals) != 0
-                    dropped = m - int(keep.sum())
-                    if dropped:
-                        self.dropped += dropped
-                    out_c.data(crds[keep], c[keep])
-                    out_v.data(vals[keep], c[keep])
-                    continue
-                # A data coordinate against a control value token.
-                val_front, _ = rd_v.peek()
-                raise BlockError(
-                    f"{self.name}: value stream ran out mid-fiber ({val_front!r})"
-                )
-            # Boundary (stop or done): phantom zeros drain one per cycle.
-            # The boundary coordinate was popped before the first phantom
-            # (no yield between), so its arrival gates that event.
-            _, s_peek = rd_c.peek()
-            self._t_defer(s_peek)
-            while True:
-                cv = rd_v.front_ctrl()
-                if cv is None:
-                    lv = rd_v.run_length()
-                    if lv == 0:
-                        return park()
-                    vals, s_v = rd_v.pop_run_upto(lv)
-                    bad = np.flatnonzero(np.asarray(vals) != 0)
-                    if len(bad):
-                        raise BlockError(
-                            f"{self.name}: non-zero value "
-                            f"{vals[bad[0]]!r} has no coordinate"
-                        )
-                    self._t_advance(s_v)
-                    progressed = True
-                    continue
-                break
-            crd, s_c = rd_c.pop()
-            val, s_v = rd_v.pop()
-            cyc = self._t_event(max(s_c, s_v))
-            progressed = True
-            if is_done(crd) and is_done(val):
-                out_c.ctrl(CODE_DONE, cyc)
-                out_v.ctrl(CODE_DONE, cyc)
-                out_c.flush()
-                out_v.flush()
-                self.finished = True
-                return True
-            if is_stop(crd) and is_stop(val):
-                if crd.level != val.level:
-                    raise BlockError(
-                        f"{self.name}: misaligned stops {crd!r}/{val!r}"
-                    )
-                out_c.ctrl(crd.level, cyc)
-                out_v.ctrl(val.level, cyc)
-                continue
+        The events are the value tokens in stream order: the terminators
+        sit at ``val.ends + chunk``, the values fill the rest.
+        """
+        vals, k = val.data, len(val.codes)
+        ends = val.ends + index_ramp(k)
+        on_value = np.ones(len(vals) + k, dtype=bool)
+        on_value[ends] = False
+        arrivals = np.empty(len(on_value), dtype=np.int64)
+        arrivals[ends] = np.maximum(crd.scodes, val.scodes)
+        if pick is None:
+            arrivals[on_value] = np.maximum(crd.sdata, val.sdata)
+        else:
+            if tail:
+                pick = np.append(pick, len(vals) - tail + index_ramp(tail))
+            arrivals[on_value] = val.sdata
+            at = np.flatnonzero(on_value)[pick]
+            arrivals[at] = np.maximum(crd.sdata, val.sdata[pick])
+            first = ends - (val.lens - crd.lens)  # a chunk's first phantom
+            arrivals[first] = np.maximum(arrivals[first], crd.scodes)
+            vals = vals[pick]
+        cycles = self._t_advance(arrivals)
+        crds, cpos = crd.data, crd.ends
+        zero = np.flatnonzero(vals == 0)  # the pairs dropped
+        if len(zero):
+            self.dropped += len(zero)
+            keep = np.ones(len(vals), dtype=bool)
+            keep[zero] = False
+            crds, vals = crds[keep], vals[keep]
+            cpos = cpos - np.searchsorted(zero, cpos)
+            if pick is None:
+                on_value[zero + np.searchsorted(val.ends, zero, "right")] = False
+            else:
+                at = at[keep]
+        stamps = cycles[on_value] if pick is None else cycles[at]
+        for channel, data in ((self.out_crd, crds), (self.out_val, vals)):
+            out = self._tbuilder(channel)
+            out.data_with_ctrl(data, cpos, crd.codes, stamps, cycles[ends])
+            out.flush()
+
+    def _raise_dirty(self, windows, f: int):
+        """Raise the protocol error of chunk *f*, the first that does not
+        pair up: ``_run``'s checks over its tokens, in their order."""
+        crd, val = (front_fibers(w, f + 1) for w in windows)
+        vals = val.data[int(val.ends[f] - val.lens[f]):].tolist()
+        vals = iter(vals + [decode_code(int(val.codes[f]))])
+        for _ in range(int(crd.lens[f])):
+            self._check_pair(next(vals))
+        other = next(vals)
+        while is_data(other):
+            self._check_phantom(other)
+            other = next(vals)
+        self._check_close(decode_code(int(crd.codes[f])), other)
+
+    # -- protocol checks, shared by both definitions ----------------------
+    def _check_pair(self, val) -> None:
+        """A data coordinate pairs with a value, not a control token."""
+        if is_stop(val) or is_done(val):
+            raise BlockError(
+                f"{self.name}: value stream ran out mid-fiber ({val!r})"
+            )
+
+    def _check_phantom(self, val) -> None:
+        """A value without a coordinate must be a (phantom) zero."""
+        if not is_empty(val) and val != 0:
+            raise BlockError(
+                f"{self.name}: non-zero value {show_value(val)} has no coordinate"
+            )
+
+    def _check_close(self, crd, val) -> None:
+        """A boundary pairs a stop with a stop of its level, ``D`` with ``D``."""
+        if is_stop(crd) and is_stop(val):
+            if crd.level != val.level:
+                raise BlockError(f"{self.name}: misaligned stops {crd!r}/{val!r}")
+        elif not (is_done(crd) and is_done(val)):
             raise BlockError(f"{self.name}: misaligned streams ({crd!r} vs {val!r})")
 
     def _run(self):
@@ -462,10 +506,7 @@ class ValueDropper(Block):
             crd = yield from self._get(self.in_crd)
             if is_data(crd):
                 val = yield from self._get(self.in_val)
-                if is_stop(val) or is_done(val):
-                    raise BlockError(
-                        f"{self.name}: value stream ran out mid-fiber ({val!r})"
-                    )
+                self._check_pair(val)
                 if is_empty(val) or val == 0:
                     self.dropped += 1
                 else:
@@ -476,24 +517,13 @@ class ValueDropper(Block):
             # Boundary (stop or done): drain phantom zero values.
             while True:
                 val = yield from self._get(self.in_val)
-                if is_data(val) or is_empty(val):
-                    if not is_empty(val) and val != 0:
-                        raise BlockError(
-                            f"{self.name}: non-zero value {val!r} has no coordinate"
-                        )
-                    yield True
-                    continue
-                break
-            if is_done(crd) and is_done(val):
-                self.out_crd.push(DONE)
-                self.out_val.push(DONE)
+                if is_stop(val) or is_done(val):
+                    break
+                self._check_phantom(val)
                 yield True
+            self._check_close(crd, val)
+            self.out_crd.push(crd)
+            self.out_val.push(val)
+            yield True
+            if is_done(crd):
                 return
-            if is_stop(crd) and is_stop(val):
-                if crd.level != val.level:
-                    raise BlockError(f"{self.name}: misaligned stops {crd!r}/{val!r}")
-                self.out_crd.push(crd)
-                self.out_val.push(val)
-                yield True
-                continue
-            raise BlockError(f"{self.name}: misaligned streams ({crd!r} vs {val!r})")

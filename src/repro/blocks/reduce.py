@@ -45,6 +45,7 @@ from ..streams.timing import (
     front_fibers,
     held_fibers,
     index_ramp,
+    pair_chunks,
     window_capacity,
 )
 from ..streams.token import (
@@ -54,22 +55,12 @@ from ..streams.token import (
     is_done,
     is_empty,
     is_stop,
+    show_value,
     token_repr,
 )
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 
 EMPTY_POLICIES = ("zero", "drop")
-
-
-def _show_value(token) -> str:
-    """A value-stream token as error messages print it: ``0.5`` whether
-    it came as a Python number or, off a batch, as ``np.float64(0.5)``,
-    and an ``N`` as the zero the timed plane has already made of it."""
-    if is_empty(token):
-        token = 0.0
-    elif isinstance(token, (int, float, np.number)):
-        token = float(token)
-    return token_repr(token)
 
 
 def _region_order(crds, region, sizes):
@@ -346,66 +337,41 @@ class VectorReducer(Block):
         if done.any():
             k = int(done.argmax()) + 1
             crd, val = (front_fibers(w, k) for w in windows)
-        clean = self._aligned_chunks(crd, val)
+        pairing = pair_chunks(crd, val)
+        clean = min(pairing.clean, self._integral_chunks(crd))
         if clean < k:
-            if clean:  # a non-zero phantom before it is the earlier error
-                self._pair_values(
-                    windows, *(front_fibers(w, clean) for w in windows)
-                )
             self._raise_dirty(windows, clean)
-        self._reduce_window(crd, *self._pair_values(windows, crd, val))
+        # Phantom values are popped inside their boundary's cycle, so
+        # they are no events, and the value terminator behind them —
+        # stamps never decrease along a stream — already gates it.
+        vals, stamps = np.asarray(val.data, dtype=np.float64), val.sdata
+        if pairing.pick is not None:
+            vals, stamps = vals[pairing.pick], stamps[pairing.pick]
+        self._reduce_window(
+            crd, np.repeat(index_ramp(k), crd.lens), vals,
+            np.maximum(crd.sdata, stamps), np.maximum(crd.scodes, val.scodes),
+        )
         for window in windows:  # tokens after a D stay held
             drop_fibers(window, k)
         self.finished = bool(crd.codes[-1] == CODE_DONE)
         return True
 
-    def _aligned_chunks(self, crd, val) -> int:
-        """How many leading chunks pair up structurally.
+    @staticmethod
+    def _integral_chunks(crd) -> int:
+        """How many leading chunks hold integer coordinates only.
 
-        Not aligned: an ``N``/``R`` code on the coordinate stream, a
-        value terminator unlike the coordinate one, a value run shorter
-        than its coordinates, non-integer coordinates.
+        A batch stores a mixed run as floats: the chunk of the first
+        fractional one is the error if there is one, else the first
+        chunk with data at all.
         """
-        bad = crd.codes < CODE_DONE
-        bad |= val.codes != crd.codes
-        bad |= val.lens < crd.lens
-        if crd.data.dtype.kind != "i":
-            # a batch stores a mixed run as floats: the fractional ones
-            # are the error if there are any, else the first of all
-            chunk = np.repeat(index_ramp(len(bad)), crd.lens)
-            with np.errstate(invalid="ignore"):  # inf % 1 is NaN: not 0
-                odd = chunk[crd.data % 1 != 0]
-            bad[odd if len(odd) else chunk[:1]] = True
-        return int(bad.argmax()) if bad.any() else len(bad)
-
-    def _pair_values(self, windows, crd, val):
-        """Values and arrivals of the aligned ``(crd, val)`` pairs.
-
-        Returns ``(chunk, vals, arrivals, closes)``: the chunk each pair
-        sits in, its value, the cycle the pair is poppable (both tokens
-        arrived), and per chunk the arrival of its boundary pair.  A
-        value run longer than its coordinates trails phantom zeros (a
-        zero-policy reducer upstream saw a region with no coordinates):
-        they are popped inside the boundary's cycle, so they are no
-        events, and the value terminator behind them — stamps never
-        decrease along a stream — already gates it.  A non-zero one
-        raises.
-        """
-        n = len(crd.data)
-        chunk = np.repeat(index_ramp(len(crd.lens)), crd.lens)
-        vals, stamps = np.asarray(val.data, dtype=np.float64), val.sdata
-        if len(vals) > n:
-            extra = val.lens - crd.lens
-            pick = index_ramp(n) + (np.cumsum(extra) - extra)[chunk]
-            phantom = np.ones(len(vals), dtype=bool)
-            phantom[pick] = False
-            stray = np.flatnonzero(phantom & (vals != 0))
-            if len(stray):
-                at = int(np.searchsorted(val.ends, stray[0], "right"))
-                self._raise_dirty(windows, at)
-            vals, stamps = vals[pick], stamps[pick]
-        closes = np.maximum(crd.scodes, val.scodes)
-        return chunk, vals, np.maximum(crd.sdata, stamps), closes
+        if crd.data.dtype.kind == "i":
+            return len(crd.codes)
+        chunk = np.repeat(index_ramp(len(crd.codes)), crd.lens)
+        with np.errstate(invalid="ignore"):  # inf % 1 is NaN: not 0
+            odd = chunk[crd.data % 1 != 0]
+        if len(odd) or len(chunk):
+            return int(odd[0] if len(odd) else chunk[0])
+        return len(crd.codes)
 
     def _reduce_window(self, crd, chunk, vals, arrivals, closes) -> None:
         """Accumulate, schedule and emit one window of clean chunks.
@@ -512,7 +478,7 @@ class VectorReducer(Block):
         """A value without a coordinate must be a (phantom) zero."""
         if not is_empty(val) and val != 0.0:
             raise BlockError(
-                f"{self.name}: non-zero value {_show_value(val)} without a "
+                f"{self.name}: non-zero value {show_value(val)} without a "
                 f"coordinate"
             )
 
@@ -523,7 +489,7 @@ class VectorReducer(Block):
     def _misaligned(self, crd, val) -> BlockError:
         return BlockError(
             f"{self.name}: misaligned inputs "
-            f"({token_repr(crd)} vs {_show_value(val)})"
+            f"({token_repr(crd)} vs {show_value(val)})"
         )
 
     def _flush(self, table: Dict[int, float], stop: Stop):

@@ -22,7 +22,14 @@ from ..formats.dense import DenseLevel
 from ..formats.linkedlist import LinkedListLevel
 from ..formats.tensor import FiberTensor
 from ..streams.channel import Channel
-from ..streams.token import is_data, is_done, is_empty, is_stop
+from ..streams.token import (
+    is_data,
+    is_done,
+    is_empty,
+    is_stop,
+    show_value,
+    token_repr,
+)
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 
 
@@ -197,14 +204,25 @@ class ScatterValsWriter(Block):
         self.in_val = self._in("in_val", in_val)
         self.vals: List[float] = [0.0] * size
 
+    def _check_pair(self, ref, val) -> None:
+        """A reference (or ``N``) pairs with a value (or ``N``), a stop
+        with a stop, ``D`` with ``D``."""
+        ref_ends, val_ends = (is_stop(t) or is_done(t) for t in (ref, val))
+        if ref_ends != val_ends or is_done(ref) != is_done(val):
+            raise BlockError(
+                f"{self.name}: misaligned inputs "
+                f"({token_repr(ref)} vs {show_value(val)})"
+            )
+
     def _run(self):
         while True:
             ref = yield from self._get(self.in_ref)
             val = yield from self._get(self.in_val)
-            if is_done(ref) and is_done(val):
+            self._check_pair(ref, val)
+            if is_done(ref):
                 yield True
                 return
-            if is_data(ref) and (is_data(val) or is_empty(val)):
+            if is_data(ref):
                 self.vals[ref] += 0.0 if is_empty(val) else val
             yield True
 
@@ -249,8 +267,9 @@ class ScatterValsWriter(Block):
                 self._t_advance(np.maximum(s_r, s_v))
                 progressed = True
                 continue
-            _, s_r = rd_r.pop()
-            _, s_v = rd_v.pop()
+            ref, s_r = rd_r.pop()
+            val, s_v = rd_v.pop()
+            self._check_pair(ref, val)
             self._t_event(max(s_r, s_v))
             progressed = True
             if cr == CODE_DONE and cv == CODE_DONE:

@@ -26,11 +26,14 @@ Five pieces live here:
 * :func:`merge_stamps` / :func:`split_done_stamped` — token-order
   plumbing shared by the block hooks.
 * :meth:`TimedReader.held_window` / :func:`front_fibers` /
-  :func:`drop_fibers` — the window-at-a-time view the mergers and the
-  vector reducer share: the leading *k* control-terminated chunks of a
-  stream, read through the batch cursors and consumed by moving them;
-  :func:`window_capacity` is the int64 rule both sort their windows'
-  composite keys under.
+  :func:`drop_fibers` — the window-at-a-time view the mergers, the
+  vector reducer and the value dropper share: the leading *k*
+  control-terminated chunks of a stream (and what has arrived of the
+  next, :func:`open_run`), read through the batch cursors and consumed
+  by moving them; :func:`window_capacity` is the int64 rule the first
+  two sort their windows' composite keys under, :func:`pair_chunks`
+  the one pairing of a coordinate and a value stream at the same level
+  the last two share.
 * :func:`stream_view` / :func:`align_chunks` /
   :meth:`TimedBuilder.stream` — a window as stream-order arrays, for
   the blocks whose events follow the token order of two streams at
@@ -436,26 +439,41 @@ def held_fibers(entry) -> int:
     return 0 if entry is None else len(entry[0].ctrl_code) - entry[0]._c
 
 
-def front_fibers(entry, k: int) -> Fibers:
+def front_fibers(entry, k: int, tail: int = 0) -> Fibers:
     """The first *k* fibers of a held entry, read through its cursors, so
-    a long backlog behind them costs nothing."""
+    a long backlog behind them costs nothing; ``data`` and ``sdata`` run
+    on over the first *tail* data tokens of the fiber after them."""
     batch, sdata, sctrl = entry
     d, c = batch._d, batch._c
     ends = batch.ctrl_pos[c:c + k] - d
     lens = ends.copy()  # np.diff(ends, prepend=0) without its concatenate
     lens[1:] -= ends[:-1]
-    top = d + int(ends[-1])
+    top = d + (int(ends[-1]) if k else 0) + tail
     return Fibers(
         batch.data[d:top], ends, lens, batch.ctrl_code[c:c + k],
         sdata[d:top], sctrl[c:c + k],
     )
 
 
-def drop_fibers(entry, k: int) -> None:
-    """Consume the first *k* fibers of a held entry; the rest stays held."""
+def drop_fibers(entry, k: int, tail: int = 0) -> None:
+    """Consume the first *k* fibers of a held entry and the first *tail*
+    data tokens after them; the rest stays held."""
     batch = entry[0]
-    batch._d = int(batch.ctrl_pos[batch._c + k - 1])
-    batch._c += k
+    if k:
+        batch._d = int(batch.ctrl_pos[batch._c + k - 1])
+        batch._c += k
+    batch._d += tail
+
+
+def open_run(entry, k: int) -> int:
+    """How many data tokens a held entry carries after its first *k*
+    fibers, up to its next control token: what has arrived of fiber
+    *k*."""
+    batch = entry[0]
+    c = batch._c + k
+    start = int(batch.ctrl_pos[c - 1]) if k else batch._d
+    stop = int(batch.ctrl_pos[c]) if c < len(batch.ctrl_code) else len(batch.data)
+    return stop - start
 
 
 class Runs(NamedTuple):
@@ -599,6 +617,47 @@ def align_chunks(outer: np.ndarray, inner: np.ndarray) -> Alignment:
                      bool(k and unfolded[k - 1]))
 
 
+class Pairing(NamedTuple):
+    """Leading chunks of a coordinate and a value stream at one level,
+    paired coordinate by coordinate."""
+
+    clean: int  # leading chunks that pair up; the next one does not
+    pick: Optional[np.ndarray]  # per pair of those, its value's index;
+    # None when there are no phantoms: the identity
+
+
+def pair_chunks(crd: Fibers, val: Fibers) -> Pairing:
+    """Pair the chunks of a coordinate stream with a value stream's.
+
+    Both are :func:`front_fibers` of streams at the *same* level, with
+    ``N`` values densified to ``0.0``.  The vector reducer and the value
+    dropper walk them by one rule: chunk *f* pairs up when both close
+    with the same code, a stop or ``D``, and its value run is at least
+    as long as its coordinate run; the *i*-th coordinate owns the *i*-th
+    value, and the surplus — phantom values a zero-policy reducer
+    upstream emitted for a region with no coordinates — must be zeros.
+    ``clean`` counts the chunks before the first that breaks a rule; the
+    caller replays its own checks over that one to raise its error.
+    """
+    bad = crd.codes < CODE_DONE
+    bad |= val.codes != crd.codes
+    bad |= val.lens < crd.lens
+    clean = int(bad.argmax()) if bad.any() else len(bad)
+    if not clean or val.ends[clean - 1] == crd.ends[clean - 1]:
+        return Pairing(clean, None)
+    n, nval = int(crd.ends[clean - 1]), int(val.ends[clean - 1])
+    extra = val.lens[:clean] - crd.lens[:clean]
+    chunk = np.repeat(index_ramp(clean), crd.lens[:clean])
+    pick = index_ramp(n) + (np.cumsum(extra) - extra)[chunk]
+    phantom = np.ones(nval, dtype=bool)
+    phantom[pick] = False
+    stray = np.flatnonzero(phantom & (val.data[:nval] != 0))
+    if len(stray):  # a non-zero phantom: its chunk is the first bad one
+        clean = int(np.searchsorted(val.ends, stray[0], "right"))
+        pick = pick[:int(crd.ends[clean - 1])] if clean else pick[:0]
+    return Pairing(clean, pick)
+
+
 class TimedBuilder:
     """Accumulates stamped output tokens; flushes one stamped batch."""
 
@@ -694,6 +753,7 @@ __all__ = [
     "Alignment",
     "Fibers",
     "I64_MAX",
+    "Pairing",
     "Runs",
     "StreamView",
     "TimedBuilder",
@@ -707,6 +767,8 @@ __all__ = [
     "held_runs",
     "index_ramp",
     "merge_stamps",
+    "open_run",
+    "pair_chunks",
     "rate1_schedule",
     "split_done_stamped",
     "stamp_split_at",

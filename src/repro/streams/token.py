@@ -18,6 +18,8 @@ the paper's ``D, S0, 3, 1, 0`` is written ``[0, 1, 3, Stop(0), DONE]``.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class Stop:
     """Hierarchical stop token ``Sn`` (end of a fiber, ``n`` extra levels).
@@ -110,3 +112,14 @@ def is_control(token) -> bool:
 def token_repr(token) -> str:
     """Render *token* the way the paper prints it (``S0``, ``D``, ``N``)."""
     return repr(token) if is_control(token) else str(token)
+
+
+def show_value(token) -> str:
+    """A value-stream token as error messages print it: ``0.5`` whether
+    it came as a Python number or, off a batch, as ``np.float64(0.5)``,
+    and an ``N`` as the zero the timed plane has already made of it."""
+    if is_empty(token):
+        token = 0.0
+    elif isinstance(token, (int, float, np.number)):
+        token = float(token)
+    return token_repr(token)

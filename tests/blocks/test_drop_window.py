@@ -1,18 +1,22 @@
-"""Window-at-a-time ``CoordDropper.drain_timed`` against the cycle oracle.
+"""Window-at-a-time ``CoordDropper`` and ``ValueDropper`` against the
+cycle oracle.
 
-The timed drain aligns the outer coordinates with the inner fibers once
-per window (``streams.timing.align_chunks``, shared with the repeater),
-schedules every gather, decision and fold event in one pass and pushes
-each output once.  Everything here is differential: drawn protocol-
-obeying streams — closings ``S0``/``S1``/``S2``, empty outer regions,
-leading and all-dropped fibers, ``N`` and ``0.0`` inside fibers,
-``drop_zeros`` both ways — delivered whole, in random slices, one token
-a cycle through a scalar ``Relay`` on either input or behind the
-outputs, or with part of a link already queued, must give the
-``cycle`` engine's cycles, block activity, token counts, outputs and
-``dropped`` count under ``timed-batch`` and ``compiled`` and its outputs
-under ``functional``; every protocol error is one message on every
-engine.
+The fiber-mode timed drain aligns the outer coordinates with the inner
+fibers once per window (``streams.timing.align_chunks``, shared with the
+repeater); the value-mode one pairs coordinates with values at the same
+level once per window (``streams.timing.pair_chunks``, shared with the
+vector reducer).  Each schedules every event of the window in one pass
+and pushes each output once.  Everything here is differential: drawn
+protocol-obeying streams — fiber mode: closings ``S0``/``S1``/``S2``,
+empty outer regions, leading and all-dropped fibers, ``N`` and ``0.0``
+inside fibers, ``drop_zeros`` both ways; value mode: the same closings,
+empty fibers, ``1.0``/``0.0``/``-0.0``/``N`` values and phantom runs at
+the boundaries — delivered whole, in random slices, one token a cycle
+through a scalar ``Relay`` on either input or behind the outputs, or
+with part of a link already queued, must give the ``cycle`` engine's
+cycles, block activity, token counts, outputs and ``dropped`` count
+under ``timed-batch`` and ``compiled`` and its outputs under
+``functional``; every protocol error is one message on every engine.
 """
 
 import random
@@ -21,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.blocks import BlockError, CoordDropper, StreamFeeder
+from repro.blocks import BlockError, CoordDropper, StreamFeeder, ValueDropper
 from repro.sim import BACKENDS, FunctionalEngine, graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
@@ -32,15 +36,21 @@ from test_repeat import (
 
 WIRINGS = ("plain", "relay-outer", "relay-inner", "prefilled-outer",
            "prefilled-inner", "relay-outputs", "sliced")
+#: the value dropper's inputs are named by what they carry
+VALUE_WIRINGS = tuple(w.replace("outer", "crd").replace("inner", "val")
+                      for w in WIRINGS)
 
 
-#: wiring -> the input links whose every push must be a window of its own
-SLICING = {"relay-outer": ["outer"], "relay-inner": ["inner"],
-           "sliced": ["outer", "inner"]}
+def sliced_links(wiring, sides):
+    """The input links whose every push must be a window of its own."""
+    if wiring == "sliced":
+        return list(sides)
+    return [side for side in sides if wiring == f"relay-{side}"]
 
 
-def build(outer_tokens, inner_tokens, drop_zeros, wiring="plain", prefill=0):
-    """``(blocks, recorded outputs, dropper)`` of one dropper.
+def build(streams, make, wiring="plain", prefill=0, sides=("outer", "inner")):
+    """``(blocks, recorded outputs, dropper)`` of one dropper, made by
+    ``make(*inputs, *outputs)``.
 
     ``relay-*`` passes that input through a scalar ``Relay`` (one-token
     windows, one a cycle); ``prefilled-*`` starts the run with that
@@ -54,7 +64,7 @@ def build(outer_tokens, inner_tokens, drop_zeros, wiring="plain", prefill=0):
     """
     blocks, ins = [], []
     rng = random.Random(prefill)
-    for side, tokens in (("outer", outer_tokens), ("inner", inner_tokens)):
+    for side, tokens in zip(sides, streams):
         tokens = list(tokens)
         channel = Channel(side)
         if wiring == "sliced":
@@ -79,20 +89,19 @@ def build(outer_tokens, inner_tokens, drop_zeros, wiring="plain", prefill=0):
         pushed = [Channel("mo"), Channel("mi")]
         blocks += [Relay(mid, out, f"tail_{out.name}")
                    for mid, out in zip(pushed, outs)]
-    dropper = CoordDropper(*ins, *pushed, drop_zeros=drop_zeros, name="drop")
+    dropper = make(*ins, *pushed)
     blocks.append(dropper)
-    if wiring in SLICING:
+    if sliced_links(wiring, sides):
         blocks += probes(outs)
     return blocks, outs, dropper
 
 
-def run(streams, drop_zeros, backend, wiring="plain", prefill=0):
+def outcome(blocks, outs, dropper, backend, links):
     """Everything a backend may not change, outputs and count last."""
-    blocks, outs, dropper = build(*streams, drop_zeros, wiring, prefill)
     with window_log() as log:
         report = run_blocks(blocks, backend=backend)
     if backend in TIMED:
-        for link in SLICING.get(wiring, ()):
+        for link in links:
             assert_windows_sliced(log, link)
     return (
         report.cycles,
@@ -101,6 +110,14 @@ def run(streams, drop_zeros, backend, wiring="plain", prefill=0):
         [[canon(t) for t in ch.history] for ch in outs],
         dropper.dropped,
     )
+
+
+def run(streams, drop_zeros, backend, wiring="plain", prefill=0):
+    def make(*channels):
+        return CoordDropper(*channels, drop_zeros=drop_zeros, name="drop")
+
+    built = build(streams, make, wiring, prefill)
+    return outcome(*built, backend, sliced_links(wiring, ("outer", "inner")))
 
 
 def assert_matches_cycle(streams, drop_zeros, wiring="plain", prefill=0):
@@ -250,4 +267,138 @@ class TestProtocolErrors:
         for backend in BACKENDS:
             with pytest.raises(BlockError) as caught:
                 run(streams, False, backend, wiring)
+            assert str(caught.value) == message, backend
+
+
+# -- value mode ----------------------------------------------------------------
+def run_values(streams, backend, wiring="plain", prefill=0):
+    built = build(streams, ValueDropper, wiring, prefill, sides=("crd", "val"))
+    return outcome(*built, backend, sliced_links(wiring, ("crd", "val")))
+
+
+def assert_values_match_cycle(streams, wiring="plain", prefill=0):
+    want = run_values(streams, "cycle", wiring, prefill)
+    for backend in TIMED:
+        assert run_values(streams, backend, wiring, prefill) == want, backend
+    assert run_values(streams, "functional", wiring, prefill)[3:] == want[3:]
+    return want
+
+
+#: a value a coordinate owns, and the phantoms a zero-policy reducer
+#: upstream leaves at a boundary (values of regions with no coordinate)
+pair_values = st.sampled_from([1.0, 0.0, -0.0, EMPTY])
+phantom_runs = st.lists(st.sampled_from([0.0, -0.0, EMPTY]), max_size=2)
+#: supergroups -> groups -> fibers of (owned values, phantoms)
+value_shapes = st.lists(
+    st.lists(
+        st.lists(st.tuples(st.lists(pair_values, max_size=4), phantom_runs),
+                 min_size=1, max_size=3),
+        min_size=1, max_size=3,
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def value_streams(shape, final=()):
+    """A (crd, val) pair at one level obeying the value dropper's
+    protocol: one value per coordinate, a fiber closed by ``S0`` — or by
+    ``S1`` when it also closes its group, ``S2`` its supergroup — on
+    both streams, *final* phantoms in front of ``D``."""
+    crd, val = [], []
+    for supergroup in shape:
+        for gi, group in enumerate(supergroup):
+            up = 1 if gi == len(supergroup) - 1 else 0
+            for j, (owned, phantoms) in enumerate(group):
+                stop = Stop(up + 1 if j == len(group) - 1 else 0)
+                crd += [len(crd) + i for i in range(len(owned))] + [stop]
+                val += list(owned) + list(phantoms) + [stop]
+    return crd + [DONE], val + list(final) + [DONE]
+
+
+class TestValueWindowDifferential:
+    @pytest.mark.parametrize("wiring", VALUE_WIRINGS)
+    @settings(max_examples=60, deadline=None)
+    @given(shape=value_shapes, final=phantom_runs, prefill=st.integers(1, 12))
+    @example(shape=[[[([1.0, 0.0, 2.5], [])]]], final=[], prefill=2)
+    def test_full_report_identity(self, wiring, shape, final, prefill):
+        assert_values_match_cycle(value_streams(shape, final), wiring, prefill)
+
+    def test_pairs_leave_before_their_terminator(self):
+        # One fiber in slices: the generator pushes each surviving pair
+        # the cycle it pops it, long before the stop arrives, so the
+        # probes behind the dropper see them then — on every engine.
+        streams = value_streams([[[([1.0, 0.0, 2.5, EMPTY, 4.0], [0.0, EMPTY])]]])
+        assert streams == ([0, 1, 2, 3, 4, Stop(2), DONE],
+                           [1.0, 0.0, 2.5, EMPTY, 4.0, 0.0, EMPTY, Stop(2), DONE])
+        want = run_values(streams, "cycle", "sliced", prefill=5)
+        assert want[3] == [["0", "2", "4", "S2", "D"],
+                           ["0x1.0000000000000p+0", "0x1.4000000000000p+1",
+                            "0x1.0000000000000p+2", "S2", "D"]]
+        assert want[4] == 2
+        for backend in BACKENDS:
+            got = run_values(streams, backend, "sliced", prefill=5)
+            if issubclass(BACKENDS[backend], FunctionalEngine):
+                assert got[3:] == want[3:], backend
+            else:
+                assert got == want, backend
+
+    def test_whole_streams_are_one_window(self, monkeypatch):
+        # empty fibers, phantoms in front of S0, S1 and D, dropped pairs
+        streams = value_streams(
+            [[[([1.0], [0.0]), ([], [EMPTY, -0.0])], [([0.0, 3.0], [])]]],
+            final=[0.0],
+        )
+        want = assert_values_match_cycle(streams)
+        assert want[3][0] == ["0", "S0", "S1", "4", "S2", "D"]
+        assert want[4] == 1
+        calls = {"advance": [], "event": 0}
+
+        def advance(self, arrivals, real=ValueDropper._t_advance):
+            calls["advance"].append(len(arrivals))
+            return real(self, arrivals)
+
+        def event(self, arrival=0, real=ValueDropper._t_event):
+            calls["event"] += 1
+            return real(self, arrival)
+
+        monkeypatch.setattr(ValueDropper, "_t_advance", advance)
+        monkeypatch.setattr(ValueDropper, "_t_event", event)
+        run_values(streams, "timed-batch")
+        # every value token is one event: 3 pairs, 4 phantoms, 4 closers
+        assert calls == {"advance": [11], "event": 0}
+
+
+#: one clean chunk, a phantom N behind its pairs, so a defect can sit
+#: behind a window
+VALUE_PREFIX = ([5, 6, Stop(0)], [1.0, 0.0, EMPTY, Stop(0)])
+VALUE_ERRORS = {
+    "ran-out-at-stop": ("valdrop: value stream ran out mid-fiber (S0)",
+                        [0, 1, Stop(0), DONE], [1.0, Stop(0), DONE]),
+    "ran-out-at-done": ("valdrop: value stream ran out mid-fiber (D)",
+                        [0, 1, Stop(0), DONE], [1.0, DONE]),
+    "non-zero-phantom": ("valdrop: non-zero value 2.0 has no coordinate",
+                         [0, Stop(0), DONE], [1.0, 2.0, Stop(0), DONE]),
+    "non-zero-int-phantom": ("valdrop: non-zero value 3.0 has no coordinate",
+                             [Stop(0), DONE], [0, 3, Stop(0), DONE]),
+    "non-zero-phantom-at-done": ("valdrop: non-zero value 4.0 has no coordinate",
+                                 [0, Stop(0), DONE], [1.0, Stop(0), 4.0, DONE]),
+    "misaligned-stops": ("valdrop: misaligned stops S0/S1",
+                         [0, Stop(0), DONE], [1.0, Stop(1), DONE]),
+    "stop-vs-done": ("valdrop: misaligned streams (S0 vs D)",
+                     [0, Stop(0), DONE], [1.0, 0.0, DONE]),
+    "done-vs-stop": ("valdrop: misaligned streams (D vs S1)",
+                     [0, DONE], [1.0, EMPTY, Stop(1), DONE]),
+}
+
+
+class TestValueProtocolErrors:
+    @pytest.mark.parametrize("wiring", ("plain", "relay-crd", "relay-val", "sliced"))
+    @pytest.mark.parametrize("repeat", (0, 1, 3), ids="prefix{}".format)
+    @pytest.mark.parametrize("defect", VALUE_ERRORS)
+    def test_one_message_on_every_engine(self, defect, repeat, wiring):
+        message, crd, val = VALUE_ERRORS[defect]
+        streams = VALUE_PREFIX[0] * repeat + crd, VALUE_PREFIX[1] * repeat + val
+        for backend in BACKENDS:
+            with pytest.raises(BlockError) as caught:
+                run_values(streams, backend, wiring)
             assert str(caught.value) == message, backend

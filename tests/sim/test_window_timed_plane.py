@@ -4,7 +4,9 @@
 43 % of a ``gamma_spmm`` op; ``Repeater``, ``CoordDropper`` and
 ``InterleaveSerializer`` walking theirs one fiber at a time were 58 % of
 what was left (2 504 of the op's 2 548 schedules, all 3 010 of its
-single events).  Counting calls pins the window form without a clock:
+single events); ``ValueDropper`` walking its two same-level streams one
+fiber at a time was a tenth of a ``table1_mix`` op (one run popped per
+output fiber).  Counting calls pins the window form without a clock:
 on the Gamma and OuterSPACE graphs and the twelve Table-1 programs under
 ``compiled`` every such block schedules at most once per visit (+ 1),
 accounts at most two single events per visit, pops no run, never bails —
@@ -22,6 +24,7 @@ from repro.blocks import (
     CoordDropper,
     InterleaveSerializer,
     Repeater,
+    ValueDropper,
     VectorReducer,
 )
 from repro.blocks import base as blocks_base
@@ -39,7 +42,8 @@ from repro.studies.table1 import ENTRIES, _random_inputs
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 from numpy_counters import lexsort_callers, numpy_calls  # noqa: E402
 
-WINDOW_BLOCKS = (VectorReducer, Repeater, CoordDropper, InterleaveSerializer)
+WINDOW_BLOCKS = (VectorReducer, Repeater, CoordDropper, InterleaveSerializer,
+                 ValueDropper)
 
 
 def run_kernel(kernel):
