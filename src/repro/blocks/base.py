@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -87,9 +88,13 @@ class PortSpec:
     def matches(self, port: str) -> bool:
         if not self.variadic:
             return port == self.name
+        return self._pattern.fullmatch(port) is not None
+
+    @cached_property
+    def _pattern(self) -> "re.Pattern[str]":
+        """The variadic name as a regex, compiled once per spec."""
         pattern = re.escape(self.name)
-        pattern = pattern.replace(r"\{i\}", r"\d+").replace(r"\{j\}", r"\d+")
-        return re.fullmatch(pattern, port) is not None
+        return re.compile(pattern.replace(r"\{i\}", r"\d+").replace(r"\{j\}", r"\d+"))
 
 
 @dataclass(frozen=True)

@@ -319,29 +319,12 @@ class _Merger(Block):
         side); event *k+1* is gated by the arrival of whatever event *k*'s
         consumption pulled in next — the max over the sides it consumed,
         since the generator refills every consumed finger right after its
-        yield.  Returns ``(slots, held, cycles)``: per side the slot of
-        each of its keys, per slot how many sides hold it, and its cycle.
+        yield.  Returns ``(slots, common, cycles)``: per side the slot of
+        each of its keys, the shared keys :meth:`_fold_slots` found last,
+        and per slot its cycle.
         """
-        # the sides are strictly increasing runs: a stable argsort of
-        # their concatenation is one merge pass and keeps each slot's
-        # keys side by side
-        both = np.concatenate(keys)
-        order = np.argsort(both, kind="stable")
-        ranked = both[order]
-        fresh = np.empty(len(both), dtype=bool)
-        fresh[0] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
-        starts = np.flatnonzero(fresh)
-        held = np.empty(len(starts), dtype=np.int64)
-        np.subtract(starts[1:], starts[:-1], out=held[:-1])
-        held[-1] = len(both) - starts[-1]
-        slot = np.empty(len(both), dtype=np.int64)
-        slot[order] = np.repeat(index_ramp(len(held)), held)
-        slots, top = [], 0
-        for key in keys:
-            slots.append(slot[top:top + len(key)])
-            top += len(key)
-        arrivals = np.zeros(len(held), dtype=np.int64)
+        slots, common, size = self._fold_slots(keys)
+        arrivals = np.zeros(size, dtype=np.int64)
         arrivals[0] = max(arr[0] for arr in arrs)
         gate = arrivals[1:]
         # the key a side gives up at slot k pulls its successor in: the
@@ -350,7 +333,48 @@ class _Merger(Block):
         for n, (at, arr) in enumerate(longest):
             at = at[:-1]
             gate[at] = np.maximum(gate[at], arr[1:]) if n else arr[1:]
-        return slots, held, self._t_advance(arrivals)
+        return slots, common, self._t_advance(arrivals)
+
+    @staticmethod
+    def _fold_slots(keys):
+        """Every side's union slots, folding the sides in one at a time.
+
+        The sides are strictly increasing and all end at the window's
+        final stop, so each fold searches the shorter operand in the
+        longer: a hit is a shared slot, and a lone key shifts the longer
+        operand's slots by one from its insertion point on (a bincount
+        prefix sum).  Only a fold with another behind it builds its union
+        array.  Returns ``(slots, common, size)``: per side its keys'
+        slots; the key indices of the last fold's hits in its two
+        operands — with two sides, each side's keys at the slots both
+        hold; and the union's size.
+        """
+        union, slots = keys[0], []
+        for key in keys[1:]:
+            flip = len(key) > len(union)
+            longer, shorter = (key, union) if flip else (union, key)
+            pos = np.searchsorted(longer, shorter)
+            hit = longer[pos] == shorter
+            lone = ~hit
+            at_long = np.bincount(pos[lone], minlength=len(longer)).cumsum()
+            at_long += index_ramp(len(longer))
+            at_short = np.cumsum(lone)
+            at_short += pos
+            at_short -= lone
+            common = (pos[hit], np.flatnonzero(hit))
+            if flip:
+                at_union, at_key, common = at_short, at_long, common[::-1]
+            else:
+                at_union, at_key = at_long, at_short
+            slots = [at_union[prior] for prior in slots] if slots else [at_union]
+            slots.append(at_key)
+            size = len(longer) + len(shorter) - len(common[0])
+            if len(slots) < len(keys):  # another fold follows: it needs the union
+                merged = np.empty(size, dtype=np.int64)
+                merged[at_union] = union
+                merged[at_key] = key
+                union = merged
+        return slots, common, size
 
     def _emit_window(self, groups, stride, codes, keys, events, refs):
         """Push one merged window: a ``data_with_ctrl`` call per builder.
@@ -361,8 +385,8 @@ class _Merger(Block):
         that hold it, and an ``N`` on the others.  Work is per picked
         slot: keys no output emits are never looked at again.
         """
-        slots, held, cycles = events
-        tokens, picks = self._select(slots, held)
+        tokens, picks = self._select(*events)
+        cycles = events[-1]
         values = np.empty(len(tokens), dtype=np.int64)
         for key, (at, where) in zip(keys, picks):
             values[where] = key[at]
@@ -413,13 +437,12 @@ class Intersect(_Merger):
         # window schedules — so only the two-finger case is windowed.
         return self.arity == 2 and super().timed_capable()
 
-    def _select(self, slots, held):
-        # the slots every side holds, found from each side's own keys: the
-        # keys the other side walks past cost one gather and compare each
-        at = [np.flatnonzero(held[side] == len(slots)) for side in slots]
-        tokens = slots[0][at[0]]
+    def _select(self, slots, common, cycles):
+        # the slots both sides hold: the one fold's hits, as each side's
+        # own key indices (a windowed intersecter has two sides)
+        tokens = slots[0][common[0]]
         where = index_ramp(len(tokens))
-        return tokens, [(side_at, where) for side_at in at]
+        return tokens, [(side_at, where) for side_at in common]
 
     def _run(self):
         self._side_fibers = [0] * self.arity
@@ -470,9 +493,10 @@ class Union(_Merger):
 
     primitive = "union"
 
-    def _select(self, slots, held):
+    def _select(self, slots, common, cycles):
         # every slot, each side's keys at their own
-        return index_ramp(len(held)), [(index_ramp(len(side)), side) for side in slots]
+        picks = [(index_ramp(len(side)), side) for side in slots]
+        return index_ramp(len(cycles)), picks
 
     def _run(self):
         tokens = yield from self._pop_all()

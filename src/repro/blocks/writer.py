@@ -7,12 +7,16 @@ stream and internally generates the references and auxiliary structures
 
 Writers accumulate into a format object which is available once the
 stream completes; :func:`assemble_tensor` stitches per-level writers into
-a :class:`~repro.formats.tensor.FiberTensor`.
+a :class:`~repro.formats.tensor.FiberTensor`.  What a writer stores
+(``crd``/``seg``, ``vals``) reads back as one ndarray, during the run or
+after it: the level and the value array are built from those arrays
+without another copy.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +26,7 @@ from ..formats.dense import DenseLevel
 from ..formats.linkedlist import LinkedListLevel
 from ..formats.tensor import FiberTensor
 from ..streams.channel import Channel
+from ..streams.timing import I64_MAX
 from ..streams.token import (
     is_data,
     is_done,
@@ -33,12 +38,109 @@ from ..streams.token import (
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 
 
+class _Column:
+    """An array a writer fills in pieces and reads back whole.
+
+    ``commit_window`` appends each window's array; the generator appends
+    scalars to one tail list, which becomes a piece of its own when a
+    window follows or the column is read.  *convert* makes a piece an
+    array of the column's type the column may keep (a copy where the
+    piece may be a view of a batch), or raises :class:`_BadValue`: the
+    column keeps the values before the one it names and raises its
+    error.  A read concatenates the pieces once.
+    """
+
+    __slots__ = ("size", "_convert", "_pieces", "_tail")
+
+    def __init__(self, convert: Callable[[object], np.ndarray], head=()):
+        self._convert = convert
+        self._pieces: List[np.ndarray] = []
+        self._tail = list(head)
+        self.size = len(self._tail)
+
+    def append(self, value) -> None:
+        self._tail.append(value)
+        self.size += 1
+
+    def extend(self, values: np.ndarray) -> None:
+        if len(values):
+            self._seal()
+            self.size += len(values)
+            self._store(values)
+
+    def array(self) -> np.ndarray:
+        self._seal()
+        if len(self._pieces) != 1:
+            self._pieces = [
+                np.concatenate(self._pieces) if self._pieces else self._convert([])
+            ]
+        return self._pieces[0]
+
+    def _seal(self) -> None:
+        if self._tail:
+            tail, self._tail = self._tail, []
+            self._store(tail)
+
+    def _store(self, values) -> None:
+        try:
+            self._pieces.append(self._convert(values))
+        except _BadValue as bad:
+            self._pieces.append(self._convert(values[:bad.at]))
+            raise bad.error from None
+
+
+class _BadValue(Exception):
+    """Value *at* of a piece is none of its column's type: *error*."""
+
+    def __init__(self, at: int, error: BlockError):
+        super().__init__(at, error)
+        self.at, self.error = at, error
+
+
+def _fits_int64(value) -> bool:
+    try:
+        return bool(value % 1 == 0) and -I64_MAX - 1 <= value <= I64_MAX
+    except TypeError:  # no number at all
+        return False
+
+
+def _coordinates(name: str, values) -> np.ndarray:
+    """*values* as a fresh int64 array, or the error naming the first that
+    is no int64.  A float passes when it is integral: a batch stores a
+    mixed run as floats (the rule ``VectorReducer._integral_chunks``
+    applies to its windows)."""
+    try:
+        arr = np.asarray(values)
+        kind = arr.dtype.kind if arr.ndim == 1 else "O"
+    except ValueError:  # ragged: a sequence among the coordinates
+        arr, kind = values, "O"
+    if kind in "bi":
+        return arr.astype(np.int64)
+    if kind == "u":
+        ok = arr <= I64_MAX
+    elif kind == "f":
+        with np.errstate(invalid="ignore"):  # NaN and inf % 1 are NaN: not 0
+            ok = (arr % 1 == 0) & (arr >= -2.0 ** 63) & (arr < 2.0 ** 63)
+    else:
+        ok = np.array([_fits_int64(v) for v in values], dtype=bool)
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        at = int(bad[0])
+        raise _BadValue(at, BlockError(
+            f"{name}: non-integer coordinate {token_repr(values[at])}"
+        ))
+    return np.array(values, dtype=np.int64)
+
+
 class CompressedLevelWriter(Block):
     """Writes a coordinate stream as a compressed (seg/crd) level.
 
     Every stop token closes one fiber at this level; consecutive stops
     produce empty segments (callers normally drop those upstream with a
-    coordinate dropper, but the writer stays correct either way).
+    coordinate dropper, but the writer stays correct either way).  A
+    coordinate that is no int64 — fractional, NaN, infinite, out of
+    range, no number — raises the same :class:`BlockError` on every
+    engine.
     """
 
     primitive = "level_writer"
@@ -51,21 +153,29 @@ class CompressedLevelWriter(Block):
     def __init__(self, in_crd: Channel, name: str = "wr_comp"):
         super().__init__(name)
         self.in_crd = self._in("in_crd", in_crd)
-        self.seg: List[int] = [0]
-        self.crd: List[int] = []
+        # a seg piece is a fresh sum: no copy needed
+        self._seg = _Column(partial(np.asarray, dtype=np.int64), head=[0])
+        # no bound method: a column must not hold its writer in a cycle
+        self._crd = _Column(partial(_coordinates, name))
         self._level: Optional[CompressedLevel] = None
+
+    @property
+    def crd(self) -> np.ndarray:
+        return self._crd.array()
+
+    @property
+    def seg(self) -> np.ndarray:
+        return self._seg.array()
 
     def _run(self):
         while True:
             token = yield from self._get(self.in_crd)
             if is_data(token):
-                self.crd.append(token)
+                self._crd.append(token)
             elif is_stop(token):
-                self.seg.append(len(self.crd))
+                self._seg.append(self._crd.size)
             elif is_done(token):
-                if self.seg[-1] != len(self.crd):  # unterminated trailing fiber
-                    self.seg.append(len(self.crd))
-                self._level = CompressedLevel(self.seg, self.crd)
+                self._close()
                 yield True
                 return
             yield True
@@ -73,13 +183,19 @@ class CompressedLevelWriter(Block):
     timing = TimingDescriptor(fuse_role="write")
 
     def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
-        base = len(self.crd)
-        self.crd.extend(np.asarray(data).tolist())
-        self.seg.extend((base + cpos[ccode >= 0]).tolist())
+        # the stops first: a rejected coordinate leaves what the
+        # generator would (it checks them all at D)
+        self._seg.extend(self._crd.size + cpos[ccode >= 0])
+        self._crd.extend(data)
         if ends_done:
-            if self.seg[-1] != len(self.crd):  # unterminated trailing fiber
-                self.seg.append(len(self.crd))
-            self._level = CompressedLevel(self.seg, self.crd)
+            self._close()
+
+    def _close(self) -> None:
+        """At ``D``: end an unterminated trailing fiber, build the level."""
+        crd = self.crd
+        if self.seg[-1] != len(crd):
+            self._seg.append(len(crd))
+        self._level = CompressedLevel(self.seg, crd)
 
     def drain_timed(self) -> bool:
         if self.finished:
@@ -153,15 +269,19 @@ class ValsWriter(Block):
     def __init__(self, in_val: Channel, name: str = "wr_vals"):
         super().__init__(name)
         self.in_val = self._in("in_val", in_val)
-        self.vals: List[float] = []
+        self._vals = _Column(partial(np.array, dtype=np.float64))
+
+    @property
+    def vals(self) -> np.ndarray:
+        return self._vals.array()
 
     def _run(self):
         while True:
             token = yield from self._get(self.in_val)
             if is_data(token):
-                self.vals.append(float(token))
+                self._vals.append(float(token))
             elif is_empty(token):
-                self.vals.append(0.0)
+                self._vals.append(0.0)
             yield True
             if is_done(token):
                 return
@@ -169,7 +289,7 @@ class ValsWriter(Block):
     timing = TimingDescriptor(fuse_role="write")
 
     def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
-        self.vals.extend(np.asarray(data, dtype=np.float64).tolist())
+        self._vals.extend(data)
 
     def drain_timed(self) -> bool:
         if self.finished:
@@ -202,7 +322,7 @@ class ScatterValsWriter(Block):
         super().__init__(name)
         self.in_ref = self._in("in_ref", in_ref)
         self.in_val = self._in("in_val", in_val)
-        self.vals: List[float] = [0.0] * size
+        self.vals = np.zeros(size, dtype=np.float64)
 
     def _check_pair(self, ref, val) -> None:
         """A reference (or ``N``) pairs with a value (or ``N``), a stop
@@ -228,22 +348,10 @@ class ScatterValsWriter(Block):
 
     timing = TimingDescriptor()
 
-    def _bail_timed(self):
-        # Sync the private accumulator back into the public list before
-        # the scalar timed path resumes mutating it directly.
-        acc = getattr(self, "_vals_array", None)
-        if acc is not None:
-            self.vals[:] = acc.tolist()
-            self._vals_array = None
-        return super()._bail_timed()
-
     def drain_timed(self) -> bool:
         """Timed drain: one event per (ref, val) pair, scatter-added."""
         if self.finished:
             return False
-        acc = getattr(self, "_vals_array", None)
-        if acc is None:
-            acc = self._vals_array = np.asarray(self.vals, dtype=np.float64)
         rd_r = self._treader(self.in_ref)
         rd_v = self._treader(self.in_val)
         rd_v.densify_empty(0.0)
@@ -260,7 +368,7 @@ class ScatterValsWriter(Block):
                 refs, s_r = rd_r.pop_run_upto(m)
                 vals, s_v = rd_v.pop_run_upto(m)
                 np.add.at(
-                    acc,
+                    self.vals,
                     refs.astype(np.int64, copy=False),
                     np.asarray(vals, dtype=np.float64),
                 )
@@ -273,7 +381,6 @@ class ScatterValsWriter(Block):
             self._t_event(max(s_r, s_v))
             progressed = True
             if cr == CODE_DONE and cv == CODE_DONE:
-                self.vals[:] = acc.tolist()
                 self.finished = True
                 return True
 
@@ -326,7 +433,7 @@ def assemble_tensor(
 ) -> FiberTensor:
     """Combine finished level writers and a value writer into a FiberTensor."""
     levels = [writer.level for writer in level_writers]
-    vals = list(vals_writer.vals)
     # Dense trailing levels imply a positional value array; compressed ones
     # already wrote values in position order, so the vals line up either way.
-    return FiberTensor(shape, levels, vals, mode_order=mode_order, name=name)
+    return FiberTensor(shape, levels, vals_writer.vals, mode_order=mode_order,
+                       name=name)

@@ -242,8 +242,7 @@ def _datasets_smoke(args, registry) -> None:
     crd, vals, cycles = spmv_locate(tensor, c, backend=backend)
     run_s = time.perf_counter() - start
     x = np.zeros(spec.shape[0])
-    if crd:
-        x[np.asarray(crd, dtype=np.int64)] = vals
+    x[crd] = vals
     reference = matrix @ c
     ok = bool(np.allclose(x, reference))
     print(f"{name} ({source}): shape {spec.shape[0]}x{spec.shape[1]}, "

@@ -177,7 +177,8 @@ class FiberTensor:
     ):
         self.shape: Tuple[int, ...] = tuple(shape)
         self.levels: List[Level] = list(levels)
-        self.vals: np.ndarray = np.array(vals, dtype=np.float64).reshape(-1)
+        # like the levels' arrays, a float64 value array is kept, not copied
+        self.vals: np.ndarray = np.asarray(vals, dtype=np.float64).reshape(-1)
         self.mode_order: Tuple[int, ...] = tuple(
             mode_order if mode_order is not None else range(len(self.shape))
         )

@@ -20,7 +20,7 @@ bitvector mergers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,8 +49,8 @@ class VecMulResult:
 
     config: str
     cycles: int
-    values: List[float]
-    coords: List[int]
+    values: np.ndarray  # float64, what the value writer stored
+    coords: np.ndarray  # int64, what the coordinate writer stored (if any)
 
     def check_against(self, b: np.ndarray, c: np.ndarray) -> bool:
         """Compare nonzero products against the dense reference."""
@@ -88,7 +88,7 @@ def _compiled_vecmul(config: str, b, c, split: int,
     else:  # pragma: no cover - guarded by vecmul()
         raise ValueError(config)
     out = res.output
-    return VecMulResult(config, res.cycles, list(out.vals), [])
+    return VecMulResult(config, res.cycles, out.vals, np.empty(0, dtype=np.int64))
 
 
 def _skip_vecmul(b, c, backend: Optional[str] = None) -> VecMulResult:

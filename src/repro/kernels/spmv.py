@@ -52,7 +52,8 @@ def spmv_locate(B, c: np.ndarray, backend: Optional[str] = None):
     ``B`` may be a dense numpy matrix or a prebuilt two-level
     :class:`FiberTensor` (the path large ``.mtx``-ingested operands take,
     where densifying first would not fit in memory).
-    Returns ``(x_coords, x_values, cycles)``.
+    Returns ``(x_coords, x_values, cycles)``, the first two the writers'
+    int64 and float64 arrays.
     """
     c = np.asarray(c, dtype=float)
     if isinstance(B, FiberTensor):
@@ -176,4 +177,4 @@ def spmv_scatter(B: np.ndarray, c: np.ndarray, backend: Optional[str] = None):
     scatter = g.add(ScatterValsWriter(B.shape[1], g.in_("bj_scatter"),
                                       g.in_("prod"), name="scatter_x"))
     report = g.run(backend=backend)
-    return np.array(scatter.vals), report.cycles
+    return scatter.vals, report.cycles

@@ -156,7 +156,8 @@ class CompiledProgram:
                            max_resumptions=max_resumptions)
         vals_writer = bound.writers[self.info.vals_writer_node]
         if not self.info.lhs_vars:
-            value = vals_writer.vals[0] if vals_writer.vals else 0.0
+            vals = vals_writer.vals
+            value = float(vals[0]) if len(vals) else 0.0
             return RunResult(value, report.cycles, report, bound)
         levels = [
             bound.writers[self.info.writer_nodes[var]].level

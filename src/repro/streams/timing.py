@@ -18,7 +18,9 @@ Five pieces live here:
   arrivals: ``c[k] = max(c[k-1] + ii, arrivals[k])``.  The recurrence is
   a max-plus scan, computed with one ``np.maximum.accumulate`` instead
   of a per-token Python loop — this is what lets a timed block cross an
-  entire control-free segment in one step.
+  entire control-free segment in one step.  It allocates only the
+  schedule it returns; its index ramp is the shared read-only
+  :func:`~repro.streams.batch.index_ramp`.
 * :class:`TimedReader` / :class:`TimedBuilder` — the block-side input
   cursor and output accumulator: readers serve data runs *with* their
   arrival stamps, builders accumulate output tokens with the cycle each
@@ -56,6 +58,7 @@ from .batch import (
     TokenBatch,
     _concat_data,
     decode_code,
+    index_ramp,
 )
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -75,13 +78,18 @@ def rate1_schedule(arrivals: np.ndarray, clock: int, ii: int = 1) -> np.ndarray:
 
     ``c[k] = max(c[k-1] + ii, arrivals[k])`` with ``c[-1] + ii = clock``.
     An arrival of 0 means "no input constraint" (cycles start at 1).
+    The pass ``arrivals - ramp -> max(clock) -> running max -> + ramp``
+    runs in the one array it returns; the ramp is :func:`index_ramp`'s.
     """
     n = len(arrivals)
     if n == 0:
         return _EMPTY_I64
-    idx = np.arange(n, dtype=np.int64) * ii
-    base = np.maximum(np.asarray(arrivals, dtype=np.int64) - idx, clock)
-    return np.maximum.accumulate(base) + idx
+    ramp = index_ramp(n) if ii == 1 else index_ramp(n) * ii
+    c = np.subtract(arrivals, ramp, dtype=np.int64)
+    np.maximum(c, clock, out=c)
+    np.maximum.accumulate(c, out=c)
+    c += ramp
+    return c
 
 
 def compose_rate1(
@@ -109,46 +117,28 @@ def compose_rate1(
     Stages that *slow down* the stream (``ii`` greater than the incoming
     step) fall back to a fresh accumulate.  Returns one schedule array
     per stage, each bit-identical to running the members' own
-    ``rate1_schedule`` calls back to back.
+    ``rate1_schedule`` calls back to back.  A stage allocates its own
+    schedule and nothing else: ``max(x + delta, y) = max(x, y - delta) +
+    delta`` moves each *delta* onto the clock and back.
     """
-    if not stages:
-        return []
-    clock0, ii0, delta0 = stages[0]
-    gated = np.asarray(arrivals, dtype=np.int64)
-    if delta0:
-        gated = gated + delta0
-    out = [rate1_schedule(gated, clock0, ii0)]
-    step = ii0
-    n = len(out[0])
-    idx = np.arange(n, dtype=np.int64)
-    for clock, ii, delta in stages[1:]:
-        prev = out[-1]
-        if delta:
-            prev = prev + delta
-        if ii <= step:
-            out.append(np.maximum(prev, clock + idx * ii))
+    out: List[np.ndarray] = []
+    prev, step = arrivals, 0
+    for clock, ii, delta in stages:
+        if out and ii <= step:
+            ramp = index_ramp(len(prev))
+            if ii == 1:
+                c = np.add(ramp, clock - delta)
+            else:
+                c = np.multiply(ramp, ii)
+                c += clock - delta
+            np.maximum(c, prev, out=c)
         else:
-            out.append(rate1_schedule(prev, clock, ii))
-        step = ii
+            c = rate1_schedule(prev, clock - delta, ii)
+        if delta:
+            c += delta
+        out.append(c)
+        prev, step = c, ii
     return out
-
-
-_RAMP_CACHE = np.arange(1 << 16, dtype=np.int64)
-_RAMP_CACHE.setflags(write=False)
-
-
-def index_ramp(n: int) -> np.ndarray:
-    """The int64 ramp ``0..n-1`` as a read-only slice of a growing cache.
-
-    Every schedule and token-order computation adds a ramp to something;
-    a fresh ``np.arange`` per window is ~8 % of a compiled Gamma run at
-    1e5 nnz, so the ramp is allocated once and shared.
-    """
-    global _RAMP_CACHE
-    if n > len(_RAMP_CACHE):
-        _RAMP_CACHE = np.arange(1 << int(n - 1).bit_length(), dtype=np.int64)
-        _RAMP_CACHE.setflags(write=False)
-    return _RAMP_CACHE[:n]
 
 
 def token_order_indices(cpos: np.ndarray, ndata: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,8 @@
 """Array (Definition 3.5) and level writer (Definition 3.8) tests."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.blocks import (
@@ -13,8 +16,10 @@ from repro.blocks import (
     UncompressedLevelWriter,
     ValsWriter,
 )
-from repro.sim import BACKENDS, run_blocks
+from repro.sim import BACKENDS, FunctionalEngine, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
+
+from test_repeat import TIMED, Relay, Slicer, woken
 
 
 class TestArrayLoad:
@@ -94,7 +99,7 @@ class TestOtherWriters:
         run_blocks([
             StreamFeeder([1.0, Stop(0), EMPTY, 2.0, Stop(1), DONE], val), writer
         ])
-        assert writer.vals == [1.0, 0.0, 2.0]
+        assert writer.vals.tolist() == [1.0, 0.0, 2.0]
 
     def test_uncompressed_writer_counts_fibers(self):
         crd = Channel("c")
@@ -111,7 +116,7 @@ class TestOtherWriters:
             StreamFeeder([2.0, 3.0, 4.0, Stop(0), DONE], val, name="fv"),
             writer,
         ])
-        assert writer.vals == [0.0, 5.0, 0.0, 4.0]
+        assert writer.vals.tolist() == [0.0, 5.0, 0.0, 4.0]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_scatter_writer_pairs_n_and_stops(self, backend):
@@ -125,7 +130,7 @@ class TestOtherWriters:
                          name="fv"),
             writer,
         ], backend=backend)
-        assert writer.vals == [1.0, 2.0, 0.0]
+        assert writer.vals.tolist() == [1.0, 2.0, 0.0]
 
     #: refs, vals -> the error every engine raises (it used to scatter
     #: what it could and drop the rest, or wait for ever at D)
@@ -169,3 +174,91 @@ class TestOtherWriters:
         assert [c for c, _ in writer.level.fiber(2)] == [10, 12]
         assert [c for c, _ in writer.level.fiber(0)] == [11]
         assert writer.child_refs == [0, 1, 2]
+
+
+class TestWriterStorage:
+    """What a writer stores, read back as values: the same arrays on every
+    engine, however the stream was windowed, and after a bail mid-stream
+    (a ``True`` the batched plane cannot hold hands the rest of the
+    stream to the generator)."""
+
+    CRD = [0, 3, Stop(0), Stop(0), 1, Stop(0), 2, 4, 7, Stop(1), 5, DONE]
+    VALS = [1.5, Stop(0), EMPTY, 2.0, Stop(0), -0.0, 3.25, Stop(1), 4.0, DONE]
+
+    def _run(self, backend, delivery, bail):
+        crd_tokens, val_tokens = list(self.CRD), list(self.VALS)
+        if bail:
+            crd_tokens[4], val_tokens[3] = True, True
+        blocks = []
+        writers = []
+        for tokens, cls, kind in ((crd_tokens, CompressedLevelWriter, "crd"),
+                                  (val_tokens, ValsWriter, "vals")):
+            channel = Channel(kind, kind=kind)
+            if delivery == "whole":  # a feeder batches True as 1: no bail
+                blocks.append(StreamFeeder(tokens, channel, name=f"f{kind}"))
+            elif delivery == "one-a-cycle":
+                blocks.append(Slicer(tokens, [(1, 0)] * len(tokens), channel,
+                                     f"f{kind}"))
+            else:
+                rng = random.Random(len(tokens))
+                plan = [(rng.randint(1, 3), rng.randint(0, 2)) for _ in tokens]
+                blocks.append(Slicer(tokens, plan, channel, f"f{kind}"))
+            writers.append(woken(cls)(channel, name=f"w{kind}"))
+        report = run_blocks(blocks + writers, backend=backend)
+        untimed = issubclass(BACKENDS[backend], FunctionalEngine)
+        if bail and delivery != "whole" and backend in TIMED:
+            assert not any(w._timed_ok for w in writers), backend  # they bailed
+        crd, vals = writers
+        stored = (crd.crd, crd.seg, crd.level.crd, crd.level.seg, vals.vals)
+        for array, dtype in zip(stored, (np.int64,) * 4 + (np.float64,)):
+            assert isinstance(array, np.ndarray) and array.dtype == dtype
+        assert crd.level.crd is crd.crd and crd.level.seg is crd.seg
+        cycles = None if untimed else (report.cycles, report.block_activity())
+        return [a.tolist() for a in stored], cycles
+
+    @pytest.mark.parametrize("bail", [False, True])
+    @pytest.mark.parametrize("delivery", ["whole", "one-a-cycle", "sliced"])
+    def test_every_engine_stores_the_same_arrays(self, delivery, bail):
+        want, cycles = self._run("cycle", delivery, bail)
+        assert want[0] == [0, 3, 1, 2, 4, 7, 5]
+        assert want[1] == [0, 2, 2, 3, 6, 7]
+        assert want[4] == [1.5, 0.0, 1.0 if bail else 2.0, -0.0, 3.25, 4.0]
+        for backend in BACKENDS:
+            got, got_cycles = self._run(backend, delivery, bail)
+            assert got == want, backend
+            assert got_cycles in (None, cycles), backend
+
+    #: coordinate stream -> the error every engine raises (the writer used
+    #: to store int(1.5) == 1, or raise numpy's ValueError / OverflowError)
+    COORDINATE_ERRORS = {
+        "wr_comp: non-integer coordinate 1.5": [1.5, 2, Stop(0), DONE],
+        "wr_comp: non-integer coordinate nan": [0, float("nan"), Stop(0), DONE],
+        "wr_comp: non-integer coordinate inf": [float("inf"), Stop(0), DONE],
+        "wr_comp: non-integer coordinate 9.223372036854776e+18":
+            [1, Stop(0), 2.0 ** 63, Stop(0), DONE],
+        "wr_comp: non-integer coordinate 9223372036854775808":
+            [2 ** 63, Stop(0), DONE],
+        "wr_comp: non-integer coordinate (3, 4)": [1, (3, 4), Stop(0), DONE],
+    }
+
+    @pytest.mark.parametrize("message", COORDINATE_ERRORS)
+    @pytest.mark.parametrize("relay", [False, True])
+    def test_a_coordinate_no_int64_holds_is_a_named_error(self, message, relay):
+        for backend in BACKENDS:
+            crd, raw = Channel("c"), Channel("raw")
+            tokens = self.COORDINATE_ERRORS[message]
+            blocks = ([StreamFeeder(tokens, raw, name="f"), Relay(raw, crd, "r")]
+                      if relay else [StreamFeeder(tokens, crd, name="f")])
+            with pytest.raises(BlockError) as caught:
+                run_blocks(blocks + [CompressedLevelWriter(crd)], backend=backend)
+            assert str(caught.value) == message, backend
+
+    def test_integral_floats_are_coordinates(self):
+        # a batch stores a mixed run as floats: 2.0 was the integer 2
+        for backend in BACKENDS:
+            crd = Channel("c")
+            writer = CompressedLevelWriter(crd)
+            run_blocks([StreamFeeder([1, 2.0, Stop(0), -3.0, DONE], crd), writer],
+                       backend=backend)
+            assert writer.crd.tolist() == [1, 2, -3], backend
+            assert writer.seg.tolist() == [0, 2, 3], backend

@@ -497,3 +497,121 @@ class TestOneAdvancePerWindow:
         self._count(
             monkeypatch, lambda backend: prog.run(operands, backend=backend)
         )
+
+
+# -- the merge fold against the argsort merge it replaced -------------------
+
+
+def argsort_merge_events(block, keys, arrs):
+    """The oracle: every side's union slots from one stable argsort of the
+    concatenated sides.  Returns ``(slots, held, cycles)`` — per side its
+    keys' slots, per slot how many sides hold it, and its cycle."""
+    both = np.concatenate(keys)
+    order = np.argsort(both, kind="stable")
+    ranked = both[order]
+    fresh = np.empty(len(both), dtype=bool)
+    fresh[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    held = np.diff(np.append(starts, len(both)))
+    slot = np.empty(len(both), dtype=np.int64)
+    slot[order] = np.repeat(np.arange(len(held)), held)
+    slots, top = [], 0
+    for key in keys:
+        slots.append(slot[top:top + len(key)])
+        top += len(key)
+    arrivals = np.zeros(len(held), dtype=np.int64)
+    arrivals[0] = max(arr[0] for arr in arrs)
+    gate = arrivals[1:]
+    longest = sorted(zip(slots, arrs), key=lambda side: -len(side[0]))
+    for n, (at, arr) in enumerate(longest):
+        at = at[:-1]
+        gate[at] = np.maximum(gate[at], arr[1:]) if n else arr[1:]
+    return slots, held, block._t_advance(arrivals)
+
+
+def fresh_merger(cls, arity):
+    sides = [MergeSide(Channel(f"c{i}")) for i in range(arity)]
+    return cls(sides, Channel("o"), [[] for _ in range(arity)], name="merge")
+
+
+@st.composite
+def key_sets(draw):
+    """2-4 strictly increasing key sets that all end at the final stop:
+    disjoint, nested, equal, only the stop, or drawn independently."""
+    arity = draw(st.integers(2, 4))
+    pool = sorted(draw(st.sets(st.integers(0, 60), max_size=25)))
+    final = (pool[-1] if pool else 0) + draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["disjoint", "nested", "equal", "stop", "free"]))
+    if shape == "disjoint":
+        owner = draw(st.lists(st.integers(0, arity - 1), min_size=len(pool),
+                              max_size=len(pool)))
+        sets = [[k for k, o in zip(pool, owner) if o == s] for s in range(arity)]
+    elif shape == "nested":
+        sets, keep = [], pool
+        for _ in range(arity):
+            sets.append(keep)
+            keep = [k for k in keep if draw(st.booleans())]
+        sets = draw(st.permutations(sets))
+    elif shape == "equal":
+        sets = [pool] * arity
+    else:
+        sets = [[k for k in pool if draw(st.booleans())] for _ in range(arity)]
+        if shape == "stop":  # some side carries only the final stop
+            sets[draw(st.integers(0, arity - 1))] = []
+    keys = [np.array(s + [final], dtype=np.int64) for s in sets]
+    arrs = [np.sort(np.array(draw(st.lists(st.integers(0, 40), min_size=len(k),
+                                            max_size=len(k))), dtype=np.int64))
+            for k in keys]
+    clock = draw(st.integers(1, 30))
+    return keys, arrs, clock
+
+
+class TestMergeFold:
+    """``_merge_events`` folds the sides by search; the argsort merge it
+    replaced, kept above, must agree on every slot, holder count, cycle
+    and counter — and on the slots a two-sided intersecter emits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=key_sets())
+    def test_matches_the_argsort_merge(self, case):
+        keys, arrs, clock = case
+        cls = Intersect if len(keys) == 2 else Union
+        got_block, want_block = fresh_merger(cls, len(keys)), fresh_merger(cls, len(keys))
+        for block in (got_block, want_block):
+            block._tclock = clock
+        slots, common, cycles = got_block._merge_events(keys, arrs)
+        want_slots, held, want_cycles = argsort_merge_events(want_block, keys, arrs)
+        assert [s.tolist() for s in slots] == [s.tolist() for s in want_slots]
+        holders = np.bincount(np.concatenate(slots), minlength=len(cycles))
+        assert holders.tolist() == held.tolist()
+        assert cycles.tolist() == want_cycles.tolist()
+        assert ((got_block.busy_cycles, got_block.stall_cycles, got_block._tclock)
+                == (want_block.busy_cycles, want_block.stall_cycles, want_block._tclock))
+        if cls is Intersect:
+            tokens, picks = got_block._select(slots, common, cycles)
+            shared = [np.flatnonzero(held[side] == 2) for side in want_slots]
+            assert tokens.tolist() == want_slots[0][shared[0]].tolist()
+            for (at, where), want_at in zip(picks, shared):
+                assert at.tolist() == want_at.tolist()
+                assert where.tolist() == list(range(len(tokens)))
+
+    def test_search_not_sort(self):
+        # the shorter side is searched in the longer: one needle array of
+        # its length, whichever side it is
+        keys = [np.array([3, 9, 20], dtype=np.int64),
+                np.array([1, 2, 3, 5, 8, 9, 13, 20], dtype=np.int64)]
+        arrs = [np.zeros(3, dtype=np.int64), np.zeros(8, dtype=np.int64)]
+        for side_keys, side_arrs in ((keys, arrs), (keys[::-1], arrs[::-1])):
+            sizes = []
+            real = np.searchsorted
+
+            def searched(a, v, *args, **kwargs):
+                sizes.append((len(a), len(v)))
+                return real(a, v, *args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(merge_module.np, "searchsorted", searched)
+                patch.setattr(merge_module.np, "argsort", None)
+                fresh_merger(Intersect, 2)._merge_events(side_keys, side_arrs)
+            assert sizes == [(8, 3)]

@@ -78,7 +78,8 @@ class TestKernelEquivalence:
     def test_spmv_locate(self, backend):
         crd_c, val_c, cyc_c = spmv_locate(B, VEC_B[:24], backend="cycle")
         crd_e, val_e, cyc_e = spmv_locate(B, VEC_B[:24], backend=backend)
-        assert (crd_c, val_c, cyc_c) == (crd_e, val_e, cyc_e)
+        assert (crd_c.tolist(), val_c.tolist(), cyc_c) == (
+            crd_e.tolist(), val_e.tolist(), cyc_e)
 
     def test_spmv_scatter(self, backend):
         x_c, cyc_c = spmv_scatter(B, VEC_B[:24], backend="cycle")
@@ -98,8 +99,8 @@ class TestKernelEquivalence:
         r_c = vecmul(config, VEC_B, VEC_C, split=50, backend="cycle")
         r_e = vecmul(config, VEC_B, VEC_C, split=50, backend=backend)
         assert r_c.cycles == r_e.cycles
-        assert r_c.values == r_e.values
-        assert r_c.coords == r_e.coords
+        assert r_c.values.tolist() == r_e.values.tolist()
+        assert r_c.coords.tolist() == r_e.coords.tolist()
 
 
 @pytest.mark.parametrize("backend", TIMED)
@@ -149,15 +150,15 @@ class TestFunctionalEngine:
     def test_outputs_match_reference(self):
         crd_c, val_c, _ = spmv_locate(B, VEC_B[:24], backend="cycle")
         crd_f, val_f, cyc_f = spmv_locate(B, VEC_B[:24], backend="functional")
-        assert (crd_f, val_f) == (crd_c, val_c)
+        assert (crd_f.tolist(), val_f.tolist()) == (crd_c.tolist(), val_c.tolist())
         assert cyc_f == 0
 
     @pytest.mark.parametrize("config", ["crd", "crd_skip", "dense", "bv_split"])
     def test_elementwise_outputs(self, config):
         r_c = vecmul(config, VEC_B, VEC_C, split=50, backend="cycle")
         r_f = vecmul(config, VEC_B, VEC_C, split=50, backend="functional")
-        assert r_f.values == r_c.values
-        assert r_f.coords == r_c.coords
+        assert r_f.values.tolist() == r_c.values.tolist()
+        assert r_f.coords.tolist() == r_c.coords.tolist()
         assert r_f.cycles == 0
 
     def test_compiled_program(self):

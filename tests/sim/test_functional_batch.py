@@ -108,7 +108,7 @@ class TestKernelBitIdentity:
     def test_elementwise(self, config):
         seq, bat = both(
             lambda be: vecmul(config, VB, VC, split=50, backend=be),
-            lambda r: (r.coords, r.values),
+            lambda r: (r.coords.tolist(), r.values.tolist()),
         )
         assert seq == bat
 

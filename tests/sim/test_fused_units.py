@@ -60,7 +60,7 @@ def _full_report(blocks, backend):
         if isinstance(b, Sink):
             stored.append(b.tokens)
         elif isinstance(b, ValsWriter):
-            stored.append(b.vals)
+            stored.append(b.vals.tolist())
         elif isinstance(b, CompressedLevelWriter):
             stored.append((b.level.seg.tolist(), b.level.crd.tolist()))
         elif isinstance(b, UncompressedLevelWriter):
@@ -251,10 +251,12 @@ class TestChainUnit:
     @given(case=chain_case())
     def test_full_report_identity(self, tail, head, relay, case):
         memory, refs, const = case
+        scale = 1.5 if const is None else const  # the scaling stage's operand
         if tail in ("compressed", "dense"):
-            # level writers store what they are fed as coordinates
+            # level writers store what they are fed as coordinates, and
+            # reject a fractional one
             memory = [[float(int(v) % 50) for v in mem] for mem in memory]
-            const = None if const is None else float(int(const) % 50)
+            scale = 2.0 if const is None else float(int(const) % 50)
 
         def build():
             blocks = []
@@ -273,8 +275,7 @@ class TestChainUnit:
                 blocks.append(ALU("add", loaded[0], loaded[1], cur, name="alu"))
             if const is not None or head == "map":
                 scaled = Channel("scaled", kind="vals")
-                blocks.append(ScalarALU("mul", 1.5 if const is None else const,
-                                        cur, scaled, name="scale"))
+                blocks.append(ScalarALU("mul", scale, cur, scaled, name="scale"))
                 cur = scaled
             last = (lambda cls: cls) if relay == "whole" else woken
             if tail == "reduce":

@@ -84,6 +84,10 @@ def test_spmm_fuzz(seed):
         assert np.array_equal(r.output.to_numpy(), ref.output.to_numpy()), be
 
 
+def _vecmul_out(result):
+    return result.cycles, result.coords.tolist(), result.values.tolist()
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_elementwise_fuzz(seed):
     rng = np.random.default_rng(4000 + seed)
@@ -95,9 +99,7 @@ def test_elementwise_fuzz(seed):
     ref = vecmul(config, a, b, split=split, backend="cycle")
     for be in BACKENDS[1:]:
         r = vecmul(config, a, b, split=split, backend=be)
-        assert (r.cycles, r.coords, r.values) == (
-            ref.cycles, ref.coords, ref.values,
-        ), be
+        assert _vecmul_out(r) == _vecmul_out(ref), be
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -191,9 +193,7 @@ def test_fusion_vecmul_matches_unfused(config):
     b = _random_vector(rng, size)
     ref = vecmul(config, a, b, split=size // 2, backend="timed-batch")
     fused = vecmul(config, a, b, split=size // 2, backend="compiled")
-    assert (fused.cycles, fused.coords, fused.values) == (
-        ref.cycles, ref.coords, ref.values,
-    )
+    assert _vecmul_out(fused) == _vecmul_out(ref)
 
 
 def test_fusion_spmv_locate_matches_unfused():
@@ -248,9 +248,7 @@ def test_fusion_degenerate_operands(case):
     for config in ("crd", "dense", "bv"):
         ref = vecmul(config, a, b, split=size // 2, backend="timed-batch")
         fused = vecmul(config, a, b, split=size // 2, backend="compiled")
-        assert (fused.cycles, fused.coords, fused.values) == (
-            ref.cycles, ref.coords, ref.values,
-        ), (case, config)
+        assert _vecmul_out(fused) == _vecmul_out(ref), (case, config)
 
 
 def test_fusion_stats_populated():

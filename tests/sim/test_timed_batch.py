@@ -99,7 +99,7 @@ class TestKernelBitIdentity:
         # otherwise epoch-batched graph.
         ref, timed = both(
             lambda be: vecmul(config, VB, VC, split=50, backend=be),
-            lambda r: (r.coords, r.values, r.cycles),
+            lambda r: (r.coords.tolist(), r.values.tolist(), r.cycles),
         )
         assert ref == timed
 

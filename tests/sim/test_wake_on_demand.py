@@ -249,8 +249,8 @@ class TestLateUnbatchableToken:
         assert want[-1]["sink"]["tokens"][3 * LATE:3 * LATE + 2] == [(3, 4)] * 2
 
     def test_compressed_level_writer(self):
-        # the writer stores the tuple as a coordinate; the level it then
-        # cannot build is the same error, at the same state, everywhere
+        # the tuple is no coordinate: the level the writer then cannot
+        # build is the same error, at the same state, everywhere
         def build():
             crd = Channel("crd")
             tokens = [t for k in range(LATE) for t in (k, Stop(0))]
@@ -259,7 +259,9 @@ class TestLateUnbatchableToken:
             ]
 
         want = _outcome(build, "cycle")
-        assert want[0] == "ValueError" and want[-1]["wr"]["crd"][-1] == (3, 4)
+        assert want[:2] == ("BlockError", "wr: non-integer coordinate (3, 4)")
+        assert want[-1]["wr"] == {"seg": list(range(LATE + 2)),
+                                  "crd": list(range(LATE))}
         for backend in TIMED + UNTIMED:
             assert _outcome(build, backend) == want, backend
 

@@ -10,7 +10,9 @@ output fiber).  Counting calls pins the window form without a clock:
 on the Gamma and OuterSPACE graphs and the twelve Table-1 programs under
 ``compiled`` every such block schedules at most once per visit (+ 1),
 accounts at most two single events per visit, pops no run, never bails —
-and the reports are still ``cycle``'s.
+and the reports are still ``cycle``'s.  On Gamma the merge sorts nothing,
+the epoch advance builds no ramp of its own, and the result tensor is
+built on the writers' arrays.
 """
 
 import os
@@ -31,7 +33,9 @@ from repro.blocks import base as blocks_base
 from repro.blocks import merge as merge_module
 from repro.blocks import reduce as reduce_module
 from repro.data.synthetic import random_sparse_matrix
+from repro.formats import FiberTensor
 from repro.graph.builder import capture_runs
+from repro.kernels import gamma as gamma_module
 from repro.kernels.gamma import gamma_spmm
 from repro.kernels.outerspace import outerspace_spmm
 from repro.lang import compile_expression
@@ -156,33 +160,61 @@ def test_gamma_op_schedules_per_visit(monkeypatch):
 
 @pytest.mark.parametrize("backend", ["compiled", "timed-batch"])
 def test_gamma_sorts_and_merges_without_union_sized_lookups(backend, monkeypatch):
-    """The vector reducer orders a window with one argsort, not
-    ``np.lexsort``; the k-intersect locates no union-length needle
-    array with ``np.searchsorted`` (it used to, once per side)."""
-    unions, regions = [], []
+    """One ``gamma_spmm`` op on perfbench's 60² check operands: the vector
+    reducer orders a window with one argsort, not ``np.lexsort``; the
+    k-intersect sorts nothing — it searches each window's shorter side
+    in its longer, one ``np.searchsorted`` (it used to argsort both
+    sides' keys together); the epoch advance builds no ``np.arange``."""
+    merges, regions = [], []
     real_merge = merge_module._Merger._merge_events
     real_dedup = reduce_module._dedup_regions
-
-    def merge_events(block, keys, arrs):
-        events = real_merge(block, keys, arrs)
-        unions.append(len(events[-1]))  # one cycle per union slot
-        return events
 
     def dedup(crds, vals, sizes):
         regions.append(len(sizes))
         return real_dedup(crds, vals, sizes)
 
     def lookup(frame, args):
-        return frame.f_code.co_name, np.size(args[1])
+        return np.size(args[0]), np.size(args[1])
 
-    monkeypatch.setattr(merge_module._Merger, "_merge_events", merge_events)
-    monkeypatch.setattr(reduce_module, "_dedup_regions", dedup)
-    with lexsort_callers() as sorted_by, numpy_calls("searchsorted", lookup) as lookups:
+    with lexsort_callers() as sorted_by, numpy_calls("argsort") as argsorted, \
+            numpy_calls("arange") as ranged, \
+            numpy_calls("searchsorted", lookup) as lookups:
+        def merge_events(block, keys, arrs):
+            before = len(lookups)
+            events = real_merge(block, keys, arrs)
+            merges.append((sorted(map(len, keys)), lookups[before:]))
+            return events
+
+        monkeypatch.setattr(merge_module._Merger, "_merge_events", merge_events)
+        monkeypatch.setattr(reduce_module, "_dedup_regions", dedup)
         run_kernel(gamma_spmm)(backend)
-    assert unions and regions  # both window paths ran
+    assert merges and regions  # both window paths ran
     assert "repro.blocks.reduce" not in sorted_by
-    needles = {size for where, size in lookups if where == "_merge_events"}
-    assert not needles & set(unions), (needles, unions)
+    assert "repro.blocks.merge" not in argsorted
+    assert "repro.streams.timing" not in ranged
+    for (shorter, longer), searched in merges:
+        assert searched == [(longer, shorter)]
+
+
+def test_gamma_uses_the_writers_arrays(monkeypatch):
+    """The result tensor is built on what the writers stored, as
+    ndarrays and without a copy."""
+    built = []
+
+    class Recorded(FiberTensor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(gamma_module, "FiberTensor", Recorded)
+    with capture_runs() as capture:
+        run_kernel(gamma_spmm)("compiled")
+    writers = {b.name: b for blocks, _ in capture.runs for b in blocks}
+    (x,) = [t for t in built if t.name == "X"]
+    vals, level = writers["write_Xvals"].vals, writers["write_Xj"].level
+    assert isinstance(vals, np.ndarray) and isinstance(level.crd, np.ndarray)
+    assert len(vals) and np.shares_memory(x.vals, vals)
+    assert x.levels[1] is level and level.crd is writers["write_Xj"].crd
 
 
 def _timed_classes():

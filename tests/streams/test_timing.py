@@ -10,7 +10,11 @@ where NaN can occur), never ``allclose``.
 import numpy as np
 import pytest
 
-from repro.streams.batch import exact_segment_sums, sequential_segment_sums
+from repro.streams.batch import (
+    exact_segment_sums,
+    index_ramp,
+    sequential_segment_sums,
+)
 from repro.streams.timing import compose_rate1, rate1_schedule
 
 
@@ -70,6 +74,67 @@ class TestRate1Schedule:
             head = rate1_schedule(arrivals[:cut], 4, 2)
             tail = rate1_schedule(arrivals[cut:], int(head[-1]) + 2, 2)
             assert head.tolist() + tail.tolist() == whole.tolist()
+
+
+def _assert_fresh(result, *others):
+    """A schedule is the caller's to keep: writable, sharing memory with
+    neither its input nor the read-only ramp cache."""
+    assert result.dtype == np.int64 and result.flags.writeable
+    for other in others + (index_ramp(len(result)),):
+        assert not np.shares_memory(result, other)
+
+
+class TestOneAllocation:
+    """The in-place pass against the recurrence, at the edges it has."""
+
+    CLOCKS = (0, 1, 7, 10_000)
+
+    @pytest.mark.parametrize("ii", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_schedule_matches_loop(self, ii, dtype):
+        rng = np.random.default_rng(ii)
+        for clock in self.CLOCKS:
+            for n in (0, 1, 2, 17, 300):
+                arrivals = rng.integers(0, 400, n).astype(dtype)
+                got = rate1_schedule(arrivals, clock, ii)
+                assert got.tolist() == _rate1_loop(arrivals.tolist(), clock, ii)
+                _assert_fresh(got, arrivals)
+
+    @pytest.mark.parametrize("n", [65_535, 65_536, 65_537, 70_001])
+    def test_across_the_ramp_cache(self, n):
+        # the ramp cache holds 65 536 entries, then grows
+        arrivals = np.random.default_rng(n).integers(0, 3 * n, n)
+        for ii in (1, 3):
+            got = rate1_schedule(arrivals, 5, ii)
+            assert got.tolist() == _rate1_loop(arrivals.tolist(), 5, ii)
+            _assert_fresh(got, arrivals)
+        stages = [(5, 1, 0), (0, 1, 1), (9, 3, 0), (2, 2, 1)]
+        got = compose_rate1(arrivals, stages)
+        assert [c.tolist() for c in got] == _compose_loop(arrivals.tolist(), stages)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_compose_matches_loop(self, dtype):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            n = int(rng.integers(0, 50))
+            arrivals = np.sort(rng.integers(0, 90, n)).astype(dtype)
+            stages = [
+                (int(rng.choice(self.CLOCKS)), int(rng.integers(1, 4)),
+                 int(rng.integers(0, 2)))
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            got = compose_rate1(arrivals, stages)
+            assert [c.tolist() for c in got] == _compose_loop(arrivals.tolist(), stages)
+            for k, c in enumerate(got):
+                _assert_fresh(c, arrivals, *got[:k])
+
+    def test_writing_a_result_changes_nothing_else(self):
+        arrivals = np.array([0, 0, 9, 9], dtype=np.int64)
+        first = rate1_schedule(arrivals, 1)
+        first[:] = -1
+        assert arrivals.tolist() == [0, 0, 9, 9]
+        assert index_ramp(4).tolist() == [0, 1, 2, 3]
+        assert rate1_schedule(arrivals, 1).tolist() == [1, 2, 9, 10]
 
 
 class TestComposeRate1:
