@@ -17,10 +17,16 @@ from typing import Callable
 
 import numpy as np
 
-from ..streams.batch import CODE_DONE, decode_code
 from ..streams.channel import Channel
-from ..streams.timing import merge_stamps
-from ..streams.token import DONE, is_data, is_done, is_empty, is_stop
+from ..streams.timing import (
+    common_front,
+    consume,
+    front_fibers,
+    front_stream,
+    pair_chunks,
+    token_order_indices,
+)
+from ..streams.token import is_data, is_done, is_empty, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 
 OPERATORS = {
@@ -32,6 +38,19 @@ OPERATORS = {
 def _as_number(token) -> float:
     """Value of a data token, with ``N`` reading as zero."""
     return 0.0 if is_empty(token) else token
+
+
+def _is_value(token) -> bool:
+    """A datum or ``N``: what an ALU computes on."""
+    return not (is_stop(token) or is_done(token))
+
+
+def _paired(side, pick):
+    """An operand view's data and stamps, pair by pair (*pick*: the
+    pairing's index of each, None for the identity)."""
+    if pick is None:
+        return side.data, side.sdata
+    return side.data[pick], side.sdata[pick]
 
 
 class ALU(Block):
@@ -67,52 +86,41 @@ class ALU(Block):
         self.in_b = self._in("in_b", in_b)
         self.out = self._out("out", out)
 
-    def _drain_phantoms(self, a, b):
-        """Realign around phantom zeros.
+    # -- protocol checks, shared by both definitions ----------------------
+    def _check_phantom(self, a, b) -> None:
+        """The operand that is a value while the other is not is a phantom:
+        a zero-policy reducer facing a completely empty region emits an
+        unavoidable 0.0 with no counterpart on the other operand (the
+        region has no coordinates at all).  It must be zero."""
+        if _as_number(a if _is_value(a) else b) != 0.0:
+            raise BlockError(f"{self.name}: misaligned value streams ({a!r} vs {b!r})")
 
-        A zero-policy reducer facing a completely empty region emits an
-        unavoidable phantom 0.0 with no counterpart on the other operand
-        (the region has no coordinates at all).  Phantoms are always
-        exactly zero, so they are discarded to restore alignment.
-        """
-        while True:
-            a_is_value = is_data(a) or is_empty(a)
-            b_is_value = is_data(b) or is_empty(b)
-            if a_is_value == b_is_value:
-                return a, b
-            if a_is_value:
-                if _as_number(a) != 0.0:
-                    raise BlockError(
-                        f"{self.name}: misaligned value streams ({a!r} vs {b!r})"
-                    )
-                a = yield from self._get(self.in_a)
-            else:
-                if _as_number(b) != 0.0:
-                    raise BlockError(
-                        f"{self.name}: misaligned value streams ({a!r} vs {b!r})"
-                    )
-                b = yield from self._get(self.in_b)
+    def _check_close(self, a, b) -> None:
+        """A boundary pairs a stop with a stop of its level, ``D`` with ``D``."""
+        if is_stop(a) and is_stop(b):
+            if a.level != b.level:
+                raise BlockError(f"{self.name}: misaligned stops {a!r} vs {b!r}")
+        elif not (is_done(a) and is_done(b)):
+            raise BlockError(f"{self.name}: misaligned value streams ({a!r} vs {b!r})")
 
     def _run(self):
         while True:
             a = yield from self._get(self.in_a)
             b = yield from self._get(self.in_b)
-            a, b = yield from self._drain_phantoms(a, b)
-            if is_done(a) and is_done(b):
-                self.out.push(DONE)
-                yield True
-                return
-            if is_stop(a) and is_stop(b):
-                if a.level != b.level:
-                    raise BlockError(f"{self.name}: misaligned stops {a!r} vs {b!r}")
-                self.out.push(a)
-                yield True
-                continue
-            if (is_data(a) or is_empty(a)) and (is_data(b) or is_empty(b)):
+            while _is_value(a) != _is_value(b):  # phantoms are discarded
+                self._check_phantom(a, b)
+                if _is_value(a):
+                    a = yield from self._get(self.in_a)
+                else:
+                    b = yield from self._get(self.in_b)
+            if _is_value(a):
                 self.out.push(self._fn(_as_number(a), _as_number(b)))
-                yield True
-                continue
-            raise BlockError(f"{self.name}: misaligned value streams ({a!r} vs {b!r})")
+            else:
+                self._check_close(a, b)
+                self.out.push(a)
+            yield True
+            if is_done(a):
+                return
 
     timing = TimingDescriptor(fuse_role="zip")
 
@@ -120,108 +128,66 @@ class ALU(Block):
         return ("alu", self.op)
 
     def drain_timed(self) -> bool:
-        """Timed drain: one output per cycle, gated by both operands.
+        """Timed drain: one pairing, one schedule, one push.
 
-        Each output event's cycle is ``max(prev + 1, arrival(a),
-        arrival(b))`` — the generator pops both operands before its
-        single yield.  Phantom zeros are consumed without an event; their
-        arrival carries into the next event's gate.
+        A visit takes every chunk (a run closed by a control token) that
+        is complete on both operands, through the first ``D``, and the
+        pairs of the open chunk whose two operands have arrived: the
+        generator pushes each result the cycle it pops the pair.  A pair
+        is one event gated by both operands, a terminator pair one gated
+        by both terminators.  Phantom zeros, on either side, are no
+        events: the generator pops them inside their boundary's cycle,
+        and stamps never decrease along a stream, so the terminator
+        behind them already gates it.  A chunk that does not pair up
+        raises ``_run``'s error (:meth:`_raise_dirty`).
         """
         if self.finished:
             return False
-        rd_a = self._treader(self.in_a)
-        rd_b = self._treader(self.in_b)
-        rd_a.densify_empty(0.0)
-        rd_b.densify_empty(0.0)
+        windows = []
+        for channel in (self.in_a, self.in_b):
+            reader = self._treader(channel)
+            reader.densify_empty(0.0)
+            windows.append(reader.held_window())
+        if windows[0] is None or windows[1] is None:
+            return False
+        a, b = common_front([front_stream(w) for w in windows])
+        k = len(a.codes)
+        if not k + a.tail:
+            return False
+        pairing = pair_chunks(a, b, phantoms=(True, True))
+        if pairing.clean < k:
+            self._raise_dirty(windows, pairing.clean)
+        (va, sa), (vb, sb) = _paired(a, pairing.crd_pick), _paired(b, pairing.pick)
+        ends = a.ends  # without phantoms on a, its runs are the pairs
+        if pairing.crd_pick is not None:
+            ends = np.cumsum(np.minimum(a.lens, b.lens))
+        di, ci = token_order_indices(ends, len(va))
+        arrivals = np.empty(len(va) + k, dtype=np.int64)
+        arrivals[di] = np.maximum(sa, sb)
+        arrivals[ci] = np.maximum(a.scodes, b.scodes)
+        c = self._t_advance(arrivals)
         out = self._tbuilder(self.out)
-        fn = self._fn
-        progressed = False
+        out.data_with_ctrl(self._fn(va, vb), ends, a.codes, c[di], c[ci])
+        out.flush()
+        for window, view in zip(windows, (a, b)):
+            consume(window, *view.span)
+        self.finished = a.done
+        return True
 
-        # Whole-window fast path: identical control structure reduces the
-        # window to one vectorized op and one epoch advance.
-        wa = rd_a.take_window()
-        wb = rd_b.take_window()
-        if wa is not None and wb is not None:
-            da, pa, ca = wa[0].remaining_arrays()
-            db, pb, cb = wb[0].remaining_arrays()
-            if (
-                len(da) == len(db)
-                and np.array_equal(pa, pb)
-                and np.array_equal(ca, cb)
-                and (len(ca) == 0 or (ca[:-1] >= 0).all())
-                and (len(ca) == 0 or ca[-1] >= CODE_DONE)
-            ):
-                merged_a, di, ci = merge_stamps(wa[0], wa[1], wa[2])
-                merged_b, _, _ = merge_stamps(wb[0], wb[1], wb[2])
-                c = self._t_advance(np.maximum(merged_a, merged_b))
-                out.data_with_ctrl(fn(da, db), pa, ca, c[di], c[ci])
-                out.flush()
-                self.finished = bool(wa[0].ends_done)
-                return True
-            rd_a.put_back(wa)
-            rd_b.put_back(wb)
-        else:
-            if wa is not None:
-                rd_a.put_back(wa)
-            if wb is not None:
-                rd_b.put_back(wb)
-
-        while True:
-            ca = rd_a.front_ctrl()
-            cb = rd_b.front_ctrl()
-            la = rd_a.run_length() if ca is None else 0
-            lb = rd_b.run_length() if cb is None else 0
-            if (ca is None and la == 0) or (cb is None and lb == 0):
-                out.flush()
-                return progressed
-            if ca is None and cb is None:
-                m = min(la, lb)
-                a, sa = rd_a.pop_run_upto(m)
-                b, sb = rd_b.pop_run_upto(m)
-                c = self._t_advance(np.maximum(sa, sb))
-                out.data(fn(a, b), c)
-                progressed = True
-                continue
-            if ca is not None and cb is not None:
-                _, s_a = rd_a.pop()
-                _, s_b = rd_b.pop()
-                cyc = self._t_event(max(s_a, s_b))
-                progressed = True
-                if ca == CODE_DONE and cb == CODE_DONE:
-                    out.ctrl(CODE_DONE, cyc)
-                    out.flush()
-                    self.finished = True
-                    return True
-                if ca >= 0 and cb >= 0:
-                    if ca != cb:
-                        raise BlockError(
-                            f"{self.name}: misaligned stops "
-                            f"{decode_code(ca)!r} vs {decode_code(cb)!r}"
-                        )
-                    out.ctrl(ca, cyc)
-                    continue
-                raise BlockError(
-                    f"{self.name}: misaligned value streams "
-                    f"({decode_code(ca)!r} vs {decode_code(cb)!r})"
-                )
-            # Phantom-zero realignment (see _drain_phantoms): popped with
-            # no event of its own; its arrival gates the next event.
-            if ca is None:
-                v, s = rd_a.pop()
-                other = decode_code(cb)
-                if v != 0.0:
-                    raise BlockError(
-                        f"{self.name}: misaligned value streams ({v!r} vs {other!r})"
-                    )
+    def _raise_dirty(self, windows, f: int):
+        """Raise the protocol error of chunk *f*, the first that does not
+        pair up: ``_run``'s checks over its tokens, in their order."""
+        a, b = (iter(front_fibers(w, f + 1).tokens(f)) for w in windows)
+        x, y = next(a), next(b)
+        while _is_value(x) and _is_value(y):
+            x, y = next(a), next(b)
+        while _is_value(x) != _is_value(y):
+            self._check_phantom(x, y)
+            if _is_value(x):
+                x = next(a)
             else:
-                v, s = rd_b.pop()
-                other = decode_code(ca)
-                if v != 0.0:
-                    raise BlockError(
-                        f"{self.name}: misaligned value streams ({other!r} vs {v!r})"
-                    )
-            self._t_defer(s)
-            progressed = True
+                y = next(b)
+        self._check_close(x, y)
 
 
 class ScalarALU(Block):

@@ -24,16 +24,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..streams.batch import CODE_DATA, CODE_DONE, NO_TOKEN, decode_code
+from ..streams.batch import CODE_DATA, CODE_DONE, NO_TOKEN
 from ..streams.channel import Channel
 from ..streams.timing import (
     align_chunks,
-    drop_fibers,
-    drop_tokens,
+    common_front,
+    consume,
     front_fibers,
-    held_fibers,
+    front_stream,
     index_ramp,
-    open_run,
     pair_chunks,
     stream_view,
     view_token,
@@ -151,8 +150,8 @@ class CoordDropper(Block):
             windows = rd_out.held_window(), rd_in.held_window()
             ov, iv = (stream_view(window) for window in windows)
             used, taken, again = self._drop_window(ov, iv, outs)
-            drop_tokens(windows[0], ov, used)
-            drop_tokens(windows[1], iv, taken)
+            consume(windows[0], *ov.span(used))
+            consume(windows[1], *iv.span(taken))
             progressed |= taken > 0
         outer, s_o = rd_out.peek()
         inner, s_i = rd_in.peek()
@@ -397,29 +396,22 @@ class ValueDropper(Block):
         windows = [reader.held_window() for reader in readers]
         if windows[0] is None or windows[1] is None:
             return False
-        k = min(held_fibers(w) for w in windows)
-        crd, val = (front_fibers(w, k) for w in windows)
-        done = (crd.codes == CODE_DONE) | (val.codes == CODE_DONE)
-        ends_done = bool(done.any())
-        if ends_done:  # the block ends there; what follows stays held
-            k, tail = int(done.argmax()) + 1, 0
-        else:
-            tail = min(open_run(w, k) for w in windows)
-        if k + tail == 0:
+        # the block ends at the first D; what follows it stays held
+        crd, val = common_front([front_stream(w) for w in windows])
+        k = len(crd.codes)
+        if not k + crd.tail:
             return False
-        if tail or k < len(crd.codes):
-            crd, val = (front_fibers(w, k, tail) for w in windows)
         pairing = pair_chunks(crd, val)
         if pairing.clean < k:
             self._raise_dirty(windows, pairing.clean)
-        self._drop_window(crd, val, pairing.pick, tail)
-        for window in windows:
-            drop_fibers(window, k, tail)
-        self.finished = ends_done
+        self._drop_window(crd, val, pairing.pick)
+        for window, view in zip(windows, (crd, val)):
+            consume(window, *view.span)
+        self.finished = crd.done
         return True
 
-    def _drop_window(self, crd, val, pick, tail) -> None:
-        """Schedule and emit paired chunks and the *tail* open pairs.
+    def _drop_window(self, crd, val, pick) -> None:
+        """Schedule and emit paired chunks and the open pairs of the tail.
 
         The events are the value tokens in stream order: the terminators
         sit at ``val.ends + chunk``, the values fill the rest.
@@ -433,8 +425,6 @@ class ValueDropper(Block):
         if pick is None:
             arrivals[on_value] = np.maximum(crd.sdata, val.sdata)
         else:
-            if tail:
-                pick = np.append(pick, len(vals) - tail + index_ramp(tail))
             arrivals[on_value] = val.sdata
             at = np.flatnonzero(on_value)[pick]
             arrivals[at] = np.maximum(crd.sdata, val.sdata[pick])
@@ -463,16 +453,15 @@ class ValueDropper(Block):
     def _raise_dirty(self, windows, f: int):
         """Raise the protocol error of chunk *f*, the first that does not
         pair up: ``_run``'s checks over its tokens, in their order."""
-        crd, val = (front_fibers(w, f + 1) for w in windows)
-        vals = val.data[int(val.ends[f] - val.lens[f]):].tolist()
-        vals = iter(vals + [decode_code(int(val.codes[f]))])
-        for _ in range(int(crd.lens[f])):
+        crds, vals = (front_fibers(w, f + 1).tokens(f) for w in windows)
+        vals = iter(vals)
+        for _ in crds[:-1]:
             self._check_pair(next(vals))
         other = next(vals)
         while is_data(other):
             self._check_phantom(other)
             other = next(vals)
-        self._check_close(decode_code(int(crd.codes[f])), other)
+        self._check_close(crds[-1], other)
 
     # -- protocol checks, shared by both definitions ----------------------
     def _check_pair(self, val) -> None:

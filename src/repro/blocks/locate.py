@@ -19,11 +19,19 @@ from typing import Optional
 import numpy as np
 
 from ..formats.level import Level
-from ..streams.batch import CODE_DONE, CODE_EMPTY, NO_TOKEN
+from ..streams.batch import CODE_EMPTY
 from ..streams.channel import Channel
-from ..streams.timing import merge_stamps
-from ..streams.token import DONE, EMPTY, is_done, is_empty, is_stop
-from .base import Block, PortSpec, StreamXfer, TimingDescriptor
+from ..streams.timing import (
+    blank_fibers,
+    common_front,
+    consume,
+    front_stream,
+    index_ramp,
+    pair_chunks,
+    token_order_indices,
+)
+from ..streams.token import DONE, EMPTY, is_done, is_empty, is_stop, token_repr
+from .base import Block, BlockError, PortSpec, StreamXfer, TimingDescriptor
 
 
 class Locator(Block):
@@ -31,7 +39,9 @@ class Locator(Block):
 
     When ``in_target_ref`` is wired, one target-fiber reference is
     consumed per input fiber (matrix levels); otherwise fiber 0 is probed
-    (vectors and root levels).
+    (vectors and root levels).  The reference stream rides along: a
+    coordinate (or ``N``) pairs with a reference (or ``N``), a stop with
+    the same stop, ``D`` with ``D``.
     """
 
     primitive = "locate"
@@ -82,19 +92,33 @@ class Locator(Block):
         )
         self.probes = 0
         self.hits = 0
-        #: timed-drain mirror of the generator's target-fetch state
+        #: the open fiber's target and whether it was fetched, shared by
+        #: both definitions (a bail resumes the fiber)
         self._loc_target = 0
         self._loc_have = in_target_ref is None
 
     def _outs(self):
         return (self.out_crd, self.out_ref_found, self.out_ref_in)
 
+    # -- protocol checks, shared by both definitions ----------------------
+    def _check_pair(self, crd, ref) -> None:
+        """A coordinate (or ``N``) pairs with a reference (or ``N``), a
+        stop with the same stop, ``D`` with ``D``."""
+        ends = is_stop(crd) or is_done(crd) or is_stop(ref) or is_done(ref)
+        if ends and crd != ref:
+            raise BlockError(f"{self.name}: misaligned inputs "
+                             f"({token_repr(crd)} vs {token_repr(ref)})")
+
+    def _check_target(self, target) -> None:
+        """A fiber with a coordinate (or ``N``) needs a target, not ``D``."""
+        if is_done(target):
+            raise BlockError(f"{self.name}: target stream ended before the coordinates")
+
     def _run(self):
-        target = 0
-        have_target = self.in_target_ref is None
         while True:
             crd = yield from self._get(self.in_crd)
             ref = yield from self._get(self.in_ref)
+            self._check_pair(crd, ref)
             if is_done(crd):
                 if self.in_target_ref is not None:
                     # Drain the target stream's trailing control tokens.
@@ -107,15 +131,17 @@ class Locator(Block):
             if is_stop(crd):
                 yield from self._emit_all(self._outs(), crd)
                 if self.in_target_ref is not None:
-                    have_target = False  # next fiber probes a fresh target
+                    self._loc_have = False  # next fiber probes a fresh target
                 yield True
                 continue
-            if not have_target:
+            if not self._loc_have:
                 while True:
                     target = yield from self._get(self.in_target_ref)
                     if not is_stop(target):
                         break
-                have_target = True
+                self._check_target(target)
+                self._loc_target, self._loc_have = target, True
+            target = self._loc_target
             if is_empty(crd) or is_empty(target):
                 yield from self._emit_all(self._outs(), EMPTY)
                 yield True
@@ -136,215 +162,167 @@ class Locator(Block):
     def timed_capable(self) -> bool:
         return hasattr(self.level, "locate_arrays")
 
-    def _timed_bail_safe(self) -> bool:
-        return super()._timed_bail_safe() and (
-            self.in_target_ref is None or not self._loc_have
-        )
-
     def _emit_probed(self, builders, dc, dr, pc, cc, dstamps, cstamps):
         """Probe the fixed target for one scheduled (crd, ref) window and
-        emit it on all three outputs.
-
-        Misses become ``N`` tokens merged into the copied control arrays
-        at the position of the dropped coordinate, keeping the probe
-        event's cycle stamp.
-        """
-        m = len(dc)
+        emit it on all three outputs: the hook a fused scanner→locator
+        pair calls."""
         found, hit = self.level.locate_arrays(self._loc_target, dc)
-        self.probes += m
-        kept = int(hit.sum())
-        self.hits += kept
-        if kept == m:
-            for builder, data in zip(builders, (dc, found, dr)):
+        self.probes += len(dc)
+        self.hits += int(hit.sum())
+        self._emit(builders, (dc, found, dr), (hit, hit, hit), pc, cc,
+                   dstamps, cstamps)
+
+    @staticmethod
+    def _emit(builders, datas, kept, pc, cc, dstamps, cstamps):
+        """Emit one scheduled window on each output: its kept data, an
+        ``N`` in place of every other datum (at that datum's cycle), and
+        the control tokens."""
+        layouts = {}
+        for builder, data, keep in zip(builders, datas, kept):
+            if id(keep) not in layouts:
+                layouts[id(keep)] = _with_misses(keep, pc, cc, dstamps, cstamps)
+            layout = layouts[id(keep)]
+            if layout is None:
                 builder.data_with_ctrl(data, pc, cc, dstamps, cstamps)
-            return
-        prefix = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(hit)])
-        miss_idx = np.flatnonzero(~hit)
-        positions = np.concatenate([pc, miss_idx])
-        codes = np.concatenate(
-            [cc, np.full(len(miss_idx), CODE_EMPTY, dtype=np.int64)]
-        )
-        stamps = np.concatenate([cstamps, dstamps[~hit]])
-        # A control token at position p precedes the data token p it
-        # pairs with, so copied controls sort before miss markers.
-        tiebreak = np.concatenate(
-            [np.zeros(len(pc), dtype=np.int64),
-             np.ones(len(miss_idx), dtype=np.int64)]
-        )
-        order = np.lexsort((tiebreak, positions))
-        for builder, data in zip(builders, (dc[hit], found[hit], dr[hit])):
-            builder.data_with_ctrl(
-                data, prefix[positions][order], codes[order],
-                dstamps[hit], stamps[order],
-            )
-
-    def _locate_window_timed(self, rd_crd, rd_ref, builders):
-        """Fixed-target whole-window probe with one epoch advance.
-
-        Requires the crd/ref windows to carry identical control
-        structure (they come from one scanner, so they normally do).
-        Returns None to use the general loop, else whether anything was
-        processed.
-        """
-        wc = rd_crd.take_window()
-        wr = rd_ref.take_window()
-        if wc is None or wr is None:
-            if wc is not None:
-                rd_crd.put_back(wc)
-            if wr is not None:
-                rd_ref.put_back(wr)
-            return False if (wc is None and wr is None) else None
-        dc, pc, cc = wc[0].remaining_arrays()
-        dr, pr, cr = wr[0].remaining_arrays()
-        if not (
-            len(dc) == len(dr)
-            and np.array_equal(pc, pr)
-            and np.array_equal(cc, cr)
-            and (len(cc) == 0 or ((cc >= CODE_EMPTY).all()
-                                  and (cc[:-1] != CODE_DONE).all()))
-        ):
-            rd_crd.put_back(wc)
-            rd_ref.put_back(wr)
-            return None
-        if len(dc) == 0 and len(cc) == 0:
-            return False
-        mc, di, ci = merge_stamps(wc[0], wc[1], wc[2])
-        mr, _, _ = merge_stamps(wr[0], wr[1], wr[2])
-        c = self._t_advance(np.maximum(mc, mr))
-        self._emit_probed(builders, dc, dr, pc, cc, c[di], c[ci])
-        if len(cc) and cc[-1] == CODE_DONE:
-            self.finished = True
-        return True
+            else:
+                builder.data_with_ctrl(data[keep], *layout)
 
     def drain_timed(self) -> bool:
-        """Timed drain: one probe event per (crd, ref) pair, rate 1."""
+        """Timed drain: one pairing, one probe, one schedule per window.
+
+        A visit takes every chunk complete on both the coordinate and the
+        reference stream, through the first ``D``, and the pairs of the
+        open one whose two tokens have arrived — as far as the target
+        stream has delivered a target for every fiber that needs one
+        (:meth:`_targets`).  A pair is one event, gated by both its
+        tokens and, the first of a fiber, by the target popped for it; a
+        terminator pair is one event.  ``N`` on either input is a datum
+        (:func:`blank_fibers`): it probes nothing, and an ``N`` reference
+        rides out as ``N``.  A chunk that does not pair up raises
+        :meth:`_check_pair`'s error.
+        """
         if self.finished:
             return False
-        level = self.level
-        rd_crd = self._treader(self.in_crd)
-        rd_ref = self._treader(self.in_ref)
-        rd_target = (
-            self._treader(self.in_target_ref)
-            if self.in_target_ref is not None
-            else None
-        )
+        windows = [self._treader(ch).held_window() for ch in (self.in_crd, self.in_ref)]
+        if windows[0] is None or windows[1] is None:
+            return False
+        crd, ref = common_front([blank_fibers(front_stream(w)) for w in windows])
+        k = len(crd.codes)
+        clean = pair_chunks(crd, ref, phantoms=(False, False)).clean
+        if clean < k:
+            for pair in zip(crd.tokens(clean), ref.tokens(clean)):
+                self._check_pair(*pair)
+        targeted = self.in_target_ref is not None
+        if targeted:
+            lens = np.append(crd.lens, crd.tail)  # pairs per fiber, the open one last
+            targets, tblank, tstamps = self._targets(lens)
+            if len(targets) < len(lens):  # the rest waits for a target
+                k = len(targets)
+                crd, ref, lens = crd.head(k), ref.head(k), lens[:k]
+        n = len(crd.data)
+        if not n + k:
+            return False
+        if targeted:
+            found, hit = self._probe(crd.data, lens, targets, tblank)
+            probed = ~np.repeat(tblank, lens)
+        else:
+            found, hit = self.level.locate_arrays(self._loc_target, crd.data)
+            probed = np.ones(n, dtype=bool)
+        probed[crd.blank] = False
+        hit &= probed
+        self.probes += int(probed.sum())
+        self.hits += int(hit.sum())
+
+        di, ci = token_order_indices(crd.ends, n)
+        arrivals = np.empty(n + k, dtype=np.int64)
+        arrivals[di] = np.maximum(crd.sdata, ref.sdata)
+        arrivals[ci] = np.maximum(crd.scodes, ref.scodes)
+        if targeted:
+            first = di[(np.cumsum(lens) - lens)[lens > 0]]  # each fiber's first pair
+            arrivals[first] = np.maximum(arrivals[first], tstamps[lens > 0])
+        c = self._t_advance(arrivals)
+        keep_ref = hit
+        if len(ref.blank):  # an N reference rides out as N
+            keep_ref = hit.copy()
+            keep_ref[ref.blank] = False
         builders = [self._tbuilder(ch) for ch in self._outs()]
-        progressed = False
+        self._emit(builders, (crd.data, found, ref.data), (hit, hit, keep_ref),
+                   crd.ends, crd.codes, c[di], c[ci])
+        for window, view in zip(windows, (crd, ref)):
+            consume(window, *view.span)
+        if targeted:
+            if crd.done:  # D drains the target stream's trailing tokens
+                window = self._treader(self.in_target_ref).held_window()
+                consume(window, *front_stream(window).span)
+            elif crd.tail:  # the open fiber keeps its target
+                self._loc_target = EMPTY if tblank[-1] else int(targets[-1])
+                self._loc_have = True
+            else:
+                self._loc_have = False
+        for builder in builders:
+            builder.flush()
+        self.finished = crd.done
+        return True
 
-        def flush_all():
-            for builder in builders:
-                builder.flush()
+    def _targets(self, lens):
+        """Per fiber, its target, whether that is ``N`` and the arrival
+        that gates its first pair (0: none popped for it), for the leading
+        fibers whose target has arrived.
 
-        def park():
-            flush_all()
-            return progressed
+        A fiber with pairs pops the next target, skipping the stops in
+        front of it — unless it is the open fiber and already has one.
+        """
+        fibers = len(lens)
+        held = 0 if is_empty(self._loc_target) else self._loc_target
+        values = np.full(fibers, held, dtype=np.int64)
+        blank = np.full(fibers, is_empty(self._loc_target))
+        stamps = np.zeros(fibers, dtype=np.int64)
+        need = lens > 0
+        need[0] &= not self._loc_have
+        window = self._treader(self.in_target_ref).held_window()
+        view = blank_fibers(front_stream(window))  # targets are its data
+        slot = np.cumsum(need) - need
+        late = np.flatnonzero(need & (slot >= len(view.data)))
+        served = int(late[0]) if len(late) else fibers
+        if served < fibers and view.done:
+            self._check_target(DONE)
+        used = int(need[:served].sum())
+        if used:
+            mine = np.flatnonzero(need[:served])
+            values[mine] = view.data[:used]
+            blank[mine] = np.isin(index_ramp(used), view.blank)
+            stamps[mine] = view.sdata[:used]
+            skipped = int(np.searchsorted(view.ends, used - 1, "right"))
+            before = int(view.ends[skipped - 1]) if skipped else 0
+            consume(window, *view.head(skipped, used - before).span)
+        return values[:served], blank[:served], stamps[:served]
 
-        if rd_target is None:
-            outcome = self._locate_window_timed(rd_crd, rd_ref, builders)
-            if outcome is not None:
-                flush_all()
-                return outcome
+    def _probe(self, crds, lens, targets, tblank):
+        """``(found, hit)`` of every coordinate in its fiber's target."""
+        found = np.zeros(len(crds), dtype=np.int64)
+        hit = np.zeros(len(crds), dtype=bool)
+        starts = np.cumsum(lens) - lens
+        for f in np.flatnonzero((lens > 0) & ~tblank).tolist():
+            run = slice(int(starts[f]), int(starts[f] + lens[f]))
+            found[run], hit[run] = self.level.locate_arrays(int(targets[f]), crds[run])
+        return found, hit
 
-        while True:
-            ctrl = rd_crd.front_ctrl()
-            front, _ = rd_crd.peek()
-            if front is NO_TOKEN:
-                return park()
-            if ctrl is None or ctrl == CODE_EMPTY:
-                # Data (or empty) coordinates need this fiber's target;
-                # target pops happen inside the first probe cycle.
-                if not self._loc_have:
-                    while True:
-                        target, t_stamp = rd_target.peek()
-                        if target is NO_TOKEN:
-                            return park()
-                        rd_target.pop()
-                        self._t_defer(t_stamp)
-                        if not is_stop(target):
-                            break
-                    self._loc_target = target
-                    self._loc_have = True
-            if ctrl is None:
-                m = min(rd_crd.run_length(), rd_ref.run_length())
-                if m == 0:
-                    ref_front, _ = rd_ref.peek()
-                    if ref_front is NO_TOKEN:
-                        return park()
-                    crd, s_c = rd_crd.pop()
-                    ref, s_r = rd_ref.pop()
-                    cyc = self._t_event(max(s_c, s_r))
-                    progressed = True
-                    if is_empty(self._loc_target):
-                        for builder in builders:
-                            builder.ctrl(CODE_EMPTY, cyc)
-                        continue
-                    self.probes += 1
-                    found = level.locate(self._loc_target, crd)
-                    if found is None:
-                        for builder in builders:
-                            builder.ctrl(CODE_EMPTY, cyc)
-                    else:
-                        self.hits += 1
-                        builders[0].token(crd, cyc)
-                        builders[1].token(found, cyc)
-                        builders[2].token(ref, cyc)
-                    continue
-                crds, s_c = rd_crd.pop_run_upto(m)
-                refs, s_r = rd_ref.pop_run_upto(m)
-                c = self._t_advance(np.maximum(s_c, s_r))
-                progressed = True
-                if is_empty(self._loc_target):
-                    for builder in builders:
-                        builder.ctrl_run(CODE_EMPTY, c)
-                    continue
-                self.probes += m
-                found, hit = level.locate_arrays(self._loc_target, crds)
-                n_hit = int(hit.sum())
-                self.hits += n_hit
-                if n_hit == m:
-                    builders[0].data(crds, c)
-                    builders[1].data(found, c)
-                    builders[2].data(refs, c)
-                else:
-                    pref = np.cumsum(hit)
-                    miss_pos = (pref - hit)[~hit]
-                    empties = np.full(len(miss_pos), CODE_EMPTY, dtype=np.int64)
-                    kept = c[hit]
-                    builders[0].data_with_ctrl(crds[hit], miss_pos, empties,
-                                               kept, c[~hit])
-                    builders[1].data_with_ctrl(found[hit], miss_pos, empties,
-                                               kept, c[~hit])
-                    builders[2].data_with_ctrl(refs[hit], miss_pos, empties,
-                                               kept, c[~hit])
-                continue
-            # Control coordinate: consume the paired reference token too.
-            if rd_ref.peek()[0] is NO_TOKEN:
-                return park()
-            _, s_c = rd_crd.pop()
-            _, s_r = rd_ref.pop()
-            cyc = self._t_event(max(s_c, s_r))
-            progressed = True
-            if ctrl == CODE_DONE:
-                if rd_target is not None:
-                    # Drain the target stream's trailing control tokens
-                    # (a non-blocking poll inside the D cycle).
-                    while True:
-                        token, _ = rd_target.peek()
-                        if token is NO_TOKEN:
-                            break
-                        rd_target.pop()
-                        if is_done(token):
-                            break
-                for builder in builders:
-                    builder.ctrl(CODE_DONE, cyc)
-                flush_all()
-                self.finished = True
-                return True
-            if ctrl == CODE_EMPTY:
-                for builder in builders:
-                    builder.ctrl(CODE_EMPTY, cyc)
-                continue
-            for builder in builders:
-                builder.ctrl(ctrl, cyc)
-            if self.in_target_ref is not None:
-                self._loc_have = False  # next fiber probes a fresh target
+
+def _with_misses(keep, pc, cc, dstamps, cstamps):
+    """The control layout of a scheduled window on an output that keeps
+    only the data *keep* marks: an ``N`` in place of every other datum,
+    at its cycle.  None when it keeps them all."""
+    if keep.all():
+        return None
+    prefix = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(keep)])
+    miss = np.flatnonzero(~keep)
+    positions = np.concatenate([pc, miss])
+    codes = np.concatenate([cc, np.full(len(miss), CODE_EMPTY, dtype=np.int64)])
+    stamps = np.concatenate([cstamps, dstamps[miss]])
+    # A control token at position p precedes the data token p it pairs
+    # with, so copied controls sort before miss markers.
+    tiebreak = np.concatenate(
+        [np.zeros(len(pc), dtype=np.int64), np.ones(len(miss), dtype=np.int64)]
+    )
+    order = np.lexsort((tiebreak, positions))
+    return prefix[positions][order], codes[order], dstamps[keep], stamps[order]

@@ -30,7 +30,7 @@ import numpy as np
 from ..streams.batch import CODE_DONE, CODE_EMPTY, decode_code
 from ..streams.channel import Channel
 from ..streams.timing import (
-    drop_fibers,
+    consume,
     front_fibers,
     held_fibers,
     index_ramp,
@@ -230,8 +230,9 @@ class _Merger(Block):
                     keys, [arr[:cut] for arr, cut in zip(arrs, cuts)]
                 )
                 self._emit_window(groups, stride, codes, keys, events, refs)
-                for window in windows:  # tokens after a D stay held
-                    drop_fibers(window, k)
+                # tokens after a D stay held
+                for window, view in zip(windows, (v for side in views for v in side)):
+                    consume(window, int(view.ends[k - 1]), k)
             if 0 < k < whole:
                 continue  # a sub-window or a clean prefix: the next pass decides
             for group in groups:
@@ -275,13 +276,13 @@ class _Merger(Block):
         would give a side two keys in one slot of the merge, or its keys
         out of their slots' order).
         """
-        crds, ends, lens, _, arrivals, closes = views[0]
+        crds, ends, lens, _, arrivals, closes, _ = views[0]
         k, n = len(ends), len(crds)
         ramp_k, ramp_n = index_ramp(k), index_ramp(n)
         fiber = np.repeat(ramp_k, lens)
         clean = k
         refs = []
-        for run, r_ends, r_lens, _, s_r, sc_r in views[1:]:
+        for run, r_ends, r_lens, _, s_r, sc_r, _ in views[1:]:
             closes = np.maximum(closes, sc_r)
             if len(run) > n:
                 extra = r_lens - lens

@@ -25,7 +25,7 @@ from ..streams.batch import CODE_DATA, CODE_DONE, CODE_EMPTY, NO_TOKEN
 from ..streams.channel import Channel
 from ..streams.timing import (
     consume,
-    held_runs,
+    front_stream,
     index_ramp,
     merge_stamps,
     split_done_stamped,
@@ -353,15 +353,16 @@ class InterleaveSerializer(Block):
         With ``k_r`` stop-closed fibers held on the lane at rotation
         offset *r*, fibers ``0 .. F-1`` are joinable, ``F = min_r(r +
         k_r * L)``; whatever has arrived of fiber *F* follows them (it
-        stays open in ``_mid``).  A lane is read as *runs* — a control
-        token and the data in front of it — so only data moves in bulk.
+        stays open in ``_mid``).  A lane is read up to its ``D`` as
+        control-terminated *runs* (:func:`front_stream`: an ``N`` just
+        closes a run inside its fiber), so only data moves in bulk.
         Events, per fiber: the ``S0`` held back from the fiber before
         it, gated by this fiber's first token, then run by run its data
         and the token closing the run; a stop emits nothing.
         """
         L = len(readers)
         windows = [readers[(self._fi + r) % L].held_window() for r in range(L)]
-        lanes = [held_runs(window) for window in windows]
+        lanes = [front_stream(window).before_done() for window in windows]
         stops = [np.flatnonzero(lane.codes >= 0) for lane in lanes]
         joinable = min(r + len(at) * L for r, at in enumerate(stops))
         # One row per run taken.  Fiber F's lane gives all it holds: N

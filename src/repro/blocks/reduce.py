@@ -41,9 +41,10 @@ from ..streams.batch import (
 )
 from ..streams.channel import Channel
 from ..streams.timing import (
-    drop_fibers,
+    common_front,
+    consume,
     front_fibers,
-    held_fibers,
+    front_stream,
     index_ramp,
     pair_chunks,
     window_capacity,
@@ -329,14 +330,14 @@ class VectorReducer(Block):
         readers = (self._treader(self.in_crd), self._treader(self.in_val))
         readers[1].densify_empty(0.0)
         windows = [reader.held_window() for reader in readers]
-        k = min(held_fibers(w) for w in windows)
+        if windows[0] is None or windows[1] is None:
+            return False
+        # the open run stays held; so does what follows a D
+        crd, val = (view.head(len(view.codes))
+                    for view in common_front([front_stream(w) for w in windows]))
+        k = len(crd.codes)
         if k == 0:
             return False
-        crd, val = (front_fibers(w, k) for w in windows)
-        done = (crd.codes == CODE_DONE) | (val.codes == CODE_DONE)
-        if done.any():
-            k = int(done.argmax()) + 1
-            crd, val = (front_fibers(w, k) for w in windows)
         pairing = pair_chunks(crd, val)
         clean = min(pairing.clean, self._integral_chunks(crd))
         if clean < k:
@@ -351,9 +352,9 @@ class VectorReducer(Block):
             crd, np.repeat(index_ramp(k), crd.lens), vals,
             np.maximum(crd.sdata, stamps), np.maximum(crd.scodes, val.scodes),
         )
-        for window in windows:  # tokens after a D stay held
-            drop_fibers(window, k)
-        self.finished = bool(crd.codes[-1] == CODE_DONE)
+        for window, view in zip(windows, (crd, val)):  # tokens after a D stay held
+            consume(window, *view.span)
+        self.finished = crd.done
         return True
 
     @staticmethod
@@ -447,8 +448,7 @@ class VectorReducer(Block):
             # a batch stores a mixed run as floats; only the fractional
             # ones cannot have been integers on the scalar plane
             tokens = [int(t) if t.is_integer() else t for t in tokens]
-        vals = val.data[int(val.ends[f] - val.lens[f]):].tolist()
-        vals = iter(vals + [decode_code(int(val.codes[f]))])
+        vals = iter(val.tokens(f))
         for token in tokens:
             self._check_pair(token, next(vals))
         close, other = decode_code(int(crd.codes[f])), next(vals)

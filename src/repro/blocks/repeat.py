@@ -39,7 +39,7 @@ from ..streams.batch import (
 from ..streams.channel import Channel
 from ..streams.timing import (
     align_chunks,
-    drop_tokens,
+    consume,
     index_ramp,
     stream_view,
 )
@@ -259,8 +259,8 @@ class Repeater(Block):
             code = scode[:total]
             code = np.where(code == CODE_REPEAT, ocode[own][chunk], code)
             out.stream(code, ovalue[own][chunk], cycles)
-        drop_tokens(sig, sv, total)
-        drop_tokens(ref, rv, used - pending)
+        consume(sig, *sv.span(total))
+        consume(ref, *rv.span(used - pending))
         return total + used - pending > 0, aligned.again
 
     # -- protocol checks, shared by both definitions ----------------------

@@ -20,13 +20,20 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..streams.batch import CODE_DONE
 from ..formats.compressed import CompressedLevel
 from ..formats.dense import DenseLevel
 from ..formats.linkedlist import LinkedListLevel
 from ..formats.tensor import FiberTensor
 from ..streams.channel import Channel
-from ..streams.timing import I64_MAX
+from ..streams.timing import (
+    I64_MAX,
+    blank_fibers,
+    common_front,
+    consume,
+    front_stream,
+    pair_chunks,
+    token_order_indices,
+)
 from ..streams.token import (
     is_data,
     is_done,
@@ -349,40 +356,50 @@ class ScatterValsWriter(Block):
     timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
-        """Timed drain: one event per (ref, val) pair, scatter-added."""
+        """Timed drain: one pairing, one scatter, one schedule.
+
+        A visit takes every chunk complete on both streams, through the
+        first ``D``, and the pairs of the open one; every pair is one
+        event and so is every terminator pair, gated by both tokens.  An
+        ``N`` reference is read as a datum that scatters nothing
+        (:func:`blank_fibers`), an ``N`` value as 0.0, and a stop pairs
+        with a stop of any level; a chunk that does not pair up raises
+        :meth:`_check_pair`'s error.
+        """
         if self.finished:
             return False
-        rd_r = self._treader(self.in_ref)
-        rd_v = self._treader(self.in_val)
-        rd_v.densify_empty(0.0)
-        progressed = False
-        while True:
-            cr = rd_r.front_ctrl()
-            cv = rd_v.front_ctrl()
-            lr = rd_r.run_length() if cr is None else 0
-            lv = rd_v.run_length() if cv is None else 0
-            if (cr is None and lr == 0) or (cv is None and lv == 0):
-                return progressed
-            if cr is None and cv is None:
-                m = min(lr, lv)
-                refs, s_r = rd_r.pop_run_upto(m)
-                vals, s_v = rd_v.pop_run_upto(m)
-                np.add.at(
-                    self.vals,
-                    refs.astype(np.int64, copy=False),
-                    np.asarray(vals, dtype=np.float64),
-                )
-                self._t_advance(np.maximum(s_r, s_v))
-                progressed = True
-                continue
-            ref, s_r = rd_r.pop()
-            val, s_v = rd_v.pop()
-            self._check_pair(ref, val)
-            self._t_event(max(s_r, s_v))
-            progressed = True
-            if cr == CODE_DONE and cv == CODE_DONE:
-                self.finished = True
-                return True
+        readers = self._treader(self.in_ref), self._treader(self.in_val)
+        readers[1].densify_empty(0.0)
+        windows = [reader.held_window() for reader in readers]
+        if windows[0] is None or windows[1] is None:
+            return False
+        ref, val = common_front(
+            [blank_fibers(front_stream(windows[0])), front_stream(windows[1])]
+        )
+        k = len(ref.codes)
+        if not k + ref.tail:
+            return False
+        stops_as_s0 = [v._replace(codes=np.minimum(v.codes, 0)) for v in (ref, val)]
+        clean = pair_chunks(*stops_as_s0, phantoms=(False, False)).clean
+        if clean < k:
+            for pair in zip(ref.tokens(clean), val.tokens(clean)):
+                self._check_pair(*pair)
+        keep = np.ones(len(ref.data), dtype=bool)
+        keep[ref.blank] = False
+        np.add.at(
+            self.vals,
+            ref.data[keep].astype(np.int64, copy=False),
+            np.asarray(val.data[keep], dtype=np.float64),
+        )
+        di, ci = token_order_indices(ref.ends, len(ref.data))
+        arrivals = np.empty(len(ref.data) + k, dtype=np.int64)
+        arrivals[di] = np.maximum(ref.sdata, val.sdata)
+        arrivals[ci] = np.maximum(ref.scodes, val.scodes)
+        self._t_advance(arrivals)
+        for window, view in zip(windows, (ref, val)):
+            consume(window, *view.span)
+        self.finished = ref.done
+        return True
 
 
 class LinkedListLevelWriter(Block):

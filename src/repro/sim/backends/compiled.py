@@ -487,8 +487,9 @@ class _ChainUnit:
             and (len(ca) == 0 or (ca[:-1] >= 0).all())
             and (len(ca) == 0 or ca[-1] >= CODE_DONE)
         ):
-            # Same structures the unfused ALU would route to its general
-            # loop: hand the windows back untouched and dissolve.
+            # Operands that pair only around phantom zeros (or not at
+            # all): hand the windows back untouched and dissolve — the
+            # ALU's own pairing takes them from there.
             side_a.put_back()
             side_b.put_back()
             return _DISSOLVE

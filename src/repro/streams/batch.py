@@ -151,12 +151,15 @@ class TokenBatch:
     # -- construction --------------------------------------------------------
     @classmethod
     def from_tokens(cls, tokens: Iterable) -> "TokenBatch":
+        """Batch a scalar token sequence; raises :class:`UnbatchableTokens`
+        for a data token :func:`batch_kind` refuses."""
         data: List = []
         cpos: List[int] = []
         ccode: List[int] = []
         for token in tokens:
             code = encode_token(token)
             if code is None:
+                batch_kind(token)
                 data.append(token)
             else:
                 cpos.append(len(data))

@@ -22,26 +22,30 @@ Five pieces live here:
   schedule it returns; its index ramp is the shared read-only
   :func:`~repro.streams.batch.index_ramp`.
 * :class:`TimedReader` / :class:`TimedBuilder` — the block-side input
-  cursor and output accumulator: readers serve data runs *with* their
-  arrival stamps, builders accumulate output tokens with the cycle each
-  was pushed.
+  cursor and output accumulator: a reader holds the stamped batches its
+  channel handed over and pops single boundary tokens (a fold, a closing
+  ``D``) with their stamps; builders accumulate output tokens with the
+  cycle each was pushed.
 * :func:`merge_stamps` / :func:`split_done_stamped` — token-order
-  plumbing shared by the block hooks.
-* :meth:`TimedReader.held_window` / :func:`front_fibers` /
-  :func:`drop_fibers` — the window-at-a-time view the mergers, the
-  vector reducer and the value dropper share: the leading *k*
-  control-terminated chunks of a stream (and what has arrived of the
-  next, :func:`open_run`), read through the batch cursors and consumed
-  by moving them; :func:`window_capacity` is the int64 rule the first
-  two sort their windows' composite keys under, :func:`pair_chunks`
-  the one pairing of a coordinate and a value stream at the same level
-  the last two share.
+  plumbing shared by the whole-window hooks.
+* The one way a window hook reads its inputs: held entry
+  (:meth:`TimedReader.held_window`) → fibers (:func:`front_fibers`, the
+  leading control-terminated chunks read through the batch cursors, and
+  :func:`front_stream`, every chunk through the first ``D`` with the
+  open run after them) → one pairing → :func:`consume`, which moves the
+  cursors past what was taken (:attr:`Fibers.span`).  Streams at the
+  same level pair through :func:`pair_chunks` — the vector reducer, the
+  value dropper, the ALU, the scatter writer and the locator, cut to what
+  both have arrived of by :func:`common_front`, ``N`` read as a datum by
+  :func:`blank_fibers` where it pairs with one; :func:`window_capacity`
+  is the int64 rule the mergers and the reducer sort composite keys
+  under.
 * :func:`stream_view` / :func:`align_chunks` /
   :meth:`TimedBuilder.stream` — a window as stream-order arrays, for
-  the blocks whose events follow the token order of two streams at
-  once: the repeater and the coordinate dropper share one alignment of
-  an outer stream with the chunks of the stream one level deeper, the
-  interleaving serializer gathers lane fibers in rotation order.
+  the blocks whose events follow the token order of two streams one
+  level apart: the repeater and the coordinate dropper share one
+  alignment of an outer stream with the chunks of the stream one level
+  deeper.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .batch import (
     decode_code,
     index_ramp,
 )
+from .token import EMPTY
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 I64_MAX = int(np.iinfo(np.int64).max)
@@ -284,57 +289,7 @@ class TimedReader:
                 return batch.pop_front(), stamp
         raise IndexError("pop from an empty TimedReader")
 
-    def front_ctrl(self) -> Optional[int]:
-        self._trim()
-        for batch, _, _ in self.held:
-            if not batch.exhausted:
-                d, c = batch._d, batch._c
-                if c < len(batch.ctrl_code) and batch.ctrl_pos[c] <= d:
-                    return int(batch.ctrl_code[c])
-                return None
-        return None
-
-    # -- run access ----------------------------------------------------------
-    def run_length(self) -> int:
-        total = 0
-        for batch, _, _ in self.held:
-            if batch.exhausted:
-                continue
-            d, c = batch._d, batch._c
-            stop_at = (
-                int(batch.ctrl_pos[c]) if c < len(batch.ctrl_code) else len(batch.data)
-            )
-            total += stop_at - d
-            if c < len(batch.ctrl_code):
-                break
-        return total
-
-    def pop_run_upto(self, limit: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Pop at most *limit* front data tokens: ``(values, stamps)``."""
-        parts: List[np.ndarray] = []
-        stamps: List[np.ndarray] = []
-        need = limit
-        self._trim()
-        for batch, sdata, _ in self.held:
-            if need <= 0:
-                break
-            if batch.exhausted:
-                continue
-            d, c = batch._d, batch._c
-            stop_at = (
-                int(batch.ctrl_pos[c]) if c < len(batch.ctrl_code) else len(batch.data)
-            )
-            take = min(stop_at - d, need)
-            if take > 0:
-                parts.append(batch.data[d:d + take])
-                stamps.append(sdata[d:d + take])
-                batch._d = d + take
-                need -= take
-            if batch._d < stop_at or c < len(batch.ctrl_code):
-                break
-        self._trim()
-        return _concat_data(parts), _concat_i64(stamps)
-
+    # -- window access -------------------------------------------------------
     def take_window(self):
         """Consume the whole window: ``(batch, sdata, sctrl)`` or None."""
         self._trim()
@@ -414,7 +369,8 @@ def _concat_i64(parts: List[np.ndarray]) -> np.ndarray:
 
 
 class Fibers(NamedTuple):
-    """The leading fibers (control-terminated chunks) of a held entry."""
+    """The leading fibers (control-terminated chunks) of a held entry, and
+    the data tokens after them a read takes as its *tail*."""
 
     data: np.ndarray
     ends: np.ndarray  # data position each fiber's terminator sits at
@@ -422,6 +378,52 @@ class Fibers(NamedTuple):
     codes: np.ndarray  # terminator codes
     sdata: np.ndarray  # arrival stamps of data / of codes
     scodes: np.ndarray
+    blank: np.ndarray = _EMPTY_I64  # data positions that were N (blank_fibers)
+
+    @property
+    def tail(self) -> int:
+        """Data tokens after the last fiber."""
+        return len(self.data) - (int(self.ends[-1]) if len(self.ends) else 0)
+
+    @property
+    def done(self) -> bool:
+        """Whether the last fiber closes with ``D``."""
+        return bool(len(self.codes)) and bool(self.codes[-1] == CODE_DONE)
+
+    @property
+    def span(self) -> Tuple[int, int]:
+        """``(data, control)`` tokens of the held entry the view covers:
+        what :func:`consume` moves past to take it."""
+        return len(self.data) - len(self.blank), len(self.codes) + len(self.blank)
+
+    def head(self, k: int, tail: int = 0) -> "Fibers":
+        """The first *k* fibers and the first *tail* data tokens after them."""
+        top = (int(self.ends[k - 1]) if k else 0) + tail
+        blank = self.blank
+        if len(blank):
+            blank = blank[:int(np.searchsorted(blank, top))]
+        return Fibers(self.data[:top], self.ends[:k], self.lens[:k], self.codes[:k],
+                      self.sdata[:top], self.scodes[:k], blank)
+
+    def before_done(self) -> "Fibers":
+        """The view without its closing ``D``; what stands in front of it
+        becomes the tail."""
+        if not self.done:
+            return self
+        return Fibers(self.data, self.ends[:-1], self.lens[:-1], self.codes[:-1],
+                      self.sdata, self.scodes[:-1], self.blank)
+
+    def tokens(self, f: int) -> list:
+        """Fiber *f* as scalar tokens, its terminator last (a blank is
+        ``N`` again): what a generator pops, for replaying its checks."""
+        start, stop = int(self.ends[f] - self.lens[f]), int(self.ends[f])
+        run = self.data[start:stop].tolist()
+        for at in self.blank[(self.blank >= start) & (self.blank < stop)].tolist():
+            run[at - start] = EMPTY
+        return run + [decode_code(int(self.codes[f]))]
+
+
+_NO_FIBERS = Fibers(*[_EMPTY_I64] * 6)
 
 
 def held_fibers(entry) -> int:
@@ -445,56 +447,49 @@ def front_fibers(entry, k: int, tail: int = 0) -> Fibers:
     )
 
 
-def drop_fibers(entry, k: int, tail: int = 0) -> None:
-    """Consume the first *k* fibers of a held entry and the first *tail*
-    data tokens after them; the rest stays held."""
-    batch = entry[0]
-    if k:
-        batch._d = int(batch.ctrl_pos[batch._c + k - 1])
-        batch._c += k
-    batch._d += tail
-
-
-def open_run(entry, k: int) -> int:
-    """How many data tokens a held entry carries after its first *k*
-    fibers, up to its next control token: what has arrived of fiber
-    *k*."""
-    batch = entry[0]
-    c = batch._c + k
-    start = int(batch.ctrl_pos[c - 1]) if k else batch._d
-    stop = int(batch.ctrl_pos[c]) if c < len(batch.ctrl_code) else len(batch.data)
-    return stop - start
-
-
-class Runs(NamedTuple):
-    """A held entry's tokens before its first ``D``, split at the control
-    tokens: every one closes a run of data (``data`` keeps what trails
-    the last of them too)."""
-
-    data: np.ndarray
-    sdata: np.ndarray
-    ends: np.ndarray  # data position each control token sits at
-    codes: np.ndarray
-    scodes: np.ndarray
-    done: bool  # a ``D`` follows
-
-
-def held_runs(entry) -> Runs:
-    """The runs of a held entry (or None), read through its cursors."""
+def front_stream(entry) -> Fibers:
+    """A held entry (or None) read to its end: every fiber through its
+    first ``D`` or, with none held, every fiber and the open run after
+    them."""
     if entry is None:
-        return Runs(*[_EMPTY_I64] * 5, False)
-    batch, sdata, sctrl = entry
-    d, c = batch._d, batch._c
-    codes = batch.ctrl_code[c:]
-    done = codes == CODE_DONE
-    k, top = len(codes), len(batch.data)
+        return _NO_FIBERS
+    batch = entry[0]
+    done = batch.ctrl_code[batch._c:] == CODE_DONE
     if done.any():
-        k = int(done.argmax())
-        top = int(batch.ctrl_pos[c + k])
-    return Runs(
-        batch.data[d:top], sdata[d:top],
-        batch.ctrl_pos[c:c + k] - d, codes[:k], sctrl[c:c + k], k < len(codes),
+        return front_fibers(entry, int(done.argmax()) + 1)
+    start = int(batch.ctrl_pos[-1]) if len(done) else batch._d
+    return front_fibers(entry, len(done), len(batch.data) - start)
+
+
+def blank_fibers(view: Fibers) -> Fibers:
+    """*view* with its ``N`` tokens read as data — 0, stamped as the ``N``
+    — so its fibers close at stops and ``D`` only: how a coordinate or
+    reference stream is read where an ``N`` pairs with a datum of the
+    other stream.  ``blank`` keeps where they were."""
+    empty = view.codes == CODE_EMPTY
+    if not empty.any():
+        return view
+    at, keep = view.ends[empty], ~empty
+    ends = (view.ends + np.cumsum(empty))[keep]
+    lens = ends.copy()
+    lens[1:] -= ends[:-1]
+    return Fibers(
+        np.insert(view.data, at, 0), ends, lens, view.codes[keep],
+        np.insert(view.sdata, at, view.scodes[empty]), view.scodes[keep],
+        at + index_ramp(len(at)),
     )
+
+
+def common_front(views: List[Fibers]) -> List[Fibers]:
+    """What streams at one level (:func:`front_stream` views) have all
+    arrived of: the fibers every one of them completes — through the
+    first ``D`` — and, unless that ``D`` is among them, the data tokens
+    every one carries of the fiber after."""
+    k = min(len(v.codes) for v in views)
+    tail = 0
+    if not any(len(v.codes) == k and v.done for v in views):
+        tail = min(int(v.lens[k]) if len(v.codes) > k else v.tail for v in views)
+    return [v.head(k, tail) for v in views]
 
 
 def consume(entry, ndata: int, nctrl: int) -> None:
@@ -512,10 +507,18 @@ class StreamView(NamedTuple):
     value: np.ndarray  # the data tokens' payload, 0 under control tokens
     done: bool  # a ``D`` follows the viewed tokens
 
+    def span(self, count: int) -> Tuple[int, int]:
+        """``(data, control)`` tokens among the first *count* viewed."""
+        ndata = int(np.count_nonzero(self.code[:count] == CODE_DATA))
+        return ndata, count - ndata
+
 
 def stream_view(entry) -> StreamView:
-    """Stream-order arrays over a held entry (or None), cursors intact."""
-    data, sdata, ends, codes, scodes, done = held_runs(entry)
+    """Stream-order arrays over a held entry (or None) up to its first
+    ``D``, cursors intact."""
+    fibers = front_stream(entry)
+    done = fibers.done
+    data, ends, _, codes, sdata, scodes, _ = fibers.before_done()
     di, ci = token_order_indices(ends, len(data))
     code = np.full(len(data) + len(codes), CODE_DATA, dtype=np.int64)
     code[ci] = codes
@@ -535,12 +538,6 @@ def view_token(view: StreamView, i: int):
         return decode_code(CODE_DONE) if view.done else NO_TOKEN
     code = int(view.code[i])
     return view.value[i].item() if code == CODE_DATA else decode_code(code)
-
-
-def drop_tokens(entry, view: StreamView, count: int) -> None:
-    """Consume the first *count* viewed tokens of a held entry."""
-    ndata = int(np.count_nonzero(view.code[:count] == CODE_DATA))
-    consume(entry, ndata, count - ndata)
 
 
 class Alignment(NamedTuple):
@@ -608,44 +605,63 @@ def align_chunks(outer: np.ndarray, inner: np.ndarray) -> Alignment:
 
 
 class Pairing(NamedTuple):
-    """Leading chunks of a coordinate and a value stream at one level,
-    paired coordinate by coordinate."""
+    """Leading chunks of two streams at one level, paired datum by datum."""
 
     clean: int  # leading chunks that pair up; the next one does not
-    pick: Optional[np.ndarray]  # per pair of those, its value's index;
-    # None when there are no phantoms: the identity
+    pick: Optional[np.ndarray]  # per pair (the tail's too), its value's
+    # index; None when that side has no phantoms: the identity
+    crd_pick: Optional[np.ndarray] = None  # ... its coordinate's
 
 
-def pair_chunks(crd: Fibers, val: Fibers) -> Pairing:
+def pair_chunks(crd: Fibers, val: Fibers, phantoms=(False, True)) -> Pairing:
     """Pair the chunks of a coordinate stream with a value stream's.
 
-    Both are :func:`front_fibers` of streams at the *same* level, with
-    ``N`` values densified to ``0.0``.  The vector reducer and the value
-    dropper walk them by one rule: chunk *f* pairs up when both close
-    with the same code, a stop or ``D``, and its value run is at least
-    as long as its coordinate run; the *i*-th coordinate owns the *i*-th
-    value, and the surplus — phantom values a zero-policy reducer
-    upstream emitted for a region with no coordinates — must be zeros.
-    ``clean`` counts the chunks before the first that breaks a rule; the
-    caller replays its own checks over that one to raise its error.
+    Both are views of streams at the *same* level holding as many chunks
+    and tail tokens (:func:`common_front`, or :func:`front_fibers` with
+    one *k*), with ``N`` values densified to ``0.0``.  Every same-level
+    window block walks them by one rule: chunk *f* pairs up when both
+    close with the same code, a stop or ``D``, and the *i*-th datum of
+    one run pairs with the *i*-th of the other; the surplus of the longer
+    run — phantom values a zero-policy reducer upstream emitted for a
+    region with no coordinates — must be zeros, on a side *phantoms*
+    (``(coordinate side, value side)``) allows them on: the vector
+    reducer and the value dropper on the value side, the ALU on either,
+    the scatter writer and the locator on neither.  ``clean`` counts the
+    chunks before the first that breaks a rule; the caller replays its
+    own checks over that one to raise its error.
     """
     bad = crd.codes < CODE_DONE
     bad |= val.codes != crd.codes
-    bad |= val.lens < crd.lens
+    if not phantoms[0]:
+        bad |= crd.lens > val.lens
+    if not phantoms[1]:
+        bad |= val.lens > crd.lens
     clean = int(bad.argmax()) if bad.any() else len(bad)
-    if not clean or val.ends[clean - 1] == crd.ends[clean - 1]:
+    # with phantoms on one side at most, equal totals mean equal runs
+    if not clean or crd.ends[clean - 1] == val.ends[clean - 1] and not all(phantoms):
         return Pairing(clean, None)
-    n, nval = int(crd.ends[clean - 1]), int(val.ends[clean - 1])
-    extra = val.lens[:clean] - crd.lens[:clean]
-    chunk = np.repeat(index_ramp(clean), crd.lens[:clean])
-    pick = index_ramp(n) + (np.cumsum(extra) - extra)[chunk]
-    phantom = np.ones(nval, dtype=bool)
-    phantom[pick] = False
-    stray = np.flatnonzero(phantom & (val.data[:nval] != 0))
-    if len(stray):  # a non-zero phantom: its chunk is the first bad one
-        clean = int(np.searchsorted(val.ends, stray[0], "right"))
-        pick = pick[:int(crd.ends[clean - 1])] if clean else pick[:0]
-    return Pairing(clean, pick)
+    m = clean
+    pairs = np.minimum(crd.lens[:m], val.lens[:m])
+    extras = [side.lens[:m] - pairs for side in (crd, val)]
+    if not (extras[0].any() or extras[1].any()):
+        return Pairing(clean, None)
+    chunk = np.repeat(index_ramp(m), pairs)
+    picks: List[Optional[np.ndarray]] = []
+    for side, extra in zip((crd, val), extras):
+        pick = None
+        if extra.any():
+            pick = index_ramp(len(chunk)) + (np.cumsum(extra) - extra)[chunk]
+            phantom = np.ones(int(side.ends[m - 1]), dtype=bool)
+            phantom[pick] = False
+            stray = np.flatnonzero(phantom & (side.data[:len(phantom)] != 0))
+            if len(stray):  # a non-zero phantom: its chunk is the first bad one
+                clean = min(clean, int(np.searchsorted(side.ends, stray[0], "right")))
+        picks.append(pick)
+    n, tail = int(pairs[:clean].sum()), crd.tail if clean == len(bad) else 0
+    for i, side in enumerate((crd, val)):
+        if picks[i] is not None:
+            picks[i] = np.append(picks[i][:n], len(side.data) - tail + index_ramp(tail))
+    return Pairing(clean, picks[1], picks[0])
 
 
 class TimedBuilder:
@@ -744,20 +760,18 @@ __all__ = [
     "Fibers",
     "I64_MAX",
     "Pairing",
-    "Runs",
     "StreamView",
     "TimedBuilder",
     "TimedReader",
     "align_chunks",
+    "blank_fibers",
+    "common_front",
     "consume",
-    "drop_fibers",
-    "drop_tokens",
     "front_fibers",
+    "front_stream",
     "held_fibers",
-    "held_runs",
     "index_ramp",
     "merge_stamps",
-    "open_run",
     "pair_chunks",
     "rate1_schedule",
     "split_done_stamped",

@@ -194,7 +194,7 @@ class TestWriterStorage:
         for tokens, cls, kind in ((crd_tokens, CompressedLevelWriter, "crd"),
                                   (val_tokens, ValsWriter, "vals")):
             channel = Channel(kind, kind=kind)
-            if delivery == "whole":  # a feeder batches True as 1: no bail
+            if delivery == "whole":  # the feeder's generator plays the True
                 blocks.append(StreamFeeder(tokens, channel, name=f"f{kind}"))
             elif delivery == "one-a-cycle":
                 blocks.append(Slicer(tokens, [(1, 0)] * len(tokens), channel,
@@ -206,7 +206,7 @@ class TestWriterStorage:
             writers.append(woken(cls)(channel, name=f"w{kind}"))
         report = run_blocks(blocks + writers, backend=backend)
         untimed = issubclass(BACKENDS[backend], FunctionalEngine)
-        if bail and delivery != "whole" and backend in TIMED:
+        if bail and backend in TIMED:
             assert not any(w._timed_ok for w in writers), backend  # they bailed
         crd, vals = writers
         stored = (crd.crd, crd.seg, crd.level.crd, crd.level.seg, vals.vals)
@@ -228,30 +228,32 @@ class TestWriterStorage:
             assert got == want, backend
             assert got_cycles in (None, cycles), backend
 
-    #: coordinate stream -> the error every engine raises (the writer used
-    #: to store int(1.5) == 1, or raise numpy's ValueError / OverflowError)
+    #: the error every engine raises -> coordinate streams that raise it
+    #: (the writer used to store int(1.5) == 1, or raise numpy's
+    #: ValueError / OverflowError; a feeder used to batch [1, 2**63] as
+    #: floats, naming 9.223372036854776e+18 off the generator plane)
     COORDINATE_ERRORS = {
-        "wr_comp: non-integer coordinate 1.5": [1.5, 2, Stop(0), DONE],
-        "wr_comp: non-integer coordinate nan": [0, float("nan"), Stop(0), DONE],
-        "wr_comp: non-integer coordinate inf": [float("inf"), Stop(0), DONE],
+        "wr_comp: non-integer coordinate 1.5": ([1.5, 2, Stop(0), DONE],),
+        "wr_comp: non-integer coordinate nan": ([0, float("nan"), Stop(0), DONE],),
+        "wr_comp: non-integer coordinate inf": ([float("inf"), Stop(0), DONE],),
         "wr_comp: non-integer coordinate 9.223372036854776e+18":
-            [1, Stop(0), 2.0 ** 63, Stop(0), DONE],
+            ([1, Stop(0), 2.0 ** 63, Stop(0), DONE],),
         "wr_comp: non-integer coordinate 9223372036854775808":
-            [2 ** 63, Stop(0), DONE],
-        "wr_comp: non-integer coordinate (3, 4)": [1, (3, 4), Stop(0), DONE],
+            ([2 ** 63, Stop(0), DONE], [1, 2 ** 63, Stop(0), DONE]),
+        "wr_comp: non-integer coordinate (3, 4)": ([1, (3, 4), Stop(0), DONE],),
     }
 
     @pytest.mark.parametrize("message", COORDINATE_ERRORS)
     @pytest.mark.parametrize("relay", [False, True])
     def test_a_coordinate_no_int64_holds_is_a_named_error(self, message, relay):
-        for backend in BACKENDS:
-            crd, raw = Channel("c"), Channel("raw")
-            tokens = self.COORDINATE_ERRORS[message]
-            blocks = ([StreamFeeder(tokens, raw, name="f"), Relay(raw, crd, "r")]
-                      if relay else [StreamFeeder(tokens, crd, name="f")])
-            with pytest.raises(BlockError) as caught:
-                run_blocks(blocks + [CompressedLevelWriter(crd)], backend=backend)
-            assert str(caught.value) == message, backend
+        for tokens in self.COORDINATE_ERRORS[message]:
+            for backend in BACKENDS:
+                crd, raw = Channel("c"), Channel("raw")
+                blocks = ([StreamFeeder(tokens, raw, name="f"), Relay(raw, crd, "r")]
+                          if relay else [StreamFeeder(tokens, crd, name="f")])
+                with pytest.raises(BlockError) as caught:
+                    run_blocks(blocks + [CompressedLevelWriter(crd)], backend=backend)
+                assert str(caught.value) == message, (tokens, backend)
 
     def test_integral_floats_are_coordinates(self):
         # a batch stores a mixed run as floats: 2.0 was the integer 2

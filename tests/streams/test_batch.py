@@ -19,7 +19,15 @@ from repro.streams.batch import (
     exact_segment_sums,
     sequential_segment_sums,
 )
-from repro.streams.timing import TimedBuilder, TimedReader
+from repro.streams.timing import (
+    TimedBuilder,
+    TimedReader,
+    blank_fibers,
+    common_front,
+    consume,
+    front_fibers,
+    front_stream,
+)
 
 MIXED = [3, 7, EMPTY, Stop(0), 2.5, "R", Stop(1), Stop(0), DONE]
 
@@ -142,19 +150,40 @@ def stamped(tokens, start=1):
     return channel
 
 
+def held(tokens):
+    """The held window of a reader over ``stamped(tokens)``."""
+    reader = TimedReader(stamped(tokens))
+    reader.pull()
+    return reader.held_window()
+
+
+def fibers_of(view):
+    """A :class:`Fibers` view as plain lists, field by field."""
+    return {name: np.asarray(field).tolist() for name, field in view._asdict().items()}
+
+
 class TestTimedReader:
     def test_runs_ctrl_and_stamps(self):
-        reader = TimedReader(stamped([1, 2, 3, Stop(0), 4, DONE]))
+        reader = TimedReader(stamped([1, 2, 3, Stop(0), 4, 5, DONE, 6]))
         reader.pull()
-        assert reader.front_ctrl() is None
-        assert reader.run_length() == 3
-        values, stamps = reader.pop_run_upto(reader.run_length())
-        assert values.tolist() == [1, 2, 3] and stamps.tolist() == [1, 2, 3]
-        assert reader.front_ctrl() == 0
-        assert reader.pop() == (Stop(0), 4)
-        values, stamps = reader.pop_run_upto(5)
-        assert values.tolist() == [4] and stamps.tolist() == [5]
-        assert reader.peek() == (DONE, 6)
+        window = reader.held_window()
+        first = front_fibers(window, 1)
+        assert fibers_of(first) == {
+            "data": [1, 2, 3], "ends": [3], "lens": [3], "codes": [0],
+            "sdata": [1, 2, 3], "scodes": [4], "blank": [],
+        }
+        assert first.span == (3, 1) and first.tail == 0 and not first.done
+        consume(window, *first.span)
+        assert reader.peek() == (4, 5)
+        # read to the end: through the first D, and nothing after it
+        rest = front_stream(window)
+        assert fibers_of(rest)["data"] == [4, 5] and rest.done
+        assert rest.codes.tolist() == [CODE_DONE] and rest.scodes.tolist() == [7]
+        before = rest.before_done()  # what stands in front of the D
+        assert before.codes.tolist() == [] and before.tail == 2
+        consume(window, *before.head(0, 1).span)
+        assert reader.pop() == (5, 6)
+        assert reader.pop() == (DONE, 7)
 
     def test_run_spans_batches(self):
         channel = stamped([1, 2])
@@ -162,20 +191,52 @@ class TestTimedReader:
         channel.push_batch_timed(batch, np.array([7]), np.array([8]))
         reader = TimedReader(channel)
         reader.pull()
-        values, stamps = reader.pop_run_upto(reader.run_length())
-        assert values.tolist() == [1, 2, 3] and stamps.tolist() == [1, 2, 7]
-        assert reader.pop() == (Stop(0), 8)
+        window = reader.held_window()  # one entry, cursors intact
+        fiber = front_fibers(window, 1)
+        assert fiber.data.tolist() == [1, 2, 3] and fiber.sdata.tolist() == [1, 2, 7]
+        assert fiber.scodes.tolist() == [8]
+        consume(window, *fiber.span)
+        assert reader.peek() == (NO_TOKEN, 0)
 
     def test_densify_empty_keeps_stamps(self):
         reader = TimedReader(stamped([EMPTY, 1.0, EMPTY, Stop(0), EMPTY, DONE]))
         reader.pull()
         reader.densify_empty(0.0)
-        values, stamps = reader.pop_run_upto(reader.run_length())
-        assert values.tolist() == [0.0, 1.0, 0.0] and stamps.tolist() == [1, 2, 3]
-        assert reader.pop() == (Stop(0), 4)
-        values, stamps = reader.pop_run_upto(reader.run_length())
-        assert values.tolist() == [0.0] and stamps.tolist() == [5]
-        assert reader.pop() == (DONE, 6)
+        view = front_stream(reader.held_window())
+        assert fibers_of(view) == {
+            "data": [0.0, 1.0, 0.0, 0.0], "ends": [3, 4], "lens": [3, 1],
+            "codes": [0, CODE_DONE], "sdata": [1, 2, 3, 5], "scodes": [4, 6],
+            "blank": [],
+        }
+
+    def test_blank_fibers_read_n_as_data_and_consume_it_as_n(self):
+        channel = stamped([EMPTY, 4, Stop(0), 5, EMPTY, EMPTY, Stop(1), EMPTY])
+        reader = TimedReader(channel)
+        reader.pull()
+        window = reader.held_window()
+        view = blank_fibers(front_stream(window))
+        assert fibers_of(view) == {
+            "data": [0, 4, 5, 0, 0, 0], "ends": [2, 5], "lens": [2, 3],
+            "codes": [0, 1], "sdata": [1, 2, 4, 5, 6, 8], "scodes": [3, 7],
+            "blank": [0, 3, 4, 5],
+        }
+        assert view.tokens(1) == [5, EMPTY, EMPTY, Stop(1)]
+        # two fibers and one datum of the tail: 3 data, 2 stops and 3 N
+        consume(window, *view.head(1, 2).span)
+        assert reader.pop() == (EMPTY, 6)
+        consume(window, *blank_fibers(front_stream(window)).span)
+        assert reader.peek() == (NO_TOKEN, 0)
+
+    def test_common_front_takes_what_every_stream_has(self):
+        views = [front_stream(held(tokens))
+                 for tokens in ([1, 2, Stop(0), 3, 4, 5], [1, 2, Stop(0), 3, Stop(0)])]
+        a, b = common_front(views)
+        # the fiber both close, then the pairs both carry of the next
+        assert (a.codes.tolist(), a.tail, b.codes.tolist(), b.tail) == ([0], 1, [0], 1)
+        ended = [front_stream(held(tokens)) for tokens in ([1, DONE], [1, 2, Stop(0)])]
+        a, b = common_front(ended)  # a D in front: nothing after it
+        assert (a.codes.tolist(), a.tail, b.codes.tolist(), b.tail) == (
+            [CODE_DONE], 0, [0], 0)
 
     def test_requeue_restores_remainder_with_stamps(self):
         channel = stamped([1, 2, Stop(0), DONE])
