@@ -1,8 +1,8 @@
 """Rate analysis: steady-state busy-cycle prediction and bottlenecks.
 
 The paper's cycle model makes every stock primitive a fully pipelined
-rate-1 machine (``TimingDescriptor(ii=1, ctrl_cycles=1)``): one busy
-cycle per token event.  Under that model a block's total busy cycles
+rate-1 machine (``TimingDescriptor(ii=1)``): one busy cycle per token
+event, control tokens included.  Under that model a block's total busy cycles
 equal the token volume through its busiest port, which the SDF-style
 balance view makes *predictable from channel token counts alone* — no
 timed simulation needed:

@@ -146,16 +146,10 @@ class TimingDescriptor:
     * ``ii`` — initiation interval: cycles between successive token
       events (generator ``yield True``\\ s).  The epoch advance rule is
       ``c[k] = max(c[k-1] + ii, arrival[k])``.
-    * ``latency`` — cycles between an event and the push of its output
-      tokens (0: pushed within the event cycle, the reference model's
-      single-cycle memory assumption).
-    * ``ctrl_cycles`` — busy cycles charged per control token handled
-      (stop/done/empty bookkeeping events).
 
-    Every stock primitive is ``TimingDescriptor()`` — rate 1, zero
-    latency, one cycle per control token — matching the generators they
-    replace; the fields exist so experimental blocks can declare other
-    shapes without a new engine.
+    Every stock primitive is ``TimingDescriptor()`` — rate 1, its
+    outputs pushed in the event's cycle, one event per control token —
+    matching the generators they replace.
 
     ``fuse_role`` is the compiled backend's segment-fusion capability
     flag: how this block may participate in a fused super-block (see
@@ -191,8 +185,6 @@ class TimingDescriptor:
     """
 
     ii: int = 1
-    latency: int = 0
-    ctrl_cycles: int = 1
     fuse_role: str = ""
 
 

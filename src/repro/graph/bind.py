@@ -617,8 +617,8 @@ def segment_plan_key(blocks, segment: "FusedSegment") -> Tuple:
     """Structural plan-cache key of one fused segment.
 
     Keys capture everything the compiled backend's composed schedule
-    depends on — member classes, fuse roles, timing descriptors
-    (ii/latency/ctrl cycles), transform tags, link visibility deltas,
+    depends on — member classes, fuse roles, initiation intervals,
+    transform tags, link visibility deltas,
     and feeder placement — and nothing run-specific (no clocks, no
     data), so repeated bindings of the same expression shape map to the
     same :data:`repro.jit.PLAN_CACHE` entry.  Link deltas are derived
@@ -638,12 +638,9 @@ def segment_plan_key(blocks, segment: "FusedSegment") -> Tuple:
     for i in segment.members:
         block = blocks[i]
         timing = getattr(block, "timing", None)
-        if timing is None:
-            desc = (1, 0, 1)
-        else:
-            desc = (timing.ii, timing.latency, timing.ctrl_cycles)
+        ii = 1 if timing is None else timing.ii
         members.append(
-            (type(block).__name__, _fuse_role(block), desc, block.plan_tag())
+            (type(block).__name__, _fuse_role(block), ii, block.plan_tag())
         )
     deltas = []
     for ch in segment.links:

@@ -19,7 +19,7 @@ from repro.blocks import (
 from repro.sim import BACKENDS, FunctionalEngine, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
-from test_repeat import TIMED, Relay, Slicer, woken
+from blockkit import TIMED, Relay, Slicer, woken
 
 
 class TestArrayLoad:
@@ -131,37 +131,6 @@ class TestOtherWriters:
             writer,
         ], backend=backend)
         assert writer.vals.tolist() == [1.0, 2.0, 0.0]
-
-    #: refs, vals -> the error every engine raises (it used to scatter
-    #: what it could and drop the rest, or wait for ever at D)
-    SCATTER_ERRORS = {
-        "wr_scatter: misaligned inputs (1 vs S0)":
-            ([0, 1, Stop(0), DONE], [1.0, Stop(0), 2.0, DONE]),
-        "wr_scatter: misaligned inputs (D vs 3.0)":
-            ([0, 1, DONE], [1.0, 2.0, 3.0, DONE]),
-        "wr_scatter: misaligned inputs (S0 vs 0.0)":
-            ([Stop(0), DONE], [EMPTY, Stop(0), DONE]),
-        "wr_scatter: misaligned inputs (N vs D)":
-            ([EMPTY, Stop(0), DONE], [DONE]),
-        "wr_scatter: misaligned inputs (S1 vs D)":
-            ([0, Stop(1), DONE], [1.0, DONE]),
-        "wr_scatter: misaligned inputs (D vs S0)":
-            ([0, DONE], [1.0, Stop(0), DONE]),
-    }
-
-    @pytest.mark.parametrize("message", SCATTER_ERRORS)
-    def test_scatter_writer_misaligned_inputs(self, message):
-        for backend in BACKENDS:
-            refs, val = Channel("r", kind="ref"), Channel("v", kind="vals")
-            ref_tokens, val_tokens = self.SCATTER_ERRORS[message]
-            blocks = [
-                StreamFeeder(ref_tokens, refs, name="fr"),
-                StreamFeeder(val_tokens, val, name="fv"),
-                ScatterValsWriter(3, refs, val),
-            ]
-            with pytest.raises(BlockError) as caught:
-                run_blocks(blocks, backend=backend)
-            assert str(caught.value) == message, backend
 
     def test_linked_list_writer_discordant(self):
         parent, crd = Channel("p", kind="ref"), Channel("c")

@@ -1,6 +1,8 @@
-"""Intersecter and unioner tests, including the paper's Figure 5 example."""
+"""Intersecter and unioner tests, including the paper's Figure 5 example.
 
-import pytest
+The mergers' window hooks against ``cycle`` are the ``intersect`` and
+``union`` rows of ``test_window_blocks.py``.
+"""
 
 from repro.blocks import Intersect, MergeSide, StreamFeeder, Union
 from repro.sim import run_blocks
@@ -41,9 +43,7 @@ def merge(cls, sides_tokens, skip_sides=(), backend=None):
     out_crd = Channel("ocrd", record=True)
     merger = cls(sides, out_crd, out_ref_groups, name="merge")
     blocks.append(merger)
-    report = run_blocks(blocks, backend=backend)
-    merge.last_report = report
-    merge.last_activity = report.block_activity()
+    run_blocks(blocks, backend=backend)
     return list(out_crd.history), [list(ch.history) for ch in outs], skips
 
 
@@ -158,104 +158,3 @@ class TestIntersect:
         crd = harness.paper("D, S1, 1, S0, 0")
         out_crd, _, _ = merge(Intersect, [(crd, list(crd)), (crd, list(crd))])
         assert out_crd == harness.paper("D, S1, 1, S0, 0")
-
-
-def _multi_fiber(coord_fibers, ref_base=0):
-    """Tokens for a two-fiber stream plus matching reference tokens."""
-    tokens, refs = [], []
-    r = ref_base
-    for fiber in coord_fibers:
-        tokens.extend(fiber)
-        tokens.append(Stop(0))
-        for _ in fiber:
-            refs.append(r)
-            r += 1
-        refs.append(Stop(0))
-    tokens[-1] = Stop(0)
-    tokens.append(DONE)
-    refs.append(DONE)
-    return tokens, refs
-
-
-class TestBatchedMergeDifferential:
-    """Batched/timed merge planes vs the generator oracle, bit for bit.
-
-    Covers the Union batched drain and the generalized (multi-ref)
-    Intersect batched drain, including degenerate operands: empty
-    fibers, one empty side, both sides empty, and multi-fiber streams.
-    """
-
-    CASES = [
-        # (label, sides)
-        ("overlap", [
-            ([0, 2, 5, Stop(0), DONE], [10, 11, 12, Stop(0), DONE]),
-            ([2, 3, 5, Stop(0), DONE], [20, 21, 22, Stop(0), DONE]),
-        ]),
-        ("disjoint", [
-            ([0, 1, Stop(0), DONE], [10, 11, Stop(0), DONE]),
-            ([7, 9, Stop(0), DONE], [20, 21, Stop(0), DONE]),
-        ]),
-        ("one_side_empty", [
-            ([Stop(0), DONE], [Stop(0), DONE]),
-            ([3, 4, Stop(0), DONE], [20, 21, Stop(0), DONE]),
-        ]),
-        ("both_empty", [
-            ([Stop(0), DONE], [Stop(0), DONE]),
-            ([Stop(0), DONE], [Stop(0), DONE]),
-        ]),
-        ("multi_fiber", [
-            _multi_fiber([[0, 2], [], [1, 5, 6]]),
-            _multi_fiber([[2, 3], [4], [5]], ref_base=50),
-        ]),
-    ]
-
-    MULTIREF_CASES = [
-        ("multiref", [
-            ([0, 2, 5, Stop(0), DONE],
-             [[10, 11, 12, Stop(0), DONE], [30, 31, 32, Stop(0), DONE]]),
-            ([2, 5, 7, Stop(0), DONE],
-             [[20, 21, 22, Stop(0), DONE], [40, 41, 42, Stop(0), DONE]]),
-        ]),
-        ("multiref_empty_side", [
-            ([Stop(0), DONE], [[Stop(0), DONE], [Stop(0), DONE]]),
-            ([1, 2, Stop(0), DONE],
-             [[20, 21, Stop(0), DONE], [40, 41, Stop(0), DONE]]),
-        ]),
-    ]
-
-    def _differential(self, cls, sides):
-        oracle = merge(cls, sides, backend="functional-seq")[:2]
-        batched = merge(cls, sides, backend="functional")[:2]
-        assert batched == oracle
-        cyc = merge(cls, sides, backend="cycle")[:2]
-        cyc_report = merge.last_report
-        cyc_activity = merge.last_activity
-        timed = merge(cls, sides, backend="timed-batch")[:2]
-        assert timed == cyc
-        assert merge.last_report.cycles == cyc_report.cycles
-        assert merge.last_activity == cyc_activity
-
-    @pytest.mark.parametrize("label,sides", CASES, ids=[c[0] for c in CASES])
-    def test_union_differential(self, label, sides):
-        self._differential(Union, sides)
-
-    @pytest.mark.parametrize("label,sides", CASES, ids=[c[0] for c in CASES])
-    def test_intersect_differential(self, label, sides):
-        self._differential(Intersect, sides)
-
-    @pytest.mark.parametrize(
-        "label,sides", MULTIREF_CASES, ids=[c[0] for c in MULTIREF_CASES]
-    )
-    def test_multiref_differential(self, label, sides):
-        self._differential(Intersect, sides)
-        self._differential(Union, sides)
-
-    def test_three_way_still_works_batched(self):
-        # Arity 3 bails to the scalar plane on both batched backends.
-        sides = [
-            ([0, 1, 2, Stop(0), DONE], [10, 11, 12, Stop(0), DONE]),
-            ([1, 2, 3, Stop(0), DONE], [20, 21, 22, Stop(0), DONE]),
-            ([2, 3, 4, Stop(0), DONE], [30, 31, 32, Stop(0), DONE]),
-        ]
-        self._differential(Intersect, sides)
-        self._differential(Union, sides)

@@ -1,218 +1,29 @@
-"""Repeater tests, including the paper's Figure 6 example."""
+"""Repeater tests, including the paper's Figure 6 example.
 
-import random
-from collections import Counter
-from contextlib import contextmanager
+The repeater's window hook against ``cycle`` under every delivery, and
+its protocol-error table, are the ``repeat`` row of
+``test_window_blocks.py``.
+"""
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from repro.blocks import (
-    Block,
-    BlockError,
-    RepeatSigGen,
-    Repeater,
-    StreamFeeder,
-)
-from repro.blocks.repeat import REPEAT
-from repro.sim import (
-    BACKENDS,
-    DeadlockError,
-    FunctionalEngine,
-    graph_token_counts,
-    run_blocks,
-)
+from repro.blocks import BlockError, RepeatSigGen, Repeater, StreamFeeder
+from repro.sim import DeadlockError, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
-from repro.streams.token import is_data, is_done
-
-#: every engine that models cycles on the timed plane
-TIMED = tuple(
-    name for name, engine in BACKENDS.items()
-    if "timed" in engine.planes and not issubclass(engine, FunctionalEngine)
-)
-
-
-class Relay(Block):
-    """Scalar-only pass-through.  It has no timed hook, so the timed
-    engines step its generator and its consumer is fed one-token
-    windows, one per cycle."""
-
-    def __init__(self, in_, out, name):
-        super().__init__(name)
-        self.in_ = self._in("in_", in_)
-        self.out = self._out("out", out)
-
-    def _run(self):
-        while True:
-            token = yield from self._get(self.in_)
-            self.out.push(token)
-            yield True
-            if is_done(token):
-                return
-
-
-class Probe(Block):
-    """Scalar-only consumer, one token a cycle.
-
-    The timed engines wake a timed block when a generator needs what it
-    produced; a block whose outputs nobody steps for is drained in one
-    window however its input was sliced.  A probe behind the block
-    under test is that generator: the block is brought current before
-    every cycle's step, so its windows end where the slices do."""
-
-    def __init__(self, in_, name):
-        super().__init__(name)
-        self.in_ = self._in("in_", in_)
-
-    def _run(self):
-        while True:
-            token = yield from self._get(self.in_)
-            yield True
-            if is_done(token):
-                return
-
-
-class Slicer(Block):
-    """Scalar-only source pushing its tokens in slices, idling between.
-
-    It has no timed hook, so every engine steps its generator: the
-    block downstream sees windows that end wherever a slice does —
-    mid-fiber, between a coordinate and its references, after the stop.
-    """
-
-    def __init__(self, tokens, plan, out, name):
-        super().__init__(name)
-        self.tokens, self.plan = list(tokens), plan
-        self.out = self._out("out", out)
-
-    def _run(self):
-        pos = 0
-        for size, gap in self.plan:
-            for token in self.tokens[pos:pos + size]:
-                self.out.push(token)
-            pos += size
-            yield True
-            for _ in range(gap):
-                yield True
-        for token in self.tokens[pos:]:
-            self.out.push(token)
-        yield True
-
-
-def probes(outs):
-    """One :class:`Probe` behind each of *outs*."""
-    return [Probe(ch, f"probe_{ch.name}") for ch in outs]
-
-
-def woken(cls):
-    """*cls* as a block the timed engines keep current every cycle.
-
-    For a block under test with no output to put a :class:`Probe`
-    behind (writers, sinks): the engines bring a block that declares it
-    may leave the timed plane, and everything timed upstream of it,
-    current every cycle — the test-only subclass declares just that."""
-    return type(cls.__name__, (cls,), {"timed_may_bail": True})
-
-
-@contextmanager
-def window_log():
-    """``(noted, taken)`` counters by channel name while a timed engine
-    runs: the cycles in which a generator's pushes were noted for a
-    timed reader, and the non-empty stamped windows handed to one."""
-    noted, taken = Counter(), Counter()
-    real_note, real_take = Channel.note_pushes, Channel.timed_take
-
-    def note(channel, stamp, kind):
-        noted[channel.name] += 1
-        return real_note(channel, stamp, kind)
-
-    def take(channel):
-        window = real_take(channel)
-        taken[channel.name] += bool(window)
-        return window
-
-    Channel.note_pushes, Channel.timed_take = note, take
-    try:
-        yield noted, taken
-    finally:
-        Channel.note_pushes, Channel.timed_take = real_note, real_take
-
-
-def assert_windows_sliced(log, source, reader=None, pushes=None):
-    """Each cycle's pushes on the channel named *source* made a window
-    of their own on *reader* (default: the same channel; another one
-    when a timed block sits in between): the delivery still cuts the
-    windows of the block under test, wall-clock-free.  *pushes* is how
-    many of them the reader lives to see, when a ``D`` ends it early."""
-    noted, taken = log
-    if pushes is None:
-        pushes = noted[source]
-    assert noted[source] >= pushes > 0, (source, noted)
-    assert taken[reader or source] >= pushes, (source, pushes, taken)
-
-
-#: how the RepeatSigGen -> Repeater pair is wired: straight, with a
-#: recorded or a prefilled signal link, fed one token per cycle through
-#: a scalar relay on either input, or fed both inputs in slices (a
-#: scalar probe behind the output then keeps the repeater's windows as
-#: short as its input's).
-WIRINGS = ("plain", "recorded-signal", "prefilled-signal",
-           "relay-driver", "relay-refs", "sliced")
-
-
-def pipeline(crd_tokens, ref_tokens, wiring="plain", prefill=0):
-    """``(blocks, recorded output channel)`` of one repeater pipeline.
-
-    *prefill* is how many leading repeat signals already sit on the
-    signal link when a ``prefilled-signal`` run starts (the driver
-    feeder plays the rest), and seeds the slices of a ``sliced`` one:
-    1-5 tokens 1-4 cycles apart on either input, so windows end
-    anywhere — an elevated stop's fold included.
-    """
-    crd = Channel("crd")
-    ref = Channel("ref", kind="ref")
-    sig = Channel("sig", kind="repsig", record=wiring == "recorded-signal")
-    out = Channel("out", kind="ref", record=True)
-    crd_tokens, ref_tokens = list(crd_tokens), list(ref_tokens)
-    blocks = []
-    if wiring == "prefilled-signal":
-        prefill = min(prefill, len(crd_tokens) - 1)
-        for token in crd_tokens[:prefill]:
-            sig.push(REPEAT if is_data(token) else token)
-        crd_tokens = crd_tokens[prefill:]
-    crd_in, ref_in = crd, ref
-    if wiring == "relay-driver":
-        crd_in = Channel("crd_raw")
-        blocks.append(Relay(crd_in, crd, name="relay"))
-    elif wiring == "relay-refs":
-        ref_in = Channel("ref_raw", kind="ref")
-        blocks.append(Relay(ref_in, ref, name="relay"))
-    if wiring == "sliced":
-        rng = random.Random(prefill)
-        blocks += [
-            Slicer(tokens, [(rng.randint(1, 5), rng.randint(0, 3))
-                            for _ in tokens[::3]], channel, name)
-            for tokens, channel, name in ((crd_tokens, crd, "fc"),
-                                          (ref_tokens, ref, "fr"))
-        ]
-    else:
-        blocks += [
-            StreamFeeder(crd_tokens, crd_in, name="fc"),
-            StreamFeeder(ref_tokens, ref_in, name="fr"),
-        ]
-    blocks += [
-        RepeatSigGen(crd, sig, name="repeat.sig"),
-        Repeater(ref, sig, out, name="repeat"),
-    ]
-    if wiring.startswith("relay") or wiring == "sliced":
-        blocks += probes([out])
-    return blocks, out
 
 
 def repeat(crd_tokens, ref_tokens):
-    blocks, out = pipeline(crd_tokens, ref_tokens)
-    run_blocks(blocks)
+    """The repeated references of one ``RepeatSigGen`` -> ``Repeater``
+    pair: *ref_tokens* repeated over the driving *crd_tokens*."""
+    crd, ref = Channel("crd"), Channel("ref", kind="ref")
+    sig = Channel("sig", kind="repsig")
+    out = Channel("out", kind="ref", record=True)
+    run_blocks([
+        StreamFeeder(list(crd_tokens), crd, name="fc"),
+        StreamFeeder(list(ref_tokens), ref, name="fr"),
+        RepeatSigGen(crd, sig, name="repeat.sig"),
+        Repeater(ref, sig, out, name="repeat"),
+    ])
     return list(out.history)
 
 
@@ -271,150 +82,3 @@ class TestProtocolErrors:
     def test_done_mismatch_detected(self):
         with pytest.raises((BlockError, DeadlockError)):
             repeat([DONE], [1, Stop(0), DONE])
-
-
-#: supergroups -> groups -> references as (is N, driving-fiber length)
-repeat_shapes = st.lists(
-    st.lists(
-        st.lists(st.tuples(st.booleans(), st.integers(0, 6)), max_size=3),
-        min_size=1, max_size=3,
-    ),
-    min_size=1, max_size=3,
-)
-
-
-def protocol_streams(shape):
-    """A (driver, reference) pair obeying the repeat protocol.
-
-    One driving fiber per reference, closed by ``S0`` — or by an
-    elevated stop when it also closes its group (``S1``) or its
-    supergroup (``S2``), which the reference stream mirrors one level
-    down.  Empty groups, empty driving fibers and ``N`` references all
-    occur.
-    """
-    drv, refs = [], []
-    for supergroup in shape:
-        for gi, group in enumerate(supergroup):
-            up = 1 if gi == len(supergroup) - 1 else 0
-            for j, (empty, length) in enumerate(group):
-                refs.append(EMPTY if empty else float(len(refs)))
-                drv.extend(range(length))
-                drv.append(Stop(up + 1) if j == len(group) - 1 else Stop(0))
-            if not group:
-                drv.append(Stop(up + 1))
-            refs.append(Stop(up))
-    return drv + [DONE], refs + [DONE]
-
-
-class TestTimedDrainUnfused:
-    """The vectorised ``Repeater.drain_timed`` is the block's only timed
-    drain, under timed-batch and compiled alike (repeaters carry no fuse
-    role).  Every wiring must reproduce the cycle engine's full
-    report."""
-
-    @pytest.mark.parametrize("wiring", WIRINGS)
-    @settings(max_examples=40, deadline=None)
-    @given(shape=repeat_shapes, prefill=st.integers(1, 12))
-    @example(shape=[[[(False, 0)]]], prefill=2)
-    def test_full_report_identity(self, wiring, shape, prefill):
-        drv, refs = protocol_streams(shape)
-        runs = {}
-        for backend in ("cycle",) + TIMED:
-            blocks, out = pipeline(drv, refs, wiring, prefill)
-            with window_log() as log:
-                report = run_blocks(blocks, backend=backend)
-            runs[backend] = (
-                report.cycles,
-                report.block_activity(),
-                graph_token_counts(blocks),
-                list(out.history),
-            )
-            if backend != "cycle" and wiring == "relay-driver":
-                assert_windows_sliced(log, "crd", "sig")
-            if backend != "cycle" and wiring == "relay-refs":
-                assert_windows_sliced(log, "ref")
-            if backend != "cycle" and wiring == "sliced":
-                assert_windows_sliced(log, "crd", "sig")
-                assert_windows_sliced(log, "ref")
-        for backend in TIMED:
-            assert runs[backend] == runs["cycle"], backend
-        assert report.fusion["kinds"] == {}
-        assert report.fusion["fallbacks"] == 0
-
-    def test_elevated_stop_leaves_before_its_fold(self):
-        # The empty driving fiber's S2 arrives a slice ahead of the
-        # reference S1 it folds.  The generator pushes S2 at its own
-        # event and pops the fold after it, so a reader behind the
-        # repeater sees S2 before the fold has arrived — on every engine.
-        drv, refs = protocol_streams([[[(False, 0)]]])
-        assert (drv, refs) == ([Stop(2), DONE], [0.0, Stop(1), DONE])
-        runs = {}
-        for backend in BACKENDS:
-            blocks, out = pipeline(drv, refs, "sliced", prefill=2)
-            report = run_blocks(blocks, backend=backend)
-            runs[backend] = (report.cycles, report.block_activity(),
-                             list(out.history))
-        for backend, got in runs.items():
-            if issubclass(BACKENDS[backend], FunctionalEngine):
-                assert got[2] == runs["cycle"][2], backend
-            else:
-                assert got == runs["cycle"], backend
-        assert runs["cycle"][0] == 4
-
-
-#: three clean driving fibers, so a defect can sit behind a window
-CLEAN = ([0, 1, Stop(0), 2, Stop(1), 3, Stop(1)], [10, 11, Stop(0), 12, Stop(0)])
-ERRORS = {
-    "repeat: driver stream ended mid-fiber (D)":
-        ([5, DONE], [1, Stop(0), DONE]),
-    "repeat: reference stop S0 expects driver stop S1, got 'R'":
-        ([5, Stop(1), DONE], [Stop(0), DONE]),
-    "repeat: reference stop S0 expects driver stop S1, got S0":
-        ([Stop(0), DONE], [Stop(0), DONE]),
-    "repeat: reference stop S1 expects driver stop S2, got D":
-        ([DONE], [Stop(1), DONE]),
-    "repeat: driver stop S1 expects reference stop S0, got 2":
-        ([5, Stop(1), 6, Stop(1), DONE], [1, 2, Stop(0), DONE]),
-    "repeat: driver stop S2 expects reference stop S1, got S0":
-        ([5, Stop(2), DONE], [1, Stop(0), DONE]),
-    "repeat: driver stop S1 expects reference stop S0, got D":
-        ([Stop(1), DONE], [1, DONE]),
-    "repeat: driver stream out of sync at D ('R')":
-        ([5, Stop(0), DONE], [DONE]),
-    "repeat: driver stream out of sync at D (S0)":
-        ([Stop(0), DONE], [DONE]),
-}
-
-
-class TestProtocolErrorTable:
-    """Both definitions raise through the same checks: one message per
-    defect on every engine, wherever in a window it sits."""
-
-    @pytest.mark.parametrize(
-        "wiring", ("plain", "relay-driver", "relay-refs", "sliced"))
-    @pytest.mark.parametrize("clean", (0, 1, 3), ids="after{}".format)
-    @pytest.mark.parametrize("message", ERRORS)
-    def test_one_message_on_every_engine(self, message, clean, wiring):
-        drv, refs = ERRORS[message]
-        for backend in BACKENDS:
-            blocks, _ = pipeline(
-                CLEAN[0] * clean + drv, CLEAN[1] * clean + refs, wiring
-            )
-            with pytest.raises(BlockError) as caught:
-                run_blocks(blocks, backend=backend)
-            assert str(caught.value) == message, backend
-
-    def test_s0_closed_fiber_in_front_of_a_bare_stop(self):
-        # not a stream the paper draws, but one the generator accepts:
-        # the driving fiber closes S0, so the reference stop behind its
-        # owner is bare and pairs with the empty S1
-        drv = [4, Stop(0), Stop(1), 5, Stop(1), DONE]
-        refs = [7, Stop(0), 8, Stop(0), DONE]
-        for wiring in WIRINGS:
-            runs = set()
-            for backend in ("cycle",) + TIMED:
-                blocks, out = pipeline(drv, refs, wiring, prefill=2)
-                report = run_blocks(blocks, backend=backend)
-                assert list(out.history) == [7, Stop(0), Stop(1), 8, Stop(1), DONE]
-                runs.add((report.cycles, repr(report.block_activity())))
-            assert len(runs) == 1, wiring

@@ -11,7 +11,7 @@ These test the *semantic* contracts the paper's block definitions imply:
 
 from typing import List
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.blocks import Intersect, MergeSide, StreamFeeder, Union, make_scanner
@@ -44,21 +44,18 @@ def run_merge(cls, a_coords: List[int], b_coords: List[int]):
     return data, list(oa.history), list(ob.history)
 
 
-@settings(max_examples=60, deadline=None)
 @given(coord_sets, coord_sets)
 def test_intersect_is_set_intersection(a, b):
     data, _, _ = run_merge(Intersect, a, b)
     assert data == sorted(set(a) & set(b))
 
 
-@settings(max_examples=60, deadline=None)
 @given(coord_sets, coord_sets)
 def test_union_is_set_union(a, b):
     data, _, _ = run_merge(Union, a, b)
     assert data == sorted(set(a) | set(b))
 
 
-@settings(max_examples=40, deadline=None)
 @given(coord_sets, coord_sets)
 def test_intersect_subset_of_union(a, b):
     isect, _, _ = run_merge(Intersect, a, b)
@@ -66,7 +63,6 @@ def test_intersect_subset_of_union(a, b):
     assert set(isect) <= set(union)
 
 
-@settings(max_examples=40, deadline=None)
 @given(coord_sets)
 def test_merge_with_self_is_identity(a):
     isect, ra, rb = run_merge(Intersect, a, a)
@@ -77,7 +73,6 @@ def test_merge_with_self_is_identity(a):
     assert [t for t in ra if isinstance(t, int)] == list(range(len(a)))
 
 
-@settings(max_examples=40, deadline=None)
 @given(st.lists(coord_sets, min_size=1, max_size=4))
 def test_scanner_mirrors_level_contents(fibers):
     level = CompressedLevel.from_fibers(fibers)
@@ -104,7 +99,6 @@ def test_scanner_mirrors_level_contents(fibers):
         assert got == expected or (not got and not expected)
 
 
-@settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 20), min_size=0, max_size=6),
                 min_size=1, max_size=5))
 def test_scanner_token_count_conservation(fibers):

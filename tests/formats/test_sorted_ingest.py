@@ -11,12 +11,10 @@ reference, and compare every stored array as bytes.  The guards count
 """
 
 import itertools
-import os
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -26,8 +24,7 @@ from repro.formats.tensor import FORMAT_NAMES, _rows_ascend
 from repro.lang import compile_expression
 from repro.studies.table1 import ENTRIES, _random_inputs
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
-from numpy_counters import lexsort_callers  # noqa: E402
+from numpy_counters import lexsort_callers
 
 INGEST = "repro.formats.tensor"
 
@@ -82,7 +79,6 @@ def coo_cases(draw, order):
 
 
 @pytest.mark.parametrize("mode_order", MODE_ORDERS, ids=str)
-@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_sorted_shuffled_and_reference_agree_bit_for_bit(mode_order, data):
     shape, coords, values, formats, keep_zeros, seed = data.draw(
@@ -116,7 +112,6 @@ def test_sorted_shuffled_and_reference_agree_bit_for_bit(mode_order, data):
     assert tree_bytes(from_shuffled) == tree_bytes(reference)
 
 
-@settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 3).flatmap(
         lambda width: st.lists(

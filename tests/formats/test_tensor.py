@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.formats import FiberTensor, scalar_tensor
@@ -266,14 +266,12 @@ format_choices = st.sampled_from(
 orders = st.sampled_from([(0, 1), (1, 0)])
 
 
-@settings(max_examples=40, deadline=None)
 @given(matrices, format_choices, orders)
 def test_property_round_trip(dense, formats, mode_order):
     tensor = FiberTensor.from_numpy(dense, formats=formats, mode_order=mode_order)
     assert np.allclose(tensor.to_numpy(), dense)
 
 
-@settings(max_examples=25, deadline=None)
 @given(
     st.lists(
         st.tuples(st.integers(0, 3), st.integers(0, 3), st.floats(0.1, 2.0)),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.data.synthetic import random_sparse_matrix, runs_vectors, urandom_vector
@@ -28,7 +28,6 @@ class TestSpmvScatter:
         source = inspect.getsource(spmv.spmv_scatter)
         assert "Reducer" not in source
 
-    @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 1000), density=st.sampled_from([0.0, 0.2, 0.8]))
     def test_property_fuzz(self, seed, density):
         rng = np.random.default_rng(seed)

@@ -3,7 +3,7 @@ property-based random-data fuzzing against numpy references."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.lang import LoweringError, compile_expression
@@ -187,7 +187,6 @@ EXPRESSIONS = [
 ]
 
 
-@settings(max_examples=20, deadline=None)
 @given(
     case=st.sampled_from(EXPRESSIONS),
     seed=st.integers(0, 10_000),

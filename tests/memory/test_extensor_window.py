@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from scipy import sparse
 
 from repro.data.synthetic import extensor_matrix
@@ -180,7 +180,6 @@ def _cases(draw):
 
 
 class TestAgainstPerPairReference:
-    @settings(max_examples=300, deadline=None)
     @given(_cases())
     def test_every_field_equal(self, case):
         _check(*case)

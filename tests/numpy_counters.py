@@ -1,8 +1,9 @@
 """Wall-clock-free guards: count the numpy calls a code path makes.
 
 A test that must not regress in speed asserts *which* calls a run
-makes, not how long it takes.  Test modules outside this directory put
-it on ``sys.path`` first, as they do for the other shared helpers.
+makes, not how long it takes.  ``tests/conftest.py`` puts this
+directory on ``sys.path``: import it as ``from numpy_counters import
+...``.
 """
 
 import sys

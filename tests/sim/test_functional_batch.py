@@ -10,16 +10,11 @@ bit, which is why the windowed reducers go out of their way to
 accumulate in the same order as the generators.
 """
 
-import importlib
-import inspect
-import pkgutil
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-import repro.blocks
 import repro.streams
 from repro.blocks import Block, Fanout, ScalarALU, Sink, StreamFeeder
 from repro.data import DatasetRegistry
@@ -40,6 +35,8 @@ from repro.lang import compile_expression
 from repro.sim import BACKENDS, DeadlockError, graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, Stop
 from repro.streams.token import is_done
+
+from blockkit import block_classes
 
 B = random_sparse_matrix(20, 24, 0.2, seed=1)
 C = random_sparse_matrix(24, 18, 0.2, seed=2)
@@ -315,7 +312,6 @@ def mixed_pipeline(fibers, stages, cap_link, prefill_link, prefill, tuple_at,
 class TestMixedPlaneDifferential:
     """Hazards at random positions of a timed-capable pipeline."""
 
-    @settings(max_examples=150, deadline=None)
     @given(
         fibers=fiber_streams,
         stages=st.lists(st.sampled_from(["fanout", "scale", "relay"]),
@@ -352,19 +348,11 @@ class TestMixedPlaneDifferential:
         assert all(repr(b.name) in stuck for b in blocks[1:])
 
 
-def _block_classes():
-    for info in pkgutil.iter_modules(repro.blocks.__path__):
-        module = importlib.import_module(f"repro.blocks.{info.name}")
-        for _, cls in inspect.getmembers(module, inspect.isclass):
-            if issubclass(cls, Block) and cls.__module__ == module.__name__:
-                yield cls
-
-
 class TestOneFastOneReferenceDefinition:
     """The two deleted encodings stay deleted."""
 
     def test_no_block_has_a_batched_drain_or_overrides_drain(self):
-        classes = list(_block_classes())
+        classes = list(block_classes())
         assert len(classes) > 30
         for cls in classes:
             assert not hasattr(cls, "drain_batch"), cls

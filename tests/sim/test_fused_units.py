@@ -21,7 +21,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.blocks
@@ -45,12 +45,10 @@ from repro.graph.builder import capture_runs
 from repro.sim import graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "blocks"))
+from blockkit import TIMED, Slicer, assert_windows_sliced, fed, window_log, woken
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "graph"))
 from _goldenlib import kernel_cases  # noqa: E402
-from test_repeat import (  # noqa: E402
-    TIMED, Relay, Slicer, assert_windows_sliced, window_log, woken,
-)
 
 
 def _full_report(blocks, backend):
@@ -88,16 +86,6 @@ def _assert_identity(build, kind, unrelayed, relayed=()):
         assert fusion["fallbacks"] == 0
 
 
-def _feed(tokens, channel, name, relay, blocks):
-    """Play *tokens* onto *channel*, whole or one per cycle via a Relay."""
-    if relay:
-        raw = Channel(f"{name}_raw", kind=channel.kind)
-        blocks.append(StreamFeeder(tokens, raw, name=name))
-        blocks.append(Relay(raw, channel, name=f"{name}_relay"))
-    else:
-        blocks.append(StreamFeeder(tokens, channel, name=name))
-
-
 # -- scanner -> locator ----------------------------------------------------
 
 UNIVERSE = 12
@@ -125,7 +113,6 @@ def scan_locate_case(draw):
 class TestScanLocateUnit:
     @pytest.mark.parametrize("relay", [False, True], ids=["whole", "relayed"])
     @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "rev"])
-    @settings(max_examples=60, deadline=None)
     @given(case=scan_locate_case())
     def test_full_report_identity(self, relay, reverse, case):
         scanned, target, refs = case
@@ -136,7 +123,7 @@ class TestScanLocateUnit:
             outs = [Channel("o_crd"), Channel("o_found", kind="ref"),
                     Channel("o_in", kind="ref")]
             blocks = []
-            _feed(list(refs), in_ref, "feed", relay, blocks)
+            blocks += fed(refs, in_ref, "feed", relay)
             blocks.append(make_scanner(CompressedLevel.from_fibers(scanned),
                                        in_ref, crd, ref, name="scan"))
             blocks.append(Locator(CompressedLevel.from_fibers([target]),
@@ -183,7 +170,6 @@ class TestScannerWindow:
     second piece a few cycles later), alone or fused as ``scan-locate``."""
 
     @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "scan-locate"])
-    @settings(max_examples=40, deadline=None)
     @given(case=scanner_case())
     def test_full_report_identity_at_every_cut(self, fused, case):
         level, refs, target, gap, reverse = case
@@ -247,7 +233,6 @@ class TestChainUnit:
     @pytest.mark.parametrize("relay", ["whole", "relay-both", "relay-a"])
     @pytest.mark.parametrize("head", ["zip", "map"])
     @pytest.mark.parametrize("tail", TAILS)
-    @settings(max_examples=25, deadline=None)
     @given(case=chain_case())
     def test_full_report_identity(self, tail, head, relay, case):
         memory, refs, const = case
@@ -264,9 +249,8 @@ class TestChainUnit:
             for k in range(2 if head == "zip" else 1):
                 in_ref = Channel(f"ref{k}", kind="ref")
                 val = Channel(f"val{k}", kind="vals")
-                _feed(list(refs[k]), in_ref, f"feed{k}",
-                      relay == "relay-both" or (relay == "relay-a" and k == 0),
-                      blocks)
+                blocks += fed(refs[k], in_ref, f"feed{k}",
+                              relay == "relay-both" or (relay == "relay-a" and k == 0))
                 blocks.append(ArrayLoad(memory[k], in_ref, val, name=f"load{k}"))
                 loaded.append(val)
             cur = loaded[0]

@@ -22,16 +22,14 @@ somebody reads them.  Four things are pinned here, all wall-clock-free:
 
 import dataclasses
 import inspect
-import os
 import random
 import re
-import sys
 from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.blocks import (
@@ -55,18 +53,12 @@ from repro.graph.builder import capture_runs
 from repro.kernels import outerspace_spmm
 from repro.kernels.elementwise import CONFIGS, vecmul
 from repro.lang import compile_expression
-from repro.sim import BACKENDS, FunctionalEngine, graph_token_counts, run_blocks
+from repro.sim import BACKENDS, graph_token_counts, run_blocks
 from repro.sim.backends import compiled, timed_batch
 from repro.streams import Channel, DONE, EMPTY, Stop
 from repro.studies.table1 import ENTRIES, _random_inputs
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "blocks"))
-from test_functional_batch import _block_classes as block_classes  # noqa: E402
-from test_repeat import TIMED, Relay, Slicer  # noqa: E402
-
-UNTIMED = tuple(
-    name for name, engine in BACKENDS.items() if issubclass(engine, FunctionalEngine)
-)
+from blockkit import TIMED, UNTIMED, Relay, Slicer, block_classes, fed
 
 
 # -- (a) visits are scale-free ---------------------------------------------------
@@ -179,13 +171,6 @@ def assert_every_engine_matches_cycle(build):
     return want
 
 
-def relayed(tokens, channel, name):
-    """*tokens* onto *channel* one a cycle, through a scalar ``Relay``."""
-    raw = Channel(f"{name}_raw", kind=channel.kind)
-    return [StreamFeeder(list(tokens), raw, name=name),
-            Relay(raw, channel, f"{name}_relay")]
-
-
 #: the cycle by which the drills' late token has not yet arrived
 LATE = 20
 
@@ -218,7 +203,7 @@ class TestLateUnbatchableToken:
             left = [float(k) for k in range(LATE + 4)] + [Stop(0), DONE]
             left[LATE + 1] = (3, 4)
             right = list(range(LATE + 4)) + [Stop(0), DONE]
-            return relayed(left, a, "fa") + [
+            return fed(left, a, "fa", relay=True) + [
                 StreamFeeder(right, b, name="fb"),
                 ALU("mul", a, b, out, name="alu"), Sink(out, name="sink"),
             ]
@@ -238,7 +223,7 @@ class TestLateUnbatchableToken:
             driver = [t for k in refs for t in (k, k, Stop(0))]
             driver[-1] = Stop(1)
             refs[LATE] = (3, 4)
-            return relayed(refs + [Stop(0), DONE], ref, "fr") + [
+            return fed(refs + [Stop(0), DONE], ref, "fr", relay=True) + [
                 StreamFeeder(driver + [DONE], crd, name="fc"),
                 RepeatSigGen(crd, sig, name="siggen"),
                 Repeater(ref, sig, out, name="repeat"), Sink(out, name="sink"),
@@ -254,7 +239,7 @@ class TestLateUnbatchableToken:
         def build():
             crd = Channel("crd")
             tokens = [t for k in range(LATE) for t in (k, Stop(0))]
-            return relayed(tokens + [(3, 4), Stop(0), DONE], crd, "fc") + [
+            return fed(tokens + [(3, 4), Stop(0), DONE], crd, "fc", relay=True) + [
                 CompressedLevelWriter(crd, name="wr"),
             ]
 
@@ -321,7 +306,8 @@ class TestLateDirtyChunk:
             b_refs = list(b)
             b_refs[b.index(97)] = EMPTY
             return (
-                relayed(a + [DONE], ca, "fca") + relayed(a + [DONE], ra, "fra")
+                fed(a + [DONE], ca, "fca", relay=True)
+                + fed(a + [DONE], ra, "fra", relay=True)
                 + [StreamFeeder(b + [DONE], cb, name="fcb"),
                    StreamFeeder(b_refs + [DONE], rb, name="frb"),
                    cls([MergeSide(ca, [ra]), MergeSide(cb, [rb])],
@@ -339,7 +325,7 @@ class TestLateDirtyChunk:
             in_ = Channel("in")
             lanes = [Channel(f"lane{i}") for i in range(2)]
             tokens = [t for k in range(LATE) for t in (k, Stop(0))]
-            return relayed(tokens + [EMPTY, 9, Stop(0), DONE], in_, "feed") + [
+            return fed(tokens + [EMPTY, 9, Stop(0), DONE], in_, "feed", relay=True) + [
                 Parallelizer(in_, lanes, name="par"),
                 CompressedLevelWriter(lanes[0], name="wr"),
                 Sink(lanes[1], name="sink"),
@@ -461,7 +447,6 @@ def spliced(wire, picks, prefill):
 
 class TestSplicedGenerators:
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
-    @settings(max_examples=12, deadline=None)
     @given(picks=st.lists(st.integers(0, 999), max_size=4),
            prefill=st.integers(0, 2))
     def test_report_or_error_is_cycle_s(self, graph, picks, prefill):
@@ -486,7 +471,7 @@ class TestSplicedGenerators:
         # on the same blocks after the same number of cycles
         def build():
             a, b = Channel("a"), Channel("b")
-            return relayed([1, 2, Stop(0)], a, "feed") + [
+            return fed([1, 2, Stop(0)], a, "feed", relay=True) + [
                 Fanout(a, [b], name="fan"), Sink(b, name="sink"),
             ]
 
@@ -543,8 +528,8 @@ def test_one_path_from_a_push_to_the_stamped_plane():
         return real(channel, stamp)
 
     a, b = Channel("a"), Channel("b")
-    blocks = relayed(tokens, a, "feed") + [Fanout(a, [b], name="fan"),
-                                           Sink(b, name="sink")]
+    blocks = fed(tokens, a, "feed", relay=True) + [
+        Fanout(a, [b], name="fan"), Sink(b, name="sink")]
     Channel.stamp_queue = stamp_queue
     try:
         run_blocks(blocks, backend="timed-batch")

@@ -8,19 +8,17 @@ single events); ``ValueDropper`` walking its two same-level streams one
 fiber at a time was a tenth of a ``table1_mix`` op (one run popped per
 output fiber).  ``ALU``, ``Locator`` and ``ScatterValsWriter`` read
 their windows the same way (one pairing per window), with no run loop
-left to fall back to.  Counting calls pins the window form without a
-clock: on the Gamma and OuterSPACE graphs, the twelve Table-1 programs,
-the scatter form of SpMV, a bound graph with a target-fed locator and an
-ALU behind phantom zeros under ``compiled``, every such block that is
-not fused schedules at most once per visit (+ 1), accounts at most two
-single events per visit, never bails — and the reports are still
-``cycle``'s.  On Gamma the merge sorts nothing, the epoch advance builds
-no ramp of its own, and the result tensor is built on the writers'
-arrays.
+left to fall back to; the two-sided ``Intersect`` and every ``Union``
+merge a window of fiber pairs at once.  Counting calls pins the window
+form without a clock: on the Gamma and OuterSPACE graphs, the twelve
+Table-1 programs, the scatter form of SpMV, a bound graph with a
+target-fed locator and an ALU behind phantom zeros under ``compiled``,
+every such block that is not fused schedules at most once per visit
+(+ 1), accounts at most two single events per visit, never bails — and
+the reports are still ``cycle``'s.  On Gamma the merge sorts nothing,
+the epoch advance builds no ramp of its own, and the result tensor is
+built on the writers' arrays.
 """
-
-import os
-import sys
 
 import numpy as np
 import pytest
@@ -30,10 +28,12 @@ from repro.blocks import (
     Block,
     CoordDropper,
     InterleaveSerializer,
+    Intersect,
     Locator,
     Repeater,
     ScatterValsWriter,
     StreamFeeder,
+    Union,
     ValsWriter,
     ValueDropper,
     VectorReducer,
@@ -49,6 +49,7 @@ from repro.graph.ir import SamGraph
 from repro.kernels import gamma as gamma_module
 from repro.kernels.gamma import gamma_spmm
 from repro.kernels.outerspace import outerspace_spmm
+from repro.kernels.spmm import spmm_program
 from repro.kernels.spmv import spmv_scatter
 from repro.lang import compile_expression
 from repro.sim.backends.compiled import CompiledEngine
@@ -56,11 +57,11 @@ from repro.streams import DONE, EMPTY, Stop
 from repro.streams import timing
 from repro.studies.table1 import ENTRIES, _random_inputs
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
-from numpy_counters import lexsort_callers, numpy_calls  # noqa: E402
+from blockkit import TIMED
+from numpy_counters import lexsort_callers, numpy_calls
 
 WINDOW_BLOCKS = (VectorReducer, Repeater, CoordDropper, InterleaveSerializer,
-                 ValueDropper, ALU, Locator, ScatterValsWriter)
+                 ValueDropper, ALU, Locator, ScatterValsWriter, Intersect, Union)
 
 
 def run_kernel(kernel):
@@ -195,7 +196,7 @@ def test_window_blocks_take_whole_windows(run, monkeypatch):
         got = run("compiled")
 
     present = {b.name for blocks, _ in capture.runs for b in blocks
-               if isinstance(b, WINDOW_BLOCKS)}
+               if isinstance(b, WINDOW_BLOCKS) and b.timed_capable()}
     assert set(counts.visits) == present - counts.fused()
     for name, visits in counts.visits.items():
         advances, events = counts.advances.get(name, 0), counts.events.get(name, 0)
@@ -207,6 +208,37 @@ def test_window_blocks_take_whole_windows(run, monkeypatch):
     for (_, report), (_, reference) in zip(capture.runs, oracle.runs):
         assert report.cycles == reference.cycles
         assert report.block_activity() == reference.block_activity()
+
+
+def run_spmm_ijk(backend):
+    """~1 600 (i, j) fiber pairs reach the k-level intersecter."""
+    B, C = (np.asarray(random_sparse_matrix(40, 40, 0.08, seed=s), float) for s in (42, 43))
+    return spmm_program("ijk").run({"B": B, "C": C}, backend=backend).to_numpy()
+
+
+def run_mm_add(backend):
+    rng = np.random.default_rng(5)
+    operands = {name: rng.random((9, 11)) * (rng.random((9, 11)) < 0.45) for name in "BC"}
+    prog = compile_expression("X(i,j) = B(i,j) + C(i,j)")
+    return prog.run(operands, backend=backend).to_numpy()
+
+
+@pytest.mark.parametrize("backend", TIMED)
+@pytest.mark.parametrize("run", [run_spmm_ijk, run_mm_add], ids=["spmm_ijk", "mm_add"])
+def test_mergers_advance_at_most_once_a_visit(run, backend, monkeypatch):
+    """The merge-bound graphs on both timed engines: a merger's epoch
+    advances never outnumber its visits, so per-fiber stepping cannot
+    come back."""
+    counts = Counts(monkeypatch)
+    with capture_runs() as capture:
+        run(backend)
+    mergers = {b.name for blocks, _ in capture.runs for b in blocks
+               if isinstance(b, (Intersect, Union))}
+    advanced = mergers & set(counts.advances)
+    assert advanced, backend
+    for name in advanced:
+        assert counts.advances[name] <= counts.visits[name], (
+            backend, name, counts.advances[name], counts.visits[name])
 
 
 def test_gamma_op_schedules_per_visit(monkeypatch):

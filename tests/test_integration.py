@@ -8,7 +8,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.lang import compile_expression
@@ -119,7 +119,6 @@ class TestSingleElementAndDegenerate:
             assert np.allclose(prog.run({"B": B, "c": c}).to_numpy(), B @ c)
 
 
-@settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     order=st.sampled_from(["ijk", "ikj", "kij", "jki"]),
@@ -134,7 +133,6 @@ def test_property_spmm_orders_fuzz(seed, order, density):
     assert np.allclose(run_spmm(B, C, order).to_numpy(), B @ C)
 
 
-@settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000), lanes=st.integers(1, 6))
 def test_property_gamma_lanes_fuzz(seed, lanes):
     from repro.kernels.gamma import gamma_spmm
@@ -145,7 +143,6 @@ def test_property_gamma_lanes_fuzz(seed, lanes):
     assert np.allclose(gamma_spmm(B, C, lanes=lanes).output, B @ C)
 
 
-@settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000), tile=st.sampled_from([3, 4, 8]))
 def test_property_tiled_spmm_fuzz(seed, tile):
     from repro.memory import tiled_spmm

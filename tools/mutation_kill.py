@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Mutation-kill check: the block differential must reject known-wrong hooks.
+
+Each entry of :data:`MUTATIONS` is one exact ``(file, old text, new
+text)`` edit of ``src/`` that makes a window hook wrong — a gate
+dropped, a pick swapped, a check skipped.  For each one the check copies
+``src/`` into a temporary directory, applies the edit there, and runs
+the tests against the copy; a mutation *survives* when they pass.  The
+check fails (exit 1) if any mutation survives, or if an edit's old text
+does not occur exactly once (the source moved on: update the entry).
+
+Usage::
+
+    python tools/mutation_kill.py
+
+It mutates this checkout's ``src/`` and runs
+``tests/blocks/test_window_blocks.py``.  Every mutation costs one pytest
+run that stops at its first failure.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = "tests/blocks/test_window_blocks.py"
+#: seconds one mutation's test run may take (a hang counts as killed)
+TIMEOUT = 900
+
+
+class Mutation(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+
+
+MUTATIONS = (
+    # -- the mergers and the vector reducer
+    Mutation("merge gate without np.maximum", "repro/blocks/merge.py",
+             "gate[at] = np.maximum(gate[at], arr[1:]) if n else arr[1:]",
+             "gate[at] = arr[1:]"),
+    Mutation("reducer key without its offset", "repro/blocks/reduce.py",
+             "key = (region[a:b] - first) * span + (key - lo)",
+             "key = (region[a:b] - first) * span + key"),
+    Mutation("reducer without the window_capacity split", "repro/blocks/reduce.py",
+             "per = max(window_capacity(span), 1)",
+             "per = len(sizes)"),
+    # -- the value dropper
+    Mutation("value dropper without open pairs", "repro/blocks/drop.py",
+             "crd, val = common_front([front_stream(w) for w in windows])",
+             "crd, val = (v.head(len(v.codes)) for v in\n"
+             "                    common_front([front_stream(w) for w in windows]))"),
+    Mutation("value dropper without the coordinate gate on pairs",
+             "repro/blocks/drop.py",
+             "arrivals[on_value] = np.maximum(crd.sdata, val.sdata)",
+             "arrivals[on_value] = val.sdata"),
+    Mutation("value dropper without the coordinate gate on terminators",
+             "repro/blocks/drop.py",
+             "arrivals[ends] = np.maximum(crd.scodes, val.scodes)",
+             "arrivals[ends] = val.scodes"),
+    Mutation("value dropper without the coordinate gate on the first phantom",
+             "repro/blocks/drop.py",
+             "arrivals[first] = np.maximum(arrivals[first], crd.scodes)",
+             "pass"),
+    # -- ALU, locator, scatter writer
+    Mutation("ALU pick swapped", "repro/blocks/compute.py",
+             "_paired(a, pairing.crd_pick), _paired(b, pairing.pick)",
+             "_paired(a, pairing.pick), _paired(b, pairing.crd_pick)"),
+    Mutation("locator without the target gate", "repro/blocks/locate.py",
+             "arrivals[first] = np.maximum(arrivals[first], tstamps[lens > 0])",
+             "pass"),
+    Mutation("scatter writer scatters blanks", "repro/blocks/writer.py",
+             "keep[ref.blank] = False",
+             "pass"),
+    Mutation("no open pairs (same-level reads wait for the terminator)",
+             "repro/streams/timing.py",
+             "tail = min(int(v.lens[k]) if len(v.codes) > k else v.tail "
+             "for v in views)",
+             "tail = 0"),
+    Mutation("locator without its input check", "repro/blocks/locate.py",
+             "self._check_pair(*pair)",
+             "pass"),
+)
+
+
+def apply(src: Path, mutation: Mutation) -> None:
+    path = src / mutation.file
+    text = path.read_text()
+    count = text.count(mutation.old)
+    if count != 1:
+        raise SystemExit(f"{mutation.name}: old text found {count} times in "
+                         f"{mutation.file}")
+    path.write_text(text.replace(mutation.old, mutation.new))
+
+
+def run_tests(src: Path) -> str:
+    """The outcome of one pytest run against *src*: ``""`` when the tests
+    pass, else what failed first.  A run that ends in anything but
+    passed or failed tests (a collection error, no tests) is no verdict
+    on the mutation: it stops the check."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "-W", "ignore", TESTS],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT,
+        )
+    except subprocess.TimeoutExpired:
+        return f"no verdict within {TIMEOUT} s"
+    if result.returncode not in (0, 1):
+        raise SystemExit(f"pytest exited {result.returncode}:\n{result.stdout}")
+    return first_failure(result.stdout) if result.returncode else ""
+
+
+def first_failure(output: str) -> str:
+    for line in output.splitlines():
+        if line.startswith("FAILED"):
+            return line.split(" - ")[0]
+    return output.strip().splitlines()[-1]
+
+
+def main() -> int:
+    survivors = []
+    with tempfile.TemporaryDirectory() as temp:
+        src = Path(temp) / "src"
+        for mutation in MUTATIONS:
+            shutil.rmtree(src, ignore_errors=True)
+            shutil.copytree(ROOT / "src", src,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            apply(src, mutation)
+            failed = run_tests(src)
+            print(f"{'killed' if failed else 'ALIVE '}  {mutation.name}: "
+                  f"{failed or 'every test passed'}", flush=True)
+            if not failed:
+                survivors.append(mutation.name)
+    print(f"{len(MUTATIONS) - len(survivors)} of {len(MUTATIONS)} mutations killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
