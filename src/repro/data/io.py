@@ -1,14 +1,14 @@
 """Real-tensor ingestion: Matrix Market (.mtx) and FROSTT (.tns) readers.
 
 Both formats are line-oriented text.  The readers parse the header lines
-themselves and hand numpy the *path* of the file for the data body
-(``np.loadtxt`` with ``skiprows``: its chunked reader, no Python ``str``
-per line), so million-nnz operands load in seconds and feed straight
-into the vectorized
+themselves; no body is read one Python ``str`` per line, so million-nnz
+operands load in seconds and feed straight into the vectorized
 :meth:`~repro.formats.tensor.FiberTensor.from_coords` pipeline without a
-per-entry Python loop.  A Matrix Market coordinate body is read with
-typed columns (``int64 int64 float64``); a body that parse refuses is
-read again as all-float by the general reader
+per-entry Python loop.  A Matrix Market coordinate body whose bytes pass
+a strict grammar check (``int int [float]`` lines, compared byte by byte
+in numpy, no number converted) is parsed by scipy's C++ reader; any other
+body, and every ``.tns`` or ``array`` body, is read by the general
+reader, ``np.loadtxt`` over the file's path
 (:func:`_coordinate_entries` says why both stay).  Every parse failure
 is a ``ValueError`` naming the file and the 1-based entry or the size
 line.  The writers format a chunk of rows per ``%`` operation.
@@ -93,27 +93,21 @@ def _open_text(path: str):
     return open(path, "r", encoding="latin-1")
 
 
-def _loadtxt(path: str, comments: str, skiprows: int, dtype) -> np.ndarray:
-    """``np.loadtxt`` over the body of *path*, opened by numpy itself.
-
-    Given a path numpy decompresses ``.gz`` by extension and reads the
-    text in chunks; given an open handle it would iterate it one Python
-    ``str`` per line.  A structured *dtype* comes back as one record per
-    entry, a plain one as an ``(entries, columns)`` array.
-    """
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*no data.*")
-        return np.loadtxt(
-            path, dtype=dtype, comments=comments, skiprows=skiprows,
-            encoding="latin-1", ndmin=1 if np.dtype(dtype).names else 2,
-        )
-
-
 def _load_floats(path: str, comments: str, skiprows: int = 0) -> np.ndarray:
     """The general reader: the body of *path* as a 2-D float64 array
-    (possibly empty), any number of columns, any float spelling."""
+    (possibly empty), any number of columns, any float spelling.
+
+    ``np.loadtxt`` is given the path, not a handle: numpy then
+    decompresses ``.gz`` by extension and reads the text in chunks, where
+    a handle would be iterated one Python ``str`` per line.
+    """
     try:
-        return _loadtxt(path, comments, skiprows, np.float64)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*no data.*")
+            return np.loadtxt(
+                path, dtype=np.float64, comments=comments, skiprows=skiprows,
+                encoding="latin-1", ndmin=2,
+            )
     except ValueError as err:
         raise _body_error(path, comments, skiprows, err) from None
 
@@ -182,50 +176,190 @@ def _zero_indexed(path: str, raw: np.ndarray) -> np.ndarray:
     return coords - 1
 
 
-#: one coordinate entry as typed columns (a ``pattern`` entry is the first two)
-_ENTRY_COLUMNS = [("row", np.int64), ("column", np.int64), ("value", np.float64)]
+#: body bytes checked at once, each slab cut at a newline (the whole body
+#: of a 2e5-entry file at once: +18 MB peak RSS, and a slower read)
+_SLAB = 1 << 20
+
+
+def _is_digit(byte: np.ndarray) -> np.ndarray:
+    return (byte - np.uint8(48)) < 10  # uint8 wraps below '0'
+
+
+def _is_gap(byte: np.ndarray) -> np.ndarray:
+    return byte <= 32  # a control byte but tab or newline refuses the slab
+
+
+def _is_sign(byte: np.ndarray) -> np.ndarray:
+    return (byte == 43) | (byte == 45)
+
+
+def _is_e(byte: np.ndarray) -> np.ndarray:
+    return (byte | 32) == 101
+
+
+def _in_order(slab: np.ndarray, marks: np.ndarray, token: np.ndarray) -> bool:
+    """Whether the non-digit bytes at *marks* (each in token *token*) spell
+    ``[+-]?(D+.?D*|.D+)([eE][+-]?D+)?`` with the digits around them.
+
+    Each mark is checked against its two neighbours: a sign opens the
+    token or follows the ``e``, and a digit (or, opening the token, a dot)
+    follows it; a dot follows a digit, or opens the mantissa and precedes
+    a digit; an ``e`` follows the mantissa's digit or dot and precedes
+    the exponent's sign or digit.  Then per token: at most one dot and
+    one ``e``, in that order.
+    """
+    byte, before, after = slab[marks], slab[marks - 1], slab[marks + 1]
+    dot, e = byte == 46, _is_e(byte)
+    fits = (
+        _is_sign(byte) & (
+            _is_gap(before) & (_is_digit(after) | (after == 46))
+            | _is_e(before) & _is_digit(after)
+        )
+        | dot & (
+            _is_digit(before) & (_is_digit(after) | _is_e(after) | _is_gap(after))
+            | (_is_gap(before) | _is_sign(before)) & _is_digit(after)
+        )
+        | e & (_is_digit(before) | (before == 46))
+        & (_is_digit(after) | _is_sign(after))
+    )
+    if not fits.all():
+        return False
+    token, byte = token[dot | e], byte[dot | e]
+    shared = token[1:] == token[:-1]
+    return bool(((byte[:-1][shared] == 46) & _is_e(byte[1:][shared])).all())
+
+
+def _slab_tokens(slab: np.ndarray, need: int) -> int:
+    """The number of tokens in *slab*, ``uint8`` body bytes that open and
+    close with a newline, or -1 if a line breaks the coordinate grammar:
+    every non-blank line holds *need* tokens between ``[ \\t]`` padding,
+    two ``[0-9]+`` indices then (for ``need == 3``) a float (:func:`_in_order`).
+    """
+    gap = _is_gap(slab)
+    controls = np.flatnonzero(slab < 32)
+    byte = slab[controls]
+    newline = byte == 10
+    if not (newline | (byte == 9)).all():
+        return -1
+    starts = np.flatnonzero(gap[:-1] > gap[1:]) + 1
+    # each newline's next token: between two newlines no token or *need*
+    steps = np.diff(np.searchsorted(starts, controls[newline]))
+    if not ((steps == 0) | (steps == need)).all():
+        return -1
+    marks = np.flatnonzero(~(_is_digit(slab) | gap))
+    if marks.size:
+        token = np.searchsorted(starts, marks, side="right") - 1
+        if (token % need != 2).any():  # punctuation in an index column
+            return -1
+        if not _in_order(slab, marks, token):
+            return -1
+    return starts.size
+
+
+def _body_tokens(data: bytes, start: int, need: int) -> int:
+    """The number of tokens in the coordinate body ``data[start:]``, or -1
+    if the body is not ``\\n``-terminated lines of the grammar of
+    :func:`_slab_tokens` (a ``%`` line, a CR or a line past the slab size
+    included).  Numbers are never converted: the bytes are compared."""
+    end = len(data)
+    if start == end:
+        return 0
+    if data[end - 1] != 10:
+        return -1
+    view = np.frombuffer(data, np.uint8)
+    tokens, at = 0, start - 1  # the size line's newline opens the first slab
+    while at < end - 1:
+        cut = data.rfind(b"\n", at + 1, min(at + 1 + _SLAB, end))
+        if cut < 0:
+            return -1
+        count = _slab_tokens(view[at:cut + 1], need)
+        if count < 0:
+            return -1
+        tokens += count
+        at = cut
+    return tokens
+
+
+def _checked_entries(
+    path: str, skiprows: int, need: int, shape: Tuple[int, int], nnz: int
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The coordinate body parsed by ``scipy.io.mmread`` if its bytes pass
+    :func:`_body_tokens` with *need* tokens for each of the *nnz* entries,
+    else ``None``.
+
+    scipy's parser truncates where it should refuse (``1.5.3`` reads 1.5,
+    ``12x`` reads 12, ``1 1.5 2`` reads entry (0, 0, 0.5)) and crashes
+    the process on a body with CR line ends, so it only sees bodies whose
+    every byte the grammar admits, and it sees them behind a canonical
+    header: ``real`` (or ``pattern``) ``general`` and the size line as
+    :func:`read_mtx` read it, so that it neither types values as integers
+    nor expands symmetry (:func:`read_mtx` does).  What it still refuses
+    (an index of 0 or past the size line, a sign on a value) is left to
+    the general reader too.  The bytes are read once; the copy scipy
+    parses replaces them before the parse.
+    """
+    with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as handle:
+        data = handle.read()
+    start = 0
+    for _ in range(skiprows):
+        start = data.find(b"\n", start) + 1
+        if not start:
+            return None
+    # a CR in the header splits its lines where the text handle did not
+    if data.find(b"\r", 0, start) >= 0 or _body_tokens(data, start, need) != need * nnz:
+        return None
+    from scipy.io import mmread
+
+    banner = (f"%%MatrixMarket matrix coordinate {'pattern' if need == 2 else 'real'} "
+              f"general\n{shape[0]} {shape[1]} {nnz}\n").encode()
+    text = banner + memoryview(data)[start:]
+    del data  # not both copies while scipy parses
+    try:
+        matrix = mmread(io.BytesIO(text), spmatrix=False)
+    except (ValueError, OverflowError):
+        return None
+    coords = np.empty((nnz, 2), dtype=np.int64)
+    coords[:, 0], coords[:, 1] = matrix.row, matrix.col
+    values = np.ones(nnz) if need == 2 else matrix.data
+    return coords, values
 
 
 def _coordinate_entries(
-    path: str, skiprows: int, field: str, nnz: int
+    path: str, skiprows: int, field: str, shape: Tuple[int, int], nnz: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Zero-indexed ``(nnz, 2)`` coordinates and values of a coordinate body.
 
     Two parses, chosen by what the bytes are and by no option.  Nearly
-    every file spells an entry ``int int [float]`` and nothing else; read
-    with typed columns, its index tokens are parsed as integers instead
-    of as floats that are cast and compared back.  Whatever that parse
-    refuses -- an index written ``3.0`` or ``1e3``, values in a
-    ``pattern`` file, a fourth column, a fractional or overflowing index,
-    a short or ragged row -- is read again by the general float reader,
-    which accepts it or names the error.  The typed parse cannot accept
-    what the general one rejects, and where both accept they agree: the
-    same ``strtod`` reads the values, and an integer token reads the same
-    either way (up to 2**53, past which only the integer parse is exact).
+    every file spells an entry ``int int [float]`` and nothing else; its
+    bytes are checked against that grammar and parsed by scipy's C++
+    reader (:func:`_checked_entries`).  Whatever the check or scipy
+    refuses -- an index written ``3.0`` or ``1e3``, a sign on an index,
+    values in a ``pattern`` file, a fourth column, a ``%`` line, a CR, a
+    short or ragged row, ``1d3`` -- is read by the general float reader,
+    which accepts it or names the error.  Where the grammar holds the two
+    agree bit for bit: both round each value correctly, and an index
+    reads the same either way (up to 2**53, past which only scipy's
+    integer parse is exact).
     """
     need = 2 if field == "pattern" else 3
-    try:
-        body = _loadtxt(path, "%", skiprows, _ENTRY_COLUMNS[:need])
-    except ValueError:
-        body = _load_floats(path, "%", skiprows)
+    entries = _checked_entries(path, skiprows, need, shape, nnz)
+    if entries is not None:
+        return entries
+    body = _load_floats(path, "%", skiprows)
     if body.shape[0] != nnz:
         raise ValueError(
             f"{path}: header promises {nnz} entries, found {body.shape[0]}"
         )
-    if body.dtype.names:
-        coords = np.column_stack((body["row"], body["column"]))
-        coords -= 1
-        column = body["value"] if need == 3 else None
-    else:
-        if body.shape[1] < need:
-            raise ValueError(
-                f"{path}: {field} entries need {need} columns "
-                f"(row, column{', value' if need == 3 else ''}), "
-                f"found {body.shape[1]}"
-            )
-        coords = _zero_indexed(path, body[:, :2])
-        column = body[:, 2] if need == 3 else None
-    values = np.ones(nnz) if column is None else column.astype(np.float64)
+    if not nnz:
+        body = body.reshape(0, need)  # numpy reads no rows as (0, 1)
+    if body.shape[1] < need:
+        raise ValueError(
+            f"{path}: {field} entries need {need} columns "
+            f"(row, column{', value' if need == 3 else ''}), "
+            f"found {body.shape[1]}"
+        )
+    coords = _zero_indexed(path, body[:, :2])
+    values = body[:, 2].copy() if need == 3 else np.ones(nnz)
     return coords, values
 
 
@@ -250,7 +384,9 @@ def read_mtx(path: str) -> CooTensor:
 
     if fmt == "coordinate":
         rows, cols, nnz = sizes
-        coords, values = _coordinate_entries(path, consumed, field, nnz)
+        coords, values = _coordinate_entries(
+            path, consumed, field, (rows, cols), nnz
+        )
     elif fmt == "array":
         rows, cols = sizes
         body = _load_floats(path, "%", consumed).reshape(-1)
@@ -438,6 +574,12 @@ def write_mtx(
     if field == "integer" and np.any(values != np.trunc(values)):
         raise ValueError(
             "field='integer' but the matrix holds non-integral values"
+        )
+    if field == "integer" and np.any((values >= 2.0**63) | (values < -2.0**63)):
+        # astype(int64) would write each of them as -9223372036854775808
+        raise ValueError(
+            "field='integer' but the matrix holds values outside int64 "
+            "(write with field='real' to keep them)"
         )
     if field == "pattern" and np.any(values != 1.0):
         # A pattern file stores structure only; writing one from data

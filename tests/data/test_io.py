@@ -8,9 +8,12 @@ import re
 import subprocess
 import sys
 from typing import NamedTuple, Union
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.data import (
@@ -24,7 +27,8 @@ from repro.data import (
     write_mtx,
     write_tns,
 )
-from repro.data.io import _WRITE_ROWS, CooTensor
+from repro.data import io as io_module
+from repro.data.io import _WRITE_ROWS, MTX_FIELDS, MTX_SYMMETRIES, CooTensor
 from repro.formats import FiberTensor
 from repro.lang import compile_expression
 from repro.sim import BACKENDS as REGISTRY
@@ -269,6 +273,19 @@ class TestMtxWriterRoundTrip:
         with pytest.raises(ValueError, match="integer"):
             write_mtx(str(tmp_path / "x.mtx"), coo, field="integer")
 
+    @pytest.mark.parametrize("value", [2.0**63, 1e19, -1e19, np.inf, -np.inf])
+    def test_integer_field_rejects_values_past_int64(self, value, tmp_path):
+        # each used to be written as -9223372036854775808, with a warning
+        coo = CooTensor((2, 2), np.array([[0, 1]]), np.array([value]))
+        with pytest.raises(ValueError, match="outside int64"):
+            write_mtx(str(tmp_path / "x.mtx"), coo, field="integer")
+
+    def test_integer_field_keeps_the_int64_extremes(self, tmp_path):
+        extremes = np.array([-2.0**63, 2.0**63 - 1024])  # the last float below 2**63
+        coo = CooTensor((2, 2), np.array([[0, 1], [1, 0]]), extremes)
+        path = write_mtx(str(tmp_path / "x.mtx"), coo, field="integer")
+        assert read_mtx(path).values.tolist() == extremes.tolist()
+
     def test_pattern_field_rejects_real_values(self, tmp_path):
         # Pattern files store structure only: writing one from data with
         # non-unit values would silently lose them on the round trip.
@@ -370,8 +387,8 @@ def array(name, body, expect, symmetry="general"):
 TWO = Coo((3, 3), [[0, 1], [1, 0]], ["1.5", "2.0"])
 
 #: every kind of body the reader meets -> the CooTensor or the error.
-#: Well-formed files read with typed columns; the rest fall to the
-#: general float reader, and the table does not care which.
+#: Bodies the byte-grammar check admits are parsed by scipy; the rest
+#: fall to the general float reader, and the table does not care which.
 READER_TABLE = [
     coordinate("plain", "1 2 1.5\n2 1 -2\n3 3 1e-3\n",
                Coo((3, 3), [[0, 1], [1, 0], [2, 2]], ["1.5", "-2.0", "0.001"])),
@@ -468,6 +485,22 @@ READER_TABLE = [
          "{path}: missing %%MatrixMarket header"),
     Case("complex", "%%MatrixMarket matrix coordinate complex general\n1 1 1\n",
          "1 1 1 0\n", "{path}: complex matrices are not supported"),
+    coordinate("fractional-column-index", "1 1.5 2\n",
+               "{path}: non-integer coordinate in entry 1: [1.0, 1.5]"),
+    coordinate("integer-field-beyond-float", "1 1 9007199254740993\n",
+               field="integer",
+               expect=Coo((3, 3), [[0, 0]], ["9007199254740992.0"], "integer")),
+    coordinate("skew-zero-diagonal", "1 1 0\n2 1 5.0\n", symmetry="skew-symmetric",
+               expect=Coo((3, 3), [[0, 0], [1, 0], [0, 1]], ["0.0", "5.0", "-5.0"])),
+    *(coordinate(f"spelled-{token}", f"1 2 {token}\n", Coo((3, 3), [[0, 1]], [value]))
+      for token, value in [("1.", "1.0"), (".5", "0.5"), ("-.5", "-0.5"),
+                           ("+.5", "0.5"), ("-1E+10", "-10000000000.0"),
+                           ("00012", "12.0"), ("1.e5", "100000.0")]),
+    # scipy's parser reads each of these as a prefix (1.5.3 as 1.5, 12x as 12)
+    *(coordinate(f"truncated-{token}", f"1 2 {token}\n",
+                 f"{{path}}: entry 1: '{token}' is not a number: '1 2 {token}'")
+      for token in ["1.5.3", "1e5e5", "1-2", "1.5e", "1e+", "1..2", "1e5.3",
+                    ".e5", "1.5+", "5e-", "12x"]),
     array("array", "1\n0\n3\n4\n",
           Coo((2, 2), [[0, 0], [0, 1], [1, 1]], ["1.0", "3.0", "4.0"])),
     array("array-symmetric", "1\n2\n3\n", symmetry="symmetric",
@@ -505,7 +538,7 @@ def _float_spelled(body):
 
 class TestReaderOutcomeTable:
     def test_table_is_as_wide_as_promised(self):
-        assert len(READER_TABLE) >= 39
+        assert len(READER_TABLE) >= 74
         assert len({case.name for case in READER_TABLE}) == len(READER_TABLE)
 
     @pytest.mark.parametrize("suffix", ["mtx", "mtx.gz"])
@@ -540,6 +573,139 @@ class TestReaderOutcomeTable:
             "9007199254740994 1 1\n9007199254740993 1 1\n"
         )
         assert read_mtx(str(path)).coords.tolist() == [[9007199254740992, 0]]
+
+
+#: body -> the tokens the byte-grammar check counts, or -1 where it refuses
+GRAMMAR_TABLE = [
+    ("1 2 1.5\n2 1 -2\n", 3, 6),
+    ("1 2\n3 3\n", 2, 4),
+    (" 1\t2  -1.5E+3 \n\n \t\n3 3 .5\n", 3, 6),
+    ("1 2 1.\n1 2 +.5\n1 2 1.e5\n1 2 00012\n", 3, 12),
+    ("", 3, 0),
+    ("1 2 1.5 2\n1 1\n", 3, -1),     # ragged lines whose tokens add up
+    ("1 1 1.5 2 2 2.5\n", 3, -1),     # two entries on one line
+    ("1 2 3\n", 2, -1),               # a value in a pattern body
+    ("1 2 1.5", 3, -1),                # no final newline
+    ("1 2 1.5\r\n", 3, -1),
+    ("% note\n1 2 1.5\n", 3, -1),
+    ("1 2 1.5 % note\n", 3, -1),
+    ("+1 2 1.5\n", 3, -1),            # a sign on an index
+    ("1 1e0 1.5\n", 3, -1),
+    ("1 2 nan\n", 3, -1),
+    ("1 2 1d3\n", 3, -1),
+    ("1 2 1.5\x00\n", 3, -1),
+    *((f"1 2 {token}\n", 3, -1) for token in [
+        "1.5.3", "1e5e5", "1-2", "1.5e", "1e+", "1..2", "1e5.3", ".e5", "1.5+",
+        "5e-", "12x", ".", "+", "e5", "+-1", "1e+-5", "--1", "1e.5", "+.e1"]),
+]
+
+
+class TestBodyGrammar:
+    """The byte-grammar check alone: what it counts and what it refuses."""
+
+    @pytest.mark.parametrize("body, need, tokens", GRAMMAR_TABLE)
+    def test_counts_or_refuses(self, body, need, tokens):
+        data = ("3 3 1\n" + body).encode("latin-1")
+        assert io_module._body_tokens(data, 6, need) == tokens
+
+    @pytest.mark.parametrize("slab", [16, 25, 64])  # each above the longest line
+    def test_slab_cuts_change_nothing(self, slab, monkeypatch):
+        lines = [f"{i % 9 + 1} {i % 7 + 1} {i}.25e-{i % 30}\n" for i in range(40)]
+        data = ("3 3 40\n" + "".join(lines)).encode()
+        monkeypatch.setattr(io_module, "_SLAB", slab)
+        assert io_module._body_tokens(data, 7, 3) == 120
+        hostile = data[:-3] + b".3\n"  # the last value spelled 39.25e-9.3
+        assert io_module._body_tokens(hostile, 7, 3) == -1
+        assert io_module._body_tokens(data + b"1 2 " + b"1" * slab + b"\n", 7, 3) == -1
+
+    @pytest.mark.parametrize("field, symmetry", [
+        (field, symmetry) for field in MTX_FIELDS for symmetry in MTX_SYMMETRIES
+        if (field, symmetry) != ("pattern", "skew-symmetric")  # no such matrix
+    ])
+    def test_written_files_take_the_checked_parse(self, field, symmetry, tmp_path):
+        dense = np.array([[4.0, -1.0, 0.0], [-1.0, 0.0, 2.5], [0.0, 2.5, 9.0]])
+        if field == "pattern":
+            dense = (dense != 0).astype(float)
+        if symmetry == "skew-symmetric":
+            dense = np.triu(dense, 1) - np.triu(dense, 1).T
+        if field == "integer":
+            dense = np.round(dense)
+        path = write_mtx(str(tmp_path / "w.mtx"), dense, field=field, symmetry=symmetry)
+        nnz = int(open(path).read().splitlines()[1].split()[2])
+        need = 2 if field == "pattern" else 3
+        assert io_module._checked_entries(path, 2, need, (3, 3), nnz) is not None
+
+
+#: index and value spellings the generated bodies are drawn from; the
+#: first ones of each list are what the grammar admits
+INDEX_TOKENS = ["1", "2", "3", "01", "0", "4", "+1", "-1", "1.0", "1.5", "1e0"]
+VALUE_TOKENS = ["1", "-2", "1.5", "1.", ".5", "-.5", "+.5", "-1E+10", "00012",
+                "1.e5", "9007199254740993", "1e400", "5e-324", "-0.0",
+                "1.5.3", "1e5e5", "1-2", "1.5e", "1e+", "1..2", "1e5.3", ".e5",
+                "1.5+", "5e-", "12x", "1d3", "nan", "inf"]
+CLEAN_VALUES = VALUE_TOKENS.index("1.5.3")
+
+
+@st.composite
+def mtx_texts(draw):
+    """A coordinate file: banner, size line and a body of entries mixed
+    with blank and ``%`` lines.  A *clean* body holds only what the
+    grammar admits, so the checked parse runs; any other mixes in hostile
+    tokens, CRs, comments, ragged rows and a wrong entry count."""
+    field = draw(st.sampled_from(MTX_FIELDS))
+    symmetry = draw(st.sampled_from(MTX_SYMMETRIES))
+    clean = draw(st.booleans())
+    indices = INDEX_TOKENS[:4] if clean else INDEX_TOKENS
+    values = VALUE_TOKENS[:CLEAN_VALUES] if clean else VALUE_TOKENS
+    need = 2 if field == "pattern" else 3
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+    end = st.just("\n") if clean else st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    fillers = ["", " \t"] if clean else ["", " \t", "% note"]
+    lines, entries = [], 0
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(fillers)) + draw(end))
+            continue
+        width = need if clean else draw(st.sampled_from([need, need, need - 1, 4]))
+        tokens = [draw(st.sampled_from(indices)) for _ in range(min(width, 2))]
+        tokens += [draw(st.sampled_from(values)) for _ in range(width - 2)]
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(pad + draw(gap).join(tokens) + pad + draw(end))
+        entries += 1
+    if not clean:
+        entries += draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return (f"%%MatrixMarket matrix coordinate {field} {symmetry}\n3 3 {entries}\n"
+            + "".join(lines))
+
+
+def _outcome(read, path):
+    """What *read* makes of *path*: the error text, or the data bit for bit."""
+    try:
+        coo = read(path)
+    except ValueError as err:
+        return str(err)
+    assert coo.coords.dtype == np.int64 and coo.values.dtype == np.float64
+    return coo.shape, coo.field, coo.coords.tolist(), coo.values.view(np.int64).tolist()
+
+
+def _general_read(path):
+    """``read_mtx`` with the checked parse switched off: the general reader."""
+    with mock.patch.object(io_module, "_checked_entries", return_value=None):
+        return read_mtx(path)
+
+
+class TestCheckedParseDifferential:
+    @given(text=mtx_texts())
+    @example(text="%%MatrixMarket matrix coordinate real general\n3 3 1\n1 1.5 2\n")
+    @example(text="%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n"
+                  "1 1 1.\n\t3 2  -.5 \n\n")
+    @example(text="%%MatrixMarket matrix coordinate pattern general\n3 3 2\n"
+                  "1 2 3 4\n")
+    def test_read_mtx_is_the_general_reader(self, text, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("differential") / "g.mtx")
+        with open(path, "wb") as handle:
+            handle.write(text.encode("latin-1"))
+        assert _outcome(read_mtx, path) == _outcome(_general_read, path)
 
 
 def _savetxt(head, body, fmt):

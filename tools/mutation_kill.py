@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Mutation-kill check: the block differential must reject known-wrong hooks.
+"""Mutation-kill check: the differentials must reject known-wrong edits.
 
 Each entry of :data:`MUTATIONS` is one exact ``(file, old text, new
-text)`` edit of ``src/`` that makes a window hook wrong — a gate
-dropped, a pick swapped, a check skipped.  For each one the check copies
-``src/`` into a temporary directory, applies the edit there, and runs
-the tests against the copy; a mutation *survives* when they pass.  The
-check fails (exit 1) if any mutation survives, or if an edit's old text
-does not occur exactly once (the source moved on: update the entry).
+text)`` edit of ``src/`` that makes the code wrong — a gate dropped, a
+pick swapped, a check skipped — and the test module that must notice.
+For each one the check copies ``src/`` into a temporary directory,
+applies the edit there, and runs that module against the copy; a
+mutation *survives* when its tests pass.  The check fails (exit 1) if
+any mutation survives, or if an edit's old text does not occur exactly
+once (the source moved on: update the entry).
 
 Usage::
 
     python tools/mutation_kill.py
 
-It mutates this checkout's ``src/`` and runs
-``tests/blocks/test_window_blocks.py``.  Every mutation costs one pytest
-run that stops at its first failure.
+It mutates this checkout's ``src/``: the window hooks are judged by
+``tests/blocks/test_window_blocks.py``, the ``.mtx`` reader's byte-grammar
+check by ``tests/data/test_io.py``.  Every mutation costs one pytest run
+that stops at its first failure.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = "tests/blocks/test_window_blocks.py"
+BLOCKS = "tests/blocks/test_window_blocks.py"
+INGEST = "tests/data/test_io.py"
 #: seconds one mutation's test run may take (a hang counts as killed)
 TIMEOUT = 900
 
@@ -39,6 +42,7 @@ class Mutation(NamedTuple):
     file: str  # relative to src/
     old: str
     new: str
+    tests: str = BLOCKS  # the test module that must kill it
 
 
 MUTATIONS = (
@@ -87,6 +91,22 @@ MUTATIONS = (
     Mutation("locator without its input check", "repro/blocks/locate.py",
              "self._check_pair(*pair)",
              "pass"),
+    # -- the .mtx reader's byte-grammar check in front of scipy's parser
+    Mutation("grammar check always passes", "repro/data/io.py",
+             "_body_tokens(data, start, need) != need * nnz",
+             "False", INGEST),
+    Mutation("grammar check without the per-token order rule", "repro/data/io.py",
+             "not _in_order(slab, marks, token)",
+             "False", INGEST),
+    Mutation("grammar check lets punctuation into index columns", "repro/data/io.py",
+             "(token % need != 2).any()",
+             "False", INGEST),
+    Mutation("grammar check without the per-line token count", "repro/data/io.py",
+             "((steps == 0) | (steps == need)).all()",
+             "True", INGEST),
+    Mutation("the file's symmetry passed through to scipy", "repro/data/io.py",
+             'f"general\\n{shape[0]}',
+             'f"{data.split(None, 5)[4].decode()}\\n{shape[0]}', INGEST),
 )
 
 
@@ -100,20 +120,22 @@ def apply(src: Path, mutation: Mutation) -> None:
     path.write_text(text.replace(mutation.old, mutation.new))
 
 
-def run_tests(src: Path) -> str:
-    """The outcome of one pytest run against *src*: ``""`` when the tests
-    pass, else what failed first.  A run that ends in anything but
+def run_tests(src: Path, tests: str) -> str:
+    """The outcome of one pytest run of *tests* against *src*: ``""`` when
+    they pass, else what failed first.  A run that ends in anything but
     passed or failed tests (a collection error, no tests) is no verdict
     on the mutation: it stops the check."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     try:
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "-W", "ignore", TESTS],
+             "-W", "ignore", tests],
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT,
         )
     except subprocess.TimeoutExpired:
         return f"no verdict within {TIMEOUT} s"
+    if result.returncode < 0:  # a crash counts as killed, as a hang does
+        return f"pytest killed by signal {-result.returncode}"
     if result.returncode not in (0, 1):
         raise SystemExit(f"pytest exited {result.returncode}:\n{result.stdout}")
     return first_failure(result.stdout) if result.returncode else ""
@@ -135,7 +157,7 @@ def main() -> int:
             shutil.copytree(ROOT / "src", src,
                             ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
             apply(src, mutation)
-            failed = run_tests(src)
+            failed = run_tests(src, mutation.tests)
             print(f"{'killed' if failed else 'ALIVE '}  {mutation.name}: "
                   f"{failed or 'every test passed'}", flush=True)
             if not failed:
