@@ -31,14 +31,15 @@ Four sections:
   burn no more user CPU than ``timed-batch`` (>= 0.8x).  Rows carry wall-clock and user-CPU
   medians; the wall-clock ratio is reported, not gated (see
   ``GAMMA_FLOOR``).
-* **mixed plane** — the graphs with generator-only blocks among timed
-  ones: Figure 13's ``crd_skip`` / ``bv`` / ``bv_split`` at the paper's
-  2000 / 400 nnz, OuterSPACE at 200x200 and ``spmm_kij`` at 40x40, under
-  ``cycle``, ``timed-batch`` and ``compiled``, rounds interleaved.
-  Cycle counts must agree; seconds are rows, not a gate — the scale-free
-  guard on these graphs is a visit count
-  (``tests/sim/test_wake_on_demand.py``), and a ratio against ``cycle``
-  would drift with its denominator (ROADMAP item 1(c)).
+* **mixed plane** — the graphs that once mixed generator-only blocks
+  with timed ones: Figure 13's ``crd_skip`` / ``bv`` / ``bv_split`` at
+  the paper's 2000 / 400 nnz and ``spmm_kij`` at 40x40, which the timed
+  engines now hand to ``cycle`` whole, and OuterSPACE at 200x200, which
+  runs on windows, under ``cycle``, ``timed-batch`` and ``compiled``,
+  rounds interleaved.  Cycle counts must agree; seconds are rows, not a
+  gate — a ratio against ``cycle`` would drift with its denominator
+  (ROADMAP item 1(c)); ``tests/sim/test_plane_rule.py`` is the
+  wall-clock-free guard on which graphs run where.
 
 Every measured number is the **median** of ``--rounds`` timing rounds
 taken *after* ``--warmup`` untimed rounds, so single-shot wall-clock

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..streams.batch import CODE_EMPTY, TokenBatch
+from ..streams.batch import CODE_EMPTY, TokenBatch, UnbatchableTokens
 from ..streams.channel import Channel
 from ..streams.timing import (
     TimedBuilder,
@@ -218,8 +218,7 @@ class Block:
     #: its inputs, pushes stamped batches, and advances
     #: busy/stall/clock through :meth:`_t_advance` / :meth:`_t_event`,
     #: reproducing the generator's cycle schedule exactly.  ``None``
-    #: means the block runs on the scalar timed path (the engine steps
-    #: its generator cycle by cycle).
+    #: means a timed engine runs the block's graph on ``cycle``.
     drain_timed = None
 
     #: declarative timing (see :class:`TimingDescriptor`); ``None`` on
@@ -230,21 +229,10 @@ class Block:
     #: plane: a credit *producer* gates its push schedule on the
     #: channel's recorded pop cycles, a credit *consumer* records its
     #: pop cycles via :meth:`Channel.record_pops`.  A finite channel
-    #: whose endpoints are not both credit-aware drops both to the
-    #: scalar timed path, where back-pressure is exact by construction.
+    #: whose endpoints are not both credit-aware sends a timed run to
+    #: ``cycle``, where back-pressure is exact by construction.
     timed_credit_producer = False
     timed_credit_consumer = False
-
-    #: whether ``drain_timed`` may itself call :meth:`_bail_timed` (a
-    #: data-dependent exit from the timed plane).  The generator then
-    #: resumes at ``_tclock``, which is only the right cycle if the block
-    #: was never behind the engine clock with work undone — so the timed
-    #: engines bring a block that declares this, and everything timed
-    #: upstream of it, current after every generator step instead of
-    #: waking it when a generator needs its output.  A fact about the
-    #: hook's source, not a setting: ``tests/sim/test_wake_on_demand.py``
-    #: derives it.
-    timed_may_bail = False
 
     def __init__(self, name: str = ""):
         self.name = name or type(self).__name__
@@ -567,7 +555,7 @@ class Block:
             self.finished = True
 
     def _timed_bail_safe(self) -> bool:
-        """Whether the scalar timed path can take over right now.
+        """Whether the generator can take over right now.
 
         Timed processing already charged busy/stall cycles for
         everything consumed, so a bail is only safe when no
@@ -578,12 +566,12 @@ class Block:
         return self._t_carry == 0
 
     def _bail_timed(self) -> bool:
-        """Opt out of the timed-batch plane for the rest of the run.
+        """Leave the window hook for the rest of the run.
 
         Requeues every stamped reader window (stamps intact, so the
         engine materialises them for the generator at the right cycles)
-        and flips :attr:`_timed_ok`; the engine then steps this block's
-        generator from local cycle :attr:`_tclock` onward.
+        and flips :attr:`_timed_ok`; the engine then finishes the stream
+        on this block's generator from local cycle :attr:`_tclock`.
         """
         if not self._timed_bail_safe():
             raise BlockError(
@@ -661,7 +649,17 @@ class StreamFeeder(Block):
 
     timing = TimingDescriptor()
     timed_credit_producer = True
-    timed_may_bail = True  # an unbatchable suffix goes to the generator
+
+    def timed_capable(self) -> bool:
+        """Whether the token list batches; the batch (and each token's
+        place in it) is kept for the drain."""
+        try:
+            self._tbatch = TokenBatch.from_tokens(self.tokens)
+        except UnbatchableTokens:
+            return False
+        batch = self._tbatch
+        self._torder = token_order_indices(batch.ctrl_pos, len(batch.data))
+        return True
 
     def drain_timed(self) -> bool:
         """Timed drain: one token per cycle, credit-limited on finite FIFOs.
@@ -669,14 +667,14 @@ class StreamFeeder(Block):
         The generator pushes one token then yields once per cycle;
         with a finite output the push of global token *g* waits for slot
         ``g - capacity`` to free (``_put`` back-pressure), which the
-        channel's recorded pop stamps reproduce exactly.
+        channel's recorded pop stamps reproduce exactly.  A visit pushes
+        the slice of the batched token list the credits allow.
         """
         if self.finished:
             return False
         out = self.out
         pos = getattr(self, "_tfeed_pos", 0)
-        tokens = self.tokens
-        n = len(tokens)
+        n = len(self.tokens)
         if pos >= n:
             self.finished = True
             return False
@@ -697,20 +695,16 @@ class StreamFeeder(Block):
                     state.pop_stamps[first_credited - cap:pos + avail - cap],
                     dtype=np.int64,
                 )
-        chunk = tokens[pos:pos + avail]
-        try:
-            batch = TokenBatch.from_tokens(chunk)
-        except (TypeError, ValueError):
-            # Hand the unplayed suffix to the generator (already-pushed
-            # tokens keep their accounted cycles).
-            self.tokens = list(tokens[pos:])
-            return self._bail_timed()
         c = self._t_advance(arrivals)
-        self._tfeed_pos = pos + avail
-        data, cpos, _ = batch.remaining_arrays()
-        di, ci = token_order_indices(cpos, len(data))
-        out.push_batch_timed(batch, c[di], c[ci])
-        self.finished = self._tfeed_pos >= n
+        end = pos + avail
+        batch, (di, ci) = self._tbatch, self._torder
+        data, cpos, ccode = batch.data, batch.ctrl_pos, batch.ctrl_code
+        d0, d1 = np.searchsorted(di, (pos, end))
+        c0, c1 = np.searchsorted(ci, (pos, end))
+        chunk = TokenBatch(data[d0:d1], cpos[c0:c1] - d0, ccode[c0:c1])
+        out.push_batch_timed(chunk, c[di[d0:d1] - pos], c[ci[c0:c1] - pos])
+        self._tfeed_pos = end
+        self.finished = end >= n
         return True
 
 

@@ -164,12 +164,10 @@ class _Merger(Block):
     # the builders touch only the slots they emit: an intersecter's
     # layouts are as long as its output, not as its longest side.
     timing = TimingDescriptor()
-    timed_may_bail = True  # a dirty chunk goes to the generator
 
     def timed_capable(self) -> bool:
         # Skip hints feed a timing side channel the windowed merge does
-        # not model; graphs that wire them run the scalar timed path on
-        # both the merger and its scanners.
+        # not model; graphs that wire them run on ``cycle``.
         return all(side.skip is None for side in self.sides)
 
     def drain_timed(self) -> bool:

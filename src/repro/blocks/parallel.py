@@ -102,7 +102,6 @@ class Parallelizer(Block):
             yield True
 
     timing = TimingDescriptor()
-    timed_may_bail = True  # an ``N`` in the window goes to the generator
 
     def drain_timed(self) -> bool:
         """Timed drain: one event per input token; stops/done broadcast.

@@ -155,7 +155,8 @@ class LevelScanner(Block):
 
     def timed_capable(self) -> bool:
         # Skip hints are consumed by *polling* mid-scan, which ties the
-        # scanner's schedule to the intersecter's — scalar timed path.
+        # scanner's schedule to the intersecter's: the graph runs on
+        # ``cycle``.
         return self.in_skip is None and hasattr(self.level, "fiber_arrays")
 
     def _t_run(self, pos, val, total):

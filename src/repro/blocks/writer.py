@@ -356,34 +356,17 @@ class ScatterValsWriter(Block):
     timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
-        """Timed drain: one pairing, one scatter, one schedule.
-
-        A visit takes every chunk complete on both streams, through the
-        first ``D``, and the pairs of the open one; every pair is one
-        event and so is every terminator pair, gated by both tokens.  An
-        ``N`` reference is read as a datum that scatters nothing
-        (:func:`blank_fibers`), an ``N`` value as 0.0, and a stop pairs
-        with a stop of any level; a chunk that does not pair up raises
-        :meth:`_check_pair`'s error.
-        """
+        """Timed drain: one pairing (:func:`_take_pairs`), one scatter,
+        one schedule.  An ``N`` reference is a datum that scatters
+        nothing, an ``N`` value 0.0."""
         if self.finished:
             return False
         readers = self._treader(self.in_ref), self._treader(self.in_val)
         readers[1].densify_empty(0.0)
-        windows = [reader.held_window() for reader in readers]
-        if windows[0] is None or windows[1] is None:
+        taken = _take_pairs(self, readers, blank=(True, False))
+        if taken is None:
             return False
-        ref, val = common_front(
-            [blank_fibers(front_stream(windows[0])), front_stream(windows[1])]
-        )
-        k = len(ref.codes)
-        if not k + ref.tail:
-            return False
-        stops_as_s0 = [v._replace(codes=np.minimum(v.codes, 0)) for v in (ref, val)]
-        clean = pair_chunks(*stops_as_s0, phantoms=(False, False)).clean
-        if clean < k:
-            for pair in zip(ref.tokens(clean), val.tokens(clean)):
-                self._check_pair(*pair)
+        windows, (ref, val) = taken
         keep = np.ones(len(ref.data), dtype=bool)
         keep[ref.blank] = False
         np.add.at(
@@ -391,14 +374,7 @@ class ScatterValsWriter(Block):
             ref.data[keep].astype(np.int64, copy=False),
             np.asarray(val.data[keep], dtype=np.float64),
         )
-        di, ci = token_order_indices(ref.ends, len(ref.data))
-        arrivals = np.empty(len(ref.data) + k, dtype=np.int64)
-        arrivals[di] = np.maximum(ref.sdata, val.sdata)
-        arrivals[ci] = np.maximum(ref.scodes, val.scodes)
-        self._t_advance(arrivals)
-        for window, view in zip(windows, (ref, val)):
-            consume(window, *view.span)
-        self.finished = ref.done
+        _commit_pairs(self, windows, (ref, val))
         return True
 
 
@@ -429,16 +405,90 @@ class LinkedListLevelWriter(Block):
         #: child reference produced for each appended coordinate
         self.child_refs: List[int] = []
 
+    def _check_pair(self, parent, crd) -> None:
+        """A reference (or ``N``) pairs with a coordinate (or ``N``), a
+        stop with a stop, ``D`` with ``D``."""
+        parent_ends, crd_ends = (is_stop(t) or is_done(t) for t in (parent, crd))
+        if parent_ends != crd_ends or is_done(parent) != is_done(crd):
+            raise BlockError(
+                f"{self.name}: misaligned inputs "
+                f"({token_repr(parent)} vs {token_repr(crd)})"
+            )
+
     def _run(self):
         while True:
             parent = yield from self._get(self.in_parent_ref)
             crd = yield from self._get(self.in_crd)
-            if is_done(parent) and is_done(crd):
+            self._check_pair(parent, crd)
+            if is_done(parent):
                 yield True
                 return
             if is_data(parent) and is_data(crd):
                 self.child_refs.append(self.level.append(parent, crd))
             yield True
+
+    timing = TimingDescriptor()
+
+    def drain_timed(self) -> bool:
+        """Timed drain: one pairing (:func:`_take_pairs`), one event per
+        token pair; each pair of data is appended in arrival order (an
+        ``N`` on either side appends nothing)."""
+        if self.finished:
+            return False
+        readers = self._treader(self.in_parent_ref), self._treader(self.in_crd)
+        taken = _take_pairs(self, readers, blank=(True, True))
+        if taken is None:
+            return False
+        windows, (parent, crd) = taken
+        keep = np.ones(len(parent.data), dtype=bool)
+        keep[parent.blank] = False
+        keep[crd.blank] = False
+        append = self.level.append
+        self.child_refs += [append(p, c) for p, c in zip(parent.data[keep].tolist(),
+                                                         crd.data[keep].tolist())]
+        _commit_pairs(self, windows, (parent, crd))
+        return True
+
+
+def _take_pairs(block, readers, blank):
+    """What two same-level streams have both arrived of, paired token by
+    token: ``(windows, views)``, or None when no pair is complete.
+
+    Every chunk complete on both streams, through the first ``D``, and
+    the pairs of the open one; an ``N`` is read as a datum on a stream
+    *blank* names (:func:`blank_fibers`), and a stop pairs with a stop
+    of any level.  A chunk that does not pair up raises
+    ``block._check_pair``'s error.
+    """
+    windows = [reader.held_window() for reader in readers]
+    if windows[0] is None or windows[1] is None:
+        return None
+    views = [front_stream(w) for w in windows]
+    views = common_front([blank_fibers(v) if b else v for v, b in zip(views, blank)])
+    first, second = views
+    k = len(first.codes)
+    if not k + first.tail:
+        return None
+    stops_as_s0 = [v._replace(codes=np.minimum(v.codes, 0)) for v in views]
+    clean = pair_chunks(*stops_as_s0, phantoms=(False, False)).clean
+    if clean < k:
+        for pair in zip(first.tokens(clean), second.tokens(clean)):
+            block._check_pair(*pair)
+    return windows, views
+
+
+def _commit_pairs(block, windows, views) -> None:
+    """One event per pair :func:`_take_pairs` took, gated by both tokens;
+    move both windows past them."""
+    first, second = views
+    di, ci = token_order_indices(first.ends, len(first.data))
+    arrivals = np.empty(len(first.data) + len(first.codes), dtype=np.int64)
+    arrivals[di] = np.maximum(first.sdata, second.sdata)
+    arrivals[ci] = np.maximum(first.scodes, second.scodes)
+    block._t_advance(arrivals)
+    for window, view in zip(windows, views):
+        consume(window, *view.span)
+    block.finished = first.done
 
 
 def assemble_tensor(

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .level import Level
 
 
@@ -28,6 +30,10 @@ class LinkedListLevel(Level):
         self.tails: List[Optional[int]] = [None] * num_fibers
         self.node_crd: List[int] = []
         self.node_next: List[Optional[int]] = []
+        #: the fiber each node was appended under
+        self.node_parent: List[int] = []
+        #: ``fiber_arrays``' layout, by the level's size when it was built
+        self._layout: Optional[tuple] = None
 
     def ensure_fiber(self, ref: int) -> None:
         """Grow the level so fiber *ref* exists (discordant writers need this)."""
@@ -41,6 +47,7 @@ class LinkedListLevel(Level):
         node = len(self.node_crd)
         self.node_crd.append(coordinate)
         self.node_next.append(None)
+        self.node_parent.append(ref)
         if self.tails[ref] is None:
             self.heads[ref] = node
         else:
@@ -59,6 +66,31 @@ class LinkedListLevel(Level):
             pairs.append((self.node_crd[node], node))
             node = self.node_next[node]
         return pairs
+
+    def fiber_arrays(self, refs: np.ndarray):
+        """Vectorized :meth:`fiber` over a run of references.
+
+        Returns ``(crds, children, lens)`` as
+        :meth:`CompressedLevel.fiber_arrays` does.  A list's nodes are its
+        appends in order, so a stable sort of the nodes by parent lays
+        every list out in list order.  The layout is built once per size
+        of the level: a reader's many windows share it.
+        """
+        size = (len(self.node_parent), len(self.heads))
+        if self._layout is None or self._layout[0] != size:
+            parent = np.asarray(self.node_parent, dtype=np.int64)
+            seg = np.zeros(size[1] + 1, dtype=np.int64)
+            np.cumsum(np.bincount(parent, minlength=size[1]), out=seg[1:])
+            self._layout = (size, np.argsort(parent, kind="stable"), seg,
+                            np.asarray(self.node_crd, dtype=np.int64))
+        _, order, seg, crd = self._layout
+        refs = np.asarray(refs, dtype=np.int64)
+        starts = seg[refs]
+        lens = seg[refs + 1] - starts
+        before = np.cumsum(lens) - lens
+        children = order[np.arange(int(lens.sum()), dtype=np.int64)
+                         + np.repeat(starts - before, lens)]
+        return crd[children], children, lens
 
     def memory_footprint(self) -> int:
         return 2 * len(self.node_crd) + len(self.heads)

@@ -15,9 +15,9 @@ registry :data:`repro.sim.backends.BACKENDS` lists the shipped ones:
 ``timed-batch`` (:class:`TimedBatchEngine`)
     Epoch-batched timing on the TokenBatch data plane: blocks with
     timing descriptors advance over whole control-free token segments
-    analytically (one vectorized schedule per segment) while the rest
-    fall back per block to the scalar timed path.  Bit-identical
-    reports (cycles, busy/stall, token counts) to ``cycle``.
+    analytically (one vectorized schedule per segment); a graph with a
+    block that cannot runs on ``cycle`` whole.  Bit-identical reports
+    (cycles, busy/stall, token counts) to ``cycle``.
 
 ``compiled`` (:class:`CompiledEngine`)
     The same timed plane and run loop with control-free segments
@@ -25,10 +25,10 @@ registry :data:`repro.sim.backends.BACKENDS` lists the shipped ones:
     identical reports, the fastest timed backend on large workloads.
 
 ``functional`` (:class:`FunctionalEngine`)
-    Runs every block until it stalls, with no clock: timed-capable
-    blocks through ``drain_timed`` (stamps ignored), the rest through
-    their generators; the report carries ``cycles == 0``.  For
-    outputs-only runs on any graph.
+    Runs every block until it stalls, with no clock: through
+    ``drain_timed`` (stamps ignored) when the timed backends would run
+    the graph on windows, through the generators otherwise; the report
+    carries ``cycles == 0``.  For outputs-only runs on any graph.
 
 ``functional-seq`` (:class:`SequentialFunctionalEngine`)
     ``functional`` with every block on its generator: the differential

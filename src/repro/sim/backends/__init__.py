@@ -5,20 +5,19 @@ The registry maps backend names to engine classes:
 ======================  ==============================================
 ``"cycle"``             Reference model; steps every block every cycle.
 ``"timed-batch"``       Epoch-batched timing on the TokenBatch plane;
-                        identical cycles/stats/token counts.
+                        identical cycles/stats/token counts.  A graph
+                        with a block that has no usable window hook
+                        runs on ``"cycle"`` whole (``report.handoff``).
 ``"compiled"``          The timed-batch run loop plus static segment
                         fusion: linear chains run as one super-block
                         (composed schedules, fused kernels); identical
                         reports, fastest timed backend at scale.
 ``"functional"``        Outputs only (``cycles == 0``), on any graph:
-                        timed-capable blocks run ``drain_timed`` with
-                        the stamps ignored, the rest their generator.
+                        a window run calls ``drain_timed`` with the
+                        stamps ignored, any other graph steps every
+                        generator (the timed backends' plane rule).
                         Not the fastest where segments fuse
-                        (``compiled`` is ~1.7x ahead on 1e6-nnz SpMV);
-                        it is the quick one where the timed engines
-                        step generator-only blocks cycle by cycle
-                        (~3x ``compiled`` on OuterSPACE 200x200, ~6x
-                        on ``spmm_kij`` 40x40).
+                        (``compiled`` is ~1.7x ahead on 1e6-nnz SpMV).
 ``"functional-seq"``    ``functional`` with every block on its ``_run``
                         generator: the differential oracle.
 ``"event"``             Another name for ``"cycle"``.

@@ -23,6 +23,8 @@ class SimulationReport:
     def __init__(self, cycles: int, blocks: List[Block]):
         self.cycles = cycles
         self.blocks = blocks
+        #: why a timed engine ran this graph on ``cycle`` (None: it did not)
+        self.handoff: Optional[str] = None
 
     def block_activity(self) -> Dict[str, Dict[str, int]]:
         """Per-block busy/stall cycle counts."""

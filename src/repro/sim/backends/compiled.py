@@ -43,13 +43,13 @@ the plain timed plane here exactly as under ``timed-batch`` (a
 co-scheduled unit around them measures no faster; see
 docs/architecture.md, "Segment fusion").
 
-Fallback ladder: a segment whose members or links fail validation at
-compile time is *rejected* (members run on the plain timed-batch
-plane); a fused zip head whose operand windows lose structural
-alignment mid-run *dissolves* its segment the same way — both count as
-``fallbacks`` in the fusion statistics; and any member that bails the
-timed plane entirely drops to the engine's scalar per-cycle loop, the
-same per-block ladder the timed-batch backend uses.  Only the zip head
+Fallback ladder: a graph that cannot run on windows at all goes to
+``cycle`` whole, before anything is compiled (``report.handoff``; the
+fusion statistics read zero); a segment whose members or links fail
+validation at compile time is *rejected* (members run on the plain
+timed-batch plane); a fused zip head whose operand windows lose
+structural alignment mid-run *dissolves* its segment the same way —
+both count as ``fallbacks`` in the fusion statistics.  Only the zip head
 returns ``_DISSOLVE``, and only from acquisition, which is two-phase:
 windows are only consumed once the whole step is guaranteed to commit,
 and all member state (``_tclock``, carries, reducer accumulators) is
@@ -708,13 +708,13 @@ class CompiledEngine(TimedBatchEngine):
 
     backend = "compiled"
 
-    def _compile_segments(self, blocks, timed):
+    def _compile_segments(self, blocks):
         """Validate the structural partition against run-time state.
 
         Rejection (→ plain timed-batch execution for the members) when:
-        a member is off the timed plane, an interior link lost its timed
-        state or holds prefilled tokens, or a member lacks the hook its
-        role is fused through (:data:`_ROLE_HOOK`).
+        an interior link holds prefilled tokens, is finite or recorded,
+        or a member lacks the hook its role is fused through
+        (:data:`_ROLE_HOOK`).
         """
         from ...graph.bind import partition_segments, segment_plan_key
 
@@ -724,9 +724,8 @@ class CompiledEngine(TimedBatchEngine):
         for seg in partition_segments(blocks):
             interior = list(seg.links)
             interior += [f[1] for f in seg.feeders if f is not None]
-            ok = all(timed[i] for i in seg.members) and all(
-                ch.timed is not None
-                and not ch.queue
+            ok = all(
+                not ch.queue
                 and not ch.timed.pending
                 and ch.capacity is None
                 and not ch.record
@@ -769,13 +768,17 @@ class CompiledEngine(TimedBatchEngine):
         self._segment_log = (compiled, rejected, plans, cache_mark)
         return units
 
-    def _report(self, cycles):
+    def _report(self, cycles, handoff=None):
         """Attach ``report.fusion`` (segment statistics as of the end of
         the run: a dissolved unit counts as a fallback, its kind stays
-        listed at the reduced count) and ``report.plans`` (the fused
-        segments' plan digests and this run's cache hits/misses)."""
-        report = super()._report(cycles)
-        compiled, rejected, plans, (hits, misses) = self._segment_log
+        listed at the reduced count; all zero on a run handed to
+        ``cycle``) and ``report.plans`` (the fused segments' plan digests
+        and this run's cache hits/misses)."""
+        report = super()._report(cycles, handoff)
+        compiled, rejected, plans, (hits, misses) = (
+            ([], 0, [], (PLAN_CACHE.hits, PLAN_CACHE.misses)) if handoff
+            else self._segment_log
+        )
         fusion = {
             "segments": 0,
             "fused_blocks": 0,

@@ -1,23 +1,23 @@
 """Functional backend: outputs only, on any graph, with no clock.
 
 There is no cycle loop.  Blocks sit on a worklist; a visited block runs
-until it stalls and is revisited only after a neighbour pushed onto one
-of its inputs (or popped a finite FIFO it fills).  Each block has two
-definitions and the engine picks one per block, by the same rule as the
-timed backends (:func:`~repro.sim.backends.timed_batch.timed_plane`):
+until it stalls and is revisited after a neighbour pushed onto one of
+its inputs (or popped a finite FIFO it fills), or, on the timed plane,
+after a visit that made progress.  Each block has two definitions and
+the plane is decided once, by the timed backends' rule
+(:func:`~repro.sim.backends.timed_batch.timed_plane`):
 
-* **timed-capable blocks** advance through ``drain_timed``, whole
-  numpy token windows at a time.  The cycle stamps that hook computes
-  are simply ignored — there is no stamps-off switch and no functional
-  branch inside any block;
-* **every other block** (bitvector scanners, matrix reducers, linked-list
-  writers, anything behind a finite FIFO or a skip channel, a block that
-  bailed off the timed plane) runs its ``_run`` generator through
+* when **every block** can use its window hook, each advances through
+  ``drain_timed``, whole numpy token windows at a time.  The cycle
+  stamps that hook computes are simply ignored — there is no stamps-off
+  switch and no functional branch inside any block.  A block whose hook
+  gives up mid-run (a merger's dirty chunk, a parallelizer's ``N``)
+  continues on its ``_run`` generator through
   :meth:`~repro.blocks.base.Block.drain`: its stamped inputs are
-  materialised first, and what it pushed is swept back onto the stamped
-  plane for timed consumers.  This is where the timed backends step
-  cycle by cycle, and why this backend is the quick way to get outputs
-  from graphs dominated by such blocks.
+  materialised first, and what it pushed is stamped for its readers;
+* **any other graph** (bitvector scanners, matrix reducers, a finite
+  FIFO or a skip channel) runs every block on its generator, exactly as
+  ``"functional-seq"`` does.
 
 ``"functional-seq"`` is this loop with the timed plane switched off in
 ``planes``: every block steps its generator — the differential oracle.
@@ -41,9 +41,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from ...streams.batch import UnbatchableTokens
 from .base import Engine, SimulationReport
-from .timed_batch import timed_plane
+from .timed_batch import stamp_channels, timed_plane
 
 
 class FunctionalEngine(Engine):
@@ -60,7 +59,10 @@ class FunctionalEngine(Engine):
         del max_cycles  # advisory: no cycles are modelled (see module docs)
         blocks = self.blocks
         n = len(blocks)
-        producers, consumers, channels, timed = timed_plane(blocks, self.planes)
+        plane = timed_plane(blocks, self.planes)
+        if plane.handoff is None:
+            stamp_channels(plane)
+        producers, consumers, channels, timed, _ = plane
         in_ch = [list(b.inputs.values()) for b in blocks]
         # Who to wake after a visit: the consumer of each output that
         # saw a push, the producer of each finite FIFO this block pops.
@@ -91,27 +93,21 @@ class FunctionalEngine(Engine):
                 busy = block.busy_cycles
                 progressed = block.drain_timed()
                 steps = block.busy_cycles - busy
-                if not block._timed_ok:
-                    # Bailed with its window requeued: the generator
-                    # continues from here.
-                    timed[i] = False
-                    wake(i)
+                # Bailed with its window requeued: the generator
+                # continues from here.
+                timed[i] = block._timed_ok
+                # a hook may take one slice a visit: back after its readers
+                again = progressed or not timed[i]
             else:
                 for ch in in_ch[i]:
                     ch.materialize_timed(None)
                 limit = None if budget is None else budget - resumptions + 1
                 progressed, steps = block.drain(limit=limit)
-                for ch, c in outs[i]:
-                    if ch.timed is None or c is None or not timed[c]:
-                        continue
-                    try:
+                again = False
+                # a block that left its hook: behind its stamped pushes
+                for ch, _ in outs[i]:
+                    if ch.timed is not None:
                         ch.stamp_queue(1)
-                    except UnbatchableTokens:
-                        # The consumer cannot batch these tokens (tuple
-                        # skip hints etc.): the queue is intact behind
-                        # the window it hands back.
-                        blocks[c]._bail_timed()
-                        timed[c] = False
             resumptions += steps
             if budget is not None and resumptions > budget:
                 raise RuntimeError(
@@ -124,6 +120,8 @@ class FunctionalEngine(Engine):
                     wake(c)
             for p in fillers[i]:
                 wake(p)
+            if again:
+                wake(i)
         for ch in channels:
             ch.materialize_timed(None)
         for block, (busy, stall) in zip(blocks, counters):

@@ -9,14 +9,13 @@ instrumenting the blocks themselves.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import Deque, Optional
 
 import numpy as np
 
-from .batch import TokenBatch, batch_kind, concat_batches
+from .batch import TokenBatch, concat_batches
 from .stream import Stream
-from .timing import stamp_split_at, token_order_indices
+from .timing import stamp_split_at
 from .token import DONE, EMPTY, Stop, is_data, is_done, is_empty, is_stop
 
 
@@ -68,11 +67,6 @@ class Channel:
         if self.capacity is not None and len(self.queue) >= self.capacity:
             raise OverflowError(f"channel {self.name!r} is full")
         self.queue.append(token)
-        if self.timed is not None:
-            # Track direct pushes so the timed materialiser keeps its
-            # stamped backlog ordered before them (they are always newer
-            # than anything still pending).
-            self.timed.direct += 1
         if self.record:
             self.history.append(token)
         # Classification fast path: the overwhelming majority of tokens are
@@ -123,21 +117,19 @@ class Channel:
         )
 
     # -- batched fast path ---------------------------------------------------
-    def take_batch(self, count: Optional[int] = None) -> Optional[TokenBatch]:
-        """Pop the first *count* queue elements (default: *everything*)
-        as one TokenBatch (None when there are none).
+    def take_batch(self) -> Optional[TokenBatch]:
+        """Pop every queued element as one TokenBatch (None when there
+        are none).
 
         Scalar tokens interleaved with batches are coalesced; the result
         preserves arrival order exactly.
         """
         queue = self.queue
-        if count is None:
-            count = len(queue)
-        if not count:
+        if not queue:
             return None
         parts = []
         scalars: list = []
-        for item in islice(queue, count):
+        for item in queue:
             if item.__class__ is TokenBatch:
                 if scalars:
                     parts.append(TokenBatch.from_tokens(scalars))
@@ -147,13 +139,7 @@ class Channel:
                 scalars.append(item)
         if scalars:
             parts.append(TokenBatch.from_tokens(scalars))
-        if count == len(queue):
-            queue.clear()
-        else:
-            for _ in range(count):
-                queue.popleft()
-        if self.timed is not None:
-            self.timed.direct = len(queue)
+        queue.clear()
         return concat_batches(parts)
 
     # -- statistics ----------------------------------------------------------
@@ -229,81 +215,31 @@ class Channel:
             self.history.extend(batch.tokens())
         state.pending.append((batch, sdata, sctrl))
 
-    def fresh_kind(self) -> Optional[str]:
-        """Judge what was queued since the last :meth:`note_pushes`.
+    def stamp_queue(self, stamp: int) -> bool:
+        """Move every queued token onto the stamped plane as one batch,
+        visible at cycle *stamp*.
 
-        None when nothing was; else the :func:`batch_kind` the new
-        elements share (``"x"`` when they share none).  Raises
-        :class:`~repro.streams.batch.UnbatchableTokens` with the queue
-        intact: whether a token can ride the stamped plane is known the
-        cycle it is pushed, although its batch is built later.
-        """
-        queue = self.queue
-        fresh = len(queue) - len(self.timed.noted)
-        if fresh <= 0:
-            return None
-        if fresh == 1:
-            return batch_kind(queue[-1])
-        kinds = {batch_kind(queue[-k]) for k in range(1, fresh + 1)} - {""}
-        return kinds.pop() if len(kinds) == 1 else "x" if kinds else ""
-
-    def note_pushes(self, stamp: int, kind: str) -> None:
-        """Record *stamp* as the visible cycle of the elements
-        :meth:`fresh_kind` just judged to be of *kind*.
-
-        How a generator-driven producer's pushes reach a timed consumer:
-        the tokens wait in the queue and their cycles in ``timed.noted``
-        until somebody reads (:meth:`stamp_queue`), so a run pushed a
-        token a cycle costs one batch, not one per token.  A noted run
-        holds one type of datum — the batch must not turn the reference
-        ``1`` into ``1.0`` because a value joined it — so a change of
-        kind closes it, and an ``"x"`` element is stamped on the spot.
-        """
-        state = self.timed
-        if kind:
-            if kind == "x" or (state.kind and kind != state.kind):
-                self.stamp_queue()
-            if kind == "x":
-                self.stamp_queue(stamp)
-                return
-            state.kind = kind
-        state.noted += [stamp] * (len(self.queue) - len(state.noted))
-
-    def stamp_queue(self, stamp: Optional[int] = None) -> bool:
-        """Move queued tokens onto the stamped plane as one batch.
-
-        The one way there for directly pushed tokens.  The elements
-        :meth:`note_pushes` recorded become visible at their noted
-        cycles; given *stamp*, everything queued behind them goes too,
-        visible at *stamp* (tokens queued before the run, what a
-        generator pushed under the functional engine).  Raises
+        The one way there for directly pushed tokens: those queued before
+        the run, and what a generator pushed (the timed engines stamp a
+        generator's pushes the cycle it makes them, the functional engine
+        after each drain).  Raises
         :class:`~repro.streams.batch.UnbatchableTokens` with the queue
         intact; returns whether anything moved.
         """
-        state = self.timed
-        noted = state.noted
-        batch = self.take_batch(len(noted) if stamp is None else None)
+        batch = self.take_batch()
         if batch is None or batch.exhausted:
             return False
-        data, cpos, ccode = batch.remaining_arrays()
-        # stream-order stamps: the noted cycles, then *stamp* for the rest
-        order = np.full(len(data) + len(ccode),
-                        0 if stamp is None else stamp, dtype=np.int64)
-        if noted:
-            order[:len(noted)] = noted
-            di, ci = token_order_indices(cpos, len(data))
-            sdata, sctrl = order[di], order[ci]
-            state.noted, state.kind = [], ""
-        else:
-            sdata, sctrl = order[:len(data)], order[len(data):]
-        state.pending.append((batch, sdata, sctrl))
+        data, _, ccode = batch.remaining_arrays()
+        self.timed.pending.append((
+            batch,
+            np.full(len(data), stamp, dtype=np.int64),
+            np.full(len(ccode), stamp, dtype=np.int64),
+        ))
         return True
 
     def timed_take(self) -> list:
         """Hand the whole stamped pending queue to a timed reader."""
         state = self.timed
-        if state.noted:
-            self.stamp_queue()
         if not state.pending:
             return []
         taken = list(state.pending)
@@ -319,16 +255,11 @@ class Channel:
         """Move pending tokens visible by cycle *limit* into the queue.
 
         ``None`` flushes everything (end of run).  Tokens enter the queue
-        as TokenBatch elements ahead of any directly-pushed tokens that
-        arrived after the timed plane stopped being used, preserving
-        stream order.  Returns True when anything materialised.
+        as TokenBatch elements behind what the queue already holds.
+        Returns True when anything materialised.
         """
         state = self.timed
-        if state is None:
-            return False
-        if state.noted:
-            self.stamp_queue()
-        if not state.pending:
+        if state is None or not state.pending:
             return False
         moved = []
         while state.pending:
@@ -345,30 +276,15 @@ class Channel:
             if tail is not None:
                 state.pending.appendleft(tail)
                 break
-        if not moved:
-            return False
-        # Queue layout: [earlier materialised tokens][direct pushes].
-        # Direct pushes (a producer that left the timed plane) are newer
-        # than anything still pending, so the moved prefix lands between.
-        tail = []
-        if state.direct:
-            for _ in range(min(state.direct, len(self.queue))):
-                tail.append(self.queue.pop())
         for batch in moved:
             if not batch.exhausted:
                 self.queue.append(batch)
-        while tail:
-            self.queue.append(tail.pop())
-        return True
+        return bool(moved)
 
     def timed_pending_min_stamp(self) -> Optional[int]:
         """Earliest visible cycle still waiting in the pending queue."""
         state = self.timed
-        if state is None:
-            return None
-        if state.noted:
-            self.stamp_queue()
-        if not state.pending:
+        if state is None or not state.pending:
             return None
         batch, sdata, sctrl = state.pending[0]
         d, c = batch._d, batch._c
@@ -403,25 +319,13 @@ class TimedChannelState:
       ``s + 1``;
     * ``pop_stamps`` — occupancy log for finite-capacity channels: the
       producer-visible cycle each queue slot was freed, letting a batched
-      producer compute exact credit-limited push schedules;
-    * ``direct`` — queue elements at the tail that were pushed directly
-      (scalar plane) rather than materialised from the stamped pending
-      queue, so the materialiser keeps its backlog ordered before them;
-    * ``noted`` / ``kind`` — the visible cycle of each leading queue
-      element a generator-driven producer pushed for a timed reader
-      (:meth:`Channel.note_pushes`), newer than everything in
-      ``pending`` and batched when somebody reads, and the type of
-      datum that run holds (``"i"``, ``"f"`` or ``""`` for none yet).
+      producer compute exact credit-limited push schedules.
     """
 
-    __slots__ = ("delta", "delta_pop", "direct", "pending", "pop_stamps",
-                 "noted", "kind")
+    __slots__ = ("delta", "delta_pop", "pending", "pop_stamps")
 
     def __init__(self, delta: int = 0, delta_pop: int = 0):
         self.delta = delta
         self.delta_pop = delta_pop
         self.pending: Deque = deque()
         self.pop_stamps: list = []
-        self.direct = 0
-        self.noted: list = []
-        self.kind = ""

@@ -1,13 +1,13 @@
-"""Scalar test blocks and window-log helpers shared by the block tests.
+"""Pacing test blocks and window-log helpers shared by the block tests.
 
-The timed engines drain a window block whenever somebody reads what it
-produced; the blocks here are generator-only, so every engine steps
-them a cycle at a time and the block under test sees the windows they
-make: a :class:`Slicer` or a :class:`Relay` in front of it cuts its
-input, a :class:`Probe` behind it (or a :func:`woken` class) keeps it
-current every cycle.  :func:`window_log` and
-:func:`assert_windows_sliced` check, wall-clock-free, that the cuts
-reached it.
+A window block's hook sees whatever its producers pushed since its last
+visit, and the timed engines visit a block again after every visit that
+made progress.  The blocks here push one slice a visit, stamped as
+their generators push it: a :class:`Slicer` or a :class:`Relay` in
+front of the block under test cuts its input into windows, and a
+``Relay`` behind it reads its outputs a token a cycle.
+:func:`window_log` and :func:`assert_windows_sliced` check,
+wall-clock-free, that the cuts reached it.
 
 ``tests/conftest.py`` puts this directory on ``sys.path``; import it as
 ``from blockkit import ...``.
@@ -20,10 +20,14 @@ import pkgutil
 from collections import Counter
 from contextlib import contextmanager
 
+import numpy as np
+
 import repro.blocks
 from repro.blocks import Block, StreamFeeder
+from repro.blocks.base import TimingDescriptor
 from repro.sim import BACKENDS, FunctionalEngine
 from repro.streams import Channel
+from repro.streams.batch import TokenBatch, UnbatchableTokens, batch_kind
 from repro.streams.token import is_done
 
 #: every engine that models cycles on the timed plane
@@ -37,10 +41,28 @@ UNTIMED = tuple(
 )
 
 
+def push_stamped(channel, tokens, stamp):
+    """Push *tokens* onto *channel*'s stamped plane, all pushed at *stamp*:
+    one batch per run of one type of datum, so the coordinate ``1`` does
+    not become ``1.0`` because a value shares its slice."""
+    runs, kind = [[]], ""
+    for token in tokens:
+        now = batch_kind(token)
+        if now and kind and now != kind:
+            runs.append([])
+        kind = now or kind
+        runs[-1].append(token)
+    for run in runs:
+        batch = TokenBatch.from_tokens(run)
+        channel.push_batch_timed(batch, np.full(len(batch.data), stamp),
+                                 np.full(len(batch.ctrl_code), stamp))
+
+
 class Relay(Block):
-    """Scalar-only pass-through.  It has no timed hook, so the timed
-    engines step its generator and its consumer is fed one-token
-    windows, one per cycle."""
+    """Pass-through, one token a cycle.  Its window hook moves one token
+    a visit, so its consumer is fed one-token windows."""
+
+    timing = TimingDescriptor()
 
     def __init__(self, in_, out, name):
         super().__init__(name)
@@ -55,42 +77,34 @@ class Relay(Block):
             if is_done(token):
                 return
 
-
-class Probe(Block):
-    """Scalar-only consumer, one token a cycle.
-
-    The timed engines wake a timed block when a generator needs what it
-    produced; a block whose outputs nobody steps for is drained in one
-    window however its input was sliced.  A probe behind the block
-    under test is that generator: the block is brought current before
-    every cycle's step, so its windows end where the slices do."""
-
-    def __init__(self, in_, name):
-        super().__init__(name)
-        self.in_ = self._in("in_", in_)
-
-    def _run(self):
-        while True:
-            token = yield from self._get(self.in_)
-            yield True
-            if is_done(token):
-                return
+    def drain_timed(self):
+        reader = self._treader(self.in_)
+        if self.finished or not len(reader):
+            return False
+        token, stamp = reader.pop()
+        push_stamped(self.out, [token], self._t_event(stamp))
+        self.finished = is_done(token)
+        return True
 
 
 class Slicer(Block):
-    """Scalar-only source pushing its tokens in slices, idling between.
+    """Source pushing its tokens in slices, idling between.
 
     *plan* is ``[(size, gap), ...]``: push *size* tokens, idle *gap*
-    cycles; whatever the plan leaves is pushed last.  It has no timed
-    hook, so every engine steps its generator: the block downstream sees
-    windows that end wherever a slice does — mid-fiber, between a
-    coordinate and its references, after the stop.
+    cycles; whatever the plan leaves is pushed last.  Its window hook
+    makes one of the generator's cycles a visit (a slice, or an idle
+    cycle), so the block downstream sees windows that end wherever a
+    slice does — mid-fiber, between a coordinate and its references,
+    after the stop — in the order of their cycles.
     """
+
+    timing = TimingDescriptor()
 
     def __init__(self, tokens, plan, out, name):
         super().__init__(name)
         self.tokens, self.plan = list(tokens), plan
         self.out = self._out("out", out)
+        self._cycles = None  # what the generator pushes each cycle
 
     def _run(self):
         pos = 0
@@ -105,10 +119,30 @@ class Slicer(Block):
             self.out.push(token)
         yield True
 
+    def timed_capable(self):
+        try:
+            for token in self.tokens:
+                batch_kind(token)
+        except UnbatchableTokens:
+            return False
+        return True
+
+    def drain_timed(self):
+        if self.finished:
+            return False
+        if self._cycles is None:
+            self._cycles = [n for size, gap in self.plan for n in [size] + [0] * gap]
+            self._cycles.append(len(self.tokens))
+        size = self._cycles.pop(0)
+        push_stamped(self.out, self.tokens[:size], self._t_event())
+        del self.tokens[:size]
+        self.finished = not self._cycles
+        return True
+
 
 def fed(tokens, channel, name, relay=False):
     """A ``StreamFeeder`` playing *tokens* onto *channel* — through a
-    scalar :class:`Relay`, one token a cycle, when *relay*."""
+    :class:`Relay`, one token a cycle, when *relay*."""
     if not relay:
         return [StreamFeeder(list(tokens), channel, name=name)]
     raw = Channel(f"{name}_raw", kind=channel.kind)
@@ -116,55 +150,40 @@ def fed(tokens, channel, name, relay=False):
             Relay(raw, channel, f"{name}_relay")]
 
 
-def probes(outs):
-    """One :class:`Probe` behind each of *outs*."""
-    return [Probe(ch, f"probe_{ch.name}") for ch in outs]
-
-
-def woken(cls):
-    """*cls* as a block the timed engines keep current every cycle.
-
-    For a block under test with no output to put a :class:`Probe`
-    behind (writers, sinks): the engines bring a block that declares it
-    may leave the timed plane, and everything timed upstream of it,
-    current every cycle — the test-only subclass declares just that."""
-    return type(cls.__name__, (cls,), {"timed_may_bail": True})
-
-
 @contextmanager
 def window_log():
-    """``(noted, taken)`` counters by channel name while a timed engine
-    runs: the cycles in which a generator's pushes were noted for a
-    timed reader, and the non-empty stamped windows handed to one."""
-    noted, taken = Counter(), Counter()
-    real_note, real_take = Channel.note_pushes, Channel.timed_take
+    """``(pushed, taken)`` counters by channel name while a timed engine
+    runs: the stamped pushes onto a channel (one a visit from a block
+    here) and the non-empty stamped windows handed to its reader."""
+    pushed, taken = Counter(), Counter()
+    real_push, real_take = Channel.push_batch_timed, Channel.timed_take
 
-    def note(channel, stamp, kind):
-        noted[channel.name] += 1
-        return real_note(channel, stamp, kind)
+    def push(channel, batch, sdata, sctrl):
+        pushed[channel.name] += not batch.exhausted
+        return real_push(channel, batch, sdata, sctrl)
 
     def take(channel):
         window = real_take(channel)
         taken[channel.name] += bool(window)
         return window
 
-    Channel.note_pushes, Channel.timed_take = note, take
+    Channel.push_batch_timed, Channel.timed_take = push, take
     try:
-        yield noted, taken
+        yield pushed, taken
     finally:
-        Channel.note_pushes, Channel.timed_take = real_note, real_take
+        Channel.push_batch_timed, Channel.timed_take = real_push, real_take
 
 
 def assert_windows_sliced(log, source, reader=None, pushes=None):
-    """Each cycle's pushes on the channel named *source* made a window
-    of their own on *reader* (default: the same channel; another one
+    """Each stamped push onto the channel named *source* made a window
+    of its own on *reader* (default: the same channel; another one
     when a timed block sits in between): the delivery still cuts the
     windows of the block under test, wall-clock-free.  *pushes* is how
     many of them the reader lives to see, when a ``D`` ends it early."""
-    noted, taken = log
+    pushed, taken = log
     if pushes is None:
-        pushes = noted[source]
-    assert noted[source] >= pushes > 0, (source, noted)
+        pushes = pushed[source]
+    assert pushed[source] >= pushes > 0, (source, pushed)
     assert taken[reader or source] >= pushes, (source, pushes, taken)
 
 

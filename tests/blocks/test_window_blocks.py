@@ -11,14 +11,13 @@ its protocol errors — and one harness serves every row:
   row's ports; every whole-delivery graph must pass ``infer_protocol``
   with no finding;
 * deliveries (:class:`Delivery`): whole, one input cut, one link
-  prefilled, random slices, a scalar ``Relay`` on one input, on every
-  input or behind the outputs, with a scalar probe behind the outputs
-  so the block's windows end where the pushes do (asserted,
-  wall-clock-free);
+  prefilled, random slices, a ``Relay`` on one input, on every input or
+  behind the outputs; the block's windows end where the pushes do
+  (asserted, wall-clock-free);
 * outcome: the full report on the timed engines, token counts, outputs
   and counters on the functional ones; at most one epoch advance a
   visit (+ 1), and on whole delivery one over every busy event; a row's
-  ``exempt`` rule names the checks it skips (the mergers' ROADMAP 9(a));
+  ``exempt`` rule names the checks it skips (the mergers' ``one window``);
 * errors: one ``BlockError`` text on every engine for each defect, under
   each of five deliveries behind each of 0, 1 and 3 clean chunks.
 
@@ -43,6 +42,7 @@ from repro.blocks import (
     CoordDropper,
     InterleaveSerializer,
     Intersect,
+    LinkedListLevelWriter,
     Locator,
     MergeSide,
     RepeatSigGen,
@@ -62,8 +62,7 @@ from repro.streams.timing import window_capacity
 from repro.streams.token import is_data, is_stop
 
 from blockkit import (
-    TIMED, UNTIMED, Relay, Slicer, assert_windows_sliced, canon, fed, probes,
-    window_log,
+    TIMED, UNTIMED, Relay, Slicer, assert_windows_sliced, canon, fed, window_log,
 )
 from numpy_counters import numpy_calls
 
@@ -73,7 +72,7 @@ ENGINES = tuple(
     name for name, engine in BACKENDS.items() if engine is not BACKENDS[ORACLE]
 )
 #: channel kind of an input port, by the port's name less its indices
-KINDS = {"crd": "crd", "ref": "ref", "target": "ref", "outer": "crd",
+KINDS = {"crd": "crd", "ref": "ref", "target": "ref", "outer": "crd", "parent": "crd",
          "val": "vals", "inner": "vals", "a": "vals", "b": "vals", "lane": "vals"}
 
 
@@ -212,6 +211,24 @@ def scatter_streams(draw):
 
     fibers = one_level(draw(nests(scatter_pairs)))
     return {"size": SIZE}, same_level(fibers, draw(scatter_pairs), ("ref", "val"), emit)
+
+
+linked_pairs = st.lists(
+    st.tuples(st.one_of(st.integers(0, 3), st.just(EMPTY)),
+              st.one_of(st.integers(0, 9), st.just(EMPTY))),
+    max_size=3,
+)
+
+
+@st.composite
+def linked_list_streams(draw):
+    """(parent, coordinate) pairs, ``N`` on either side."""
+    def emit(streams, pairs):
+        streams["parent"] += [p for p, _ in pairs]
+        streams["crd"] += [c for _, c in pairs]
+
+    fibers = one_level(draw(nests(linked_pairs)))
+    return {}, same_level(fibers, draw(linked_pairs), ("parent", "crd"), emit)
 
 
 SPECIAL = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e308, -1e308,
@@ -382,6 +399,15 @@ def make_scatter(params, ins, out):
                               name="wr_scatter")]
 
 
+def make_linked_list(params, ins, out):
+    return [LinkedListLevelWriter(ins["parent"], ins["crd"], name="wr_ll")]
+
+
+def linked_lists(blocks):
+    level = blocks[0].level
+    return [level.fiber(r) for r in range(level.num_fibers())], blocks[0].child_refs
+
+
 def make_reducer(params, ins, out):
     return [VectorReducer(ins["crd"], ins["val"], out("oc", "crd"), out("ov", "vals"),
                           flush_level=params["flush_level"], name="red")]
@@ -471,6 +497,14 @@ SCATTER_ERRORS = Errors({"size": 3}, {"ref": "0 N S0 2 S1", "val": "1.0 2.0 S1 N
     ("wr_scatter: misaligned inputs (N vs D)", {"ref": "N S0 D", "val": "D"}),
     ("wr_scatter: misaligned inputs (S1 vs D)", {"ref": "0 S1 D", "val": "1.0 D"}),
     ("wr_scatter: misaligned inputs (D vs S0)", {"ref": "0 D", "val": "1.0 S0 D"}),
+])
+LINKED_ERRORS = Errors({}, {"parent": "0 N S0 2 S1", "crd": "5 6 S1 N S0"}, [
+    ("wr_ll: misaligned inputs (1 vs S0)", {"parent": "0 1 S0 D", "crd": "5 S0 6 D"}),
+    ("wr_ll: misaligned inputs (D vs 3)", {"parent": "0 1 D", "crd": "5 6 3 D"}),
+    ("wr_ll: misaligned inputs (S0 vs N)", {"parent": "S0 D", "crd": "N S0 D"}),
+    ("wr_ll: misaligned inputs (N vs D)", {"parent": "N S0 D", "crd": "D"}),
+    ("wr_ll: misaligned inputs (S1 vs D)", {"parent": "0 S1 D", "crd": "1 D"}),
+    ("wr_ll: misaligned inputs (D vs S0)", {"parent": "0 D", "crd": "1 S0 D"}),
 ])
 REDUCE_ERRORS = Errors(
     {"flush_level": 1}, {"crd": "0 1 S0 1 S1", "val": "1.0 2.0 0.0 S0 3.0 S1"}, [
@@ -563,36 +597,19 @@ REPEAT_ERRORS = Errors({}, {"crd": "0 1 S0 2 S1 3 S1", "ref": "10 11 S0 12 S0"},
 
 
 # -- the case table -----------------------------------------------------------------
-def scalar_fed(delivery):
-    """Whether a generator (slices, a cut, an input relay) feeds the block."""
-    return delivery.kind in ("cut", "slices") or (
-        delivery.kind == "relay" and delivery.port != "out")
-
-
 def nothing(*args):
     return ()
 
 
 def merger_exemption(params, delivery):
-    """The checks a merger row skips.  A merger knows a fiber is clean
-    only at its terminator, and two of the checks it skips are that
-    (ROADMAP 9(a)):
-
-    * ``probe``: between two generators it hands the reader a fiber's
-      head a fiber late, so no probe sits behind its outputs;
-    * ``report``: a dirty fiber (an ``N`` reference, a non-zero phantom,
-      a repeated coordinate) behind a scalar producer hands its generator
-      a backlog ``cycle``'s generator consumed as it arrived — tokens and
-      outputs only.
-
-    The third is by design, ``one window``: a dirty chunk leaves the
-    plane, and key capacity splits a window of huge coordinates."""
-    skip, dirty = {"probe"}, params.get("dirty")
-    if dirty and scalar_fed(delivery):
-        skip.add("report")
-    if dirty or params.get("base", 0) >= 2**61:
-        skip.add("one window")
-    return skip
+    """The checks a merger row skips, by design, as ``one window``: a
+    dirty chunk leaves the hook and the generator reads the rest of the
+    stream, and key capacity splits a window of huge coordinates.  A
+    key-split row still counts its sliced windows; a dirty row does not
+    (``check``), since its generator reads what follows the bail."""
+    if params.get("dirty") or params.get("base", 0) >= 2**61:
+        return {"one window"}
+    return set()
 
 
 class Case(NamedTuple):
@@ -620,6 +637,8 @@ CASES = [
          paced={"target": None}),
     Case("scatter", (ScatterValsWriter,), scatter_streams(), make_scatter,
          SCATTER_ERRORS, counters=lambda blocks: [canon(v) for v in blocks[0].vals]),
+    Case("linked-list", (LinkedListLevelWriter,), linked_list_streams(),
+         make_linked_list, LINKED_ERRORS, counters=linked_lists),
     Case("reduce", (VectorReducer,), reduce_streams(), make_reducer, REDUCE_ERRORS),
     Case("drop", (CoordDropper,), drop_streams(), make_dropper, DROP_ERRORS,
          counters=lambda blocks: blocks[0].dropped),
@@ -729,11 +748,6 @@ def build(case, params, streams, delivery):
 
     under = case.make(params, ins, out)
     blocks += under
-    if delivery.kind != "whole" and "probe" not in case.exempt(params, delivery):
-        blocks += probes(recorded)
-        for block in under:
-            if not block.outputs:  # nothing to probe: keep it current instead
-                block.timed_may_bail = True
     return blocks, recorded, under
 
 
@@ -794,13 +808,15 @@ def check(case, params, streams, delivery, windows=1, engines=ENGINES):
     skip = case.exempt(params, delivery)
     for backend in engines:
         got, log, under = run(case, params, streams, delivery, backend)
-        if backend in UNTIMED or "report" in skip:
+        if backend in UNTIMED:
             assert got[2:] == want[2:], (backend, delivery)
             continue
         assert got == want, (backend, delivery)
         if backend not in TIMED:
             continue
         for port, sizes in push_groups(streams, delivery).items():
+            if params.get("dirty"):
+                break  # a dirty chunk leaves the hook: the generator reads the rest
             reader = case.paced.get(port, port)
             if reader is not None:
                 live = streams[port].index(DONE) + 1  # the block ends at the first D
@@ -950,7 +966,7 @@ EXEMPT = {name: path for path, names in {
     "CompressedLevelScanner UncompressedLevelScanner",
     "tests/blocks/test_compute.py": "Exp",
     "tests/sim/test_functional_batch.py": "Fanout",
-    "tests/sim/test_wake_on_demand.py": "Parallelizer",
+    "tests/sim/test_plane_rule.py": "Parallelizer",
     "tests/sim/test_timed_batch.py": "StreamFeeder",
     "tests/sim/test_backends.py": "RootFeeder",
 }.items() for name in names.split()}
@@ -1040,6 +1056,32 @@ def test_repeater_runs_unfused():
     report = run_blocks(build(BY_NAME["repeat"], params, streams, WHOLE)[0],
                         backend="compiled")
     assert report.fusion["kinds"] == {} and report.fusion["fallbacks"] == 0
+
+
+#: a row, its parameters, one fiber of four pairs and the output it emits on
+OPEN_PAIRS = [
+    ("alu", {"op": "mul"}, {"a": "1.0 2.0 3.0 4.0 S0 D", "b": "2.0 2.0 2.0 2.0 S0 D"},
+     "out"),
+    ("value-drop", {}, {"crd": "0 1 2 3 S0 D", "val": "1.0 2.0 3.0 4.0 S0 D"}, "ov"),
+    ("scatter", {"size": SIZE}, {"ref": "0 1 2 3 S0 D", "val": "1.0 2.0 3.0 4.0 S0 D"},
+     None),
+]
+
+
+@pytest.mark.parametrize("backend", TIMED)
+@pytest.mark.parametrize("row, params, texts, output", OPEN_PAIRS,
+                         ids=[row[0] for row in OPEN_PAIRS])
+def test_open_pairs_leave_before_their_terminator(row, params, texts, output, backend):
+    # fed a token a visit on every input, a same-level block takes each
+    # pair in the visit that completes it, not at the fiber's stop
+    streams = {port: toks(text) for port, text in texts.items()}
+    blocks, _, under = build(BY_NAME[row], params, streams, Delivery("relay", "in"))
+    counted(under[0])
+    with window_log() as (pushed, _):
+        run_blocks(blocks, backend=backend)
+    assert len(under[0].advances) >= 4, under[0].advances
+    if output is not None:
+        assert pushed[output] >= 4, pushed
 
 
 def asymmetric_sides(arity, relation, long_side, seed):
@@ -1185,6 +1227,16 @@ class TestKeyCapacity:
         # side a's keys: 10 fibers of 3 coordinates + stop and the empty
         # chunk D closes, at most 3 chunks a window
         assert [sides[0] for sides in merges] == [12, 12, 12, 5]
+
+    @pytest.mark.parametrize("cls", (Intersect, Union))
+    def test_split_windows_are_still_sliced(self, cls):
+        # ``one window`` spares a key-split row the advance count only:
+        # every delivery must still reach its windows
+        base = 2**61
+        streams = self.huge(base, 10)
+        for delivery in every_delivery(streams):
+            check(BY_NAME[cls.__name__.lower()], {"dirty": False, "base": base},
+                  streams, delivery)
 
     def test_capacity_zero_goes_scalar(self):
         top = int(np.iinfo(np.int64).max) - 1

@@ -156,3 +156,24 @@ class TestLinkedListLevel:
         level.ensure_fiber(4)
         assert level.num_fibers() == 5
         assert level.fiber(4) == []
+
+    def test_fiber_arrays_is_fiber_and_lays_out_once_per_size(self):
+        level = LinkedListLevel()
+        for k, ref in enumerate([2, 0, 2, 3, 0, 2]):
+            level.append(ref, 10 * k)
+
+        def expect(refs):
+            pairs = [level.fiber(r) for r in refs]
+            return [[c for p in pairs for c, _ in p], [n for p in pairs for _, n in p],
+                    [len(p) for p in pairs]]
+
+        for refs in ([0, 1, 2, 3], [2, 2], [3, 0]):
+            got = level.fiber_arrays(np.array(refs))
+            assert [a.tolist() for a in got] == expect(refs)
+        layout = level._layout
+        level.fiber_arrays(np.array([1]))
+        assert level._layout is layout  # a reader's windows share one layout
+        level.append(1, 99)
+        level.ensure_fiber(5)
+        got = level.fiber_arrays(np.array([1, 5, 2]))
+        assert [a.tolist() for a in got] == expect([1, 5, 2])

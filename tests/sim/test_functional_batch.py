@@ -216,14 +216,14 @@ class TestUnbatchableTokens:
 
 class TestMixedPlaneGraphs:
     def test_generator_only_blocks_fall_back(self):
-        # OuterSPACE uses LinkedListLevelWriter / MatrixReducer, which have
-        # no timed drain: the engine must mix planes inside one graph.
-        from repro.blocks.writer import LinkedListLevelWriter
+        # spmm kij's MatrixReducer has no timed drain: the engine must mix
+        # planes inside one graph.
+        from repro.blocks import MatrixReducer
 
-        assert "timed" not in LinkedListLevelWriter.capabilities()
+        assert "timed" not in MatrixReducer.capabilities()
         seq, bat = both(
-            lambda be: outerspace_spmm(B, C, backend=be),
-            lambda r: r.output.tolist(),
+            lambda be: run_spmm(B, C, order="kij", backend=be),
+            lambda r: r.output.to_numpy().tolist(),
         )
         assert seq == bat
 

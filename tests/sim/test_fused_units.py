@@ -4,9 +4,8 @@ The kernels only ever drive the scan→locate unit through ``spmv_locate``
 with whole-window delivery; here both surviving unit classes are wired
 by hand and fed hypothesis-drawn streams — ``N`` references, stray
 ``S0``/``S1`` stops, empty and all-miss fibers — whole or one token per
-cycle through the scalar ``Relay`` (so units park mid-fiber and carries
-are live; the tails are then ``woken`` ones, so the one-token windows
-reach the unit — asserted, wall-clock-free).  Every wiring must
+cycle through a ``Relay`` (so units park mid-fiber and carries are live;
+the one-token windows reach the unit — asserted, wall-clock-free).  Every wiring must
 reproduce the ``cycle`` engine's full report under ``timed-batch`` and
 ``compiled``.
 
@@ -45,7 +44,7 @@ from repro.graph.builder import capture_runs
 from repro.sim import graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
-from blockkit import TIMED, Slicer, assert_windows_sliced, fed, window_log, woken
+from blockkit import TIMED, Slicer, assert_windows_sliced, fed, window_log
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "graph"))
 from _goldenlib import kernel_cases  # noqa: E402
@@ -128,8 +127,7 @@ class TestScanLocateUnit:
                                        in_ref, crd, ref, name="scan"))
             blocks.append(Locator(CompressedLevel.from_fibers([target]),
                                   crd, ref, *outs, name="locate"))
-            sink = woken(Sink) if relay else Sink
-            blocks += [sink(ch, name=f"sink_{ch.name}") for ch in outs]
+            blocks += [Sink(ch, name=f"sink_{ch.name}") for ch in outs]
             # reversed block order flips every link's visibility delta
             return blocks[::-1] if reverse else blocks
 
@@ -188,8 +186,7 @@ class TestScannerWindow:
                         Channel("o_in", kind="ref")]
                 blocks.append(Locator(CompressedLevel.from_fibers([target]),
                                       crd, ref, *outs, name="locate"))
-            sink = Sink if cut is None else woken(Sink)
-            blocks += [sink(ch, name=f"sink_{ch.name}") for ch in outs]
+            blocks += [Sink(ch, name=f"sink_{ch.name}") for ch in outs]
             return blocks[::-1] if reverse else blocks
 
         live = refs.index(DONE) + 1  # the scanner ends at the first D
@@ -261,19 +258,18 @@ class TestChainUnit:
                 scaled = Channel("scaled", kind="vals")
                 blocks.append(ScalarALU("mul", scale, cur, scaled, name="scale"))
                 cur = scaled
-            last = (lambda cls: cls) if relay == "whole" else woken
             if tail == "reduce":
                 out = Channel("reduced", kind="vals")
                 blocks.append(ScalarReducer(cur, out, name="reduce"))
-                blocks.append(last(Sink)(out, name="sink"))
+                blocks.append(Sink(out, name="sink"))
             elif tail == "vals":
-                blocks.append(last(ValsWriter)(cur, name="wr"))
+                blocks.append(ValsWriter(cur, name="wr"))
             elif tail == "sink":
-                blocks.append(last(Sink)(cur, name="sink"))
+                blocks.append(Sink(cur, name="sink"))
             elif tail == "compressed":
-                blocks.append(last(CompressedLevelWriter)(cur, name="wr"))
+                blocks.append(CompressedLevelWriter(cur, name="wr"))
             else:
-                blocks.append(last(UncompressedLevelWriter)(50, cur, name="wr"))
+                blocks.append(UncompressedLevelWriter(50, cur, name="wr"))
             return blocks
 
         kind = "value-chain" if tail in ("reduce", "sink") else "writer-tail"

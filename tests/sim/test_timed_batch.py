@@ -244,11 +244,18 @@ class TestPerBlockFallback:
         assert ref[3].tokens == timed[3].tokens == tokens
 
     def test_generator_only_blocks_fall_back(self):
-        # OuterSPACE uses LinkedListLevelWriter / MatrixReducer, which
-        # have no timed hook: the engine mixes planes inside one graph.
-        from repro.blocks.writer import LinkedListLevelWriter
+        # MatrixReducer (spmm kij) has no window hook: the whole run goes
+        # to cycle and says so; OuterSPACE's two phases stay on windows
+        from repro.blocks import MatrixReducer
 
-        assert LinkedListLevelWriter.drain_timed is None
+        assert MatrixReducer.drain_timed is None
+        ref, timed = both(
+            lambda be: run_spmm(B, C, order="kij", backend=be),
+            lambda r: (r.output.to_numpy().tolist(), r.cycles,
+                       r.report.block_activity(), r.report.handoff),
+        )
+        assert ref[:3] == timed[:3]
+        assert ref[3] is None and "(MatrixReducer): no window hook" in timed[3]
         ref, timed = both(
             lambda be: outerspace_spmm(B, C, backend=be),
             lambda r: (r.output.tolist(), r.total_cycles),

@@ -158,9 +158,8 @@ class Counts:
             self.schedules += 1
             return real(*args)
 
-        def compile_segments(engine, blocks, timed,
-                             real=CompiledEngine._compile_segments):
-            units = real(engine, blocks, timed)
+        def compile_segments(engine, blocks, real=CompiledEngine._compile_segments):
+            units = real(engine, blocks)
             self.units.append((blocks, units))
             return units
 

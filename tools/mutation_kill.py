@@ -15,9 +15,10 @@ Usage::
     python tools/mutation_kill.py
 
 It mutates this checkout's ``src/``: the window hooks are judged by
-``tests/blocks/test_window_blocks.py``, the ``.mtx`` reader's byte-grammar
-check by ``tests/data/test_io.py``.  Every mutation costs one pytest run
-that stops at its first failure.
+``tests/blocks/test_window_blocks.py``, the engines' plane rule and
+generator finish by ``tests/sim/test_plane_rule.py``, the ``.mtx``
+reader's byte-grammar check by ``tests/data/test_io.py``.  Every mutation
+costs one pytest run that stops at its first failure.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 BLOCKS = "tests/blocks/test_window_blocks.py"
 INGEST = "tests/data/test_io.py"
+PLANES = "tests/sim/test_plane_rule.py"
 #: seconds one mutation's test run may take (a hang counts as killed)
 TIMEOUT = 900
 
@@ -91,6 +93,25 @@ MUTATIONS = (
     Mutation("locator without its input check", "repro/blocks/locate.py",
              "self._check_pair(*pair)",
              "pass"),
+    # -- the timed engines' plane rule and generator finish
+    Mutation("generator finish starts a cycle late",
+             "repro/sim/backends/timed_batch.py",
+             "t, busy = block._tclock, 0",
+             "t, busy = block._tclock + 1, 0", PLANES),
+    Mutation("stall jump credits one cycle too few",
+             "repro/sim/backends/timed_batch.py",
+             "block.stall_cycles += target - t - 1",
+             "block.stall_cycles += target - t - 2", PLANES),
+    Mutation("plane rule skips timed_capable()", "repro/sim/backends/timed_batch.py",
+             "if not block.timed_capable():",
+             "if False:", PLANES),
+    Mutation("plane rule decided per block", "repro/sim/backends/timed_batch.py",
+             "        timed = [False] * len(blocks)\n",
+             "        pass\n", PLANES),
+    Mutation("functional: a block that left its hook is not revisited",
+             "repro/sim/backends/functional.py",
+             "again = progressed or not timed[i]",
+             "again = progressed", PLANES),
     # -- the .mtx reader's byte-grammar check in front of scipy's parser
     Mutation("grammar check always passes", "repro/data/io.py",
              "_body_tokens(data, start, need) != need * nnz",
