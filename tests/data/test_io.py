@@ -4,6 +4,7 @@ tensors driven through all three simulation backends."""
 import gzip
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from numpy_counters import numpy_calls
 from scipy import sparse
 
 from repro.data import (
@@ -594,6 +596,10 @@ GRAMMAR_TABLE = [
     ("1 2 nan\n", 3, -1),
     ("1 2 1d3\n", 3, -1),
     ("1 2 1.5\x00\n", 3, -1),
+    ("1 2\x0b3\n", 2, -1),           # a vertical tab between tokens
+    ("1\xa02 3\n", 3, -1),           # a byte >= 0x80 joins two indices
+    ("1 2 1\xe55\n", 3, -1),
+    ("1 2 1.5\n\t\n1 2 -7e-1\n", 3, 6),
     *((f"1 2 {token}\n", 3, -1) for token in [
         "1.5.3", "1e5e5", "1-2", "1.5e", "1e+", "1..2", "1e5.3", ".e5", "1.5+",
         "5e-", "12x", ".", "+", "e5", "+-1", "1e+-5", "--1", "1e.5", "+.e1"]),
@@ -617,6 +623,36 @@ class TestBodyGrammar:
         hostile = data[:-3] + b".3\n"  # the last value spelled 39.25e-9.3
         assert io_module._body_tokens(hostile, 7, 3) == -1
         assert io_module._body_tokens(data + b"1 2 " + b"1" * slab + b"\n", 7, 3) == -1
+
+    def test_one_skeleton_pass_a_slab_and_no_search(self, monkeypatch):
+        # Wall-clock free: the check reads each slab once (np.flatnonzero
+        # of a slab-length mask, the skeleton) and searches nothing.
+        rng = np.random.default_rng(3)
+        rows = rng.integers(1, 20_000, (20_000, 2))
+        body = "".join(f"{i} {j} {v!r}\n" for (i, j), v in
+                       zip(rows.tolist(), rng.standard_normal(20_000).tolist()))
+        data = ("20000 20000 20000\n" + body).encode()
+        monkeypatch.setattr(io_module, "_SLAB", 1 << 16)  # ten slabs, not one
+        slabs = []
+        check = io_module._slab_tokens
+
+        def counted(slab, need):
+            slabs.append(slab.size)
+            return check(slab, need)
+
+        monkeypatch.setattr(io_module, "_slab_tokens", counted)
+
+        def note(frame, args):
+            return frame.f_globals["__name__"], np.size(args[0]), len(slabs)
+
+        with numpy_calls("searchsorted") as searches, \
+                numpy_calls("flatnonzero", note) as calls:
+            assert io_module._body_tokens(data, 18, 3) == 60_000
+        assert len(slabs) > 5
+        assert "repro.data.io" not in searches
+        assert [slab for module, size, slab in calls
+                if module == "repro.data.io" and size == slabs[slab - 1]
+                ] == list(range(1, len(slabs) + 1))
 
     @pytest.mark.parametrize("field, symmetry", [
         (field, symmetry) for field in MTX_FIELDS for symmetry in MTX_SYMMETRIES
@@ -676,6 +712,72 @@ def mtx_texts(draw):
         entries += draw(st.sampled_from([0, 0, 0, 1, -1]))
     return (f"%%MatrixMarket matrix coordinate {field} {symmetry}\n3 3 {entries}\n"
             + "".join(lines))
+
+
+#: the documented grammar of one body line, without its ``\n``: blank,
+#: or two ``INT`` then (``need == 3``) a ``FLOAT``, between ``[ \t]`` gaps
+_FLOAT = rb"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+GRAMMAR_LINE = {
+    2: re.compile(rb"[ \t]*([0-9]+[ \t]+[0-9]+[ \t]*)?"),
+    3: re.compile(rb"[ \t]*([0-9]+[ \t]+[0-9]+[ \t]+" + _FLOAT + rb"[ \t]*)?"),
+}
+#: what the generated bodies are made of beyond the tokens and gaps
+ODD_BYTES = ["\r", "\r\n", "% note", "\x00", "\x0b", "\x0c", "\x1f", "\x7f",
+             "\x80", "\xa0", "\xe5", "\xff", ".", "e", "-", "+", "1"]
+
+
+def grammar_tokens(body: bytes, need: int, slab: int) -> int:
+    """What the check must say of *body*, decided line by line by the
+    regular expression: ``need`` tokens a non-blank line, or -1."""
+    if not body:
+        return 0
+    lines = body.split(b"\n")
+    if lines.pop() != b"":  # no final newline
+        return -1
+    if any(len(line) >= slab or not GRAMMAR_LINE[need].fullmatch(line)
+           for line in lines):
+        return -1
+    return need * sum(1 for line in lines if line.strip(b" \t"))
+
+
+def grammar_body(rng: random.Random, need: int) -> bytes:
+    """Lines of index and value tokens: every other body only what the
+    grammar admits, the rest any token, ragged lines and odd bytes
+    spliced in anywhere."""
+    clean = rng.random() < 0.5
+    indices = INDEX_TOKENS[:4] if clean else INDEX_TOKENS
+    values = VALUE_TOKENS[:CLEAN_VALUES] if clean else VALUE_TOKENS
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        width = need if clean or rng.random() < 0.7 else rng.choice([1, 2, 3, 4])
+        tokens = [rng.choice(indices) for _ in range(min(width, 2))]
+        tokens += [rng.choice(values) for _ in range(width - 2)]
+        pad = rng.choice(["", "", " ", "\t"])
+        line = pad + rng.choice([" ", "\t", "  ", " \t "]).join(tokens) + pad
+        lines.append(line if rng.random() < 0.9 else rng.choice(["", " \t"]))
+    text = "".join(line + "\n" for line in lines)
+    for _ in range(0 if clean else rng.randint(0, 2)):
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(ODD_BYTES) + text[at:]
+    return text.encode("latin-1")
+
+
+class TestGrammarOracle:
+    """The check against the grammar itself, written as a per-line
+    ``re.fullmatch``: every generated body gets the oracle's verdict."""
+
+    @pytest.mark.parametrize("slab", [16, 25, 64, io_module._SLAB])
+    def test_check_is_the_regular_expression(self, slab, monkeypatch):
+        monkeypatch.setattr(io_module, "_SLAB", slab)
+        rng = random.Random(slab)
+        verdicts = []
+        for _ in range(1500):
+            need = rng.choice([2, 3])
+            body = grammar_body(rng, need)
+            want = grammar_tokens(body, need, slab)
+            assert io_module._body_tokens(b"3 3 1\n" + body, 6, need) == want, body
+            verdicts.append(want > 0)
+        assert 0.2 < np.mean(verdicts) < 0.8  # both verdicts well drawn
 
 
 def _outcome(read, path):
@@ -787,6 +889,45 @@ class TestWriterBytes:
         coo = CooTensor((2, 3), np.empty((0, 2), dtype=np.int64), np.empty(0))
         path = write_tns(str(tmp_path / "z.tns"), coo)
         assert _file_bytes(path) == b"# shape: 2 3\n"
+
+
+class TestWritersLeaveNoPartialFile:
+    """A writer that raises leaves the file that was at the path, byte for
+    byte, and no temporary file beside it."""
+
+    def _coo(self, order):
+        coords = np.arange(3 * order, dtype=np.int64).reshape(3, order) % 3
+        return CooTensor((3,) * order, coords, np.array([1.5, -2.0, 4.0]))
+
+    @pytest.mark.parametrize("suffix", ["mtx", "mtx.gz"])
+    def test_non_ascii_comment_refused_before_opening(self, suffix, tmp_path):
+        path = write_mtx(str(tmp_path / f"m.{suffix}"), self._coo(2))
+        before = open(path, "rb").read()
+        with pytest.raises(ValueError, match="non-ASCII character 'é'"):
+            write_mtx(path, DENSE_GENERAL, comment="a\ncafé")
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == [f"m.{suffix}"]
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    @pytest.mark.parametrize("writer, stem, order", [
+        (write_mtx, "w.mtx", 2), (write_tns, "w.tns", 3),
+    ])
+    def test_failed_write_keeps_the_old_file(self, writer, stem, order, suffix,
+                                             tmp_path, monkeypatch):
+        path = writer(str(tmp_path / (stem + suffix)), self._coo(order))
+        before = open(path, "rb").read()
+        fresh = str(tmp_path / ("new-" + stem + suffix))
+
+        def full_disk(handle, fmt, body):
+            handle.write("1 1 ")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(io_module, "_write_rows", full_disk)
+        for target in (path, fresh):
+            with pytest.raises(OSError, match="no space left"):
+                writer(target, self._coo(order))
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == [stem + suffix]
 
 
 class TestTnsReader:

@@ -10,7 +10,11 @@ Fails (exit 1) when:
   exist — this is exactly how the repo once shipped dangling
   ``EXPERIMENTS.md`` citations;
 * a repo-relative ``src/...``/``tests/...``/``benchmarks/...`` path
-  named in a markdown file does not exist.
+  named in a markdown file does not exist;
+* a backticked private name (one leading underscore: ``_slab_tokens``,
+  ``Block._bail_timed``) in ``docs/``, README.md or EXPERIMENTS.md names
+  no identifier of the code in ``src/``, ``tests/``, ``tools/``,
+  ``benchmarks/`` or ``perfbench/`` -- prose that outlived a rename.
 
 Usage::
 
@@ -32,6 +36,15 @@ MD_CODE_PATH = re.compile(r"\b((?:src|tests|benchmarks|docs|tools)/[\w./-]+\.(?:
 PY_DOC_REF = re.compile(r"\b(docs/[\w-]+\.md|[A-Z][A-Z0-9_-]+\.md)\b")
 
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "#")
+
+#: inline code spans, and the private names inside them (not dunders;
+#: ``_check_*`` stands for every name it opens)
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+PRIVATE_NAME = re.compile(r"(?<!\w)_[A-Za-z0-9]\w*\*?")
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+#: where a private name cited by the prose must exist, and the prose
+CODE_TREES = ("src", "tests", "tools", "benchmarks", "perfbench")
+NAMED_DOCS = ("docs", "README.md", "EXPERIMENTS.md")
 
 #: meta files that quote paths from *other* repositories (exemplar
 #: snippets, related-work notes) — not claims about this tree
@@ -82,9 +95,31 @@ def check_python_doc_refs(root: str):
                 yield path, f"cites nonexistent doc -> {name}"
 
 
+def check_private_names(root: str):
+    known = set()
+    for tree in CODE_TREES:
+        for path in iter_files(os.path.join(root, tree), ".py"):
+            known.update(IDENTIFIER.findall(open(path, encoding="utf-8").read()))
+    for doc in NAMED_DOCS:
+        target = os.path.join(root, doc)
+        paths = iter_files(target, ".md") if os.path.isdir(target) else [target]
+        for path in paths:
+            text = open(path, encoding="utf-8").read()
+            for span in CODE_SPAN.finditer(text):
+                for name in PRIVATE_NAME.findall(span.group(1)):
+                    if name.endswith("*"):
+                        found = any(word.startswith(name[:-1]) for word in known)
+                    else:
+                        found = name in known
+                    if not found:
+                        line = text.count("\n", 0, span.start()) + 1
+                        yield path, f"line {line}: `{name}` names nothing in the code"
+
+
 def main(argv=None) -> int:
     root = os.path.abspath((argv or sys.argv[1:] or ["."])[0])
-    problems = list(check_markdown(root)) + list(check_python_doc_refs(root))
+    problems = (list(check_markdown(root)) + list(check_python_doc_refs(root))
+                + list(check_private_names(root)))
     for path, message in problems:
         print(f"{os.path.relpath(path, root)}: {message}")
     if problems:

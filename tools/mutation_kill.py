@@ -117,7 +117,7 @@ MUTATIONS = (
              "_body_tokens(data, start, need) != need * nnz",
              "False", INGEST),
     Mutation("grammar check without the per-token order rule", "repro/data/io.py",
-             "not _in_order(slab, marks, token)",
+             "not _in_order(byte, spaced, marks, token)",
              "False", INGEST),
     Mutation("grammar check lets punctuation into index columns", "repro/data/io.py",
              "(token % need != 2).any()",
@@ -125,6 +125,10 @@ MUTATIONS = (
     Mutation("grammar check without the per-line token count", "repro/data/io.py",
              "((steps == 0) | (steps == need)).all()",
              "True", INGEST),
+    Mutation("grammar check reads a neighbour across digits as the skeleton byte",
+             "repro/data/io.py",
+             "np.where(spaced[marks - 1], np.uint8(48), byte[marks - 1])",
+             "byte[marks - 1]", INGEST),
     Mutation("the file's symmetry passed through to scipy", "repro/data/io.py",
              'f"general\\n{shape[0]}',
              'f"{data.split(None, 5)[4].decode()}\\n{shape[0]}', INGEST),
