@@ -4,19 +4,19 @@ Four sections:
 
 * **bound-graph workloads** — fig13-sized element-wise multiplies,
   SpM*SpM graphs and Table 1's Plus3 (two three-way unioners), timed
-  under every backend (cycle, timed-batch, compiled, functional).  The
-  timed backends' cycle counts are asserted identical to the reference
-  engine; functional is outputs-only.  One
-  gate rides this section: on ``spmm_ijk_40x40_d8`` — ~1600 fiber pairs
+  under every backend (cycle, timed-batch, compiled).  The window
+  backends' cycle counts are asserted identical to the reference
+  engine.  One gate rides this section: on ``spmm_ijk_40x40_d8`` — ~1600 fiber pairs
   through the k-level intersecter, the graph the window-at-a-time
   mergers exist for — ``timed-batch`` must beat ``cycle`` by >= 2x.
 * **timed scaling** — iterate-locate SpMV at 1e4 and 1e5 nnz under the
-  three timed backends, their rounds interleaved.  Two gates ride this
+  three backends, their rounds interleaved.  Every row's cycle count
+  and its ``crd`` / ``vals`` arrays must equal ``cycle``'s bit for bit
+  (windows give the generators' outputs at scale).  Two gates ride this
   section (both asserted, so CI fails on regressions): the
   epoch-batching headline — ``timed-batch`` must beat ``cycle`` by >= 5x
-  wall-clock at 1e5 nnz — and the fusion headline — ``compiled`` must
-  beat ``timed-batch`` by >= 1.6x there — both while reproducing the
-  reference cycle count bit for bit.
+  wall-clock at 1e5 nnz, i.e. windows beat generators — and the fusion
+  headline — ``compiled`` must beat ``timed-batch`` by >= 1.6x there.
   Compiled rows also carry the segment-fusion statistics
   (segments/fused blocks/fallbacks/kinds) and plan-cache counters of
   the last run's report.
@@ -70,9 +70,9 @@ from repro.kernels.spmv import spmv_locate
 from repro.lang import compile_expression
 from repro.studies.table1 import ENTRIES
 
-ENGINES = ("cycle", "timed-batch", "compiled", "functional")
-#: backends that model time (and must agree with the reference exactly)
-TIMED_ENGINES = ("cycle", "timed-batch", "compiled")
+#: the ``cycle`` reference first, then the window backends that must
+#: agree with it exactly
+ENGINES = ("cycle", "timed-batch", "compiled")
 #: nnz sizes for the timed-scaling section
 SCALING_SIZES = (10_000, 100_000)
 #: required timed-batch speedup over cycle at the largest scaling size
@@ -265,7 +265,7 @@ def run_bound_graphs(rounds: int, warmup: int) -> list:
             }
             if engine == "compiled":
                 entry["engines"][engine].update(_compiled_row_stats(report))
-        for engine in TIMED_ENGINES[1:]:
+        for engine in ENGINES[1:]:
             if cycles_by_engine[engine] != cycles_by_engine["cycle"]:
                 raise AssertionError(
                     f"{name}: {engine} cycles {cycles_by_engine[engine]} != "
@@ -287,33 +287,45 @@ def run_bound_graphs(rounds: int, warmup: int) -> list:
     return results
 
 
+def _same_bits(a, b) -> bool:
+    """Whether two arrays hold the same dtype, shape and bytes."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
 def run_timed_scaling(rounds: int, warmup: int) -> list:
     results = []
     for nnz in SCALING_SIZES:
         tensor, vec = _scaling_operand(nnz)
         entry = {"workload": f"spmv_locate_{nnz}", "nnz": nnz, "engines": {}}
-        cycles_by_engine = {}
         timed = _median_times(
             {
                 engine: lambda engine=engine: _captured(
                     lambda: spmv_locate(tensor, vec, backend=engine),
                     engine == "compiled",
                 )
-                for engine in TIMED_ENGINES
+                for engine in ENGINES
             },
             rounds, warmup,
         )
-        for engine in TIMED_ENGINES:
-            median, _, ((_, _, cycles), stats) = timed[engine]
-            cycles_by_engine[engine] = cycles
+        outputs = {}
+        for engine in ENGINES:
+            median, _, ((crd, vals, cycles), stats) = timed[engine]
+            outputs[engine] = (cycles, crd, vals)
             entry["engines"][engine] = {"seconds": median, "cycles": cycles,
                                         **(stats or {})}
-        for engine in TIMED_ENGINES[1:]:
-            if cycles_by_engine[engine] != cycles_by_engine["cycle"]:
+        want_cycles, want_crd, want_vals = outputs["cycle"]
+        for engine in ENGINES[1:]:
+            cycles, crd, vals = outputs[engine]
+            if cycles != want_cycles:
                 raise AssertionError(
-                    f"spmv_locate nnz={nnz}: {engine} cycles "
-                    f"{cycles_by_engine[engine]} != reference "
-                    f"{cycles_by_engine['cycle']}"
+                    f"spmv_locate nnz={nnz}: {engine} cycles {cycles} != "
+                    f"reference {want_cycles}"
+                )
+            if not (_same_bits(crd, want_crd) and _same_bits(vals, want_vals)):
+                raise AssertionError(
+                    f"spmv_locate nnz={nnz}: {engine} crd/vals are not "
+                    f"bit-identical to cycle's"
                 )
         entry["timed_batch_speedup_vs_cycle"] = (
             entry["engines"]["cycle"]["seconds"]
@@ -439,11 +451,11 @@ def run_mixed_plane(rounds: int, warmup: int) -> list:
     for name, kernel in kernels.items():
         timed = _median_times(
             {engine: lambda engine=engine: kernel(engine)
-             for engine in TIMED_ENGINES},
+             for engine in ENGINES},
             rounds, warmup,
         )
         entry = {"workload": name, "engines": {}}
-        for engine in TIMED_ENGINES:
+        for engine in ENGINES:
             seconds, _, cycles = timed[engine]
             if cycles != timed["cycle"][2]:
                 raise AssertionError(
@@ -468,9 +480,6 @@ def run_bench(rounds: int = 3, warmup: int = 1) -> dict:
         "kernel_scaling": kernels,
         "mixed_plane": mixed,
         "summary": {
-            "best_functional_speedup": max(
-                e["engines"]["functional"]["speedup_vs_cycle"] for e in workloads
-            ),
             "best_timed_batch_speedup": max(
                 e["engines"]["timed-batch"]["speedup_vs_cycle"] for e in workloads
             ),

@@ -20,7 +20,7 @@ def lint_blocks(
     """Run the protocol and deadlock passes (and optionally rates).
 
     The rate pass is opt-in because it needs calibrated channel token
-    counters (a functional run of the graph); protocol and deadlock are
+    counters (a run of the graph); protocol and deadlock are
     purely structural.  *measured* feeds the rate pass's counter
     cross-validation (block name -> measured busy cycles).
     """

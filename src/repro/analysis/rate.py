@@ -34,12 +34,12 @@ timed simulation needed:
   total(in_crd_inner) - 1 + 2*data(out_crd_outer) +
   data(out_crd_inner)``.
 
-Channel token counts are exact after any functional (correctness-only)
-run — every backend pushes the same token sequences by construction —
-so a cheap functional pass calibrates the prediction, and the timed
-backends' measured ``busy_cycles`` cross-validate it (CounterPoint
-style: independent static prediction vs. hardware-counter measurement,
-divergence localises a model bug to one block).
+Channel token counts are exact after any run — every backend pushes
+the same token sequences by construction — so one run calibrates the
+prediction, and the same run's measured ``busy_cycles`` cross-validate
+it (CounterPoint style: independent static prediction vs.
+hardware-counter measurement, divergence localises a model bug to one
+block).
 
 The *bottleneck* is the block with the highest predicted busy count:
 under rate-1 timing it is the block whose port carries the most tokens,
@@ -116,8 +116,8 @@ def analyze_rates(
 ) -> AnalysisReport:
     """Predict per-block busy cycles and the bottleneck chain.
 
-    Requires calibrated channel counters (run the graph functionally
-    first); with all counters zero the pass only records that it could
+    Requires calibrated channel counters (run the graph first); with
+    all counters zero the pass only records that it could
     not calibrate.  *measured* maps block name to measured busy cycles
     (``SimulationReport.block_activity()`` of a timed run); when given,
     each block is cross-validated and divergences beyond *tolerance*

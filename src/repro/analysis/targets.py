@@ -4,10 +4,11 @@
 graphs inside their run functions, so this module runs each kernel over
 small fixed-seed operands (the same seed-7 shapes the golden-structure
 tests pin) under :func:`repro.graph.builder.capture_runs`, which
-snapshots every block list the kernel launches.  The functional backend
-is used by default: it is the fastest, it populates the channel token
-counters the rate pass calibrates on, and multi-stage kernels
-(OuterSPACE) get the real intermediate results their later stages read.
+snapshots every block list the kernel launches.  The timed-batch backend
+is used by default: it populates the channel token counters the rate
+pass calibrates on and the busy counters ``--cross-validate`` reads, and
+multi-stage kernels (OuterSPACE) get the real intermediate results their
+later stages read.
 
 Expressions (``repro lint "x(i) = B(i,j) * c(j)"``) are compiled and
 bound over synthetic operands exactly like ``repro graph``.
@@ -31,7 +32,7 @@ class CapturedGraph(NamedTuple):
     report: Optional[SimulationReport]
 
     def measured_busy(self) -> Dict[str, int]:
-        """Per-block measured busy cycles (zeros on functional runs)."""
+        """Per-block measured busy cycles."""
         if self.report is None:
             return {}
         return {name: act["busy"]
@@ -129,7 +130,7 @@ EXPRESSION_TARGETS = (
 )
 
 
-def capture_kernel(name: str, backend: str = "functional",
+def capture_kernel(name: str, backend: str = "timed-batch",
                    seed: int = 7) -> List[CapturedGraph]:
     """Run kernel *name* under capture; one entry per launched graph."""
     runner = KERNEL_RUNNERS.get(name)
@@ -147,7 +148,7 @@ def capture_kernel(name: str, backend: str = "functional",
     return out
 
 
-def capture_expression(expression: str, backend: str = "functional",
+def capture_expression(expression: str, backend: str = "timed-batch",
                        size: int = 12, seed: int = 0,
                        schedule=None) -> List[CapturedGraph]:
     """Compile, bind and run an expression over synthetic operands."""
@@ -172,7 +173,7 @@ def capture_expression(expression: str, backend: str = "functional",
             for blocks, report in capture.runs]
 
 
-def capture_target(target: str, backend: str = "functional"
+def capture_target(target: str, backend: str = "timed-batch"
                    ) -> List[CapturedGraph]:
     """Dispatch one CLI target: a kernel name or an ``lhs = rhs`` expression."""
     if "=" in target:

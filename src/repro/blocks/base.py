@@ -11,9 +11,7 @@ single-cycle memories.
 A generator stalls only through the helpers :meth:`Block._get`,
 :meth:`Block._peek` and :meth:`Block._put`, so a stall is always a wait
 for a push to one of its inputs or a pop from one of its (finite)
-outputs.  Those are exactly the events the functional engine's worklist
-wakes a block on; a block that yielded ``False`` for any other reason
-would sit unvisited until a neighbour next touched one of its channels.
+outputs.
 """
 
 from __future__ import annotations
@@ -363,33 +361,6 @@ class Block:
         else:
             self.stall_cycles += 1
         return bool(progressed)
-
-    def drain(self, limit: Optional[int] = None) -> Tuple[bool, int]:
-        """Resume the generator until it stalls or finishes (functional mode).
-
-        Unlike :meth:`step`, this performs no busy/stall accounting.
-        Returns ``(made_progress, resumptions)``; the drain stops early
-        after *limit* resumptions.  No block overrides this: it is how
-        the functional backends run every block that is off the timed
-        plane, and all of ``functional-seq``.
-        """
-        if self.finished:
-            return False, 0
-        if self._gen is None:
-            self._gen = self._run()
-        gen = self._gen
-        progressed = False
-        steps = 0
-        try:
-            while limit is None or steps < limit:
-                steps += 1
-                if next(gen):
-                    progressed = True
-                else:
-                    return progressed, steps
-        except StopIteration:
-            self.finished = True
-        return progressed, steps
 
     # -- timed-batch helpers -----------------------------------------------
     def timed_capable(self) -> bool:

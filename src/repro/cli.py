@@ -233,11 +233,10 @@ def _datasets_smoke(args, registry) -> None:
     build_s = time.perf_counter() - start
     rng = np.random.default_rng(args.seed)
     c = rng.uniform(0.1, 1.0, size=spec.shape[1])
-    # Honour the usual engine switches; only then default to functional
-    # (the fastest backend — the smoke checks values, not cycles).
+    # Honour the usual engine switches; only then default to timed-batch.
     from .sim.backends import ENGINE_ENV_VAR
 
-    backend = args.engine or os.environ.get(ENGINE_ENV_VAR) or "functional"
+    backend = args.engine or os.environ.get(ENGINE_ENV_VAR) or "timed-batch"
     start = time.perf_counter()
     crd, vals, cycles = spmv_locate(tensor, c, backend=backend)
     run_s = time.perf_counter() - start
@@ -262,9 +261,9 @@ def _cmd_lint(args) -> None:
     expression-lowering targets).  Each target's graphs are captured by
     running it over small fixed-seed operands, then the protocol,
     deadlock, and (with ``--rate``) rate passes run; error-severity
-    findings make the command exit non-zero.  ``--cross-validate`` runs
-    the timed-batch backend and checks the static rate predictions
-    against its measured busy counters.
+    findings make the command exit non-zero.  Graphs are captured on the
+    timed-batch backend; ``--cross-validate`` checks the static rate
+    predictions against its measured busy counters.
     """
     import json as jsonlib
 
@@ -276,7 +275,6 @@ def _cmd_lint(args) -> None:
         capture_kernel,
     )
 
-    backend = "timed-batch" if args.cross_validate else "functional"
     rate = args.rate or args.cross_validate
 
     jobs = []  # (capture thunk) pairs preserving CLI order
@@ -302,10 +300,9 @@ def _cmd_lint(args) -> None:
     total_findings = 0
     for kind, spec, schedule in jobs:
         if kind == "kernel":
-            captured = capture_kernel(spec, backend=backend)
+            captured = capture_kernel(spec)
         else:
-            captured = capture_expression(spec, backend=backend,
-                                          schedule=schedule)
+            captured = capture_expression(spec, schedule=schedule)
         for graph in captured:
             measured = graph.measured_busy() if args.cross_validate else None
             report = lint_blocks(graph.blocks, rate=rate, measured=measured)
@@ -560,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", action="store_true",
                    help="also run the rate pass (bottleneck prediction)")
     p.add_argument("--cross-validate", action="store_true",
-                   help="run the timed-batch backend and check the static "
-                   "rate predictions against its measured busy counters")
+                   help="check the static rate predictions against the "
+                   "measured busy counters")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="write machine-readable findings to FILE")
     return parser

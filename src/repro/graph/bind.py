@@ -130,7 +130,6 @@ class BoundGraph:
         self,
         max_cycles: Optional[int] = None,
         backend: Optional[str] = None,
-        max_resumptions: Optional[int] = None,
     ) -> SimulationReport:
         from .builder import active_capture
 
@@ -140,8 +139,7 @@ class BoundGraph:
             capture.record(self.blocks, self._report)
             return self._report
         self._report = run_blocks(
-            self.blocks, max_cycles=max_cycles, backend=backend,
-            max_resumptions=max_resumptions,
+            self.blocks, max_cycles=max_cycles, backend=backend
         )
         if capture is not None:
             capture.record(self.blocks, self._report)

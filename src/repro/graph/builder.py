@@ -72,7 +72,7 @@ def capture_runs(simulate: bool = True):
     kernels build internally::
 
         with capture_runs() as capture:
-            spmv_locate(matrix, vector, backend="functional")
+            spmv_locate(matrix, vector, backend="timed-batch")
         for blocks, report in capture.runs:
             ...
 
@@ -437,14 +437,9 @@ class Graph:
         self,
         max_cycles: Optional[int] = None,
         backend: Optional[str] = None,
-        max_resumptions: Optional[int] = None,
         validate: bool = True,
     ) -> SimulationReport:
-        """Validate (by default), then simulate on the chosen backend.
-
-        ``max_resumptions`` is the functional backends' explicit
-        token-operation budget (``max_cycles`` is advisory there).
-        """
+        """Validate (by default), then simulate on the chosen backend."""
         if validate:
             self.validate(backend=backend)
         capture = active_capture()
@@ -453,8 +448,7 @@ class Graph:
             capture.record(self.blocks, report)
             return report
         report = run_blocks(self.blocks, max_cycles=max_cycles,
-                            backend=backend,
-                            max_resumptions=max_resumptions)
+                            backend=backend)
         if capture is not None:
             capture.record(self.blocks, report)
         return report

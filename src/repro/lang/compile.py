@@ -137,7 +137,6 @@ class CompiledProgram:
         record: Tuple[str, ...] = (),
         max_cycles: Optional[int] = None,
         backend: Optional[str] = None,
-        max_resumptions: Optional[int] = None,
     ) -> RunResult:
         """Bind the graph over *tensors*, simulate, and assemble the result.
 
@@ -145,15 +144,12 @@ class CompiledProgram:
         plain floats for scalars); ``record`` lists ``"node.port"`` stream
         identifiers whose full token history should be captured for
         stream analyses (Figure 14); ``backend`` picks the simulation
-        engine (see :mod:`repro.sim.backends`).  ``max_cycles`` budgets
-        the timed backends; ``max_resumptions`` is the functional
-        backends' explicit token-operation budget (``max_cycles`` is
-        advisory there).
+        engine (see :mod:`repro.sim.backends`); a run that needs more
+        than ``max_cycles`` cycles raises ``RuntimeError``.
         """
         prepared = self._prepare_inputs(tensors)
         bound = bind(self.graph, prepared, record=record)
-        report = bound.run(max_cycles=max_cycles, backend=backend,
-                           max_resumptions=max_resumptions)
+        report = bound.run(max_cycles=max_cycles, backend=backend)
         vals_writer = bound.writers[self.info.vals_writer_node]
         if not self.info.lhs_vars:
             vals = vals_writer.vals

@@ -24,18 +24,9 @@ registry :data:`repro.sim.backends.BACKENDS` lists the shipped ones:
     fused into super-blocks (composed schedules, chained kernels);
     identical reports, the fastest timed backend on large workloads.
 
-``functional`` (:class:`FunctionalEngine`)
-    Runs every block until it stalls, with no clock: through
-    ``drain_timed`` (stamps ignored) when the timed backends would run
-    the graph on windows, through the generators otherwise; the report
-    carries ``cycles == 0``.  For outputs-only runs on any graph.
-
-``functional-seq`` (:class:`SequentialFunctionalEngine`)
-    ``functional`` with every block on its generator: the differential
-    oracle.
-
-``event``
-    Another name for ``cycle`` (see :mod:`repro.sim.backends`).
+``event``, ``functional``, ``functional-seq``
+    Other names for ``cycle``, ``timed-batch`` and ``cycle`` (see
+    :mod:`repro.sim.backends`).
 
 Selecting a backend
 -------------------
@@ -55,8 +46,8 @@ Subclass :class:`~repro.sim.backends.base.Engine`, set a unique
 the scalar generators), implement ``run``, and register the class in
 :data:`repro.sim.backends.BACKENDS` — graph validation and the CLI's
 ``--engine`` choices are derived from the registry.  Blocks expose everything a
-scheduler needs: ``step()`` (one cycle), ``drain()`` (run-to-stall) and
-``finished``.
+scheduler needs: ``step()`` (one cycle), ``drain_timed()`` (one window
+visit, on blocks that declare a timing) and ``finished``.
 """
 
 from .backends import (
@@ -65,8 +56,6 @@ from .backends import (
     CycleEngine,
     DeadlockError,
     Engine,
-    FunctionalEngine,
-    SequentialFunctionalEngine,
     SimulationReport,
     TimedBatchEngine,
     get_backend,
@@ -82,8 +71,6 @@ __all__ = [
     "CycleEngine",
     "DeadlockError",
     "Engine",
-    "FunctionalEngine",
-    "SequentialFunctionalEngine",
     "SimulationReport",
     "TimedBatchEngine",
     "TokenBreakdown",

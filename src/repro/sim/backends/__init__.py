@@ -12,21 +12,17 @@ The registry maps backend names to engine classes:
                         fusion: linear chains run as one super-block
                         (composed schedules, fused kernels); identical
                         reports, fastest timed backend at scale.
-``"functional"``        Outputs only (``cycles == 0``), on any graph:
-                        a window run calls ``drain_timed`` with the
-                        stamps ignored, any other graph steps every
-                        generator (the timed backends' plane rule).
-                        Not the fastest where segments fuse
-                        (``compiled`` is ~1.7x ahead on 1e6-nnz SpMV).
-``"functional-seq"``    ``functional`` with every block on its ``_run``
-                        generator: the differential oracle.
 ``"event"``             Another name for ``"cycle"``.
+``"functional"``        Another name for ``"timed-batch"``.
+``"functional-seq"``    Another name for ``"cycle"``.
 ======================  ==============================================
 
 ``"event"`` named an event-driven engine that was bit-identical to
 ``"cycle"`` and never measurably faster than it; the engine is gone and
 its key stays only because ``perfbench`` times every engine it lists by
-name.
+name.  ``"functional"`` and ``"functional-seq"`` named two outputs-only
+engines (window and generator) that reported no cycles; they stay as
+keys for the same reason.
 
 ``resolve_backend(None)`` consults the ``REPRO_ENGINE`` environment
 variable and falls back to ``"cycle"``, so any entry point that threads
@@ -41,16 +37,15 @@ from typing import Dict, Iterable, Optional, Type, Union
 from .base import DeadlockError, Engine, SimulationReport
 from .compiled import CompiledEngine
 from .cycle import CycleEngine
-from .functional import FunctionalEngine, SequentialFunctionalEngine
 from .timed_batch import TimedBatchEngine
 
 BACKENDS: Dict[str, Type[Engine]] = {
     CycleEngine.backend: CycleEngine,
     TimedBatchEngine.backend: TimedBatchEngine,
     CompiledEngine.backend: CompiledEngine,
-    FunctionalEngine.backend: FunctionalEngine,
-    SequentialFunctionalEngine.backend: SequentialFunctionalEngine,
     "event": CycleEngine,
+    "functional": TimedBatchEngine,
+    "functional-seq": CycleEngine,
 }
 
 #: environment variable consulted when no backend is given explicitly
@@ -87,24 +82,9 @@ def run_blocks(
     blocks: Iterable,
     max_cycles: Optional[int] = None,
     backend: Union[str, Type[Engine], None] = None,
-    max_resumptions: Optional[int] = None,
 ) -> SimulationReport:
-    """Convenience wrapper: build an engine and run it.
-
-    ``max_resumptions`` is the functional backends' explicit
-    token-operation budget (``max_cycles`` is advisory there — see
-    :mod:`repro.sim.backends.functional`); the timed backends budget in
-    cycles and reject a resumption budget.
-    """
-    engine = make_engine(blocks, backend=backend)
-    if isinstance(engine, FunctionalEngine):
-        return engine.run(max_cycles=max_cycles, max_resumptions=max_resumptions)
-    if max_resumptions is not None:
-        raise ValueError(
-            f"max_resumptions is a functional-backend budget; the "
-            f"{engine.backend!r} backend budgets in cycles (max_cycles)"
-        )
-    return engine.run(max_cycles=max_cycles)
+    """Convenience wrapper: build an engine and run it."""
+    return make_engine(blocks, backend=backend).run(max_cycles=max_cycles)
 
 
 __all__ = [
@@ -114,8 +94,6 @@ __all__ = [
     "DeadlockError",
     "ENGINE_ENV_VAR",
     "Engine",
-    "FunctionalEngine",
-    "SequentialFunctionalEngine",
     "SimulationReport",
     "TimedBatchEngine",
     "get_backend",

@@ -76,7 +76,6 @@ class TimedPlane(NamedTuple):
     producers: dict  # channel -> index of the block that pushes it
     consumers: dict  # channel -> index of the block that pops it
     channels: list
-    timed: list  # per block: advances through ``drain_timed`` (all or none)
     handoff: Optional[str]  # why the first block left the plane (None: none did)
 
 
@@ -92,16 +91,15 @@ def _off_plane(block) -> Optional[str]:
     return None
 
 
-def timed_plane(blocks, planes) -> TimedPlane:
+def timed_plane(blocks) -> TimedPlane:
     """Decide whether the run is on the timed plane; touch no channel.
 
     The one rule of :class:`TimedBatchEngine` (and its compiled
-    subclass) and the functional engine: every block is timed, or none
-    is.  A block qualifies when the engine drives the ``"timed"`` plane
-    at all and :func:`_off_plane` finds no reason against it; both
-    endpoints of a finite-capacity FIFO fail unless they are a
-    credit-aware pair, and both endpoints of a channel holding a token
-    queued before the run that cannot be batched.  ``handoff`` is the
+    subclass): every block is timed, or none is.  A block qualifies
+    when :func:`_off_plane` finds no reason against it; both endpoints
+    of a finite-capacity FIFO fail unless they are a credit-aware pair,
+    and both endpoints of a channel holding a token queued before the
+    run that cannot be batched.  ``handoff`` is the
     first reason found, in block order.
     """
     producers = {}
@@ -113,9 +111,6 @@ def timed_plane(blocks, planes) -> TimedPlane:
             consumers[ch] = i
     channels = list(dict.fromkeys(list(producers) + list(consumers)))
 
-    if "timed" not in planes:
-        return TimedPlane(producers, consumers, channels, [False] * len(blocks),
-                          "the engine drives no timed plane")
     reasons: List[Optional[str]] = [_off_plane(b) for b in blocks]
     timed = [reason is None for reason in reasons]
 
@@ -158,9 +153,7 @@ def timed_plane(blocks, planes) -> TimedPlane:
                 changed |= demote(
                     ch, f"capacity {ch.capacity} without a credit pair")
     handoff = next((reason for reason in reasons if reason is not None), None)
-    if handoff is not None:
-        timed = [False] * len(blocks)
-    return TimedPlane(producers, consumers, channels, timed, handoff)
+    return TimedPlane(producers, consumers, channels, handoff)
 
 
 def stamp_channels(plane: TimedPlane) -> None:
@@ -196,7 +189,7 @@ class TimedBatchEngine(Engine):
 
     def run(self, max_cycles: Optional[int] = None) -> SimulationReport:
         blocks = self.blocks
-        plane = timed_plane(blocks, self.planes)
+        plane = timed_plane(blocks)
         if plane.handoff is not None:
             cycles = CycleEngine(blocks).run(max_cycles).cycles
             return self._report(cycles, plane.handoff)

@@ -221,8 +221,7 @@ class Channel:
 
         The one way there for directly pushed tokens: those queued before
         the run, and what a generator pushed (the timed engines stamp a
-        generator's pushes the cycle it makes them, the functional engine
-        after each drain).  Raises
+        generator's pushes the cycle it makes them).  Raises
         :class:`~repro.streams.batch.UnbatchableTokens` with the queue
         intact; returns whether anything moved.
         """

@@ -1,10 +1,9 @@
 """Stamped token runs: the timing layer of the batched data plane.
 
-The timed backends (:mod:`repro.sim.backends.timed_batch`) and the
-functional backend move :class:`~repro.streams.batch.TokenBatch` runs
-between blocks, and every token carries a *cycle stamp*: the simulated
-cycle at which the token becomes visible to its consumer (the functional
-backend computes the stamps and ignores them).
+The timed backends (:mod:`repro.sim.backends.timed_batch`) move
+:class:`~repro.streams.batch.TokenBatch` runs between blocks, and every
+token carries a *cycle stamp*: the simulated cycle at which the token
+becomes visible to its consumer.
 Stamps ride next to the batch as two int64 arrays mirroring the batch
 layout — ``sdata[i]`` stamps ``data[i]``, ``sctrl[i]`` stamps the control
 token ``ctrl_code[i]`` — and are non-decreasing in stream order (a block

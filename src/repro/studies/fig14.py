@@ -37,10 +37,7 @@ def enumerate_specs(
 ) -> List[ExperimentSpec]:
     """One spec per Table 3 matrix under the nnz cap (None = all 15).
 
-    The idle fractions need a timed backend (``cycle``, ``timed-batch``
-    or ``compiled``); ``functional`` reports zero cycles and would skew
-    them.  The spec
-    point records how each matrix currently *resolves* (synthetic
+    The spec point records how each matrix currently *resolves* (synthetic
     stand-in vs. a real ``.mtx`` in the data dir), so dropping a real
     file in changes the cache key — stale synthetic results are never
     replayed as if they were real-matrix measurements.

@@ -115,8 +115,7 @@ def crd_drop_differential(program, counts: Dict[str, int], paper: Dict[str, int]
 
     Recorded channels, ``Sink.tokens`` and ``ValueDropper.dropped`` are
     the same on every engine, so the trials run on the windowed one;
-    ``tests/studies`` holds the report equal under *backend* ``cycle``,
-    ``functional`` and the all-generator oracle ``functional-seq``.
+    ``tests/studies`` holds the report equal under every *backend*.
     """
     from ..blocks import ScalarReducer, Sink, StreamFeeder, ValueDropper
     from ..sim.backends import run_blocks

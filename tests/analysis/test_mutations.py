@@ -7,8 +7,8 @@ code, right block and port.  The companion test asserts the unmutated
 graphs produce no findings at all, so every detection below is the
 mutation's doing.
 
-Mutations run on already-captured block lists (the functional run that
-populated them is over), so rebinding channels cannot corrupt results.
+Mutations run on already-captured block lists (the run that populated
+them is over), so rebinding channels cannot corrupt results.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from repro.analysis import lint_blocks
 from repro.analysis.targets import KERNEL_RUNNERS, capture_kernel
 
 # ---------------------------------------------------------------------------
-# capture cache: one functional run per kernel for the whole module
+# capture cache: one run per kernel for the whole module
 # ---------------------------------------------------------------------------
 
 _CACHE = {}

@@ -25,20 +25,17 @@ import numpy as np
 import repro.blocks
 from repro.blocks import Block, StreamFeeder
 from repro.blocks.base import TimingDescriptor
-from repro.sim import BACKENDS, FunctionalEngine
+from repro.sim import BACKENDS
 from repro.streams import Channel
 from repro.streams.batch import TokenBatch, UnbatchableTokens, batch_kind
 from repro.streams.token import is_done
 
-#: every engine that models cycles on the timed plane
-TIMED = tuple(
-    name for name, engine in BACKENDS.items()
-    if "timed" in engine.planes and not issubclass(engine, FunctionalEngine)
+#: every registered engine once: the keys that name their own class
+ENGINES = tuple(
+    name for name, engine in BACKENDS.items() if engine.backend == name
 )
-#: every engine that models no cycles (its report carries none)
-UNTIMED = tuple(
-    name for name, engine in BACKENDS.items() if issubclass(engine, FunctionalEngine)
-)
+#: every engine that runs graphs on the timed plane (windows)
+TIMED = tuple(name for name in ENGINES if "timed" in BACKENDS[name].planes)
 
 
 def push_stamped(channel, tokens, stamp):

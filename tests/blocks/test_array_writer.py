@@ -16,10 +16,10 @@ from repro.blocks import (
     UncompressedLevelWriter,
     ValsWriter,
 )
-from repro.sim import BACKENDS, FunctionalEngine, run_blocks
+from repro.sim import run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
-from blockkit import TIMED, Relay, Slicer
+from blockkit import ENGINES, TIMED, Relay, Slicer
 
 
 class TestArrayLoad:
@@ -118,7 +118,7 @@ class TestOtherWriters:
         ])
         assert writer.vals.tolist() == [0.0, 5.0, 0.0, 4.0]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_scatter_writer_pairs_n_and_stops(self, backend):
         # an N on either side is a datum that scatters nothing; a stop
         # pairs with a stop of any level
@@ -149,7 +149,7 @@ class TestWriterStorage:
     """What a writer stores, read back as values: the same arrays on every
     engine, however the stream was windowed, and with a ``True`` in the
     stream (the batched plane cannot hold it: the timed engines hand the
-    run to ``cycle``, the functional one the writer to its generator)."""
+    run to ``cycle``)."""
 
     CRD = [0, 3, Stop(0), Stop(0), 1, Stop(0), 2, 4, 7, Stop(1), 5, DONE]
     VALS = [1.5, Stop(0), EMPTY, 2.0, Stop(0), -0.0, 3.25, Stop(1), 4.0, DONE]
@@ -174,7 +174,6 @@ class TestWriterStorage:
                 blocks.append(Slicer(tokens, plan, channel, f"f{kind}"))
             writers.append(cls(channel, name=f"w{kind}"))
         report = run_blocks(blocks + writers, backend=backend)
-        untimed = issubclass(BACKENDS[backend], FunctionalEngine)
         if bail and backend in TIMED:  # the source plays the True on cycle
             assert report.handoff.startswith("block 'fcrd'"), backend
         crd, vals = writers
@@ -182,8 +181,7 @@ class TestWriterStorage:
         for array, dtype in zip(stored, (np.int64,) * 4 + (np.float64,)):
             assert isinstance(array, np.ndarray) and array.dtype == dtype
         assert crd.level.crd is crd.crd and crd.level.seg is crd.seg
-        cycles = None if untimed else (report.cycles, report.block_activity())
-        return [a.tolist() for a in stored], cycles
+        return [a.tolist() for a in stored], (report.cycles, report.block_activity())
 
     @pytest.mark.parametrize("bail", [False, True])
     @pytest.mark.parametrize("delivery", ["whole", "one-a-cycle", "sliced"])
@@ -192,10 +190,10 @@ class TestWriterStorage:
         assert want[0] == [0, 3, 1, 2, 4, 7, 5]
         assert want[1] == [0, 2, 2, 3, 6, 7]
         assert want[4] == [1.5, 0.0, 1.0 if bail else 2.0, -0.0, 3.25, 4.0]
-        for backend in BACKENDS:
+        for backend in ENGINES:
             got, got_cycles = self._run(backend, delivery, bail)
             assert got == want, backend
-            assert got_cycles in (None, cycles), backend
+            assert got_cycles == cycles, backend
 
     #: the error every engine raises -> coordinate streams that raise it
     #: (the writer used to store int(1.5) == 1, or raise numpy's
@@ -216,7 +214,7 @@ class TestWriterStorage:
     @pytest.mark.parametrize("relay", [False, True])
     def test_a_coordinate_no_int64_holds_is_a_named_error(self, message, relay):
         for tokens in self.COORDINATE_ERRORS[message]:
-            for backend in BACKENDS:
+            for backend in ENGINES:
                 crd, raw = Channel("c"), Channel("raw")
                 blocks = ([StreamFeeder(tokens, raw, name="f"), Relay(raw, crd, "r")]
                           if relay else [StreamFeeder(tokens, crd, name="f")])
@@ -226,7 +224,7 @@ class TestWriterStorage:
 
     def test_integral_floats_are_coordinates(self):
         # a batch stores a mixed run as floats: 2.0 was the integer 2
-        for backend in BACKENDS:
+        for backend in ENGINES:
             crd = Channel("c")
             writer = CompressedLevelWriter(crd)
             run_blocks([StreamFeeder([1, 2.0, Stop(0), -3.0, DONE], crd), writer],

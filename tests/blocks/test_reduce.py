@@ -11,8 +11,10 @@ from repro.blocks import (
     StreamFeeder,
     VectorReducer,
 )
-from repro.sim import BACKENDS, run_blocks
+from repro.sim import run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
+
+from blockkit import ENGINES, TIMED
 
 
 def scalar_reduce(tokens, empty_policy="zero"):
@@ -162,7 +164,7 @@ class TestVectorReducerProtocolErrors:
         ),
     }
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("backend", ENGINES)
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_same_message_on_every_engine(self, case, backend):
         crd, val, message = self.CASES[case]
@@ -195,11 +197,11 @@ class TestVectorReducerProtocolErrors:
 
     @pytest.mark.parametrize("case, backend", [
         (case, backend)
-        if case == "bool among integers" or BACKENDS[backend].planes == ("scalar",)
+        if case == "bool among integers" or backend not in TIMED
         else pytest.param(case, backend, marks=pytest.mark.xfail(
             strict=True, reason="a batch erases types within a mixed run"
         ))
-        for case in sorted(BATCH_GAPS) for backend in sorted(BACKENDS)
+        for case in sorted(BATCH_GAPS) for backend in ENGINES
     ])
     def test_mixed_type_runs(self, case, backend):
         crd, val, message = self.BATCH_GAPS[case]
@@ -207,7 +209,7 @@ class TestVectorReducerProtocolErrors:
             vector_reduce(list(crd), list(val), backend=backend)
         assert str(caught.value) == message
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_the_first_error_in_stream_order_wins(self, backend):
         # a clean region, a non-zero phantom, then a short value run
         crd = [1, Stop(1), Stop(0), 7, 8, Stop(1), DONE]

@@ -14,9 +14,8 @@ its protocol errors — and one harness serves every row:
   prefilled, random slices, a ``Relay`` on one input, on every input or
   behind the outputs; the block's windows end where the pushes do
   (asserted, wall-clock-free);
-* outcome: the full report on the timed engines, token counts, outputs
-  and counters on the functional ones; at most one epoch advance a
-  visit (+ 1), and on whole delivery one over every busy event; a row's
+* outcome: the full report on every timed engine; at most one epoch
+  advance a visit (+ 1), and on whole delivery one over every busy event; a row's
   ``exempt`` rule names the checks it skips (the mergers' ``one window``);
 * errors: one ``BlockError`` text on every engine for each defect, under
   each of five deliveries behind each of 0, 1 and 3 clean chunks.
@@ -56,21 +55,17 @@ from repro.blocks import reduce as reduce_module
 from repro.blocks import merge as merge_module
 from repro.blocks.repeat import REPEAT
 from repro.formats import CompressedLevel
-from repro.sim import BACKENDS, graph_token_counts, run_blocks
+from repro.sim import graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 from repro.streams.timing import window_capacity
 from repro.streams.token import is_data, is_stop
 
 from blockkit import (
-    TIMED, UNTIMED, Relay, Slicer, assert_windows_sliced, canon, fed, window_log,
+    ENGINES, TIMED, Relay, Slicer, assert_windows_sliced, canon, fed, window_log,
 )
 from numpy_counters import numpy_calls
 
 ORACLE = "cycle"
-#: every registered engine but the oracle and its aliases
-ENGINES = tuple(
-    name for name, engine in BACKENDS.items() if engine is not BACKENDS[ORACLE]
-)
 #: channel kind of an input port, by the port's name less its indices
 KINDS = {"crd": "crd", "ref": "ref", "target": "ref", "outer": "crd", "parent": "crd",
          "val": "vals", "inner": "vals", "a": "vals", "b": "vals", "lane": "vals"}
@@ -801,19 +796,14 @@ def oracle(case, params, streams, delivery):
     return ORACLE_RUNS.setdefault(key, run(case, params, streams, delivery, ORACLE)[0])
 
 
-def check(case, params, streams, delivery, windows=1, engines=ENGINES):
+def check(case, params, streams, delivery, windows=1, engines=TIMED):
     """One outcome on every engine of *engines*, against ``cycle``'s;
     *windows*: how many a whole delivery takes."""
     want = oracle(case, params, streams, delivery)
     skip = case.exempt(params, delivery)
     for backend in engines:
         got, log, under = run(case, params, streams, delivery, backend)
-        if backend in UNTIMED:
-            assert got[2:] == want[2:], (backend, delivery)
-            continue
         assert got == want, (backend, delivery)
-        if backend not in TIMED:
-            continue
         for port, sizes in push_groups(streams, delivery).items():
             if params.get("dirty"):
                 break  # a dirty chunk leaves the hook: the generator reads the rest
@@ -910,15 +900,32 @@ def every_delivery(streams):
         yield Delivery("slices", seed=seed)
 
 
+def every_boundary(streams):
+    """Each input cut in two, and prefilled, at every position but its
+    middle (:func:`every_delivery` holds that one): a window boundary
+    falls between every pair of neighbouring tokens."""
+    for port, tokens in streams.items():
+        for at in range(1, len(tokens)):
+            if at != len(tokens) // 2:
+                yield Delivery("cut", port, at, 1)
+                yield Delivery("prefill", port, at)
+
+
 REGRESSION_RUNS = [
     pytest.param(regression, d, id=f"{regression[0]}-{i}-{d.kind}-{d.port or d.seed}")
     for i, regression in enumerate(REGRESSIONS)
     for d in every_delivery({port: toks(text) for port, text in regression[2].items()})
 ]
+#: every regression with a window boundary at each of its positions
+BOUNDARY_RUNS = [
+    pytest.param(regression, d, id=f"{regression[0]}-{i}-{d.kind}-{d.port}@{d.at}")
+    for i, regression in enumerate(REGRESSIONS)
+    for d in every_boundary({port: toks(text) for port, text in regression[2].items()})
+]
 
 
-@pytest.mark.parametrize("backend", ENGINES)
-@pytest.mark.parametrize("regression, delivery", REGRESSION_RUNS)
+@pytest.mark.parametrize("backend", TIMED)
+@pytest.mark.parametrize("regression, delivery", REGRESSION_RUNS + BOUNDARY_RUNS)
 def test_regression_streams(regression, delivery, backend):
     row, params, texts, *windows = regression
     streams = {port: toks(text) for port, text in texts.items()}
@@ -952,7 +959,7 @@ def test_protocol_error_is_one_message(case, row, how, clean):
     if delivery.port is not None:
         port = list(streams)[delivery.port]
         delivery = delivery._replace(port=port, at=len(streams[port]) // 2, gap=1)
-    for backend in (ORACLE,) + ENGINES:
+    for backend in ENGINES:
         with pytest.raises(BlockError) as caught:
             run_blocks(build(case, params, streams, delivery)[0], backend=backend)
         assert str(caught.value) == message, (backend, clean, delivery)
@@ -965,7 +972,7 @@ EXEMPT = {name: path for path, names in {
     "ValsWriter CompressedLevelWriter UncompressedLevelWriter LevelScanner "
     "CompressedLevelScanner UncompressedLevelScanner",
     "tests/blocks/test_compute.py": "Exp",
-    "tests/sim/test_functional_batch.py": "Fanout",
+    "tests/sim/test_window_identity.py": "Fanout",
     "tests/sim/test_plane_rule.py": "Parallelizer",
     "tests/sim/test_timed_batch.py": "StreamFeeder",
     "tests/sim/test_backends.py": "RootFeeder",

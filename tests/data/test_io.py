@@ -33,11 +33,8 @@ from repro.data import io as io_module
 from repro.data.io import _WRITE_ROWS, MTX_FIELDS, MTX_SYMMETRIES, CooTensor
 from repro.formats import FiberTensor
 from repro.lang import compile_expression
-from repro.sim import BACKENDS as REGISTRY
-from repro.sim import FunctionalEngine
 
-#: every engine, under its own name
-BACKENDS = [name for name, engine in REGISTRY.items() if engine.backend == name]
+from blockkit import ENGINES
 
 MTX_GENERAL = """%%MatrixMarket matrix coordinate real general
 % a comment line
@@ -1146,14 +1143,14 @@ def _identity_run(tensor, backend):
 class TestDegenerateTensors:
     """0-row/0-col, all-zero, and empty-fiber operands through every backend."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
     def test_zero_dimension_identity(self, backend, shape):
         tensor = FiberTensor.from_coords(shape, [], [], name="B")
         result = _identity_run(tensor, backend)
         assert np.array_equal(result.to_numpy(), np.zeros(shape))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_all_zero_operand_spmv(self, backend):
         program = compile_expression("x(i) = B(i,j) * c(j)")
         B = FiberTensor.from_numpy(np.zeros((3, 4)), name="B")
@@ -1161,7 +1158,7 @@ class TestDegenerateTensors:
         result = program.run({"B": B, "c": c}, backend=backend)
         assert np.array_equal(result.to_numpy(), np.zeros(3))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_empty_compressed_fibers(self, backend):
         # Rows 0 and 2 have no nonzeros: empty fibers via from_coords.
         dense = np.zeros((4, 3))
@@ -1207,7 +1204,7 @@ class TestDegenerateTensors:
 class TestMtxEndToEnd:
     """Acceptance: .mtx -> FiberTensor -> compiled SpMV -> scipy reference."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_mtx_spmv_matches_scipy(self, backend, tmp_path):
         matrix = generate(MatrixSpec("e2e", "test", (30, 40), 150), seed=5)
         path = write_mtx(str(tmp_path / "e2e.mtx"), matrix)
@@ -1221,5 +1218,4 @@ class TestMtxEndToEnd:
         )
         reference = matrix @ c
         assert np.allclose(result.to_numpy(), reference)
-        if not issubclass(REGISTRY[backend], FunctionalEngine):
-            assert result.cycles > 0
+        assert result.cycles > 0

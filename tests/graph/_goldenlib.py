@@ -24,12 +24,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.sim import BACKENDS
-
-#: every engine, under its own name
-KERNEL_BACKENDS = tuple(
-    name for name, engine in BACKENDS.items() if engine.backend == name
-)
+from blockkit import ENGINES
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_structures.json")
 
@@ -216,7 +211,7 @@ def capture_all() -> Dict:
         with capture_runs(structures):
             runner("cycle")
         entry = {"structures": structures, "reports": {}}
-        for backend in KERNEL_BACKENDS:
+        for backend in ENGINES:
             reports: List[Dict] = []
             originals = (builder_mod.run_blocks, bind_mod.run_blocks)
 

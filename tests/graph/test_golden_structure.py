@@ -14,13 +14,8 @@ import sys
 
 import pytest
 
-from _goldenlib import (
-    KERNEL_BACKENDS,
-    capture_runs,
-    kernel_cases,
-    load_golden,
-    report_signature,
-)
+from _goldenlib import capture_runs, kernel_cases, load_golden, report_signature
+from blockkit import ENGINES
 
 _CASES = {name: runner for name, runner in kernel_cases()}
 
@@ -41,7 +36,7 @@ def test_structure_isomorphic_to_hand_wired(name, golden):
     )
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 @pytest.mark.parametrize("name", sorted(_CASES))
 def test_reports_bit_identical(name, backend, golden):
     import importlib

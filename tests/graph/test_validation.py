@@ -32,8 +32,9 @@ from repro.blocks import (
 from repro.formats import DenseLevel, FiberTensor
 from repro.graph import GraphValidationError, blocks_to_dot
 from repro.graph.builder import Graph
-from repro.sim import BACKENDS
 from repro.streams.token import DONE
+
+from blockkit import ENGINES, TIMED
 
 
 class TimedOnly(Block):
@@ -97,13 +98,12 @@ class TestWiringErrors:
         _feed(g, "a", [1.0, DONE])
         g.add(TimedOnly(g.in_("a"), g.out("x", "vals")))
         g.add(Sink(g.in_("x"), name="sink"))
-        timed = [name for name, engine in BACKENDS.items() if "timed" in engine.planes]
-        assert "functional" in timed and "cycle" not in timed
+        assert "cycle" not in TIMED
         # Backends that drive the timed plane: fine.
-        for backend in timed:
+        for backend in TIMED:
             g.validate(backend=backend)
         # Engines that only step generators: rejected.
-        for backend in set(BACKENDS) - set(timed):
+        for backend in set(ENGINES) - set(TIMED):
             with pytest.raises(GraphValidationError) as err:
                 g.validate(backend=backend)
             assert "timed_only" in str(err.value)

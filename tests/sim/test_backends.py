@@ -2,8 +2,6 @@
 
 Every timed engine must be *bit-identical* to the CycleEngine: same
 cycle counts and same per-block busy/stall statistics on every graph.
-The FunctionalEngine must produce the same outputs (cycles are not
-modelled and report as 0).
 """
 
 import numpy as np
@@ -16,32 +14,34 @@ from repro.kernels.gamma import gamma_spmm
 from repro.kernels.spmv import spmv_locate, spmv_scatter
 from repro.sim import (
     BACKENDS,
+    CompiledEngine,
     CycleEngine,
     DeadlockError,
-    FunctionalEngine,
     TimedBatchEngine,
     resolve_backend,
     run_blocks,
 )
 from repro.streams import Channel, DONE, Stop
 
+from blockkit import ENGINES, TIMED
+
 B = random_sparse_matrix(24, 24, 0.18, seed=11)
 C = random_sparse_matrix(24, 24, 0.18, seed=12)
 VEC_B = urandom_vector(400, 60, seed=13)
 VEC_C = urandom_vector(400, 60, seed=14)
 
-#: every engine that models cycles on the timed plane
-TIMED = tuple(
-    name for name, engine in BACKENDS.items()
-    if "timed" in engine.planes and not issubclass(engine, FunctionalEngine)
-)
-
 
 class TestRegistry:
     def test_registry_names(self):
-        assert set(BACKENDS) == {
-            "cycle", "timed-batch", "compiled", "functional", "functional-seq",
-            "event",
+        assert ENGINES == ("cycle", "timed-batch", "compiled")
+        assert set(BACKENDS.values()) == {
+            CycleEngine, TimedBatchEngine, CompiledEngine,
+        }
+        # names kept for callers that still list them (perfbench)
+        assert {k: v for k, v in BACKENDS.items() if k not in ENGINES} == {
+            "event": CycleEngine,
+            "functional": TimedBatchEngine,
+            "functional-seq": CycleEngine,
         }
 
     def test_resolve_default(self, monkeypatch):
@@ -144,43 +144,6 @@ class TestStatsEquivalence:
         assert sink_c.tokens == sink_e.tokens
 
 
-class TestFunctionalEngine:
-    """Correctness-only backend: same outputs, no cycle model."""
-
-    def test_outputs_match_reference(self):
-        crd_c, val_c, _ = spmv_locate(B, VEC_B[:24], backend="cycle")
-        crd_f, val_f, cyc_f = spmv_locate(B, VEC_B[:24], backend="functional")
-        assert (crd_f.tolist(), val_f.tolist()) == (crd_c.tolist(), val_c.tolist())
-        assert cyc_f == 0
-
-    @pytest.mark.parametrize("config", ["crd", "crd_skip", "dense", "bv_split"])
-    def test_elementwise_outputs(self, config):
-        r_c = vecmul(config, VEC_B, VEC_C, split=50, backend="cycle")
-        r_f = vecmul(config, VEC_B, VEC_C, split=50, backend="functional")
-        assert r_f.values.tolist() == r_c.values.tolist()
-        assert r_f.coords.tolist() == r_c.coords.tolist()
-        assert r_f.cycles == 0
-
-    def test_compiled_program(self):
-        from repro.kernels.spmm import spmm_program
-
-        prog = spmm_program("ikj")
-        r_c = prog.run({"B": np.asarray(B, float), "C": np.asarray(C, float)})
-        r_f = prog.run(
-            {"B": np.asarray(B, float), "C": np.asarray(C, float)},
-            backend="functional",
-        )
-        assert np.allclose(r_f.to_numpy(), r_c.to_numpy())
-
-    def test_deadlock_detected(self):
-        a, b, out = Channel("a"), Channel("b"), Channel("o")
-        with pytest.raises(DeadlockError):
-            run_blocks(
-                [StreamFeeder([1.0, DONE], a), ALU("add", a, b, out)],
-                backend="functional",
-            )
-
-
 class TestTimedDeadlock:
     @pytest.mark.parametrize("backend", TIMED)
     def test_deadlock_message_matches_reference(self, backend):
@@ -198,7 +161,7 @@ class TestTimedDeadlock:
 class TestFiniteCapacity:
     """Producers stall (not crash) on full finite-capacity channels."""
 
-    @pytest.mark.parametrize("backend", ("cycle",) + TIMED)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_feeder_backpressure(self, backend):
         src = Channel("s", capacity=2)
         tokens = list(range(10)) + [Stop(0), DONE]
@@ -209,7 +172,7 @@ class TestFiniteCapacity:
         # beyond the pipeline-fill cycle.
         assert report.cycles == len(tokens)
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_fanout_backpressure(self, backend):
         hub = Channel("hub")
         fast = Channel("fast")
@@ -244,7 +207,7 @@ class TestFiniteCapacity:
 
 
 class TestMaxCycles:
-    @pytest.mark.parametrize("backend", ("cycle",) + TIMED)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_exact_budget_passes(self, backend):
         tokens = [1, 2, 3, Stop(0), DONE]
 
@@ -259,87 +222,17 @@ class TestMaxCycles:
         with pytest.raises(RuntimeError):
             run_blocks(build(), max_cycles=len(tokens) - 1, backend=backend)
 
-    def test_functional_max_cycles_is_advisory(self):
-        # The functional backend models no cycles, so a cycle budget
-        # neither rejects nor admits a run there: a budget that would
-        # starve the timed backends must still complete (the old
-        # ``max_cycles * n_blocks`` scaling could reject runs the timed
-        # backends accept at the same budget, and vice versa).
-        src = Channel("s")
-        blocks = [StreamFeeder(list(range(100)) + [DONE], src), Sink(src)]
-        report = FunctionalEngine(blocks).run(max_cycles=3)
-        assert report.cycles == 0
-        assert blocks[1].tokens[-1] is DONE
-
-    @pytest.mark.parametrize("mixed", [False, True])
-    @pytest.mark.parametrize("backend", ["functional", "functional-seq"])
-    def test_functional_max_resumptions_exact(self, backend, mixed):
-        tokens = list(range(50)) + [DONE]
-
-        def build():
-            if not mixed:
-                src = Channel("s")
-                return [StreamFeeder(tokens, src), Sink(src)]
-            # A capacity-1 FIFO into a Fanout keeps both its endpoints
-            # on their generators while the Sink stays timed: the count
-            # mixes generator resumptions with busy events.
-            src, out = Channel("s", capacity=1), Channel("o")
-            return [StreamFeeder(tokens, src), Fanout(src, [out]), Sink(out)]
-
-        exact = run_blocks(build(), backend=backend).resumptions
-        assert exact > 0
-        # An exact operation budget passes; one less raises.
-        report = run_blocks(build(), backend=backend, max_resumptions=exact)
-        assert report.resumptions == exact
-        with pytest.raises(RuntimeError, match="max_resumptions"):
-            run_blocks(build(), backend=backend, max_resumptions=exact - 1)
-
-    def test_cross_backend_exact_budget_parity(self):
-        # At the same max_cycles budget, the functional backend must
-        # accept every run the timed backends accept (it never pretends
-        # to know a cycle count it does not model).
-        tokens = [1, 2, 3, Stop(0), DONE]
-
-        def build():
-            src = Channel("s")
-            return [StreamFeeder(tokens, src), Sink(src)]
-
-        exact = run_blocks(build(), backend="cycle").cycles
-        for backend in ("cycle",) + TIMED:
-            assert run_blocks(build(), max_cycles=exact, backend=backend).cycles == exact
-            with pytest.raises(RuntimeError):
-                run_blocks(build(), max_cycles=exact - 1, backend=backend)
-        for backend in ("functional", "functional-seq"):
-            for budget in (exact, exact - 1):
-                report = run_blocks(build(), max_cycles=budget, backend=backend)
-                assert report.cycles == 0
-
-    @pytest.mark.parametrize("backend", ("cycle",) + TIMED)
-    def test_timed_backends_reject_resumption_budget(self, backend):
-        src = Channel("s")
-        blocks = [StreamFeeder([1, DONE], src), Sink(src)]
-        with pytest.raises(ValueError, match="max_resumptions"):
-            run_blocks(blocks, backend=backend, max_resumptions=10)
-
-    def test_resumption_budget_reaches_compiled_programs(self):
-        # The functional termination budget must be reachable from the
-        # main kernel/study API, not just run_blocks.
-        import numpy as np
-
+    def test_cycle_budget_reaches_compiled_programs(self):
+        # The budget must be reachable from the main kernel/study API,
+        # not just run_blocks.
         from repro.lang import compile_expression
 
         program = compile_expression("x(i) = B(i,j) * c(j)")
-        B, c = np.eye(4), np.ones(4)
-        exact = program.run(
-            {"B": B, "c": c}, backend="functional"
-        ).report.resumptions
-        assert (
-            program.run(
-                {"B": B, "c": c}, backend="functional", max_resumptions=exact
-            ).report.resumptions
-            == exact
-        )
-        with pytest.raises(RuntimeError, match="max_resumptions"):
-            program.run(
-                {"B": B, "c": c}, backend="functional", max_resumptions=exact - 1
-            )
+        tensors = {"B": np.eye(4), "c": np.ones(4)}
+        for backend in ENGINES:
+            exact = program.run(dict(tensors), backend=backend).cycles
+            assert program.run(dict(tensors), backend=backend,
+                               max_cycles=exact).cycles == exact
+            with pytest.raises(RuntimeError, match="max_cycles"):
+                program.run(dict(tensors), backend=backend,
+                            max_cycles=exact - 1)

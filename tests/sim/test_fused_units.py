@@ -289,7 +289,7 @@ def _table1_blocks():
         prog = compile_expression(entry.expression, formats=entry.formats,
                                   schedule=entry.schedule)
         with capture_runs() as capture:
-            prog.run(_random_inputs(prog, 0), backend="functional")
+            prog.run(_random_inputs(prog, 0), backend="timed-batch")
         for blocks, _ in capture.runs:
             yield entry.name, blocks
 
@@ -297,7 +297,7 @@ def _table1_blocks():
 def _kernel_blocks():
     for name, runner in kernel_cases():
         with capture_runs() as capture:
-            runner("functional")
+            runner("timed-batch")
         for blocks, _ in capture.runs:
             yield name, blocks
 

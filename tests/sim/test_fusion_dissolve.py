@@ -22,15 +22,11 @@ from repro.blocks import (
     make_repeater,
 )
 from repro.sim import BACKENDS as REGISTRY
-from repro.sim import FunctionalEngine, graph_token_counts, run_blocks
+from repro.sim import graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, Stop
 
-#: the ``cycle`` oracle, then every engine that models cycles on the
-#: timed plane
-BACKENDS = ("cycle",) + tuple(
-    name for name, engine in REGISTRY.items()
-    if "timed" in engine.planes and not issubclass(engine, FunctionalEngine)
-)
+from blockkit import ENGINES
+
 
 #: ordinary coordinates; the unbatchable tuples ride the reference
 #: streams (which the merge forwards untouched, so the scalar plane
@@ -84,12 +80,12 @@ class TestMergeDissolve:
     def test_tuple_coordinates_dissolve_fused_merge(self, merger_cls):
         reports = {}
         writers = {}
-        for be in BACKENDS:
+        for be in ENGINES:
             blocks = _merge_writer_graph(merger_cls)
             reports[be] = _full_report(blocks, be)
             wr = blocks[-1]
             writers[be] = (list(wr.seg), list(wr.crd))
-        for be in BACKENDS[1:]:
+        for be in ENGINES[1:]:
             assert reports[be] == reports["cycle"], be
             assert writers[be] == writers["cycle"], be
 
@@ -147,8 +143,8 @@ class TestRepeaterDissolve:
             blocks.append(Sink(out, name="sink"))
             return blocks
 
-        reports = {be: _full_report(build(), be) for be in BACKENDS}
-        for be in BACKENDS[1:]:
+        reports = {be: _full_report(build(), be) for be in ENGINES}
+        for be in ENGINES[1:]:
             assert reports[be] == reports["cycle"], be
         stats = run_blocks(build(), backend="compiled").fusion
         assert stats["kinds"] == {}
@@ -165,7 +161,7 @@ class TestWriterTailDissolve:
         refs = [0, 1, Stop(0), 2, 3, Stop(0), (4, 4), Stop(0), 5, DONE]
         writers = {}
         reports = {}
-        for be in BACKENDS:
+        for be in ENGINES:
             ca, ra = Channel("ca"), Channel("ra", kind="ref")
             cb, rb = Channel("cb"), Channel("rb", kind="ref")
             oc = Channel("oc")
@@ -185,7 +181,7 @@ class TestWriterTailDissolve:
             reports[be] = _full_report(blocks, be)
             wr = blocks[-1]
             writers[be] = (list(wr.seg), list(wr.crd))
-        for be in BACKENDS[1:]:
+        for be in ENGINES[1:]:
             assert reports[be] == reports["cycle"], be
             assert writers[be] == writers["cycle"], be
         # Two full fibers committed before the tuples arrived, and the

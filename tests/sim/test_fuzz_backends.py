@@ -14,15 +14,9 @@ import pytest
 
 from repro.data.synthetic import random_sparse_matrix, urandom_vector
 from repro.kernels import run_spmm, spmv_locate, spmv_scatter, vecmul
-from repro.sim import BACKENDS as REGISTRY
-from repro.sim import FunctionalEngine, graph_token_counts, run_blocks
+from repro.sim import graph_token_counts, run_blocks
 
-#: the ``cycle`` oracle, then every engine that models cycles on the
-#: timed plane
-BACKENDS = ("cycle",) + tuple(
-    name for name, engine in REGISTRY.items()
-    if "timed" in engine.planes and not issubclass(engine, FunctionalEngine)
-)
+from blockkit import ENGINES
 
 
 def _random_matrix(rng):
@@ -45,10 +39,10 @@ def test_spmv_locate_fuzz(seed):
     B = _random_matrix(rng)
     c = _random_vector(rng, B.shape[1])
     results = {
-        be: spmv_locate(B, c, backend=be) for be in BACKENDS
+        be: spmv_locate(B, c, backend=be) for be in ENGINES
     }
     crd0, val0, cyc0 = results["cycle"]
-    for be in BACKENDS[1:]:
+    for be in ENGINES[1:]:
         crd, val, cyc = results[be]
         assert (list(crd), list(val), cyc) == (list(crd0), list(val0), cyc0), be
 
@@ -59,7 +53,7 @@ def test_spmv_scatter_fuzz(seed):
     B = _random_matrix(rng)
     c = _random_vector(rng, B.shape[0])
     ref = spmv_scatter(B, c, backend="cycle")
-    for be in BACKENDS[1:]:
+    for be in ENGINES[1:]:
         x, cyc = spmv_scatter(B, c, backend=be)
         assert cyc == ref[1], be
         assert np.array_equal(x, ref[0]), be
@@ -78,7 +72,7 @@ def test_spmm_fuzz(seed):
     )
     order = ("ikj", "ijk", "kij")[seed % 3]
     ref = run_spmm(B, C, order=order, backend="cycle")
-    for be in BACKENDS[1:]:
+    for be in ENGINES[1:]:
         r = run_spmm(B, C, order=order, backend=be)
         assert r.cycles == ref.cycles, be
         assert np.array_equal(r.output.to_numpy(), ref.output.to_numpy()), be
@@ -97,7 +91,7 @@ def test_elementwise_fuzz(seed):
     config = ("crd", "dense", "bv", "crd_skip")[seed % 4]
     split = max(1, size // 2)
     ref = vecmul(config, a, b, split=split, backend="cycle")
-    for be in BACKENDS[1:]:
+    for be in ENGINES[1:]:
         r = vecmul(config, a, b, split=split, backend=be)
         assert _vecmul_out(r) == _vecmul_out(ref), be
 
@@ -170,7 +164,7 @@ def test_full_report_fuzz(seed):
         return blocks
 
     reports = {}
-    for be in BACKENDS:
+    for be in ENGINES:
         blocks = build()
         report = run_blocks(blocks, backend=be)
         reports[be] = (
@@ -179,7 +173,7 @@ def test_full_report_fuzz(seed):
             graph_token_counts(blocks),
             [b.tokens for b in blocks if isinstance(b, Sink)],
         )
-    for be in BACKENDS[1:]:
+    for be in ENGINES[1:]:
         assert reports[be] == reports["cycle"], be
 
 
@@ -369,7 +363,7 @@ def test_merge_heavy_fuzz(seed):
 
     reports = {}
     writers = {}
-    for be in BACKENDS:
+    for be in ENGINES:
         rng_levels = {
             tag: np.random.default_rng(6500 + seed * 7 + i)
             for i, tag in enumerate(("a", "b", "c"))
@@ -381,11 +375,11 @@ def test_merge_heavy_fuzz(seed):
 
             wr = next(b for b in blocks if isinstance(b, CLW))
             writers[be] = (list(wr.seg), list(wr.crd))
-    for be in BACKENDS[1:]:
+    for be in ENGINES[1:]:
         assert reports[be] == reports["cycle"], be
         if with_writer:
             assert writers[be] == writers["cycle"], be
-    # BACKENDS ends with "compiled": `report` is its report.  Mergers
+    # ENGINES ends with "compiled": `report` is its report.  Mergers
     # carry no fuse role, so nothing here forms a segment.
     assert report.fusion["kinds"] == {}
     assert report.fusion["fallbacks"] == 0
@@ -439,7 +433,7 @@ def test_repeater_heavy_fuzz(seed):
             blocks.append(Sink(out, name=f"sink{i}"))
         return blocks
 
-    runs = {be: _full_report(build(), be) for be in BACKENDS}
-    for be in BACKENDS[1:]:
+    runs = {be: _full_report(build(), be) for be in ENGINES}
+    for be in ENGINES[1:]:
         assert runs[be][0] == runs["cycle"][0], be
     assert runs["compiled"][1].fusion["kinds"] == {}

@@ -28,7 +28,7 @@ class TestPlanCache:
 
 class TestSegmentPlanKey:
     def _segment_keys(self, name):
-        captured = capture_kernel(name, backend="functional", seed=7)
+        captured = capture_kernel(name, backend="timed-batch", seed=7)
         blocks = captured[0].blocks
         return blocks, [
             (seg, segment_plan_key(blocks, seg))

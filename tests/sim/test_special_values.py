@@ -1,9 +1,8 @@
 """NaN, infinities, signed zero and the float64 extremes, end to end.
 
-Every registered engine must produce the output bytes ``cycle`` does
-when special values sit in the operands, and every engine that models
-time must report ``cycle``'s cycle count.  Engines come from the
-registry, so a new or removed backend needs no edit here.
+Every registered engine must produce the output bytes and the cycle
+count ``cycle`` does when special values sit in the operands.  Engines
+come from the registry, so a new or removed backend needs no edit here.
 """
 
 import functools
@@ -13,7 +12,8 @@ import pytest
 
 from repro.kernels import spmm_program, spmv_locate
 from repro.lang import compile_expression
-from repro.sim import BACKENDS
+
+from blockkit import ENGINES
 
 SPECIALS = {
     "nan": np.nan,
@@ -76,21 +76,13 @@ def _run(kernel, special, engine):
     return runner(_operands(shapes, SPECIALS[special]), engine)
 
 
-@pytest.fixture(scope="module")
-def timed_engines():
-    """Engines that model time: the functional ones report 0 cycles."""
-    timed = {engine for engine in BACKENDS if _run("spmv", "+1e308", engine)[1]}
-    assert "cycle" in timed
-    return timed
-
-
 # overflow to inf and inf - inf are among the behaviours under test
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("special", SPECIALS)
-@pytest.mark.parametrize("engine", BACKENDS)
-def test_special_values_match_cycle(engine, special, timed_engines):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_special_values_match_cycle(engine, special):
     for kernel in KERNELS:
         want_bytes, want_cycles = _run(kernel, special, "cycle")
         got_bytes, got_cycles = _run(kernel, special, engine)
         assert got_bytes == want_bytes, kernel
-        assert got_cycles == (want_cycles if engine in timed_engines else 0), kernel
+        assert got_cycles == want_cycles, kernel

@@ -217,9 +217,8 @@ class TestRealMatrixViaRegistry:
 
 class TestPerBlockFallback:
     def test_tuple_streams_fall_back_to_scalar_timed_path(self):
-        # Tuple tokens cannot ride the numpy plane: the feeder bails at
-        # classification and the sink is converted on the first sweep,
-        # exactly mirroring the functional plane's _bail_batch contract.
+        # Tuple tokens cannot ride the numpy plane: the feeder cannot
+        # run its window hook, so the run goes to ``cycle`` whole.
         from repro.blocks import Fanout, Sink, StreamFeeder
 
         tokens = [(0, 5), (1, 7), DONE]

@@ -1,13 +1,14 @@
-"""Differential tests: ``functional`` vs its generator oracle.
+"""Differential tests: ``timed-batch`` vs the ``cycle`` oracle.
 
-``functional`` runs every timed-capable block through ``drain_timed``
-(whole ``TokenBatch`` windows, stamps ignored) and everything else
-through its generator; ``functional-seq`` steps every generator.  The
-two must be **bit-identical** for every kernel, including degenerate
-operands and real ``.mtx`` inputs resolved through the dataset registry.
-Comparisons use exact equality — float results must match to the last
-bit, which is why the windowed reducers go out of their way to
-accumulate in the same order as the generators.
+``timed-batch`` runs a graph on windows (every block through
+``drain_timed``) when every block can, and hands it to ``cycle`` whole
+otherwise; ``cycle`` steps every generator.  The two must give
+**bit-identical** outputs and reports (cycles, per-block activity,
+token counts) for every kernel, including degenerate operands and real
+``.mtx`` inputs resolved through the dataset registry.  Comparisons use
+exact equality — float results must match to the last bit, which is why
+the windowed reducers go out of their way to accumulate in the same
+order as the generators.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ import repro.streams
 from repro.blocks import Block, Fanout, ScalarALU, Sink, StreamFeeder
 from repro.data import DatasetRegistry
 from repro.data.synthetic import random_sparse_matrix, urandom_vector
-from repro.formats import FiberTensor
+from repro.graph import capture_runs
 from repro.kernels import (
     gamma_spmm,
     outerspace_spmm,
@@ -47,67 +48,79 @@ D1 = np.asarray(random_sparse_matrix(20, 6, 0.5, seed=6))
 D2 = np.asarray(random_sparse_matrix(24, 6, 0.5, seed=7))
 
 
+def full_report(blocks, report):
+    """Everything an engine may not change about one run."""
+    return report.cycles, report.block_activity(), graph_token_counts(blocks)
+
+
 def both(fn, extract):
-    """Run *fn* under the oracle and under ``functional``; return outputs."""
-    return extract(fn("functional-seq")), extract(fn("functional"))
+    """Run *fn* on ``cycle``, then on ``timed-batch``; per engine, the
+    extracted outputs and the full report of every graph *fn* ran."""
+    runs = []
+    for backend in ("cycle", "timed-batch"):
+        with capture_runs() as capture:
+            out = extract(fn(backend))
+        assert capture.runs, backend
+        runs.append((out, [full_report(*run) for run in capture.runs]))
+    return runs
 
 
 class TestKernelBitIdentity:
-    """All six kernels, ``functional`` == generator oracle exactly."""
+    """All six kernels, ``timed-batch`` == ``cycle`` exactly."""
 
     def test_spmv_locate(self):
-        seq, bat = both(
+        want, got = both(
             lambda be: spmv_locate(B, VEC, backend=be),
             lambda r: (list(r[0]), list(r[1])),
         )
-        assert seq == bat
+        assert got == want
 
     def test_spmv_scatter(self):
-        seq, bat = both(
+        want, got = both(
             lambda be: spmv_scatter(B, VEC, backend=be), lambda r: r[0].tolist()
         )
-        assert seq == bat
+        assert got == want
 
     @pytest.mark.parametrize("order", ["ikj", "ijk", "kij"])
     def test_spmm_orders(self, order):
-        seq, bat = both(
+        want, got = both(
             lambda be: run_spmm(B, C, order=order, backend=be),
             lambda r: r.output.to_numpy().tolist(),
         )
-        assert seq == bat
+        assert got == want
 
     def test_gamma(self):
-        seq, bat = both(
+        want, got = both(
             lambda be: gamma_spmm(B, C, backend=be), lambda r: r.output.tolist()
         )
-        assert seq == bat
+        assert got == want
 
     def test_outerspace(self):
-        seq, bat = both(
+        want, got = both(
             lambda be: outerspace_spmm(B, C, backend=be),
             lambda r: r.output.tolist(),
         )
-        assert seq == bat
+        assert got == want
 
     @pytest.mark.parametrize(
         "variant", [sddmm_unfused, sddmm_fused_coiter, sddmm_fused_locate]
     )
     def test_sddmm(self, variant):
-        seq, bat = both(
+        want, got = both(
             lambda be: variant(np.asarray(B), D1, D2, backend=be),
             lambda r: r.output.tolist(),
         )
-        assert seq == bat
+        assert got == want
 
     @pytest.mark.parametrize(
         "config", ["dense", "crd", "crd_skip", "crd_split", "bv", "bv_split"]
     )
     def test_elementwise(self, config):
-        seq, bat = both(
+        want, got = both(
             lambda be: vecmul(config, VB, VC, split=50, backend=be),
             lambda r: (r.coords.tolist(), r.values.tolist()),
         )
-        assert seq == bat
+        assert got == want
 
 
 class TestDegenerateOperands:
@@ -117,50 +130,48 @@ class TestDegenerateOperands:
     def test_zero_dimension_spmv(self, shape):
         dense = np.zeros(shape)
         c = np.ones(shape[1])
-        seq, bat = both(
+        want, got = both(
             lambda be: spmv_locate(dense, c, backend=be),
             lambda r: (list(r[0]), list(r[1])),
         )
-        assert seq == bat == ([], [])
+        assert got == want and want[0] == ([], [])
 
     def test_all_zero_matrix(self):
         dense = np.zeros((6, 7))
         program = compile_expression("x(i) = B(i,j) * c(j)")
-
-        def run(backend):
-            return program.run(
-                {"B": dense, "c": np.ones(7)}, backend=backend
-            ).to_numpy().tolist()
-
-        assert run("functional-seq") == run("functional") == [0.0] * 6
+        want, got = both(
+            lambda be: program.run({"B": dense, "c": np.ones(7)}, backend=be),
+            lambda r: r.to_numpy().tolist(),
+        )
+        assert got == want and want[0] == [0.0] * 6
 
     def test_empty_fibers_between_rows(self):
         dense = np.zeros((8, 8))
         dense[0, 3] = 1.5
         dense[6, 1] = -2.0  # rows 1..5 have empty fibers
-        seq, bat = both(
+        want, got = both(
             lambda be: spmv_locate(dense, np.ones(8), backend=be),
             lambda r: (list(r[0]), list(r[1])),
         )
-        assert seq == bat
+        assert got == want
 
     def test_all_zero_spmm(self):
-        seq, bat = both(
+        want, got = both(
             lambda be: run_spmm(np.zeros((4, 5)), np.zeros((5, 3)), backend=be),
             lambda r: r.output.to_numpy().tolist(),
         )
-        assert seq == bat
+        assert got == want
 
     def test_cancelling_addition(self):
         # Union + adder where explicit values cancel to exact zeros.
         program = compile_expression("X(i,j) = B(i,j) + C(i,j)")
         b = np.array([[1.0, -2.0], [0.0, 3.0]])
         c = np.array([[-1.0, 2.0], [4.0, 0.0]])
-
-        def run(backend):
-            return program.run({"B": b, "C": c}, backend=backend).to_numpy().tolist()
-
-        assert run("functional-seq") == run("functional")
+        want, got = both(
+            lambda be: program.run({"B": b, "C": c}, backend=be),
+            lambda r: r.to_numpy().tolist(),
+        )
+        assert got == want
 
 
 class TestRealMatrixViaRegistry:
@@ -170,16 +181,17 @@ class TestRealMatrixViaRegistry:
         assert registry.source("G32") == f"file:{path}"
         tensor = registry.load_tensor("G32")
         c = urandom_vector(tensor.shape[1], tensor.shape[1] // 2, seed=9)
-        seq, bat = both(
+        want, got = both(
             lambda be: spmv_locate(tensor, c, backend=be),
             lambda r: (list(r[0]), list(r[1])),
         )
-        assert seq == bat
+        assert got == want
+        crd, vals = want[0]
         reference = registry.load_matrix("G32") @ c
         nonzero = np.flatnonzero(reference)
         assert np.allclose(
-            np.asarray(seq[1])[np.isin(seq[0], nonzero)],
-            reference[np.asarray(seq[0])[np.isin(seq[0], nonzero)]],
+            np.asarray(vals)[np.isin(crd, nonzero)],
+            reference[np.asarray(crd)[np.isin(crd, nonzero)]],
         )
 
     def test_torso2_scale_dataset_registered(self):
@@ -196,52 +208,52 @@ class TestUnbatchableTokens:
             [(0, 5), (1, 2, 3)],  # ragged tuples raise from np.asarray
         ],
     )
-    def test_tuple_streams_fall_back_to_scalar_plane(self, payload):
-        # Skip-hint style tuple tokens cannot ride the numpy plane; the
-        # feeder AND any timed consumer must drop to their generators
-        # without corrupting the stream.
+    def test_tuple_streams_hand_the_run_to_cycle(self, payload):
+        # Skip-hint style tuple tokens cannot ride the numpy plane: the
+        # run goes to ``cycle`` whole, says why, and the stream arrives
+        # intact.
         tokens = payload + [DONE]
-        for backend in ("functional", "functional-seq"):
+        runs = {}
+        for backend in ("cycle", "timed-batch"):
             src, a, b = Channel("s"), Channel("a"), Channel("b")
             blocks = [
-                StreamFeeder(tokens, src),
+                StreamFeeder(tokens, src, name="feed"),
                 Fanout(src, [a, b]),
                 Sink(a, name="sa"),
                 Sink(b, name="sb"),
             ]
-            run_blocks(blocks, backend=backend)
-            assert blocks[2].tokens == tokens
-            assert blocks[3].tokens == tokens
+            report = run_blocks(blocks, backend=backend)
+            assert blocks[2].tokens == blocks[3].tokens == tokens
+            runs[backend] = full_report(blocks, report)
+        assert runs["timed-batch"] == runs["cycle"]
+        assert report.handoff.startswith("block 'feed' (StreamFeeder)")
 
 
 class TestMixedPlaneGraphs:
     def test_generator_only_blocks_fall_back(self):
-        # spmm kij's MatrixReducer has no timed drain: the engine must mix
-        # planes inside one graph.
+        # spmm kij's MatrixReducer has no window hook: the run goes to
+        # ``cycle`` whole and names it.
         from repro.blocks import MatrixReducer
 
         assert "timed" not in MatrixReducer.capabilities()
-        seq, bat = both(
+        want, got = both(
             lambda be: run_spmm(B, C, order="kij", backend=be),
             lambda r: r.output.to_numpy().tolist(),
         )
-        assert seq == bat
+        assert got == want
+        with capture_runs() as capture:
+            run_spmm(B, C, order="kij", backend="timed-batch")
+        assert "(MatrixReducer)" in capture.runs[-1][1].handoff
 
     def test_token_counts_identical_across_planes(self):
         # Figure 14-style channel statistics must not depend on the plane.
         program = compile_expression("x(i) = B(i,j) * c(j)")
-        dense = np.asarray(B)
-
-        def counts(backend):
-            result = program.run(
-                {"B": dense, "c": VEC}, backend=backend
-            )
-            return {
-                name: channel.token_counts()
-                for name, channel in result.bound.channels.items()
-            }
-
-        assert counts("functional-seq") == counts("functional")
+        want, got = both(
+            lambda be: program.run({"B": np.asarray(B), "c": VEC}, backend=be),
+            lambda r: {name: channel.token_counts()
+                       for name, channel in r.bound.channels.items()},
+        )
+        assert got == want
 
 
 class Relay(Block):
@@ -309,6 +321,8 @@ def mixed_pipeline(fibers, stages, cap_link, prefill_link, prefill, tuple_at,
     return blocks, (a, b)
 
 
+
+
 class TestMixedPlaneDifferential:
     """Hazards at random positions of a timed-capable pipeline."""
 
@@ -321,63 +335,58 @@ class TestMixedPlaneDifferential:
         prefill=st.integers(0, 6),
         tuple_at=st.none() | st.integers(0, 30),
     )
-    def test_outputs_and_token_counts(self, fibers, stages, cap_link,
-                                      prefill_link, prefill, tuple_at):
+    def test_outputs_and_reports(self, fibers, stages, cap_link,
+                                 prefill_link, prefill, tuple_at):
         plan = (fibers, stages, cap_link, prefill_link % (len(stages) + 1),
                 prefill, tuple_at)
         runs = {}
-        for backend in ("cycle", "functional-seq", "functional"):
+        for backend in ("cycle", "timed-batch"):
             blocks, outs = mixed_pipeline(*plan)
             report = run_blocks(blocks, backend=backend)
             runs[backend] = (
                 [list(ch.history) for ch in outs],
                 [blocks[-2].tokens, blocks[-1].tokens],
-                graph_token_counts(blocks),
+                full_report(blocks, report),
             )
-        assert runs["functional"] == runs["functional-seq"] == runs["cycle"]
-        assert report.cycles == 0 and report.resumptions > 0
-        assert all(v == {"busy": 0, "stall": 0}
-                   for v in report.block_activity().values())
+        assert runs["timed-batch"] == runs["cycle"]
+        if "relay" in stages:  # one generator-only block: all on ``cycle``
+            assert report.handoff is not None
         # Starved: the stream never ends, so everything past the feeder
-        # is stuck and must be named.
-        blocks, _ = mixed_pipeline(*plan, done=False)
-        with pytest.raises(DeadlockError) as err:
-            run_blocks(blocks, backend="functional")
-        stuck = str(err.value).split("stuck blocks: ")[1]
+        # is stuck and must be named, in ``cycle``'s words.
+        errors = []
+        for backend in ("cycle", "timed-batch"):
+            blocks, _ = mixed_pipeline(*plan, done=False)
+            with pytest.raises(DeadlockError) as err:
+                run_blocks(blocks, backend=backend)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        stuck = errors[0].split("stuck blocks: ")[1]
         assert "feeder" not in stuck
         assert all(repr(b.name) in stuck for b in blocks[1:])
 
 
 class TestOneFastOneReferenceDefinition:
-    """The two deleted encodings stay deleted."""
+    """The deleted encodings stay deleted."""
 
-    def test_no_block_has_a_batched_drain_or_overrides_drain(self):
+    def test_no_block_has_a_batched_drain_or_a_drain(self):
         classes = list(block_classes())
         assert len(classes) > 30
         for cls in classes:
             assert not hasattr(cls, "drain_batch"), cls
-            assert cls.drain is Block.drain, cls
+            assert not hasattr(cls, "drain"), cls
             assert "batched" not in cls.capabilities(), cls
 
     def test_no_engine_drives_a_batched_plane(self):
         for engine in BACKENDS.values():
             assert set(engine.planes) <= {"scalar", "timed"}, engine
-        assert BACKENDS["functional"].planes == BACKENDS["timed-batch"].planes
-        assert BACKENDS["functional-seq"].planes == ("scalar",)
 
     def test_streams_exports_no_untimed_reader_or_builder(self):
         assert not hasattr(repro.streams, "BatchReader")
         assert not hasattr(repro.streams, "BatchBuilder")
 
-    def test_functional_seq_steps_every_generator(self):
-        from repro.graph import capture_runs
-
-        live = {}
-        for backend in ("functional-seq", "functional"):
-            with capture_runs() as capture:
-                spmv_locate(B, VEC, backend=backend)
-            blocks, _ = capture.runs[-1]
-            live[backend] = [b._gen is not None for b in blocks]
-        assert all(live["functional-seq"])
-        # ... and `functional` really left them alone on the timed plane.
-        assert not any(live["functional"])
+    def test_a_window_run_steps_no_generator(self):
+        with capture_runs() as capture:
+            spmv_locate(B, VEC, backend="timed-batch")
+        blocks, report = capture.runs[-1]
+        assert report.handoff is None
+        assert not any(b._gen is not None for b in blocks)

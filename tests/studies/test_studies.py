@@ -4,6 +4,8 @@ import numpy as np
 
 from repro.studies import fig11, fig12, fig13, fig14, fig15, table1, table2
 
+from blockkit import ENGINES
+
 
 class TestTable1:
     def test_all_rows_match(self):
@@ -17,7 +19,7 @@ class TestTable1:
 
     def test_crd_drop_differential_is_the_same_on_every_plane(self):
         # The study runs its three trials on the windowed engine; the
-        # all-generator oracle it used to pin is the cross-check.
+        # all-generator oracle ``cycle`` is the cross-check.
         from repro.lang import compile_expression, primitive_row
 
         entry = next(e for e in table1.ENTRIES if e.name == "MTTKRP")
@@ -30,9 +32,9 @@ class TestTable1:
             backend: table1.crd_drop_differential(
                 program, counts, paper, backend=backend
             )
-            for backend in ("cycle", "compiled", "functional", "functional-seq")
+            for backend in ENGINES
         }
-        want = reports["functional-seq"]
+        want = reports["cycle"]
         assert want["redundant"] and want["trials"] == 3
         assert want["dropped_pairs"] > 0 and "proved redundant" in want["detail"]
         assert all(report == want for report in reports.values()), reports

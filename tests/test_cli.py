@@ -202,7 +202,7 @@ class TestDatasetsCLI:
         assert "file:" in out and "relat3.mtx" in out
 
     def test_smoke_small_matrix(self, tmp_path, capsys):
-        assert main(["--engine", "functional", "datasets",
+        assert main(["--engine", "timed-batch", "datasets",
                      "--data-dir", str(tmp_path),
                      "--smoke", "--matrix", "LFAT5"]) == 0
         out = capsys.readouterr().out
@@ -216,7 +216,7 @@ class TestDatasetsCLI:
         assert "[cycle]" in out and "(0 cycles)" not in out
 
     def test_list_and_smoke_combine(self, tmp_path, capsys):
-        assert main(["--engine", "functional", "datasets",
+        assert main(["--engine", "timed-batch", "datasets",
                      "--data-dir", str(tmp_path), "--list",
                      "--smoke", "--matrix", "relat3"]) == 0
         out = capsys.readouterr().out

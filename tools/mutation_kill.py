@@ -16,7 +16,8 @@ Usage::
 
 It mutates this checkout's ``src/``: the window hooks are judged by
 ``tests/blocks/test_window_blocks.py``, the engines' plane rule and
-generator finish by ``tests/sim/test_plane_rule.py``, the ``.mtx``
+generator finish by ``tests/sim/test_plane_rule.py`` (the plane rule's
+finite-FIFO gate by ``tests/sim/test_window_identity.py``), the ``.mtx``
 reader's byte-grammar check by ``tests/data/test_io.py``.  Every mutation
 costs one pytest run that stops at its first failure.
 """
@@ -35,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BLOCKS = "tests/blocks/test_window_blocks.py"
 INGEST = "tests/data/test_io.py"
 PLANES = "tests/sim/test_plane_rule.py"
+IDENTITY = "tests/sim/test_window_identity.py"
 #: seconds one mutation's test run may take (a hang counts as killed)
 TIMEOUT = 900
 
@@ -105,13 +107,10 @@ MUTATIONS = (
     Mutation("plane rule skips timed_capable()", "repro/sim/backends/timed_batch.py",
              "if not block.timed_capable():",
              "if False:", PLANES),
-    Mutation("plane rule decided per block", "repro/sim/backends/timed_batch.py",
-             "        timed = [False] * len(blocks)\n",
-             "        pass\n", PLANES),
-    Mutation("functional: a block that left its hook is not revisited",
-             "repro/sim/backends/functional.py",
-             "again = progressed or not timed[i]",
-             "again = progressed", PLANES),
+    Mutation("plane rule keeps a finite FIFO without a credit pair",
+             "repro/sim/backends/timed_batch.py",
+             "            if not keep:\n",
+             "            if False:\n", IDENTITY),
     # -- the .mtx reader's byte-grammar check in front of scipy's parser
     Mutation("grammar check always passes", "repro/data/io.py",
              "_body_tokens(data, start, need) != need * nnz",
