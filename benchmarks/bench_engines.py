@@ -20,7 +20,9 @@ Four sections:
   Compiled rows also carry the segment-fusion statistics
   (segments/fused blocks/fallbacks/kinds) and plan-cache counters of
   the last run's report.
-* **kernel scaling** — Gamma SpM*SpM and element-wise multiply at ~2e4
+* **kernel scaling** — Gamma SpM*SpM on perfbench's 500x500 d0.02
+  operands (where the k-intersect's walk of C's level dominates), then
+  Gamma and element-wise multiply at ~2e4
   and ~1e5 nnz under ``timed-batch`` and ``compiled`` only (the scalar
   backends would take minutes at these sizes), the two engines' rounds
   interleaved.  Cycle counts must agree bit for bit.  Both engines
@@ -392,6 +394,14 @@ def run_kernel_scaling(rounds: int, warmup: int) -> list:
     from repro.kernels.gamma import gamma_spmm
 
     results = []
+    # perfbench's gamma_spmm operands (seed 7): the k-walk dominates here
+    B, C = (np.asarray(random_sparse_matrix(500, 500, 0.02, seed=seed), float)
+            for seed in (112, 113))
+    results.append(_compiled_vs_timed_batch(
+        "gamma_500_d0.02", int(np.count_nonzero(B)),
+        lambda engine: gamma_spmm(B, C, backend=engine),
+        rounds, warmup,
+    ))
     for density in KERNEL_DENSITIES:
         B = np.asarray(random_sparse_matrix(2000, 2000, density, seed=42),
                        float)

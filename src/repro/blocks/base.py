@@ -446,6 +446,15 @@ class Block:
         self._tclock = end
         return c
 
+    def _t_span(self, n: int, last: int) -> None:
+        """Account *n* busy events, the last at cycle *last*: what
+        :meth:`_t_advance` books for a schedule computed sparsely."""
+        ii = self.timing.ii
+        end = last + ii
+        self.busy_cycles += n
+        self.stall_cycles += (end - self._tclock) - ii * n
+        self._tclock = end
+
     def _t_take_window(self, channel):
         """Take *channel*'s stamped window up to its first ``D``.
 

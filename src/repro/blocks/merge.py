@@ -34,10 +34,12 @@ from ..streams.timing import (
     front_fibers,
     held_fibers,
     index_ramp,
+    pair_chunks,
     window_capacity,
 )
 from ..streams.token import DONE, EMPTY, is_data, is_done, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
+from .scanner import Runs
 
 
 @dataclass
@@ -96,6 +98,9 @@ class _Merger(Block):
             self.out_refs.append(
                 [self._out(f"out_ref{i}_{j}", ch) for j, ch in enumerate(group)]
             )
+        #: per side, the fiber runs of the scanner it is paired with
+        #: (:meth:`LevelScanner.hand_over`), or None: it reads tokens
+        self.runs: list = [None] * len(self.sides)
 
     @property
     def arity(self) -> int:
@@ -164,6 +169,9 @@ class _Merger(Block):
     # the builders touch only the slots they emit: an intersecter's
     # layouts are as long as its output, not as its longest side.
     timing = TimingDescriptor()
+    #: whether a window walks a scanner's runs by search (a two-sided
+    #: intersecter emits only what both sides hold)
+    walks = False
 
     def timed_capable(self) -> bool:
         # Skip hints feed a timing side channel the windowed merge does
@@ -178,13 +186,18 @@ class _Merger(Block):
         first ``D`` included.  A stream with no terminator yet leaves the
         block waiting for its next push; a dirty chunk (:meth:`_clean_fibers`,
         :meth:`_side_keys`) stays unconsumed behind the clean prefix and
-        bails to the scalar path; mismatched terminators raise.
+        bails to the scalar path; mismatched terminators raise.  A side
+        paired with its scanner (:attr:`runs`) is read as fiber runs: a
+        two-sided intersecter walks it by search (:meth:`_walk_window`),
+        any other merger lays its keys out as a stream side's.
         """
         if self.finished:
             return False
+        runs = [r if r is not None and r.live else None for r in self.runs]
         sides = [
-            [self._treader(side.crd)] + [self._treader(ch) for ch in side.refs]
-            for side in self.sides
+            None if r is not None
+            else [self._treader(side.crd)] + [self._treader(ch) for ch in side.refs]
+            for side, r in zip(self.sides, runs)
         ]
         groups = [[self._tbuilder(self.out_crd)]] + [
             [self._tbuilder(ch) for ch in group] for group in self.out_refs
@@ -192,18 +205,20 @@ class _Merger(Block):
         progressed = False
         while True:
             # per side: its coordinate stream's window, then its references'
-            held = [[reader.held_window() for reader in side] for side in sides]
-            windows = [w for side in held for w in side]
-            counts = [held_fibers(w) for w in windows]
-            whole = k = min(counts)
+            held = [None if side is None else [reader.held_window() for reader in side]
+                    for side in sides]
+            whole = k = min(
+                r.held() if r is not None else min(held_fibers(w) for w in side)
+                for r, side in zip(runs, held)
+            )
             if k:
-                views = [[front_fibers(w, k) for w in side] for side in held]
-                crd_codes = [side[0].codes for side in views]
+                views = self._views(runs, held, k)
+                crd_codes = [_codes(view) for view in views]
                 codes = crd_codes[0]
                 done = np.logical_or.reduce([c == CODE_DONE for c in crd_codes])
                 if done.any():
                     whole = k = int(done.argmax()) + 1
-                k = min(k, *(self._clean_fibers(side) for side in views))
+                k = min(k, *(self._clean_fibers(view) for view in views))
                 odd = np.logical_or.reduce([c[:k] != codes[:k] for c in crd_codes[1:]])
                 if odd.any():
                     k = int(odd.argmax())
@@ -211,26 +226,40 @@ class _Merger(Block):
                         self._raise_misaligned_codes([c[0] for c in crd_codes])
             if k:
                 # 0 (one fiber's stop key would already wrap) is scalar territory
-                stride = 2 + max(int(side[0].data.max(initial=-1)) for side in views)
+                stride = 2 + max(_top(r, view) for r, view in zip(runs, views))
                 k = min(k, window_capacity(stride))
             if k:
                 if k < len(codes):
-                    views = [[front_fibers(w, k) for w in side] for side in held]
-                keys, arrs, refs, clean = zip(
-                    *(self._side_keys(side, stride) for side in views)
-                )
-                k = min(clean)
+                    views = self._views(runs, held, k)
+                walk = self._walked(runs, views)
+                keys, arrs, refs, clean = zip(*(
+                    (None,) * 4 if s == walk
+                    else self._run_keys(r, view, stride) if r is not None
+                    else self._side_keys(view, stride)
+                    for s, (r, view) in enumerate(zip(runs, views))
+                ))
+                k = min(c for c in clean if c is not None)
             if k:
                 progressed = True
-                cuts = [int(side[0].ends[k - 1]) + k for side in views]
-                keys = [key[:cut] for key, cut in zip(keys, cuts)]
-                events = self._merge_events(
-                    keys, [arr[:cut] for arr, cut in zip(arrs, cuts)]
-                )
-                self._emit_window(groups, stride, codes, keys, events, refs)
+                cuts = [int(view.lens[:k].sum()) + k if isinstance(view, Runs)
+                        else int(view[0].ends[k - 1]) + k for view in views]
+                keys = [None if key is None else key[:cut] for key, cut in zip(keys, cuts)]
+                arrs = [None if arr is None else arr[:cut] for arr, cut in zip(arrs, cuts)]
+                if walk is None:
+                    events = self._merge_events(keys, arrs)
+                    self._emit_window(groups, stride, codes, keys, events, refs)
+                else:
+                    other = 1 - walk
+                    self._walk_window(groups, codes[:k], walk, runs[walk],
+                                      Runs(*(arr[:k] for arr in views[walk])),
+                                      keys[other], arrs[other], refs[other], stride)
                 # tokens after a D stay held
-                for window, view in zip(windows, (v for side in views for v in side)):
-                    consume(window, int(view.ends[k - 1]), k)
+                for r, side, view in zip(runs, held, views):
+                    if r is not None:
+                        r.consume(k)
+                        continue
+                    for window, fibers in zip(side, view):
+                        consume(window, int(fibers.ends[k - 1]), k)
             if 0 < k < whole:
                 continue  # a sub-window or a clean prefix: the next pass decides
             for group in groups:
@@ -242,6 +271,39 @@ class _Merger(Block):
                 self.finished = True
             return progressed
 
+    @staticmethod
+    def _views(runs, held, k):
+        """Per side its first *k* fibers: a scanner's runs, or a view per
+        stream of a stream side."""
+        return [r.front(k) if r is not None else [front_fibers(w, k) for w in side]
+                for r, side in zip(runs, held)]
+
+    def _walked(self, runs, views):
+        """The side a window walks by search, or None: a two-sided
+        intersecter's run side over a level that keeps sorted keys (of
+        two, the one with more pairs)."""
+        if not self.walks:
+            return None
+        walked = [s for s, r in enumerate(runs)
+                  if r is not None and r.level.sorted_keys() is not None]
+        if not walked:
+            return None
+        return max(walked, key=lambda s: int(views[s].lens.sum()))
+
+    def _bail_timed(self) -> bool:
+        # a paired scanner's fibers go onto its links first: the
+        # generator reads them as the tokens they stand for
+        for r in self.runs:
+            if r is not None and r.live:
+                r.materialise()
+        return super()._bail_timed()
+
+    def run_inputs(self):
+        """``(side, crd, ref)`` of every side a scanner could hand fiber
+        runs: one coordinate and one reference stream."""
+        return [(s, side.crd, side.refs[0]) for s, side in enumerate(self.sides)
+                if len(side.refs) == 1]
+
     def _clean_fibers(self, views) -> int:
         """How many of a side's viewed fibers are structurally clean.
 
@@ -249,8 +311,11 @@ class _Merger(Block):
         stream, a reference terminator unlike the coordinate one, a
         reference run shorter than its coordinates, non-integer
         coordinates.  Up to the first dirty chunk, where this stops,
-        fiber *f* of every stream is its *f*-th control token.
+        fiber *f* of every stream is its *f*-th control token.  A
+        scanner's runs are clean.
         """
+        if isinstance(views, Runs):
+            return len(views.lens)
         crd = views[0]
         if len(crd.data) and crd.data.dtype.kind != "i":
             return 0
@@ -268,34 +333,43 @@ class _Merger(Block):
         each (a side's tuple pops together, so the max over coordinate
         and reference stamps, trailing phantom zeros included for the
         boundary tuple — they are drained inside its cycle); the
-        reference runs aligned with the coordinates, phantoms dropped;
-        and how many leading fibers trail no non-zero "phantom" and keep
-        the keys strictly increasing (a duplicate or unsorted coordinate
-        would give a side two keys in one slot of the merge, or its keys
-        out of their slots' order).
+        reference runs aligned with the coordinates, phantoms dropped
+        (:func:`pair_chunks`); and how many leading fibers trail no
+        non-zero "phantom" and keep the keys strictly increasing (a
+        duplicate or unsorted coordinate would give a side two keys in
+        one slot of the merge, or its keys out of their slots' order).
         """
+        pairings = [pair_chunks(views[0], ref) for ref in views[1:]]
+        k = min([len(views[0].ends)] + [p.clean for p in pairings])
+        if k == 0:
+            return None, None, None, 0
+        if k < len(views[0].ends):
+            views = [view.head(k) for view in views]
         crds, ends, lens, _, arrivals, closes, _ = views[0]
-        k, n = len(ends), len(crds)
+        n = len(crds)
         ramp_k, ramp_n = index_ramp(k), index_ramp(n)
         fiber = np.repeat(ramp_k, lens)
         clean = k
         refs = []
-        for run, r_ends, r_lens, _, s_r, sc_r, _ in views[1:]:
-            closes = np.maximum(closes, sc_r)
-            if len(run) > n:
-                extra = r_lens - lens
-                pick = ramp_n + (np.cumsum(extra) - extra)[fiber]
-                phantom = np.ones(len(run), dtype=bool)
-                phantom[pick] = False
-                stray = np.flatnonzero(phantom & (run != 0))
-                if len(stray):  # a non-zero value is not a phantom
-                    clean = min(clean, int(np.searchsorted(r_ends, stray[0], "right")))
-                trailed = np.flatnonzero(extra)
-                closes[trailed] = np.maximum(closes[trailed], s_r[r_ends[trailed] - 1])
+        for ref, pairing in zip(views[1:], pairings):
+            run, s_r = ref.data, ref.sdata
+            closes = np.maximum(closes, ref.scodes)
+            if pairing.pick is not None:
+                trailed = np.flatnonzero(ref.lens > lens)
+                closes[trailed] = np.maximum(closes[trailed], s_r[ref.ends[trailed] - 1])
+                pick = pairing.pick[:n]
                 run, s_r = run[pick], s_r[pick]
             arrivals = np.maximum(arrivals, s_r)
             refs.append(run)
-        at_stop, at_crd = ends + ramp_k, ramp_n + fiber
+        return self._lay_keys(ends, fiber, crds, arrivals, closes, refs, stride, clean)
+
+    @staticmethod
+    def _lay_keys(ends, fiber, crds, arrivals, closes, refs, stride, clean):
+        """``_side_keys``' result from a side's fibers: their ends,
+        each coordinate's fiber, the coordinates and the arrivals."""
+        k, n = len(ends), len(crds)
+        ramp_k = index_ramp(k)
+        at_stop, at_crd = ends + ramp_k, index_ramp(n) + fiber
         keys = np.empty(n + k, dtype=np.int64)
         keys[at_stop] = ramp_k * stride + (stride - 1)
         keys[at_crd] = fiber * stride + crds
@@ -308,6 +382,101 @@ class _Merger(Block):
         elif len(unsorted):
             clean = min(clean, int(np.searchsorted(at_stop, unsorted[0] + 1)))
         return keys, stamps, refs, clean
+
+    def _run_keys(self, runs, view, stride: int):
+        """:meth:`_side_keys` of a scanner's runs: its pairs laid out as
+        the tokens they stand for (a level's fibers are sorted)."""
+        pos, stamps = runs.pairs(view)
+        fiber = np.repeat(index_ramp(len(view.lens)), view.lens)
+        return self._lay_keys(np.cumsum(view.lens), fiber, runs.crd[pos], stamps,
+                              view.stops, [pos], stride, len(view.lens))
+
+    def _walk_window(self, groups, codes, walk, runs, view, keys, arrs, refs, stride):
+        """A two-sided intersecter's window with side *walk* fiber runs:
+        the merge by search, in the other side's keys and the fibers'
+        count, never the walked side's pairs.
+
+        Each of the other side's coordinates is searched in the level's
+        sorted keys: how many pairs of its fiber lie below it (``u``)
+        and whether one equals it.  That places every key in the union
+        slots.  The arrival of slot *s* + 1 is the successor of a key
+        held at slot *s*; along a walked fiber's ramp ``stamp - slot *
+        ii`` only drops (a key of the other side between two pairs moves
+        the slot, not the stamp), so per fiber three successors bound
+        the running max: the first pair's, the last pair's (its stop)
+        and the stop's (the next fiber's first key).  The schedule at
+        the emitted slots — the shared coordinates and every stop — is
+        ``slot * ii`` plus the running max of those terms and of the
+        other side's successors, clipped at the clock: the dense
+        ``_merge_events`` schedule, read where it is emitted.
+        """
+        ii = self.timing.ii
+        k = len(view.lens)
+        fiber, crd = np.divmod(keys, stride)
+        real = crd != stride - 1
+        fa, xa = fiber[real], crd[real]
+        lens, start = view.lens[fa], view.start[fa]
+        # where each coordinate falls in its walked fiber
+        level_keys, level_stride = runs.level.sorted_keys()
+        u = np.searchsorted(level_keys, view.ref[fa] * level_stride
+                            + np.minimum(xa, level_stride))
+        u -= start
+        np.clip(u, 0, lens, out=u)
+        hit = u < lens
+        at = start + u
+        hit[hit] = runs.crd[at[hit]] == xa[hit]
+        # the union slots: per fiber its walked pairs, the other side's
+        # coordinates less the shared ones, and the stop
+        own = np.bincount(fa, minlength=k)
+        shared = np.bincount(fa[hit], minlength=k)
+        stop = np.cumsum(view.lens + own - shared + 1) - 1
+        base = stop - (view.lens + own - shared)
+        # a coordinate's slot: the distinct keys of its fiber below it
+        slot = base[fa] + u + index_ramp(len(fa)) - np.cumsum(hit)
+        slot += hit
+        slot -= (np.cumsum(own) - own - np.cumsum(shared) + shared)[fa]
+        slots = np.empty(len(keys), dtype=np.int64)
+        slots[real], slots[~real] = slot, stop
+        # successors: the other side's keys, then the walked fibers'
+        entry = slots[:-1] + 1
+        gates = arrs[1:] - entry * ii
+        # the other side's unshared keys under a fiber's first / last pair
+        below = (u == 0) & ~hit
+        below_last = (u < lens) & ~hit
+        nxt = np.where(view.lens[1:] > 0, view.first[1:], view.stops[1:])
+        e3 = stop + 1
+        e2 = np.where(view.lens > 0,
+                      base + view.lens + np.bincount(fa[below_last], minlength=k), e3)
+        e1 = np.where(view.lens > 1, base + 1 + np.bincount(fa[below], minlength=k), e2)
+        never = np.iinfo(np.int64).min // 2
+        w1 = np.where(view.lens > 1, view.first + runs.ii - e1 * ii, never)
+        w2 = np.where(view.lens > 0, view.stops - e2 * ii, never)
+        w3 = np.append(nxt, 0) - e3 * ii
+        w3[-1] = never
+        walk_entry = np.stack((e1, e2, e3), axis=1).ravel()
+        walk_gates = np.maximum.accumulate(np.stack((w1, w2, w3), axis=1).ravel())
+        np.maximum.accumulate(gates, out=gates)
+        # the first slot waits for both sides' first keys
+        head = max(int(arrs[0]), int(view.first[0] if view.lens[0] else view.stops[0]),
+                   self._t_carry, self._tclock)
+        self._t_carry = 0
+        emitted = np.concatenate((slot[hit], stop))
+        cycles = np.full(len(emitted), head, dtype=np.int64)
+        for entries, running in ((entry, gates), (walk_entry, walk_gates)):
+            if len(entries):
+                i = np.searchsorted(entries, emitted, "right") - 1
+                np.maximum(cycles, np.where(i >= 0, running[i], never), out=cycles)
+        cycles += emitted * ii
+        nhit = int(hit.sum())
+        self._t_span(int(stop[-1]) + 1, int(cycles[-1]))
+        cpos = np.cumsum(shared)
+        lay = (cpos, codes, cycles[:nhit], cycles[nhit:])
+        runs_out = [[xa[hit]]] + [None, None]
+        runs_out[1 + walk] = [at[hit]]
+        runs_out[2 - walk] = [ref[:len(hit)][hit] for ref in refs]
+        for group, out in zip(groups, runs_out):
+            for builder, run in zip(group, out):
+                builder.data_with_ctrl(run, *lay)
 
     def _merge_events(self, keys, arrs):
         """Cycle schedule of one window's m-finger merge.
@@ -419,6 +588,20 @@ class _Merger(Block):
                 builder.data_with_ctrl(run[pick], *lay)
 
 
+def _codes(view):
+    return view.codes if isinstance(view, Runs) else view[0].codes
+
+
+def _top(runs, view) -> int:
+    """The largest coordinate of a side's view (-1: none).  A run's is
+    read as its last: exact on a sorted fiber, and an unsorted one is
+    dirty whatever the stride (its keys do not increase)."""
+    if runs is None:
+        return int(view[0].data.max(initial=-1))
+    full = view.lens > 0
+    return int(runs.crd[(view.start + view.lens - 1)[full]].max(initial=-1))
+
+
 class Intersect(_Merger):
     """M-ary intersecter (Definition 3.2), optionally emitting skip hints.
 
@@ -429,6 +612,7 @@ class Intersect(_Merger):
     """
 
     primitive = "intersect"
+    walks = True
 
     def timed_capable(self) -> bool:
         # The m-ary generator advances *every* side below the max in one

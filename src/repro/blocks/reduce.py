@@ -26,7 +26,7 @@ the configuration Table 1's dropper counts assume.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -338,8 +338,11 @@ class VectorReducer(Block):
         k = len(crd.codes)
         if k == 0:
             return False
+        integral = self._integral_chunks(crd, windows[0])
+        if integral is None:
+            return False
         pairing = pair_chunks(crd, val)
-        clean = min(pairing.clean, self._integral_chunks(crd))
+        clean = min(pairing.clean, integral)
         if clean < k:
             self._raise_dirty(windows, clean)
         # Phantom values are popped inside their boundary's cycle, so
@@ -358,21 +361,33 @@ class VectorReducer(Block):
         return True
 
     @staticmethod
-    def _integral_chunks(crd) -> int:
-        """How many leading chunks hold integer coordinates only.
+    def _integral_chunks(crd, window) -> Optional[int]:
+        """How many leading chunks hold integer coordinates only, or None
+        while that is not known yet.
 
-        A batch stores a mixed run as floats: the chunk of the first
-        fractional one is the error if there is one, else the first
-        chunk with data at all.
+        A batch stores a mixed run as floats, and a block that passes
+        its tokens on one at a time hands them on as floats: a float
+        view is judged against the stream up to its ``D``.  The chunk of
+        the first fractional coordinate is the error; when one lies past
+        the view (in *window*, the held entry), the view's floats are
+        integers stored beside it; when none does and no ``D`` has
+        arrived, the rest of the stream decides; else the first chunk
+        with data is the error (an integral float).
         """
-        if crd.data.dtype.kind == "i":
+        if crd.data.dtype.kind == "i" or not len(crd.data):
             return len(crd.codes)
         chunk = np.repeat(index_ramp(len(crd.codes)), crd.lens)
+        batch = window[0]
+        done = np.flatnonzero(batch.ctrl_code[batch._c:] == CODE_DONE)
+        end = int(batch.ctrl_pos[batch._c + done[0]]) if len(done) else len(batch.data)
         with np.errstate(invalid="ignore"):  # inf % 1 is NaN: not 0
             odd = chunk[crd.data % 1 != 0]
-        if len(odd) or len(chunk):
-            return int(odd[0] if len(odd) else chunk[0])
-        return len(crd.codes)
+            later = bool(np.any(batch.data[batch._d + len(crd.data):end] % 1 != 0))
+        if len(odd):
+            return int(odd[0])
+        if later:
+            return len(crd.codes)
+        return int(chunk[0]) if len(done) else None
 
     def _reduce_window(self, crd, chunk, vals, arrivals, closes) -> None:
         """Accumulate, schedule and emit one window of clean chunks.

@@ -26,12 +26,12 @@ instead of streaming the coordinates in between.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..formats.level import Level
-from ..streams.batch import CODE_DONE, CODE_EMPTY
+from ..streams.batch import CODE_DONE, CODE_EMPTY, TokenBatch, index_ramp
 from ..streams.channel import Channel
 from ..streams.token import DONE, Stop, is_data, is_done, is_empty, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
@@ -82,6 +82,9 @@ class LevelScanner(Block):
         #: timed-drain state: a fiber was fully emitted and its closing
         #: stop token still needs the next input token to pick its level
         self._after_fiber = False
+        #: the merger side this scanner hands its fibers to, as runs
+        #: (:meth:`hand_over`), or None: it pushes tokens
+        self.runs: Optional[FiberRuns] = None
 
     # -- helpers ----------------------------------------------------------
     def _skip_target(self) -> Optional[int]:
@@ -162,13 +165,29 @@ class LevelScanner(Block):
     def _t_run(self, pos, val, total):
         """Busy schedule of one window's *total* events from its sparse
         gates: event ``pos[i]`` waits for stamp ``val[i]``, the rest are
-        free (the dense form of what a fused pair composes sparsely)."""
+        free (the dense form of :meth:`_t_offsets`)."""
         arrivals = np.zeros(total, dtype=np.int64)
         arrivals[pos] = val
         return self._t_advance(arrivals)
 
-    def _scan_timed(self, sched, emit) -> bool:
-        """The scanner's one timed pass: a whole window, one schedule.
+    def _t_offsets(self, pos, val, total):
+        """:meth:`_t_run` in its sparse form: only each input token's
+        first event is gated, so the events from ``pos[i]`` on are a ramp
+        — event *e* at cycle ``offs[i] + e * ii``, ``offs`` the running
+        max of ``val - pos * ii`` clipped at the clock.  The dense arrival
+        array and its running max are never built; the bookkeeping is
+        :meth:`_t_advance`'s.  *val* is the caller's to overwrite."""
+        ii = self.timing.ii
+        if self._t_carry:
+            val[0] = max(int(val[0]), self._t_carry)
+            self._t_carry = 0
+        offs = np.maximum.accumulate(val - (pos * ii if ii != 1 else pos))
+        np.maximum(offs, self._tclock, out=offs)
+        self._t_span(total, int(offs[-1]) + (total - 1) * ii)
+        return offs
+
+    def _t_take_events(self, fibers):
+        """One input window's event layout, or None when none waits.
 
         Per input token the generator spends ``lens`` cycles streaming a
         data reference's (crd, ref) pairs, one cycle on a stray stop or
@@ -177,24 +196,20 @@ class LevelScanner(Block):
         is gated by *this* token (the ``_peek``) and absorbs it when it
         is a stop.  Only a token's first event waits for its stamp (and
         stamps never decrease along a stream, so a token with no event
-        needs no gate of its own: the next token's covers it), which
-        makes the window one sparse schedule, one ``fiber_arrays``
-        gather and one control layout shared by both outputs.
-
-        The arguments are what a fused scanner→locator pair changes:
-        ``sched(pos, val, total)`` (the signature of :meth:`_t_run`)
-        returns the cycles the events are emitted at and ``emit(crds,
-        children, cpos, codes, dstamps, cstamps)`` is where they go.
+        needs no gate of its own: the next token's covers it).
+        *fibers* is what the level answers for the window's data
+        references (``fiber_arrays`` or ``fiber_bounds``): the fibers'
+        lengths last.
         """
         taken = self._t_take_window(self.in_ref)
         if taken is None:
-            return False
+            return None
         head, stamps, di, ci, tail = taken
         refs, _, ccode = head.remaining_arrays()
-        crds, children, lens = self.level.fiber_arrays(refs)
         n, ends_done = len(stamps), bool(head.ends_done)
+        found = fibers(refs)
         pairs = np.zeros(n, dtype=np.int64)
-        pairs[di] = lens
+        pairs[di] = found[-1]
         code = np.full(n, CODE_EMPTY, dtype=np.int64)  # a data ref opens a fiber as N does
         code[ci] = ccode
         opens = code == CODE_EMPTY
@@ -209,28 +224,109 @@ class LevelScanner(Block):
         starts = np.cumsum(counts)
         total = int(starts[-1])
         starts -= counts
-        has = counts > 0
-        if total:
-            c = sched(starts[has], stamps[has], total)
-            at = np.repeat(starts, nctrl)
-            codes = np.repeat(np.where(code >= 0, code + 1, 0), nctrl)
-            if ends_done:
-                at[-1], codes[-1] = total - 1, CODE_DONE
-            is_pair = np.ones(total, dtype=bool)
-            is_pair[at] = False
-            cpos = np.repeat(np.cumsum(pairs) - pairs, nctrl)
-            emit(crds, children, cpos, codes, c[is_pair], c[at])
-            self._fiber_index += len(at) - ends_done
-        self._after_fiber = bool(opens[-1])
-        if not has[-1]:
-            self._t_defer(int(stamps[-1]))  # gates the closer, a window away
-        self._t_window_done(self.in_ref, ends_done, tail)
+        at = np.repeat(starts, nctrl)  # every control event's index
+        codes = np.repeat(np.where(code >= 0, code + 1, 0), nctrl)
+        if ends_done and total:
+            at[-1], codes[-1] = total - 1, CODE_DONE
+        return _Events(refs, di, found, stamps, pairs, after, opens, nctrl, starts,
+                       total, counts > 0, at, codes, ends_done, tail)
+
+    def _t_events_done(self, ev) -> None:
+        """Close a window :meth:`_t_take_events` opened."""
+        self._fiber_index += len(ev.at) - ev.ends_done
+        self._after_fiber = bool(ev.opens[-1])
+        if not ev.has[-1]:
+            self._t_defer(int(ev.stamps[-1]))  # gates the closer, a window away
+        self._t_window_done(self.in_ref, ev.ends_done, ev.tail)
+
+    def _scan_timed(self, sched, emit) -> bool:
+        """The scanner's one timed pass: a whole window, one schedule.
+
+        The window's events (:meth:`_t_take_events`) make one sparse
+        schedule, one ``fiber_arrays`` gather and one control layout
+        shared by both outputs.  The arguments are what a fused
+        scanner→locator pair changes: ``sched(pos, val, total)`` (the
+        signature of :meth:`_t_run`) returns the cycles the events are
+        emitted at and ``emit(crds, children, cpos, codes, dstamps,
+        cstamps)`` is where they go.
+        """
+        ev = self._t_take_events(self.level.fiber_arrays)
+        if ev is None:
+            return False
+        if ev.total:
+            crds, children, _ = ev.fibers
+            c = sched(ev.starts[ev.has], ev.stamps[ev.has], ev.total)
+            is_pair = np.ones(ev.total, dtype=bool)
+            is_pair[ev.at] = False
+            cpos = np.repeat(np.cumsum(ev.pairs) - ev.pairs, ev.nctrl)
+            emit(crds, children, cpos, ev.codes, c[is_pair], c[ev.at])
+        self._t_events_done(ev)
         return True
 
+    def _scan_runs(self, runs) -> bool:
+        """The timed pass of a scanner paired with a merger side: the
+        window's fibers go to *runs* as level ranges with the stamps of
+        their first pair and of their terminator, from the sparse
+        schedule (:meth:`_t_offsets`); no pair is gathered or pushed, and
+        both links count what the pushes would have carried."""
+        ev = self._t_take_events(self.level.fiber_bounds)
+        if ev is None:
+            return False
+        n, ii = len(ev.stamps), self.timing.ii
+        ref = np.zeros(n, dtype=np.int64)
+        start = np.zeros(n, dtype=np.int64)
+        ref[ev.di], start[ev.di] = ev.refs, ev.fibers[0]
+        offs = np.zeros(n, dtype=np.int64)
+        if ev.total:
+            offs[ev.has] = self._t_offsets(ev.starts[ev.has], ev.stamps[ev.has], ev.total)
+        # a token's pairs start after the closer it emits first
+        first = offs + (ev.starts + ev.after) * ii + runs.delta
+        tok = np.repeat(index_ramp(n), ev.nctrl)  # the token of each control event
+        stops = offs[tok] + ev.at * ii + runs.delta
+        # a token's first control event closes the previous token's fiber
+        closer = ev.after[tok]
+        closer[1:] &= tok[1:] != tok[:-1]
+        prev = np.maximum(tok - 1, 0)
+        fibers = [np.where(closer, arr[prev], 0) for arr in (ref, start, ev.pairs, first)]
+        if len(tok) and closer[0] and tok[0] == 0:  # the fiber a window back
+            for arr, value in zip(fibers, runs.open):
+                arr[0] = value
+        runs.append(*fibers, ev.codes, stops)
+        runs.open = (ref[-1], start[-1], ev.pairs[-1], first[-1])
+        # what the pushes would count: the pairs, a stop a control event
+        # but a closing D
+        pairs, stops_pushed = int(ev.pairs.sum()), len(ev.at) - ev.ends_done
+        for channel in runs.links:
+            channel.pushed_data += pairs
+            channel.pushed_stop += stops_pushed
+            channel.pushed_done += ev.ends_done
+        self._t_events_done(ev)
+        return True
+
+    def hand_over(self, crd, ref, ii: int) -> Optional["FiberRuns"]:
+        """Pair this scanner with the consumer reading *crd* and *ref*:
+        the fiber runs it will read instead of the two outputs' tokens,
+        or None when the pair cannot hold — *crd*/*ref* are not exactly
+        its outputs, a skip input is wired, the level is not a
+        position-range one (``fiber_bounds``), a link is finite, recorded
+        or already holds tokens, or *ii* (the consumer's) is not the
+        scanner's."""
+        links = (self.out_crd, self.out_ref)
+        if (not hasattr(self.level, "fiber_bounds") or (crd, ref) != links
+                or self.in_skip is not None or ii != self.timing.ii
+                or any(ch.capacity is not None or ch.record or ch.queue
+                       or ch.timed.pending for ch in links)):
+            return None
+        self.runs = FiberRuns(self)
+        return self.runs
+
     def drain_timed(self) -> bool:
-        """Timed drain: :meth:`_scan_timed` onto the two output streams."""
+        """Timed drain: :meth:`_scan_timed` onto the two output streams,
+        or :meth:`_scan_runs` to the merger side it is paired with."""
         if self.finished:
             return False
+        if self.runs is not None and self.runs.live:
+            return self._scan_runs(self.runs)
         outs = (self._tbuilder(self.out_crd), self._tbuilder(self.out_ref))
 
         def emit(crds, children, cpos, codes, dstamps, cstamps):
@@ -239,6 +335,119 @@ class LevelScanner(Block):
                 out.flush()
 
         return self._scan_timed(self._t_run, emit)
+
+
+class _Events(NamedTuple):
+    """One scanner input window laid out as events (:meth:`LevelScanner.
+    _t_take_events`): per input token its pairs, whether it closes the
+    previous fiber / opens one, its control events and first event's
+    index; per control event its index and code."""
+
+    refs: np.ndarray  # the data references, their token indices and
+    di: np.ndarray  # what the level answered for them
+    fibers: tuple
+    stamps: np.ndarray  # per token
+    pairs: np.ndarray
+    after: np.ndarray
+    opens: np.ndarray
+    nctrl: np.ndarray
+    starts: np.ndarray
+    total: int
+    has: np.ndarray  # the token has an event
+    at: np.ndarray  # per control event
+    codes: np.ndarray
+    ends_done: bool
+    tail: object
+
+
+class Runs(NamedTuple):
+    """Leading complete fibers of a :class:`FiberRuns`, one entry each."""
+
+    ref: np.ndarray  # the level fiber scanned (0 for an empty one)
+    start: np.ndarray  # its first position: pair j is position start + j
+    lens: np.ndarray
+    first: np.ndarray  # visible stamp of pair 0; pair j's is first + j * ii
+    codes: np.ndarray  # terminator code and visible stamp
+    stops: np.ndarray
+
+
+_NO_RUNS = Runs(*[np.empty(0, dtype=np.int64)] * 6)
+
+
+class FiberRuns:
+    """A scanner's output fibers handed to the one merger side that reads
+    both its outputs: level ranges and two stamps each, not tokens.
+
+    A fiber is its level range ``start..start + lens`` (position *p* is
+    the pair ``(crd[p], p)``), the visible stamp of its first pair — its
+    pairs are one input token's ramp, ``ii`` apart — and its terminator's
+    code and stamp.  ``open`` is the fiber whose pairs are out and whose
+    terminator waits for the scanner's next input token.  Until
+    :meth:`materialise` ends the pairing (``live``), the links carry
+    nothing; their token counts are bumped as the pushes would.
+    """
+
+    __slots__ = ("links", "level", "crd", "ii", "delta", "held_runs", "at", "open",
+                 "live")
+
+    def __init__(self, scanner):
+        # the scanner's links, not the scanner: a block must not sit in
+        # a reference cycle (it would keep its graph alive until the
+        # cyclic collector runs)
+        self.links = (scanner.out_crd, scanner.out_ref)
+        self.level = scanner.level
+        self.crd = scanner.level.crd
+        self.ii = scanner.timing.ii
+        # both links run scanner -> consumer: one visibility offset
+        self.delta = scanner.out_crd.timed.delta
+        self.held_runs, self.at = _NO_RUNS, 0
+        self.open = (0, 0, 0, 0)  # its ref, start, lens and first
+        self.live = True
+
+    def append(self, *fibers) -> None:
+        at, held = self.at, self.held_runs
+        if at == len(held.lens):
+            self.held_runs = Runs(*fibers)
+        else:
+            self.held_runs = Runs(*(np.concatenate((old[at:], new))
+                                    for old, new in zip(held, fibers)))
+        self.at = 0
+
+    def held(self) -> int:
+        """Complete fibers not yet consumed."""
+        return len(self.held_runs.lens) - self.at
+
+    def front(self, k: int) -> Runs:
+        at = self.at
+        return Runs(*(arr[at:at + k] for arr in self.held_runs))
+
+    def consume(self, k: int) -> None:
+        self.at += k
+
+    def pairs(self, runs: Runs) -> tuple:
+        """``(positions, stamps)`` of every pair of *runs*."""
+        lens = runs.lens
+        total = int(lens.sum())
+        base = index_ramp(total)
+        before = np.repeat(np.cumsum(lens) - lens, lens)
+        pos = base + np.repeat(runs.start, lens) - before
+        stamps = (base - before) * self.ii + np.repeat(runs.first, lens)
+        return pos, stamps
+
+    def materialise(self) -> None:
+        """End the pairing: the held fibers, the open one's pairs last,
+        go onto the two links as the tokens the scanner would have
+        pushed, stamps intact; the scanner pushes from here on."""
+        self.live = False
+        held = self.front(self.held())
+        runs = Runs(*(np.append(a, v) for a, v in zip(held[:4], self.open)),
+                    held.codes, held.stops)
+        pos, stamps = self.pairs(runs)
+        cpos = np.cumsum(held.lens)
+        for channel, data in zip(self.links, (self.crd[pos], pos)):
+            channel.timed_requeue_front(TokenBatch(data, cpos, held.codes), stamps,
+                                        held.stops)
+        self.held_runs, self.at = _NO_RUNS, 0
 
 
 class CompressedLevelScanner(LevelScanner):

@@ -45,6 +45,8 @@ class CompressedLevel(Level):
         #: locate/skip_to hot path (bisect over a list is ~7x faster per
         #: call than np.searchsorted on a fresh slice)
         self._crd_list: Optional[List[int]] = None
+        #: ``sorted_keys()``' result, by the crd array it was built on
+        self._keys: Optional[tuple] = None
 
     def _crd_as_list(self) -> List[int]:
         if self._crd_list is None:
@@ -102,6 +104,33 @@ class CompressedLevel(Level):
         before = np.concatenate([[0], np.cumsum(lens[:-1])])
         children = np.arange(total, dtype=np.int64) + np.repeat(starts - before, lens)
         return self.crd[children], children, lens
+
+    def fiber_bounds(self, refs: np.ndarray):
+        """``(starts, lens)`` of the fibers at *refs*: fiber *i* is the
+        positions ``starts[i]..starts[i] + lens[i]``, each its own child
+        reference — :meth:`fiber_arrays` without the per-position arrays."""
+        refs = np.asarray(refs, dtype=np.int64)
+        starts = self.seg[refs]
+        return starts, self.seg[refs + 1] - starts
+
+    def sorted_keys(self):
+        """``(keys, stride)``: every position's ``fiber * stride + crd``,
+        ascending when each fiber's coordinates are, so one search finds
+        where a coordinate falls in any fiber; None when a fiber is not
+        strictly increasing, a coordinate is negative or the keys would
+        not fit int64.  Built once per level."""
+        if self._keys is None or self._keys[0] is not self.crd:
+            crd, keys = self.crd, None
+            stride = int(crd.max(initial=0)) + 1
+            fibers = self.seg.size - 1
+            if int(crd.min(initial=0)) >= 0 and stride * fibers < 2**63:
+                keys = np.repeat(np.arange(fibers, dtype=np.int64) * stride,
+                                 np.diff(self.seg))
+                keys += crd
+                if np.any(keys[1:] <= keys[:-1]):
+                    keys = None
+            self._keys = (crd, None if keys is None else (keys, stride))
+        return self._keys[1]
 
     def locate_arrays(self, ref: int, coordinates: np.ndarray):
         """Vectorized :meth:`locate` of many coordinates in one fiber.

@@ -99,10 +99,7 @@ def _fast_advance(member, arrivals):
         return member._t_advance(arrivals)
     c = (index_ramp(n) * ii if ii != 1 else index_ramp(n)) + member._tclock
     np.maximum(arrivals, c, out=c)
-    end = int(c[-1]) + ii
-    member.busy_cycles += n
-    member.stall_cycles += (end - member._tclock) - ii * n
-    member._tclock = end
+    member._t_span(n, int(c[-1]))
     return c
 
 
@@ -161,11 +158,7 @@ def _advance_members(members, deltas, arrivals):
         scheds = compose_rate1(arrivals, stages)
     n = len(scheds[0])
     for member, c in zip(members, scheds):
-        ii = member.timing.ii
-        end = int(c[-1]) + ii
-        member.busy_cycles += n
-        member.stall_cycles += (end - member._tclock) - ii * n
-        member._tclock = end
+        member._t_span(n, int(c[-1]))
     return scheds
 
 
@@ -192,10 +185,7 @@ def _advance_members_sub(members, deltas, sub_idx, sub, e, n):
             np.maximum(c + delta if delta else c, ramp, out=ramp)
             c = ramp
         e = max(e + delta, clock + (n - 1) * ii)
-        end = e + ii
-        member.busy_cycles += n
-        member.stall_cycles += (end - clock) - ii * n
-        member._tclock = end
+        member._t_span(n, e)
     return c
 
 
@@ -349,10 +339,7 @@ class _Side:
         ii = feeder.timing.ii
         clock = feeder._tclock
         e = max(int(arr[-1]), clock + (n - 1) * ii)
-        end = e + ii
-        feeder.busy_cycles += n
-        feeder.stall_cycles += (end - clock) - ii * n
-        feeder._tclock = end
+        feeder._t_span(n, e)
         c = np.maximum(arr[sub_idx], (sub_idx * ii if ii != 1 else sub_idx) + clock)
         vals = self.fn(self.data)
         if self.empty is not None:
@@ -659,30 +646,17 @@ class _ScanLocateUnit:
         ii = scan.timing.ii
         if ii != loc.timing.ii or loc._t_carry:
             return _fast_advance(loc, scan._t_run(pos, val, total) + self.delta)
-        # Sparse composed advance.  Arrival constraints only exist at
-        # each input token's first event, so both members' busy schedules
-        # are ramps between those events: ``c[k] = offs[seg(k)] + k*ii``
-        # with ``offs`` the running max of ``stamp - pos*ii`` clipped at
-        # the clock — the dense arrival array and its max-plus
-        # accumulates are never built.  Bit-identical to
+        # Sparse composed advance: the scanner's busy schedule is ramps
+        # between its input tokens' first events (``LevelScanner.
+        # _t_offsets``), and so is the locator's — ``offs`` moved by the
+        # link and clipped at its clock.  The dense arrival array and its
+        # max-plus accumulates are never built.  Bit-identical to
         # ``scan._t_advance`` + the locator advance.
-        if scan._t_carry:
-            if scan._t_carry > val[0]:
-                val[0] = scan._t_carry
-            scan._t_carry = 0
-        offs = np.maximum.accumulate(
-            val - (pos * ii if ii != 1 else pos)
-        )
-        np.maximum(offs, scan._tclock, out=offs)
-        end = int(offs[-1]) + total * ii
-        offs_l = np.maximum(offs + self.delta, loc._tclock)
+        offs_l = np.maximum(scan._t_offsets(pos, val, total) + self.delta, loc._tclock)
         ramp = index_ramp(total) * ii if ii != 1 else index_ramp(total)
         sched = np.repeat(offs_l, np.diff(pos, append=total))
         sched += ramp
-        for member, last in ((scan, end), (loc, int(sched[-1]) + ii)):
-            member.busy_cycles += total
-            member.stall_cycles += (last - member._tclock) - ii * total
-            member._tclock = last
+        loc._t_span(total, int(sched[-1]))
         return sched
 
     def step(self):

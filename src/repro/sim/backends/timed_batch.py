@@ -28,7 +28,8 @@ hook it can use on this instance, every finite FIFO is a credit pair and
 every token queued before the run batches.  Otherwise the whole run goes
 to :class:`~repro.sim.backends.cycle.CycleEngine` — the same report by
 the repository's invariant — and ``report.handoff`` names the first
-block or channel that decided it.
+block or channel that decided it.  A window run then pairs scanners with
+the merger sides that read both their outputs (:func:`pair_runs`).
 
 A window run is a worklist: a block is visited after a producer pushed
 onto one of its inputs (or a reader popped a finite FIFO it fills), and
@@ -171,6 +172,19 @@ def stamp_channels(plane: TimedPlane) -> None:
         ch.stamp_queue(1)
 
 
+def pair_runs(blocks, plane: TimedPlane) -> None:
+    """Pair every merger side that reads both outputs of one scanner with
+    that scanner (:meth:`~repro.blocks.scanner.LevelScanner.hand_over`):
+    the side reads the scanner's fibers as runs and the two links carry
+    no token.  Decided once, before the run, as the plane is."""
+    for block in blocks:
+        for side, crd, ref in getattr(block, "run_inputs", list)():
+            p = plane.producers.get(crd)
+            hand_over = getattr(blocks[p], "hand_over", None) if p is not None else None
+            if hand_over is not None and plane.producers.get(ref) == p:
+                block.runs[side] = hand_over(crd, ref, block.timing.ii)
+
+
 class TimedBatchEngine(Engine):
     """Window worklist over stamped token batches, or a ``cycle`` run."""
 
@@ -194,6 +208,7 @@ class TimedBatchEngine(Engine):
             cycles = CycleEngine(blocks).run(max_cycles).cycles
             return self._report(cycles, plane.handoff)
         stamp_channels(plane)
+        pair_runs(blocks, plane)
         producers, consumers = plane.producers, plane.consumers
         units = self._compile_segments(blocks)
         budget_msg = f"exceeded max_cycles={max_cycles}"

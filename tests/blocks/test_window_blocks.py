@@ -54,6 +54,7 @@ from repro.blocks import (
 from repro.blocks import reduce as reduce_module
 from repro.blocks import merge as merge_module
 from repro.blocks.repeat import REPEAT
+from repro.blocks.scanner import make_scanner
 from repro.formats import CompressedLevel
 from repro.sim import graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
@@ -68,7 +69,8 @@ from numpy_counters import numpy_calls
 ORACLE = "cycle"
 #: channel kind of an input port, by the port's name less its indices
 KINDS = {"crd": "crd", "ref": "ref", "target": "ref", "outer": "crd", "parent": "crd",
-         "val": "vals", "inner": "vals", "a": "vals", "b": "vals", "lane": "vals"}
+         "val": "vals", "inner": "vals", "a": "vals", "b": "vals", "lane": "vals",
+         "scan": "ref"}
 
 
 def kind_of(port):
@@ -346,6 +348,86 @@ def merge_streams(draw, arity):
     return {"dirty": dirty is not None, "base": base}, streams
 
 
+def scanned(level, tokens):
+    """The fibers a scanner emits for the reference *tokens* over *level*
+    (a list of coordinate lists): ``[(coordinates, terminator)]``, its
+    last one ``D``'s empty fiber."""
+    fibers, i = [], 0
+    while True:
+        token = tokens[i]
+        i += 1
+        if token is DONE:
+            return fibers + [([], DONE)]
+        if is_stop(token):  # a stray stop closes an empty fiber one level up
+            fibers.append(([], Stop(token.level + 1)))
+            continue
+        crds = [] if token is EMPTY else level[token]
+        if is_stop(tokens[i]):
+            fibers.append((crds, Stop(tokens[i].level + 1)))
+            i += 1
+        else:
+            fibers.append((crds, Stop(0)))
+
+
+@st.composite
+def scan_merge_streams(draw, layouts):
+    """Merger sides fed by scanners (``s``) and by streams (``d``), as a
+    drawn *layout* string orders them.  Every scanner reads one reference
+    stream — groups of fiber references, ``N`` and empty groups (stray
+    stops), the last group open or closed — over one level whose fibers
+    may be empty, and sometimes an unsorted one; each stream side has one
+    fiber a scanned fiber, coordinates drawn against the level's, a
+    dirty chunk may be planted on it, and a second stream may follow
+    ``D`` everywhere."""
+    layout = draw(layouts)
+    level = draw(st.lists(crd_sets, min_size=1, max_size=4))
+    unsorted = draw(st.sampled_from([False] * 4 + [True]))
+    wide = [f for f, crds in enumerate(level) if len(crds) > 1]
+    if unsorted and wide:
+        level[wide[0]] = level[wide[0]][::-1]
+    else:
+        unsorted = False
+    ref = st.one_of(st.integers(0, len(level) - 1), st.just(EMPTY))
+    groups = draw(st.lists(st.lists(ref, max_size=3), min_size=1, max_size=3))
+    tokens = [t for group in groups for t in group + [Stop(0)]]
+    if draw(st.booleans()) and groups[-1]:
+        tokens.pop()  # the last group ends at D
+    tokens.append(DONE)
+    fibers = scanned(level, tokens)
+    dense = [s for s, kind in enumerate(layout) if kind == "d"]
+    dirty = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from(DIRTY), st.integers(0, 7), st.sampled_from(dense or [None]))))
+    if dirty is not None and dirty[2] is not None:
+        kind, at, on = dirty
+        at %= len(fibers)
+    else:
+        dirty = None
+    tail = draw(st.booleans())
+    streams = {}
+    for s, kind in enumerate(layout):
+        if kind == "s":
+            streams[f"scan{s}"] = tokens + ([0, DONE] if tail else [])
+            continue
+        crd, ref = [], []
+        for f, (_, stop) in enumerate(fibers):
+            crds = draw(crd_sets) if stop is not DONE else []
+            run = [100 * (1 + s) + 10 * f + i for i in range(len(crds))]
+            if dirty is not None and (at, on) == (f, s):
+                if kind == "duplicate" or not crds:
+                    crds = crds[:1] * 2 + crds[1:] if crds else [4, 4]
+                    run = run[:1] * 2 + run[1:] if run else [7, 7]
+                elif kind == "empty-ref":
+                    run[0] = EMPTY
+                else:
+                    run.append(7)
+            crd += crds + [stop]
+            ref += run + [stop]
+        streams[f"crd{s}"] = crd + ([3, Stop(0), DONE] if tail else [])
+        streams[f"ref{s}_0"] = ref + ([30, Stop(0), DONE] if tail else [])
+    params = {"level": level, "sides": layout, "dirty": dirty is not None or unsorted}
+    return params, streams
+
+
 @st.composite
 def serializer_streams(draw):
     """1-4 lanes; the fibers of one nest are rounds, one fiber per lane
@@ -431,6 +513,26 @@ def merger(cls):
     return make
 
 
+def scan_merger(cls):
+    """A merger whose ``s`` sides read a scanner over ``params["level"]``
+    (its reference stream on port ``scan<side>``), ``d`` sides a
+    coordinate and a reference stream."""
+    def make(params, ins, out):
+        blocks, sides, groups = [], [], []
+        for s, kind in enumerate(params["sides"]):
+            if kind == "s":
+                level = CompressedLevel.from_fibers(params["level"])
+                crd, ref = Channel(f"sc{s}"), Channel(f"sr{s}", kind="ref")
+                blocks.append(make_scanner(level, ins[f"scan{s}"], crd, ref,
+                                           name=f"scan{s}"))
+                sides.append(MergeSide(crd, [ref]))
+            else:
+                sides.append(MergeSide(ins[f"crd{s}"], [ins[f"ref{s}_0"]]))
+            groups.append([out(f"o{s}", "ref")])
+        return blocks + [cls(sides, out("ocrd", "crd"), groups, name="merge")]
+    return make
+
+
 def make_serializer(params, ins, out):
     return [InterleaveSerializer(list(ins.values()), out("out", "vals"), name="join")]
 
@@ -447,9 +549,8 @@ def make_repeat(params, ins, out):
 class Errors(NamedTuple):
     """A row's protocol errors: the parameters they are raised under, the
     clean chunk a defect sits behind (per port), and ``(message,
-    streams)`` rows — every stream ends with ``D``; a third field names
-    the ``(delivery, clean chunks)`` runs known to raise another text
-    (strict xfails).  Streams are :func:`toks` text."""
+    streams)`` rows — every stream ends with ``D``.  Streams are
+    :func:`toks` text."""
 
     params: Dict[str, Any]
     prefix: Dict[str, str]
@@ -508,11 +609,9 @@ REDUCE_ERRORS = Errors(
     ("red: misaligned stops S0/S1", {"crd": "4 S0 D", "val": "1.0 S1 D"}),
     ("red: misaligned inputs (5 vs S0)", {"crd": "4 5 S0 D", "val": "1.0 S0 D"}),
     ("red: misaligned inputs (N vs 1.0)", {"crd": "N S0 D", "val": "1.0 S0 D"}),
-    # ROADMAP 9(a): behind clean chunks relayed or sliced, the timed
-    # engines name another coordinate of the window (0.0, 1.0)
-    ("red: non-integer coordinate 2.5", {"crd": "2.5 S0 D", "val": "1.0 S0 D"},
-     {("relay-first", 1), ("relay-first", 3), ("relay-last", 1), ("relay-last", 3),
-      ("slices", 1)}),
+    # behind clean chunks relayed or sliced, a view of integers a mixed
+    # batch stores as floats is clean: the fractional one lies past it
+    ("red: non-integer coordinate 2.5", {"crd": "2.5 S0 D", "val": "1.0 S0 D"}),
     ("red: misaligned inputs (S0 vs D)", {"crd": "4 S0 D", "val": "1.0 D"}),
     ("red: misaligned inputs (D vs S0)", {"crd": "4 D", "val": "1.0 S0 D"}),
 ])
@@ -556,6 +655,30 @@ MERGE_ERRORS = Errors({}, {"crd0": "0 2 S0", "crd1": "2 S0", "crd2": "1 S0"}, [
      {"crd0": "0 S0 1 S0 D", "crd1": "0 S0 1 S1 D"}),
     ("merge: misaligned stops [S0, S0, S1]",
      {"crd0": "0 S0 D", "crd1": "1 S0 D", "crd2": "1 S1 D"}),
+])
+#: behind a dirty chunk on the stream side the generator reads the fibers
+#: the scanner handed over as runs; an unsorted level is never walked:
+#: its runs are laid out as keys and bail where they stop increasing
+SCAN_LEVEL = [[1, 2], [0, 3]]
+SCAN_INTERSECT_ERRORS = Errors(
+    {"level": SCAN_LEVEL, "sides": "ds"},
+    {"crd0": "1 S1", "ref0_0": "10 S1", "scan1": "0 S0"}, [
+    ("merge: misaligned stops [S0, S1]",
+     {"crd0": "1 S0 D", "ref0_0": "10 S0 D", "scan1": "0 S0 D"}),
+    ("merge: misaligned stops [S0, S1]",
+     {"crd0": "1 1 S1 1 S0 D", "ref0_0": "10 11 S1 12 S0 D", "scan1": "0 S0 0 S0 D"}),
+])
+SCAN_UNSORTED_ERRORS = Errors(
+    {"level": [[2, 1], [0, 3]], "sides": "ds"},
+    {"crd0": "3 S1", "ref0_0": "10 S1", "scan1": "1 S0"}, [
+    ("merge: misaligned stops [S0, S1]",
+     {"crd0": "1 S1 3 S0 D", "ref0_0": "10 S1 11 S0 D", "scan1": "0 S0 1 S0 D"}),
+])
+SCAN_UNION_ERRORS = Errors(
+    {"level": SCAN_LEVEL, "sides": "dss"},
+    {"crd0": "1 S1", "ref0_0": "10 S1", "scan1": "0 S0", "scan2": "0 S0"}, [
+    ("merge: misaligned stops [S0, S1, S1]",
+     {"crd0": "1 S0 D", "ref0_0": "10 S0 D", "scan1": "0 S0 D", "scan2": "0 S0 D"}),
 ])
 #: a lane that ends inside a fiber used to be copied out as a fiber token
 #: and end in DeadlockError on every engine
@@ -643,6 +766,13 @@ CASES = [
          MERGE_ERRORS._replace(rows=MERGE_ERRORS.rows[:1]), exempt=merger_exemption),
     Case("union", (Union,), merge_streams(st.integers(2, 4)), merger(Union),
          MERGE_ERRORS, exempt=merger_exemption),
+    # sides fed by a scanner: fiber runs, walked by a two-sided intersecter
+    Case("scan-intersect", (Intersect,), scan_merge_streams(st.sampled_from(
+        ["ds", "sd", "ss"])), scan_merger(Intersect), SCAN_INTERSECT_ERRORS,
+        exempt=merger_exemption),
+    Case("scan-union", (Union,), scan_merge_streams(st.sampled_from(
+        ["ds", "sd", "ss", "dss", "sds", "dsd"])), scan_merger(Union),
+        SCAN_UNION_ERRORS, exempt=merger_exemption),
     Case("serializer", (InterleaveSerializer,), serializer_streams(), make_serializer,
          SERIALIZER_ERRORS),
     # the driver's windows reach the repeater through the signal link
@@ -650,6 +780,9 @@ CASES = [
          REPEAT_ERRORS, paced={"crd": "sig"}),
 ]
 BY_NAME = {case.name: case for case in CASES}
+#: rows whose protocol errors run without a stream strategy of their own
+ERROR_ONLY = [BY_NAME["scan-intersect"]._replace(name="scan-intersect-unsorted",
+                                                 errors=SCAN_UNSORTED_ERRORS)]
 
 
 # -- deliveries ----------------------------------------------------------------
@@ -751,6 +884,7 @@ def counted(block):
     single events it accounts on its own."""
     block.visits, block.advances, block.singles = 0, [], 0
     drain, advance, event = block.drain_timed, block._t_advance, block._t_event
+    span = block._t_span
 
     def visit():
         block.visits += 1
@@ -764,7 +898,12 @@ def counted(block):
         block.singles += 1
         return event(arrival)
 
+    def sparse(n, last):  # a schedule computed sparsely is an advance too
+        block.advances.append(n)
+        return span(n, last)
+
     block.drain_timed, block._t_advance, block._t_event = visit, step, single
+    block._t_span = sparse
 
 
 def run(case, params, streams, delivery, backend):
@@ -837,6 +976,8 @@ def test_every_delivery_matches_cycle(case, how, data):
     check(case, params, streams, delivery)
 
 
+#: the level the scanner-fed regressions read: an empty fiber between two
+SCAN_RUNS = [[1, 3, 5], [], [0, 2, 4, 6]]
 #: (row, params, streams as :func:`toks` text[, windows on whole
 #: delivery]) a property once missed, run under every delivery
 REGRESSIONS = [
@@ -882,6 +1023,35 @@ REGRESSIONS = [
     ("reduce", {"flush_level": 1},
      {"crd": "3 1 S0 1 S1 S1 2 2 S0 S2 7 D",
       "val": "1.0 2.0 S0 4.0 S1 S1 1.0 1.0 S0 0.0 S2 0.5 D"}),
+    # scanner-fed sides: empty fibers, N references, stray stops
+    ("scan-intersect", {"level": SCAN_RUNS, "sides": "ds"},
+     {"crd0": "3 4 S0 S1 2 S1 S0 2 5 S1 D", "ref0_0": "10 11 S0 S1 12 S1 S0 13 14 S1 D",
+      "scan1": "0 N S0 S0 1 2 S0 D"}),
+    ("scan-union", {"level": SCAN_RUNS, "sides": "sd"},
+     {"scan0": "0 N S0 S0 1 2 S0 D", "crd1": "3 4 S0 S1 2 S1 S0 2 5 S1 D",
+      "ref1_0": "10 11 S0 S1 12 S1 S0 13 14 S1 D"}),
+    # a cut after a one-pair fiber's reference makes its stop late, and
+    # the other side's keys past that pair wait for it
+    ("scan-intersect", {"level": [[4], [1, 3]], "sides": "ds"},
+     {"crd0": "4 5 6 7 S0 D", "ref0_0": "10 11 12 13 S0 D", "scan1": "0 D"}),
+    # D mid-window: a second stream after it on every input
+    ("scan-intersect", {"level": SCAN_RUNS, "sides": "ds"},
+     {"crd0": "1 5 S0 2 6 S0 D 3 S0 D", "ref0_0": "10 11 S0 12 13 S0 D 14 S0 D",
+      "scan1": "0 2 D 1 D"}),
+    # both sides scanned; a three-sided union with two
+    ("scan-intersect", {"level": SCAN_RUNS, "sides": "ss"},
+     {"scan0": "0 1 S0 D", "scan1": "2 1 S0 D"}),
+    ("scan-union", {"level": SCAN_RUNS, "sides": "dss"},
+     {"crd0": "2 3 S0 1 S1 4 S0 D", "ref0_0": "10 11 S0 12 S1 13 S0 D",
+      "scan1": "0 N S0 2 D", "scan2": "0 N S0 2 D"}),
+    # a dirty chunk on the stream side: the runs go back onto the links
+    ("scan-intersect", {"level": SCAN_RUNS, "sides": "ds", "dirty": True},
+     {"crd0": "3 3 S0 2 S1 D", "ref0_0": "10 11 S0 12 S1 D", "scan1": "0 2 S0 D"}),
+    ("scan-union", {"level": SCAN_RUNS, "sides": "sd", "dirty": True},
+     {"scan0": "0 2 D", "crd1": "1 2 S0 3 S0 D", "ref1_0": "20 N S0 21 S0 D"}),
+    # an unsorted level's runs bail where their keys stop increasing
+    ("scan-intersect", {"level": [[5, 1, 3], [2, 0]], "sides": "ds", "dirty": True},
+     {"crd0": "1 3 S0 0 S1 D", "ref0_0": "10 11 S0 12 S1 D", "scan1": "0 1 S0 D"}),
 ]
 
 
@@ -938,13 +1108,9 @@ def test_regression_streams(regression, delivery, backend):
 ERROR_RUNS = {"whole": Delivery("whole"), "relay-first": Delivery("relay", 0),
               "relay-last": Delivery("relay", -1), "slices": Delivery("slices", seed=1),
               "cut": Delivery("cut", 0)}
-#: ROADMAP 9(a): the runs of a row's third field raise another text
-KNOWN_GAP = pytest.mark.xfail(strict=True, reason="ROADMAP 9(a): the timed engines "
-                              "name another token of a window that holds the defect")
 ERROR_ROWS = [
-    pytest.param(case, i, how, clean, id=f"{case.name}-{row[0]}-{how}-after{clean}",
-                 marks=[KNOWN_GAP] if (how, clean) in (row[2:] or [()])[0] else [])
-    for case in CASES for i, row in enumerate(case.errors.rows)
+    pytest.param(case, i, how, clean, id=f"{case.name}-{row[0]}-{how}-after{clean}")
+    for case in CASES + ERROR_ONLY for i, row in enumerate(case.errors.rows)
     for how in ERROR_RUNS for clean in (0, 1, 3)
 ]
 
@@ -952,7 +1118,7 @@ ERROR_ROWS = [
 @pytest.mark.parametrize("case, row, how, clean", ERROR_ROWS)
 def test_protocol_error_is_one_message(case, row, how, clean):
     params, prefix, rows = case.errors
-    message, defect = rows[row][:2]
+    message, defect = rows[row]
     delivery = ERROR_RUNS[how]
     streams = {port: toks(" ".join([prefix[port]] * clean + [text]))
                for port, text in defect.items()}

@@ -24,6 +24,7 @@ def test_table1_graph_never_leaves_the_timed_plane(entry, monkeypatch):
     stepped, bailed, visits, scheds, advances = [], [], {}, {}, {}
     real_step, real_bail = Block.step, Block._bail_timed
     real_scan, real_advance = LevelScanner._scan_timed, Block._t_advance
+    real_runs, real_offsets = LevelScanner._scan_runs, LevelScanner._t_offsets
 
     def step(self):
         stepped.append(self.name)
@@ -42,6 +43,20 @@ def test_table1_graph_never_leaves_the_timed_plane(entry, monkeypatch):
 
         return real_scan(self, counted, emit)
 
+    def scan_runs(self, runs):
+        # a scanner paired with a merger side schedules sparsely
+        visits[self.name] = visits.get(self.name, 0) + 1
+
+        def counted(pos, val, total):
+            scheds[self.name] = scheds.get(self.name, 0) + 1
+            return real_offsets(self, pos, val, total)
+
+        self._t_offsets = counted
+        try:
+            return real_runs(self, runs)
+        finally:
+            del self._t_offsets
+
     def advance(self, arrivals):
         advances[self.name] = advances.get(self.name, 0) + 1
         return real_advance(self, arrivals)
@@ -49,6 +64,7 @@ def test_table1_graph_never_leaves_the_timed_plane(entry, monkeypatch):
     monkeypatch.setattr(Block, "step", step)
     monkeypatch.setattr(Block, "_bail_timed", bail)
     monkeypatch.setattr(LevelScanner, "_scan_timed", scan_timed)
+    monkeypatch.setattr(LevelScanner, "_scan_runs", scan_runs)
     monkeypatch.setattr(LevelScanner, "_t_advance", advance)
 
     prog = compile_expression(

@@ -166,7 +166,10 @@ class Counts:
         for cls in WINDOW_BLOCKS:
             monkeypatch.setattr(cls, "drain_timed",
                                 counted(cls.drain_timed, self.visits))
-        for name, table in (("_t_advance", self.advances), ("_t_event", self.events)):
+        # a schedule computed sparsely (a paired scanner, a walked merge)
+        # books its events through ``_t_span``: an advance as well
+        for name, table in (("_t_advance", self.advances), ("_t_span", self.advances),
+                            ("_t_event", self.events)):
             monkeypatch.setattr(Block, name, counted(getattr(Block, name), table))
         monkeypatch.setattr(Block, "_bail_timed", bail)
         monkeypatch.setattr(CompiledEngine, "_compile_segments", compile_segments)
@@ -262,10 +265,13 @@ def test_gamma_op_schedules_per_visit(monkeypatch):
 def test_gamma_sorts_and_merges_without_union_sized_lookups(backend, monkeypatch):
     """One ``gamma_spmm`` op on perfbench's 60² check operands: the vector
     reducer orders a window with one argsort, not ``np.lexsort``; the
-    k-intersect sorts nothing — it searches each window's shorter side
-    in its longer, one ``np.searchsorted`` (it used to argsort both
-    sides' keys together); the epoch advance builds no ``np.arange``."""
-    merges, regions = [], []
+    k-intersect sorts nothing and never lays out C's k level — it walks
+    the C scanner's fiber runs (it used to argsort both sides' keys
+    together, then to search the shorter side in a key array as long as
+    the walk), so every lookup it makes is at most as long as B's side;
+    the epoch advance builds no ``np.arange``."""
+    walks, merges, regions = [], [], []
+    real_walk = merge_module._Merger._walk_window
     real_merge = merge_module._Merger._merge_events
     real_dedup = reduce_module._dedup_regions
 
@@ -279,21 +285,25 @@ def test_gamma_sorts_and_merges_without_union_sized_lookups(backend, monkeypatch
     with lexsort_callers() as sorted_by, numpy_calls("argsort") as argsorted, \
             numpy_calls("arange") as ranged, \
             numpy_calls("searchsorted", lookup) as lookups:
-        def merge_events(block, keys, arrs):
+        def walk_window(block, groups, codes, walk, runs, view, keys, *rest):
             before = len(lookups)
-            events = real_merge(block, keys, arrs)
-            merges.append((sorted(map(len, keys)), lookups[before:]))
-            return events
+            real_walk(block, groups, codes, walk, runs, view, keys, *rest)
+            walks.append((int(view.lens.sum()), len(keys), lookups[before:]))
 
-        monkeypatch.setattr(merge_module._Merger, "_merge_events", merge_events)
+        monkeypatch.setattr(merge_module._Merger, "_walk_window", walk_window)
+        monkeypatch.setattr(merge_module._Merger, "_merge_events",
+                            lambda block, *args: merges.append(block.name)
+                            or real_merge(block, *args))
         monkeypatch.setattr(reduce_module, "_dedup_regions", dedup)
         run_kernel(gamma_spmm)(backend)
-    assert merges and regions  # both window paths ran
+    assert walks and regions  # both window paths ran
+    assert merges == []
     assert "repro.blocks.reduce" not in sorted_by
     assert "repro.blocks.merge" not in argsorted
     assert "repro.streams.timing" not in ranged
-    for (shorter, longer), searched in merges:
-        assert searched == [(longer, shorter)]
+    for walked, other, searched in walks:
+        assert walked > other, (walked, other)
+        assert searched and all(needles <= other for _, needles in searched), searched
 
 
 def test_gamma_uses_the_writers_arrays(monkeypatch):
