@@ -15,8 +15,10 @@ Four sections:
   (windows give the generators' outputs at scale).  Two gates ride this
   section (both asserted, so CI fails on regressions): the
   epoch-batching headline — ``timed-batch`` must beat ``cycle`` by >= 5x
-  wall-clock at 1e5 nnz, i.e. windows beat generators — and the fusion
-  headline — ``compiled`` must beat ``timed-batch`` by >= 1.6x there.
+  wall-clock at 1e5 nnz, i.e. windows beat generators — and engine
+  parity — ``timed-batch`` may take at most 1.25x ``compiled``'s seconds
+  there, since both run the scanner→locator pair as one hand-over of
+  fiber runs.
   Compiled rows also carry the segment-fusion statistics
   (segments/fused blocks/fallbacks/kinds) and plan-cache counters of
   the last run's report.
@@ -79,17 +81,12 @@ ENGINES = ("cycle", "timed-batch", "compiled")
 SCALING_SIZES = (10_000, 100_000)
 #: required timed-batch speedup over cycle at the largest scaling size
 SCALING_GATE = 5.0
-#: required compiled speedup over timed-batch at the largest scaling size.
-#: A ratio gate drifts with its denominator (ROADMAP item 1(a)): 2.3
-#: stopped holding when timed-batch's unfused reducer got vectorised
-#: sums (36.7 -> 25.4 ms here) with compiled flat at ~12.5 ms, so it is
-#: re-based by the denominator's own speedup, 2.3 * 25.4 / 36.7 = 1.6 —
-#: the same ~16 ms bound on compiled's seconds as before.  The engines'
-#: rounds alternate; this section run on its own reads 1.8-2.1x
-#: (22-30 ms / 11-15 ms), but two whole-script runs read 1.60x and
-#: 1.63x (26-28 / 16-17 ms), so an absolute-cost gate (item 1(a)) is
-#: still what this wants.
-COMPILED_GATE = 1.6
+#: largest timed-batch / compiled seconds ratio allowed at the largest
+#: scaling size.  Both engines run the scanner→locator pair through the
+#: same blocks (the scanner hands the locator its fiber runs), so the
+#: ratio is ~1.0; the slack is for host noise on medians of a few
+#: alternating rounds.
+PARITY_GATE = 1.25
 #: matrix densities for the kernel-scaling section (2000x2000 operands:
 #: ~2e4 and ~1e5 nnz per matrix)
 KERNEL_DENSITIES = (0.005, 0.025)
@@ -345,9 +342,9 @@ def run_timed_scaling(rounds: int, warmup: int) -> list:
             f"spmv_locate at {SCALING_SIZES[-1]} nnz, measured "
             f"{gate_entry['timed_batch_speedup_vs_cycle']:.2f}x"
         )
-    if gate_entry["compiled_speedup_vs_timed_batch"] < COMPILED_GATE:
+    if gate_entry["compiled_speedup_vs_timed_batch"] > PARITY_GATE:
         raise AssertionError(
-            f"compiled must be >= {COMPILED_GATE}x faster than timed-batch "
+            f"timed-batch may take at most {PARITY_GATE}x compiled's seconds "
             f"on spmv_locate at {SCALING_SIZES[-1]} nnz, measured "
             f"{gate_entry['compiled_speedup_vs_timed_batch']:.2f}x"
         )
@@ -511,7 +508,7 @@ def run_bench(rounds: int = 3, warmup: int = 1) -> dict:
             "merge_timed_batch_speedup_vs_cycle": _merge_gate_speedup(workloads),
             "merge_gate": MERGE_GATE,
             "scaling_gate": SCALING_GATE,
-            "compiled_gate": COMPILED_GATE,
+            "parity_gate": PARITY_GATE,
             "gamma_floor": GAMMA_FLOOR,
         },
     }

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from ..streams.channel import Channel
 from ..streams.timing import (
     TimedBuilder,
     TimedReader,
+    index_ramp,
     merge_stamps,
     rate1_schedule,
     split_done_stamped,
@@ -36,6 +37,18 @@ from ..streams.timing import (
 from ..streams.token import DONE, is_data, is_done, is_stop
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+
+
+class TakenWindow(NamedTuple):
+    """A stamped window up to its first ``D`` (:meth:`Block._t_take_window`)."""
+
+    head: TokenBatch
+    merged: np.ndarray  # the head's stamps in token order, at these indices
+    di: np.ndarray
+    ci: np.ndarray
+    tail: Optional[tuple]  # the entry that follows the D
+    sd: np.ndarray  # the head's data and control stamps
+    sc: np.ndarray
 
 
 class BlockError(RuntimeError):
@@ -169,14 +182,11 @@ class TimingDescriptor:
       fuses after them).  Hook: ``commit_window(...)``, what
       :meth:`Block._t_tail_window` stores or emits for one scheduled
       window.
-    * ``"scan"`` — level scanner: may only head a scanner→locator pair.
-      Hook: ``LevelScanner._scan_timed``, the scanner's one timed pass.
-    * ``"locate"`` — locator: may only close a scanner→locator pair
-      (it has three outputs, so nothing can fuse after it).  Hook:
-      ``Locator._emit_probed``.
     * ``""`` — not fusible; the block always runs its own
-      ``drain_timed`` on the per-block timed path (mergers, repeaters,
-      droppers, vector reducers, feeders, fanouts …).
+      ``drain_timed`` on the per-block timed path (scanners, locators,
+      mergers, repeaters, droppers, vector reducers, feeders, fanouts …).
+      A scanner hands its fibers to a locator or merger side reading
+      both its outputs as runs (``pair_runs``), without a fused unit.
 
     :meth:`Block.plan_tag` names a member's data transform in the
     compiled backend's plan-cache keys.
@@ -428,18 +438,29 @@ class Block:
 
         Vectorised ``_t_event``: ``c[k] = max(c[k-1] + ii, arrivals[k])``
         via one running max; stalls are the gaps of the covered span.
+        Arrivals that already step by ``ii`` or more (and no carry) make
+        the running max a no-op: the schedule is ``max(arrivals, clock +
+        k * ii)`` — and, from the clock on, the arrivals themselves: the
+        same array comes back, to be read, not written.
         """
         n = len(arrivals)
         if n == 0:
             return _EMPTY_I64
-        carry = self._t_carry
-        if carry:
-            arrivals = np.asarray(arrivals, dtype=np.int64).copy()
-            if carry > arrivals[0]:
-                arrivals[0] = carry
-            self._t_carry = 0
-        ii = self.timing.ii
-        c = rate1_schedule(arrivals, self._tclock, ii)
+        ii, carry = self.timing.ii, self._t_carry
+        if (not carry and arrivals.dtype == np.int64
+                and arrivals[-1] - arrivals[0] >= (n - 1) * ii
+                and bool((arrivals[1:] - arrivals[:-1] >= ii).all())):
+            c = arrivals
+            if arrivals[0] < self._tclock:
+                c = (index_ramp(n) * ii if ii != 1 else index_ramp(n)) + self._tclock
+                np.maximum(arrivals, c, out=c)
+        else:
+            if carry:
+                arrivals = np.asarray(arrivals, dtype=np.int64).copy()
+                if carry > arrivals[0]:
+                    arrivals[0] = carry
+                self._t_carry = 0
+            c = rate1_schedule(arrivals, self._tclock, ii)
         end = int(c[-1]) + ii
         self.busy_cycles += n
         self.stall_cycles += (end - self._tclock) - ii * n
@@ -455,20 +476,42 @@ class Block:
         self.stall_cycles += (end - self._tclock) - ii * n
         self._tclock = end
 
-    def _t_take_window(self, channel):
-        """Take *channel*'s stamped window up to its first ``D``.
+    def _t_offsets(self, pos, val, total):
+        """A busy schedule of *total* events in its sparse form: event
+        ``pos[i]`` waits for stamp ``val[i]`` and the events after it, up
+        to ``pos[i + 1]``, are a ramp — event *e* at cycle ``offs[i] + e *
+        ii``, ``offs`` the running max of ``val - pos * ii`` clipped at the
+        clock.  The dense arrival array and its running max are never
+        built; the bookkeeping is :meth:`_t_advance`'s.  *pos* starts at
+        0 and ascends; *val* is the caller's to overwrite."""
+        ii = self.timing.ii
+        if self._t_carry:
+            val[0] = max(int(val[0]), self._t_carry)
+            self._t_carry = 0
+        offs = np.maximum.accumulate(val - (pos * ii if ii != 1 else pos))
+        np.maximum(offs, self._tclock, out=offs)
+        self._t_span(total, int(offs[-1]) + (total - 1) * ii)
+        return offs
 
-        Returns ``(head, merged, di, ci, tail)`` — the head batch, its
-        token-order stamps with the (data, ctrl) stream indices, and the
-        entry that follows the ``D`` — or None when nothing is waiting.
-        """
+    def _t_take_window(self, channel) -> Optional[TakenWindow]:
+        """Take *channel*'s stamped window up to its first ``D``, or None
+        when nothing is waiting."""
         window = self._treader(channel).take_window()
         if window is not None:
             head, sd, sc, tail = split_done_stamped(*window)
             merged, di, ci = merge_stamps(head, sd, sc)
             if len(merged):
-                return head, merged, di, ci, tail
+                return TakenWindow(head, merged, di, ci, tail, sd, sc)
         return None
+
+    def _t_window_cycles(self, taken: TakenWindow):
+        """:meth:`_t_advance` over a taken window: its busy schedule and
+        the event cycles of its ``(data, ctrl)`` tokens — the window's
+        own stamps when they already are the schedule."""
+        c = self._t_advance(taken.merged)
+        if c is taken.merged:
+            return c, taken.sd, taken.sc
+        return c, c[taken.di], c[taken.ci]
 
     def _t_unary_window(self, channel, out, data_fn, empty_value) -> bool:
         """Whole-window epoch advance for uniform rate-1 unary maps.
@@ -484,11 +527,10 @@ class Block:
         taken = self._t_take_window(channel)
         if taken is None:
             return False
-        head, merged, di, ci, tail = taken
-        c = self._t_advance(merged)
+        head = taken.head
+        _, cd, cc = self._t_window_cycles(taken)
         data, cpos, ccode = head.remaining_arrays()
         vals = data_fn(data)
-        cd, cc = c[di], c[ci]
         empty = ccode == CODE_EMPTY
         if empty.any():
             vals = np.insert(np.asarray(vals, dtype=np.float64),
@@ -501,7 +543,7 @@ class Block:
             cc = cc[keep]
         out.data_with_ctrl(vals, cpos, ccode, cd, cc)
         out.flush()
-        self._t_window_done(channel, head.ends_done, tail)
+        self._t_window_done(channel, head.ends_done, taken.tail)
         return True
 
     def _t_tail_window(self, channel, commit, zero=None) -> Optional[np.ndarray]:
@@ -521,10 +563,10 @@ class Block:
         taken = self._t_take_window(channel)
         if taken is None:
             return None
-        head, merged, _, ci, tail = taken
-        c = self._t_advance(merged)
-        commit(*head.remaining_arrays(), c[ci], head.ends_done)
-        self._t_window_done(channel, head.ends_done, tail)
+        head = taken.head
+        c, _, cc = self._t_window_cycles(taken)
+        commit(*head.remaining_arrays(), cc, head.ends_done)
+        self._t_window_done(channel, head.ends_done, taken.tail)
         return c
 
     def _t_window_done(self, channel, ends_done, tail) -> None:
@@ -737,11 +779,10 @@ class Fanout(Block):
         taken = self._t_take_window(self.in_)
         if taken is None:
             return False
-        head, merged, di, ci, tail = taken
-        c = self._t_advance(merged)
+        _, cd, cc = self._t_window_cycles(taken)
         for channel in self.outs:
-            channel.push_batch_timed(head, c[di], c[ci])
-        self._t_window_done(self.in_, head.ends_done, tail)
+            channel.push_batch_timed(taken.head, cd, cc)
+        self._t_window_done(self.in_, taken.head.ends_done, taken.tail)
         return True
 
 

@@ -163,11 +163,13 @@ class ALU(Block):
             ends = np.cumsum(np.minimum(a.lens, b.lens))
         di, ci = token_order_indices(ends, len(va))
         arrivals = np.empty(len(va) + k, dtype=np.int64)
-        arrivals[di] = np.maximum(sa, sb)
-        arrivals[ci] = np.maximum(a.scodes, b.scodes)
+        cd, cc = np.maximum(sa, sb), np.maximum(a.scodes, b.scodes)
+        arrivals[di], arrivals[ci] = cd, cc
         c = self._t_advance(arrivals)
+        if c is not arrivals:  # else the arrivals are the schedule
+            cd, cc = c[di], c[ci]
         out = self._tbuilder(self.out)
-        out.data_with_ctrl(self._fn(va, vb), ends, a.codes, c[di], c[ci])
+        out.data_with_ctrl(self._fn(va, vb), ends, a.codes, cd, cc)
         out.flush()
         for window, view in zip(windows, (a, b)):
             consume(window, *view.span)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ..formats.level import Level
-from ..streams.batch import CODE_EMPTY
+from ..streams.batch import CODE_DONE, CODE_EMPTY
 from ..streams.channel import Channel
 from ..streams.timing import (
     blank_fibers,
@@ -96,6 +96,9 @@ class Locator(Block):
         #: both definitions (a bail resumes the fiber)
         self._loc_target = 0
         self._loc_have = in_target_ref is None
+        #: the fiber runs of the scanner feeding both inputs
+        #: (:meth:`LevelScanner.hand_over`), or None: it reads tokens
+        self.runs: list = [None]
 
     def _outs(self):
         return (self.out_crd, self.out_ref_found, self.out_ref_in)
@@ -157,20 +160,16 @@ class Locator(Block):
                 self.out_ref_in.push(ref)
             yield True
 
-    timing = TimingDescriptor(fuse_role="locate")
+    timing = TimingDescriptor()
 
     def timed_capable(self) -> bool:
         return hasattr(self.level, "locate_arrays")
 
-    def _emit_probed(self, builders, dc, dr, pc, cc, dstamps, cstamps):
-        """Probe the fixed target for one scheduled (crd, ref) window and
-        emit it on all three outputs: the hook a fused scanner→locator
-        pair calls."""
-        found, hit = self.level.locate_arrays(self._loc_target, dc)
-        self.probes += len(dc)
-        self.hits += int(hit.sum())
-        self._emit(builders, (dc, found, dr), (hit, hit, hit), pc, cc,
-                   dstamps, cstamps)
+    def run_inputs(self):
+        """``(0, in_crd, in_ref)`` when a scanner could hand this locator
+        its fibers as runs: it probes one fixed target (no target
+        stream)."""
+        return [(0, self.in_crd, self.in_ref)] if self.in_target_ref is None else []
 
     @staticmethod
     def _emit(builders, datas, kept, pc, cc, dstamps, cstamps):
@@ -199,10 +198,13 @@ class Locator(Block):
         terminator pair is one event.  ``N`` on either input is a datum
         (:func:`blank_fibers`): it probes nothing, and an ``N`` reference
         rides out as ``N``.  A chunk that does not pair up raises
-        :meth:`_check_pair`'s error.
+        :meth:`_check_pair`'s error.  Paired with its scanner
+        (:attr:`runs`), it reads fiber runs instead (:meth:`_probe_runs`).
         """
         if self.finished:
             return False
+        if self.runs[0] is not None:
+            return self._probe_runs(self.runs[0])
         windows = [self._treader(ch).held_window() for ch in (self.in_crd, self.in_ref)]
         if windows[0] is None or windows[1] is None:
             return False
@@ -262,6 +264,40 @@ class Locator(Block):
         for builder in builders:
             builder.flush()
         self.finished = crd.done
+        return True
+
+    def _probe_runs(self, runs) -> bool:
+        """The timed pass on a paired scanner's runs: every complete fiber
+        held, one gather and one probe of its pairs, one sparse schedule
+        (:meth:`_t_offsets`).  A fiber's pairs arrive a ramp ``ii`` apart,
+        so the gates are each fiber's first pair and each terminator."""
+        k = runs.held()
+        if not k:
+            return False
+        view = runs.front(k)
+        lens, ramp = view.lens, index_ramp(k)
+        ends = np.cumsum(lens)  # the data before each terminator
+        # per fiber its first pair's event and its terminator's
+        pos = np.empty(2 * k, dtype=np.int64)
+        pos[0::2] = ends - lens + ramp
+        pos[1::2] = ends + ramp
+        val = np.empty(2 * k, dtype=np.int64)
+        val[0::2] = np.where(lens > 0, view.first, 0)  # no pair, no gate
+        val[1::2] = view.stops
+        offs = self._t_offsets(pos, val, int(ends[-1]) + k)
+        c = offs + pos * self.timing.ii
+        at, dstamps = runs.pairs(view._replace(first=c[0::2]))
+        crds = runs.crd[at]
+        found, hit = self.level.locate_arrays(self._loc_target, crds)
+        self.probes += len(crds)
+        self.hits += int(hit.sum())
+        builders = [self._tbuilder(ch) for ch in self._outs()]
+        self._emit(builders, (crds, found, at), (hit, hit, hit), ends, view.codes,
+                   dstamps, c[1::2])
+        for builder in builders:
+            builder.flush()
+        runs.consume(k)
+        self.finished = bool(view.codes[-1] == CODE_DONE)
         return True
 
     def _targets(self, lens):

@@ -39,7 +39,7 @@ from ..streams.timing import (
 )
 from ..streams.token import DONE, EMPTY, is_data, is_done, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
-from .scanner import Runs
+from .scanner import FiberSpans
 
 
 @dataclass
@@ -241,7 +241,7 @@ class _Merger(Block):
                 k = min(c for c in clean if c is not None)
             if k:
                 progressed = True
-                cuts = [int(view.lens[:k].sum()) + k if isinstance(view, Runs)
+                cuts = [int(view.lens[:k].sum()) + k if isinstance(view, FiberSpans)
                         else int(view[0].ends[k - 1]) + k for view in views]
                 keys = [None if key is None else key[:cut] for key, cut in zip(keys, cuts)]
                 arrs = [None if arr is None else arr[:cut] for arr, cut in zip(arrs, cuts)]
@@ -251,7 +251,7 @@ class _Merger(Block):
                 else:
                     other = 1 - walk
                     self._walk_window(groups, codes[:k], walk, runs[walk],
-                                      Runs(*(arr[:k] for arr in views[walk])),
+                                      FiberSpans(*(arr[:k] for arr in views[walk])),
                                       keys[other], arrs[other], refs[other], stride)
                 # tokens after a D stay held
                 for r, side, view in zip(runs, held, views):
@@ -314,7 +314,7 @@ class _Merger(Block):
         fiber *f* of every stream is its *f*-th control token.  A
         scanner's runs are clean.
         """
-        if isinstance(views, Runs):
+        if isinstance(views, FiberSpans):
             return len(views.lens)
         crd = views[0]
         if len(crd.data) and crd.data.dtype.kind != "i":
@@ -589,7 +589,7 @@ class _Merger(Block):
 
 
 def _codes(view):
-    return view.codes if isinstance(view, Runs) else view[0].codes
+    return view.codes if isinstance(view, FiberSpans) else view[0].codes
 
 
 def _top(runs, view) -> int:

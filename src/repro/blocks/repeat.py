@@ -90,7 +90,7 @@ class RepeatSigGen(Block):
         taken = self._t_take_window(self.in_crd)
         if taken is None:
             return False
-        head, merged, _, ci, tail = taken
+        head, merged, _, ci, tail, *_ = taken
         c = self._t_advance(merged)
         codes = np.full(len(merged), CODE_REPEAT, dtype=np.int64)
         codes[ci] = head.remaining_arrays()[2]

@@ -82,7 +82,7 @@ class LevelScanner(Block):
         #: timed-drain state: a fiber was fully emitted and its closing
         #: stop token still needs the next input token to pick its level
         self._after_fiber = False
-        #: the merger side this scanner hands its fibers to, as runs
+        #: the consumer this scanner hands its fibers to, as runs
         #: (:meth:`hand_over`), or None: it pushes tokens
         self.runs: Optional[FiberRuns] = None
 
@@ -154,7 +154,7 @@ class LevelScanner(Block):
             self._fiber_index += 1
             yield True
 
-    timing = TimingDescriptor(fuse_role="scan")
+    timing = TimingDescriptor()
 
     def timed_capable(self) -> bool:
         # Skip hints are consumed by *polling* mid-scan, which ties the
@@ -169,22 +169,6 @@ class LevelScanner(Block):
         arrivals = np.zeros(total, dtype=np.int64)
         arrivals[pos] = val
         return self._t_advance(arrivals)
-
-    def _t_offsets(self, pos, val, total):
-        """:meth:`_t_run` in its sparse form: only each input token's
-        first event is gated, so the events from ``pos[i]`` on are a ramp
-        — event *e* at cycle ``offs[i] + e * ii``, ``offs`` the running
-        max of ``val - pos * ii`` clipped at the clock.  The dense arrival
-        array and its running max are never built; the bookkeeping is
-        :meth:`_t_advance`'s.  *val* is the caller's to overwrite."""
-        ii = self.timing.ii
-        if self._t_carry:
-            val[0] = max(int(val[0]), self._t_carry)
-            self._t_carry = 0
-        offs = np.maximum.accumulate(val - (pos * ii if ii != 1 else pos))
-        np.maximum(offs, self._tclock, out=offs)
-        self._t_span(total, int(offs[-1]) + (total - 1) * ii)
-        return offs
 
     def _t_take_events(self, fibers):
         """One input window's event layout, or None when none waits.
@@ -204,7 +188,7 @@ class LevelScanner(Block):
         taken = self._t_take_window(self.in_ref)
         if taken is None:
             return None
-        head, stamps, di, ci, tail = taken
+        head, stamps, di, ci, tail, *_ = taken
         refs, _, ccode = head.remaining_arrays()
         n, ends_done = len(stamps), bool(head.ends_done)
         found = fibers(refs)
@@ -239,36 +223,12 @@ class LevelScanner(Block):
             self._t_defer(int(ev.stamps[-1]))  # gates the closer, a window away
         self._t_window_done(self.in_ref, ev.ends_done, ev.tail)
 
-    def _scan_timed(self, sched, emit) -> bool:
-        """The scanner's one timed pass: a whole window, one schedule.
-
-        The window's events (:meth:`_t_take_events`) make one sparse
-        schedule, one ``fiber_arrays`` gather and one control layout
-        shared by both outputs.  The arguments are what a fused
-        scanner→locator pair changes: ``sched(pos, val, total)`` (the
-        signature of :meth:`_t_run`) returns the cycles the events are
-        emitted at and ``emit(crds, children, cpos, codes, dstamps,
-        cstamps)`` is where they go.
-        """
-        ev = self._t_take_events(self.level.fiber_arrays)
-        if ev is None:
-            return False
-        if ev.total:
-            crds, children, _ = ev.fibers
-            c = sched(ev.starts[ev.has], ev.stamps[ev.has], ev.total)
-            is_pair = np.ones(ev.total, dtype=bool)
-            is_pair[ev.at] = False
-            cpos = np.repeat(np.cumsum(ev.pairs) - ev.pairs, ev.nctrl)
-            emit(crds, children, cpos, ev.codes, c[is_pair], c[ev.at])
-        self._t_events_done(ev)
-        return True
-
     def _scan_runs(self, runs) -> bool:
-        """The timed pass of a scanner paired with a merger side: the
-        window's fibers go to *runs* as level ranges with the stamps of
-        their first pair and of their terminator, from the sparse
-        schedule (:meth:`_t_offsets`); no pair is gathered or pushed, and
-        both links count what the pushes would have carried."""
+        """The timed pass of a paired scanner: the window's fibers go to
+        *runs* as level ranges with the stamps of their first pair and of
+        their terminator, from the sparse schedule (:meth:`_t_offsets`);
+        no pair is gathered or pushed, and both links count what the
+        pushes would have carried."""
         ev = self._t_take_events(self.level.fiber_bounds)
         if ev is None:
             return False
@@ -321,20 +281,32 @@ class LevelScanner(Block):
         return self.runs
 
     def drain_timed(self) -> bool:
-        """Timed drain: :meth:`_scan_timed` onto the two output streams,
-        or :meth:`_scan_runs` to the merger side it is paired with."""
+        """Timed drain: a whole window, one schedule.
+
+        The window's events (:meth:`_t_take_events`) make one schedule,
+        one ``fiber_arrays`` gather and one control layout shared by both
+        outputs — or, paired with the consumer of both outputs,
+        :meth:`_scan_runs` hands it the window's fibers as runs.
+        """
         if self.finished:
             return False
         if self.runs is not None and self.runs.live:
             return self._scan_runs(self.runs)
-        outs = (self._tbuilder(self.out_crd), self._tbuilder(self.out_ref))
-
-        def emit(crds, children, cpos, codes, dstamps, cstamps):
-            for out, data in zip(outs, (crds, children)):
-                out.data_with_ctrl(data, cpos, codes, dstamps, cstamps)
+        ev = self._t_take_events(self.level.fiber_arrays)
+        if ev is None:
+            return False
+        if ev.total:
+            crds, children, _ = ev.fibers
+            c = self._t_run(ev.starts[ev.has], ev.stamps[ev.has], ev.total)
+            is_pair = np.ones(ev.total, dtype=bool)
+            is_pair[ev.at] = False
+            cpos = np.repeat(np.cumsum(ev.pairs) - ev.pairs, ev.nctrl)
+            for channel, data in ((self.out_crd, crds), (self.out_ref, children)):
+                out = self._tbuilder(channel)
+                out.data_with_ctrl(data, cpos, ev.codes, c[is_pair], c[ev.at])
                 out.flush()
-
-        return self._scan_timed(self._t_run, emit)
+        self._t_events_done(ev)
+        return True
 
 
 class _Events(NamedTuple):
@@ -360,7 +332,7 @@ class _Events(NamedTuple):
     tail: object
 
 
-class Runs(NamedTuple):
+class FiberSpans(NamedTuple):
     """Leading complete fibers of a :class:`FiberRuns`, one entry each."""
 
     ref: np.ndarray  # the level fiber scanned (0 for an empty one)
@@ -371,12 +343,13 @@ class Runs(NamedTuple):
     stops: np.ndarray
 
 
-_NO_RUNS = Runs(*[np.empty(0, dtype=np.int64)] * 6)
+_NO_SPANS = FiberSpans(*[np.empty(0, dtype=np.int64)] * 6)
 
 
 class FiberRuns:
-    """A scanner's output fibers handed to the one merger side that reads
-    both its outputs: level ranges and two stamps each, not tokens.
+    """A scanner's output fibers handed to the one consumer — a merger
+    side or a locator — that reads both its outputs: level ranges and two
+    stamps each, not tokens.
 
     A fiber is its level range ``start..start + lens`` (position *p* is
     the pair ``(crd[p], p)``), the visible stamp of its first pair — its
@@ -387,8 +360,7 @@ class FiberRuns:
     nothing; their token counts are bumped as the pushes would.
     """
 
-    __slots__ = ("links", "level", "crd", "ii", "delta", "held_runs", "at", "open",
-                 "live")
+    __slots__ = ("links", "level", "crd", "ii", "delta", "_held", "at", "open", "live")
 
     def __init__(self, scanner):
         # the scanner's links, not the scanner: a block must not sit in
@@ -400,38 +372,39 @@ class FiberRuns:
         self.ii = scanner.timing.ii
         # both links run scanner -> consumer: one visibility offset
         self.delta = scanner.out_crd.timed.delta
-        self.held_runs, self.at = _NO_RUNS, 0
+        self._held, self.at = _NO_SPANS, 0
         self.open = (0, 0, 0, 0)  # its ref, start, lens and first
         self.live = True
 
     def append(self, *fibers) -> None:
-        at, held = self.at, self.held_runs
+        at, held = self.at, self._held
         if at == len(held.lens):
-            self.held_runs = Runs(*fibers)
+            self._held = FiberSpans(*fibers)
         else:
-            self.held_runs = Runs(*(np.concatenate((old[at:], new))
-                                    for old, new in zip(held, fibers)))
+            self._held = FiberSpans(*(np.concatenate((old[at:], new))
+                                      for old, new in zip(held, fibers)))
         self.at = 0
 
     def held(self) -> int:
         """Complete fibers not yet consumed."""
-        return len(self.held_runs.lens) - self.at
+        return len(self._held.lens) - self.at
 
-    def front(self, k: int) -> Runs:
+    def front(self, k: int) -> FiberSpans:
         at = self.at
-        return Runs(*(arr[at:at + k] for arr in self.held_runs))
+        return FiberSpans(*(arr[at:at + k] for arr in self._held))
 
     def consume(self, k: int) -> None:
         self.at += k
 
-    def pairs(self, runs: Runs) -> tuple:
+    def pairs(self, runs: FiberSpans) -> tuple:
         """``(positions, stamps)`` of every pair of *runs*."""
-        lens = runs.lens
-        total = int(lens.sum())
-        base = index_ramp(total)
-        before = np.repeat(np.cumsum(lens) - lens, lens)
-        pos = base + np.repeat(runs.start, lens) - before
-        stamps = (base - before) * self.ii + np.repeat(runs.first, lens)
+        lens, ii = runs.lens, self.ii
+        before = np.cumsum(lens) - lens  # per fiber, the pairs ahead of it
+        base = index_ramp(int(before[-1] + lens[-1]) if len(lens) else 0)
+        pos = np.repeat(runs.start - before, lens)
+        pos += base
+        stamps = np.repeat(runs.first - before * ii, lens)
+        stamps += base * ii if ii != 1 else base
         return pos, stamps
 
     def materialise(self) -> None:
@@ -440,14 +413,14 @@ class FiberRuns:
         pushed, stamps intact; the scanner pushes from here on."""
         self.live = False
         held = self.front(self.held())
-        runs = Runs(*(np.append(a, v) for a, v in zip(held[:4], self.open)),
-                    held.codes, held.stops)
+        runs = FiberSpans(*(np.append(a, v) for a, v in zip(held[:4], self.open)),
+                          held.codes, held.stops)
         pos, stamps = self.pairs(runs)
         cpos = np.cumsum(held.lens)
         for channel, data in zip(self.links, (self.crd[pos], pos)):
             channel.timed_requeue_front(TokenBatch(data, cpos, held.codes), stamps,
                                         held.stops)
-        self.held_runs, self.at = _NO_RUNS, 0
+        self._held, self.at = _NO_SPANS, 0
 
 
 class CompressedLevelScanner(LevelScanner):

@@ -412,18 +412,13 @@ _CHAIN_TAIL = ("map", "reduce", "sink", "write")
 
 @dataclass
 class FusedSegment:
-    """One fusible segment: member block indices plus interior channels.
-
-    ``shape`` is one of:
-
-    * ``"chain"`` — zip/map head, map interiors, map/reduce/sink/write
-      tail;
-    * ``"scan_locate"`` — a scanner whose crd/ref outputs both feed one
-      locator.
+    """One fusible segment — a chain: zip/map head, map interiors,
+    map/reduce/sink/write tail — as member block indices plus interior
+    channels.
 
     ``kind`` is the human-readable classification used in fusion stats
-    and DOT labels: ``"value-chain"``, ``"writer-tail"`` (a chain closed
-    by a writer), ``"scan-locate"``.
+    and DOT labels: ``"value-chain"``, or ``"writer-tail"`` for a chain
+    closed by a writer.
 
     ``links`` holds the interior channels in flow order.  Fused
     execution never pushes tokens through them, so the engine
@@ -437,7 +432,6 @@ class FusedSegment:
     ``members`` (before the head) so claiming and reporting see them.
     """
 
-    shape: str
     members: List[int]
     links: List[Channel] = field(default_factory=list)
     feeders: List = field(default_factory=list)
@@ -474,15 +468,11 @@ def partition_segments(blocks) -> List[FusedSegment]:
       (no side entrances), and every output of a non-tail member must go
       to its successor (no side exits);
     * ``zip``/``map`` roles may head a value chain, ``map`` may continue
-      it, and ``map``/``reduce``/``sink``/``write`` may close it;
-    * a ``scan`` head fuses only with the ``locate`` block consuming both
-      of its outputs (scanner skip ports and locator target ports break
-      the pair).
+      it, and ``map``/``reduce``/``sink``/``write`` may close it.
 
-    Blocks without a fuse role (mergers, repeaters, droppers …) are
-    never claimed: they run their own ``drain_timed`` on the plain timed
-    plane, where a co-scheduled unit measured no faster
-    (docs/architecture.md, "Segment fusion").
+    Blocks without a fuse role (scanners, locators, mergers, repeaters,
+    droppers …) are never claimed: they run their own ``drain_timed`` on
+    the plain timed plane (docs/architecture.md, "Segment fusion").
     """
     producers: Dict[Channel, List[int]] = {}
     consumers: Dict[Channel, List[int]] = {}
@@ -497,52 +487,22 @@ def partition_segments(blocks) -> List[FusedSegment]:
     segments: List[FusedSegment] = []
 
     def sole_successor(i: int):
-        """(next index, link channels) if *i*'s outputs all feed one
-        unclaimed block through fusible links; else (None, ())."""
+        """(next index, link) if *i*'s one output feeds an unclaimed
+        block through a fusible link; else (None, None)."""
         outs = list(blocks[i].outputs.values())
-        if not outs:
-            return None, ()
-        nxts = set()
-        for ch in outs:
-            if not _link_ok(ch, producers, consumers):
-                return None, ()
-            nxts.add(consumers[ch][0])
-        if len(nxts) != 1:
-            return None, ()
-        nxt = nxts.pop()
+        if len(outs) != 1 or not _link_ok(outs[0], producers, consumers):
+            return None, None
+        nxt = consumers[outs[0]][0]
         if claimed[nxt] or nxt == i:
-            return None, ()
+            return None, None
         # No side entrances: every input of nxt must come from i.
         for ch in blocks[nxt].inputs.values():
             if producers.get(ch, [None])[0] != i:
-                return None, ()
-        return nxt, outs
+                return None, None
+        return nxt, outs[0]
 
-    # Pass 1: scanner→locator pairs (two parallel links, locator closes).
-    for i, block in enumerate(blocks):
-        if claimed[i] or roles[i] != "scan":
-            continue
-        if "in_skip" in block.inputs:  # optional port bound: pair breaks
-            continue
-        nxt, links = sole_successor(i)
-        if nxt is None or roles[nxt] != "locate" or claimed[nxt]:
-            continue
-        if "in_target_ref" in blocks[nxt].inputs:
-            continue
-        # The pair must be wired straight: crd→crd, ref→ref.
-        if (
-            blocks[nxt].inputs.get("in_crd") is not block.outputs.get("out_crd")
-            or blocks[nxt].inputs.get("in_ref") is not block.outputs.get("out_ref")
-        ):
-            continue
-        claimed[i] = claimed[nxt] = True
-        segments.append(
-            FusedSegment("scan_locate", [i, nxt], list(links),
-                         kind="scan-locate")
-        )
-
-    # Pass 2: value chains.  A head is a zip/map block that could not
-    # itself be the continuation of an earlier fusible member.
+    # A head is a zip/map block that could not itself be the
+    # continuation of an earlier fusible member.
     def could_continue(i: int) -> bool:
         ins = list(blocks[i].inputs.values())
         if len(ins) != 1 or not _link_ok(ins[0], producers, consumers):
@@ -582,14 +542,14 @@ def partition_segments(blocks) -> List[FusedSegment]:
         links: List[Channel] = []
         cur = i
         while True:
-            nxt, out_links = sole_successor(cur)
-            if nxt is None or claimed[nxt] or len(out_links) != 1:
+            nxt, link = sole_successor(cur)
+            if nxt is None:
                 break
             role = roles[nxt]
             if role not in _CHAIN_TAIL:
                 break
             members.append(nxt)
-            links.append(out_links[0])
+            links.append(link)
             claimed[nxt] = True
             if role not in _CHAIN_INTERIOR:
                 break  # reduce/sink close the chain
@@ -605,7 +565,7 @@ def partition_segments(blocks) -> List[FusedSegment]:
                 claimed[entry[0]] = True
         members = [f[0] for f in feeders if f is not None] + members
         kind = "writer-tail" if roles[members[-1]] == "write" else "value-chain"
-        segments.append(FusedSegment("chain", members, links, feeders, kind))
+        segments.append(FusedSegment(members, links, feeders, kind))
 
     segments.sort(key=lambda s: s.members[0])
     return segments
@@ -647,7 +607,6 @@ def segment_plan_key(blocks, segment: "FusedSegment") -> Tuple:
         deltas.append(0 if p is not None and c is not None and c > p else 1)
     feeders = tuple(f is not None for f in segment.feeders)
     return (
-        segment.shape,
         segment.kind,
         tuple(members),
         tuple(deltas),

@@ -79,8 +79,8 @@ class SamGraph:
         #: :meth:`annotate_fusion` and rendered as DOT clusters.  ``None``
         #: until a fusion partition has been attached.
         self.fused_segments: Optional[List[List[str]]] = None
-        #: per-segment kind labels ("value-chain", "writer-tail",
-        #: "scan-locate"), parallel to :attr:`fused_segments`.
+        #: per-segment kind labels ("value-chain", "writer-tail"),
+        #: parallel to :attr:`fused_segments`.
         self.fused_segment_kinds: Optional[List[str]] = None
 
     def annotate_fusion(

@@ -28,19 +28,18 @@ executes as **one super-block**:
 This module is a *scheduler* of blocks, not a second author of them:
 what a member does with a scheduled window is the hook the block itself
 exports and its own ``drain_timed`` is written in terms of
-(:data:`_ROLE_HOOK` — a map's ``map_parts()``, a reduce/sink/write
-tail's ``commit_window()``, the scanner's ``_scan_timed`` pass, the
-locator's ``_emit_probed``).  What lives here is schedule composition:
-two-phase acquire/commit, the composed and lazy advances, the sparse
-scan→locate advance, and the interior-link token counts.
+(:data:`_ROLE_HOOK` — a zip's ``_fn``, a map's ``map_parts()``, a
+reduce/sink/write tail's ``commit_window()``).  What lives here is
+schedule composition: two-phase acquire/commit, the composed and lazy
+advances, and the interior-link token counts.
 
-Three segment kinds are compiled (``report.fusion["kinds"]`` counts
-them per run): ``value-chain`` and ``writer-tail`` chains
-(:class:`_ChainUnit`; a writer tail is a chain closed by a level/vals
-writer) and ``scan-locate`` pairs (:class:`_ScanLocateUnit`).  Mergers
-and repeaters carry no fuse role: they run their one ``drain_timed`` on
-the plain timed plane here exactly as under ``timed-batch`` (a
-co-scheduled unit around them measures no faster; see
+Two segment kinds are compiled (``report.fusion["kinds"]`` counts them
+per run), both chains (:class:`_ChainUnit`): ``value-chain`` and
+``writer-tail`` (a chain closed by a level/vals writer).  Scanners,
+locators, mergers and repeaters carry no fuse role: they run their one
+``drain_timed`` on the plain timed plane here exactly as under
+``timed-batch`` — a scanner hands its fibers to the locator or merger
+side reading both its outputs as runs on either engine (see
 docs/architecture.md, "Segment fusion").
 
 Fallback ladder: a graph that cannot run on windows at all goes to
@@ -76,31 +75,6 @@ from ...streams.timing import (
     token_order_indices,
 )
 from .timed_batch import _DISSOLVE, TimedBatchEngine
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-
-
-def _fast_advance(member, arrivals):
-    """``member._t_advance`` with the max-plus accumulate elided.
-
-    When *arrivals* is already a valid rate-``ii`` schedule (consecutive
-    steps >= ii — one cheap check), the accumulate is a provable no-op
-    and the busy schedule is just ``max(arrivals, clock + idx*ii)``.
-    Falls back to the member's own ``_t_advance`` (carry pending, or
-    arrivals not rate-valid); bookkeeping is identical either way.
-    """
-    n = len(arrivals)
-    if n == 0:
-        return _EMPTY_I64
-    if member._t_carry:
-        return member._t_advance(arrivals)
-    ii = member.timing.ii
-    if n > 1 and not bool((arrivals[1:] - arrivals[:-1] >= ii).all()):
-        return member._t_advance(arrivals)
-    c = (index_ramp(n) * ii if ii != 1 else index_ramp(n)) + member._tclock
-    np.maximum(arrivals, c, out=c)
-    member._t_span(n, int(c[-1]))
-    return c
 
 
 def _compose_fast(arrivals, stages):
@@ -236,8 +210,6 @@ _ROLE_HOOK = {
     "reduce": "commit_window",
     "sink": "commit_window",
     "write": "commit_window",
-    "scan": "_scan_timed",
-    "locate": "_emit_probed",
 }
 
 
@@ -329,8 +301,8 @@ class _Side:
         Requires :meth:`rate_valid` and no feeder carry (checked by the
         caller *before* either side commits): the accumulate is then a
         no-op, so the schedule at any index is ``max(arrival, clock +
-        idx*ii)`` and the endpoint is a scalar.  Bookkeeping matches
-        ``_fast_advance`` exactly.  Returns ``(vals, c_sub, e)`` with
+        idx*ii)`` and the endpoint is a scalar.  Bookkeeping matches the
+        feeder's own ``_t_advance`` exactly.  Returns ``(vals, c_sub, e)`` with
         the link delta already applied to both schedule and endpoint.
         """
         feeder = self.feeder
@@ -359,7 +331,7 @@ class _Side:
         values plus the head's token-order arrival array."""
         if self.feeder is None:
             return self.data, self.merged
-        c = _fast_advance(self.feeder, self.merged)
+        c = self.feeder._t_advance(self.merged)
         vals = self.fn(self.data)
         if self.empty is not None:
             vals = np.insert(
@@ -369,7 +341,8 @@ class _Side:
         ndata, _, ccode = self.post
         _bump_counts(self.link, ndata, ccode)
         if self.delta:
-            # c is always a fresh schedule array — shift it in place
+            # c is a fresh array or this window's own merged stamps
+            # (read nowhere after this step) — shift it in place
             np.add(c, self.delta, out=c)
         return vals, c
 
@@ -526,7 +499,7 @@ class _ChainUnit:
         taken = self.head._t_take_window(self.head_in)
         if taken is None:
             return None
-        head, merged, di, ci, tail = taken
+        head, merged, di, ci, tail, *_ = taken
         data, cpos, ccode = head.remaining_arrays()
         fn, empty_value = self.parts[0]
         vals = fn(data)
@@ -612,71 +585,6 @@ class _ChainUnit:
         return True
 
 
-class _ScanLocateUnit:
-    """A fused scanner→locator pair.
-
-    Runs the scanner's own timed pass (``LevelScanner._scan_timed``) on
-    its real input with the two things the pair changes: a window's
-    events are scheduled through *both* members at once, and the
-    emission is probed through the locator inline
-    (``Locator._emit_probed``) — the interior crd/ref channels never see
-    a push, a merge, or a window.  Window boundaries are schedule-neutral
-    (``rate1_schedule`` composes over splits), so stats and output stamps
-    are bit-identical to the unfused pair."""
-
-    __slots__ = (
-        "members", "scan", "loc", "links", "delta", "active",
-        "emitters", "kind",
-    )
-
-    def __init__(self, blocks, segment):
-        self.members = list(segment.members)
-        self.scan = blocks[segment.members[0]]
-        self.loc = blocks[segment.members[1]]
-        self.links = list(segment.links)
-        # both links run scanner -> locator, and a link's delta depends
-        # on its endpoints' block order alone, so one delta serves both
-        self.delta = self.links[0].timed.delta
-        self.active = True
-
-    def _sched_run(self, pos, val, total):
-        """The *locator's* busy schedule of one scanner window, with both
-        members' bookkeeping applied (``LevelScanner._t_run`` signature)."""
-        scan, loc = self.scan, self.loc
-        ii = scan.timing.ii
-        if ii != loc.timing.ii or loc._t_carry:
-            return _fast_advance(loc, scan._t_run(pos, val, total) + self.delta)
-        # Sparse composed advance: the scanner's busy schedule is ramps
-        # between its input tokens' first events (``LevelScanner.
-        # _t_offsets``), and so is the locator's — ``offs`` moved by the
-        # link and clipped at its clock.  The dense arrival array and its
-        # max-plus accumulates are never built.  Bit-identical to
-        # ``scan._t_advance`` + the locator advance.
-        offs_l = np.maximum(scan._t_offsets(pos, val, total) + self.delta, loc._tclock)
-        ramp = index_ramp(total) * ii if ii != 1 else index_ramp(total)
-        sched = np.repeat(offs_l, np.diff(pos, append=total))
-        sched += ramp
-        loc._t_span(total, int(sched[-1]))
-        return sched
-
-    def step(self):
-        scan, loc = self.scan, self.loc
-        if scan.finished:
-            return False
-        builders = [loc._tbuilder(ch) for ch in loc._outs()]
-
-        def emit(crds, children, cpos, codes, dstamps, cstamps):
-            for link in self.links:
-                _bump_counts(link, len(crds), codes)
-            loc._emit_probed(builders, crds, children, cpos, codes, dstamps, cstamps)
-            for builder in builders:
-                builder.flush()
-
-        progressed = scan._scan_timed(self._sched_run, emit)
-        loc.finished = scan.finished
-        return progressed
-
-
 class CompiledEngine(TimedBatchEngine):
     """Timed-batch engine with statically fused super-block segments."""
 
@@ -712,9 +620,7 @@ class CompiledEngine(TimedBatchEngine):
             if not ok:
                 rejected += 1
                 continue
-            unit = (_ChainUnit if seg.shape == "chain" else _ScanLocateUnit)(
-                blocks, seg
-            )
+            unit = _ChainUnit(blocks, seg)
             compiled.append(unit)
             interior_ids = {id(ch) for ch in interior}
             unit.kind = seg.kind

@@ -29,7 +29,8 @@ every token queued before the run batches.  Otherwise the whole run goes
 to :class:`~repro.sim.backends.cycle.CycleEngine` — the same report by
 the repository's invariant — and ``report.handoff`` names the first
 block or channel that decided it.  A window run then pairs scanners with
-the merger sides that read both their outputs (:func:`pair_runs`).
+the locators and merger sides that read both their outputs
+(:func:`pair_runs`).
 
 A window run is a worklist: a block is visited after a producer pushed
 onto one of its inputs (or a reader popped a finite FIFO it fills), and
@@ -173,10 +174,11 @@ def stamp_channels(plane: TimedPlane) -> None:
 
 
 def pair_runs(blocks, plane: TimedPlane) -> None:
-    """Pair every merger side that reads both outputs of one scanner with
-    that scanner (:meth:`~repro.blocks.scanner.LevelScanner.hand_over`):
-    the side reads the scanner's fibers as runs and the two links carry
-    no token.  Decided once, before the run, as the plane is."""
+    """Pair every consumer input — a merger side, an untargeted locator —
+    that reads both outputs of one scanner with that scanner
+    (:meth:`~repro.blocks.scanner.LevelScanner.hand_over`): it reads the
+    scanner's fibers as runs and the two links carry no token.  Decided
+    once, before the run, as the plane is."""
     for block in blocks:
         for side, crd, ref in getattr(block, "run_inputs", list)():
             p = plane.producers.get(crd)

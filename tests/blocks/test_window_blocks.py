@@ -55,7 +55,7 @@ from repro.blocks import reduce as reduce_module
 from repro.blocks import merge as merge_module
 from repro.blocks.repeat import REPEAT
 from repro.blocks.scanner import make_scanner
-from repro.formats import CompressedLevel
+from repro.formats import CompressedLevel, DenseLevel
 from repro.sim import graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 from repro.streams.timing import window_capacity
@@ -370,6 +370,20 @@ def scanned(level, tokens):
 
 
 @st.composite
+def scan_refs(draw, fibers, stops=st.just(Stop(0))):
+    """A scanner's reference stream over a level of *fibers* fibers:
+    groups of fiber references and ``N``, empty groups (stray stops), the
+    last group open or closed by ``D``; a group closes with a drawn
+    *stops*."""
+    ref = st.one_of(st.integers(0, fibers - 1), st.just(EMPTY))
+    groups = draw(st.lists(st.lists(ref, max_size=3), min_size=1, max_size=3))
+    tokens = [t for group in groups for t in group + [draw(stops)]]
+    if draw(st.booleans()) and groups[-1]:
+        tokens.pop()  # the last group ends at D
+    return tokens + [DONE]
+
+
+@st.composite
 def scan_merge_streams(draw, layouts):
     """Merger sides fed by scanners (``s``) and by streams (``d``), as a
     drawn *layout* string orders them.  Every scanner reads one reference
@@ -387,12 +401,7 @@ def scan_merge_streams(draw, layouts):
         level[wide[0]] = level[wide[0]][::-1]
     else:
         unsorted = False
-    ref = st.one_of(st.integers(0, len(level) - 1), st.just(EMPTY))
-    groups = draw(st.lists(st.lists(ref, max_size=3), min_size=1, max_size=3))
-    tokens = [t for group in groups for t in group + [Stop(0)]]
-    if draw(st.booleans()) and groups[-1]:
-        tokens.pop()  # the last group ends at D
-    tokens.append(DONE)
+    tokens = draw(scan_refs(len(level)))
     fibers = scanned(level, tokens)
     dense = [s for s, kind in enumerate(layout) if kind == "d"]
     dirty = draw(st.one_of(st.none(), st.tuples(
@@ -426,6 +435,23 @@ def scan_merge_streams(draw, layouts):
         streams[f"ref{s}_0"] = ref + ([30, Stop(0), DONE] if tail else [])
     params = {"level": level, "sides": layout, "dirty": dirty is not None or unsorted}
     return params, streams
+
+
+@st.composite
+def scan_locate_streams(draw):
+    """A locator reading both outputs of a scanner: the scanned level,
+    whose fibers may be empty (sometimes a dense one, which the scanner
+    does not hand over as runs), its reference stream (:func:`scan_refs`,
+    stray stops of two levels), the probed fiber, drawn from the level's
+    coordinates so that probes hit and miss, and sometimes a second
+    stream after ``D``."""
+    level = draw(st.lists(crd_sets, min_size=1, max_size=4))
+    tokens = draw(scan_refs(len(level), st.sampled_from([Stop(0), Stop(1)])))
+    if draw(st.booleans()):
+        tokens += [0, DONE]
+    params = {"level": level, "target": draw(crd_sets),
+              "dense": draw(st.sampled_from([0] * 3 + [3]))}
+    return params, {"scan": tokens}
 
 
 @st.composite
@@ -531,6 +557,21 @@ def scan_merger(cls):
             groups.append([out(f"o{s}", "ref")])
         return blocks + [cls(sides, out("ocrd", "crd"), groups, name="merge")]
     return make
+
+
+def make_scan_locator(params, ins, out):
+    """A scanner over ``params["level"]`` (a dense level of that many
+    fibers, ``params["dense"]`` wide, when set) feeding a locator that
+    probes ``params["target"]``."""
+    if params["dense"]:
+        level = DenseLevel(params["dense"], len(params["level"]))
+    else:
+        level = CompressedLevel.from_fibers(params["level"])
+    crd, ref = Channel("sc"), Channel("sr", kind="ref")
+    outs = out("o_crd", "crd"), out("o_found", "ref"), out("o_ref", "ref")
+    return [make_scanner(level, ins["scan"], crd, ref, name="scan"),
+            Locator(CompressedLevel.from_fibers([params["target"]]), crd, ref, *outs,
+                    name="locate")]
 
 
 def make_serializer(params, ins, out):
@@ -753,6 +794,10 @@ CASES = [
     Case("locate-targeted", (Locator,), locate_streams(True), make_locator,
          LOCATE_ERRORS, counters=lambda blocks: (blocks[0].probes, blocks[0].hits),
          paced={"target": None}),
+    # both inputs from one scanner: its fibers as runs, probed per fiber
+    Case("scan-locate", (Locator,), scan_locate_streams(), make_scan_locator,
+         Errors({}, {}, []),
+         counters=lambda blocks: (blocks[1].probes, blocks[1].hits)),
     Case("scatter", (ScatterValsWriter,), scatter_streams(), make_scatter,
          SCATTER_ERRORS, counters=lambda blocks: [canon(v) for v in blocks[0].vals]),
     Case("linked-list", (LinkedListLevelWriter,), linked_list_streams(),
@@ -1020,6 +1065,14 @@ REGRESSIONS = [
      {"crd": "1 4 N S0 S0 2 4 S1 D",
       "ref": "10 N 12 S0 S0 13 14 S1 D",
       "target": "1 S0 S0 N S1 0 S0 D"}),
+    # N references, stray stops of two levels, an empty fiber, hits and
+    # misses, a second stream after D
+    ("scan-locate", {"level": SCAN_RUNS, "target": [0, 3, 4, 7], "dense": 0},
+     {"scan": "0 N S0 S1 1 2 S1 S0 2 D 0 D"}),
+    # cut behind the 0, the fiber's terminator waits for its late closing
+    # stop, and D for it
+    ("scan-locate", {"level": [[4], [1, 3]], "target": [1, 4], "dense": 0},
+     {"scan": "0 S0 D"}),
     ("reduce", {"flush_level": 1},
      {"crd": "3 1 S0 1 S1 S1 2 2 S0 S2 7 D",
       "val": "1.0 2.0 S0 4.0 S1 S1 1.0 1.0 S0 0.0 S2 0.5 D"}),

@@ -1,17 +1,17 @@
-"""Block-level differential tests of the compiled backend's fused units.
+"""Block-level differential tests of the compiled backend's chain unit
+and of the scanner's window.
 
-The kernels only ever drive the scan→locate unit through ``spmv_locate``
-with whole-window delivery; here both surviving unit classes are wired
-by hand and fed hypothesis-drawn streams — ``N`` references, stray
-``S0``/``S1`` stops, empty and all-miss fibers — whole or one token per
-cycle through a ``Relay`` (so units park mid-fiber and carries are live;
-the one-token windows reach the unit — asserted, wall-clock-free).  Every wiring must
-reproduce the ``cycle`` engine's full report under ``timed-batch`` and
-``compiled``.
+Value chains are wired by hand and fed hypothesis-drawn streams — ``N``
+references, stray ``S0``/``S1`` stops, empty fibers — whole or one token
+per cycle through a ``Relay`` (so units park mid-fiber and carries are
+live; the one-token windows reach the unit — asserted, wall-clock-free).
+Every wiring must reproduce the ``cycle`` engine's full report under
+``timed-batch`` and ``compiled``.  A scanner feeding a locator is a row
+of ``tests/blocks/test_window_blocks.py``.
 
 The structural guards at the bottom pin what makes that cheap to keep
 true: the units drive hooks the blocks own (no third encoding in
-``compiled.py``), and only the kinds measured to pay are partitioned.
+``compiled.py``), and only chains are partitioned.
 """
 
 import inspect
@@ -29,7 +29,6 @@ from repro.blocks import (
     ArrayLoad,
     Block,
     CompressedLevelWriter,
-    Locator,
     ScalarALU,
     ScalarReducer,
     Sink,
@@ -85,7 +84,7 @@ def _assert_identity(build, kind, unrelayed, relayed=()):
         assert fusion["fallbacks"] == 0
 
 
-# -- scanner -> locator ----------------------------------------------------
+# -- scanner windows -------------------------------------------------------
 
 UNIVERSE = 12
 
@@ -96,50 +95,8 @@ fibers = st.lists(
 
 
 @st.composite
-def scan_locate_case(draw):
-    scanned = draw(fibers)
-    # fiber 0 of the probed level; empty -> every probe misses
-    target = draw(st.lists(st.integers(0, UNIVERSE - 1), unique=True,
-                           max_size=UNIVERSE).map(sorted))
-    ref = st.one_of(
-        st.integers(0, len(scanned) - 1),
-        st.sampled_from([EMPTY, Stop(0), Stop(1)]),
-    )
-    refs = draw(st.lists(ref, max_size=12)) + [DONE]
-    return scanned, target, refs
-
-
-class TestScanLocateUnit:
-    @pytest.mark.parametrize("relay", [False, True], ids=["whole", "relayed"])
-    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "rev"])
-    @given(case=scan_locate_case())
-    def test_full_report_identity(self, relay, reverse, case):
-        scanned, target, refs = case
-
-        def build():
-            in_ref = Channel("in_ref", kind="ref")
-            crd, ref = Channel("crd"), Channel("ref", kind="ref")
-            outs = [Channel("o_crd"), Channel("o_found", kind="ref"),
-                    Channel("o_in", kind="ref")]
-            blocks = []
-            blocks += fed(refs, in_ref, "feed", relay)
-            blocks.append(make_scanner(CompressedLevel.from_fibers(scanned),
-                                       in_ref, crd, ref, name="scan"))
-            blocks.append(Locator(CompressedLevel.from_fibers([target]),
-                                  crd, ref, *outs, name="locate"))
-            blocks += [Sink(ch, name=f"sink_{ch.name}") for ch in outs]
-            # reversed block order flips every link's visibility delta
-            return blocks[::-1] if reverse else blocks
-
-        _assert_identity(build, "scan-locate", unrelayed=not relay,
-                         relayed=["in_ref"] if relay else [])
-
-
-# -- scanner windows -------------------------------------------------------
-
-@st.composite
 def scanner_case(draw):
-    """A level, a reference stream over it, and a locator target.
+    """A level and a reference stream over it.
 
     The stream mixes data refs (zero-length fibers included), ``N``,
     stops of several levels — stray ones and ones directly after a
@@ -157,20 +114,17 @@ def scanner_case(draw):
     )
     refs = draw(st.lists(ref, max_size=9)) + [DONE]
     refs += draw(st.sampled_from([[], [0, Stop(0), DONE]]))
-    target = draw(st.lists(st.integers(0, UNIVERSE - 1), unique=True,
-                           max_size=UNIVERSE).map(sorted))
-    return level, refs, target, draw(st.integers(0, 3)), draw(st.booleans())
+    return level, refs, draw(st.integers(0, 3)), draw(st.booleans())
 
 
 class TestScannerWindow:
-    """``LevelScanner._scan_timed`` takes whatever window it is handed:
+    """``LevelScanner.drain_timed`` takes whatever window it is handed:
     the whole stream, or the stream cut in two at every position (the
-    second piece a few cycles later), alone or fused as ``scan-locate``."""
+    second piece a few cycles later)."""
 
-    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "scan-locate"])
     @given(case=scanner_case())
-    def test_full_report_identity_at_every_cut(self, fused, case):
-        level, refs, target, gap, reverse = case
+    def test_full_report_identity_at_every_cut(self, case):
+        level, refs, gap, reverse = case
 
         def build(cut):
             in_ref = Channel("in_ref", kind="ref")
@@ -180,13 +134,7 @@ class TestScannerWindow:
             else:
                 blocks = [Slicer(refs, [(cut, gap)], in_ref, "feed")]
             blocks.append(make_scanner(level, in_ref, crd, ref, name="scan"))
-            outs = [crd, ref]
-            if fused:
-                outs = [Channel("o_crd"), Channel("o_found", kind="ref"),
-                        Channel("o_in", kind="ref")]
-                blocks.append(Locator(CompressedLevel.from_fibers([target]),
-                                      crd, ref, *outs, name="locate"))
-            blocks += [Sink(ch, name=f"sink_{ch.name}") for ch in outs]
+            blocks += [Sink(ch, name=f"sink_{ch.name}") for ch in (crd, ref)]
             return blocks[::-1] if reverse else blocks
 
         live = refs.index(DONE) + 1  # the scanner ends at the first D
@@ -194,13 +142,11 @@ class TestScannerWindow:
             want, _ = _full_report(build(cut), "cycle")
             for be in TIMED:
                 with window_log() as log:
-                    got, report = _full_report(build(cut), be)
+                    got, _ = _full_report(build(cut), be)
                 assert got == want, (be, cut)
                 if cut is not None:
                     assert_windows_sliced(log, "in_ref",
                                           pushes=(0 < cut) + (cut < live))
-            if fused and cut is None:
-                assert report.fusion["kinds"] == {"scan-locate": 1}
 
 
 # -- value chains ----------------------------------------------------------
@@ -312,11 +258,13 @@ def test_compiled_backend_is_a_scheduler_not_a_third_encoding():
 
 
 def test_only_paying_segment_shapes_are_partitioned():
+    # every segment is a chain: a scanner and its locator are two blocks
+    # on the plain timed plane, handing over fiber runs
     seen = 0
     for source in (_kernel_blocks, _table1_blocks):
         for name, blocks in source():
-            shapes = {s.shape for s in partition_segments(blocks)}
-            assert shapes <= {"chain", "scan_locate"}, (name, shapes)
+            kinds = {s.kind for s in partition_segments(blocks)}
+            assert kinds <= {"value-chain", "writer-tail"}, (name, kinds)
             seen += 1
     assert seen >= 18
 

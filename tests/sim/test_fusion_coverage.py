@@ -50,7 +50,7 @@ EXPECTED = {
     "gamma": ({"value-chain": 4}, 12, 67),
     "vecmul_crd": ({"writer-tail": 1}, 4, 10),
     "vecmul_crd_split": ({"writer-tail": 1}, 4, 15),
-    "spmv_locate": ({"scan-locate": 1, "value-chain": 1}, 6, 11),
+    "spmv_locate": ({"value-chain": 1}, 4, 11),
     "spmv_scatter": ({"value-chain": 1}, 3, 13),
     "spmm_ikj": ({"value-chain": 1}, 3, 21),
 }

@@ -23,8 +23,8 @@ from repro.studies.table1 import ENTRIES, _random_inputs
 def test_table1_graph_never_leaves_the_timed_plane(entry, monkeypatch):
     stepped, bailed, visits, scheds, advances = [], [], {}, {}, {}
     real_step, real_bail = Block.step, Block._bail_timed
-    real_scan, real_advance = LevelScanner._scan_timed, Block._t_advance
-    real_runs, real_offsets = LevelScanner._scan_runs, LevelScanner._t_offsets
+    real_take, real_advance = LevelScanner._t_take_events, Block._t_advance
+    real_run, real_offsets = LevelScanner._t_run, LevelScanner._t_offsets
 
     def step(self):
         stepped.append(self.name)
@@ -34,28 +34,16 @@ def test_table1_graph_never_leaves_the_timed_plane(entry, monkeypatch):
         bailed.append(self.name)
         return real_bail(self)
 
-    def scan_timed(self, sched, emit):
+    def take_events(self, fibers):
+        # one window taken a visit, onto the outputs or as fiber runs
         visits[self.name] = visits.get(self.name, 0) + 1
+        return real_take(self, fibers)
 
-        def counted(pos, val, total):
+    def schedule(real):
+        def counted(self, pos, val, total):
             scheds[self.name] = scheds.get(self.name, 0) + 1
-            return sched(pos, val, total)
-
-        return real_scan(self, counted, emit)
-
-    def scan_runs(self, runs):
-        # a scanner paired with a merger side schedules sparsely
-        visits[self.name] = visits.get(self.name, 0) + 1
-
-        def counted(pos, val, total):
-            scheds[self.name] = scheds.get(self.name, 0) + 1
-            return real_offsets(self, pos, val, total)
-
-        self._t_offsets = counted
-        try:
-            return real_runs(self, runs)
-        finally:
-            del self._t_offsets
+            return real(self, pos, val, total)
+        return counted
 
     def advance(self, arrivals):
         advances[self.name] = advances.get(self.name, 0) + 1
@@ -63,8 +51,10 @@ def test_table1_graph_never_leaves_the_timed_plane(entry, monkeypatch):
 
     monkeypatch.setattr(Block, "step", step)
     monkeypatch.setattr(Block, "_bail_timed", bail)
-    monkeypatch.setattr(LevelScanner, "_scan_timed", scan_timed)
-    monkeypatch.setattr(LevelScanner, "_scan_runs", scan_runs)
+    monkeypatch.setattr(LevelScanner, "_t_take_events", take_events)
+    # the dense schedule onto the outputs, the sparse one of paired runs
+    monkeypatch.setattr(LevelScanner, "_t_run", schedule(real_run))
+    monkeypatch.setattr(LevelScanner, "_t_offsets", schedule(real_offsets))
     monkeypatch.setattr(LevelScanner, "_t_advance", advance)
 
     prog = compile_expression(

@@ -10,6 +10,7 @@ where NaN can occur), never ``allclose``.
 import numpy as np
 import pytest
 
+from repro.blocks.base import Block, TimingDescriptor
 from repro.streams.batch import (
     exact_segment_sums,
     index_ramp,
@@ -74,6 +75,41 @@ class TestRate1Schedule:
             head = rate1_schedule(arrivals[:cut], 4, 2)
             tail = rate1_schedule(arrivals[cut:], int(head[-1]) + 2, 2)
             assert head.tolist() + tail.tolist() == whole.tolist()
+
+
+class TestBlockAdvance:
+    """``Block._t_advance`` against the loop, carries and bookkeeping
+    included: arrivals that already are the schedule come back as they
+    are, any other run is scheduled afresh."""
+
+    class Timed(Block):
+        def __init__(self, ii):
+            super().__init__("timed")
+            self.timing = TimingDescriptor(ii=ii)
+
+    @pytest.mark.parametrize("ii", [1, 2, 3])
+    def test_matches_recurrence(self, ii):
+        rng = np.random.default_rng(ii)
+        scheduled = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            steps = rng.integers(ii - 1, ii + 3, n)  # a step short of ii now and then
+            arrivals = np.cumsum(steps) + int(rng.integers(0, 20))
+            block = self.Timed(ii)
+            block._tclock = clock = int(rng.integers(0, 25))
+            block._t_carry = carry = int(rng.choice([0, 0, rng.integers(0, 40)]))
+            gated = arrivals.tolist()
+            gated[0] = max(gated[0], carry)
+            want = _rate1_loop(gated, clock, ii)
+            got = block._t_advance(arrivals)
+            assert got.tolist() == want
+            is_schedule = not carry and want == arrivals.tolist()
+            assert (got is arrivals) == is_schedule
+            scheduled += is_schedule
+            assert block._tclock == want[-1] + ii and block._t_carry == 0
+            assert block.busy_cycles == n
+            assert block.stall_cycles == want[-1] + ii - clock - ii * n
+        assert 10 < scheduled < 190  # both paths taken
 
 
 def _assert_fresh(result, *others):

@@ -54,13 +54,17 @@ MUTATIONS = (
     Mutation("merge gate without np.maximum", "repro/blocks/merge.py",
              "gate[at] = np.maximum(gate[at], arr[1:]) if n else arr[1:]",
              "gate[at] = arr[1:]"),
-    # the fiber runs a scanner hands a merger side
+    # the fiber runs a scanner hands a merger side or a locator
     Mutation("run ramp starts a pair late", "repro/blocks/scanner.py",
              "first = offs + (ev.starts + ev.after) * ii + runs.delta",
              "first = offs + (ev.starts + ev.after + 1) * ii + runs.delta"),
     Mutation("walk without the closing-stop gate", "repro/blocks/merge.py",
              "w2 = np.where(view.lens > 0, view.stops - e2 * ii, never)",
              "w2 = np.full(k, never)"),
+    Mutation("locator run schedule without the terminator gate",
+             "repro/blocks/locate.py",
+             "val[1::2] = view.stops",
+             "val[1::2] = 0"),
     Mutation("reducer key without its offset", "repro/blocks/reduce.py",
              "key = (region[a:b] - first) * span + (key - lo)",
              "key = (region[a:b] - first) * span + key"),
