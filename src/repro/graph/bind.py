@@ -176,18 +176,18 @@ def bind(
     bound = BoundGraph(graph)
     groups = fanout_groups(graph)
 
-    # Source-port channels; fanouts split them per consumer.
-    port_channel: Dict[Tuple[str, str, str, str], Channel] = {}
+    # One channel per input port; a fanout's hub stands for its source port.
+    in_port: Dict[Tuple[str, str], Channel] = {}
+    hubs: Dict[Tuple[str, str], Channel] = {}
     builder = bound.builder
     for (src, src_port), edges in groups.items():
         rec = f"{src}.{src_port}" in record
         if len(edges) == 1:
             edge = edges[0]
-            channel = builder.channel(
+            in_port[(edge.dst, edge.dst_port)] = builder.channel(
                 f"{src}.{src_port}->{edge.dst}.{edge.dst_port}",
                 kind=edge.kind, record=rec,
             )
-            port_channel[(src, src_port, edge.dst, edge.dst_port)] = channel
         else:
             hub = builder.channel(f"{src}.{src_port}", kind=edges[0].kind,
                                   record=rec)
@@ -196,10 +196,10 @@ def bind(
                 leg = builder.channel(
                     f"{src}.{src_port}->{edge.dst}.{edge.dst_port}", kind=edge.kind
                 )
-                port_channel[(src, src_port, edge.dst, edge.dst_port)] = leg
+                in_port[(edge.dst, edge.dst_port)] = leg
                 outs.append(leg)
             builder.add(Fanout(hub, outs, name=f"fan:{src}.{src_port}"))
-            port_channel[(src, src_port, "*", "*")] = hub
+            hubs[(src, src_port)] = hub
 
     def out_channel(node: Node, port: str, kind: str) -> Channel:
         """Channel a node should push *port* into (hub, leg, or dangling)."""
@@ -211,14 +211,11 @@ def bind(
             return chan
         if len(edges) == 1:
             e = edges[0]
-            return port_channel[(node.name, port, e.dst, e.dst_port)]
-        return port_channel[(node.name, port, "*", "*")]
+            return in_port[(e.dst, e.dst_port)]
+        return hubs[(node.name, port)]
 
     def in_channel(node: Node, port: str) -> Optional[Channel]:
-        for edge in graph.in_edges(node):
-            if edge.dst_port == port:
-                return port_channel[(edge.src, edge.src_port, node.name, port)]
-        return None
+        return in_port.get((node.name, port))
 
     def require(node: Node, port: str) -> Channel:
         channel = in_channel(node, port)

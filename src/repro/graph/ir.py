@@ -173,10 +173,11 @@ class SamGraph:
             if key in seen:  # pragma: no cover - connect() prevents this
                 raise GraphError(f"port {key} multiply driven")
             seen.add(key)
+        driven = {dst for dst, _ in seen}
         for node in self.nodes.values():
             if node.kind in PLUMBING_KINDS:
                 continue
-            if node.kind != "root" and not self.in_edges(node):
+            if node.kind != "root" and node.name not in driven:
                 raise GraphError(f"node {node.name!r} ({node.kind}) has no inputs")
         return self
 

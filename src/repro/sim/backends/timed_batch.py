@@ -32,9 +32,15 @@ block or channel that decided it.  A window run then pairs scanners with
 the locators and merger sides that read both their outputs
 (:func:`pair_runs`).
 
-A window run is a worklist: a block is visited after a producer pushed
-onto one of its inputs (or a reader popped a finite FIFO it fills), and
-again after any visit that made progress.  A block whose own hook gives
+A window run is a worklist seeded in dependency order
+(:func:`dependency_order`: producers before consumers), so a stock window
+block is first visited once every producer has pushed its whole stream,
+and takes it in one visit.  A block is visited again after a producer
+pushed onto one of its inputs (or a reader popped a finite FIFO it
+fills), and after any visit that made progress: credit pairs, a hook
+that pushes one slice a visit and the generator finish below need those
+re-visits.  The seed is a cost, never a result: any seed gives the same
+report (``tests/sim/test_visit_order.py``).  A block whose own hook gives
 up mid-run (:meth:`~repro.blocks.base.Block._bail_timed`: a merger's
 dirty chunk, a parallelizer's ``N``) **finishes its stream on its
 generator**: once all its producers have finished, the generator steps
@@ -61,6 +67,7 @@ every hook below is a no-op for it.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import List, NamedTuple, Optional
 
@@ -78,6 +85,7 @@ class TimedPlane(NamedTuple):
     producers: dict  # channel -> index of the block that pushes it
     consumers: dict  # channel -> index of the block that pops it
     channels: list
+    order: list  # block indices, producers before their consumers
     handoff: Optional[str]  # why the first block left the plane (None: none did)
 
 
@@ -155,7 +163,35 @@ def timed_plane(blocks) -> TimedPlane:
                 changed |= demote(
                     ch, f"capacity {ch.capacity} without a credit pair")
     handoff = next((reason for reason in reasons if reason is not None), None)
-    return TimedPlane(producers, consumers, channels, handoff)
+    order = dependency_order(len(blocks), producers, consumers)
+    return TimedPlane(producers, consumers, channels, order, handoff)
+
+
+def dependency_order(n: int, producers: dict, consumers: dict) -> list:
+    """Block indices ``0..n-1`` with every producer before its consumers
+    (Kahn's algorithm, ties to the lower index); a block left on a cycle
+    follows in block order."""
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for ch, p in producers.items():
+        c = consumers.get(ch)
+        if c is not None:
+            succ[p].append(c)
+            indeg[c] += 1
+    ready = [i for i in range(n) if not indeg[i]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for c in succ[i]:
+            indeg[c] -= 1
+            if not indeg[c]:
+                heapq.heappush(ready, c)
+    if len(order) < n:
+        placed = set(order)
+        order += [i for i in range(n) if i not in placed]
+    return order
 
 
 def stamp_channels(plane: TimedPlane) -> None:
@@ -222,8 +258,14 @@ class TimedBatchEngine(Engine):
         #: left its hook mid-run: finishes on its generator
         stranded = [False] * n
         last_busy = 0
-        dirty = deque(range(n))
-        queued = [True] * n
+        # a fused unit is seeded at its last member: by then every
+        # producer outside the unit has been visited
+        last = {id(units[i]): i for i in plane.order if i in units}
+        dirty = deque(i for i in plane.order
+                      if i not in units or last[id(units[i])] == i)
+        queued = [False] * n
+        for i in dirty:
+            queued[i] = True
 
         def deadlock(cycles: int):
             stuck = [b.name for k, b in enumerate(blocks) if not finished[k]]

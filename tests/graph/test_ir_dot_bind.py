@@ -102,6 +102,28 @@ class TestBind:
         assert any(type(b).__name__ == "Fanout" for b in bound.blocks)
         bound.run()  # still runs to completion
 
+    def test_unconnected_required_port_rejected(self):
+        g = tiny_identity_graph()
+        g.add("sink", name="lonely")
+        tensor = FiberTensor.from_numpy(np.eye(2), name="B")
+        with pytest.raises(GraphError) as raised:
+            bind(g, {"B": tensor})
+        assert str(raised.value) == "input lonely.in is not connected"
+
+    def test_ports_found_without_edge_scans(self, monkeypatch):
+        # one (node, port) -> channel dict, not a scan of every edge a port
+        def scan(graph, node):
+            raise AssertionError(f"in_edges({node}) scanned every edge")
+
+        monkeypatch.setattr(SamGraph, "in_edges", scan)
+        g = tiny_identity_graph()
+        g.add("sink", name="extra")
+        g.connect("si", "crd", "extra", "in")
+        tensor = FiberTensor.from_numpy(np.eye(2), name="B")
+        bound = bind(g, {"B": tensor})
+        bound.run()
+        assert np.array_equal(bound.writers["wv"].vals, [1.0, 1.0])
+
     def test_missing_tensor_rejected(self):
         with pytest.raises(GraphError):
             bind(tiny_identity_graph(), {})

@@ -17,9 +17,10 @@ Usage::
 It mutates this checkout's ``src/``: the window hooks are judged by
 ``tests/blocks/test_window_blocks.py``, the engines' plane rule and
 generator finish by ``tests/sim/test_plane_rule.py`` (the plane rule's
-finite-FIFO gate by ``tests/sim/test_window_identity.py``), the ``.mtx``
-reader's byte-grammar check by ``tests/data/test_io.py``.  Every mutation
-costs one pytest run that stops at its first failure.
+finite-FIFO gate by ``tests/sim/test_window_identity.py``, the
+worklist's dependency-order seed by ``tests/sim/test_visit_order.py``),
+the ``.mtx`` reader's byte-grammar check by ``tests/data/test_io.py``.
+Every mutation costs one pytest run that stops at its first failure.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ BLOCKS = "tests/blocks/test_window_blocks.py"
 INGEST = "tests/data/test_io.py"
 PLANES = "tests/sim/test_plane_rule.py"
 IDENTITY = "tests/sim/test_window_identity.py"
+VISITS = "tests/sim/test_visit_order.py"
 #: seconds one mutation's test run may take (a hang counts as killed)
 TIMEOUT = 900
 
@@ -122,6 +124,9 @@ MUTATIONS = (
              "repro/sim/backends/timed_batch.py",
              "            if not keep:\n",
              "            if False:\n", IDENTITY),
+    Mutation("worklist seeded in block order", "repro/sim/backends/timed_batch.py",
+             "order = dependency_order(len(blocks), producers, consumers)",
+             "order = list(range(len(blocks)))", VISITS),
     # -- the .mtx reader's byte-grammar check in front of scipy's parser
     Mutation("grammar check always passes", "repro/data/io.py",
              "_body_tokens(data, start, need) != need * nnz",
