@@ -29,6 +29,7 @@ from ..streams.timing import (
     TimedBuilder,
     TimedReader,
     index_ramp,
+    insert_sorted,
     merge_stamps,
     rate1_schedule,
     split_done_stamped,
@@ -263,11 +264,24 @@ class Block:
     # -- wiring ---------------------------------------------------------
     @classmethod
     def spec_for(cls, direction: str, port: str) -> Optional[PortSpec]:
-        """The :class:`PortSpec` matching ``port``, or None if undeclared."""
-        for spec in cls.port_specs:
-            if spec.direction == direction and spec.matches(port):
-                return spec
-        return None
+        """The :class:`PortSpec` matching ``port``, or None if undeclared.
+
+        Answers live in a dict in the class's own ``__dict__``, so a
+        subclass declaring its own :attr:`port_specs` never reads its
+        parent's: an exact name is there from the first lookup on, and
+        a variadic one is matched once, on its first lookup.
+        """
+        resolved = cls.__dict__.get("_resolved_ports")
+        if resolved is None:
+            resolved = {(spec.direction, spec.name): spec
+                        for spec in reversed(cls.port_specs) if not spec.variadic}
+            cls._resolved_ports = resolved
+        key = (direction, port)
+        if key not in resolved:
+            resolved[key] = next((spec for spec in cls.port_specs
+                                  if spec.variadic and spec.direction == direction
+                                  and spec.matches(port)), None)
+        return resolved[key]
 
     def stream_xfer_for(self) -> Optional["StreamXfer"]:
         """The protocol transfer for *this instance*.
@@ -449,7 +463,7 @@ class Block:
         ii, carry = self.timing.ii, self._t_carry
         if (not carry and arrivals.dtype == np.int64
                 and arrivals[-1] - arrivals[0] >= (n - 1) * ii
-                and bool((arrivals[1:] - arrivals[:-1] >= ii).all())):
+                and not np.count_nonzero(arrivals[1:] - arrivals[:-1] < ii)):
             c = arrivals
             if arrivals[0] < self._tclock:
                 c = (index_ramp(n) * ii if ii != 1 else index_ramp(n)) + self._tclock
@@ -532,12 +546,12 @@ class Block:
         data, cpos, ccode = head.remaining_arrays()
         vals = data_fn(data)
         empty = ccode == CODE_EMPTY
-        if empty.any():
-            vals = np.insert(np.asarray(vals, dtype=np.float64),
-                             cpos[empty], empty_value)
-            cd = np.insert(cd, cpos[empty], cc[empty])
+        if np.count_nonzero(empty):
+            vals = insert_sorted(np.asarray(vals, dtype=np.float64),
+                                 cpos[empty], empty_value)
+            cd = insert_sorted(cd, cpos[empty], cc[empty])
             keep = ~empty
-            shift = np.cumsum(empty) - empty
+            shift = empty.cumsum() - empty
             cpos = (cpos + shift)[keep]
             ccode = ccode[keep]
             cc = cc[keep]
@@ -721,8 +735,8 @@ class StreamFeeder(Block):
         end = pos + avail
         batch, (di, ci) = self._tbatch, self._torder
         data, cpos, ccode = batch.data, batch.ctrl_pos, batch.ctrl_code
-        d0, d1 = np.searchsorted(di, (pos, end))
-        c0, c1 = np.searchsorted(ci, (pos, end))
+        d0, d1 = di.searchsorted((pos, end))
+        c0, c1 = ci.searchsorted((pos, end))
         chunk = TokenBatch(data[d0:d1], cpos[c0:c1] - d0, ccode[c0:c1])
         out.push_batch_timed(chunk, c[di[d0:d1] - pos], c[ci[c0:c1] - pos])
         self._tfeed_pos = end

@@ -160,7 +160,7 @@ class ALU(Block):
         (va, sa), (vb, sb) = _paired(a, pairing.crd_pick), _paired(b, pairing.pick)
         ends = a.ends  # without phantoms on a, its runs are the pairs
         if pairing.crd_pick is not None:
-            ends = np.cumsum(np.minimum(a.lens, b.lens))
+            ends = np.minimum(a.lens, b.lens).cumsum()
         di, ci = token_order_indices(ends, len(va))
         arrivals = np.empty(len(va) + k, dtype=np.int64)
         cd, cc = np.maximum(sa, sb), np.maximum(a.scodes, b.scodes)

@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..streams.batch import CODE_DATA, CODE_DONE, NO_TOKEN
+from ..streams.batch import CODE_DATA, CODE_DONE, NO_TOKEN, filled
 from ..streams.channel import Channel
 from ..streams.timing import (
     align_chunks,
@@ -205,13 +205,13 @@ class CoordDropper(Block):
             return 0, 0, False
         used, taken = aligned.used, int(ends[-1]) + 1
         code, value = iv.code[:taken], iv.value[:taken]
-        level, first = code[ends], np.append(0, ends[:-1] + 1)
+        level, first = code[ends], np.concatenate(([0], ends[:-1] + 1))
         if aligned.unfolded:
             self._cd_fold = int(level[-1])
-        chunk = np.repeat(index_ramp(len(ends)), ends + 1 - first)
+        chunk = index_ramp(len(ends)).repeat(ends + 1 - first)
         folds = fold >= 0
-        shift = np.cumsum(folds) - folds  # fold events in front of a chunk
-        arrivals = np.empty(taken + int(folds.sum()), dtype=np.int64)
+        shift = folds.cumsum() - folds  # fold events in front of a chunk
+        arrivals = np.empty(taken + int(np.count_nonzero(folds)), dtype=np.int64)
         arrivals[index_ramp(taken) + shift[chunk]] = iv.stamp[:taken]
         heads = first + shift
         arrivals[heads] = np.maximum(arrivals[heads], ov.stamp[owner])
@@ -223,7 +223,7 @@ class CoordDropper(Block):
         alive = np.logical_or.reduceat(self._effectual(code == CODE_DATA, value), first)
         bare = ov.code[owner] >= 0
         self.dropped += int(np.count_nonzero(~(alive | bare)))
-        keep = np.ones(used, dtype=bool)
+        keep = filled(used, True, bool)
         keep[owner] = alive | bare
         stamp = np.empty(used, dtype=np.int64)
         stamp[owner] = decided
@@ -234,10 +234,10 @@ class CoordDropper(Block):
         # a survivor resets (_merge_held; -1 is "none", and so is what a
         # dropped S0 adds): offsetting each survivor's segment by more
         # than the level range makes it one accumulate.
-        segment = np.cumsum(alive)
-        big = max(int(level.max()), self._cd_held) + 2
+        segment = alive.cumsum()
+        big = max(int(np.maximum.reduce(level)), self._cd_held) + 2
         run = np.where(alive | (level > 0), level, -1) + segment * big
-        run = np.maximum.accumulate(np.append(self._cd_held, run))
+        run = np.maximum.accumulate(np.concatenate(([self._cd_held], run)))
         before = run[:-1] - (segment - alive) * big  # held in front of a chunk
         self._cd_held = int(run[-1] - segment[-1] * big)
         # a survivor's boundary rides in the slot of the stop before it
@@ -418,7 +418,7 @@ class ValueDropper(Block):
         """
         vals, k = val.data, len(val.codes)
         ends = val.ends + index_ramp(k)
-        on_value = np.ones(len(vals) + k, dtype=bool)
+        on_value = filled(len(vals) + k, True, bool)
         on_value[ends] = False
         arrivals = np.empty(len(on_value), dtype=np.int64)
         arrivals[ends] = np.maximum(crd.scodes, val.scodes)
@@ -426,22 +426,22 @@ class ValueDropper(Block):
             arrivals[on_value] = np.maximum(crd.sdata, val.sdata)
         else:
             arrivals[on_value] = val.sdata
-            at = np.flatnonzero(on_value)[pick]
+            at = on_value.nonzero()[0][pick]
             arrivals[at] = np.maximum(crd.sdata, val.sdata[pick])
             first = ends - (val.lens - crd.lens)  # a chunk's first phantom
             arrivals[first] = np.maximum(arrivals[first], crd.scodes)
             vals = vals[pick]
         cycles = self._t_advance(arrivals)
         crds, cpos = crd.data, crd.ends
-        zero = np.flatnonzero(vals == 0)  # the pairs dropped
+        zero = (vals == 0).nonzero()[0]  # the pairs dropped
         if len(zero):
             self.dropped += len(zero)
-            keep = np.ones(len(vals), dtype=bool)
+            keep = filled(len(vals), True, bool)
             keep[zero] = False
             crds, vals = crds[keep], vals[keep]
-            cpos = cpos - np.searchsorted(zero, cpos)
+            cpos = cpos - zero.searchsorted(cpos)
             if pick is None:
-                on_value[zero + np.searchsorted(val.ends, zero, "right")] = False
+                on_value[zero + val.ends.searchsorted(zero, "right")] = False
             else:
                 at = at[keep]
         stamps = cycles[on_value] if pick is None else cycles[at]

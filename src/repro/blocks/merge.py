@@ -18,6 +18,11 @@ merges additive terms of products.
 ``MergeSide.skip`` optionally connects back to the side's trailing level
 scanner for the coordinate-skipping (galloping) optimisation of
 section 4.2.
+
+The window hooks call numpy's C entry points (ndarray methods,
+``np.count_nonzero``), except ``np.repeat`` and ``np.searchsorted``:
+``tests/blocks/test_merge_scaling.py`` and the Gamma guard read the
+arrays those build, and a counter can only patch a module function.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..streams.batch import CODE_DONE, CODE_EMPTY, decode_code
+from ..streams.batch import CODE_DONE, CODE_EMPTY, decode_code, filled
 from ..streams.channel import Channel
 from ..streams.timing import (
     consume,
@@ -216,11 +221,11 @@ class _Merger(Block):
                 crd_codes = [_codes(view) for view in views]
                 codes = crd_codes[0]
                 done = np.logical_or.reduce([c == CODE_DONE for c in crd_codes])
-                if done.any():
+                if np.count_nonzero(done):
                     whole = k = int(done.argmax()) + 1
                 k = min(k, *(self._clean_fibers(view) for view in views))
                 odd = np.logical_or.reduce([c[:k] != codes[:k] for c in crd_codes[1:]])
-                if odd.any():
+                if np.count_nonzero(odd):
                     k = int(odd.argmax())
                     if k == 0:
                         self._raise_misaligned_codes([c[0] for c in crd_codes])
@@ -241,7 +246,8 @@ class _Merger(Block):
                 k = min(c for c in clean if c is not None)
             if k:
                 progressed = True
-                cuts = [int(view.lens[:k].sum()) + k if isinstance(view, FiberSpans)
+                cuts = [int(np.add.reduce(view.lens[:k])) + k
+                        if isinstance(view, FiberSpans)
                         else int(view[0].ends[k - 1]) + k for view in views]
                 keys = [None if key is None else key[:cut] for key, cut in zip(keys, cuts)]
                 arrs = [None if arr is None else arr[:cut] for arr, cut in zip(arrs, cuts)]
@@ -288,7 +294,7 @@ class _Merger(Block):
                   if r is not None and r.level.sorted_keys() is not None]
         if not walked:
             return None
-        return max(walked, key=lambda s: int(views[s].lens.sum()))
+        return max(walked, key=lambda s: int(np.add.reduce(views[s].lens)))
 
     def _bail_timed(self) -> bool:
         # a paired scanner's fibers go onto its links first: the
@@ -323,7 +329,7 @@ class _Merger(Block):
         for ref in views[1:]:
             bad |= ref.codes != crd.codes
             bad |= ref.lens < crd.lens
-        return int(bad.argmax()) if bad.any() else len(bad)
+        return int(bad.argmax()) if np.count_nonzero(bad) else len(bad)
 
     def _side_keys(self, views, stride: int):
         """One side's viewed fibers as a single composite-key fiber.
@@ -355,7 +361,7 @@ class _Merger(Block):
             run, s_r = ref.data, ref.sdata
             closes = np.maximum(closes, ref.scodes)
             if pairing.pick is not None:
-                trailed = np.flatnonzero(ref.lens > lens)
+                trailed = (ref.lens > lens).nonzero()[0]
                 closes[trailed] = np.maximum(closes[trailed], s_r[ref.ends[trailed] - 1])
                 pick = pairing.pick[:n]
                 run, s_r = run[pick], s_r[pick]
@@ -376,7 +382,7 @@ class _Merger(Block):
         stamps = np.empty(n + k, dtype=np.int64)
         stamps[at_stop] = closes
         stamps[at_crd] = arrivals
-        unsorted = np.flatnonzero(keys[1:] <= keys[:-1])
+        unsorted = (keys[1:] <= keys[:-1]).nonzero()[0]
         if keys[0] < 0:
             clean = 0
         elif len(unsorted):
@@ -388,7 +394,7 @@ class _Merger(Block):
         the tokens they stand for (a level's fibers are sorted)."""
         pos, stamps = runs.pairs(view)
         fiber = np.repeat(index_ramp(len(view.lens)), view.lens)
-        return self._lay_keys(np.cumsum(view.lens), fiber, runs.crd[pos], stamps,
+        return self._lay_keys(view.lens.cumsum(), fiber, runs.crd[pos], stamps,
                               view.stops, [pos], stride, len(view.lens))
 
     def _walk_window(self, groups, codes, walk, runs, view, keys, arrs, refs, stride):
@@ -421,7 +427,8 @@ class _Merger(Block):
         u = np.searchsorted(level_keys, view.ref[fa] * level_stride
                             + np.minimum(xa, level_stride))
         u -= start
-        np.clip(u, 0, lens, out=u)
+        np.maximum(u, 0, out=u)
+        np.minimum(u, lens, out=u)
         hit = u < lens
         at = start + u
         hit[hit] = runs.crd[at[hit]] == xa[hit]
@@ -429,12 +436,12 @@ class _Merger(Block):
         # coordinates less the shared ones, and the stop
         own = np.bincount(fa, minlength=k)
         shared = np.bincount(fa[hit], minlength=k)
-        stop = np.cumsum(view.lens + own - shared + 1) - 1
+        stop = (view.lens + own - shared + 1).cumsum() - 1
         base = stop - (view.lens + own - shared)
         # a coordinate's slot: the distinct keys of its fiber below it
-        slot = base[fa] + u + index_ramp(len(fa)) - np.cumsum(hit)
+        slot = base[fa] + u + index_ramp(len(fa)) - hit.cumsum()
         slot += hit
-        slot -= (np.cumsum(own) - own - np.cumsum(shared) + shared)[fa]
+        slot -= (own.cumsum() - own - shared.cumsum() + shared)[fa]
         slots = np.empty(len(keys), dtype=np.int64)
         slots[real], slots[~real] = slot, stop
         # successors: the other side's keys, then the walked fibers'
@@ -451,25 +458,29 @@ class _Merger(Block):
         never = np.iinfo(np.int64).min // 2
         w1 = np.where(view.lens > 1, view.first + runs.ii - e1 * ii, never)
         w2 = np.where(view.lens > 0, view.stops - e2 * ii, never)
-        w3 = np.append(nxt, 0) - e3 * ii
+        w3 = np.concatenate((nxt, [0])) - e3 * ii
         w3[-1] = never
-        walk_entry = np.stack((e1, e2, e3), axis=1).ravel()
-        walk_gates = np.maximum.accumulate(np.stack((w1, w2, w3), axis=1).ravel())
+        # per fiber its three successors in turn
+        walk_entry = np.empty(3 * k, dtype=np.int64)
+        walk_gates = np.empty(3 * k, dtype=np.int64)
+        for j, (e, w) in enumerate(((e1, w1), (e2, w2), (e3, w3))):
+            walk_entry[j::3], walk_gates[j::3] = e, w
+        np.maximum.accumulate(walk_gates, out=walk_gates)
         np.maximum.accumulate(gates, out=gates)
         # the first slot waits for both sides' first keys
         head = max(int(arrs[0]), int(view.first[0] if view.lens[0] else view.stops[0]),
                    self._t_carry, self._tclock)
         self._t_carry = 0
         emitted = np.concatenate((slot[hit], stop))
-        cycles = np.full(len(emitted), head, dtype=np.int64)
+        cycles = filled(len(emitted), head)
         for entries, running in ((entry, gates), (walk_entry, walk_gates)):
             if len(entries):
                 i = np.searchsorted(entries, emitted, "right") - 1
                 np.maximum(cycles, np.where(i >= 0, running[i], never), out=cycles)
         cycles += emitted * ii
-        nhit = int(hit.sum())
+        nhit = int(np.count_nonzero(hit))
         self._t_span(int(stop[-1]) + 1, int(cycles[-1]))
-        cpos = np.cumsum(shared)
+        cpos = shared.cumsum()
         lay = (cpos, codes, cycles[:nhit], cycles[nhit:])
         runs_out = [[xa[hit]]] + [None, None]
         runs_out[1 + walk] = [at[hit]]
@@ -526,10 +537,10 @@ class _Merger(Block):
             lone = ~hit
             at_long = np.bincount(pos[lone], minlength=len(longer)).cumsum()
             at_long += index_ramp(len(longer))
-            at_short = np.cumsum(lone)
+            at_short = lone.cumsum()
             at_short += pos
             at_short -= lone
-            common = (pos[hit], np.flatnonzero(hit))
+            common = (pos[hit], hit.nonzero()[0])
             if flip:
                 at_union, at_key, common = at_short, at_long, common[::-1]
             else:
@@ -564,7 +575,7 @@ class _Merger(Block):
         cycles = cycles[tokens]
 
         def layout(mask):
-            ctrl = np.flatnonzero(~mask)
+            ctrl = (~mask).nonzero()[0]
             return ctrl - index_ramp(len(ctrl)), code[ctrl], cycles[mask], cycles[ctrl]
 
         shared = None
@@ -597,9 +608,10 @@ def _top(runs, view) -> int:
     read as its last: exact on a sorted fiber, and an unsorted one is
     dirty whatever the stride (its keys do not increase)."""
     if runs is None:
-        return int(view[0].data.max(initial=-1))
+        return int(np.maximum.reduce(view[0].data, initial=-1))
     full = view.lens > 0
-    return int(runs.crd[(view.start + view.lens - 1)[full]].max(initial=-1))
+    last = runs.crd[(view.start + view.lens - 1)[full]]
+    return int(np.maximum.reduce(last, initial=-1))
 
 
 class Intersect(_Merger):

@@ -21,7 +21,7 @@ from typing import List
 
 import numpy as np
 
-from ..streams.batch import CODE_DATA, CODE_DONE, CODE_EMPTY, NO_TOKEN
+from ..streams.batch import CODE_DATA, CODE_DONE, CODE_EMPTY, NO_TOKEN, filled
 from ..streams.channel import Channel
 from ..streams.timing import (
     consume,
@@ -119,7 +119,7 @@ class Parallelizer(Block):
             return False
         head, sd, sc, tail = split_done_stamped(*window)
         data, cpos, ccode = head.remaining_arrays()
-        if (ccode == CODE_EMPTY).any():
+        if np.count_nonzero(ccode == CODE_EMPTY):
             # The generator treats N as end-of-stream; it never occurs
             # on the crd/ref streams parallelizers split, so keep the
             # generator's behaviour by dropping to the scalar path.
@@ -134,7 +134,7 @@ class Parallelizer(Block):
         ndata = len(data)
         stop_pos = cpos[ccode >= 0]
         d_idx = np.arange(ndata, dtype=np.int64)
-        fiber = np.searchsorted(stop_pos, d_idx, side="right")
+        fiber = stop_pos.searchsorted(d_idx, side="right")
         if self.granularity == "fiber":
             lane = (self._lane + fiber) % L
             self._lane = (self._lane + len(stop_pos)) % L
@@ -150,7 +150,7 @@ class Parallelizer(Block):
             out = self._tbuilder(channel)
             mask = lane == i
             sel = np.zeros(ndata + 1, dtype=np.int64)
-            np.cumsum(mask, out=sel[1:])
+            mask.cumsum(out=sel[1:])
             out.data_with_ctrl(data[mask], sel[cpos], ccode, cd[mask], cc)
             out.flush()
         self._t_window_done(self.in_, head.ends_done, tail)
@@ -362,7 +362,7 @@ class InterleaveSerializer(Block):
         L = len(readers)
         windows = [readers[(self._fi + r) % L].held_window() for r in range(L)]
         lanes = [front_stream(window).before_done() for window in windows]
-        stops = [np.flatnonzero(lane.codes >= 0) for lane in lanes]
+        stops = [(lane.codes >= 0).nonzero()[0] for lane in lanes]
         joinable = min(r + len(at) * L for r, at in enumerate(stops))
         # One row per run taken.  Fiber F's lane gives all it holds: N
         # tokens, then the run no token closes yet (closed by CODE_DATA).
@@ -372,37 +372,38 @@ class InterleaveSerializer(Block):
             taken = int(at[count - 1]) + 1 if count else 0
             if r == joinable % L:
                 taken = len(lane.codes) + 1
-            ends = np.append(lane.ends, len(lane.data))[:taken]
+            ends = np.concatenate((lane.ends, [len(lane.data)]))[:taken]
             rows.append((
-                r + L * np.append(0, np.cumsum(lane.codes >= 0))[:taken],
-                np.full(taken, r),
-                ends - np.append(0, ends)[:taken],
-                np.append(lane.codes, CODE_DATA)[:taken],
-                np.append(lane.scodes, 0)[:taken],
+                r + L * np.concatenate(([0], (lane.codes >= 0).cumsum()))[:taken],
+                filled(taken, r),
+                ends - np.concatenate(([0], ends))[:taken],
+                np.concatenate((lane.codes, [CODE_DATA]))[:taken],
+                np.concatenate((lane.scodes, [0]))[:taken],
             ))
             consume(windows[r], int(ends[-1]) if taken else 0,
                     min(taken, len(lane.codes)))
         fiber, lane_of, size, code, stamp = map(np.concatenate, zip(*rows))
-        real = np.flatnonzero((code != CODE_DATA) | (size > 0))
-        real = real[np.argsort(fiber[real], kind="stable")]  # joined order
+        real = ((code != CODE_DATA) | (size > 0)).nonzero()[0]
+        real = real[fiber[real].argsort(kind="stable")]  # joined order
         if len(real) == 0:
             return False
         fiber, lane_of, size, code, stamp = (
             column[real] for column in (fiber, lane_of, size, code, stamp)
         )
         closed = code != CODE_DATA
-        leads = np.append(True, fiber[1:] != fiber[:-1])  # an S0 goes in front
+        leads = np.concatenate(([True], fiber[1:] != fiber[:-1]))  # an S0 goes in front
         leads[0] = not (self._mid or self._pending is None)
         span = leads + size + closed
-        first = np.cumsum(span) - span
-        arrivals = np.empty(int(span.sum()), dtype=np.int64)
+        first = span.cumsum() - span
+        arrivals = np.empty(int(np.add.reduce(span)), dtype=np.int64)
         kinds = [lane.data.dtype for lane in lanes if len(lane.data)]
         payload = np.zeros(len(arrivals), dtype=np.result_type(np.int64, *kinds))
-        is_data = np.ones(len(arrivals), dtype=bool)
+        is_data = filled(len(arrivals), True, bool)
         for r, lane in enumerate(lanes):
             mine = lane_of == r
             n, begin = size[mine], (first + leads)[mine]
-            slot = np.repeat(begin - (np.cumsum(n) - n), n) + index_ramp(int(n.sum()))
+            slot = (begin - (n.cumsum() - n)).repeat(n)
+            slot += index_ramp(len(slot))
             arrivals[slot] = lane.sdata[:len(slot)]
             payload[slot] = lane.data[:len(slot)]
         close_at, lead_at = (first + leads + size)[closed], first[leads]
@@ -412,12 +413,12 @@ class InterleaveSerializer(Block):
         cycles = self._t_advance(arrivals)
         # control tokens out, run by run: the S0 if the run leads its
         # fiber, the closing token unless it is a stop
-        ahead = np.cumsum(size) - size
+        ahead = size.cumsum() - size
         emit = _pairs(leads, closed & (code < 0))
         out.data_with_ctrl(
             payload[is_data],
             _pairs(ahead, ahead + size)[emit],
-            _pairs(np.zeros_like(code), code)[emit],
+            _pairs(np.zeros(len(code), dtype=code.dtype), code)[emit],
             cycles[is_data],
             cycles[_pairs(first, first + leads + size)[emit]],
         )

@@ -37,6 +37,7 @@ from ..streams.batch import (
     _concat_data,
     decode_code,
     exact_segment_sums,
+    filled,
     sequential_segment_sums,
 )
 from ..streams.channel import Channel
@@ -76,16 +77,18 @@ def _region_order(crds, region, sizes):
     """
     if not len(crds):
         return index_ramp(0)
-    lo = int(crds.min())
-    span = int(crds.max()) - lo + 1
+    lo = int(np.minimum.reduce(crds))
+    span = int(np.maximum.reduce(crds)) - lo + 1
     per = max(window_capacity(span), 1)
-    ends = np.cumsum(sizes)
+    ends = sizes.cumsum()
     parts = []
     for first in range(0, len(sizes), per):
         a, b = ends[first] - sizes[first], ends[min(first + per, len(sizes)) - 1]
         key = crds[a:b]
         if per > 1:
             key = (region[a:b] - first) * span + (key - lo)
+        # a numpy function, not the method: the block differential counts
+        # the pieces through it
         parts.append(np.argsort(key, kind="stable") + a)
     return np.concatenate(parts)
 
@@ -101,14 +104,15 @@ def _dedup_regions(crds, vals, sizes):
     computes — bit-identical, ``-0.0``, NaN and the infinities included.
     Returns ``(uniq, sums, counts)``, *counts* per region.
     """
-    region = np.repeat(index_ramp(len(sizes)), sizes)
+    region = index_ramp(len(sizes)).repeat(sizes)
     order = _region_order(crds, region, sizes)
     crds, region = crds[order], region[order]
-    fresh = np.ones(len(crds), dtype=bool)
+    fresh = np.empty(len(crds), dtype=bool)
+    fresh[:1] = True
     fresh[1:] = (crds[1:] != crds[:-1]) | (region[1:] != region[:-1])
-    sums = np.zeros(int(fresh.sum()))
+    sums = np.zeros(int(np.count_nonzero(fresh)))
     with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN are results
-        np.add.at(sums, np.cumsum(fresh) - 1, vals[order])
+        np.add.at(sums, fresh.cumsum() - 1, vals[order])
     return crds[fresh], sums, np.bincount(region[fresh], minlength=len(sizes))
 
 
@@ -182,7 +186,7 @@ class ScalarReducer(Block):
         stops = ccode >= 0
         emit = stops if self.empty_policy == "zero" else (stops & saw)
         elevated = stops & (ccode >= 1)
-        return sums, emit, elevated, np.cumsum(emit)
+        return sums, emit, elevated, emit.cumsum()
 
     timing = TimingDescriptor(fuse_role="reduce")
 
@@ -352,7 +356,7 @@ class VectorReducer(Block):
         if pairing.pick is not None:
             vals, stamps = vals[pairing.pick], stamps[pairing.pick]
         self._reduce_window(
-            crd, np.repeat(index_ramp(k), crd.lens), vals,
+            crd, index_ramp(k).repeat(crd.lens), vals,
             np.maximum(crd.sdata, stamps), np.maximum(crd.scodes, val.scodes),
         )
         for window, view in zip(windows, (crd, val)):  # tokens after a D stay held
@@ -376,13 +380,14 @@ class VectorReducer(Block):
         """
         if crd.data.dtype.kind == "i" or not len(crd.data):
             return len(crd.codes)
-        chunk = np.repeat(index_ramp(len(crd.codes)), crd.lens)
+        chunk = index_ramp(len(crd.codes)).repeat(crd.lens)
         batch = window[0]
-        done = np.flatnonzero(batch.ctrl_code[batch._c:] == CODE_DONE)
+        done = (batch.ctrl_code[batch._c:] == CODE_DONE).nonzero()[0]
         end = int(batch.ctrl_pos[batch._c + done[0]]) if len(done) else len(batch.data)
         with np.errstate(invalid="ignore"):  # inf % 1 is NaN: not 0
             odd = chunk[crd.data % 1 != 0]
-            later = bool(np.any(batch.data[batch._d + len(crd.data):end] % 1 != 0))
+            rest = batch.data[batch._d + len(crd.data):end]
+            later = bool(np.count_nonzero(rest % 1 != 0))
         if len(odd):
             return int(odd[0])
         if later:
@@ -405,17 +410,19 @@ class VectorReducer(Block):
         if ends_done:
             # A region only D closes flushes there; so does a stream
             # that never flushed (it was one, possibly empty, region).
-            closed = np.flatnonzero(flush)
+            closed = flush.nonzero()[0]
             since = int(crd.ends[closed[-1]]) if len(closed) else 0
             carried = not len(closed) and bool(self._region_crds)
             fresh = not (len(closed) or self._emitted_since_flush)
             flush[-1] = n > since or carried or fresh
-        closed = np.flatnonzero(flush)
-        events = np.ones(len(codes), dtype=np.int64)  # per chunk terminator
+        closed = flush.nonzero()[0]
+        events = filled(len(codes), 1)  # per chunk terminator
         uniq, sums, counts, cut = _EMPTY_F64, _EMPTY_F64, _EMPTY_I64, 0
         if len(closed):
             cut = int(crd.ends[closed[-1]])
-            sizes = np.diff(crd.ends[closed], prepend=0)
+            ends = crd.ends[closed]
+            sizes = ends.copy()  # np.diff(ends, prepend=0) without its concatenate
+            sizes[1:] -= ends[:-1]
             sizes[0] += sum(len(run) for run in self._region_crds)
             uniq, sums, counts = _dedup_regions(
                 _concat_data(self._region_crds + [crds[:cut]]),
@@ -429,7 +436,7 @@ class VectorReducer(Block):
         if cut < n:
             self._region_crds.append(crds[cut:])
             self._region_vals.append(vals[cut:])
-        before = np.cumsum(events) - events
+        before = events.cumsum() - events
         at_close = crd.ends + before  # each terminator's first event
         gates = np.zeros(n + int(before[-1] + events[-1]), dtype=np.int64)
         gates[index_ramp(n) + before[chunk]] = arrivals
@@ -437,17 +444,17 @@ class VectorReducer(Block):
         cycles = self._t_advance(gates)
         if not (len(closed) or ends_done):
             return
-        cpos, first = np.cumsum(counts), at_close[closed]
+        cpos, first = counts.cumsum(), at_close[closed]
         dstamps = cycles[
-            index_ramp(len(uniq)) + np.repeat(first - (cpos - counts), counts)
+            index_ramp(len(uniq)) + (first - (cpos - counts)).repeat(counts)
         ]
         # the at-D flush closes with S0 whatever the flush level
         ccode = np.maximum(codes[closed] - self.flush_level, 0)
         cstamps = cycles[first + counts]
         if ends_done:
-            cpos = np.append(cpos, len(uniq))
-            ccode = np.append(ccode, CODE_DONE)
-            cstamps = np.append(cstamps, cycles[-1])
+            cpos = np.concatenate((cpos, [len(uniq)]))
+            ccode = np.concatenate((ccode, [CODE_DONE]))
+            cstamps = np.concatenate((cstamps, [cycles[-1]]))
         for channel, run in ((self.out_crd, uniq), (self.out_val, sums)):
             out = self._tbuilder(channel)
             out.data_with_ctrl(run, cpos, ccode, dstamps, cstamps)

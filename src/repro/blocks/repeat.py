@@ -35,6 +35,7 @@ from ..streams.batch import (
     CODE_REPEAT,
     NO_TOKEN,
     TokenBatch,
+    filled,
 )
 from ..streams.channel import Channel
 from ..streams.timing import (
@@ -92,7 +93,7 @@ class RepeatSigGen(Block):
             return False
         head, merged, _, ci, tail, *_ = taken
         c = self._t_advance(merged)
-        codes = np.full(len(merged), CODE_REPEAT, dtype=np.int64)
+        codes = filled(len(merged), CODE_REPEAT)
         codes[ci] = head.remaining_arrays()[2]
         self.out_repsig.push_batch_timed(
             TokenBatch(
@@ -229,11 +230,11 @@ class Repeater(Block):
             ovalue = np.concatenate(([0 if blank else self._rep_ref], ovalue))
         scode = sv.code
         odd = (scode < 0) & (scode != CODE_REPEAT)
-        if odd.any():  # neither R nor stop: no chunk holds it
+        if np.count_nonzero(odd):  # neither R nor stop: no chunk holds it
             scode = scode[:int(odd.argmax())]
         aligned = align_chunks(ocode, scode)
         own, used = aligned.owner, aligned.used
-        at = np.append(0, aligned.ends + 1)  # first event of chunk j
+        at = np.concatenate(([0], aligned.ends + 1))  # first event of chunk j
         total = int(at[-1])
         self._rep_ref = NO_TOKEN
         if aligned.unfolded:
@@ -241,8 +242,8 @@ class Repeater(Block):
         if used < len(ocode) and ocode[used] < 0:
             # the next reference: its R-run as far as it has arrived
             closer = scode[total:] >= 0
-            total += int(closer.argmax()) if closer.any() else len(closer)
-            own = np.append(own, used)
+            total += int(closer.argmax()) if np.count_nonzero(closer) else len(closer)
+            own = np.concatenate((own, [used]))
             self._rep_ref = ovalue[used].item() if ocode[used] == CODE_DATA else EMPTY
             used += 1
         gate = np.zeros(len(at), dtype=np.int64)
@@ -250,12 +251,12 @@ class Repeater(Block):
         folds = aligned.fold >= 0
         np.maximum(gate[1:], np.where(folds, ostamp[aligned.fold], 0), out=gate[1:])
         # one slot past the last event catches what has no event to gate
-        arrivals = np.append(sv.stamp[:total], 0)
+        arrivals = np.concatenate((sv.stamp[:total], [0]))
         arrivals[at] = np.maximum(arrivals[at], gate)
         cycles = self._t_advance(arrivals[:-1])
         self._t_defer(int(arrivals[-1]))
         if total:
-            chunk = np.repeat(index_ramp(len(at)), np.append(at[1:], total) - at)
+            chunk = index_ramp(len(at)).repeat(np.concatenate((at[1:], [total])) - at)
             code = scode[:total]
             code = np.where(code == CODE_REPEAT, ocode[own][chunk], code)
             out.stream(code, ovalue[own][chunk], cycles)

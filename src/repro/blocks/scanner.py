@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ..formats.level import Level
-from ..streams.batch import CODE_DONE, CODE_EMPTY, TokenBatch, index_ramp
+from ..streams.batch import CODE_DONE, CODE_EMPTY, TokenBatch, filled, index_ramp
 from ..streams.channel import Channel
 from ..streams.token import DONE, Stop, is_data, is_done, is_empty, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
@@ -194,7 +194,7 @@ class LevelScanner(Block):
         found = fibers(refs)
         pairs = np.zeros(n, dtype=np.int64)
         pairs[di] = found[-1]
-        code = np.full(n, CODE_EMPTY, dtype=np.int64)  # a data ref opens a fiber as N does
+        code = filled(n, CODE_EMPTY)  # a data ref opens a fiber as N does
         code[ci] = ccode
         opens = code == CODE_EMPTY
         after = np.empty(n, dtype=bool)  # this token closes the previous one's fiber
@@ -205,11 +205,11 @@ class LevelScanner(Block):
         if ends_done:
             nctrl[-1] += after[-1]
         counts = pairs + nctrl
-        starts = np.cumsum(counts)
+        starts = counts.cumsum()
         total = int(starts[-1])
         starts -= counts
-        at = np.repeat(starts, nctrl)  # every control event's index
-        codes = np.repeat(np.where(code >= 0, code + 1, 0), nctrl)
+        at = starts.repeat(nctrl)  # every control event's index
+        codes = np.where(code >= 0, code + 1, 0).repeat(nctrl)
         if ends_done and total:
             at[-1], codes[-1] = total - 1, CODE_DONE
         return _Events(refs, di, found, stamps, pairs, after, opens, nctrl, starts,
@@ -241,7 +241,7 @@ class LevelScanner(Block):
             offs[ev.has] = self._t_offsets(ev.starts[ev.has], ev.stamps[ev.has], ev.total)
         # a token's pairs start after the closer it emits first
         first = offs + (ev.starts + ev.after) * ii + runs.delta
-        tok = np.repeat(index_ramp(n), ev.nctrl)  # the token of each control event
+        tok = index_ramp(n).repeat(ev.nctrl)  # the token of each control event
         stops = offs[tok] + ev.at * ii + runs.delta
         # a token's first control event closes the previous token's fiber
         closer = ev.after[tok]
@@ -255,7 +255,7 @@ class LevelScanner(Block):
         runs.open = (ref[-1], start[-1], ev.pairs[-1], first[-1])
         # what the pushes would count: the pairs, a stop a control event
         # but a closing D
-        pairs, stops_pushed = int(ev.pairs.sum()), len(ev.at) - ev.ends_done
+        pairs, stops_pushed = int(np.add.reduce(ev.pairs)), len(ev.at) - ev.ends_done
         for channel in runs.links:
             channel.pushed_data += pairs
             channel.pushed_stop += stops_pushed
@@ -298,9 +298,9 @@ class LevelScanner(Block):
         if ev.total:
             crds, children, _ = ev.fibers
             c = self._t_run(ev.starts[ev.has], ev.stamps[ev.has], ev.total)
-            is_pair = np.ones(ev.total, dtype=bool)
+            is_pair = filled(ev.total, True, bool)
             is_pair[ev.at] = False
-            cpos = np.repeat(np.cumsum(ev.pairs) - ev.pairs, ev.nctrl)
+            cpos = (ev.pairs.cumsum() - ev.pairs).repeat(ev.nctrl)
             for channel, data in ((self.out_crd, crds), (self.out_ref, children)):
                 out = self._tbuilder(channel)
                 out.data_with_ctrl(data, cpos, ev.codes, c[is_pair], c[ev.at])
@@ -399,11 +399,11 @@ class FiberRuns:
     def pairs(self, runs: FiberSpans) -> tuple:
         """``(positions, stamps)`` of every pair of *runs*."""
         lens, ii = runs.lens, self.ii
-        before = np.cumsum(lens) - lens  # per fiber, the pairs ahead of it
+        before = lens.cumsum() - lens  # per fiber, the pairs ahead of it
         base = index_ramp(int(before[-1] + lens[-1]) if len(lens) else 0)
-        pos = np.repeat(runs.start - before, lens)
+        pos = (runs.start - before).repeat(lens)
         pos += base
-        stamps = np.repeat(runs.first - before * ii, lens)
+        stamps = (runs.first - before * ii).repeat(lens)
         stamps += base * ii if ii != 1 else base
         return pos, stamps
 

@@ -24,6 +24,7 @@ from ..formats.compressed import CompressedLevel
 from ..formats.dense import DenseLevel
 from ..formats.linkedlist import LinkedListLevel
 from ..formats.tensor import FiberTensor
+from ..streams.batch import filled
 from ..streams.channel import Channel
 from ..streams.timing import (
     I64_MAX,
@@ -130,7 +131,7 @@ def _coordinates(name: str, values) -> np.ndarray:
             ok = (arr % 1 == 0) & (arr >= -2.0 ** 63) & (arr < 2.0 ** 63)
     else:
         ok = np.array([_fits_int64(v) for v in values], dtype=bool)
-    bad = np.flatnonzero(~ok)
+    bad = (~ok).nonzero()[0]
     if len(bad):
         at = int(bad[0])
         raise _BadValue(at, BlockError(
@@ -247,7 +248,7 @@ class UncompressedLevelWriter(Block):
     timing = TimingDescriptor(fuse_role="write")
 
     def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
-        self._fibers += int((ccode >= 0).sum())
+        self._fibers += int(np.count_nonzero(ccode >= 0))
         if ends_done:
             self._level = DenseLevel(self.size, num_fibers=max(1, self._fibers))
 
@@ -367,7 +368,7 @@ class ScatterValsWriter(Block):
         if taken is None:
             return False
         windows, (ref, val) = taken
-        keep = np.ones(len(ref.data), dtype=bool)
+        keep = filled(len(ref.data), True, bool)
         keep[ref.blank] = False
         np.add.at(
             self.vals,
@@ -440,7 +441,7 @@ class LinkedListLevelWriter(Block):
         if taken is None:
             return False
         windows, (parent, crd) = taken
-        keep = np.ones(len(parent.data), dtype=bool)
+        keep = filled(len(parent.data), True, bool)
         keep[parent.blank] = False
         keep[crd.blank] = False
         append = self.level.append

@@ -99,7 +99,7 @@ class BitvectorLevel(Level):
         # Global popcount prefix, so child references are contiguous across
         # fibers exactly like compressed-level positions.
         self._cum_pop: np.ndarray = np.concatenate(
-            ([0], np.cumsum(_popcount_array(self._words)))
+            ([0], _popcount_array(self._words).cumsum())
         ).astype(np.int64)
         self._total = int(self._cum_pop[-1])
 

@@ -39,7 +39,7 @@ class CompressedLevel(Level):
             raise ValueError(
                 f"segment array must end at len(crd)={self.crd.size}, got {self.seg[-1]}"
             )
-        if self.seg.size > 1 and np.any(np.diff(self.seg) < 0):
+        if np.count_nonzero(self.seg[1:] < self.seg[:-1]):
             raise ValueError("segment array must be non-decreasing")
         #: lazily materialised list view of crd for the per-token
         #: locate/skip_to hot path (bisect over a list is ~7x faster per
@@ -95,14 +95,14 @@ class CompressedLevel(Level):
         refs = np.asarray(refs, dtype=np.int64)
         starts = self.seg[refs]
         lens = self.seg[refs + 1] - starts
-        total = int(lens.sum())
+        total = int(np.add.reduce(lens))
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, lens
         # Global position p of local index q within fiber i is
         # starts[i] + q; build it as arange(total) rebased per fiber.
-        before = np.concatenate([[0], np.cumsum(lens[:-1])])
-        children = np.arange(total, dtype=np.int64) + np.repeat(starts - before, lens)
+        before = np.concatenate(([0], lens[:-1].cumsum()))
+        children = np.arange(total, dtype=np.int64) + (starts - before).repeat(lens)
         return self.crd[children], children, lens
 
     def fiber_bounds(self, refs: np.ndarray):
@@ -121,13 +121,13 @@ class CompressedLevel(Level):
         not fit int64.  Built once per level."""
         if self._keys is None or self._keys[0] is not self.crd:
             crd, keys = self.crd, None
-            stride = int(crd.max(initial=0)) + 1
-            fibers = self.seg.size - 1
-            if int(crd.min(initial=0)) >= 0 and stride * fibers < 2**63:
-                keys = np.repeat(np.arange(fibers, dtype=np.int64) * stride,
-                                 np.diff(self.seg))
+            stride = int(np.maximum.reduce(crd, initial=0)) + 1
+            fibers, seg = self.seg.size - 1, self.seg
+            if int(np.minimum.reduce(crd, initial=0)) >= 0 and stride * fibers < 2**63:
+                keys = np.arange(fibers, dtype=np.int64) * stride
+                keys = keys.repeat(seg[1:] - seg[:-1])
                 keys += crd
-                if np.any(keys[1:] <= keys[:-1]):
+                if np.count_nonzero(keys[1:] <= keys[:-1]):
                     keys = None
             self._keys = (crd, None if keys is None else (keys, stride))
         return self._keys[1]
@@ -146,7 +146,7 @@ class CompressedLevel(Level):
                 len(coordinates), dtype=bool
             )
         window = self.crd[start:stop]
-        pos = np.searchsorted(window, coordinates)
+        pos = window.searchsorted(coordinates)
         hits = pos < width
         hits &= window[np.minimum(pos, width - 1)] == coordinates
         return start + pos, hits

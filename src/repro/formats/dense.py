@@ -49,7 +49,8 @@ class DenseLevel(Level):
         coords = np.arange(size, dtype=np.int64)
         crds = np.tile(coords, len(refs))
         children = (refs[:, None] * size + coords).ravel()
-        lens = np.full(len(refs), size, dtype=np.int64)
+        lens = np.empty(len(refs), dtype=np.int64)
+        lens.fill(size)
         return crds, children, lens
 
     def locate_arrays(self, ref: int, coordinates: np.ndarray):

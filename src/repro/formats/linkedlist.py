@@ -80,16 +80,16 @@ class LinkedListLevel(Level):
         if self._layout is None or self._layout[0] != size:
             parent = np.asarray(self.node_parent, dtype=np.int64)
             seg = np.zeros(size[1] + 1, dtype=np.int64)
-            np.cumsum(np.bincount(parent, minlength=size[1]), out=seg[1:])
-            self._layout = (size, np.argsort(parent, kind="stable"), seg,
+            np.bincount(parent, minlength=size[1]).cumsum(out=seg[1:])
+            self._layout = (size, parent.argsort(kind="stable"), seg,
                             np.asarray(self.node_crd, dtype=np.int64))
         _, order, seg, crd = self._layout
         refs = np.asarray(refs, dtype=np.int64)
         starts = seg[refs]
         lens = seg[refs + 1] - starts
-        before = np.cumsum(lens) - lens
-        children = order[np.arange(int(lens.sum()), dtype=np.int64)
-                         + np.repeat(starts - before, lens)]
+        before = lens.cumsum() - lens
+        children = order[np.arange(int(np.add.reduce(lens)), dtype=np.int64)
+                         + (starts - before).repeat(lens)]
         return crd[children], children, lens
 
     def memory_footprint(self) -> int:

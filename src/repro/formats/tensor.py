@@ -47,9 +47,10 @@ def dense_nonzeros(array) -> Tuple[np.ndarray, np.ndarray]:
     result still carries the dimension count).
     """
     array = np.asarray(array, dtype=float)
-    nz = np.argwhere(array != 0)
-    values = array[tuple(nz.T)] if nz.size else np.empty(0)
-    return nz.astype(np.int64, copy=False), values
+    if array.ndim == 0:  # nonzero() refuses a 0-d array
+        return np.argwhere(array != 0).astype(np.int64, copy=False), np.empty(0)
+    where = (array != 0).nonzero()
+    return np.array(where, dtype=np.int64).T, array[where]
 
 
 def segment_offsets(counts: np.ndarray) -> np.ndarray:
@@ -60,10 +61,8 @@ def segment_offsets(counts: np.ndarray) -> np.ndarray:
     (used by :meth:`FiberTensor.to_coo` and the ``.mtx`` array reader).
     """
     counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    return np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
+    total = int(np.add.reduce(counts))
+    return np.arange(total, dtype=np.int64) - (counts.cumsum() - counts).repeat(counts)
 
 
 def _coerce_coo(
@@ -91,7 +90,7 @@ def _coerce_coo(
     if coords_arr.size:
         shape_arr = np.asarray(shape, dtype=np.int64)
         bad = (coords_arr < 0) | (coords_arr >= shape_arr)
-        if bad.any():
+        if np.count_nonzero(bad):
             entry, axis = map(int, np.argwhere(bad)[0])
             raise ValueError(
                 f"coordinate {tuple(coords_arr[entry].tolist())} at entry "
@@ -116,7 +115,7 @@ def _rows_ascend(key: np.ndarray) -> Optional[np.ndarray]:
         descends = above > below
         if d:
             descends &= ~ascends
-        if descends.any():
+        if np.count_nonzero(descends):
             return None
         ascends |= above < below
     return ascends
@@ -143,7 +142,7 @@ def _dedupe_sorted(
         key = key[sort_idx]
         values = values[sort_idx]
         ascends = (key[1:] != key[:-1]).any(axis=1)
-    if ascends.all():
+    if np.count_nonzero(ascends) == len(ascends):
         merged = values.copy()
     else:
         head = np.concatenate(([True], ascends))
@@ -152,13 +151,13 @@ def _dedupe_sorted(
         # order — np.add.reduceat would pairwise-sum groups larger than
         # numpy's unrolling block, silently diverging from the
         # from_coords_reference oracle in the last bits.
-        slot = np.cumsum(head) - 1
+        slot = head.cumsum() - 1
         merged = np.zeros(int(slot[-1]) + 1, dtype=np.float64)
         np.add.at(merged, slot, values)
         key = key[head]
     if not keep_zeros:
         nonzero = merged != 0
-        if not nonzero.all():
+        if np.count_nonzero(nonzero) < len(nonzero):
             key = key[nonzero]
             merged = merged[nonzero]
     return key, merged
@@ -247,11 +246,11 @@ class FiberTensor:
                 if m:
                     head[0] = True
                     head[1:] = (parent[1:] != parent[:-1]) | (col[1:] != col[:-1])
-                starts = np.flatnonzero(head)
+                starts = head.nonzero()[0]
                 fiber_of_group = parent[starts]
                 crd_of_group = col[starts]
                 counts = np.bincount(fiber_of_group, minlength=num_fibers)
-                seg = np.concatenate(([0], np.cumsum(counts)))
+                seg = np.concatenate(([0], counts.cumsum()))
                 if fmt == "compressed":
                     levels.append(CompressedLevel(seg, crd_of_group))
                 else:
@@ -261,7 +260,7 @@ class FiberTensor:
                             bits_per_word,
                         )
                     )
-                parent = np.cumsum(head) - 1
+                parent = head.cumsum() - 1
                 num_fibers = starts.size
             elif fmt == "dense":
                 levels.append(DenseLevel(size, num_fibers=num_fibers))
@@ -420,14 +419,14 @@ class FiberTensor:
         for level in self.levels:
             if isinstance(level, CompressedLevel):
                 counts = level.seg[refs + 1] - level.seg[refs]
-                rep = np.repeat(np.arange(refs.size), counts)
+                rep = np.arange(refs.size).repeat(counts)
                 positions = level.seg[refs][rep] + segment_offsets(counts)
                 columns = [c[rep] for c in columns]
                 columns.append(level.crd[positions])
                 refs = positions
             elif isinstance(level, DenseLevel):
                 size = level.size
-                rep = np.repeat(np.arange(refs.size), size)
+                rep = np.arange(refs.size).repeat(size)
                 crd = np.tile(np.arange(size, dtype=np.int64), refs.size)
                 columns = [c[rep] for c in columns]
                 columns.append(crd)
@@ -448,14 +447,9 @@ class FiberTensor:
         if not self.order:
             return np.empty((0, 0), dtype=np.int64), self.vals[:1].copy()
         values = self.vals[refs]
-        storage = (
-            np.stack(columns, axis=1)
-            if columns
-            else np.empty((0, 0), dtype=np.int64)
-        )
-        logical = np.empty_like(storage)
+        logical = np.empty((len(values), self.order), dtype=np.int64)
         for depth, axis in enumerate(self.mode_order):
-            logical[:, axis] = storage[:, depth]
+            logical[:, axis] = columns[depth]
         return logical, values
 
     def to_numpy(self) -> np.ndarray:

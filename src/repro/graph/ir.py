@@ -73,6 +73,8 @@ class SamGraph:
         self.name = name
         self.nodes: Dict[str, Node] = {}
         self.edges: List[Edge] = []
+        #: the edge driving each (dst node, dst port): one input, one driver
+        self._drivers: Dict[Tuple[str, str], Edge] = {}
         self._counter: Dict[str, int] = {}
         #: fused-segment annotation for the compiled backend: lists of
         #: node names, one list per super-block, set by
@@ -130,14 +132,15 @@ class SamGraph:
         for node_name in (src_name, dst_name):
             if node_name not in self.nodes:
                 raise GraphError(f"unknown node {node_name!r}")
-        for edge in self.edges:
-            if edge.dst == dst_name and edge.dst_port == dst_port:
-                raise GraphError(
-                    f"input port {dst_name}.{dst_port} already driven by "
-                    f"{edge.src}.{edge.src_port}"
-                )
+        prior = self._drivers.get((dst_name, dst_port))
+        if prior is not None:
+            raise GraphError(
+                f"input port {dst_name}.{dst_port} already driven by "
+                f"{prior.src}.{prior.src_port}"
+            )
         edge = Edge(src_name, src_port, dst_name, dst_port, kind)
         self.edges.append(edge)
+        self._drivers[dst_name, dst_port] = edge
         return edge
 
     # -- queries -------------------------------------------------------------

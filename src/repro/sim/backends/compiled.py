@@ -71,6 +71,7 @@ from ...streams.batch import CODE_DONE, CODE_EMPTY
 from ...streams.timing import (
     compose_rate1,
     index_ramp,
+    insert_sorted,
     split_done_stamped,
     token_order_indices,
 )
@@ -86,7 +87,7 @@ def _compose_fast(arrivals, stages):
     """
     clock0, ii0, _ = stages[0]
     n = len(arrivals)
-    if n > 1 and not bool((arrivals[1:] - arrivals[:-1] >= ii0).all()):
+    if n > 1 and np.count_nonzero(arrivals[1:] - arrivals[:-1] < ii0):
         return None
     iis = [s[1] for s in stages]
     if any(iis[k] > iis[k - 1] for k in range(1, len(iis))):
@@ -177,9 +178,7 @@ def _advance_members_at(members, deltas, arrivals, sub_idx, known_valid):
     if n == 0 or any(m._t_carry for m in members):
         return None
     ii0 = members[0].timing.ii
-    if not known_valid and n > 1 and not bool(
-        (arrivals[1:] - arrivals[:-1] >= ii0).all()
-    ):
+    if not known_valid and np.count_nonzero(arrivals[1:] - arrivals[:-1] < ii0):
         return None
     iis = [m.timing.ii for m in members]
     if any(iis[k] > iis[k - 1] for k in range(1, len(iis))):
@@ -189,11 +188,16 @@ def _advance_members_at(members, deltas, arrivals, sub_idx, known_valid):
     )
 
 
+def _same(a, b) -> bool:
+    """``np.array_equal`` of two 1-D arrays, without its Python layer."""
+    return len(a) == len(b) and not np.count_nonzero(a != b)
+
+
 def _bump_counts(channel, ndata, ccode):
     """Channel statistics a fused interior push would have recorded."""
-    n_stop = int((ccode >= 0).sum())
-    n_done = int((ccode == CODE_DONE).sum())
-    n_empty = int((ccode == CODE_EMPTY).sum())
+    n_stop = int(np.count_nonzero(ccode >= 0))
+    n_done = int(np.count_nonzero(ccode == CODE_DONE))
+    n_empty = int(np.count_nonzero(ccode == CODE_EMPTY))
     channel.pushed_data += ndata + (len(ccode) - n_stop - n_done - n_empty)
     channel.pushed_stop += n_stop
     channel.pushed_done += n_done
@@ -274,14 +278,15 @@ class _Side:
             self.post = (len(self.data), self.cpos, self.ccode)
         else:
             empty = self.ccode == CODE_EMPTY
-            self.empty = empty if empty.any() else None
+            nempty = int(np.count_nonzero(empty))
+            self.empty = empty if nempty else None
             if self.empty is None:
                 self.post = (len(self.data), self.cpos, self.ccode)
             else:
                 keep = ~empty
-                shift = np.cumsum(empty) - empty
+                shift = empty.cumsum() - empty
                 self.post = (
-                    len(self.data) + int(empty.sum()),
+                    len(self.data) + nempty,
                     (self.cpos + shift)[keep],
                     self.ccode[keep],
                 )
@@ -293,7 +298,7 @@ class _Side:
         """Merged arrivals already a valid rate-``ii`` feeder schedule?"""
         arr = self.merged
         ii = self.feeder.timing.ii
-        return len(arr) < 2 or bool((arr[1:] - arr[:-1] >= ii).all())
+        return not np.count_nonzero(arr[1:] - arr[:-1] < ii)
 
     def commit_at(self, sub_idx):
         """``commit`` with the feeder schedule evaluated at ``sub_idx``.
@@ -315,7 +320,7 @@ class _Side:
         c = np.maximum(arr[sub_idx], (sub_idx * ii if ii != 1 else sub_idx) + clock)
         vals = self.fn(self.data)
         if self.empty is not None:
-            vals = np.insert(
+            vals = insert_sorted(
                 np.asarray(vals, dtype=np.float64),
                 self.cpos[self.empty], self.empty_value,
             )
@@ -334,7 +339,7 @@ class _Side:
         c = self.feeder._t_advance(self.merged)
         vals = self.fn(self.data)
         if self.empty is not None:
-            vals = np.insert(
+            vals = insert_sorted(
                 np.asarray(vals, dtype=np.float64),
                 self.cpos[self.empty], self.empty_value,
             )
@@ -431,8 +436,8 @@ class _ChainUnit:
         raw_match = (
             len(side_a.data) == len(side_b.data)
             and len(side_a.ccode) == len(side_b.ccode)
-            and np.array_equal(side_a.cpos, side_b.cpos)
-            and np.array_equal(side_a.ccode, side_b.ccode)
+            and _same(side_a.cpos, side_b.cpos)
+            and _same(side_a.ccode, side_b.ccode)
         )
         side_a.merge()
         side_b.merge((side_a.di, side_a.ci) if raw_match else None)
@@ -441,10 +446,10 @@ class _ChainUnit:
         if not (
             (raw_match or (
                 na == nb
-                and np.array_equal(pa, pb)
-                and np.array_equal(ca, cb)
+                and _same(pa, pb)
+                and _same(ca, cb)
             ))
-            and (len(ca) == 0 or (ca[:-1] >= 0).all())
+            and not np.count_nonzero(ca[:-1] < 0)
             and (len(ca) == 0 or ca[-1] >= CODE_DONE)
         ):
             # Operands that pair only around phantom zeros (or not at
@@ -504,15 +509,15 @@ class _ChainUnit:
         fn, empty_value = self.parts[0]
         vals = fn(data)
         empty = ccode == CODE_EMPTY
-        if empty.any():
+        if np.count_nonzero(empty):
             # N tokens become data at their stream position, exactly as
             # _t_unary_window densifies them; the token-order schedule
             # indices are recomputed for the new structure.
-            vals = np.insert(
+            vals = insert_sorted(
                 np.asarray(vals, dtype=np.float64), cpos[empty], empty_value
             )
             keep = ~empty
-            shift = np.cumsum(empty) - empty
+            shift = empty.cumsum() - empty
             cpos = (cpos + shift)[keep]
             ccode = ccode[keep]
             di, ci = token_order_indices(cpos, len(vals))

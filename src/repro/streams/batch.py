@@ -66,6 +66,14 @@ def index_ramp(n: int) -> np.ndarray:
     return _RAMP_CACHE[:n]
 
 
+def filled(n: int, value, dtype=np.int64) -> np.ndarray:
+    """``np.full(n, value, dtype=dtype)`` without numpy's Python layer,
+    which costs more than the fill itself on a window's short arrays."""
+    out = np.empty(n, dtype=dtype)
+    out.fill(value)
+    return out
+
+
 class UnbatchableTokens(TypeError):
     """A stream carries tokens the numpy plane cannot represent.
 
@@ -200,9 +208,9 @@ class TokenBatch:
         :meth:`~repro.streams.channel.Channel.push` classification.
         """
         code = self.ctrl_code
-        n_stop = int((code >= 0).sum())
-        n_done = int((code == CODE_DONE).sum())
-        n_empty = int((code == CODE_EMPTY).sum())
+        n_stop = int(np.count_nonzero(code >= 0))
+        n_done = int(np.count_nonzero(code == CODE_DONE))
+        n_empty = int(np.count_nonzero(code == CODE_EMPTY))
         n_data = len(self.data) + (len(code) - n_stop - n_done - n_empty)
         return n_data, n_stop, n_done, n_empty
 
@@ -218,7 +226,7 @@ class TokenBatch:
         remainder (None when nothing follows the done token).
         """
         data, cpos, ccode = self.remaining_arrays()
-        hits = np.flatnonzero(ccode == CODE_DONE)
+        hits = (ccode == CODE_DONE).nonzero()[0]
         if hits.size == 0:
             return TokenBatch(data, cpos, ccode), None
         i = int(hits[0])
@@ -331,19 +339,19 @@ def _validate_segments(ndata: int, starts: np.ndarray,
         )
     if len(starts) == 0:
         return
-    if bool((lens < 0).any()):
+    if np.count_nonzero(lens < 0):
         raise ValueError("segment lengths must be non-negative")
-    if bool((starts < 0).any()):
+    if np.count_nonzero(starts < 0):
         raise ValueError("segment starts must be non-negative")
     ends = starts + lens
-    if bool((ends > ndata).any()):
+    if np.count_nonzero(ends > ndata):
         raise ValueError(
             f"segment overruns data: end {int(ends.max())} > {ndata} tokens"
         )
     if len(starts) > 1:
-        if bool((starts[1:] < starts[:-1]).any()):
+        if np.count_nonzero(starts[1:] < starts[:-1]):
             raise ValueError("segment starts must be non-decreasing")
-        if bool((ends[1:] < ends[:-1]).any()):
+        if np.count_nonzero(ends[1:] < ends[:-1]):
             raise ValueError("segment ends must be non-decreasing")
 
 
@@ -409,9 +417,9 @@ def exact_segment_sums(data: np.ndarray, starts: np.ndarray,
     out = np.empty(n)
     # Segments much longer than typical would stretch the step loop for
     # everyone; sum those the scalar way and column-walk the rest.
-    cap = max(64, 4 * int(lens.sum()) // n)
+    cap = max(64, 4 * int(np.add.reduce(lens)) // n)
     long = lens > cap
-    if long.any():
+    if np.count_nonzero(long):
         out[long] = _sequential_sums_loop(data, starts[long], lens[long])
         keep = ~long
         starts, lens = starts[keep], lens[keep]
@@ -423,13 +431,11 @@ def exact_segment_sums(data: np.ndarray, starts: np.ndarray,
     # when it fits (post-cap lengths almost always do): numpy's stable
     # argsort radix-sorts small integer dtypes but merge-sorts int64,
     # and the sort dominates this function's cost on large windows.
-    max_len_key = int(lens.max()) if len(lens) else 0
+    max_len_key = int(np.maximum.reduce(lens)) if len(lens) else 0
     if max_len_key < (1 << 16):
-        order = np.argsort(
-            (max_len_key - lens).astype(np.uint16), kind="stable"
-        )
+        order = (max_len_key - lens).astype(np.uint16).argsort(kind="stable")
     else:
-        order = np.argsort(-lens, kind="stable")
+        order = (-lens).argsort(kind="stable")
     s_sorted = starts[order]
     l_sorted = lens[order]
     acc = np.zeros(len(order))
@@ -438,8 +444,7 @@ def exact_segment_sums(data: np.ndarray, starts: np.ndarray,
         # active[k] = how many segments still have a k-th element — a
         # prefix of the length-sorted order.
         neg = -l_sorted
-        active = np.searchsorted(neg, -np.arange(max_len, dtype=np.int64),
-                                 side="left")
+        active = neg.searchsorted(-np.arange(max_len, dtype=np.int64), side="left")
         for k in range(max_len):
             m = int(active[k])
             acc[:m] += data[s_sorted[:m] + k]

@@ -13,7 +13,7 @@ from typing import Deque, Optional
 
 import numpy as np
 
-from .batch import TokenBatch, concat_batches
+from .batch import TokenBatch, concat_batches, filled
 from .stream import Stream
 from .timing import stamp_split_at
 from .token import DONE, EMPTY, Stop, is_data, is_done, is_empty, is_stop
@@ -229,11 +229,8 @@ class Channel:
         if batch is None or batch.exhausted:
             return False
         data, _, ccode = batch.remaining_arrays()
-        self.timed.pending.append((
-            batch,
-            np.full(len(data), stamp, dtype=np.int64),
-            np.full(len(ccode), stamp, dtype=np.int64),
-        ))
+        self.timed.pending.append(
+            (batch, filled(len(data), stamp), filled(len(ccode), stamp)))
         return True
 
     def timed_take(self) -> list:

@@ -61,6 +61,7 @@ from .batch import (
     TokenBatch,
     _concat_data,
     decode_code,
+    filled,
     index_ramp,
 )
 from .token import EMPTY
@@ -181,7 +182,7 @@ def split_done_stamped(
 ]:
     """Stamped :meth:`TokenBatch.split_done`: ``(head, sd, sc, tail?)``."""
     data, cpos, ccode = batch.remaining_arrays()
-    hits = np.flatnonzero(ccode == CODE_DONE)
+    hits = (ccode == CODE_DONE).nonzero()[0]
     if hits.size == 0:
         return TokenBatch(data, cpos, ccode), sdata, sctrl, None
     i = int(hits[0])
@@ -207,8 +208,8 @@ def stamp_split_at(
     for empty sides.
     """
     data, cpos, ccode = batch.remaining_arrays()
-    d_cut = int(np.searchsorted(sdata, limit, side="right"))
-    c_cut = int(np.searchsorted(sctrl, limit, side="right"))
+    d_cut = int(sdata.searchsorted(limit, side="right"))
+    c_cut = int(sctrl.searchsorted(limit, side="right"))
     if d_cut == len(data) and c_cut == len(ccode):
         return (batch, sdata, sctrl), None
     if d_cut == 0 and c_cut == 0:
@@ -340,22 +341,34 @@ class TimedReader:
         """Rewrite ``N`` control tokens as data *zero*, stamps preserved."""
         for i, (batch, sdata, sctrl) in enumerate(self.held):
             empty = batch.ctrl_code[batch._c:] == CODE_EMPTY
-            if not empty.any():
+            if not np.count_nonzero(empty):
                 continue
             data, cpos, ccode = batch.remaining_arrays()
             sdata = sdata[batch._d:]
             sctrl = sctrl[batch._c:]
-            new_data = np.insert(
+            new_data = insert_sorted(
                 np.asarray(data, dtype=np.float64), cpos[empty], zero
             )
-            new_sdata = np.insert(sdata, cpos[empty], sctrl[empty])
+            new_sdata = insert_sorted(sdata, cpos[empty], sctrl[empty])
             keep = ~empty
-            shift = np.cumsum(empty) - empty
+            shift = empty.cumsum() - empty
             self.held[i] = (
                 TokenBatch(new_data, (cpos + shift)[keep], ccode[keep]),
                 new_sdata.astype(np.int64, copy=False),
                 sctrl[keep],
             )
+
+
+def insert_sorted(arr: np.ndarray, at: np.ndarray, values) -> np.ndarray:
+    """``np.insert(arr, at, values)`` for ascending positions *at*: every
+    value lands in front of ``arr[at[i]]``, equal positions in order."""
+    slots = at + index_ramp(len(at))
+    out = np.empty(len(arr) + len(at), dtype=arr.dtype)
+    keep = filled(len(out), True, bool)
+    keep[slots] = False
+    out[keep] = arr
+    out[slots] = values
+    return out
 
 
 def _concat_i64(parts: List[np.ndarray]) -> np.ndarray:
@@ -400,7 +413,7 @@ class Fibers(NamedTuple):
         top = (int(self.ends[k - 1]) if k else 0) + tail
         blank = self.blank
         if len(blank):
-            blank = blank[:int(np.searchsorted(blank, top))]
+            blank = blank[:int(blank.searchsorted(top))]
         return Fibers(self.data[:top], self.ends[:k], self.lens[:k], self.codes[:k],
                       self.sdata[:top], self.scodes[:k], blank)
 
@@ -454,7 +467,7 @@ def front_stream(entry) -> Fibers:
         return _NO_FIBERS
     batch = entry[0]
     done = batch.ctrl_code[batch._c:] == CODE_DONE
-    if done.any():
+    if np.count_nonzero(done):
         return front_fibers(entry, int(done.argmax()) + 1)
     start = int(batch.ctrl_pos[-1]) if len(done) else batch._d
     return front_fibers(entry, len(done), len(batch.data) - start)
@@ -466,15 +479,15 @@ def blank_fibers(view: Fibers) -> Fibers:
     reference stream is read where an ``N`` pairs with a datum of the
     other stream.  ``blank`` keeps where they were."""
     empty = view.codes == CODE_EMPTY
-    if not empty.any():
+    if not np.count_nonzero(empty):
         return view
     at, keep = view.ends[empty], ~empty
-    ends = (view.ends + np.cumsum(empty))[keep]
+    ends = (view.ends + empty.cumsum())[keep]
     lens = ends.copy()
     lens[1:] -= ends[:-1]
     return Fibers(
-        np.insert(view.data, at, 0), ends, lens, view.codes[keep],
-        np.insert(view.sdata, at, view.scodes[empty]), view.scodes[keep],
+        insert_sorted(view.data, at, 0), ends, lens, view.codes[keep],
+        insert_sorted(view.sdata, at, view.scodes[empty]), view.scodes[keep],
         at + index_ramp(len(at)),
     )
 
@@ -519,7 +532,7 @@ def stream_view(entry) -> StreamView:
     done = fibers.done
     data, ends, _, codes, sdata, scodes, _ = fibers.before_done()
     di, ci = token_order_indices(ends, len(data))
-    code = np.full(len(data) + len(codes), CODE_DATA, dtype=np.int64)
+    code = filled(len(data) + len(codes), CODE_DATA)
     code[ci] = codes
     stamp = np.empty(len(code), dtype=np.int64)
     stamp[di] = sdata
@@ -575,7 +588,7 @@ def align_chunks(outer: np.ndarray, inner: np.ndarray) -> Alignment:
     ends = (inner >= 0).nonzero()[0]
     n = len(outer)
     # one sentinel datum: "no token yet" reads as neither stop nor fold
-    outer = np.append(outer, CODE_DATA)
+    outer = np.concatenate((outer, [CODE_DATA]))
     stop = outer >= 0
     folded = stop.copy()
     folded[1:] &= ~stop[:-1]
@@ -590,11 +603,11 @@ def align_chunks(outer: np.ndarray, inner: np.ndarray) -> Alignment:
     restart = folds & (level == 0)
     unfolded = (after == n) & (level > 0) & ~bare
     bad = (level != want) & ~restart & ~unfolded
-    if bare.any():  # the chunk a bare stop owns is empty
+    if np.count_nonzero(bare):  # the chunk a bare stop owns is empty
         bad |= bare & (np.diff(ends, prepend=-1) != 1)
-    if bad.any():
+    if np.count_nonzero(bad):
         k = int(bad.argmax())
-    again = bool(restart[:k].any())
+    again = bool(np.count_nonzero(restart[:k]))
     if again:
         k = int(restart.argmax()) + 1
     fold = np.where(folds & ~restart, after, -1)[:k]
@@ -635,31 +648,32 @@ def pair_chunks(crd: Fibers, val: Fibers, phantoms=(False, True)) -> Pairing:
         bad |= crd.lens > val.lens
     if not phantoms[1]:
         bad |= val.lens > crd.lens
-    clean = int(bad.argmax()) if bad.any() else len(bad)
+    clean = int(bad.argmax()) if np.count_nonzero(bad) else len(bad)
     # with phantoms on one side at most, equal totals mean equal runs
     if not clean or crd.ends[clean - 1] == val.ends[clean - 1] and not all(phantoms):
         return Pairing(clean, None)
     m = clean
     pairs = np.minimum(crd.lens[:m], val.lens[:m])
     extras = [side.lens[:m] - pairs for side in (crd, val)]
-    if not (extras[0].any() or extras[1].any()):
+    if not (np.count_nonzero(extras[0]) or np.count_nonzero(extras[1])):
         return Pairing(clean, None)
-    chunk = np.repeat(index_ramp(m), pairs)
+    chunk = index_ramp(m).repeat(pairs)
     picks: List[Optional[np.ndarray]] = []
     for side, extra in zip((crd, val), extras):
         pick = None
-        if extra.any():
-            pick = index_ramp(len(chunk)) + (np.cumsum(extra) - extra)[chunk]
-            phantom = np.ones(int(side.ends[m - 1]), dtype=bool)
+        if np.count_nonzero(extra):
+            pick = index_ramp(len(chunk)) + (extra.cumsum() - extra)[chunk]
+            phantom = filled(int(side.ends[m - 1]), True, bool)
             phantom[pick] = False
-            stray = np.flatnonzero(phantom & (side.data[:len(phantom)] != 0))
+            stray = (phantom & (side.data[:len(phantom)] != 0)).nonzero()[0]
             if len(stray):  # a non-zero phantom: its chunk is the first bad one
-                clean = min(clean, int(np.searchsorted(side.ends, stray[0], "right")))
+                clean = min(clean, int(side.ends.searchsorted(stray[0], "right")))
         picks.append(pick)
-    n, tail = int(pairs[:clean].sum()), crd.tail if clean == len(bad) else 0
+    n, tail = int(np.add.reduce(pairs[:clean])), crd.tail if clean == len(bad) else 0
     for i, side in enumerate((crd, val)):
         if picks[i] is not None:
-            picks[i] = np.append(picks[i][:n], len(side.data) - tail + index_ramp(tail))
+            picks[i] = np.concatenate(
+                (picks[i][:n], len(side.data) - tail + index_ramp(tail)))
     return Pairing(clean, picks[1], picks[0])
 
 
@@ -689,15 +703,15 @@ class TimedBuilder:
         self._n += 1
 
     def ctrl(self, code: int, stamp: int, count: int = 1) -> None:
-        self._cpos.append(np.full(count, self._n, dtype=np.int64))
-        self._ccode.append(np.full(count, code, dtype=np.int64))
-        self._sctrl.append(np.full(count, stamp, dtype=np.int64))
+        self._cpos.append(filled(count, self._n))
+        self._ccode.append(filled(count, code))
+        self._sctrl.append(filled(count, stamp))
 
     def ctrl_run(self, code: int, stamps: np.ndarray) -> None:
         count = len(stamps)
         if count:
-            self._cpos.append(np.full(count, self._n, dtype=np.int64))
-            self._ccode.append(np.full(count, code, dtype=np.int64))
+            self._cpos.append(filled(count, self._n))
+            self._ccode.append(filled(count, code))
             self._sctrl.append(np.asarray(stamps, dtype=np.int64))
 
     def token(self, token, stamp: int) -> None:
@@ -726,7 +740,7 @@ class TimedBuilder:
     def stream(self, code: np.ndarray, value: np.ndarray, stamps: np.ndarray) -> None:
         """Append a stream-order run: the inverse of :func:`stream_view`."""
         is_data = code == CODE_DATA
-        ctrl = np.flatnonzero(~is_data)
+        ctrl = (~is_data).nonzero()[0]
         self.data_with_ctrl(
             value[is_data], ctrl - index_ramp(len(ctrl)), code[ctrl],
             stamps[is_data], stamps[ctrl],
@@ -770,6 +784,7 @@ __all__ = [
     "front_stream",
     "held_fibers",
     "index_ramp",
+    "insert_sorted",
     "merge_stamps",
     "pair_chunks",
     "rate1_schedule",

@@ -41,8 +41,16 @@ class TestIR:
 
     def test_double_driven_port_rejected(self):
         g = tiny_identity_graph()
-        with pytest.raises(GraphError):
+        edges = list(g.edges)
+        with pytest.raises(GraphError) as raised:
             g.connect("si", "crd", "wj", "crd")
+        assert str(raised.value) == "input port wj.crd already driven by sj.crd"
+        assert g.edges == edges
+        # another port of the same node, or the same port name on another
+        # node, is still free
+        g.add("sink", name="extra")
+        g.connect("si", "crd", "extra", "in")
+        g.connect("sj", "crd", "extra", "crd")
 
     def test_unknown_node_rejected(self):
         g = SamGraph()

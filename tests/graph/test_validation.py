@@ -18,6 +18,7 @@ from repro.blocks import (
     Block,
     CompressedLevelWriter,
     Fanout,
+    Intersect,
     Locator,
     PortError,
     PortSpec,
@@ -25,6 +26,7 @@ from repro.blocks import (
     ScalarReducer,
     Sink,
     StreamFeeder,
+    Union,
     ValsWriter,
     ValueDropper,
     make_scanner,
@@ -219,6 +221,49 @@ class TestPortDeclarations:
         assert not spec.matches("out") and not spec.matches("outx")
         pair = PortSpec("ref{i}_{j}", "in", variadic=True)
         assert pair.matches("ref2_0") and not pair.matches("ref2_")
+
+    def test_subclass_with_its_own_specs_keeps_its_own_answers(self):
+        class Parent(Block):
+            port_specs = (PortSpec("in", "in", kind="crd"),
+                          PortSpec("out{i}", "out", variadic=True))
+
+        class Child(Parent):
+            port_specs = (PortSpec("in", "in", kind="vals"),
+                          PortSpec("lane{i}", "out", variadic=True))
+
+        class Heir(Parent):  # declares nothing: the parent's specs
+            pass
+
+        assert Parent.spec_for("in", "in").kind == "crd"
+        assert Parent.spec_for("out", "out3").name == "out{i}"
+        assert Parent.spec_for("out", "lane3") is None
+        assert Child.spec_for("in", "in").kind == "vals"
+        assert Child.spec_for("out", "out3") is None
+        assert Child.spec_for("out", "lane3").name == "lane{i}"
+        assert Heir.spec_for("out", "out3") is Parent.spec_for("out", "out3")
+        assert Heir.spec_for("out", "lane3") is None
+
+    def test_variadic_ports_resolve(self):
+        for merger in (Intersect, Union):
+            assert merger.spec_for("in", "crd12").name == "crd{i}"
+            assert merger.spec_for("in", "ref3_0").name == "ref{i}_{j}"
+            assert merger.spec_for("out", "out_ref3_0").name == "out_ref{i}_{j}"
+            assert merger.spec_for("in", "ref3_") is None
+        assert Fanout.spec_for("out", "out12").name == "out{i}"
+        assert Fanout.spec_for("in", "out12") is None
+
+    def test_undeclared_port_error_lists_the_declared_ports(self):
+        g = Graph("ports")
+        fanout = Fanout(g.out("a", "crd"), [g.out("b", "crd")], name="fan")
+        for attempt in range(2):  # the second lookup answers from the memo
+            with pytest.raises(PortError) as err:
+                fanout._in("in0", g.out(f"c{attempt}", "crd"))
+            assert str(err.value) == (
+                "fan: no declared in port 'in0' on Fanout (declared: in)")
+            with pytest.raises(PortError) as err:
+                fanout._out("lane0", g.out(f"d{attempt}", "crd"))
+            assert str(err.value) == (
+                "fan: no declared out port 'lane0' on Fanout (declared: out{i})")
 
     def test_rebind_unbound_port_rejected(self):
         g = Graph("rebind")

@@ -19,7 +19,8 @@ It mutates this checkout's ``src/``: the window hooks are judged by
 generator finish by ``tests/sim/test_plane_rule.py`` (the plane rule's
 finite-FIFO gate by ``tests/sim/test_window_identity.py``, the
 worklist's dependency-order seed by ``tests/sim/test_visit_order.py``),
-the ``.mtx`` reader's byte-grammar check by ``tests/data/test_io.py``.
+the ``.mtx`` reader's byte-grammar check by ``tests/data/test_io.py``,
+the Table-1 pass's fixed cost by ``tests/sim/test_call_budget.py``.
 Every mutation costs one pytest run that stops at its first failure.
 """
 
@@ -39,6 +40,7 @@ INGEST = "tests/data/test_io.py"
 PLANES = "tests/sim/test_plane_rule.py"
 IDENTITY = "tests/sim/test_window_identity.py"
 VISITS = "tests/sim/test_visit_order.py"
+BUDGET = "tests/sim/test_call_budget.py"
 #: seconds one mutation's test run may take (a hang counts as killed)
 TIMEOUT = 900
 
@@ -127,6 +129,15 @@ MUTATIONS = (
     Mutation("worklist seeded in block order", "repro/sim/backends/timed_batch.py",
              "order = dependency_order(len(blocks), producers, consumers)",
              "order = list(range(len(blocks)))", VISITS),
+    # -- the fixed cost of a small run: port matching, numpy's Python layer
+    Mutation("spec_for matches on every call", "repro/blocks/base.py",
+             "        if key not in resolved:\n"
+             "            resolved[key] = next(",
+             "        if True:\n"
+             "            resolved[key] = next(", BUDGET),
+    Mutation("np.flatnonzero back in split_done_stamped", "repro/streams/timing.py",
+             "hits = (ccode == CODE_DONE).nonzero()[0]",
+             "hits = np.flatnonzero(ccode == CODE_DONE)", BUDGET),
     # -- the .mtx reader's byte-grammar check in front of scipy's parser
     Mutation("grammar check always passes", "repro/data/io.py",
              "_body_tokens(data, start, need) != need * nnz",
