@@ -42,7 +42,7 @@ Four sections:
   runs on windows, under ``cycle``, ``timed-batch`` and ``compiled``,
   rounds interleaved.  Cycle counts must agree; seconds are rows, not a
   gate — a ratio against ``cycle`` would drift with its denominator
-  (ROADMAP item 1(c)); ``tests/sim/test_plane_rule.py`` is the
+  (ROADMAP item 1(d)); ``tests/sim/test_plane_rule.py`` is the
   wall-clock-free guard on which graphs run where.
 
 Every measured number is the **median** of ``--rounds`` timing rounds

@@ -300,9 +300,9 @@ def _body_tokens(data: bytes, start: int, need: int) -> int:
 def _checked_entries(
     path: str, skiprows: int, need: int, shape: Tuple[int, int], nnz: int
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The coordinate body parsed by ``scipy.io.mmread`` if its bytes pass
-    :func:`_body_tokens` with *need* tokens for each of the *nnz* entries,
-    else ``None``.
+    """The coordinate body parsed by scipy's C++ reader
+    (:func:`_scipy_coordinates`) if its bytes pass :func:`_body_tokens`
+    with *need* tokens for each of the *nnz* entries, else ``None``.
 
     scipy's parser truncates where it should refuse (``1.5.3`` reads 1.5,
     ``12x`` reads 12, ``1 1.5 2`` reads entry (0, 0, 0.5)) and crashes
@@ -325,20 +325,39 @@ def _checked_entries(
     # a CR in the header splits its lines where the text handle did not
     if data.find(b"\r", 0, start) >= 0 or _body_tokens(data, start, need) != need * nnz:
         return None
-    from scipy.io import mmread
-
     banner = (f"%%MatrixMarket matrix coordinate {'pattern' if need == 2 else 'real'} "
               f"general\n{shape[0]} {shape[1]} {nnz}\n").encode()
     text = banner + memoryview(data)[start:]
     del data  # not both copies while scipy parses
     try:
-        matrix = mmread(io.BytesIO(text), spmatrix=False)
+        row, col, values = _scipy_coordinates(text)
     except (ValueError, OverflowError):
         return None
     coords = np.empty((nnz, 2), dtype=np.int64)
-    coords[:, 0], coords[:, 1] = matrix.row, matrix.col
-    values = np.ones(nnz) if need == 2 else matrix.data
+    coords[:, 0], coords[:, 1] = row, col
+    if need == 2:
+        values = np.ones(nnz)
     return coords, values
+
+
+def _scipy_coordinates(text: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero-indexed rows, columns and values of the Matrix Market
+    coordinate *text*, parsed by scipy's C++ reader on one thread.
+
+    ``scipy.io.mmread`` runs the same reader on a thread per core and
+    wraps its arrays in a ``coo_array``.  The threads buy no wall time
+    on one file and cost CPU time that a sweep's worker processes
+    already share out; the array would be taken apart again at once.
+    Symmetry is never expanded here (:func:`read_mtx` does that).  The
+    reader raises what ``mmread`` raises: ``ValueError`` for an index
+    out of bounds or a value it cannot parse, ``OverflowError`` for an
+    index past its integer type.
+    """
+    from scipy.io import _fast_matrix_market as fmm
+
+    cursor, _ = fmm._get_read_cursor(io.BytesIO(text), parallelism=1)
+    (values, (row, col)), _ = fmm._read_body_coo(cursor, generalize_symmetry=False)
+    return row, col, values
 
 
 def _coordinate_entries(
@@ -499,7 +518,8 @@ def read_tns(path: str, shape: Optional[Sequence[int]] = None) -> CooTensor:
 
 def _validate_coords(path, coords: np.ndarray, shape: Sequence[int]) -> None:
     if coords.size and (
-        (coords < 0).any() or (coords >= np.asarray(shape, dtype=np.int64)).any()
+        np.minimum.reduce(coords.reshape(-1)) < 0
+        or any(np.maximum.reduce(coords[:, d]) >= size for d, size in enumerate(shape))
     ):
         raise ValueError(f"{path}: coordinates outside shape {tuple(shape)}")
 

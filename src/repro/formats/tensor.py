@@ -87,16 +87,21 @@ def _coerce_coo(
         raise ValueError(
             f"{coords_arr.shape[0]} coordinates but {values_arr.size} values"
         )
-    if coords_arr.size:
-        shape_arr = np.asarray(shape, dtype=np.int64)
-        bad = (coords_arr < 0) | (coords_arr >= shape_arr)
-        if np.count_nonzero(bad):
-            entry, axis = map(int, np.argwhere(bad)[0])
-            raise ValueError(
-                f"coordinate {tuple(coords_arr[entry].tolist())} at entry "
-                f"{entry} is outside shape {shape}: axis {axis} value "
-                f"{int(coords_arr[entry, axis])} not in [0, {shape[axis]})"
-            )
+    # One minimum over every coordinate and one maximum per column, no
+    # entry-sized temporary (a reduction over axis 0 of an (n, 2) array
+    # steps two columns a row and is slower still); the mask that names
+    # the offending entry is built only when there is one.
+    if coords_arr.size and (
+        np.minimum.reduce(coords_arr.reshape(-1)) < 0
+        or [d for d in range(order) if np.maximum.reduce(coords_arr[:, d]) >= shape[d]]
+    ):
+        bad = (coords_arr < 0) | (coords_arr >= np.asarray(shape, dtype=np.int64))
+        entry, axis = map(int, np.argwhere(bad)[0])
+        raise ValueError(
+            f"coordinate {tuple(coords_arr[entry].tolist())} at entry "
+            f"{entry} is outside shape {shape}: axis {axis} value "
+            f"{int(coords_arr[entry, axis])} not in [0, {shape[axis]})"
+        )
     return coords_arr, values_arr
 
 
@@ -232,7 +237,10 @@ class FiberTensor:
         # Walk the levels top-down.  ``parent`` maps every surviving entry
         # to its fiber at the current level; compressed/bitvector levels
         # derive their fibers from segment-boundary masks, dense levels
-        # expand the fiber space affinely.
+        # expand the fiber space affinely.  No two rows are equal any
+        # more, so on a compressed/bitvector last level every entry is a
+        # group of its own: no mask, and ``merged`` is the value array
+        # (``parent`` None: entry i is value slot i).
         m = key.shape[0]
         parent = np.zeros(m, dtype=np.int64)
         num_fibers = 1
@@ -242,13 +250,16 @@ class FiberTensor:
             fmt = formats[d]
             col = key[:, d]
             if fmt in ("compressed", "bitvector"):
-                head = np.empty(m, dtype=bool)
-                if m:
-                    head[0] = True
-                    head[1:] = (parent[1:] != parent[:-1]) | (col[1:] != col[:-1])
-                starts = head.nonzero()[0]
-                fiber_of_group = parent[starts]
-                crd_of_group = col[starts]
+                if d < order - 1:
+                    head = np.empty(m, dtype=bool)
+                    if m:
+                        head[0] = True
+                        head[1:] = (parent[1:] != parent[:-1]) | (col[1:] != col[:-1])
+                    starts = head.nonzero()[0]
+                    fiber_of_group, crd_of_group = parent[starts], col[starts]
+                    parent = head.cumsum() - 1
+                else:
+                    fiber_of_group, crd_of_group, parent = parent, col, None
                 counts = np.bincount(fiber_of_group, minlength=num_fibers)
                 seg = np.concatenate(([0], counts.cumsum()))
                 if fmt == "compressed":
@@ -260,8 +271,7 @@ class FiberTensor:
                             bits_per_word,
                         )
                     )
-                parent = head.cumsum() - 1
-                num_fibers = starts.size
+                num_fibers = crd_of_group.size
             elif fmt == "dense":
                 levels.append(DenseLevel(size, num_fibers=num_fibers))
                 parent = parent * size + col
@@ -269,8 +279,11 @@ class FiberTensor:
             else:
                 raise ValueError(f"unknown level format {fmt!r}")
 
-        vals = np.zeros(num_fibers if order else 1, dtype=np.float64)
-        vals[parent if order else np.zeros(m, dtype=np.int64)] = merged
+        if parent is None:
+            vals = merged
+        else:
+            vals = np.zeros(num_fibers if order else 1, dtype=np.float64)
+            vals[parent if order else np.zeros(m, dtype=np.int64)] = merged
         return cls(shape, levels, vals, mode_order=perm, name=name)
 
     @classmethod

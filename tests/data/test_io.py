@@ -669,6 +669,36 @@ class TestBodyGrammar:
         assert io_module._checked_entries(path, 2, need, (3, 3), nnz) is not None
 
 
+class TestCheckedParseThreads:
+    """scipy's C++ reader parses on one thread and hands back bare arrays:
+    ``mmread`` would start a thread per core (CPU time a sweep's worker
+    processes already share out) and wrap the arrays in a ``coo_array``
+    taken apart at once."""
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    def test_one_thread_and_no_coo_array(self, suffix, tmp_path, monkeypatch):
+        from scipy.io import _fast_matrix_market as fmm
+
+        matrix = sparse.random(50, 40, density=0.1, random_state=9, format="csr")
+        path = write_mtx(str(tmp_path / f"t.mtx{suffix}"), matrix)
+        asked = []
+        cursor = fmm._get_read_cursor
+
+        def recorded(source, parallelism=None):
+            asked.append(parallelism)
+            return cursor(source, parallelism)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("read_mtx built a scipy COO array")
+
+        monkeypatch.setattr(fmm, "_get_read_cursor", recorded)
+        monkeypatch.setattr(fmm, "coo_array", refused)
+        monkeypatch.setattr(fmm, "coo_matrix", refused)
+        coo = read_mtx(path)
+        assert asked == [1]
+        assert np.array_equal(coo.to_scipy().toarray(), matrix.toarray())
+
+
 #: index and value spellings the generated bodies are drawn from; the
 #: first ones of each list are what the grammar admits
 INDEX_TOKENS = ["1", "2", "3", "01", "0", "4", "+1", "-1", "1.0", "1.5", "1e0"]

@@ -7,7 +7,7 @@ identity, so the fibertree must not change by a bit: the property tests
 build the same COO data sorted, shuffled (duplicates kept in relative
 order, so their sums round the same way) and through the pure-Python
 reference, and compare every stored array as bytes.  The guards count
-``np.lexsort`` calls, not seconds.
+``np.lexsort`` calls and grouping passes, not seconds.
 """
 
 import itertools
@@ -24,7 +24,7 @@ from repro.formats.tensor import FORMAT_NAMES, _rows_ascend
 from repro.lang import compile_expression
 from repro.studies.table1 import ENTRIES, _random_inputs
 
-from numpy_counters import lexsort_callers
+from numpy_counters import builtin_calls, lexsort_callers
 
 INGEST = "repro.formats.tensor"
 
@@ -209,3 +209,39 @@ class TestNoSortOnOrderedInput:
                 )
                 program.run(_random_inputs(program, 0), backend="compiled").to_numpy()
         assert INGEST not in callers
+
+
+#: every format mix of order 1 to 3, and a shape for each order
+FORMAT_MIXES = [
+    mix for order in (1, 2, 3) for mix in itertools.product(FORMAT_NAMES, repeat=order)
+]
+SHAPES = {1: (100_000,), 2: (400, 400), 3: (60, 60, 60)}
+
+
+class TestLastLevelTakesNoGroupingPass:
+    """Counting contract: after ``_dedupe_sorted`` no two rows are equal,
+    so a compressed or bitvector *last* level holds one entry a group and
+    is built without a grouping pass (head mask, ``nonzero``,
+    ``cumsum``, gathers, value scatter).  Each compressed or bitvector
+    level above it takes exactly one.  Counted on the ndarray methods
+    ``from_coords`` calls on entry-length arrays, at n and 4n entries."""
+
+    @pytest.mark.parametrize("formats", FORMAT_MIXES, ids="/".join)
+    def test_one_grouping_pass_per_level_above_the_last(self, formats):
+        shape = SHAPES[len(formats)]
+        grouped = sum(fmt != "dense" for fmt in formats[:-1])
+        seen = []
+        for n in (500, 2000):
+            rng = np.random.default_rng(n)
+            flat = np.sort(rng.choice(int(np.prod(shape)), n, replace=False))
+            coords = np.column_stack(np.unravel_index(flat, shape))
+            values = rng.uniform(0.5, 1.0, n)
+            with builtin_calls(INGEST) as calls:
+                tensor = FiberTensor.from_coords(shape, coords, values,
+                                                 formats=formats)
+            entry_sized = [name for name, size in calls if size == n]
+            assert entry_sized.count("nonzero") == grouped
+            assert entry_sized.count("cumsum") == grouped
+            seen.append(entry_sized)
+            assert np.array_equal(tensor.to_numpy()[tuple(coords.T)], values)
+        assert seen[0] == seen[1]

@@ -19,8 +19,10 @@ It mutates this checkout's ``src/``: the window hooks are judged by
 generator finish by ``tests/sim/test_plane_rule.py`` (the plane rule's
 finite-FIFO gate by ``tests/sim/test_window_identity.py``, the
 worklist's dependency-order seed by ``tests/sim/test_visit_order.py``),
-the ``.mtx`` reader's byte-grammar check by ``tests/data/test_io.py``,
-the Table-1 pass's fixed cost by ``tests/sim/test_call_budget.py``.
+the ``.mtx`` reader's byte-grammar check and its one-thread parse by
+``tests/data/test_io.py``, the fibertree build's grouping passes by
+``tests/formats/test_sorted_ingest.py``, the Table-1 pass's fixed cost
+by ``tests/sim/test_call_budget.py``.
 Every mutation costs one pytest run that stops at its first failure.
 """
 
@@ -37,6 +39,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 BLOCKS = "tests/blocks/test_window_blocks.py"
 INGEST = "tests/data/test_io.py"
+BUILD = "tests/formats/test_sorted_ingest.py"
 PLANES = "tests/sim/test_plane_rule.py"
 IDENTITY = "tests/sim/test_window_identity.py"
 VISITS = "tests/sim/test_visit_order.py"
@@ -155,9 +158,14 @@ MUTATIONS = (
              "repro/data/io.py",
              "np.where(spaced[marks - 1], np.uint8(48), byte[marks - 1])",
              "byte[marks - 1]", INGEST),
-    Mutation("the file's symmetry passed through to scipy", "repro/data/io.py",
-             'f"general\\n{shape[0]}',
-             'f"{data.split(None, 5)[4].decode()}\\n{shape[0]}', INGEST),
+    Mutation("the file's field passed through to scipy", "repro/data/io.py",
+             "{'pattern' if need == 2 else 'real'}",
+             "{data.split(None, 5)[3].decode()}", INGEST),
+    Mutation("scipy parse on all cores", "repro/data/io.py",
+             "parallelism=1", "parallelism=0", INGEST),
+    # -- the fibertree build
+    Mutation("grouping pass back on the last level", "repro/formats/tensor.py",
+             "if d < order - 1:", "if True:", BUILD),
 )
 
 
