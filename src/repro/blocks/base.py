@@ -590,17 +590,6 @@ class Block:
                 channel.timed_requeue_front(*tail)
             self.finished = True
 
-    def _timed_bail_safe(self) -> bool:
-        """Whether the generator can take over right now.
-
-        Timed processing already charged busy/stall cycles for
-        everything consumed, so a bail is only safe when no
-        consumed-but-unemitted state is pending (carried arrivals
-        included).  Stateful blocks override with their own
-        cleanliness checks.
-        """
-        return self._t_carry == 0
-
     def _bail_timed(self) -> bool:
         """Leave the window hook for the rest of the run.
 
@@ -608,12 +597,13 @@ class Block:
         engine materialises them for the generator at the right cycles)
         and flips :attr:`_timed_ok`; the engine then finishes the stream
         on this block's generator from local cycle :attr:`_tclock`.
+        Cycles already charged cannot be replayed, so a bail with
+        carried arrivals pending is an error.
         """
-        if not self._timed_bail_safe():
+        if self._t_carry != 0:
             raise BlockError(
                 f"{self.name}: cannot leave the timed-batch plane "
-                f"mid-stream (unbatchable tokens arrived after stateful "
-                f"timed processing)"
+                f"mid-stream (arrivals carried past a charged window)"
             )
         for reader in getattr(self, "_timed_readers", {}).values():
             reader.requeue()

@@ -113,10 +113,6 @@ class CoordDropper(Block):
 
     timing = TimingDescriptor()
 
-    def _timed_bail_safe(self) -> bool:
-        return (super()._timed_bail_safe() and self._cd_held < 0
-                and self._cd_fold < 0)
-
     def drain_timed(self) -> bool:
         """Timed drain: one alignment, one schedule, one push per output.
 

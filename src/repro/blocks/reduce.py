@@ -190,11 +190,6 @@ class ScalarReducer(Block):
 
     timing = TimingDescriptor(fuse_role="reduce")
 
-    def _timed_bail_safe(self) -> bool:
-        return super()._timed_bail_safe() and not (
-            self._acc_parts or self._acc_saw
-        )
-
     def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
         """Emit one scheduled window's region sums; carry the open tail.
 
@@ -315,9 +310,6 @@ class VectorReducer(Block):
         self._region_vals: List[np.ndarray] = []
 
     timing = TimingDescriptor()
-
-    def _timed_bail_safe(self) -> bool:
-        return super()._timed_bail_safe() and not self._region_crds
 
     def drain_timed(self) -> bool:
         """Timed drain: one sort, one accumulation, one schedule per window.

@@ -147,10 +147,6 @@ class Repeater(Block):
 
     timing = TimingDescriptor()
 
-    def _timed_bail_safe(self) -> bool:
-        return (super()._timed_bail_safe() and self._rep_ref is NO_TOKEN
-                and self._rep_fold < 0)
-
     def drain_timed(self) -> bool:
         """Timed drain: one alignment, one schedule, one push per window.
 

@@ -36,9 +36,9 @@ import sys
 
 
 def _cmd_table1(args) -> None:
-    from .studies.table1 import main
+    from .studies.table1 import format_table1, run_table1
 
-    main()
+    print(format_table1(run_table1()))
 
 
 def _cmd_table2(args) -> None:
@@ -62,9 +62,11 @@ def _cmd_fig12(args) -> None:
 
 
 def _cmd_fig13(args) -> None:
-    from .studies.fig13 import main
+    from .studies.fig13 import format_fig13, run_fig13a, run_fig13b, run_fig13c
 
-    main(backend=args.engine)
+    for run in (run_fig13a, run_fig13b, run_fig13c):
+        print(format_fig13(run(backend=args.engine)))
+        print()
 
 
 def _cmd_fig14(args) -> None:

@@ -135,13 +135,3 @@ STUDY = Study(
     uses_backend=True,
     quick_options={"size": 12, "k_sweep": (1, 4)},
 )
-
-
-def main() -> str:
-    text = format_fig11(run_fig11())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -110,13 +110,3 @@ STUDY = Study(
     uses_backend=True,
     quick_options={"i": 20, "j": 20, "k": 10},
 )
-
-
-def main() -> str:
-    text = format_fig12(run_fig12())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -180,16 +180,3 @@ STUDY = Study(
                    "nnz_sweep": (10, 40), "run_sweep": (2, 20),
                    "block_sweep": (2, 8)},
 )
-
-
-def main(backend: Optional[str] = None) -> str:
-    parts = []
-    for run in (run_fig13a, run_fig13b, run_fig13c):
-        parts.append(format_fig13(run(backend=backend)))
-        print(parts[-1])
-        print()
-    return "\n\n".join(parts)
-
-
-if __name__ == "__main__":
-    main()

@@ -181,13 +181,3 @@ STUDY = Study(
     uses_backend=True,
     quick_options={"max_nnz": 200},
 )
-
-
-def main() -> str:
-    text = format_fig14(run_fig14())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -136,13 +136,3 @@ STUDY = Study(
     uses_backend=False,
     quick_options={"dimensions": QUICK_DIMENSIONS, "nnzs": QUICK_NNZS},
 )
-
-
-def main() -> str:
-    text = format_fig15(run_fig15())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -305,13 +305,3 @@ STUDY = Study(
     render_fn=render,
     uses_backend=False,
 )
-
-
-def main() -> str:
-    text = format_table1(run_table1())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

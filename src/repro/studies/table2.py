@@ -163,13 +163,3 @@ STUDY = Study(
     uses_backend=False,
     quick_options={"distinct": 40, "total": 500},
 )
-
-
-def main() -> str:
-    text = format_table2(run_table2())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -33,9 +33,9 @@ def _alu_graph(depth_b=1):
 
 
 class TestCaptureRuns:
-    def test_capture_records_each_launch(self):
+    def test_capture_records_each_launch(self, engine):
         with capture_runs() as capture:
-            report = _alu_graph().run()
+            report = _alu_graph().run(backend=engine)
         assert report.cycles > 0
         assert len(capture.runs) == 1
         blocks, captured_report = capture.runs[0]

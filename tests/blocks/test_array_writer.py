@@ -23,67 +23,69 @@ from blockkit import ENGINES, TIMED, Relay, Slicer
 
 
 class TestArrayLoad:
-    def test_load_by_reference(self):
+    def test_load_by_reference(self, engine):
         refs = Channel("r", kind="ref")
         out = Channel("o", kind="vals", record=True)
         block = ArrayLoad([1.0, 2.0, 3.0], refs, out)
-        run_blocks([StreamFeeder([2, 0, Stop(0), DONE], refs), block])
+        run_blocks([StreamFeeder([2, 0, Stop(0), DONE], refs), block], backend=engine)
         assert list(out.history) == [3.0, 1.0, Stop(0), DONE]
         assert block.loads == 2
 
-    def test_empty_reference_loads_zero(self):
+    def test_empty_reference_loads_zero(self, engine):
         refs = Channel("r", kind="ref")
         out = Channel("o", kind="vals", record=True)
         run_blocks([
             StreamFeeder([EMPTY, 1, DONE], refs),
             ArrayLoad([5.0, 6.0], refs, out),
-        ])
+        ], backend=engine)
         assert list(out.history) == [0.0, 6.0, DONE]
 
-    def test_control_tokens_pass_through(self):
+    def test_control_tokens_pass_through(self, engine):
         refs = Channel("r", kind="ref")
         out = Channel("o", kind="vals", record=True)
-        run_blocks([StreamFeeder([Stop(2), DONE], refs), ArrayLoad([], refs, out)])
+        run_blocks([StreamFeeder([Stop(2), DONE], refs), ArrayLoad([], refs, out)],
+                   backend=engine)
         assert list(out.history) == [Stop(2), DONE]
 
 
 class TestArrayStore:
-    def test_store_side_effect(self):
+    def test_store_side_effect(self, engine):
         refs, data = Channel("r", kind="ref"), Channel("d", kind="vals")
         block = ArrayStore(refs, data)
         run_blocks([
             StreamFeeder([1, 3, Stop(0), DONE], refs, name="fr"),
             StreamFeeder([7.0, 9.0, Stop(0), DONE], data, name="fd"),
             block,
-        ])
+        ], backend=engine)
         assert block.memory == [0.0, 7.0, 0.0, 9.0]
         assert block.stores == 2
 
-    def test_ref_paired_with_stop_rejected(self):
+    def test_ref_paired_with_stop_rejected(self, engine):
         refs, data = Channel("r", kind="ref"), Channel("d", kind="vals")
         with pytest.raises(BlockError):
             run_blocks([
                 StreamFeeder([1, DONE], refs, name="fr"),
                 StreamFeeder([Stop(0), DONE], data, name="fd"),
                 ArrayStore(refs, data),
-            ])
+            ], backend=engine)
 
 
 class TestCompressedWriter:
-    def test_builds_segments_per_stop(self, harness):
+    def test_builds_segments_per_stop(self, harness, engine):
         crd = Channel("c")
         writer = CompressedLevelWriter(crd)
         run_blocks([
             StreamFeeder(harness.paper("D, S1, 3, 1, S0, 2, 0, S0, 1"), crd),
             writer,
-        ])
+        ], backend=engine)
         assert writer.level.seg.tolist() == [0, 1, 3, 5]
         assert writer.level.crd.tolist() == [1, 0, 2, 1, 3]
 
-    def test_empty_fibers_become_empty_segments(self):
+    def test_empty_fibers_become_empty_segments(self, engine):
         crd = Channel("c")
         writer = CompressedLevelWriter(crd)
-        run_blocks([StreamFeeder([0, Stop(0), Stop(0), 1, Stop(1), DONE], crd), writer])
+        run_blocks([StreamFeeder([0, Stop(0), Stop(0), 1, Stop(1), DONE], crd), writer],
+                   backend=engine)
         assert writer.level.seg.tolist() == [0, 1, 1, 2]
 
     def test_level_unavailable_before_done(self):
@@ -93,29 +95,30 @@ class TestCompressedWriter:
 
 
 class TestOtherWriters:
-    def test_vals_writer_arrival_order(self):
+    def test_vals_writer_arrival_order(self, engine):
         val = Channel("v", kind="vals")
         writer = ValsWriter(val)
         run_blocks([
             StreamFeeder([1.0, Stop(0), EMPTY, 2.0, Stop(1), DONE], val), writer
-        ])
+        ], backend=engine)
         assert writer.vals.tolist() == [1.0, 0.0, 2.0]
 
-    def test_uncompressed_writer_counts_fibers(self):
+    def test_uncompressed_writer_counts_fibers(self, engine):
         crd = Channel("c")
         writer = UncompressedLevelWriter(4, crd)
-        run_blocks([StreamFeeder([0, 2, Stop(0), 1, Stop(0), DONE], crd), writer])
+        run_blocks([StreamFeeder([0, 2, Stop(0), 1, Stop(0), DONE], crd), writer],
+                   backend=engine)
         assert writer.level.size == 4
         assert writer.level.num_fibers() == 2
 
-    def test_scatter_writer_accumulates(self):
+    def test_scatter_writer_accumulates(self, engine):
         refs, val = Channel("r", kind="ref"), Channel("v", kind="vals")
         writer = ScatterValsWriter(4, refs, val)
         run_blocks([
             StreamFeeder([1, 1, 3, Stop(0), DONE], refs, name="fr"),
             StreamFeeder([2.0, 3.0, 4.0, Stop(0), DONE], val, name="fv"),
             writer,
-        ])
+        ], backend=engine)
         assert writer.vals.tolist() == [0.0, 5.0, 0.0, 4.0]
 
     @pytest.mark.parametrize("backend", ENGINES)
@@ -132,14 +135,14 @@ class TestOtherWriters:
         ], backend=backend)
         assert writer.vals.tolist() == [1.0, 2.0, 0.0]
 
-    def test_linked_list_writer_discordant(self):
+    def test_linked_list_writer_discordant(self, engine):
         parent, crd = Channel("p", kind="ref"), Channel("c")
         writer = LinkedListLevelWriter(parent, crd)
         run_blocks([
             StreamFeeder([2, 0, 2, Stop(0), DONE], parent, name="fp"),
             StreamFeeder([10, 11, 12, Stop(0), DONE], crd, name="fc"),
             writer,
-        ])
+        ], backend=engine)
         assert [c for c, _ in writer.level.fiber(2)] == [10, 12]
         assert [c for c, _ in writer.level.fiber(0)] == [11]
         assert writer.child_refs == [0, 1, 2]

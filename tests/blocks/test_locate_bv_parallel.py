@@ -19,7 +19,7 @@ from repro.streams import Channel, DONE, EMPTY, Stop
 
 
 class TestLocator:
-    def _run(self, level, crd_tokens, ref_tokens, target_tokens=None):
+    def _run(self, level, crd_tokens, ref_tokens, target_tokens=None, *, backend):
         crd, ref = Channel("c"), Channel("r", kind="ref")
         oc = Channel("oc", record=True)
         of = Channel("of", kind="ref", record=True)
@@ -33,33 +33,36 @@ class TestLocator:
             target = Channel("t", kind="ref")
             blocks.append(StreamFeeder(target_tokens, target, name="ft"))
         blocks.append(Locator(level, crd, ref, oc, of, oi, in_target_ref=target))
-        run_blocks(blocks)
+        run_blocks(blocks, backend=backend)
         return list(oc.history), list(of.history), list(oi.history)
 
-    def test_hit_and_miss(self):
+    def test_hit_and_miss(self, engine):
         level = CompressedLevel.from_fibers([[1, 4, 7]])
-        oc, of, oi = self._run(level, [1, 5, 7, Stop(0), DONE], [0, 1, 2, Stop(0), DONE])
+        oc, of, oi = self._run(level, [1, 5, 7, Stop(0), DONE],
+                               [0, 1, 2, Stop(0), DONE], backend=engine)
         assert oc == [1, EMPTY, 7, Stop(0), DONE]
         assert of == [0, EMPTY, 2, Stop(0), DONE]
         assert oi == [0, EMPTY, 2, Stop(0), DONE]
 
-    def test_dense_level_always_hits(self):
-        oc, of, _ = self._run(DenseLevel(10), [3, 9, Stop(0), DONE], [0, 1, Stop(0), DONE])
+    def test_dense_level_always_hits(self, engine):
+        oc, of, _ = self._run(DenseLevel(10), [3, 9, Stop(0), DONE],
+                              [0, 1, Stop(0), DONE], backend=engine)
         assert oc == [3, 9, Stop(0), DONE]
         assert of == [3, 9, Stop(0), DONE]
 
-    def test_per_fiber_targets(self):
+    def test_per_fiber_targets(self, engine):
         level = CompressedLevel.from_fibers([[1], [2]])
         oc, of, _ = self._run(
             level,
             [1, Stop(0), 2, Stop(1), DONE],
             [0, Stop(0), 1, Stop(1), DONE],
             target_tokens=[0, 1, Stop(0), DONE],
+            backend=engine,
         )
         assert oc == [1, Stop(0), 2, Stop(1), DONE]
         assert of == [0, Stop(0), 1, Stop(1), DONE]
 
-    def test_statistics(self):
+    def test_statistics(self, engine):
         level = CompressedLevel.from_fibers([[1, 4]])
         crd, ref = Channel("c"), Channel("r", kind="ref")
         locator = Locator(level, crd, ref, Channel("a"), Channel("b"), Channel("d"))
@@ -67,22 +70,22 @@ class TestLocator:
             StreamFeeder([1, 2, Stop(0), DONE], crd, name="fc"),
             StreamFeeder([0, 1, Stop(0), DONE], ref, name="fr"),
             locator,
-        ])
+        ], backend=engine)
         assert locator.probes == 2
         assert locator.hits == 1
 
 
 class TestBitvectorBlocks:
-    def test_converter_packs_fibers(self):
+    def test_converter_packs_fibers(self, engine):
         crd = Channel("c")
         out = Channel("o", kind="bv", record=True)
         run_blocks([
             StreamFeeder([0, 2, 6, 8, 9, Stop(0), DONE], crd),
             BitvectorConverter(11, 4, crd, out),
-        ])
+        ], backend=engine)
         assert list(out.history) == [0b0101, 0b0100, 0b0011, Stop(0), DONE]
 
-    def _merge(self, cls, words_a, base_a, words_b, base_b):
+    def _merge(self, cls, words_a, base_a, words_b, base_b, *, backend):
         channels = {
             name: Channel(name, kind=kind)
             for name, kind in [
@@ -97,26 +100,28 @@ class TestBitvectorBlocks:
             StreamFeeder(base_b, channels["rb"], name="f4"),
             cls(channels["ba"], channels["ra"], channels["bb"], channels["rb"],
                 *outs),
-        ])
+        ], backend=backend)
         return [list(o.history) for o in outs]
 
-    def test_word_wise_and(self):
+    def test_word_wise_and(self, engine):
         merged, *_ = self._merge(
             BVIntersect,
             [0b1100, Stop(0), DONE], [0, Stop(0), DONE],
             [0b0101, Stop(0), DONE], [0, Stop(0), DONE],
+            backend=engine,
         )
         assert merged == [0b0100, Stop(0), DONE]
 
-    def test_word_wise_or(self):
+    def test_word_wise_or(self, engine):
         merged, *_ = self._merge(
             BVUnion,
             [0b1100, Stop(0), DONE], [0, Stop(0), DONE],
             [0b0101, Stop(0), DONE], [0, Stop(0), DONE],
+            backend=engine,
         )
         assert merged == [0b1101, Stop(0), DONE]
 
-    def test_expander_popcount_refs(self):
+    def test_expander_popcount_refs(self, engine):
         chans = {n: Channel(n) for n in ("bv", "wa", "ba", "wb", "bb")}
         oc = Channel("oc", record=True)
         ra = Channel("ra", kind="ref", record=True)
@@ -129,14 +134,14 @@ class TestBitvectorBlocks:
             StreamFeeder([20, Stop(0), DONE], chans["bb"], name="f4"),
             BVExpander(4, chans["bv"], chans["wa"], chans["ba"], chans["wb"],
                        chans["bb"], oc, ra, rb),
-        ])
+        ], backend=engine)
         assert list(oc.history) == [1, 2, Stop(0), DONE]
         assert list(ra.history) == [10, 11, Stop(0), DONE]
         assert list(rb.history) == [20, 21, Stop(0), DONE]
 
 
 class TestParallelSerialize:
-    def test_round_trip(self):
+    def test_round_trip(self, engine):
         src = Channel("s")
         lanes = [Channel(f"l{i}") for i in range(2)]
         out = Channel("o", record=True)
@@ -145,16 +150,16 @@ class TestParallelSerialize:
             StreamFeeder(tokens, src),
             Parallelizer(src, lanes),
             Serializer(lanes, out),
-        ])
+        ], backend=engine)
         assert list(out.history) == tokens
 
-    def test_lane_distribution(self):
+    def test_lane_distribution(self, engine):
         src = Channel("s")
         lanes = [Channel(f"l{i}", record=True) for i in range(2)]
         run_blocks([
             StreamFeeder([0, Stop(0), 1, Stop(0), DONE], src),
             Parallelizer(src, lanes),
-        ])
+        ], backend=engine)
         assert list(lanes[0].history) == [0, Stop(0), Stop(0), DONE]
         assert list(lanes[1].history) == [Stop(0), 1, Stop(0), DONE]
 

@@ -17,17 +17,17 @@ from repro.streams import Channel, DONE, EMPTY, Stop
 from blockkit import ENGINES, TIMED
 
 
-def scalar_reduce(tokens, empty_policy="zero"):
+def scalar_reduce(tokens, empty_policy="zero", *, backend):
     a = Channel("a", kind="vals")
     out = Channel("o", kind="vals", record=True)
     run_blocks([
         StreamFeeder(tokens, a),
         ScalarReducer(a, out, empty_policy=empty_policy),
-    ])
+    ], backend=backend)
     return list(out.history)
 
 
-def vector_reduce(crd_tokens, val_tokens, flush_level=1, backend=None):
+def vector_reduce(crd_tokens, val_tokens, flush_level=1, *, backend):
     crd, val = Channel("c"), Channel("v", kind="vals")
     oc = Channel("oc", record=True)
     ov = Channel("ov", kind="vals", record=True)
@@ -40,26 +40,28 @@ def vector_reduce(crd_tokens, val_tokens, flush_level=1, backend=None):
 
 
 class TestScalarReducer:
-    def test_sums_innermost_fibers(self, harness):
-        out = scalar_reduce(harness.paper("D, S1, 5, 4, S0, 3, 2, S0, 1", "vals"))
+    def test_sums_innermost_fibers(self, harness, engine):
+        out = scalar_reduce(harness.paper("D, S1, 5, 4, S0, 3, 2, S0, 1", "vals"),
+                            backend=engine)
         assert out == [1, 5, 9, Stop(0), DONE]
 
-    def test_empty_fiber_policy_zero(self):
-        out = scalar_reduce([1.0, Stop(0), Stop(0), 2.0, Stop(1), DONE])
+    def test_empty_fiber_policy_zero(self, engine):
+        out = scalar_reduce([1.0, Stop(0), Stop(0), 2.0, Stop(1), DONE], backend=engine)
         assert out == [1.0, 0.0, 2.0, Stop(0), DONE]
 
-    def test_empty_fiber_policy_drop(self):
+    def test_empty_fiber_policy_drop(self, engine):
         out = scalar_reduce(
-            [1.0, Stop(0), Stop(0), 2.0, Stop(1), DONE], empty_policy="drop"
+            [1.0, Stop(0), Stop(0), 2.0, Stop(1), DONE], empty_policy="drop",
+            backend=engine,
         )
         assert out == [1.0, 2.0, Stop(0), DONE]
 
-    def test_empty_tokens_are_zero(self):
-        assert scalar_reduce([EMPTY, 2.0, Stop(0), DONE]) == [2.0, DONE]
+    def test_empty_tokens_are_zero(self, engine):
+        assert scalar_reduce([EMPTY, 2.0, Stop(0), DONE], backend=engine) == [2.0, DONE]
 
-    def test_scalar_output_shape(self):
+    def test_scalar_output_shape(self, engine):
         # A full reduction chain ends with a bare "v, D" stream.
-        assert scalar_reduce([1.0, 2.0, Stop(0), DONE]) == [3.0, DONE]
+        assert scalar_reduce([1.0, 2.0, Stop(0), DONE], backend=engine) == [3.0, DONE]
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(BlockError):
@@ -67,52 +69,56 @@ class TestScalarReducer:
 
 
 class TestVectorReducerFigure7:
-    def test_paper_example(self, harness):
+    def test_paper_example(self, harness, engine):
         # Figure 7: accumulating the columns of the Figure 1a matrix.
         crd = harness.paper("D, S1, 3, 1, S0, 2, 0, S0, 1")
         val = harness.paper("D, S1, 5, 4, S0, 3, 2, S0, 1", "vals")
-        oc, ov = vector_reduce(crd, val)
+        oc, ov = vector_reduce(crd, val, backend=engine)
         assert oc == harness.paper("D, S0, 3, 2, 1, 0")
         assert ov == harness.paper("D, S0, 5, 3, 5, 2", "vals")
 
 
 class TestVectorReducer:
-    def test_deduplicates_and_sorts(self):
+    def test_deduplicates_and_sorts(self, engine):
         oc, ov = vector_reduce(
             [3, 1, Stop(0), 1, Stop(1), DONE],
             [1.0, 2.0, Stop(0), 10.0, Stop(1), DONE],
+            backend=engine,
         )
         assert oc == [1, 3, Stop(0), DONE]
         assert ov == [12.0, 1.0, Stop(0), DONE]
 
-    def test_regions_flush_independently(self):
+    def test_regions_flush_independently(self, engine):
         oc, ov = vector_reduce(
             [0, Stop(1), 1, Stop(1), DONE],
             [1.0, Stop(1), 2.0, Stop(1), DONE],
+            backend=engine,
         )
         assert oc == [0, Stop(0), 1, Stop(0), DONE]
         assert ov == [1.0, Stop(0), 2.0, Stop(0), DONE]
 
-    def test_empty_region_emits_empty_fiber(self):
+    def test_empty_region_emits_empty_fiber(self, engine):
         oc, _ = vector_reduce(
             [Stop(1), 4, Stop(1), DONE],
             [Stop(1), 2.0, Stop(1), DONE],
+            backend=engine,
         )
         assert oc == [Stop(0), 4, Stop(0), DONE]
 
-    def test_flush_at_done_for_outer_reductions(self):
+    def test_flush_at_done_for_outer_reductions(self, engine):
         # Reduction over the outermost variable: regions close only at D
         # (the MatTransMul dataflow).
         oc, ov = vector_reduce(
             [0, 1, Stop(0), 1, Stop(0), DONE],
             [1.0, 2.0, Stop(0), 3.0, Stop(0), DONE],
+            backend=engine,
         )
         assert oc == [0, 1, Stop(0), DONE]
         assert ov == [1.0, 5.0, Stop(0), DONE]
 
-    def test_misaligned_stops_rejected(self):
+    def test_misaligned_stops_rejected(self, engine):
         with pytest.raises(BlockError):
-            vector_reduce([Stop(1), DONE], [Stop(0), DONE])
+            vector_reduce([Stop(1), DONE], [Stop(0), DONE], backend=engine)
 
 
 class TestVectorReducerProtocolErrors:
@@ -219,7 +225,7 @@ class TestVectorReducerProtocolErrors:
 
 
 class TestMatrixReducer:
-    def test_outer_product_accumulation(self):
+    def test_outer_product_accumulation(self, engine):
         # Two outer-product contributions to the same (i, j) point.
         outer = Channel("co")
         inner = Channel("ci")
@@ -236,7 +242,7 @@ class TestMatrixReducer:
                 [1.0, Stop(0), 5.0, Stop(1), 2.0, 3.0, Stop(2), DONE], val, name="fv"
             ),
             MatrixReducer(outer, inner, val, oo, oi, ov),
-        ])
+        ], backend=engine)
         assert list(oo.history) == [0, 2, Stop(0), DONE]
         assert list(oi.history) == [1, 2, Stop(0), 1, Stop(1), DONE]
         assert list(ov.history) == [3.0, 3.0, Stop(0), 5.0, Stop(1), DONE]

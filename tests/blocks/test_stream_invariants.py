@@ -11,6 +11,7 @@ These test the *semantic* contracts the paper's block definitions imply:
 
 from typing import List
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,12 +20,14 @@ from repro.formats import CompressedLevel
 from repro.sim import run_blocks
 from repro.streams import Channel, DONE, Stop, from_stream, to_stream
 
+from blockkit import ENGINES
+
 coord_sets = st.lists(
     st.integers(0, 30), min_size=0, max_size=12, unique=True
 ).map(sorted)
 
 
-def run_merge(cls, a_coords: List[int], b_coords: List[int]):
+def run_merge(cls, a_coords: List[int], b_coords: List[int], *, backend):
     ca, ra = Channel("ca"), Channel("ra", kind="ref")
     cb, rb = Channel("cb"), Channel("rb", kind="ref")
     oc = Channel("oc", record=True)
@@ -39,42 +42,47 @@ def run_merge(cls, a_coords: List[int], b_coords: List[int]):
         StreamFeeder(b_tokens, cb, name="f3"),
         StreamFeeder(b_refs, rb, name="f4"),
         cls([MergeSide(ca, [ra]), MergeSide(cb, [rb])], oc, [[oa], [ob]]),
-    ])
+    ], backend=backend)
     data = [t for t in oc.history if isinstance(t, int)]
     return data, list(oa.history), list(ob.history)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @given(coord_sets, coord_sets)
-def test_intersect_is_set_intersection(a, b):
-    data, _, _ = run_merge(Intersect, a, b)
+def test_intersect_is_set_intersection(engine, a, b):
+    data, _, _ = run_merge(Intersect, a, b, backend=engine)
     assert data == sorted(set(a) & set(b))
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @given(coord_sets, coord_sets)
-def test_union_is_set_union(a, b):
-    data, _, _ = run_merge(Union, a, b)
+def test_union_is_set_union(engine, a, b):
+    data, _, _ = run_merge(Union, a, b, backend=engine)
     assert data == sorted(set(a) | set(b))
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @given(coord_sets, coord_sets)
-def test_intersect_subset_of_union(a, b):
-    isect, _, _ = run_merge(Intersect, a, b)
-    union, _, _ = run_merge(Union, a, b)
+def test_intersect_subset_of_union(engine, a, b):
+    isect, _, _ = run_merge(Intersect, a, b, backend=engine)
+    union, _, _ = run_merge(Union, a, b, backend=engine)
     assert set(isect) <= set(union)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @given(coord_sets)
-def test_merge_with_self_is_identity(a):
-    isect, ra, rb = run_merge(Intersect, a, a)
-    union, _, _ = run_merge(Union, a, a)
+def test_merge_with_self_is_identity(engine, a):
+    isect, ra, rb = run_merge(Intersect, a, a, backend=engine)
+    union, _, _ = run_merge(Union, a, a, backend=engine)
     assert isect == a
     assert union == a
     # References pass through unchanged on both sides.
     assert [t for t in ra if isinstance(t, int)] == list(range(len(a)))
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @given(st.lists(coord_sets, min_size=1, max_size=4))
-def test_scanner_mirrors_level_contents(fibers):
+def test_scanner_mirrors_level_contents(engine, fibers):
     level = CompressedLevel.from_fibers(fibers)
     in_ref = Channel("r", kind="ref")
     out_crd = Channel("c", record=True)
@@ -83,7 +91,7 @@ def test_scanner_mirrors_level_contents(fibers):
     run_blocks([
         StreamFeeder(refs, in_ref),
         make_scanner(level, in_ref, out_crd, out_ref),
-    ])
+    ], backend=engine)
     from repro.streams import Stream
 
     nested = from_stream(Stream(list(out_crd.history)))
@@ -99,9 +107,10 @@ def test_scanner_mirrors_level_contents(fibers):
         assert got == expected or (not got and not expected)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @given(st.lists(st.lists(st.integers(0, 20), min_size=0, max_size=6),
                 min_size=1, max_size=5))
-def test_scanner_token_count_conservation(fibers):
+def test_scanner_token_count_conservation(engine, fibers):
     """#coords out == total stored coords; one stop per input ref."""
     level = CompressedLevel.from_fibers(fibers)
     in_ref = Channel("r", kind="ref")
@@ -111,7 +120,7 @@ def test_scanner_token_count_conservation(fibers):
     run_blocks([
         StreamFeeder(refs, in_ref),
         make_scanner(level, in_ref, out_crd, out_ref),
-    ])
+    ], backend=engine)
     data = [t for t in out_crd.history if isinstance(t, int)]
     stops = [t for t in out_crd.history if isinstance(t, Stop)]
     assert len(data) == sum(len(f) for f in fibers)

@@ -39,6 +39,7 @@ from repro.blocks import (
     Block,
     BlockError,
     CoordDropper,
+    Exp,
     InterleaveSerializer,
     Intersect,
     LinkedListLevelWriter,
@@ -292,6 +293,30 @@ def value_drop_streams(draw):
     return {}, same_level(fibers, ([], draw(phantom_runs)), ("crd", "val"), emit)
 
 
+def shift(v):
+    return 2.0 * v + 1.0
+
+
+def negate(v):
+    return -v
+
+
+#: the maps an ``exp`` row applies, by name; neither sends ``N`` (read as
+#: 0.0) to 0.0
+EXP_FNS = {fn.__name__: fn for fn in (shift, negate)}
+
+
+@st.composite
+def exp_streams(draw):
+    """Values, explicit zeros and ``N`` in fibers of every level."""
+    def emit(streams, payload):
+        streams["a"] += payload
+
+    fibers = one_level(draw(nests(st.lists(operands, max_size=3))))
+    return ({"fn": draw(st.sampled_from(sorted(EXP_FNS)))},
+            same_level(fibers, draw(st.lists(operands, max_size=3)), ("a",), emit))
+
+
 crd_sets = st.sets(st.integers(0, 9), max_size=4).map(sorted)
 #: where a dirty chunk is planted: an N in place of a reference, a
 #: non-zero value trailing the references, or a repeated coordinate
@@ -488,6 +513,10 @@ def repeat_streams(draw):
 # -- blocks ------------------------------------------------------------------------
 def make_alu(params, ins, out):
     return [ALU(params["op"], ins["a"], ins["b"], out("out", "vals"), name="alu")]
+
+
+def make_exp(params, ins, out):
+    return [Exp(EXP_FNS[params["fn"]], ins["a"], out("out", "vals"), name="map")]
 
 
 def make_locator(params, ins, out):
@@ -787,6 +816,7 @@ class Case(NamedTuple):
 
 CASES = [
     Case("alu", (ALU,), alu_streams(), make_alu, ALU_ERRORS),
+    Case("exp", (Exp,), exp_streams(), make_exp, Errors({}, {}, [])),
     Case("locate", (Locator,), locate_streams(False), make_locator,
          LOCATE_ERRORS._replace(rows=[]),
          counters=lambda blocks: (blocks[0].probes, blocks[0].hits)),
@@ -1060,6 +1090,8 @@ REGRESSIONS = [
     # phantoms on either side, in front of S0, S1 and D
     ("alu", {"op": "mul"},
      {"a": "1.0 0.0 S0 3.0 S1 D", "b": "2.0 S0 N N -0.0 S1 0.0 D"}),
+    # N maps to fn(0.0), at either end of a window and between stops
+    ("exp", {"fn": "shift"}, {"a": "N 1.0 S0 N S0 -0.0 N S1 2.5 N D"}),
     # N targets, stop runs in front of a target, trailing controls at D
     ("locate-targeted", {"level": [[2, 4], [1, 3, 4]]},
      {"crd": "1 4 N S0 S0 2 4 S1 D",
@@ -1190,7 +1222,6 @@ EXEMPT = {name: path for path, names in {
     "tests/sim/test_fused_units.py": "ArrayLoad ScalarALU ScalarReducer Sink "
     "ValsWriter CompressedLevelWriter UncompressedLevelWriter LevelScanner "
     "CompressedLevelScanner UncompressedLevelScanner",
-    "tests/blocks/test_compute.py": "Exp",
     "tests/sim/test_window_identity.py": "Fanout",
     "tests/sim/test_plane_rule.py": "Parallelizer",
     "tests/sim/test_timed_batch.py": "StreamFeeder",

@@ -89,11 +89,11 @@ class TestDot:
 
 
 class TestBind:
-    def test_identity_round_trip(self):
+    def test_identity_round_trip(self, engine):
         matrix = np.array([[0.0, 1.0], [2.0, 0.0]])
         tensor = FiberTensor.from_numpy(matrix, name="B")
         bound = bind(tiny_identity_graph(), {"B": tensor})
-        bound.run()
+        bound.run(backend=engine)
         out = FiberTensor(
             matrix.shape,
             [bound.writers["wi"].level, bound.writers["wj"].level],
@@ -101,14 +101,14 @@ class TestBind:
         )
         assert np.array_equal(out.to_numpy(), matrix)
 
-    def test_fanout_inserted_automatically(self):
+    def test_fanout_inserted_automatically(self, engine):
         g = tiny_identity_graph()
         g.add("sink", name="extra")
         g.connect("si", "crd", "extra", "in")
         tensor = FiberTensor.from_numpy(np.eye(2), name="B")
         bound = bind(g, {"B": tensor})
         assert any(type(b).__name__ == "Fanout" for b in bound.blocks)
-        bound.run()  # still runs to completion
+        bound.run(backend=engine)  # still runs to completion
 
     def test_unconnected_required_port_rejected(self):
         g = tiny_identity_graph()
@@ -118,7 +118,7 @@ class TestBind:
             bind(g, {"B": tensor})
         assert str(raised.value) == "input lonely.in is not connected"
 
-    def test_ports_found_without_edge_scans(self, monkeypatch):
+    def test_ports_found_without_edge_scans(self, monkeypatch, engine):
         # one (node, port) -> channel dict, not a scan of every edge a port
         def scan(graph, node):
             raise AssertionError(f"in_edges({node}) scanned every edge")
@@ -129,7 +129,7 @@ class TestBind:
         g.connect("si", "crd", "extra", "in")
         tensor = FiberTensor.from_numpy(np.eye(2), name="B")
         bound = bind(g, {"B": tensor})
-        bound.run()
+        bound.run(backend=engine)
         assert np.array_equal(bound.writers["wv"].vals, [1.0, 1.0])
 
     def test_missing_tensor_rejected(self):
@@ -142,9 +142,9 @@ class TestBind:
         with pytest.raises(RuntimeError):
             _ = bound.cycles
 
-    def test_recorded_channels(self):
+    def test_recorded_channels(self, engine):
         tensor = FiberTensor.from_numpy(np.eye(2), name="B")
         bound = bind(tiny_identity_graph(), {"B": tensor}, record=("si.crd",))
-        bound.run()
+        bound.run(backend=engine)
         recorded = [c for c in bound.channels.values() if c.record]
         assert recorded and recorded[0].history

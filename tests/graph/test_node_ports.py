@@ -60,7 +60,7 @@ class TestNodePorts:
 
 
 class TestAssembleTensor:
-    def test_writers_to_fibertensor(self):
+    def test_writers_to_fibertensor(self, engine):
         crd_i, crd_j = Channel("ci"), Channel("cj")
         vals = Channel("v", kind="vals")
         wi = CompressedLevelWriter(crd_i, name="wi")
@@ -71,7 +71,7 @@ class TestAssembleTensor:
             StreamFeeder([1, Stop(0), 0, 2, Stop(1), DONE], crd_j, name="fj"),
             StreamFeeder([5.0, Stop(0), 6.0, 7.0, Stop(1), DONE], vals, name="fv"),
             wi, wj, wv,
-        ])
+        ], backend=engine)
         tensor = assemble_tensor((3, 3), [wi, wj], wv, name="X")
         expected = np.zeros((3, 3))
         expected[0, 1] = 5.0
@@ -80,9 +80,9 @@ class TestAssembleTensor:
         assert np.array_equal(tensor.to_numpy(), expected)
 
 
-def test_package_level_compile_expression():
+def test_package_level_compile_expression(engine):
     import repro
 
     program = repro.compile_expression("x(i) = b(i)")
-    result = program.run({"b": np.array([1.0, 0.0, 2.0])})
+    result = program.run({"b": np.array([1.0, 0.0, 2.0])}, backend=engine)
     assert np.allclose(result.to_numpy(), [1.0, 0.0, 2.0])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from blockkit import ENGINES
 from repro.harness import STUDY_NAMES, SweepRunner, all_studies, get_study
 
 #: reduced-scale options per study so the whole matrix stays fast;
@@ -42,14 +43,22 @@ class TestRegistry:
         assert all(s.backend == "-" for s in analytic)
 
 
-@pytest.mark.parametrize("name", STUDY_NAMES)
+#: each study on every engine when it simulates, once when it does not
+STUDY_RUNS = [
+    pytest.param(name, engine, id=f"{name}-{engine}" if engine else name)
+    for name in STUDY_NAMES
+    for engine in (ENGINES if get_study(name).uses_backend else (None,))
+]
+
+
+@pytest.mark.parametrize("name, engine", STUDY_RUNS)
 class TestEveryStudy:
     def _options(self, study):
         return TEST_OPTIONS.get(study.name, study.quick_options)
 
-    def test_enumerate_execute_render(self, name):
+    def test_enumerate_execute_render(self, name, engine):
         study = get_study(name)
-        specs = study.enumerate(options=self._options(study))
+        specs = study.enumerate(backend=engine, options=self._options(study))
         assert specs, f"{name} enumerated no sweep points"
         assert all(s.study == name for s in specs)
         report = SweepRunner().run(specs)
@@ -59,8 +68,8 @@ class TestEveryStudy:
         text = study.render(report.results)
         assert isinstance(text, str) and text.strip()
 
-    def test_specs_have_unique_keys(self, name):
+    def test_specs_have_unique_keys(self, name, engine):
         study = get_study(name)
-        specs = study.enumerate(options=self._options(study))
+        specs = study.enumerate(backend=engine, options=self._options(study))
         keys = {spec.key("v") for spec in specs}
         assert len(keys) == len(specs)

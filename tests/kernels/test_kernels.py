@@ -26,27 +26,27 @@ def rng():
 
 class TestVecMul:
     @pytest.mark.parametrize("config", CONFIGS)
-    def test_all_configs_correct(self, config):
+    def test_all_configs_correct(self, config, engine):
         b = urandom_vector(128, 30, seed=0)
         c = urandom_vector(128, 30, seed=1)
-        result = vecmul(config, b, c, split=8, bits_per_word=16)
+        result = vecmul(config, b, c, split=8, bits_per_word=16, backend=engine)
         assert result.check_against(b, c)
         assert result.cycles > 0
 
-    def test_disjoint_vectors(self):
+    def test_disjoint_vectors(self, engine):
         b = np.zeros(64)
         c = np.zeros(64)
         b[::2] = 1.0
         c[1::2] = 1.0
         for config in CONFIGS:
-            result = vecmul(config, b, c, split=8, bits_per_word=16)
+            result = vecmul(config, b, c, split=8, bits_per_word=16, backend=engine)
             assert result.check_against(b, c), config
 
-    def test_dense_config_cycles_track_dimension(self):
+    def test_dense_config_cycles_track_dimension(self, engine):
         b = urandom_vector(128, 5, seed=0)
         c = urandom_vector(128, 5, seed=1)
-        dense = vecmul("dense", b, c)
-        crd = vecmul("crd", b, c)
+        dense = vecmul("dense", b, c, backend=engine)
+        crd = vecmul("crd", b, c, backend=engine)
         assert dense.cycles > 3 * crd.cycles
 
     def test_bad_config_rejected(self):
@@ -60,10 +60,10 @@ class TestVecMul:
 
 class TestSpMM:
     @pytest.mark.parametrize("order", ORDERS)
-    def test_orders(self, order):
+    def test_orders(self, order, engine):
         B = random_sparse_matrix(12, 9, 0.3, seed=0)
         C = random_sparse_matrix(9, 11, 0.3, seed=1)
-        assert np.allclose(run_spmm(B, C, order).to_numpy(), B @ C)
+        assert np.allclose(run_spmm(B, C, order, backend=engine).to_numpy(), B @ C)
 
     def test_unknown_order_rejected(self):
         from repro.kernels.spmm import spmm_program
@@ -73,22 +73,22 @@ class TestSpMM:
 
 
 class TestSpMV:
-    def test_locate_variant(self, rng):
+    def test_locate_variant(self, rng, engine):
         B = random_sparse_matrix(10, 8, 0.3, seed=2)
         c = rng.random(8)
-        coords, vals, cycles = spmv_locate(B, c)
+        coords, vals, cycles = spmv_locate(B, c, backend=engine)
         x = np.zeros(10)
         x[coords] = vals
         assert np.allclose(x, B @ c)
         assert cycles > 0
 
-    def test_locate_accepts_prebuilt_fibertensor(self, rng):
+    def test_locate_accepts_prebuilt_fibertensor(self, rng, engine):
         from repro.formats import FiberTensor
 
         B = random_sparse_matrix(10, 8, 0.3, seed=2)
         c = rng.random(8)
         bt = FiberTensor.from_numpy(B, name="B")
-        coords, vals, _ = spmv_locate(bt, c)
+        coords, vals, _ = spmv_locate(bt, c, backend=engine)
         x = np.zeros(10)
         x[coords] = vals
         assert np.allclose(x, B @ c)
@@ -109,22 +109,22 @@ class TestSpMV:
         with pytest.raises(ValueError, match="mode_order"):
             spmv_locate(square, rng.random(3))
 
-    def test_locate_cheaper_than_coiterating_dense_vector(self, rng):
+    def test_locate_cheaper_than_coiterating_dense_vector(self, rng, engine):
         B = random_sparse_matrix(24, 64, 0.03, seed=3)
         c = rng.random(64)
-        _, _, locate_cycles = spmv_locate(B, c)
-        coiter = spmv_program().run({"B": B, "c": c})
+        _, _, locate_cycles = spmv_locate(B, c, backend=engine)
+        coiter = spmv_program().run({"B": B, "c": c}, backend=engine)
         assert locate_cycles < coiter.cycles
 
 
 class TestSDDMM:
-    def test_three_variants_agree(self, rng):
+    def test_three_variants_agree(self, rng, engine):
         B = random_sparse_matrix(10, 12, 0.1, seed=4)
         C = rng.random((10, 5))
         D = rng.random((12, 5))
         reference = sddmm_reference(B, C, D)
         for fn in (sddmm_unfused, sddmm_fused_coiter, sddmm_fused_locate):
-            assert np.allclose(fn(B, C, D).output, reference)
+            assert np.allclose(fn(B, C, D, backend=engine).output, reference)
 
     @pytest.mark.parametrize(
         "fn", [sddmm_unfused, sddmm_fused_coiter, sddmm_fused_locate]
@@ -139,27 +139,28 @@ class TestSDDMM:
         message = str(err.value)
         assert all(part in message for part in ("'j'", "B", "D", "12", "5"))
 
-    def test_fusion_saves_cycles(self, rng):
+    def test_fusion_saves_cycles(self, rng, engine):
         B = random_sparse_matrix(16, 16, 0.05, seed=5)
         C = rng.random((16, 4))
         D = rng.random((16, 4))
-        assert sddmm_fused_coiter(B, C, D).cycles < sddmm_unfused(B, C, D).cycles
-        assert sddmm_fused_locate(B, C, D).cycles < sddmm_unfused(B, C, D).cycles
+        unfused = sddmm_unfused(B, C, D, backend=engine).cycles
+        assert sddmm_fused_coiter(B, C, D, backend=engine).cycles < unfused
+        assert sddmm_fused_locate(B, C, D, backend=engine).cycles < unfused
 
 
 class TestOuterSpace:
-    def test_matches_reference(self):
+    def test_matches_reference(self, engine):
         B = random_sparse_matrix(9, 7, 0.25, seed=6)
         C = random_sparse_matrix(7, 8, 0.25, seed=7)
-        result = outerspace_spmm(B, C)
+        result = outerspace_spmm(B, C, backend=engine)
         assert np.allclose(result.output, B @ C)
         assert result.multiply_cycles > 0 and result.merge_cycles > 0
 
-    def test_empty_operands(self):
-        result = outerspace_spmm(np.zeros((4, 4)), np.zeros((4, 4)))
+    def test_empty_operands(self, engine):
+        result = outerspace_spmm(np.zeros((4, 4)), np.zeros((4, 4)), backend=engine)
         assert np.allclose(result.output, np.zeros((4, 4)))
 
-    def test_dense_operands(self, rng):
+    def test_dense_operands(self, rng, engine):
         B = rng.random((5, 5))
         C = rng.random((5, 5))
-        assert np.allclose(outerspace_spmm(B, C).output, B @ C)
+        assert np.allclose(outerspace_spmm(B, C, backend=engine).output, B @ C)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro.lang import LoweringError, compile_expression
 
+from blockkit import ENGINES
+
 
 def sp(rng, shape, density=0.4):
     return (rng.random(shape) < density) * rng.uniform(0.1, 1.0, size=shape)
@@ -19,92 +21,97 @@ def rng():
 
 
 class TestTable1Numerics:
-    def test_spmv(self, rng):
+    def test_spmv(self, rng, engine):
         B, c = sp(rng, (8, 6)), sp(rng, 6)
-        res = compile_expression("x(i) = B(i,j) * c(j)").run({"B": B, "c": c})
+        res = compile_expression("x(i) = B(i,j) * c(j)").run({"B": B, "c": c},
+                                                             backend=engine)
         assert np.allclose(res.to_numpy(), B @ c)
 
     @pytest.mark.parametrize("order", ["ijk", "jik", "ikj", "jki", "kij", "kji"])
-    def test_spmm_all_orders(self, rng, order):
+    def test_spmm_all_orders(self, rng, order, engine):
         from repro.kernels.spmm import run_spmm
 
         B, C = sp(rng, (7, 5)), sp(rng, (5, 6))
-        assert np.allclose(run_spmm(B, C, order).to_numpy(), B @ C)
+        assert np.allclose(run_spmm(B, C, order, backend=engine).to_numpy(), B @ C)
 
-    def test_sddmm(self, rng):
+    def test_sddmm(self, rng, engine):
         B, C, D = sp(rng, (6, 7)), sp(rng, (6, 3)), sp(rng, (7, 3))
         res = compile_expression("X(i,j) = B(i,j) * C(i,k) * D(j,k)").run(
-            {"B": B, "C": C, "D": D}
+            {"B": B, "C": C, "D": D}, backend=engine
         )
         assert np.allclose(res.to_numpy(), B * (C @ D.T))
 
-    def test_inner_product_scalar(self, rng):
+    def test_inner_product_scalar(self, rng, engine):
         B, C = sp(rng, (4, 3, 5)), sp(rng, (4, 3, 5))
-        res = compile_expression("chi = B(i,j,k) * C(i,j,k)").run({"B": B, "C": C})
+        res = compile_expression("chi = B(i,j,k) * C(i,j,k)").run({"B": B, "C": C},
+                                                                  backend=engine)
         assert res.output == pytest.approx((B * C).sum())
 
-    def test_ttv(self, rng):
+    def test_ttv(self, rng, engine):
         B, c = sp(rng, (4, 5, 3)), sp(rng, 3)
-        res = compile_expression("X(i,j) = B(i,j,k) * c(k)").run({"B": B, "c": c})
+        res = compile_expression("X(i,j) = B(i,j,k) * c(k)").run({"B": B, "c": c},
+                                                                 backend=engine)
         assert np.allclose(res.to_numpy(), B @ c)
 
-    def test_ttm(self, rng):
+    def test_ttm(self, rng, engine):
         B, C = sp(rng, (4, 5, 3)), sp(rng, (6, 3))
-        res = compile_expression("X(i,j,k) = B(i,j,l) * C(k,l)").run({"B": B, "C": C})
+        res = compile_expression("X(i,j,k) = B(i,j,l) * C(k,l)").run({"B": B, "C": C},
+                                                                     backend=engine)
         assert np.allclose(res.to_numpy(), np.einsum("ijl,kl->ijk", B, C))
 
-    def test_mttkrp(self, rng):
+    def test_mttkrp(self, rng, engine):
         B, C, D = sp(rng, (5, 4, 3)), sp(rng, (6, 4)), sp(rng, (6, 3))
         res = compile_expression("X(i,j) = B(i,k,l) * C(j,k) * D(j,l)").run(
-            {"B": B, "C": C, "D": D}
+            {"B": B, "C": C, "D": D}, backend=engine
         )
         assert np.allclose(res.to_numpy(), np.einsum("ikl,jk,jl->ij", B, C, D))
 
-    def test_residual(self, rng):
+    def test_residual(self, rng, engine):
         b, C, d = sp(rng, 7), sp(rng, (7, 5)), sp(rng, 5)
         res = compile_expression("x(i) = b(i) - C(i,j) * d(j)").run(
-            {"b": b, "C": C, "d": d}
+            {"b": b, "C": C, "d": d}, backend=engine
         )
         assert np.allclose(res.to_numpy(), b - C @ d)
 
-    def test_mat_trans_mul(self, rng):
+    def test_mat_trans_mul(self, rng, engine):
         B, c, d = sp(rng, (5, 7)), sp(rng, 5), sp(rng, 7)
         res = compile_expression(
             "x(i) = alpha * B(j,i) * c(j) + beta * d(i)", schedule=("j", "i")
-        ).run({"B": B, "c": c, "d": d, "alpha": 2.0, "beta": 3.0})
+        ).run({"B": B, "c": c, "d": d, "alpha": 2.0, "beta": 3.0}, backend=engine)
         assert np.allclose(res.to_numpy(), 2.0 * (B.T @ c) + 3.0 * d)
 
-    def test_mmadd_and_plus3(self, rng):
+    def test_mmadd_and_plus3(self, rng, engine):
         B, C, D = sp(rng, (6, 5)), sp(rng, (6, 5)), sp(rng, (6, 5))
-        res2 = compile_expression("X(i,j) = B(i,j) + C(i,j)").run({"B": B, "C": C})
+        res2 = compile_expression("X(i,j) = B(i,j) + C(i,j)").run({"B": B, "C": C},
+                                                                  backend=engine)
         assert np.allclose(res2.to_numpy(), B + C)
         res3 = compile_expression("X(i,j) = B(i,j) + C(i,j) + D(i,j)").run(
-            {"B": B, "C": C, "D": D}
+            {"B": B, "C": C, "D": D}, backend=engine
         )
         assert np.allclose(res3.to_numpy(), B + C + D)
 
-    def test_plus2_3d(self, rng):
+    def test_plus2_3d(self, rng, engine):
         B, C = sp(rng, (3, 4, 5)), sp(rng, (3, 4, 5))
         res = compile_expression("X(i,j,k) = B(i,j,k) + C(i,j,k)").run(
-            {"B": B, "C": C}
+            {"B": B, "C": C}, backend=engine
         )
         assert np.allclose(res.to_numpy(), B + C)
 
 
 class TestFormatsAndSchedules:
-    def test_dense_operand(self, rng):
+    def test_dense_operand(self, rng, engine):
         B, c = sp(rng, (6, 4)), rng.random(4)
         res = compile_expression(
             "x(i) = B(i,j) * c(j)", formats={"c": ["dense"]}
-        ).run({"B": B, "c": c})
+        ).run({"B": B, "c": c}, backend=engine)
         assert np.allclose(res.to_numpy(), B @ c)
 
-    def test_csr_operand(self, rng):
+    def test_csr_operand(self, rng, engine):
         B, C = sp(rng, (5, 5)), sp(rng, (5, 5))
         res = compile_expression(
             "X(i,j) = B(i,j) * C(i,j)",
             formats={"B": ["dense", "compressed"], "C": ["dense", "compressed"]},
-        ).run({"B": B, "C": C})
+        ).run({"B": B, "C": C}, backend=engine)
         assert np.allclose(res.to_numpy(), B * C)
 
     def test_incompatible_storage_order_rejected(self):
@@ -115,17 +122,18 @@ class TestFormatsAndSchedules:
                 schedule=("i", "k", "j"),
             )
 
-    def test_transposed_result(self, rng):
+    def test_transposed_result(self, rng, engine):
         # Writing the result j-major still yields the logical matrix.
         B, C = sp(rng, (5, 4)), sp(rng, (4, 6))
         from repro.kernels.spmm import run_spmm
 
-        assert np.allclose(run_spmm(B, C, "jki").to_numpy(), B @ C)
+        assert np.allclose(run_spmm(B, C, "jki", backend=engine).to_numpy(), B @ C)
 
-    def test_empty_inputs(self):
+    def test_empty_inputs(self, engine):
         B = np.zeros((4, 3))
         c = np.zeros(3)
-        res = compile_expression("x(i) = B(i,j) * c(j)").run({"B": B, "c": c})
+        res = compile_expression("x(i) = B(i,j) * c(j)").run({"B": B, "c": c},
+                                                             backend=engine)
         assert np.allclose(res.to_numpy(), np.zeros(4))
 
     def test_unsupported_multi_vector_reduction_rejected(self):
@@ -160,9 +168,10 @@ class TestFormatsAndSchedules:
 
 
 class TestRunResult:
-    def test_cycles_positive_and_report(self, rng):
+    def test_cycles_positive_and_report(self, rng, engine):
         B, c = sp(rng, (4, 4)), sp(rng, 4)
-        res = compile_expression("x(i) = B(i,j) * c(j)").run({"B": B, "c": c})
+        res = compile_expression("x(i) = B(i,j) * c(j)").run({"B": B, "c": c},
+                                                             backend=engine)
         assert res.cycles > 0
         assert res.report.block_activity()
 
@@ -187,14 +196,15 @@ EXPRESSIONS = [
 ]
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @given(
     case=st.sampled_from(EXPRESSIONS),
     seed=st.integers(0, 10_000),
     density=st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]),
 )
-def test_property_matches_numpy(case, seed, density):
+def test_property_matches_numpy(case, seed, density, engine):
     expression, reference, shapes = case
     rng = np.random.default_rng(seed)
     tensors = {name: sp(rng, shape, density) for name, shape in shapes.items()}
-    result = compile_expression(expression).run(tensors)
+    result = compile_expression(expression).run(tensors, backend=engine)
     assert np.allclose(result.to_numpy(), reference(tensors))

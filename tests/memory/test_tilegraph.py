@@ -6,6 +6,10 @@ import pytest
 from repro.data.synthetic import random_sparse_matrix
 from repro.memory import DramModel, TiledMatrix, sequence_tile_pairs, tiled_spmm
 
+#: these entry points take no ``backend``: every test runs on each engine
+#: through ``$REPRO_ENGINE``
+pytestmark = pytest.mark.usefixtures("engine_from_env")
+
 
 class TestSequencing:
     def test_pairs_cover_exactly_the_nonempty_products(self):

@@ -4,9 +4,15 @@ Every timed engine must be *bit-identical* to the CycleEngine: same
 cycle counts and same per-block busy/stall statistics on every graph.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.blocks import ALU, Fanout, Sink, StreamFeeder
 from repro.data.synthetic import random_sparse_matrix, urandom_vector
 from repro.kernels.elementwise import vecmul
@@ -51,6 +57,22 @@ class TestRegistry:
     def test_resolve_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "timed-batch")
         assert resolve_backend(None) == "timed-batch"
+
+    def test_default_is_a_named_error_in_tests(self):
+        # tests/conftest.py: a test names its engine, or takes `engine`
+        with pytest.raises(ValueError, match="takes the `engine` fixture"):
+            resolve_backend(None)
+
+    def test_subprocesses_inherit_the_guard(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.sim import resolve_backend; resolve_backend(None)"],
+            env=env, capture_output=True, text=True,
+        )
+        assert child.returncode != 0
+        assert "takes the `engine` fixture" in child.stderr
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):

@@ -8,15 +8,15 @@ from repro.streams import Channel, DONE, Stop
 
 
 class TestEngine:
-    def test_cycle_count_linear_pipeline(self):
+    def test_cycle_count_linear_pipeline(self, engine):
         # A feeder pushing N tokens runs in N cycles; the sink consumes
         # in the same cycle (fully pipelined, zero-latency wires).
         src = Channel("s")
         tokens = [1, 2, 3, Stop(0), DONE]
-        report = run_blocks([StreamFeeder(tokens, src), Sink(src)])
+        report = run_blocks([StreamFeeder(tokens, src), Sink(src)], backend=engine)
         assert report.cycles == len(tokens)
 
-    def test_fully_pipelined_parallel_paths(self):
+    def test_fully_pipelined_parallel_paths(self, engine):
         a, b = Channel("a", kind="vals"), Channel("b", kind="vals")
         out = Channel("o", kind="vals")
         tokens = [1.0, 2.0, Stop(0), DONE]
@@ -24,23 +24,25 @@ class TestEngine:
             StreamFeeder(tokens, a, name="fa"),
             StreamFeeder(tokens, b, name="fb"),
             ALU("add", a, b, out),
-        ])
+        ], backend=engine)
         # Both feeders run concurrently; the ALU overlaps with them.
         assert report.cycles <= 2 * len(tokens)
 
-    def test_deadlock_detected(self):
+    def test_deadlock_detected(self, engine):
         # An ALU whose second input never arrives.
         a, b = Channel("a"), Channel("b")
         out = Channel("o")
         with pytest.raises(DeadlockError):
-            run_blocks([StreamFeeder([1.0, DONE], a), ALU("add", a, b, out)])
+            run_blocks([StreamFeeder([1.0, DONE], a), ALU("add", a, b, out)],
+                       backend=engine)
 
-    def test_max_cycles_guard(self):
+    def test_max_cycles_guard(self, engine):
         src = Channel("s")
         with pytest.raises(RuntimeError):
             run_blocks(
                 [StreamFeeder(list(range(100)) + [DONE], src), Sink(src)],
                 max_cycles=5,
+                backend=engine,
             )
 
     def test_duplicate_names_rejected(self):
@@ -53,9 +55,10 @@ class TestEngine:
         with pytest.raises(ValueError):
             CycleEngine([])
 
-    def test_block_activity_report(self):
+    def test_block_activity_report(self, engine):
         src = Channel("s")
-        report = run_blocks([StreamFeeder([1, DONE], src, name="feed"), Sink(src, name="sink")])
+        report = run_blocks([StreamFeeder([1, DONE], src, name="feed"),
+                             Sink(src, name="sink")], backend=engine)
         activity = report.block_activity()
         assert activity["feed"]["busy"] == 2
         assert activity["sink"]["busy"] == 2

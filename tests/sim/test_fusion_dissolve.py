@@ -1,15 +1,15 @@
-"""Mid-run fallback to the scalar plane around mergers, repeaters, writers.
+"""Unbatchable tokens in a feeder: the whole graph goes to ``cycle``.
 
-Unbatchable tuple tokens (skip-hint style payloads the numpy plane
-cannot represent) are injected into streams after a first fiber of
-ordinary tokens, so the affected blocks make real timed progress before
-the fallback ladder fires: they bail onto the scalar plane, and the
-``SimulationReport`` must still be bit-identical to every other
-backend.  Mergers and repeaters carry no fuse role, so the bail is a
-per-block one — ``report.fusion`` sees no segment and no fallback.
+Tuple tokens (skip-hint style payloads the window plane cannot
+represent) sit in a ``StreamFeeder``'s list behind a first fiber of
+ordinary tokens, on the way to a merger, a repeater or a merger with a
+writer tail.  ``StreamFeeder.timed_capable`` rejects such a list, so a
+timed engine hands the whole graph to ``cycle`` before the run starts:
+``report.handoff`` names the feeder, no block runs a window hook, and
+the ``SimulationReport`` must be bit-identical on every engine.
+``report.fusion`` sees no segment and no fallback.
 """
 
-import numpy as np
 import pytest
 
 from repro.blocks import (
@@ -25,18 +25,23 @@ from repro.sim import BACKENDS as REGISTRY
 from repro.sim import graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, Stop
 
-from blockkit import ENGINES
+from blockkit import ENGINES, TIMED
 
 
 #: ordinary coordinates; the unbatchable tuples ride the reference
-#: streams (which the merge forwards untouched, so the scalar plane
-#: handles them verbatim after the dissolve)
+#: streams, which the merge forwards untouched
 CRD = [2, 5, 9, Stop(0), 4, 7, Stop(0), 11, DONE]
 TUPLE_REFS = [0, 1, 2, Stop(0), (3, 3), (4, 4), Stop(0), 5, DONE]
 
 
-def _full_report(blocks, backend):
+def _full_report(blocks, backend, tuple_feeder):
+    """The report's fields every engine must agree on; on a timed
+    engine, first check that the run went to ``cycle`` because of
+    *tuple_feeder*."""
     report = run_blocks(blocks, backend=backend)
+    if backend in TIMED:
+        assert report.handoff == (f"block {tuple_feeder!r} (StreamFeeder): "
+                                  "its window hook cannot run here"), backend
     return (
         report.cycles,
         report.block_activity(),
@@ -46,8 +51,8 @@ def _full_report(blocks, backend):
 
 
 def _merge_writer_graph(merger_cls):
-    """Feeder-fed merge with a compressed-writer tail: the merger bails
-    when the tuples arrive, the writer keeps draining its output."""
+    """Feeder-fed merge with a compressed-writer tail; the tuples are in
+    the feeders ``fra`` and ``frb``."""
     ca, ra = Channel("ca"), Channel("ra", kind="ref")
     cb, rb = Channel("cb"), Channel("rb", kind="ref")
     oc = Channel("oc")
@@ -68,32 +73,32 @@ def _merge_writer_graph(merger_cls):
 
 
 def test_compiled_engine_has_no_run_loop_of_its_own():
-    # Dissolution is handled by the one timed run loop; a `run` on the
+    # The handoff is decided by the one timed run loop; a `run` on the
     # compiled engine would be a second copy of it.
     compiled, timed = REGISTRY["compiled"], REGISTRY["timed-batch"]
     assert "run" not in vars(compiled)
     assert compiled.run is timed.run
 
 
-class TestMergeDissolve:
+class TestMergeHandoff:
     @pytest.mark.parametrize("merger_cls", [Intersect, Union])
-    def test_tuple_coordinates_dissolve_fused_merge(self, merger_cls):
+    def test_tuple_references_hand_merge_to_cycle(self, merger_cls):
         reports = {}
         writers = {}
         for be in ENGINES:
             blocks = _merge_writer_graph(merger_cls)
-            reports[be] = _full_report(blocks, be)
+            reports[be] = _full_report(blocks, be, "fra")
             wr = blocks[-1]
             writers[be] = (list(wr.seg), list(wr.crd))
         for be in ENGINES[1:]:
             assert reports[be] == reports["cycle"], be
             assert writers[be] == writers["cycle"], be
 
-    def test_merger_bail_is_not_a_fusion_fallback(self):
+    def test_handoff_is_not_a_fusion_fallback(self):
         stats = run_blocks(_merge_writer_graph(Intersect),
                            backend="compiled").fusion
-        # No segment forms around a merger, so its per-block bail is
-        # nothing the fusion statistics count.
+        # The graph never reached the window plane: no segment formed,
+        # and nothing fell back.
         assert stats["kinds"] == {}
         assert stats["fallbacks"] == 0
 
@@ -120,14 +125,10 @@ class TestMergeDissolve:
         assert stats["kinds"] == {}
 
 
-class TestRepeaterDissolve:
-    def test_tuple_references_dissolve_fused_repeater(self):
-        # The tuple must reach the repeater while it holds no pending
-        # reference (a mid-reference bail raises by design, in every
-        # timed backend), so it leads the reference stream: the signal
-        # generator runs timed, then the first sweep of the reference
-        # channel bails the repeater and the scalar plane repeats the
-        # tuple references verbatim.
+class TestRepeaterHandoff:
+    def test_tuple_references_hand_repeater_to_cycle(self):
+        # The repeater repeats the tuple reference verbatim, on the
+        # generator of every engine.
         refs = [(3, 3), 7, Stop(0), 8, Stop(0), DONE]
         driver = [0, 1, Stop(0), 2, 3, Stop(1), 4, 5, Stop(1), DONE]
 
@@ -143,7 +144,7 @@ class TestRepeaterDissolve:
             blocks.append(Sink(out, name="sink"))
             return blocks
 
-        reports = {be: _full_report(build(), be) for be in ENGINES}
+        reports = {be: _full_report(build(), be, "fr") for be in ENGINES}
         for be in ENGINES[1:]:
             assert reports[be] == reports["cycle"], be
         stats = run_blocks(build(), backend="compiled").fusion
@@ -151,12 +152,11 @@ class TestRepeaterDissolve:
         assert stats["fallbacks"] == 0
 
 
-class TestWriterTailDissolve:
-    def test_tuple_tokens_dissolve_fused_writer_tail(self):
-        # A union head whose compressed-writer tail has already
-        # committed crd/seg state when the tuples arrive: the merger's
-        # bail must not drop or duplicate coordinates of the
-        # partially-written level.
+class TestWriterTailHandoff:
+    def test_tuple_references_hand_writer_tail_to_cycle(self):
+        # A union head with a compressed-writer tail, the tuples behind
+        # two full fibers: no engine may drop or duplicate a coordinate
+        # of the written level.
         crd = [1, 3, Stop(0), 6, 8, Stop(0), 2, Stop(0), 9, DONE]
         refs = [0, 1, Stop(0), 2, 3, Stop(0), (4, 4), Stop(0), 5, DONE]
         writers = {}
@@ -178,14 +178,14 @@ class TestWriterTailDissolve:
                 Sink(ob, name="sink_b"),
                 CompressedLevelWriter(oc, name="wr"),
             ]
-            reports[be] = _full_report(blocks, be)
+            reports[be] = _full_report(blocks, be, "fra")
             wr = blocks[-1]
             writers[be] = (list(wr.seg), list(wr.crd))
         for be in ENGINES[1:]:
             assert reports[be] == reports["cycle"], be
             assert writers[be] == writers["cycle"], be
-        # Two full fibers committed before the tuples arrived, and the
-        # tuple reference reached its sink through the scalar plane.
+        # The two fibers ahead of the tuples are written, and the tuple
+        # reference reached its sink.
         assert writers["compiled"][1][:4] == [1, 3, 6, 8]
         sinks = reports["compiled"][3]
         assert any((4, 4) in toks for toks in sinks)

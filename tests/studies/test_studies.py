@@ -53,8 +53,8 @@ class TestTable2:
 
 
 class TestFig11:
-    def test_small_sweep(self):
-        points = fig11.run_fig11(size=12, k_sweep=(1, 4))
+    def test_small_sweep(self, engine):
+        points = fig11.run_fig11(size=12, k_sweep=(1, 4), backend=engine)
         assert all(p.correct for p in points)
         unfused = {p.k: p.cycles for p in points if p.variant == "unfused"}
         coiter = {p.k: p.cycles for p in points if p.variant == "fused_coiter"}
@@ -62,8 +62,8 @@ class TestFig11:
 
 
 class TestFig12:
-    def test_small_sweep(self):
-        points = fig12.run_fig12(i=20, j=20, k=10)
+    def test_small_sweep(self, engine):
+        points = fig12.run_fig12(i=20, j=20, k=10, backend=engine)
         assert len(points) == 6
         assert all(p.correct for p in points)
         means = fig12.family_means(points)
@@ -71,22 +71,25 @@ class TestFig12:
 
 
 class TestFig13:
-    def test_sparsity_sweep(self):
-        points = fig13.run_fig13a(size=200, nnz_sweep=(10, 40), split=10)
+    def test_sparsity_sweep(self, engine):
+        points = fig13.run_fig13a(size=200, nnz_sweep=(10, 40), split=10,
+                                  backend=engine)
         assert all(p.correct for p in points)
 
-    def test_runs_sweep(self):
-        points = fig13.run_fig13b(size=200, nnz=40, run_sweep=(2, 20), split=10)
+    def test_runs_sweep(self, engine):
+        points = fig13.run_fig13b(size=200, nnz=40, run_sweep=(2, 20), split=10,
+                                  backend=engine)
         assert all(p.correct for p in points)
 
-    def test_blocks_sweep(self):
-        points = fig13.run_fig13c(size=200, nnz=40, block_sweep=(2, 8), split=10)
+    def test_blocks_sweep(self, engine):
+        points = fig13.run_fig13c(size=200, nnz=40, block_sweep=(2, 8), split=10,
+                                  backend=engine)
         assert all(p.correct for p in points)
 
 
 class TestFig14:
-    def test_small_matrices(self):
-        rows = fig14.run_fig14(max_nnz=200)
+    def test_small_matrices(self, engine):
+        rows = fig14.run_fig14(max_nnz=200, backend=engine)
         assert rows
         for row in rows:
             assert row.outer.total > 0

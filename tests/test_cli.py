@@ -52,17 +52,14 @@ class TestCLI:
         for name in ("intersect_j_t0", "scan_B_0_0_j", "repeat_c_0_1_i"):
             assert f'"{name}"' not in clusters["value-chain"]
 
-    def test_graph_check_reports_ok(self, capsys):
-        assert main(["graph", "x(i) = B(i,j) * c(j)", "--check"]) == 0
+    def test_graph_check_reports_ok(self, capsys, engine):
+        assert main(["--engine", engine, "graph", "x(i) = B(i,j) * c(j)",
+                     "--check"]) == 0
         out = capsys.readouterr().out
         assert "graph ok" in out
         assert "blocks" in out and "streams validated" in out
+        assert f"(engine {engine})" in out
         assert "digraph" not in out
-
-    def test_graph_check_names_engine(self, capsys):
-        assert main(["--engine", "compiled", "graph",
-                     "x(i) = B(i,j) * c(j)", "--check"]) == 0
-        assert "(engine compiled)" in capsys.readouterr().out
 
     def test_graph_check_treats_empty_repro_engine_as_unset(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "")
@@ -103,42 +100,43 @@ class TestCLI:
 
 
 class TestSweepCLI:
-    def _sweep(self, tmp_path, *extra):
+    def _sweep(self, tmp_path, engine, *extra):
         return [
-            "sweep", "fig11", "--quick", "--cache-dir", str(tmp_path / "cache"),
-            *extra,
+            "--engine", engine, "sweep", "fig11", "--quick",
+            "--cache-dir", str(tmp_path / "cache"), *extra,
         ]
 
-    def test_sweep_executes_then_replays(self, tmp_path, capsys):
-        assert main(self._sweep(tmp_path)) == 0
+    def test_sweep_executes_then_replays(self, tmp_path, capsys, engine):
+        assert main(self._sweep(tmp_path, engine)) == 0
         assert "6 executed" in capsys.readouterr().out
-        assert main(self._sweep(tmp_path)) == 0
+        assert main(self._sweep(tmp_path, engine)) == 0
         assert "6 cached, 0 executed" in capsys.readouterr().out
 
-    def test_sweep_force_reexecutes(self, tmp_path, capsys):
-        main(self._sweep(tmp_path))
+    def test_sweep_force_reexecutes(self, tmp_path, capsys, engine):
+        main(self._sweep(tmp_path, engine))
         capsys.readouterr()
-        main(self._sweep(tmp_path, "--force"))
+        main(self._sweep(tmp_path, engine, "--force"))
         assert "0 cached, 6 executed" in capsys.readouterr().out
 
-    def test_sweep_jobs_matches_serial(self, tmp_path, capsys):
+    def test_sweep_jobs_matches_serial(self, tmp_path, capsys, engine):
         import json
 
-        main(self._sweep(tmp_path, "--out", str(tmp_path / "serial")))
-        main(self._sweep(tmp_path, "--jobs", "2", "--force",
+        main(self._sweep(tmp_path, engine, "--out", str(tmp_path / "serial")))
+        main(self._sweep(tmp_path, engine, "--jobs", "2", "--force",
                          "--out", str(tmp_path / "sharded")))
         serial = json.load(open(tmp_path / "serial" / "fig11.json"))
         sharded = json.load(open(tmp_path / "sharded" / "fig11.json"))
         assert [r["payload"] for r in serial] == [r["payload"] for r in sharded]
 
-    def test_sweep_writes_artifacts(self, tmp_path, capsys):
-        main(self._sweep(tmp_path, "--out", str(tmp_path / "art")))
+    def test_sweep_writes_artifacts(self, tmp_path, capsys, engine):
+        main(self._sweep(tmp_path, engine, "--out", str(tmp_path / "art")))
         assert (tmp_path / "art" / "fig11.json").exists()
         assert (tmp_path / "art" / "fig11.csv").exists()
 
-    def test_sweep_opt_overrides(self, tmp_path, capsys):
+    def test_sweep_opt_overrides(self, tmp_path, capsys, engine):
         assert main([
-            "sweep", "fig11", "--cache-dir", str(tmp_path / "cache"),
+            "--engine", engine, "sweep", "fig11",
+            "--cache-dir", str(tmp_path / "cache"),
             "--opt", "size=10", "--opt", "k_sweep=1",
         ]) == 0
         assert "3 points" in capsys.readouterr().out
@@ -153,27 +151,28 @@ class TestSweepCLI:
 
     def test_sweep_rejects_nonpositive_jobs(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(self._sweep(tmp_path, "--jobs", "0"))
+            main(self._sweep(tmp_path, "cycle", "--jobs", "0"))
 
-    def test_sweep_prune_drops_stale_versions(self, tmp_path, capsys, monkeypatch):
+    def test_sweep_prune_drops_stale_versions(self, tmp_path, capsys, monkeypatch,
+                                              engine):
         from repro.harness import CODE_VERSION_ENV_VAR
 
         monkeypatch.setenv(CODE_VERSION_ENV_VAR, "v-old")
-        main(self._sweep(tmp_path))
+        main(self._sweep(tmp_path, engine))
         monkeypatch.setenv(CODE_VERSION_ENV_VAR, "v-new")
         capsys.readouterr()
-        main(self._sweep(tmp_path, "--prune"))
+        main(self._sweep(tmp_path, engine, "--prune"))
         assert "pruned 6 stale cache entries" in capsys.readouterr().out
 
     def test_sweep_rejects_malformed_opt(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(self._sweep(tmp_path, "--opt", "sizetwelve"))
+            main(self._sweep(tmp_path, "cycle", "--opt", "sizetwelve"))
 
-    def test_report_renders_from_cache(self, tmp_path, capsys):
-        main(self._sweep(tmp_path))
+    def test_report_renders_from_cache(self, tmp_path, capsys, engine):
+        main(self._sweep(tmp_path, engine))
         capsys.readouterr()
         assert main([
-            "report", "fig11", "--quick",
+            "--engine", engine, "report", "fig11", "--quick",
             "--cache-dir", str(tmp_path / "cache"),
         ]) == 0
         out = capsys.readouterr().out

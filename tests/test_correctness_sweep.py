@@ -26,41 +26,43 @@ def suitesparse_matrix(request):
 class TestSuiteSparseSweep:
     """Matrix expressions over every small Table 3 stand-in."""
 
-    def test_identity(self, suitesparse_matrix):
+    def test_identity(self, suitesparse_matrix, engine):
         B = suitesparse_matrix
-        res = compile_expression("X(i,j) = B(i,j)").run({"B": B})
+        res = compile_expression("X(i,j) = B(i,j)").run({"B": B}, backend=engine)
         assert np.allclose(res.to_numpy(), B)
 
-    def test_spmv(self, suitesparse_matrix):
+    def test_spmv(self, suitesparse_matrix, engine):
         B = suitesparse_matrix
         rng = np.random.default_rng(1)
         c = (rng.random(B.shape[1]) < 0.5) * rng.random(B.shape[1])
-        res = compile_expression("x(i) = B(i,j) * c(j)").run({"B": B, "c": c})
+        res = compile_expression("x(i) = B(i,j) * c(j)").run({"B": B, "c": c},
+                                                             backend=engine)
         assert np.allclose(res.to_numpy(), B @ c)
 
-    def test_spmm_gustavson(self, suitesparse_matrix):
+    def test_spmm_gustavson(self, suitesparse_matrix, engine):
         B = suitesparse_matrix
         rng = np.random.default_rng(2)
         k = B.shape[1]
         C = (rng.random((k, 8)) < 0.3) * rng.random((k, 8))
         from repro.kernels.spmm import run_spmm
 
-        assert np.allclose(run_spmm(B, C, "ikj").to_numpy(), B @ C)
+        assert np.allclose(run_spmm(B, C, "ikj", backend=engine).to_numpy(), B @ C)
 
-    def test_mmadd(self, suitesparse_matrix):
+    def test_mmadd(self, suitesparse_matrix, engine):
         B = suitesparse_matrix
         rng = np.random.default_rng(3)
         C = (rng.random(B.shape) < 0.2) * rng.random(B.shape)
-        res = compile_expression("X(i,j) = B(i,j) + C(i,j)").run({"B": B, "C": C})
+        res = compile_expression("X(i,j) = B(i,j) + C(i,j)").run({"B": B, "C": C},
+                                                                 backend=engine)
         assert np.allclose(res.to_numpy(), B + C)
 
-    def test_residual(self, suitesparse_matrix):
+    def test_residual(self, suitesparse_matrix, engine):
         B = suitesparse_matrix
         rng = np.random.default_rng(4)
         b = rng.random(B.shape[0])
         d = (rng.random(B.shape[1]) < 0.5) * rng.random(B.shape[1])
         res = compile_expression("x(i) = b(i) - C(i,j) * d(j)").run(
-            {"b": b, "C": B, "d": d}
+            {"b": b, "C": B, "d": d}, backend=engine
         )
         assert np.allclose(res.to_numpy(), b - B @ d)
 
@@ -86,50 +88,50 @@ class TestFrosttSweep:
         top = np.bincount(coords[:, 0]).max()
         assert top > 100 / 20
 
-    def test_ttv(self, tensor3):
+    def test_ttv(self, tensor3, engine):
         rng = np.random.default_rng(5)
         c = (rng.random(8) < 0.6) * rng.random(8)
         res = compile_expression("X(i,j) = B(i,j,k) * c(k)").run(
-            {"B": tensor3, "c": c}
+            {"B": tensor3, "c": c}, backend=engine
         )
         assert np.allclose(res.to_numpy(), tensor3 @ c)
 
-    def test_ttm(self, tensor3):
+    def test_ttm(self, tensor3, engine):
         rng = np.random.default_rng(6)
         C = (rng.random((6, 8)) < 0.4) * rng.random((6, 8))
         res = compile_expression("X(i,j,k) = B(i,j,l) * C(k,l)").run(
-            {"B": tensor3, "C": C}
+            {"B": tensor3, "C": C}, backend=engine
         )
         assert np.allclose(res.to_numpy(), np.einsum("ijl,kl->ijk", tensor3, C))
 
-    def test_tensor_inner_product(self, tensor3):
+    def test_tensor_inner_product(self, tensor3, engine):
         coords, values = frostt_like_tensor((12, 10, 8), 50, seed=7)
         other = np.zeros((12, 10, 8))
         for (i, j, k), v in zip(coords, values):
             other[i, j, k] += v
         res = compile_expression("chi = B(i,j,k) * C(i,j,k)").run(
-            {"B": tensor3, "C": other}
+            {"B": tensor3, "C": other}, backend=engine
         )
         assert res.output == pytest.approx((tensor3 * other).sum())
 
-    def test_mttkrp(self, tensor3):
+    def test_mttkrp(self, tensor3, engine):
         rng = np.random.default_rng(8)
         C = (rng.random((7, 10)) < 0.4) * rng.random((7, 10))
         D = (rng.random((7, 8)) < 0.4) * rng.random((7, 8))
         res = compile_expression("X(i,j) = B(i,k,l) * C(j,k) * D(j,l)").run(
-            {"B": tensor3, "C": C, "D": D}
+            {"B": tensor3, "C": C, "D": D}, backend=engine
         )
         assert np.allclose(
             res.to_numpy(), np.einsum("ikl,jk,jl->ij", tensor3, C, D)
         )
 
-    def test_plus2(self, tensor3):
+    def test_plus2(self, tensor3, engine):
         coords, values = frostt_like_tensor((12, 10, 8), 40, seed=9)
         other = np.zeros((12, 10, 8))
         for (i, j, k), v in zip(coords, values):
             other[i, j, k] += v
         res = compile_expression("X(i,j,k) = B(i,j,k) + C(i,j,k)").run(
-            {"B": tensor3, "C": other}
+            {"B": tensor3, "C": other}, backend=engine
         )
         assert np.allclose(res.to_numpy(), tensor3 + other)
 

@@ -95,10 +95,13 @@ MUTATIONS = (
              "repro/blocks/drop.py",
              "arrivals[first] = np.maximum(arrivals[first], crd.scodes)",
              "pass"),
-    # -- ALU, locator, scatter writer
+    # -- ALU, Exp, locator, scatter writer
     Mutation("ALU pick swapped", "repro/blocks/compute.py",
              "_paired(a, pairing.crd_pick), _paired(b, pairing.pick)",
              "_paired(a, pairing.pick), _paired(b, pairing.crd_pick)"),
+    Mutation("Exp maps N to 0.0, not fn(0.0)", "repro/blocks/compute.py",
+             "for v in run.tolist()])), fn(0.0)",
+             "for v in run.tolist()])), 0.0"),
     Mutation("locator without the target gate", "repro/blocks/locate.py",
              "arrivals[first] = np.maximum(arrivals[first], tstamps[lens > 0])",
              "pass"),
