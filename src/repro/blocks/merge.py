@@ -249,8 +249,10 @@ class _Merger(Block):
                 cuts = [int(np.add.reduce(view.lens[:k])) + k
                         if isinstance(view, FiberSpans)
                         else int(view[0].ends[k - 1]) + k for view in views]
-                keys = [None if key is None else key[:cut] for key, cut in zip(keys, cuts)]
-                arrs = [None if arr is None else arr[:cut] for arr, cut in zip(arrs, cuts)]
+                keys = [None if key is None else key[:cut]
+                        for key, cut in zip(keys, cuts)]
+                arrs = [None if arr is None else arr[:cut]
+                        for arr, cut in zip(arrs, cuts)]
                 if walk is None:
                     events = self._merge_events(keys, arrs)
                     self._emit_window(groups, stride, codes, keys, events, refs)
@@ -362,7 +364,8 @@ class _Merger(Block):
             closes = np.maximum(closes, ref.scodes)
             if pairing.pick is not None:
                 trailed = (ref.lens > lens).nonzero()[0]
-                closes[trailed] = np.maximum(closes[trailed], s_r[ref.ends[trailed] - 1])
+                closes[trailed] = np.maximum(closes[trailed],
+                                             s_r[ref.ends[trailed] - 1])
                 pick = pairing.pick[:n]
                 run, s_r = run[pick], s_r[pick]
             arrivals = np.maximum(arrivals, s_r)

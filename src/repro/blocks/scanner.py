@@ -238,7 +238,8 @@ class LevelScanner(Block):
         ref[ev.di], start[ev.di] = ev.refs, ev.fibers[0]
         offs = np.zeros(n, dtype=np.int64)
         if ev.total:
-            offs[ev.has] = self._t_offsets(ev.starts[ev.has], ev.stamps[ev.has], ev.total)
+            offs[ev.has] = self._t_offsets(ev.starts[ev.has], ev.stamps[ev.has],
+                                           ev.total)
         # a token's pairs start after the closer it emits first
         first = offs + (ev.starts + ev.after) * ii + runs.delta
         tok = index_ramp(n).repeat(ev.nctrl)  # the token of each control event
@@ -247,7 +248,8 @@ class LevelScanner(Block):
         closer = ev.after[tok]
         closer[1:] &= tok[1:] != tok[:-1]
         prev = np.maximum(tok - 1, 0)
-        fibers = [np.where(closer, arr[prev], 0) for arr in (ref, start, ev.pairs, first)]
+        fibers = [np.where(closer, arr[prev], 0)
+                  for arr in (ref, start, ev.pairs, first)]
         if len(tok) and closer[0] and tok[0] == 0:  # the fiber a window back
             for arr, value in zip(fibers, runs.open):
                 arr[0] = value

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Optional
 
 
 def _cmd_table1(args) -> None:
@@ -217,6 +218,16 @@ def _cmd_datasets(args) -> None:
         _datasets_smoke(args, registry)
 
 
+def _forced_engine(args) -> Optional[str]:
+    """The engine ``--engine`` or else ``$REPRO_ENGINE`` names, checked by
+    :func:`~repro.sim.backends.resolve_backend` (an unknown name is its
+    ``ValueError``); None when neither names one."""
+    from .sim.backends import ENGINE_ENV_VAR, resolve_backend
+
+    name = args.engine or os.environ.get(ENGINE_ENV_VAR)
+    return resolve_backend(name) if name else None
+
+
 def _datasets_smoke(args, registry) -> None:
     """Large-matrix ingestion smoke: load -> FiberTensor -> SpMV -> scipy check."""
     import time
@@ -228,6 +239,8 @@ def _datasets_smoke(args, registry) -> None:
 
     name = args.matrix
     spec = _dataset_spec(registry, name)
+    # Honour the usual engine switches; only then default to timed-batch.
+    backend = _forced_engine(args) or "timed-batch"
     source = registry.source(name)
     matrix = registry.load_matrix(name, seed=args.seed)
     start = time.perf_counter()
@@ -235,10 +248,6 @@ def _datasets_smoke(args, registry) -> None:
     build_s = time.perf_counter() - start
     rng = np.random.default_rng(args.seed)
     c = rng.uniform(0.1, 1.0, size=spec.shape[1])
-    # Honour the usual engine switches; only then default to timed-batch.
-    from .sim.backends import ENGINE_ENV_VAR
-
-    backend = args.engine or os.environ.get(ENGINE_ENV_VAR) or "timed-batch"
     start = time.perf_counter()
     crd, vals, cycles = spmv_locate(tensor, c, backend=backend)
     run_s = time.perf_counter() - start
@@ -356,10 +365,11 @@ def _cmd_graph(args) -> None:
 
     Under the compiled engine (explicit ``--engine compiled`` or the
     default when no engine is forced) the bound blocks are partitioned
-    with the same pass the backend uses and the graph is annotated so
-    the DOT output groups every fused segment in a dashed cluster —
-    the fusion decisions become visually auditable without running
-    a simulation.
+    with the same pass the backend uses and the partition is handed to
+    the DOT exporter, which groups every fused segment in a dashed
+    cluster — the fusion decisions become visually auditable without
+    running a simulation.  The compiled program, shared by every compile
+    of the expression, is left as it was.
 
     With ``--check`` the command validates instead of rendering: the
     bound block graph is run through the port-level wiring checks
@@ -372,8 +382,8 @@ def _cmd_graph(args) -> None:
     from .graph import GraphValidationError, bind
     from .graph.bind import partition_segments
     from .lang import compile_expression
-    from .sim.backends import ENGINE_ENV_VAR
 
+    engine = _forced_engine(args)
     program = compile_expression(args.expression, schedule=args.schedule)
     rng = np.random.default_rng(args.seed)
     tensors = {}
@@ -386,7 +396,6 @@ def _cmd_graph(args) -> None:
         shape = (args.size,) * ndim
         dense = rng.uniform(0.1, 1.0, size=shape)
         tensors[name] = np.where(rng.random(shape) < 0.5, dense, 0.0)
-    engine = args.engine or os.environ.get(ENGINE_ENV_VAR) or None
     if getattr(args, "check", False):
         # bind() validates the wired graph; revalidate explicitly against
         # the selected backend so capability gaps are also reported.
@@ -418,15 +427,14 @@ def _cmd_graph(args) -> None:
             state = "warm" if key in PLAN_CACHE else "cold"
             print(f"segment {seg.kind} [{plan_digest(key)}] {state}: {names}")
         return
+    clusters = []
     if engine in (None, "compiled"):
         segments = partition_segments(bound.blocks)
-        program.graph.annotate_fusion(
-            [[bound.blocks[i].name for i in seg.members] for seg in segments],
-            [seg.kind for seg in segments],
-        )
+        clusters = [(seg.kind, [bound.blocks[i].name for i in seg.members])
+                    for seg in segments]
         fused = sum(len(seg.members) for seg in segments)
         print(f"// fusion: {len(segments)} segments, {fused} fused blocks")
-    print(program.to_dot())
+    print(program.to_dot(clusters))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -214,20 +214,18 @@ _compiled_cache: Dict[Tuple[int, int, int], Tuple[Corpus, list]] = {}
 
 
 def compile_corpus_programs(corpus: Corpus) -> list:
-    """Compile every corpus entry; each program carries the entry's
-    user-declared ``output_format`` so the Table 2 writer scenarios can
-    inspect it."""
+    """Compile every corpus entry, in entry order.
+
+    Entries that differ only in their declared ``output_format`` share
+    one compiled program, so the format stays on the entry beside it:
+    the Table 2 writer scenarios read it from there."""
     from ..lang import compile_expression
 
-    programs = []
-    for entry in corpus.entries:
-        program = compile_expression(
-            entry.expression, formats=entry.format_dict(),
-            schedule=entry.schedule,
-        )
-        program.output_format = entry.output_format
-        programs.append(program)
-    return programs
+    return [
+        compile_expression(entry.expression, formats=entry.format_dict(),
+                           schedule=entry.schedule)
+        for entry in corpus.entries
+    ]
 
 
 def compiled_corpus(

@@ -8,6 +8,8 @@ double-struck — rendered bold — for value streams, as in Figure 4).
 
 from __future__ import annotations
 
+from typing import Sequence, Tuple
+
 from .ir import SamGraph
 
 _EDGE_STYLE = {
@@ -35,32 +37,32 @@ _NODE_SHAPE = {
 }
 
 
-def to_dot(graph: SamGraph) -> str:
+def to_dot(
+    graph: SamGraph, clusters: Sequence[Tuple[str, Sequence[str]]] = ()
+) -> str:
     """Render *graph* as a DOT digraph string.
 
-    When the graph carries a fused-segment annotation (see
-    :meth:`SamGraph.annotate_fusion`), each super-block's members are
-    grouped in a ``cluster_fused_*`` subgraph so the compiled backend's
-    fusion decisions are visually auditable.
+    *clusters* are ``(kind, node names)`` pairs, one per fused segment of
+    the compiled backend (see :func:`repro.graph.bind.partition_segments`):
+    each is drawn as a ``cluster_fused_*`` subgraph labelled with its
+    kind, so the fusion decisions are visually auditable.  Names that are
+    not graph nodes (binder-inserted fanouts) are dropped, and a cluster
+    left empty is not drawn.  The graph itself is never annotated.
     """
     lines = [f'digraph "{graph.name}" {{', "  rankdir=LR;", "  node [fontsize=10];"]
-    fused = {}
-    if graph.fused_segments:
-        for si, seg in enumerate(graph.fused_segments):
-            for name in seg:
-                fused[name] = si
+    drawn = [(kind, [n for n in names if n in graph.nodes]) for kind, names in clusters]
+    drawn = [(kind, names) for kind, names in drawn if names]
+    fused = {name for _, names in drawn for name in names}
 
     def node_line(node):
         shape = _NODE_SHAPE.get(node.kind, "box")
         return f'  "{node.name}" [label="{node.label()}", shape={shape}];'
 
-    kinds = graph.fused_segment_kinds or ()
-    for si, seg in enumerate(graph.fused_segments or ()):
-        kind = kinds[si] if si < len(kinds) else ""
+    for si, (kind, names) in enumerate(drawn):
         label = f"fused segment {si}" + (f" [{kind}]" if kind else "")
         lines.append(f"  subgraph cluster_fused_{si} {{")
         lines.append(f'    label="{label}"; style=dashed; color="red3";')
-        for name in seg:
+        for name in names:
             lines.append("  " + node_line(graph.nodes[name]))
         lines.append("  }")
     for node in graph.nodes.values():

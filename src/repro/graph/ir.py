@@ -76,39 +76,28 @@ class SamGraph:
         #: the edge driving each (dst node, dst port): one input, one driver
         self._drivers: Dict[Tuple[str, str], Edge] = {}
         self._counter: Dict[str, int] = {}
-        #: fused-segment annotation for the compiled backend: lists of
-        #: node names, one list per super-block, set by
-        #: :meth:`annotate_fusion` and rendered as DOT clusters.  ``None``
-        #: until a fusion partition has been attached.
-        self.fused_segments: Optional[List[List[str]]] = None
-        #: per-segment kind labels ("value-chain", "writer-tail"),
-        #: parallel to :attr:`fused_segments`.
-        self.fused_segment_kinds: Optional[List[str]] = None
+        self._frozen = False
 
-    def annotate_fusion(
-        self, segments: List[List[str]], kinds: Optional[List[str]] = None
-    ) -> None:
-        """Attach a fused-segment partition (lists of member node names).
+    def freeze(self) -> None:
+        """Refuse every later :meth:`add` / :meth:`connect`.
 
-        Names that are not graph nodes (e.g. binder-inserted fanouts) are
-        dropped; empty segments are discarded.  *kinds*, when given, is a
-        parallel list of segment-kind labels (see
-        :func:`repro.graph.bind.partition_segments`) rendered in the DOT
-        cluster labels.
+        A compiled program's graph is shared by every caller that
+        compiles the same specification, so it must not change after
+        lowering returns it.
         """
-        kept = []
-        kept_kinds = []
-        for i, seg in enumerate(segments):
-            names = [n for n in seg if n in self.nodes]
-            if names:
-                kept.append(names)
-                kept_kinds.append(kinds[i] if kinds else "")
-        self.fused_segments = kept
-        self.fused_segment_kinds = kept_kinds
+        self._frozen = True
+
+    def _check_open(self) -> None:
+        if self._frozen:
+            raise GraphError(
+                f"graph {self.name!r} belongs to a compiled program, which is "
+                f"shared and immutable: it takes no new nodes or edges"
+            )
 
     # -- construction ------------------------------------------------------
     def add(self, kind: str, name: Optional[str] = None, **params) -> Node:
         """Add a node; names are auto-generated per kind when omitted."""
+        self._check_open()
         if name is None:
             index = self._counter.get(kind, 0)
             self._counter[kind] = index + 1
@@ -127,6 +116,7 @@ class SamGraph:
         dst_port: str,
         kind: str = "crd",
     ) -> Edge:
+        self._check_open()
         src_name = src.name if isinstance(src, Node) else src
         dst_name = dst.name if isinstance(dst, Node) else dst
         for node_name in (src_name, dst_name):
@@ -163,9 +153,6 @@ class SamGraph:
             if column is not None:
                 counts[column] = counts.get(column, 0) + 1
         return counts
-
-    def uses_primitive(self, column: str) -> bool:
-        return self.primitive_counts().get(column, 0) > 0
 
     # -- validation ------------------------------------------------------
     def validate(self) -> "SamGraph":

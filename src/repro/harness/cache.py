@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Iterator, Optional
 
 from .spec import ExperimentResult, ExperimentSpec, _json_default, code_version
@@ -69,17 +68,28 @@ class ResultCache:
         return result
 
     def store(self, result: ExperimentResult) -> str:
-        """Persist *result*; atomic via temp-file + rename."""
+        """Persist *result*; atomic via temp-file + rename.
+
+        The entry is compact sorted-key JSON from one ``json.dumps`` call.
+        Its temp file, ``.tmp-<pid>-<key>.json`` beside it, is never
+        shared by two processes; the study directory is made the first
+        time a store finds it missing.
+        """
         result.code_version = self.version
-        path = self.path(result.spec)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(result.to_dict(), handle, indent=1, sort_keys=True,
+        key = result.spec.key(self.version)
+        directory = os.path.join(self.root, result.spec.study)
+        path = os.path.join(directory, key + ".json")
+        tmp = os.path.join(directory, f".tmp-{os.getpid()}-{key}.json")
+        text = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"),
                           default=_json_default)
+        try:
+            handle = open(tmp, "w")
+        except FileNotFoundError:  # the study's first store
+            os.makedirs(directory, exist_ok=True)
+            handle = open(tmp, "w")
+        try:
+            with handle:
+                handle.write(text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -113,17 +113,26 @@ class ExperimentSpec:
     backend: str = "-"
 
     def canonical(self) -> str:
-        return canonical_json(
-            {"study": self.study, "point": self.point, "backend": self.backend}
-        )
+        """The spec's canonical JSON, computed once per spec (a sweep keys
+        each point several times), so ``point`` must not change after."""
+        memo = self.__dict__
+        if "_canonical" not in memo:
+            memo["_canonical"] = canonical_json(
+                {"study": self.study, "point": self.point, "backend": self.backend}
+            )
+        return memo["_canonical"]
 
     def key(self, version: Optional[str] = None) -> str:
-        """Content-hash cache key: spec + backend + code version."""
+        """Content-hash cache key: spec + backend + code version (each
+        version's key computed once per spec)."""
         version = code_version() if version is None else version
-        digest = hashlib.sha256()
-        digest.update(self.canonical().encode())
-        digest.update(version.encode())
-        return digest.hexdigest()[:24]
+        keys = self.__dict__.setdefault("_keys", {})
+        if version not in keys:
+            digest = hashlib.sha256()
+            digest.update(self.canonical().encode())
+            digest.update(version.encode())
+            keys[version] = digest.hexdigest()[:24]
+        return keys[version]
 
     def label(self) -> str:
         """Short human-readable tag for logs and progress output."""

@@ -10,7 +10,7 @@ an expression remains expressible when one SAM primitive is removed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .compile import CompiledProgram
 
@@ -72,7 +72,7 @@ def expression_features(program: CompiledProgram) -> ExpressionFeatures:
         input_orders=orders,
         num_inputs=len(asg.accesses),
         reduce_order=reduce_order,
-        broadcast=program.graph.uses_primitive("repeat"),
+        broadcast=program.primitive_counts().get("repeat", 0) > 0,
         ops=tuple(sorted(ops)),
     )
 
@@ -122,7 +122,11 @@ def _intersect_replaceable_by_locator(program: CompiledProgram) -> bool:
     return True
 
 
-def lost_without(program: CompiledProgram, scenario: str) -> bool:
+def lost_without(
+    program: CompiledProgram,
+    scenario: str,
+    output_format: Optional[Tuple[str, ...]] = None,
+) -> bool:
     """True if the expression is NOT expressible without the primitive.
 
     Implements the Table 2 removal semantics, including the paper's
@@ -130,10 +134,11 @@ def lost_without(program: CompiledProgram, scenario: str) -> bool:
     substitute, and scenario 10 honours the reducer's accumulate-empty-
     fibers-to-zero configuration, which makes droppers optional unless
     sparse outputs would otherwise store the results of ineffectual
-    multiplicative merges.
+    multiplicative merges.  *output_format* is the result format a
+    corpus entry declares (see :func:`output_compressed`).
     """
     graph = program.graph
-    counts = graph.primitive_counts()
+    counts = program.primitive_counts()
     if scenario == "comp_level_scanner":
         return "compressed" in _scanner_formats(program)
     if scenario == "comp_and_uncomp_level_scanners":
@@ -166,20 +171,24 @@ def lost_without(program: CompiledProgram, scenario: str) -> bool:
         )
         return has_value_drop and counts.get("union", 0) > 0
     if scenario == "comp_level_writer":
-        return output_compressed(program)
+        return output_compressed(program, output_format)
     if scenario == "comp_and_uncomp_level_writers":
         return bool(program.info.lhs_vars) or counts.get("level_writer", 0) > 0
     raise ValueError(f"unknown Table 2 scenario {scenario!r}")
 
 
-def output_compressed(program: CompiledProgram) -> bool:
+def output_compressed(
+    program: CompiledProgram, output_format: Optional[Tuple[str, ...]] = None
+) -> bool:
     """Whether the program's result uses any compressed level.
 
-    Custard currently always writes compressed outputs, but corpus
-    entries may declare a dense output format for analysis purposes (the
-    TACO website's default output is dense); honour it when present.
+    Custard currently always writes compressed outputs, but a corpus
+    entry may declare its result's format for analysis purposes (the
+    TACO website's default output is dense): *output_format*, when given,
+    is honoured instead.  It is an argument, not an attribute of the
+    program, because one compiled program serves every entry that shares
+    its specification.
     """
-    declared = getattr(program, "output_format", None)
-    if declared is not None:
-        return "compressed" in declared
+    if output_format is not None:
+        return "compressed" in output_format
     return bool(program.info.lhs_vars)

@@ -4,12 +4,19 @@
 tensor index notation, a format language specification, and a schedule —
 and produces a :class:`CompiledProgram`: a SAM dataflow graph that can be
 simulated on any inputs matching the expression's signature.
+
+A program depends on its specification alone, so each process compiles
+a specification once: :func:`compile_expression` keeps a bounded memo
+keyed by the normalised arguments and hands every caller the same
+immutable program.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,7 +26,7 @@ from ..graph.dot import to_dot
 from ..graph.ir import SamGraph
 from ..sim import SimulationReport
 from .ast import Assignment, ExpressionError
-from .formats import FormatSpec
+from .formats import FormatSpec, TensorFormat
 from .lower import LoweredInfo, lower
 from .parser import parse
 from .schedule import ConcreteIndexNotation, Schedule, apply_schedule
@@ -65,34 +72,43 @@ class RunResult:
         return np.array(self.output)
 
 
+@dataclass(frozen=True, eq=False)
 class CompiledProgram:
-    """A compiled SAM program: graph + the metadata needed to execute it."""
+    """A compiled SAM program: graph + the metadata needed to execute it.
 
-    def __init__(
-        self,
-        assignment: Assignment,
-        cin: ConcreteIndexNotation,
-        graph: SamGraph,
-        info: LoweredInfo,
-        formats: FormatSpec,
-    ):
-        self.assignment = assignment
-        self.cin = cin
-        self.graph = graph
-        self.info = info
-        self.formats = formats
+    Immutable: :func:`compile_expression` hands the same program to every
+    caller that compiles its specification, so nothing may change one
+    after lowering.  Construction freezes the graph (a later ``add`` or
+    ``connect`` raises :class:`~repro.graph.ir.GraphError`); facts that
+    belong to one use of a program — a corpus entry's declared output
+    format, a backend's fusion clusters — are passed beside it.
+    """
+
+    assignment: Assignment
+    cin: ConcreteIndexNotation
+    graph: SamGraph
+    info: LoweredInfo
+    formats: FormatSpec
+    _counts: Mapping[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.graph.freeze()
+        counts = MappingProxyType(self.graph.primitive_counts())
+        object.__setattr__(self, "_counts", counts)
 
     # -- inspection ------------------------------------------------------
     @property
     def order(self) -> Tuple[str, ...]:
         return self.cin.order
 
-    def primitive_counts(self) -> Dict[str, int]:
-        """Table 1-style primitive tally for this program's graph."""
-        return self.graph.primitive_counts()
+    def primitive_counts(self) -> Mapping[str, int]:
+        """Table 1-style primitive tally for this program's graph, counted
+        once, when the program was built (a read-only mapping)."""
+        return self._counts
 
-    def to_dot(self) -> str:
-        return to_dot(self.graph)
+    def to_dot(self, clusters: Sequence[Tuple[str, Sequence[str]]] = ()) -> str:
+        """The graph in DOT; *clusters* as :func:`repro.graph.dot.to_dot`."""
+        return to_dot(self.graph, clusters)
 
     def __repr__(self) -> str:
         return f"CompiledProgram({self.assignment}, order={'->'.join(self.order)})"
@@ -173,6 +189,13 @@ class CompiledProgram:
         return RunResult(output, report.cycles, report, bound)
 
 
+#: distinct programs one process keeps compiled, least recently used out
+#: first.  Counted: a quick sweep at seed 7 compiles 62 distinct programs,
+#: ``table1_mix`` 12 and Table 2's default corpus (400 entries) 276, so
+#: the bound holds any one of them, or a sweep and the corpus, whole.
+COMPILE_MEMO_SIZE = 512
+
+
 def compile_expression(
     expression: Union[str, Assignment],
     formats: Optional[Dict] = None,
@@ -191,9 +214,42 @@ def compile_expression(
 
     ``coordinate_skipping=True`` wires galloping feedback from every
     intersecter back to its trailing level scanners (section 4.2).
+
+    A specification given as text is compiled once per process (up to
+    :data:`COMPILE_MEMO_SIZE` distinct ones): every later call with the
+    same text, formats, schedule and skipping returns the same immutable
+    program without parsing, scheduling or lowering again.  A parsed
+    :class:`Assignment` is mutable, so it is compiled afresh each call.
     """
-    assignment = parse(expression) if isinstance(expression, str) else expression
     format_spec = FormatSpec.coerce(formats)
-    cin = apply_schedule(assignment, Schedule.coerce(schedule))
+    reorder = Schedule.coerce(schedule).reorder
+    key_formats = tuple(sorted(format_spec.formats.items()))
+    key_order = None if reorder is None else tuple(reorder)
+    if isinstance(expression, str):
+        return _compile_text(expression, key_formats, key_order,
+                             bool(coordinate_skipping))
+    return _compile(expression, key_formats, key_order, coordinate_skipping)
+
+
+@lru_cache(maxsize=COMPILE_MEMO_SIZE)
+def _compile_text(
+    text: str,
+    formats: Tuple[Tuple[str, TensorFormat], ...],
+    reorder: Optional[Tuple[str, ...]],
+    coordinate_skipping: bool,
+) -> CompiledProgram:
+    return _compile(parse(text), formats, reorder, coordinate_skipping)
+
+
+def _compile(
+    assignment: Assignment,
+    formats: Tuple[Tuple[str, TensorFormat], ...],
+    reorder: Optional[Tuple[str, ...]],
+    coordinate_skipping: bool,
+) -> CompiledProgram:
+    """Schedule and lower from normalised arguments; the program owns
+    its :class:`FormatSpec`, never a caller's."""
+    format_spec = FormatSpec(dict(formats))
+    cin = apply_schedule(assignment, Schedule(reorder))
     graph, info = lower(cin, format_spec, coordinate_skipping=coordinate_skipping)
     return CompiledProgram(assignment, cin, graph, info, format_spec)

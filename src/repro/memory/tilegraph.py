@@ -22,7 +22,7 @@ This module executes that structure end to end:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,8 +64,10 @@ def _tile_map_tensor(tiled: TiledMatrix, name: str):
     return tensor, keys
 
 
-def sequence_tile_pairs(tb: TiledMatrix, tc: TiledMatrix):
-    """Run the SAM tile-sequencing graph; returns (pairs, cycles).
+def sequence_tile_pairs(
+    tb: TiledMatrix, tc: TiledMatrix, backend: Optional[str] = None
+):
+    """Run the SAM tile-sequencing graph on *backend*; returns (pairs, cycles).
 
     The graph is the Gustavson (i,k,j) iteration-and-merge section over
     tile IDs: scan B's tile rows, intersect the contracted tile dimension
@@ -117,7 +119,7 @@ def sequence_tile_pairs(tb: TiledMatrix, tc: TiledMatrix):
     b_pair_sink = Sink(chans["b_pair"], name="sink_bpair")
     c_pair_sink = Sink(chans["cj_ref"], name="sink_cpair")
     blocks.extend([b_pair_sink, c_pair_sink])
-    report = run_blocks(blocks)
+    report = run_blocks(blocks, backend=backend)
 
     b_positions = [t for t in b_pair_sink.tokens if is_data(t)]
     c_positions = [t for t in c_pair_sink.tokens if is_data(t)]
@@ -135,8 +137,10 @@ def tiled_spmm(
     tile_size: int = 8,
     dram: DramModel = None,
     n_buffering: int = 2,
+    backend: Optional[str] = None,
 ) -> TiledSpMMResult:
-    """Full tiled SpM*SpM: SAM tile sequencing + per-tile SAM compute."""
+    """Full tiled SpM*SpM: SAM tile sequencing + per-tile SAM compute,
+    every graph run on *backend* (see :mod:`repro.sim.backends`)."""
     from ..kernels.spmm import spmm_program
 
     B = np.asarray(B, dtype=float)
@@ -144,7 +148,7 @@ def tiled_spmm(
     dram = dram or DramModel()
     tb = TiledMatrix(B, tile_size)
     tc = TiledMatrix(C, tile_size)
-    pairs, sequencing_cycles = sequence_tile_pairs(tb, tc)
+    pairs, sequencing_cycles = sequence_tile_pairs(tb, tc, backend)
 
     program = spmm_program("ikj")
     output = np.zeros((B.shape[0], C.shape[1]))
@@ -155,7 +159,7 @@ def tiled_spmm(
         assert bk == ck, "sequencing graph must align contracted tiles"
         b_tile = tb.tile(bi, bk).toarray()
         c_tile = tc.tile(ck, cj).toarray()
-        result = program.run({"B": b_tile, "C": c_tile})
+        result = program.run({"B": b_tile, "C": c_tile}, backend=backend)
         rows, cols = result.to_numpy().shape
         r0, c0 = bi * tile_size, cj * tile_size
         output[r0 : r0 + rows, c0 : c0 + cols] += result.to_numpy()

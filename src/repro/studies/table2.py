@@ -50,12 +50,13 @@ class Table2Row:
     paper_pct_all: float
 
 
-def _ablate(programs: Sequence, counts: Sequence[int], scenario: str) -> Tuple[int, int]:
-    """Count algorithms lost (distinct, usage-weighted) for one scenario."""
+def _ablate(corpus: Corpus, programs: Sequence, scenario: str) -> Tuple[int, int]:
+    """Count algorithms lost (distinct, usage-weighted) for one scenario;
+    *programs* are the corpus entries' compiled programs, in entry order."""
     lost_unique = 0
     lost_all = 0
-    for program, count in zip(programs, counts):
-        if lost_without(program, scenario):
+    for entry, program, count in zip(corpus.entries, programs, corpus.counts):
+        if lost_without(program, scenario, entry.output_format):
             lost_unique += 1
             lost_all += count
     return lost_unique, lost_all
@@ -99,7 +100,7 @@ def execute(spec: ExperimentSpec) -> Dict[str, Any]:
     corpus, programs = compiled_corpus(
         total=p["total"], distinct_target=p["distinct"], seed=p["seed"]
     )
-    lost_unique, lost_all = _ablate(programs, corpus.counts, p["scenario"])
+    lost_unique, lost_all = _ablate(corpus, programs, p["scenario"])
     return {
         "lost_unique": lost_unique,
         "lost_all": lost_all,
@@ -125,7 +126,7 @@ def run_table2(corpus: Corpus = None, seed: int = 0, distinct: int = 400,
         # compile and ablate it directly.
         programs = compile_corpus_programs(corpus)
         return [
-            _row(scenario, *_ablate(programs, corpus.counts, scenario),
+            _row(scenario, *_ablate(corpus, programs, scenario),
                  corpus.distinct, corpus.total)
             for scenario in TABLE2_SCENARIOS
         ]

@@ -936,8 +936,8 @@ def build(case, params, streams, delivery):
                 for token in tokens[:delivery.at]:
                     channel.push(token)
                 tokens = tokens[delivery.at:]
-            blocks += fed(tokens, channel, f"feed_{port}", relay=delivery.kind == "relay"
-                          and delivery.port in (port, "in"))
+            relay = delivery.kind == "relay" and delivery.port in (port, "in")
+            blocks += fed(tokens, channel, f"feed_{port}", relay=relay)
         ins[port] = channel
 
     def out(name, kind):
@@ -1296,8 +1296,9 @@ def test_union_merges_every_side_at_once(arity, monkeypatch):
     # window on each timed engine, never a cascade of 2-ary ones
     shape = [([0, 2, 5], 1), ([2, 3], 2), ([], 0), ([1, 5], 1)][:arity]
     streams = merger_streams([
-        ((crds + [Stop(0)]) * 5, [(list(range(10 * j, 10 * j + len(crds))) + [Stop(0)]) * 5
-                                  for j in range(nrefs)])
+        ((crds + [Stop(0)]) * 5,
+         [(list(range(10 * j, 10 * j + len(crds))) + [Stop(0)]) * 5
+          for j in range(nrefs)])
         for crds, nrefs in shape])
     check(BY_NAME["union"], CLEAN, streams, WHOLE)
     merges = merges_of(Union, monkeypatch)

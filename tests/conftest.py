@@ -9,10 +9,8 @@ modules (``blockkit``, ``numpy_counters``) are imported.
 
 A test names the engines it runs on: it takes the :func:`engine`
 fixture (every registered engine once) and passes it on as
-``backend=engine``, or it names an engine itself.  A test of an entry
-point with no ``backend`` argument (``repro.memory.tiled_spmm``) takes
-:func:`engine_from_env` instead.  Nothing in a test may fall back on
-the default engine: for the whole session ``$REPRO_ENGINE`` holds
+``backend=engine``, or it names an engine itself.  Nothing in a test may
+fall back on the default engine: for the whole session ``$REPRO_ENGINE`` holds
 :data:`NO_DEFAULT_ENGINE`, which is no engine's name, so
 ``resolve_backend(None)`` raises ``ValueError: unknown backend '…'``
 naming this rule — in the test process and in every subprocess it
@@ -47,10 +45,3 @@ def engine(request):
     """Each registered engine once, by its registry name."""
     return request.param
 
-
-@pytest.fixture
-def engine_from_env(engine, monkeypatch):
-    """Each engine once, set as ``$REPRO_ENGINE`` for the test: for an
-    entry point that takes no ``backend`` argument."""
-    monkeypatch.setenv(ENGINE_ENV_VAR, engine)
-    return engine

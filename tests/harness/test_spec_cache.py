@@ -177,6 +177,45 @@ class TestResultCache:
         directory = os.path.dirname(path)
         assert [f for f in os.listdir(directory) if f.startswith(".tmp-")] == []
 
+    def test_a_failed_store_leaves_no_temp_file(self, cache, monkeypatch):
+        spec = ExperimentSpec("fig11", {"k": 1})
+        cache.store(ExperimentResult(spec, {"cycles": 1}))
+        directory = os.path.dirname(cache.path(spec))
+        with pytest.raises(TypeError):  # fails before the temp file is opened
+            cache.store(ExperimentResult(spec, {"cycles": object()}))
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):  # fails after
+            cache.store(ExperimentResult(spec, {"cycles": 2}))
+        assert os.listdir(directory) == [os.path.basename(cache.path(spec))]
+        assert cache.load(spec).payload == {"cycles": 1}
+
+    def test_entry_is_compact_sorted_json(self, cache):
+        result = ExperimentResult(ExperimentSpec("fig11", {"k": 1, "a": 2}),
+                                  {"cycles": 42, "b": [1, 2]}, elapsed_s=0.5)
+        with open(cache.store(result)) as handle:
+            text = handle.read()
+        assert text == json.dumps(result.to_dict(), sort_keys=True,
+                                  separators=(",", ":"))
+
+    def test_a_spec_is_keyed_once(self, cache, monkeypatch):
+        from repro.harness import spec as spec_module
+
+        calls = []
+        real = spec_module.canonical_json
+        monkeypatch.setattr(spec_module, "canonical_json",
+                            lambda value: calls.append(value) or real(value))
+        spec = ExperimentSpec("fig11", {"k": 1})
+        assert cache.load(spec) is None  # the cold pass looks first
+        cache.store(ExperimentResult(spec, {"cycles": 42}))
+        assert cache.load(spec).payload == {"cycles": 42}  # the warm pass
+        # once for this spec, once for the spec the entry records (load's
+        # guard compares the two)
+        assert len(calls) == 2
+
     def test_numpy_payload_round_trips(self, cache):
         # Studies routinely hand back np.int64 cycles / np.float64 stats;
         # storing them must not crash and must reload as native values.

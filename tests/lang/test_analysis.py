@@ -104,11 +104,9 @@ class TestLostWithout:
         # Pure contractions survive with zero-accumulating reducers.
         assert not lost_without(spmm, "coordinate_dropper")
 
-    def test_output_format_attribute_honoured(self, identity):
-        identity.output_format = ("dense", "dense")
-        try:
-            assert not lost_without(identity, "comp_level_writer")
-            identity.output_format = ("compressed", "compressed")
-            assert lost_without(identity, "comp_level_writer")
-        finally:
-            del identity.output_format
+    def test_output_format_argument_honoured(self, identity):
+        assert lost_without(identity, "comp_level_writer")  # none declared
+        dense, compressed = ("dense", "dense"), ("compressed", "compressed")
+        assert not lost_without(identity, "comp_level_writer", dense)
+        assert lost_without(identity, "comp_level_writer", compressed)
+        assert not lost_without(identity, "comp_level_writer", ())

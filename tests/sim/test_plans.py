@@ -84,7 +84,7 @@ class TestReportPlans:
     def test_digests_match_dump_plan(self, capsys):
         expression = "x(i) = B(i,j) * c(j)"
         report = capture_expression(expression, backend="compiled")[0].report
-        assert main(["graph", expression, "--dump-plan"]) == 0
+        assert main(["--engine", "compiled", "graph", expression, "--dump-plan"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert re.fullmatch(r"plan cache: \d+ plans, \d+ hits, \d+ misses", lines[0])
         dumped = [

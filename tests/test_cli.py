@@ -76,6 +76,7 @@ class TestCLI:
             raise GraphValidationError("mul.in_a expects a 'vals' stream")
 
         monkeypatch.setattr(Graph, "validate", broken_validate)
+        monkeypatch.delenv("REPRO_ENGINE")  # no engine forced
         with pytest.raises(SystemExit) as err:
             main(["graph", "x(i) = B(i,j) * c(j)", "--check"])
         assert err.value.code == 1
@@ -89,6 +90,22 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "digraph" in out
         assert "cluster_fused" not in out
+
+    def test_graph_clusters_do_not_outlive_their_call(self, capsys):
+        # The two calls share one compiled program: the first one's
+        # clusters must not reach the second one's drawing.
+        expression = "x(i) = B(i,j) * c(j)"
+        assert main(["--engine", "compiled", "graph", expression]) == 0
+        assert "cluster_fused_0" in capsys.readouterr().out
+        assert main(["--engine", "cycle", "graph", expression]) == 0
+        out = capsys.readouterr().out
+        assert "digraph" in out and "cluster_fused" not in out
+
+    @pytest.mark.parametrize("check", [[], ["--check"]])
+    def test_graph_rejects_unknown_repro_engine(self, monkeypatch, check):
+        monkeypatch.setenv("REPRO_ENGINE", "bogus")
+        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            main(["graph", "x(i) = B(i,j) * c(j)", *check])
 
     def test_table1_command(self, capsys):
         assert main(["table1"]) == 0
@@ -213,6 +230,12 @@ class TestDatasetsCLI:
                      "--smoke", "--matrix", "relat3"]) == 0
         out = capsys.readouterr().out
         assert "[cycle]" in out and "(0 cycles)" not in out
+
+    def test_smoke_rejects_unknown_repro_engine(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "bogus")
+        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            main(["datasets", "--data-dir", str(tmp_path),
+                  "--smoke", "--matrix", "relat3"])
 
     def test_list_and_smoke_combine(self, tmp_path, capsys):
         assert main(["--engine", "timed-batch", "datasets",

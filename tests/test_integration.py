@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.lang import compile_expression
-from repro.sim.backends import ENGINE_ENV_VAR
 
 from blockkit import ENGINES
 
@@ -157,6 +156,4 @@ def test_property_tiled_spmm_fuzz(seed, tile, engine):
     rng = np.random.default_rng(seed)
     B = sp(rng, (10, 9), 0.25)
     C = sp(rng, (9, 11), 0.25)
-    with pytest.MonkeyPatch.context() as patch:  # tiled_spmm takes no backend
-        patch.setenv(ENGINE_ENV_VAR, engine)
-        assert np.allclose(tiled_spmm(B, C, tile_size=tile).output, B @ C)
+    assert np.allclose(tiled_spmm(B, C, tile_size=tile, backend=engine).output, B @ C)

@@ -22,7 +22,8 @@ worklist's dependency-order seed by ``tests/sim/test_visit_order.py``),
 the ``.mtx`` reader's byte-grammar check and its one-thread parse by
 ``tests/data/test_io.py``, the fibertree build's grouping passes by
 ``tests/formats/test_sorted_ingest.py``, the Table-1 pass's fixed cost
-by ``tests/sim/test_call_budget.py``.
+by ``tests/sim/test_call_budget.py``, the compile memo and the immutable
+program it shares by ``tests/lang/test_compile_once.py``.
 Every mutation costs one pytest run that stops at its first failure.
 """
 
@@ -44,6 +45,7 @@ PLANES = "tests/sim/test_plane_rule.py"
 IDENTITY = "tests/sim/test_window_identity.py"
 VISITS = "tests/sim/test_visit_order.py"
 BUDGET = "tests/sim/test_call_budget.py"
+COMPILE = "tests/lang/test_compile_once.py"
 #: seconds one mutation's test run may take (a hang counts as killed)
 TIMEOUT = 900
 
@@ -169,6 +171,25 @@ MUTATIONS = (
     # -- the fibertree build
     Mutation("grouping pass back on the last level", "repro/formats/tensor.py",
              "if d < order - 1:", "if True:", BUILD),
+    # -- compile once: the memo's key, and nothing written onto the shared program
+    Mutation("memo key ignores formats", "repro/lang/compile.py",
+             "key_formats = tuple(sorted(format_spec.formats.items()))",
+             "key_formats = ()", COMPILE),
+    Mutation("clusters written onto the graph", "repro/cli.py",
+             "    print(program.to_dot(clusters))",
+             "    graph = program.graph\n"
+             "    clusters = graph.__dict__.setdefault('clusters', clusters)\n"
+             "    print(program.to_dot(clusters))", COMPILE),
+    Mutation("output format stored on the shared program", "repro/studies/table2.py",
+             "    for entry, program, count in zip(corpus.entries, programs, "
+             "corpus.counts):\n"
+             "        if lost_without(program, scenario, entry.output_format):",
+             "    for entry, program in zip(corpus.entries, programs):\n"
+             "        object.__setattr__(program, 'output_format', "
+             "entry.output_format)\n"
+             "    for program, count in zip(programs, corpus.counts):\n"
+             "        if lost_without(program, scenario, program.output_format):",
+             COMPILE),
 )
 
 
