@@ -363,13 +363,14 @@ def _cmd_compile(args) -> None:
 def _cmd_graph(args) -> None:
     """Bind an expression over synthetic operands and print its DOT graph.
 
-    Under the compiled engine (explicit ``--engine compiled`` or the
-    default when no engine is forced) the bound blocks are partitioned
-    with the same pass the backend uses and the partition is handed to
-    the DOT exporter, which groups every fused segment in a dashed
-    cluster — the fusion decisions become visually auditable without
-    running a simulation.  The compiled program, shared by every compile
-    of the expression, is left as it was.
+    Under the compiled engine (``--engine compiled`` or
+    ``$REPRO_ENGINE=compiled``; with neither, a run uses ``cycle``, which
+    fuses nothing) the bound blocks are partitioned with the same pass
+    the backend uses and the partition is handed to the DOT exporter,
+    which groups every fused segment in a dashed cluster — the fusion
+    decisions become visually auditable without running a simulation.
+    The compiled program, shared by every compile of the expression, is
+    left as it was.
 
     With ``--check`` the command validates instead of rendering: the
     bound block graph is run through the port-level wiring checks
@@ -428,7 +429,7 @@ def _cmd_graph(args) -> None:
             print(f"segment {seg.kind} [{plan_digest(key)}] {state}: {names}")
         return
     clusters = []
-    if engine in (None, "compiled"):
+    if engine == "compiled":
         segments = partition_segments(bound.blocks)
         clusters = [(seg.kind, [bound.blocks[i].name for i in seg.members])
                     for seg in segments]
@@ -593,7 +594,18 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _COMMANDS[args.command](args)
+    try:
+        _COMMANDS[args.command](args)
+    except ValueError as err:
+        # A bad expression is bad input: one line and status 2, as argparse
+        # reports its own.  ExpressionError is imported here, not above, so
+        # that commands that compile nothing do not load the compiler.
+        from .lang.ast import ExpressionError
+
+        if not isinstance(err, ExpressionError):
+            raise
+        print(f"repro: error: {err}", file=sys.stderr)
+        return 2
     return 0
 
 

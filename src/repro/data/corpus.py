@@ -162,6 +162,9 @@ def generate_corpus(
     expressions = _expression_family()
     entries: List[CorpusEntry] = []
     seen: set = set()
+    # Specifications that failed to compile: each is tried once, whatever
+    # output format it is drawn with (the compile never reads that).
+    rejected: set = set()
     # Round-robin expressions with random format combos until we reach the
     # distinct target or exhaust the combination space.
     attempts = 0
@@ -185,9 +188,11 @@ def generate_corpus(
             else ("compressed",) * out_order
         )
         entry = CorpusEntry(expression, tuple(formats), None, output_format)
-        if entry in seen:
+        specification = (expression, entry.formats, entry.schedule)
+        if entry in seen or specification in rejected:
             continue
         if validate and not _compiles(entry):
+            rejected.add(specification)
             continue
         seen.add(entry)
         entries.append(entry)

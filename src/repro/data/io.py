@@ -556,13 +556,20 @@ MTX_SYMMETRIES = ("general", "symmetric", "skew-symmetric")
 _WRITE_ROWS = 8192
 
 
-def _write_rows(handle, fmt: str, body: np.ndarray) -> None:
-    """Write 2-D *body* one *fmt* line per row -- the bytes a per-row
-    ``fmt % tuple(row)`` loop writes, a chunk of rows per ``%`` operation."""
+def _write_rows(handle, fmt: str, columns: Sequence[np.ndarray]) -> None:
+    """Write one *fmt* line per row of the equal-length 1-D *columns* --
+    the bytes a per-row ``fmt % tuple(row)`` loop writes, a chunk of rows
+    per ``%`` operation.  Each column keeps its own dtype: an int64 index
+    is formatted from a Python int, never rounded through a float64
+    (``2**53 + 1`` would print as ``2**53``)."""
     line = fmt + "\n"
-    for start in range(0, body.shape[0], _WRITE_ROWS):
-        chunk = body[start:start + _WRITE_ROWS]
-        handle.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+    width = len(columns)
+    for start in range(0, len(columns[0]), _WRITE_ROWS):
+        parts = [column[start:start + _WRITE_ROWS].tolist() for column in columns]
+        flat = [None] * (len(parts[0]) * width)
+        for at, part in enumerate(parts):
+            flat[at::width] = part
+        handle.write(line * len(parts[0]) % tuple(flat))
 
 
 def _check_symmetry(coo: CooTensor, symmetry: str) -> np.ndarray:
@@ -658,14 +665,13 @@ def write_mtx(
         for line in comment.splitlines():
             handle.write(f"% {line}\n")
         handle.write(f"{coo.shape[0]} {coo.shape[1]} {len(values)}\n")
+        rows, cols = (coords + 1).T
         if field == "pattern":
-            _write_rows(handle, "%d %d", coords + 1)
+            _write_rows(handle, "%d %d", (rows, cols))
         elif field == "integer":
-            body = np.column_stack([coords + 1, values.astype(np.int64)])
-            _write_rows(handle, "%d %d %d", body)
+            _write_rows(handle, "%d %d %d", (rows, cols, values.astype(np.int64)))
         else:
-            body = np.column_stack([coords + 1, values.reshape(-1, 1)])
-            _write_rows(handle, "%d %d %.17g", body)
+            _write_rows(handle, "%d %d %.17g", (rows, cols, values))
     return path
 
 
@@ -676,8 +682,7 @@ def write_tns(path: str, data) -> str:
     with _open_write(path) as handle:
         handle.write(f"# shape: {' '.join(str(s) for s in coo.shape)}\n")
         fmt = " ".join(["%d"] * coo.order + ["%.17g"])
-        body = np.column_stack([coo.coords + 1, coo.values.reshape(-1, 1)])
-        _write_rows(handle, fmt, body)
+        _write_rows(handle, fmt, (*(coo.coords + 1).T, coo.values))
     return path
 
 

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,8 @@ def generate(spec: MatrixSpec, seed: int = 0) -> sparse.csr_matrix:
     which is salted per process, so the "deterministic" stand-ins used to
     differ from run to run (silently poisoning cached study results).
     """
+    from scipy import sparse
+
     rng = np.random.default_rng(seed ^ zlib.crc32(spec.name.encode()))
     rows, cols = spec.shape
     # Sample without replacement so nnz is exact.

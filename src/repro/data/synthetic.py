@@ -15,10 +15,12 @@ constant-nnz/varying-dimension matrices.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def urandom_vector(size: int, nnz: int, seed: int = 0) -> np.ndarray:
@@ -102,6 +104,8 @@ def extensor_matrix(dimension: int, nnz: int, seed: int = 0) -> sparse.csr_matri
     The ExTensor study sweeps the dimension while holding nnz fixed, so
     density falls as the dimension grows.
     """
+    from scipy import sparse
+
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, dimension, size=nnz)
     cols = rng.integers(0, dimension, size=nnz)

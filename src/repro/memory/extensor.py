@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .hierarchy import DramModel, NBufferedPipeline
 from .tiling import TiledMatrix
@@ -78,6 +77,8 @@ def extensor_spmm_cycles(B, C, config: ExTensorConfig = None) -> ExTensorResult:
     and every surviving (i,k) pairs with C's row k, so the multiply work
     is the exact co-product count.
     """
+    from scipy import sparse
+
     config = config or ExTensorConfig()
     B = sparse.csr_matrix(B)
     C = sparse.csr_matrix(C)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy import sparse
 
 
 class TiledMatrix:
@@ -31,6 +30,8 @@ class TiledMatrix:
     """
 
     def __init__(self, matrix, tile_size: int):
+        from scipy import sparse
+
         if tile_size < 1:
             raise ValueError(f"tile_size must be >= 1, got {tile_size}")
         matrix = sparse.csr_matrix(matrix)

@@ -14,6 +14,7 @@ from repro.data import (
     runs_vectors,
     urandom_vector,
 )
+from repro.data import corpus as corpus_module
 
 
 class TestVectors:
@@ -111,6 +112,23 @@ class TestCorpus:
         a = generate_corpus(total=100, distinct_target=20, seed=2)
         b = generate_corpus(total=100, distinct_target=20, seed=2)
         assert a.entries == b.entries
+
+    def test_a_failing_specification_is_compiled_once(self, monkeypatch):
+        # The sampler draws some specifications that do not compile again
+        # and again; each is compiled once, and the corpus is unchanged.
+        calls = []
+
+        def spy(entry, _real=corpus_module._compiles):
+            calls.append(((entry.expression, entry.formats, entry.schedule),
+                          _real(entry)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(corpus_module, "_compiles", spy)
+        corpus = generate_corpus(total=500, distinct_target=40)
+        failed = [specification for specification, ok in calls if not ok]
+        assert failed, "the sampler drew no failing specification"
+        assert len(failed) == len(set(failed))
+        assert len(calls) == len(corpus.entries) + len(failed)
 
     def test_output_formats_present(self):
         corpus = generate_corpus(total=100, distinct_target=20, seed=3)

@@ -893,6 +893,13 @@ class TestWriterBytes:
         head = "%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n"
         assert _file_bytes(path) == _savetxt(head, lower, "%d %d %.17g")
 
+    def test_mtx_skew_symmetric_stores_strict_lower_triangle(self, tmp_path):
+        dense = np.array([[0.0, 1.25, 0.0], [-1.25, 0.0, -4.0], [0.0, 4.0, 0.0]])
+        path = write_mtx(str(tmp_path / "k.mtx"), dense, symmetry="skew-symmetric")
+        lower = np.array([[2, 1, -1.25], [3, 2, 4.0]])
+        head = "%%MatrixMarket matrix coordinate real skew-symmetric\n3 3 2\n"
+        assert _file_bytes(path) == _savetxt(head, lower, "%d %d %.17g")
+
     def test_mtx_no_rows(self, tmp_path):
         path = write_mtx(str(tmp_path / "z.mtx"), np.zeros((3, 4)))
         assert _file_bytes(path) == (
@@ -916,6 +923,33 @@ class TestWriterBytes:
         coo = CooTensor((2, 3), np.empty((0, 2), dtype=np.int64), np.empty(0))
         path = write_tns(str(tmp_path / "z.tns"), coo)
         assert _file_bytes(path) == b"# shape: 2 3\n"
+
+
+class TestWriterIndicesPast2To53:
+    """Indices are formatted from int64, not rounded through a float64:
+    past 2**53 a float cannot hold every integer."""
+
+    BIG = 2**53  # 0-based; written as the odd 2**53 + 1
+
+    def _coo(self, field):
+        coords = np.array([[self.BIG, 0], [self.BIG + 2, 2]], dtype=np.int64)
+        values = np.array([1.5, 2.0]) if field == "real" else np.ones(2)
+        return CooTensor((self.BIG + 5, 3), coords, values, field=field)
+
+    @pytest.mark.parametrize("field", MTX_FIELDS)
+    def test_mtx_round_trip(self, field, tmp_path):
+        coo = self._coo(field)
+        back = read_mtx(write_mtx(str(tmp_path / "big.mtx"), coo))
+        assert back.coords.tolist() == coo.coords.tolist()
+        assert back.shape == coo.shape
+
+    def test_tns_lines(self, tmp_path):
+        # read_tns parses every column as a float64, so the written text
+        # is what shows the index whole.
+        path = write_tns(str(tmp_path / "big.tns"), self._coo("real"))
+        assert _file_bytes(path).decode().splitlines()[1:] == [
+            f"{self.BIG + 1} 1 1.5", f"{self.BIG + 3} 3 2",
+        ]
 
 
 class TestWritersLeaveNoPartialFile:

@@ -101,6 +101,33 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "digraph" in out and "cluster_fused" not in out
 
+    @pytest.mark.parametrize("forced, drawn", [
+        ("", False), ("cycle", False), ("compiled", True),
+    ])
+    def test_graph_draws_clusters_only_under_compiled(self, capsys, monkeypatch,
+                                                      forced, drawn):
+        # With no engine forced a run uses cycle, which fuses nothing.
+        monkeypatch.setenv("REPRO_ENGINE", forced)
+        assert main(["graph", "x(i) = B(i,j) * c(j)"]) == 0
+        out = capsys.readouterr().out
+        assert "digraph" in out
+        assert ("cluster_fused_0" in out) is drawn
+        assert ("// fusion:" in out) is drawn
+
+    @pytest.mark.parametrize("command", ["compile", "graph"])
+    @pytest.mark.parametrize("expression", [
+        "X(i,j) = B(i,k) * C(k",        # malformed
+        "X(i,j) = B(i,k) * C(k,j)",     # a schedule conflict (LoweringError)
+    ])
+    def test_bad_expression_is_one_line_and_status_2(self, capsys, command,
+                                                     expression):
+        assert main(["--engine", "cycle", command, expression]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("check", [[], ["--check"]])
     def test_graph_rejects_unknown_repro_engine(self, monkeypatch, check):
         monkeypatch.setenv("REPRO_ENGINE", "bogus")

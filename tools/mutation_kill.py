@@ -23,7 +23,8 @@ the ``.mtx`` reader's byte-grammar check and its one-thread parse by
 ``tests/data/test_io.py``, the fibertree build's grouping passes by
 ``tests/formats/test_sorted_ingest.py``, the Table-1 pass's fixed cost
 by ``tests/sim/test_call_budget.py``, the compile memo and the immutable
-program it shares by ``tests/lang/test_compile_once.py``.
+program it shares by ``tests/lang/test_compile_once.py``, scipy loaded
+on first use, not on import, by ``tests/test_scipy_on_first_use.py``.
 Every mutation costs one pytest run that stops at its first failure.
 """
 
@@ -46,6 +47,7 @@ IDENTITY = "tests/sim/test_window_identity.py"
 VISITS = "tests/sim/test_visit_order.py"
 BUDGET = "tests/sim/test_call_budget.py"
 COMPILE = "tests/lang/test_compile_once.py"
+LAZY_SCIPY = "tests/test_scipy_on_first_use.py"
 #: seconds one mutation's test run may take (a hang counts as killed)
 TIMEOUT = 900
 
@@ -190,6 +192,11 @@ MUTATIONS = (
              "    for program, count in zip(programs, corpus.counts):\n"
              "        if lost_without(program, scenario, program.output_format):",
              COMPILE),
+    # -- scipy loaded on first use
+    Mutation("scipy imported at module level in data/synthetic.py",
+             "repro/data/synthetic.py",
+             "import numpy as np\n\nif TYPE_CHECKING:\n    from scipy import sparse\n",
+             "import numpy as np\nfrom scipy import sparse\n", LAZY_SCIPY),
 )
 
 
