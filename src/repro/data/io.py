@@ -24,6 +24,7 @@ files are whitespace-separated ``i j k ... value`` lines, 1-indexed, with
 
 from __future__ import annotations
 
+import functools
 import gzip
 import io
 import itertools
@@ -163,6 +164,22 @@ def _sizes(
     return sizes
 
 
+def _exact_indices(path: str, raw: np.ndarray, comments: str,
+                   skiprows: int = 0) -> np.ndarray:
+    """The leading index columns *raw* of the general reader's body, read
+    again as int64 if one is past 2**53, where a float64 no longer holds
+    every integer (``9007199254740993`` parses as ``...992``).  The second
+    read needs every index spelled as an integer; with one spelled
+    ``3.0`` or ``1e16`` the float reading stands."""
+    if not (np.abs(raw) >= 2.0**53).any():
+        return raw
+    try:
+        return np.loadtxt(path, dtype=np.int64, comments=comments, skiprows=skiprows,
+                          usecols=range(raw.shape[1]), encoding="latin-1", ndmin=2)
+    except ValueError:  # a float spelling, or an index past int64
+        return raw
+
+
 def _zero_indexed(path: str, raw: np.ndarray) -> np.ndarray:
     """1-indexed coordinate columns (parsed as floats) as int64 - 1; a
     fractional index is an error, never a silent truncation."""
@@ -234,23 +251,18 @@ def _in_order(byte: np.ndarray, spaced: np.ndarray, marks: np.ndarray,
     return bool(((mark[:-1][shared] == 46) & _is_e(mark[1:][shared])).all())
 
 
-def _slab_tokens(slab: np.ndarray, need: int) -> int:
-    """The number of tokens in *slab*, ``uint8`` body bytes that open and
-    close with a newline, or -1 if a line breaks the coordinate grammar:
-    every non-blank line holds *need* tokens between ``[ \\t]`` padding,
-    two ``[0-9]+`` indices then (for ``need == 3``) a float (:func:`_in_order`).
+def _walk(at: np.ndarray, byte: np.ndarray, need: int) -> int:
+    """The number of tokens in the lines whose skeleton is the positions
+    *at* and bytes *byte* of every non-digit byte, from an opening newline
+    to a closing one, or -1 if a line breaks the coordinate grammar: every
+    non-blank line holds *need* tokens between ``[ \\t]`` padding, two
+    ``[0-9]+`` indices then (for ``need == 3``) a float (:func:`_in_order`).
 
-    Digits are legal inside every token, so only the skeleton is read:
-    the position and byte of every non-digit, one pass over the slab.  A
-    token opens after a gap that digits or a mark (a non-gap byte) follow;
-    a mark's column is the number of tokens opened before it, and two
-    marks share a token when none opens between them.
+    Digits are legal inside every token, so the skeleton is all there is
+    to read.  A token opens after a gap that digits or a mark (a non-gap
+    byte) follow; a mark's column is the number of tokens opened before
+    it, and two marks share a token when none opens between them.
     """
-    # the skeleton from one slab-sized temporary, compared in place
-    # (~_is_digit(slab) makes three: ~0.7 ms more a slab)
-    flags = slab - np.uint8(48)  # uint8 wraps below '0'
-    at = np.flatnonzero(np.greater(flags, 9, out=flags.view(np.bool_)))
-    byte = slab[at]
     newline = byte == 10
     if ((byte < 32) & ~newline & (byte != 9)).any():  # a control byte
         return -1
@@ -273,10 +285,58 @@ def _slab_tokens(slab: np.ndarray, need: int) -> int:
     return int(opened[-1])
 
 
+#: skeleton bytes of the longest first line a slab is matched against
+_SHAPE = 16
+
+
+@functools.lru_cache(maxsize=256)
+def _line_tokens(skeleton: bytes, spaced: bytes, need: int) -> int:
+    """:func:`_walk` of one line given by its shape: the *skeleton* bytes
+    from the opening newline to the closing one, and for each pair of
+    neighbours whether digits lie between them (*spaced*)."""
+    byte = np.frombuffer(skeleton, np.uint8)
+    at = np.zeros(byte.size, np.int64)
+    np.cumsum(np.frombuffer(spaced, np.bool_) + 1, out=at[1:])
+    return _walk(at, byte, need)
+
+
+def _slab_tokens(slab: np.ndarray, need: int) -> int:
+    """The number of tokens in *slab*, ``uint8`` body bytes that open and
+    close with a newline, or -1 if a line breaks the grammar of
+    :func:`_walk`.
+
+    One pass over the slab finds its skeleton, the position and byte of
+    every non-digit.  A written file repeats one line shape: the same
+    skeleton bytes with digits between the same pairs of them (``1 2
+    0.5`` and ``30 4 0.25`` both read ``' ' ' ' '.' '\\n'``, digits
+    before each).  Whether a line is in the grammar, and how many tokens
+    it holds, depends on nothing else, so when every line has the first
+    line's shape the walk reads the first line alone and its verdict
+    holds for each.  Any other slab is walked whole.
+    """
+    # the skeleton from one slab-sized temporary, compared in place
+    # (~_is_digit(slab) makes three: ~0.7 ms more a slab)
+    flags = slab - np.uint8(48)  # uint8 wraps below '0'
+    at = np.flatnonzero(np.greater(flags, 9, out=flags.view(np.bool_)))
+    byte = slab[at]
+    ends = (byte[1:_SHAPE + 1] == 10).nonzero()[0]
+    if ends.size:
+        width = int(ends[0]) + 1  # the first line's skeleton bytes
+        lines, rest = divmod(at.size - 1, width)
+        # each line's skeleton bytes, then digits, as those of the line before
+        if lines > 1 and not rest and (byte[width + 1:] == byte[1:-width]).all():
+            spaced = at[1:] - at[:-1] > 1
+            if (spaced[width:] == spaced[:-width]).all():
+                first = _line_tokens(byte[:width + 1].tobytes(),
+                                     spaced[:width].tobytes(), need)
+                return -1 if first < 0 else first * lines
+    return _walk(at, byte, need)
+
+
 def _body_tokens(data: bytes, start: int, need: int) -> int:
     """The number of tokens in the coordinate body ``data[start:]``, or -1
     if the body is not ``\\n``-terminated lines of the grammar of
-    :func:`_slab_tokens` (a ``%`` line, a CR or a line past the slab size
+    :func:`_walk` (a ``%`` line, a CR or a line past the slab size
     included).  Numbers are never converted: the bytes are compared."""
     end = len(data)
     if start == end:
@@ -373,9 +433,8 @@ def _coordinate_entries(
     values in a ``pattern`` file, a fourth column, a ``%`` line, a CR, a
     short or ragged row, ``1d3`` -- is read by the general float reader,
     which accepts it or names the error.  Where the grammar holds the two
-    agree bit for bit: both round each value correctly, and an index
-    reads the same either way (up to 2**53, past which only scipy's
-    integer parse is exact).
+    agree bit for bit: both round each value correctly, and both read an
+    index spelled as an integer exactly (:func:`_exact_indices`).
     """
     need = 2 if field == "pattern" else 3
     entries = _checked_entries(path, skiprows, need, shape, nnz)
@@ -394,7 +453,7 @@ def _coordinate_entries(
             f"(row, column{', value' if need == 3 else ''}), "
             f"found {body.shape[1]}"
         )
-    coords = _zero_indexed(path, body[:, :2])
+    coords = _zero_indexed(path, _exact_indices(path, body[:, :2], "%", skiprows))
     values = body[:, 2].copy() if need == 3 else np.ones(nnz)
     return coords, values
 
@@ -502,7 +561,7 @@ def read_tns(path: str, shape: Optional[Sequence[int]] = None) -> CooTensor:
     else:
         if data.shape[1] < 2:
             raise ValueError(f"{path}: .tns lines need coordinates and a value")
-        coords = _zero_indexed(path, data[:, :-1])
+        coords = _zero_indexed(path, _exact_indices(path, data[:, :-1], "#"))
         values = data[:, -1].astype(np.float64)
     if shape is None:
         shape = tuple(int(m) + 1 for m in coords.max(axis=0))

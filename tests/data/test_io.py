@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from numpy_counters import numpy_calls
+from numpy_counters import array_calls, numpy_calls
 from scipy import sparse
 
 from repro.data import (
@@ -573,6 +573,24 @@ class TestReaderOutcomeTable:
         )
         assert read_mtx(str(path)).coords.tolist() == [[9007199254740992, 0]]
 
+    def test_index_beyond_float_precision_is_exact_in_the_general_reader(
+            self, tmp_path):
+        # a % line sends the body to the float reader, which reads the
+        # index columns again as int64 when one is past 2**53
+        path = tmp_path / "big-general.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "9007199254740994 1 2\n9007199254740993 1 1\n% note\n1 1 2\n"
+        )
+        assert read_mtx(str(path)).coords.tolist() == [[9007199254740992, 0], [0, 0]]
+
+
+#: lines a byte or two from ``1 2 0.5`` -> the tokens the check counts
+#: in them, or -1
+NEAR_MISSES = [("1 2 .", -1), ("1 2 5.", 3), ("1 2 .5", 3), ("01 002 0.5", 3),
+               ("1  2 0.5", 3), ("1 2 0.5 ", 3), ("1 2 0.5e", -1), ("1 2 -.", -1),
+               ("1 2 0.5 7", -1), ("1.0 2 0.5", -1), ("1 2 0.5\r", -1),
+               ("1 2 0+5", -1)]
 
 #: body -> the tokens the byte-grammar check counts, or -1 where it refuses
 GRAMMAR_TABLE = [
@@ -600,6 +618,15 @@ GRAMMAR_TABLE = [
     *((f"1 2 {token}\n", 3, -1) for token in [
         "1.5.3", "1e5e5", "1-2", "1.5e", "1e+", "1..2", "1e5.3", ".e5", "1.5+",
         "5e-", "12x", ".", "+", "e5", "+-1", "1e+-5", "--1", "1e.5", "+.e1"]),
+    # near misses of a written line: alone, after two written lines (whose
+    # shape the check tries on the rest of the slab) and before them
+    *((f"{line}\n", 3, tokens) for line, tokens in NEAR_MISSES),
+    *((f"1 2 0.5\n3 4 0.25\n{line}\n", 3, tokens if tokens < 0 else tokens + 6)
+      for line, tokens in NEAR_MISSES),
+    *((f"{line}\n1 2 0.5\n3 4 0.25\n", 3, tokens if tokens < 0 else tokens + 6)
+      for line, tokens in NEAR_MISSES),
+    ("1 2 0.5\n" * 3 + "1 2 5e-07\n" + "1 2 0.5\n" * 2, 3, 18),  # one exponent
+    ("1 2 0.5\n" * 3 + "1 2 5e-\n" + "1 2 0.5\n" * 2, 3, -1),
 ]
 
 
@@ -650,6 +677,43 @@ class TestBodyGrammar:
         assert [slab for module, size, slab in calls
                 if module == "repro.data.io" and size == slabs[slab - 1]
                 ] == list(range(1, len(slabs) + 1))
+
+    @staticmethod
+    def _skeleton_calls(lines, monkeypatch):
+        """Per slab of *lines*, the numpy operations the check makes on an
+        array longer than half the slab's skeleton (and no longer than it)."""
+        data = ("9 9 9\n" + "".join(lines)).encode()
+        check, counts = io_module._slab_tokens, []
+
+        def counted(slab, need):
+            skeleton = np.count_nonzero(slab - np.uint8(48) > 9)
+            with array_calls() as (note, calls):
+                tokens = check(note(slab), need)
+            counts.append(sum(any(skeleton // 2 < size <= skeleton for size in sizes)
+                              for _, sizes in calls))
+            return tokens
+
+        with monkeypatch.context() as patch:
+            patch.setattr(io_module, "_SLAB", 1 << 14)
+            patch.setattr(io_module, "_slab_tokens", counted)
+            assert io_module._body_tokens(data, 6, 3) == 3 * len(lines)
+        return counts
+
+    def test_written_lines_take_a_few_skeleton_calls(self, monkeypatch):
+        # Wall-clock free: lines of one shape cost a slab the same few
+        # operations on skeleton-length arrays at n lines and at 4n, fewer
+        # than the walk of every skeleton byte (the check's only path
+        # before), here drawn by a sign on every other value.
+        rng = random.Random(5)
+        lines = [f"{rng.randint(1, 20_000)} {rng.randint(1, 20_000)} "
+                 f"{rng.uniform(0.1, 1.0):.17g}\n" for _ in range(8_000)]
+        few = self._skeleton_calls(lines[:2_000], monkeypatch)
+        many = self._skeleton_calls(lines, monkeypatch)
+        assert len(few) >= 3 and set(few) == set(many)
+        walked = self._skeleton_calls([line.replace(" 0.", " -0.") if k % 2 else line
+                                       for k, line in enumerate(lines[:2_000])],
+                                      monkeypatch)
+        assert max(few) <= 7 < min(walked)
 
     @pytest.mark.parametrize("field, symmetry", [
         (field, symmetry) for field in MTX_FIELDS for symmetry in MTX_SYMMETRIES
@@ -767,10 +831,36 @@ def grammar_tokens(body: bytes, need: int, slab: int) -> int:
     return need * sum(1 for line in lines if line.strip(b" \t"))
 
 
+def written_body(rng: random.Random, need: int) -> bytes:
+    """Lines as :func:`write_mtx` writes them, most bodies of one shape
+    (values in one decade, ``%.17g``: long, or short where they are
+    quarters), some with a line or a few whose value has an exponent;
+    one near-miss line or one odd byte spliced into half of them."""
+    quarters, exponent = rng.random() < 0.5, rng.random() < 0.3
+    lines = []
+    for _ in range(rng.randint(2, 30)):
+        value = rng.randrange(1, 200, 2) / 4 if quarters else rng.uniform(0.1, 1.0)
+        if exponent and rng.random() < 0.2:
+            value *= rng.choice([1e-7, 1e22])
+        line = f"{rng.randint(1, 999)} {rng.randint(1, 999)}"
+        lines.append(line if need == 2 else f"{line} {value:.17g}")
+    splice = rng.random()
+    if splice < 0.25:
+        lines[rng.randrange(len(lines))] = rng.choice(NEAR_MISSES)[0]
+    text = "".join(line + "\n" for line in lines)
+    if splice > 0.75:
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(ODD_BYTES) + text[at:]
+    return text.encode("latin-1")
+
+
 def grammar_body(rng: random.Random, need: int) -> bytes:
-    """Lines of index and value tokens: every other body only what the
-    grammar admits, the rest any token, ragged lines and odd bytes
+    """Lines of index and value tokens: a third of the bodies written-file
+    lines (:func:`written_body`), of the rest every other one only what the
+    grammar admits, the others any token, ragged lines and odd bytes
     spliced in anywhere."""
+    if rng.random() < 1 / 3:
+        return written_body(rng, need)
     clean = rng.random() < 0.5
     indices = INDEX_TOKENS[:4] if clean else INDEX_TOKENS
     values = VALUE_TOKENS[:CLEAN_VALUES] if clean else VALUE_TOKENS
@@ -944,12 +1034,17 @@ class TestWriterIndicesPast2To53:
         assert back.shape == coo.shape
 
     def test_tns_lines(self, tmp_path):
-        # read_tns parses every column as a float64, so the written text
-        # is what shows the index whole.
-        path = write_tns(str(tmp_path / "big.tns"), self._coo("real"))
+        coo = self._coo("real")
+        path = write_tns(str(tmp_path / "big.tns"), coo)
         assert _file_bytes(path).decode().splitlines()[1:] == [
             f"{self.BIG + 1} 1 1.5", f"{self.BIG + 3} 3 2",
         ]
+        assert read_tns(path).coords.tolist() == coo.coords.tolist()
+
+    def test_tns_float_spelled_index_keeps_the_float_reading(self, tmp_path):
+        path = tmp_path / "mixed.tns"
+        path.write_text(f"3.0 1 1\n{self.BIG + 1} 1 1.5\n")
+        assert read_tns(str(path)).coords[0].tolist() == [2, 0]
 
 
 class TestWritersLeaveNoPartialFile:

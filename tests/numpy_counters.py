@@ -63,3 +63,58 @@ def builtin_calls(module):
         yield calls
     finally:
         sys.setprofile(previous)
+
+
+@contextmanager
+def array_calls():
+    """Yield ``(note, calls)``: ``note(array)`` is a view of *array* whose
+    numpy operations, and those on every array made from it, are noted
+    in ``calls`` as ``(name, sizes)`` -- ufuncs and operators
+    (``a - b``; ``a.all()`` is ``logical_and.reduce``), functions that
+    dispatch on their arguments (``np.flatnonzero``, ``np.cumsum``) and
+    indexing by an array; ``sizes`` are those of the ndarray operands.
+    Slices, reshapes and views are not operations.  The counters above
+    see none of these calls: a ufunc is no builtin and cannot be patched.
+    An array made without a noted operand (``np.zeros``) is not noted.
+    """
+    calls = []
+
+    class Noted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if method == "__call__":
+                return call(ufunc.__name__, ufunc, inputs, kwargs)
+            return call(f"{ufunc.__name__}.{method}", getattr(ufunc, method),
+                        inputs, kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            return call(func.__name__, func, args, kwargs)
+
+        def __getitem__(self, key):
+            keys = key if isinstance(key, tuple) else (key,)
+            if any(isinstance(part, np.ndarray) for part in keys):
+                return call("getitem", lambda array, key: array[key], (self, key), {})
+            return super().__getitem__(key)
+
+    def plain(value):
+        if isinstance(value, Noted):
+            return value.view(np.ndarray)
+        if isinstance(value, (tuple, list)):
+            return type(value)(plain(part) for part in value)
+        return value
+
+    def noted(value):
+        if type(value) is np.ndarray:
+            return value.view(Noted)
+        if isinstance(value, tuple):
+            return tuple(noted(part) for part in value)
+        return value
+
+    def call(name, func, args, kwargs):
+        operands = [*args, *kwargs.values()]
+        operands += [part for value in operands if isinstance(value, (tuple, list))
+                     for part in value]
+        calls.append((name, [value.size for value in operands
+                             if isinstance(value, np.ndarray)]))
+        return noted(func(*plain(args), **{k: plain(v) for k, v in kwargs.items()}))
+
+    yield (lambda array: array.view(Noted)), calls

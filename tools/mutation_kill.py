@@ -165,6 +165,15 @@ MUTATIONS = (
              "repro/data/io.py",
              "np.where(spaced[marks - 1], np.uint8(48), byte[marks - 1])",
              "byte[marks - 1]", INGEST),
+    # a slab whose lines all have its first line's shape takes its first
+    # line's verdict: the shape is the skeleton bytes and where digits lie
+    Mutation("line shape without the digits between skeleton bytes",
+             "repro/data/io.py",
+             "(spaced[width:] == spaced[:-width]).all()",
+             "True", INGEST),
+    Mutation("line shape without the skeleton bytes", "repro/data/io.py",
+             "(byte[width + 1:] == byte[1:-width]).all()",
+             "True", INGEST),
     Mutation("the file's field passed through to scipy", "repro/data/io.py",
              "{'pattern' if need == 2 else 'real'}",
              "{data.split(None, 5)[3].decode()}", INGEST),
