@@ -165,7 +165,7 @@ class TimingDescriptor:
 
     ``fuse_role`` is the compiled backend's segment-fusion capability
     flag: how this block may participate in a fused super-block (see
-    :func:`repro.graph.bind.partition_segments`).  A fusible block also
+    :func:`repro.sim.backends.plan.partition_segments`).  A fusible block also
     exports, next to its ``timing =`` line, the hook its own
     ``drain_timed`` is written in terms of; the fused unit calls the
     same hook, so a block's behaviour is defined once.  Roles:
@@ -187,7 +187,7 @@ class TimingDescriptor:
       ``drain_timed`` on the per-block timed path (scanners, locators,
       mergers, repeaters, droppers, vector reducers, feeders, fanouts …).
       A scanner hands its fibers to a locator or merger side reading
-      both its outputs as runs (``pair_runs``), without a fused unit.
+      both its outputs as runs (the plan's hand-overs), without a fused unit.
 
     :meth:`Block.plan_tag` names a member's data transform in the
     compiled backend's plan-cache keys.

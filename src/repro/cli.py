@@ -365,12 +365,17 @@ def _cmd_graph(args) -> None:
 
     Under the compiled engine (``--engine compiled`` or
     ``$REPRO_ENGINE=compiled``; with neither, a run uses ``cycle``, which
-    fuses nothing) the bound blocks are partitioned with the same pass
-    the backend uses and the partition is handed to the DOT exporter,
-    which groups every fused segment in a dashed cluster — the fusion
-    decisions become visually auditable without running a simulation.
-    The compiled program, shared by every compile of the expression, is
-    left as it was.
+    fuses nothing) the fused segments of the bound graph's plan — the
+    partition the backend runs — are handed to the DOT exporter, which
+    groups every fused segment in a dashed cluster: the fusion decisions
+    become visually auditable without running a simulation.  The
+    compiled program, shared by every compile of the expression, is left
+    as it was.
+
+    ``--dump-plan`` prints the plan instead: the plan cache counters,
+    each fused segment's kind, plan digest and warm/cold state, then one
+    line per block with its plane (``timed``, ``fused`` or ``cycle``)
+    and the reason.
 
     With ``--check`` the command validates instead of rendering: the
     bound block graph is run through the port-level wiring checks
@@ -381,7 +386,6 @@ def _cmd_graph(args) -> None:
     import numpy as np
 
     from .graph import GraphValidationError, bind
-    from .graph.bind import partition_segments
     from .lang import compile_expression
 
     engine = _forced_engine(args)
@@ -415,22 +419,23 @@ def _cmd_graph(args) -> None:
               + (f" (engine {engine})" if engine else ""))
         return
     bound = bind(program.graph, program._prepare_inputs(tensors))
+    plan = bound.plan  # a compiled program's graph is frozen: bind planned it
     if getattr(args, "dump_plan", False):
-        from .graph.bind import segment_plan_key
         from .jit import PLAN_CACHE, plan_digest
 
         cache = PLAN_CACHE.snapshot()
         print(f"plan cache: {cache['size']} plans, {cache['hits']} hits, "
               f"{cache['misses']} misses")
-        for seg in partition_segments(bound.blocks):
-            key = segment_plan_key(bound.blocks, seg)
+        for seg in plan.segments:
             names = ", ".join(bound.blocks[i].name for i in seg.members)
-            state = "warm" if key in PLAN_CACHE else "cold"
-            print(f"segment {seg.kind} [{plan_digest(key)}] {state}: {names}")
+            state = "warm" if seg.key in PLAN_CACHE else "cold"
+            print(f"segment {seg.kind} [{plan_digest(seg.key)}] {state}: {names}")
+        for block, (plane, reason) in zip(bound.blocks, plan.planes(bound.blocks)):
+            print(f"block {block.name}: {plane} ({reason})")
         return
     clusters = []
     if engine == "compiled":
-        segments = partition_segments(bound.blocks)
+        segments = plan.segments
         clusters = [(seg.kind, [bound.blocks[i].name for i in seg.members])
                     for seg in segments]
         fused = sum(len(seg.members) for seg in segments)
@@ -554,9 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "capabilities) instead of printing DOT; exits non-zero "
                    "listing every violation")
     p.add_argument("--dump-plan", action="store_true",
-                   help="print the plan cache counters and each fused "
-                   "segment's kind, plan digest and warm/cold state "
-                   "instead of DOT")
+                   help="print the plan instead of DOT: the plan cache "
+                   "counters, each fused segment's kind, plan digest and "
+                   "warm/cold state, and each block's plane and its reason")
 
     p = sub.add_parser(
         "lint", help="static analysis (protocol, deadlock, rate) over "

@@ -373,8 +373,12 @@ def _checked_entries(
     nor expands symmetry (:func:`read_mtx` does).  What it still refuses
     (an index of 0 or past the size line, a sign on a value) is left to
     the general reader too.  The bytes are read once; the copy scipy
-    parses replaces them before the parse.
+    parses replaces them before the parse.  Where scipy's reader cannot
+    be called as it was (:func:`_scipy_reader_missing`), every body goes
+    to the general reader.
     """
+    if _scipy_reader_missing() is not None:
+        return None
     with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as handle:
         data = handle.read()
     start = 0
@@ -398,6 +402,33 @@ def _checked_entries(
     if need == 2:
         values = np.ones(nnz)
     return coords, values
+
+
+@functools.lru_cache(maxsize=None)
+def _scipy_reader_missing() -> Optional[str]:
+    """Why scipy's reader cannot be called as :func:`_scipy_coordinates`
+    calls it, or None when it can.
+
+    The reader is scipy's private ``scipy.io._fast_matrix_market`` API
+    and scipy is not pinned, so the two functions it calls are looked up
+    and their signatures bound once per process.  Where either fails,
+    a ``RuntimeWarning`` names what failed and :func:`read_mtx` reads
+    every body with the general reader: the same result, slower.
+    """
+    import inspect
+
+    try:
+        from scipy.io import _fast_matrix_market as fmm
+
+        inspect.signature(fmm._get_read_cursor).bind(None, parallelism=None)
+        inspect.signature(fmm._read_body_coo).bind(None, generalize_symmetry=False)
+    except (ImportError, AttributeError, TypeError, ValueError) as err:
+        reason = (f"scipy's Matrix Market reader cannot be called as expected "
+                  f"({type(err).__name__}: {err})")
+        warnings.warn(f"{reason}; .mtx bodies are read by the general reader",
+                      RuntimeWarning, stacklevel=2)
+        return reason
+    return None
 
 
 def _scipy_coordinates(text: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

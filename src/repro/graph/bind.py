@@ -11,7 +11,7 @@ close over level/value storage ("memories are pre-initialised").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +40,13 @@ from ..blocks import (
 )
 from ..formats.tensor import FiberTensor, scalar_tensor
 from ..sim.backends import SimulationReport, run_blocks
+from ..sim.backends.plan import (  # noqa: F401 (re-exported)
+    FusedSegment,
+    Plan,
+    partition_segments,
+    plan_blocks,
+    segment_plan_key,
+)
 from ..streams.channel import Channel
 from .builder import Graph
 from .ir import GraphError, Node, SamGraph, fanout_groups
@@ -114,7 +121,13 @@ def node_ports(node: Node) -> Tuple[List[Tuple[str, str]], List[Tuple[str, str]]
 
 
 class BoundGraph:
-    """A bound graph: live blocks, channels, and result-writer handles."""
+    """A bound graph: live blocks, channels, and result-writer handles.
+
+    ``plan`` is the :class:`~repro.sim.backends.plan.Plan` of the blocks
+    when the graph is frozen (shared by every bind of that graph with
+    the same ``record`` and level classes), else None: the engine then
+    plans the run itself.
+    """
 
     def __init__(self, graph: SamGraph):
         self.graph = graph
@@ -124,6 +137,7 @@ class BoundGraph:
         self.channels: Dict[str, Channel] = self.builder.channels
         #: writer blocks keyed by IR node name
         self.writers: Dict[str, object] = {}
+        self.plan: Optional[Plan] = None
         self._report: Optional[SimulationReport] = None
 
     def run(
@@ -139,7 +153,7 @@ class BoundGraph:
             capture.record(self.blocks, self._report)
             return self._report
         self._report = run_blocks(
-            self.blocks, max_cycles=max_cycles, backend=backend
+            self.blocks, max_cycles=max_cycles, backend=backend, plan=self.plan
         )
         if capture is not None:
             capture.record(self.blocks, self._report)
@@ -163,6 +177,68 @@ def _resolve_tensor(name: str, tensors: Dict[str, FiberTensor]) -> FiberTensor:
     return value
 
 
+class _Wiring(NamedTuple):
+    """The channels :func:`bind` makes for one graph and ``record``, by
+    creation index, and where every node port finds its channel."""
+
+    names: Tuple[str, ...]  # per channel
+    kinds: Tuple[str, ...]
+    records: Tuple[bool, ...]
+    unused: Tuple[int, ...]  # dangling outputs
+    fanouts: Tuple[Tuple[int, Tuple[int, ...], str], ...]  # (hub, legs, name)
+    in_port: Dict[Tuple[str, str], int]  # (node, input port) -> channel
+    out_port: Tuple[Tuple[Tuple[str, int], ...], ...]  # per node: (port, channel)
+
+
+def _wire(graph: SamGraph, record: FrozenSet[str]) -> _Wiring:
+    """One channel per input port; a fanout's hub stands for its source
+    port, and an output no edge leaves gets a dangling channel."""
+    groups = fanout_groups(graph)
+    channels: List[Tuple[str, str, bool]] = []
+    in_port: Dict[Tuple[str, str], int] = {}
+    hubs: Dict[Tuple[str, str], int] = {}
+    fanouts = []
+
+    def channel(name: str, kind: str, rec: bool = False) -> int:
+        channels.append((name, kind, rec))
+        return len(channels) - 1
+
+    for (src, src_port), edges in groups.items():
+        rec = f"{src}.{src_port}" in record
+        if len(edges) == 1:
+            edge = edges[0]
+            in_port[(edge.dst, edge.dst_port)] = channel(
+                f"{src}.{src_port}->{edge.dst}.{edge.dst_port}", edge.kind, rec)
+        else:
+            hub = hubs[(src, src_port)] = channel(
+                f"{src}.{src_port}", edges[0].kind, rec)
+            legs = []
+            for edge in edges:
+                leg = in_port[(edge.dst, edge.dst_port)] = channel(
+                    f"{src}.{src_port}->{edge.dst}.{edge.dst_port}", edge.kind)
+                legs.append(leg)
+            fanouts.append((hub, tuple(legs), f"fan:{src}.{src_port}"))
+    unused = []
+    out_port = []
+    for node in graph.nodes.values():
+        ports = []
+        for port, kind in node_ports(node)[1]:
+            edges = groups.get((node.name, port), [])
+            if not edges:
+                k = channel(f"{node.name}.{port}(dangling)", kind,
+                            f"{node.name}.{port}" in record)
+                unused.append(k)
+            elif len(edges) == 1:
+                k = in_port[(edges[0].dst, edges[0].dst_port)]
+            else:
+                k = hubs[(node.name, port)]
+            ports.append((port, k))
+        out_port.append(tuple(ports))
+    names, kinds, records = zip(*channels) if channels else ((), (), ())
+    return _Wiring(names, kinds, records, tuple(unused), tuple(fanouts),
+                   in_port, tuple(out_port))
+
+
 def bind(
     graph: SamGraph,
     tensors: Dict[str, FiberTensor],
@@ -172,61 +248,42 @@ def bind(
 
     Edge identifiers for ``record`` are ``"src.port"`` strings; recorded
     channels keep their full token history for stream analyses.
+
+    What depends on the graph's structure alone is worked out once per
+    frozen graph: its wiring per ``record``, and its validation and
+    :class:`~repro.sim.backends.plan.Plan` per ``record`` and the
+    classes of the levels bound (which pick the scanner classes).  A
+    graph that fails validation keeps no plan, so every bind raises.
     """
+    record = frozenset(record)
+    memo = graph._bind_memo if graph._frozen else {}
+    wiring = memo.get(record)
+    if wiring is None:
+        wiring = memo[record] = _wire(graph, record)
     bound = BoundGraph(graph)
-    groups = fanout_groups(graph)
-
-    # One channel per input port; a fanout's hub stands for its source port.
-    in_port: Dict[Tuple[str, str], Channel] = {}
-    hubs: Dict[Tuple[str, str], Channel] = {}
     builder = bound.builder
-    for (src, src_port), edges in groups.items():
-        rec = f"{src}.{src_port}" in record
-        if len(edges) == 1:
-            edge = edges[0]
-            in_port[(edge.dst, edge.dst_port)] = builder.channel(
-                f"{src}.{src_port}->{edge.dst}.{edge.dst_port}",
-                kind=edge.kind, record=rec,
-            )
-        else:
-            hub = builder.channel(f"{src}.{src_port}", kind=edges[0].kind,
-                                  record=rec)
-            outs = []
-            for edge in edges:
-                leg = builder.channel(
-                    f"{src}.{src_port}->{edge.dst}.{edge.dst_port}", kind=edge.kind
-                )
-                in_port[(edge.dst, edge.dst_port)] = leg
-                outs.append(leg)
-            builder.add(Fanout(hub, outs, name=f"fan:{src}.{src_port}"))
-            hubs[(src, src_port)] = hub
-
-    def out_channel(node: Node, port: str, kind: str) -> Channel:
-        """Channel a node should push *port* into (hub, leg, or dangling)."""
-        edges = groups.get((node.name, port), [])
-        if not edges:
-            chan = builder.channel(f"{node.name}.{port}(dangling)", kind=kind,
-                                   record=f"{node.name}.{port}" in record)
-            builder.unused(chan)
-            return chan
-        if len(edges) == 1:
-            e = edges[0]
-            return in_port[(e.dst, e.dst_port)]
-        return hubs[(node.name, port)]
+    chans = [builder.channel(name, kind=kind, record=rec)
+             for name, kind, rec in zip(wiring.names, wiring.kinds, wiring.records)]
+    for k in wiring.unused:
+        builder.unused(chans[k])
+    for hub, legs, name in wiring.fanouts:
+        builder.add(Fanout(chans[hub], [chans[k] for k in legs], name=name))
+    in_port = wiring.in_port
+    levels = []  # the class of every level bound, in node order
 
     def in_channel(node: Node, port: str) -> Optional[Channel]:
-        return in_port.get((node.name, port))
+        k = in_port.get((node.name, port))
+        return None if k is None else chans[k]
 
     def require(node: Node, port: str) -> Channel:
-        channel = in_channel(node, port)
-        if channel is None:
+        k = in_port.get((node.name, port))
+        if k is None:
             raise GraphError(f"input {node.name}.{port} is not connected")
-        return channel
+        return chans[k]
 
-    for node in graph.nodes.values():
+    for node, out_port in zip(graph.nodes.values(), wiring.out_port):
         kind = node.kind
-        _, outs = node_ports(node)
-        out = {port: out_channel(node, port, pkind) for port, pkind in outs}
+        out = {port: chans[k] for port, k in out_port}
         if kind == "root":
             builder.add(RootFeeder(out["ref"], name=node.name))
         elif kind == "source":
@@ -238,6 +295,7 @@ def bind(
         elif kind == "level_scanner":
             tensor = _resolve_tensor(node.params["tensor"], tensors)
             level = tensor.levels[node.params["depth"]]
+            levels.append(type(level))
             builder.add(
                 make_scanner(
                     level,
@@ -366,6 +424,7 @@ def bind(
         elif kind == "locate":
             tensor = _resolve_tensor(node.params["tensor"], tensors)
             level = tensor.levels[node.params["depth"]]
+            levels.append(type(level))
             builder.add(
                 Locator(
                     level,
@@ -382,230 +441,14 @@ def bind(
             raise GraphError(f"cannot bind node kind {kind!r}")
     # Every bound graph is validated before it can run: kind mismatches,
     # duplicate producers, missing fanouts, and unconnected required
-    # ports surface here, at bind time, naming the offending port.
-    builder.validate()
+    # ports surface here, at bind time, naming the offending port.  A
+    # frozen graph's plan stands for its validation: the same structure
+    # passed it.
+    key = (record, tuple(levels))
+    plan = memo.get(key)
+    if plan is None:
+        builder.validate()
+        if graph._frozen:
+            plan = memo[key] = plan_blocks(bound.blocks)[0]
+    bound.plan = plan
     return bound
-
-
-# -- segment fusion ------------------------------------------------------
-#
-# The compiled backend (sim/backends/compiled.py) partitions a bound
-# block list into fusible segments: maximal linear chains of
-# descriptor-carrying blocks joined by single-producer/single-consumer
-# channels, executed as one super-block per segment.  The partition is
-# purely structural — roles come from each block's
-# ``TimingDescriptor.fuse_role`` — so it can also annotate DOT renderings
-# (graph/dot.py) without running anything.
-
-
-from dataclasses import dataclass, field
-
-
-#: roles that may continue a value chain after the head
-_CHAIN_INTERIOR = ("map",)
-#: roles that may close a value chain (a trailing "map" also closes one)
-_CHAIN_TAIL = ("map", "reduce", "sink", "write")
-
-
-@dataclass
-class FusedSegment:
-    """One fusible segment — a chain: zip/map head, map interiors,
-    map/reduce/sink/write tail — as member block indices plus interior
-    channels.
-
-    ``kind`` is the human-readable classification used in fusion stats
-    and DOT labels: ``"value-chain"``, or ``"writer-tail"`` for a chain
-    closed by a writer.
-
-    ``links`` holds the interior channels in flow order.  Fused
-    execution never pushes tokens through them, so the engine
-    reconstructs their token counts arithmetically.
-
-    A zip head may additionally absorb one *feeder* per operand: a map
-    block whose single output is that operand (e.g. the two value loads
-    in front of a multiplier).  ``feeders`` holds ``(block index,
-    feeder→head channel)`` pairs aligned with the head's input order,
-    ``None`` for operands wired directly; feeder indices also appear in
-    ``members`` (before the head) so claiming and reporting see them.
-    """
-
-    members: List[int]
-    links: List[Channel] = field(default_factory=list)
-    feeders: List = field(default_factory=list)
-    kind: str = ""
-
-
-def _fuse_role(block) -> str:
-    timing = getattr(block, "timing", None)
-    if timing is None or getattr(block, "drain_timed", None) is None:
-        return ""
-    return getattr(timing, "fuse_role", "")
-
-
-def _link_ok(channel: Channel, producers, consumers) -> bool:
-    """Whether *channel* can be a fused-interior link (structurally)."""
-    return (
-        channel.capacity is None
-        and not channel.record
-        and len(producers.get(channel, ())) == 1
-        and len(consumers.get(channel, ())) == 1
-    )
-
-
-def partition_segments(blocks) -> List[FusedSegment]:
-    """Partition *blocks* into fusible segments for the compiled backend.
-
-    Returns the segments in head-index order; every block belongs to at
-    most one segment and single-block "segments" are never emitted.  The
-    rules (see docs/architecture.md, "segment fusion"):
-
-    * a member joins a segment only through channels that are unbounded,
-      unrecorded, and single-producer/single-consumer;
-    * every input of a non-head member must come from its predecessor
-      (no side entrances), and every output of a non-tail member must go
-      to its successor (no side exits);
-    * ``zip``/``map`` roles may head a value chain, ``map`` may continue
-      it, and ``map``/``reduce``/``sink``/``write`` may close it.
-
-    Blocks without a fuse role (scanners, locators, mergers, repeaters,
-    droppers …) are never claimed: they run their own ``drain_timed`` on
-    the plain timed plane (docs/architecture.md, "Segment fusion").
-    """
-    producers: Dict[Channel, List[int]] = {}
-    consumers: Dict[Channel, List[int]] = {}
-    for i, block in enumerate(blocks):
-        for ch in block.outputs.values():
-            producers.setdefault(ch, []).append(i)
-        for ch in block.inputs.values():
-            consumers.setdefault(ch, []).append(i)
-
-    roles = [_fuse_role(b) for b in blocks]
-    claimed = [False] * len(blocks)
-    segments: List[FusedSegment] = []
-
-    def sole_successor(i: int):
-        """(next index, link) if *i*'s one output feeds an unclaimed
-        block through a fusible link; else (None, None)."""
-        outs = list(blocks[i].outputs.values())
-        if len(outs) != 1 or not _link_ok(outs[0], producers, consumers):
-            return None, None
-        nxt = consumers[outs[0]][0]
-        if claimed[nxt] or nxt == i:
-            return None, None
-        # No side entrances: every input of nxt must come from i.
-        for ch in blocks[nxt].inputs.values():
-            if producers.get(ch, [None])[0] != i:
-                return None, None
-        return nxt, outs[0]
-
-    # A head is a zip/map block that could not itself be the
-    # continuation of an earlier fusible member.
-    def could_continue(i: int) -> bool:
-        ins = list(blocks[i].inputs.values())
-        if len(ins) != 1 or not _link_ok(ins[0], producers, consumers):
-            return False
-        prev = producers[ins[0]][0]
-        if claimed[prev] or roles[prev] not in ("zip", "map"):
-            return False
-        nxt, _ = sole_successor(prev)
-        return nxt == i
-
-    def feeder_for(channel, head: int):
-        """(map index, link) feeding *channel* into zip head, or None."""
-        if not _link_ok(channel, producers, consumers):
-            return None
-        prev = producers[channel][0]
-        if (
-            claimed[prev]
-            or prev == head
-            or roles[prev] != "map"
-            or len(blocks[prev].inputs) != 1
-            or len(blocks[prev].outputs) != 1
-        ):
-            return None
-        return prev, channel
-
-    for i, block in enumerate(blocks):
-        if claimed[i] or roles[i] not in ("zip", "map"):
-            continue
-        if roles[i] == "map" and could_continue(i):
-            continue  # an earlier head will pick this block up
-        feeders: List = []
-        if roles[i] == "zip":
-            feeders = [
-                feeder_for(ch, i) for ch in block.inputs.values()
-            ]
-        members = [i]
-        links: List[Channel] = []
-        cur = i
-        while True:
-            nxt, link = sole_successor(cur)
-            if nxt is None:
-                break
-            role = roles[nxt]
-            if role not in _CHAIN_TAIL:
-                break
-            members.append(nxt)
-            links.append(link)
-            claimed[nxt] = True
-            if role not in _CHAIN_INTERIOR:
-                break  # reduce/sink close the chain
-            cur = nxt
-        n_feeders = sum(1 for f in feeders if f is not None)
-        if len(members) + n_feeders < 2:
-            for m in members[1:]:
-                claimed[m] = False
-            continue
-        claimed[i] = True
-        for entry in feeders:
-            if entry is not None:
-                claimed[entry[0]] = True
-        members = [f[0] for f in feeders if f is not None] + members
-        kind = "writer-tail" if roles[members[-1]] == "write" else "value-chain"
-        segments.append(FusedSegment(members, links, feeders, kind))
-
-    segments.sort(key=lambda s: s.members[0])
-    return segments
-
-
-def segment_plan_key(blocks, segment: "FusedSegment") -> Tuple:
-    """Structural plan-cache key of one fused segment.
-
-    Keys capture everything the compiled backend's composed schedule
-    depends on — member classes, fuse roles, initiation intervals,
-    transform tags, link visibility deltas,
-    and feeder placement — and nothing run-specific (no clocks, no
-    data), so repeated bindings of the same expression shape map to the
-    same :data:`repro.jit.PLAN_CACHE` entry.  Link deltas are derived
-    structurally (0 when the consumer runs later in the block list, 1
-    otherwise — the rule the engine applies at init time), so keys
-    computed without timed state (e.g. by ``repro graph --dump-plan``)
-    match the engine's.
-    """
-    producers: Dict[Channel, int] = {}
-    consumers: Dict[Channel, int] = {}
-    for i, block in enumerate(blocks):
-        for ch in block.outputs.values():
-            producers[ch] = i
-        for ch in block.inputs.values():
-            consumers.setdefault(ch, i)
-    members = []
-    for i in segment.members:
-        block = blocks[i]
-        timing = getattr(block, "timing", None)
-        ii = 1 if timing is None else timing.ii
-        members.append(
-            (type(block).__name__, _fuse_role(block), ii, block.plan_tag())
-        )
-    deltas = []
-    for ch in segment.links:
-        p = producers.get(ch)
-        c = consumers.get(ch)
-        deltas.append(0 if p is not None and c is not None and c > p else 1)
-    feeders = tuple(f is not None for f in segment.feeders)
-    return (
-        segment.kind,
-        tuple(members),
-        tuple(deltas),
-        feeders,
-    )

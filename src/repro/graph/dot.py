@@ -43,7 +43,7 @@ def to_dot(
     """Render *graph* as a DOT digraph string.
 
     *clusters* are ``(kind, node names)`` pairs, one per fused segment of
-    the compiled backend (see :func:`repro.graph.bind.partition_segments`):
+    the compiled backend (see :func:`repro.sim.backends.plan.partition_segments`):
     each is drawn as a ``cluster_fused_*`` subgraph labelled with its
     kind, so the fusion decisions are visually auditable.  Names that are
     not graph nodes (binder-inserted fanouts) are dropped, and a cluster

@@ -77,6 +77,10 @@ class SamGraph:
         self._drivers: Dict[Tuple[str, str], Edge] = {}
         self._counter: Dict[str, int] = {}
         self._frozen = False
+        #: what :func:`repro.graph.bind.bind` works out from the structure
+        #: alone, kept once the graph is frozen: the wiring per ``record``,
+        #: the plan per ``record`` and bound level classes
+        self._bind_memo: Dict = {}
 
     def freeze(self) -> None:
         """Refuse every later :meth:`add` / :meth:`connect`.

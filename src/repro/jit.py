@@ -1,7 +1,7 @@
 """Structure-keyed plan cache for the compiled backend's fused segments.
 
 A fused segment is identified by its *structure*
-(:func:`repro.graph.bind.segment_plan_key`): block classes, fuse roles,
+(:func:`repro.sim.backends.plan.segment_plan_key`): block classes, fuse roles,
 initiation intervals, transform tags and structural link deltas — nothing
 run-specific — so two bindings of the same expression shape share one
 key.  The cache remembers each key's display digest and counts lookups;

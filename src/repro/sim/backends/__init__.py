@@ -37,6 +37,7 @@ from typing import Dict, Iterable, Optional, Type, Union
 from .base import DeadlockError, Engine, SimulationReport
 from .compiled import CompiledEngine
 from .cycle import CycleEngine
+from .plan import Plan
 from .timed_batch import TimedBatchEngine
 
 BACKENDS: Dict[str, Type[Engine]] = {
@@ -82,9 +83,17 @@ def run_blocks(
     blocks: Iterable,
     max_cycles: Optional[int] = None,
     backend: Union[str, Type[Engine], None] = None,
+    plan: Optional[Plan] = None,
 ) -> SimulationReport:
-    """Convenience wrapper: build an engine and run it."""
-    return make_engine(blocks, backend=backend).run(max_cycles=max_cycles)
+    """Convenience wrapper: build an engine and run it.
+
+    *plan* is the blocks' :class:`~repro.sim.backends.plan.Plan` when the
+    caller already holds one (a bound frozen graph does); a timed engine
+    plans the run itself without it.
+    """
+    engine = make_engine(blocks, backend=backend)
+    engine.plan = plan
+    return engine.run(max_cycles=max_cycles)
 
 
 __all__ = [

@@ -47,6 +47,9 @@ class Engine:
     #: falls back to the generator per block, so "scalar" appears in
     #: every subclass's tuple
     planes = ("scalar",)
+    #: the blocks' precomputed :class:`~repro.sim.backends.plan.Plan`,
+    #: set by :func:`~repro.sim.backends.run_blocks` (None: none is held)
+    plan = None
 
     def __init__(self, blocks: Iterable[Block]):
         self.blocks: List[Block] = list(blocks)

@@ -2,12 +2,14 @@
 
 :class:`CompiledEngine` produces the same bit-exact
 ``SimulationReport`` as :class:`~repro.sim.backends.timed_batch.
-TimedBatchEngine` (and hence the reference CycleEngine), but runs a
-graph-analysis pass first: the bound block list is partitioned into
-*fusible segments* — maximal linear chains of descriptor-carrying
-blocks joined by unbounded, unrecorded, single-producer/single-consumer
-channels (:func:`repro.graph.bind.partition_segments`).  Each segment
-executes as **one super-block**:
+TimedBatchEngine` (and hence the reference CycleEngine), but steps the
+*fusible segments* of the run's plan — maximal linear chains of
+descriptor-carrying blocks joined by unbounded, unrecorded,
+single-producer/single-consumer channels
+(:func:`~repro.sim.backends.plan.partition_segments`, computed with
+their plan keys once per plan, as the rest of the structure is; see
+:mod:`repro.sim.backends.plan`).  Each segment executes as **one
+super-block**:
 
 * *composed schedules* — instead of one ``rate1_schedule`` pass per
   member per window, the whole chain's busy schedules come from a
@@ -44,10 +46,11 @@ docs/architecture.md, "Segment fusion").
 
 Fallback ladder: a graph that cannot run on windows at all goes to
 ``cycle`` whole, before anything is compiled (``report.handoff``; the
-fusion statistics read zero); a segment whose members or links fail
-validation at compile time is *rejected* (members run on the plain
-timed-batch plane); a fused zip head whose operand windows lose
-structural alignment mid-run *dissolves* its segment the same way —
+fusion statistics read zero); a segment whose interior links hold
+tokens or whose members lack their hooks as the run starts is
+*rejected* (members run on the plain timed-batch plane); a fused zip
+head whose operand windows lose structural alignment mid-run
+*dissolves* its segment the same way —
 both count as ``fallbacks`` in the fusion statistics.  Only the zip head
 returns ``_DISSOLVE``, and only from acquisition, which is two-phase:
 windows are only consumed once the whole step is guaranteed to commit,
@@ -365,13 +368,15 @@ class _ChainUnit:
         "emitters", "kind",
     )
 
-    def __init__(self, blocks, segment):
+    def __init__(self, blocks, segment, channels):
         self.members = list(segment.members)
+        self.kind = segment.kind
+        self.emitters = segment.emitters
         n_feeders = sum(1 for f in segment.feeders if f is not None)
         spine = segment.members[n_feeders:]
         self.blocks = [blocks[i] for i in spine]
-        self.links = list(segment.links)
-        self.deltas = [ch.timed.delta for ch in segment.links]
+        self.links = [channels[k] for k in segment.links]
+        self.deltas = [ch.timed.delta for ch in self.links]
         self.head = self.blocks[0]
         self.roles = [b.timing.fuse_role for b in self.blocks]
         # spine-positional (fn, empty_value) transforms of the map
@@ -392,7 +397,7 @@ class _ChainUnit:
                     idx, link = entry
                     feeder = blocks[idx]
                     fin = list(feeder.inputs.values())[0]
-                    self.sides.append(_Side(feeder, fin, link))
+                    self.sides.append(_Side(feeder, fin, channels[link]))
         outs = list(self.blocks[-1].outputs.values())
         # any non-reduce/sink/write tail (a zip head may itself be the
         # tail when it closed the segment purely by absorbing feeders)
@@ -594,54 +599,34 @@ class CompiledEngine(TimedBatchEngine):
     """Timed-batch engine with statically fused super-block segments."""
 
     backend = "compiled"
+    fuses = True
 
-    def _compile_segments(self, blocks):
-        """Validate the structural partition against run-time state.
+    def _compile_segments(self, blocks, plan, channels):
+        """A unit for every fused segment of the plan that holds at run time.
 
-        Rejection (→ plain timed-batch execution for the members) when:
-        an interior link holds prefilled tokens, is finite or recorded,
-        or a member lacks the hook its role is fused through
-        (:data:`_ROLE_HOOK`).
+        Rejection (→ plain timed-batch execution for the members) when
+        an interior link holds tokens or a member lacks the hook its
+        role is fused through (:data:`_ROLE_HOOK`).  The partition, its
+        structural link rules and the plan keys come from the plan.
         """
-        from ...graph.bind import partition_segments, segment_plan_key
-
         units = {}
         compiled, rejected, plans = [], 0, []
         cache_mark = (PLAN_CACHE.hits, PLAN_CACHE.misses)
-        for seg in partition_segments(blocks):
-            interior = list(seg.links)
-            interior += [f[1] for f in seg.feeders if f is not None]
-            ok = all(
-                not ch.queue
-                and not ch.timed.pending
-                and ch.capacity is None
-                and not ch.record
-                for ch in interior
-            )
-            ok = ok and all(
-                hasattr(blocks[i], _ROLE_HOOK[blocks[i].timing.fuse_role])
-                for i in seg.members
-            )
-            if not ok:
+        for seg in plan.segments:
+            interior = [channels[k] for k in seg.links]
+            interior += [channels[f[1]] for f in seg.feeders if f is not None]
+            if any([ch.queue or ch.timed.pending for ch in interior]) or not all([
+                    hasattr(blocks[i], _ROLE_HOOK[blocks[i].timing.fuse_role])
+                    for i in seg.members]):
                 rejected += 1
                 continue
-            unit = _ChainUnit(blocks, seg)
+            unit = _ChainUnit(blocks, seg, channels)
             compiled.append(unit)
-            interior_ids = {id(ch) for ch in interior}
-            unit.kind = seg.kind
-            unit.emitters = [
-                m for m in seg.members
-                if any(
-                    id(ch) not in interior_ids
-                    for ch in blocks[m].outputs.values()
-                )
-            ]
-            key = segment_plan_key(blocks, seg)
-            cached = key in PLAN_CACHE
+            cached = seg.key in PLAN_CACHE
             plans.append({
                 "kind": seg.kind,
                 "members": len(seg.members),
-                "key": PLAN_CACHE.get(key),
+                "key": PLAN_CACHE.get(seg.key),
                 "cached": cached,
             })
             for i in seg.members:

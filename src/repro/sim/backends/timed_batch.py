@@ -22,18 +22,23 @@ token carrying the cycle it was pushed.  The key facts making this exact:
   producer's push *g* is additionally gated by the cycle slot ``g -
   capacity`` was freed.
 
-**The plane is decided once, before any channel is touched**
-(:func:`timed_plane`): a run is all windows when every block has a window
-hook it can use on this instance, every finite FIFO is a credit pair and
-every token queued before the run batches.  Otherwise the whole run goes
-to :class:`~repro.sim.backends.cycle.CycleEngine` — the same report by
-the repository's invariant — and ``report.handoff`` names the first
-block or channel that decided it.  A window run then pairs scanners with
-the locators and merger sides that read both their outputs
-(:func:`pair_runs`).
+**The structure comes from the plan** (:mod:`repro.sim.backends.plan`):
+the plane, the wiring, the worklist's seed, each channel's visibility
+deltas and the scanner hand-overs are decided before any channel is
+touched, by :func:`~repro.sim.backends.plan.plan_blocks` — once per
+frozen graph when the run comes from :func:`repro.graph.bind.bind`,
+which hands the plan in (:attr:`Engine.plan`; re-checked by
+:meth:`~repro.sim.backends.plan.Plan.live`), else once per run.  A run
+is all windows when every block has a window hook it can use on this
+instance, every finite FIFO is a credit pair and every token queued
+before the run batches.  Otherwise the whole run goes to
+:class:`~repro.sim.backends.cycle.CycleEngine` — the same report by the
+repository's invariant — and ``report.handoff`` names the first block
+or channel that decided it.  A window run then pairs scanners with the
+locators and merger sides that read both their outputs.
 
-A window run is a worklist seeded in dependency order
-(:func:`dependency_order`: producers before consumers), so a stock window
+A window run is a worklist seeded in dependency order (the plan's
+``order``: producers before consumers), so a stock window
 block is first visited once every producer has pushed its whole stream,
 and takes it in one visit.  A block is visited again after a producer
 pushed onto one of its inputs (or a reader popped a finite FIFO it
@@ -67,160 +72,16 @@ every hook below is a no-op for it.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import List, NamedTuple, Optional
+from typing import List, Optional, Tuple
 
-from ...streams.batch import UnbatchableTokens, batch_kind
+from ...streams.channel import Channel
 from .base import Engine, SimulationReport
 from .cycle import CycleEngine
+from .plan import Plan, plan_blocks
 
 #: sentinel returned by a unit step that must dissolve its segment
 _DISSOLVE = object()
-
-
-class TimedPlane(NamedTuple):
-    """Who is on the timed plane, and the wiring the run loops walk."""
-
-    producers: dict  # channel -> index of the block that pushes it
-    consumers: dict  # channel -> index of the block that pops it
-    channels: list
-    order: list  # block indices, producers before their consumers
-    handoff: Optional[str]  # why the first block left the plane (None: none did)
-
-
-def _off_plane(block) -> Optional[str]:
-    """Why *block* cannot run its window hook, or None when it can."""
-    kind = type(block).__name__
-    if type(block).drain_timed is None or block.timing is None:
-        return f"block {block.name!r} ({kind}): no window hook"
-    if not block._timed_ok or block._gen is not None:
-        return f"block {block.name!r} ({kind}): already on its generator"
-    if not block.timed_capable():
-        return f"block {block.name!r} ({kind}): its window hook cannot run here"
-    return None
-
-
-def timed_plane(blocks) -> TimedPlane:
-    """Decide whether the run is on the timed plane; touch no channel.
-
-    The one rule of :class:`TimedBatchEngine` (and its compiled
-    subclass): every block is timed, or none is.  A block qualifies
-    when :func:`_off_plane` finds no reason against it; both endpoints
-    of a finite-capacity FIFO fail unless they are a credit-aware pair,
-    and both endpoints of a channel holding a token queued before the
-    run that cannot be batched.  ``handoff`` is the
-    first reason found, in block order.
-    """
-    producers = {}
-    consumers = {}
-    for i, block in enumerate(blocks):
-        for ch in block.outputs.values():
-            producers[ch] = i
-        for ch in block.inputs.values():
-            consumers[ch] = i
-    channels = list(dict.fromkeys(list(producers) + list(consumers)))
-
-    reasons: List[Optional[str]] = [_off_plane(b) for b in blocks]
-    timed = [reason is None for reason in reasons]
-
-    def demote(ch, why: str) -> bool:
-        changed = False
-        for i in (producers.get(ch), consumers.get(ch)):
-            if i is not None and timed[i]:
-                timed[i] = False
-                reasons[i] = f"channel {ch.name!r}: {why}"
-                changed = True
-        return changed
-
-    for ch in channels:
-        try:
-            for token in ch.queue:
-                batch_kind(token)
-        except UnbatchableTokens:
-            demote(ch, "a token queued before the run does not batch")
-    # Finite-capacity channels need credit-aware endpoints on the
-    # batched plane (producer push schedules gated by recorded pop
-    # cycles; see Block.timed_credit_producer/consumer — the stock
-    # pairing is StreamFeeder -> Sink).
-    changed = True
-    while changed:
-        changed = False
-        for ch in channels:
-            if ch.capacity is None:
-                continue
-            p = producers.get(ch)
-            c = consumers.get(ch)
-            keep = (
-                p is not None
-                and c is not None
-                and timed[p]
-                and timed[c]
-                and blocks[p].timed_credit_producer
-                and blocks[c].timed_credit_consumer
-            )
-            if not keep:
-                changed |= demote(
-                    ch, f"capacity {ch.capacity} without a credit pair")
-    handoff = next((reason for reason in reasons if reason is not None), None)
-    order = dependency_order(len(blocks), producers, consumers)
-    return TimedPlane(producers, consumers, channels, order, handoff)
-
-
-def dependency_order(n: int, producers: dict, consumers: dict) -> list:
-    """Block indices ``0..n-1`` with every producer before its consumers
-    (Kahn's algorithm, ties to the lower index); a block left on a cycle
-    follows in block order."""
-    succ = [[] for _ in range(n)]
-    indeg = [0] * n
-    for ch, p in producers.items():
-        c = consumers.get(ch)
-        if c is not None:
-            succ[p].append(c)
-            indeg[c] += 1
-    ready = [i for i in range(n) if not indeg[i]]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for c in succ[i]:
-            indeg[c] -= 1
-            if not indeg[c]:
-                heapq.heappush(ready, c)
-    if len(order) < n:
-        placed = set(order)
-        order += [i for i in range(n) if i not in placed]
-    return order
-
-
-def stamp_channels(plane: TimedPlane) -> None:
-    """Give every channel of a window run its stamped state; tokens
-    queued before the run become visible at cycle 1."""
-    for ch in plane.channels:
-        p = plane.producers.get(ch)
-        c = plane.consumers.get(ch)
-        if p is not None and c is not None:
-            delta = 0 if c > p else 1
-            delta_pop = 0 if p > c else 1
-        else:
-            delta = delta_pop = 0
-        ch.init_timed(delta, delta_pop)
-        ch.stamp_queue(1)
-
-
-def pair_runs(blocks, plane: TimedPlane) -> None:
-    """Pair every consumer input — a merger side, an untargeted locator —
-    that reads both outputs of one scanner with that scanner
-    (:meth:`~repro.blocks.scanner.LevelScanner.hand_over`): it reads the
-    scanner's fibers as runs and the two links carry no token.  Decided
-    once, before the run, as the plane is."""
-    for block in blocks:
-        for side, crd, ref in getattr(block, "run_inputs", list)():
-            p = plane.producers.get(crd)
-            hand_over = getattr(blocks[p], "hand_over", None) if p is not None else None
-            if hand_over is not None and plane.producers.get(ref) == p:
-                block.runs[side] = hand_over(crd, ref, block.timing.ii)
 
 
 class TimedBatchEngine(Engine):
@@ -228,10 +89,22 @@ class TimedBatchEngine(Engine):
 
     backend = "timed-batch"
     planes = ("timed", "scalar")
+    #: whether a plan this engine makes needs the fusion partition
+    fuses = False
 
-    def _compile_segments(self, blocks) -> dict:
+    def _compile_segments(self, blocks, plan: Plan, channels) -> dict:
         """Fused units by member block index; the plain plane has none."""
         return {}
+
+    def _plan(self) -> Tuple[Plan, List[Channel]]:
+        """The plan of this run and its channels in plan order: the one
+        handed in when it still holds for the blocks, else a new one."""
+        if self.plan is not None and (
+                self.plan.segments is not None or not self.fuses):
+            channels = self.plan.live(self.blocks)
+            if channels is not None:
+                return self.plan, channels
+        return plan_blocks(self.blocks, fuse=self.fuses)
 
     def _report(self, cycles: int, handoff: Optional[str] = None) -> SimulationReport:
         """The finished run's report (subclasses attach annotations)."""
@@ -241,28 +114,35 @@ class TimedBatchEngine(Engine):
 
     def run(self, max_cycles: Optional[int] = None) -> SimulationReport:
         blocks = self.blocks
-        plane = timed_plane(blocks)
-        if plane.handoff is not None:
+        plan, channels = self._plan()
+        if plan.handoff is not None:
             cycles = CycleEngine(blocks).run(max_cycles).cycles
-            return self._report(cycles, plane.handoff)
-        stamp_channels(plane)
-        pair_runs(blocks, plane)
-        producers, consumers = plane.producers, plane.consumers
-        units = self._compile_segments(blocks)
+            return self._report(cycles, plan.handoff)
+        # every channel's stamped state; tokens queued before the run
+        # become visible at cycle 1
+        for ch, (delta, delta_pop) in zip(channels, plan.deltas):
+            ch.init_timed(delta, delta_pop)
+            if ch.queue:
+                ch.stamp_queue(1)
+        for i, side, crd, ref, p in plan.handovers:
+            block = blocks[i]
+            block.runs[side] = blocks[p].hand_over(
+                channels[crd], channels[ref], block.timing.ii)
+        units = self._compile_segments(blocks, plan, channels)
+        producer, consumer = plan.producer, plan.consumer
+        outs, ins, capacity = plan.outs, plan.ins, plan.capacity
         budget_msg = f"exceeded max_cycles={max_cycles}"
 
         n = len(blocks)
-        out_ch = [list(b.outputs.values()) for b in blocks]
-        in_ch = [list(b.inputs.values()) for b in blocks]
         finished = [b.finished for b in blocks]
         #: left its hook mid-run: finishes on its generator
         stranded = [False] * n
         last_busy = 0
         # a fused unit is seeded at its last member: by then every
         # producer outside the unit has been visited
-        last = {id(units[i]): i for i in plane.order if i in units}
-        dirty = deque(i for i in plane.order
-                      if i not in units or last[id(units[i])] == i)
+        last = {id(units[i]): i for i in plan.order if i in units}
+        dirty = deque([i for i in plan.order
+                       if i not in units or last[id(units[i])] == i])
         queued = [False] * n
         for i in dirty:
             queued[i] = True
@@ -277,13 +157,13 @@ class TimedBatchEngine(Engine):
                 dirty.append(i)
 
         def wake_after(i: int) -> None:
-            for ch in out_ch[i]:
-                c = consumers.get(ch)
+            for k in outs[i]:
+                c = consumer[k]
                 if c is not None:
                     mark(c)
-            for ch in in_ch[i]:
-                if ch.capacity is not None:
-                    p = producers.get(ch)
+            for k in ins[i]:
+                if capacity[k] is not None:
+                    p = producer[k]
                     if p is not None:
                         mark(p)
 
@@ -323,12 +203,14 @@ class TimedBatchEngine(Engine):
             """Step *i*'s generator from ``_tclock`` to its end against its
             inputs' stamps; returns its last busy cycle (0: none)."""
             block = blocks[i]
+            in_ch = list(block.inputs.values())
+            out_ch = list(block.outputs.values())
             t, busy = block._tclock, 0
             while True:
-                for ch in in_ch[i]:
+                for ch in in_ch:
                     ch.materialize_timed(t)
                 progressed = block.step()
-                for ch in out_ch[i]:
+                for ch in out_ch:
                     if ch.queue:
                         ch.stamp_queue(t + ch.timed.delta)
                 if block.finished:
@@ -340,7 +222,7 @@ class TimedBatchEngine(Engine):
                     t += 1
                     continue
                 # stalled at t: nothing changes before the next stamp
-                stamps = [s for s in (ch.timed_pending_min_stamp() for ch in in_ch[i])
+                stamps = [s for s in (ch.timed_pending_min_stamp() for ch in in_ch)
                           if s is not None]
                 if not stamps:
                     raise deadlock(self._cycles_so_far(max(busy, last_busy)))
@@ -357,7 +239,8 @@ class TimedBatchEngine(Engine):
             ready = [
                 i for i in range(n)
                 if stranded[i] and not finished[i]
-                and all(finished[producers[ch]] for ch in in_ch[i] if ch in producers)
+                and all(finished[producer[k]] for k in ins[i]
+                        if producer[k] is not None)
             ]
             if not ready:
                 break
@@ -369,8 +252,9 @@ class TimedBatchEngine(Engine):
         cycles = self._cycles_so_far(last_busy)
         if not all(finished):
             raise deadlock(cycles)
-        for ch in plane.channels:
-            ch.materialize_timed(None)
+        for ch in channels:
+            if ch.timed.pending:
+                ch.materialize_timed(None)
         if max_cycles is not None and cycles > max_cycles:
             raise RuntimeError(budget_msg)
         return self._report(cycles)

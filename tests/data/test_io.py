@@ -1378,3 +1378,52 @@ class TestMtxEndToEnd:
         reference = matrix @ c
         assert np.allclose(result.to_numpy(), reference)
         assert result.cycles > 0
+
+
+SCIPY_PROBE = """
+import json, sys, warnings
+from scipy.io import _fast_matrix_market as fmm
+delattr(fmm, {attr!r})
+from repro.data.io import read_mtx
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    reads = [read_mtx(path) for path in {paths!r}]
+print(json.dumps({{
+    "reads": [[coo.shape, coo.field, coo.coords.dtype.str, coo.coords.tobytes().hex(),
+               coo.values.dtype.str, coo.values.tobytes().hex()] for coo in reads],
+    "warnings": [str(w.message) for w in caught],
+}}))
+"""
+
+
+class TestScipyReaderProbe:
+    """scipy's reader is a private API of an unpinned dependency: with
+    either function it calls gone, ``read_mtx`` warns once, naming what
+    failed, and reads every body with the general reader, byte for byte
+    the same result."""
+
+    @pytest.mark.parametrize("attr", ["_get_read_cursor", "_read_body_coo"])
+    def test_missing_reader_falls_back(self, attr, tmp_path):
+        import json
+
+        matrix = sparse.random(40, 30, density=0.2, random_state=4, format="csr")
+        paths = [write_mtx(str(tmp_path / "a.mtx"), matrix),
+                 write_mtx(str(tmp_path / "b.mtx.gz"), matrix.T),
+                 write_mtx(str(tmp_path / "c.mtx"), matrix > 0.5)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE.format(attr=attr, paths=paths)],
+            env=env, capture_output=True, text=True, check=True)
+        probed = json.loads(out.stdout)
+        here = [[list(coo.shape), coo.field, coo.coords.dtype.str,
+                 coo.coords.tobytes().hex(), coo.values.dtype.str,
+                 coo.values.tobytes().hex()]
+                for coo in map(read_mtx, paths)]
+        assert probed["reads"] == here
+        assert len(probed["warnings"]) == 1
+        assert attr in probed["warnings"][0]
+        assert "general reader" in probed["warnings"][0]
+
+    def test_this_scipy_has_the_reader(self):
+        """Else every ``.mtx`` read here would take the general reader."""
+        assert io_module._scipy_reader_missing() is None

@@ -18,7 +18,12 @@ over one pass of the twelve programs after a warm-up pass:
   ``np.count_nonzero`` are not counted;
 * ``PortSpec.matches`` (in a fresh interpreter): a declared spec is
   matched against a port at most once per class, and a second pass
-  matches none.
+  matches none;
+* the structural analysis a warm run must not redo, by name: validation
+  (``Graph.validate``), the plan (``plan_blocks``: the plane rule), its
+  ``dependency_order``, ``partition_segments`` and ``segment_plan_key``.
+  Each program's graph is planned once, at its first bind; a warm pass
+  calls none of them.
 
 Each budget is the count this code makes.  A change may lower one;
 raising one needs its reason in CHANGES.md.
@@ -33,7 +38,10 @@ from collections import Counter
 import pytest
 
 from repro.graph.bind import bind
+from repro.graph.builder import Graph
+from repro.lang import compile as compile_module
 from repro.lang import compile_expression
+from repro.sim.backends import plan
 from repro.studies.table1 import ENTRIES, _random_inputs
 
 from blockkit import TIMED
@@ -44,9 +52,9 @@ from blockkit import TIMED
 #: After the warm-up pass every compile is a hit of ``compile_expression``'s
 #: memo: normalising the arguments is all the compile phase does.
 BUDGETS = {
-    "timed-batch": {"compile": 60, "prepare": 948, "bind": 6340, "run": 20445,
+    "timed-batch": {"compile": 60, "prepare": 948, "bind": 4618, "run": 18953,
                     "numpy window": 93, "numpy formats": 0, "numpy other": 31},
-    "compiled": {"compile": 60, "prepare": 948, "bind": 6340, "run": 19808,
+    "compiled": {"compile": 60, "prepare": 948, "bind": 4618, "run": 17270,
                  "numpy window": 93, "numpy formats": 0, "numpy other": 31},
 }
 #: ``PortSpec.matches`` calls in a process's first pass
@@ -123,6 +131,44 @@ def test_table1_pass_keeps_its_call_budget(engine):
     over = {key: (counts[key], budget) for key, budget in BUDGETS[engine].items()
             if counts[key] > budget}
     assert not over, f"over budget (count, budget): {over}"
+
+
+#: the structural analysis a warm run does not redo, by name
+STRUCTURE = {
+    "Graph.validate": Graph.validate,
+    "plan_blocks": plan.plan_blocks,
+    "dependency_order": plan.dependency_order,
+    "partition_segments": plan.partition_segments,
+    "segment_plan_key": plan.segment_plan_key,
+}
+
+
+def structural_calls(inputs, engine):
+    """Calls of each :data:`STRUCTURE` function over one pass."""
+    codes = {fn.__code__: name for name, fn in STRUCTURE.items()}
+    calls = Counter({name: 0 for name in STRUCTURE})
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        table1_pass(inputs, engine)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("engine", TIMED)
+def test_warm_pass_does_no_structural_work(engine):
+    inputs = operands()
+    compile_module._compile_text.cache_clear()  # new programs: a cold pass
+    cold = structural_calls(inputs, engine)
+    assert all(cold.values()), f"the counter sees no cold work: {cold}"
+    assert cold["plan_blocks"] == cold["Graph.validate"] == len(ENTRIES)
+    warm = structural_calls(inputs, engine)
+    assert warm == {name: 0 for name in STRUCTURE}
 
 
 MATCHES_PROBE = """

@@ -6,6 +6,7 @@ from repro.analysis.targets import capture_expression, capture_kernel
 from repro.cli import main
 from repro.graph.bind import partition_segments, segment_plan_key
 from repro.jit import PlanCache, plan_digest
+from repro.sim.backends.plan import plan_blocks
 
 
 class TestPlanCache:
@@ -89,9 +90,40 @@ class TestReportPlans:
         assert re.fullmatch(r"plan cache: \d+ plans, \d+ hits, \d+ misses", lines[0])
         dumped = [
             re.fullmatch(r"segment (\S+) \[([0-9a-f]{12})\] warm: .+", line).groups()
-            for line in lines[1:]
+            for line in lines[1:] if line.startswith("segment ")
         ]
         assert dumped == [
             (segment["kind"], segment["key"])
             for segment in report.plans["segments"]
         ]
+
+    def test_dump_plan_names_each_blocks_plane(self, capsys):
+        """One line per block, in block order: the plane and the reason a
+        fresh plan of the run's blocks gives, its fused blocks the ones
+        the compiled run fused."""
+        expression = "x(i) = B(i,j) * c(j)"
+        run = capture_expression(expression, backend="compiled")[0]
+        assert main(["--engine", "compiled", "graph", expression, "--dump-plan"]) == 0
+        dumped = [
+            re.fullmatch(r"block (\S+): (\w+) \((.+)\)", line).groups()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("block ")
+        ]
+        fresh = plan_blocks(run.blocks)[0].planes(run.blocks)
+        assert dumped == [(block.name, plane, reason)
+                          for block, (plane, reason) in zip(run.blocks, fresh)]
+        planes = [plane for _, plane, _ in dumped]
+        assert planes.count("fused") == run.report.fusion["fused_blocks"] > 0
+        assert set(planes) == {"timed", "fused"}
+
+    def test_a_handed_off_plan_puts_every_block_on_cycle(self):
+        expression = "x(i) = B(i,j) * c(j)"
+        run = capture_expression(expression, backend="compiled")[0]
+        run.blocks[0].timed_capable = lambda: False
+        plan = plan_blocks(run.blocks)[0]
+        planes = plan.planes(run.blocks)
+        assert plan.handoff and plan.handoff.startswith(f"block {run.blocks[0].name!r}")
+        assert planes[0] == ("cycle", plan.handoff)
+        assert all(plane == "cycle" for plane, _ in planes)
+        assert all(reason == f"the run is handed off: {plan.handoff}"
+                   for _, reason in planes[1:])

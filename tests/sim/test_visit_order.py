@@ -1,7 +1,8 @@
 """Wall-clock-free guard: a window run visits each block once, producers first.
 
 ``TimedBatchEngine.run`` seeds its worklist in dependency order
-(:func:`~repro.sim.backends.timed_batch.dependency_order`) and a fused
+(:func:`~repro.sim.backends.plan.dependency_order`, the plan's
+``order``) and a fused
 unit at its last member, so every producer of a block has run — and
 pushed its whole stream — before the block is first visited.  Counted
 here, with no clock: on the twelve Table-1 programs, Gamma,
@@ -19,6 +20,8 @@ The seed is a cost, never a result: "when a block is visited changes
 nothing it computes".  Seeding the worklist in reverse dependency order
 or in a shuffled order must give bit-identical reports — cycles,
 per-block activity, per-channel token counts and every writer's arrays.
+A Table-1 case compiles a parsed assignment on every run, so each run
+plans a graph of its own and a patched order reaches it.
 """
 
 import random
@@ -32,9 +35,9 @@ from repro.graph.builder import capture_runs
 from repro.harness import STUDY_NAMES
 from repro.harness.registry import execute_spec, get_study
 from repro.kernels import gamma_spmm, outerspace_spmm, spmv_locate
-from repro.lang import compile_expression
+from repro.lang import compile_expression, parse
 from repro.sim import graph_token_counts
-from repro.sim.backends import timed_batch
+from repro.sim.backends import plan, timed_batch
 from repro.sim.backends.compiled import _ChainUnit
 from repro.studies.table1 import ENTRIES, _random_inputs
 
@@ -42,11 +45,13 @@ from blockkit import TIMED
 
 
 def table1_case(entry):
-    prog = compile_expression(
-        entry.expression, formats=entry.formats, schedule=entry.schedule
-    )
-    inputs = _random_inputs(prog, 0)
-    return lambda backend: (prog.run(inputs, backend=backend).to_numpy(),)
+    def program():
+        return compile_expression(
+            parse(entry.expression), formats=entry.formats, schedule=entry.schedule
+        )
+
+    inputs = _random_inputs(program(), 0)
+    return lambda backend: (program().run(inputs, backend=backend).to_numpy(),)
 
 
 def operands(n=40):
@@ -206,6 +211,12 @@ SEEDS = {
 def test_report_independent_of_visit_order(case, seed, backend, monkeypatch):
     run = CASES[case]()
     want = outcome(run, backend)
-    monkeypatch.setattr(timed_batch, "dependency_order",
-                        SEEDS[seed](timed_batch.dependency_order))
+    order, seeded = SEEDS[seed](plan.dependency_order), []
+
+    def counted(*wiring):
+        seeded.append(wiring)
+        return order(*wiring)
+
+    monkeypatch.setattr(plan, "dependency_order", counted)
     assert outcome(run, backend) == want
+    assert seeded, "no run was planned under the patched order"

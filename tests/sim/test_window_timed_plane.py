@@ -158,8 +158,9 @@ class Counts:
             self.schedules += 1
             return real(*args)
 
-        def compile_segments(engine, blocks, real=CompiledEngine._compile_segments):
-            units = real(engine, blocks)
+        def compile_segments(engine, blocks, *structure,
+                             real=CompiledEngine._compile_segments):
+            units = real(engine, blocks, *structure)
             self.units.append((blocks, units))
             return units
 

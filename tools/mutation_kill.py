@@ -22,9 +22,10 @@ worklist's dependency-order seed by ``tests/sim/test_visit_order.py``),
 the ``.mtx`` reader's byte-grammar check and its one-thread parse by
 ``tests/data/test_io.py``, the fibertree build's grouping passes by
 ``tests/formats/test_sorted_ingest.py``, the Table-1 pass's fixed cost
-by ``tests/sim/test_call_budget.py``, the compile memo and the immutable
-program it shares by ``tests/lang/test_compile_once.py``, scipy loaded
-on first use, not on import, by ``tests/test_scipy_on_first_use.py``.
+and the plan memo by ``tests/sim/test_call_budget.py``, the compile
+memo and the immutable program it shares by
+``tests/lang/test_compile_once.py``, scipy loaded on first use, not on
+import, by ``tests/test_scipy_on_first_use.py``.
 Every mutation costs one pytest run that stops at its first failure.
 """
 
@@ -129,16 +130,21 @@ MUTATIONS = (
              "repro/sim/backends/timed_batch.py",
              "block.stall_cycles += target - t - 1",
              "block.stall_cycles += target - t - 2", PLANES),
-    Mutation("plane rule skips timed_capable()", "repro/sim/backends/timed_batch.py",
+    Mutation("plane rule skips timed_capable()", "repro/sim/backends/plan.py",
              "if not block.timed_capable():",
              "if False:", PLANES),
     Mutation("plane rule keeps a finite FIFO without a credit pair",
-             "repro/sim/backends/timed_batch.py",
+             "repro/sim/backends/plan.py",
              "            if not keep:\n",
              "            if False:\n", IDENTITY),
-    Mutation("worklist seeded in block order", "repro/sim/backends/timed_batch.py",
-             "order = dependency_order(len(blocks), producers, consumers)",
-             "order = list(range(len(blocks)))", VISITS),
+    Mutation("worklist seeded in block order", "repro/sim/backends/plan.py",
+             "tuple(dependency_order(n, producer, consumer))",
+             "tuple(range(n))", VISITS),
+    # -- plan once per frozen graph: a warm bind re-plans nothing
+    Mutation("plan memo off (every bind validates and re-plans)",
+             "repro/graph/bind.py",
+             "    plan = memo.get(key)\n",
+             "    plan = None\n", BUDGET),
     # -- the fixed cost of a small run: port matching, numpy's Python layer
     Mutation("spec_for matches on every call", "repro/blocks/base.py",
              "        if key not in resolved:\n"
