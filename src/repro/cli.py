@@ -2,14 +2,9 @@
 
 Usage::
 
-    python -m repro table1                # Table 1 primitive counts
-    python -m repro table2 --distinct 400
-    python -m repro fig11 --size 40
-    python -m repro fig12 --size 80
-    python -m repro fig13
-    python -m repro fig14
-    python -m repro fig15 --quick
-    python -m repro --engine compiled fig13
+    python -m repro report table1              # Table 1 primitive counts
+    python -m repro report fig12 --opt k=16    # any study, any declared option
+    python -m repro --engine compiled report fig13 --quick
     python -m repro compile "x(i) = B(i,j) * c(j)" --dot
     python -m repro --engine compiled graph "x(i) = B(i,j) * c(j)"
     python -m repro graph "x(i) = B(i,j) * c(j)" --check
@@ -19,13 +14,18 @@ Usage::
     python -m repro sweep table2 fig11 --jobs 4 --out artifacts/
     python -m repro report table2            # render from cached results
 
-``--engine`` selects the simulation backend (a key of
+``sweep`` and ``report`` are the only way to run a study (see
+EXPERIMENTS.md): points fan out across ``--jobs`` worker processes and
+every completed point lands in the ``--cache-dir`` result cache
+(default ``.repro-cache`` or ``$REPRO_CACHE_DIR``; ``none`` keeps
+nothing), so reruns are cache replays and interrupted sweeps resume
+where they stopped; ``report`` runs any point it finds no record of.
+``--opt KEY=VALUE`` sets one of a study's declared options
+(:class:`repro.harness.Option`), parsed and range-checked by its row: a
+bad value or an undeclared key is a one-line ``repro: error:`` with
+status 2.  ``--engine`` selects the simulation backend (a key of
 :data:`repro.sim.backends.BACKENDS`) for every study that runs
-block-level simulations.  ``sweep``/``report`` are the harness entry
-points (see EXPERIMENTS.md): points fan out across ``--jobs`` worker
-processes and every completed point lands in the ``--cache-dir`` result
-cache (default ``.repro-cache`` or ``$REPRO_CACHE_DIR``), so reruns are
-cache replays and interrupted sweeps resume where they stopped.
+block-level simulations.
 """
 
 from __future__ import annotations
@@ -36,80 +36,15 @@ import sys
 from typing import Optional
 
 
-def _cmd_table1(args) -> None:
-    from .studies.table1 import format_table1, run_table1
-
-    print(format_table1(run_table1()))
-
-
-def _cmd_table2(args) -> None:
-    from .studies.table2 import format_table2, run_table2
-
-    print(format_table2(run_table2(distinct=args.distinct)))
-
-
-def _cmd_fig11(args) -> None:
-    from .studies.fig11 import format_fig11, run_fig11
-
-    print(format_fig11(run_fig11(size=args.size, backend=args.engine)))
-
-
-def _cmd_fig12(args) -> None:
-    from .studies.fig12 import format_fig12, run_fig12
-
-    print(format_fig12(run_fig12(i=args.size, j=args.size,
-                                 k=max(4, args.size // 3),
-                                 backend=args.engine)))
-
-
-def _cmd_fig13(args) -> None:
-    from .studies.fig13 import format_fig13, run_fig13a, run_fig13b, run_fig13c
-
-    for run in (run_fig13a, run_fig13b, run_fig13c):
-        print(format_fig13(run(backend=args.engine)))
-        print()
-
-
-def _cmd_fig14(args) -> None:
-    from .studies.fig14 import format_fig14, run_fig14
-
-    print(format_fig14(run_fig14(max_nnz=args.max_nnz, backend=args.engine)))
-
-
-def _cmd_fig15(args) -> None:
-    from .studies.fig15 import PAPER_DIMENSIONS, format_fig15, run_fig15
-
-    if args.quick:
-        dims, nnzs = (1024, 3696, 7704, 11712, 15720), (5000, 10000)
-    else:
-        dims, nnzs = PAPER_DIMENSIONS, (5000, 10000, 25000, 50000)
-    print(format_fig15(run_fig15(dimensions=dims, nnzs=nnzs)))
-
-
-def _parse_opt_value(text: str):
-    """Best-effort typed parse of one ``--opt key=value`` value."""
-    if text.lower() in ("none", "null"):
-        return None
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    if "," in text:
-        return tuple(_parse_opt_value(part) for part in text.split(",") if part)
-    for caster in (int, float):
-        try:
-            return caster(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _sweep_options(args) -> dict:
-    options = {}
+def _opt_texts(args) -> dict:
+    """``--opt KEY=VALUE`` as ``{KEY: VALUE}``, the values still text."""
+    texts = {}
     for item in args.opt or ():
         if "=" not in item:
             raise SystemExit(f"--opt expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        options[key] = _parse_opt_value(value)
-    return options
+        key, _, text = item.partition("=")
+        texts[key] = text
+    return texts
 
 
 def _study_names(args) -> list:
@@ -136,15 +71,27 @@ def _make_runner(args):
                        force=getattr(args, "force", False))
 
 
-def _run_study_sweep(args, name: str, runner):
-    """Enumerate one study's points (with CLI options) and run them."""
-    from .harness import get_study
+def _study_specs(args) -> list:
+    """``(study, specs)`` per selected study under ``--quick`` and
+    ``--opt``.  Every study's options are parsed and checked before any
+    point runs; an ``--opt`` key no selected study declares is refused."""
+    from .harness import OptionError, get_study
 
-    study = get_study(name)
-    options = dict(study.quick_options) if args.quick else {}
-    options.update(_sweep_options(args))
-    specs = study.enumerate(backend=args.engine, options=options)
-    return study, runner.run(specs)
+    studies = [get_study(name) for name in _study_names(args)]
+    texts = _opt_texts(args)
+    declared = list(dict.fromkeys(o.name for s in studies for o in s.options))
+    for key, text in texts.items():
+        if key not in declared:
+            raise OptionError(", ".join(s.name for s in studies), key, text,
+                              "no such option; declared: "
+                              + (", ".join(declared) or "none"))
+    plans = []
+    for study in studies:
+        options = dict(study.quick_options) if args.quick else {}
+        options.update(study.parse(texts))
+        plans.append((study, study.enumerate(backend=args.engine,
+                                             options=options)))
+    return plans
 
 
 def _write_artifacts(out_dir: str, name: str, results) -> list:
@@ -158,29 +105,30 @@ def _write_artifacts(out_dir: str, name: str, results) -> list:
 
 def _cmd_sweep(args) -> None:
     runner = _make_runner(args)
+    plans = _study_specs(args)
     if args.prune and runner.cache is not None:
         print(f"pruned {runner.cache.prune_stale()} stale cache entries")
-    for name in _study_names(args):
-        study, report = _run_study_sweep(args, name, runner)
-        print(f"{name}: {report.summary()}")
+    for study, specs in plans:
+        report = runner.run(specs)
+        print(f"{study.name}: {report.summary()}")
         if args.out:
-            for path in _write_artifacts(args.out, name, report.results):
+            for path in _write_artifacts(args.out, study.name, report.results):
                 print(f"  wrote {path}")
 
 
 def _cmd_report(args) -> None:
     runner = _make_runner(args)
-    for name in _study_names(args):
-        study, report = _run_study_sweep(args, name, runner)
+    for study, specs in _study_specs(args):
+        report = runner.run(specs)
         if report.executed and args.jobs == 1:
-            print(f"# {name}: {report.executed} points were not cached; "
-                  f"ran them serially (use 'repro sweep' first for -j fan-out)",
+            print(f"# {study.name}: {report.executed} points were not cached; "
+                  f"ran them serially (--jobs N runs them in N processes)",
                   file=sys.stderr)
         print(f"== {study.title} ==")
         print(study.render(report.results))
         print()
         if args.out:
-            _write_artifacts(args.out, name, report.results)
+            _write_artifacts(args.out, study.name, report.results)
 
 
 def _dataset_spec(registry, name: str):
@@ -459,28 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", help="SAM primitive counts (Table 1)")
-
-    p = sub.add_parser("table2", help="primitive-removal ablation (Table 2)")
-    p.add_argument("--distinct", type=int, default=400,
-                   help="distinct corpus algorithms (paper: 3839)")
-
-    p = sub.add_parser("fig11", help="fused vs. unfused SDDMM (Figure 11)")
-    p.add_argument("--size", type=int, default=40, help="matrix dimension")
-
-    p = sub.add_parser("fig12", help="SpM*SpM dataflow orders (Figure 12)")
-    p.add_argument("--size", type=int, default=80, help="matrix dimension")
-
-    sub.add_parser("fig13", help="acceleration structures (Figure 13)")
-
-    p = sub.add_parser("fig14", help="stream token composition (Figure 14)")
-    p.add_argument("--max-nnz", type=int, default=30000,
-                   help="largest Table 3 stand-in to include")
-
-    p = sub.add_parser("fig15", help="ExTensor recreation (Figure 15)")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced sweep covering all three regions")
-
     def add_harness_arguments(p, force: bool) -> None:
         from .harness import default_cache_dir
 
@@ -495,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduced-scale smoke sweep per study")
         p.add_argument("--opt", action="append", metavar="KEY=VALUE",
                        help="study option override, e.g. --opt size=12 "
-                       "--opt k_sweep=1,4 (unknown keys are ignored per study)")
+                       "--opt k_sweep=1,4; a key goes to the selected studies "
+                       "that declare it, and one none of them declares is "
+                       "an error")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="write <study>.json + <study>.csv artifacts to DIR")
         if force:
@@ -511,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_harness_arguments(p, force=True)
 
     p = sub.add_parser(
-        "report", help="render tables/figures from cached sweep results"
+        "report", help="render a study's table/figure, running the points "
+        "the cache lacks"
     )
     add_harness_arguments(p, force=False)
 
@@ -581,13 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "fig11": _cmd_fig11,
-    "fig12": _cmd_fig12,
-    "fig13": _cmd_fig13,
-    "fig14": _cmd_fig14,
-    "fig15": _cmd_fig15,
     "sweep": _cmd_sweep,
     "report": _cmd_report,
     "datasets": _cmd_datasets,
@@ -602,12 +524,14 @@ def main(argv=None) -> int:
     try:
         _COMMANDS[args.command](args)
     except ValueError as err:
-        # A bad expression is bad input: one line and status 2, as argparse
-        # reports its own.  ExpressionError is imported here, not above, so
-        # that commands that compile nothing do not load the compiler.
+        # A bad expression or study option is bad input: one line and
+        # status 2, as argparse reports its own.  The error classes are
+        # imported here, not above, so that commands that compile nothing
+        # do not load the compiler.
+        from .harness.options import OptionError
         from .lang.ast import ExpressionError
 
-        if not isinstance(err, ExpressionError):
+        if not isinstance(err, (ExpressionError, OptionError)):
             raise
         print(f"repro: error: {err}", file=sys.stderr)
         return 2

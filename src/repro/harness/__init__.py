@@ -12,7 +12,9 @@ The pieces (see ``docs/architecture.md`` for the full picture):
   hits and shards misses across ``multiprocessing`` workers, plus
   JSON/CSV artifact writers;
 * :mod:`~repro.harness.registry` — the :class:`Study` descriptors that
-  every module under :mod:`repro.studies` exports as ``STUDY``.
+  every module under :mod:`repro.studies` exports as ``STUDY``;
+* :mod:`~repro.harness.options` — the :class:`Option` rows each study
+  declares its options in (default, quick value, type, range).
 
 CLI: ``repro sweep <study ...> --jobs N`` executes and caches,
 ``repro report <study ...>`` renders the paper tables/figures from the
@@ -20,6 +22,7 @@ cached records (see ``EXPERIMENTS.md``).
 """
 
 from .cache import CACHE_DIR_ENV_VAR, DEFAULT_CACHE_DIR, ResultCache, default_cache_dir
+from .options import Option, OptionError
 from .registry import STUDY_NAMES, Study, all_studies, execute_spec, get_study
 from .runner import (
     SweepReport,
@@ -40,6 +43,8 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ExperimentResult",
     "ExperimentSpec",
+    "Option",
+    "OptionError",
     "ResultCache",
     "STUDY_NAMES",
     "Study",

@@ -87,16 +87,6 @@ def canonical_json(value: Any) -> str:
                       default=_json_default)
 
 
-def as_tuple(value: Any) -> tuple:
-    """Normalise a sweep-axis option to a tuple (scalars become 1-tuples,
-    so ``--opt k_sweep=1`` works the same as ``--opt k_sweep=1,10``)."""
-    if isinstance(value, tuple):
-        return value
-    if isinstance(value, (list, range)):
-        return tuple(value)
-    return (value,)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One sweep point: study name + parameters + backend.

@@ -16,13 +16,14 @@ in seconds; the shape is size-stable (see EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
 from ..data.synthetic import random_sparse_matrix
+from ..harness.options import Option
 from ..harness.registry import Study
-from ..harness.spec import ExperimentResult, ExperimentSpec, as_tuple
+from ..harness.spec import ExperimentResult, ExperimentSpec
 from ..kernels.sddmm import (
     sddmm_fused_coiter,
     sddmm_fused_locate,
@@ -47,13 +48,16 @@ class Fig11Point:
     correct: bool
 
 
-def enumerate_specs(
-    size: int = 40,
-    k_sweep: Sequence[int] = (1, 10, 100),
-    sparsity: float = 0.95,
-    seed: int = 0,
-    backend: str = "cycle",
-) -> List[ExperimentSpec]:
+OPTIONS = (
+    Option("size", int, 40, quick=12, low=1),
+    Option("k_sweep", int, (1, 10, 100), quick=(1, 4), low=1, many=True),
+    Option("sparsity", float, 0.95, low=0, high=1),
+    Option("seed", int, 0, low=0),
+)
+
+
+def enumerate_specs(size: int, k_sweep: Sequence[int], sparsity: float,
+                    seed: int, backend: str) -> List[ExperimentSpec]:
     """One spec per (K, variant) point of the Figure 11 sweep."""
     return [
         ExperimentSpec(
@@ -62,7 +66,7 @@ def enumerate_specs(
              "sparsity": sparsity, "seed": seed},
             backend=backend,
         )
-        for k in as_tuple(k_sweep)
+        for k in k_sweep
         for variant in VARIANTS
     ]
 
@@ -93,22 +97,6 @@ def points_from_results(results: Sequence[ExperimentResult]) -> List[Fig11Point]
     ]
 
 
-def run_fig11(
-    size: int = 40,
-    k_sweep: Tuple[int, ...] = (1, 10, 100),
-    sparsity: float = 0.95,
-    seed: int = 0,
-    backend: Optional[str] = None,
-) -> List[Fig11Point]:
-    """Sweep K for the three SDDMM implementations (serial, uncached)."""
-    from ..harness.runner import SweepRunner
-    from ..sim.backends import resolve_backend
-
-    specs = enumerate_specs(size=size, k_sweep=k_sweep, sparsity=sparsity,
-                            seed=seed, backend=resolve_backend(backend))
-    return points_from_results(SweepRunner().run(specs).results)
-
-
 def format_fig11(points: List[Fig11Point]) -> str:
     ks = sorted({p.k for p in points})
     lines = [f"{'K':>6}" + "".join(f"{v:>16}" for v in VARIANTS)]
@@ -133,5 +121,5 @@ STUDY = Study(
     execute_fn=execute,
     render_fn=render,
     uses_backend=True,
-    quick_options={"size": 12, "k_sweep": (1, 4)},
+    options=OPTIONS,
 )

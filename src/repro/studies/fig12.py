@@ -15,11 +15,12 @@ size-stable (see EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
 from ..data.synthetic import random_sparse_matrix
+from ..harness.options import Option
 from ..harness.registry import Study
 from ..harness.spec import ExperimentResult, ExperimentSpec
 from ..kernels.spmm import FAMILY, ORDERS, run_spmm
@@ -33,10 +34,17 @@ class Fig12Point:
     correct: bool
 
 
-def enumerate_specs(
-    i: int = 80, j: int = 80, k: int = 32, sparsity: float = 0.95, seed: int = 0,
-    backend: str = "cycle",
-) -> List[ExperimentSpec]:
+OPTIONS = (
+    Option("i", int, 80, quick=20, low=1),
+    Option("j", int, 80, quick=20, low=1),
+    Option("k", int, 32, quick=10, low=1),
+    Option("sparsity", float, 0.95, low=0, high=1),
+    Option("seed", int, 0, low=0),
+)
+
+
+def enumerate_specs(i: int, j: int, k: int, sparsity: float, seed: int,
+                    backend: str) -> List[ExperimentSpec]:
     """One spec per ijk permutation."""
     return [
         ExperimentSpec(
@@ -69,19 +77,6 @@ def points_from_results(results: Sequence[ExperimentResult]) -> List[Fig12Point]
     ]
 
 
-def run_fig12(
-    i: int = 80, j: int = 80, k: int = 32, sparsity: float = 0.95, seed: int = 0,
-    backend: Optional[str] = None,
-) -> List[Fig12Point]:
-    """All six dataflow orders (serial, uncached)."""
-    from ..harness.runner import SweepRunner
-    from ..sim.backends import resolve_backend
-
-    specs = enumerate_specs(i=i, j=j, k=k, sparsity=sparsity, seed=seed,
-                            backend=resolve_backend(backend))
-    return points_from_results(SweepRunner().run(specs).results)
-
-
 def family_means(points: List[Fig12Point]) -> Dict[str, float]:
     sums: Dict[str, List[int]] = {}
     for p in points:
@@ -108,5 +103,5 @@ STUDY = Study(
     execute_fn=execute,
     render_fn=render,
     uses_backend=True,
-    quick_options={"i": 20, "j": 20, "k": 10},
+    options=OPTIONS,
 )

@@ -15,11 +15,12 @@ nonzeros (20%); bitvector width b = 64; split factor s = 64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from ..data.synthetic import blocks_vectors, runs_vectors, urandom_vector
+from ..harness.options import Option
 from ..harness.registry import Study
-from ..harness.spec import ExperimentResult, ExperimentSpec, as_tuple
+from ..harness.spec import ExperimentResult, ExperimentSpec
 from ..kernels.elementwise import CONFIGS, vecmul
 
 #: the three sub-sweeps of section 6.3, in figure order
@@ -46,21 +47,33 @@ def _vectors(sweep: str, x: int, size: int, nnz: int, seed: int):
     raise ValueError(f"unknown fig13 sweep {sweep!r}")
 
 
+#: vectors of ``size``; (a) sweeps the nonzeros of each, (b) and (c)
+#: the run and block length at ``nnz`` nonzeros (no more than ``size``:
+#: then no two blocks overlap)
+OPTIONS = (
+    Option("size", int, 2000, quick=200, low=1),
+    Option("nnz_sweep", int, (5, 10, 20, 50, 100, 200, 400, 800),
+           quick=(10, 40), low=1, high="size", many=True),
+    Option("nnz", int, 400, quick=40, low=1, high="size"),
+    Option("run_sweep", int, (1, 2, 4, 8, 16, 32, 64, 128), quick=(2, 20),
+           low=1, many=True),
+    Option("block_sweep", int, (1, 2, 4, 8, 16, 32, 64), quick=(2, 8),
+           low=1, high="size", many=True),
+    Option("split", int, 50, quick=10, low=1),
+    Option("bits_per_word", int, 64, low=1),
+    Option("seed", int, 0, low=0),
+    Option("sweeps", str, SWEEPS, choices=SWEEPS, many=True),
+)
+
+
 def enumerate_specs(
-    size: int = 2000,
-    nnz_sweep: Sequence[int] = (5, 10, 20, 50, 100, 200, 400, 800),
-    nnz: int = 400,
-    run_sweep: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
-    block_sweep: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
-    split: int = 50,
-    bits_per_word: int = 64,
-    seed: int = 0,
-    sweeps: Sequence[str] = SWEEPS,
-    backend: str = "cycle",
+    size: int, nnz_sweep: Sequence[int], nnz: int, run_sweep: Sequence[int],
+    block_sweep: Sequence[int], split: int, bits_per_word: int, seed: int,
+    sweeps: Sequence[str], backend: str,
 ) -> List[ExperimentSpec]:
     """One spec per (sweep, x, config) point across the three sub-sweeps."""
-    x_values = {"nnz": as_tuple(nnz_sweep), "run_length": as_tuple(run_sweep),
-                "block_size": as_tuple(block_sweep)}
+    x_values = {"nnz": nnz_sweep, "run_length": run_sweep,
+                "block_size": block_sweep}
     return [
         ExperimentSpec(
             "fig13",
@@ -68,7 +81,7 @@ def enumerate_specs(
              "split": split, "bits_per_word": bits_per_word, "seed": seed},
             backend=backend,
         )
-        for sweep in as_tuple(sweeps)
+        for sweep in sweeps
         for x in x_values[sweep]
         for config in CONFIGS
     ]
@@ -91,58 +104,6 @@ def points_from_results(results: Sequence[ExperimentResult]) -> List[Fig13Point]
                    r.payload["cycles"], r.payload["correct"])
         for r in results
     ]
-
-
-def _run_sweep(sweep: str, backend: Optional[str], **options) -> List[Fig13Point]:
-    from ..harness.runner import SweepRunner
-    from ..sim.backends import resolve_backend
-
-    specs = enumerate_specs(sweeps=(sweep,), backend=resolve_backend(backend),
-                            **options)
-    return points_from_results(SweepRunner().run(specs).results)
-
-
-def run_fig13a(
-    size: int = 2000,
-    nnz_sweep: Tuple[int, ...] = (5, 10, 20, 50, 100, 200, 400, 800),
-    split: int = 50,
-    bits_per_word: int = 64,
-    seed: int = 0,
-    backend: Optional[str] = None,
-) -> List[Fig13Point]:
-    """(a) performance vs. sparsity of uniformly random vectors."""
-    return _run_sweep("nnz", backend, size=size, nnz_sweep=nnz_sweep,
-                      split=split, bits_per_word=bits_per_word, seed=seed)
-
-
-def run_fig13b(
-    size: int = 2000,
-    nnz: int = 400,
-    run_sweep: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128),
-    split: int = 50,
-    bits_per_word: int = 64,
-    seed: int = 0,
-    backend: Optional[str] = None,
-) -> List[Fig13Point]:
-    """(b) performance vs. run length of `runs` vectors."""
-    return _run_sweep("run_length", backend, size=size, nnz=nnz,
-                      run_sweep=run_sweep, split=split,
-                      bits_per_word=bits_per_word, seed=seed)
-
-
-def run_fig13c(
-    size: int = 2000,
-    nnz: int = 400,
-    block_sweep: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64),
-    split: int = 50,
-    bits_per_word: int = 64,
-    seed: int = 0,
-    backend: Optional[str] = None,
-) -> List[Fig13Point]:
-    """(c) performance vs. block size of blocked vectors."""
-    return _run_sweep("block_size", backend, size=size, nnz=nnz,
-                      block_sweep=block_sweep, split=split,
-                      bits_per_word=bits_per_word, seed=seed)
 
 
 def format_fig13(points: List[Fig13Point]) -> str:
@@ -176,7 +137,5 @@ STUDY = Study(
     execute_fn=execute,
     render_fn=render,
     uses_backend=True,
-    quick_options={"size": 200, "nnz": 40, "split": 10,
-                   "nnz_sweep": (10, 40), "run_sweep": (2, 20),
-                   "block_sweep": (2, 8)},
+    options=OPTIONS,
 )

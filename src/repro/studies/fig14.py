@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..data.suitesparse import TABLE3
 from ..formats.tensor import FiberTensor
+from ..harness.options import Option
 from ..harness.registry import Study
 from ..harness.spec import ExperimentResult, ExperimentSpec
 from ..lang import compile_expression
@@ -32,9 +33,17 @@ class Fig14Row:
     inner: TokenBreakdown
 
 
-def enumerate_specs(
-    max_nnz: Optional[int] = 30000, seed: int = 0, backend: str = "cycle",
-) -> List[ExperimentSpec]:
+#: ``max_nnz`` keeps the Table 3 matrices of at most that many nonzeros
+#: (at least the smallest one; None keeps all 15)
+OPTIONS = (
+    Option("max_nnz", int, 30000, quick=200,
+           low=min(spec.nnz for spec in TABLE3), none=True),
+    Option("seed", int, 0, low=0),
+)
+
+
+def enumerate_specs(max_nnz: Optional[int], seed: int,
+                    backend: str) -> List[ExperimentSpec]:
     """One spec per Table 3 matrix under the nnz cap (None = all 15).
 
     The spec point records how each matrix currently *resolves* (synthetic
@@ -115,19 +124,6 @@ def rows_from_results(results: Sequence[ExperimentResult]) -> List[Fig14Row]:
     ]
 
 
-def run_fig14(
-    max_nnz: Optional[int] = 30000, seed: int = 0,
-    backend: Optional[str] = None,
-) -> List[Fig14Row]:
-    """Token breakdown per matrix (serial, uncached)."""
-    from ..harness.runner import SweepRunner
-    from ..sim.backends import resolve_backend
-
-    specs = enumerate_specs(max_nnz=max_nnz, seed=seed,
-                            backend=resolve_backend(backend))
-    return rows_from_results(SweepRunner().run(specs).results)
-
-
 def averages(rows: List[Fig14Row]) -> Dict[str, float]:
     """The paper's three headline percentages."""
     if not rows:
@@ -179,5 +175,5 @@ STUDY = Study(
     execute_fn=execute,
     render_fn=render,
     uses_backend=True,
-    quick_options={"max_nnz": 200},
+    options=OPTIONS,
 )

@@ -18,18 +18,23 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 from ..data.synthetic import extensor_matrix
+from ..harness.options import Option
 from ..harness.registry import Study
-from ..harness.spec import ExperimentResult, ExperimentSpec, as_tuple
-from ..memory.extensor import ExTensorConfig, ExTensorResult, extensor_spmm_cycles
+from ..harness.spec import ExperimentResult, ExperimentSpec
+from ..memory.extensor import ExTensorResult, extensor_spmm_cycles
 
 #: the paper's sweep: dimensions range(1024, 15721, 1336), nnz in
 #: {5000, 10000, 25000, 50000}
 PAPER_DIMENSIONS: Tuple[int, ...] = tuple(range(1024, 15721, 1336))
 PAPER_NNZS: Tuple[int, ...] = (5000, 10000, 25000, 50000)
 
-#: reduced sweep keeping the 5 000-nnz rise and fall (CLI ``--quick``)
-QUICK_DIMENSIONS: Tuple[int, ...] = (1024, 3696, 7704, 11712, 15720)
-QUICK_NNZS: Tuple[int, ...] = (5000, 10000)
+#: the ``--quick`` grid keeps the 5 000-nnz rise and fall
+OPTIONS = (
+    Option("dimensions", int, PAPER_DIMENSIONS,
+           quick=(1024, 3696, 7704, 11712, 15720), low=1, many=True),
+    Option("nnzs", int, PAPER_NNZS, quick=(5000, 10000), low=1, many=True),
+    Option("seed", int, 0, low=0),
+)
 
 
 @dataclass
@@ -40,17 +45,14 @@ class Fig15Point:
     result: ExTensorResult
 
 
-def enumerate_specs(
-    dimensions: Sequence[int] = PAPER_DIMENSIONS,
-    nnzs: Sequence[int] = PAPER_NNZS,
-    seed: int = 0,
-) -> List[ExperimentSpec]:
+def enumerate_specs(dimensions: Sequence[int], nnzs: Sequence[int],
+                    seed: int) -> List[ExperimentSpec]:
     """One spec per (dimension, nnz) point; the model is analytic, so
     no simulation backend enters the cache key."""
     return [
         ExperimentSpec("fig15", {"dimension": dim, "nnz": nnz, "seed": seed})
-        for nnz in as_tuple(nnzs)
-        for dim in as_tuple(dimensions)
+        for nnz in nnzs
+        for dim in dimensions
     ]
 
 
@@ -68,29 +70,6 @@ def points_from_results(results: Sequence[ExperimentResult]) -> List[Fig15Point]
                    r.payload["cycles"], ExTensorResult(**r.payload))
         for r in results
     ]
-
-
-def run_fig15(
-    dimensions: Tuple[int, ...] = PAPER_DIMENSIONS,
-    nnzs: Tuple[int, ...] = PAPER_NNZS,
-    seed: int = 0,
-    config: ExTensorConfig = None,
-) -> List[Fig15Point]:
-    """The dimension/nnz sweep.  A custom ``config`` (not expressible as
-    a JSON spec) bypasses the harness and runs the model directly."""
-    if config is not None:
-        points = []
-        for nnz in nnzs:
-            for dim in dimensions:
-                B = extensor_matrix(dim, nnz, seed=seed)
-                C = extensor_matrix(dim, nnz, seed=seed + 1)
-                result = extensor_spmm_cycles(B, C, config)
-                points.append(Fig15Point(dim, nnz, result.cycles, result))
-        return points
-    from ..harness.runner import SweepRunner
-
-    specs = enumerate_specs(dimensions=dimensions, nnzs=nnzs, seed=seed)
-    return points_from_results(SweepRunner().run(specs).results)
 
 
 def regions(points: List[Fig15Point], nnz: int) -> Tuple[bool, bool]:
@@ -134,5 +113,5 @@ STUDY = Study(
     execute_fn=execute,
     render_fn=render,
     uses_backend=False,
-    quick_options={"dimensions": QUICK_DIMENSIONS, "nnzs": QUICK_NNZS},
+    options=OPTIONS,
 )

@@ -211,7 +211,7 @@ def crd_drop_differential(program, counts: Dict[str, int], paper: Dict[str, int]
     return report
 
 
-def enumerate_specs(backend: str = "-") -> List[ExperimentSpec]:
+def enumerate_specs() -> List[ExperimentSpec]:
     """One spec per Table 1 expression (compile-only: backend ignored)."""
     return [ExperimentSpec("table1", {"name": entry.name}) for entry in ENTRIES]
 
@@ -263,13 +263,6 @@ def rows_from_results(results: Sequence[ExperimentResult]):
                      result.payload.get("divergence"),
                      result.payload["match"]))
     return rows
-
-
-def run_table1():
-    """Compile every entry; returns rows of (entry, features, counts, match)."""
-    from ..harness.runner import SweepRunner
-
-    return rows_from_results(SweepRunner().run(enumerate_specs()).results)
 
 
 def format_table1(rows) -> str:

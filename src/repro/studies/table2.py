@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
-from ..data.corpus import Corpus, compile_corpus_programs, compiled_corpus
+from ..data.corpus import Corpus, compiled_corpus
+from ..harness.options import Option
 from ..harness.registry import Study
 from ..harness.spec import ExperimentResult, ExperimentSpec
 from ..lang import TABLE2_SCENARIOS, lost_without
@@ -62,29 +63,18 @@ def _ablate(corpus: Corpus, programs: Sequence, scenario: str) -> Tuple[int, int
     return lost_unique, lost_all
 
 
-def _row(scenario: str, lost_unique: int, lost_all: int,
-         distinct: int, total: int) -> Table2Row:
-    paper = PAPER_PERCENTAGES[scenario]
-    return Table2Row(
-        scenario,
-        lost_unique,
-        lost_all,
-        100.0 * lost_unique / distinct,
-        100.0 * lost_all / total,
-        paper[0],
-        paper[1],
-    )
+#: ``distinct`` scales the corpus (the paper's full 3,839 works too but
+#: takes a few minutes; the percentages are stable beyond a few hundred
+#: entries because they are ratios); ``total`` weights it (>= one use each)
+OPTIONS = (
+    Option("distinct", int, 400, quick=40, low=1),
+    Option("total", int, 23794, quick=500, low="distinct"),
+    Option("seed", int, 0, low=0),
+)
 
 
-def enumerate_specs(
-    distinct: int = 400, total: int = 23794, seed: int = 0, backend: str = "-",
-) -> List[ExperimentSpec]:
-    """One spec per removal scenario (compile-only: backend ignored).
-
-    ``distinct`` scales the corpus (the paper's full 3,839 works too but
-    takes a few minutes; the percentages are stable beyond a few hundred
-    entries because they are ratios).
-    """
+def enumerate_specs(distinct: int, total: int, seed: int) -> List[ExperimentSpec]:
+    """One spec per removal scenario (compile-only: no backend)."""
     return [
         ExperimentSpec(
             "table2",
@@ -110,30 +100,15 @@ def execute(spec: ExperimentSpec) -> Dict[str, Any]:
 
 
 def rows_from_results(results: Sequence[ExperimentResult]) -> List[Table2Row]:
-    return [
-        _row(r.spec.point["scenario"], r.payload["lost_unique"],
-             r.payload["lost_all"], r.payload["corpus_distinct"],
-             r.payload["corpus_total"])
-        for r in results
-    ]
-
-
-def run_table2(corpus: Corpus = None, seed: int = 0, distinct: int = 400,
-               total: int = 23794) -> List[Table2Row]:
-    """Run the ablation; the corpus is regenerated unless supplied."""
-    if corpus is not None:
-        # A caller-supplied corpus is not expressible as a JSON spec;
-        # compile and ablate it directly.
-        programs = compile_corpus_programs(corpus)
-        return [
-            _row(scenario, *_ablate(corpus, programs, scenario),
-                 corpus.distinct, corpus.total)
-            for scenario in TABLE2_SCENARIOS
-        ]
-    from ..harness.runner import SweepRunner
-
-    specs = enumerate_specs(distinct=distinct, total=total, seed=seed)
-    return rows_from_results(SweepRunner().run(specs).results)
+    rows = []
+    for result in results:
+        scenario, p = result.spec.point["scenario"], result.payload
+        rows.append(Table2Row(
+            scenario, p["lost_unique"], p["lost_all"],
+            100.0 * p["lost_unique"] / p["corpus_distinct"],
+            100.0 * p["lost_all"] / p["corpus_total"],
+            *PAPER_PERCENTAGES[scenario]))
+    return rows
 
 
 def format_table2(rows: List[Table2Row]) -> str:
@@ -162,5 +137,5 @@ STUDY = Study(
     execute_fn=execute,
     render_fn=render,
     uses_backend=False,
-    quick_options={"distinct": 40, "total": 500},
+    options=OPTIONS,
 )

@@ -1247,12 +1247,15 @@ class TestRegistry:
         # Dropping a real file in must change the cache key, so stale
         # synthetic results are never replayed as real-matrix numbers.
         from repro.data import DATA_DIR_ENV_VAR
-        from repro.studies.fig14 import enumerate_specs
+        from repro.harness import get_study
 
+        study = get_study("fig14")
         monkeypatch.setenv(DATA_DIR_ENV_VAR, str(tmp_path))
-        before = {s.point["matrix"]: s for s in enumerate_specs(max_nnz=200)}
+        before = {s.point["matrix"]: s
+                  for s in study.enumerate("cycle", {"max_nnz": 200})}
         DatasetRegistry(data_dir=str(tmp_path)).materialize("relat3")
-        after = {s.point["matrix"]: s for s in enumerate_specs(max_nnz=200)}
+        after = {s.point["matrix"]: s
+                 for s in study.enumerate("cycle", {"max_nnz": 200})}
         assert before["relat3"].key() != after["relat3"].key()
         assert before["lpi_itest6"].key() == after["lpi_itest6"].key()
 
@@ -1262,10 +1265,11 @@ class TestRegistry:
         # A file appearing between enumerate and execute must not be
         # measured and cached under the 'synthetic' source label.
         from repro.data import DATA_DIR_ENV_VAR
-        from repro.studies.fig14 import enumerate_specs, execute
+        from repro.harness import get_study
+        from repro.studies.fig14 import execute
 
         monkeypatch.setenv(DATA_DIR_ENV_VAR, str(tmp_path))
-        spec = enumerate_specs(max_nnz=200)[0]
+        spec = get_study("fig14").enumerate("cycle", {"max_nnz": 200})[0]
         assert spec.point["source"] == "synthetic"
         DatasetRegistry(data_dir=str(tmp_path)).materialize(
             spec.point["matrix"]

@@ -20,7 +20,8 @@ from repro.data.corpus import Corpus, CorpusEntry, compile_corpus_programs
 from repro.graph.ir import GraphError
 from repro.lang import compile as compile_module
 from repro.lang import compile_expression
-from repro.studies.table2 import run_table2
+from repro.harness import SweepRunner, get_study
+from repro.studies import table2
 
 SPMV = "x(i) = B(i,j) * c(j)"
 OUTER = "X(i,j) = b(i) * c(j)"  # both loop orders lower
@@ -147,7 +148,7 @@ class TestNothingWritesOntoTheGraph:
         assert compile_expression(SPMV) is program
         assert digest(program.graph) == before
 
-    def test_table2_ablation(self):
+    def test_table2_ablation(self, monkeypatch):
         entries = [CorpusEntry(SPMV, (("B", ("compressed", "compressed")),),
                                None, fmt)
                    for fmt in (("dense",), ("compressed",))]
@@ -155,7 +156,12 @@ class TestNothingWritesOntoTheGraph:
         programs = compile_corpus_programs(corpus)
         assert programs[0] is programs[1]
         before = digest(programs[0].graph)
-        rows = {row.scenario: row for row in run_table2(corpus=corpus)}
+        # The study's points ablate this corpus in place of the generated one.
+        monkeypatch.setattr(table2, "compiled_corpus",
+                            lambda **_: (corpus, programs))
+        specs = get_study("table2").enumerate(options={"distinct": 2, "total": 3})
+        results = SweepRunner().run(specs).results
+        rows = {row.scenario: row for row in table2.rows_from_results(results)}
         assert digest(programs[0].graph) == before
         # The shared program keeps each entry's own output format apart.
         writer = rows["comp_level_writer"]

@@ -1,20 +1,26 @@
-"""Smoke tests for the reproduction studies at reduced scales."""
+"""Smoke tests for the reproduction studies at reduced scales, each run
+the way ``repro sweep/report`` runs it: enumerate, run, read back."""
 
-import numpy as np
-
+from repro.harness import SweepRunner, get_study
 from repro.studies import fig11, fig12, fig13, fig14, fig15, table1, table2
 
 from blockkit import ENGINES
 
 
+def sweep(name, engine=None, **options):
+    """The results of one study's sweep at *options* (serial, uncached)."""
+    specs = get_study(name).enumerate(backend=engine, options=options)
+    return SweepRunner().run(specs).results
+
+
 class TestTable1:
     def test_all_rows_match(self):
-        rows = table1.run_table1()
+        rows = table1.rows_from_results(sweep("table1"))
         assert len(rows) == 12
         assert all(match for *_, match in rows)
 
     def test_formatting(self):
-        text = table1.format_table1(table1.run_table1())
+        text = table1.format_table1(table1.rows_from_results(sweep("table1")))
         assert "SpMV" in text and "MatTransMul" in text
 
     def test_crd_drop_differential_is_the_same_on_every_plane(self):
@@ -43,7 +49,8 @@ class TestTable1:
 
 class TestTable2:
     def test_small_corpus_ablation(self):
-        rows = table2.run_table2(distinct=40, total=500)
+        rows = table2.rows_from_results(
+            sweep("table2", distinct=40, total=500))
         assert len(rows) == 12
         scanners = next(r for r in rows if r.scenario == "comp_and_uncomp_level_scanners")
         assert scanners.pct_unique == 100.0
@@ -54,7 +61,8 @@ class TestTable2:
 
 class TestFig11:
     def test_small_sweep(self, engine):
-        points = fig11.run_fig11(size=12, k_sweep=(1, 4), backend=engine)
+        points = fig11.points_from_results(
+            sweep("fig11", engine, size=12, k_sweep=(1, 4)))
         assert all(p.correct for p in points)
         unfused = {p.k: p.cycles for p in points if p.variant == "unfused"}
         coiter = {p.k: p.cycles for p in points if p.variant == "fused_coiter"}
@@ -63,7 +71,7 @@ class TestFig11:
 
 class TestFig12:
     def test_small_sweep(self, engine):
-        points = fig12.run_fig12(i=20, j=20, k=10, backend=engine)
+        points = fig12.points_from_results(sweep("fig12", engine, i=20, j=20, k=10))
         assert len(points) == 6
         assert all(p.correct for p in points)
         means = fig12.family_means(points)
@@ -71,25 +79,28 @@ class TestFig12:
 
 
 class TestFig13:
+    def _points(self, engine, sweep_name):
+        # size 200, nnz 40, split 10; x in (10, 40), (2, 20), (2, 8)
+        quick = get_study("fig13").quick_options
+        return fig13.points_from_results(
+            sweep("fig13", engine, **quick, sweeps=(sweep_name,)))
+
     def test_sparsity_sweep(self, engine):
-        points = fig13.run_fig13a(size=200, nnz_sweep=(10, 40), split=10,
-                                  backend=engine)
+        points = self._points(engine, "nnz")
         assert all(p.correct for p in points)
 
     def test_runs_sweep(self, engine):
-        points = fig13.run_fig13b(size=200, nnz=40, run_sweep=(2, 20), split=10,
-                                  backend=engine)
+        points = self._points(engine, "run_length")
         assert all(p.correct for p in points)
 
     def test_blocks_sweep(self, engine):
-        points = fig13.run_fig13c(size=200, nnz=40, block_sweep=(2, 8), split=10,
-                                  backend=engine)
+        points = self._points(engine, "block_size")
         assert all(p.correct for p in points)
 
 
 class TestFig14:
     def test_small_matrices(self, engine):
-        rows = fig14.run_fig14(max_nnz=200, backend=engine)
+        rows = fig14.rows_from_results(sweep("fig14", engine, max_nnz=200))
         assert rows
         for row in rows:
             assert row.outer.total > 0
@@ -100,7 +111,8 @@ class TestFig14:
 
 class TestFig15:
     def test_mini_sweep(self):
-        points = fig15.run_fig15(dimensions=(512, 1024), nnzs=(1000,))
+        points = fig15.points_from_results(
+            sweep("fig15", dimensions=(512, 1024), nnzs=(1000,)))
         assert len(points) == 2
         assert all(p.cycles > 0 for p in points)
         text = fig15.format_fig15(points)
@@ -108,7 +120,8 @@ class TestFig15:
 
     def test_paper_grid_shape(self):
         """The Figure-15 claim on the paper's own grid (EXPERIMENTS.md)."""
-        points = fig15.run_fig15()  # PAPER_DIMENSIONS x PAPER_NNZS, seed 0
+        # the defaults: PAPER_DIMENSIONS x PAPER_NNZS, seed 0
+        points = fig15.points_from_results(sweep("fig15"))
         assert len(points) == len(fig15.PAPER_DIMENSIONS) * len(fig15.PAPER_NNZS)
         series = {
             nnz: [p.cycles for p in points if p.nnz == nnz]  # dimension order

@@ -7,13 +7,21 @@ from repro.cli import build_parser, main
 
 class TestCLI:
     def test_parser_knows_all_studies(self):
+        from repro.harness import STUDY_NAMES
+
         parser = build_parser()
-        for command in ("table1", "table2", "fig11", "fig12", "fig13",
-                        "fig14", "fig15", "compile"):
-            args = parser.parse_args(
-                [command] if command != "compile" else [command, "x(i) = b(i)"]
-            )
+        for command in ("sweep", "report"):
+            args = parser.parse_args([command, *STUDY_NAMES])
             assert args.command == command
+            assert args.studies == list(STUDY_NAMES)
+        args = parser.parse_args(["compile", "x(i) = b(i)"])
+        assert args.command == "compile"
+
+    @pytest.mark.parametrize("name", ["table1", "table2", "fig11", "fig12",
+                                      "fig13", "fig14", "fig15"])
+    def test_no_subcommand_per_study(self, name):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([name])
 
     def test_compile_command(self, capsys):
         assert main(["compile", "x(i) = B(i,j) * c(j)"]) == 0
@@ -135,7 +143,7 @@ class TestCLI:
             main(["graph", "x(i) = B(i,j) * c(j)", *check])
 
     def test_table1_command(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["report", "table1", "--cache-dir", "none"]) == 0
         assert "SpMV" in capsys.readouterr().out
 
     def test_missing_command_rejected(self):

@@ -37,8 +37,8 @@ for info in pkgutil.walk_packages(repro.__path__, "repro."):
 from repro.data import random_sparse_matrix
 from repro.kernels.gamma import gamma_spmm
 from repro.lang import compile_expression
+from repro.harness import SweepRunner, get_study
 from repro.sim import BACKENDS
-from repro.studies.table1 import run_table1
 
 B = random_sparse_matrix(5, 4, 0.5, seed=1)
 C = random_sparse_matrix(4, 3, 0.5, seed=2)
@@ -48,7 +48,8 @@ for engine in (name for name, cls in BACKENDS.items() if cls.backend == name):
     got = program.run({"B": B, "c": c}, backend=engine).to_numpy()
     assert np.allclose(got, B @ c), engine
     assert np.allclose(gamma_spmm(B, C, backend=engine).output, B @ C), engine
-assert len(run_table1()) == 12
+results = SweepRunner().run(get_study("table1").enumerate()).results
+assert len(results) == 12 and all(r.payload["match"] for r in results)
 print(json.dumps(sorted(name for name in sys.modules
                         if name.split(".")[0] == "scipy")))
 """

@@ -14,7 +14,11 @@ Fails (exit 1) when:
 * a backticked private name (one leading underscore: ``_slab_tokens``,
   ``Block._bail_timed``) in ``docs/``, README.md or EXPERIMENTS.md names
   no identifier of the code in ``src/``, ``tests/``, ``tools/``,
-  ``benchmarks/`` or ``perfbench/`` -- prose that outlived a rename.
+  ``benchmarks/`` or ``perfbench/`` -- prose that outlived a rename;
+* the same documents name a ``repro <word>`` command that is no
+  subcommand of ``src/repro/cli.py``, or an ``--opt KEY=`` that no
+  study under ``src/repro/studies/`` declares (an ``Option("KEY"`` row)
+  -- a deleted command or option lingering in prose.
 
 Usage::
 
@@ -45,6 +49,13 @@ IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 #: where a private name cited by the prose must exist, and the prose
 CODE_TREES = ("src", "tests", "tools", "benchmarks", "perfbench")
 NAMED_DOCS = ("docs", "README.md", "EXPERIMENTS.md")
+
+#: a ``repro`` command line in prose (global ``--engine`` flag skipped),
+#: an ``--opt`` key, and where the code declares the two
+REPRO_COMMAND = re.compile(r"\brepro(?:\s+--engine[\s=]+[\w-]+)*\s+([a-z][\w-]*)")
+OPT_KEY = re.compile(r"--opt[\s=]+([a-z_]\w*)=")
+SUBCOMMAND = re.compile(r"add_parser\(\s*\"([\w-]+)\"")
+OPTION_ROW = re.compile(r"\bOption\(\s*\"(\w+)\"")
 
 #: meta files that quote paths from *other* repositories (exemplar
 #: snippets, related-work notes) — not claims about this tree
@@ -95,31 +106,53 @@ def check_python_doc_refs(root: str):
                 yield path, f"cites nonexistent doc -> {name}"
 
 
+def named_doc_paths(root: str):
+    for doc in NAMED_DOCS:
+        target = os.path.join(root, doc)
+        yield from iter_files(target, ".md") if os.path.isdir(target) else [target]
+
+
+def declared(root: str, tree: str, pattern: re.Pattern) -> set:
+    return {name for path in iter_files(os.path.join(root, tree), ".py")
+            for name in pattern.findall(open(path, encoding="utf-8").read())}
+
+
+def check_commands(root: str):
+    commands = declared(root, "src/repro", SUBCOMMAND)
+    options = declared(root, "src/repro/studies", OPTION_ROW)
+    for path in named_doc_paths(root):
+        text = open(path, encoding="utf-8").read()
+        for pattern, known, what in ((REPRO_COMMAND, commands, "subcommand"),
+                                     (OPT_KEY, options, "study option")):
+            for match in pattern.finditer(text):
+                if match.group(1) not in known:
+                    line = text.count("\n", 0, match.start()) + 1
+                    yield path, (f"line {line}: `{match.group(0)}` names no "
+                                 f"{what}")
+
+
 def check_private_names(root: str):
     known = set()
     for tree in CODE_TREES:
         for path in iter_files(os.path.join(root, tree), ".py"):
             known.update(IDENTIFIER.findall(open(path, encoding="utf-8").read()))
-    for doc in NAMED_DOCS:
-        target = os.path.join(root, doc)
-        paths = iter_files(target, ".md") if os.path.isdir(target) else [target]
-        for path in paths:
-            text = open(path, encoding="utf-8").read()
-            for span in CODE_SPAN.finditer(text):
-                for name in PRIVATE_NAME.findall(span.group(1)):
-                    if name.endswith("*"):
-                        found = any(word.startswith(name[:-1]) for word in known)
-                    else:
-                        found = name in known
-                    if not found:
-                        line = text.count("\n", 0, span.start()) + 1
-                        yield path, f"line {line}: `{name}` names nothing in the code"
+    for path in named_doc_paths(root):
+        text = open(path, encoding="utf-8").read()
+        for span in CODE_SPAN.finditer(text):
+            for name in PRIVATE_NAME.findall(span.group(1)):
+                if name.endswith("*"):
+                    found = any(word.startswith(name[:-1]) for word in known)
+                else:
+                    found = name in known
+                if not found:
+                    line = text.count("\n", 0, span.start()) + 1
+                    yield path, f"line {line}: `{name}` names nothing in the code"
 
 
 def main(argv=None) -> int:
     root = os.path.abspath((argv or sys.argv[1:] or ["."])[0])
     problems = (list(check_markdown(root)) + list(check_python_doc_refs(root))
-                + list(check_private_names(root)))
+                + list(check_private_names(root)) + list(check_commands(root)))
     for path, message in problems:
         print(f"{os.path.relpath(path, root)}: {message}")
     if problems:
