@@ -6,7 +6,8 @@ Measures, for a representative sweep (fig11 + table2 at reduced scale):
 * ``sharded`` — cold run, ``jobs=N``, fresh cache (fan-out win);
 * ``replay``  — warm rerun over the populated cache (cache win).
 
-Asserts that sharded payloads are bit-identical to serial ones and
+Asserts that sharded payloads are bit-identical to serial ones, that
+the cold sharded pass created one file (its study's log) per study, and
 reports the replay speedup (the acceptance bar is >= 5x; in practice it
 is orders of magnitude).
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 import time
@@ -59,6 +61,7 @@ def main(argv=None) -> int:
         sharded_s, sharded = timed_run(
             SweepRunner(cache=cache, jobs=args.jobs), specs
         )
+        files_created = sum(len(names) for _, _, names in os.walk(cache_dir))
         replay_s, replay = timed_run(
             SweepRunner(cache=cache, jobs=args.jobs), specs
         )
@@ -69,10 +72,13 @@ def main(argv=None) -> int:
     )
     assert mismatches == 0, f"{mismatches} sharded payloads differ from serial"
     assert replay.executed == 0, "replay run executed points despite warm cache"
+    assert files_created == len(CASES), (
+        f"the cold pass created {files_created} files for {len(CASES)} studies")
 
     summary = {
         "points": len(specs),
         "jobs": args.jobs,
+        "cold_files_created": files_created,
         "serial_s": round(serial_s, 4),
         "sharded_s": round(sharded_s, 4),
         "replay_s": round(replay_s, 4),

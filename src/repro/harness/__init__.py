@@ -6,8 +6,9 @@ The pieces (see ``docs/architecture.md`` for the full picture):
   parameter dict + backend) and :class:`ExperimentResult` (a durable
   JSON payload per point), keyed by a content hash that includes a
   digest of the package sources;
-* :mod:`~repro.harness.cache` — :class:`ResultCache`, one JSON file per
-  completed point, atomic writes, resume-by-construction;
+* :mod:`~repro.harness.cache` — :class:`ResultCache`, one append-only
+  log per study (a line per completed point, one ``os.write`` each),
+  torn lines read as misses, resume-by-construction;
 * :mod:`~repro.harness.runner` — :class:`SweepRunner`, which replays
   hits and shards misses across ``multiprocessing`` workers, plus
   JSON/CSV artifact writers;

@@ -39,6 +39,20 @@ def _show(value: Any) -> str:
     return str(value)
 
 
+def operand_bound(paper: int) -> int:
+    """The ``high`` of an option that sizes an operand, from the paper's
+    value for it: the smallest power of ten at least twice that value.
+
+    Every run the paper made fits, at up to twice its scale; a value a
+    few digits longer (a typo, or a size no sweep finishes) is an
+    :class:`OptionError` before any point runs.
+    """
+    bound = 10
+    while bound < 2 * paper:
+        bound *= 10
+    return bound
+
+
 @dataclass(frozen=True)
 class Option:
     """One option of one study.

@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Sequence
 import numpy as np
 
 from ..data.synthetic import random_sparse_matrix
-from ..harness.options import Option
+from ..harness.options import Option, operand_bound
 from ..harness.registry import Study
 from ..harness.spec import ExperimentResult, ExperimentSpec
 from ..kernels.sddmm import (
@@ -48,9 +48,12 @@ class Fig11Point:
     correct: bool
 
 
+#: operand sizes are bounded by :func:`operand_bound` of the paper's
+#: value: I = J = 250 (``size``), K up to 100 (``k_sweep``)
 OPTIONS = (
-    Option("size", int, 40, quick=12, low=1),
-    Option("k_sweep", int, (1, 10, 100), quick=(1, 4), low=1, many=True),
+    Option("size", int, 40, quick=12, low=1, high=operand_bound(250)),
+    Option("k_sweep", int, (1, 10, 100), quick=(1, 4), low=1,
+           high=operand_bound(100), many=True),
     Option("sparsity", float, 0.95, low=0, high=1),
     Option("seed", int, 0, low=0),
 )

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Sequence
 import numpy as np
 
 from ..data.synthetic import random_sparse_matrix
-from ..harness.options import Option
+from ..harness.options import Option, operand_bound
 from ..harness.registry import Study
 from ..harness.spec import ExperimentResult, ExperimentSpec
 from ..kernels.spmm import FAMILY, ORDERS, run_spmm
@@ -34,10 +34,12 @@ class Fig12Point:
     correct: bool
 
 
+#: operand sizes are bounded by :func:`operand_bound` of the paper's
+#: value: I = J = 250, K = 100
 OPTIONS = (
-    Option("i", int, 80, quick=20, low=1),
-    Option("j", int, 80, quick=20, low=1),
-    Option("k", int, 32, quick=10, low=1),
+    Option("i", int, 80, quick=20, low=1, high=operand_bound(250)),
+    Option("j", int, 80, quick=20, low=1, high=operand_bound(250)),
+    Option("k", int, 32, quick=10, low=1, high=operand_bound(100)),
     Option("sparsity", float, 0.95, low=0, high=1),
     Option("seed", int, 0, low=0),
 )

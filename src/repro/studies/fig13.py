@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence
 
 from ..data.synthetic import blocks_vectors, runs_vectors, urandom_vector
-from ..harness.options import Option
+from ..harness.options import Option, operand_bound
 from ..harness.registry import Study
 from ..harness.spec import ExperimentResult, ExperimentSpec
 from ..kernels.elementwise import CONFIGS, vecmul
@@ -49,9 +49,10 @@ def _vectors(sweep: str, x: int, size: int, nnz: int, seed: int):
 
 #: vectors of ``size``; (a) sweeps the nonzeros of each, (b) and (c)
 #: the run and block length at ``nnz`` nonzeros (no more than ``size``:
-#: then no two blocks overlap)
+#: then no two blocks overlap); ``size`` is bounded by
+#: :func:`operand_bound` of the paper's 2000
 OPTIONS = (
-    Option("size", int, 2000, quick=200, low=1),
+    Option("size", int, 2000, quick=200, low=1, high=operand_bound(2000)),
     Option("nnz_sweep", int, (5, 10, 20, 50, 100, 200, 400, 800),
            quick=(10, 40), low=1, high="size", many=True),
     Option("nnz", int, 400, quick=40, low=1, high="size"),

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 from ..data.synthetic import extensor_matrix
-from ..harness.options import Option
+from ..harness.options import Option, operand_bound
 from ..harness.registry import Study
 from ..harness.spec import ExperimentResult, ExperimentSpec
 from ..memory.extensor import ExTensorResult, extensor_spmm_cycles
@@ -28,11 +28,14 @@ from ..memory.extensor import ExTensorResult, extensor_spmm_cycles
 PAPER_DIMENSIONS: Tuple[int, ...] = tuple(range(1024, 15721, 1336))
 PAPER_NNZS: Tuple[int, ...] = (5000, 10000, 25000, 50000)
 
-#: the ``--quick`` grid keeps the 5 000-nnz rise and fall
+#: the ``--quick`` grid keeps the 5 000-nnz rise and fall; both axes
+#: are bounded by :func:`operand_bound` of the paper's largest value
 OPTIONS = (
     Option("dimensions", int, PAPER_DIMENSIONS,
-           quick=(1024, 3696, 7704, 11712, 15720), low=1, many=True),
-    Option("nnzs", int, PAPER_NNZS, quick=(5000, 10000), low=1, many=True),
+           quick=(1024, 3696, 7704, 11712, 15720), low=1,
+           high=operand_bound(max(PAPER_DIMENSIONS)), many=True),
+    Option("nnzs", int, PAPER_NNZS, quick=(5000, 10000), low=1,
+           high=operand_bound(max(PAPER_NNZS)), many=True),
     Option("seed", int, 0, low=0),
 )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 from ..data.corpus import Corpus, compiled_corpus
-from ..harness.options import Option
+from ..harness.options import Option, operand_bound
 from ..harness.registry import Study
 from ..harness.spec import ExperimentResult, ExperimentSpec
 from ..lang import TABLE2_SCENARIOS, lost_without
@@ -65,10 +65,13 @@ def _ablate(corpus: Corpus, programs: Sequence, scenario: str) -> Tuple[int, int
 
 #: ``distinct`` scales the corpus (the paper's full 3,839 works too but
 #: takes a few minutes; the percentages are stable beyond a few hundred
-#: entries because they are ratios); ``total`` weights it (>= one use each)
+#: entries because they are ratios); ``total`` weights it (>= one use
+#: each).  Both are bounded by :func:`operand_bound` of the paper's
+#: 3,839 and 23,794
 OPTIONS = (
-    Option("distinct", int, 400, quick=40, low=1),
-    Option("total", int, 23794, quick=500, low="distinct"),
+    Option("distinct", int, 400, quick=40, low=1, high=operand_bound(3839)),
+    Option("total", int, 23794, quick=500, low="distinct",
+           high=operand_bound(23794)),
     Option("seed", int, 0, low=0),
 )
 

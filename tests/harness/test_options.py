@@ -11,6 +11,8 @@ runs the bad inputs once seen through ``repro`` itself: each is one
 ``repro: error:`` line and status 2, before any point runs.
 """
 
+import contextlib
+import io
 import math
 import re
 
@@ -177,13 +179,14 @@ class TestParse:
 #: silent run of something else
 REFUSED = [
     (["sweep", "fig11", "--quick", "--opt", "k_sweep=abc"],
-     "fig11: option k_sweep=abc: comma-separated values, each an integer >= 1"),
+     "fig11: option k_sweep=abc: comma-separated values, each an integer "
+     "in [1, 1000]"),
     (["sweep", "fig12", "--quick", "--opt", "k=-2"],
-     "fig12: option k=-2: an integer >= 1"),
+     "fig12: option k=-2: an integer in [1, 1000]"),
     (["sweep", "fig11", "--quick", "--opt", "sparsity=1.5"],
      "fig11: option sparsity=1.5: a number in [0, 1]"),
     (["report", "table2", "--quick", "--opt", "distinct=0"],
-     "table2: option distinct=0: an integer >= 1"),
+     "table2: option distinct=0: an integer in [1, 10000]"),
     (["sweep", "fig11", "--quick", "--opt", "szie=250"],
      "fig11: option szie=250: no such option; declared: size, k_sweep, "
      "sparsity, seed"),
@@ -191,7 +194,12 @@ REFUSED = [
      "table1, fig12: option size=3: no such option; declared: i, j, k, "
      "sparsity, seed"),
     (["sweep", "table2", "--opt", "total=10"],
-     "table2: option total=10: an integer >= distinct=400"),
+     "table2: option total=10: an integer in [distinct=400, 100000]"),
+    (["sweep", "fig11", "--quick", "--opt", "size=100000"],
+     "fig11: option size=100000: an integer in [1, 1000]"),
+    (["sweep", "fig15", "--quick", "--opt", "dimensions=1024,1000000000"],
+     "fig15: option dimensions=1024,1000000000: comma-separated values, each "
+     "an integer in [1, 100000]"),
 ]
 
 
@@ -212,3 +220,52 @@ def test_a_key_goes_only_to_the_studies_that_declare_it():
     for name, specs in by_name.items():
         if name != "table1":
             assert specs and all(spec.point["seed"] == 3 for spec in specs)
+
+
+#: (study, option) for every option with an upper bound
+BOUNDED = [pytest.param(study, option, id=f"{study.name}.{option.name}")
+           for study in all_studies() for option in study.options
+           if option.high is not None]
+
+
+def quick_end(study, bound):
+    """A range end under ``--quick``: a number, or the value the option
+    it names takes there."""
+    if not isinstance(bound, str):
+        return bound
+    row = next(o for o in study.options if o.name == bound)
+    return study.quick_options.get(row.name, row.default)
+
+
+def test_every_option_that_sizes_an_operand_is_bounded():
+    sizing = {("fig11", "size"), ("fig11", "k_sweep"), ("fig12", "i"),
+              ("fig12", "j"), ("fig12", "k"), ("fig13", "size"),
+              ("fig15", "dimensions"), ("fig15", "nnzs"),
+              ("table2", "distinct"), ("table2", "total")}
+    bounded = {(p.values[0].name, p.values[1].name) for p in BOUNDED}
+    assert sizing <= bounded
+
+
+@pytest.mark.parametrize("study, option", BOUNDED)
+@given(data=st.data())
+def test_a_value_above_the_bound_is_one_error_line(study, option, data):
+    high = quick_end(study, option.high)
+    if option.kind is int:
+        above = data.draw(st.integers(high + 1, high * 10**6))
+        inside = st.integers(max(quick_end(study, option.low) or 0, high // 2), high)
+    else:
+        above = data.draw(st.floats(high, high * 10**6, exclude_min=True))
+        inside = st.just(float(high))
+    values = [above]
+    if option.many:  # the value out of range may come among values in range
+        values += data.draw(st.lists(inside, max_size=2))
+        values = data.draw(st.permutations(values))
+    text = ",".join(map(str, values))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(err):
+        status = main(["--engine", "cycle", "sweep", study.name, "--quick",
+                       "--opt", f"{option.name}={text}", "--cache-dir", "none"])
+    assert (status, out.getvalue()) == (2, "")
+    assert re.fullmatch(rf"repro: error: {study.name}: option {option.name}="
+                        rf"{re.escape(text)}: [^\n]+\n", err.getvalue())
