@@ -171,11 +171,3 @@ def capture_expression(expression: str, backend: str = "timed-batch",
         program.run(tensors, backend=backend)
     return [CapturedGraph(expression, blocks, report)
             for blocks, report in capture.runs]
-
-
-def capture_target(target: str, backend: str = "timed-batch"
-                   ) -> List[CapturedGraph]:
-    """Dispatch one CLI target: a kernel name or an ``lhs = rhs`` expression."""
-    if "=" in target:
-        return capture_expression(target, backend=backend)
-    return capture_kernel(target, backend=backend)

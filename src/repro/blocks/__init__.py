@@ -1,6 +1,6 @@
 """The nine SAM dataflow block families (paper sections 3 and 4)."""
 
-from .array import ArrayLoad, ArrayStore
+from .array import ArrayLoad
 from .base import (
     Block,
     BlockError,
@@ -12,17 +12,16 @@ from .base import (
     StreamFeeder,
     StreamXfer,
 )
-from .bitvector import BVExpander, BVIntersect, BVUnion, BitvectorConverter
+from .bitvector import BVExpander, BVIntersect
 from .compute import ALU, Exp, OPERATORS, ScalarALU
 from .drop import CoordDropper, ValueDropper
 from .locate import Locator
 from .merge import Intersect, MergeSide, Union
-from .parallel import InterleaveSerializer, Parallelizer, Serializer
+from .parallel import InterleaveSerializer, Parallelizer
 from .reduce import MatrixReducer, ScalarReducer, VectorReducer
 from .repeat import REPEAT, RepeatSigGen, Repeater, make_repeater
 from .scanner import (
     BitvectorLevelScanner,
-    CompressedLevelScanner,
     LevelScanner,
     UncompressedLevelScanner,
     make_scanner,
@@ -39,15 +38,11 @@ from .writer import (
 __all__ = [
     "ALU",
     "ArrayLoad",
-    "ArrayStore",
     "BVExpander",
     "BVIntersect",
-    "BVUnion",
-    "BitvectorConverter",
     "BitvectorLevelScanner",
     "Block",
     "BlockError",
-    "CompressedLevelScanner",
     "CompressedLevelWriter",
     "CoordDropper",
     "Exp",
@@ -70,7 +65,6 @@ __all__ = [
     "ScalarALU",
     "ScalarReducer",
     "ScatterValsWriter",
-    "Serializer",
     "Sink",
     "StreamFeeder",
     "StreamXfer",

@@ -1,10 +1,8 @@
-"""Array blocks: memory proxies (Definition 3.5).
+"""The array block: a memory proxy (Definition 3.5).
 
-An array block is "a proxy for a memory interface".  In load mode it
-turns a reference stream into a data stream by indexing a contiguous
-memory; in store mode it writes a data stream to the locations named by a
-reference stream.  Arrays store values, coordinates, and references; the
-common case in compute pipelines is a value load feeding an ALU.
+An array block is "a proxy for a memory interface".  Graphs here use it
+in load mode only: it turns a reference stream into a data stream by
+indexing a contiguous memory, the value load that feeds an ALU.
 
 ``N`` references load as ``0.0`` — this, together with the unioner's
 ``N`` emission and the ALU's N-as-zero rule, implements addition's
@@ -13,13 +11,13 @@ identity without materialising zeros.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..streams.channel import Channel
 from ..streams.token import is_data, is_done, is_empty
-from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
+from .base import Block, PortSpec, StreamXfer, TimingDescriptor
 
 
 class ArrayLoad(Block):
@@ -101,52 +99,3 @@ class ArrayLoad(Block):
         return self._t_unary_window(
             self.in_ref, self._tbuilder(self.out_data), *self.map_parts()
         )
-
-
-class ArrayStore(Block):
-    """Store mode: writes data tokens at the referenced locations.
-
-    The backing list grows on demand; control tokens on either stream are
-    consumed in lockstep and produce no side effect.
-    """
-
-    primitive = "array"
-
-    port_specs = (
-        PortSpec('in_ref', 'in', kind='ref'),
-        PortSpec('in_data', 'in', kind='vals'),
-    )
-    stream_xfer = StreamXfer(
-        ins=(("in_ref", "d"), ("in_data", "d")),
-    )
-
-    def __init__(
-        self,
-        in_ref: Channel,
-        in_data: Channel,
-        memory: Optional[List[float]] = None,
-        name: str = "array_store",
-    ):
-        super().__init__(name)
-        self.memory: List[float] = memory if memory is not None else []
-        self.in_ref = self._in("in_ref", in_ref)
-        self.in_data = self._in("in_data", in_data)
-        self.stores = 0
-
-    def _run(self):
-        while True:
-            ref = yield from self._get(self.in_ref)
-            data = yield from self._get(self.in_data)
-            if is_done(ref) and is_done(data):
-                yield True
-                return
-            if is_data(ref):
-                if not is_data(data) and not is_empty(data):
-                    raise BlockError(
-                        f"{self.name}: reference {ref} paired with {data!r}"
-                    )
-                while len(self.memory) <= ref:
-                    self.memory.append(0.0)
-                self.memory[ref] = 0.0 if is_empty(data) else data
-                self.stores += 1
-            yield True

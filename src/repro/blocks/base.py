@@ -35,7 +35,7 @@ from ..streams.timing import (
     split_done_stamped,
     token_order_indices,
 )
-from ..streams.token import DONE, is_data, is_done, is_stop
+from ..streams.token import DONE, is_done, is_stop
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -831,17 +831,3 @@ class Sink(Block):
         if self.in_.capacity is not None:
             self.in_.record_pops(c + self.in_.timed.delta_pop)
         return True
-
-
-def expect_data(token, block: Block, what: str = "data token"):
-    """Protocol assertion helper with a readable error message."""
-    if not is_data(token):
-        raise BlockError(f"{block.name}: expected {what}, got {token!r}")
-    return token
-
-
-def stop_level(token) -> int:
-    """Level of a stop token (protocol-checked)."""
-    if not is_stop(token):
-        raise BlockError(f"expected stop token, got {token!r}")
-    return token.level

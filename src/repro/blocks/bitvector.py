@@ -3,14 +3,11 @@
 Bitvector streams are an alternative compression protocol on the wires:
 one data token carries ``b`` coordinates as a bit mask, so merging and
 iteration run ``b`` coordinates per cycle (pseudo-dense, but massively
-parallel).  These blocks convert between protocols and merge bitvector
-streams word-wise:
+parallel).  :class:`~repro.blocks.scanner.BitvectorLevelScanner` reads
+the words out of a bitvector level; these blocks merge and unpack them:
 
-* :class:`BitvectorConverter` — Definition 4.2: packs a coordinate
-  stream into bitvector words;
-* :class:`BVIntersect` / :class:`BVUnion` — word-wise AND / OR merges
-  that also forward each side's word and popcount base so references can
-  be recovered;
+* :class:`BVIntersect` — the word-wise AND merge, which also forwards
+  each side's word and popcount base so references can be recovered;
 * :class:`BVExpander` — unpacks merged words back into coordinate and
   per-side reference streams using the popcount protocol.
 """
@@ -23,61 +20,10 @@ from ..streams.token import DONE, EMPTY, is_data, is_done, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer
 
 
-class BitvectorConverter(Block):
-    """Packs each fiber of a coordinate stream into bitvector words."""
+class BVIntersect(Block):
+    """Word-wise AND of two aligned bitvector streams."""
 
-    primitive = "bv_convert"
-
-    port_specs = (
-        PortSpec('in_crd', 'in', kind='crd'),
-        PortSpec('out_bv', 'out', kind='bv'),
-    )
-    # Coordinates collapse into words but the stop structure is kept.
-    stream_xfer = StreamXfer(
-        ins=(("in_crd", "d"),),
-        outs=(("out_bv", "bv", "d"),),
-    )
-
-    def __init__(
-        self,
-        size: int,
-        bits_per_word: int,
-        in_crd: Channel,
-        out_bv: Channel,
-        name: str = "bvconv",
-    ):
-        super().__init__(name)
-        self.size = size
-        self.bits_per_word = bits_per_word
-        self.in_crd = self._in("in_crd", in_crd)
-        self.out_bv = self._out("out_bv", out_bv)
-
-    def _run(self):
-        num_words = max(1, -(-self.size // self.bits_per_word))
-        words = [0] * num_words
-        while True:
-            token = yield from self._get(self.in_crd)
-            if is_data(token):
-                words[token // self.bits_per_word] |= 1 << (token % self.bits_per_word)
-                yield True
-                continue
-            if is_stop(token):
-                for word in words:
-                    self.out_bv.push(word)
-                    yield True
-                self.out_bv.push(token)
-                words = [0] * num_words
-                yield True
-                continue
-            self.out_bv.push(DONE)
-            yield True
-            return
-
-
-class _BVMerge(Block):
-    """Shared word-aligned machinery for bitvector intersect/union."""
-
-    combine = staticmethod(lambda a, b: a & b)
+    primitive = "intersect"
 
     port_specs = (
         PortSpec('in_bv_a', 'in', kind='bv'),
@@ -150,7 +96,7 @@ class _BVMerge(Block):
                 yield True
                 continue
             if is_data(wa) and is_data(wb):
-                self.out_bv.push(self.combine(wa, wb))
+                self.out_bv.push(wa & wb)
                 self.out_word_a.push(wa)
                 self.out_base_a.push(ba)
                 self.out_word_b.push(wb)
@@ -160,20 +106,6 @@ class _BVMerge(Block):
             raise BlockError(
                 f"{self.name}: bitvector streams not word-aligned ({wa!r} vs {wb!r})"
             )
-
-
-class BVIntersect(_BVMerge):
-    """Word-wise AND of two aligned bitvector streams."""
-
-    primitive = "intersect"
-    combine = staticmethod(lambda a, b: a & b)
-
-
-class BVUnion(_BVMerge):
-    """Word-wise OR of two aligned bitvector streams."""
-
-    primitive = "union"
-    combine = staticmethod(lambda a, b: a | b)
 
 
 class BVExpander(Block):

@@ -1,12 +1,12 @@
 """Coarse-grained parallelism: parallelizers and serializers (section 4.4).
 
 SAM expresses coarse-grained parallelism by forking streams with a
-parallelizer and joining them with a serializer.  Our blocks distribute
-*fibers* round-robin across lanes (the granularity Gamma-style designs
-parallelise at): every lane receives every stop/done token so each lane
-remains a well-formed stream, but the data tokens of fiber ``f`` go only
-to lane ``f mod L``.  The serializer is the exact inverse, interleaving
-lane fibers back into one sequential stream.
+parallelizer and joining them with a serializer.  The parallelizer
+distributes fibers (or, Gamma-style, the elements of each fiber)
+round-robin across lanes; every lane receives every stop/done token so
+each lane remains a well-formed stream.  The interleaving serializer
+rejoins the independent streams the lanes' pipelines produce, one whole
+fiber at a time in rotation, into one sequential stream.
 
 Both the parallelizer and the interleaving serializer carry timed-batch
 drains (rate-1, one event per token, matching their generators cycle for
@@ -155,64 +155,6 @@ class Parallelizer(Block):
             out.flush()
         self._t_window_done(self.in_, head.ends_done, tail)
         return True
-
-
-class Serializer(Block):
-    """Join L lane streams produced by a Parallelizer back into one."""
-
-    primitive = "serialize"
-
-    port_specs = (
-        PortSpec('in{i}', 'in', kind=None, variadic=True),
-        PortSpec('out', 'out', kind=None),
-    )
-    # Lane streams carry identical boundary structure; the join keeps it.
-    stream_xfer = StreamXfer(
-        ins=(("in{i}", "d"),),
-        outs=(("out", "=in0", "d"),),
-    )
-
-    def __init__(self, ins: List[Channel], out: Channel, name: str = "ser"):
-        super().__init__(name)
-        if not ins:
-            raise BlockError(f"{name}: need at least one input lane")
-        self.ins = [self._in(f"in{i}", ch) for i, ch in enumerate(ins)]
-        self.out = self._out("out", out)
-
-    def _run(self):
-        lane = 0
-        while True:
-            active = self.ins[lane % len(self.ins)]
-            token = yield from self._get(active)
-            if is_data(token):
-                self.out.push(token)
-                yield True
-                continue
-            if is_stop(token):
-                # Other lanes carry the same stop; consume theirs too.
-                for i, channel in enumerate(self.ins):
-                    if channel is active:
-                        continue
-                    other = yield from self._get(channel)
-                    if other != token:
-                        raise BlockError(
-                            f"{self.name}: lane {i} out of sync "
-                            f"({other!r} vs {token!r})"
-                        )
-                self.out.push(token)
-                lane += 1
-                yield True
-                continue
-            # done on the active lane: all lanes must be done.
-            for channel in self.ins:
-                if channel is active:
-                    continue
-                other = yield from self._get(channel)
-                if not is_done(other):
-                    raise BlockError(f"{self.name}: lane desync at D ({other!r})")
-            self.out.push(DONE)
-            yield True
-            return
 
 
 class InterleaveSerializer(Block):

@@ -425,18 +425,6 @@ class FiberRuns:
         self._held, self.at = _NO_SPANS, 0
 
 
-class CompressedLevelScanner(LevelScanner):
-    """Scanner over a compressed (seg/crd) level."""
-
-    def __init__(self, level, *args, **kwargs):
-        if level.format_name != "compressed":
-            raise BlockError(
-                "CompressedLevelScanner needs a compressed level, "
-                f"got {level.format_name}"
-            )
-        super().__init__(level, *args, **kwargs)
-
-
 class UncompressedLevelScanner(LevelScanner):
     """Scanner over an uncompressed (dense) level."""
 

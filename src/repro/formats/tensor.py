@@ -412,9 +412,6 @@ class FiberTensor:
         total = int(np.prod(self.shape)) if self.shape else 1
         return self.nnz / total if total else 0.0
 
-    def level_format(self, depth: int) -> str:
-        return self.levels[depth].format_name
-
     def memory_footprint(self) -> int:
         """Stored words: level metadata plus the value array."""
         return sum(lv.memory_footprint() for lv in self.levels) + int(self.vals.size)

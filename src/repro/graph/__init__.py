@@ -1,6 +1,6 @@
 """SAM dataflow graph IR, DOT export, builder, and simulator binding."""
 
-from .bind import BoundGraph, bind, node_ports
+from .bind import BoundGraph, bind
 from .builder import (
     Graph,
     GraphNode,
@@ -9,8 +9,16 @@ from .builder import (
     active_capture,
     capture_runs,
 )
-from .dot import blocks_to_dot, to_dot, write_dot
-from .ir import Edge, GraphError, Node, SamGraph, fanout_groups
+from .dot import to_dot, write_dot
+from .ir import (
+    NODE_KINDS,
+    Edge,
+    GraphError,
+    Node,
+    SamGraph,
+    fanout_groups,
+    node_ports,
+)
 
 __all__ = [
     "BoundGraph",
@@ -21,11 +29,11 @@ __all__ = [
     "active_capture",
     "capture_runs",
     "Edge",
+    "NODE_KINDS",
     "GraphError",
     "Node",
     "SamGraph",
     "bind",
-    "blocks_to_dot",
     "fanout_groups",
     "node_ports",
     "to_dot",

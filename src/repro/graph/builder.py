@@ -110,8 +110,8 @@ class GraphNode:
     ``inputs`` maps each open (unfed) stream name to its channel,
     ``outputs`` each unconsumed one; handing those channels to blocks of
     the enclosing :class:`Graph` — a ``Parallelizer`` fanning into each
-    lane's input, a ``Serializer`` draining each lane's output — wires
-    the composition without touching the subgraph's internals.
+    lane's input, an ``InterleaveSerializer`` draining each lane's output
+    — wires the composition without touching the subgraph's internals.
     """
 
     def __init__(self, graph: "Graph", inputs: Dict[str, Channel],
@@ -155,9 +155,6 @@ class Graph:
         self._produced: Set[str] = set()
         #: channel ids exempt from connectivity checks (see :meth:`unused`)
         self._unchecked: Set[int] = set()
-        #: subgraph name -> member blocks, recorded by :meth:`include`
-        #: (consumed by the DOT renderer for cluster grouping)
-        self.groups: Dict[str, List[Block]] = {}
 
     # -- channels and blocks --------------------------------------------
     def channel(
@@ -200,9 +197,9 @@ class Graph:
         """Declare stream *name* at its producer; creates the channel.
 
         A second ``out()`` for the same name is rejected immediately —
-        one stream has one producer (merge explicitly through a
-        ``Serializer`` instead).  Adopts a forward-referenced channel
-        created earlier by :meth:`in_` when the declarations agree;
+        one stream has one producer (merge explicitly through an
+        ``InterleaveSerializer`` instead).  Adopts a forward-referenced
+        channel created earlier by :meth:`in_` when the declarations agree;
         conflicting re-declarations (a different kind or capacity than
         the forward reference committed to) raise instead of silently
         mutating the channel consumers already hold.
@@ -212,7 +209,7 @@ class Graph:
         if name in self._produced:
             raise GraphValidationError(
                 f"stream {name!r} declared by two producers; merge them "
-                f"through a Serializer or rename one"
+                f"through an InterleaveSerializer or rename one"
             )
         self._produced.add(name)
         if name in self.channels:
@@ -303,7 +300,7 @@ class Graph:
                 names = ", ".join(f"{b.name}.{p}" for b, p in plist)
                 violations.append(
                     f"stream {chan.name!r} has multiple producers ({names}); "
-                    f"merge them through a Serializer"
+                    f"merge them through an InterleaveSerializer"
                 )
             if cid not in consumers and cid not in self._unchecked:
                 block, port = plist[0]
@@ -429,7 +426,6 @@ class Graph:
             self.channels[key] = chan
         self.blocks.extend(node.graph.blocks)
         self._unchecked |= node.graph._unchecked
-        self.groups[prefix or node.name] = list(node.graph.blocks)
         return node
 
     # -- execution -------------------------------------------------------

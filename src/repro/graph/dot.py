@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .ir import SamGraph
+from .ir import NODE_KINDS, SamGraph
 
 _EDGE_STYLE = {
     "ref": 'style=dashed, color="gray40"',
@@ -18,22 +18,6 @@ _EDGE_STYLE = {
     "vals": 'color="blue", penwidth=2',
     "bv": 'color="purple"',
     "repsig": 'style=dotted, color="orange"',
-}
-
-_NODE_SHAPE = {
-    "level_scanner": "box",
-    "level_writer": "box",
-    "vals_writer": "box",
-    "array": "cylinder",
-    "intersect": "diamond",
-    "union": "diamond",
-    "repeat": "parallelogram",
-    "alu": "circle",
-    "reduce": "house",
-    "crd_drop": "trapezium",
-    "locate": "component",
-    "root": "point",
-    "sink": "point",
 }
 
 
@@ -55,7 +39,8 @@ def to_dot(
     fused = {name for _, names in drawn for name in names}
 
     def node_line(node):
-        shape = _NODE_SHAPE.get(node.kind, "box")
+        row = NODE_KINDS.get(node.kind)
+        shape = "box" if row is None else row.shape
         return f'  "{node.name}" [label="{node.label()}", shape={shape}];'
 
     for si, (kind, names) in enumerate(drawn):
@@ -86,59 +71,3 @@ def write_dot(graph: SamGraph, path: str) -> str:
     with open(path, "w") as handle:
         handle.write(text)
     return path
-
-
-def blocks_to_dot(graph) -> str:
-    """Render a wired block graph (:class:`repro.graph.builder.Graph`).
-
-    Works on the instantiated-block plane rather than the IR plane:
-    edges are recovered from channel identity across each block's
-    registered ports and labelled with the producer/consumer port names;
-    subgraphs recorded by :meth:`Graph.include` become clusters.
-    """
-    producers = {}
-    consumers = {}
-    chans = {}
-    for block in graph.blocks:
-        for port, chan in block.outputs.items():
-            producers.setdefault(id(chan), []).append((block.name, port))
-            chans[id(chan)] = chan
-        for port, chan in block.inputs.items():
-            consumers.setdefault(id(chan), []).append((block.name, port))
-            chans[id(chan)] = chan
-
-    grouped = {}
-    for gname, members in getattr(graph, "groups", {}).items():
-        for block in members:
-            grouped[block.name] = gname
-
-    def node_line(block, indent="  "):
-        shape = _NODE_SHAPE.get(block.primitive, "box")
-        return (
-            f'{indent}"{block.name}" '
-            f'[label="{block.name}\\n{block.primitive}", shape={shape}];'
-        )
-
-    lines = [f'digraph "{graph.name}" {{', "  rankdir=LR;",
-             "  node [fontsize=10];"]
-    for gi, (gname, members) in enumerate(
-            sorted(getattr(graph, "groups", {}).items())):
-        lines.append(f"  subgraph cluster_sub_{gi} {{")
-        lines.append(f'    label="{gname}"; style=dashed; color="gray50";')
-        for block in members:
-            lines.append(node_line(block, indent="    "))
-        lines.append("  }")
-    for block in graph.blocks:
-        if block.name not in grouped:
-            lines.append(node_line(block))
-    for cid, chan in chans.items():
-        style = _EDGE_STYLE.get(chan.kind, "color=black")
-        for src, sport in producers.get(cid, ()):
-            for dst, dport in consumers.get(cid, ()):
-                lines.append(
-                    f'  "{src}" -> "{dst}" '
-                    f'[label="{chan.name}", taillabel="{sport}", '
-                    f'headlabel="{dport}", fontsize=8, {style}];'
-                )
-    lines.append("}")
-    return "\n".join(lines)

@@ -6,32 +6,39 @@ typed stream edges.  The IR is deliberately close to the paper's figures
 — one node per drawn block — so :mod:`repro.graph.dot` renders graphs
 that look like Figure 4, and :meth:`SamGraph.primitive_counts` produces
 the right-hand side of Table 1.
+
+Every node kind is declared once, as one :data:`NODE_KINDS` row: its
+ports, its Table 1 column, its DOT shape and the blocks
+:func:`repro.graph.bind.bind` makes of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-#: node kinds that correspond to countable SAM primitives, mapped to the
-#: Table 1 column they are tallied under.
-PRIMITIVE_COLUMNS = {
-    "level_scanner": "level_scanner",
-    "repeat": "repeat",
-    "intersect": "intersect",
-    "union": "union",
-    "alu": "alu",
-    "reduce": "reduce",
-    "crd_drop": "crd_drop",
-    "level_writer": "level_writer",
-    "vals_writer": "level_writer",
-    "array": "array",
-    "locate": "locate",
-    "bv_convert": "bv_convert",
-}
-
-#: non-primitive plumbing kinds (wires, sources, sinks)
-PLUMBING_KINDS = ("root", "source", "sink", "broadcast")
+from ..blocks import (
+    ALU,
+    ArrayLoad,
+    CompressedLevelWriter,
+    CoordDropper,
+    Intersect,
+    Locator,
+    MatrixReducer,
+    MergeSide,
+    RootFeeder,
+    ScalarALU,
+    ScalarReducer,
+    Sink,
+    StreamFeeder,
+    UncompressedLevelWriter,
+    Union,
+    ValsWriter,
+    ValueDropper,
+    VectorReducer,
+    make_repeater,
+    make_scanner,
+)
 
 
 class GraphError(ValueError):
@@ -64,6 +71,188 @@ class Edge:
     dst: str
     dst_port: str
     kind: str = "crd"  # crd | ref | vals | bv | repsig
+
+
+Ports = List[Tuple[str, str]]
+
+
+class NodeKind(NamedTuple):
+    """One SAM node kind, declared once.
+
+    ``ports`` maps a node's params to its (inputs, outputs), each a list
+    of (port, stream kind) pairs; ``column`` is the Table 1 column the
+    node is tallied under (None for plumbing: roots, sources, sinks);
+    ``shape`` is its DOT node shape.  ``build(node, ins, out, binding)``
+    returns the blocks the node binds to, in order: ``ins`` and ``out``
+    map port names to channels (a missing required input raises
+    :class:`GraphError`), and ``binding`` resolves the node's operand
+    (``tensor(node)``, ``level(node)``) and holds the ``builder``.
+    """
+
+    ports: Callable[[Dict], Tuple[Ports, Ports]]
+    column: Optional[str]
+    shape: str
+    build: Callable
+
+
+def _fixed(ins: Ports, outs: Ports) -> Callable[[Dict], Tuple[Ports, Ports]]:
+    return lambda params: (list(ins), list(outs))
+
+
+def _scanner_ports(params: Dict) -> Tuple[Ports, Ports]:
+    ins = [("ref", "ref")] + ([("skip", "crd")] if params.get("skip") else [])
+    return ins, [("crd", "crd"), ("ref", "ref")]
+
+
+def _merger_ports(params: Dict) -> Tuple[Ports, Ports]:
+    ins: Ports = []
+    outs = [("crd", "crd")]
+    for i, arity in enumerate(params["sides"]):
+        ins.append((f"crd{i}", "crd"))
+        for j in range(arity):
+            ins.append((f"ref{i}_{j}", "ref"))
+            outs.append((f"ref{i}_{j}", "ref"))
+        if params.get("skipping"):
+            outs.append((f"skip{i}", "crd"))
+    return ins, outs
+
+
+def _alu_ports(params: Dict) -> Tuple[Ports, Ports]:
+    ins = [("a", "vals")] + ([] if "const" in params else [("b", "vals")])
+    return ins, [("val", "vals")]
+
+
+#: a reducer's ports per dimension ``n``: coordinates reduced, then values
+_REDUCED = {0: ("val",), 1: ("crd", "val"), 2: ("crd_outer", "crd_inner", "val")}
+
+
+def _reduce_ports(params: Dict) -> Tuple[Ports, Ports]:
+    n = params.get("n", 0)
+    if n not in _REDUCED:
+        raise GraphError(f"reducer dimension n={n} not supported")
+    ports = [(port, "vals" if port == "val" else "crd") for port in _REDUCED[n]]
+    return ports, list(ports)
+
+
+def _drop_ports(params: Dict) -> Tuple[Ports, Ports]:
+    inner = "vals" if params.get("mode", "fiber") == "value" else "crd"
+    ports = [("outer", "crd"), ("inner", inner)]
+    return ports, list(ports)
+
+
+def _locate_ports(params: Dict) -> Tuple[Ports, Ports]:
+    ins = [("crd", "crd"), ("ref", "ref")]
+    if params.get("use_target"):
+        ins.append(("target", "ref"))
+    return ins, [("crd", "crd"), ("ref_found", "ref"), ("ref_in", "ref")]
+
+
+def _merger(cls) -> Callable:
+    def build(node, ins, out, binding):
+        sides: List[MergeSide] = []
+        out_refs = []
+        for i, arity in enumerate(node.params["sides"]):
+            refs = [ins[f"ref{i}_{j}"] for j in range(arity)]
+            skip = out.get(f"skip{i}") if node.params.get("skipping") else None
+            if skip is not None:
+                # Side-band port: the merger holds the skip channel
+                # without registering it, so exempt it from the
+                # producerless-stream check.
+                binding.builder.unused(skip)
+            sides.append(MergeSide(ins[f"crd{i}"], refs, skip=skip))
+            out_refs.append([out[f"ref{i}_{j}"] for j in range(arity)])
+        return (cls(sides, out["crd"], out_refs, name=node.name),)
+
+    return build
+
+
+def _alu(node, ins, out, binding):
+    op = node.params["op"]
+    if "const" in node.params:
+        return (ScalarALU(op, node.params["const"], ins["a"], out["val"],
+                          name=node.name),)
+    return (ALU(op, ins["a"], ins["b"], out["val"], name=node.name),)
+
+
+def _reduce(node, ins, out, binding):
+    n = node.params.get("n", 0)
+    if n == 0:
+        return (ScalarReducer(
+            ins["val"], out["val"],
+            empty_policy=node.params.get("empty_policy", "zero"), name=node.name),)
+    if n == 1:
+        return (VectorReducer(
+            ins["crd"], ins["val"], out["crd"], out["val"],
+            flush_level=node.params.get("flush_level", 1), name=node.name),)
+    return (MatrixReducer(
+        ins["crd_outer"], ins["crd_inner"], ins["val"],
+        out["crd_outer"], out["crd_inner"], out["val"], name=node.name),)
+
+
+def _drop(node, ins, out, binding):
+    cls = ValueDropper if node.params.get("mode") == "value" else CoordDropper
+    return (cls(ins["outer"], ins["inner"], out["outer"], out["inner"],
+                name=node.name),)
+
+
+def _level_writer(node, ins, out, binding):
+    if node.params.get("format", "compressed") == "compressed":
+        return (CompressedLevelWriter(ins["crd"], name=node.name),)
+    return (UncompressedLevelWriter(node.params["size"], ins["crd"],
+                                    name=node.name),)
+
+
+#: every SAM node kind, by the name :meth:`SamGraph.add` takes
+NODE_KINDS: Dict[str, NodeKind] = {
+    "root": NodeKind(
+        _fixed([], [("ref", "ref")]), None, "point",
+        lambda node, ins, out, binding: (RootFeeder(out["ref"], name=node.name),)),
+    "source": NodeKind(
+        lambda params: ([], [("out", params.get("stream_kind", "crd"))]), None, "box",
+        lambda node, ins, out, binding: (
+            StreamFeeder(node.params["tokens"], out["out"], name=node.name),)),
+    "sink": NodeKind(
+        _fixed([("in", "crd")], []), None, "point",
+        lambda node, ins, out, binding: (Sink(ins["in"], name=node.name),)),
+    "level_scanner": NodeKind(
+        _scanner_ports, "level_scanner", "box",
+        lambda node, ins, out, binding: (make_scanner(
+            binding.level(node), ins["ref"], out["crd"], out["ref"],
+            in_skip=ins.get("skip"), name=node.name),)),
+    "repeat": NodeKind(
+        _fixed([("crd", "crd"), ("ref", "ref")], [("ref", "ref")]), "repeat",
+        "parallelogram",
+        lambda node, ins, out, binding: make_repeater(
+            ins["crd"], ins["ref"], out["ref"], name=node.name)),
+    "intersect": NodeKind(_merger_ports, "intersect", "diamond", _merger(Intersect)),
+    "union": NodeKind(_merger_ports, "union", "diamond", _merger(Union)),
+    "alu": NodeKind(_alu_ports, "alu", "circle", _alu),
+    "reduce": NodeKind(_reduce_ports, "reduce", "house", _reduce),
+    "crd_drop": NodeKind(_drop_ports, "crd_drop", "trapezium", _drop),
+    "array": NodeKind(
+        _fixed([("ref", "ref")], [("val", "vals")]), "array", "cylinder",
+        lambda node, ins, out, binding: (ArrayLoad(
+            binding.tensor(node).vals, ins["ref"], out["val"], name=node.name),)),
+    "level_writer": NodeKind(
+        _fixed([("crd", "crd")], []), "level_writer", "box", _level_writer),
+    "vals_writer": NodeKind(
+        _fixed([("val", "vals")], []), "level_writer", "box",
+        lambda node, ins, out, binding: (ValsWriter(ins["val"], name=node.name),)),
+    "locate": NodeKind(
+        _locate_ports, "locate", "component",
+        lambda node, ins, out, binding: (Locator(
+            binding.level(node), ins["crd"], ins["ref"], out["crd"],
+            out["ref_found"], out["ref_in"], in_target_ref=ins.get("target"),
+            name=node.name),)),
+}
+
+
+def node_ports(node: Node) -> Tuple[Ports, Ports]:
+    """(inputs, outputs) as (port, stream-kind) pairs for *node*'s kind."""
+    row = NODE_KINDS.get(node.kind)
+    if row is None:
+        raise GraphError(f"unknown node kind {node.kind!r}")
+    return row.ports(node.params)
 
 
 class SamGraph:
@@ -142,10 +331,6 @@ class SamGraph:
         name = node.name if isinstance(node, Node) else node
         return [e for e in self.edges if e.dst == name]
 
-    def out_edges(self, node: "Node | str") -> List[Edge]:
-        name = node.name if isinstance(node, Node) else node
-        return [e for e in self.edges if e.src == name]
-
     def nodes_of_kind(self, kind: str) -> List[Node]:
         return [n for n in self.nodes.values() if n.kind == kind]
 
@@ -153,9 +338,9 @@ class SamGraph:
         """Tally nodes per Table 1 column (plumbing kinds excluded)."""
         counts: Dict[str, int] = {}
         for node in self.nodes.values():
-            column = PRIMITIVE_COLUMNS.get(node.kind)
-            if column is not None:
-                counts[column] = counts.get(column, 0) + 1
+            row = NODE_KINDS.get(node.kind)
+            if row is not None and row.column is not None:
+                counts[row.column] = counts.get(row.column, 0) + 1
         return counts
 
     # -- validation ------------------------------------------------------
@@ -169,9 +354,10 @@ class SamGraph:
             seen.add(key)
         driven = {dst for dst, _ in seen}
         for node in self.nodes.values():
-            if node.kind in PLUMBING_KINDS:
-                continue
-            if node.kind != "root" and node.name not in driven:
+            row = NODE_KINDS.get(node.kind)
+            if row is not None and row.column is None:
+                continue  # plumbing
+            if node.name not in driven:
                 raise GraphError(f"node {node.name!r} ({node.kind}) has no inputs")
         return self
 

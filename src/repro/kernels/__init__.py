@@ -10,7 +10,7 @@ from .sddmm import (
     sddmm_reference,
     sddmm_unfused,
 )
-from .spmm import FAMILY, ORDERS, run_spmm, spmm_all_orders, spmm_program
+from .spmm import FAMILY, ORDERS, run_spmm, spmm_program
 from .spmv import spmv_locate, spmv_program, spmv_scatter
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "sddmm_fused_locate",
     "sddmm_reference",
     "sddmm_unfused",
-    "spmm_all_orders",
     "spmm_program",
     "spmv_locate",
     "spmv_scatter",

@@ -11,10 +11,12 @@ matching section 6.3's accelerator-structure study:
 * ``bv_split``   — two bitvector levels (a bit-tree).
 
 Each builder returns a :class:`VecMulResult` with the output values and
-the simulated cycle count.  The compressed/dense/split variants are
-compiled by Custard; the skip and bitvector variants are hand-wired
-because they exercise blocks the compiler does not emit (skip channels,
-bitvector mergers).
+the simulated cycle count.  The compressed, dense, skip and split
+variants are compiled by Custard (``crd_skip`` with
+``coordinate_skipping=True``, which wires the merger's skip channels
+back to its scanners); the bitvector variants are hand-wired because
+they exercise blocks the compiler does not emit (bitvector mergers and
+expanders).
 """
 
 from __future__ import annotations
@@ -31,13 +33,10 @@ from ..blocks import (
     BVIntersect,
     BitvectorLevelScanner,
     CompressedLevelWriter,
-    Intersect,
-    MergeSide,
     RootFeeder,
     ValsWriter,
-    make_scanner,
 )
-from ..formats import BitvectorLevel, FiberTensor
+from ..formats import BitvectorLevel
 from ..graph.builder import Graph
 
 CONFIGS = ("dense", "crd", "crd_skip", "crd_split", "bv", "bv_split")
@@ -77,8 +76,9 @@ def _compiled_vecmul(config: str, b, c, split: int,
             "x(i) = b(i) * c(i)", formats={"b": ["dense"], "c": ["dense"]}
         )
         res = prog.run({"b": b, "c": c}, backend=backend)
-    elif config == "crd":
-        prog = compile_expression("x(i) = b(i) * c(i)")
+    elif config in ("crd", "crd_skip"):
+        prog = compile_expression("x(i) = b(i) * c(i)",
+                                  coordinate_skipping=config == "crd_skip")
         res = prog.run({"b": b, "c": c}, backend=backend)
     elif config == "crd_split":
         shape = _split_shape(b.size, split)
@@ -88,49 +88,10 @@ def _compiled_vecmul(config: str, b, c, split: int,
     else:  # pragma: no cover - guarded by vecmul()
         raise ValueError(config)
     out = res.output
-    return VecMulResult(config, res.cycles, out.vals, np.empty(0, dtype=np.int64))
-
-
-def _skip_vecmul(b, c, backend: Optional[str] = None) -> VecMulResult:
-    """Compressed coiteration with the galloping feedback of section 4.2."""
-    bt = FiberTensor.from_numpy(np.asarray(b, dtype=float), name="b")
-    ct = FiberTensor.from_numpy(np.asarray(c, dtype=float), name="c")
-    g = Graph("vecmul_crd_skip")
-
-    for tensor, tag in ((bt, "b"), (ct, "c")):
-        g.add(RootFeeder(g.out(f"{tag}_root", "ref"), name=f"root_{tag}"))
-        # The skip stream flows backwards (merger -> scanner) through the
-        # merger's side-band port, so it is forward-referenced here and
-        # exempted from the producerless-stream check.
-        g.add(
-            make_scanner(
-                tensor.levels[0],
-                g.in_(f"{tag}_root"),
-                g.out(f"{tag}_crd"),
-                g.out(f"{tag}_ref", "ref"),
-                in_skip=g.in_(f"{tag}_skip", kind="crd"),
-                name=f"scan_{tag}",
-            )
-        )
-        g.unused(f"{tag}_skip")
-    g.add(
-        Intersect(
-            [
-                MergeSide(g.in_("b_crd"), [g.in_("b_ref")], skip=g.in_("b_skip")),
-                MergeSide(g.in_("c_crd"), [g.in_("c_ref")], skip=g.in_("c_skip")),
-            ],
-            g.out("x_crd"),
-            [[g.out("xb_ref", "ref")], [g.out("xc_ref", "ref")]],
-            name="intersect_i",
-        )
-    )
-    g.add(ArrayLoad(bt.vals, g.in_("xb_ref"), g.out("b_val", "vals"), name="vals_b"))
-    g.add(ArrayLoad(ct.vals, g.in_("xc_ref"), g.out("c_val", "vals"), name="vals_c"))
-    g.add(ALU("mul", g.in_("b_val"), g.in_("c_val"), g.out("x_val", "vals"), name="mul"))
-    crd_writer = g.add(CompressedLevelWriter(g.in_("x_crd"), name="write_crd"))
-    val_writer = g.add(ValsWriter(g.in_("x_val"), name="write_vals"))
-    report = g.run(backend=backend)
-    return VecMulResult("crd_skip", report.cycles, val_writer.vals, crd_writer.crd)
+    # x(i) over compressed operands writes one compressed level
+    compressed = config in ("crd", "crd_skip")
+    coords = out.levels[0].crd if compressed else np.empty(0, dtype=np.int64)
+    return VecMulResult(config, res.cycles, out.vals, coords)
 
 
 def _bv_chain(tag: str, levels: Sequence[BitvectorLevel], g: Graph):
@@ -253,9 +214,7 @@ def vecmul(
     """Run one Figure 13 configuration of ``x(i) = b(i) * c(i)``."""
     if config not in CONFIGS:
         raise ValueError(f"unknown config {config!r}; choose from {CONFIGS}")
-    if config in ("dense", "crd", "crd_split"):
+    if config in ("dense", "crd", "crd_skip", "crd_split"):
         return _compiled_vecmul(config, b, c, split, backend=backend)
-    if config == "crd_skip":
-        return _skip_vecmul(b, c, backend=backend)
     return _bv_vecmul(b, c, bits_per_word, split=config == "bv_split",
                       backend=backend)

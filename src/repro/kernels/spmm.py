@@ -14,7 +14,7 @@ reads ``B`` column-major), exactly as the paper's DCSR assumption allows.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -57,14 +57,3 @@ def run_spmm(
     return spmm_program(order).run(
         {"B": np.asarray(B, float), "C": np.asarray(C, float)}, backend=backend
     )
-
-
-def spmm_all_orders(
-    B: np.ndarray, C: np.ndarray, backend: Optional[str] = None
-) -> Dict[str, Tuple[int, RunResult]]:
-    """Figure 12: cycles for every ijk permutation."""
-    results = {}
-    for order in ORDERS:
-        result = run_spmm(B, C, order, backend=backend)
-        results[order] = (result.cycles, result)
-    return results

@@ -707,13 +707,6 @@ class TimedBuilder:
         self._ccode.append(filled(count, code))
         self._sctrl.append(filled(count, stamp))
 
-    def ctrl_run(self, code: int, stamps: np.ndarray) -> None:
-        count = len(stamps)
-        if count:
-            self._cpos.append(filled(count, self._n))
-            self._ccode.append(filled(count, code))
-            self._sctrl.append(np.asarray(stamps, dtype=np.int64))
-
     def token(self, token, stamp: int) -> None:
         from .batch import encode_token
 

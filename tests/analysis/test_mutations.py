@@ -101,18 +101,18 @@ def _mut_outerspace_depth(by):
 
 def _mut_elementwise_kind(by):
     # intersection coordinates wired into the multiplier's vals port
-    by["mul"].rebind_input("in_b", by["intersect_i"].outputs["out_crd"])
+    by["mul_t0_0"].rebind_input("in_b", by["intersect_i_t0"].outputs["out_crd"])
 
 
 def _mut_elementwise_capacity(by):
     # b-side ref FIFO under-provisioned for the vals_c/mul reconvergence
-    by["intersect_i"].outputs["out_ref0_0"].capacity = 1
+    by["intersect_i_t0"].outputs["out_ref0_0"].capacity = 1
 
 
 def _mut_elementwise_cycle(by):
     # drop the scanner's skip-channel credit: the backwards skip edge
     # from the intersect becomes blocking and closes a real cycle
-    by["scan_b"].nonblocking_inputs = ()
+    by["scan_b_0_0_i"].nonblocking_inputs = ()
 
 
 CASES = [
@@ -144,11 +144,11 @@ CASES = [
     ("outerspace-depth", "outerspace", 0, _mut_outerspace_depth,
      ("error", "protocol", "depth-mismatch", "intersect_k", "crd1")),
     ("elementwise-kind", "elementwise", 2, _mut_elementwise_kind,
-     ("error", "protocol", "kind-mismatch", "mul", "in_b")),
+     ("error", "protocol", "kind-mismatch", "mul_t0_0", "in_b")),
     ("elementwise-capacity", "elementwise", 2, _mut_elementwise_capacity,
-     ("error", "deadlock", "insufficient-capacity", "vals_b", "in_ref")),
+     ("error", "deadlock", "insufficient-capacity", "vals_b_0_0", "in_ref")),
     ("elementwise-cycle", "elementwise", 2, _mut_elementwise_cycle,
-     ("error", "deadlock", "dependency-cycle", "scan_b", "")),
+     ("error", "deadlock", "dependency-cycle", "scan_b_0_0_i", "")),
 ]
 
 

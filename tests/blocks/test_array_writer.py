@@ -7,7 +7,6 @@ import pytest
 
 from repro.blocks import (
     ArrayLoad,
-    ArrayStore,
     BlockError,
     CompressedLevelWriter,
     LinkedListLevelWriter,
@@ -49,24 +48,28 @@ class TestArrayLoad:
 
 
 class TestArrayStore:
+    """The array's store mode (Definition 3.5): a value stream written at
+    the locations a reference stream names, which ``ScatterValsWriter``
+    carries out for dense left-hand sides."""
+
     def test_store_side_effect(self, engine):
         refs, data = Channel("r", kind="ref"), Channel("d", kind="vals")
-        block = ArrayStore(refs, data)
+        block = ScatterValsWriter(4, refs, data)
         run_blocks([
-            StreamFeeder([1, 3, Stop(0), DONE], refs, name="fr"),
-            StreamFeeder([7.0, 9.0, Stop(0), DONE], data, name="fd"),
+            StreamFeeder([1, 3, Stop(0), 0, Stop(1), DONE], refs, name="fr"),
+            StreamFeeder([7.0, 9.0, Stop(0), 2.0, Stop(1), DONE], data, name="fd"),
             block,
         ], backend=engine)
-        assert block.memory == [0.0, 7.0, 0.0, 9.0]
-        assert block.stores == 2
+        # Stops on both streams are consumed in lockstep and store nothing.
+        assert block.vals.tolist() == [2.0, 7.0, 0.0, 9.0]
 
     def test_ref_paired_with_stop_rejected(self, engine):
         refs, data = Channel("r", kind="ref"), Channel("d", kind="vals")
-        with pytest.raises(BlockError):
+        with pytest.raises(BlockError, match="misaligned"):
             run_blocks([
                 StreamFeeder([1, DONE], refs, name="fr"),
                 StreamFeeder([Stop(0), DONE], data, name="fd"),
-                ArrayStore(refs, data),
+                ScatterValsWriter(2, refs, data),
             ], backend=engine)
 
 

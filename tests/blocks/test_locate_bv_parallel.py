@@ -5,15 +5,15 @@ import pytest
 from repro.blocks import (
     BVExpander,
     BVIntersect,
-    BVUnion,
-    BitvectorConverter,
+    BitvectorLevelScanner,
     BlockError,
+    InterleaveSerializer,
     Locator,
     Parallelizer,
-    Serializer,
     StreamFeeder,
+    make_scanner,
 )
-from repro.formats import CompressedLevel, DenseLevel
+from repro.formats import BitvectorLevel, CompressedLevel, DenseLevel
 from repro.sim import run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
@@ -77,13 +77,18 @@ class TestLocator:
 
 class TestBitvectorBlocks:
     def test_converter_packs_fibers(self, engine):
-        crd = Channel("c")
+        # Each coordinate fiber packs into ceil(11 / 4) b-bit words, lowest
+        # coordinate in the lowest bit, one fiber after another.
+        level = BitvectorLevel.from_fibers([[0, 2, 6, 8, 9], [1, 5]], 11, 4)
+        ref = Channel("r", kind="ref")
         out = Channel("o", kind="bv", record=True)
         run_blocks([
-            StreamFeeder([0, 2, 6, 8, 9, Stop(0), DONE], crd),
-            BitvectorConverter(11, 4, crd, out),
+            StreamFeeder([0, 1, Stop(0), DONE], ref),
+            BitvectorLevelScanner(level, ref, out, Channel("f", kind="ref")),
         ], backend=engine)
-        assert list(out.history) == [0b0101, 0b0100, 0b0011, Stop(0), DONE]
+        assert list(out.history) == [
+            0b0101, 0b0100, 0b0011, Stop(0), 0b0010, 0b0010, 0, Stop(1), DONE,
+        ]
 
     def _merge(self, cls, words_a, base_a, words_b, base_b, *, backend):
         channels = {
@@ -112,15 +117,6 @@ class TestBitvectorBlocks:
         )
         assert merged == [0b0100, Stop(0), DONE]
 
-    def test_word_wise_or(self, engine):
-        merged, *_ = self._merge(
-            BVUnion,
-            [0b1100, Stop(0), DONE], [0, Stop(0), DONE],
-            [0b0101, Stop(0), DONE], [0, Stop(0), DONE],
-            backend=engine,
-        )
-        assert merged == [0b1101, Stop(0), DONE]
-
     def test_expander_popcount_refs(self, engine):
         chans = {n: Channel(n) for n in ("bv", "wa", "ba", "wb", "bb")}
         oc = Channel("oc", record=True)
@@ -142,16 +138,35 @@ class TestBitvectorBlocks:
 
 class TestParallelSerialize:
     def test_round_trip(self, engine):
-        src = Channel("s")
-        lanes = [Channel(f"l{i}") for i in range(2)]
-        out = Channel("o", record=True)
-        tokens = [0, 1, Stop(0), 2, Stop(0), 3, 4, Stop(1), DONE]
+        # Forking a reference stream element-wise, scanning each lane's
+        # references with its own scanner and rejoining the lanes gives
+        # the stream one scanner makes from the unforked references.
+        level = CompressedLevel.from_fibers([[0, 2], [1], [], [3, 4]])
+        refs = [0, 1, 2, 3, Stop(0), DONE]
+
+        src = Channel("s", kind="ref")
+        seq = Channel("q", record=True)
         run_blocks([
-            StreamFeeder(tokens, src),
-            Parallelizer(src, lanes),
-            Serializer(lanes, out),
+            StreamFeeder(refs, src),
+            make_scanner(level, src, seq, Channel("qf", kind="ref")),
         ], backend=engine)
-        assert list(out.history) == tokens
+
+        src = Channel("s", kind="ref")
+        lanes = [Channel(f"l{i}", kind="ref") for i in range(2)]
+        crds = [Channel(f"c{i}") for i in range(2)]
+        out = Channel("o", record=True)
+        run_blocks([
+            StreamFeeder(refs, src),
+            Parallelizer(src, lanes, granularity="element"),
+            *(make_scanner(level, lane, crd, Channel(f"f{i}", kind="ref"),
+                           name=f"scan{i}")
+              for i, (lane, crd) in enumerate(zip(lanes, crds))),
+            InterleaveSerializer(crds, out),
+        ], backend=engine)
+        assert list(seq.history) == [
+            0, 2, Stop(0), 1, Stop(0), Stop(0), 3, 4, Stop(1), DONE,
+        ]
+        assert list(out.history) == list(seq.history)
 
     def test_lane_distribution(self, engine):
         src = Channel("s")
@@ -166,5 +181,3 @@ class TestParallelSerialize:
     def test_zero_lanes_rejected(self):
         with pytest.raises(BlockError):
             Parallelizer(Channel("s"), [])
-        with pytest.raises(BlockError):
-            Serializer([], Channel("o"))

@@ -114,12 +114,11 @@ class TestBitvectorScanner:
 
 class TestErrors:
     def test_format_mismatch(self):
-        from repro.blocks.scanner import CompressedLevelScanner
+        from repro.blocks.scanner import UncompressedLevelScanner
 
-        with pytest.raises(BlockError):
-            CompressedLevelScanner(
-                DenseLevel(3), Channel("r"), Channel("c"), Channel("f")
-            )
+        level = CompressedLevel.from_fibers([[0, 2]])
+        with pytest.raises(BlockError, match="needs a dense level"):
+            UncompressedLevelScanner(level, Channel("r"), Channel("c"), Channel("f"))
 
     def test_bitvector_skip_unsupported(self):
         level = BitvectorLevel.from_fibers([[0]], 4, 4)

@@ -1221,7 +1221,7 @@ def test_protocol_error_is_one_message(case, row, how, clean):
 EXEMPT = {name: path for path, names in {
     "tests/sim/test_fused_units.py": "ArrayLoad ScalarALU ScalarReducer Sink "
     "ValsWriter CompressedLevelWriter UncompressedLevelWriter LevelScanner "
-    "CompressedLevelScanner UncompressedLevelScanner",
+    "UncompressedLevelScanner",
     "tests/sim/test_window_identity.py": "Fanout",
     "tests/sim/test_plane_rule.py": "Parallelizer",
     "tests/sim/test_timed_batch.py": "StreamFeeder",

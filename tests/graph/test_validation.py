@@ -32,7 +32,7 @@ from repro.blocks import (
     make_scanner,
 )
 from repro.formats import DenseLevel, FiberTensor
-from repro.graph import GraphValidationError, blocks_to_dot
+from repro.graph import GraphValidationError
 from repro.graph.builder import Graph
 from repro.streams.token import DONE
 
@@ -130,10 +130,12 @@ class TestWiringErrors:
         with pytest.raises(GraphValidationError) as err:
             g.out("x", "vals")
         assert "two producers" in str(err.value)
+        assert "InterleaveSerializer" in str(err.value)
 
     def test_duplicate_port_bind_structural(self):
-        # Two blocks pushing one channel without a Serializer: caught even
-        # when the channel was shared directly, bypassing Graph.out().
+        # Two blocks pushing one channel without an InterleaveSerializer:
+        # caught even when the channel was shared directly, bypassing
+        # Graph.out().
         g = Graph("dup2")
         chan = g.out("x", "vals")
         g.add(StreamFeeder([1.0, DONE], chan, name="feed_1"))
@@ -144,7 +146,7 @@ class TestWiringErrors:
         msg = str(err.value)
         assert "multiple producers" in msg
         assert "feed_1.out" in msg and "feed_2.out" in msg
-        assert "Serializer" in msg
+        assert "InterleaveSerializer" in msg
 
     def test_multi_consumer_needs_explicit_fanout(self):
         g = Graph("fan")
@@ -327,9 +329,8 @@ class TestNestedComposition:
         report = g.run(backend="cycle")
         assert sink.tokens[0] == 12.0
         assert report.cycles > 0
-        # Channels land under the subgraph prefix; groups drive DOT.
+        # Channels land under the subgraph prefix.
         assert "mac.prod" in g.channels
-        assert [b.name for b in g.groups["mac"]] == ["mul"]
 
     def test_include_rejects_channel_collisions(self):
         node = self._mac_node()
@@ -403,30 +404,3 @@ class TestSpmvLocateRegression:
         assert "reduce_j.in_val reads stream 'prod' which has no producer" in msg
         # The orphaned ALU inputs are reported in the same pass.
         assert "'b_val'" in msg and "'c_val'" in msg
-
-
-class TestBlocksToDot:
-    def test_port_names_rendered_on_edges(self):
-        g = Graph("dotted")
-        _feed(g, "a", [1.0, DONE])
-        _feed(g, "b", [2.0, DONE])
-        g.add(ALU("mul", g.in_("a"), g.in_("b"), g.out("x", "vals"),
-                  name="mul"))
-        g.add(Sink(g.in_("x"), name="sink"))
-        dot = blocks_to_dot(g)
-        assert '"feed_a" -> "mul"' in dot
-        assert 'taillabel="out", headlabel="in_a"' in dot
-        assert 'label="x", taillabel="out", headlabel="in"' in dot
-
-    def test_included_subgraphs_render_as_clusters(self):
-        sub = Graph("lane")
-        a = sub.in_("a", kind="vals")
-        sub.add(Sink(a, name="lane_sink"))
-        node = sub.as_node()
-        g = Graph("parent")
-        g.add(StreamFeeder([1.0, DONE], node.input("a"), name="feed"))
-        g.include(node, prefix="lane0")
-        dot = blocks_to_dot(g)
-        assert "cluster_sub_0" in dot
-        assert 'label="lane0"' in dot
-        assert '"lane_sink"' in dot

@@ -52,9 +52,9 @@ from blockkit import TIMED
 #: After the warm-up pass every compile is a hit of ``compile_expression``'s
 #: memo: normalising the arguments is all the compile phase does.
 BUDGETS = {
-    "timed-batch": {"compile": 60, "prepare": 948, "bind": 4618, "run": 18953,
+    "timed-batch": {"compile": 60, "prepare": 948, "bind": 4530, "run": 18953,
                     "numpy window": 93, "numpy formats": 0, "numpy other": 31},
-    "compiled": {"compile": 60, "prepare": 948, "bind": 4618, "run": 17270,
+    "compiled": {"compile": 60, "prepare": 948, "bind": 4530, "run": 17270,
                  "numpy window": 93, "numpy formats": 0, "numpy other": 31},
 }
 #: ``PortSpec.matches`` calls in a process's first pass

@@ -12,9 +12,11 @@ Fails (exit 1) when:
 * a repo-relative ``src/...``/``tests/...``/``benchmarks/...`` path
   named in a markdown file does not exist;
 * a backticked private name (one leading underscore: ``_slab_tokens``,
-  ``Block._bail_timed``) in ``docs/``, README.md or EXPERIMENTS.md names
-  no identifier of the code in ``src/``, ``tests/``, ``tools/``,
-  ``benchmarks/`` or ``perfbench/`` -- prose that outlived a rename;
+  ``Block._bail_timed``) or CamelCase name (``FiberTensor``,
+  ``BVIntersect``) in ``docs/``, README.md or EXPERIMENTS.md names no
+  identifier of the code in ``src/``, ``tests/``, ``tools/``,
+  ``benchmarks/`` or ``perfbench/`` -- prose that outlived a rename or
+  a deletion;
 * the same documents name a ``repro <word>`` command that is no
   subcommand of ``src/repro/cli.py``, or an ``--opt KEY=`` that no
   study under ``src/repro/studies/`` declares (an ``Option("KEY"`` row)
@@ -42,9 +44,12 @@ PY_DOC_REF = re.compile(r"\b(docs/[\w-]+\.md|[A-Z][A-Z0-9_-]+\.md)\b")
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "#")
 
 #: inline code spans, and the private names inside them (not dunders;
-#: ``_check_*`` stands for every name it opens)
+#: ``_check_*`` stands for every name it opens) and the CamelCase ones
+#: (a capital, another capital later, a lower-case letter, no underscore)
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 PRIVATE_NAME = re.compile(r"(?<!\w)_[A-Za-z0-9]\w*\*?")
+CAMEL_NAME = re.compile(
+    r"(?<!\w)(?=[A-Za-z0-9]*[a-z])[A-Z][a-z0-9]*[A-Z][A-Za-z0-9]*(?!\w)")
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 #: where a private name cited by the prose must exist, and the prose
 CODE_TREES = ("src", "tests", "tools", "benchmarks", "perfbench")
@@ -109,7 +114,10 @@ def check_python_doc_refs(root: str):
 def named_doc_paths(root: str):
     for doc in NAMED_DOCS:
         target = os.path.join(root, doc)
-        yield from iter_files(target, ".md") if os.path.isdir(target) else [target]
+        if os.path.isdir(target):
+            yield from iter_files(target, ".md")
+        elif os.path.isfile(target):
+            yield target
 
 
 def declared(root: str, tree: str, pattern: re.Pattern) -> set:
@@ -131,7 +139,7 @@ def check_commands(root: str):
                                  f"{what}")
 
 
-def check_private_names(root: str):
+def check_names(root: str):
     known = set()
     for tree in CODE_TREES:
         for path in iter_files(os.path.join(root, tree), ".py"):
@@ -139,7 +147,8 @@ def check_private_names(root: str):
     for path in named_doc_paths(root):
         text = open(path, encoding="utf-8").read()
         for span in CODE_SPAN.finditer(text):
-            for name in PRIVATE_NAME.findall(span.group(1)):
+            code = span.group(1)
+            for name in PRIVATE_NAME.findall(code) + CAMEL_NAME.findall(code):
                 if name.endswith("*"):
                     found = any(word.startswith(name[:-1]) for word in known)
                 else:
@@ -152,7 +161,7 @@ def check_private_names(root: str):
 def main(argv=None) -> int:
     root = os.path.abspath((argv or sys.argv[1:] or ["."])[0])
     problems = (list(check_markdown(root)) + list(check_python_doc_refs(root))
-                + list(check_private_names(root)) + list(check_commands(root)))
+                + list(check_names(root)) + list(check_commands(root)))
     for path, message in problems:
         print(f"{os.path.relpath(path, root)}: {message}")
     if problems:
