@@ -22,20 +22,16 @@ Quickstart::
 __version__ = "1.0.0"
 
 from .formats import FiberTensor, scalar_tensor
-from .streams import DONE, EMPTY, Stop, Stream, from_stream, stream_from_paper, to_stream
+from .streams import DONE, EMPTY, Stop
 
 __all__ = [
     "DONE",
     "EMPTY",
     "FiberTensor",
     "Stop",
-    "Stream",
     "__version__",
     "compile_expression",
-    "from_stream",
     "scalar_tensor",
-    "stream_from_paper",
-    "to_stream",
 ]
 
 

@@ -18,7 +18,7 @@ Propagation runs to a fixpoint, then a checking sweep reports:
 * ``depth-conflict`` (error) — two producers'-side derivations give one
   channel different depths (only possible through explicit rewiring).
 
-Opaque ports (skip side-bands, target references) and blocks without a
+Opaque ports (skip side-bands) and blocks without a
 transfer function simply do not constrain the fixpoint; the channels
 they leave unknown are listed in ``meta["protocol"]["unresolved"]``.
 """
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..blocks.base import Block
 from ..streams.channel import Channel
-from ..streams.stream import STREAM_KINDS
+from ..streams.channel import STREAM_KINDS
 from .findings import AnalysisReport, Finding
 from .signature import (
     StreamSig,

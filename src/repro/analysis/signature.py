@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..streams.stream import STREAM_KINDS
+from ..streams.channel import STREAM_KINDS
 
 _OFFSET_RE = re.compile(r"^d(?:\s*([+-])\s*(\d+))?$")
 _MAX_RE = re.compile(r"^max\(\s*d\s*-\s*(\d+)\s*,\s*(\d+)\s*\)$")
@@ -40,7 +40,7 @@ MAX_DEPTH = 16
 class StreamSig:
     """Inferred signature of one channel: token kind and nesting depth.
 
-    ``kind`` is one of :data:`repro.streams.stream.STREAM_KINDS` or
+    ``kind`` is one of :data:`repro.streams.channel.STREAM_KINDS` or
     ``None`` when unknown (opaque source); ``depth`` is ``None`` until
     inferred.
     """

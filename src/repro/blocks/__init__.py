@@ -13,7 +13,7 @@ from .base import (
     StreamXfer,
 )
 from .bitvector import BVExpander, BVIntersect
-from .compute import ALU, Exp, OPERATORS, ScalarALU
+from .compute import ALU, OPERATORS, ScalarALU
 from .drop import CoordDropper, ValueDropper
 from .locate import Locator
 from .merge import Intersect, MergeSide, Union
@@ -30,9 +30,7 @@ from .writer import (
     CompressedLevelWriter,
     LinkedListLevelWriter,
     ScatterValsWriter,
-    UncompressedLevelWriter,
     ValsWriter,
-    assemble_tensor,
 )
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "BlockError",
     "CompressedLevelWriter",
     "CoordDropper",
-    "Exp",
     "Fanout",
     "Intersect",
     "InterleaveSerializer",
@@ -69,12 +66,10 @@ __all__ = [
     "StreamFeeder",
     "StreamXfer",
     "UncompressedLevelScanner",
-    "UncompressedLevelWriter",
     "Union",
     "ValsWriter",
     "ValueDropper",
     "VectorReducer",
-    "assemble_tensor",
     "make_repeater",
     "make_scanner",
 ]

@@ -76,15 +76,14 @@ class PortSpec:
       — each placeholder matches a decimal index).
     * ``direction`` — ``"in"`` or ``"out"``.
     * ``kind`` — the stream kind carried (one of
-      :data:`repro.streams.stream.STREAM_KINDS`), or ``None`` when the
+      :data:`repro.streams.channel.STREAM_KINDS`), or ``None`` when the
       port is payload-polymorphic: mergers treat reference-port tokens
       as opaque (post-compute unions carry values on them), feeders and
       fanouts copy any kind, repeaters/locators pass their reference
       payload through untouched.
     * ``required`` — whether a validated graph must connect the port.
-      Optional ports (a scanner's ``in_skip``, a locator's
-      ``in_target_ref``) are simply absent from ``inputs``/``outputs``
-      when unused.
+      Optional ports (a scanner's ``in_skip``) are simply absent from
+      ``inputs``/``outputs`` when unused.
     * ``sideband`` — the port is held directly by the block rather than
       registered in ``inputs``/``outputs`` (merge-side skip channels);
       listed for documentation and DOT rendering only.
@@ -138,8 +137,8 @@ class StreamXfer:
 
     Depth expressions: ``"d"``, ``"d+N"``, ``"d-N"``, an integer
     literal, or ``"max(d-N,M)"``.  Ports left out of both tuples are
-    opaque to the analysis — side-band skip feedback and optional target
-    references, which intentionally do not join depth propagation.
+    opaque to the analysis — side-band skip feedback, which
+    intentionally does not join depth propagation.
     """
 
     ins: Tuple[Tuple[str, str], ...] = ()
@@ -173,7 +172,7 @@ class TimingDescriptor:
     * ``"zip"`` — two-input elementwise head (ALU): may only *start* a
       fused value chain, reading both operand channels itself.  Hook:
       ``_fn``, the elementwise operator.
-    * ``"map"`` — uniform rate-1 unary map (ArrayLoad, ScalarALU, Exp):
+    * ``"map"`` — uniform rate-1 unary map (ArrayLoad, ScalarALU):
       may start, continue, or end a chain.  Hook: ``map_parts()``, the
       ``(data_fn, empty_value)`` pair :meth:`Block._t_unary_window`
       applies.
@@ -335,29 +334,6 @@ class Block:
     def _in(self, port: str, channel: Channel) -> Channel:
         self._check_port("in", port)
         self.inputs[port] = channel
-        return channel
-
-    def rebind_input(self, port: str, channel: Channel) -> Channel:
-        """Swap the channel bound to an input port (pre-run only).
-
-        Backs the declarative layer's explicit ``connect()`` override:
-        the registry entry and every instance attribute (or list slot)
-        holding the old channel are repointed, so generators built after
-        the rebind read from the new channel.
-        """
-        if port not in self.inputs:
-            raise PortError(
-                f"{self.name}: cannot rebind unbound input port {port!r}"
-            )
-        old = self.inputs[port]
-        self.inputs[port] = channel
-        for attr, value in list(self.__dict__.items()):
-            if value is old:
-                setattr(self, attr, channel)
-            elif isinstance(value, list):
-                for i, item in enumerate(value):
-                    if item is old:
-                        value[i] = channel
         return channel
 
     def _out(self, port: str, channel: Channel) -> Channel:
@@ -533,7 +509,7 @@ class Block:
         Every input token is one event; data runs map through *data_fn*
         (one vectorized call for the whole window), ``N`` tokens become
         the data value *empty_value* at their stream position, stops and
-        done pass through.  This is the shape of ArrayLoad/ScalarALU/Exp
+        done pass through.  This is the shape of ArrayLoad/ScalarALU
         (called with their ``map_parts()``) — without it, streams
         fragmented by per-fiber stops would pay a Python iteration per
         fiber.
@@ -633,11 +609,6 @@ class Block:
         while channel.full():
             yield False
         channel.push(token)
-
-    def _emit(self, channel: Optional[Channel], token):
-        """Push *token* if the port is connected (ports may be left open)."""
-        if channel is not None:
-            yield from self._put(channel, token)
 
     def _emit_all(self, channels: Iterable[Optional[Channel]], token):
         for channel in channels:

@@ -250,52 +250,3 @@ class ScalarALU(Block):
         return self._t_unary_window(
             self.in_a, self._tbuilder(self.out), *self.map_parts()
         )
-
-
-class Exp(Block):
-    """Pass-through unary map block (utility for custom element-wise ops)."""
-
-    primitive = "alu"
-
-    port_specs = (
-        PortSpec('in_a', 'in', kind='vals'),
-        PortSpec('out', 'out', kind='vals'),
-    )
-    stream_xfer = StreamXfer(
-        ins=(("in_a", "d"),),
-        outs=(("out", "vals", "d"),),
-    )
-
-    def __init__(self, fn: Callable, in_a: Channel, out: Channel, name: str = "map"):
-        super().__init__(name)
-        self._fn = fn
-        self.in_a = self._in("in_a", in_a)
-        self.out = self._out("out", out)
-
-    def _run(self):
-        while True:
-            a = yield from self._get(self.in_a)
-            if is_data(a) or is_empty(a):
-                self.out.push(self._fn(_as_number(a)))
-            else:
-                self.out.push(a)
-            yield True
-            if is_done(a):
-                return
-
-    timing = TimingDescriptor(fuse_role="map")
-
-    def plan_tag(self):
-        return ("exp", getattr(self._fn, "__name__", "fn"))
-
-    def map_parts(self):
-        fn = self._fn
-        return (lambda run: np.asarray([fn(v) for v in run.tolist()])), fn(0.0)
-
-    def drain_timed(self) -> bool:
-        """Timed drain: rate-1 unary map; *fn* applied per element."""
-        if self.finished:
-            return False
-        return self._t_unary_window(
-            self.in_a, self._tbuilder(self.out), *self.map_parts()
-        )

@@ -6,8 +6,8 @@ stream and internally generates the references and auxiliary structures
 (segment arrays, dimension sizes, linked-list pointers).
 
 Writers accumulate into a format object which is available once the
-stream completes; :func:`assemble_tensor` stitches per-level writers into
-a :class:`~repro.formats.tensor.FiberTensor`.  What a writer stores
+stream completes; the levels and the value array make a
+:class:`~repro.formats.tensor.FiberTensor`.  What a writer stores
 (``crd``/``seg``, ``vals``) reads back as one ndarray, during the run or
 after it: the level and the value array are built from those arrays
 without another copy.
@@ -16,14 +16,12 @@ without another copy.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from ..formats.compressed import CompressedLevel
-from ..formats.dense import DenseLevel
 from ..formats.linkedlist import LinkedListLevel
-from ..formats.tensor import FiberTensor
 from ..streams.batch import filled
 from ..streams.channel import Channel
 from ..streams.timing import (
@@ -212,53 +210,6 @@ class CompressedLevelWriter(Block):
 
     @property
     def level(self) -> CompressedLevel:
-        if self._level is None:
-            raise BlockError(f"{self.name}: stream not finished")
-        return self._level
-
-
-class UncompressedLevelWriter(Block):
-    """Writes an uncompressed level: records the fiber count for a known size."""
-
-    primitive = "level_writer"
-
-    port_specs = (
-        PortSpec('in_crd', 'in', kind='crd'),
-    )
-    stream_xfer = StreamXfer(ins=(("in_crd", "d"),))
-
-    def __init__(self, size: int, in_crd: Channel, name: str = "wr_dense"):
-        super().__init__(name)
-        self.size = size
-        self.in_crd = self._in("in_crd", in_crd)
-        self._fibers = 0
-        self._level: Optional[DenseLevel] = None
-
-    def _run(self):
-        while True:
-            token = yield from self._get(self.in_crd)
-            if is_stop(token):
-                self._fibers += 1
-            elif is_done(token):
-                self._level = DenseLevel(self.size, num_fibers=max(1, self._fibers))
-                yield True
-                return
-            yield True
-
-    timing = TimingDescriptor(fuse_role="write")
-
-    def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
-        self._fibers += int(np.count_nonzero(ccode >= 0))
-        if ends_done:
-            self._level = DenseLevel(self.size, num_fibers=max(1, self._fibers))
-
-    def drain_timed(self) -> bool:
-        if self.finished:
-            return False
-        return self._t_tail_window(self.in_crd, self.commit_window) is not None
-
-    @property
-    def level(self) -> DenseLevel:
         if self._level is None:
             raise BlockError(f"{self.name}: stream not finished")
         return self._level
@@ -490,18 +441,3 @@ def _commit_pairs(block, windows, views) -> None:
     for window, view in zip(windows, views):
         consume(window, *view.span)
     block.finished = first.done
-
-
-def assemble_tensor(
-    shape: Sequence[int],
-    level_writers: Sequence,
-    vals_writer: ValsWriter,
-    mode_order: Optional[Sequence[int]] = None,
-    name: str = "X",
-) -> FiberTensor:
-    """Combine finished level writers and a value writer into a FiberTensor."""
-    levels = [writer.level for writer in level_writers]
-    # Dense trailing levels imply a positional value array; compressed ones
-    # already wrote values in position order, so the vals line up either way.
-    return FiberTensor(shape, levels, vals_writer.vals, mode_order=mode_order,
-                       name=name)

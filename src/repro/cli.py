@@ -108,6 +108,9 @@ def _cmd_sweep(args) -> None:
     plans = _study_specs(args)
     if args.prune and runner.cache is not None:
         print(f"pruned {runner.cache.prune_stale()} stale cache entries")
+        for path, files in runner.cache.old_layout():
+            print(f"{path}{os.sep} holds {files} files of the older per-point "
+                  f"cache layout, which no sweep reads: delete it by hand")
     for study, specs in plans:
         report = runner.run(specs)
         print(f"{study.name}: {report.summary()}")
@@ -431,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="ignore cached results and re-execute")
             p.add_argument("--prune", action="store_true",
                            help="first delete cache entries from older "
-                           "code versions")
+                           "code versions, and name the directories of the "
+                           "older per-point cache layout")
 
     p = sub.add_parser(
         "sweep", help="execute study sweep points (sharded + cached)"

@@ -3,11 +3,8 @@
 from .corpus import Corpus, CorpusEntry, generate_corpus
 from .io import (
     CooTensor,
-    load_tensor,
     read_mtx,
-    read_tns,
     write_mtx,
-    write_tns,
 )
 from .registry import (
     DATA_DIR_ENV_VAR,
@@ -22,13 +19,10 @@ from .suitesparse import (
     TABLE3,
     MatrixSpec,
     generate,
-    load,
-    load_all,
 )
 from .synthetic import (
     blocks_vectors,
     extensor_matrix,
-    frostt_like_tensor,
     random_sparse_matrix,
     runs_vectors,
     urandom_vector,
@@ -49,17 +43,11 @@ __all__ = [
     "default_data_dir",
     "default_registry",
     "extensor_matrix",
-    "frostt_like_tensor",
     "generate",
     "generate_corpus",
-    "load",
-    "load_all",
-    "load_tensor",
     "random_sparse_matrix",
     "read_mtx",
-    "read_tns",
     "runs_vectors",
     "urandom_vector",
     "write_mtx",
-    "write_tns",
 ]

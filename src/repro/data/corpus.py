@@ -57,10 +57,6 @@ class Corpus:
     def distinct(self) -> int:
         return len(self.entries)
 
-    @property
-    def unique_expressions(self) -> int:
-        return len({entry.expression for entry in self.entries})
-
 
 def _expression_family() -> List[str]:
     """Parametrised expression templates, in rough popularity order."""

@@ -1,25 +1,23 @@
-"""Real-tensor ingestion: Matrix Market (.mtx) and FROSTT (.tns) readers.
+"""Real-matrix ingestion: the Matrix Market (.mtx) reader and writer.
 
-Both formats are line-oriented text.  The readers parse the header lines
-themselves; no body is read one Python ``str`` per line, so million-nnz
+Matrix Market is line-oriented text.  The reader parses the header lines
+itself; no body is read one Python ``str`` per line, so million-nnz
 operands load in seconds and feed straight into the vectorized
 :meth:`~repro.formats.tensor.FiberTensor.from_coords` pipeline without a
 per-entry Python loop.  A Matrix Market coordinate body whose bytes pass
 a strict grammar check (``int int [float]`` lines, read in numpy from the
 non-digit bytes alone, no number converted) is parsed by scipy's C++
-reader; any other body, and every ``.tns`` or ``array`` body, is read by
+reader; any other body, and every ``array`` body, is read by
 the general reader, ``np.loadtxt`` over the file's path
 (:func:`_coordinate_entries` says why both stay).  Every parse failure
 is a ``ValueError`` naming the file and the 1-based entry or the size
-line.  The writers format a chunk of rows per ``%`` operation.
+line.  The writer formats a chunk of rows per ``%`` operation.
 ``.gz``-compressed files are handled transparently both ways.
 
 Matrix Market support covers the coordinate and array formats, the
 ``real``/``integer``/``pattern`` fields, and the ``general``/
 ``symmetric``/``skew-symmetric`` symmetries (complex/hermitian matrices
-are rejected — the simulator's value arrays are float64).  FROSTT ``.tns``
-files are whitespace-separated ``i j k ... value`` lines, 1-indexed, with
-``#`` comments; the shape is inferred from the data unless given.
+are rejected — the simulator's value arrays are float64).
 """
 
 from __future__ import annotations
@@ -87,8 +85,8 @@ class CooTensor:
 
 
 def _open_text(path: str):
-    # latin-1, not ascii: data lines are ASCII per both specs, but real
-    # SuiteSparse/FROSTT headers carry free-form comment bytes (author
+    # latin-1, not ascii: data lines are ASCII per the spec, but real
+    # SuiteSparse headers carry free-form comment bytes (author
     # names etc.) that must not abort the load.
     if str(path).endswith(".gz"):
         return io.TextIOWrapper(gzip.open(path, "rb"), encoding="latin-1")
@@ -561,51 +559,6 @@ def read_mtx(path: str) -> CooTensor:
     return CooTensor((rows, cols), coords, values, field=field)
 
 
-def read_tns(path: str, shape: Optional[Sequence[int]] = None) -> CooTensor:
-    """Read a FROSTT ``.tns`` file (1-indexed ``i j k ... value`` lines).
-
-    An optional ``# shape: I J K`` comment (as written by
-    :func:`write_tns`) pins the shape; otherwise it is inferred from the
-    per-mode coordinate maxima unless *shape* is given explicitly.
-    """
-    header_shape = None
-    with _open_text(path) as handle:
-        # Every leading comment line may carry the shape annotation; the
-        # body parse skips them again as comments.
-        for line in handle:
-            if not line.lstrip().startswith("#"):
-                break
-            if header_shape is None and "shape:" in line:
-                header_shape = tuple(_sizes(
-                    path, "shape comment", line,
-                    line.split("shape:", 1)[1].split(),
-                ))
-    data = _load_floats(path, "#")
-    if shape is None:
-        shape = header_shape
-    if data.size == 0:
-        if shape is None:
-            raise ValueError(f"{path}: empty .tns file needs an explicit shape=")
-        order = len(shape)
-        coords = np.empty((0, order), dtype=np.int64)
-        values = np.empty(0)
-    else:
-        if data.shape[1] < 2:
-            raise ValueError(f"{path}: .tns lines need coordinates and a value")
-        coords = _zero_indexed(path, _exact_indices(path, data[:, :-1], "#"))
-        values = data[:, -1].astype(np.float64)
-    if shape is None:
-        shape = tuple(int(m) + 1 for m in coords.max(axis=0))
-    else:
-        shape = tuple(int(s) for s in shape)
-        if coords.shape[1] != len(shape):
-            raise ValueError(
-                f"{path}: data has order {coords.shape[1]}, shape= has {len(shape)}"
-            )
-    _validate_coords(path, coords, shape)
-    return CooTensor(shape, coords, values)
-
-
 def _validate_coords(path, coords: np.ndarray, shape: Sequence[int]) -> None:
     if coords.size and (
         np.minimum.reduce(coords.reshape(-1)) < 0
@@ -765,17 +718,6 @@ def write_mtx(
     return path
 
 
-def write_tns(path: str, data) -> str:
-    """Write a :class:`CooTensor` (any order) as FROSTT ``.tns`` (``.gz`` ok),
-    whole or not at all, as :func:`write_mtx` does."""
-    coo = _as_coo(data)
-    with _open_write(path) as handle:
-        handle.write(f"# shape: {' '.join(str(s) for s in coo.shape)}\n")
-        fmt = " ".join(["%d"] * coo.order + ["%.17g"])
-        _write_rows(handle, fmt, (*(coo.coords + 1).T, coo.values))
-    return path
-
-
 def _as_coo(data) -> CooTensor:
     if isinstance(data, CooTensor):
         return data
@@ -792,20 +734,3 @@ def _as_coo(data) -> CooTensor:
     dense = dense.astype(float)
     coords, values = dense_nonzeros(dense)
     return CooTensor(dense.shape, coords, values, field=field)
-
-
-def load_tensor(path: str, formats=None, mode_order=None, name: Optional[str] = None,
-                shape: Optional[Sequence[int]] = None):
-    """Read ``.mtx``/``.tns`` (optionally ``.gz``) into a FiberTensor."""
-    stem = str(path)
-    if stem.endswith(".gz"):
-        stem = stem[:-3]
-    if stem.endswith(".mtx"):
-        coo = read_mtx(path)
-    elif stem.endswith(".tns"):
-        coo = read_tns(path, shape=shape)
-    else:
-        raise ValueError(f"unrecognised tensor file extension: {path}")
-    if name is None:
-        name = os.path.basename(stem).rsplit(".", 1)[0]
-    return coo.to_fibertensor(formats=formats, mode_order=mode_order, name=name)

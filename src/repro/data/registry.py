@@ -53,8 +53,6 @@ class DatasetRegistry:
     ):
         self.data_dir = data_dir or default_data_dir()
         self._specs: Dict[str, MatrixSpec] = {spec.name: spec for spec in specs}
-        #: explicit file paths from register_file (beats the data_dir scan)
-        self._paths: Dict[str, str] = {}
 
     # -- membership ------------------------------------------------------
     def names(self) -> List[str]:
@@ -67,30 +65,9 @@ class DatasetRegistry:
             )
         return self._specs[name]
 
-    def register(self, spec: MatrixSpec) -> MatrixSpec:
-        """Add (or replace) a dataset spec."""
-        self._specs[spec.name] = spec
-        return spec
-
-    def register_file(self, path: str, name: Optional[str] = None,
-                      domain: str = "local file") -> MatrixSpec:
-        """Register an arbitrary local ``.mtx`` file, inferring its spec."""
-        coo = read_mtx(path)
-        stem = os.path.basename(str(path))
-        for suffix in (".gz", ".mtx"):
-            if stem.endswith(suffix):
-                stem = stem[: -len(suffix)]
-        spec = MatrixSpec(name or stem, domain, coo.shape, coo.nnz)
-        self._specs[spec.name] = spec
-        self._paths[spec.name] = str(path)
-        return spec
-
     # -- resolution ------------------------------------------------------
     def path(self, name: str) -> Optional[str]:
         """The on-disk file backing *name*, or None if only synthetic."""
-        explicit = self._paths.get(name)
-        if explicit and os.path.exists(explicit):
-            return explicit
         for suffix in (".mtx", ".mtx.gz"):
             candidate = os.path.join(self.data_dir, name + suffix)
             if os.path.exists(candidate):
@@ -130,16 +107,6 @@ class DatasetRegistry:
                 stacklevel=2,
             )
         return coo.to_scipy()
-
-    def load_tensor(self, name: str, formats=None, mode_order=None,
-                    seed: int = 0):
-        """Resolve *name* straight to a :class:`FiberTensor`."""
-        from ..formats.tensor import FiberTensor
-
-        return FiberTensor.from_scipy(
-            self.load_matrix(name, seed=seed), formats=formats,
-            mode_order=mode_order, name=name,
-        )
 
     # -- materialisation -------------------------------------------------
     def materialize(self, name: str, seed: int = 0,

@@ -9,10 +9,9 @@ the level-scanner output streams — depends only on those structural
 statistics, so the stand-ins preserve the study's shape (documented in
 EXPERIMENTS.md).
 
-Real matrices take precedence when present: :func:`load` resolves each
-spec through the dataset registry (:mod:`repro.data.registry`), which
-prefers a ``<data_dir>/<name>.mtx`` file over the synthetic generator —
-drop actual SuiteSparse downloads into ``$REPRO_DATA_DIR`` and every
+Real matrices take precedence when present: the dataset registry
+(:mod:`repro.data.registry`) prefers a ``<data_dir>/<name>.mtx`` file
+over the synthetic generator — drop actual SuiteSparse downloads into ``$REPRO_DATA_DIR`` and every
 study picks them up without code changes.
 """
 
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -86,26 +85,3 @@ def generate(spec: MatrixSpec, seed: int = 0) -> sparse.csr_matrix:
         (vals, (flat // cols, flat % cols)), shape=spec.shape
     )
     return matrix
-
-
-def load(spec: MatrixSpec, seed: int = 0,
-         data_dir: Optional[str] = None) -> sparse.csr_matrix:
-    """Registry-backed load: a real cached ``.mtx`` file if present,
-    the deterministic synthetic stand-in otherwise."""
-    from .registry import DatasetRegistry
-
-    return DatasetRegistry(data_dir=data_dir, specs=(spec,)).load_matrix(
-        spec.name, seed=seed
-    )
-
-
-def load_all(
-    seed: int = 0, max_nnz: int = None, data_dir: Optional[str] = None
-) -> List[Tuple[MatrixSpec, sparse.csr_matrix]]:
-    """All Table 3 matrices (optionally capped by nnz for quick runs)."""
-    out = []
-    for spec in TABLE3:
-        if max_nnz is not None and spec.nnz > max_nnz:
-            continue
-        out.append((spec, load(spec, seed, data_dir=data_dir)))
-    return out

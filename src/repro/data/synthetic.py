@@ -115,27 +115,3 @@ def extensor_matrix(dimension: int, nnz: int, seed: int = 0) -> sparse.csr_matri
     )
     matrix.sum_duplicates()
     return matrix
-
-
-def frostt_like_tensor(
-    shape: Tuple[int, ...], nnz: int, seed: int = 0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Synthetic higher-order sparse tensor in COO form (FROSTT stand-in).
-
-    FROSTT tensors are unavailable offline; this generates seeded sparse
-    tensors with the hallmark FROSTT property of clustered mode usage:
-    coordinates are drawn from a Zipf-biased distribution per mode so a
-    few slices are dense and most are near-empty.
-
-    Returns ``(coords, values)`` with coords of shape (nnz, order).
-    """
-    rng = np.random.default_rng(seed)
-    order = len(shape)
-    coords = np.empty((nnz, order), dtype=np.int64)
-    for mode, dim in enumerate(shape):
-        # Zipf-biased slice popularity, clipped to the dimension.
-        raw = rng.zipf(1.4, size=nnz) - 1
-        coords[:, mode] = np.minimum(raw, dim - 1)
-        rng.shuffle(coords[:, mode])
-    values = rng.uniform(0.1, 1.0, size=nnz)
-    return coords, values

@@ -101,7 +101,6 @@ class BitvectorLevel(Level):
         self._cum_pop: np.ndarray = np.concatenate(
             ([0], _popcount_array(self._words).cumsum())
         ).astype(np.int64)
-        self._total = int(self._cum_pop[-1])
 
     @classmethod
     def from_fibers(
@@ -173,12 +172,6 @@ class BitvectorLevel(Level):
             for offset, crd in enumerate(word_coords(word, idx, self.bits_per_word)):
                 pairs.append((crd, base + offset))
         return pairs
-
-    def total_coordinates(self) -> int:
-        return self._total
-
-    def memory_footprint(self) -> int:
-        return int(self._words.size)
 
     def __repr__(self) -> str:
         return (

@@ -154,11 +154,5 @@ class CompressedLevel(Level):
     def fiber_size(self, ref: int) -> int:
         return int(self.seg[ref + 1] - self.seg[ref])
 
-    def total_coordinates(self) -> int:
-        return int(self.crd.size)
-
-    def memory_footprint(self) -> int:
-        return int(self.seg.size + self.crd.size)
-
     def __repr__(self) -> str:
         return f"CompressedLevel(seg={self.seg.tolist()}, crd={self.crd.tolist()})"

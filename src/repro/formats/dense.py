@@ -62,11 +62,5 @@ class DenseLevel(Level):
     def fiber_size(self, ref: int) -> int:
         return self.size
 
-    def total_coordinates(self) -> int:
-        return self._num_fibers * self.size
-
-    def memory_footprint(self) -> int:
-        return 1  # just the dimension size
-
     def __repr__(self) -> str:
         return f"DenseLevel(size={self.size}, num_fibers={self._num_fibers})"

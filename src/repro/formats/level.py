@@ -15,7 +15,7 @@ last level).
 from __future__ import annotations
 
 import abc
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 class Level(abc.ABC):
@@ -31,10 +31,6 @@ class Level(abc.ABC):
     @abc.abstractmethod
     def fiber(self, ref: int) -> List[Tuple[int, int]]:
         """The ``(coordinate, child_ref)`` pairs of the fiber at *ref*."""
-
-    def scan(self, ref: int) -> Iterator[Tuple[int, int]]:
-        """Iterate the fiber at *ref* in coordinate order."""
-        return iter(self.fiber(ref))
 
     def locate(self, ref: int, coordinate: int) -> Optional[int]:
         """Child reference for *coordinate* in fiber *ref*, or None.
@@ -72,10 +68,3 @@ class Level(abc.ABC):
         """Number of stored coordinates in the fiber at *ref*."""
         return len(self.fiber(ref))
 
-    def total_coordinates(self) -> int:
-        """Total stored coordinates across all fibers."""
-        return sum(self.fiber_size(r) for r in range(self.num_fibers()))
-
-    def memory_footprint(self) -> int:
-        """Approximate number of stored words (for the memory model)."""
-        return self.total_coordinates()

@@ -92,8 +92,5 @@ class LinkedListLevel(Level):
                          + (starts - before).repeat(lens)]
         return crd[children], children, lens
 
-    def memory_footprint(self) -> int:
-        return 2 * len(self.node_crd) + len(self.heads)
-
     def __repr__(self) -> str:
         return f"LinkedListLevel(fibers={len(self.heads)}, nodes={len(self.node_crd)})"

@@ -407,15 +407,6 @@ class FiberTensor:
     def nnz(self) -> int:
         return int(np.count_nonzero(self.vals))
 
-    @property
-    def density(self) -> float:
-        total = int(np.prod(self.shape)) if self.shape else 1
-        return self.nnz / total if total else 0.0
-
-    def memory_footprint(self) -> int:
-        """Stored words: level metadata plus the value array."""
-        return sum(lv.memory_footprint() for lv in self.levels) + int(self.vals.size)
-
     def to_coo(self) -> Tuple[np.ndarray, np.ndarray]:
         """Expand to ``(coords, values)`` COO arrays in storage order.
 

@@ -9,7 +9,7 @@ from .builder import (
     active_capture,
     capture_runs,
 )
-from .dot import to_dot, write_dot
+from .dot import to_dot
 from .ir import (
     NODE_KINDS,
     Edge,
@@ -37,5 +37,4 @@ __all__ = [
     "fanout_groups",
     "node_ports",
     "to_dot",
-    "write_dot",
 ]

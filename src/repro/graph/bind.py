@@ -70,12 +70,6 @@ class BoundGraph:
             capture.record(self.blocks, self._report)
         return self._report
 
-    @property
-    def cycles(self) -> int:
-        if self._report is None:
-            raise RuntimeError("graph has not been run")
-        return self._report.cycles
-
 
 class _Inputs(dict):
     """A node's input channels by port; a port no edge drives raises."""

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..blocks.base import Block
 from ..sim.backends import SimulationReport, run_blocks
 from ..streams.channel import Channel
-from ..streams.stream import STREAM_KINDS
+from ..streams.channel import STREAM_KINDS
 
 
 class RunCapture:
@@ -249,20 +249,6 @@ class Graph:
                 f"forward-reference"
             )
         return self.channel(name, kind)
-
-    def connect(self, src, dst: Tuple[Block, str]) -> Channel:
-        """Explicitly rebind a consumer port past the name auto-wiring.
-
-        ``src`` is a stream name, a channel, or an ``(block, out_port)``
-        pair; ``dst`` is the ``(block, in_port)`` to repoint.
-        """
-        if isinstance(src, str):
-            src = self.channels[src]
-        elif isinstance(src, tuple):
-            block, port = src
-            src = block.outputs[port]
-        block, port = dst
-        return block.rebind_input(port, src)
 
     def unused(self, *streams) -> None:
         """Exempt streams from connectivity checks.

@@ -63,11 +63,3 @@ def to_dot(
         )
     lines.append("}")
     return "\n".join(lines)
-
-
-def write_dot(graph: SamGraph, path: str) -> str:
-    """Write the DOT rendering to *path*; returns the path."""
-    text = to_dot(graph)
-    with open(path, "w") as handle:
-        handle.write(text)
-    return path

@@ -31,7 +31,6 @@ from ..blocks import (
     ScalarReducer,
     Sink,
     StreamFeeder,
-    UncompressedLevelWriter,
     Union,
     ValsWriter,
     ValueDropper,
@@ -140,13 +139,6 @@ def _drop_ports(params: Dict) -> Tuple[Ports, Ports]:
     return ports, list(ports)
 
 
-def _locate_ports(params: Dict) -> Tuple[Ports, Ports]:
-    ins = [("crd", "crd"), ("ref", "ref")]
-    if params.get("use_target"):
-        ins.append(("target", "ref"))
-    return ins, [("crd", "crd"), ("ref_found", "ref"), ("ref_in", "ref")]
-
-
 def _merger(cls) -> Callable:
     def build(node, ins, out, binding):
         sides: List[MergeSide] = []
@@ -195,13 +187,6 @@ def _drop(node, ins, out, binding):
                 name=node.name),)
 
 
-def _level_writer(node, ins, out, binding):
-    if node.params.get("format", "compressed") == "compressed":
-        return (CompressedLevelWriter(ins["crd"], name=node.name),)
-    return (UncompressedLevelWriter(node.params["size"], ins["crd"],
-                                    name=node.name),)
-
-
 #: every SAM node kind, by the name :meth:`SamGraph.add` takes
 NODE_KINDS: Dict[str, NodeKind] = {
     "root": NodeKind(
@@ -234,16 +219,19 @@ NODE_KINDS: Dict[str, NodeKind] = {
         lambda node, ins, out, binding: (ArrayLoad(
             binding.tensor(node).vals, ins["ref"], out["val"], name=node.name),)),
     "level_writer": NodeKind(
-        _fixed([("crd", "crd")], []), "level_writer", "box", _level_writer),
+        _fixed([("crd", "crd")], []), "level_writer", "box",
+        lambda node, ins, out, binding: (
+            CompressedLevelWriter(ins["crd"], name=node.name),)),
     "vals_writer": NodeKind(
         _fixed([("val", "vals")], []), "level_writer", "box",
         lambda node, ins, out, binding: (ValsWriter(ins["val"], name=node.name),)),
     "locate": NodeKind(
-        _locate_ports, "locate", "component",
+        _fixed([("crd", "crd"), ("ref", "ref")],
+               [("crd", "crd"), ("ref_found", "ref"), ("ref_in", "ref")]),
+        "locate", "component",
         lambda node, ins, out, binding: (Locator(
             binding.level(node), ins["crd"], ins["ref"], out["crd"],
-            out["ref_found"], out["ref_in"], in_target_ref=ins.get("target"),
-            name=node.name),)),
+            out["ref_found"], out["ref_in"], name=node.name),)),
 }
 
 

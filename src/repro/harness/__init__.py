@@ -24,7 +24,7 @@ cached records (see ``EXPERIMENTS.md``).
 
 from .cache import CACHE_DIR_ENV_VAR, DEFAULT_CACHE_DIR, ResultCache, default_cache_dir
 from .options import Option, OptionError
-from .registry import STUDY_NAMES, Study, all_studies, execute_spec, get_study
+from .registry import STUDY_NAMES, Study, execute_spec, get_study
 from .runner import (
     SweepReport,
     SweepRunner,
@@ -51,7 +51,6 @@ __all__ = [
     "Study",
     "SweepReport",
     "SweepRunner",
-    "all_studies",
     "code_version",
     "default_cache_dir",
     "execute_spec",

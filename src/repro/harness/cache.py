@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .spec import ExperimentResult, ExperimentSpec, _json_default, code_version
 
@@ -125,6 +125,21 @@ class ResultCache:
             return []
         return [name[: -len(LOG_SUFFIX)] for name in names
                 if name.endswith(LOG_SUFFIX) and not name.startswith(".")]
+
+    def old_layout(self) -> List[Tuple[str, int]]:
+        """``(directory, file count)`` of each ``<root>/<study>/`` left by
+        the older one-file-per-point layout: no load reads them, and
+        ``sweep --prune`` names them for the user to delete by hand."""
+        try:
+            names = sorted(os.listdir(self.root))
+        except OSError:
+            return []
+        found = []
+        for name in names:
+            path = os.path.join(self.root, name)
+            if not name.startswith(".") and os.path.isdir(path):
+                found.append((path, sum(len(files) for _, _, files in os.walk(path))))
+        return found
 
     def __contains__(self, spec: ExperimentSpec) -> bool:
         return self.load(spec) is not None

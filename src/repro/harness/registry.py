@@ -92,10 +92,6 @@ def get_study(name: str) -> Study:
     return module.STUDY
 
 
-def all_studies() -> List[Study]:
-    return [get_study(name) for name in STUDY_NAMES]
-
-
 def execute_spec(spec: ExperimentSpec) -> Dict[str, Any]:
     """Execute one spec via its study (the worker-side entry point)."""
     return get_study(spec.study).execute(spec)

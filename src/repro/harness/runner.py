@@ -101,26 +101,24 @@ class SweepRunner:
         return report
 
     def _execute(self, pending: List[Tuple[int, ExperimentSpec]]):
-        if self.jobs == 1 or len(pending) == 1:
-            from .registry import execute_spec
-
-            for index, spec in pending:
-                begin = time.perf_counter()
-                payload = execute_spec(spec)
-                elapsed = time.perf_counter() - begin
-                yield index, ExperimentResult(spec, payload, elapsed_s=elapsed)
-            return
-
-        ctx = _pool_context()
-        jobs = min(self.jobs, len(pending))
+        """Run every pending point through :func:`_execute_worker`, in
+        this process or across a pool."""
         specs = dict(pending)
         tasks = [(index, spec.to_dict()) for index, spec in pending]
-        with ctx.Pool(processes=jobs) as pool:
+        if self.jobs == 1 or len(pending) == 1:
+            yield from _results(specs, map(_execute_worker, tasks))
+            return
+        with _pool_context().Pool(processes=min(self.jobs, len(pending))) as pool:
             # Collect in completion order so every finished point reaches
             # the caller (and the cache) immediately; an interrupt loses
             # at most the points still in flight.
-            for index, payload, elapsed in pool.imap_unordered(_execute_worker, tasks):
-                yield index, ExperimentResult(specs[index], payload, elapsed_s=elapsed)
+            yield from _results(specs, pool.imap_unordered(_execute_worker, tasks))
+
+
+def _results(specs: Dict[int, ExperimentSpec], done):
+    """``(index, ExperimentResult)`` per ``(index, payload, seconds)``."""
+    for index, payload, elapsed in done:
+        yield index, ExperimentResult(specs[index], payload, elapsed_s=elapsed)
 
 
 def _flatten(payload: Dict[str, Any], prefix: str = "") -> Dict[str, Any]:

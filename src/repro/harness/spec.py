@@ -124,11 +124,6 @@ class ExperimentSpec:
             keys[version] = digest.hexdigest()[:24]
         return keys[version]
 
-    def label(self) -> str:
-        """Short human-readable tag for logs and progress output."""
-        parts = ",".join(f"{k}={v}" for k, v in sorted(self.point.items()))
-        return f"{self.study}[{parts}]"
-
     def to_dict(self) -> Dict[str, Any]:
         return {"study": self.study, "point": self.point, "backend": self.backend}
 
@@ -156,10 +151,6 @@ class ExperimentResult:
     elapsed_s: float = 0.0
     code_version: str = ""
     cached: bool = False
-
-    @property
-    def key(self) -> str:
-        return self.spec.key(self.code_version or None)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

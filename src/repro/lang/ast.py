@@ -95,12 +95,6 @@ class Assignment:
         return tuple(seen)
 
     @property
-    def reduction_vars(self) -> Tuple[str, ...]:
-        """Variables summed over (on the rhs but not the lhs)."""
-        lhs = set(self.lhs.indices)
-        return tuple(v for v in self.all_vars if v not in lhs)
-
-    @property
     def accesses(self) -> List[Access]:
         return [a for t in self.terms for a in t.accesses]
 

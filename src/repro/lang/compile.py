@@ -97,10 +97,6 @@ class CompiledProgram:
         object.__setattr__(self, "_counts", counts)
 
     # -- inspection ------------------------------------------------------
-    @property
-    def order(self) -> Tuple[str, ...]:
-        return self.cin.order
-
     def primitive_counts(self) -> Mapping[str, int]:
         """Table 1-style primitive tally for this program's graph, counted
         once, when the program was built (a read-only mapping)."""

@@ -55,10 +55,6 @@ class TensorFormat:
         return cls(formats, order)
 
     @classmethod
-    def dense(cls, order: int) -> "TensorFormat":
-        return cls.make(["dense"] * order)
-
-    @classmethod
     def compressed(cls, order: int) -> "TensorFormat":
         return cls.make(["compressed"] * order)
 

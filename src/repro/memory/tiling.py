@@ -77,10 +77,6 @@ class TiledMatrix:
         size = self.tile_size
         return self.matrix[row * size:(row + 1) * size, col * size:(col + 1) * size]
 
-    def tile_nnz(self, row: int, col: int) -> int:
-        slot = self.tiles.get((row, col))
-        return 0 if slot is None else int(self.tile_nnzs[slot])
-
     def all_tile_bytes(self, value_bytes: int = 8, index_bytes: int = 4) -> np.ndarray:
         """Approximate DCSR storage footprint of every nonempty tile."""
         return (
@@ -94,8 +90,3 @@ class TiledMatrix:
         if slot is None:
             return 0
         return int(self.all_tile_bytes(value_bytes, index_bytes)[slot])
-
-    def occupancy(self) -> float:
-        """Fraction of grid tiles that are nonempty (tile-skipping leverage)."""
-        total = self.grid[0] * self.grid[1]
-        return self.num_nonempty_tiles / total if total else 0.0

@@ -138,7 +138,7 @@ class Plan:
         holds for them, else None.
 
         Re-checked on every run, since each may change after a bind: the
-        wiring (``rebind_input``), each channel's capacity and
+        wiring, each channel's capacity and
         ``record``, a token queued before the run that does not batch,
         and each block's own verdict, whose ``timed_capable()`` may also
         prepare the instance for its hook.

@@ -218,23 +218,6 @@ class TokenBatch:
     def ends_done(self) -> bool:
         return len(self.ctrl_code) > 0 and self.ctrl_code[-1] == CODE_DONE
 
-    def split_done(self) -> Tuple["TokenBatch", Optional["TokenBatch"]]:
-        """Split the remaining tokens at the first ``D``.
-
-        Returns ``(head, tail)`` where *head* ends with the first done
-        token (or holds everything if there is none) and *tail* is the
-        remainder (None when nothing follows the done token).
-        """
-        data, cpos, ccode = self.remaining_arrays()
-        hits = (ccode == CODE_DONE).nonzero()[0]
-        if hits.size == 0:
-            return TokenBatch(data, cpos, ccode), None
-        i = int(hits[0])
-        pos = int(cpos[i])
-        head = TokenBatch(data[:pos], cpos[: i + 1], ccode[: i + 1])
-        tail = TokenBatch(data[pos:], cpos[i + 1:] - pos, ccode[i + 1:])
-        return head, (tail if not tail.exhausted else None)
-
     # -- scalar consumption (mixed graphs) -----------------------------------
     def peek_front(self):
         d, c = self._d, self._c

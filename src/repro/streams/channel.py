@@ -14,9 +14,12 @@ from typing import Deque, Optional
 import numpy as np
 
 from .batch import TokenBatch, concat_batches, filled
-from .stream import Stream
 from .timing import stamp_split_at
-from .token import DONE, EMPTY, Stop, is_data, is_done, is_empty, is_stop
+from .token import DONE, EMPTY, Stop
+
+#: the SAM stream kinds a channel carries: coordinates, references,
+#: values, bitvector words (section 4.3) and repeat signals
+STREAM_KINDS = ("crd", "ref", "vals", "bv", "repsig")
 
 
 class Channel:
@@ -82,10 +85,6 @@ class Channel:
             self.pushed_empty += 1
         else:
             self.pushed_data += 1
-
-    def push_all(self, tokens) -> None:
-        for token in tokens:
-            self.push(token)
 
     def pop(self):
         head = self.queue[0]
@@ -155,27 +154,6 @@ class Channel:
             "done": self.pushed_done,
             "empty": self.pushed_empty,
         }
-
-    def drain(self) -> list:
-        """Pop and return every queued token (used by sinks and tests).
-
-        Batched queue elements are expanded back into scalar tokens so
-        callers see the logical stream regardless of the data plane.
-        """
-        out: list = []
-        for item in self.queue:
-            if item.__class__ is TokenBatch:
-                out.extend(item.tokens())
-            else:
-                out.append(item)
-        self.queue.clear()
-        return out
-
-    def recorded_stream(self) -> Stream:
-        """The full token history as a Stream (requires ``record=True``)."""
-        if not self.record:
-            raise RuntimeError(f"channel {self.name!r} was not recording")
-        return Stream(list(self.history), kind=self.kind)
 
     # -- timed (stamped) plane -----------------------------------------------
     # The timed-batch backend moves whole stamped batches through channels.

@@ -180,7 +180,9 @@ def split_done_stamped(
     TokenBatch, np.ndarray, np.ndarray,
     Optional[Tuple[TokenBatch, np.ndarray, np.ndarray]],
 ]:
-    """Stamped :meth:`TokenBatch.split_done`: ``(head, sd, sc, tail?)``."""
+    """Split a stamped batch after its first ``D``: ``(head, sd, sc,
+    tail?)``, *head* holding everything when there is none, *tail* the
+    stamped rest (None when nothing follows the ``D``)."""
     data, cpos, ccode = batch.remaining_arrays()
     hits = (ccode == CODE_DONE).nonzero()[0]
     if hits.size == 0:
@@ -697,24 +699,10 @@ class TimedBuilder:
             self._sdata.append(np.asarray(stamps, dtype=np.int64))
             self._n += len(arr)
 
-    def scalar(self, value, stamp: int) -> None:
-        self._data.append(np.asarray([value]))
-        self._sdata.append(np.asarray([stamp], dtype=np.int64))
-        self._n += 1
-
     def ctrl(self, code: int, stamp: int, count: int = 1) -> None:
         self._cpos.append(filled(count, self._n))
         self._ccode.append(filled(count, code))
         self._sctrl.append(filled(count, stamp))
-
-    def token(self, token, stamp: int) -> None:
-        from .batch import encode_token
-
-        code = encode_token(token)
-        if code is None:
-            self.scalar(token, stamp)
-        else:
-            self.ctrl(code, stamp)
 
     def data_with_ctrl(
         self,

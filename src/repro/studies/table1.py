@@ -156,7 +156,7 @@ def crd_drop_differential(program, counts: Dict[str, int], paper: Dict[str, int]
         prefix = f"{node}.{port}"
         for name, channel in bound.channels.items():
             if channel.record and (name == prefix or name.startswith(prefix + "->")):
-                return list(channel.recorded_stream().tokens)
+                return list(channel.history)
         raise LookupError(f"stream {prefix} was not recorded")
 
     dropped_total = 0

@@ -16,6 +16,8 @@ import pytest
 from repro.analysis import lint_blocks
 from repro.analysis.targets import KERNEL_RUNNERS, capture_kernel
 
+from blockkit import rebind_input
+
 # ---------------------------------------------------------------------------
 # capture cache: one run per kernel for the whole module
 # ---------------------------------------------------------------------------
@@ -40,12 +42,12 @@ def _graph(kernel, index=0):
 
 def _mut_spmv_kind(by):
     # crd stream wired into the multiplier's vals port
-    by["mul"].rebind_input("in_b", by["scan_Bj"].outputs["out_crd"])
+    rebind_input(by["mul"], "in_b", by["scan_Bj"].outputs["out_crd"])
 
 
 def _mut_spmv_depth(by):
     # pre-reduction (depth-2) values wired where depth-1 sums belong
-    by["drop_zero"].rebind_input("in_val", by["mul"].outputs["out"])
+    rebind_input(by["drop_zero"], "in_val", by["mul"].outputs["out"])
 
 
 def _mut_spmv_amplified(by):
@@ -60,17 +62,17 @@ def _mut_spmv_capacity(by):
 
 def _mut_gamma_kind(by):
     # C's column coordinates wired into the multiplier's vals port
-    by["mul_0"].rebind_input("in_b", by["scan_Cj_0"].outputs["out_crd"])
+    rebind_input(by["mul_0"], "in_b", by["scan_Cj_0"].outputs["out_crd"])
 
 
 def _mut_gamma_depth(by):
     # inner (depth-2) B coordinates wired into the k-level intersect
-    by["intersect_k_0"].rebind_input("crd1", by["fan_bi"].outputs["out0"])
+    rebind_input(by["intersect_k_0"], "crd1", by["fan_bi"].outputs["out0"])
 
 
 def _mut_sddmm_kind(by):
     # T's coordinate stream wired into the multiplier's vals port
-    by["mul_t0_0"].rebind_input("in_b", by["scan_T_0_1_j"].outputs["out_crd"])
+    rebind_input(by["mul_t0_0"], "in_b", by["scan_T_0_1_j"].outputs["out_crd"])
 
 
 def _mut_sddmm_capacity(by):
@@ -80,8 +82,8 @@ def _mut_sddmm_capacity(by):
 
 def _mut_spmm_kind(by):
     # column coordinates wired into the reducer's value port
-    by["reduce_k_t0"].rebind_input(
-        "in_val", by["fan:scan_C_0_1_j.crd"].outputs["out0"])
+    rebind_input(by["reduce_k_t0"], "in_val",
+                 by["fan:scan_C_0_1_j.crd"].outputs["out0"])
 
 
 def _mut_spmm_amplified(by):
@@ -91,17 +93,17 @@ def _mut_spmm_amplified(by):
 
 def _mut_outerspace_kind(by):
     # repeat-signal coordinates wired into the multiplier's vals port
-    by["mul"].rebind_input("in_a", by["fan_cj"].outputs["out0"])
+    rebind_input(by["mul"], "in_a", by["fan_cj"].outputs["out0"])
 
 
 def _mut_outerspace_depth(by):
     # depth-2 row coordinates wired into the depth-1 k-level intersect
-    by["intersect_k"].rebind_input("crd1", by["fan_bi"].outputs["out1"])
+    rebind_input(by["intersect_k"], "crd1", by["fan_bi"].outputs["out1"])
 
 
 def _mut_elementwise_kind(by):
     # intersection coordinates wired into the multiplier's vals port
-    by["mul_t0_0"].rebind_input("in_b", by["intersect_i_t0"].outputs["out_crd"])
+    rebind_input(by["mul_t0_0"], "in_b", by["intersect_i_t0"].outputs["out_crd"])
 
 
 def _mut_elementwise_capacity(by):
@@ -188,7 +190,7 @@ class TestMutationDetection:
                 ins, caps, nonblocking = originals[block.name]
                 for pname, chan in ins.items():
                     if block.inputs.get(pname) is not chan:
-                        block.rebind_input(pname, chan)
+                        rebind_input(block, pname, chan)
                 for pname, cap in caps.items():
                     block.outputs[pname].capacity = cap
                 block.nonblocking_inputs = nonblocking

@@ -24,11 +24,11 @@ import numpy as np
 
 import repro.blocks
 from repro.blocks import Block, StreamFeeder
-from repro.blocks.base import TimingDescriptor
+from repro.blocks.base import PortSpec, StreamXfer, TimingDescriptor
 from repro.sim import BACKENDS
 from repro.streams import Channel
 from repro.streams.batch import TokenBatch, UnbatchableTokens, batch_kind
-from repro.streams.token import is_done
+from repro.streams.token import is_data, is_done, is_empty
 
 #: every registered engine once: the keys that name their own class
 ENGINES = tuple(
@@ -36,6 +36,18 @@ ENGINES = tuple(
 )
 #: every engine that runs graphs on the timed plane (windows)
 TIMED = tuple(name for name in ENGINES if "timed" in BACKENDS[name].planes)
+
+
+def rebind_input(block, port, channel):
+    """Rewire *block*'s input *port* to *channel* before a run: its port
+    table and every attribute (or list slot) that held the old channel."""
+    old = block.inputs[port]
+    block.inputs[port] = channel
+    for attr, value in list(vars(block).items()):
+        if value is old:
+            setattr(block, attr, channel)
+        elif isinstance(value, list):
+            value[:] = [channel if item is old else item for item in value]
 
 
 def push_stamped(channel, tokens, stamp):
@@ -53,6 +65,56 @@ def push_stamped(channel, tokens, stamp):
         batch = TokenBatch.from_tokens(run)
         channel.push_batch_timed(batch, np.full(len(batch.data), stamp),
                                  np.full(len(batch.ctrl_code), stamp))
+
+
+class Exp(Block):
+    """A unary map of a value stream, ``N`` read as zero: the block
+    differential's row for a map whose function numpy cannot vectorise."""
+
+    primitive = "alu"
+
+    port_specs = (
+        PortSpec('in_a', 'in', kind='vals'),
+        PortSpec('out', 'out', kind='vals'),
+    )
+    stream_xfer = StreamXfer(
+        ins=(("in_a", "d"),),
+        outs=(("out", "vals", "d"),),
+    )
+
+    def __init__(self, fn, in_a, out, name="map"):
+        super().__init__(name)
+        self._fn = fn
+        self.in_a = self._in("in_a", in_a)
+        self.out = self._out("out", out)
+
+    def _run(self):
+        while True:
+            a = yield from self._get(self.in_a)
+            if is_data(a) or is_empty(a):
+                self.out.push(self._fn(0.0 if is_empty(a) else a))
+            else:
+                self.out.push(a)
+            yield True
+            if is_done(a):
+                return
+
+    timing = TimingDescriptor(fuse_role="map")
+
+    def plan_tag(self):
+        return ("exp", getattr(self._fn, "__name__", "fn"))
+
+    def map_parts(self):
+        fn = self._fn
+        return (lambda run: np.asarray([fn(v) for v in run.tolist()])), fn(0.0)
+
+    def drain_timed(self) -> bool:
+        """Timed drain: rate-1 unary map; *fn* applied per element."""
+        if self.finished:
+            return False
+        return self._t_unary_window(
+            self.in_a, self._tbuilder(self.out), *self.map_parts()
+        )
 
 
 class Relay(Block):

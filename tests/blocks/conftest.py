@@ -11,7 +11,7 @@ def harness():
     class Harness:
         @staticmethod
         def paper(text, kind="crd"):
-            from repro.streams import stream_from_paper
+            from streamkit import stream_from_paper
 
             return stream_from_paper(text, kind=kind).tokens
 

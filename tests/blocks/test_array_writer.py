@@ -12,7 +12,6 @@ from repro.blocks import (
     LinkedListLevelWriter,
     ScatterValsWriter,
     StreamFeeder,
-    UncompressedLevelWriter,
     ValsWriter,
 )
 from repro.sim import run_blocks
@@ -105,14 +104,6 @@ class TestOtherWriters:
             StreamFeeder([1.0, Stop(0), EMPTY, 2.0, Stop(1), DONE], val), writer
         ], backend=engine)
         assert writer.vals.tolist() == [1.0, 0.0, 2.0]
-
-    def test_uncompressed_writer_counts_fibers(self, engine):
-        crd = Channel("c")
-        writer = UncompressedLevelWriter(4, crd)
-        run_blocks([StreamFeeder([0, 2, Stop(0), 1, Stop(0), DONE], crd), writer],
-                   backend=engine)
-        assert writer.level.size == 4
-        assert writer.level.num_fibers() == 2
 
     def test_scatter_writer_accumulates(self, engine):
         refs, val = Channel("r", kind="ref"), Channel("v", kind="vals")

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.blocks import ALU, BlockError, Exp, ScalarALU, StreamFeeder
+from repro.blocks import ALU, BlockError, ScalarALU, StreamFeeder
 from repro.sim import run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
+
+from blockkit import Exp
 
 
 def alu(op, a_tokens, b_tokens, *, backend):

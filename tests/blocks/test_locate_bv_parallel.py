@@ -19,7 +19,7 @@ from repro.streams import Channel, DONE, EMPTY, Stop
 
 
 class TestLocator:
-    def _run(self, level, crd_tokens, ref_tokens, target_tokens=None, *, backend):
+    def _run(self, level, crd_tokens, ref_tokens, *, backend):
         crd, ref = Channel("c"), Channel("r", kind="ref")
         oc = Channel("oc", record=True)
         of = Channel("of", kind="ref", record=True)
@@ -28,11 +28,7 @@ class TestLocator:
             StreamFeeder(crd_tokens, crd, name="fc"),
             StreamFeeder(ref_tokens, ref, name="fr"),
         ]
-        target = None
-        if target_tokens is not None:
-            target = Channel("t", kind="ref")
-            blocks.append(StreamFeeder(target_tokens, target, name="ft"))
-        blocks.append(Locator(level, crd, ref, oc, of, oi, in_target_ref=target))
+        blocks.append(Locator(level, crd, ref, oc, of, oi))
         run_blocks(blocks, backend=backend)
         return list(oc.history), list(of.history), list(oi.history)
 
@@ -49,18 +45,6 @@ class TestLocator:
                               [0, 1, Stop(0), DONE], backend=engine)
         assert oc == [3, 9, Stop(0), DONE]
         assert of == [3, 9, Stop(0), DONE]
-
-    def test_per_fiber_targets(self, engine):
-        level = CompressedLevel.from_fibers([[1], [2]])
-        oc, of, _ = self._run(
-            level,
-            [1, Stop(0), 2, Stop(1), DONE],
-            [0, Stop(0), 1, Stop(1), DONE],
-            target_tokens=[0, 1, Stop(0), DONE],
-            backend=engine,
-        )
-        assert oc == [1, Stop(0), 2, Stop(1), DONE]
-        assert of == [0, Stop(0), 1, Stop(1), DONE]
 
     def test_statistics(self, engine):
         level = CompressedLevel.from_fibers([[1, 4]])

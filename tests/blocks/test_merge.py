@@ -155,7 +155,7 @@ class TestIntersect:
             backend=engine,
         )
         assert out_crd == [90, Stop(0), DONE]
-        hints = skips[0].drain()
+        hints = list(skips[0].queue)
         # Hints are (fiber_index, coordinate) pairs for the first fiber.
         assert (0, 90) in hints
 

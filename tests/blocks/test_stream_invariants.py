@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 from repro.blocks import Intersect, MergeSide, StreamFeeder, Union, make_scanner
 from repro.formats import CompressedLevel
 from repro.sim import run_blocks
-from repro.streams import Channel, DONE, Stop, from_stream, to_stream
+from repro.streams import Channel, DONE, Stop
 
 from blockkit import ENGINES
+from streamkit import Stream, from_stream, to_stream
 
 coord_sets = st.lists(
     st.integers(0, 30), min_size=0, max_size=12, unique=True
@@ -92,7 +93,6 @@ def test_scanner_mirrors_level_contents(engine, fibers):
         StreamFeeder(refs, in_ref),
         make_scanner(level, in_ref, out_crd, out_ref),
     ], backend=engine)
-    from repro.streams import Stream
 
     nested = from_stream(Stream(list(out_crd.history)))
     # Empty trailing fibers collapse in the encoding; compare non-strictly.

@@ -39,7 +39,6 @@ from repro.blocks import (
     Block,
     BlockError,
     CoordDropper,
-    Exp,
     InterleaveSerializer,
     Intersect,
     LinkedListLevelWriter,
@@ -63,13 +62,13 @@ from repro.streams.timing import window_capacity
 from repro.streams.token import is_data, is_stop
 
 from blockkit import (
-    ENGINES, TIMED, Relay, Slicer, assert_windows_sliced, canon, fed, window_log,
+    ENGINES, TIMED, Exp, Relay, Slicer, assert_windows_sliced, canon, fed, window_log,
 )
 from numpy_counters import numpy_calls
 
 ORACLE = "cycle"
 #: channel kind of an input port, by the port's name less its indices
-KINDS = {"crd": "crd", "ref": "ref", "target": "ref", "outer": "crd", "parent": "crd",
+KINDS = {"crd": "crd", "ref": "ref", "outer": "crd", "parent": "crd",
          "val": "vals", "inner": "vals", "a": "vals", "b": "vals", "lane": "vals",
          "scan": "ref"}
 
@@ -167,30 +166,16 @@ locate_pairs = st.lists(
 
 
 @st.composite
-def locate_streams(draw, targeted):
-    """A crd/ref pair and the probed level's fibers; when *targeted*, the
-    target stream: per fiber with pairs a target or ``N`` behind a run of
-    stops, then trailing stops, unused targets and ``D``."""
+def locate_streams(draw):
+    """A crd/ref pair and the probed level's fiber."""
     def emit(streams, pairs):
         streams["crd"] += [c for c, _ in pairs]
         streams["ref"] += [r for _, r in pairs]
 
-    level = draw(st.lists(
-        st.lists(st.integers(0, UNIVERSE - 1), unique=True, max_size=5).map(sorted),
-        min_size=1, max_size=3))
+    level = draw(st.lists(st.integers(0, UNIVERSE - 1), unique=True,
+                          max_size=5).map(sorted))
     fibers, last = one_level(draw(nests(locate_pairs))), draw(locate_pairs)
-    streams = same_level(fibers, last, ("crd", "ref"), emit)
-    if not targeted:
-        return {"level": level[:1]}, streams
-    target = st.one_of(st.integers(0, len(level) - 1), st.just(EMPTY))
-    tokens = []
-    for pairs, _ in fibers + [(last, None)]:
-        if pairs:
-            tokens += [Stop(0)] * draw(st.integers(0, 2)) + [draw(target)]
-    tokens += draw(st.lists(st.one_of(st.sampled_from([Stop(0), Stop(1)]), target),
-                            max_size=3))
-    streams["target"] = tokens + [DONE]
-    return {"level": level}, streams
+    return {"level": [level]}, same_level(fibers, last, ("crd", "ref"), emit)
 
 
 SIZE = 5
@@ -522,8 +507,7 @@ def make_exp(params, ins, out):
 def make_locator(params, ins, out):
     outs = out("o_crd", "crd"), out("o_found", "ref"), out("o_ref", "ref")
     level = CompressedLevel.from_fibers(params["level"])
-    return [Locator(level, ins["crd"], ins["ref"], *outs,
-                    in_target_ref=ins.get("target"), name="locate")]
+    return [Locator(level, ins["crd"], ins["ref"], *outs, name="locate")]
 
 
 def make_scatter(params, ins, out):
@@ -637,20 +621,14 @@ ALU_ERRORS = Errors({"op": "add"}, {"a": "1.0 0.0 S0 2.0 S1", "b": "1.0 S0 2.0 N
     ("alu: misaligned value streams (D vs 4.0)", {"a": "D", "b": "N 4.0 D"}),
 ])
 LOCATE_ERRORS = Errors(
-    {"level": [[1, 2], [0, 3]]},
-    {"crd": "1 N S0 3 S1", "ref": "0 1 S0 N S1", "target": "0 S0 1"}, [
-    ("locate: misaligned inputs (3 vs S0)",
-     {"crd": "1 3 S0 D", "ref": "0 S0 D", "target": "0 D"}),
-    ("locate: misaligned inputs (S0 vs 2)",
-     {"crd": "1 S0 D", "ref": "0 2 S0 D", "target": "0 D"}),
-    ("locate: misaligned inputs (S0 vs S1)",
-     {"crd": "1 S0 D", "ref": "0 S1 D", "target": "0 D"}),
-    ("locate: misaligned inputs (D vs S0)",
-     {"crd": "1 D", "ref": "0 S0 D", "target": "0 D"}),
-    ("locate: misaligned inputs (N vs D)",
-     {"crd": "N S0 D", "ref": "D", "target": "0 D"}),
-    ("locate: target stream ended before the coordinates",
-     {"crd": "1 S0 2 S0 D", "ref": "0 S0 1 S0 D", "target": "0 S0 D"}),
+    {"level": [[1, 2]]}, {"crd": "1 N S0 3 S1", "ref": "0 1 S0 N S1"}, [
+    ("locate: misaligned inputs (3 vs S0)", {"crd": "1 3 S0 D", "ref": "0 S0 D"}),
+    ("locate: misaligned inputs (S0 vs 2)", {"crd": "1 S0 D", "ref": "0 2 S0 D"}),
+    ("locate: misaligned inputs (S0 vs S1)", {"crd": "1 S0 D", "ref": "0 S1 D"}),
+    ("locate: misaligned inputs (D vs S0)", {"crd": "1 D", "ref": "0 S0 D"}),
+    ("locate: misaligned inputs (N vs D)", {"crd": "N S0 D", "ref": "D"}),
+    # an N reference is a datum: it does not pair with a stop
+    ("locate: misaligned inputs (S0 vs N)", {"crd": "1 S0 D", "ref": "0 N S0 D"}),
 ])
 #: the scatter writer used to scatter what it could and drop the rest,
 #: or wait for ever at D
@@ -817,13 +795,8 @@ class Case(NamedTuple):
 CASES = [
     Case("alu", (ALU,), alu_streams(), make_alu, ALU_ERRORS),
     Case("exp", (Exp,), exp_streams(), make_exp, Errors({}, {}, [])),
-    Case("locate", (Locator,), locate_streams(False), make_locator,
-         LOCATE_ERRORS._replace(rows=[]),
+    Case("locate", (Locator,), locate_streams(), make_locator, LOCATE_ERRORS,
          counters=lambda blocks: (blocks[0].probes, blocks[0].hits)),
-    # the target stream is drained at D as far as it has arrived
-    Case("locate-targeted", (Locator,), locate_streams(True), make_locator,
-         LOCATE_ERRORS, counters=lambda blocks: (blocks[0].probes, blocks[0].hits),
-         paced={"target": None}),
     # both inputs from one scanner: its fibers as runs, probed per fiber
     Case("scan-locate", (Locator,), scan_locate_streams(), make_scan_locator,
          Errors({}, {}, []),
@@ -1092,11 +1065,9 @@ REGRESSIONS = [
      {"a": "1.0 0.0 S0 3.0 S1 D", "b": "2.0 S0 N N -0.0 S1 0.0 D"}),
     # N maps to fn(0.0), at either end of a window and between stops
     ("exp", {"fn": "shift"}, {"a": "N 1.0 S0 N S0 -0.0 N S1 2.5 N D"}),
-    # N targets, stop runs in front of a target, trailing controls at D
-    ("locate-targeted", {"level": [[2, 4], [1, 3, 4]]},
-     {"crd": "1 4 N S0 S0 2 4 S1 D",
-      "ref": "10 N 12 S0 S0 13 14 S1 D",
-      "target": "1 S0 S0 N S1 0 S0 D"}),
+    # N coordinates and references, an empty fiber between two stops
+    ("locate", {"level": [[2, 4]]},
+     {"crd": "1 4 N S0 S0 2 4 S1 D", "ref": "10 N 12 S0 S0 13 14 S1 D"}),
     # N references, stray stops of two levels, an empty fiber, hits and
     # misses, a second stream after D
     ("scan-locate", {"level": SCAN_RUNS, "target": [0, 3, 4, 7], "dense": 0},
@@ -1137,6 +1108,10 @@ REGRESSIONS = [
     # an unsorted level's runs bail where their keys stop increasing
     ("scan-intersect", {"level": [[5, 1, 3], [2, 0]], "sides": "ds", "dirty": True},
      {"crd0": "1 3 S0 0 S1 D", "ref0_0": "10 11 S0 12 S1 D", "scan1": "0 1 S0 D"}),
+    # an empty first fiber, misses between hits, an N coordinate beside a
+    # reference and a hit beside an N reference, stops of three levels
+    ("locate", {"level": [[0, 3, 5, 9]]},
+     {"crd": "S0 0 1 3 S1 N 9 S0 5 7 S2 D", "ref": "S0 20 21 22 S1 23 N S0 24 25 S2 D"}),
 ]
 
 
@@ -1220,7 +1195,7 @@ def test_protocol_error_is_one_message(case, row, how, clean):
 #: timed blocks whose differential lives elsewhere, by the test file
 EXEMPT = {name: path for path, names in {
     "tests/sim/test_fused_units.py": "ArrayLoad ScalarALU ScalarReducer Sink "
-    "ValsWriter CompressedLevelWriter UncompressedLevelWriter LevelScanner "
+    "ValsWriter CompressedLevelWriter LevelScanner "
     "UncompressedLevelScanner",
     "tests/sim/test_window_identity.py": "Fanout",
     "tests/sim/test_plane_rule.py": "Parallelizer",

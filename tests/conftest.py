@@ -5,7 +5,7 @@ that a run (and ``tools/mutation_kill.py``, which replays the suite
 against mutated sources) is reproducible; a regression input a property
 once missed stays on its test as an ``@example`` row.  Loading this file
 also puts ``tests/`` on ``sys.path``, which is how the shared helper
-modules (``blockkit``, ``numpy_counters``) are imported.
+modules (``blockkit``, ``numpy_counters``, ``streamkit``) are imported.
 
 A test names the engines it runs on: it takes the :func:`engine`
 fixture (every registered engine once) and passes it on as

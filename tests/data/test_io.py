@@ -1,4 +1,4 @@
-"""Tensor ingestion (.mtx/.tns), the dataset registry, and degenerate
+"""Matrix ingestion (.mtx), the dataset registry, and degenerate
 tensors driven through all three simulation backends."""
 
 import gzip
@@ -23,11 +23,8 @@ from repro.data import (
     MatrixSpec,
     TABLE3,
     generate,
-    load_tensor,
     read_mtx,
-    read_tns,
     write_mtx,
-    write_tns,
 )
 from repro.data import io as io_module
 from repro.data.io import _WRITE_ROWS, MTX_FIELDS, MTX_SYMMETRIES, CooTensor
@@ -344,11 +341,11 @@ class TestMtxWriterRoundTrip:
         with pytest.raises(ValueError, match="symmetry"):
             write_mtx(str(tmp_path / "x.mtx"), dense, symmetry="hermitian")
 
-    def test_gz_write_read_through_load_tensor(self, tmp_path):
+    def test_gz_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         dense = (rng.random((6, 5)) < 0.4) * rng.random((6, 5))
         path = write_mtx(str(tmp_path / "z.mtx.gz"), dense)
-        tensor = load_tensor(path)
+        tensor = read_mtx(path).to_fibertensor()
         assert np.allclose(tensor.to_numpy(), dense)
 
 
@@ -996,24 +993,6 @@ class TestWriterBytes:
             b"%%MatrixMarket matrix coordinate real general\n3 4 0\n"
         )
 
-    @pytest.mark.parametrize("suffix", ["tns", "tns.gz"])
-    def test_tns_order3(self, suffix, tmp_path):
-        rng = np.random.default_rng(12)
-        flat = rng.choice(30 * 40 * 50, self.ROWS, replace=False)
-        coords = np.column_stack(np.unravel_index(flat, (30, 40, 50)))
-        values = rng.standard_normal(self.ROWS)
-        coo = CooTensor((30, 40, 50), coords.astype(np.int64), values)
-        path = write_tns(str(tmp_path / f"w.{suffix}"), coo)
-        body = np.column_stack([coords + 1, values.reshape(-1, 1)])
-        assert _file_bytes(path) == _savetxt(
-            "# shape: 30 40 50\n", body, "%d %d %d %.17g"
-        )
-
-    def test_tns_no_rows(self, tmp_path):
-        coo = CooTensor((2, 3), np.empty((0, 2), dtype=np.int64), np.empty(0))
-        path = write_tns(str(tmp_path / "z.tns"), coo)
-        assert _file_bytes(path) == b"# shape: 2 3\n"
-
 
 class TestWriterIndicesPast2To53:
     """Indices are formatted from int64, not rounded through a float64:
@@ -1032,20 +1011,6 @@ class TestWriterIndicesPast2To53:
         back = read_mtx(write_mtx(str(tmp_path / "big.mtx"), coo))
         assert back.coords.tolist() == coo.coords.tolist()
         assert back.shape == coo.shape
-
-    def test_tns_lines(self, tmp_path):
-        coo = self._coo("real")
-        path = write_tns(str(tmp_path / "big.tns"), coo)
-        assert _file_bytes(path).decode().splitlines()[1:] == [
-            f"{self.BIG + 1} 1 1.5", f"{self.BIG + 3} 3 2",
-        ]
-        assert read_tns(path).coords.tolist() == coo.coords.tolist()
-
-    def test_tns_float_spelled_index_keeps_the_float_reading(self, tmp_path):
-        path = tmp_path / "mixed.tns"
-        path.write_text(f"3.0 1 1\n{self.BIG + 1} 1 1.5\n")
-        assert read_tns(str(path)).coords[0].tolist() == [2, 0]
-
 
 class TestWritersLeaveNoPartialFile:
     """A writer that raises leaves the file that was at the path, byte for
@@ -1066,7 +1031,7 @@ class TestWritersLeaveNoPartialFile:
 
     @pytest.mark.parametrize("suffix", ["", ".gz"])
     @pytest.mark.parametrize("writer, stem, order", [
-        (write_mtx, "w.mtx", 2), (write_tns, "w.tns", 3),
+        (write_mtx, "w.mtx", 2),
     ])
     def test_failed_write_keeps_the_old_file(self, writer, stem, order, suffix,
                                              tmp_path, monkeypatch):
@@ -1084,102 +1049,6 @@ class TestWritersLeaveNoPartialFile:
                 writer(target, self._coo(order))
         assert open(path, "rb").read() == before
         assert os.listdir(tmp_path) == [stem + suffix]
-
-
-class TestTnsReader:
-    def test_order3_with_comments(self, tmp_path):
-        path = tmp_path / "t.tns"
-        path.write_text("# FROSTT-style tensor\n1 1 1 1.5\n2 3 4 2.5\n")
-        coo = read_tns(str(path))
-        assert coo.shape == (2, 3, 4)
-        assert coo.coords.tolist() == [[0, 0, 0], [1, 2, 3]]
-        assert coo.values.tolist() == [1.5, 2.5]
-
-    def test_explicit_shape(self, tmp_path):
-        path = tmp_path / "t.tns"
-        path.write_text("1 1 1.0\n")
-        coo = read_tns(str(path), shape=(5, 6))
-        assert coo.shape == (5, 6)
-
-    def test_shape_header_after_other_comments(self, tmp_path):
-        # The shape annotation must be found even below provenance
-        # comments, not just on the very first line.
-        path = tmp_path / "t.tns"
-        path.write_text("# FROSTT tensor\n# shape: 3 4 5\n1 2 3 1.0\n")
-        assert read_tns(str(path)).shape == (3, 4, 5)
-
-    def test_shape_order_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "t.tns"
-        path.write_text("1 1 1.0\n")
-        with pytest.raises(ValueError, match="order"):
-            read_tns(str(path), shape=(5, 6, 7))
-
-    def test_fractional_coordinate_rejected(self, tmp_path):
-        # 1.7 used to truncate into slice 0 through astype(int64).
-        path = tmp_path / "frac.tns"
-        path.write_text("1 2 3 0.5\n1.7 2 3 1.5\n")
-        with pytest.raises(ValueError, match=r"frac\.tns.*entry 2.*1\.7"):
-            read_tns(str(path))
-
-    def test_ragged_body_names_file_and_entry(self, tmp_path):
-        path = tmp_path / "ragged.tns"
-        path.write_text("# shape: 3 3 3\n1 1 1 1.0\n2 2 2.0\n")
-        with pytest.raises(ValueError) as raised:
-            read_tns(str(path))
-        assert str(raised.value) == (
-            f"{path}: entry 2 has 3 columns, the entries before it have 4: "
-            "'2 2 2.0'"
-        )
-
-    def test_unparsable_token_names_file_and_entry(self, tmp_path):
-        path = tmp_path / "fortran.tns"
-        path.write_text("1 1 1.0\n# note\n2 2 1d3\n")
-        with pytest.raises(ValueError) as raised:
-            read_tns(str(path))
-        assert str(raised.value) == (
-            f"{path}: entry 2: '1d3' is not a number: '2 2 1d3'"
-        )
-
-    @pytest.mark.parametrize("shape", ["3 x 1", "-3 3"])
-    def test_malformed_shape_comment_names_file_and_line(self, shape, tmp_path):
-        path = tmp_path / "shape.tns"
-        path.write_text(f"# shape: {shape}\n1 1 1.0\n")
-        with pytest.raises(ValueError) as raised:
-            read_tns(str(path))
-        assert str(raised.value) == (
-            f"{path}: malformed shape comment '# shape: {shape}\\n'"
-        )
-
-    def test_empty_needs_shape(self, tmp_path):
-        path = tmp_path / "e.tns"
-        path.write_text("# nothing here\n")
-        with pytest.raises(ValueError, match="explicit shape"):
-            read_tns(str(path))
-        coo = read_tns(str(path), shape=(3, 4))
-        assert coo.nnz == 0 and coo.shape == (3, 4)
-
-    def test_write_read_round_trip(self, tmp_path):
-        cube = np.zeros((2, 3, 4))
-        cube[0, 1, 2] = 1.25
-        cube[1, 2, 3] = -2.5
-        nz = np.argwhere(cube != 0)
-        coo = CooTensor(cube.shape, nz.astype(np.int64), cube[tuple(nz.T)])
-        path = write_tns(str(tmp_path / "rt.tns"), coo)
-        back = read_tns(path)
-        assert back.shape == (2, 3, 4)
-        assert np.array_equal(back.to_fibertensor().to_numpy(), cube)
-
-    def test_load_tensor_dispatch(self, tmp_path):
-        path = tmp_path / "t.tns"
-        path.write_text("1 2 4.0\n2 1 3.0\n")
-        tensor = load_tensor(str(path))
-        assert isinstance(tensor, FiberTensor)
-        assert tensor.name == "t"
-        assert np.array_equal(
-            tensor.to_numpy(), np.array([[0, 4], [3, 0]], dtype=float)
-        )
-        with pytest.raises(ValueError, match="extension"):
-            load_tensor(str(tmp_path / "t.unknown"))
 
 
 class TestRegistry:
@@ -1229,15 +1098,6 @@ class TestRegistry:
         with pytest.warns(UserWarning, match="stored entries"):
             matrix = registry.load_matrix("relat3")
         assert matrix.nnz == 1
-
-    def test_register_file_infers_spec(self, tmp_path):
-        path = tmp_path / "mine.mtx"
-        path.write_text(MTX_GENERAL)
-        registry = DatasetRegistry(data_dir=str(tmp_path))
-        spec = registry.register_file(str(path))
-        assert spec.name == "mine" and spec.shape == (4, 4) and spec.nnz == 5
-        tensor = registry.load_tensor("mine")
-        assert np.array_equal(tensor.to_numpy(), DENSE_GENERAL)
 
     def test_unknown_name_rejected(self, tmp_path):
         with pytest.raises(KeyError):
@@ -1333,24 +1193,19 @@ class TestDegenerateTensors:
         result = _identity_run(tensor, backend)
         assert np.array_equal(result.to_numpy(), dense)
 
-    @pytest.mark.parametrize("constructor", ["numpy", "mtx", "tns"])
+    @pytest.mark.parametrize("constructor", ["numpy", "mtx"])
     def test_degenerate_sources_round_trip(self, constructor, tmp_path):
         dense = np.zeros((3, 5))
         dense[0, 4] = 1.5
         if constructor == "numpy":
             tensor = FiberTensor.from_numpy(dense)
-        elif constructor == "mtx":
+        else:
             path = write_mtx(str(tmp_path / "d.mtx"), dense)
-            tensor = load_tensor(path)
+            tensor = read_mtx(path).to_fibertensor()
             # scipy reference for the same file
             assert np.array_equal(
                 read_mtx(path).to_scipy().toarray(), dense
             )
-        else:
-            nz = np.argwhere(dense != 0)
-            coo = CooTensor(dense.shape, nz.astype(np.int64),
-                            dense[tuple(nz.T)])
-            tensor = load_tensor(write_tns(str(tmp_path / "d.tns"), coo))
         assert np.array_equal(tensor.to_numpy(), dense)
 
     def test_empty_mtx_round_trip(self, tmp_path):
@@ -1371,7 +1226,7 @@ class TestMtxEndToEnd:
     def test_mtx_spmv_matches_scipy(self, backend, tmp_path):
         matrix = generate(MatrixSpec("e2e", "test", (30, 40), 150), seed=5)
         path = write_mtx(str(tmp_path / "e2e.mtx"), matrix)
-        tensor = load_tensor(path, name="B")
+        tensor = read_mtx(path).to_fibertensor(name="B")
         rng = np.random.default_rng(7)
         c = rng.uniform(0.1, 1.0, size=40)
         program = compile_expression("x(i) = B(i,j) * c(j)")

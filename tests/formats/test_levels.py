@@ -55,11 +55,6 @@ class TestCompressedLevel:
         with pytest.raises(ValueError):
             CompressedLevel([0, 2, 1, 3], [0, 1, 2])  # non-decreasing
 
-    def test_footprint(self):
-        level = CompressedLevel.from_fibers([[0, 1], [2]])
-        assert level.memory_footprint() == 3 + 3
-        assert level.total_coordinates() == 3
-
 
 class TestDenseLevel:
     def test_fiber_enumerates_all(self):
@@ -72,9 +67,6 @@ class TestDenseLevel:
         assert level.locate(0, 2) == 2
         assert level.locate(2, 3) == 11
         assert level.locate(0, 4) is None
-
-    def test_footprint_is_one_word(self):
-        assert DenseLevel(1000).memory_footprint() == 1
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):

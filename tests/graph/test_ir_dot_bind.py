@@ -136,12 +136,6 @@ class TestBind:
         with pytest.raises(GraphError):
             bind(tiny_identity_graph(), {})
 
-    def test_cycles_property_requires_run(self):
-        tensor = FiberTensor.from_numpy(np.eye(2), name="B")
-        bound = bind(tiny_identity_graph(), {"B": tensor})
-        with pytest.raises(RuntimeError):
-            _ = bound.cycles
-
     def test_recorded_channels(self, engine):
         tensor = FiberTensor.from_numpy(np.eye(2), name="B")
         bound = bind(tiny_identity_graph(), {"B": tensor}, record=("si.crd",))

@@ -1,9 +1,10 @@
-"""Port-spec coverage for every IR node kind, plus assemble_tensor."""
+"""Port-spec coverage for every IR node kind, plus the writers' tensor."""
 
 import numpy as np
 import pytest
 
-from repro.blocks import CompressedLevelWriter, StreamFeeder, ValsWriter, assemble_tensor
+from repro.blocks import CompressedLevelWriter, StreamFeeder, ValsWriter
+from repro.formats import FiberTensor
 from repro.graph import GraphError, Node, node_ports
 from repro.sim import run_blocks
 from repro.streams import Channel, DONE, Stop
@@ -50,16 +51,12 @@ class TestNodePorts:
         ins, _ = self._ports("crd_drop", mode="fiber")
         assert ("inner", "crd") in ins
 
-    def test_locate_target_port(self):
-        ins, _ = self._ports("locate", tensor="c", depth=0, use_target=True)
-        assert ("target", "ref") in ins
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(GraphError):
             self._ports("mystery")
 
 
-class TestAssembleTensor:
+class TestWritersToTensor:
     def test_writers_to_fibertensor(self, engine):
         crd_i, crd_j = Channel("ci"), Channel("cj")
         vals = Channel("v", kind="vals")
@@ -72,7 +69,7 @@ class TestAssembleTensor:
             StreamFeeder([5.0, Stop(0), 6.0, 7.0, Stop(1), DONE], vals, name="fv"),
             wi, wj, wv,
         ], backend=engine)
-        tensor = assemble_tensor((3, 3), [wi, wj], wv, name="X")
+        tensor = FiberTensor((3, 3), [wi.level, wj.level], wv.vals, name="X")
         expected = np.zeros((3, 3))
         expected[0, 1] = 5.0
         expected[2, 0] = 6.0

@@ -267,34 +267,6 @@ class TestPortDeclarations:
             assert str(err.value) == (
                 "fan: no declared out port 'lane0' on Fanout (declared: out{i})")
 
-    def test_rebind_unbound_port_rejected(self):
-        g = Graph("rebind")
-        sink = Sink(g.out("a", "vals"), name="sink")
-        with pytest.raises(PortError):
-            sink.rebind_input("other", g.out("b", "vals"))
-
-
-class TestConnectOverride:
-    def test_connect_repoints_consumer(self):
-        g = Graph("connect")
-        _feed(g, "a", [1.0, DONE])
-        _feed(g, "b", [2.0, DONE])
-        sink = g.add(Sink(g.in_("a"), name="sink"))
-        g.connect("b", (sink, "in"))  # override the name auto-wiring
-        g.unused("a")
-        g.run(backend="cycle")
-        assert sink.tokens[0] == 2.0
-
-    def test_connect_accepts_block_port_pair(self):
-        g = Graph("connect2")
-        feed_a = g.add(StreamFeeder([1.0, DONE], g.out("a", "vals"),
-                                    name="feed_a"))
-        _feed(g, "b", [2.0, DONE])
-        sink = g.add(Sink(g.in_("b"), name="sink"))
-        g.connect((feed_a, "out"), (sink, "in"))
-        g.unused("b")
-        g.run(backend="cycle")
-        assert sink.tokens[0] == 1.0
 
 
 class TestNestedComposition:

@@ -21,11 +21,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.cli import _study_specs, build_parser, main
-from repro.harness import STUDY_NAMES, Option, OptionError, all_studies, get_study
+from repro.harness import STUDY_NAMES, Option, OptionError, get_study
+
+STUDIES = [get_study(name) for name in STUDY_NAMES]
 
 #: (study, option) for every option of every study
 ROWS = [pytest.param(study, option, id=f"{study.name}.{option.name}")
-        for study in all_studies() for option in study.options]
+        for study in STUDIES for option in study.options]
 
 SCALARS = st.one_of(
     st.integers(-10**6, 10**6),
@@ -137,7 +139,7 @@ def test_enumerate_ignores_undeclared_keys(name, key, value):
 
 
 def test_quick_options_are_the_rows_quick_values():
-    quick = {study.name: study.quick_options for study in all_studies()}
+    quick = {study.name: study.quick_options for study in STUDIES}
     assert quick == {
         "table1": {},
         "table2": {"distinct": 40, "total": 500},
@@ -224,7 +226,7 @@ def test_a_key_goes_only_to_the_studies_that_declare_it():
 
 #: (study, option) for every option with an upper bound
 BOUNDED = [pytest.param(study, option, id=f"{study.name}.{option.name}")
-           for study in all_studies() for option in study.options
+           for study in STUDIES for option in study.options
            if option.high is not None]
 
 

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from blockkit import ENGINES
-from repro.harness import STUDY_NAMES, SweepRunner, all_studies, get_study
+from repro.harness import STUDY_NAMES, SweepRunner, get_study
+
+STUDIES = [get_study(name) for name in STUDY_NAMES]
 
 #: reduced-scale options per study so the whole matrix stays fast;
 #: falls back to the study's own quick_options
@@ -21,7 +23,7 @@ TEST_OPTIONS = {
 class TestRegistry:
     def test_all_seven_studies_resolve(self):
         assert len(STUDY_NAMES) == 7
-        for study in all_studies():
+        for study in STUDIES:
             assert study.name in STUDY_NAMES
             assert study.title
 

@@ -79,10 +79,6 @@ class TestSpecKeys:
         again = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
 
-    def test_label_mentions_study_and_point(self):
-        spec = ExperimentSpec("fig11", {"k": 10, "variant": "unfused"})
-        assert "fig11" in spec.label() and "k=10" in spec.label()
-
 
 #: records each of two writer processes appends to one log at once
 STORES_PER_WRITER = 200
@@ -232,6 +228,28 @@ class TestResultCache:
         assert new.load(spec).payload == {"cycles": 2}
         assert reopen(new).load(spec).payload == {"cycles": 2}
         assert new.prune_stale() == 0
+
+    def test_prune_names_the_old_layout_and_deletes_none_of_it(self, tmp_path,
+                                                                capsys):
+        from repro.cli import main
+
+        old = tmp_path / "table2"  # the older <root>/<study>/<key>.json files
+        (old / "deep").mkdir(parents=True)
+        for name in ("a.json", "b.json", "deep/c.json"):
+            (old / name).write_text("{}\n")
+        argv = ["--engine", "timed-batch", "sweep", "table2", "--quick",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv + ["--prune"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "pruned 0 stale cache entries",
+            f"{old}{os.sep} holds 3 files of the older per-point cache layout, "
+            "which no sweep reads: delete it by hand",
+        ]
+        assert sorted(p.name for p in old.rglob("*")) == ["a.json", "b.json",
+                                                          "c.json", "deep"]
+        assert main(argv) == 0  # only --prune looks for it
+        assert "per-point" not in capsys.readouterr().out
 
     def test_a_study_is_one_log_and_nothing_else(self, cache):
         for k in range(5):

@@ -20,6 +20,29 @@ def rng():
     return np.random.default_rng(42)
 
 
+#: numeric literals, the only route to a ScalarALU: each expression and
+#: its numpy reference, spelled in the same order of operations
+COEFFICIENTS = [
+    ("x(i) = 2 * b(i) * 1.5", lambda b, c: 2 * b * 1.5),
+    ("x(i) = -b(i) + c(i)", lambda b, c: -b + c),
+    ("x(i) = b(i) - 0.5 * c(i)", lambda b, c: b - 0.5 * c),
+]
+
+
+@pytest.mark.parametrize("expression, reference", COEFFICIENTS,
+                         ids=["scaled", "negated", "scaled-difference"])
+def test_numeric_coefficients_run_end_to_end(expression, reference, rng, engine):
+    b = sp(rng, 12) * rng.choice([-1.0, 1.0], size=12)
+    c = sp(rng, 12) * rng.choice([-1.0, 1.0], size=12)
+    program = compile_expression(expression)
+    assert any(node.kind == "alu" and "const" in node.params
+               for node in program.graph.nodes.values())
+    operands = {"b": b, "c": c} if "c(i)" in expression else {"b": b}
+    got = program.run(operands, backend=engine)
+    assert np.array_equal(got.to_numpy(), reference(b, c))
+    assert got.cycles == program.run(operands, backend="cycle").cycles
+
+
 class TestTable1Numerics:
     def test_spmv(self, rng, engine):
         B, c = sp(rng, (8, 6)), sp(rng, 6)

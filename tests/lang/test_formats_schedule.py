@@ -41,7 +41,6 @@ class TestTensorFormat:
         assert fmt.level_var(access, 0) == "j"
 
     def test_constructors(self):
-        assert TensorFormat.dense(3).formats == ("dense",) * 3
         assert TensorFormat.compressed(2).formats == ("compressed",) * 2
 
 

@@ -12,14 +12,9 @@ class TestParser:
         assert len(asg.terms) == 1
         assert asg.terms[0].accesses == [Access("B", ("i", "k")), Access("C", ("k", "j"))]
 
-    def test_reduction_vars_implicit(self):
-        asg = parse("X(i,j) = B(i,k) * C(k,j)")
-        assert asg.reduction_vars == ("k",)
-
     def test_scalar_output(self):
         asg = parse("chi = B(i,j) * C(i,j)")
         assert asg.lhs.is_scalar
-        assert asg.reduction_vars == ("i", "j")
 
     def test_signs(self):
         asg = parse("x(i) = b(i) - C(i,j) * d(j)")

@@ -18,7 +18,7 @@ class TestTiledMatrix:
     def test_tiles_partition_nonzeros(self):
         matrix = extensor_matrix(100, 50, seed=0)
         tiled = TiledMatrix(matrix, 32)
-        assert sum(tiled.tile_nnz(*key) for key in tiled.tiles) == matrix.nnz
+        assert tiled.tile_nnzs.sum() == matrix.nnz
         assert sum(tiled.tile(*key).nnz for key in tiled.tiles) == matrix.nnz
 
     def test_tile_coordinates_local(self):
@@ -34,7 +34,6 @@ class TestTiledMatrix:
         tiled = TiledMatrix(sparse.csr_matrix(dense), 4)
         assert tiled.grid == (2, 2)
         assert tiled.num_nonempty_tiles == 1
-        assert tiled.occupancy() == 0.25
 
     def test_edge_tiles_clipped(self):
         dense = np.ones((5, 5))

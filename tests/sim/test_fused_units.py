@@ -33,7 +33,6 @@ from repro.blocks import (
     ScalarReducer,
     Sink,
     StreamFeeder,
-    UncompressedLevelWriter,
     ValsWriter,
     make_scanner,
 )
@@ -59,8 +58,6 @@ def _full_report(blocks, backend):
             stored.append(b.vals.tolist())
         elif isinstance(b, CompressedLevelWriter):
             stored.append((b.level.seg.tolist(), b.level.crd.tolist()))
-        elif isinstance(b, UncompressedLevelWriter):
-            stored.append(b.level.num_fibers())
     return (
         report.cycles,
         report.block_activity(),
@@ -151,7 +148,7 @@ class TestScannerWindow:
 
 # -- value chains ----------------------------------------------------------
 
-TAILS = ("reduce", "vals", "sink", "compressed", "dense")
+TAILS = ("reduce", "vals", "sink", "compressed")
 
 value = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False,
                   allow_infinity=False, width=64)
@@ -180,7 +177,7 @@ class TestChainUnit:
     def test_full_report_identity(self, tail, head, relay, case):
         memory, refs, const = case
         scale = 1.5 if const is None else const  # the scaling stage's operand
-        if tail in ("compressed", "dense"):
+        if tail == "compressed":
             # level writers store what they are fed as coordinates, and
             # reject a fractional one
             memory = [[float(int(v) % 50) for v in mem] for mem in memory]
@@ -212,10 +209,8 @@ class TestChainUnit:
                 blocks.append(ValsWriter(cur, name="wr"))
             elif tail == "sink":
                 blocks.append(Sink(cur, name="sink"))
-            elif tail == "compressed":
-                blocks.append(CompressedLevelWriter(cur, name="wr"))
             else:
-                blocks.append(UncompressedLevelWriter(50, cur, name="wr"))
+                blocks.append(CompressedLevelWriter(cur, name="wr"))
             return blocks
 
         kind = "value-chain" if tail in ("reduce", "sink") else "writer-tail"

@@ -24,7 +24,7 @@ from repro.sim import graph_token_counts
 from repro.sim.backends.plan import plan_blocks
 from repro.streams import DONE, Channel
 
-from blockkit import TIMED
+from blockkit import TIMED, rebind_input
 
 SPMV = "x(i) = B(i,j) * c(j)"
 
@@ -79,9 +79,9 @@ def test_rebind_input_after_bind(engine):
         bound = bind(program.graph, operands())
         alu = of_class(bound, ALU)
         a, b = alu.inputs["in_a"], alu.inputs["in_b"]
-        alu.rebind_input("in_a", Channel("swap", kind="vals"))
-        alu.rebind_input("in_b", a)
-        alu.rebind_input("in_a", b)
+        rebind_input(alu, "in_a", Channel("swap", kind="vals"))
+        rebind_input(alu, "in_b", a)
+        rebind_input(alu, "in_a", b)
         assert bound.plan is not None and bound.plan.live(bound.blocks) is None
         return bound
 

@@ -22,7 +22,8 @@ class TestTokenBreakdown:
 class TestChannelBreakdown:
     def test_counts_and_idle(self):
         ch = Channel("c")
-        ch.push_all([1, 2, Stop(0), EMPTY, DONE])
+        for token in [1, 2, Stop(0), EMPTY, DONE]:
+            ch.push(token)
         bd = channel_breakdown(ch, total_cycles=10)
         assert (bd.data, bd.stop, bd.done, bd.empty) == (2, 1, 1, 1)
         assert bd.idle == 5
@@ -30,5 +31,6 @@ class TestChannelBreakdown:
 
     def test_idle_never_negative(self):
         ch = Channel("c")
-        ch.push_all([1, DONE])
+        ch.push(1)
+        ch.push(DONE)
         assert channel_breakdown(ch, total_cycles=1).idle == 0

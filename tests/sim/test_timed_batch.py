@@ -12,6 +12,7 @@ import pytest
 
 from repro.data import DatasetRegistry
 from repro.data.synthetic import random_sparse_matrix, urandom_vector
+from repro.formats import FiberTensor
 from repro.kernels import (
     gamma_spmm,
     outerspace_spmm,
@@ -206,7 +207,7 @@ class TestRealMatrixViaRegistry:
     def test_registry_mtx_spmv_bit_identical(self, tmp_path):
         registry = DatasetRegistry(data_dir=str(tmp_path))
         registry.materialize("G32")  # writes the stand-in .mtx
-        tensor = registry.load_tensor("G32")
+        tensor = FiberTensor.from_scipy(registry.load_matrix("G32"), name="G32")
         c = urandom_vector(tensor.shape[1], tensor.shape[1] // 2, seed=9)
         ref, timed = both(
             lambda be: spmv_locate(tensor, c, backend=be),

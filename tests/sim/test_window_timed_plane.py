@@ -11,9 +11,9 @@ their windows the same way (one pairing per window), with no run loop
 left to fall back to; the two-sided ``Intersect`` and every ``Union``
 merge a window of fiber pairs at once.  Counting calls pins the window
 form without a clock: on the Gamma and OuterSPACE graphs, the twelve
-Table-1 programs, the scatter form of SpMV, a bound graph with a
-target-fed locator and an ALU behind phantom zeros under ``compiled``,
-every such block that is not fused schedules at most once per visit
+Table-1 programs, the scatter and iterate-locate forms of SpMV, the fused
+SDDMM that locates into its dense operands and an ALU behind phantom
+zeros under ``compiled``, every such block that is not fused schedules at most once per visit
 (+ 1), accounts at most two single events per visit, never bails — and
 the reports are still ``cycle``'s.  On Gamma the merge sorts nothing,
 the epoch advance builds no ramp of its own, and the result tensor is
@@ -43,14 +43,13 @@ from repro.blocks import merge as merge_module
 from repro.blocks import reduce as reduce_module
 from repro.data.synthetic import random_sparse_matrix
 from repro.formats import FiberTensor
-from repro.graph.bind import bind
 from repro.graph.builder import Graph, capture_runs
-from repro.graph.ir import SamGraph
 from repro.kernels import gamma as gamma_module
 from repro.kernels.gamma import gamma_spmm
 from repro.kernels.outerspace import outerspace_spmm
+from repro.kernels.sddmm import sddmm_fused_locate
 from repro.kernels.spmm import spmm_program
-from repro.kernels.spmv import spmv_scatter
+from repro.kernels.spmv import spmv_locate, spmv_scatter
 from repro.lang import compile_expression
 from repro.sim.backends.compiled import CompiledEngine
 from repro.streams import DONE, EMPTY, Stop
@@ -84,44 +83,21 @@ def run_scatter(backend):
     return spmv_scatter(B, c, backend=backend)[0]
 
 
-def run_located_product(backend):
-    """``X(i,j) = B(i,j) * C(i,j)``, C located row by row: C's j level is
-    probed with one target per B row — the reference a fixed-target
-    locator found for it in C's i level, ``N`` for an empty C row."""
-    B = random_sparse_matrix(40, 40, 0.2, seed=7)
-    C = random_sparse_matrix(40, 40, 0.2, seed=8)
-    C[::4] = 0.0
-    g = SamGraph("located_product")
-    root = g.add("root", name="root_B")
-    scan_i = g.add("level_scanner", name="scan_Bi", tensor="B", depth=0, var="i")
-    scan_j = g.add("level_scanner", name="scan_Bj", tensor="B", depth=1, var="j")
-    g.connect(root, "ref", scan_i, "ref", "ref")
-    g.connect(scan_i, "ref", scan_j, "ref", "ref")
-    loc_i = g.add("locate", name="locate_Ci", tensor="C", depth=0)
-    g.connect(scan_i, "crd", loc_i, "crd", "crd")
-    g.connect(scan_i, "ref", loc_i, "ref", "ref")
-    loc_j = g.add("locate", name="locate_Cj", tensor="C", depth=1, use_target=True)
-    g.connect(scan_j, "crd", loc_j, "crd", "crd")
-    g.connect(scan_j, "ref", loc_j, "ref", "ref")
-    g.connect(loc_i, "ref_found", loc_j, "target", "ref")
-    vals_b = g.add("array", name="vals_B", tensor="B")
-    vals_c = g.add("array", name="vals_C", tensor="C")
-    g.connect(loc_j, "ref_in", vals_b, "ref", "ref")
-    g.connect(loc_j, "ref_found", vals_c, "ref", "ref")
-    mul = g.add("alu", name="mul", op="mul")
-    g.connect(vals_b, "val", mul, "a", "vals")
-    g.connect(vals_c, "val", mul, "b", "vals")
-    write_j = g.add("level_writer", name="write_Xj", format="compressed", var="j")
-    g.connect(loc_j, "crd", write_j, "crd", "crd")
-    write_vals = g.add("vals_writer", name="write_Xvals")
-    g.connect(mul, "val", write_vals, "val", "vals")
-    formats = ("compressed", "compressed")
-    bound = bind(g, {"B": FiberTensor.from_numpy(B, formats, name="B"),
-                     "C": FiberTensor.from_numpy(C, formats, name="C")})
-    bound.run(backend=backend)
-    writers = bound.writers
-    assert any(b.hits < b.probes for b in bound.blocks if isinstance(b, Locator))
-    return np.concatenate([writers["write_Xj"].crd, writers["write_Xvals"].vals])
+def run_spmv_locate(backend):
+    """B's j coordinates probe the dense vector c (section 4.2)."""
+    B = random_sparse_matrix(60, 60, 0.1, seed=7)
+    c = random_sparse_matrix(1, 60, 0.3, seed=8)[0]
+    x_crd, x_vals, _ = spmv_locate(B, c, backend=backend)
+    return np.concatenate([x_crd, x_vals])
+
+
+def run_sddmm_locate(backend):
+    """Two locators into dense operands: C's row level probed with B's
+    i coordinates, D's with B's j coordinates (section 6.3)."""
+    B = random_sparse_matrix(30, 30, 0.15, seed=7)
+    C = random_sparse_matrix(30, 8, 1.0, seed=8)
+    D = random_sparse_matrix(30, 8, 1.0, seed=9)
+    return sddmm_fused_locate(B, C, D, backend=backend).output
 
 
 def run_phantom_alu(backend):
@@ -189,7 +165,7 @@ class Counts:
      for kernel in (gamma_spmm, outerspace_spmm)]
     + [pytest.param(run_entry(entry), id=entry.name) for entry in ENTRIES]
     + [pytest.param(run, id=run.__name__)
-       for run in (run_scatter, run_located_product, run_phantom_alu)],
+       for run in (run_scatter, run_spmv_locate, run_sddmm_locate, run_phantom_alu)],
 )
 def test_window_blocks_take_whole_windows(run, monkeypatch):
     with capture_runs() as oracle:

@@ -1,20 +1,125 @@
-"""Conversion between flattened streams and nested Python lists.
+"""The paper's stream notation and nested-list form, for the tests.
 
-Section 3.2 of the paper: "Streams can be interpreted as variable-length
-nested lists where each stop token represents a parenthesis."  The value
-stream ``1, S0, 2, 3, S0, 4, 5, S1, D`` (arrival order) represents the
-nested level ``((1,), (2, 3), (4, 5))``.
+A :class:`Stream` wraps a list of tokens in arrival order and knows which
+SAM stream kind it is (:data:`repro.streams.channel.STREAM_KINDS`).
+:func:`stream_from_paper` parses the paper's right-to-left notation
+(section 3.2), and :func:`to_stream` / :func:`from_stream` convert
+between a stream and the nested lists it stands for: "Streams can be
+interpreted as variable-length nested lists where each stop token
+represents a parenthesis."  The value stream ``1, S0, 2, 3, S0, 4, 5,
+S1, D`` (arrival order) represents the nested level ``((1,), (2, 3),
+(4, 5))``.
 
-These converters are the main debugging and testing aid of the library:
-every block test round-trips its streams through nested form.
+``tests/conftest.py`` puts this directory on ``sys.path``; import it as
+``from streamkit import ...``.
 """
 
-from __future__ import annotations
+from typing import Iterable, Iterator, List, Sequence
 
-from typing import List, Sequence
+from repro.streams.channel import STREAM_KINDS
+from repro.streams.token import (
+    DONE,
+    EMPTY,
+    Stop,
+    is_data,
+    is_done,
+    is_empty,
+    is_stop,
+    token_repr,
+)
 
-from .stream import Stream, StreamError
-from .token import DONE, EMPTY, Stop, is_data, is_done, is_empty, is_stop
+
+class StreamError(ValueError):
+    """Raised when a token sequence is not a well-formed SAM stream."""
+
+
+class Stream:
+    """A SAM stream: tokens in arrival order, ending with ``D``.
+
+    The paper prints streams right-to-left; :meth:`paper_str` reproduces
+    that rendering for easy cross-checking against the figures.
+    """
+
+    __slots__ = ("tokens", "kind")
+
+    def __init__(self, tokens: Iterable, kind: str = "crd"):
+        if kind not in STREAM_KINDS:
+            raise StreamError(f"unknown stream kind {kind!r}")
+        self.tokens: List = list(tokens)
+        self.kind = kind
+
+    # -- container protocol -------------------------------------------------
+    def __iter__(self) -> Iterator:
+        return iter(self.tokens)
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def __getitem__(self, idx):
+        return self.tokens[idx]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Stream):
+            return self.tokens == other.tokens
+        return self.tokens == list(other)
+
+    def __repr__(self) -> str:
+        return f"Stream({self.paper_str()!r}, kind={self.kind!r})"
+
+    # -- inspection ----------------------------------------------------------
+    def paper_str(self) -> str:
+        """Render the stream the way the paper does (first token rightmost)."""
+        return ", ".join(token_repr(t) for t in reversed(self.tokens))
+
+    def data_tokens(self) -> List:
+        """All non-control tokens, in arrival order."""
+        return [t for t in self.tokens if is_data(t)]
+
+    def max_stop_level(self) -> int:
+        """Highest stop level present (-1 if the stream has no stops)."""
+        levels = [t.level for t in self.tokens if is_stop(t)]
+        return max(levels) if levels else -1
+
+    def validate(self) -> "Stream":
+        """Check well-formedness; returns self so calls can be chained.
+
+        A well-formed stream has exactly one ``D``, as its final token.
+        """
+        if not self.tokens:
+            raise StreamError("stream is empty (missing D token)")
+        if not is_done(self.tokens[-1]):
+            raise StreamError(f"stream does not end with D: {self.paper_str()}")
+        for tok in self.tokens[:-1]:
+            if is_done(tok):
+                raise StreamError(f"D token before end of stream: {self.paper_str()}")
+        return self
+
+
+def stream_from_paper(text: str, kind: str = "crd") -> Stream:
+    """Parse the paper's right-to-left textual stream notation.
+
+    ``stream_from_paper("D, S0, 3, 1, 0")`` yields the stream whose
+    arrival order is ``0, 1, 3, S0, D``.  Numbers containing a ``.`` are
+    parsed as floats, everything else as ints.
+    """
+    tokens = []
+    for part in reversed([p.strip() for p in text.split(",") if p.strip()]):
+        if part == "D":
+            tokens.append(DONE)
+        elif part == "N":
+            tokens.append(EMPTY)
+        elif part.startswith("S"):
+            tokens.append(Stop(int(part[1:])))
+        elif "." in part:
+            tokens.append(float(part))
+        else:
+            tokens.append(int(part))
+    return Stream(tokens, kind=kind)
+
+
+def root_ref_stream() -> Stream:
+    """The ``D, 0`` root reference stream that kicks off tensor iteration."""
+    return Stream([0, DONE], kind="ref")
 
 
 def nesting_depth(nested) -> int:

@@ -43,6 +43,15 @@ def push_batch(channel, batch):
     channel.materialize_timed(None)
 
 
+def drain(channel):
+    """Pop every queued token of *channel*, a batch as its tokens."""
+    tokens = []
+    for item in channel.queue:
+        tokens += item.tokens() if isinstance(item, TokenBatch) else [item]
+    channel.queue.clear()
+    return tokens
+
+
 class TestTokenBatch:
     def test_round_trip_preserves_every_token(self):
         batch = TokenBatch.from_tokens(MIXED)
@@ -75,14 +84,6 @@ class TestTokenBatch:
         view = batch.view()
         batch.pop_front()
         assert view.tokens() == [1, 2, Stop(0)]
-
-    def test_split_done(self):
-        batch = TokenBatch.from_tokens([1, DONE, 9, Stop(0)])
-        head, tail = batch.split_done()
-        assert head.tokens() == [1, DONE]
-        assert tail.tokens() == [9, Stop(0)]
-        head, tail = TokenBatch.from_tokens([1, Stop(0)]).split_done()
-        assert head.tokens() == [1, Stop(0)] and tail is None
 
     def test_codes(self):
         assert encode_token(Stop(3)) == 3
@@ -121,7 +122,7 @@ class TestChannelBatching:
         channel = Channel("c")
         push_batch(channel, TokenBatch.from_tokens([1, Stop(0)]))
         channel.push(2)
-        assert channel.drain() == [1, Stop(0), 2]
+        assert drain(channel) == [1, Stop(0), 2]
 
     def test_record_history_expands_batches(self):
         channel = Channel("c", record=True)
@@ -246,7 +247,7 @@ class TestTimedReader:
         reader.requeue()
         assert channel.timed_pending_min_stamp() == 2
         channel.materialize_timed(None)
-        assert channel.drain() == [2, Stop(0), DONE]
+        assert drain(channel) == [2, Stop(0), DONE]
 
     def test_peek_empty(self):
         channel = Channel("c")
@@ -263,14 +264,14 @@ class TestTimedBuilder:
         builder = TimedBuilder(channel)
         builder.data(np.array([1, 2]), np.array([3, 4]))
         builder.ctrl(0, 5)
-        builder.scalar(9, 6)
-        builder.token(DONE, 7)
+        builder.data(np.array([9]), np.array([6]))
+        builder.ctrl(CODE_DONE, 7)
         assert builder.flush() == 5
         assert channel.timed_pending_min_stamp() == 3
         channel.materialize_timed(5)
-        assert channel.drain() == [1, 2, Stop(0)]
+        assert drain(channel) == [1, 2, Stop(0)]
         channel.materialize_timed(None)
-        assert channel.drain() == [9, DONE]
+        assert drain(channel) == [9, DONE]
 
     def test_data_with_ctrl_positions(self):
         channel = Channel("c")
@@ -282,7 +283,7 @@ class TestTimedBuilder:
         )
         builder.flush()
         channel.materialize_timed(None)
-        assert channel.drain() == [5, Stop(0), 6, 7, Stop(1)]
+        assert drain(channel) == [5, Stop(0), 6, 7, Stop(1)]
 
     def test_empty_flush_is_noop(self):
         channel = Channel("c")

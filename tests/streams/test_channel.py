@@ -8,7 +8,8 @@ from repro.streams import DONE, EMPTY, Channel, Stop
 class TestQueueBehaviour:
     def test_fifo_order(self):
         ch = Channel("c")
-        ch.push_all([1, 2, 3])
+        for token in [1, 2, 3]:
+            ch.push(token)
         assert [ch.pop(), ch.pop(), ch.pop()] == [1, 2, 3]
 
     def test_peek_does_not_consume(self):
@@ -30,23 +31,19 @@ class TestQueueBehaviour:
         with pytest.raises(OverflowError):
             ch.push(2)
 
-    def test_drain(self):
-        ch = Channel("c")
-        ch.push_all([1, Stop(0), DONE])
-        assert ch.drain() == [1, Stop(0), DONE]
-        assert ch.empty()
-
 
 class TestStatistics:
     def test_token_counts_by_type(self):
         ch = Channel("c")
-        ch.push_all([1, 2, Stop(0), EMPTY, Stop(1), DONE])
+        for token in [1, 2, Stop(0), EMPTY, Stop(1), DONE]:
+            ch.push(token)
         assert ch.token_counts() == {"data": 2, "stop": 2, "done": 1, "empty": 1}
         assert ch.pushed_total == 6
 
     def test_counts_survive_pops(self):
         ch = Channel("c")
-        ch.push_all([1, DONE])
+        ch.push(1)
+        ch.push(DONE)
         ch.pop()
         ch.pop()
         assert ch.pushed_data == 1
@@ -54,12 +51,8 @@ class TestStatistics:
 
     def test_recording(self):
         ch = Channel("c", kind="vals", record=True)
-        ch.push_all([1.5, Stop(0), DONE])
-        ch.drain()
-        stream = ch.recorded_stream()
-        assert stream.tokens == [1.5, Stop(0), DONE]
-        assert stream.kind == "vals"
-
-    def test_recording_disabled_raises(self):
-        with pytest.raises(RuntimeError):
-            Channel("c").recorded_stream()
+        for token in [1.5, Stop(0), DONE]:
+            ch.push(token)
+        while not ch.empty():
+            ch.pop()
+        assert ch.history == [1.5, Stop(0), DONE]

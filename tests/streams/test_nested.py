@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.streams import (
-    DONE,
-    Stop,
+from repro.streams import DONE, Stop
+
+from streamkit import (
     Stream,
     StreamError,
     flatten_values,

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.streams import DONE, EMPTY, Stop, Stream, StreamError, stream_from_paper
-from repro.streams.stream import root_ref_stream
+from repro.streams import DONE, EMPTY, Stop
+
+from streamkit import Stream, StreamError, root_ref_stream, stream_from_paper
 
 
 class TestStreamFromPaper:

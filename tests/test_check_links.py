@@ -55,3 +55,26 @@ def test_a_named_doc_the_tree_lacks_is_skipped(tmp_path):
     assert [message for _, message in check_links.check_commands(root)]
     (tmp_path / "README.md").write_text("`OtherGone`\n")
     assert refused(root) == ["GoneBlock", "OtherGone"]
+
+
+def test_a_dotted_name_the_package_lacks_is_refused(tmp_path):
+    package = tmp_path / "src" / "repro"
+    (package / "data").mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "data" / "__init__.py").write_text("from .io import read_mtx\n")
+    (package / "data" / "io.py").write_text(
+        "def read_mtx(path):\n    pass\n\n\n"
+        "class CooTensor:\n    def __init__(self):\n        self.shape = ()\n\n"
+        "    def to_scipy(self):\n        pass\n")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "doc.md").write_text(
+        "`repro.data.io.read_mtx`, `repro.data.read_mtx(path)`, "
+        "`repro.data.io.CooTensor.to_scipy`, `repro.data.io.CooTensor.shape`, "
+        "`repro.data` and `repro.data.io`;\n"
+        "gone: `repro.data.io.read_tns`, `repro.data.load_all`, "
+        "`repro.data.io.CooTensor.to_fibertensor`, `repro.nothing.here`\n")
+    refused = [message.split("`")[1]
+               for _, message in check_links.check_dotted(str(tmp_path))]
+    assert refused == ["repro.data.io.read_tns", "repro.data.load_all",
+                       "repro.data.io.CooTensor.to_fibertensor",
+                       "repro.nothing.here"]

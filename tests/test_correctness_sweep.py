@@ -12,9 +12,21 @@ expression class runs against numpy on real-structure inputs.
 import numpy as np
 import pytest
 
-from repro.data import SMALL, frostt_like_tensor, generate
+from repro.data import SMALL, generate
 from repro.formats import FiberTensor
 from repro.lang import compile_expression
+
+
+def frostt_like_tensor(shape, nnz, seed=0):
+    """Seeded higher-order sparse tensor in COO form, ``(coords, values)``,
+    with FROSTT's clustered mode usage: each mode's coordinates are drawn
+    Zipf-biased, so a few slices are dense and most are near-empty."""
+    rng = np.random.default_rng(seed)
+    coords = np.empty((nnz, len(shape)), dtype=np.int64)
+    for mode, dim in enumerate(shape):
+        coords[:, mode] = np.minimum(rng.zipf(1.4, size=nnz) - 1, dim - 1)
+        rng.shuffle(coords[:, mode])
+    return coords, rng.uniform(0.1, 1.0, size=nnz)
 
 
 @pytest.fixture(scope="module", params=[spec.name for spec in SMALL])

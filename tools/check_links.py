@@ -17,6 +17,11 @@ Fails (exit 1) when:
   identifier of the code in ``src/``, ``tests/``, ``tools/``,
   ``benchmarks/`` or ``perfbench/`` -- prose that outlived a rename or
   a deletion;
+* a backticked dotted name under ``repro`` (``repro.data.io.read_mtx``,
+  ``repro.graph.Graph``) in the same documents names no module of
+  ``src/repro``, or no function, class, assignment or import of that
+  module (a class's methods and attributes included), read from the
+  ``src/`` AST;
 * the same documents name a ``repro <word>`` command that is no
   subcommand of ``src/repro/cli.py``, or an ``--opt KEY=`` that no
   study under ``src/repro/studies/`` declares (an ``Option("KEY"`` row)
@@ -29,6 +34,7 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import sys
@@ -51,6 +57,8 @@ PRIVATE_NAME = re.compile(r"(?<!\w)_[A-Za-z0-9]\w*\*?")
 CAMEL_NAME = re.compile(
     r"(?<!\w)(?=[A-Za-z0-9]*[a-z])[A-Z][a-z0-9]*[A-Z][A-Za-z0-9]*(?!\w)")
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+#: a dotted name of the package: ``repro.data.io.read_mtx``
+DOTTED_NAME = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
 #: where a private name cited by the prose must exist, and the prose
 CODE_TREES = ("src", "tests", "tools", "benchmarks", "perfbench")
 NAMED_DOCS = ("docs", "README.md", "EXPERIMENTS.md")
@@ -158,10 +166,100 @@ def check_names(root: str):
                     yield path, f"line {line}: `{name}` names nothing in the code"
 
 
+def module_path(root: str, parts) -> str:
+    """The source file of the module *parts* under ``src/``, or ''."""
+    base = os.path.join(root, "src", *parts)
+    for path in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.isfile(path):
+            return path
+    return ""
+
+
+def top_level(tree: ast.AST):
+    """A module's statements, those under a top-level ``if``/``try`` too."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.If, ast.Try)):
+            yield from top_level(node)
+        else:
+            yield node
+
+
+def bound_names(node: ast.AST):
+    """The names an assignment statement binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    for target in targets:
+        for name in ast.walk(target):
+            if isinstance(name, ast.Name):
+                yield name.id
+
+
+def class_members(node: ast.ClassDef) -> set:
+    """What a class defines: its methods, nested classes, class-level
+    assignments and every ``self.<name>`` its methods assign."""
+    members = set()
+    for child in node.body:
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            members.add(child.name)
+        elif isinstance(child, (ast.Assign, ast.AnnAssign)):
+            members.update(bound_names(child))
+    for child in ast.walk(node):
+        if (isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Store)
+                and isinstance(child.value, ast.Name) and child.value.id == "self"):
+            members.add(child.attr)
+    return members
+
+
+def defines(root: str, parts, names) -> bool:
+    """Whether module *parts* defines the attribute chain *names*: its
+    first name in the module (following an import to where it is
+    defined), its second among a class's members; deeper names are not
+    checked."""
+    path = module_path(root, parts)
+    if not names:
+        return bool(path)
+    if not path:
+        return False
+    package = list(parts) if path.endswith("__init__.py") else list(parts[:-1])
+    name, rest = names[0], names[1:]
+    for node in top_level(ast.parse(open(path, encoding="utf-8").read())):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name == name):
+            return True
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return not rest or rest[0] in class_members(node)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and name in bound_names(node):
+            return True
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if (alias.asname or alias.name) != name:
+                    continue
+                source = (package[:len(package) - node.level + 1] if node.level
+                          else []) + (node.module or "").split(".")
+                source = [part for part in source if part]
+                if module_path(root, source + [alias.name]):
+                    return defines(root, source + [alias.name], rest)
+                return defines(root, source, [alias.name] + rest)
+    return bool(module_path(root, list(parts) + [name])) and defines(
+        root, list(parts) + [name], rest)
+
+
+def check_dotted(root: str):
+    for path in named_doc_paths(root):
+        text = open(path, encoding="utf-8").read()
+        for span in CODE_SPAN.finditer(text):
+            for match in DOTTED_NAME.finditer(span.group(1)):
+                parts = match.group(0).split(".")
+                if not defines(root, parts[:1], parts[1:]):
+                    line = text.count("\n", 0, span.start()) + 1
+                    yield path, (f"line {line}: `{match.group(0)}` names nothing "
+                                 f"in src/")
+
+
 def main(argv=None) -> int:
     root = os.path.abspath((argv or sys.argv[1:] or ["."])[0])
     problems = (list(check_markdown(root)) + list(check_python_doc_refs(root))
-                + list(check_names(root)) + list(check_commands(root)))
+                + list(check_names(root)) + list(check_dotted(root))
+                + list(check_commands(root)))
     for path, message in problems:
         print(f"{os.path.relpath(path, root)}: {message}")
     if problems:

@@ -100,16 +100,10 @@ MUTATIONS = (
              "repro/blocks/drop.py",
              "arrivals[first] = np.maximum(arrivals[first], crd.scodes)",
              "pass"),
-    # -- ALU, Exp, locator, scatter writer
+    # -- ALU, scatter writer
     Mutation("ALU pick swapped", "repro/blocks/compute.py",
              "_paired(a, pairing.crd_pick), _paired(b, pairing.pick)",
              "_paired(a, pairing.pick), _paired(b, pairing.crd_pick)"),
-    Mutation("Exp maps N to 0.0, not fn(0.0)", "repro/blocks/compute.py",
-             "for v in run.tolist()])), fn(0.0)",
-             "for v in run.tolist()])), 0.0"),
-    Mutation("locator without the target gate", "repro/blocks/locate.py",
-             "arrivals[first] = np.maximum(arrivals[first], tstamps[lens > 0])",
-             "pass"),
     Mutation("scatter writer scatters blanks", "repro/blocks/writer.py",
              "keep[ref.blank] = False",
              "pass"),
