@@ -21,15 +21,18 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 import numpy as np
 
 from ..graph.builder import capture_runs
+from ..graph.ir import SamGraph
 from ..sim.backends import SimulationReport
 
 
 class CapturedGraph(NamedTuple):
-    """One captured simulation launch: label, blocks, and its report."""
+    """One captured simulation launch: label, blocks, its report, and
+    the :class:`~repro.graph.ir.SamGraph` it bound."""
 
     label: str
     blocks: List
     report: Optional[SimulationReport]
+    graph: SamGraph
 
     def measured_busy(self) -> Dict[str, int]:
         """Per-block measured busy cycles."""
@@ -142,9 +145,9 @@ def capture_kernel(name: str, backend: str = "timed-batch",
     with capture_runs() as capture:
         runner(ops, backend)
     out = []
-    for i, (blocks, report) in enumerate(capture.runs):
+    for i, ((blocks, report), graph) in enumerate(zip(capture.runs, capture.graphs)):
         label = name if len(capture.runs) == 1 else f"{name}[{i}]"
-        out.append(CapturedGraph(label, blocks, report))
+        out.append(CapturedGraph(label, blocks, report, graph))
     return out
 
 
@@ -169,5 +172,5 @@ def capture_expression(expression: str, backend: str = "timed-batch",
         tensors[name] = np.where(rng.random(shape) < 0.5, dense, 0.0)
     with capture_runs() as capture:
         program.run(tensors, backend=backend)
-    return [CapturedGraph(expression, blocks, report)
-            for blocks, report in capture.runs]
+    return [CapturedGraph(expression, blocks, report, graph)
+            for (blocks, report), graph in zip(capture.runs, capture.graphs)]

@@ -66,8 +66,8 @@ class PortSpec:
 
     Every stock primitive declares its interface as a tuple of these on
     :attr:`Block.port_specs`; :meth:`Block._in`/:meth:`Block._out` check
-    each registration against the declaration, and the declarative
-    :class:`repro.graph.builder.Graph` layer uses them for build-time
+    each registration against the declaration, and
+    :func:`repro.graph.builder.validate_blocks` uses them for build-time
     validation (kind/capability mismatches, unconnected required ports)
     and for port metadata in DOT renderings and fusion partitioning.
 

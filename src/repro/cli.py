@@ -8,6 +8,7 @@ Usage::
     python -m repro compile "x(i) = B(i,j) * c(j)" --dot
     python -m repro --engine compiled graph "x(i) = B(i,j) * c(j)"
     python -m repro graph "x(i) = B(i,j) * c(j)" --check
+    python -m repro graph outerspace           # a kernel's graphs as DOT
 
     # sharded, cached sweeps over any subset of studies
     python -m repro sweep all --jobs 8
@@ -333,13 +334,34 @@ def _cmd_graph(args) -> None:
     (kind mismatches, unconnected required ports, duplicate producers,
     fanout without an explicit Fanout, backend-capability gaps) and the
     process exits non-zero listing every violation.
+
+    A kernel name (``repro lint``'s, e.g. ``outerspace``) in place of the
+    expression runs the kernel on the engine over its lint operands drawn
+    from ``--seed`` and prints the DOT of every graph it launches; the
+    expression-only flags are refused.
     """
     import numpy as np
 
-    from .graph import GraphValidationError, bind
+    from .analysis.targets import KERNEL_RUNNERS, capture_kernel
+    from .graph import GraphValidationError, bind, to_dot
     from .lang import compile_expression
+    from .lang.ast import ExpressionError
 
+    if args.expression in KERNEL_RUNNERS:
+        given = [flag for flag, value in (("--check", args.check),
+                                          ("--dump-plan", args.dump_plan),
+                                          ("--schedule", args.schedule),
+                                          ("--size", args.size is not None))
+                 if value]
+        if given:
+            raise ExpressionError(f"{args.expression!r} is a kernel name; "
+                                  f"{given[0]} takes an expression")
+        engine = _forced_engine(args) or "timed-batch"
+        for captured in capture_kernel(args.expression, engine, seed=args.seed):
+            print(to_dot(captured.graph))
+        return
     engine = _forced_engine(args)
+    size = 12 if args.size is None else args.size
     program = compile_expression(args.expression, schedule=args.schedule)
     rng = np.random.default_rng(args.seed)
     tensors = {}
@@ -349,7 +371,7 @@ def _cmd_graph(args) -> None:
         if ndim == 0:
             tensors[name] = 2.0
             continue
-        shape = (args.size,) * ndim
+        shape = (size,) * ndim
         dense = rng.uniform(0.1, 1.0, size=shape)
         tensors[name] = np.where(rng.random(shape) < 0.5, dense, 0.0)
     if getattr(args, "check", False):
@@ -357,7 +379,7 @@ def _cmd_graph(args) -> None:
         # the selected backend so capability gaps are also reported.
         try:
             bound = bind(program.graph, program._prepare_inputs(tensors))
-            bound.builder.validate(backend=engine)
+            bound.validate(backend=engine)
         except GraphValidationError as err:
             print(f"graph check FAILED: {args.expression}", file=sys.stderr)
             for violation in err.violations:
@@ -480,11 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
         "graph", help="render the bound dataflow graph as DOT; under the "
         "compiled engine, fused segments appear as dashed clusters"
     )
-    p.add_argument("expression", help='e.g. "x(i) = B(i,j) * c(j)"')
+    p.add_argument("expression", help='e.g. "x(i) = B(i,j) * c(j)", or a '
+                   "kernel name repro lint takes (spmv, gamma, outerspace, ...)")
     p.add_argument("--schedule", nargs="*", default=None,
                    help="index-variable order, e.g. --schedule i k j")
-    p.add_argument("--size", type=int, default=12,
-                   help="synthetic operand dimension used to bind the graph")
+    p.add_argument("--size", type=int, default=None,
+                   help="synthetic operand dimension used to bind an "
+                   "expression's graph (default 12)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the synthetic operands")
     p.add_argument("--check", action="store_true",

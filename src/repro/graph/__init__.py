@@ -1,13 +1,12 @@
-"""SAM dataflow graph IR, DOT export, builder, and simulator binding."""
+"""SAM dataflow graph IR, DOT export, simulator binding, and run capture."""
 
 from .bind import BoundGraph, bind
 from .builder import (
-    Graph,
-    GraphNode,
     GraphValidationError,
     RunCapture,
     active_capture,
     capture_runs,
+    validate_blocks,
 )
 from .dot import to_dot
 from .ir import (
@@ -22,8 +21,6 @@ from .ir import (
 
 __all__ = [
     "BoundGraph",
-    "Graph",
-    "GraphNode",
     "GraphValidationError",
     "RunCapture",
     "active_capture",
@@ -37,4 +34,5 @@ __all__ = [
     "fanout_groups",
     "node_ports",
     "to_dot",
+    "validate_blocks",
 ]

@@ -12,7 +12,7 @@ close over level/value storage ("memories are pre-initialised").
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -27,48 +27,55 @@ from ..sim.backends.plan import (  # noqa: F401 (re-exported)
     segment_plan_key,
 )
 from ..streams.channel import Channel
-from .builder import Graph
+from .builder import active_capture, validate_blocks
 from .ir import NODE_KINDS, GraphError, Node, SamGraph, fanout_groups, node_ports
 
 
 class BoundGraph:
     """A bound graph: live blocks, channels, and result-writer handles.
 
-    ``plan`` is the :class:`~repro.sim.backends.plan.Plan` of the blocks
-    when the graph is frozen (shared by every bind of that graph with
-    the same ``record`` and level classes), else None: the engine then
-    plans the run itself.
+    ``unchecked`` holds the ids of the channels the connectivity check
+    exempts (dangling outputs, side-band skip channels).  ``plan`` is
+    the :class:`~repro.sim.backends.plan.Plan` of the blocks when the
+    graph is frozen (shared by every bind of that graph with the same
+    ``record`` and level classes), else None: the engine then plans the
+    run itself.
     """
 
     def __init__(self, graph: SamGraph):
         self.graph = graph
-        self.builder = Graph(graph.name)
-        # Aliases onto the builder's collections (same underlying objects).
-        self.blocks: List = self.builder.blocks
-        self.channels: Dict[str, Channel] = self.builder.channels
+        self.blocks: List = []
+        self.channels: Dict[str, Channel] = {}
+        self.unchecked: Set[int] = set()
         #: writer blocks keyed by IR node name
         self.writers: Dict[str, object] = {}
         self.plan: Optional[Plan] = None
-        self._report: Optional[SimulationReport] = None
+
+    #: what ``perfbench/workloads.py`` validates a bound graph through
+    #: (``bound.builder.validate()``): the bound graph itself
+    builder = property(lambda self: self)
+
+    def validate(self, backend: Optional[str] = None) -> None:
+        """:func:`~repro.graph.builder.validate_blocks` over the bound
+        blocks, and against *backend*'s planes when one is given."""
+        validate_blocks(self.blocks, self.unchecked, backend=backend)
 
     def run(
         self,
         max_cycles: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> SimulationReport:
-        from .builder import active_capture
-
+        """Simulate on *backend*; an active :func:`capture_runs` records
+        the launch (and with ``simulate=False`` intercepts it)."""
         capture = active_capture()
         if capture is not None and not capture.simulate:
-            self._report = SimulationReport(0, list(self.blocks))
-            capture.record(self.blocks, self._report)
-            return self._report
-        self._report = run_blocks(
-            self.blocks, max_cycles=max_cycles, backend=backend, plan=self.plan
-        )
+            report = SimulationReport(0, list(self.blocks))
+        else:
+            report = run_blocks(self.blocks, max_cycles=max_cycles,
+                                backend=backend, plan=self.plan)
         if capture is not None:
-            capture.record(self.blocks, self._report)
-        return self._report
+            capture.record(self.blocks, report, self.graph)
+        return report
 
 
 class _Inputs(dict):
@@ -83,12 +90,16 @@ class _Inputs(dict):
 
 class _Binding:
     """What a node's block factory reads beside its channels: the
-    tensors bound, and the builder (which marks side-band channels)."""
+    tensors bound, and the bound graph's exempt channels."""
 
-    def __init__(self, builder: Graph, tensors: Dict[str, FiberTensor]):
-        self.builder = builder
+    def __init__(self, bound: BoundGraph, tensors: Dict[str, FiberTensor]):
+        self.unchecked = bound.unchecked
         self.tensors = tensors
         self.levels: List[type] = []  # the class of every level bound, in node order
+
+    def unused(self, channel: Channel) -> None:
+        """Exempt a side-band channel from the connectivity check."""
+        self.unchecked.add(id(channel))
 
     def tensor(self, node: Node) -> FiberTensor:
         name = node.params["tensor"]
@@ -195,14 +206,14 @@ def bind(
     if wiring is None:
         wiring = memo[record] = _wire(graph, record)
     bound = BoundGraph(graph)
-    builder = bound.builder
-    chans = [builder.channel(name, kind=kind, record=rec)
+    chans = [Channel(name, kind=kind, record=rec)
              for name, kind, rec in zip(wiring.names, wiring.kinds, wiring.records)]
-    for k in wiring.unused:
-        builder.unused(chans[k])
+    bound.channels = dict(zip(wiring.names, chans))
+    bound.unchecked.update(id(chans[k]) for k in wiring.unused)
+    blocks = bound.blocks
     for hub, legs, name in wiring.fanouts:
-        builder.add(Fanout(chans[hub], [chans[k] for k in legs], name=name))
-    binding = _Binding(builder, tensors)
+        blocks.append(Fanout(chans[hub], [chans[k] for k in legs], name=name))
+    binding = _Binding(bound, tensors)
     for node, in_ports, out_ports in zip(graph.nodes.values(), wiring.in_ports,
                                          wiring.out_ports):
         ins = _Inputs({port: chans[k] for port, k in in_ports})
@@ -210,7 +221,7 @@ def bind(
         row = NODE_KINDS[node.kind]
         made = row.build(node, ins, {port: chans[k] for port, k in out_ports},
                          binding)
-        builder.add_all(made)
+        blocks.extend(made)
         if row.column == "level_writer":
             bound.writers[node.name] = made[0]
     # Every bound graph is validated before it can run: kind mismatches,
@@ -221,8 +232,8 @@ def bind(
     key = (record, tuple(binding.levels))
     plan = memo.get(key)
     if plan is None:
-        builder.validate()
+        bound.validate()
         if graph._frozen:
-            plan = memo[key] = plan_blocks(bound.blocks)[0]
+            plan = memo[key] = plan_blocks(blocks)[0]
     bound.plan = plan
     return bound

@@ -20,15 +20,22 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from ..blocks import (
     ALU,
     ArrayLoad,
+    BVExpander,
+    BVIntersect,
     CompressedLevelWriter,
     CoordDropper,
+    Fanout,
+    InterleaveSerializer,
     Intersect,
+    LinkedListLevelWriter,
     Locator,
     MatrixReducer,
     MergeSide,
+    Parallelizer,
     RootFeeder,
     ScalarALU,
     ScalarReducer,
+    ScatterValsWriter,
     Sink,
     StreamFeeder,
     Union,
@@ -38,6 +45,7 @@ from ..blocks import (
     make_repeater,
     make_scanner,
 )
+from ..streams.channel import STREAM_KINDS
 
 
 class GraphError(ValueError):
@@ -55,7 +63,7 @@ class Node:
     def label(self) -> str:
         """Human-readable label used by the DOT exporter."""
         bits = [self.kind]
-        for key in ("tensor", "var", "op", "n", "mode", "format"):
+        for key in ("tensor", "var", "op", "n", "mode", "format", "lanes"):
             if key in self.params:
                 bits.append(f"{key}={self.params[key]}")
         return f"{self.name}\\n" + " ".join(bits)
@@ -85,7 +93,14 @@ class NodeKind(NamedTuple):
     returns the blocks the node binds to, in order: ``ins`` and ``out``
     map port names to channels (a missing required input raises
     :class:`GraphError`), and ``binding`` resolves the node's operand
-    (``tensor(node)``, ``level(node)``) and holds the ``builder``.
+    (``tensor(node)``, ``level(node)``) and marks side-band channels
+    (``unused(channel)``).
+
+    A node whose streams may carry several kinds takes a ``stream_kind``
+    param: a source's output, a scanner's coordinates (``"bv"`` over a
+    bitvector level), a repeater's payload (``"crd"`` when it repeats
+    coordinates), and every port of a fanout, parallelizer or
+    serializer.
     """
 
     ports: Callable[[Dict], Tuple[Ports, Ports]]
@@ -100,7 +115,24 @@ def _fixed(ins: Ports, outs: Ports) -> Callable[[Dict], Tuple[Ports, Ports]]:
 
 def _scanner_ports(params: Dict) -> Tuple[Ports, Ports]:
     ins = [("ref", "ref")] + ([("skip", "crd")] if params.get("skip") else [])
-    return ins, [("crd", "crd"), ("ref", "ref")]
+    return ins, [("crd", params.get("stream_kind", "crd")), ("ref", "ref")]
+
+
+def _repeat_ports(params: Dict) -> Tuple[Ports, Ports]:
+    payload = params.get("stream_kind", "ref")
+    return [("crd", "crd"), ("ref", payload)], [("ref", payload)]
+
+
+def _lanes(one: str, many: str) -> Callable[[Dict], Tuple[Ports, Ports]]:
+    """Ports of a node that splits (or joins) one stream into ``lanes``
+    streams of one kind: the single port is *one*, the lanes *many*."""
+    def ports(params: Dict) -> Tuple[Ports, Ports]:
+        kind = params.get("stream_kind", "crd")
+        single = [(one, kind)]
+        lanes = [(f"{many}{i}", kind) for i in range(params["lanes"])]
+        return (single, lanes) if one == "in" else (lanes, single)
+
+    return ports
 
 
 def _merger_ports(params: Dict) -> Tuple[Ports, Ports]:
@@ -150,7 +182,7 @@ def _merger(cls) -> Callable:
                 # Side-band port: the merger holds the skip channel
                 # without registering it, so exempt it from the
                 # producerless-stream check.
-                binding.builder.unused(skip)
+                binding.unused(skip)
             sides.append(MergeSide(ins[f"crd{i}"], refs, skip=skip))
             out_refs.append([out[f"ref{i}_{j}"] for j in range(arity)])
         return (cls(sides, out["crd"], out_refs, name=node.name),)
@@ -181,6 +213,10 @@ def _reduce(node, ins, out, binding):
         out["crd_outer"], out["crd_inner"], out["val"], name=node.name),)
 
 
+def _lane_list(ports, prefix: str, node) -> List:
+    return [ports[f"{prefix}{i}"] for i in range(node.params["lanes"])]
+
+
 def _drop(node, ins, out, binding):
     cls = ValueDropper if node.params.get("mode") == "value" else CoordDropper
     return (cls(ins["outer"], ins["inner"], out["outer"], out["inner"],
@@ -205,8 +241,7 @@ NODE_KINDS: Dict[str, NodeKind] = {
             binding.level(node), ins["ref"], out["crd"], out["ref"],
             in_skip=ins.get("skip"), name=node.name),)),
     "repeat": NodeKind(
-        _fixed([("crd", "crd"), ("ref", "ref")], [("ref", "ref")]), "repeat",
-        "parallelogram",
+        _repeat_ports, "repeat", "parallelogram",
         lambda node, ins, out, binding: make_repeater(
             ins["crd"], ins["ref"], out["ref"], name=node.name)),
     "intersect": NodeKind(_merger_ports, "intersect", "diamond", _merger(Intersect)),
@@ -225,6 +260,47 @@ NODE_KINDS: Dict[str, NodeKind] = {
     "vals_writer": NodeKind(
         _fixed([("val", "vals")], []), "level_writer", "box",
         lambda node, ins, out, binding: (ValsWriter(ins["val"], name=node.name),)),
+    "scatter_writer": NodeKind(
+        _fixed([("ref", "ref"), ("val", "vals")], []), "level_writer", "box",
+        lambda node, ins, out, binding: (ScatterValsWriter(
+            binding.tensor(node).shape[node.params["axis"]], ins["ref"], ins["val"],
+            name=node.name),)),
+    "ll_writer": NodeKind(
+        _fixed([("parent", "crd"), ("crd", "crd")], []), "level_writer", "box",
+        lambda node, ins, out, binding: (
+            LinkedListLevelWriter(ins["parent"], ins["crd"], name=node.name),)),
+    "fanout": NodeKind(
+        _lanes("in", "out"), None, "point",
+        lambda node, ins, out, binding: (
+            Fanout(ins["in"], _lane_list(out, "out", node), name=node.name),)),
+    "parallelize": NodeKind(
+        _lanes("in", "out"), "parallelize", "invtriangle",
+        lambda node, ins, out, binding: (Parallelizer(
+            ins["in"], _lane_list(out, "out", node), granularity="element",
+            name=node.name),)),
+    "serialize": NodeKind(
+        _lanes("out", "in"), "serialize", "triangle",
+        lambda node, ins, out, binding: (InterleaveSerializer(
+            _lane_list(ins, "in", node), out["out"], name=node.name),)),
+    "bv_intersect": NodeKind(
+        _fixed([("bv0", "bv"), ("base0", "ref"), ("bv1", "bv"), ("base1", "ref")],
+               [("bv", "bv"), ("word0", "bv"), ("base0", "ref"), ("word1", "bv"),
+                ("base1", "ref")]),
+        "intersect", "diamond",
+        lambda node, ins, out, binding: (BVIntersect(
+            ins["bv0"], ins["base0"], ins["bv1"], ins["base1"], out["bv"],
+            out["word0"], out["base0"], out["word1"], out["base1"],
+            name=node.name),)),
+    "bv_expand": NodeKind(
+        _fixed([("bv", "bv"), ("word0", "bv"), ("base0", "ref"), ("word1", "bv"),
+                ("base1", "ref")],
+               [("crd", "crd"), ("ref0", "ref"), ("ref1", "ref")]),
+        "bv_expand", "trapezium",
+        # the word width is the expanded bitvector level's own
+        lambda node, ins, out, binding: (BVExpander(
+            binding.tensor(node).levels[node.params["depth"]].bits_per_word,
+            ins["bv"], ins["word0"], ins["base0"], ins["word1"], ins["base1"],
+            out["crd"], out["ref0"], out["ref1"], name=node.name),)),
     "locate": NodeKind(
         _fixed([("crd", "crd"), ("ref", "ref")],
                [("crd", "crd"), ("ref_found", "ref"), ("ref_in", "ref")]),
@@ -263,16 +339,17 @@ class SamGraph:
         """Refuse every later :meth:`add` / :meth:`connect`.
 
         A compiled program's graph is shared by every caller that
-        compiles the same specification, so it must not change after
-        lowering returns it.
+        compiles the same specification, and a kernel's by every call
+        with the same structural arguments, so it must not change once
+        built.
         """
         self._frozen = True
 
     def _check_open(self) -> None:
         if self._frozen:
             raise GraphError(
-                f"graph {self.name!r} belongs to a compiled program, which is "
-                f"shared and immutable: it takes no new nodes or edges"
+                f"graph {self.name!r} is frozen, shared and immutable: it "
+                f"takes no new nodes or edges"
             )
 
     # -- construction ------------------------------------------------------
@@ -295,14 +372,23 @@ class SamGraph:
         src_port: str,
         dst: "Node | str",
         dst_port: str,
-        kind: str = "crd",
+        kind: Optional[str] = None,
     ) -> Edge:
+        """Drive *dst_port* from *src_port*; the stream's *kind* defaults
+        to the kind the source port declares."""
         self._check_open()
         src_name = src.name if isinstance(src, Node) else src
         dst_name = dst.name if isinstance(dst, Node) else dst
         for node_name in (src_name, dst_name):
             if node_name not in self.nodes:
                 raise GraphError(f"unknown node {node_name!r}")
+        if kind is None:
+            outs = dict(node_ports(self.nodes[src_name])[1])
+            if src_port not in outs:
+                raise GraphError(f"{src_name} has no output port {src_port!r}")
+            kind = outs[src_port]
+        elif kind not in STREAM_KINDS:
+            raise GraphError(f"unknown stream kind {kind!r}")
         prior = self._drivers.get((dst_name, dst_port))
         if prior is not None:
             raise GraphError(

@@ -14,30 +14,23 @@ Each builder returns a :class:`VecMulResult` with the output values and
 the simulated cycle count.  The compressed, dense, skip and split
 variants are compiled by Custard (``crd_skip`` with
 ``coordinate_skipping=True``, which wires the merger's skip channels
-back to its scanners); the bitvector variants are hand-wired because
-they exercise blocks the compiler does not emit (bitvector mergers and
-expanders).
+back to its scanners); the bitvector variants are declared graphs
+(:func:`bv_graph`) because they use nodes the compiler does not emit
+(bitvector mergers and expanders).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..blocks import (
-    ALU,
-    ArrayLoad,
-    BVExpander,
-    BVIntersect,
-    BitvectorLevelScanner,
-    CompressedLevelWriter,
-    RootFeeder,
-    ValsWriter,
-)
-from ..formats import BitvectorLevel
-from ..graph.builder import Graph
+from ..formats import BitvectorLevel, FiberTensor
+from ..graph.bind import bind
+from ..graph.ir import SamGraph
+from ..lang.compile import check_extents
 
 CONFIGS = ("dense", "crd", "crd_skip", "crd_split", "bv", "bv_split")
 
@@ -69,8 +62,6 @@ def _compiled_vecmul(config: str, b, c, split: int,
                      backend: Optional[str] = None) -> VecMulResult:
     from ..lang import compile_expression
 
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
     if config == "dense":
         prog = compile_expression(
             "x(i) = b(i) * c(i)", formats={"b": ["dense"], "c": ["dense"]}
@@ -94,113 +85,86 @@ def _compiled_vecmul(config: str, b, c, split: int,
     return VecMulResult(config, res.cycles, out.vals, coords)
 
 
-def _bv_chain(tag: str, levels: Sequence[BitvectorLevel], g: Graph):
-    """Wire root -> bitvector scanners for one operand; returns port names."""
-    g.add(RootFeeder(g.out(f"{tag}_root", "ref"), name=f"root_{tag}"))
-    upstream = f"{tag}_root"
-    for depth, level in enumerate(levels):
-        g.add(
-            BitvectorLevelScanner(
-                level,
-                g[upstream],
-                g.out(f"{tag}_bv{depth}", "bv"),
-                g.out(f"{tag}_base{depth}", "ref"),
-                name=f"bvscan_{tag}{depth}",
-            )
-        )
-        upstream = f"{tag}_base{depth}"
-    return upstream
+@functools.lru_cache(maxsize=None)
+def bv_graph(split: bool) -> SamGraph:
+    """Bitvector (*split*: bit-tree) ``x(i) = b(i) * c(i)`` over tensors
+    ``b`` and ``c`` with one bitvector level each (two when *split*)."""
+    g = SamGraph("vecmul_bv_split" if split else "vecmul_bv")
+    refs = {}
+    for tag in "bc":
+        root = g.add("root", name=f"root_{tag}")
+        scan = g.add("level_scanner", name=f"bvscan_{tag}0", tensor=tag, depth=0,
+                     var="i", stream_kind="bv")
+        g.connect(root, "ref", scan, "ref")
+        refs[tag] = scan
+    expand = None
+    for depth in range(2 if split else 1):
+        if depth:
+            # Lower level: scan the surviving words and AND again.
+            for side, tag in enumerate("bc"):
+                refs[tag] = g.add("level_scanner", name=f"bvscan_{tag}{depth}",
+                                  tensor=tag, depth=depth, var="i", stream_kind="bv")
+                g.connect(expand, f"ref{side}", refs[tag], "ref")
+        # Scan + word-wise AND, then expand the surviving bits.
+        merge = g.add("bv_intersect", name=f"bv_and{depth}")
+        for side, tag in enumerate("bc"):
+            g.connect(refs[tag], "crd", merge, f"bv{side}")
+            g.connect(refs[tag], "ref", merge, f"base{side}")
+        expand = g.add("bv_expand", name=f"bv_expand{depth}", tensor="b",
+                       depth=depth)
+        g.connect(merge, "bv", expand, "bv")
+        for side in range(2):
+            g.connect(merge, f"word{side}", expand, f"word{side}")
+            g.connect(merge, f"base{side}", expand, f"base{side}")
+    # Only the last level's expanded coordinates reach the writer; an
+    # upper expander's coordinates stay unconsumed.
+    vals = []
+    for side, tag in enumerate("bc"):
+        vals.append(g.add("array", name=f"vals_{tag}", tensor=tag))
+        g.connect(expand, f"ref{side}", vals[-1], "ref")
+    mul = g.add("alu", name="mul", op="mul")
+    g.connect(vals[0], "val", mul, "a")
+    g.connect(vals[1], "val", mul, "b")
+    g.connect(expand, "crd", g.add("level_writer", name="write_crd"), "crd")
+    g.connect(mul, "val", g.add("vals_writer", name="write_vals"), "val")
+    g.freeze()
+    return g
+
+
+def _bv_tensor(vec: np.ndarray, bits_per_word: int, split: bool,
+               name: str) -> FiberTensor:
+    """*vec* over one bitvector level, or as a bit-tree when *split*: an
+    upper level marks which lower words are nonempty, and the lower
+    level stores only the nonempty words (one per fiber)."""
+    size = vec.size
+    nonzero = np.flatnonzero(vec)
+    vals = vec[nonzero]
+    coords = [int(i) for i in nonzero]
+    if not split:
+        level = BitvectorLevel.from_fibers([coords], size, bits_per_word)
+        return FiberTensor((size,), [level], vals, name=name)
+    num_words = -(-size // bits_per_word)
+    by_word: dict = {}
+    for crd in coords:
+        by_word.setdefault(crd // bits_per_word, []).append(crd % bits_per_word)
+    nonzero_words = sorted(by_word)
+    upper = BitvectorLevel.from_fibers([nonzero_words], num_words, bits_per_word)
+    lower = BitvectorLevel.from_fibers(
+        [by_word[w] for w in nonzero_words], bits_per_word, bits_per_word
+    )
+    return FiberTensor((num_words, bits_per_word), [upper, lower], vals, name=name)
 
 
 def _bv_vecmul(b, c, bits_per_word: int, split: bool,
                backend: Optional[str] = None) -> VecMulResult:
     """Bitvector (and bit-tree) element-wise multiply."""
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    size = b.size
-    g = Graph("vecmul_bv_split" if split else "vecmul_bv")
-
-    def build_levels(vec) -> tuple:
-        coords = [int(i) for i in np.flatnonzero(vec)]
-        if not split:
-            level = BitvectorLevel.from_fibers([coords], size, bits_per_word)
-            return [level], list(vec[np.flatnonzero(vec)])
-        # Bit-tree: an upper level marks which lower words are nonempty;
-        # the lower level stores only the nonempty words (one per fiber).
-        num_words = -(-size // bits_per_word)
-        by_word: dict = {}
-        for crd in coords:
-            by_word.setdefault(crd // bits_per_word, []).append(crd % bits_per_word)
-        nonzero_words = sorted(by_word)
-        upper = BitvectorLevel.from_fibers([nonzero_words], num_words, bits_per_word)
-        lower = BitvectorLevel.from_fibers(
-            [by_word[w] for w in nonzero_words], bits_per_word, bits_per_word
-        )
-        return [upper, lower], list(vec[np.flatnonzero(vec)])
-
-    levels_b, vals_b = build_levels(b)
-    levels_c, vals_c = build_levels(c)
-
-    # Upper (or only) level: scan + word-wise AND.
-    last_b = _bv_chain("b", levels_b[:1], g)
-    last_c = _bv_chain("c", levels_c[:1], g)
-    g.add(
-        BVIntersect(
-            g.in_("b_bv0"), g[last_b], g.in_("c_bv0"), g[last_c],
-            g.out("and0", "bv"), g.out("wa0", "bv"), g.out("ba0", "ref"),
-            g.out("wb0", "bv"), g.out("bb0", "ref"), name="bv_and0",
-        )
-    )
-    g.add(
-        BVExpander(
-            bits_per_word, g.in_("and0"), g.in_("wa0"), g.in_("ba0"),
-            g.in_("wb0"), g.in_("bb0"), g.out("crd0"), g.out("refb0", "ref"),
-            g.out("refc0", "ref"), name="bv_expand0",
-        )
-    )
-    if split:
-        # Lower level: scan the surviving words and AND again.
-        g.add(
-            BitvectorLevelScanner(
-                levels_b[1], g.in_("refb0"), g.out("b_bv1", "bv"), g.out("b_base1", "ref"),
-                name="bvscan_b1",
-            )
-        )
-        g.add(
-            BitvectorLevelScanner(
-                levels_c[1], g.in_("refc0"), g.out("c_bv1", "bv"), g.out("c_base1", "ref"),
-                name="bvscan_c1",
-            )
-        )
-        g.add(
-            BVIntersect(
-                g.in_("b_bv1"), g.in_("b_base1"), g.in_("c_bv1"), g.in_("c_base1"),
-                g.out("and1", "bv"), g.out("wa1", "bv"), g.out("ba1", "ref"),
-                g.out("wb1", "bv"), g.out("bb1", "ref"), name="bv_and1",
-            )
-        )
-        g.add(
-            BVExpander(
-                bits_per_word, g.in_("and1"), g.in_("wa1"), g.in_("ba1"),
-                g.in_("wb1"), g.in_("bb1"), g.out("crd1"), g.out("refb1", "ref"),
-                g.out("refc1", "ref"), name="bv_expand1",
-            )
-        )
-        ref_b, ref_c, crd_out = "refb1", "refc1", "crd1"
-        # Only the lower level's expanded coordinates reach the writer;
-        # the upper expander's crd output exists for the non-split graph.
-        g.unused("crd0")
-    else:
-        ref_b, ref_c, crd_out = "refb0", "refc0", "crd0"
-
-    g.add(ArrayLoad(vals_b, g[ref_b], g.out("b_val", "vals"), name="vals_b"))
-    g.add(ArrayLoad(vals_c, g[ref_c], g.out("c_val", "vals"), name="vals_c"))
-    g.add(ALU("mul", g.in_("b_val"), g.in_("c_val"), g.out("x_val", "vals"), name="mul"))
-    crd_writer = g.add(CompressedLevelWriter(g[crd_out], name="write_crd"))
-    val_writer = g.add(ValsWriter(g.in_("x_val"), name="write_vals"))
-    report = g.run(backend=backend)
+    tensors = {tag: _bv_tensor(vec, bits_per_word, split, tag)
+               for tag, vec in (("b", b), ("c", c))}
+    bound = bind(bv_graph(split), tensors)
+    report = bound.run(backend=backend)
     config = "bv_split" if split else "bv"
-    return VecMulResult(config, report.cycles, val_writer.vals, crd_writer.crd)
+    return VecMulResult(config, report.cycles, bound.writers["write_vals"].vals,
+                        bound.writers["write_crd"].crd)
 
 
 def vecmul(
@@ -214,6 +178,9 @@ def vecmul(
     """Run one Figure 13 configuration of ``x(i) = b(i) * c(i)``."""
     if config not in CONFIGS:
         raise ValueError(f"unknown config {config!r}; choose from {CONFIGS}")
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    check_extents((("b", "i", b.shape), ("c", "i", c.shape)))
     if config in ("dense", "crd", "crd_skip", "crd_split"):
         return _compiled_vecmul(config, b, c, split, backend=backend)
     return _bv_vecmul(b, c, bits_per_word, split=config == "bv_split",

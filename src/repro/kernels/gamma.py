@@ -15,29 +15,16 @@ critical path, so lane scaling is measurable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..blocks import (
-    ALU,
-    ArrayLoad,
-    CompressedLevelWriter,
-    CoordDropper,
-    Fanout,
-    Intersect,
-    InterleaveSerializer,
-    MergeSide,
-    Parallelizer,
-    RootFeeder,
-    ValsWriter,
-    VectorReducer,
-    make_repeater,
-    make_scanner,
-)
 from ..formats import FiberTensor
-from ..graph.builder import Graph
+from ..graph.bind import bind
+from ..graph.ir import SamGraph
+from ..lang.compile import check_extents
 
 
 @dataclass
@@ -49,6 +36,75 @@ class GammaResult:
     critical_path: int
 
 
+@functools.lru_cache(maxsize=64)
+def gamma_graph(lanes: int) -> SamGraph:
+    """Gustavson SpM*SpM over tensors ``B`` and ``C`` with B's rows
+    distributed across *lanes* lanes."""
+    g = SamGraph("gamma_spmm")
+    # Scan B's i level once and distribute rows across lanes.
+    root = g.add("root", name="root_B")
+    scan_bi = g.add("level_scanner", name="scan_Bi", tensor="B", depth=0, var="i")
+    g.connect(root, "ref", scan_bi, "ref")
+    fan_bi = g.add("fanout", name="fan_bi", lanes=2)
+    g.connect(scan_bi, "crd", fan_bi, "in")
+    par_ref = g.add("parallelize", name="par_ref", lanes=lanes, stream_kind="ref")
+    g.connect(scan_bi, "ref", par_ref, "in")
+    par_crd = g.add("parallelize", name="par_crd", lanes=lanes)
+    g.connect(fan_bi, "out0", par_crd, "in")
+    # One complete Gustavson pipeline per lane.
+    reducers = []
+    for lane in range(lanes):
+        root_c = g.add("root", name=f"root_C_{lane}")
+        rep_ci = g.add("repeat", name=f"repeat_Ci_{lane}", var="i")
+        g.connect(par_crd, f"out{lane}", rep_ci, "crd")
+        g.connect(root_c, "ref", rep_ci, "ref")
+        scan_bk = g.add("level_scanner", name=f"scan_Bk_{lane}", tensor="B",
+                        depth=1, var="k")
+        g.connect(par_ref, f"out{lane}", scan_bk, "ref")
+        scan_ck = g.add("level_scanner", name=f"scan_Ck_{lane}", tensor="C",
+                        depth=0, var="k")
+        g.connect(rep_ci, "ref", scan_ck, "ref")
+        # Gustavson never needs the intersected k coordinate itself,
+        # only the surviving fiber references.
+        isect = g.add("intersect", name=f"intersect_k_{lane}", sides=[1, 1], var="k")
+        for side, scan in enumerate((scan_bk, scan_ck)):
+            g.connect(scan, "crd", isect, f"crd{side}")
+            g.connect(scan, "ref", isect, f"ref{side}_0")
+        scan_cj = g.add("level_scanner", name=f"scan_Cj_{lane}", tensor="C",
+                        depth=1, var="j")
+        g.connect(isect, "ref1_0", scan_cj, "ref")
+        fan_cj = g.add("fanout", name=f"fan_cj_{lane}", lanes=2)
+        g.connect(scan_cj, "crd", fan_cj, "in")
+        rep_bj = g.add("repeat", name=f"repeat_Bj_{lane}", var="j")
+        g.connect(fan_cj, "out0", rep_bj, "crd")
+        g.connect(isect, "ref0_0", rep_bj, "ref")
+        vals_b = g.add("array", name=f"vals_B_{lane}", tensor="B")
+        g.connect(rep_bj, "ref", vals_b, "ref")
+        vals_c = g.add("array", name=f"vals_C_{lane}", tensor="C")
+        g.connect(scan_cj, "ref", vals_c, "ref")
+        mul = g.add("alu", name=f"mul_{lane}", op="mul")
+        g.connect(vals_b, "val", mul, "a")
+        g.connect(vals_c, "val", mul, "b")
+        reduce = g.add("reduce", name=f"reduce_{lane}", n=1)
+        g.connect(fan_cj, "out1", reduce, "crd")
+        g.connect(mul, "val", reduce, "val")
+        reducers.append(reduce)
+    # Rejoin per-row results in original row order.
+    join_crd = g.add("serialize", name="join_crd", lanes=lanes)
+    join_val = g.add("serialize", name="join_val", lanes=lanes, stream_kind="vals")
+    for lane, reduce in enumerate(reducers):
+        g.connect(reduce, "crd", join_crd, f"in{lane}")
+        g.connect(reduce, "val", join_val, f"in{lane}")
+    drop = g.add("crd_drop", name="drop_i", mode="fiber")
+    g.connect(fan_bi, "out1", drop, "outer")
+    g.connect(join_crd, "out", drop, "inner")
+    g.connect(drop, "outer", g.add("level_writer", name="write_Xi"), "crd")
+    g.connect(drop, "inner", g.add("level_writer", name="write_Xj"), "crd")
+    g.connect(join_val, "out", g.add("vals_writer", name="write_Xvals"), "val")
+    g.freeze()
+    return g
+
+
 def gamma_spmm(
     B: np.ndarray,
     C: np.ndarray,
@@ -56,125 +112,29 @@ def gamma_spmm(
     backend: Optional[str] = None,
 ) -> GammaResult:
     """Run Gustavson SpM*SpM with rows distributed across L lanes."""
+    if lanes < 1:
+        raise ValueError(f"gamma_spmm needs at least one lane, got {lanes}")
     B = np.asarray(B, dtype=float)
     C = np.asarray(C, dtype=float)
+    check_extents((("B", "ik", B.shape), ("C", "kj", C.shape)))
     bt = FiberTensor.from_numpy(B, name="B")
     ct = FiberTensor.from_numpy(C, name="C")
     # A lane with zero rows would contribute a phantom empty region when
     # rejoined; clamp the lane count to the number of nonempty rows.
     nonempty_rows = bt.levels[0].fiber_size(0)
     lanes = max(1, min(lanes, nonempty_rows)) if nonempty_rows else 1
-
-    def build_lane(lane: int) -> Graph:
-        """One Gustavson lane as a validated subgraph.
-
-        Open inputs: ``crd``/``ref`` (this lane's share of B's rows);
-        open outputs: ``xj``/``xv`` (the lane's per-row results).  The
-        enclosing graph fans rows in through a ``Parallelizer`` and
-        rejoins the outputs with ``InterleaveSerializer``s.
-        """
-        p = f"l{lane}"
-        lg = Graph(p)
-        lane_crd = lg.in_("crd", kind="crd")
-        lane_ref = lg.in_("ref", kind="ref")
-        lg.add(RootFeeder(lg.out("croot", "ref"), name=f"root_C_{lane}"))
-        lg.add_all(
-            make_repeater(lane_crd, lg.in_("croot"),
-                          lg.out("crep", "ref"), name=f"repeat_Ci_{lane}")
-        )
-        lg.add(
-            make_scanner(bt.levels[1], lane_ref, lg.out("bk_crd"),
-                         lg.out("bk_ref", "ref"), name=f"scan_Bk_{lane}")
-        )
-        lg.add(
-            make_scanner(ct.levels[0], lg.in_("crep"), lg.out("ck_crd"),
-                         lg.out("ck_ref", "ref"), name=f"scan_Ck_{lane}")
-        )
-        lg.add(
-            Intersect(
-                [MergeSide(lg.in_("bk_crd"), [lg.in_("bk_ref")]),
-                 MergeSide(lg.in_("ck_crd"), [lg.in_("ck_ref")])],
-                lg.out("k_crd"),
-                [[lg.out("kb_ref", "ref")], [lg.out("kc_ref", "ref")]],
-                name=f"intersect_k_{lane}",
-            )
-        )
-        # Gustavson never needs the intersected k coordinate itself,
-        # only the surviving fiber references.
-        lg.unused("k_crd")
-        lg.add(
-            make_scanner(ct.levels[1], lg.in_("kc_ref"), lg.out("cj_crd"),
-                         lg.out("cj_ref", "ref"), name=f"scan_Cj_{lane}")
-        )
-        lg.add(
-            Fanout(lg.in_("cj_crd"), [lg.out("cj_rep"), lg.out("cj_red")],
-                   name=f"fan_cj_{lane}")
-        )
-        lg.add_all(
-            make_repeater(lg.in_("cj_rep"), lg.in_("kb_ref"),
-                          lg.out("b_rep", "ref"), name=f"repeat_Bj_{lane}")
-        )
-        lg.add(ArrayLoad(bt.vals, lg.in_("b_rep"), lg.out("bval", "vals"),
-                         name=f"vals_B_{lane}"))
-        lg.add(ArrayLoad(ct.vals, lg.in_("cj_ref"), lg.out("cval", "vals"),
-                         name=f"vals_C_{lane}"))
-        lg.add(ALU("mul", lg.in_("bval"), lg.in_("cval"),
-                   lg.out("prod", "vals"), name=f"mul_{lane}"))
-        lg.add(
-            VectorReducer(lg.in_("cj_red"), lg.in_("prod"),
-                          lg.out("xj"), lg.out("xv", "vals"),
-                          name=f"reduce_{lane}")
-        )
-        return lg
-
-    # Each lane is a validated subgraph exposed as a composite node; its
-    # open streams are the ports the PE array wires up below.
-    lane_nodes = [build_lane(lane).as_node() for lane in range(lanes)]
-
-    g = Graph("gamma_spmm")
-
-    # Scan B's i level once and distribute rows across lanes.
-    g.add(RootFeeder(g.out("b_root", "ref"), name="root_B"))
-    g.add(
-        make_scanner(bt.levels[0], g.in_("b_root"),
-                     g.out("bi_crd"), g.out("bi_ref", "ref"), name="scan_Bi")
-    )
-    g.add(Fanout(g.in_("bi_crd"), [g.out("bi_par"), g.out("bi_wr")],
-                 name="fan_bi"))
-    g.add(
-        Parallelizer(g.in_("bi_ref"), [n.input("ref") for n in lane_nodes],
-                     granularity="element", name="par_ref")
-    )
-    g.add(
-        Parallelizer(g.in_("bi_par"), [n.input("crd") for n in lane_nodes],
-                     granularity="element", name="par_crd")
-    )
-    for lane, node in enumerate(lane_nodes):
-        g.include(node, prefix=f"l{lane}")
-
-    # Rejoin per-row results in original row order.
-    g.add(InterleaveSerializer([n.output("xj") for n in lane_nodes],
-                               g.out("xj_crd"), name="join_crd"))
-    g.add(InterleaveSerializer([n.output("xv") for n in lane_nodes],
-                               g.out("x_val", "vals"), name="join_val"))
-    g.add(
-        CoordDropper(g.in_("bi_wr"), g.in_("xj_crd"),
-                     g.out("xi_d"), g.out("xj_d"), name="drop_i")
-    )
-    xi_writer = g.add(CompressedLevelWriter(g.in_("xi_d"), name="write_Xi"))
-    xj_writer = g.add(CompressedLevelWriter(g.in_("xj_d"), name="write_Xj"))
-    xv_writer = g.add(ValsWriter(g.in_("x_val"), name="write_Xvals"))
-
-    report = g.run(backend=backend)
+    bound = bind(gamma_graph(lanes), {"B": bt, "C": ct})
+    report = bound.run(backend=backend)
+    writers = bound.writers
     x = FiberTensor(
         (B.shape[0], C.shape[1]),
-        [xi_writer.level, xj_writer.level],
-        xv_writer.vals,
+        [writers["write_Xi"].level, writers["write_Xj"].level],
+        writers["write_Xvals"].vals,
         name="X",
     )
     critical = max(
         block.busy_cycles
-        for block in g.blocks
+        for block in bound.blocks
         if block.name.startswith(("scan_Cj", "mul_", "scan_Bk", "reduce_"))
     )
     return GammaResult(x.to_numpy(), report.cycles, lanes, critical)

@@ -15,28 +15,16 @@ dataflow described in the text.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..blocks import (
-    ALU,
-    ArrayLoad,
-    CompressedLevelWriter,
-    CoordDropper,
-    Fanout,
-    Intersect,
-    LinkedListLevelWriter,
-    MergeSide,
-    RootFeeder,
-    ValsWriter,
-    VectorReducer,
-    make_repeater,
-    make_scanner,
-)
 from ..formats import DenseLevel, FiberTensor
-from ..graph.builder import Graph
+from ..graph.bind import bind
+from ..graph.ir import SamGraph
+from ..lang.compile import check_extents
 
 
 @dataclass
@@ -50,117 +38,121 @@ class OuterSpaceResult:
         return self.multiply_cycles + self.merge_cycles
 
 
+@functools.lru_cache(maxsize=None)
+def multiply_graph() -> SamGraph:
+    """The multiply phase ``Y(i,k,j) = B(i,k) * C(k,j)`` in k,i,j order,
+    over ``B`` stored column-major and ``C`` row-major (Figure 16)."""
+    g = SamGraph("outerspace_multiply")
+    root_b = g.add("root", name="root_B")
+    root_c = g.add("root", name="root_C")
+    scan_bk = g.add("level_scanner", name="scan_Bk", tensor="B", depth=0, var="k")
+    g.connect(root_b, "ref", scan_bk, "ref")
+    scan_ck = g.add("level_scanner", name="scan_Ck", tensor="C", depth=0, var="k")
+    g.connect(root_c, "ref", scan_ck, "ref")
+    isect = g.add("intersect", name="intersect_k", sides=[1, 1], var="k")
+    for side, scan in enumerate((scan_bk, scan_ck)):
+        g.connect(scan, "crd", isect, f"crd{side}")
+        g.connect(scan, "ref", isect, f"ref{side}_0")
+    scan_bi = g.add("level_scanner", name="scan_Bi", tensor="B", depth=1, var="i")
+    g.connect(isect, "ref0_0", scan_bi, "ref")
+    fan_bi = g.add("fanout", name="fan_bi", lanes=3)
+    g.connect(scan_bi, "crd", fan_bi, "in")
+    # Repeat C's surviving k reference over each i of B's column (Fig. 16
+    # "Repeater Ci"), then scan C's j fibers once per i.
+    rep_ci = g.add("repeat", name="repeat_Ci", var="i")
+    g.connect(fan_bi, "out0", rep_ci, "crd")
+    g.connect(isect, "ref1_0", rep_ci, "ref")
+    scan_cj = g.add("level_scanner", name="scan_Cj", tensor="C", depth=1, var="j")
+    g.connect(rep_ci, "ref", scan_cj, "ref")
+    fan_cj = g.add("fanout", name="fan_cj", lanes=2)
+    g.connect(scan_cj, "crd", fan_cj, "in")
+    # Repeat B's value reference over each j (Fig. 16 "Repeater Bj").
+    rep_bj = g.add("repeat", name="repeat_Bj", var="j")
+    g.connect(fan_cj, "out0", rep_bj, "crd")
+    g.connect(scan_bi, "ref", rep_bj, "ref")
+    vals_b = g.add("array", name="vals_B", tensor="B")
+    g.connect(rep_bj, "ref", vals_b, "ref")
+    vals_c = g.add("array", name="vals_C", tensor="C")
+    g.connect(scan_cj, "ref", vals_c, "ref")
+    mul = g.add("alu", name="mul", op="mul")
+    g.connect(vals_b, "val", mul, "a")
+    g.connect(vals_c, "val", mul, "b")
+    # Discordant write of Y: each k coordinate, repeated over the i of
+    # its column, is appended under the fiber its i names, as it arrives.
+    rep_k = g.add("repeat", name="repeat_k_over_i", var="i", stream_kind="crd")
+    g.connect(fan_bi, "out2", rep_k, "crd")
+    g.connect(isect, "crd", rep_k, "ref")
+    write_k = g.add("ll_writer", name="write_Yk")
+    g.connect(fan_bi, "out1", write_k, "parent")
+    g.connect(rep_k, "ref", write_k, "crd")
+    g.connect(fan_cj, "out1", g.add("level_writer", name="write_Yj"), "crd")
+    g.connect(mul, "val", g.add("vals_writer", name="write_Yvals"), "val")
+    g.freeze()
+    return g
+
+
+@functools.lru_cache(maxsize=None)
+def merge_graph() -> SamGraph:
+    """The merge phase ``X(i,j) = sum_k Y(i,k,j)`` over ``Y`` stored
+    (uncompressed i, linked-list k, compressed j)."""
+    g = SamGraph("outerspace_merge")
+    root = g.add("root", name="root_Y")
+    scans = []
+    upstream = (root, "ref")
+    for depth, var in enumerate("ikj"):
+        scan = g.add("level_scanner", name=f"scan_Y{var}", tensor="Y", depth=depth,
+                     var=var)
+        g.connect(*upstream, scan, "ref")
+        upstream = (scan, "ref")
+        scans.append(scan)
+    # The k coordinates themselves are summed away; only the fiber
+    # references walk down to Y's j level.
+    scan_yi, _, scan_yj = scans
+    vals_y = g.add("array", name="vals_Y", tensor="Y")
+    g.connect(scan_yj, "ref", vals_y, "ref")
+    reduce = g.add("reduce", name="reduce_k", n=1)
+    g.connect(scan_yj, "crd", reduce, "crd")
+    g.connect(vals_y, "val", reduce, "val")
+    drop = g.add("crd_drop", name="drop_i", mode="fiber")
+    g.connect(scan_yi, "crd", drop, "outer")
+    g.connect(reduce, "crd", drop, "inner")
+    g.connect(drop, "outer", g.add("level_writer", name="write_Xi"), "crd")
+    g.connect(drop, "inner", g.add("level_writer", name="write_Xj"), "crd")
+    g.connect(reduce, "val", g.add("vals_writer", name="write_Xvals"), "val")
+    g.freeze()
+    return g
+
+
 def outerspace_spmm(
     B: np.ndarray, C: np.ndarray, backend: Optional[str] = None
 ) -> OuterSpaceResult:
     """Run the two OuterSPACE phases; returns X and per-phase cycles."""
     B = np.asarray(B, dtype=float)
     C = np.asarray(C, dtype=float)
+    check_extents((("B", "ik", B.shape), ("C", "kj", C.shape)))
     num_rows = B.shape[0]
     # B column-major (k outer), C row-major (k outer) for the outer product.
     bt = FiberTensor.from_numpy(B, mode_order=(1, 0), name="B")
     ct = FiberTensor.from_numpy(C, name="C")
+    multiply = bind(multiply_graph(), {"B": bt, "C": ct})
+    multiply_cycles = multiply.run(backend=backend).cycles
 
-    # ---- multiply phase: Y(i,k,j) = B(i,k) * C(k,j) in k,i,j order -------
-    g = Graph("outerspace_multiply")
-
-    g.add(RootFeeder(g.out("b_root", "ref"), name="root_B"))
-    g.add(RootFeeder(g.out("c_root", "ref"), name="root_C"))
-    g.add(
-        make_scanner(bt.levels[0], g.in_("b_root"), g.out("bk_crd"), g.out("bk_ref", "ref"),
-                     name="scan_Bk")
-    )
-    g.add(
-        make_scanner(ct.levels[0], g.in_("c_root"), g.out("ck_crd"), g.out("ck_ref", "ref"),
-                     name="scan_Ck")
-    )
-    g.add(
-        Intersect(
-            [MergeSide(g.in_("bk_crd"), [g.in_("bk_ref")]),
-             MergeSide(g.in_("ck_crd"), [g.in_("ck_ref")])],
-            g.out("k_crd"), [[g.out("kb_ref", "ref")], [g.out("kc_ref", "ref")]],
-            name="intersect_k",
-        )
-    )
-    g.add(
-        make_scanner(bt.levels[1], g.in_("kb_ref"), g.out("bi_crd"), g.out("bi_ref", "ref"),
-                     name="scan_Bi")
-    )
-    g.add(Fanout(g.in_("bi_crd"), [g.out("bi_crd_rep"), g.out("bi_crd_wr"),
-                               g.out("bi_crd_krep")], name="fan_bi"))
-    # Repeat C's surviving k reference over each i of B's column (Fig. 16
-    # "Repeater Ci"), then scan C's j fibers once per i.
-    g.add_all(make_repeater(g.in_("bi_crd_rep"), g.in_("kc_ref"),
-                            g.out("ci_rep", "ref"), name="repeat_Ci"))
-    g.add(
-        make_scanner(ct.levels[1], g.in_("ci_rep"), g.out("cj_crd"), g.out("cj_ref", "ref"),
-                     name="scan_Cj")
-    )
-    g.add(Fanout(g.in_("cj_crd"), [g.out("cj_crd_rep"), g.out("cj_crd_wr")],
-                 name="fan_cj"))
-    # Repeat B's value reference over each j (Fig. 16 "Repeater Bj").
-    g.add_all(make_repeater(g.in_("cj_crd_rep"), g.in_("bi_ref"),
-                            g.out("bj_rep", "ref"), name="repeat_Bj"))
-    g.add(ArrayLoad(bt.vals, g.in_("bj_rep"), g.out("b_val", "vals"), name="vals_B"))
-    g.add(ArrayLoad(ct.vals, g.in_("cj_ref"), g.out("c_val", "vals"), name="vals_C"))
-    g.add(ALU("mul", g.in_("b_val"), g.in_("c_val"), g.out("y_val", "vals"), name="mul"))
-    # Discordant write of Y: k appended under its i fiber as it arrives.
-    # The repeated payload is k *coordinates* (the repeater is
-    # payload-polymorphic); the writer consumes them as a crd stream.
-    g.add_all(make_repeater(g.in_("bi_crd_krep"), g.in_("k_crd"),
-                            g.out("k_rep", "crd"), name="repeat_k_over_i"))
-    # The writer pairs (parent, crd): parent = the i coordinate naming the
-    # fiber, crd = the repeated k coordinate appended under it.
-    ll_writer = g.add(LinkedListLevelWriter(g.in_("bi_crd_wr"), g.in_("k_rep"),
-                                            name="write_Yk"))
-    yj_writer = g.add(CompressedLevelWriter(g.in_("cj_crd_wr"), name="write_Yj"))
-    yv_writer = g.add(ValsWriter(g.in_("y_val"), name="write_Yvals"))
-    multiply_report = g.run(backend=backend)
-    multiply_cycles = multiply_report.cycles
-
-    # ---- merge phase: X(i,j) = sum_k Y(i,k,j) ---------------------------
-    y_i_level = DenseLevel(num_rows, num_fibers=1)
-    y_k_level = ll_writer.level
+    writers = multiply.writers
+    y_k_level = writers["write_Yk"].level
     y_k_level.ensure_fiber(num_rows - 1)
-    y_j_level = yj_writer.level
-    y_vals = yv_writer.vals
-
-    g2 = Graph("outerspace_merge")
-
-    g2.add(RootFeeder(g2.out("root", "ref"), name="root_Y"))
-    g2.add(
-        make_scanner(y_i_level, g2.in_("root"), g2.out("yi_crd"), g2.out("yi_ref", "ref"),
-                     name="scan_Yi")
+    yt = FiberTensor(
+        (num_rows, B.shape[1], C.shape[1]),
+        [DenseLevel(num_rows, num_fibers=1), y_k_level, writers["write_Yj"].level],
+        writers["write_Yvals"].vals,
+        name="Y",
     )
-    g2.add(
-        make_scanner(y_k_level, g2.in_("yi_ref"), g2.out("yk_crd"), g2.out("yk_ref", "ref"),
-                     name="scan_Yk")
-    )
-    g2.add(
-        make_scanner(y_j_level, g2.in_("yk_ref"), g2.out("yj_crd"), g2.out("yj_ref", "ref"),
-                     name="scan_Yj")
-    )
-    # The k coordinates themselves are summed away; only the fiber
-    # references walk down to Y's j level.
-    g2.unused("yk_crd")
-    g2.add(ArrayLoad(y_vals, g2.in_("yj_ref"), g2.out("y_val", "vals"), name="vals_Y"))
-    g2.add(
-        VectorReducer(g2.in_("yj_crd"), g2.in_("y_val"), g2.out("xj_crd"),
-                      g2.out("x_val", "vals"), name="reduce_k")
-    )
-    g2.add(
-        CoordDropper(g2.in_("yi_crd"), g2.in_("xj_crd"), g2.out("xi_crd_d"),
-                     g2.out("xj_crd_d"), name="drop_i")
-    )
-    xi_writer = g2.add(CompressedLevelWriter(g2.in_("xi_crd_d"), name="write_Xi"))
-    xj_writer = g2.add(CompressedLevelWriter(g2.in_("xj_crd_d"), name="write_Xj"))
-    xv_writer = g2.add(ValsWriter(g2.in_("x_val"), name="write_Xvals"))
-    merge_report = g2.run(backend=backend)
-
+    merge = bind(merge_graph(), {"Y": yt})
+    merge_cycles = merge.run(backend=backend).cycles
+    writers = merge.writers
     x = FiberTensor(
         (B.shape[0], C.shape[1]),
-        [xi_writer.level, xj_writer.level],
-        xv_writer.vals,
+        [writers["write_Xi"].level, writers["write_Xj"].level],
+        writers["write_Xvals"].vals,
         name="X",
     )
-    return OuterSpaceResult(x.to_numpy(), multiply_cycles, merge_report.cycles)
+    return OuterSpaceResult(x.to_numpy(), multiply_cycles, merge_cycles)

@@ -18,6 +18,7 @@ in three implementations:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,17 +77,10 @@ def sddmm_fused_coiter(B, C, D, backend: Optional[str] = None) -> SDDMMResult:
     return SDDMMResult(res.to_numpy(), res.cycles, "fused_coiter")
 
 
-def sddmm_fused_locate(B, C, D, backend: Optional[str] = None) -> SDDMMResult:
-    """Fused SDDMM that locates into the dense operands (section 6.3).
-
-    "We further enhance performance by using locator blocks to find the
-    sampled i, j values, which is trivial in a dense array."
-    """
-    B, C, D = _as_arrays(B, C, D)
-    bt = FiberTensor.from_numpy(B, name="B")
-    ct = FiberTensor.from_numpy(C, formats=("dense", "dense"), name="C")
-    dt = FiberTensor.from_numpy(D, formats=("dense", "dense"), name="D")
-
+@functools.lru_cache(maxsize=None)
+def locate_graph() -> SamGraph:
+    """Fused SDDMM over ``B`` and dense ``C``, ``D``, locating into the
+    dense operands."""
     g = SamGraph("sddmm_locate")
     root = g.add("root", name="root_B")
     scan_bi = g.add("level_scanner", name="scan_Bi", tensor="B", depth=0, var="i")
@@ -144,8 +138,21 @@ def sddmm_fused_locate(B, C, D, backend: Optional[str] = None) -> SDDMMResult:
     g.connect(fdrop, "inner", wr_j, "crd", "crd")
     g.connect(vdrop, "inner", wr_v, "val", "vals")
     g.validate()
+    g.freeze()
+    return g
 
-    bound = bind(g, {"B": bt, "C": ct, "D": dt})
+
+def sddmm_fused_locate(B, C, D, backend: Optional[str] = None) -> SDDMMResult:
+    """Fused SDDMM that locates into the dense operands (section 6.3).
+
+    "We further enhance performance by using locator blocks to find the
+    sampled i, j values, which is trivial in a dense array."
+    """
+    B, C, D = _as_arrays(B, C, D)
+    bt = FiberTensor.from_numpy(B, name="B")
+    ct = FiberTensor.from_numpy(C, formats=("dense", "dense"), name="C")
+    dt = FiberTensor.from_numpy(D, formats=("dense", "dense"), name="D")
+    bound = bind(locate_graph(), {"B": bt, "C": ct, "D": dt})
     report = bound.run(backend=backend)
     out = FiberTensor(
         B.shape,

@@ -16,34 +16,54 @@ Two variants of ``x(i) = B(i,j) * c(j)``:
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
 
-from ..blocks import (
-    ALU,
-    ArrayLoad,
-    CompressedLevelWriter,
-    Fanout,
-    Intersect,
-    Locator,
-    MergeSide,
-    RootFeeder,
-    ScalarReducer,
-    ScatterValsWriter,
-    ValsWriter,
-    ValueDropper,
-    make_repeater,
-    make_scanner,
-)
 from ..formats import DenseLevel, FiberTensor
-from ..graph.builder import Graph
+from ..graph.bind import bind
+from ..graph.ir import SamGraph
 from ..lang import CompiledProgram, compile_expression
+from ..lang.compile import check_extents
 
 
 def spmv_program() -> CompiledProgram:
     """The compiled (coiterating) SpMV graph."""
     return compile_expression("x(i) = B(i,j) * c(j)")
+
+
+@functools.lru_cache(maxsize=None)
+def locate_graph() -> SamGraph:
+    """The iterate-locate SpMV graph over tensors ``B`` and ``c``."""
+    g = SamGraph("spmv_locate")
+    root = g.add("root", name="root_B")
+    scan_i = g.add("level_scanner", name="scan_Bi", tensor="B", depth=0, var="i")
+    g.connect(root, "ref", scan_i, "ref")
+    scan_j = g.add("level_scanner", name="scan_Bj", tensor="B", depth=1, var="j")
+    g.connect(scan_i, "ref", scan_j, "ref")
+    # The locator probes c's dense level with B's j coordinates (always
+    # hits in-bounds coordinates; the point is never iterating c), so its
+    # located coordinates duplicate B's and stay unconsumed.
+    locate = g.add("locate", name="locate_c", tensor="c", depth=0)
+    g.connect(scan_j, "crd", locate, "crd")
+    g.connect(scan_j, "ref", locate, "ref")
+    vals_b = g.add("array", name="vals_B", tensor="B")
+    g.connect(locate, "ref_in", vals_b, "ref")
+    vals_c = g.add("array", name="vals_c", tensor="c")
+    g.connect(locate, "ref_found", vals_c, "ref")
+    mul = g.add("alu", name="mul", op="mul")
+    g.connect(vals_b, "val", mul, "a")
+    g.connect(vals_c, "val", mul, "b")
+    reduce = g.add("reduce", name="reduce_j", n=0)
+    g.connect(mul, "val", reduce, "val")
+    drop = g.add("crd_drop", name="drop_zero", mode="value")
+    g.connect(scan_i, "crd", drop, "outer")
+    g.connect(reduce, "val", drop, "inner")
+    g.connect(drop, "outer", g.add("level_writer", name="write_x_i"), "crd")
+    g.connect(drop, "inner", g.add("vals_writer", name="write_x_vals"), "val")
+    g.freeze()
+    return g
 
 
 def spmv_locate(B, c: np.ndarray, backend: Optional[str] = None):
@@ -76,47 +96,51 @@ def spmv_locate(B, c: np.ndarray, backend: Optional[str] = None):
             f"B's scanned column dimension is {bt.shape[1]} but c has "
             f"{c.size} entries"
         )
-    c_level = DenseLevel(c.size)
-    g = Graph("spmv_locate")
+    ct = FiberTensor((c.size,), [DenseLevel(c.size)], c, name="c")
+    bound = bind(locate_graph(), {"B": bt, "c": ct})
+    report = bound.run(backend=backend)
+    return (bound.writers["write_x_i"].crd, bound.writers["write_x_vals"].vals,
+            report.cycles)
 
-    g.add(RootFeeder(g.out("root", "ref"), name="root_B"))
-    g.add(
-        make_scanner(bt.levels[0], g.in_("root"),
-                     g.out("bi_crd"), g.out("bi_ref", "ref"), name="scan_Bi")
-    )
-    g.add(
-        make_scanner(bt.levels[1], g.in_("bi_ref"),
-                     g.out("bj_crd"), g.out("bj_ref", "ref"), name="scan_Bj")
-    )
-    # Locator probes c's dense level with B's j coordinates (always hits
-    # in-bounds coordinates; the point is never iterating c).
-    g.add(
-        Locator(
-            c_level, g.in_("bj_crd"), g.in_("bj_ref"),
-            g.out("loc_crd"), g.out("c_ref", "ref"), g.out("b_ref", "ref"),
-            name="locate_c",
-        )
-    )
-    # A dense-level locate always hits, so the located coordinates
-    # duplicate bj_crd and nothing downstream reads them.
-    g.unused("loc_crd")
-    g.add(ArrayLoad(bt.vals, g.in_("b_ref"), g.out("b_val", "vals"),
-                    name="vals_B"))
-    # Pass c as an array: ArrayLoad snapshots list memories with
-    # np.asarray on every run, which at benchmark scale costs more than
-    # the gather itself.
-    g.add(ArrayLoad(c, g.in_("c_ref"), g.out("c_val", "vals"), name="vals_c"))
-    g.add(ALU("mul", g.in_("b_val"), g.in_("c_val"), g.out("prod", "vals"),
-              name="mul"))
-    g.add(ScalarReducer(g.in_("prod"), g.out("sum", "vals"), name="reduce_j"))
-    g.add(
-        ValueDropper(g.in_("bi_crd"), g.in_("sum"),
-                     g.out("x_crd"), g.out("x_val", "vals"), name="drop_zero")
-    )
-    crd_writer = g.add(CompressedLevelWriter(g.in_("x_crd"), name="write_x_i"))
-    val_writer = g.add(ValsWriter(g.in_("x_val"), name="write_x_vals"))
-    report = g.run(backend=backend)
-    return crd_writer.crd, val_writer.vals, report.cycles
+
+@functools.lru_cache(maxsize=None)
+def scatter_graph() -> SamGraph:
+    """The linear-combination SpMV graph over tensors ``B`` and ``c``."""
+    g = SamGraph("spmv_scatter")
+    root_b = g.add("root", name="root_B")
+    root_c = g.add("root", name="root_c")
+    scan_bi = g.add("level_scanner", name="scan_Bi", tensor="B", depth=0, var="i")
+    g.connect(root_b, "ref", scan_bi, "ref")
+    scan_ci = g.add("level_scanner", name="scan_ci", tensor="c", depth=0, var="i")
+    g.connect(root_c, "ref", scan_ci, "ref")
+    # Only the surviving references matter; the intersected row
+    # coordinate itself is never consumed (the scatter target is j).
+    isect = g.add("intersect", name="intersect_i", sides=[1, 1], var="i")
+    for side, scan in enumerate((scan_bi, scan_ci)):
+        g.connect(scan, "crd", isect, f"crd{side}")
+        g.connect(scan, "ref", isect, f"ref{side}_0")
+    scan_bj = g.add("level_scanner", name="scan_Bj", tensor="B", depth=1, var="j")
+    g.connect(isect, "ref0_0", scan_bj, "ref")
+    fan = g.add("fanout", name="fan_bj", lanes=2)
+    g.connect(scan_bj, "crd", fan, "in")
+    # Broadcast the surviving c reference over B's row fiber (Figure 6).
+    repeat = g.add("repeat", name="repeat_cj", var="j")
+    g.connect(fan, "out0", repeat, "crd")
+    g.connect(isect, "ref1_0", repeat, "ref")
+    vals_b = g.add("array", name="vals_B", tensor="B")
+    g.connect(scan_bj, "ref", vals_b, "ref")
+    vals_c = g.add("array", name="vals_c", tensor="c")
+    g.connect(repeat, "ref", vals_c, "ref")
+    mul = g.add("alu", name="mul", op="mul")
+    g.connect(vals_b, "val", mul, "a")
+    g.connect(vals_c, "val", mul, "b")
+    # Scatter-add at the j coordinate: the dense result supports random
+    # insert, so the reduction happens in memory.
+    scatter = g.add("scatter_writer", name="scatter_x", tensor="B", axis=1)
+    g.connect(fan, "out1", scatter, "ref")
+    g.connect(mul, "val", scatter, "val")
+    g.freeze()
+    return g
 
 
 def spmv_scatter(B: np.ndarray, c: np.ndarray, backend: Optional[str] = None):
@@ -131,50 +155,9 @@ def spmv_scatter(B: np.ndarray, c: np.ndarray, backend: Optional[str] = None):
     """
     B = np.asarray(B, dtype=float)
     c = np.asarray(c, dtype=float)
-    bt = FiberTensor.from_numpy(B, name="B")
-    ct = FiberTensor.from_numpy(c, name="c")
-    g = Graph("spmv_scatter")
-
-    g.add(RootFeeder(g.out("b_root", "ref"), name="root_B"))
-    g.add(RootFeeder(g.out("c_root", "ref"), name="root_c"))
-    g.add(
-        make_scanner(bt.levels[0], g.in_("b_root"),
-                     g.out("bi_crd"), g.out("bi_ref", "ref"), name="scan_Bi")
-    )
-    g.add(
-        make_scanner(ct.levels[0], g.in_("c_root"),
-                     g.out("ci_crd"), g.out("ci_ref", "ref"), name="scan_ci")
-    )
-    g.add(
-        Intersect(
-            [MergeSide(g.in_("bi_crd"), [g.in_("bi_ref")]),
-             MergeSide(g.in_("ci_crd"), [g.in_("ci_ref")])],
-            g.out("i_crd"),
-            [[g.out("ib_ref", "ref")], [g.out("ic_ref", "ref")]],
-            name="intersect_i",
-        )
-    )
-    # Only the surviving references matter; the intersected row
-    # coordinate itself is never consumed (the scatter target is j).
-    g.unused("i_crd")
-    g.add(
-        make_scanner(bt.levels[1], g.in_("ib_ref"),
-                     g.out("bj_crd"), g.out("bj_ref", "ref"), name="scan_Bj")
-    )
-    g.add(Fanout(g.in_("bj_crd"), [g.out("bj_rep"), g.out("bj_scatter")],
-                 name="fan_bj"))
-    # Broadcast the surviving c reference over B's row fiber (Figure 6).
-    g.add_all(make_repeater(g.in_("bj_rep"), g.in_("ic_ref"),
-                            g.out("c_rep", "ref"), name="repeat_cj"))
-    g.add(ArrayLoad(bt.vals, g.in_("bj_ref"), g.out("b_val", "vals"),
-                    name="vals_B"))
-    g.add(ArrayLoad(ct.vals, g.in_("c_rep"), g.out("c_val", "vals"),
-                    name="vals_c"))
-    g.add(ALU("mul", g.in_("b_val"), g.in_("c_val"), g.out("prod", "vals"),
-              name="mul"))
-    # Scatter-add at the j coordinate: the dense result supports random
-    # insert, so the reduction happens in memory.
-    scatter = g.add(ScatterValsWriter(B.shape[1], g.in_("bj_scatter"),
-                                      g.in_("prod"), name="scatter_x"))
-    report = g.run(backend=backend)
-    return scatter.vals, report.cycles
+    check_extents((("B", "ij", B.shape), ("c", "i", c.shape)))
+    tensors = {"B": FiberTensor.from_numpy(B, name="B"),
+               "c": FiberTensor.from_numpy(c, name="c")}
+    bound = bind(scatter_graph(), tensors)
+    report = bound.run(backend=backend)
+    return bound.writers["scatter_x"].vals, report.cycles

@@ -32,7 +32,7 @@ Selecting a backend
 -------------------
 
 Every entry point that runs a graph — :func:`run_blocks`,
-``Graph.run``, ``BoundGraph.run``, ``CompiledProgram.run``, the
+``BoundGraph.run``, ``CompiledProgram.run``, the
 kernels, and the study drivers — accepts ``backend=`` (a registry name
 or an Engine class).  ``backend=None`` defers to the ``REPRO_ENGINE``
 environment variable and finally to ``"cycle"``.  The CLI exposes the

@@ -33,12 +33,13 @@ class TestProtocolPass:
         assert report.findings == []
         sigs = report.meta["protocol"]["signatures"]
         # the canonical SpMV streams, straight from the paper's Fig. 4
-        assert sigs["bi_crd"] == "crd@1"
-        assert sigs["bj_crd"] == "crd@2"
-        assert sigs["bj_ref"] == "ref@2"
-        assert sigs["b_val"] == "vals@2"
-        assert sigs["sum"] == "vals@1"   # ScalarReducer drops one level
-        assert sigs["x_val"] == "vals@1"
+        assert sigs["scan_Bi.crd->drop_zero.outer"] == "crd@1"
+        assert sigs["scan_Bj.crd->locate_c.crd"] == "crd@2"
+        assert sigs["scan_Bj.ref->locate_c.ref"] == "ref@2"
+        assert sigs["vals_B.val->mul.a"] == "vals@2"
+        # ScalarReducer drops one level
+        assert sigs["reduce_j.val->drop_zero.inner"] == "vals@1"
+        assert sigs["drop_zero.inner->write_x_vals.val"] == "vals@1"
         assert report.meta["protocol"]["unresolved"] == []
 
     @pytest.mark.parametrize("expression,schedule", EXPRESSION_TARGETS,

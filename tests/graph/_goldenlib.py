@@ -81,18 +81,24 @@ def report_signature(report) -> Dict:
 
 
 @contextlib.contextmanager
-def capture_runs(structures: List[Dict]):
-    """Patch the construction-layer run paths to snapshot block lists.
-
-    Appends one :func:`graph_signature` per simulation launched through
-    ``repro.graph.builder`` or ``repro.graph.bind`` while active.
-    """
+def patched_runs(wrap):
+    """Route every launch through ``wrap(run_blocks)`` while active:
+    every graph runs through ``repro.graph.bind``'s ``run_blocks``."""
     import importlib
 
     bind_mod = importlib.import_module("repro.graph.bind")
-    builder_mod = importlib.import_module("repro.graph.builder")
+    original = bind_mod.run_blocks
+    bind_mod.run_blocks = wrap(original)
+    try:
+        yield
+    finally:
+        bind_mod.run_blocks = original
 
-    originals = (builder_mod.run_blocks, bind_mod.run_blocks)
+
+@contextlib.contextmanager
+def capture_runs(structures: List[Dict]):
+    """Append one :func:`graph_signature` per simulation launched while
+    active."""
 
     def wrap(original):
         def runner(blocks, *args, **kwargs):
@@ -102,12 +108,23 @@ def capture_runs(structures: List[Dict]):
 
         return runner
 
-    builder_mod.run_blocks = wrap(originals[0])
-    bind_mod.run_blocks = wrap(originals[1])
-    try:
+    with patched_runs(wrap):
         yield structures
-    finally:
-        builder_mod.run_blocks, bind_mod.run_blocks = originals
+
+
+def capture_reports(reports: List[Dict]):
+    """Append one :func:`report_signature` per simulation launched while
+    active."""
+
+    def wrap(original):
+        def runner(blocks, *args, **kwargs):
+            report = original(blocks, *args, **kwargs)
+            reports.append(report_signature(report))
+            return report
+
+        return runner
+
+    return patched_runs(wrap)
 
 
 def _operands(seed: int = 7):
@@ -200,11 +217,6 @@ def kernel_cases():
 
 def capture_all() -> Dict:
     """Structures (backend-independent) + per-backend report signatures."""
-    import importlib
-
-    bind_mod = importlib.import_module("repro.graph.bind")
-    builder_mod = importlib.import_module("repro.graph.builder")
-
     out: Dict = {}
     for name, runner in kernel_cases():
         structures: List[Dict] = []
@@ -213,22 +225,8 @@ def capture_all() -> Dict:
         entry = {"structures": structures, "reports": {}}
         for backend in ENGINES:
             reports: List[Dict] = []
-            originals = (builder_mod.run_blocks, bind_mod.run_blocks)
-
-            def wrap(original):
-                def runner_fn(blocks, *args, **kwargs):
-                    report = original(blocks, *args, **kwargs)
-                    reports.append(report_signature(report))
-                    return report
-
-                return runner_fn
-
-            builder_mod.run_blocks = wrap(originals[0])
-            bind_mod.run_blocks = wrap(originals[1])
-            try:
+            with capture_reports(reports):
                 runner(backend)
-            finally:
-                builder_mod.run_blocks, bind_mod.run_blocks = originals
             entry["reports"][backend] = reports
         out[name] = entry
     return out

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from _goldenlib import capture_runs, kernel_cases, load_golden, report_signature
+from _goldenlib import capture_reports, capture_runs, kernel_cases, load_golden
 from blockkit import ENGINES
 
 _CASES = {name: runner for name, runner in kernel_cases()}
@@ -39,28 +39,9 @@ def test_structure_isomorphic_to_hand_wired(name, golden):
 @pytest.mark.parametrize("backend", ENGINES)
 @pytest.mark.parametrize("name", sorted(_CASES))
 def test_reports_bit_identical(name, backend, golden):
-    import importlib
-
-    bind_mod = importlib.import_module("repro.graph.bind")
-    builder_mod = importlib.import_module("repro.graph.builder")
-
     reports = []
-    originals = (builder_mod.run_blocks, bind_mod.run_blocks)
-
-    def wrap(original):
-        def runner(blocks, *args, **kwargs):
-            report = original(blocks, *args, **kwargs)
-            reports.append(report_signature(report))
-            return report
-
-        return runner
-
-    builder_mod.run_blocks = wrap(originals[0])
-    bind_mod.run_blocks = wrap(originals[1])
-    try:
+    with capture_reports(reports):
         _CASES[name](backend)
-    finally:
-        builder_mod.run_blocks, bind_mod.run_blocks = originals
     assert reports == golden[name]["reports"][backend], (
         f"{name} on {backend}: report diverged from the pre-refactor capture"
     )

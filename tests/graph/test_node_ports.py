@@ -51,6 +51,21 @@ class TestNodePorts:
         ins, _ = self._ports("crd_drop", mode="fiber")
         assert ("inner", "crd") in ins
 
+    def test_stream_kind_params(self):
+        _, outs = self._ports("level_scanner", tensor="b", depth=0, stream_kind="bv")
+        assert outs == [("crd", "bv"), ("ref", "ref")]
+        ins, outs = self._ports("repeat", stream_kind="crd")
+        assert ins == [("crd", "crd"), ("ref", "crd")] and outs == [("ref", "crd")]
+        assert self._ports("repeat")[1] == [("ref", "ref")]
+
+    def test_lane_ports_scale_with_lanes(self):
+        for kind in ("fanout", "parallelize"):
+            ins, outs = self._ports(kind, lanes=3, stream_kind="ref")
+            assert ins == [("in", "ref")]
+            assert outs == [("out0", "ref"), ("out1", "ref"), ("out2", "ref")]
+        ins, outs = self._ports("serialize", lanes=2, stream_kind="vals")
+        assert ins == [("in0", "vals"), ("in1", "vals")] and outs == [("out", "vals")]
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(GraphError):
             self._ports("mystery")

@@ -1,12 +1,11 @@
-"""Build-time validation of the declarative graph layer.
+"""Build-time validation of a wired block list.
 
-Each wiring-error class the refactor promises to catch at bind time gets
-a test proving it is rejected *before* simulation (previously these
-surfaced as mid-run stalls/bails or not at all): kind mismatches,
-backend-capability mismatches, unconnected required ports, duplicate
-producers, and multi-consumer streams without an explicit Fanout.
-Nested composition (``as_node``/``include``), explicit ``connect``
-overrides, and the block-plane DOT renderer are covered alongside.
+Each wiring-error class :func:`repro.graph.validate_blocks` promises to
+catch at bind time gets a test proving it is rejected *before*
+simulation (previously these surfaced as mid-run stalls/bails or not at
+all): kind mismatches, backend-capability mismatches, unconnected
+required ports, duplicate producers, and multi-consumer streams without
+an explicit Fanout.  Port declarations are covered alongside.
 """
 
 import numpy as np
@@ -14,26 +13,25 @@ import pytest
 
 from repro.blocks import (
     ALU,
-    ArrayLoad,
     Block,
-    CompressedLevelWriter,
     Fanout,
     Intersect,
-    Locator,
     PortError,
     PortSpec,
-    RootFeeder,
-    ScalarReducer,
     Sink,
     StreamFeeder,
     Union,
-    ValsWriter,
-    ValueDropper,
-    make_scanner,
 )
 from repro.formats import DenseLevel, FiberTensor
-from repro.graph import GraphValidationError
-from repro.graph.builder import Graph
+from repro.graph import (
+    GraphError,
+    GraphValidationError,
+    SamGraph,
+    bind,
+    validate_blocks,
+)
+from repro.kernels import spmv
+from repro.streams import Channel
 from repro.streams.token import DONE
 
 from blockkit import ENGINES, TIMED
@@ -77,39 +75,45 @@ class OptionalWiring(Block):
         yield True
 
 
-def _feed(g, name, tokens, kind="vals", feeder=None):
-    g.add(StreamFeeder(tokens, g.out(name, kind), name=feeder or f"feed_{name}"))
+def _vals(name):
+    return Channel(name, kind="vals")
+
+
+def _feed(name, tokens, kind="vals"):
+    """A feeder block on a new channel named *name*, and the channel."""
+    chan = Channel(name, kind=kind)
+    return StreamFeeder(tokens, chan, name=f"feed_{name}"), chan
+
+
+def _rejected(*args, **kwargs) -> str:
+    with pytest.raises(GraphValidationError) as err:
+        validate_blocks(*args, **kwargs)
+    return str(err.value)
 
 
 class TestWiringErrors:
     def test_kind_mismatch_named_at_bind_time(self):
-        g = Graph("kinds")
-        _feed(g, "a", [1.0, DONE], kind="crd")  # wrong kind for an ALU
-        _feed(g, "b", [2.0, DONE])
-        g.add(ALU("mul", g.in_("a"), g.in_("b"), g.out("x", "vals"),
-                  name="mul"))
-        g.add(Sink(g.in_("x"), name="sink"))
-        with pytest.raises(GraphValidationError) as err:
-            g.validate()
-        assert "mul.in_a expects a 'vals' stream but 'a' carries 'crd'" in str(
-            err.value
-        )
+        feed_a, a = _feed("a", [1.0, DONE], kind="crd")  # wrong kind for an ALU
+        feed_b, b = _feed("b", [2.0, DONE])
+        x = _vals("x")
+        blocks = [feed_a, feed_b, ALU("mul", a, b, x, name="mul"),
+                  Sink(x, name="sink")]
+        assert "mul.in_a expects a 'vals' stream but 'a' carries 'crd'" in (
+            _rejected(blocks))
 
     def test_capability_mismatch_per_backend(self):
-        g = Graph("caps")
-        _feed(g, "a", [1.0, DONE])
-        g.add(TimedOnly(g.in_("a"), g.out("x", "vals")))
-        g.add(Sink(g.in_("x"), name="sink"))
+        feed, a = _feed("a", [1.0, DONE])
+        x = _vals("x")
+        blocks = [feed, TimedOnly(a, x), Sink(x, name="sink")]
         assert "cycle" not in TIMED
         # Backends that drive the timed plane: fine.
         for backend in TIMED:
-            g.validate(backend=backend)
+            validate_blocks(blocks, backend=backend)
         # Engines that only step generators: rejected.
         for backend in set(ENGINES) - set(TIMED):
-            with pytest.raises(GraphValidationError) as err:
-                g.validate(backend=backend)
-            assert "timed_only" in str(err.value)
-            assert "no common execution plane" in str(err.value)
+            message = _rejected(blocks, backend=backend)
+            assert "timed_only" in message
+            assert "no common execution plane" in message
 
     def test_capabilities_derived_from_hooks(self):
         assert TimedOnly.capabilities() == frozenset({"timed"})
@@ -117,104 +121,63 @@ class TestWiringErrors:
         assert OptionalWiring.capabilities() == frozenset({"scalar"})
 
     def test_unconnected_required_port(self):
-        g = Graph("unbound")
-        _feed(g, "a", [1.0, DONE])
-        g.add(OptionalWiring(in_val=g.in_("a")))  # out_val never bound
-        with pytest.raises(GraphValidationError) as err:
-            g.validate()
-        assert "required out port 'out_val' is unconnected" in str(err.value)
-
-    def test_duplicate_producer_rejected_at_declaration(self):
-        g = Graph("dup")
-        g.out("x", "vals")
-        with pytest.raises(GraphValidationError) as err:
-            g.out("x", "vals")
-        assert "two producers" in str(err.value)
-        assert "InterleaveSerializer" in str(err.value)
+        feed, a = _feed("a", [1.0, DONE])
+        blocks = [feed, OptionalWiring(in_val=a)]  # out_val never bound
+        assert "required out port 'out_val' is unconnected" in _rejected(blocks)
 
     def test_duplicate_port_bind_structural(self):
-        # Two blocks pushing one channel without an InterleaveSerializer:
-        # caught even when the channel was shared directly, bypassing
-        # Graph.out().
-        g = Graph("dup2")
-        chan = g.out("x", "vals")
-        g.add(StreamFeeder([1.0, DONE], chan, name="feed_1"))
-        g.add(StreamFeeder([2.0, DONE], chan, name="feed_2"))
-        g.add(Sink(g.in_("x"), name="sink"))
-        with pytest.raises(GraphValidationError) as err:
-            g.validate()
-        msg = str(err.value)
+        # Two blocks pushing one channel without an InterleaveSerializer.
+        x = _vals("x")
+        blocks = [StreamFeeder([1.0, DONE], x, name="feed_1"),
+                  StreamFeeder([2.0, DONE], x, name="feed_2"),
+                  Sink(x, name="sink")]
+        msg = _rejected(blocks)
         assert "multiple producers" in msg
         assert "feed_1.out" in msg and "feed_2.out" in msg
         assert "InterleaveSerializer" in msg
 
     def test_multi_consumer_needs_explicit_fanout(self):
-        g = Graph("fan")
-        _feed(g, "a", [1.0, DONE])
-        g.add(Sink(g.in_("a"), name="sink_1"))
-        g.add(Sink(g.in_("a"), name="sink_2"))
-        with pytest.raises(GraphValidationError) as err:
-            g.validate()
-        msg = str(err.value)
+        feed, a = _feed("a", [1.0, DONE])
+        msg = _rejected([feed, Sink(a, name="sink_1"), Sink(a, name="sink_2")])
         assert "multiple consumers" in msg
         assert "sink_1.in" in msg and "sink_2.in" in msg
         assert "Fanout" in msg
 
     def test_explicit_fanout_passes(self):
-        g = Graph("fan_ok")
-        _feed(g, "a", [1.0, DONE])
-        g.add(Fanout(g.in_("a"), [g.out("a0", "vals"), g.out("a1", "vals")],
-                     name="fan"))
-        g.add(Sink(g.in_("a0"), name="sink_1"))
-        g.add(Sink(g.in_("a1"), name="sink_2"))
-        g.validate()
+        feed, a = _feed("a", [1.0, DONE])
+        a0, a1 = _vals("a0"), _vals("a1")
+        validate_blocks([feed, Fanout(a, [a0, a1], name="fan"),
+                         Sink(a0, name="sink_1"), Sink(a1, name="sink_2")])
 
     def test_dangling_output_and_unused_exemption(self):
-        g = Graph("dangle")
-        _feed(g, "a", [1.0, DONE])
-        with pytest.raises(GraphValidationError) as err:
-            g.validate()
-        assert "no consumer" in str(err.value)
-        g.unused("a")
-        g.validate()
+        feed, a = _feed("a", [1.0, DONE])
+        assert "no consumer" in _rejected([feed])
+        validate_blocks([feed], unchecked={id(a)})
 
     def test_producerless_input(self):
-        g = Graph("orphan")
-        g.add(Sink(g.in_("ghost", kind="vals"), name="sink"))
-        with pytest.raises(GraphValidationError) as err:
-            g.validate()
-        assert "sink.in reads stream 'ghost' which has no producer" in str(
-            err.value
-        )
-
-    def test_forward_reference_requires_kind(self):
-        g = Graph("fwd")
-        with pytest.raises(GraphValidationError):
-            g.in_("later")  # no kind, no producer yet
-        chan = g.in_("later", kind="vals")
-        assert g.out("later", "vals") is chan  # producer adopts it
+        assert "sink.in reads stream 'ghost' which has no producer" in (
+            _rejected([Sink(_vals("ghost"), name="sink")]))
 
     def test_unknown_stream_kind_rejected(self):
-        g = Graph("kindcheck")
+        g = SamGraph("kindcheck")
+        g.add("root", name="r")
+        g.add("sink", name="s")
         with pytest.raises(ValueError):
-            g.out("x", "velocity")
+            g.connect("r", "ref", "s", "in", kind="velocity")
 
     def test_all_violations_reported_together(self):
-        g = Graph("multi")
-        _feed(g, "a", [1.0, DONE], kind="crd")
-        g.add(ALU("mul", g.in_("a"), g.in_("b", kind="vals"),
-                  g.out("x", "vals"), name="mul"))
+        feed, a = _feed("a", [1.0, DONE], kind="crd")
+        blocks = [feed, ALU("mul", a, _vals("b"), _vals("x"), name="mul")]
         with pytest.raises(GraphValidationError) as err:
-            g.validate()
+            validate_blocks(blocks)
         assert len(err.value.violations) == 3  # kind, no producer, dangling
 
 
 class TestPortDeclarations:
     def test_undeclared_port_rejected_at_construction(self):
-        g = Graph("ports")
-        sink = Sink(g.out("a", "vals"), name="sink")
+        sink = Sink(_vals("a"), name="sink")
         with pytest.raises(PortError) as err:
-            sink._in("bogus", g.out("b", "vals"))
+            sink._in("bogus", _vals("b"))
         assert "no declared in port 'bogus'" in str(err.value)
 
     def test_variadic_spec_matches_indices(self):
@@ -255,124 +218,56 @@ class TestPortDeclarations:
         assert Fanout.spec_for("in", "out12") is None
 
     def test_undeclared_port_error_lists_the_declared_ports(self):
-        g = Graph("ports")
-        fanout = Fanout(g.out("a", "crd"), [g.out("b", "crd")], name="fan")
+        fanout = Fanout(Channel("a"), [Channel("b")], name="fan")
         for attempt in range(2):  # the second lookup answers from the memo
             with pytest.raises(PortError) as err:
-                fanout._in("in0", g.out(f"c{attempt}", "crd"))
+                fanout._in("in0", Channel(f"c{attempt}"))
             assert str(err.value) == (
                 "fan: no declared in port 'in0' on Fanout (declared: in)")
             with pytest.raises(PortError) as err:
-                fanout._out("lane0", g.out(f"d{attempt}", "crd"))
+                fanout._out("lane0", Channel(f"d{attempt}"))
             assert str(err.value) == (
                 "fan: no declared out port 'lane0' on Fanout (declared: out{i})")
 
 
 
-class TestNestedComposition:
-    def _mac_node(self):
-        sub = Graph("mac")
-        a = sub.in_("a", kind="vals")
-        b = sub.in_("b", kind="vals")
-        sub.add(ALU("mul", a, b, sub.out("prod", "vals"), name="mul"))
-        return sub.as_node()
-
-    def test_as_node_exposes_open_streams(self):
-        node = self._mac_node()
-        assert sorted(node.inputs) == ["a", "b"]
-        assert sorted(node.outputs) == ["prod"]
-
-    def test_as_node_rejects_internal_violations(self):
-        sub = Graph("bad")
-        _feed(sub, "a", [1.0, DONE], kind="crd")
-        sub.add(ALU("mul", sub.in_("a"), sub.in_("b", kind="vals"),
-                    sub.out("x", "vals"), name="mul"))
-        sub.add(Sink(sub.in_("x"), name="sink"))
-        with pytest.raises(GraphValidationError):
-            sub.as_node()
-
-    def test_include_composes_and_runs(self):
-        node = self._mac_node()
-        g = Graph("parent")
-        g.add(StreamFeeder([3.0, DONE], node.input("a"), name="feed_a"))
-        g.add(StreamFeeder([4.0, DONE], node.input("b"), name="feed_b"))
-        g.include(node)
-        sink = g.add(Sink(node.output("prod"), name="sink"))
-        report = g.run(backend="cycle")
-        assert sink.tokens[0] == 12.0
-        assert report.cycles > 0
-        # Channels land under the subgraph prefix.
-        assert "mac.prod" in g.channels
-
-    def test_include_rejects_channel_collisions(self):
-        node = self._mac_node()
-        g = Graph("parent")
-        g.out("mac.prod", "vals")
-        g.add(StreamFeeder([1.0, DONE], node.input("a"), name="feed_a"))
-        with pytest.raises(GraphValidationError) as err:
-            g.include(node)
-        assert "collides" in str(err.value)
-
-
 class TestSpmvLocateRegression:
-    """Dropping one connection from spmv_locate fails at bind, not mid-run.
+    """Dropping one node from the spmv_locate graph, as bind sees it.
 
-    Before the declarative layer this bug class was silent: the graph
-    hand-wired a channel nobody drained (or fed), and the simulation
-    stalled or hung until the cycle ceiling.  Now ``run()`` validates
-    first and names the port.
+    Before validation this bug class was silent: the graph wired a
+    channel nobody fed (or drained), and the simulation stalled or hung
+    until the cycle ceiling.  A dropped producer now fails at bind,
+    naming the port.  A dropped consumer leaves its producer's output
+    with no edge, and bind gives every such output a dangling channel
+    exempt from the connectivity check, so that graph binds; only the
+    missing writer shows.
     """
 
-    def _locate_graph(self, drop=None):
-        B = np.array([[1.0, 0.0], [0.0, 2.0]])
-        c = np.array([3.0, 4.0])
-        bt = FiberTensor.from_numpy(B, name="B")
-        g = Graph("spmv_locate")
-        g.add(RootFeeder(g.out("root", "ref"), name="root_B"))
-        g.add(make_scanner(bt.levels[0], g.in_("root"),
-                           g.out("bi_crd"), g.out("bi_ref", "ref"),
-                           name="scan_Bi"))
-        g.add(make_scanner(bt.levels[1], g.in_("bi_ref"),
-                           g.out("bj_crd"), g.out("bj_ref", "ref"),
-                           name="scan_Bj"))
-        g.add(Locator(DenseLevel(c.size), g.in_("bj_crd"), g.in_("bj_ref"),
-                      g.out("loc_crd"), g.out("c_ref", "ref"),
-                      g.out("b_ref", "ref"), name="locate_c"))
-        g.unused("loc_crd")
-        g.add(ArrayLoad(bt.vals, g.in_("b_ref"), g.out("b_val", "vals"),
-                        name="vals_B"))
-        g.add(ArrayLoad(c, g.in_("c_ref"), g.out("c_val", "vals"),
-                        name="vals_c"))
-        if drop != "mul":
-            g.add(ALU("mul", g.in_("b_val"), g.in_("c_val"),
-                      g.out("prod", "vals"), name="mul"))
-        g.add(ScalarReducer(g.in_("prod", kind="vals"), g.out("sum", "vals"),
-                            name="reduce_j"))
-        g.add(ValueDropper(g.in_("bi_crd"), g.in_("sum"),
-                           g.out("x_crd"), g.out("x_val", "vals"),
-                           name="drop_zero"))
-        g.add(CompressedLevelWriter(g.in_("x_crd"), name="write_x_i"))
-        if drop != "write_x_vals":
-            g.add(ValsWriter(g.in_("x_val"), name="write_x_vals"))
-        return g
+    B = np.array([[1.0, 0.0], [0.0, 2.0]])
+    c = np.array([3.0, 4.0])
 
-    def test_intact_graph_validates_and_runs(self):
-        g = self._locate_graph()
-        report = g.run(backend="cycle")
-        assert report.cycles > 0
+    def _bind_locate(self, drop=None):
+        full = spmv.locate_graph()
+        g = SamGraph(full.name)
+        for node in full.nodes.values():
+            if node.name != drop:
+                g.add(node.kind, name=node.name, **node.params)
+        for edge in full.edges:
+            if drop not in (edge.src, edge.dst):
+                g.connect(edge.src, edge.src_port, edge.dst, edge.dst_port, edge.kind)
+        ct = FiberTensor((self.c.size,), [DenseLevel(self.c.size)], self.c, name="c")
+        return bind(g, {"B": FiberTensor.from_numpy(self.B, name="B"), "c": ct})
 
-    def test_dropped_consumer_is_a_bind_time_error(self):
-        g = self._locate_graph(drop="write_x_vals")
-        with pytest.raises(GraphValidationError) as err:
-            g.run(backend="cycle")
-        assert ("drop_zero.out_val writes stream 'x_val' which has no "
-                "consumer") in str(err.value)
+    def test_intact_graph_validates_and_runs(self, engine):
+        bound = self._bind_locate()
+        assert bound.run(backend=engine).cycles > 0
+        assert bound.writers["write_x_vals"].vals.tolist() == [3.0, 8.0]
+
+    def test_dropped_consumer_leaves_a_dangling_stream(self):
+        bound = self._bind_locate(drop="write_x_vals")
+        assert "write_x_vals" not in bound.writers
+        assert "drop_zero.inner(dangling)" in bound.channels
 
     def test_dropped_producer_is_a_bind_time_error(self):
-        g = self._locate_graph(drop="mul")
-        with pytest.raises(GraphValidationError) as err:
-            g.run(backend="cycle")
-        msg = str(err.value)
-        assert "reduce_j.in_val reads stream 'prod' which has no producer" in msg
-        # The orphaned ALU inputs are reported in the same pass.
-        assert "'b_val'" in msg and "'c_val'" in msg
+        with pytest.raises(GraphError, match=r"input reduce_j\.val is not connected"):
+            self._bind_locate(drop="mul")

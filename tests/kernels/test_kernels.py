@@ -7,6 +7,7 @@ from repro.data.synthetic import random_sparse_matrix, urandom_vector
 from repro.kernels import (
     CONFIGS,
     ORDERS,
+    gamma_spmm,
     outerspace_spmm,
     run_spmm,
     sddmm_fused_coiter,
@@ -15,6 +16,7 @@ from repro.kernels import (
     sddmm_unfused,
     spmv_locate,
     spmv_program,
+    spmv_scatter,
     vecmul,
 )
 
@@ -22,6 +24,23 @@ from repro.kernels import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(11)
+
+
+@pytest.mark.parametrize("call, parts", [
+    (lambda: gamma_spmm(np.ones((3, 4)), np.ones((5, 2))), ("'k'", "4", "5")),
+    (lambda: outerspace_spmm(np.ones((3, 4)), np.ones((5, 2))), ("'k'", "4", "5")),
+    (lambda: spmv_scatter(np.ones((3, 4)), np.ones(5)), ("'i'", "3", "5")),
+    *((lambda config=config: vecmul(config, np.ones(8), np.ones(16), split=4),
+       ("'i'", "8", "16")) for config in CONFIGS),
+    (lambda: gamma_spmm(np.ones((3, 3)), np.ones((3, 3)), lanes=0), ("lane", "0")),
+], ids=["gamma", "outerspace", "spmv_scatter", *CONFIGS, "gamma_zero_lanes"])
+def test_disagreeing_operands_rejected(call, parts):
+    # Each used to run: a short operand was silently read as if padded
+    # or truncated (c[3:] ignored, B's k columns multiplied by C's
+    # rows), and zero lanes ran one.
+    with pytest.raises(ValueError) as err:
+        call()
+    assert all(part in str(err.value) for part in parts)
 
 
 class TestVecMul:

@@ -19,11 +19,13 @@ over one pass of the twelve programs after a warm-up pass:
 * ``PortSpec.matches`` (in a fresh interpreter): a declared spec is
   matched against a port at most once per class, and a second pass
   matches none;
-* the structural analysis a warm run must not redo, by name: validation
-  (``Graph.validate``), the plan (``plan_blocks``: the plane rule), its
-  ``dependency_order``, ``partition_segments`` and ``segment_plan_key``.
-  Each program's graph is planned once, at its first bind; a warm pass
-  calls none of them.
+* the structural analysis a warm run must not redo, by name: the
+  wiring (``_wire``), validation (``validate_blocks``), the plan
+  (``plan_blocks``: the plane rule), its ``dependency_order``,
+  ``partition_segments`` and ``segment_plan_key``.  Each program's graph
+  is wired and planned once, at its first bind; a warm pass calls none
+  of them.  The same holds for each hand-drawn kernel: a second call
+  with the same structural arguments does no wiring.
 
 Each budget is the count this code makes.  A change may lower one;
 raising one needs its reason in CHANGES.md.
@@ -37,8 +39,11 @@ from collections import Counter
 
 import pytest
 
-from repro.graph.bind import bind
-from repro.graph.builder import Graph
+import numpy as np
+
+from repro.graph import builder
+from repro.graph.bind import _wire, bind
+from repro.kernels import elementwise, gamma, outerspace, sddmm, spmv
 from repro.lang import compile as compile_module
 from repro.lang import compile_expression
 from repro.sim.backends import plan
@@ -135,7 +140,8 @@ def test_table1_pass_keeps_its_call_budget(engine):
 
 #: the structural analysis a warm run does not redo, by name
 STRUCTURE = {
-    "Graph.validate": Graph.validate,
+    "_wire": _wire,
+    "validate_blocks": builder.validate_blocks,
     "plan_blocks": plan.plan_blocks,
     "dependency_order": plan.dependency_order,
     "partition_segments": plan.partition_segments,
@@ -143,8 +149,8 @@ STRUCTURE = {
 }
 
 
-def structural_calls(inputs, engine):
-    """Calls of each :data:`STRUCTURE` function over one pass."""
+def structural_calls(run):
+    """Calls of each :data:`STRUCTURE` function during ``run()``."""
     codes = {fn.__code__: name for name, fn in STRUCTURE.items()}
     calls = Counter({name: 0 for name in STRUCTURE})
 
@@ -154,20 +160,60 @@ def structural_calls(inputs, engine):
 
     sys.setprofile(profile)
     try:
-        table1_pass(inputs, engine)
+        run()
     finally:
         sys.setprofile(None)
     return calls
 
 
+def _kernel_operands():
+    rng = np.random.default_rng(5)
+    sparse = np.where(rng.random((12, 12)) < 0.3, rng.uniform(0.5, 2.0, (12, 12)), 0.0)
+    vector = np.where(rng.random(32) < 0.4, rng.uniform(0.5, 2.0, 32), 0.0)
+    return sparse, rng.uniform(0.5, 2.0, 12), vector, rng.uniform(0.5, 2.0, (12, 4))
+
+
+#: each hand-drawn kernel: a call on (matrix, vector, sparse vector,
+#: dense factor, engine), and the memoised builders of the graphs it runs
+KERNELS = {
+    "spmv_locate": (lambda B, c, v, M, e: spmv.spmv_locate(B, c, backend=e),
+                    (spmv.locate_graph,)),
+    "spmv_scatter": (lambda B, c, v, M, e: spmv.spmv_scatter(B, c, backend=e),
+                     (spmv.scatter_graph,)),
+    "gamma_spmm": (lambda B, c, v, M, e: gamma.gamma_spmm(B, B, lanes=3, backend=e),
+                   (gamma.gamma_graph,)),
+    "outerspace_spmm": (lambda B, c, v, M, e: outerspace.outerspace_spmm(B, B, backend=e),
+                        (outerspace.multiply_graph, outerspace.merge_graph)),
+    "vecmul_bv_split": (lambda B, c, v, M, e: elementwise.vecmul(
+        "bv_split", v, v[::-1], split=4, bits_per_word=8, backend=e),
+                        (elementwise.bv_graph,)),
+    "sddmm_fused_locate": (lambda B, c, v, M, e: sddmm.sddmm_fused_locate(
+        B, M, M, backend=e), (sddmm.locate_graph,)),
+}
+
+
+def _cold_run(workload, engine):
+    """Forget *workload*'s graphs; returns a run of it and how many
+    graphs it binds."""
+    if workload == "table1":
+        inputs = operands()
+        compile_module._compile_text.cache_clear()  # new programs
+        return (lambda: table1_pass(inputs, engine)), len(ENTRIES)
+    call, builders = KERNELS[workload]
+    for build in builders:
+        build.cache_clear()  # new graphs
+    args = _kernel_operands()
+    return (lambda: call(*args, engine)), len(builders)
+
+
 @pytest.mark.parametrize("engine", TIMED)
-def test_warm_pass_does_no_structural_work(engine):
-    inputs = operands()
-    compile_module._compile_text.cache_clear()  # new programs: a cold pass
-    cold = structural_calls(inputs, engine)
+@pytest.mark.parametrize("workload", ["table1", *KERNELS])
+def test_warm_pass_does_no_structural_work(workload, engine):
+    run, graphs = _cold_run(workload, engine)
+    cold = structural_calls(run)
     assert all(cold.values()), f"the counter sees no cold work: {cold}"
-    assert cold["plan_blocks"] == cold["Graph.validate"] == len(ENTRIES)
-    warm = structural_calls(inputs, engine)
+    assert cold["_wire"] == cold["validate_blocks"] == cold["plan_blocks"] == graphs
+    warm = structural_calls(run)
     assert warm == {name: 0 for name in STRUCTURE}
 
 

@@ -54,7 +54,7 @@ class TestKernelBitIdentity:
 
     def test_spmv_scatter(self):
         ref, timed = both(
-            lambda be: spmv_scatter(B, VEC, backend=be),
+            lambda be: spmv_scatter(B, VEC[:B.shape[0]], backend=be),
             lambda r: (r[0].tolist(), r[1]),
         )
         assert ref == timed

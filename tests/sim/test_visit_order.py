@@ -20,8 +20,9 @@ The seed is a cost, never a result: "when a block is visited changes
 nothing it computes".  Seeding the worklist in reverse dependency order
 or in a shuffled order must give bit-identical reports — cycles,
 per-block activity, per-channel token counts and every writer's arrays.
-A Table-1 case compiles a parsed assignment on every run, so each run
-plans a graph of its own and a patched order reaches it.
+A Table-1 case compiles a parsed assignment on every run, and a kernel
+case builds its graphs afresh, so each run plans a graph of its own and
+a patched order reaches it.
 """
 
 import random
@@ -34,7 +35,7 @@ from repro.data.synthetic import random_sparse_matrix
 from repro.graph.builder import capture_runs
 from repro.harness import STUDY_NAMES
 from repro.harness.registry import execute_spec, get_study
-from repro.kernels import gamma_spmm, outerspace_spmm, spmv_locate
+from repro.kernels import gamma, gamma_spmm, outerspace, outerspace_spmm, spmv, spmv_locate
 from repro.lang import compile_expression, parse
 from repro.sim import graph_token_counts
 from repro.sim.backends import plan, timed_batch
@@ -59,20 +60,35 @@ def operands(n=40):
             random_sparse_matrix(n, n, 0.1, seed=8))
 
 
+def kernel_case(run, *builders):
+    """*run* over a graph of its own each time: its builders forget the
+    graphs they made, so a patched order reaches the new graphs' plans."""
+    def case(backend):
+        for build in builders:
+            build.cache_clear()
+        return run(backend)
+
+    return case
+
+
 def gamma_case():
     B, C = operands()
-    return lambda backend: (gamma_spmm(B, C, backend=backend).output,)
+    return kernel_case(lambda backend: (gamma_spmm(B, C, backend=backend).output,),
+                       gamma.gamma_graph)
 
 
 def outerspace_case():
     B, C = operands()
-    return lambda backend: (outerspace_spmm(B, C, backend=backend).output,)
+    return kernel_case(
+        lambda backend: (outerspace_spmm(B, C, backend=backend).output,),
+        outerspace.multiply_graph, outerspace.merge_graph)
 
 
 def spmv_locate_case():
     B, _ = operands()
     c = np.random.default_rng(3).random(B.shape[1])
-    return lambda backend: spmv_locate(B, c, backend=backend)
+    return kernel_case(lambda backend: spmv_locate(B, c, backend=backend),
+                       spmv.locate_graph)
 
 
 CASES = {entry.name: (lambda entry=entry: table1_case(entry)) for entry in ENTRIES}

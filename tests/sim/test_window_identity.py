@@ -78,7 +78,7 @@ class TestKernelBitIdentity:
 
     def test_spmv_scatter(self):
         want, got = both(
-            lambda be: spmv_scatter(B, VEC, backend=be), lambda r: r[0].tolist()
+            lambda be: spmv_scatter(B, VEC[:B.shape[0]], backend=be), lambda r: r[0].tolist()
         )
         assert got == want
 

@@ -32,9 +32,7 @@ from repro.blocks import (
     Locator,
     Repeater,
     ScatterValsWriter,
-    StreamFeeder,
     Union,
-    ValsWriter,
     ValueDropper,
     VectorReducer,
 )
@@ -43,7 +41,7 @@ from repro.blocks import merge as merge_module
 from repro.blocks import reduce as reduce_module
 from repro.data.synthetic import random_sparse_matrix
 from repro.formats import FiberTensor
-from repro.graph.builder import Graph, capture_runs
+from repro.graph import SamGraph, bind, capture_runs
 from repro.kernels import gamma as gamma_module
 from repro.kernels.gamma import gamma_spmm
 from repro.kernels.outerspace import outerspace_spmm
@@ -102,15 +100,19 @@ def run_sddmm_locate(backend):
 
 def run_phantom_alu(backend):
     """An ALU whose operands carry phantom zeros, on either side."""
-    g = Graph("phantom_alu")
-    g.add(StreamFeeder([1.0, 0.0, Stop(0), 2.0, Stop(0), EMPTY, Stop(1), DONE],
-                       g.out("a", "vals"), name="feed_a"))
-    g.add(StreamFeeder([3.0, Stop(0), 4.0, 0.0, EMPTY, Stop(0), Stop(1), DONE],
-                       g.out("b", "vals"), name="feed_b"))
-    g.add(ALU("add", g.in_("a"), g.in_("b"), g.out("sum", "vals"), name="add"))
-    writer = g.add(ValsWriter(g.in_("sum"), name="write"))
-    g.run(backend=backend)
-    return writer.vals
+    g = SamGraph("phantom_alu")
+    g.add("source", name="feed_a", stream_kind="vals",
+          tokens=[1.0, 0.0, Stop(0), 2.0, Stop(0), EMPTY, Stop(1), DONE])
+    g.add("source", name="feed_b", stream_kind="vals",
+          tokens=[3.0, Stop(0), 4.0, 0.0, EMPTY, Stop(0), Stop(1), DONE])
+    g.add("alu", name="add", op="add")
+    g.connect("feed_a", "out", "add", "a")
+    g.connect("feed_b", "out", "add", "b")
+    g.add("vals_writer", name="write")
+    g.connect("add", "val", "write", "val")
+    bound = bind(g, {})
+    bound.run(backend=backend)
+    return bound.writers["write"].vals
 
 
 class Counts:

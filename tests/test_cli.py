@@ -77,13 +77,12 @@ class TestCLI:
 
     def test_graph_check_fails_on_violations(self, capsys, monkeypatch):
         # Sabotage validation so the command sees a wiring violation.
-        from repro.graph import GraphValidationError
-        from repro.graph.builder import Graph
+        from repro.graph import BoundGraph, GraphValidationError
 
         def broken_validate(self, backend=None):
             raise GraphValidationError("mul.in_a expects a 'vals' stream")
 
-        monkeypatch.setattr(Graph, "validate", broken_validate)
+        monkeypatch.setattr(BoundGraph, "validate", broken_validate)
         monkeypatch.delenv("REPRO_ENGINE")  # no engine forced
         with pytest.raises(SystemExit) as err:
             main(["graph", "x(i) = B(i,j) * c(j)", "--check"])
@@ -91,6 +90,24 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "graph check FAILED" in captured.err
         assert "mul.in_a expects a 'vals' stream" in captured.err
+
+    def test_graph_command_prints_a_kernels_graphs(self, capsys, engine):
+        assert main(["--engine", engine, "graph", "outerspace", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        # both phases, with Figure 16's linked-list writer of Y's k level
+        assert out.count("digraph") == 2
+        assert '"outerspace_multiply"' in out and '"outerspace_merge"' in out
+        assert '"write_Yk"' in out
+
+    @pytest.mark.parametrize("flags", [["--check"], ["--dump-plan"],
+                                       ["--schedule", "i", "k", "j"],
+                                       ["--size", "20"]])
+    def test_graph_kernel_name_takes_no_expression_flags(self, capsys, flags):
+        assert main(["graph", "gamma", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert captured.err.count("\n") == 1 and flags[0] in captured.err
 
     def test_graph_command_other_engine_plain(self, capsys):
         assert main(["--engine", "cycle", "graph",

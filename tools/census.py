@@ -4,8 +4,9 @@
 Runs every path a user takes through the product in this process --
 each study's quick grid swept and rendered on the three engines, a
 cold, a warm and a ``--prune`` sweep (with a ``--jobs 2`` shard and a
-bad ``--opt``), ``repro lint all --cross-validate``, the ``graph`` /
-``compile`` / ``datasets`` commands CI runs and the seven examples --
+bad ``--opt``), ``repro lint all --cross-validate``, the ``graph``
+(expressions and a kernel) / ``compile`` / ``datasets`` commands CI
+runs and the seven examples --
 under ``sys.setprofile``, then lists every function defined in
 ``src/repro`` that none of them entered.
 
@@ -79,6 +80,7 @@ CLI_PATHS = (
     (("--engine", "compiled", "graph", SPMV), 0),
     (("--engine", "cycle", "graph", SPMM, "--schedule", "i", "k", "j",
       "--dump-plan"), 0),
+    (("graph", "outerspace"), 0),
     (("compile", SPMV, "--dot"), 0),
     (("datasets", "--list"), 0),
     (("datasets", "--materialize", "lpl3", "--data-dir", "{data}"), 0),
@@ -200,9 +202,6 @@ ALLOWLIST = {
     "repro.blocks.base:Block.__repr__": PUBLIC,
     "repro.formats.tensor:FiberTensor.__repr__": PUBLIC,
     "repro.formats.tensor:FiberTensor.nnz": PUBLIC,
-    "repro.graph.builder:Graph.__contains__": PUBLIC,
-    "repro.graph.builder:Graph.__repr__": PUBLIC,
-    "repro.graph.builder:GraphNode.__repr__": PUBLIC,
     "repro.graph.ir:SamGraph.__repr__": PUBLIC,
     "repro.lang.compile:CompiledProgram.__repr__": PUBLIC,
     "repro.sim.backends.base:SimulationReport.__repr__": PUBLIC,
