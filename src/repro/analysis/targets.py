@@ -4,11 +4,11 @@
 graphs inside their run functions, so this module runs each kernel over
 small fixed-seed operands (the same seed-7 shapes the golden-structure
 tests pin) under :func:`repro.graph.builder.capture_runs`, which
-snapshots every block list the kernel launches.  The timed-batch backend
-is used by default: it populates the channel token counters the rate
-pass calibrates on and the busy counters ``--cross-validate`` reads, and
-multi-stage kernels (OuterSPACE) get the real intermediate results their
-later stages read.
+snapshots every block list the kernel launches.  The graphs run (on the
+default engine unless one is named): that populates the channel token
+counters the rate pass calibrates on and the busy counters
+``--cross-validate`` reads, and multi-stage kernels (OuterSPACE) get the
+real intermediate results their later stages read.
 
 Expressions (``repro lint "x(i) = B(i,j) * c(j)"``) are compiled and
 bound over synthetic operands exactly like ``repro graph``.
@@ -133,7 +133,7 @@ EXPRESSION_TARGETS = (
 )
 
 
-def capture_kernel(name: str, backend: str = "timed-batch",
+def capture_kernel(name: str, backend: Optional[str] = None,
                    seed: int = 7) -> List[CapturedGraph]:
     """Run kernel *name* under capture; one entry per launched graph."""
     runner = KERNEL_RUNNERS.get(name)
@@ -151,7 +151,7 @@ def capture_kernel(name: str, backend: str = "timed-batch",
     return out
 
 
-def capture_expression(expression: str, backend: str = "timed-batch",
+def capture_expression(expression: str, backend: Optional[str] = None,
                        size: int = 12, seed: int = 0,
                        schedule=None) -> List[CapturedGraph]:
     """Compile, bind and run an expression over synthetic operands."""

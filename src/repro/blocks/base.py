@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class PortSpec:
     :attr:`Block.port_specs`; :meth:`Block._in`/:meth:`Block._out` check
     each registration against the declaration, and
     :func:`repro.graph.builder.validate_blocks` uses them for build-time
-    validation (kind/capability mismatches, unconnected required ports)
+    validation (kind mismatches, unconnected required ports)
     and for port metadata in DOT renderings and fusion partitioning.
 
     * ``name`` — exact port name, or a pattern with ``{i}``/``{j}``
@@ -301,23 +301,6 @@ class Block:
         create, so blocks with side-band outputs report them here.
         """
         return {}
-
-    @classmethod
-    def capabilities(cls) -> FrozenSet[str]:
-        """Execution planes this block supports, derived from its hooks.
-
-        ``scalar`` is present iff the class implements the generator
-        path (:meth:`_run`); ``timed`` iff it overrides ``drain_timed``.
-        Every stock primitive has the scalar path; the declarative graph
-        layer intersects these per edge to reject capability mismatches
-        for a requested backend at bind time.
-        """
-        caps = set()
-        if cls._run is not Block._run:
-            caps.add("scalar")
-        if cls.drain_timed is not None:
-            caps.add("timed")
-        return frozenset(caps)
 
     def _check_port(self, direction: str, port: str) -> None:
         if not type(self).port_specs:

@@ -25,7 +25,8 @@ where they stopped; ``report`` runs any point it finds no record of.
 (:class:`repro.harness.Option`), parsed and range-checked by its row: a
 bad value or an undeclared key is a one-line ``repro: error:`` with
 status 2.  ``--engine`` selects the simulation backend (a key of
-:data:`repro.sim.backends.BACKENDS`) for every study that runs
+:data:`repro.sim.backends.BACKENDS`; default
+:data:`~repro.sim.backends.DEFAULT_BACKEND`) for every command that runs
 block-level simulations.
 """
 
@@ -34,7 +35,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
 
 
 def _opt_texts(args) -> dict:
@@ -170,16 +170,6 @@ def _cmd_datasets(args) -> None:
         _datasets_smoke(args, registry)
 
 
-def _forced_engine(args) -> Optional[str]:
-    """The engine ``--engine`` or else ``$REPRO_ENGINE`` names, checked by
-    :func:`~repro.sim.backends.resolve_backend` (an unknown name is its
-    ``ValueError``); None when neither names one."""
-    from .sim.backends import ENGINE_ENV_VAR, resolve_backend
-
-    name = args.engine or os.environ.get(ENGINE_ENV_VAR)
-    return resolve_backend(name) if name else None
-
-
 def _datasets_smoke(args, registry) -> None:
     """Large-matrix ingestion smoke: load -> FiberTensor -> SpMV -> scipy check."""
     import time
@@ -188,11 +178,11 @@ def _datasets_smoke(args, registry) -> None:
 
     from .formats import FiberTensor
     from .kernels.spmv import spmv_locate
+    from .sim.backends import resolve_backend
 
     name = args.matrix
     spec = _dataset_spec(registry, name)
-    # Honour the usual engine switches; only then default to timed-batch.
-    backend = _forced_engine(args) or "timed-batch"
+    backend = resolve_backend(args.engine)
     source = registry.source(name)
     matrix = registry.load_matrix(name, seed=args.seed)
     start = time.perf_counter()
@@ -225,7 +215,7 @@ def _cmd_lint(args) -> None:
     running it over small fixed-seed operands, then the protocol,
     deadlock, and (with ``--rate``) rate passes run; error-severity
     findings make the command exit non-zero.  Graphs are captured on the
-    timed-batch backend; ``--cross-validate`` checks the static rate
+    ``--engine`` backend; ``--cross-validate`` checks the static rate
     predictions against its measured busy counters.
     """
     import json as jsonlib
@@ -263,9 +253,9 @@ def _cmd_lint(args) -> None:
     total_findings = 0
     for kind, spec, schedule in jobs:
         if kind == "kernel":
-            captured = capture_kernel(spec)
+            captured = capture_kernel(spec, args.engine)
         else:
-            captured = capture_expression(spec, schedule=schedule)
+            captured = capture_expression(spec, args.engine, schedule=schedule)
         for graph in captured:
             measured = graph.measured_busy() if args.cross_validate else None
             report = lint_blocks(graph.blocks, rate=rate, measured=measured)
@@ -315,8 +305,7 @@ def _cmd_compile(args) -> None:
 def _cmd_graph(args) -> None:
     """Bind an expression over synthetic operands and print its DOT graph.
 
-    Under the compiled engine (``--engine compiled`` or
-    ``$REPRO_ENGINE=compiled``; with neither, a run uses ``cycle``, which
+    Under the compiled engine (``--engine compiled``; the default engine
     fuses nothing) the fused segments of the bound graph's plan — the
     partition the backend runs — are handed to the DOT exporter, which
     groups every fused segment in a dashed cluster: the fusion decisions
@@ -329,11 +318,11 @@ def _cmd_graph(args) -> None:
     line per block with its plane (``timed``, ``fused`` or ``cycle``)
     and the reason.
 
-    With ``--check`` the command validates instead of rendering: the
-    bound block graph is run through the port-level wiring checks
-    (kind mismatches, unconnected required ports, duplicate producers,
-    fanout without an explicit Fanout, backend-capability gaps) and the
-    process exits non-zero listing every violation.
+    With ``--check`` the command validates instead of rendering: binding
+    runs the port-level wiring checks (kind mismatches, unconnected
+    required ports, duplicate producers, fanout without an explicit
+    Fanout, blocks no engine can run) and the process exits non-zero
+    listing every violation.
 
     A kernel name (``repro lint``'s, e.g. ``outerspace``) in place of the
     expression runs the kernel on the engine over its lint operands drawn
@@ -346,6 +335,7 @@ def _cmd_graph(args) -> None:
     from .graph import GraphValidationError, bind, to_dot
     from .lang import compile_expression
     from .lang.ast import ExpressionError
+    from .sim.backends import resolve_backend
 
     if args.expression in KERNEL_RUNNERS:
         given = [flag for flag, value in (("--check", args.check),
@@ -356,11 +346,10 @@ def _cmd_graph(args) -> None:
         if given:
             raise ExpressionError(f"{args.expression!r} is a kernel name; "
                                   f"{given[0]} takes an expression")
-        engine = _forced_engine(args) or "timed-batch"
-        for captured in capture_kernel(args.expression, engine, seed=args.seed):
+        for captured in capture_kernel(args.expression, args.engine,
+                                       seed=args.seed):
             print(to_dot(captured.graph))
         return
-    engine = _forced_engine(args)
     size = 12 if args.size is None else args.size
     program = compile_expression(args.expression, schedule=args.schedule)
     rng = np.random.default_rng(args.seed)
@@ -374,12 +363,9 @@ def _cmd_graph(args) -> None:
         shape = (size,) * ndim
         dense = rng.uniform(0.1, 1.0, size=shape)
         tensors[name] = np.where(rng.random(shape) < 0.5, dense, 0.0)
-    if getattr(args, "check", False):
-        # bind() validates the wired graph; revalidate explicitly against
-        # the selected backend so capability gaps are also reported.
+    if args.check:
         try:
             bound = bind(program.graph, program._prepare_inputs(tensors))
-            bound.validate(backend=engine)
         except GraphValidationError as err:
             print(f"graph check FAILED: {args.expression}", file=sys.stderr)
             for violation in err.violations:
@@ -388,12 +374,11 @@ def _cmd_graph(args) -> None:
         n_streams = len({id(c) for b in bound.blocks
                          for c in (*b.inputs.values(), *b.outputs.values())})
         print(f"graph ok: {args.expression!r} — {len(bound.blocks)} blocks, "
-              f"{n_streams} streams validated"
-              + (f" (engine {engine})" if engine else ""))
+              f"{n_streams} streams validated")
         return
     bound = bind(program.graph, program._prepare_inputs(tensors))
     plan = bound.plan  # a compiled program's graph is frozen: bind planned it
-    if getattr(args, "dump_plan", False):
+    if args.dump_plan:
         from .jit import PLAN_CACHE, plan_digest
 
         cache = PLAN_CACHE.snapshot()
@@ -407,7 +392,7 @@ def _cmd_graph(args) -> None:
             print(f"block {block.name}: {plane} ({reason})")
         return
     clusters = []
-    if engine == "compiled":
+    if resolve_backend(args.engine) == "compiled":
         segments = plan.segments
         clusters = [(seg.kind, [bound.blocks[i].name for i in seg.members])
                     for seg in segments]
@@ -417,7 +402,7 @@ def _cmd_graph(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .sim.backends import BACKENDS
+    from .sim.backends import BACKENDS, DEFAULT_BACKEND
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -428,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=tuple(BACKENDS),
         default=None,
-        help="simulation backend (default: cycle, or $REPRO_ENGINE)",
+        help=f"simulation backend (default: {DEFAULT_BACKEND})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -512,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the synthetic operands")
     p.add_argument("--check", action="store_true",
-                   help="validate the wired graph (ports, kinds, backend "
-                   "capabilities) instead of printing DOT; exits non-zero "
+                   help="validate the wired graph (ports, kinds, runnable "
+                   "blocks) instead of printing DOT; exits non-zero "
                    "listing every violation")
     p.add_argument("--dump-plan", action="store_true",
                    help="print the plan instead of DOT: the plan cache "

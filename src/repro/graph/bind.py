@@ -35,11 +35,11 @@ class BoundGraph:
     """A bound graph: live blocks, channels, and result-writer handles.
 
     ``unchecked`` holds the ids of the channels the connectivity check
-    exempts (dangling outputs, side-band skip channels).  ``plan`` is
-    the :class:`~repro.sim.backends.plan.Plan` of the blocks when the
-    graph is frozen (shared by every bind of that graph with the same
-    ``record`` and level classes), else None: the engine then plans the
-    run itself.
+    exempts (the outputs a node kind may leave open, side-band skip
+    channels).  ``plan`` is the :class:`~repro.sim.backends.plan.Plan`
+    of the blocks when the graph is frozen (shared by every bind of that
+    graph with the same ``record`` and level classes), else None: the
+    engine then plans the run itself.
     """
 
     def __init__(self, graph: SamGraph):
@@ -55,10 +55,10 @@ class BoundGraph:
     #: (``bound.builder.validate()``): the bound graph itself
     builder = property(lambda self: self)
 
-    def validate(self, backend: Optional[str] = None) -> None:
+    def validate(self) -> None:
         """:func:`~repro.graph.builder.validate_blocks` over the bound
-        blocks, and against *backend*'s planes when one is given."""
-        validate_blocks(self.blocks, self.unchecked, backend=backend)
+        blocks."""
+        validate_blocks(self.blocks, self.unchecked)
 
     def run(
         self,
@@ -125,7 +125,8 @@ class _Wiring(NamedTuple):
     names: Tuple[str, ...]  # per channel
     kinds: Tuple[str, ...]
     records: Tuple[bool, ...]
-    unused: Tuple[int, ...]  # dangling outputs
+    unused: Tuple[int, ...]  # dangling outputs their kinds leave open
+    unconnected: Tuple[str, ...]  # "node.port" of every other dangling output
     fanouts: Tuple[Tuple[int, Tuple[int, ...], str], ...]  # (hub, legs, name)
     in_ports: Tuple[Tuple[Tuple[str, int], ...], ...]  # per node: (port, channel)
     out_ports: Tuple[Tuple[Tuple[str, int], ...], ...]
@@ -159,7 +160,7 @@ def _wire(graph: SamGraph, record: FrozenSet[str]) -> _Wiring:
                     f"{src}.{src_port}->{edge.dst}.{edge.dst_port}", edge.kind)
                 legs.append(leg)
             fanouts.append((hub, tuple(legs), f"fan:{src}.{src_port}"))
-    unused = []
+    unused, unconnected = [], []
     in_ports: Dict[str, List[Tuple[str, int]]] = {name: [] for name in graph.nodes}
     for (name, port), k in in_port.items():
         in_ports[name].append((port, k))
@@ -171,7 +172,10 @@ def _wire(graph: SamGraph, record: FrozenSet[str]) -> _Wiring:
             if not edges:
                 k = channel(f"{node.name}.{port}(dangling)", kind,
                             f"{node.name}.{port}" in record)
-                unused.append(k)
+                if port in NODE_KINDS[node.kind].open_outputs:
+                    unused.append(k)
+                else:
+                    unconnected.append(f"{node.name}.{port}")
             elif len(edges) == 1:
                 k = in_port[(edges[0].dst, edges[0].dst_port)]
             else:
@@ -179,8 +183,8 @@ def _wire(graph: SamGraph, record: FrozenSet[str]) -> _Wiring:
             ports.append((port, k))
         out_ports.append(tuple(ports))
     names, kinds, records = zip(*channels) if channels else ((), (), ())
-    return _Wiring(names, kinds, records, tuple(unused), tuple(fanouts),
-                   tuple(tuple(in_ports[name]) for name in graph.nodes),
+    return _Wiring(names, kinds, records, tuple(unused), tuple(unconnected),
+                   tuple(fanouts), tuple(tuple(in_ports[name]) for name in graph.nodes),
                    tuple(out_ports))
 
 
@@ -224,6 +228,10 @@ def bind(
         blocks.extend(made)
         if row.column == "level_writer":
             bound.writers[node.name] = made[0]
+    if wiring.unconnected:
+        # An output no edge leaves is a lost result unless its kind's
+        # row declares it open (NodeKind.open_outputs).
+        raise GraphError(f"output {wiring.unconnected[0]} is not connected")
     # Every bound graph is validated before it can run: kind mismatches,
     # duplicate producers, missing fanouts, and unconnected required
     # ports surface here, at bind time, naming the offending port.  A

@@ -6,9 +6,8 @@ wired block lists.  :func:`validate_blocks` checks a wired block list
 *before it runs*: duplicate producers, multi-consumer streams without a
 ``Fanout``, unconnected required ports, port/stream kind mismatches
 against each block's :class:`~repro.blocks.base.PortSpec` declarations,
-and capability mismatches for the requested backend.
-:func:`~repro.graph.bind.bind` calls it on a graph's first bind, and
-``repro graph --check`` against the selected engine.
+and blocks no engine can run.  :func:`~repro.graph.bind.bind` calls it
+on a graph's first bind.
 """
 
 from __future__ import annotations
@@ -93,16 +92,17 @@ class GraphValidationError(RuntimeError):
         )
 
 
-def validate_blocks(blocks: List[Block], unchecked: AbstractSet[int] = frozenset(),
-                    backend: Optional[str] = None) -> None:
+def validate_blocks(blocks: List[Block],
+                    unchecked: AbstractSet[int] = frozenset()) -> None:
     """Check a wired block list; raises :class:`GraphValidationError`.
 
     Rejected, each naming the offending block and port: duplicate
     producers, multi-consumer streams without a Fanout, unconnected
     required ports (dangling outputs / unfed inputs, except the channels
     whose ids are in *unchecked*), stream-kind mismatches against
-    PortSpec declarations, and — when *backend* is given — blocks with
-    no execution plane the backend can drive (capability mismatch).
+    PortSpec declarations, and blocks whose class defines no ``_run``
+    generator: every engine runs a block on it when its window hook
+    cannot, and ``cycle`` runs nothing else.
     """
     producers: Dict[int, List[Tuple[Block, str]]] = {}
     consumers: Dict[int, List[Tuple[Block, str]]] = {}
@@ -146,6 +146,11 @@ def validate_blocks(blocks: List[Block], unchecked: AbstractSet[int] = frozenset
             )
 
     for block in blocks:
+        if type(block)._run is Block._run:
+            violations.append(
+                f"{block.name} ({type(block).__name__}) defines no _run "
+                f"generator, so no engine can run it"
+            )
         for direction, registry in (("in", block.inputs), ("out", block.outputs)):
             for port, chan in registry.items():
                 spec = type(block).spec_for(direction, port)
@@ -163,18 +168,6 @@ def validate_blocks(blocks: List[Block], unchecked: AbstractSet[int] = frozenset
                 violations.append(
                     f"{block.name}: required {spec.direction} port "
                     f"{spec.name!r} is unconnected"
-                )
-    if backend is not None:
-        from ..sim.backends import get_backend
-
-        planes = set(get_backend(backend).planes)
-        for block in blocks:
-            caps = type(block).capabilities()
-            if not caps & planes:
-                violations.append(
-                    f"{block.name} ({type(block).__name__}) supports "
-                    f"{sorted(caps)} but backend {backend!r} drives "
-                    f"{sorted(planes)}; no common execution plane"
                 )
     if violations:
         raise GraphValidationError(violations)

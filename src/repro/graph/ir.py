@@ -94,7 +94,11 @@ class NodeKind(NamedTuple):
     map port names to channels (a missing required input raises
     :class:`GraphError`), and ``binding`` resolves the node's operand
     (``tensor(node)``, ``level(node)``) and marks side-band channels
-    (``unused(channel)``).
+    (``unused(channel)``).  ``open_outputs`` names the outputs a graph
+    may leave with no edge: coordinates the graph does not need (a
+    contracted index's, or a locator's copy of its probe's), and the
+    references a locator passes through.  Any other output no edge
+    leaves is a :class:`GraphError` at bind.
 
     A node whose streams may carry several kinds takes a ``stream_kind``
     param: a source's output, a scanner's coordinates (``"bv"`` over a
@@ -107,6 +111,7 @@ class NodeKind(NamedTuple):
     column: Optional[str]
     shape: str
     build: Callable
+    open_outputs: Tuple[str, ...] = ()
 
 
 def _fixed(ins: Ports, outs: Ports) -> Callable[[Dict], Tuple[Ports, Ports]]:
@@ -239,13 +244,14 @@ NODE_KINDS: Dict[str, NodeKind] = {
         _scanner_ports, "level_scanner", "box",
         lambda node, ins, out, binding: (make_scanner(
             binding.level(node), ins["ref"], out["crd"], out["ref"],
-            in_skip=ins.get("skip"), name=node.name),)),
+            in_skip=ins.get("skip"), name=node.name),), ("crd",)),
     "repeat": NodeKind(
         _repeat_ports, "repeat", "parallelogram",
         lambda node, ins, out, binding: make_repeater(
             ins["crd"], ins["ref"], out["ref"], name=node.name)),
-    "intersect": NodeKind(_merger_ports, "intersect", "diamond", _merger(Intersect)),
-    "union": NodeKind(_merger_ports, "union", "diamond", _merger(Union)),
+    "intersect": NodeKind(_merger_ports, "intersect", "diamond", _merger(Intersect),
+                          ("crd",)),
+    "union": NodeKind(_merger_ports, "union", "diamond", _merger(Union), ("crd",)),
     "alu": NodeKind(_alu_ports, "alu", "circle", _alu),
     "reduce": NodeKind(_reduce_ports, "reduce", "house", _reduce),
     "crd_drop": NodeKind(_drop_ports, "crd_drop", "trapezium", _drop),
@@ -300,14 +306,14 @@ NODE_KINDS: Dict[str, NodeKind] = {
         lambda node, ins, out, binding: (BVExpander(
             binding.tensor(node).levels[node.params["depth"]].bits_per_word,
             ins["bv"], ins["word0"], ins["base0"], ins["word1"], ins["base1"],
-            out["crd"], out["ref0"], out["ref1"], name=node.name),)),
+            out["crd"], out["ref0"], out["ref1"], name=node.name),), ("crd",)),
     "locate": NodeKind(
         _fixed([("crd", "crd"), ("ref", "ref")],
                [("crd", "crd"), ("ref_found", "ref"), ("ref_in", "ref")]),
         "locate", "component",
         lambda node, ins, out, binding: (Locator(
             binding.level(node), ins["crd"], ins["ref"], out["crd"],
-            out["ref_found"], out["ref_in"], name=node.name),)),
+            out["ref_found"], out["ref_in"], name=node.name),), ("crd", "ref_in")),
 }
 
 

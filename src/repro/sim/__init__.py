@@ -34,18 +34,17 @@ Selecting a backend
 Every entry point that runs a graph — :func:`run_blocks`,
 ``BoundGraph.run``, ``CompiledProgram.run``, the
 kernels, and the study drivers — accepts ``backend=`` (a registry name
-or an Engine class).  ``backend=None`` defers to the ``REPRO_ENGINE``
-environment variable and finally to ``"cycle"``.  The CLI exposes the
-same choice as ``repro --engine <registry key> <command>``.
+or an Engine class).  ``backend=None`` is
+:data:`~repro.sim.backends.DEFAULT_BACKEND`, ``"timed-batch"``.  The CLI
+exposes the same choice as ``repro --engine <registry key> <command>``.
 
 Adding a backend
 ----------------
 
 Subclass :class:`~repro.sim.backends.base.Engine`, set a unique
-``backend`` class attribute (and ``planes``, when it drives more than
-the scalar generators), implement ``run``, and register the class in
-:data:`repro.sim.backends.BACKENDS` — graph validation and the CLI's
-``--engine`` choices are derived from the registry.  Blocks expose everything a
+``backend`` class attribute, implement ``run``, and register the class
+in :data:`repro.sim.backends.BACKENDS` — the CLI's ``--engine`` choices
+are derived from the registry.  Blocks expose everything a
 scheduler needs: ``step()`` (one cycle), ``drain_timed()`` (one window
 visit, on blocks that declare a timing) and ``finished``.
 """

@@ -4,10 +4,11 @@ The registry maps backend names to engine classes:
 
 ======================  ==============================================
 ``"cycle"``             Reference model; steps every block every cycle.
-``"timed-batch"``       Epoch-batched timing on the TokenBatch plane;
-                        identical cycles/stats/token counts.  A graph
-                        with a block that has no usable window hook
-                        runs on ``"cycle"`` whole (``report.handoff``).
+``"timed-batch"``       The default.  Epoch-batched timing on the
+                        TokenBatch plane; identical cycles/stats/token
+                        counts.  A graph with a block that has no
+                        usable window hook runs on ``"cycle"`` whole
+                        (``report.handoff``).
 ``"compiled"``          The timed-batch run loop plus static segment
                         fusion: linear chains run as one super-block
                         (composed schedules, fused kernels); identical
@@ -24,14 +25,14 @@ name.  ``"functional"`` and ``"functional-seq"`` named two outputs-only
 engines (window and generator) that reported no cycles; they stay as
 keys for the same reason.
 
-``resolve_backend(None)`` consults the ``REPRO_ENGINE`` environment
-variable and falls back to ``"cycle"``, so any entry point that threads
-a ``backend=None`` default through can be switched globally.
+``resolve_backend(None)`` is :data:`DEFAULT_BACKEND`, the window
+engine: every entry point that threads a ``backend=None`` default
+through runs on it.  ``"cycle"`` stays the oracle its reports are
+checked against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, Optional, Type, Union
 
 from .base import DeadlockError, Engine, SimulationReport
@@ -49,14 +50,14 @@ BACKENDS: Dict[str, Type[Engine]] = {
     "functional-seq": CycleEngine,
 }
 
-#: environment variable consulted when no backend is given explicitly
-ENGINE_ENV_VAR = "REPRO_ENGINE"
+#: the engine a run gets when it names none
+DEFAULT_BACKEND = "timed-batch"
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
     """Resolve an explicit/None backend name to a registry key."""
     if backend is None:
-        backend = os.environ.get(ENGINE_ENV_VAR) or CycleEngine.backend
+        backend = DEFAULT_BACKEND
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
@@ -100,8 +101,8 @@ __all__ = [
     "BACKENDS",
     "CompiledEngine",
     "CycleEngine",
+    "DEFAULT_BACKEND",
     "DeadlockError",
-    "ENGINE_ENV_VAR",
     "Engine",
     "SimulationReport",
     "TimedBatchEngine",

@@ -42,11 +42,6 @@ class Engine:
 
     #: registry key; subclasses override
     backend = "abstract"
-    #: execution planes this backend can drive a block on ("scalar" =
-    #: the ``_run`` generator, "timed" = ``drain_timed``); every engine
-    #: falls back to the generator per block, so "scalar" appears in
-    #: every subclass's tuple
-    planes = ("scalar",)
     #: the blocks' precomputed :class:`~repro.sim.backends.plan.Plan`,
     #: set by :func:`~repro.sim.backends.run_blocks` (None: none is held)
     plan = None

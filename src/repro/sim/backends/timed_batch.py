@@ -88,7 +88,6 @@ class TimedBatchEngine(Engine):
     """Window worklist over stamped token batches, or a ``cycle`` run."""
 
     backend = "timed-batch"
-    planes = ("timed", "scalar")
     #: whether a plan this engine makes needs the fusion partition
     fuses = False
 

@@ -15,24 +15,26 @@ class TestLintCLI:
         assert args.rate
 
     def test_lint_kernel_clean(self, capsys):
-        assert main(["lint", "spmv"]) == 0
+        assert main(["--engine", "timed-batch", "lint", "spmv"]) == 0
         out = capsys.readouterr().out
         assert "spmv[0]: clean" in out
         assert "0 errors" in out
 
     def test_lint_expression_with_rate(self, capsys):
-        assert main(["lint", "x(i) = B(i,j) * c(j)", "--rate"]) == 0
+        assert main(["--engine", "timed-batch", "lint", "x(i) = B(i,j) * c(j)",
+                     "--rate"]) == 0
         out = capsys.readouterr().out
         assert "clean (bottleneck " in out
 
-    def test_lint_cross_validate_reports_agreement(self, capsys):
-        assert main(["lint", "gamma", "--cross-validate"]) == 0
+    def test_lint_cross_validate_reports_agreement(self, capsys, engine):
+        assert main(["--engine", engine, "lint", "gamma", "--cross-validate"]) == 0
         out = capsys.readouterr().out
         assert "counters agree" in out
 
     def test_lint_json_artifact(self, tmp_path, capsys):
         artifact = tmp_path / "findings.json"
-        assert main(["lint", "spmv", "--json", str(artifact)]) == 0
+        assert main(["--engine", "timed-batch", "lint", "spmv",
+                     "--json", str(artifact)]) == 0
         payload = json.loads(artifact.read_text())
         assert payload["errors"] == 0
         assert len(payload["graphs"]) == 3

@@ -27,7 +27,7 @@ _CACHE = {}
 
 def _graph(kernel, index=0):
     if kernel not in _CACHE:
-        _CACHE[kernel] = capture_kernel(kernel)
+        _CACHE[kernel] = capture_kernel(kernel, backend="timed-batch")
     graphs = _CACHE[kernel]
     blocks = graphs[index].blocks
     return blocks, {b.name: b for b in blocks}
@@ -204,7 +204,7 @@ class TestCleanBaselines:
     @pytest.mark.parametrize("kernel", sorted(KERNEL_RUNNERS))
     def test_unmutated_kernel_graphs_have_no_findings(self, kernel):
         if kernel not in _CACHE:
-            _CACHE[kernel] = capture_kernel(kernel)
+            _CACHE[kernel] = capture_kernel(kernel, backend="timed-batch")
         for graph in _CACHE[kernel]:
             report = lint_blocks(graph.blocks, rate=True)
             assert report.findings == [], [

@@ -24,7 +24,7 @@ from repro.analysis.targets import (
 
 @pytest.fixture(scope="module")
 def spmv_graphs():
-    return capture_kernel("spmv")
+    return capture_kernel("spmv", backend="timed-batch")
 
 
 class TestProtocolPass:
@@ -46,7 +46,8 @@ class TestProtocolPass:
                              ids=[e for e, _ in EXPRESSION_TARGETS])
     def test_lowered_expressions_are_protocol_clean(self, expression,
                                                     schedule):
-        for graph in capture_expression(expression, schedule=schedule):
+        for graph in capture_expression(expression, backend="timed-batch",
+                                        schedule=schedule):
             report = infer_protocol(graph.blocks)
             assert report.findings == [], [
                 f.render() for f in report.findings]
@@ -61,7 +62,7 @@ class TestDeadlockPass:
     def test_skip_channels_do_not_trip_cycle_detection(self):
         # elementwise intersect graphs carry backwards skip channels;
         # the scanner's nonblocking skip input keeps them cycle-safe
-        for graph in capture_kernel("elementwise"):
+        for graph in capture_kernel("elementwise", backend="timed-batch"):
             report = analyze_deadlock(graph.blocks)
             assert report.findings == [], graph.label
             assert report.meta["deadlock"]["proved_free"]

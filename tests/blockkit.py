@@ -25,7 +25,7 @@ import numpy as np
 import repro.blocks
 from repro.blocks import Block, StreamFeeder
 from repro.blocks.base import PortSpec, StreamXfer, TimingDescriptor
-from repro.sim import BACKENDS
+from repro.sim import BACKENDS, TimedBatchEngine
 from repro.streams import Channel
 from repro.streams.batch import TokenBatch, UnbatchableTokens, batch_kind
 from repro.streams.token import is_data, is_done, is_empty
@@ -35,7 +35,8 @@ ENGINES = tuple(
     name for name, engine in BACKENDS.items() if engine.backend == name
 )
 #: every engine that runs graphs on the timed plane (windows)
-TIMED = tuple(name for name in ENGINES if "timed" in BACKENDS[name].planes)
+TIMED = tuple(name for name in ENGINES
+              if issubclass(BACKENDS[name], TimedBatchEngine))
 
 
 def rebind_input(block, port, channel):

@@ -1210,7 +1210,7 @@ def test_every_timed_block_is_a_row_or_exempt(request):
     for name in repro.blocks.__all__:
         cls = getattr(repro.blocks, name)
         if not (isinstance(cls, type) and issubclass(cls, Block)
-                and "timed" in cls.capabilities()):
+                and cls.drain_timed is not None):
             continue
         assert (name in rows) != (name in EXEMPT), name
         if name in EXEMPT:

@@ -10,24 +10,23 @@ modules (``blockkit``, ``numpy_counters``, ``streamkit``) are imported.
 A test names the engines it runs on: it takes the :func:`engine`
 fixture (every registered engine once) and passes it on as
 ``backend=engine``, or it names an engine itself.  Nothing in a test may
-fall back on the default engine: for the whole session ``$REPRO_ENGINE`` holds
-:data:`NO_DEFAULT_ENGINE`, which is no engine's name, so
-``resolve_backend(None)`` raises ``ValueError: unknown backend '…'``
-naming this rule — in the test process and in every subprocess it
-starts.  The tests of the default itself set or unset the variable with
-``monkeypatch``.
+fall back on the default engine: for the whole session
+``repro.sim.backends.DEFAULT_BACKEND`` holds :data:`NO_DEFAULT_ENGINE`,
+which is no engine's name, so ``resolve_backend(None)`` raises
+``ValueError: unknown backend '…'`` naming this rule.  The tests of the
+default itself set it back with ``monkeypatch``.
 """
 
 import pytest
 from hypothesis import settings
 
+import repro.sim.backends
 from blockkit import ENGINES
-from repro.sim.backends import ENGINE_ENV_VAR
 
 settings.register_profile("repro", deadline=None, derandomize=True, max_examples=20)
 settings.load_profile("repro")
 
-#: what ``$REPRO_ENGINE`` reads during the suite: a rule, not an engine
+#: the default engine during the suite: a rule, not an engine
 NO_DEFAULT_ENGINE = "none: a test takes the `engine` fixture or names its engine"
 
 
@@ -36,7 +35,7 @@ def no_default_engine():
     """Make ``resolve_backend(None)`` fail, naming the rule, for the whole
     session (module and class fixtures included)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv(ENGINE_ENV_VAR, NO_DEFAULT_ENGINE)
+        patch.setattr(repro.sim.backends, "DEFAULT_BACKEND", NO_DEFAULT_ENGINE)
         yield
 
 

@@ -3,7 +3,7 @@
 Each wiring-error class :func:`repro.graph.validate_blocks` promises to
 catch at bind time gets a test proving it is rejected *before*
 simulation (previously these surfaced as mid-run stalls/bails or not at
-all): kind mismatches, backend-capability mismatches, unconnected
+all): kind mismatches, blocks with no ``_run`` generator, unconnected
 required ports, duplicate producers, and multi-consumer streams without
 an explicit Fanout.  Port declarations are covered alongside.
 """
@@ -33,8 +33,6 @@ from repro.graph import (
 from repro.kernels import spmv
 from repro.streams import Channel
 from repro.streams.token import DONE
-
-from blockkit import ENGINES, TIMED
 
 
 class TimedOnly(Block):
@@ -101,24 +99,15 @@ class TestWiringErrors:
         assert "mul.in_a expects a 'vals' stream but 'a' carries 'crd'" in (
             _rejected(blocks))
 
-    def test_capability_mismatch_per_backend(self):
+    def test_block_without_run_is_rejected(self):
+        # Every engine falls back on a block's generator, and `cycle`
+        # runs nothing else: a window hook alone is not enough.
         feed, a = _feed("a", [1.0, DONE])
         x = _vals("x")
         blocks = [feed, TimedOnly(a, x), Sink(x, name="sink")]
-        assert "cycle" not in TIMED
-        # Backends that drive the timed plane: fine.
-        for backend in TIMED:
-            validate_blocks(blocks, backend=backend)
-        # Engines that only step generators: rejected.
-        for backend in set(ENGINES) - set(TIMED):
-            message = _rejected(blocks, backend=backend)
-            assert "timed_only" in message
-            assert "no common execution plane" in message
-
-    def test_capabilities_derived_from_hooks(self):
-        assert TimedOnly.capabilities() == frozenset({"timed"})
-        assert Sink.capabilities() == frozenset({"scalar", "timed"})
-        assert OptionalWiring.capabilities() == frozenset({"scalar"})
+        message = _rejected(blocks)
+        assert "timed_only (TimedOnly) defines no _run generator" in message
+        assert "feed_a" not in message and "sink" not in message
 
     def test_unconnected_required_port(self):
         feed, a = _feed("a", [1.0, DONE])
@@ -236,11 +225,10 @@ class TestSpmvLocateRegression:
 
     Before validation this bug class was silent: the graph wired a
     channel nobody fed (or drained), and the simulation stalled or hung
-    until the cycle ceiling.  A dropped producer now fails at bind,
-    naming the port.  A dropped consumer leaves its producer's output
-    with no edge, and bind gives every such output a dangling channel
-    exempt from the connectivity check, so that graph binds; only the
-    missing writer shows.
+    until the cycle ceiling.  Both halves now fail at bind, naming the
+    port: a dropped producer leaves an input unfed, and a dropped
+    consumer leaves an output no edge leaves that its node kind does
+    not declare open.
     """
 
     B = np.array([[1.0, 0.0], [0.0, 2.0]])
@@ -263,10 +251,10 @@ class TestSpmvLocateRegression:
         assert bound.run(backend=engine).cycles > 0
         assert bound.writers["write_x_vals"].vals.tolist() == [3.0, 8.0]
 
-    def test_dropped_consumer_leaves_a_dangling_stream(self):
-        bound = self._bind_locate(drop="write_x_vals")
-        assert "write_x_vals" not in bound.writers
-        assert "drop_zero.inner(dangling)" in bound.channels
+    def test_dropped_consumer_is_a_bind_time_error(self):
+        with pytest.raises(GraphError,
+                           match=r"output drop_zero\.inner is not connected"):
+            self._bind_locate(drop="write_x_vals")
 
     def test_dropped_producer_is_a_bind_time_error(self):
         with pytest.raises(GraphError, match=r"input reduce_j\.val is not connected"):

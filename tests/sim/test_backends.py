@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.sim.backends
 from repro.blocks import ALU, Fanout, Sink, StreamFeeder
 from repro.data.synthetic import random_sparse_matrix, urandom_vector
 from repro.kernels.elementwise import vecmul
@@ -24,6 +25,7 @@ from repro.sim import (
     CycleEngine,
     DeadlockError,
     TimedBatchEngine,
+    get_backend,
     resolve_backend,
     run_blocks,
 )
@@ -51,38 +53,41 @@ class TestRegistry:
         }
 
     def test_resolve_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_backend(None) == "cycle"
-
-    def test_resolve_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "timed-batch")
+        # the suite replaces the default (tests/conftest.py); set it back
+        monkeypatch.setattr(repro.sim.backends, "DEFAULT_BACKEND", "timed-batch")
         assert resolve_backend(None) == "timed-batch"
+        assert get_backend(None) is TimedBatchEngine
+
+    def test_resolve_explicit(self):
+        # a named engine never reads the default
+        assert resolve_backend("cycle") == "cycle"
+        assert get_backend("compiled") is CompiledEngine
 
     def test_default_is_a_named_error_in_tests(self):
         # tests/conftest.py: a test names its engine, or takes `engine`
         with pytest.raises(ValueError, match="takes the `engine` fixture"):
             resolve_backend(None)
 
-    def test_subprocesses_inherit_the_guard(self):
+    def test_library_default_is_the_window_engine(self):
+        # outside the suite nothing replaces the declared default
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         child = subprocess.run(
             [sys.executable, "-c",
-             "from repro.sim import resolve_backend; resolve_backend(None)"],
-            env=env, capture_output=True, text=True,
+             "from repro.sim import resolve_backend; print(resolve_backend(None))"],
+            env=env, capture_output=True, text=True, check=True,
         )
-        assert child.returncode != 0
-        assert "takes the `engine` fixture" in child.stderr
+        assert child.stdout == "timed-batch\n"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             resolve_backend("warp-drive")
 
-    def test_event_names_the_cycle_engine(self, monkeypatch):
+    def test_event_names_the_cycle_engine(self):
         assert BACKENDS["event"] is CycleEngine
-        monkeypatch.setenv("REPRO_ENGINE", "event")
         src = Channel("s")
-        report = run_blocks([StreamFeeder([1, DONE], src), Sink(src)])
+        report = run_blocks([StreamFeeder([1, DONE], src), Sink(src)],
+                            backend="event")
         assert report.cycles == 2
 
     def test_engine_class_accepted(self):

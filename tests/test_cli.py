@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.sim.backends
 from repro.cli import build_parser, main
+from repro.harness import STUDY_NAMES
 
 
 class TestCLI:
@@ -60,30 +62,23 @@ class TestCLI:
         for name in ("intersect_j_t0", "scan_B_0_0_j", "repeat_c_0_1_i"):
             assert f'"{name}"' not in clusters["value-chain"]
 
-    def test_graph_check_reports_ok(self, capsys, engine):
-        assert main(["--engine", engine, "graph", "x(i) = B(i,j) * c(j)",
-                     "--check"]) == 0
+    def test_graph_check_reports_ok(self, capsys):
+        # the check binds, and runs nothing: it needs no engine
+        assert main(["graph", "x(i) = B(i,j) * c(j)", "--check"]) == 0
         out = capsys.readouterr().out
         assert "graph ok" in out
         assert "blocks" in out and "streams validated" in out
-        assert f"(engine {engine})" in out
         assert "digraph" not in out
 
-    def test_graph_check_treats_empty_repro_engine_as_unset(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "")
-        assert main(["graph", "x(i) = B(i,j) * c(j)", "--check"]) == 0
-        out = capsys.readouterr().out
-        assert "graph ok" in out and "(engine" not in out
-
     def test_graph_check_fails_on_violations(self, capsys, monkeypatch):
-        # Sabotage validation so the command sees a wiring violation.
-        from repro.graph import BoundGraph, GraphValidationError
+        # Sabotage binding so the command sees a wiring violation.
+        import repro.graph
+        from repro.graph import GraphValidationError
 
-        def broken_validate(self, backend=None):
+        def broken_bind(graph, tensors, record=()):
             raise GraphValidationError("mul.in_a expects a 'vals' stream")
 
-        monkeypatch.setattr(BoundGraph, "validate", broken_validate)
-        monkeypatch.delenv("REPRO_ENGINE")  # no engine forced
+        monkeypatch.setattr(repro.graph, "bind", broken_bind)
         with pytest.raises(SystemExit) as err:
             main(["graph", "x(i) = B(i,j) * c(j)", "--check"])
         assert err.value.code == 1
@@ -126,14 +121,15 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "digraph" in out and "cluster_fused" not in out
 
-    @pytest.mark.parametrize("forced, drawn", [
-        ("", False), ("cycle", False), ("compiled", True),
+    @pytest.mark.parametrize("name, drawn", [
+        (None, False), ("cycle", False), ("timed-batch", False), ("compiled", True),
     ])
     def test_graph_draws_clusters_only_under_compiled(self, capsys, monkeypatch,
-                                                      forced, drawn):
-        # With no engine forced a run uses cycle, which fuses nothing.
-        monkeypatch.setenv("REPRO_ENGINE", forced)
-        assert main(["graph", "x(i) = B(i,j) * c(j)"]) == 0
+                                                      name, drawn):
+        # With no --engine a run uses the default, which fuses nothing.
+        monkeypatch.setattr(repro.sim.backends, "DEFAULT_BACKEND", "timed-batch")
+        flags = [] if name is None else ["--engine", name]
+        assert main([*flags, "graph", "x(i) = B(i,j) * c(j)"]) == 0
         out = capsys.readouterr().out
         assert "digraph" in out
         assert ("cluster_fused_0" in out) is drawn
@@ -154,10 +150,11 @@ class TestCLI:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("check", [[], ["--check"]])
-    def test_graph_rejects_unknown_repro_engine(self, monkeypatch, check):
-        monkeypatch.setenv("REPRO_ENGINE", "bogus")
-        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
-            main(["graph", "x(i) = B(i,j) * c(j)", *check])
+    def test_graph_rejects_unknown_engine(self, capsys, check):
+        with pytest.raises(SystemExit) as err:
+            main(["--engine", "bogus", "graph", "x(i) = B(i,j) * c(j)", *check])
+        assert err.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_table1_command(self, capsys):
         assert main(["report", "table1", "--cache-dir", "none"]) == 0
@@ -276,18 +273,17 @@ class TestDatasetsCLI:
         out = capsys.readouterr().out
         assert "values match scipy reference: True" in out
 
-    def test_smoke_honours_repro_engine(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "cycle")
-        assert main(["datasets", "--data-dir", str(tmp_path),
+    def test_smoke_honours_engine(self, tmp_path, capsys):
+        assert main(["--engine", "cycle", "datasets", "--data-dir", str(tmp_path),
                      "--smoke", "--matrix", "relat3"]) == 0
         out = capsys.readouterr().out
         assert "[cycle]" in out and "(0 cycles)" not in out
 
-    def test_smoke_rejects_unknown_repro_engine(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "bogus")
-        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
-            main(["datasets", "--data-dir", str(tmp_path),
-                  "--smoke", "--matrix", "relat3"])
+    def test_smoke_runs_on_the_default_engine(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(repro.sim.backends, "DEFAULT_BACKEND", "timed-batch")
+        assert main(["datasets", "--data-dir", str(tmp_path),
+                     "--smoke", "--matrix", "relat3"]) == 0
+        assert "SpMV [timed-batch]" in capsys.readouterr().out
 
     def test_list_and_smoke_combine(self, tmp_path, capsys):
         assert main(["--engine", "timed-batch", "datasets",
@@ -312,3 +308,17 @@ class TestDatasetsCLI:
         assert main(["datasets", "--data-dir", str(tmp_path),
                      "--materialize", "relat3"]) == 0
         assert "skipping" in capsys.readouterr().out
+
+
+class TestDefaultEngine:
+    """A report that names no engine prints what the ``cycle`` oracle's does."""
+
+    @pytest.mark.parametrize("study", STUDY_NAMES)
+    def test_quick_report_matches_cycle(self, capsys, monkeypatch, study):
+        # the suite replaces the default (tests/conftest.py); set it back
+        monkeypatch.setattr(repro.sim.backends, "DEFAULT_BACKEND", "timed-batch")
+        argv = ["report", study, "--quick", "--cache-dir", "none"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(["--engine", "cycle", *argv]) == 0
+        assert capsys.readouterr().out == default
