@@ -250,9 +250,6 @@ class Block:
         self.busy_cycles = 0
         self.stall_cycles = 0
         self._gen = None
-        #: False once a timed drain bailed out (per-block fallback to the
-        #: generator for the rest of the run)
-        self._timed_ok = True
         #: timed-plane local clock: the next cycle this block could act in
         self._tclock = 1
         #: arrival constraint carried from tokens popped without their own
@@ -548,26 +545,6 @@ class Block:
             if tail is not None:
                 channel.timed_requeue_front(*tail)
             self.finished = True
-
-    def _bail_timed(self) -> bool:
-        """Leave the window hook for the rest of the run.
-
-        Requeues every stamped reader window (stamps intact, so the
-        engine materialises them for the generator at the right cycles)
-        and flips :attr:`_timed_ok`; the engine then finishes the stream
-        on this block's generator from local cycle :attr:`_tclock`.
-        Cycles already charged cannot be replayed, so a bail with
-        carried arrivals pending is an error.
-        """
-        if self._t_carry != 0:
-            raise BlockError(
-                f"{self.name}: cannot leave the timed-batch plane "
-                f"mid-stream (arrivals carried past a charged window)"
-            )
-        for reader in getattr(self, "_timed_readers", {}).values():
-            reader.requeue()
-        self._timed_ok = False
-        return False
 
     # -- generator helpers -------------------------------------------------
     def _get(self, channel: Channel):

@@ -35,6 +35,7 @@ import numpy as np
 from ..streams.batch import CODE_DONE, CODE_EMPTY, decode_code, filled
 from ..streams.channel import Channel
 from ..streams.timing import (
+    I64_MAX,
     consume,
     front_fibers,
     held_fibers,
@@ -42,9 +43,14 @@ from ..streams.timing import (
     pair_chunks,
     window_capacity,
 )
-from ..streams.token import DONE, EMPTY, is_data, is_done, is_stop
+from ..streams.token import DONE, EMPTY, is_data, is_done, is_empty, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
 from .scanner import FiberSpans
+
+#: the largest coordinate a merger takes: a window's composite keys
+#: (``fiber * stride + crd``, ``stride = 2 + top``) then fit int64 for
+#: at least one fiber
+MAX_COORDINATE = I64_MAX - 2
 
 
 @dataclass
@@ -106,6 +112,8 @@ class _Merger(Block):
         #: per side, the fiber runs of the scanner it is paired with
         #: (:meth:`LevelScanner.hand_over`), or None: it reads tokens
         self.runs: list = [None] * len(self.sides)
+        #: per side, the generator's last coordinate of the open fiber
+        self._last = [-1] * len(self.sides)
 
     @property
     def arity(self) -> int:
@@ -125,16 +133,36 @@ class _Merger(Block):
         When the coordinate is a control token, zero-valued data tokens on
         a reference channel are phantom zeros from zero-policy reducers in
         fully-empty regions (post-compute unions carry value streams on
-        reference ports); they are drained to preserve alignment.
+        reference ports); they are drained to preserve alignment.  A
+        reference is opaque payload, ``N`` included.  Anything else is a
+        malformed side (:meth:`_raise_malformed`): a coordinate that is
+        no integer from 0 to :data:`MAX_COORDINATE` above the previous
+        one of its fiber, an ``N`` coordinate, a reference terminator
+        unlike the coordinate's, or a reference run shorter or longer.
         """
         side = self.sides[index]
         crd = yield from self._get(side.crd)
+        data = is_data(crd)
+        if data:
+            if not (isinstance(crd, (int, np.signedinteger))
+                    and self._last[index] < crd <= MAX_COORDINATE):
+                self._raise_malformed()
+            self._last[index] = crd
+        elif is_empty(crd):
+            self._raise_malformed()
+        else:
+            self._last[index] = -1
         refs = []
         for channel in side.refs:
             ref = yield from self._get(channel)
-            if is_stop(crd) or is_done(crd):
+            if data:
+                if is_stop(ref) or is_done(ref):
+                    self._raise_malformed()
+            else:
                 while is_data(ref) and ref == 0:
                     ref = yield from self._get(channel)
+                if ref != crd:
+                    self._raise_malformed()
             refs.append(ref)
         return crd, refs
 
@@ -155,6 +183,15 @@ class _Merger(Block):
         levels = {crd.level for crd, _ in tokens}
         if len(levels) != 1:
             raise BlockError(f"{self.name}: misaligned stops {[t[0] for t in tokens]}")
+
+    def _raise_malformed(self):
+        """The one error of a malformed side, whichever way it is malformed
+        (:meth:`_pop_side`), so that every engine names it alike."""
+        raise BlockError(
+            f"{self.name}: malformed side: coordinates must increase within "
+            f"a fiber, from 0 to {MAX_COORDINATE}, and each reference "
+            f"stream must pair with them"
+        )
 
     def _raise_misaligned_codes(self, codes):
         """Shared protocol error for mismatched fiber-chunk terminators."""
@@ -186,19 +223,22 @@ class _Merger(Block):
     def drain_timed(self) -> bool:
         """Timed drain: one composite-key merge per window.
 
-        A pass merges the leading fiber tuples that are complete and
-        clean on every side and leaves the rest held, tokens after the
-        first ``D`` included.  A stream with no terminator yet leaves the
-        block waiting for its next push; a dirty chunk (:meth:`_clean_fibers`,
-        :meth:`_side_keys`) stays unconsumed behind the clean prefix and
-        bails to the scalar path; mismatched terminators raise.  A side
-        paired with its scanner (:attr:`runs`) is read as fiber runs: a
-        two-sided intersecter walks it by search (:meth:`_walk_window`),
-        any other merger lays its keys out as a stream side's.
+        A pass merges the leading fiber tuples that are complete on
+        every side and leaves the rest held, tokens after the first
+        ``D`` included.  A stream with no terminator yet leaves the
+        block waiting for its next push; a reference stream's ``N`` is
+        payload (:func:`front_fibers` reads it as a blank) and goes out
+        as ``N``.  A malformed fiber (:meth:`_clean_fibers`,
+        :meth:`_side_keys`) raises the generator's error once the clean
+        fibers in front of it are merged, and mismatched terminators
+        raise.  A side paired with its scanner (:attr:`runs`) is read as
+        fiber runs: a two-sided intersecter walks it by search
+        (:meth:`_walk_window`), any other merger lays its keys out as a
+        stream side's.
         """
         if self.finished:
             return False
-        runs = [r if r is not None and r.live else None for r in self.runs]
+        runs = self.runs
         sides = [
             None if r is not None
             else [self._treader(side.crd)] + [self._treader(ch) for ch in side.refs]
@@ -213,7 +253,9 @@ class _Merger(Block):
             held = [None if side is None else [reader.held_window() for reader in side]
                     for side in sides]
             whole = k = min(
-                r.held() if r is not None else min(held_fibers(w) for w in side)
+                r.held() if r is not None
+                else min([held_fibers(side[0])]
+                         + [held_fibers(w, blanks=True) for w in side[1:]])
                 for r, side in zip(runs, held)
             )
             if k:
@@ -230,10 +272,11 @@ class _Merger(Block):
                     if k == 0:
                         self._raise_misaligned_codes([c[0] for c in crd_codes])
             if k:
-                # 0 (one fiber's stop key would already wrap) is scalar territory
-                stride = 2 + max(_top(r, view) for r, view in zip(runs, views))
+                # a coordinate past MAX_COORDINATE gets a key at or past its
+                # fiber's stop key: its side's keys stop increasing there
+                top = max(_top(r, view) for r, view in zip(runs, views))
+                stride = 2 + min(top, MAX_COORDINATE)
                 k = min(k, window_capacity(stride))
-            if k:
                 if k < len(codes):
                     views = self._views(runs, held, k)
                 walk = self._walked(runs, views)
@@ -267,14 +310,16 @@ class _Merger(Block):
                         r.consume(k)
                         continue
                     for window, fibers in zip(side, view):
-                        consume(window, int(fibers.ends[k - 1]), k)
+                        end = int(fibers.ends[k - 1])
+                        blanks = int(fibers.blank.searchsorted(end))  # N tokens
+                        consume(window, end - blanks, k + blanks)
             if 0 < k < whole:
                 continue  # a sub-window or a clean prefix: the next pass decides
             for group in groups:
                 for builder in group:
                     builder.flush()
             if whole and k == 0:
-                return self._bail_timed()
+                self._raise_malformed()
             if whole and codes[k - 1] == CODE_DONE:
                 self.finished = True
             return progressed
@@ -282,29 +327,25 @@ class _Merger(Block):
     @staticmethod
     def _views(runs, held, k):
         """Per side its first *k* fibers: a scanner's runs, or a view per
-        stream of a stream side."""
-        return [r.front(k) if r is not None else [front_fibers(w, k) for w in side]
+        stream of a stream side, its references' ``N`` tokens blanks."""
+        return [r.front(k) if r is not None
+                else [front_fibers(side[0], k)]
+                + [front_fibers(w, k, blanks=True) for w in side[1:]]
                 for r, side in zip(runs, held)]
 
     def _walked(self, runs, views):
         """The side a window walks by search, or None: a two-sided
-        intersecter's run side over a level that keeps sorted keys (of
-        two, the one with more pairs)."""
+        intersecter's run side over a level that keeps sorted keys of
+        coordinates up to :data:`MAX_COORDINATE` (of two, the one with
+        more pairs)."""
         if not self.walks:
             return None
-        walked = [s for s, r in enumerate(runs)
-                  if r is not None and r.level.sorted_keys() is not None]
+        found = [None if r is None else r.level.sorted_keys() for r in runs]
+        walked = [s for s, keys in enumerate(found)
+                  if keys is not None and keys[1] <= MAX_COORDINATE + 1]
         if not walked:
             return None
         return max(walked, key=lambda s: int(np.add.reduce(views[s].lens)))
-
-    def _bail_timed(self) -> bool:
-        # a paired scanner's fibers go onto its links first: the
-        # generator reads them as the tokens they stand for
-        for r in self.runs:
-            if r is not None and r.live:
-                r.materialise()
-        return super()._bail_timed()
 
     def run_inputs(self):
         """``(side, crd, ref)`` of every side a scanner could hand fiber
@@ -315,12 +356,11 @@ class _Merger(Block):
     def _clean_fibers(self, views) -> int:
         """How many of a side's viewed fibers are structurally clean.
 
-        Dirty (scalar territory): an ``N``/``R`` code on the coordinate
-        stream, a reference terminator unlike the coordinate one, a
-        reference run shorter than its coordinates, non-integer
-        coordinates.  Up to the first dirty chunk, where this stops,
-        fiber *f* of every stream is its *f*-th control token.  A
-        scanner's runs are clean.
+        Malformed: an ``N``/``R`` code on the coordinate stream, a
+        reference terminator unlike the coordinate one, a reference run
+        shorter than its coordinates, non-integer coordinates.  Up to
+        the first malformed fiber, fiber *f* of every stream is its
+        *f*-th terminator.  A scanner's runs are clean.
         """
         if isinstance(views, FiberSpans):
             return len(views.lens)
@@ -340,12 +380,13 @@ class _Merger(Block):
         as ``fiber * stride + crd`` then its stop key; the arrival of
         each (a side's tuple pops together, so the max over coordinate
         and reference stamps, trailing phantom zeros included for the
-        boundary tuple — they are drained inside its cycle); the
-        reference runs aligned with the coordinates, phantoms dropped
-        (:func:`pair_chunks`); and how many leading fibers trail no
-        non-zero "phantom" and keep the keys strictly increasing (a
-        duplicate or unsorted coordinate would give a side two keys in
-        one slot of the merge, or its keys out of their slots' order).
+        boundary tuple — they are drained inside its cycle); per
+        reference stream, its run aligned with the coordinates, phantoms
+        dropped (:func:`pair_chunks`), and which of it are ``N`` (None:
+        none); and how many leading fibers trail no non-zero or ``N``
+        "phantom" and keep the keys strictly increasing (a duplicate or
+        unsorted coordinate would give a side two keys in one slot of
+        the merge, or its keys out of their slots' order).
         """
         pairings = [pair_chunks(views[0], ref) for ref in views[1:]]
         k = min([len(views[0].ends)] + [p.clean for p in pairings])
@@ -360,7 +401,10 @@ class _Merger(Block):
         clean = k
         refs = []
         for ref, pairing in zip(views[1:], pairings):
-            run, s_r = ref.data, ref.sdata
+            run, s_r, blank = ref.data, ref.sdata, None
+            if len(ref.blank):
+                blank = np.zeros(len(run), dtype=bool)
+                blank[ref.blank] = True
             closes = np.maximum(closes, ref.scodes)
             if pairing.pick is not None:
                 trailed = (ref.lens > lens).nonzero()[0]
@@ -368,8 +412,17 @@ class _Merger(Block):
                                              s_r[ref.ends[trailed] - 1])
                 pick = pairing.pick[:n]
                 run, s_r = run[pick], s_r[pick]
+                if blank is not None:
+                    # an N among the phantoms: the generator's error
+                    stray = blank.copy()
+                    stray[pick] = False
+                    stray = stray.nonzero()[0]
+                    if len(stray):
+                        first = int(ref.ends.searchsorted(stray[0], "right"))
+                        clean = min(clean, first)
+                    blank = blank[pick]
             arrivals = np.maximum(arrivals, s_r)
-            refs.append(run)
+            refs.append((run, blank))
         return self._lay_keys(ends, fiber, crds, arrivals, closes, refs, stride, clean)
 
     @staticmethod
@@ -398,7 +451,7 @@ class _Merger(Block):
         pos, stamps = runs.pairs(view)
         fiber = np.repeat(index_ramp(len(view.lens)), view.lens)
         return self._lay_keys(view.lens.cumsum(), fiber, runs.crd[pos], stamps,
-                              view.stops, [pos], stride, len(view.lens))
+                              view.stops, [(pos, None)], stride, len(view.lens))
 
     def _walk_window(self, groups, codes, walk, runs, view, keys, arrs, refs, stride):
         """A two-sided intersecter's window with side *walk* fiber runs:
@@ -485,12 +538,13 @@ class _Merger(Block):
         self._t_span(int(stop[-1]) + 1, int(cycles[-1]))
         cpos = shared.cumsum()
         lay = (cpos, codes, cycles[:nhit], cycles[nhit:])
-        runs_out = [[xa[hit]]] + [None, None]
-        runs_out[1 + walk] = [at[hit]]
-        runs_out[2 - walk] = [ref[:len(hit)][hit] for ref in refs]
+        runs_out = [[(xa[hit], None)]] + [None, None]
+        runs_out[1 + walk] = [(at[hit], None)]
+        runs_out[2 - walk] = [(run[:len(hit)][hit], blank if blank is None
+                               else blank[:len(hit)][hit]) for run, blank in refs]
         for group, out in zip(groups, runs_out):
-            for builder, run in zip(group, out):
-                builder.data_with_ctrl(run, *lay)
+            for builder, (run, blank) in zip(group, out):
+                builder.data_with_ctrl(run, *lay, blank=blank)
 
     def _merge_events(self, keys, arrs):
         """Cycle schedule of one window's m-finger merge.
@@ -586,7 +640,7 @@ class _Merger(Block):
             if not group:
                 continue
             if g == 0:
-                pick, runs, where = real, [crd], tokens
+                pick, runs, where = real, [(crd, None)], tokens
             else:
                 # a reference's index: its key's position less the stops before it
                 at, where = picks[g - 1]
@@ -598,8 +652,9 @@ class _Merger(Block):
                 mask = np.zeros(len(tokens), dtype=bool)
                 mask[where] = True
                 lay = layout(mask & real)
-            for builder, run in zip(group, runs):
-                builder.data_with_ctrl(run[pick], *lay)
+            for builder, (run, blank) in zip(group, runs):
+                builder.data_with_ctrl(run[pick], *lay,
+                                       blank=blank if blank is None else blank[pick])
 
 
 def _codes(view):

@@ -11,8 +11,7 @@ fiber at a time in rotation, into one sequential stream.
 Both the parallelizer and the interleaving serializer carry timed-batch
 drains (rate-1, one event per token, matching their generators cycle for
 cycle), so multi-lane graphs like gamma run entirely on the stamped
-plane; rotation state lives in instance attributes shared with the
-generators, keeping mid-run scalar bails resumable.
+plane.
 """
 
 from __future__ import annotations
@@ -76,8 +75,7 @@ class Parallelizer(Block):
         self.in_ = self._in("in", in_)
         self.outs = [self._out(f"out{i}", ch) for i, ch in enumerate(outs)]
         self.granularity = granularity
-        #: round-robin rotation state, shared with the timed drain so a
-        #: mid-run scalar bail resumes at the right lane
+        #: round-robin rotation state
         self._lane = 0
 
     def _run(self):
@@ -94,12 +92,20 @@ class Parallelizer(Block):
                     self._lane += 1
                 else:
                     self._lane = 0
-            else:  # done
+            elif is_done(token):
                 for channel in self.outs:
                     channel.push(DONE)
                 yield True
                 return
+            else:
+                self._raise_empty()
             yield True
+
+    def _raise_empty(self):
+        raise BlockError(
+            f"{self.name}: an N has no lane (a parallelizer splits "
+            f"coordinate and reference streams, which carry no N)"
+        )
 
     timing = TimingDescriptor()
 
@@ -120,11 +126,7 @@ class Parallelizer(Block):
         head, sd, sc, tail = split_done_stamped(*window)
         data, cpos, ccode = head.remaining_arrays()
         if np.count_nonzero(ccode == CODE_EMPTY):
-            # The generator treats N as end-of-stream; it never occurs
-            # on the crd/ref streams parallelizers split, so keep the
-            # generator's behaviour by dropping to the scalar path.
-            reader.put_back(window)
-            return self._bail_timed()
+            self._raise_empty()
         merged, di, ci = merge_stamps(head, sd, sc)
         if len(merged) == 0:
             return False

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ..formats.level import Level
-from ..streams.batch import CODE_DONE, CODE_EMPTY, TokenBatch, filled, index_ramp
+from ..streams.batch import CODE_DONE, CODE_EMPTY, filled, index_ramp
 from ..streams.channel import Channel
 from ..streams.token import DONE, Stop, is_data, is_done, is_empty, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
@@ -292,7 +292,7 @@ class LevelScanner(Block):
         """
         if self.finished:
             return False
-        if self.runs is not None and self.runs.live:
+        if self.runs is not None:
             return self._scan_runs(self.runs)
         ev = self._t_take_events(self.level.fiber_arrays)
         if ev is None:
@@ -357,12 +357,11 @@ class FiberRuns:
     the pair ``(crd[p], p)``), the visible stamp of its first pair — its
     pairs are one input token's ramp, ``ii`` apart — and its terminator's
     code and stamp.  ``open`` is the fiber whose pairs are out and whose
-    terminator waits for the scanner's next input token.  Until
-    :meth:`materialise` ends the pairing (``live``), the links carry
-    nothing; their token counts are bumped as the pushes would.
+    terminator waits for the scanner's next input token.  The links
+    carry nothing; their token counts are bumped as the pushes would.
     """
 
-    __slots__ = ("links", "level", "crd", "ii", "delta", "_held", "at", "open", "live")
+    __slots__ = ("links", "level", "crd", "ii", "delta", "_held", "at", "open")
 
     def __init__(self, scanner):
         # the scanner's links, not the scanner: a block must not sit in
@@ -376,7 +375,6 @@ class FiberRuns:
         self.delta = scanner.out_crd.timed.delta
         self._held, self.at = _NO_SPANS, 0
         self.open = (0, 0, 0, 0)  # its ref, start, lens and first
-        self.live = True
 
     def append(self, *fibers) -> None:
         at, held = self.at, self._held
@@ -408,21 +406,6 @@ class FiberRuns:
         stamps = (runs.first - before * ii).repeat(lens)
         stamps += base * ii if ii != 1 else base
         return pos, stamps
-
-    def materialise(self) -> None:
-        """End the pairing: the held fibers, the open one's pairs last,
-        go onto the two links as the tokens the scanner would have
-        pushed, stamps intact; the scanner pushes from here on."""
-        self.live = False
-        held = self.front(self.held())
-        runs = FiberSpans(*(np.append(a, v) for a, v in zip(held[:4], self.open)),
-                          held.codes, held.stops)
-        pos, stamps = self.pairs(runs)
-        cpos = np.cumsum(held.lens)
-        for channel, data in zip(self.links, (self.crd[pos], pos)):
-            channel.timed_requeue_front(TokenBatch(data, cpos, held.codes), stamps,
-                                        held.stops)
-        self._held, self.at = _NO_SPANS, 0
 
 
 class UncompressedLevelScanner(LevelScanner):

@@ -30,7 +30,7 @@ def _off_plane(block) -> Optional[str]:
     kind = type(block).__name__
     if type(block).drain_timed is None or block.timing is None:
         return f"block {block.name!r} ({kind}): no window hook"
-    if not block._timed_ok or block._gen is not None:
+    if block._gen is not None:
         return f"block {block.name!r} ({kind}): already on its generator"
     if not block.timed_capable():
         return f"block {block.name!r} ({kind}): its window hook cannot run here"

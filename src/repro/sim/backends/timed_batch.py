@@ -42,18 +42,14 @@ A window run is a worklist seeded in dependency order (the plan's
 block is first visited once every producer has pushed its whole stream,
 and takes it in one visit.  A block is visited again after a producer
 pushed onto one of its inputs (or a reader popped a finite FIFO it
-fills), and after any visit that made progress: credit pairs, a hook
-that pushes one slice a visit and the generator finish below need those
-re-visits.  The seed is a cost, never a result: any seed gives the same
-report (``tests/sim/test_visit_order.py``).  A block whose own hook gives
-up mid-run (:meth:`~repro.blocks.base.Block._bail_timed`: a merger's
-dirty chunk, a parallelizer's ``N``) **finishes its stream on its
-generator**: once all its producers have finished, the generator steps
-from the block's ``_tclock`` against its inputs' stamps, its pushes
-stamped at the cycle they are made; a stall jumps to the next stamp and
-credits the skipped cycles.  Window-plane graphs are acyclic (skip
-sidebands, the only feedback edges, connect blocks that cannot run their
-hooks), so the block's producers always finish first.
+fills), and after any visit that made progress: credit pairs and a hook
+that pushes one slice a visit need those re-visits.  The seed is a
+cost, never a result: any seed gives the same report
+(``tests/sim/test_visit_order.py``).  **No block changes plane
+mid-run**: a window hook takes every well-formed stream, and input it
+cannot take is malformed and raises the ``BlockError`` the block's
+generator raises on ``cycle`` (a merger's malformed side, a
+parallelizer's ``N``), so a run the plan puts on windows stays there.
 
 The loop also services *fused units*: a subclass may return, from
 :meth:`TimedBatchEngine._compile_segments`, a table mapping member block
@@ -130,13 +126,9 @@ class TimedBatchEngine(Engine):
         units = self._compile_segments(blocks, plan, channels)
         producer, consumer = plan.producer, plan.consumer
         outs, ins, capacity = plan.outs, plan.ins, plan.capacity
-        budget_msg = f"exceeded max_cycles={max_cycles}"
 
         n = len(blocks)
         finished = [b.finished for b in blocks]
-        #: left its hook mid-run: finishes on its generator
-        stranded = [False] * n
-        last_busy = 0
         # a fused unit is seeded at its last member: by then every
         # producer outside the unit has been visited
         last = {id(units[i]): i for i in plan.order if i in units}
@@ -146,12 +138,8 @@ class TimedBatchEngine(Engine):
         for i in dirty:
             queued[i] = True
 
-        def deadlock(cycles: int):
-            stuck = [b.name for k, b in enumerate(blocks) if not finished[k]]
-            return self._deadlock(cycles, stuck)
-
         def mark(i: int) -> None:
-            if not (finished[i] or stranded[i] or queued[i]):
+            if not (finished[i] or queued[i]):
                 queued[i] = True
                 dirty.append(i)
 
@@ -189,78 +177,31 @@ class TimedBatchEngine(Engine):
                 return
             block = blocks[i]
             progressed = block.drain_timed()
-            if not block._timed_ok:
-                stranded[i] = True
-                wake_after(i)  # what it pushed before leaving
-                return
             finished[i] = block.finished
             if progressed:
                 wake_after(i)
                 mark(i)
 
-        def finish_on_generator(i: int) -> int:
-            """Step *i*'s generator from ``_tclock`` to its end against its
-            inputs' stamps; returns its last busy cycle (0: none)."""
-            block = blocks[i]
-            in_ch = list(block.inputs.values())
-            out_ch = list(block.outputs.values())
-            t, busy = block._tclock, 0
-            while True:
-                for ch in in_ch:
-                    ch.materialize_timed(t)
-                progressed = block.step()
-                for ch in out_ch:
-                    if ch.queue:
-                        ch.stamp_queue(t + ch.timed.delta)
-                if block.finished:
-                    return busy
-                if progressed:
-                    if max_cycles is not None and t > max_cycles:
-                        raise RuntimeError(budget_msg)
-                    busy = t
-                    t += 1
-                    continue
-                # stalled at t: nothing changes before the next stamp
-                stamps = [s for s in (ch.timed_pending_min_stamp() for ch in in_ch)
-                          if s is not None]
-                if not stamps:
-                    raise deadlock(self._cycles_so_far(max(busy, last_busy)))
-                target = min(stamps)
-                block.stall_cycles += target - t - 1
-                t = target
+        while dirty:
+            i = dirty.popleft()
+            queued[i] = False
+            if not finished[i]:
+                visit(i)
 
-        while True:
-            while dirty:
-                i = dirty.popleft()
-                queued[i] = False
-                if not (finished[i] or stranded[i]):
-                    visit(i)
-            ready = [
-                i for i in range(n)
-                if stranded[i] and not finished[i]
-                and all(finished[producer[k]] for k in ins[i]
-                        if producer[k] is not None)
-            ]
-            if not ready:
-                break
-            for i in ready:
-                last_busy = max(last_busy, finish_on_generator(i))
-                finished[i] = True
-                wake_after(i)
-
-        cycles = self._cycles_so_far(last_busy)
+        cycles = self._cycles_so_far()
         if not all(finished):
-            raise deadlock(cycles)
+            stuck = [b.name for k, b in enumerate(blocks) if not finished[k]]
+            raise self._deadlock(cycles, stuck)
         for ch in channels:
             if ch.timed.pending:
-                ch.materialize_timed(None)
+                ch.materialize_timed()
         if max_cycles is not None and cycles > max_cycles:
-            raise RuntimeError(budget_msg)
+            raise RuntimeError(f"exceeded max_cycles={max_cycles}")
         return self._report(cycles)
 
-    def _cycles_so_far(self, last_busy: int) -> int:
+    def _cycles_so_far(self) -> int:
         """Reference cycle count: the latest busy cycle of any block."""
-        cycles = last_busy
+        cycles = 0
         for block in self.blocks:
             timing = block.timing
             if timing is not None and block._tclock > 1:

@@ -78,9 +78,9 @@ class UnbatchableTokens(TypeError):
     """A stream carries tokens the numpy plane cannot represent.
 
     Raised when batching tuples (skip hints) or other structured
-    payloads; the queue the tokens came from is left intact, so the
-    engine catches this and drops the consumer onto its generator
-    (:meth:`~repro.blocks.base.Block._bail_timed`).
+    payloads; the queue the tokens came from is left intact.  The plan
+    hands a run whose tokens do not batch to ``cycle`` before it starts
+    (:func:`~repro.sim.backends.plan.plan_blocks`).
     """
 
 

@@ -14,7 +14,6 @@ from typing import Deque, Optional
 import numpy as np
 
 from .batch import TokenBatch, concat_batches, filled
-from .timing import stamp_split_at
 from .token import DONE, EMPTY, Stop
 
 #: the SAM stream kinds a channel carries: coordinates, references,
@@ -158,10 +157,10 @@ class Channel:
     # -- timed (stamped) plane -----------------------------------------------
     # The timed-batch backend moves whole stamped batches through channels.
     # Stamped tokens live in ``self.timed.pending`` (not ``queue``) until a
-    # timed consumer pulls them or, for scalar consumers, until the engine
-    # materialises every token whose visible cycle has been reached.  Token
-    # statistics are counted once, at push time, exactly as on the other
-    # planes; requeues and materialisation never touch them.
+    # timed consumer pulls them; what no block pulled (a graph output) goes
+    # into ``queue`` when the run ends.  Token statistics are counted once,
+    # at push time, exactly as on the other planes; requeues and
+    # materialisation never touch them.
     def init_timed(self, delta: int = 0, delta_pop: int = 0) -> "TimedChannelState":
         """Attach (or reset) timed-plane state; see TimedChannelState."""
         self.timed = TimedChannelState(delta, delta_pop)
@@ -225,50 +224,16 @@ class Channel:
         if not batch.exhausted:
             self.timed.pending.appendleft((batch, sdata, sctrl))
 
-    def materialize_timed(self, limit: Optional[int] = None) -> bool:
-        """Move pending tokens visible by cycle *limit* into the queue.
-
-        ``None`` flushes everything (end of run).  Tokens enter the queue
-        as TokenBatch elements behind what the queue already holds.
-        Returns True when anything materialised.
-        """
+    def materialize_timed(self) -> None:
+        """Move every pending stamped token into the queue (end of run),
+        behind what the queue already holds."""
         state = self.timed
-        if state is None or not state.pending:
-            return False
-        moved = []
+        if state is None:
+            return
         while state.pending:
-            batch, sdata, sctrl = state.pending[0]
-            if limit is None:
-                moved.append(batch)
-                state.pending.popleft()
-                continue
-            head, tail = stamp_split_at(batch, sdata, sctrl, limit)
-            if head is None:
-                break
-            moved.append(head[0])
-            state.pending.popleft()
-            if tail is not None:
-                state.pending.appendleft(tail)
-                break
-        for batch in moved:
+            batch = state.pending.popleft()[0]
             if not batch.exhausted:
                 self.queue.append(batch)
-        return bool(moved)
-
-    def timed_pending_min_stamp(self) -> Optional[int]:
-        """Earliest visible cycle still waiting in the pending queue."""
-        state = self.timed
-        if state is None or not state.pending:
-            return None
-        batch, sdata, sctrl = state.pending[0]
-        d, c = batch._d, batch._c
-        best = None
-        if d < len(sdata):
-            best = int(sdata[d])
-        if c < len(sctrl):
-            sc = int(sctrl[c])
-            best = sc if best is None else min(best, sc)
-        return best
 
     def record_pops(self, stamps) -> None:
         """Record consumer pop cycles (credit accounting, finite FIFOs).

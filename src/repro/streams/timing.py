@@ -197,38 +197,6 @@ def split_done_stamped(
     return head, sdata[:pos], sctrl[: i + 1], tail_entry
 
 
-def stamp_split_at(
-    batch: TokenBatch, sdata: np.ndarray, sctrl: np.ndarray, limit: int
-) -> Tuple[
-    Optional[Tuple[TokenBatch, np.ndarray, np.ndarray]],
-    Optional[Tuple[TokenBatch, np.ndarray, np.ndarray]],
-]:
-    """Split a stamped batch into (stamp <= limit, stamp > limit) parts.
-
-    Stamps are non-decreasing in stream order, so the split is a clean
-    stream prefix.  Returns ``(head_entry, tail_entry)`` with ``None``
-    for empty sides.
-    """
-    data, cpos, ccode = batch.remaining_arrays()
-    d_cut = int(sdata.searchsorted(limit, side="right"))
-    c_cut = int(sctrl.searchsorted(limit, side="right"))
-    if d_cut == len(data) and c_cut == len(ccode):
-        return (batch, sdata, sctrl), None
-    if d_cut == 0 and c_cut == 0:
-        return None, (batch, sdata, sctrl)
-    head = (
-        TokenBatch(data[:d_cut], cpos[:c_cut], ccode[:c_cut]),
-        sdata[:d_cut],
-        sctrl[:c_cut],
-    )
-    tail = (
-        TokenBatch(data[d_cut:], cpos[c_cut:] - d_cut, ccode[c_cut:]),
-        sdata[d_cut:],
-        sctrl[c_cut:],
-    )
-    return head, tail
-
-
 class TimedReader:
     """Block-side stamped input cursor over a channel's pending batches.
 
@@ -248,15 +216,6 @@ class TimedReader:
         taken = self.channel.timed_take()
         if taken:
             self.held.extend(taken)
-
-    def requeue(self) -> None:
-        """Return the unconsumed window to the channel front, stamps intact."""
-        while self.held:
-            batch, sdata, sctrl = self.held.pop()
-            if not batch.exhausted:
-                self.channel.timed_requeue_front(
-                    batch.view(), sdata[batch._d:], sctrl[batch._c:]
-                )
 
     def _trim(self) -> None:
         while self.held and self.held[0][0].exhausted:
@@ -440,17 +399,32 @@ class Fibers(NamedTuple):
 _NO_FIBERS = Fibers(*[_EMPTY_I64] * 6)
 
 
-def held_fibers(entry) -> int:
-    """How many complete fibers a held entry (or None) still carries."""
-    return 0 if entry is None else len(entry[0].ctrl_code) - entry[0]._c
+def held_fibers(entry, blanks: bool = False) -> int:
+    """How many complete fibers a held entry (or None) still carries;
+    with *blanks*, an ``N`` is a datum (:func:`blank_fibers`), not a
+    terminator."""
+    if entry is None:
+        return 0
+    batch = entry[0]
+    codes = batch.ctrl_code[batch._c:]
+    if blanks:
+        return len(codes) - int(np.count_nonzero(codes == CODE_EMPTY))
+    return len(codes)
 
 
-def front_fibers(entry, k: int, tail: int = 0) -> Fibers:
+def front_fibers(entry, k: int, tail: int = 0, blanks: bool = False) -> Fibers:
     """The first *k* fibers of a held entry, read through its cursors, so
     a long backlog behind them costs nothing; ``data`` and ``sdata`` run
-    on over the first *tail* data tokens of the fiber after them."""
+    on over the first *tail* data tokens of the fiber after them.  With
+    *blanks* the fibers are those :func:`held_fibers` counts with it, its
+    ``N`` tokens read as data (:func:`blank_fibers`)."""
     batch, sdata, sctrl = entry
     d, c = batch._d, batch._c
+    if blanks and k:
+        empty = batch.ctrl_code[c:] == CODE_EMPTY
+        if np.count_nonzero(empty):
+            kth = int((~empty).nonzero()[0][k - 1])  # the k-th terminator
+            return blank_fibers(front_fibers(entry, kth + 1))
     ends = batch.ctrl_pos[c:c + k] - d
     lens = ends.copy()  # np.diff(ends, prepend=0) without its concatenate
     lens[1:] -= ends[:-1]
@@ -711,7 +685,21 @@ class TimedBuilder:
         ccode: np.ndarray,
         dstamps: np.ndarray,
         cstamps: np.ndarray,
+        blank: Optional[np.ndarray] = None,
     ) -> None:
+        """Append data and the control tokens placed among it (control
+        *i* in front of datum ``cpos[i]``); *blank* marks the data that
+        go out as ``N`` (:func:`blank_fibers` read them as data)."""
+        if blank is not None and np.count_nonzero(blank):
+            at = blank.nonzero()[0]
+            keep = ~blank
+            # each N goes behind the controls in front of its datum
+            slots = cpos.searchsorted(at, "right")
+            cpos = insert_sorted(cpos - at.searchsorted(cpos), slots,
+                                 at - index_ramp(len(at)))
+            ccode = insert_sorted(ccode, slots, CODE_EMPTY)
+            cstamps = insert_sorted(cstamps, slots, dstamps[at])
+            arr, dstamps = arr[keep], dstamps[keep]
         if len(cpos):
             self._cpos.append(np.asarray(cpos, dtype=np.int64) + self._n)
             self._ccode.append(np.asarray(ccode, dtype=np.int64))
@@ -770,7 +758,6 @@ __all__ = [
     "pair_chunks",
     "rate1_schedule",
     "split_done_stamped",
-    "stamp_split_at",
     "stream_view",
     "token_order_indices",
     "view_token",

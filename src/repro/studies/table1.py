@@ -93,7 +93,7 @@ def _random_inputs(program, seed: int):
 
 def crd_drop_differential(program, counts: Dict[str, int], paper: Dict[str, int],
                           seeds: Sequence[int] = (0, 1, 2),
-                          backend: str = "compiled") -> Dict[str, Any]:
+                          backend: Optional[str] = None) -> Dict[str, Any]:
     """Executed differential check for a ``crd_drop`` count divergence.
 
     The paper's hand-derived graphs place one value dropper after *each*
@@ -114,8 +114,9 @@ def crd_drop_differential(program, counts: Dict[str, int], paper: Dict[str, int]
     reducer boundaries).
 
     Recorded channels, ``Sink.tokens`` and ``ValueDropper.dropped`` are
-    the same on every engine, so the trials run on the windowed one;
-    ``tests/studies`` holds the report equal under every *backend*.
+    the same on every engine, so the trials run on the default one unless
+    *backend* names another; ``tests/studies`` holds the report equal
+    under every engine.
     """
     from ..blocks import ScalarReducer, Sink, StreamFeeder, ValueDropper
     from ..sim.backends import run_blocks

@@ -14,8 +14,10 @@ its protocol errors — and one harness serves every row:
   prefilled, random slices, a ``Relay`` on one input, on every input or
   behind the outputs; the block's windows end where the pushes do
   (asserted, wall-clock-free);
-* outcome: the full report on every timed engine; at most one epoch
-  advance a visit (+ 1), and on whole delivery one over every busy event; a row's
+* outcome: the full report on every timed engine, or ``cycle``'s
+  ``BlockError`` where the streams are malformed (the mergers' strategies
+  plant such fibers and say so); at most one epoch advance a visit
+  (+ 1), and on whole delivery one over every busy event; a row's
   ``exempt`` rule names the checks it skips (the mergers' ``one window``);
 * errors: one ``BlockError`` text on every engine for each defect, under
   each of five deliveries behind each of 0, 1 and 3 clean chunks.
@@ -306,6 +308,13 @@ crd_sets = st.sets(st.integers(0, 9), max_size=4).map(sorted)
 #: where a dirty chunk is planted: an N in place of a reference, a
 #: non-zero value trailing the references, or a repeated coordinate
 DIRTY = ["empty-ref", "non-zero-phantom", "duplicate"]
+#: the dirty chunks that make a side malformed: the merger raises
+#: :data:`MALFORMED_MESSAGE` on every engine (an N reference is payload)
+MALFORMED = {"non-zero-phantom", "duplicate"}
+MALFORMED_MESSAGE = (
+    f"merge: malformed side: coordinates must increase within a fiber, from 0 "
+    f"to {merge_module.MAX_COORDINATE}, and each reference stream must pair "
+    f"with them")
 
 
 @st.composite
@@ -314,8 +323,9 @@ def merge_streams(draw, arity):
     coordinate stream and 0-2 reference streams of distinct values —
     floats trailed by phantom zeros when *value refs* (the shape behind a
     compute union) — an empty side, huge coordinates (2**61 leaves
-    ``window_capacity`` at 3 fibers a merge), a planted dirty chunk, a
-    second stream after ``D``."""
+    ``window_capacity`` at 3 fibers a merge), a planted dirty chunk
+    (``malformed`` says whether it is one), a second stream after
+    ``D``."""
     m = draw(arity)
     fibers = one_level(draw(nests(st.tuples(*[crd_sets] * m))))
     nrefs = draw(st.tuples(*[st.integers(0, 2)] * m))
@@ -355,7 +365,7 @@ def merge_streams(draw, arity):
         streams.update({f"ref{s}_{j}": ref for j, ref in enumerate(refs)})
     for tokens in streams.values():
         tokens += [DONE] + ([3, Stop(0), DONE] if tail else [])
-    return {"dirty": dirty is not None, "base": base}, streams
+    return {"malformed": dirty is not None and kind in MALFORMED, "base": base}, streams
 
 
 def scanned(level, tokens):
@@ -402,27 +412,27 @@ def scan_merge_streams(draw, layouts):
     may be empty, and sometimes an unsorted one; each stream side has one
     fiber a scanned fiber, coordinates drawn against the level's, a
     dirty chunk may be planted on it, and a second stream may follow
-    ``D`` everywhere."""
+    ``D`` everywhere.  ``malformed``: a planted chunk or a scanned fiber
+    of the level makes a side malformed."""
     layout = draw(layouts)
     level = draw(st.lists(crd_sets, min_size=1, max_size=4))
     unsorted = draw(st.sampled_from([False] * 4 + [True]))
     wide = [f for f, crds in enumerate(level) if len(crds) > 1]
     if unsorted and wide:
         level[wide[0]] = level[wide[0]][::-1]
-    else:
-        unsorted = False
     tokens = draw(scan_refs(len(level)))
     fibers = scanned(level, tokens)
     dense = [s for s, kind in enumerate(layout) if kind == "d"]
     dirty = draw(st.one_of(st.none(), st.tuples(
         st.sampled_from(DIRTY), st.integers(0, 7), st.sampled_from(dense or [None]))))
     if dirty is not None and dirty[2] is not None:
-        kind, at, on = dirty
+        what, at, on = dirty
         at %= len(fibers)
     else:
         dirty = None
     tail = draw(st.booleans())
     streams = {}
+    malformed = any(crds != sorted(set(crds)) for crds, _ in fibers)
     for s, kind in enumerate(layout):
         if kind == "s":
             streams[f"scan{s}"] = tokens + ([0, DONE] if tail else [])
@@ -432,19 +442,20 @@ def scan_merge_streams(draw, layouts):
             crds = draw(crd_sets) if stop is not DONE else []
             run = [100 * (1 + s) + 10 * f + i for i in range(len(crds))]
             if dirty is not None and (at, on) == (f, s):
-                if kind == "duplicate" or not crds:
+                if what == "duplicate" or not crds:
                     crds = crds[:1] * 2 + crds[1:] if crds else [4, 4]
                     run = run[:1] * 2 + run[1:] if run else [7, 7]
-                elif kind == "empty-ref":
+                    malformed = True
+                elif what == "empty-ref":
                     run[0] = EMPTY
                 else:
                     run.append(7)
+                    malformed = True
             crd += crds + [stop]
             ref += run + [stop]
         streams[f"crd{s}"] = crd + ([3, Stop(0), DONE] if tail else [])
         streams[f"ref{s}_0"] = ref + ([30, Stop(0), DONE] if tail else [])
-    params = {"level": level, "sides": layout, "dirty": dirty is not None or unsorted}
-    return params, streams
+    return {"level": level, "sides": layout, "malformed": malformed}, streams
 
 
 @st.composite
@@ -704,22 +715,23 @@ MERGE_ERRORS = Errors({}, {"crd0": "0 2 S0", "crd1": "2 S0", "crd2": "1 S0"}, [
     ("merge: misaligned stops [S0, S0, S1]",
      {"crd0": "0 S0 D", "crd1": "1 S0 D", "crd2": "1 S1 D"}),
 ])
-#: behind a dirty chunk on the stream side the generator reads the fibers
-#: the scanner handed over as runs; an unsorted level is never walked:
-#: its runs are laid out as keys and bail where they stop increasing
+#: terminators that do not match across a scanner's runs and a stream
+#: side; an unsorted level is never walked: its runs are laid out as keys
 SCAN_LEVEL = [[1, 2], [0, 3]]
 SCAN_INTERSECT_ERRORS = Errors(
     {"level": SCAN_LEVEL, "sides": "ds"},
     {"crd0": "1 S1", "ref0_0": "10 S1", "scan1": "0 S0"}, [
     ("merge: misaligned stops [S0, S1]",
      {"crd0": "1 S0 D", "ref0_0": "10 S0 D", "scan1": "0 S0 D"}),
-    ("merge: misaligned stops [S0, S1]",
+    # a duplicate in front of the mismatched stops: the side is malformed
+    (MALFORMED_MESSAGE,
      {"crd0": "1 1 S1 1 S0 D", "ref0_0": "10 11 S1 12 S0 D", "scan1": "0 S0 0 S0 D"}),
 ])
 SCAN_UNSORTED_ERRORS = Errors(
     {"level": [[2, 1], [0, 3]], "sides": "ds"},
     {"crd0": "3 S1", "ref0_0": "10 S1", "scan1": "1 S0"}, [
-    ("merge: misaligned stops [S0, S1]",
+    # the unsorted fiber comes before the mismatched stops
+    (MALFORMED_MESSAGE,
      {"crd0": "1 S1 3 S0 D", "ref0_0": "10 S1 11 S0 D", "scan1": "0 S0 1 S0 D"}),
 ])
 SCAN_UNION_ERRORS = Errors(
@@ -768,12 +780,10 @@ def nothing(*args):
 
 
 def merger_exemption(params, delivery):
-    """The checks a merger row skips, by design, as ``one window``: a
-    dirty chunk leaves the hook and the generator reads the rest of the
-    stream, and key capacity splits a window of huge coordinates.  A
-    key-split row still counts its sliced windows; a dirty row does not
-    (``check``), since its generator reads what follows the bail."""
-    if params.get("dirty") or params.get("base", 0) >= 2**61:
+    """The checks a merger row skips, by design, as ``one window``: key
+    capacity splits a window of huge coordinates.  A key-split row still
+    counts its sliced windows."""
+    if params.get("base", 0) >= 2**61:
         return {"one window"}
     return set()
 
@@ -955,13 +965,16 @@ def counted(block):
 
 
 def run(case, params, streams, delivery, backend):
-    """Everything a backend may not change, the window log, and the
-    blocks under test."""
+    """Everything a backend may not change — or ``("raises", message)``
+    of its ``BlockError`` — the window log, and the blocks under test."""
     blocks, recorded, under = build(case, params, streams, delivery)
     for block in under:
         counted(block)
     with window_log() as log:
-        report = run_blocks(blocks, backend=backend)
+        try:
+            report = run_blocks(blocks, backend=backend)
+        except BlockError as error:
+            return ("raises", str(error)), log, under
     got = (report.cycles, report.block_activity(), graph_token_counts(blocks),
            [[canon(t) for t in ch.history] for ch in recorded], case.counters(under))
     return got, log, under
@@ -985,15 +998,17 @@ def oracle(case, params, streams, delivery):
 
 def check(case, params, streams, delivery, windows=1, engines=TIMED):
     """One outcome on every engine of *engines*, against ``cycle``'s;
-    *windows*: how many a whole delivery takes."""
+    *windows*: how many a whole delivery takes.  ``cycle`` raises exactly
+    where *params* say the streams are ``malformed``."""
     want = oracle(case, params, streams, delivery)
+    assert (want[0] == "raises") == bool(params.get("malformed")), want
     skip = case.exempt(params, delivery)
     for backend in engines:
         got, log, under = run(case, params, streams, delivery, backend)
         assert got == want, (backend, delivery)
+        if want[0] == "raises":
+            continue
         for port, sizes in push_groups(streams, delivery).items():
-            if params.get("dirty"):
-                break  # a dirty chunk leaves the hook: the generator reads the rest
             reader = case.paced.get(port, port)
             if reader is not None:
                 live = streams[port].index(DONE) + 1  # the block ends at the first D
@@ -1100,13 +1115,14 @@ REGRESSIONS = [
     ("scan-union", {"level": SCAN_RUNS, "sides": "dss"},
      {"crd0": "2 3 S0 1 S1 4 S0 D", "ref0_0": "10 11 S0 12 S1 13 S0 D",
       "scan1": "0 N S0 2 D", "scan2": "0 N S0 2 D"}),
-    # a dirty chunk on the stream side: the runs go back onto the links
-    ("scan-intersect", {"level": SCAN_RUNS, "sides": "ds", "dirty": True},
+    # a duplicate on the stream side raises behind the clean fibers
+    ("scan-intersect", {"level": SCAN_RUNS, "sides": "ds", "malformed": True},
      {"crd0": "3 3 S0 2 S1 D", "ref0_0": "10 11 S0 12 S1 D", "scan1": "0 2 S0 D"}),
-    ("scan-union", {"level": SCAN_RUNS, "sides": "sd", "dirty": True},
+    # an N reference on the stream side is payload, beside scanned runs
+    ("scan-union", {"level": SCAN_RUNS, "sides": "sd"},
      {"scan0": "0 2 D", "crd1": "1 2 S0 3 S0 D", "ref1_0": "20 N S0 21 S0 D"}),
-    # an unsorted level's runs bail where their keys stop increasing
-    ("scan-intersect", {"level": [[5, 1, 3], [2, 0]], "sides": "ds", "dirty": True},
+    # an unsorted level's runs raise where their keys stop increasing
+    ("scan-intersect", {"level": [[5, 1, 3], [2, 0]], "sides": "ds", "malformed": True},
      {"crd0": "1 3 S0 0 S1 D", "ref0_0": "10 11 S0 12 S1 D", "scan1": "0 1 S0 D"}),
     # an empty first fiber, misses between hits, an N coordinate beside a
     # reference and a hit beside an N reference, stops of three levels
@@ -1220,7 +1236,7 @@ def test_every_timed_block_is_a_row_or_exempt(request):
 # -- counting guards ---------------------------------------------------------------
 WHOLE = Delivery("whole")
 #: a merger row's parameters for streams that are clean and fit a key
-CLEAN = {"dirty": False, "base": 0}
+CLEAN = {"malformed": False, "base": 0}
 
 
 def merger_streams(sides):
@@ -1402,24 +1418,25 @@ def merges_of(cls, monkeypatch):
 
 
 class TestDirtyChunks:
-    """A dirty chunk leaves the timed plane — after the clean prefix when
-    it is not the window's first fiber — and never changes a report."""
+    """A malformed fiber raises on every engine, on the timed ones once
+    the clean fibers in front of it are merged; an ``N`` reference is
+    payload: ``cycle``'s report from one window merge."""
 
     @pytest.mark.parametrize("cls", (Intersect, Union))
     @pytest.mark.parametrize("kind", DIRTY)
     @pytest.mark.parametrize("at", [0, 3])
-    def test_bails_at_the_dirty_fiber(self, cls, kind, at, monkeypatch):
-        case, streams, params = BY_NAME[cls.__name__.lower()], dirty_fibers(kind, at), {
-            "dirty": True, "base": 0}
+    def test_dirty_fiber(self, cls, kind, at, monkeypatch):
+        case, streams = BY_NAME[cls.__name__.lower()], dirty_fibers(kind, at)
+        params = {"malformed": kind in MALFORMED, "base": 0}
         want = check(case, params, streams, WHOLE)
-        bails, real_bail = [], cls._bail_timed
-        monkeypatch.setattr(cls, "_bail_timed", lambda self: bails.append(
-            self.name) or real_bail(self))
         merges = merges_of(cls, monkeypatch)
         assert run(case, params, streams, WHOLE, "timed-batch")[0] == want
-        assert bails == ["merge"]
-        # one window merge for the clean prefix, none when there is none
-        assert len(merges) == (1 if at else 0)
+        if kind in MALFORMED:
+            assert want == ("raises", MALFORMED_MESSAGE)
+            # one window merge for the clean prefix, none when there is none
+            assert len(merges) == (1 if at else 0)
+        else:
+            assert len(merges) == 1
 
     @pytest.mark.parametrize("cls", (Intersect, Union))
     def test_clean_stream_is_one_merge(self, cls, monkeypatch):
@@ -1443,7 +1460,7 @@ class TestKeyCapacity:
 
     @pytest.mark.parametrize("cls", (Intersect, Union))
     def test_huge_coordinates_many_fibers(self, cls):
-        want = check(BY_NAME[cls.__name__.lower()], {"dirty": False, "base": 2**40},
+        want = check(BY_NAME[cls.__name__.lower()], {"malformed": False, "base": 2**40},
                      self.huge(2**40, 300), WHOLE)
         # the coordinates come back whole, not as key remainders
         assert int(want[3][0][0]) == 2**40 + (2 if cls is Intersect else 0)
@@ -1452,7 +1469,7 @@ class TestKeyCapacity:
     def test_window_splits_instead_of_wrapping(self, cls, monkeypatch):
         base, fibers = 2**61, 10
         assert window_capacity(base + fibers + 5 + 1) == 3
-        case, params = BY_NAME[cls.__name__.lower()], {"dirty": False, "base": base}
+        case, params = BY_NAME[cls.__name__.lower()], {"malformed": False, "base": base}
         streams = self.huge(base, fibers)
         want = run(case, params, streams, WHOLE, ORACLE)[0]
         merges = merges_of(cls, monkeypatch)
@@ -1468,15 +1485,29 @@ class TestKeyCapacity:
         base = 2**61
         streams = self.huge(base, 10)
         for delivery in every_delivery(streams):
-            check(BY_NAME[cls.__name__.lower()], {"dirty": False, "base": base},
+            check(BY_NAME[cls.__name__.lower()], {"malformed": False, "base": base},
                   streams, delivery)
 
-    def test_capacity_zero_goes_scalar(self):
-        top = int(np.iinfo(np.int64).max) - 1
-        assert window_capacity(top + 2) == 0
-        streams = merger_streams([([5, top, Stop(0)], []), ([top, Stop(0)], [])])
-        for name in ("intersect", "union"):
-            check(BY_NAME[name], {"dirty": False, "base": top}, streams, WHOLE)
+    def test_largest_coordinate_takes_a_window_a_fiber(self):
+        top = merge_module.MAX_COORDINATE
+        assert window_capacity(top + 2) == 1
+        params = {"malformed": False, "base": top}
+        for streams in (merger_streams([([5, top, Stop(0)], []), ([top, Stop(0)], [])]),
+                        self.huge(top - 6, 2)):
+            for name in ("intersect", "union"):
+                check(BY_NAME[name], params, streams, WHOLE)
+
+    @pytest.mark.parametrize("bad", [merge_module.MAX_COORDINATE + 1,
+                                     int(np.iinfo(np.int64).max), -1])
+    def test_coordinates_out_of_range_raise(self, bad):
+        # before and after a clean fiber: its keys stop increasing there
+        params = {"malformed": True, "base": 2**62}
+        for before in ([], [1, Stop(0)]):
+            streams = merger_streams([(before + [5, bad, Stop(0)], []),
+                                      (before + [bad, Stop(0)], [])])
+            for name in ("intersect", "union"):
+                assert check(BY_NAME[name], params, streams, WHOLE) == (
+                    "raises", MALFORMED_MESSAGE)
 
     @pytest.mark.parametrize("regions, pieces", [
         # negative coordinates: one piece, keys offset by the smallest

@@ -14,7 +14,8 @@ fall back on the default engine: for the whole session
 ``repro.sim.backends.DEFAULT_BACKEND`` holds :data:`NO_DEFAULT_ENGINE`,
 which is no engine's name, so ``resolve_backend(None)`` raises
 ``ValueError: unknown backend '…'`` naming this rule.  The tests of the
-default itself set it back with ``monkeypatch``.
+default itself, and of what runs on it by design (README's examples,
+Table 1's differential trials), take :func:`default_engine`.
 """
 
 import pytest
@@ -28,6 +29,8 @@ settings.load_profile("repro")
 
 #: the default engine during the suite: a rule, not an engine
 NO_DEFAULT_ENGINE = "none: a test takes the `engine` fixture or names its engine"
+#: the package's own default, read before the suite hides it
+PACKAGE_DEFAULT = repro.sim.backends.DEFAULT_BACKEND
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -44,3 +47,10 @@ def engine(request):
     """Each registered engine once, by its registry name."""
     return request.param
 
+
+
+@pytest.fixture
+def default_engine(monkeypatch):
+    """The package's default engine, back in place for one test."""
+    monkeypatch.setattr(repro.sim.backends, "DEFAULT_BACKEND", PACKAGE_DEFAULT)
+    return PACKAGE_DEFAULT

@@ -58,7 +58,9 @@ class TestEveryStudy:
     def _options(self, study):
         return TEST_OPTIONS.get(study.name, study.quick_options)
 
-    def test_enumerate_execute_render(self, name, engine):
+    def test_enumerate_execute_render(self, name, engine, request):
+        if name == "table1":  # its differential trials run on the default engine
+            request.getfixturevalue("default_engine")
         study = get_study(name)
         specs = study.enumerate(backend=engine, options=self._options(study))
         assert specs, f"{name} enumerated no sweep points"

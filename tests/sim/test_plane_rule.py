@@ -2,9 +2,9 @@
 
 ``TimedBatchEngine.run`` (and ``CompiledEngine`` through it) runs its
 window worklist only when every block can use its window hook; any other
-graph goes to ``cycle`` whole and ``report.handoff`` says why.  A window
-block whose hook gives up mid-run finishes its stream on its generator,
-stepped from its ``_tclock`` against its inputs' stamps.  Pinned here,
+graph goes to ``cycle`` whole and ``report.handoff`` says why.  No block
+changes plane mid-run: a window hook takes every well-formed stream, and
+a malformed one raises the generator's error.  Pinned here,
 wall-clock-free:
 
 * **the census** — of the quick sweep's 66 engine runs, 46 stay on
@@ -13,9 +13,9 @@ wall-clock-free:
   OuterSPACE phases run on windows;
 * **a handoff is exact** — a graph with one generator-only block reports
   ``cycle``'s result through every timed engine, and names the block;
-* **the generator finish is exact** — a merger's dirty chunk and a
-  parallelizer's ``N`` that arrive late, behind idle cycles, give
-  ``cycle``'s full report;
+* **late inputs stay on windows** — a merger's ``N`` reference that
+  arrives late, behind idle cycles, gives ``cycle``'s full report and
+  steps no generator; a parallelizer's ``N`` is one error everywhere;
 * **a late unbatchable token hands off** — a tuple or ``bool`` played
   late, behind idle cycles, into blocks that have a window hook: the
   run goes to ``cycle`` whole.
@@ -23,6 +23,7 @@ wall-clock-free:
 
 import re
 
+import numpy as np
 import pytest
 
 from repro.blocks import (
@@ -43,6 +44,8 @@ from repro.blocks import (
     VectorReducer,
 )
 from repro.data.synthetic import random_sparse_matrix
+from repro.formats import FiberTensor
+from repro.graph import SamGraph, bind
 from repro.harness import STUDY_NAMES
 from repro.harness.registry import execute_spec, get_study
 from repro.kernels import outerspace_spmm
@@ -77,7 +80,7 @@ def skip_wired(block):
     return any(side.skip is not None for side in block.sides)
 
 
-def test_quick_sweep_census(engine_runs):
+def test_quick_sweep_census(engine_runs, default_engine):
     for name in STUDY_NAMES:
         study = get_study(name)
         for spec in study.enumerate(backend="compiled", options=study.quick_options):
@@ -165,14 +168,27 @@ def late(tokens, at, gap, out, name):
 LATE = 12
 
 
-class TestGeneratorFinish:
-    """A block that leaves its hook mid-run: the chunk it gives up on
-    arrives late and behind idle cycles, so its generator starts at its
-    ``_tclock`` and stalls on stamps still to come."""
+@pytest.fixture
+def stepped(monkeypatch):
+    """The names of the blocks whose generator a run steps."""
+    names, real = [], Block.step
+
+    def step(block):
+        names.append(block.name)
+        return real(block)
+
+    monkeypatch.setattr(Block, "step", step)
+    return names
+
+
+class TestLateInputsStayOnWindows:
+    """What arrives late and behind idle cycles keeps every block on the
+    plane the plan chose: a merger's ``N`` reference is payload its hook
+    carries, and a parallelizer's ``N`` raises on every engine."""
 
     @pytest.mark.parametrize("cls", [Intersect, Union])
     @pytest.mark.parametrize("gap", [0, 5])
-    def test_merger(self, cls, gap):
+    def test_merger_carries_a_late_n_reference(self, cls, gap, stepped):
         # side a closes fiber LATE with a bare stop; side b carries an N
         # reference there, and side a's last fiber comes gap cycles late
         def build():
@@ -197,11 +213,16 @@ class TestGeneratorFinish:
         want = assert_every_engine_matches_cycle(build)
         assert want[0] > LATE + gap
         assert (want[1]["merge"]["stall"] > 0) == (gap > 0)
+        if cls is Union:  # the N goes out on side b's reference as it came in
+            assert EMPTY in want[-1][1]
+        stepped.clear()
+        for backend in TIMED:
+            outcome(build, backend)
+        assert stepped == []
 
     @pytest.mark.parametrize("cls", [Intersect, Union])
-    def test_merger_bails_on_its_first_window(self, cls):
-        # every input whole and its feeder done: nothing but the bail
-        # itself brings the merger back
+    def test_merger_n_reference_in_its_first_window(self, cls, stepped):
+        # every input whole and its feeder done: one visit takes it all
         def build():
             ca, ra = Channel("ca"), Channel("ra", kind="ref")
             cb, rb = Channel("cb"), Channel("rb", kind="ref")
@@ -218,23 +239,85 @@ class TestGeneratorFinish:
                     CompressedLevelWriter(oc, name="wr")]
 
         assert_every_engine_matches_cycle(build)
+        stepped.clear()
+        for backend in TIMED:
+            outcome(build, backend)
+        assert stepped == []
 
     @pytest.mark.parametrize("gap", [0, 3])
-    def test_parallelizer(self, gap):
-        def build():
+    def test_parallelizer_n_is_one_error(self, gap):
+        # the generator used to read N as the end of the stream: a
+        # silent truncation, reported as a success on every engine
+        seen = set()
+        for backend in ENGINES:
             in_ = Channel("in")
             lanes = [Channel(f"lane{i}") for i in range(2)]
             tokens = [t for k in range(LATE) for t in (k, Stop(0))]
             tokens += [EMPTY, 9, Stop(0), DONE]
-            return [late(tokens, len(tokens) - 4, gap, in_, "feed"),
-                    Parallelizer(in_, lanes, name="par"),
-                    CompressedLevelWriter(lanes[0], name="wr"),
-                    Sink(lanes[1], name="sink")]
+            blocks = [late(tokens, len(tokens) - 4, gap, in_, "feed"),
+                      Parallelizer(in_, lanes, name="par"),
+                      CompressedLevelWriter(lanes[0], name="wr"),
+                      Sink(lanes[1], name="sink")]
+            with pytest.raises(BlockError) as caught:
+                run_blocks(blocks, backend=backend)
+            seen.add(str(caught.value))
+        assert seen == {"par: an N has no lane (a parallelizer splits coordinate "
+                        "and reference streams, which carry no N)"}
 
-        want = assert_every_engine_matches_cycle(build)
-        assert want[0] > LATE
-        # the generator reads N as the end of the stream
-        assert want[-1][0][-1] is DONE
+
+def sum_times_d():
+    """``x(i) = (b(i) + c(i)) * d(i)`` drawn by hand: the union's
+    references, ``N`` where ``b`` or ``c`` has no entry, are payload of
+    the intersect with ``d`` (Custard cannot write the parentheses)."""
+    g = SamGraph("sum_times_d")
+    for t in "bcd":
+        g.add("level_scanner", name=f"scan_{t}", tensor=t, depth=0)
+        g.connect(g.add("root", name=f"root_{t}"), "ref", f"scan_{t}", "ref")
+    g.add("union", name="union", sides=[1, 1])
+    g.add("intersect", name="meet", sides=[2, 1])
+    for side, t in enumerate("bc"):
+        g.connect(f"scan_{t}", "crd", "union", f"crd{side}")
+        g.connect(f"scan_{t}", "ref", "union", f"ref{side}_0")
+        g.connect("union", f"ref{side}_0", "meet", f"ref0_{side}")
+    g.connect("union", "crd", "meet", "crd0")
+    g.connect("scan_d", "crd", "meet", "crd1")
+    g.connect("scan_d", "ref", "meet", "ref1_0")
+    for t, port in (("b", "ref0_0"), ("c", "ref0_1"), ("d", "ref1_0")):
+        g.connect("meet", port, g.add("array", name=f"vals_{t}", tensor=t), "ref")
+    g.add("alu", name="add", op="add")
+    g.add("alu", name="mul", op="mul")
+    g.connect("vals_b", "val", "add", "a")
+    g.connect("vals_c", "val", "add", "b")
+    g.connect("add", "val", "mul", "a")
+    g.connect("vals_d", "val", "mul", "b")
+    g.connect("meet", "crd", g.add("level_writer", name="write_i"), "crd")
+    g.connect("mul", "val", g.add("vals_writer", name="write_vals"), "val")
+    g.freeze()
+    return g
+
+
+def test_union_references_through_an_intersect_stay_on_windows(stepped):
+    rng = np.random.default_rng(7)
+    vectors = {t: (rng.random(60) < 0.4) * rng.random(60) for t in "bcd"}
+    tensors = {t: FiberTensor.from_numpy(v, name=t) for t, v in vectors.items()}
+    graph = sum_times_d()
+    seen = []
+    for backend in ENGINES:
+        bound = bind(graph, tensors)
+        stepped.clear()
+        report = bound.run(backend=backend)
+        seen.append((report.cycles, report.block_activity(),
+                     graph_token_counts(bound.blocks),
+                     bound.writers["write_i"].crd.tolist(),
+                     bound.writers["write_vals"].vals.tolist()))
+        assert report.handoff is None
+        assert (stepped == []) == (backend != "cycle"), backend
+    assert all(outcome == seen[0] for outcome in seen)
+    want = (vectors["b"] + vectors["c"]) * vectors["d"]
+    assert seen[0][3] == want.nonzero()[0].tolist()
+    assert seen[0][4] == want[want != 0].tolist()
+    # the union sends N on both of its reference outputs
+    assert seen[0][2]["union.out_ref0_0"]["empty"] > 0
 
 
 class TestLateUnbatchableToken:

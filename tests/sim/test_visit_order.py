@@ -164,7 +164,7 @@ def test_each_block_visited_once(case, backend, census):
 
 
 @pytest.mark.parametrize("backend", TIMED)
-def test_quick_sweep_blocks_visited_once(backend, census):
+def test_quick_sweep_blocks_visited_once(backend, census, default_engine):
     for name in STUDY_NAMES:
         study = get_study(name)
         for spec in study.enumerate(backend=backend, options=study.quick_options):

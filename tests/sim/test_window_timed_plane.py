@@ -14,7 +14,7 @@ form without a clock: on the Gamma and OuterSPACE graphs, the twelve
 Table-1 programs, the scatter and iterate-locate forms of SpMV, the fused
 SDDMM that locates into its dense operands and an ALU behind phantom
 zeros under ``compiled``, every such block that is not fused schedules at most once per visit
-(+ 1), accounts at most two single events per visit, never bails — and
+(+ 1), accounts at most two single events per visit, steps no generator — and
 the reports are still ``cycle``'s.  On Gamma the merge sorts nothing,
 the epoch advance builds no ramp of its own, and the result tensor is
 built on the writers' arrays.
@@ -120,7 +120,7 @@ class Counts:
 
     def __init__(self, monkeypatch):
         self.visits, self.advances, self.events = {}, {}, {}
-        self.bailed, self.schedules, self.units = [], 0, []
+        self.stepped, self.schedules, self.units = [], 0, []
 
         def counted(real, table):
             def call(block, *args):
@@ -128,8 +128,8 @@ class Counts:
                 return real(block, *args)
             return call
 
-        def bail(block, real=Block._bail_timed):
-            self.bailed.append(block.name)
+        def step(block, real=Block.step):
+            self.stepped.append(block.name)
             return real(block)
 
         def schedule(*args, real=timing.rate1_schedule):
@@ -150,7 +150,7 @@ class Counts:
         for name, table in (("_t_advance", self.advances), ("_t_span", self.advances),
                             ("_t_event", self.events)):
             monkeypatch.setattr(Block, name, counted(getattr(Block, name), table))
-        monkeypatch.setattr(Block, "_bail_timed", bail)
+        monkeypatch.setattr(Block, "step", step)
         monkeypatch.setattr(CompiledEngine, "_compile_segments", compile_segments)
         for module in (timing, blocks_base):
             monkeypatch.setattr(module, "rate1_schedule", schedule)
@@ -183,7 +183,7 @@ def test_window_blocks_take_whole_windows(run, monkeypatch):
         advances, events = counts.advances.get(name, 0), counts.events.get(name, 0)
         assert advances <= visits + 1, (name, advances, visits)
         assert events <= 2 * visits, (name, events, visits)
-    assert counts.bailed == []
+    assert counts.stepped == []
     np.testing.assert_array_equal(got, want)
     assert len(capture.runs) == len(oracle.runs)
     for (_, report), (_, reference) in zip(capture.runs, oracle.runs):

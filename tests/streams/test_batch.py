@@ -40,7 +40,7 @@ def push_batch(channel, batch):
     channel.push_batch_timed(
         batch, np.zeros(len(data), np.int64), np.zeros(len(ccode), np.int64)
     )
-    channel.materialize_timed(None)
+    channel.materialize_timed()
 
 
 def drain(channel):
@@ -239,16 +239,6 @@ class TestTimedReader:
         assert (a.codes.tolist(), a.tail, b.codes.tolist(), b.tail) == (
             [CODE_DONE], 0, [0], 0)
 
-    def test_requeue_restores_remainder_with_stamps(self):
-        channel = stamped([1, 2, Stop(0), DONE])
-        reader = TimedReader(channel)
-        reader.pull()
-        reader.pop()
-        reader.requeue()
-        assert channel.timed_pending_min_stamp() == 2
-        channel.materialize_timed(None)
-        assert drain(channel) == [2, Stop(0), DONE]
-
     def test_peek_empty(self):
         channel = Channel("c")
         channel.init_timed()
@@ -267,11 +257,10 @@ class TestTimedBuilder:
         builder.data(np.array([9]), np.array([6]))
         builder.ctrl(CODE_DONE, 7)
         assert builder.flush() == 5
-        assert channel.timed_pending_min_stamp() == 3
-        channel.materialize_timed(5)
-        assert drain(channel) == [1, 2, Stop(0)]
-        channel.materialize_timed(None)
-        assert drain(channel) == [9, DONE]
+        (batch, sdata, sctrl), = channel.timed.pending
+        assert (sdata.tolist(), sctrl.tolist()) == ([3, 4, 6], [5, 7])
+        channel.materialize_timed()
+        assert drain(channel) == [1, 2, Stop(0), 9, DONE]
 
     def test_data_with_ctrl_positions(self):
         channel = Channel("c")
@@ -282,14 +271,31 @@ class TestTimedBuilder:
             np.array([1, 3, 4]), np.array([2, 5]),
         )
         builder.flush()
-        channel.materialize_timed(None)
+        channel.materialize_timed()
         assert drain(channel) == [5, Stop(0), 6, 7, Stop(1)]
+
+    def test_blank_data_go_out_as_n(self):
+        # the inverse of blank_fibers: N behind the controls in front of
+        # its datum, stamped as it
+        channel = Channel("c")
+        channel.init_timed()
+        builder = TimedBuilder(channel)
+        builder.data_with_ctrl(
+            np.array([5, 0, 7, 0]), np.array([1, 3, 4]), np.array([0, 1, CODE_DONE]),
+            np.array([1, 2, 4, 6]), np.array([3, 5, 7]),
+            blank=np.array([False, True, False, True]),
+        )
+        builder.flush()
+        (batch, sdata, sctrl), = channel.timed.pending
+        assert (sdata.tolist(), sctrl.tolist()) == ([1, 4], [3, 2, 5, 6, 7])
+        channel.materialize_timed()
+        assert drain(channel) == [5, Stop(0), EMPTY, 7, Stop(1), EMPTY, DONE]
 
     def test_empty_flush_is_noop(self):
         channel = Channel("c")
         channel.init_timed()
         assert TimedBuilder(channel).flush() == 0
-        assert channel.timed_pending_min_stamp() is None
+        assert not channel.timed.pending
 
 
 class TestSequentialSegmentSums:

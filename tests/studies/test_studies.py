@@ -14,17 +14,19 @@ def sweep(name, engine=None, **options):
 
 
 class TestTable1:
-    def test_all_rows_match(self):
+    """Table 1 runs its differential trials on the default engine."""
+
+    def test_all_rows_match(self, default_engine):
         rows = table1.rows_from_results(sweep("table1"))
         assert len(rows) == 12
         assert all(match for *_, match in rows)
 
-    def test_formatting(self):
+    def test_formatting(self, default_engine):
         text = table1.format_table1(table1.rows_from_results(sweep("table1")))
         assert "SpMV" in text and "MatTransMul" in text
 
-    def test_crd_drop_differential_is_the_same_on_every_plane(self):
-        # The study runs its three trials on the windowed engine; the
+    def test_crd_drop_differential_is_the_same_on_every_plane(self, default_engine):
+        # The study runs its three trials on the default engine; the
         # all-generator oracle ``cycle`` is the cross-check.
         from repro.lang import compile_expression, primitive_row
 

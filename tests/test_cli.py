@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.sim.backends
 from repro.cli import build_parser, main
 from repro.harness import STUDY_NAMES
 
@@ -124,10 +123,9 @@ class TestCLI:
     @pytest.mark.parametrize("name, drawn", [
         (None, False), ("cycle", False), ("timed-batch", False), ("compiled", True),
     ])
-    def test_graph_draws_clusters_only_under_compiled(self, capsys, monkeypatch,
+    def test_graph_draws_clusters_only_under_compiled(self, capsys, default_engine,
                                                       name, drawn):
         # With no --engine a run uses the default, which fuses nothing.
-        monkeypatch.setattr(repro.sim.backends, "DEFAULT_BACKEND", "timed-batch")
         flags = [] if name is None else ["--engine", name]
         assert main([*flags, "graph", "x(i) = B(i,j) * c(j)"]) == 0
         out = capsys.readouterr().out
@@ -156,7 +154,7 @@ class TestCLI:
         assert err.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
-    def test_table1_command(self, capsys):
+    def test_table1_command(self, capsys, default_engine):
         assert main(["report", "table1", "--cache-dir", "none"]) == 0
         assert "SpMV" in capsys.readouterr().out
 
@@ -244,7 +242,7 @@ class TestSweepCLI:
         out = capsys.readouterr().out
         assert "Figure 11" in out and "unfused" in out
 
-    def test_report_runs_missing_points(self, tmp_path, capsys):
+    def test_report_runs_missing_points(self, tmp_path, capsys, default_engine):
         assert main([
             "report", "table1", "--cache-dir", str(tmp_path / "cache"),
         ]) == 0
@@ -279,8 +277,7 @@ class TestDatasetsCLI:
         out = capsys.readouterr().out
         assert "[cycle]" in out and "(0 cycles)" not in out
 
-    def test_smoke_runs_on_the_default_engine(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(repro.sim.backends, "DEFAULT_BACKEND", "timed-batch")
+    def test_smoke_runs_on_the_default_engine(self, tmp_path, capsys, default_engine):
         assert main(["datasets", "--data-dir", str(tmp_path),
                      "--smoke", "--matrix", "relat3"]) == 0
         assert "SpMV [timed-batch]" in capsys.readouterr().out
@@ -314,9 +311,7 @@ class TestDefaultEngine:
     """A report that names no engine prints what the ``cycle`` oracle's does."""
 
     @pytest.mark.parametrize("study", STUDY_NAMES)
-    def test_quick_report_matches_cycle(self, capsys, monkeypatch, study):
-        # the suite replaces the default (tests/conftest.py); set it back
-        monkeypatch.setattr(repro.sim.backends, "DEFAULT_BACKEND", "timed-batch")
+    def test_quick_report_matches_cycle(self, capsys, default_engine, study):
         argv = ["report", study, "--quick", "--cache-dir", "none"]
         assert main(argv) == 0
         default = capsys.readouterr().out

@@ -7,7 +7,7 @@ cold, a warm and a ``--prune`` sweep (with a ``--jobs 2`` shard and a
 bad ``--opt``), ``repro lint all --cross-validate`` and ``repro --engine
 cycle lint all`` (every kernel on the oracle), the ``graph``
 (expressions and a kernel) / ``compile`` / ``datasets`` commands CI
-runs and the seven examples --
+runs, the seven examples and every ``python`` block of README.md --
 under ``sys.setprofile``, then lists every function defined in
 ``src/repro`` that none of them entered.
 
@@ -31,6 +31,7 @@ import ast
 import contextlib
 import io
 import os
+import re
 import runpy
 import sys
 import tempfile
@@ -42,12 +43,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 
 #: why an unentered function stays: it runs on bad input or a protocol
-#: fault; it is the reference a faster path is tested against; it is a
-#: window hook's fall-back to the generator; perfbench/ imports it; the
-#: paper-claim verdicts will read it; it is library surface kept on purpose
-REASONS = (ERROR, ORACLE, BAIL, PERFBENCH, CLAIMS, PUBLIC) = (
-    "error-path", "oracle", "bail-path (item 3(d))", "perfbench-import",
-    "claims (item 19)", "public-api",
+#: fault; it is the reference a faster path is tested against; the plan
+#: hands a hand-built run to ``cycle`` before it starts for it; it is
+#: the compiled engine's fall-back to the plain window plane; perfbench/
+#: imports it; the paper-claim verdicts will read it; it is library
+#: surface kept on purpose
+REASONS = (ERROR, ORACLE, HANDOFF, COMPILED, PERFBENCH, CLAIMS, PUBLIC) = (
+    "error-path", "oracle", "plan-handoff", "compiled (item 2(b))",
+    "perfbench-import", "claims (item 19)", "public-api",
 )
 
 #: unentered functions that are error paths by their name alone
@@ -123,30 +126,28 @@ ALLOWLIST = {
     "repro.graph.bind:_Inputs.__missing__": ERROR,
     "repro.graph.builder:GraphValidationError.__init__": ERROR,
     "repro.sim.backends.base:Engine._deadlock": ERROR,
-    "repro.sim.backends.timed_batch:TimedBatchEngine.run.deadlock": ERROR,
     # only `cycle` steps it, and no user path runs a graph with a Sink on
     # `cycle` (examples/tiled_finite_memory.py's tile sequencer runs on
     # the default engine)
     "repro.blocks.base:Sink._run": ORACLE,
     "repro.formats.compressed:CompressedLevel.from_fibers": ORACLE,
     "repro.formats.tensor:FiberTensor.from_coords_reference": ORACLE,
-    # a window hook leaves the plane and its generator finishes the run
-    "repro.blocks.base:Block._bail_timed": BAIL,
-    "repro.blocks.merge:_Merger._bail_timed": BAIL,
-    "repro.blocks.scanner:FiberRuns.materialise": BAIL,
-    "repro.sim.backends.compiled:_Side.put_back": BAIL,
-    "repro.sim.backends.plan:_unbatchable": BAIL,
-    "repro.sim.backends.plan:plan_blocks.demote": BAIL,
-    "repro.sim.backends.timed_batch:TimedBatchEngine.run.dissolve": BAIL,
-    "repro.sim.backends.timed_batch:TimedBatchEngine.run.finish_on_generator": BAIL,
-    "repro.streams.batch:concat_batches": BAIL,
-    "repro.streams.channel:Channel.stamp_queue": BAIL,
-    "repro.streams.channel:Channel.take_batch": BAIL,
-    "repro.streams.channel:Channel.timed_pending_min_stamp": BAIL,
-    "repro.streams.channel:Channel.timed_requeue_front": BAIL,
-    "repro.streams.timing:TimedReader.put_back": BAIL,
-    "repro.streams.timing:TimedReader.requeue": BAIL,
-    "repro.streams.timing:stamp_split_at": BAIL,
+    # a hand-built run the plan sends to `cycle` before it starts: a
+    # token queued before the run that does not batch, a finite FIFO
+    # without a credit pair
+    "repro.sim.backends.plan:_unbatchable": HANDOFF,
+    "repro.sim.backends.plan:plan_blocks.demote": HANDOFF,
+    # a fused unit hands its operand windows back and dissolves
+    "repro.sim.backends.compiled:_Side.put_back": COMPILED,
+    "repro.sim.backends.timed_batch:TimedBatchEngine.run.dissolve": COMPILED,
+    # tokens a caller queued on a channel before the run, and a stream
+    # that goes on after its D
+    "repro.streams.batch:concat_batches": PUBLIC,
+    "repro.streams.channel:Channel.stamp_queue": PUBLIC,
+    "repro.streams.channel:Channel.take_batch": PUBLIC,
+    "repro.streams.channel:Channel.timed_requeue_front": ERROR,
+    # a producer that pushes a window in several visits
+    "repro.streams.timing:TimedReader.put_back": PUBLIC,
     "repro.jit:PlanCache.__len__": PERFBENCH,
     "repro.jit:PlanCache.clear": PERFBENCH,
     "repro.jit:jit_stats": PERFBENCH,
@@ -293,7 +294,16 @@ def run_paths(tmp: str) -> list:
     for example in sorted((ROOT / "examples").glob("*.py")):
         with contextlib.redirect_stdout(io.StringIO()):
             runpy.run_path(str(example), run_name="__main__")
+    for i, block in enumerate(readme_blocks()):
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(block, f"README.md python block {i}", "exec"), {})
     return failures
+
+
+def readme_blocks() -> list:
+    """The source of every ``python`` block of README.md, in order."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
 
 
 def verdict(functions: dict, entered: set, allowlist: dict) -> tuple:

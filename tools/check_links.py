@@ -12,7 +12,7 @@ Fails (exit 1) when:
 * a repo-relative ``src/...``/``tests/...``/``benchmarks/...`` path
   named in a markdown file does not exist;
 * a backticked private name (one leading underscore: ``_slab_tokens``,
-  ``Block._bail_timed``) or CamelCase name (``FiberTensor``,
+  ``Block._t_advance``) or CamelCase name (``FiberTensor``,
   ``BVIntersect``) in ``docs/``, README.md or EXPERIMENTS.md names no
   identifier of the code in ``src/``, ``tests/``, ``tools/``,
   ``benchmarks/`` or ``perfbench/`` -- prose that outlived a rename or

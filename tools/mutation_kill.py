@@ -15,8 +15,8 @@ Usage::
     python tools/mutation_kill.py
 
 It mutates this checkout's ``src/``: the window hooks are judged by
-``tests/blocks/test_window_blocks.py``, the engines' plane rule and
-generator finish by ``tests/sim/test_plane_rule.py`` (the plane rule's
+``tests/blocks/test_window_blocks.py``, the engines' plane rule and the
+parallelizer's ``N`` by ``tests/sim/test_plane_rule.py`` (the plane rule's
 finite-FIFO gate by ``tests/sim/test_window_identity.py``, the
 worklist's dependency-order seed by ``tests/sim/test_visit_order.py``),
 the ``.mtx`` reader's byte-grammar check and its one-thread parse by
@@ -115,15 +115,19 @@ MUTATIONS = (
     Mutation("locator without its input check", "repro/blocks/locate.py",
              "self._check_pair(*pair)",
              "pass"),
-    # -- the timed engines' plane rule and generator finish
-    Mutation("generator finish starts a cycle late",
-             "repro/sim/backends/timed_batch.py",
-             "t, busy = block._tclock, 0",
-             "t, busy = block._tclock + 1, 0", PLANES),
-    Mutation("stall jump credits one cycle too few",
-             "repro/sim/backends/timed_batch.py",
-             "block.stall_cycles += target - t - 1",
-             "block.stall_cycles += target - t - 2", PLANES),
+    # -- a merger's N reference is payload, a malformed side one error
+    Mutation("merger sends a blank reference out as data", "repro/blocks/merge.py",
+             "blank=blank if blank is None else blank[pick])",
+             "blank=None)"),
+    Mutation("merger generator takes a repeated coordinate",
+             "repro/blocks/merge.py",
+             "and self._last[index] < crd <= MAX_COORDINATE):",
+             "and crd <= MAX_COORDINATE):"),
+    # -- the timed engines' plane rule, and the parallelizer's N
+    Mutation("parallelizer window reads N as data", "repro/blocks/parallel.py",
+             "        if np.count_nonzero(ccode == CODE_EMPTY):\n"
+             "            self._raise_empty()\n",
+             "", PLANES),
     Mutation("plane rule skips timed_capable()", "repro/sim/backends/plan.py",
              "if not block.timed_capable():",
              "if False:", PLANES),
