@@ -1,8 +1,9 @@
 """Rate analysis: steady-state busy-cycle prediction and bottlenecks.
 
-The paper's cycle model makes every stock primitive a fully pipelined
-rate-1 machine (``TimingDescriptor(ii=1)``): one busy cycle per token
-event, control tokens included.  Under that model a block's total busy cycles
+The paper's cycle model makes every block a fully pipelined rate-1
+machine (``Block.drain_timed``'s schedule ``c[k] = max(c[k-1] + 1,
+arrival[k])``, and one generator ``yield True`` per event on
+``cycle``): one busy cycle per token event, control tokens included.  Under that model a block's total busy cycles
 equal the token volume through its busiest port, which the SDF-style
 balance view makes *predictable from channel token counts alone* — no
 timed simulation needed:

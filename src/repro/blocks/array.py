@@ -17,7 +17,7 @@ import numpy as np
 
 from ..streams.channel import Channel
 from ..streams.token import is_data, is_done, is_empty
-from .base import Block, PortSpec, StreamXfer, TimingDescriptor
+from .base import Block, PortSpec, StreamXfer
 
 
 class ArrayLoad(Block):
@@ -63,7 +63,7 @@ class ArrayLoad(Block):
             if is_done(token):
                 return
 
-    timing = TimingDescriptor(fuse_role="map")
+    fuse_role = "map"
 
     def timed_capable(self) -> bool:
         arr = getattr(self, "_mem_array", None)

@@ -145,57 +145,6 @@ class StreamXfer:
     outs: Tuple[Tuple[str, str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class TimingDescriptor:
-    """Declarative per-block timing for the timed-batch backend.
-
-    The paper's cycle model makes every primitive a fully pipelined
-    rate-1 machine; this descriptor makes that timing *data* instead of
-    implicit generator control flow, so an engine can advance a block
-    across an entire control-free token segment analytically:
-
-    * ``ii`` — initiation interval: cycles between successive token
-      events (generator ``yield True``\\ s).  The epoch advance rule is
-      ``c[k] = max(c[k-1] + ii, arrival[k])``.
-
-    Every stock primitive is ``TimingDescriptor()`` — rate 1, its
-    outputs pushed in the event's cycle, one event per control token —
-    matching the generators they replace.
-
-    ``fuse_role`` is the compiled backend's segment-fusion capability
-    flag: how this block may participate in a fused super-block (see
-    :func:`repro.sim.backends.plan.partition_segments`).  A fusible block also
-    exports, next to its ``timing =`` line, the hook its own
-    ``drain_timed`` is written in terms of; the fused unit calls the
-    same hook, so a block's behaviour is defined once.  Roles:
-
-    * ``"zip"`` — two-input elementwise head (ALU): may only *start* a
-      fused value chain, reading both operand channels itself.  Hook:
-      ``_fn``, the elementwise operator.
-    * ``"map"`` — uniform rate-1 unary map (ArrayLoad, ScalarALU):
-      may start, continue, or end a chain.  Hook: ``map_parts()``, the
-      ``(data_fn, empty_value)`` pair :meth:`Block._t_unary_window`
-      applies.
-    * ``"reduce"`` / ``"sink"`` / ``"write"`` — scalar reducer, Sink,
-      and the single-input level/vals writers: chain tails (pure
-      consumers, or emitting fewer tokens than they consume, so nothing
-      fuses after them).  Hook: ``commit_window(...)``, what
-      :meth:`Block._t_tail_window` stores or emits for one scheduled
-      window.
-    * ``""`` — not fusible; the block always runs its own
-      ``drain_timed`` on the per-block timed path (scanners, locators,
-      mergers, repeaters, droppers, vector reducers, feeders, fanouts …).
-      A scanner hands its fibers to a locator or merger side reading
-      both its outputs as runs (the plan's hand-overs), without a fused unit.
-
-    :meth:`Block.plan_tag` names a member's data transform in the
-    compiled backend's plan-cache keys.
-    """
-
-    ii: int = 1
-    fuse_role: str = ""
-
-
 class Block:
     """Base class for SAM dataflow blocks.
 
@@ -227,11 +176,33 @@ class Block:
     #: busy/stall/clock through :meth:`_t_advance` / :meth:`_t_event`,
     #: reproducing the generator's cycle schedule exactly.  ``None``
     #: means a timed engine runs the block's graph on ``cycle``.
+    #:
+    #: Every block is the paper's fully pipelined rate-1 machine: one
+    #: event (generator ``yield True``) a cycle at most, gated by its
+    #: token arrivals, ``c[k] = max(c[k-1] + 1, arrival[k])``, its
+    #: outputs pushed in the event's cycle.  The rate is a constant of
+    #: the model, not a per-block field.
     drain_timed = None
 
-    #: declarative timing (see :class:`TimingDescriptor`); ``None`` on
-    #: blocks without a timed segment hook
-    timing: Optional[TimingDescriptor] = None
+    #: how this block may take part in a compiled fused chain (see
+    #: :func:`repro.sim.backends.plan.partition_segments`); read only
+    #: when the block has a window hook.  A fusible block also exports,
+    #: next to its ``fuse_role =`` line, the hook its own ``drain_timed``
+    #: is written in terms of; the fused unit calls the same hook, so a
+    #: block's behaviour is defined once:
+    #:
+    #: * ``"zip"`` — two-input elementwise head (ALU): only *starts* a
+    #:   chain, reading both operand channels itself.  Hook: ``_fn``.
+    #: * ``"map"`` — rate-1 unary map (ArrayLoad, ScalarALU): starts,
+    #:   continues or ends a chain.  Hook: ``map_parts()``, the
+    #:   ``(data_fn, empty_value)`` pair :meth:`_t_unary_window` applies.
+    #: * ``"reduce"`` / ``"sink"`` / ``"write"`` — scalar reducer, Sink
+    #:   and the single-input level/vals writers: chain tails.  Hook:
+    #:   ``commit_window(...)``, what :meth:`_t_tail_window` stores or
+    #:   emits for one scheduled window.
+    #: * ``""`` — not fusible: the block runs its own ``drain_timed``
+    #:   (scanners, locators, mergers, repeaters, droppers, feeders ...).
+    fuse_role: str = ""
 
     #: credit-aware endpoints for finite-capacity channels on the timed
     #: plane: a credit *producer* gates its push schedule on the
@@ -358,7 +329,7 @@ class Block:
         """Hashable identity of this block's data transform, for the
         compiled backend's plan-cache keys: two segments whose members
         apply different ops (or scalar constants) must not share a plan
-        even though their timing descriptors match."""
+        even though their classes and roles match."""
         return ()
 
     def _treader(self, channel: Channel) -> TimedReader:
@@ -400,29 +371,29 @@ class Block:
         c = arrival if arrival > clock else clock
         self.busy_cycles += 1
         self.stall_cycles += c - clock
-        self._tclock = c + self.timing.ii
+        self._tclock = c + 1
         return c
 
     def _t_advance(self, arrivals: np.ndarray) -> np.ndarray:
         """Account a run of busy events gated by *arrivals* (epoch rule).
 
-        Vectorised ``_t_event``: ``c[k] = max(c[k-1] + ii, arrivals[k])``
+        Vectorised ``_t_event``: ``c[k] = max(c[k-1] + 1, arrivals[k])``
         via one running max; stalls are the gaps of the covered span.
-        Arrivals that already step by ``ii`` or more (and no carry) make
-        the running max a no-op: the schedule is ``max(arrivals, clock +
-        k * ii)`` — and, from the clock on, the arrivals themselves: the
-        same array comes back, to be read, not written.
+        Arrivals that already step by 1 or more (and no carry) make the
+        running max a no-op: the schedule is ``max(arrivals, clock + k)``
+        — and, from the clock on, the arrivals themselves: the same
+        array comes back, to be read, not written.
         """
         n = len(arrivals)
         if n == 0:
             return _EMPTY_I64
-        ii, carry = self.timing.ii, self._t_carry
+        carry = self._t_carry
         if (not carry and arrivals.dtype == np.int64
-                and arrivals[-1] - arrivals[0] >= (n - 1) * ii
-                and not np.count_nonzero(arrivals[1:] - arrivals[:-1] < ii)):
+                and arrivals[-1] - arrivals[0] >= n - 1
+                and not np.count_nonzero(arrivals[1:] <= arrivals[:-1])):
             c = arrivals
             if arrivals[0] < self._tclock:
-                c = (index_ramp(n) * ii if ii != 1 else index_ramp(n)) + self._tclock
+                c = index_ramp(n) + self._tclock
                 np.maximum(arrivals, c, out=c)
         else:
             if carry:
@@ -430,37 +401,35 @@ class Block:
                 if carry > arrivals[0]:
                     arrivals[0] = carry
                 self._t_carry = 0
-            c = rate1_schedule(arrivals, self._tclock, ii)
-        end = int(c[-1]) + ii
+            c = rate1_schedule(arrivals, self._tclock)
+        end = int(c[-1]) + 1
         self.busy_cycles += n
-        self.stall_cycles += (end - self._tclock) - ii * n
+        self.stall_cycles += end - self._tclock - n
         self._tclock = end
         return c
 
     def _t_span(self, n: int, last: int) -> None:
         """Account *n* busy events, the last at cycle *last*: what
         :meth:`_t_advance` books for a schedule computed sparsely."""
-        ii = self.timing.ii
-        end = last + ii
+        end = last + 1
         self.busy_cycles += n
-        self.stall_cycles += (end - self._tclock) - ii * n
+        self.stall_cycles += end - self._tclock - n
         self._tclock = end
 
     def _t_offsets(self, pos, val, total):
         """A busy schedule of *total* events in its sparse form: event
         ``pos[i]`` waits for stamp ``val[i]`` and the events after it, up
-        to ``pos[i + 1]``, are a ramp — event *e* at cycle ``offs[i] + e *
-        ii``, ``offs`` the running max of ``val - pos * ii`` clipped at the
+        to ``pos[i + 1]``, are a ramp — event *e* at cycle ``offs[i] +
+        e``, ``offs`` the running max of ``val - pos`` clipped at the
         clock.  The dense arrival array and its running max are never
         built; the bookkeeping is :meth:`_t_advance`'s.  *pos* starts at
         0 and ascends; *val* is the caller's to overwrite."""
-        ii = self.timing.ii
         if self._t_carry:
             val[0] = max(int(val[0]), self._t_carry)
             self._t_carry = 0
-        offs = np.maximum.accumulate(val - (pos * ii if ii != 1 else pos))
+        offs = np.maximum.accumulate(val - pos)
         np.maximum(offs, self._tclock, out=offs)
-        self._t_span(total, int(offs[-1]) + (total - 1) * ii)
+        self._t_span(total, int(offs[-1]) + total - 1)
         return offs
 
     def _t_take_window(self, channel) -> Optional[TakenWindow]:
@@ -604,7 +573,6 @@ class StreamFeeder(Block):
             yield from self._put(self.out, token)
             yield True
 
-    timing = TimingDescriptor()
     timed_credit_producer = True
 
     def timed_capable(self) -> bool:
@@ -705,8 +673,6 @@ class Fanout(Block):
             if is_done(token):
                 return
 
-    timing = TimingDescriptor()
-
     def drain_timed(self) -> bool:
         """Timed drain: copy one token per cycle to every output."""
         if self.finished:
@@ -741,7 +707,7 @@ class Sink(Block):
             if is_done(token):
                 return
 
-    timing = TimingDescriptor(fuse_role="sink")
+    fuse_role = "sink"
     timed_credit_consumer = True
 
     def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:

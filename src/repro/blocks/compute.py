@@ -27,7 +27,7 @@ from ..streams.timing import (
     token_order_indices,
 )
 from ..streams.token import is_data, is_done, is_empty, is_stop
-from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
+from .base import Block, PortSpec, BlockError, StreamXfer
 
 OPERATORS = {
     "add": operator.add,
@@ -122,7 +122,7 @@ class ALU(Block):
             if is_done(a):
                 return
 
-    timing = TimingDescriptor(fuse_role="zip")
+    fuse_role = "zip"
 
     def plan_tag(self):
         return ("alu", self.op)
@@ -234,7 +234,7 @@ class ScalarALU(Block):
             if is_done(a):
                 return
 
-    timing = TimingDescriptor(fuse_role="map")
+    fuse_role = "map"
 
     def plan_tag(self):
         return ("scalar_alu", self.op, self.constant)

@@ -46,7 +46,7 @@ from ..streams.token import (
     is_stop,
     show_value,
 )
-from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
+from .base import Block, PortSpec, BlockError, StreamXfer
 
 
 class CoordDropper(Block):
@@ -110,8 +110,6 @@ class CoordDropper(Block):
         # materialises if a later fiber survives — unless it also closes
         # an outer level, which must stay visible.
         return stop if stop.level > 0 else None
-
-    timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
         """Timed drain: one alignment, one schedule, one push per output.
@@ -367,8 +365,6 @@ class ValueDropper(Block):
         self.out_crd = self._out("out_crd", out_crd)
         self.out_val = self._out("out_val", out_val)
         self.dropped = 0
-
-    timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
         """Timed drain: one pairing, one schedule, one push per output.

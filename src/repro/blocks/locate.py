@@ -29,7 +29,7 @@ from ..streams.timing import (
     token_order_indices,
 )
 from ..streams.token import DONE, EMPTY, is_done, is_empty, is_stop, token_repr
-from .base import Block, BlockError, PortSpec, StreamXfer, TimingDescriptor
+from .base import Block, BlockError, PortSpec, StreamXfer
 
 
 class Locator(Block):
@@ -125,8 +125,6 @@ class Locator(Block):
                 self.out_ref_in.push(ref)
             yield True
 
-    timing = TimingDescriptor()
-
     def timed_capable(self) -> bool:
         return hasattr(self.level, "locate_arrays")
 
@@ -207,7 +205,7 @@ class Locator(Block):
     def _probe_runs(self, runs) -> bool:
         """The timed pass on a paired scanner's runs: every complete fiber
         held, one gather and one probe of its pairs, one sparse schedule
-        (:meth:`_t_offsets`).  A fiber's pairs arrive a ramp ``ii`` apart,
+        (:meth:`_t_offsets`).  A fiber's pairs arrive a ramp a cycle apart,
         so the gates are each fiber's first pair and each terminator."""
         k = runs.held()
         if not k:
@@ -223,7 +221,7 @@ class Locator(Block):
         val[0::2] = np.where(lens > 0, view.first, 0)  # no pair, no gate
         val[1::2] = view.stops
         offs = self._t_offsets(pos, val, int(ends[-1]) + k)
-        c = offs + pos * self.timing.ii
+        c = offs + pos
         at, dstamps = runs.pairs(view._replace(first=c[0::2]))
         crds = runs.crd[at]
         found, hit = self.level.locate_arrays(0, crds)

@@ -40,11 +40,12 @@ from ..streams.timing import (
     front_fibers,
     held_fibers,
     index_ramp,
+    integral_fibers,
     pair_chunks,
     window_capacity,
 )
 from ..streams.token import DONE, EMPTY, is_data, is_done, is_empty, is_stop
-from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
+from .base import Block, PortSpec, BlockError, StreamXfer
 from .scanner import FiberSpans
 
 #: the largest coordinate a merger takes: a window's composite keys
@@ -210,7 +211,6 @@ class _Merger(Block):
     # builder therefore run once per window, whatever K and m are, and
     # the builders touch only the slots they emit: an intersecter's
     # layouts are as long as its output, not as its longest side.
-    timing = TimingDescriptor()
     #: whether a window walks a scanner's runs by search (a two-sided
     #: intersecter emits only what both sides hold)
     walks = False
@@ -265,7 +265,12 @@ class _Merger(Block):
                 done = np.logical_or.reduce([c == CODE_DONE for c in crd_codes])
                 if np.count_nonzero(done):
                     whole = k = int(done.argmax()) + 1
-                k = min(k, *(self._clean_fibers(view) for view in views))
+                clean = [self._clean_fibers(view, side)
+                         for view, side in zip(views, held)]
+                if None in clean:
+                    whole = k = 0  # a float view waits for its stream's D
+                else:
+                    k = min(k, *clean)
                 odd = np.logical_or.reduce([c[:k] != codes[:k] for c in crd_codes[1:]])
                 if np.count_nonzero(odd):
                     k = int(odd.argmax())
@@ -353,25 +358,29 @@ class _Merger(Block):
         return [(s, side.crd, side.refs[0]) for s, side in enumerate(self.sides)
                 if len(side.refs) == 1]
 
-    def _clean_fibers(self, views) -> int:
-        """How many of a side's viewed fibers are structurally clean.
+    def _clean_fibers(self, views, held) -> Optional[int]:
+        """How many of a side's viewed fibers are structurally clean, or
+        None while a float view's integers are not known yet.
 
         Malformed: an ``N``/``R`` code on the coordinate stream, a
         reference terminator unlike the coordinate one, a reference run
-        shorter than its coordinates, non-integer coordinates.  Up to
-        the first malformed fiber, fiber *f* of every stream is its
-        *f*-th terminator.  A scanner's runs are clean.
+        shorter than its coordinates, non-integer coordinates (judged by
+        :func:`integral_fibers` against *held*, the side's held entries,
+        so the fibers in front of one merge).  Up to the first malformed
+        fiber, fiber *f* of every stream is its *f*-th terminator.  A
+        scanner's runs are clean.
         """
         if isinstance(views, FiberSpans):
             return len(views.lens)
         crd = views[0]
-        if len(crd.data) and crd.data.dtype.kind != "i":
-            return 0
+        integral = integral_fibers(crd, held[0])
+        if integral is None:
+            return None
         bad = crd.codes < CODE_DONE
         for ref in views[1:]:
             bad |= ref.codes != crd.codes
             bad |= ref.lens < crd.lens
-        return int(bad.argmax()) if np.count_nonzero(bad) else len(bad)
+        return min(integral, int(bad.argmax()) if np.count_nonzero(bad) else len(bad))
 
     def _side_keys(self, views, stride: int):
         """One side's viewed fibers as a single composite-key fiber.
@@ -462,17 +471,16 @@ class _Merger(Block):
         sorted keys: how many pairs of its fiber lie below it (``u``)
         and whether one equals it.  That places every key in the union
         slots.  The arrival of slot *s* + 1 is the successor of a key
-        held at slot *s*; along a walked fiber's ramp ``stamp - slot *
-        ii`` only drops (a key of the other side between two pairs moves
-        the slot, not the stamp), so per fiber three successors bound
-        the running max: the first pair's, the last pair's (its stop)
-        and the stop's (the next fiber's first key).  The schedule at
-        the emitted slots — the shared coordinates and every stop — is
-        ``slot * ii`` plus the running max of those terms and of the
+        held at slot *s*; along a walked fiber's ramp ``stamp - slot``
+        only drops (a key of the other side between two pairs moves the
+        slot, not the stamp), so per fiber three successors bound the
+        running max: the first pair's, the last pair's (its stop) and
+        the stop's (the next fiber's first key).  The schedule at the
+        emitted slots — the shared coordinates and every stop — is the
+        slot plus the running max of those terms and of the
         other side's successors, clipped at the clock: the dense
         ``_merge_events`` schedule, read where it is emitted.
         """
-        ii = self.timing.ii
         k = len(view.lens)
         fiber, crd = np.divmod(keys, stride)
         real = crd != stride - 1
@@ -502,7 +510,7 @@ class _Merger(Block):
         slots[real], slots[~real] = slot, stop
         # successors: the other side's keys, then the walked fibers'
         entry = slots[:-1] + 1
-        gates = arrs[1:] - entry * ii
+        gates = arrs[1:] - entry
         # the other side's unshared keys under a fiber's first / last pair
         below = (u == 0) & ~hit
         below_last = (u < lens) & ~hit
@@ -512,9 +520,9 @@ class _Merger(Block):
                       base + view.lens + np.bincount(fa[below_last], minlength=k), e3)
         e1 = np.where(view.lens > 1, base + 1 + np.bincount(fa[below], minlength=k), e2)
         never = np.iinfo(np.int64).min // 2
-        w1 = np.where(view.lens > 1, view.first + runs.ii - e1 * ii, never)
-        w2 = np.where(view.lens > 0, view.stops - e2 * ii, never)
-        w3 = np.concatenate((nxt, [0])) - e3 * ii
+        w1 = np.where(view.lens > 1, view.first + 1 - e1, never)
+        w2 = np.where(view.lens > 0, view.stops - e2, never)
+        w3 = np.concatenate((nxt, [0])) - e3
         w3[-1] = never
         # per fiber its three successors in turn
         walk_entry = np.empty(3 * k, dtype=np.int64)
@@ -533,7 +541,7 @@ class _Merger(Block):
             if len(entries):
                 i = np.searchsorted(entries, emitted, "right") - 1
                 np.maximum(cycles, np.where(i >= 0, running[i], never), out=cycles)
-        cycles += emitted * ii
+        cycles += emitted
         nhit = int(np.count_nonzero(hit))
         self._t_span(int(stop[-1]) + 1, int(cycles[-1]))
         cpos = shared.cumsum()

@@ -30,7 +30,7 @@ from ..streams.timing import (
     split_done_stamped,
 )
 from ..streams.token import DONE, Stop, is_data, is_done, is_stop
-from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
+from .base import Block, PortSpec, BlockError, StreamXfer
 
 
 class Parallelizer(Block):
@@ -106,8 +106,6 @@ class Parallelizer(Block):
             f"{self.name}: an N has no lane (a parallelizer splits "
             f"coordinate and reference streams, which carry no N)"
         )
-
-    timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
         """Timed drain: one event per input token; stops/done broadcast.
@@ -247,8 +245,6 @@ class InterleaveSerializer(Block):
         """Only a stop ends a fiber: ``D`` inside one is a truncated lane."""
         if is_done(token):
             raise BlockError(f"{self.name}: lane {lane} ended mid-fiber")
-
-    timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
         """Timed drain: one rotation gather, one schedule, one push.

@@ -26,7 +26,7 @@ the configuration Table 1's dropper counts assume.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from ..streams.timing import (
     front_fibers,
     front_stream,
     index_ramp,
+    integral_fibers,
     pair_chunks,
     window_capacity,
 )
@@ -60,7 +61,7 @@ from ..streams.token import (
     show_value,
     token_repr,
 )
-from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
+from .base import Block, PortSpec, BlockError, StreamXfer
 
 EMPTY_POLICIES = ("zero", "drop")
 
@@ -188,7 +189,7 @@ class ScalarReducer(Block):
         elevated = stops & (ccode >= 1)
         return sums, emit, elevated, emit.cumsum()
 
-    timing = TimingDescriptor(fuse_role="reduce")
+    fuse_role = "reduce"
 
     def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
         """Emit one scheduled window's region sums; carry the open tail.
@@ -309,8 +310,6 @@ class VectorReducer(Block):
         self._region_crds: List[np.ndarray] = []
         self._region_vals: List[np.ndarray] = []
 
-    timing = TimingDescriptor()
-
     def drain_timed(self) -> bool:
         """Timed drain: one sort, one accumulation, one schedule per window.
 
@@ -334,7 +333,7 @@ class VectorReducer(Block):
         k = len(crd.codes)
         if k == 0:
             return False
-        integral = self._integral_chunks(crd, windows[0])
+        integral = integral_fibers(crd, windows[0])
         if integral is None:
             return False
         pairing = pair_chunks(crd, val)
@@ -355,36 +354,6 @@ class VectorReducer(Block):
             consume(window, *view.span)
         self.finished = crd.done
         return True
-
-    @staticmethod
-    def _integral_chunks(crd, window) -> Optional[int]:
-        """How many leading chunks hold integer coordinates only, or None
-        while that is not known yet.
-
-        A batch stores a mixed run as floats, and a block that passes
-        its tokens on one at a time hands them on as floats: a float
-        view is judged against the stream up to its ``D``.  The chunk of
-        the first fractional coordinate is the error; when one lies past
-        the view (in *window*, the held entry), the view's floats are
-        integers stored beside it; when none does and no ``D`` has
-        arrived, the rest of the stream decides; else the first chunk
-        with data is the error (an integral float).
-        """
-        if crd.data.dtype.kind == "i" or not len(crd.data):
-            return len(crd.codes)
-        chunk = index_ramp(len(crd.codes)).repeat(crd.lens)
-        batch = window[0]
-        done = (batch.ctrl_code[batch._c:] == CODE_DONE).nonzero()[0]
-        end = int(batch.ctrl_pos[batch._c + done[0]]) if len(done) else len(batch.data)
-        with np.errstate(invalid="ignore"):  # inf % 1 is NaN: not 0
-            odd = chunk[crd.data % 1 != 0]
-            rest = batch.data[batch._d + len(crd.data):end]
-            later = bool(np.count_nonzero(rest % 1 != 0))
-        if len(odd):
-            return int(odd[0])
-        if later:
-            return len(crd.codes)
-        return int(chunk[0]) if len(done) else None
 
     def _reduce_window(self, crd, chunk, vals, arrivals, closes) -> None:
         """Accumulate, schedule and emit one window of clean chunks.

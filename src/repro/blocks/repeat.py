@@ -45,7 +45,7 @@ from ..streams.timing import (
     stream_view,
 )
 from ..streams.token import DONE, EMPTY, Stop, is_data, is_done, is_empty, is_stop
-from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
+from .base import Block, PortSpec, BlockError, StreamXfer
 
 #: the repeat token emitted by RepeatSigGen for every coordinate
 REPEAT = "R"
@@ -81,8 +81,6 @@ class RepeatSigGen(Block):
             yield True
             if is_done(token):
                 return
-
-    timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
         """Timed drain: uniform rate-1 map onto a pure-control batch."""
@@ -144,8 +142,6 @@ class Repeater(Block):
         #: timed-drain state: level of the last driver stop while the
         #: reference stop it folds is still to come, else -1
         self._rep_fold = -1
-
-    timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
         """Timed drain: one alignment, one schedule, one push per window.

@@ -34,7 +34,7 @@ from ..formats.level import Level
 from ..streams.batch import CODE_DONE, CODE_EMPTY, filled, index_ramp
 from ..streams.channel import Channel
 from ..streams.token import DONE, Stop, is_data, is_done, is_empty, is_stop
-from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
+from .base import Block, PortSpec, BlockError, StreamXfer
 
 
 class LevelScanner(Block):
@@ -154,8 +154,6 @@ class LevelScanner(Block):
             self._fiber_index += 1
             yield True
 
-    timing = TimingDescriptor()
-
     def timed_capable(self) -> bool:
         # Skip hints are consumed by *polling* mid-scan, which ties the
         # scanner's schedule to the intersecter's: the graph runs on
@@ -232,7 +230,7 @@ class LevelScanner(Block):
         ev = self._t_take_events(self.level.fiber_bounds)
         if ev is None:
             return False
-        n, ii = len(ev.stamps), self.timing.ii
+        n = len(ev.stamps)
         ref = np.zeros(n, dtype=np.int64)
         start = np.zeros(n, dtype=np.int64)
         ref[ev.di], start[ev.di] = ev.refs, ev.fibers[0]
@@ -241,9 +239,9 @@ class LevelScanner(Block):
             offs[ev.has] = self._t_offsets(ev.starts[ev.has], ev.stamps[ev.has],
                                            ev.total)
         # a token's pairs start after the closer it emits first
-        first = offs + (ev.starts + ev.after) * ii + runs.delta
+        first = offs + ev.starts + ev.after + runs.delta
         tok = index_ramp(n).repeat(ev.nctrl)  # the token of each control event
-        stops = offs[tok] + ev.at * ii + runs.delta
+        stops = offs[tok] + ev.at + runs.delta
         # a token's first control event closes the previous token's fiber
         closer = ev.after[tok]
         closer[1:] &= tok[1:] != tok[:-1]
@@ -265,17 +263,16 @@ class LevelScanner(Block):
         self._t_events_done(ev)
         return True
 
-    def hand_over(self, crd, ref, ii: int) -> Optional["FiberRuns"]:
+    def hand_over(self, crd, ref) -> Optional["FiberRuns"]:
         """Pair this scanner with the consumer reading *crd* and *ref*:
         the fiber runs it will read instead of the two outputs' tokens,
         or None when the pair cannot hold — *crd*/*ref* are not exactly
         its outputs, a skip input is wired, the level is not a
-        position-range one (``fiber_bounds``), a link is finite, recorded
-        or already holds tokens, or *ii* (the consumer's) is not the
-        scanner's."""
+        position-range one (``fiber_bounds``), or a link is finite,
+        recorded or already holds tokens."""
         links = (self.out_crd, self.out_ref)
         if (not hasattr(self.level, "fiber_bounds") or (crd, ref) != links
-                or self.in_skip is not None or ii != self.timing.ii
+                or self.in_skip is not None
                 or any(ch.capacity is not None or ch.record or ch.queue
                        or ch.timed.pending for ch in links)):
             return None
@@ -340,7 +337,7 @@ class FiberSpans(NamedTuple):
     ref: np.ndarray  # the level fiber scanned (0 for an empty one)
     start: np.ndarray  # its first position: pair j is position start + j
     lens: np.ndarray
-    first: np.ndarray  # visible stamp of pair 0; pair j's is first + j * ii
+    first: np.ndarray  # visible stamp of pair 0; pair j's is first + j
     codes: np.ndarray  # terminator code and visible stamp
     stops: np.ndarray
 
@@ -355,13 +352,13 @@ class FiberRuns:
 
     A fiber is its level range ``start..start + lens`` (position *p* is
     the pair ``(crd[p], p)``), the visible stamp of its first pair — its
-    pairs are one input token's ramp, ``ii`` apart — and its terminator's
+    pairs are one input token's ramp, a cycle apart — and its terminator's
     code and stamp.  ``open`` is the fiber whose pairs are out and whose
     terminator waits for the scanner's next input token.  The links
     carry nothing; their token counts are bumped as the pushes would.
     """
 
-    __slots__ = ("links", "level", "crd", "ii", "delta", "_held", "at", "open")
+    __slots__ = ("links", "level", "crd", "delta", "_held", "at", "open")
 
     def __init__(self, scanner):
         # the scanner's links, not the scanner: a block must not sit in
@@ -370,7 +367,6 @@ class FiberRuns:
         self.links = (scanner.out_crd, scanner.out_ref)
         self.level = scanner.level
         self.crd = scanner.level.crd
-        self.ii = scanner.timing.ii
         # both links run scanner -> consumer: one visibility offset
         self.delta = scanner.out_crd.timed.delta
         self._held, self.at = _NO_SPANS, 0
@@ -398,13 +394,13 @@ class FiberRuns:
 
     def pairs(self, runs: FiberSpans) -> tuple:
         """``(positions, stamps)`` of every pair of *runs*."""
-        lens, ii = runs.lens, self.ii
+        lens = runs.lens
         before = lens.cumsum() - lens  # per fiber, the pairs ahead of it
         base = index_ramp(int(before[-1] + lens[-1]) if len(lens) else 0)
         pos = (runs.start - before).repeat(lens)
         pos += base
-        stamps = (runs.first - before * ii).repeat(lens)
-        stamps += base * ii if ii != 1 else base
+        stamps = (runs.first - before).repeat(lens)
+        stamps += base
         return pos, stamps
 
 

@@ -41,7 +41,7 @@ from ..streams.token import (
     show_value,
     token_repr,
 )
-from .base import Block, PortSpec, BlockError, StreamXfer, TimingDescriptor
+from .base import Block, PortSpec, BlockError, StreamXfer
 
 
 class _Column:
@@ -186,7 +186,7 @@ class CompressedLevelWriter(Block):
                 return
             yield True
 
-    timing = TimingDescriptor(fuse_role="write")
+    fuse_role = "write"
 
     def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
         # the stops first: a rejected coordinate leaves what the
@@ -245,7 +245,7 @@ class ValsWriter(Block):
             if is_done(token):
                 return
 
-    timing = TimingDescriptor(fuse_role="write")
+    fuse_role = "write"
 
     def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
         self._vals.extend(data)
@@ -304,8 +304,6 @@ class ScatterValsWriter(Block):
             if is_data(ref):
                 self.vals[ref] += 0.0 if is_empty(val) else val
             yield True
-
-    timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
         """Timed drain: one pairing (:func:`_take_pairs`), one scatter,
@@ -378,8 +376,6 @@ class LinkedListLevelWriter(Block):
             if is_data(parent) and is_data(crd):
                 self.child_refs.append(self.level.append(parent, crd))
             yield True
-
-    timing = TimingDescriptor()
 
     def drain_timed(self) -> bool:
         """Timed drain: one pairing (:func:`_take_pairs`), one event per

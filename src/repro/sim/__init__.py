@@ -13,15 +13,15 @@ registry :data:`repro.sim.backends.BACKENDS` lists the shipped ones:
     simulated cycle.  Cycle counts are the paper's reported metric.
 
 ``timed-batch`` (:class:`TimedBatchEngine`)
-    Epoch-batched timing on the TokenBatch data plane: blocks with
-    timing descriptors advance over whole control-free token segments
+    Epoch-batched timing on the TokenBatch data plane: blocks with a
+    window hook advance over whole control-free token segments
     analytically (one vectorized schedule per segment); a graph with a
     block that cannot runs on ``cycle`` whole.  Bit-identical reports
     (cycles, busy/stall, token counts) to ``cycle``.
 
 ``compiled`` (:class:`CompiledEngine`)
     The same timed plane and run loop with control-free segments
-    fused into super-blocks (composed schedules, chained kernels);
+    fused into super-blocks (chained kernels, no interior pushes);
     identical reports, the fastest timed backend on large workloads.
 
 ``event``, ``functional``, ``functional-seq``
@@ -46,7 +46,7 @@ Subclass :class:`~repro.sim.backends.base.Engine`, set a unique
 in :data:`repro.sim.backends.BACKENDS` — the CLI's ``--engine`` choices
 are derived from the registry.  Blocks expose everything a
 scheduler needs: ``step()`` (one cycle), ``drain_timed()`` (one window
-visit, on blocks that declare a timing) and ``finished``.
+visit, on blocks that have a window hook) and ``finished``.
 """
 
 from .backends import (

@@ -4,36 +4,32 @@
 ``SimulationReport`` as :class:`~repro.sim.backends.timed_batch.
 TimedBatchEngine` (and hence the reference CycleEngine), but steps the
 *fusible segments* of the run's plan — maximal linear chains of
-descriptor-carrying blocks joined by unbounded, unrecorded,
+blocks with a fuse role joined by unbounded, unrecorded,
 single-producer/single-consumer channels
 (:func:`~repro.sim.backends.plan.partition_segments`, computed with
 their plan keys once per plan, as the rest of the structure is; see
 :mod:`repro.sim.backends.plan`).  Each segment executes as **one
 super-block**:
 
-* *composed schedules* — instead of one ``rate1_schedule`` pass per
-  member per window, the whole chain's busy schedules come from a
-  single :func:`~repro.streams.timing.compose_rate1` call.  Because
-  every stock member is fully pipelined at the same rate, each
-  downstream stage collapses to an elementwise maximum (the max-plus
-  accumulate is provably a no-op on an already rate-valid schedule);
+* *member schedules* — each member books its window through its own
+  ``_t_advance``, in chain order, on the previous member's schedule
+  shifted by the interior link's visibility offset: the chain's
+  schedule is the members' own bookkeeping, defined once;
 * *fused data transforms* — member kernels are chained directly on the
   value arrays (gather → multiply → region sums …) without
   materialising intermediate ``TokenBatch`` pushes, stamp merges, or
   reader windows on the interior channels;
 * *arithmetic statistics* — interior channels never see a push, so
   their ``pushed_*`` counters are reconstructed from the would-be batch
-  structure, and every member's busy/stall/``_tclock`` bookkeeping is
-  applied from its composed schedule exactly as its own ``_t_advance``
-  would have.
+  structure.
 
 This module is a *scheduler* of blocks, not a second author of them:
 what a member does with a scheduled window is the hook the block itself
 exports and its own ``drain_timed`` is written in terms of
 (:data:`_ROLE_HOOK` — a zip's ``_fn``, a map's ``map_parts()``, a
-reduce/sink/write tail's ``commit_window()``).  What lives here is
-schedule composition: two-phase acquire/commit, the composed and lazy
-advances, and the interior-link token counts.
+reduce/sink/write tail's ``commit_window()``).  What lives here is the
+walk of the chain: two-phase acquire/commit, the feeders a zip head
+absorbs, and the interior-link token counts.
 
 Two segment kinds are compiled (``report.fusion["kinds"]`` counts them
 per run), both chains (:class:`_ChainUnit`): ``value-chain`` and
@@ -61,7 +57,7 @@ There is one run loop: :meth:`TimedBatchEngine.run` steps whatever
 unit table ``_compile_segments`` hands it (empty for the plain engine)
 and handles dissolution itself.  This class only builds that table,
 records plan digests, and annotates the finished report with
-``report.fusion`` / ``report.plans``; token-order and ramp helpers are the
+``report.fusion`` / ``report.plans``; the token-order helpers are the
 shared ones from :mod:`repro.streams.timing`.
 """
 
@@ -71,124 +67,22 @@ import numpy as np
 
 from ...jit import PLAN_CACHE
 from ...streams.batch import CODE_DONE, CODE_EMPTY
-from ...streams.timing import (
-    compose_rate1,
-    index_ramp,
-    insert_sorted,
-    split_done_stamped,
-    token_order_indices,
-)
+from ...streams.timing import insert_sorted, split_done_stamped, token_order_indices
 from .timed_batch import _DISSOLVE, TimedBatchEngine
 
 
-def _compose_fast(arrivals, stages):
-    """`compose_rate1` with every stage elementwise, or None.
-
-    Valid when the head arrivals are already rate-``ii0``-valid and no
-    stage slows the stream down (each ``ii`` <= its predecessor's) —
-    then every accumulate in the composed pass is a no-op.
-    """
-    clock0, ii0, _ = stages[0]
-    n = len(arrivals)
-    if n > 1 and np.count_nonzero(arrivals[1:] - arrivals[:-1] < ii0):
-        return None
-    iis = [s[1] for s in stages]
-    if any(iis[k] > iis[k - 1] for k in range(1, len(iis))):
-        return None
-    idx = index_ramp(n)
-    c = (idx * ii0 if ii0 != 1 else idx) + clock0
-    np.maximum(arrivals, c, out=c)
-    out = [c]
-    for clock, ii, delta in stages[1:]:
-        nxt = (idx * ii if ii != 1 else idx) + clock
-        prev = out[-1]
-        np.maximum(prev + delta if delta else prev, nxt, out=nxt)
-        out.append(nxt)
-    return out
-
-
 def _advance_members(members, deltas, arrivals):
-    """Composed ``_t_advance`` across a fused chain: one schedule each.
+    """Each member's own ``_t_advance``, in chain order; the last
+    member's schedule.
 
     *arrivals* is the head's token-order arrival array (already
     consumer-visible); ``deltas[k-1]`` is the interior link's visibility
-    offset into member *k*.  Busy/stall/clock bookkeeping per member is
-    exactly what its own ``_t_advance`` would apply.  Falls back to the
-    member-by-member calls when any carry is pending (carries interact
-    with the first arrival, which the composed pass does not model).
+    offset into member *k*.
     """
-    if any(m._t_carry for m in members):
-        scheds = []
-        cur = np.asarray(arrivals, dtype=np.int64)
-        for k, member in enumerate(members):
-            if k:
-                cur = cur + deltas[k - 1]
-            cur = member._t_advance(cur)
-            scheds.append(cur)
-        return scheds
-    arrivals = np.asarray(arrivals, dtype=np.int64)
-    stages = [
-        (m._tclock, m.timing.ii, 0 if k == 0 else deltas[k - 1])
-        for k, m in enumerate(members)
-    ]
-    scheds = _compose_fast(arrivals, stages)
-    if scheds is None:
-        scheds = compose_rate1(arrivals, stages)
-    n = len(scheds[0])
-    for member, c in zip(members, scheds):
-        member._t_span(n, int(c[-1]))
-    return scheds
-
-
-def _advance_members_sub(members, deltas, sub_idx, sub, e, n):
-    """Core of the subset composed advance (validity settled by callers).
-
-    ``sub`` is the head arrival array evaluated at ``sub_idx`` only,
-    ``e`` the scalar last arrival, ``n`` the full token count.  The
-    dense composed schedules are never built: the last member's schedule
-    comes back evaluated at ``sub_idx`` and every member's
-    busy/stall/clock bookkeeping is applied from scalar endpoints
-    (``e_k = max(e_{k-1} + delta, clock + (n-1)*ii)``) — bit-identical
-    to the full elementwise pass.
-    """
-    c = None
-    for k, member in enumerate(members):
-        ii = member.timing.ii
-        clock = member._tclock
-        delta = 0 if k == 0 else deltas[k - 1]
-        ramp = (sub_idx * ii if ii != 1 else sub_idx) + clock
-        if k == 0:
-            c = np.maximum(sub, ramp)
-        else:
-            np.maximum(c + delta if delta else c, ramp, out=ramp)
-            c = ramp
-        e = max(e + delta, clock + (n - 1) * ii)
-        member._t_span(n, e)
+    c = members[0]._t_advance(arrivals)
+    for member, delta in zip(members[1:], deltas):
+        c = member._t_advance(c + delta if delta else c)
     return c
-
-
-def _advance_members_at(members, deltas, arrivals, sub_idx, known_valid):
-    """Composed advance with schedules evaluated only at ``sub_idx``.
-
-    When no chain output needs the full interior schedules (reduce/sink
-    tails consume them at control positions only), the dense composed
-    arrays are skipped via :func:`_advance_members_sub`.
-    ``known_valid`` skips the rate-validity scan when the arrivals are
-    a max of member output schedules (valid by construction).  Returns
-    None when the elementwise conditions do not hold.
-    """
-    n = len(arrivals)
-    if n == 0 or any(m._t_carry for m in members):
-        return None
-    ii0 = members[0].timing.ii
-    if not known_valid and np.count_nonzero(arrivals[1:] - arrivals[:-1] < ii0):
-        return None
-    iis = [m.timing.ii for m in members]
-    if any(iis[k] > iis[k - 1] for k in range(1, len(iis))):
-        return None
-    return _advance_members_sub(
-        members, deltas, sub_idx, arrivals[sub_idx], int(arrivals[-1]), n
-    )
 
 
 def _same(a, b) -> bool:
@@ -297,43 +191,6 @@ class _Side:
     def put_back(self):
         self.reader.put_back(self.window)
 
-    def rate_valid(self):
-        """Merged arrivals already a valid rate-``ii`` feeder schedule?"""
-        arr = self.merged
-        ii = self.feeder.timing.ii
-        return not np.count_nonzero(arr[1:] - arr[:-1] < ii)
-
-    def commit_at(self, sub_idx):
-        """``commit`` with the feeder schedule evaluated at ``sub_idx``.
-
-        Requires :meth:`rate_valid` and no feeder carry (checked by the
-        caller *before* either side commits): the accumulate is then a
-        no-op, so the schedule at any index is ``max(arrival, clock +
-        idx*ii)`` and the endpoint is a scalar.  Bookkeeping matches the
-        feeder's own ``_t_advance`` exactly.  Returns ``(vals, c_sub, e)`` with
-        the link delta already applied to both schedule and endpoint.
-        """
-        feeder = self.feeder
-        arr = self.merged
-        n = len(arr)
-        ii = feeder.timing.ii
-        clock = feeder._tclock
-        e = max(int(arr[-1]), clock + (n - 1) * ii)
-        feeder._t_span(n, e)
-        c = np.maximum(arr[sub_idx], (sub_idx * ii if ii != 1 else sub_idx) + clock)
-        vals = self.fn(self.data)
-        if self.empty is not None:
-            vals = insert_sorted(
-                np.asarray(vals, dtype=np.float64),
-                self.cpos[self.empty], self.empty_value,
-            )
-        ndata, _, ccode = self.post
-        _bump_counts(self.link, ndata, ccode)
-        if self.delta:
-            np.add(c, self.delta, out=c)
-            e += self.delta
-        return vals, c, e
-
     def commit(self):
         """Advance the feeder (stats + counters) and produce the operand
         values plus the head's token-order arrival array."""
@@ -364,8 +221,7 @@ class _ChainUnit:
 
     __slots__ = (
         "members", "blocks", "links", "deltas", "head", "roles",
-        "parts", "head_in", "tail_out", "sides", "active", "lazy_ok",
-        "emitters", "kind",
+        "parts", "head_in", "tail_out", "sides", "active", "emitters", "kind",
     )
 
     def __init__(self, blocks, segment, channels):
@@ -378,7 +234,7 @@ class _ChainUnit:
         self.links = [channels[k] for k in segment.links]
         self.deltas = [ch.timed.delta for ch in self.links]
         self.head = self.blocks[0]
-        self.roles = [b.timing.fuse_role for b in self.blocks]
+        self.roles = [b.fuse_role for b in self.blocks]
         # spine-positional (fn, empty_value) transforms of the map
         # members; feeder transforms live on their _Side instead
         self.parts = [
@@ -403,21 +259,6 @@ class _ChainUnit:
         # tail when it closed the segment purely by absorbing feeders)
         self.tail_out = (
             outs[0] if outs and self.roles[-1] in ("map", "zip") else None
-        )
-        # Static half of the lazy-zip precondition: reduce/sink tail
-        # (only control-position schedules are ever consumed), both
-        # operands through feeders no slower than the head, and a
-        # non-decelerating spine — the dynamic half (carries,
-        # rate-validity) is checked per acquisition.
-        iis = [b.timing.ii for b in self.blocks]
-        self.lazy_ok = (
-            self.tail_out is None
-            and self.sides is not None
-            and all(
-                s.feeder is not None and s.feeder.timing.ii >= iis[0]
-                for s in self.sides
-            )
-            and all(iis[k] <= iis[k - 1] for k in range(1, len(iis)))
         )
         self.active = True
 
@@ -464,31 +305,6 @@ class _ChainUnit:
             side_b.put_back()
             return _DISSOLVE
         ends_done = bool(len(ca)) and int(ca[-1]) == CODE_DONE
-        if (
-            self.lazy_ok
-            and not side_a.feeder._t_carry
-            and not side_b.feeder._t_carry
-            and not any(m._t_carry for m in self.blocks)
-            and side_a.rate_valid()
-            and side_b.rate_valid()
-        ):
-            # Lazy path: neither the dense feeder schedules nor the
-            # dense zip arrival array are built — everything downstream
-            # reads schedules at the control positions only.  (The zip
-            # arrival is a max of rate-valid feeder schedules, hence
-            # rate-valid by construction.)
-            if side_a.empty is None:
-                ci = side_a.ci
-            elif side_b.empty is None:
-                ci = side_b.ci
-            else:
-                ci = pa + index_ramp(len(ca))
-            va, csa, ea = side_a.commit_at(ci)
-            vb, csb, eb = side_b.commit_at(ci)
-            vals = blk._fn(va, vb)
-            np.maximum(csa, csb, out=csa)
-            lazy = (csa, max(ea, eb), len(side_a.merged))
-            return (vals, pa, ca), None, None, ci, ends_done, None, lazy
         # phase 2 for the operand sides: feeders advance + transform
         va, arr_a = side_a.commit()
         vb, arr_b = side_b.commit()
@@ -503,7 +319,7 @@ class _ChainUnit:
         vals = blk._fn(va, vb)
         # both arrival arrays are fresh — reuse one for the zip max
         np.maximum(arr_a, arr_b, out=arr_a)
-        return (vals, pa, ca), arr_a, di, ci, ends_done, None, None
+        return (vals, pa, ca), arr_a, di, ci, ends_done, None
 
     def _acquire_map(self):
         taken = self.head._t_take_window(self.head_in)
@@ -527,7 +343,7 @@ class _ChainUnit:
             ccode = ccode[keep]
             di, ci = token_order_indices(cpos, len(vals))
         ends_done = bool(len(ccode)) and int(ccode[-1]) == CODE_DONE
-        return (vals, cpos, ccode), merged, di, ci, ends_done, tail, None
+        return (vals, cpos, ccode), merged, di, ci, ends_done, tail
 
     # -- phase 2: commit (cannot fail) ----------------------------------
     def step(self):
@@ -541,31 +357,9 @@ class _ChainUnit:
             return False
         if acquired is _DISSOLVE:
             return _DISSOLVE
-        (vals, cpos, ccode), merged, di, ci, ends_done, tail, lazy = acquired
-        cctrl = None
-        if lazy is not None:
-            # validity (carries, rate, ii ordering) settled in acquire
-            sub, e, ntok = lazy
-            cctrl = _advance_members_sub(
-                self.blocks, self.deltas, ci, sub, e, ntok
-            )
-        elif self.tail_out is None:
-            # reduce/sink tails only read the tail schedule at control
-            # positions; a zip arrival built from two feeder output
-            # schedules is rate-valid by construction (max of schedules)
-            head_ii = self.blocks[0].timing.ii
-            known = self.sides is not None and all(
-                s.feeder is not None and s.feeder.timing.ii >= head_ii
-                for s in self.sides
-            )
-            cctrl = _advance_members_at(
-                self.blocks, self.deltas, merged, ci, known
-            )
-        if cctrl is None:
-            scheds = _advance_members(self.blocks, self.deltas, merged)
-            cctrl = scheds[-1][ci]
-        else:
-            scheds = None
+        (vals, cpos, ccode), merged, di, ci, ends_done, tail = acquired
+        c = _advance_members(self.blocks, self.deltas, merged)
+        cctrl = c[ci]
         for k in range(1, len(self.blocks)):
             blk = self.blocks[k]
             _bump_counts(self.links[k - 1], len(vals), ccode)
@@ -575,11 +369,11 @@ class _ChainUnit:
                 vals = self.parts[k][0](vals)
             else:
                 # reduce/sink/write tail: the block's own commit of the
-                # window, at the chain's composed control-token cycles
+                # window, at its own control-token cycles
                 blk.commit_window(vals, cpos, ccode, cctrl, ends_done)
         if self.tail_out is not None:
             out = self.blocks[-1]._tbuilder(self.tail_out)
-            out.data_with_ctrl(vals, cpos, ccode, scheds[-1][di], scheds[-1][ci])
+            out.data_with_ctrl(vals, cpos, ccode, c[di], cctrl)
             out.flush()
         if ends_done:
             if tail is not None:
@@ -616,7 +410,7 @@ class CompiledEngine(TimedBatchEngine):
             interior = [channels[k] for k in seg.links]
             interior += [channels[f[1]] for f in seg.feeders if f is not None]
             if any([ch.queue or ch.timed.pending for ch in interior]) or not all([
-                    hasattr(blocks[i], _ROLE_HOOK[blocks[i].timing.fuse_role])
+                    hasattr(blocks[i], _ROLE_HOOK[blocks[i].fuse_role])
                     for i in seg.members]):
                 rejected += 1
                 continue

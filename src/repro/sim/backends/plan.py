@@ -28,7 +28,7 @@ from ...streams.channel import Channel
 def _off_plane(block) -> Optional[str]:
     """Why *block* cannot run its window hook, or None when it can."""
     kind = type(block).__name__
-    if type(block).drain_timed is None or block.timing is None:
+    if type(block).drain_timed is None:
         return f"block {block.name!r} ({kind}): no window hook"
     if block._gen is not None:
         return f"block {block.name!r} ({kind}): already on its generator"
@@ -284,11 +284,10 @@ def _segments(blocks, index, deltas) -> Tuple[Segment, ...]:
 # -- segment fusion ------------------------------------------------------
 #
 # The compiled backend (compiled.py) runs each fusible segment of a plan
-# as one super-block: a maximal linear chain of descriptor-carrying
-# blocks joined by single-producer/single-consumer channels.  The
-# partition is purely structural — roles come from each block's
-# ``TimingDescriptor.fuse_role`` — so it can also annotate DOT renderings
-# (graph/dot.py) without running anything.
+# as one super-block: a maximal linear chain of fusible blocks joined by
+# single-producer/single-consumer channels.  The partition is purely
+# structural — roles come from each block's ``fuse_role`` — so it can
+# also annotate DOT renderings (graph/dot.py) without running anything.
 
 #: roles that may continue a value chain after the head
 _CHAIN_INTERIOR = ("map",)
@@ -325,10 +324,8 @@ class FusedSegment:
 
 
 def _fuse_role(block) -> str:
-    timing = getattr(block, "timing", None)
-    if timing is None or getattr(block, "drain_timed", None) is None:
-        return ""
-    return getattr(timing, "fuse_role", "")
+    """*block*'s fuse role; a block without a window hook has none."""
+    return "" if block.drain_timed is None else block.fuse_role
 
 
 def _link_ok(channel: Channel, producers, consumers) -> bool:
@@ -487,11 +484,7 @@ def segment_plan_key(blocks, segment: "FusedSegment", deltas=None) -> Tuple:
     members = []
     for i in segment.members:
         block = blocks[i]
-        timing = getattr(block, "timing", None)
-        ii = 1 if timing is None else timing.ii
-        members.append(
-            (type(block).__name__, _fuse_role(block), ii, block.plan_tag())
-        )
+        members.append((type(block).__name__, _fuse_role(block), block.plan_tag()))
     feeders = tuple(f is not None for f in segment.feeders)
     return (
         segment.kind,

@@ -3,10 +3,10 @@
 :class:`TimedBatchEngine` reproduces the CycleEngine's *entire*
 ``SimulationReport`` — cycle count, per-block busy/stall statistics and
 per-channel token counts — without resuming a generator once per token.
-Blocks that declare a :class:`~repro.blocks.base.TimingDescriptor` and a
-``drain_timed`` hook advance in **windows**: one vectorized schedule
-(`rate1_schedule`) per control-free token segment, with every produced
-token carrying the cycle it was pushed.  The key facts making this exact:
+Blocks with a ``drain_timed`` hook advance in **windows**: one
+vectorized schedule (`rate1_schedule`) per control-free token segment,
+with every produced token carrying the cycle it was pushed.  The key
+facts making this exact:
 
 * with the paper's unbounded queues, a block's busy/stall schedule is a
   deterministic function of its input tokens' *visible cycles* — the
@@ -14,9 +14,10 @@ token carrying the cycle it was pushed.  The key facts making this exact:
   plus 0 or 1 depending on whether the consumer steps after the producer
   in the reference engine's block order — so *when* a block is visited
   changes nothing it computes;
-* every stock primitive services one generator ``yield`` per cycle gated
-  only by token arrivals, so an entire segment's schedule is the max-plus
-  scan ``c[k] = max(c[k-1] + ii, arrival[k])``;
+* every block is a fully pipelined rate-1 machine: one generator
+  ``yield`` per cycle gated only by token arrivals, so an entire
+  segment's schedule is the max-plus scan ``c[k] = max(c[k-1] + 1,
+  arrival[k])``;
 * finite-capacity FIFOs stay exact through the channel's credit log
   (:meth:`~repro.streams.channel.Channel.record_pops`): a batched
   producer's push *g* is additionally gated by the cycle slot ``g -
@@ -121,8 +122,7 @@ class TimedBatchEngine(Engine):
                 ch.stamp_queue(1)
         for i, side, crd, ref, p in plan.handovers:
             block = blocks[i]
-            block.runs[side] = blocks[p].hand_over(
-                channels[crd], channels[ref], block.timing.ii)
+            block.runs[side] = blocks[p].hand_over(channels[crd], channels[ref])
         units = self._compile_segments(blocks, plan, channels)
         producer, consumer = plan.producer, plan.consumer
         outs, ins, capacity = plan.outs, plan.ins, plan.capacity
@@ -203,7 +203,6 @@ class TimedBatchEngine(Engine):
         """Reference cycle count: the latest busy cycle of any block."""
         cycles = 0
         for block in self.blocks:
-            timing = block.timing
-            if timing is not None and block._tclock > 1:
-                cycles = max(cycles, block._tclock - timing.ii)
+            if block.drain_timed is not None and block._tclock > 1:
+                cycles = max(cycles, block._tclock - 1)
         return cycles

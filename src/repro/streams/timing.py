@@ -11,11 +11,12 @@ pushes in its own cycle order).
 
 Five pieces live here:
 
-* :func:`rate1_schedule` — the epoch advance rule.  A block whose
-  descriptor declares initiation interval ``ii`` services one *event*
-  (one generator ``yield True``) every ``ii`` cycles, gated by token
-  arrivals: ``c[k] = max(c[k-1] + ii, arrivals[k])``.  The recurrence is
-  a max-plus scan, computed with one ``np.maximum.accumulate`` instead
+* :func:`rate1_schedule` — the epoch advance rule.  Every block is a
+  rate-1 machine: it services one *event* (one generator ``yield
+  True``) a cycle at most, gated by token arrivals: ``c[k] = max(c[k-1]
+  + 1, arrivals[k])`` (the optional initiation interval ``ii`` spaces
+  events further apart; no block sets it).  The recurrence is a
+  max-plus scan, computed with one ``np.maximum.accumulate`` instead
   of a per-token Python loop — this is what lets a timed block cross an
   entire control-free segment in one step.  It allocates only the
   schedule it returns; its index ramp is the shared read-only
@@ -102,6 +103,10 @@ def compose_rate1(
     stages: List[Tuple[int, int, int]],
 ) -> List[np.ndarray]:
     """Schedules for a linear chain of rate-limited stages in one pass.
+
+    No engine calls it (a compiled chain advances through its members'
+    own ``Block._t_advance``); it is the chain kernel the ``perfbench``
+    stream probes time, held to the loop by ``tests/streams``.
 
     *stages* is a sequence of ``(clock, ii, delta)`` triples, one per
     chain member in flow order: *clock* is the member's local cycle
@@ -478,6 +483,37 @@ def common_front(views: List[Fibers]) -> List[Fibers]:
     if not any(len(v.codes) == k and v.done for v in views):
         tail = min(int(v.lens[k]) if len(v.codes) > k else v.tail for v in views)
     return [v.head(k, tail) for v in views]
+
+
+def integral_fibers(crd: Fibers, entry) -> Optional[int]:
+    """How many leading fibers of a coordinate view hold integers only,
+    or None while that is not known yet.
+
+    A batch stores a mixed run as floats, and a block that passes its
+    tokens on one at a time hands them on as floats: a float view is
+    judged against the stream up to its ``D``.  The fiber of the first
+    fractional coordinate is the error; when one lies past the view (in
+    *entry*, the held entry the view reads), the view's floats are
+    integers stored beside it; when none does and no ``D`` has arrived,
+    the rest of the stream decides; else the first fiber with data is
+    the error (an integral float).  The vector reducer and the mergers
+    read their coordinate streams through it.
+    """
+    if crd.data.dtype.kind == "i" or not len(crd.data):
+        return len(crd.codes)
+    fiber = index_ramp(len(crd.codes)).repeat(crd.lens)
+    batch = entry[0]
+    done = (batch.ctrl_code[batch._c:] == CODE_DONE).nonzero()[0]
+    end = int(batch.ctrl_pos[batch._c + done[0]]) if len(done) else len(batch.data)
+    with np.errstate(invalid="ignore"):  # inf % 1 is NaN: not 0
+        odd = fiber[crd.data % 1 != 0]
+        rest = batch.data[batch._d + len(crd.data):end]
+        later = bool(np.count_nonzero(rest % 1 != 0))
+    if len(odd):
+        return int(odd[0])
+    if later:
+        return len(crd.codes)
+    return int(fiber[0]) if len(done) else None
 
 
 def consume(entry, ndata: int, nctrl: int) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 
 import repro.blocks
 from repro.blocks import Block, StreamFeeder
-from repro.blocks.base import PortSpec, StreamXfer, TimingDescriptor
+from repro.blocks.base import PortSpec, StreamXfer
 from repro.sim import BACKENDS, TimedBatchEngine
 from repro.streams import Channel
 from repro.streams.batch import TokenBatch, UnbatchableTokens, batch_kind
@@ -100,7 +100,7 @@ class Exp(Block):
             if is_done(a):
                 return
 
-    timing = TimingDescriptor(fuse_role="map")
+    fuse_role = "map"
 
     def plan_tag(self):
         return ("exp", getattr(self._fn, "__name__", "fn"))
@@ -121,8 +121,6 @@ class Exp(Block):
 class Relay(Block):
     """Pass-through, one token a cycle.  Its window hook moves one token
     a visit, so its consumer is fed one-token windows."""
-
-    timing = TimingDescriptor()
 
     def __init__(self, in_, out, name):
         super().__init__(name)
@@ -157,8 +155,6 @@ class Slicer(Block):
     slice does — mid-fiber, between a coordinate and its references,
     after the stop — in the order of their cycles.
     """
-
-    timing = TimingDescriptor()
 
     def __init__(self, tokens, plan, out, name):
         super().__init__(name)

@@ -266,8 +266,8 @@ def test_only_paying_segment_shapes_are_partitioned():
 
 def test_no_block_declares_a_co_scheduled_role():
     for _, cls in inspect.getmembers(repro.blocks, inspect.isclass):
-        if issubclass(cls, Block) and cls.timing is not None:
-            assert cls.timing.fuse_role not in ("merge", "repsig", "repeat"), cls
+        if issubclass(cls, Block) and cls.drain_timed is not None:
+            assert cls.fuse_role not in ("merge", "repsig", "repeat"), cls
 
 
 def test_region_sums_has_one_sum_kernel():

@@ -154,6 +154,7 @@ ALLOWLIST = {
     "repro.jit:warmup": PERFBENCH,
     "repro.sim.stats:graph_token_counts": PERFBENCH,
     "repro.streams.batch:sequential_segment_sums": PERFBENCH,
+    "repro.streams.timing:compose_rate1": PERFBENCH,
     "repro.studies.fig12:family_means": CLAIMS,
     "repro.studies.fig15:regions": CLAIMS,
     # the interfaces a new block, engine or level format implements

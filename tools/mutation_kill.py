@@ -68,10 +68,10 @@ MUTATIONS = (
              "gate[at] = arr[1:]"),
     # the fiber runs a scanner hands a merger side or a locator
     Mutation("run ramp starts a pair late", "repro/blocks/scanner.py",
-             "first = offs + (ev.starts + ev.after) * ii + runs.delta",
-             "first = offs + (ev.starts + ev.after + 1) * ii + runs.delta"),
+             "first = offs + ev.starts + ev.after + runs.delta",
+             "first = offs + ev.starts + ev.after + 1 + runs.delta"),
     Mutation("walk without the closing-stop gate", "repro/blocks/merge.py",
-             "w2 = np.where(view.lens > 0, view.stops - e2 * ii, never)",
+             "w2 = np.where(view.lens > 0, view.stops - e2, never)",
              "w2 = np.full(k, never)"),
     Mutation("locator run schedule without the terminator gate",
              "repro/blocks/locate.py",
