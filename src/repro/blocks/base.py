@@ -438,7 +438,7 @@ class Block:
         window = self._treader(channel).take_window()
         if window is not None:
             head, sd, sc, tail = split_done_stamped(*window)
-            merged, di, ci = merge_stamps(head, sd, sc)
+            merged, di, ci = merge_stamps(head.remaining_arrays()[1], sd, sc)
             if len(merged):
                 return TakenWindow(head, merged, di, ci, tail, sd, sc)
         return None

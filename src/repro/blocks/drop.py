@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..streams.batch import CODE_DATA, CODE_DONE, NO_TOKEN, filled
+from ..streams.batch import CODE_DONE, NO_TOKEN, filled
 from ..streams.channel import Channel
 from ..streams.timing import (
     align_chunks,
@@ -33,9 +33,9 @@ from ..streams.timing import (
     front_fibers,
     front_stream,
     index_ramp,
+    insert_sorted,
+    merge_stamps,
     pair_chunks,
-    stream_view,
-    view_token,
 )
 from ..streams.token import (
     DONE,
@@ -142,10 +142,8 @@ class CoordDropper(Block):
                 self._cd_fold = -1
                 progressed = True
             windows = rd_out.held_window(), rd_in.held_window()
-            ov, iv = (stream_view(window) for window in windows)
-            used, taken, again = self._drop_window(ov, iv, outs)
-            consume(windows[0], *ov.span(used))
-            consume(windows[1], *iv.span(taken))
+            ov, iv = (front_stream(window) for window in windows)
+            used, taken, again = self._drop_window(windows, ov, iv, outs)
             progressed |= taken > 0
         outer, s_o = rd_out.peek()
         inner, s_i = rd_in.peek()
@@ -156,9 +154,9 @@ class CoordDropper(Block):
         elif not (is_stop(outer) or is_done(outer)):
             # an owner whose fiber the window left: open, cut short by
             # D, or closed by a stop that does not fold the next token
-            closers = iv.code[taken:][iv.code[taken:] >= 0]
+            closers = iv.codes[taken:][iv.codes[taken:] >= 0]
             if len(closers):
-                self._check_fold(Stop(int(closers[0])), view_token(ov, used + 1))
+                self._check_fold(Stop(int(closers[0])), ov.token(used + 1))
             elif iv.done:
                 raise self._mid_fiber()
         elif inner is NO_TOKEN:
@@ -180,7 +178,7 @@ class CoordDropper(Block):
             out.flush()
         return progressed
 
-    def _drop_window(self, ov, iv, outs):
+    def _drop_window(self, windows, ov, iv, outs):
         """Gather, decide and emit the aligned prefix of the two views.
 
         Events, in order: every inner token — a fiber's closing stop is
@@ -191,38 +189,48 @@ class CoordDropper(Block):
         everything a survivor emits (its coordinate, the boundary held
         back in front of it, its body) carries the decision cycle.  A
         bare outer stop passes through at the cycle of the empty fiber
-        it pairs with.  Returns ``(outer tokens, inner tokens, again)``.
+        it pairs with.  Consumes what it takes of *windows*; returns
+        ``(outer tokens, inner control tokens, again)``.
         """
-        aligned = align_chunks(ov.code, iv.code)
-        owner, fold, ends = aligned.owner, aligned.fold, aligned.ends
-        if len(ends) == 0:
+        ov, iv = ov.before_done(), iv.before_done()
+        owner, fold, closer, kind, used, again, unfolded = align_chunks(ov, iv)
+        if not len(closer):
             return 0, 0, False
-        used, taken = aligned.used, int(ends[-1]) + 1
-        code, value = iv.code[:taken], iv.value[:taken]
-        level, first = code[ends], np.concatenate(([0], ends[:-1] + 1))
-        if aligned.unfolded:
+        k, level, upto = len(closer), iv.codes[closer], iv.ends[closer]
+        ndata, nctrl = int(upto[-1]), int(closer[-1]) + 1  # taken of *iv*
+        at = upto + closer  # inner index of each closer
+        if unfolded:
             self._cd_fold = int(level[-1])
-        chunk = index_ramp(len(ends)).repeat(ends + 1 - first)
         folds = fold >= 0
         shift = folds.cumsum() - folds  # fold events in front of a chunk
-        arrivals = np.empty(taken + int(np.count_nonzero(folds)), dtype=np.int64)
-        arrivals[index_ramp(taken) + shift[chunk]] = iv.stamp[:taken]
-        heads = first + shift
-        arrivals[heads] = np.maximum(arrivals[heads], ov.stamp[owner])
-        fold_at = (ends + shift + 1)[folds]
-        arrivals[fold_at] = ov.stamp[fold[folds]]
+        ostamps, odata, octrl = merge_stamps(ov.ends, ov.sdata, ov.scodes)
+        arrivals = merge_stamps(iv.ends[:nctrl], iv.sdata[:ndata], iv.scodes[:nctrl])[0]
+        if np.count_nonzero(folds):
+            arrivals = insert_sorted(arrivals, at[folds] + 1, ostamps[fold[folds]])
+        heads = shift.copy()
+        heads[1:] += at[:-1] + 1
+        arrivals[heads] = np.maximum(arrivals[heads], ostamps[owner])
         cycles = self._t_advance(arrivals)
-        decided = cycles[ends + shift]
+        decided = cycles[at + shift]
 
-        alive = np.logical_or.reduceat(self._effectual(code == CODE_DATA, value), first)
-        bare = ov.code[owner] >= 0
-        self.dropped += int(np.count_nonzero(~(alive | bare)))
-        keep = filled(used, True, bool)
-        keep[owner] = alive | bare
-        stamp = np.empty(used, dtype=np.int64)
+        start = np.concatenate(([0], upto[:-1]))  # a chunk's data: start to upto
+        alive = upto > start
+        if self.drop_zeros:
+            live = np.concatenate(([0], (iv.data[:ndata] != 0).cumsum()))
+            alive = live[upto] > live[start]
+        survive = alive | (kind >= 0)  # a bare stop passes
+        self.dropped += k - int(np.count_nonzero(survive))
+        stamp = np.empty(used, dtype=np.int64)  # per outer token
         stamp[owner] = decided
-        stamp[fold[folds]] = cycles[fold_at]
-        outs[0].stream(ov.code[:used][keep], ov.value[:used][keep], stamp[keep])
+        stamp[fold[folds]] = cycles[(at + shift + 1)[folds]]
+        keep = filled(used, True, bool)
+        keep[owner] = survive
+        oc = int(octrl.searchsorted(used))
+        odata, octrl = odata[:used - oc], octrl[:oc]
+        _emit(outs[0], ov.data, stamp[odata], keep[odata],
+              ov.ends[:oc], ov.codes[:oc], stamp[octrl], keep[octrl])
+        consume(windows[0], used - oc, oc)
+        consume(windows[1], ndata, nctrl)
 
         # The held boundary is a running max of the closing levels that
         # a survivor resets (_merge_held; -1 is "none", and so is what a
@@ -238,14 +246,21 @@ class CoordDropper(Block):
         emit = alive & (before >= 0)
         if emit[0]:
             outs[1].ctrl(int(before[0]), int(decided[0]))
-        keep = alive[chunk]
-        keep[ends] = False
-        keep[ends[:-1]] = emit[1:]
-        code, stamp = code.copy(), decided[chunk]
-        code[ends[:-1]] = before[1:]
-        stamp[ends[:-1]] = decided[1:]
-        outs[1].stream(code[keep], value[keep], stamp[keep])
-        return used, taken, aligned.again
+        per = closer + 1  # controls a chunk holds
+        per[1:] = closer[1:] - closer[:-1]
+        chunk = index_ramp(k).repeat(per)
+        ckeep = alive[chunk]
+        ckeep[closer] = False
+        ckeep[closer[:-1]] = emit[1:]
+        codes = iv.codes[:nctrl].copy()
+        codes[closer[:-1]] = before[1:]
+        cstamps = decided[chunk]
+        cstamps[closer[:-1]] = decided[1:]
+        sizes = upto - start
+        _emit(outs[1], iv.data, decided.repeat(sizes),
+              None if np.count_nonzero(alive) == k else alive.repeat(sizes),
+              iv.ends[:nctrl], codes, cstamps, ckeep)
+        return used, nctrl, again
 
     # -- protocol checks, shared by both definitions ----------------------
     def _mid_fiber(self) -> BlockError:
@@ -332,6 +347,16 @@ class CoordDropper(Block):
                 self._check_fold(fiber_stop, nxt)
                 self.out_outer_crd.push(nxt)
                 yield True
+
+
+def _emit(out, data, dstamps, dkeep, cpos, codes, cstamps, ckeep) -> None:
+    """Push the kept of a view's first ``len(dstamps)`` data (*dkeep* None:
+    all) and of its controls *codes*, control *i* in front of ``cpos[i]``."""
+    data = data[:len(dstamps)]
+    if dkeep is not None:
+        cpos = np.concatenate(([0], dkeep.cumsum()))[cpos]
+        data, dstamps = data[dkeep], dstamps[dkeep]
+    out.data_with_ctrl(data, cpos[ckeep], codes[ckeep], dstamps, cstamps[ckeep])
 
 
 class ValueDropper(Block):

@@ -22,13 +22,7 @@ import numpy as np
 
 from ..streams.batch import CODE_DATA, CODE_DONE, CODE_EMPTY, NO_TOKEN, filled
 from ..streams.channel import Channel
-from ..streams.timing import (
-    consume,
-    front_stream,
-    index_ramp,
-    merge_stamps,
-    split_done_stamped,
-)
+from ..streams.timing import consume, front_stream, index_ramp
 from ..streams.token import DONE, Stop, is_data, is_done, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer
 
@@ -115,37 +109,24 @@ class Parallelizer(Block):
         replicated to all lanes (the generator pushes the stop/done to
         each lane within the same cycle).
         """
-        if self.finished:
+        taken = None if self.finished else self._t_take_window(self.in_)
+        if taken is None:
             return False
-        reader = self._treader(self.in_)
-        window = reader.take_window()
-        if window is None:
-            return False
-        head, sd, sc, tail = split_done_stamped(*window)
-        data, cpos, ccode = head.remaining_arrays()
+        data, cpos, ccode = taken.head.remaining_arrays()
         if np.count_nonzero(ccode == CODE_EMPTY):
             self._raise_empty()
-        merged, di, ci = merge_stamps(head, sd, sc)
-        if len(merged) == 0:
-            return False
-        c = self._t_advance(merged)
-        cd, cc = c[di], c[ci]
-        L = len(self.outs)
-        ndata = len(data)
+        _, cd, cc = self._t_window_cycles(taken)
+        L, ndata = len(self.outs), len(data)
         stop_pos = cpos[ccode >= 0]
-        d_idx = np.arange(ndata, dtype=np.int64)
+        d_idx = index_ramp(ndata)
         fiber = stop_pos.searchsorted(d_idx, side="right")
         if self.granularity == "fiber":
             lane = (self._lane + fiber) % L
             self._lane = (self._lane + len(stop_pos)) % L
-        else:
-            start = np.where(fiber > 0, stop_pos[fiber - 1] if len(stop_pos)
-                             else 0, 0)
-            lane = (d_idx - start + np.where(fiber == 0, self._lane, 0)) % L
-            if len(stop_pos):
-                self._lane = int(ndata - stop_pos[-1]) % L
-            else:
-                self._lane = (self._lane + ndata) % L
+        else:  # a fiber's data from lane 0 on; the first goes on from _lane
+            start = np.concatenate(([-self._lane], stop_pos))
+            lane = (d_idx - start[fiber]) % L
+            self._lane = int(ndata - start[-1]) % L
         for i, channel in enumerate(self.outs):
             out = self._tbuilder(channel)
             mask = lane == i
@@ -153,7 +134,7 @@ class Parallelizer(Block):
             mask.cumsum(out=sel[1:])
             out.data_with_ctrl(data[mask], sel[cpos], ccode, cd[mask], cc)
             out.flush()
-        self._t_window_done(self.in_, head.ends_done, tail)
+        self._t_window_done(self.in_, taken.head.ends_done, taken.tail)
         return True
 
 
@@ -291,22 +272,24 @@ class InterleaveSerializer(Block):
 
         With ``k_r`` stop-closed fibers held on the lane at rotation
         offset *r*, fibers ``0 .. F-1`` are joinable, ``F = min_r(r +
-        k_r * L)``; whatever has arrived of fiber *F* follows them (it
-        stays open in ``_mid``).  A lane is read up to its ``D`` as
-        control-terminated *runs* (:func:`front_stream`: an ``N`` just
-        closes a run inside its fiber), so only data moves in bulk.
-        Events, per fiber: the ``S0`` held back from the fiber before
-        it, gated by this fiber's first token, then run by run its data
-        and the token closing the run; a stop emits nothing.
+        k_r * L)``: fiber *j* of lane *r* is joined fiber ``r + L * j``;
+        whatever has arrived of fiber *F* follows them (it stays open in
+        ``_mid``).  A lane is read up to its ``D`` as control-terminated
+        *runs* (:func:`front_stream`: an ``N`` just closes a run inside
+        its fiber), so only data moves in bulk.  Events, per fiber: the
+        ``S0`` held back from the fiber before it, gated by this fiber's
+        first token, then run by run its data and the token closing the
+        run; a stop emits nothing.
         """
         L = len(readers)
         windows = [readers[(self._fi + r) % L].held_window() for r in range(L)]
         lanes = [front_stream(window).before_done() for window in windows]
         stops = [(lane.codes >= 0).nonzero()[0] for lane in lanes]
         joinable = min(r + len(at) * L for r, at in enumerate(stops))
-        # One row per run taken.  Fiber F's lane gives all it holds: N
-        # tokens, then the run no token closes yet (closed by CODE_DATA).
-        rows = []
+        # One row per run taken, lane by lane.  Fiber F's lane gives all it
+        # holds: N tokens, then the run no token closes yet (closed by
+        # CODE_DATA).
+        rows, took = [], []
         for r, (lane, at) in enumerate(zip(lanes, stops)):
             count = len(range(r, joinable, L))
             taken = int(at[count - 1]) + 1 if count else 0
@@ -315,40 +298,48 @@ class InterleaveSerializer(Block):
             ends = np.concatenate((lane.ends, [len(lane.data)]))[:taken]
             rows.append((
                 r + L * np.concatenate(([0], (lane.codes >= 0).cumsum()))[:taken],
-                filled(taken, r),
                 ends - np.concatenate(([0], ends))[:taken],
                 np.concatenate((lane.codes, [CODE_DATA]))[:taken],
                 np.concatenate((lane.scodes, [0]))[:taken],
             ))
-            consume(windows[r], int(ends[-1]) if taken else 0,
-                    min(taken, len(lane.codes)))
-        fiber, lane_of, size, code, stamp = map(np.concatenate, zip(*rows))
-        real = ((code != CODE_DATA) | (size > 0)).nonzero()[0]
-        real = real[fiber[real].argsort(kind="stable")]  # joined order
-        if len(real) == 0:
+            took.append(int(ends[-1]) if taken else 0)
+            consume(windows[r], took[-1], min(taken, len(lane.codes)))
+        real = [(code != CODE_DATA) | (size > 0) for _, size, code, _ in rows]
+        fiber, size, code, stamp = (np.concatenate(column)[np.concatenate(real)]
+                                    for column in zip(*rows))
+        if not len(fiber):
             return False
-        fiber, lane_of, size, code, stamp = (
-            column[real] for column in (fiber, lane_of, size, code, stamp)
-        )
-        closed = code != CODE_DATA
-        leads = np.concatenate(([True], fiber[1:] != fiber[:-1]))  # an S0 goes in front
+        # Fiber j of the lane at offset r is joined fiber r + L * j, and a
+        # fiber's rows are adjacent: row i goes behind the rows of the
+        # fibers before its own and those of its own fiber before it.
+        fresh = np.concatenate(([True], fiber[1:] != fiber[:-1]))
+        held, ramp = np.bincount(fiber), index_ramp(len(fiber))
+        place = (held.cumsum() - held)[fiber] + ramp
+        place -= np.maximum.accumulate(np.where(fresh, ramp, 0))
+        order = np.empty(len(place), dtype=np.int64)
+        order[place] = ramp
+        leads = fresh[order]  # an S0 goes in front
         leads[0] = not (self._mid or self._pending is None)
-        span = leads + size + closed
+        span = leads + size[order] + (code[order] != CODE_DATA)
         first = span.cumsum() - span
-        arrivals = np.empty(int(np.add.reduce(span)), dtype=np.int64)
+        begin = first + leads
+        arrivals = np.empty(int(first[-1] + span[-1]), dtype=np.int64)
         kinds = [lane.data.dtype for lane in lanes if len(lane.data)]
-        payload = np.zeros(len(arrivals), dtype=np.result_type(np.int64, *kinds))
-        is_data = filled(len(arrivals), True, bool)
-        for r, lane in enumerate(lanes):
-            mine = lane_of == r
-            n, begin = size[mine], (first + leads)[mine]
-            slot = (begin - (n.cumsum() - n)).repeat(n)
-            slot += index_ramp(len(slot))
-            arrivals[slot] = lane.sdata[:len(slot)]
-            payload[slot] = lane.data[:len(slot)]
-        close_at, lead_at = (first + leads + size)[closed], first[leads]
+        payload = np.empty(len(arrivals), dtype=np.result_type(np.int64, *kinds))
+        # every row's data into its events, lane by lane
+        slot = (begin[place] - (size.cumsum() - size)).repeat(size)
+        slot += index_ramp(len(slot))
+        top = 0
+        for lane, n in zip(lanes, took):
+            arrivals[slot[top:top + n]] = lane.sdata[:n]
+            payload[slot[top:top + n]] = lane.data[:n]
+            top += n
+        fiber, size, code, stamp = fiber[order], size[order], code[order], stamp[order]
+        closed = code != CODE_DATA
+        close_at, lead_at = (begin + size)[closed], first[leads]
         arrivals[close_at] = stamp[closed]
         arrivals[lead_at] = arrivals[lead_at + 1]
+        is_data = filled(len(arrivals), True, bool)
         is_data[close_at] = is_data[lead_at] = False
         cycles = self._t_advance(arrivals)
         # control tokens out, run by run: the S0 if the run leads its
@@ -360,7 +351,7 @@ class InterleaveSerializer(Block):
             _pairs(ahead, ahead + size)[emit],
             _pairs(np.zeros(len(code), dtype=code.dtype), code)[emit],
             cycles[is_data],
-            cycles[_pairs(first, first + leads + size)[emit]],
+            cycles[_pairs(first, begin + size)[emit]],
         )
         self._fi += joinable
         self._mid = bool(fiber[-1] == joinable)

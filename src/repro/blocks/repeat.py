@@ -29,22 +29,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..streams.batch import (
-    CODE_DATA,
-    CODE_DONE,
-    CODE_EMPTY,
-    CODE_REPEAT,
-    NO_TOKEN,
-    TokenBatch,
+    _EMPTY_I64, CODE_DATA, CODE_DONE, CODE_EMPTY, CODE_REPEAT, NO_TOKEN, TokenBatch,
     filled,
 )
 from ..streams.channel import Channel
-from ..streams.timing import (
-    align_chunks,
-    consume,
-    index_ramp,
-    stream_view,
-)
-from ..streams.token import DONE, EMPTY, Stop, is_data, is_done, is_empty, is_stop
+from ..streams.timing import align_chunks, consume, front_stream, merge_stamps
+from ..streams.token import DONE, Stop, is_data, is_done, is_empty, is_stop
 from .base import Block, PortSpec, BlockError, StreamXfer
 
 #: the repeat token emitted by RepeatSigGen for every coordinate
@@ -208,53 +198,62 @@ class Repeater(Block):
         then the R-run that has arrived for the next reference — which
         stays open in ``_rep_ref`` and heads the next window as an owner
         without a stamp.  A chunk's first event is also gated by its
-        owner's arrival and by the stop the chunk before it folded (a
-        fold behind the last event is carried); an R emits its owner, a
-        stop itself.  Returns ``(progressed, align again)``.
+        owner's arrival (the stop the chunk before it folded came no
+        later: stamps never decrease along a stream); an R emits its
+        owner, a stop itself.  The signal is control tokens only, so its
+        codes are its stream order.  Returns ``(progressed, align again)``.
         """
-        rv, sv = stream_view(ref), stream_view(sig)
-        ocode, ostamp, ovalue = rv.code, rv.stamp, rv.value
-        pending = self._rep_ref is not NO_TOKEN
-        if pending:  # an owner in front of the window, with no arrival to wait for
-            blank = is_empty(self._rep_ref)
-            ocode = np.concatenate(([CODE_EMPTY if blank else CODE_DATA], ocode))
-            ostamp = np.concatenate(([0], ostamp))
-            ovalue = np.concatenate(([0 if blank else self._rep_ref], ovalue))
-        scode = sv.code
-        odd = (scode < 0) & (scode != CODE_REPEAT)
-        if np.count_nonzero(odd):  # neither R nor stop: no chunk holds it
-            scode = scode[:int(odd.argmax())]
-        aligned = align_chunks(ocode, scode)
-        own, used = aligned.owner, aligned.used
-        at = np.concatenate(([0], aligned.ends + 1))  # first event of chunk j
+        rv, sv = front_stream(ref).before_done(), front_stream(sig).before_done()
+        odd = (sv.codes < 0) & (sv.codes != CODE_REPEAT)  # no chunk holds it
+        cut = int(odd.argmax()) if np.count_nonzero(odd) else len(sv.codes)
+        if len(sv.data):  # nor a datum
+            cut = min(cut, int(sv.ends.searchsorted(0, "right")))
+        scode = sv.codes[:cut]
+        lead, first = self._rep_ref, int(self._rep_ref is not NO_TOKEN)
+        own, _, ends, kind, used, again, unfolded = align_chunks(rv, sv.head(cut), (
+            CODE_EMPTY if is_empty(lead) else CODE_DATA) if first else None)
+        at = np.concatenate(([0], ends + 1))  # first event of chunk j
         total = int(at[-1])
         self._rep_ref = NO_TOKEN
-        if aligned.unfolded:
+        if unfolded:
             self._rep_fold = int(scode[total - 1])
-        if used < len(ocode) and ocode[used] < 0:
-            # the next reference: its R-run as far as it has arrived
+        # the next reference: its R-run as far as it has arrived
+        nxt = lead if used < first else rv.token(used - first)
+        if nxt is not NO_TOKEN and not is_stop(nxt):
             closer = scode[total:] >= 0
             total += int(closer.argmax()) if np.count_nonzero(closer) else len(closer)
             own = np.concatenate((own, [used]))
-            self._rep_ref = ovalue[used].item() if ocode[used] == CODE_DATA else EMPTY
+            kind = np.concatenate((kind, [CODE_EMPTY if is_empty(nxt) else CODE_DATA]))
+            self._rep_ref = nxt
             used += 1
+        # outer token i is token i - first of the view
+        stamps, _, ci = merge_stamps(rv.ends, rv.sdata, rv.scodes)
+        stamps = np.concatenate(([0], stamps)) if first else stamps
         gate = np.zeros(len(at), dtype=np.int64)
-        gate[:len(own)] = ostamp[own]
-        folds = aligned.fold >= 0
-        np.maximum(gate[1:], np.where(folds, ostamp[aligned.fold], 0), out=gate[1:])
+        gate[:len(own)] = stamps[own]
         # one slot past the last event catches what has no event to gate
-        arrivals = np.concatenate((sv.stamp[:total], [0]))
+        arrivals = np.concatenate((sv.scodes[:total], [0]))
         arrivals[at] = np.maximum(arrivals[at], gate)
         cycles = self._t_advance(arrivals[:-1])
         self._t_defer(int(arrivals[-1]))
-        if total:
-            chunk = index_ramp(len(at)).repeat(np.concatenate((at[1:], [total])) - at)
-            code = scode[:total]
-            code = np.where(code == CODE_REPEAT, ocode[own][chunk], code)
-            out.stream(code, ovalue[own][chunk], cycles)
-        consume(sig, *sv.span(total))
-        consume(ref, *rv.span(used - pending))
-        return total + used - pending > 0, aligned.again
+        if total:  # an R emits its owner, as N where that is one; a stop itself
+            values = np.concatenate(([lead if first and not is_empty(lead) else 0],
+                                     rv.data if len(rv.data) else _EMPTY_I64))
+            slot = own - first  # 1 + the owner's index in rv.data; 0 the lead's
+            slot += 1 - ci.searchsorted(slot)
+            slot[kind != CODE_DATA] = 0
+            runs = (np.concatenate((at[1:], [total])) - at)[:len(own)]
+            runs[:len(ends)] -= 1  # the R tokens of a chunk
+            blank = kind == CODE_EMPTY
+            is_r = filled(total, True, bool)
+            is_r[ends] = False
+            out.data_with_ctrl(values[slot].repeat(runs), runs.cumsum()[:len(ends)],
+                               scode[ends], cycles[is_r], cycles[ends],
+                               blank.repeat(runs) if np.count_nonzero(blank) else None)
+        taken = used - first
+        consume(sig, 0, total)
+        consume(ref, taken - int(ci.searchsorted(taken)), int(ci.searchsorted(taken)))
+        return total + taken > 0, again
 
     # -- protocol checks, shared by both definitions ----------------------
     def _mid_fiber(self, signal) -> BlockError:

@@ -2,8 +2,8 @@
 
 A fused segment is identified by its *structure*
 (:func:`repro.sim.backends.plan.segment_plan_key`): block classes, fuse roles,
-initiation intervals, transform tags and structural link deltas — nothing
-run-specific — so two bindings of the same expression shape share one
+transform tags and structural link deltas — nothing run-specific — so
+two bindings of the same expression shape share one
 key.  The cache remembers each key's display digest and counts lookups;
 repeated runs in a sweep hit it, and the counters surface in
 ``report.plans`` and ``repro graph --dump-plan``.

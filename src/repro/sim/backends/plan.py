@@ -458,14 +458,13 @@ def segment_plan_key(blocks, segment: "FusedSegment", deltas=None) -> Tuple:
     """Structural plan-cache key of one fused segment.
 
     Keys capture everything the compiled backend's composed schedule
-    depends on — member classes, fuse roles, initiation intervals,
-    transform tags, link visibility deltas,
-    and feeder placement — and nothing run-specific (no clocks, no
-    data), so repeated bindings of the same expression shape map to the
-    same :data:`repro.jit.PLAN_CACHE` entry.  Link deltas are derived
-    structurally (0 when the consumer runs later in the block list, 1
-    otherwise — the rule the engine applies at init time), so keys
-    computed without timed state match the engine's.  *deltas* are the
+    depends on — member classes, fuse roles, transform tags, link
+    visibility deltas and feeder placement — and nothing run-specific
+    (no clocks, no data), so repeated bindings of the same expression
+    shape map to the same :data:`repro.jit.PLAN_CACHE` entry.  Link
+    deltas are derived structurally (0 when the consumer runs later in
+    the block list, 1 otherwise — the rule the engine applies at init
+    time), so keys computed without timed state match the engine's.  *deltas* are the
     links' deltas when the caller has them (:func:`plan_blocks` does).
     """
     if deltas is None:

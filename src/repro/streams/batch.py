@@ -35,7 +35,7 @@ CODE_DONE = -1
 CODE_EMPTY = -2
 CODE_REPEAT = -3
 #: not a control code: marks a data token where a stream is laid out in
-#: token order (:func:`repro.streams.timing.stream_view`)
+#: token order (:func:`repro.streams.timing.align_chunks`)
 CODE_DATA = -4
 
 #: the repeater's ``R`` signal (imported here to avoid a blocks dependency)

@@ -37,15 +37,10 @@ Five pieces live here:
   same level pair through :func:`pair_chunks` — the vector reducer, the
   value dropper, the ALU, the scatter writer and the locator, cut to what
   both have arrived of by :func:`common_front`, ``N`` read as a datum by
-  :func:`blank_fibers` where it pairs with one; :func:`window_capacity`
-  is the int64 rule the mergers and the reducer sort composite keys
-  under.
-* :func:`stream_view` / :func:`align_chunks` /
-  :meth:`TimedBuilder.stream` — a window as stream-order arrays, for
-  the blocks whose events follow the token order of two streams one
-  level apart: the repeater and the coordinate dropper share one
-  alignment of an outer stream with the chunks of the stream one level
-  deeper.
+  :func:`blank_fibers` where it pairs with one; streams one level apart
+  (the repeater's, the coordinate dropper's) pair through
+  :func:`align_chunks`; :func:`window_capacity` is the int64 rule the
+  mergers and the reducer sort composite keys under.
 """
 
 from __future__ import annotations
@@ -156,23 +151,21 @@ def token_order_indices(cpos: np.ndarray, ndata: int) -> Tuple[np.ndarray, np.nd
 
     Control token *i* arrives after ``cpos[i]`` data tokens (consecutive
     controls keep their array order), so its stream index is
-    ``cpos[i] + i``; data token *k* is shifted right by the controls
-    before it — a bincount prefix sum over ``cpos``.  Returns
-    ``(data_indices, ctrl_indices)``.
+    ``cpos[i] + i``; the data tokens fill the other slots, in order.
+    Returns ``(data_indices, ctrl_indices)``.
     """
-    cpos = np.asarray(cpos, dtype=np.int64)
-    ci = cpos + index_ramp(len(cpos))
-    before = np.bincount(cpos, minlength=ndata + 1)[:ndata].cumsum()
-    di = before + index_ramp(ndata)
-    return di, ci
+    ci = np.asarray(cpos, dtype=np.int64) + index_ramp(len(cpos))
+    is_data = filled(ndata + len(ci), True, bool)
+    is_data[ci] = False
+    return is_data.nonzero()[0], ci
 
 
 def merge_stamps(
-    batch: TokenBatch, sdata: np.ndarray, sctrl: np.ndarray
+    cpos: np.ndarray, sdata: np.ndarray, sctrl: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Token-order stamp array plus the (data, ctrl) stream indices."""
-    data, cpos, _ = batch.remaining_arrays()
-    di, ci = token_order_indices(cpos, len(data))
+    """Token-order stamp array plus the (data, ctrl) stream indices of a
+    run whose control *i* stands in front of datum ``cpos[i]``."""
+    di, ci = token_order_indices(cpos, len(sdata))
     merged = np.empty(len(di) + len(ci), dtype=np.int64)
     merged[di] = sdata
     merged[ci] = sctrl
@@ -391,6 +384,15 @@ class Fibers(NamedTuple):
         return Fibers(self.data, self.ends[:-1], self.lens[:-1], self.codes[:-1],
                       self.sdata, self.scodes[:-1], self.blank)
 
+    def token(self, i: int):
+        """Token *i* in stream order, as a generator pops it (``NO_TOKEN``
+        past the view's end): control *f* is token ``ends[f] + f``."""
+        at = self.ends + index_ramp(len(self.ends))
+        f = int(at.searchsorted(i))
+        if f < len(at) and at[f] == i:
+            return decode_code(int(self.codes[f]))
+        return self.data[i - f].item() if i - f < len(self.data) else NO_TOKEN
+
     def tokens(self, f: int) -> list:
         """Fiber *f* as scalar tokens, its terminator last (a blank is
         ``N`` again): what a generator pops, for replaying its checks."""
@@ -523,94 +525,64 @@ def consume(entry, ndata: int, nctrl: int) -> None:
         entry[0]._c += nctrl
 
 
-class StreamView(NamedTuple):
-    """A held entry's tokens before its first ``D``, in stream order."""
-
-    code: np.ndarray  # CODE_DATA, or the token's control code
-    stamp: np.ndarray
-    value: np.ndarray  # the data tokens' payload, 0 under control tokens
-    done: bool  # a ``D`` follows the viewed tokens
-
-    def span(self, count: int) -> Tuple[int, int]:
-        """``(data, control)`` tokens among the first *count* viewed."""
-        ndata = int(np.count_nonzero(self.code[:count] == CODE_DATA))
-        return ndata, count - ndata
-
-
-def stream_view(entry) -> StreamView:
-    """Stream-order arrays over a held entry (or None) up to its first
-    ``D``, cursors intact."""
-    fibers = front_stream(entry)
-    done = fibers.done
-    data, ends, _, codes, sdata, scodes, _ = fibers.before_done()
-    di, ci = token_order_indices(ends, len(data))
-    code = filled(len(data) + len(codes), CODE_DATA)
-    code[ci] = codes
-    stamp = np.empty(len(code), dtype=np.int64)
-    stamp[di] = sdata
-    stamp[ci] = scodes
-    # a control-only window says nothing about the payload type: int64
-    # promotes to whatever it is joined with
-    value = np.zeros(len(code), dtype=data.dtype if len(data) else np.int64)
-    value[di] = data
-    return StreamView(code, stamp, value, done)
-
-
-def view_token(view: StreamView, i: int):
-    """Scalar token *i* of a view (its ``D`` when *i* is one past the end)."""
-    if i == len(view.code):
-        return decode_code(CODE_DONE) if view.done else NO_TOKEN
-    code = int(view.code[i])
-    return view.value[i].item() if code == CODE_DATA else decode_code(code)
-
-
 class Alignment(NamedTuple):
     """Leading chunks of an inner stream paired with their outer tokens."""
 
     owner: np.ndarray  # per chunk, outer index of the token that owns it
     fold: np.ndarray  # ... of the outer stop its closer folds, else -1
-    ends: np.ndarray  # ... inner index of its closer
+    closer: np.ndarray  # ... its closing stop: control index in *inner*
+    kind: np.ndarray  # ... its owner's code: CODE_DATA for a datum
     used: int  # outer tokens the chunks consume
     again: bool  # the prefix ended where alignment restarts, not at a fault
     unfolded: bool  # the last chunk folds the token after *outer*
 
 
-def align_chunks(outer: np.ndarray, inner: np.ndarray) -> Alignment:
+def align_chunks(outer: Fibers, inner: Fibers, lead: Optional[int] = None) -> Alignment:
     """Pair an outer stream with the stop-closed chunks one level deeper.
 
-    *outer* and *inner* are stream-order code arrays (:func:`stream_view`)
-    of a stream at depth *d* and one at *d* + 1.  The repeater (references
-    against repeat-signal runs) and the coordinate dropper (outer
-    coordinates against inner fibers) walk them by one rule: an outer
-    datum owns the next chunk; a chunk closing with ``Sn``, n >= 1, folds
-    the outer stream's next token, which must be ``S(n-1)``; a bare outer
+    *outer* and *inner* are views (:func:`front_stream`, without a ``D``)
+    of a stream at depth *d* and one at *d* + 1; indices count tokens in
+    stream order (control *i* of a view is token ``ends[i] + i``), with
+    *lead*, when given, the code of one more owner in front of *outer*
+    (the repeater's open reference).  The repeater (references against
+    repeat-signal runs) and the coordinate dropper (outer coordinates
+    against inner fibers) walk them by one rule: an outer datum or ``N``
+    owns the next chunk; a chunk closing with ``Sn``, n >= 1, folds the
+    outer stream's next token, which must be ``S(n-1)``; a bare outer
     ``Sn`` — one that no datum's chunk folds — owns an *empty* chunk
     closing ``S(n+1)``.  Returns the longest prefix of complete chunks for
     which that holds *and every token it needs has arrived*; the caller
     tells a fault from a wait by looking at what is in front afterwards.
     The one token a chunk may lack is the fold of the last one, which the
     generators pop after that chunk's events: ``unfolded`` says the caller
-    takes and checks it — the next outer token — itself.
+    takes and checks it — the next outer token — itself.  A closer's inner
+    index is ``inner.ends[closer] + closer``.
 
     A stop is taken to be folded iff it follows a datum.  The one place
     that guess is wrong — a datum whose chunk closes ``S0`` in front of a
     stop, which is then bare — ends the prefix behind that chunk with
     ``again`` set: the next call starts at the stop and sees it bare.
     """
-    ends = (inner >= 0).nonzero()[0]
-    n = len(outer)
-    # one sentinel datum: "no token yet" reads as neither stop nor fold
-    outer = np.concatenate((outer, [CODE_DATA]))
-    stop = outer >= 0
+    closers = (inner.codes >= 0).nonzero()[0]
+    ends = inner.ends[closers] + closers  # inner indices
+    first = int(lead is not None)
+    n = len(outer.data) + len(outer.codes) + first
+    # the outer codes in stream order, and one sentinel datum: "no token
+    # yet" reads as neither stop nor fold
+    code = filled(n + 1, CODE_DATA)
+    code[outer.ends + index_ramp(len(outer.codes)) + first] = outer.codes
+    if first:
+        code[0] = lead
+    stop = code >= 0
     folded = stop.copy()
     folded[1:] &= ~stop[:-1]
     folded[0] = False
     owner = (~folded[:-1]).nonzero()[0][:len(ends)]
     k = len(owner)
     ends = ends[:k]
-    level, after = inner[ends], owner + 1
+    level, after = inner.codes[closers[:k]], owner + 1
     bare, folds = stop[owner], folded[after]
-    want = np.where(bare | folds, outer[np.where(bare, owner, after)] + 1, 0)
+    want = np.where(bare | folds, code[np.where(bare, owner, after)] + 1, 0)
     # a datum's S0 in front of a stop: that stop is bare after all
     restart = folds & (level == 0)
     unfolded = (after == n) & (level > 0) & ~bare
@@ -624,7 +596,7 @@ def align_chunks(outer: np.ndarray, inner: np.ndarray) -> Alignment:
         k = int(restart.argmax()) + 1
     fold = np.where(folds & ~restart, after, -1)[:k]
     used = int(max(owner[k - 1], fold[k - 1])) + 1 if k else 0
-    return Alignment(owner[:k], fold, ends[:k], used, again,
+    return Alignment(owner[:k], fold, closers[:k], code[owner[:k]], used, again,
                      bool(k and unfolded[k - 1]))
 
 
@@ -742,15 +714,6 @@ class TimedBuilder:
             self._sctrl.append(np.asarray(cstamps, dtype=np.int64))
         self.data(arr, dstamps)
 
-    def stream(self, code: np.ndarray, value: np.ndarray, stamps: np.ndarray) -> None:
-        """Append a stream-order run: the inverse of :func:`stream_view`."""
-        is_data = code == CODE_DATA
-        ctrl = (~is_data).nonzero()[0]
-        self.data_with_ctrl(
-            value[is_data], ctrl - index_ramp(len(ctrl)), code[ctrl],
-            stamps[is_data], stamps[ctrl],
-        )
-
     @property
     def pending(self) -> int:
         return self._n + sum(len(c) for c in self._ccode)
@@ -778,7 +741,6 @@ __all__ = [
     "Fibers",
     "I64_MAX",
     "Pairing",
-    "StreamView",
     "TimedBuilder",
     "TimedReader",
     "align_chunks",
@@ -794,8 +756,6 @@ __all__ = [
     "pair_chunks",
     "rate1_schedule",
     "split_done_stamped",
-    "stream_view",
     "token_order_indices",
-    "view_token",
     "window_capacity",
 ]

@@ -2,7 +2,10 @@
 
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.blocks import (
     BlockError,
@@ -11,10 +14,12 @@ from repro.blocks import (
     StreamFeeder,
     VectorReducer,
 )
+from repro.blocks import reduce as reduce_module
 from repro.sim import run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
-from blockkit import ENGINES, TIMED
+from blockkit import ENGINES, TIMED, canon
+from numpy_counters import numpy_calls
 
 
 def scalar_reduce(tokens, empty_policy="zero", *, backend):
@@ -246,3 +251,132 @@ class TestMatrixReducer:
         assert list(oo.history) == [0, 2, Stop(0), DONE]
         assert list(oi.history) == [1, 2, Stop(0), 1, Stop(1), DONE]
         assert list(ov.history) == [3.0, 3.0, Stop(0), 5.0, Stop(1), DONE]
+
+
+# -- the vector reducer's two window paths: one sum either way ------------------
+#: values whose sums depend on the order they are added in, and the ones
+#: whose sums are special: -0.0, NaN, the infinities, the subnormal
+VALUES = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e16, -1e16, 0.1, 0.2, 0.3,
+                   1.0, 5e-324, 1e308, -1e308])
+#: where a window's coordinates lie: (smallest, span); the last two span
+#: more than any workspace holds, near 2**62 — the argsort sorts regions
+#: in pieces of three, then one a piece
+LAYOUTS = [(0, 1), (-5, 4), (7, 16), (0, 300), (2**62 - 50, 40), (0, 5000),
+           (3, 10**6), (0, 2**61 + 1), (-(2**62), 2**63)]
+
+
+@st.composite
+def reducer_windows(draw):
+    """``(crds, vals, sizes)``: 1-40 regions of 0-7 pairs, some empty, few
+    distinct coordinates (so repeated ones) over one of :data:`LAYOUTS`."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    regions = draw(st.integers(1, 40))
+    lo, span = draw(st.sampled_from(LAYOUTS))
+    sizes = rng.integers(0, 8, regions) * (rng.random(regions) < 0.8)
+    pool = np.unique(np.concatenate((
+        [lo, lo + span - 1], lo + rng.integers(0, span, rng.integers(1, 9), np.uint64)
+        .astype(object))).astype(np.int64))
+    crds = rng.choice(pool, int(sizes.sum()))
+    vals = VALUES[rng.integers(0, len(VALUES), len(crds))]
+    return crds, vals, sizes.astype(np.int64)
+
+
+def reference_dedup(crds, vals, sizes):
+    """The generator's rule, region by region: ``table[crd] =
+    table.get(crd, 0.0) + val``, flushed in coordinate order."""
+    uniq, sums, counts, top = [], [], [], 0
+    for size in sizes.tolist():
+        table = {}
+        pairs = zip(crds[top:top + size].tolist(), vals[top:top + size].tolist())
+        for crd, val in pairs:
+            table[crd] = table.get(crd, 0.0) + val
+        top += size
+        uniq += sorted(table)
+        sums += [table[crd] for crd in sorted(table)]
+        counts.append(len(table))
+    return uniq, np.array(sums, dtype=np.float64).tobytes(), counts
+
+
+def dedup(crds, vals, sizes, per_pair, floor):
+    """``_dedup_regions`` under a workspace bound of ``per_pair * pairs +
+    floor`` slots, and how many pieces it sorted."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduce_module, "WORKSPACE_PER_PAIR", per_pair)
+        patch.setattr(reduce_module, "WORKSPACE_FLOOR", floor)
+        with warnings.catch_warnings(), numpy_calls("argsort") as sorted_by:
+            warnings.simplefilter("error")  # inf - inf is a result, not a warning
+            uniq, sums, counts = reduce_module._dedup_regions(crds, vals, sizes)
+    assert uniq.dtype == np.int64 and sums.dtype == np.float64
+    return (uniq.tolist(), sums.tobytes(), counts.tolist()), len(sorted_by)
+
+
+class TestDedupPaths:
+    """The dense workspace and the stable argsort return the generator's
+    ``(uniq, sums, counts)`` bit for bit, sign bit included; the bound
+    picks the workspace while ``regions * span`` is within it."""
+
+    @given(window=reducer_windows())
+    @example(window=(np.array([1, 1, 1, 1]), np.array([1e16, 1.0, -1e16, 1.0]),
+                     np.array([4])))
+    @example(window=(np.array([2**62, -(2**62), 2**62, 0]),
+                     np.array([np.inf, -0.0, -np.inf, 0.0]), np.array([1, 0, 3, 0])))
+    def test_both_paths_match_the_generator(self, window):
+        crds, vals, sizes = window
+        want = reference_dedup(crds, vals, sizes)
+        slots = len(sizes) * (int(crds.max()) - int(crds.min()) + 1) if len(crds) else 0
+        per_pair = reduce_module.WORKSPACE_PER_PAIR
+        floor = reduce_module.WORKSPACE_FLOOR
+        got, pieces = dedup(crds, vals, sizes, per_pair, floor)
+        assert got == want
+        assert (pieces == 0) == (slots <= per_pair * len(crds) + floor or not len(crds))
+        assert dedup(crds, vals, sizes, 0, -1)[0] == want  # the argsort
+        if slots <= 10**6:
+            assert dedup(crds, vals, sizes, 0, slots) == (want, 0)  # the workspace
+
+    def test_far_coordinates_sort_in_pieces(self):
+        # span 2**61 + 1: three regions a key, ten regions in four pieces
+        crds = np.array([2**61, 0, 2**61, 5, 0] * 10)
+        vals = VALUES[np.arange(50) % len(VALUES)]
+        sizes = np.full(10, 5)
+        want = reference_dedup(crds, vals, sizes)
+        assert dedup(crds, vals, sizes, 8, 4096) == (want, 4)
+
+
+@st.composite
+def region_streams(draw):
+    """A reducer window as streams: every region a fiber or two behind
+    ``S0``, closed by ``S1``, then ``D``."""
+    crds, vals, sizes = draw(reducer_windows())
+    cut = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    streams = ([], [])
+    top = 0
+    for size, split in zip(sizes.tolist(), cut):
+        pairs = list(zip(crds[top:top + size].tolist(), vals[top:top + size].tolist()))
+        top += size
+        half = size // 2 if split else size
+        for part, close in ((pairs[:half], Stop(0)), (pairs[half:], Stop(1))):
+            if part or close == Stop(1) or split:
+                streams[0].extend([c for c, _ in part] + [close])
+                streams[1].extend([v for _, v in part] + [close])
+    return streams[0] + [DONE], streams[1] + [DONE]
+
+
+def reduced(crd_tokens, val_tokens, backend):
+    crd, val = Channel("c"), Channel("v", kind="vals")
+    oc = Channel("oc", record=True)
+    ov = Channel("ov", kind="vals", record=True)
+    report = run_blocks([
+        StreamFeeder(crd_tokens, crd, name="fc"),
+        StreamFeeder(val_tokens, val, name="fv"),
+        VectorReducer(crd, val, oc, ov),
+    ], backend=backend)
+    return (report.cycles, report.block_activity(),
+            [[canon(t) for t in ch.history] for ch in (oc, ov)])
+
+
+@pytest.mark.parametrize("backend", TIMED)
+@given(streams=region_streams())
+def test_vector_reducer_windows_match_cycle(backend, streams):
+    """Both window paths, under the engines that run them, against the
+    generator ``cycle`` steps: the full report, every value's bits."""
+    assert reduced(*streams, backend) == reduced(*streams, "cycle")

@@ -61,7 +61,7 @@ from repro.formats import CompressedLevel, DenseLevel
 from repro.sim import graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 from repro.streams.timing import window_capacity
-from repro.streams.token import is_data, is_stop
+from repro.streams.token import is_data, is_done, is_stop
 
 from blockkit import (
     ENGINES, TIMED, Exp, Relay, Slicer, assert_windows_sliced, canon, fed, window_log,
@@ -1131,6 +1131,19 @@ REGRESSIONS = [
     # a float coordinate behind misaligned stops: the fibers in front of
     # it are integers a float batch stores, so the stops raise first
     ("intersect", {"malformed": True}, {"crd0": "0 S0 1 S1 D", "crd1": "0 S1 1.5 S0 D"}),
+    # a fold at a window's end (every boundary cuts in front of the
+    # reference S0 the last fiber's S1 folds), a bare reference stop
+    # between two folds, an N reference's run
+    ("repeat", {}, {"crd": "4 5 S0 6 S1 D", "ref": "7 8 S0 D"}),
+    ("repeat", {}, {"crd": "4 S1 S1 5 6 S2 D", "ref": "7 S0 S0 8 S1 D"}),
+    ("repeat", {}, {"crd": "4 5 S0 6 S1 D", "ref": "N 7 S0 D"}),
+    # the same three for the dropper: a fold at a window's end, a bare
+    # outer stop between two folds, an N owner whose fiber survives
+    # where the coordinate's is dropped
+    ("drop", {"drop_zeros": False}, {"outer": "5 6 S0 D", "inner": "1.0 S0 2.0 S1 D"}),
+    ("drop", {"drop_zeros": False},
+     {"outer": "5 S0 S0 6 S1 D", "inner": "1.0 S1 S1 2.0 S2 D"}),
+    ("drop", {"drop_zeros": True}, {"outer": "N 5 S0 D", "inner": "1.0 S0 0.0 S1 D"}),
 ]
 
 
@@ -1308,6 +1321,85 @@ def test_repeater_runs_unfused():
     report = run_blocks(build(BY_NAME["repeat"], params, streams, WHOLE)[0],
                         backend="compiled")
     assert report.fusion["kinds"] == {} and report.fusion["fallbacks"] == 0
+
+
+class Clocked(Block):
+    """Sink that logs every token it takes with the cycle of its event:
+    a stamp that moves no report total still shows in the log."""
+
+    def __init__(self, in_, name):
+        super().__init__(name)
+        self.in_ = self._in("in_", in_)
+        self.log = []
+
+    def _run(self):
+        while True:
+            token = yield from self._get(self.in_)
+            # the cycles gone by, and this one: cycles count from 1
+            self.log.append((canon(token), self.busy_cycles + self.stall_cycles + 1))
+            yield True
+            if is_done(token):
+                return
+
+    def drain_timed(self):
+        reader = self._treader(self.in_)
+        if self.finished or not len(reader):
+            return False
+        while len(reader) and not self.finished:
+            token, stamp = reader.pop()
+            self.log.append((canon(token), self._t_event(stamp)))
+            self.finished = is_done(token)
+        return True
+
+
+#: (row, outer port, the other input): an intersecter's output is the
+#: outer stream; its S0 leaves after it has walked side 0's tail, long
+#: after the 7 it matched, and in the same window
+LATE_FOLDS = [
+    ("drop", "outer", {"inner": "1.0 S1 D"}),
+    ("repeat", "ref", {"crd": "0 1 S1 D"}),
+]
+
+
+@pytest.mark.parametrize("row, port, other", LATE_FOLDS, ids=[r[0] for r in LATE_FOLDS])
+def test_a_late_folded_stop_gates_its_fold(row, port, other):
+    """The outer stop a fiber's closer folds arrives later than the
+    closer's cycle, in the closer's window: the dropper's fold event, which
+    passes that stop on, waits for it.  No report total shows that cycle
+    (every later event waits for a later outer token anyway), so sinks
+    log each output token's cycle, on every engine."""
+    case = BY_NAME[row]
+    params = {"drop_zeros": False} if row == "drop" else {}
+
+    def go(backend):
+        blocks, ins = [], {}
+        for name, text in other.items():
+            ins[name] = Channel(name, kind=kind_of(name))
+            blocks += fed(toks(text), ins[name], f"feed_{name}")
+        sides = []
+        for s, text in enumerate(("7 8 9 10 11 12 S0 D", "7 S0 D")):
+            crd, ref = Channel(f"c{s}"), Channel(f"r{s}", kind="ref")
+            blocks += fed(toks(text), crd, f"feed_c{s}")
+            blocks += fed([10 + i for i in range(len(text.split()) - 2)]
+                          + [Stop(0), DONE], ref, f"feed_r{s}")
+            sides.append(MergeSide(crd, [ref]))
+        crd, refs = Channel("mc"), [Channel("mr0", kind="ref"), Channel("mr1")]
+        blocks.append(Intersect(sides, crd, [[refs[0]], [refs[1]]], name="merge"))
+        ins[port] = crd if row == "drop" else refs[0]
+        sinks = []
+
+        def out(name, kind):
+            channel = Channel(name, kind=kind)
+            sinks.append(Clocked(channel, f"log_{name}"))
+            return channel
+
+        blocks += case.make(params, ins, out) + sinks
+        report = run_blocks(blocks, backend=backend)
+        return report.cycles, report.block_activity(), [sink.log for sink in sinks]
+
+    want = go(ORACLE)
+    for backend in TIMED:
+        assert go(backend) == want, backend
 
 
 #: a row, its parameters, one fiber of four pairs and the output it emits on
@@ -1515,13 +1607,16 @@ class TestKeyCapacity:
     @pytest.mark.parametrize("regions, pieces", [
         # negative coordinates: one piece, keys offset by the smallest
         ([[-5, -9, -5, -1], [-(2**40), -3, -(2**40)], [-7], []], 1),
-        # near I64_MAX with a span of 6: one piece, only thanks to the offset
-        ([[2**63 - 10, 2**63 - 15, 2**63 - 10]] * 10, 1),
+        # near I64_MAX with a span past the workspace bound: one piece,
+        # only thanks to the offset
+        ([[2**63 - 10, 2**63 - 10 - 10**5, 2**63 - 10]] * 10, 1),
+        # near I64_MAX with a span of 6: the workspace, no sort
+        ([[2**63 - 10, 2**63 - 15, 2**63 - 10]] * 10, 0),
         # span 2**61 + 1 fits three regions a key: ten regions, four pieces
         ([[2**61, 0, 2**61, 5, 0]] * 10, 4),
         # span past I64_MAX: every region sorts alone
         ([[-(2**62), 2**62, -(2**62)], [2**62, 1, 2**62], [-(2**62)]], 3),
-    ], ids=["negative", "offset", "split", "alone"])
+    ], ids=["negative", "offset", "workspace", "split", "alone"])
     def test_reducer_splits_by_region(self, regions, pieces):
         crd, val = [], []
         for r, crds in enumerate(regions):

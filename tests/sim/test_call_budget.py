@@ -57,10 +57,10 @@ from blockkit import TIMED
 #: After the warm-up pass every compile is a hit of ``compile_expression``'s
 #: memo: normalising the arguments is all the compile phase does.
 BUDGETS = {
-    "timed-batch": {"compile": 60, "prepare": 948, "bind": 4530, "run": 18881,
-                    "numpy window": 93, "numpy formats": 0, "numpy other": 31},
-    "compiled": {"compile": 60, "prepare": 948, "bind": 4530, "run": 17063,
-                 "numpy window": 93, "numpy formats": 0, "numpy other": 31},
+    "timed-batch": {"compile": 60, "prepare": 948, "bind": 4530, "run": 18700,
+                    "numpy window": 91, "numpy formats": 0, "numpy other": 31},
+    "compiled": {"compile": 60, "prepare": 948, "bind": 4530, "run": 16882,
+                 "numpy window": 91, "numpy formats": 0, "numpy other": 31},
 }
 #: ``PortSpec.matches`` calls in a process's first pass
 MATCHES_BUDGET = 51

@@ -243,7 +243,9 @@ def test_gamma_op_schedules_per_visit(monkeypatch):
 @pytest.mark.parametrize("backend", ["compiled", "timed-batch"])
 def test_gamma_sorts_and_merges_without_union_sized_lookups(backend, monkeypatch):
     """One ``gamma_spmm`` op on perfbench's 60² check operands: the vector
-    reducer orders a window with one argsort, not ``np.lexsort``; the
+    reducer sums a window whose regions fit the workspace bound in its
+    dense workspace, and sorts any other with one argsort, never
+    ``np.lexsort``; the
     k-intersect sorts nothing and never lays out C's k level — it walks
     the C scanner's fiber runs (it used to argsort both sides' keys
     together, then to search the shorter side in a key array as long as

@@ -116,7 +116,6 @@ ALLOWLIST = {
     "repro.blocks.writer:_BadValue.__init__": ERROR,
     "repro.blocks.writer:_fits_int64": ERROR,
     "repro.streams.timing:Fibers.tokens": ERROR,
-    "repro.streams.timing:view_token": ERROR,
     "repro.streams.token:is_control": ERROR,
     "repro.streams.token:show_value": ERROR,
     "repro.streams.token:token_repr": ERROR,

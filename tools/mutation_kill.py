@@ -77,12 +77,18 @@ MUTATIONS = (
              "repro/blocks/locate.py",
              "val[1::2] = view.stops",
              "val[1::2] = 0"),
-    Mutation("reducer key without its offset", "repro/blocks/reduce.py",
+    # the reducer sorts what its workspace does not hold
+    Mutation("reducer argsort key without its offset", "repro/blocks/reduce.py",
              "key = (region[a:b] - first) * span + (key - lo)",
              "key = (region[a:b] - first) * span + key"),
-    Mutation("reducer without the window_capacity split", "repro/blocks/reduce.py",
+    Mutation("reducer argsort without the window_capacity split",
+             "repro/blocks/reduce.py",
              "per = max(window_capacity(span), 1)",
              "per = len(sizes)"),
+    Mutation("reducer workspace reads its sums, not its touched slots",
+             "repro/blocks/reduce.py",
+             "hit = touched.nonzero()[0]",
+             "hit = sums.nonzero()[0]"),
     # -- the value dropper
     Mutation("value dropper without open pairs", "repro/blocks/drop.py",
              "crd, val = common_front([front_stream(w) for w in windows])",
@@ -100,6 +106,10 @@ MUTATIONS = (
              "repro/blocks/drop.py",
              "arrivals[first] = np.maximum(arrivals[first], crd.scodes)",
              "pass"),
+    # -- the coordinate dropper
+    Mutation("coordinate dropper without its fold gate", "repro/blocks/drop.py",
+             "arrivals = insert_sorted(arrivals, at[folds] + 1, ostamps[fold[folds]])",
+             "arrivals = insert_sorted(arrivals, at[folds] + 1, 0)"),
     # -- ALU, scatter writer
     Mutation("ALU pick swapped", "repro/blocks/compute.py",
              "_paired(a, pairing.crd_pick), _paired(b, pairing.pick)",
