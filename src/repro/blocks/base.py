@@ -23,7 +23,12 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..streams.batch import CODE_EMPTY, TokenBatch, UnbatchableTokens
+from ..streams.batch import (
+    CODE_EMPTY,
+    TokenBatch,
+    UnbatchableTokens,
+    first_non_coordinate,
+)
 from ..streams.channel import Channel
 from ..streams.timing import (
     TimedBuilder,
@@ -35,7 +40,7 @@ from ..streams.timing import (
     split_done_stamped,
     token_order_indices,
 )
-from ..streams.token import DONE, is_done, is_stop
+from ..streams.token import DONE, is_done, is_stop, token_repr
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -197,21 +202,13 @@ class Block:
     #:   continues or ends a chain.  Hook: ``map_parts()``, the
     #:   ``(data_fn, empty_value)`` pair :meth:`_t_unary_window` applies.
     #: * ``"reduce"`` / ``"sink"`` / ``"write"`` — scalar reducer, Sink
-    #:   and the single-input level/vals writers: chain tails.  Hook:
+    #:   and the value writer: chain tails (a level writer takes a
+    #:   coordinate stream, which no value chain carries).  Hook:
     #:   ``commit_window(...)``, what :meth:`_t_tail_window` stores or
     #:   emits for one scheduled window.
     #: * ``""`` — not fusible: the block runs its own ``drain_timed``
     #:   (scanners, locators, mergers, repeaters, droppers, feeders ...).
     fuse_role: str = ""
-
-    #: credit-aware endpoints for finite-capacity channels on the timed
-    #: plane: a credit *producer* gates its push schedule on the
-    #: channel's recorded pop cycles, a credit *consumer* records its
-    #: pop cycles via :meth:`Channel.record_pops`.  A finite channel
-    #: whose endpoints are not both credit-aware sends a timed run to
-    #: ``cycle``, where back-pressure is exact by construction.
-    timed_credit_producer = False
-    timed_credit_consumer = False
 
     def __init__(self, name: str = ""):
         self.name = name or type(self).__name__
@@ -550,15 +547,40 @@ class Block:
 
 
 class StreamFeeder(Block):
-    """Source block that plays a pre-built token list onto a channel."""
+    """Source block that plays a pre-built token list onto a channel.
+
+    On a coordinate (``crd``) channel the list must hold coordinates only
+    (:func:`~repro.streams.batch.first_non_coordinate`): the feeder is
+    where hand-made tokens enter a graph, and it refuses the first that
+    is none when it is built, so no engine sees a float coordinate.
+    """
 
     primitive = "source"
     port_specs = (PortSpec("out", "out", kind=None),)
 
     def __init__(self, tokens, out: Channel, name: str = "feeder"):
         super().__init__(name)
-        self.tokens = list(tokens)
         self.out = self._out("out", out)
+        self.tokens = tokens
+
+    @property
+    def tokens(self) -> list:
+        return self._tokens
+
+    @tokens.setter
+    def tokens(self, tokens) -> None:
+        """The list to play, batched once (``None`` when it does not
+        batch) and checked on a coordinate channel."""
+        self._tokens = list(tokens)
+        try:
+            self._tbatch = TokenBatch.from_tokens(self._tokens)
+        except UnbatchableTokens:
+            self._tbatch = None
+        if self.out.kind == "crd":
+            at = first_non_coordinate(self._tokens, self._tbatch)
+            if at >= 0:
+                raise BlockError(f"{self.name}: non-integer coordinate "
+                                 f"{token_repr(self._tokens[at])}")
 
     def stream_xfer_for(self) -> Optional[StreamXfer]:
         """Source signature read off the token list it will play."""
@@ -573,63 +595,21 @@ class StreamFeeder(Block):
             yield from self._put(self.out, token)
             yield True
 
-    timed_credit_producer = True
-
     def timed_capable(self) -> bool:
-        """Whether the token list batches; the batch (and each token's
-        place in it) is kept for the drain."""
-        try:
-            self._tbatch = TokenBatch.from_tokens(self.tokens)
-        except UnbatchableTokens:
-            return False
-        batch = self._tbatch
-        self._torder = token_order_indices(batch.ctrl_pos, len(batch.data))
-        return True
+        """Whether the token list batches."""
+        return self._tbatch is not None
 
     def drain_timed(self) -> bool:
-        """Timed drain: one token per cycle, credit-limited on finite FIFOs.
-
-        The generator pushes one token then yields once per cycle;
-        with a finite output the push of global token *g* waits for slot
-        ``g - capacity`` to free (``_put`` back-pressure), which the
-        channel's recorded pop stamps reproduce exactly.  A visit pushes
-        the slice of the batched token list the credits allow.
-        """
+        """Timed drain: the whole list in one visit, one token a cycle."""
         if self.finished:
             return False
-        out = self.out
-        pos = getattr(self, "_tfeed_pos", 0)
-        n = len(self.tokens)
-        if pos >= n:
-            self.finished = True
+        self.finished = True
+        batch = self._tbatch
+        if batch.exhausted:
             return False
-        cap = out.capacity
-        if cap is None:
-            avail = n - pos
-            arrivals = np.zeros(avail, dtype=np.int64)
-        else:
-            state = out.timed
-            avail = min(n - pos, cap + len(state.pop_stamps) - pos)
-            if avail <= 0:
-                return False
-            # Push g waits for the pop that freed slot g - cap (credits).
-            arrivals = np.zeros(avail, dtype=np.int64)
-            first_credited = max(pos, cap)
-            if first_credited < pos + avail:
-                arrivals[first_credited - pos:] = np.asarray(
-                    state.pop_stamps[first_credited - cap:pos + avail - cap],
-                    dtype=np.int64,
-                )
-        c = self._t_advance(arrivals)
-        end = pos + avail
-        batch, (di, ci) = self._tbatch, self._torder
-        data, cpos, ccode = batch.data, batch.ctrl_pos, batch.ctrl_code
-        d0, d1 = di.searchsorted((pos, end))
-        c0, c1 = ci.searchsorted((pos, end))
-        chunk = TokenBatch(data[d0:d1], cpos[c0:c1] - d0, ccode[c0:c1])
-        out.push_batch_timed(chunk, c[di[d0:d1] - pos], c[ci[c0:c1] - pos])
-        self._tfeed_pos = end
-        self.finished = end >= n
+        c = self._t_advance(np.zeros(len(batch), dtype=np.int64))
+        di, ci = token_order_indices(batch.ctrl_pos, len(batch.data))
+        self.out.push_batch_timed(batch, c[di], c[ci])
         return True
 
 
@@ -708,23 +688,12 @@ class Sink(Block):
                 return
 
     fuse_role = "sink"
-    timed_credit_consumer = True
 
     def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
         self.tokens.extend(TokenBatch(data, cpos, ccode).tokens())
 
     def drain_timed(self) -> bool:
-        """Timed drain: consume one token per cycle, recording pops.
-
-        On finite-capacity inputs the pop cycles are reported back to the
-        channel's credit log so a batched producer reproduces ``_put``
-        back-pressure exactly.
-        """
+        """Timed drain: consume one token per cycle."""
         if self.finished:
             return False
-        c = self._t_tail_window(self.in_, self.commit_window)
-        if c is None:
-            return False
-        if self.in_.capacity is not None:
-            self.in_.record_pops(c + self.in_.timed.delta_pop)
-        return True
+        return self._t_tail_window(self.in_, self.commit_window) is not None

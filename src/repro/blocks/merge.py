@@ -40,7 +40,6 @@ from ..streams.timing import (
     front_fibers,
     held_fibers,
     index_ramp,
-    integral_fibers,
     pair_chunks,
     window_capacity,
 )
@@ -265,12 +264,7 @@ class _Merger(Block):
                 done = np.logical_or.reduce([c == CODE_DONE for c in crd_codes])
                 if np.count_nonzero(done):
                     whole = k = int(done.argmax()) + 1
-                clean = [self._clean_fibers(view, side)
-                         for view, side in zip(views, held)]
-                if None in clean:
-                    whole = k = 0  # a float view waits for its stream's D
-                else:
-                    k = min(k, *clean)
+                k = min(k, *[self._clean_fibers(view) for view in views])
                 odd = np.logical_or.reduce([c[:k] != codes[:k] for c in crd_codes[1:]])
                 if np.count_nonzero(odd):
                     k = int(odd.argmax())
@@ -358,29 +352,24 @@ class _Merger(Block):
         return [(s, side.crd, side.refs[0]) for s, side in enumerate(self.sides)
                 if len(side.refs) == 1]
 
-    def _clean_fibers(self, views, held) -> Optional[int]:
-        """How many of a side's viewed fibers are structurally clean, or
-        None while a float view's integers are not known yet.
+    @staticmethod
+    def _clean_fibers(views) -> int:
+        """How many of a side's viewed fibers are structurally clean.
 
         Malformed: an ``N``/``R`` code on the coordinate stream, a
         reference terminator unlike the coordinate one, a reference run
-        shorter than its coordinates, non-integer coordinates (judged by
-        :func:`integral_fibers` against *held*, the side's held entries,
-        so the fibers in front of one merge).  Up to the first malformed
-        fiber, fiber *f* of every stream is its *f*-th terminator.  A
-        scanner's runs are clean.
+        shorter than its coordinates.  Up to the first malformed fiber,
+        fiber *f* of every stream is its *f*-th terminator.  A scanner's
+        runs are clean.
         """
         if isinstance(views, FiberSpans):
             return len(views.lens)
         crd = views[0]
-        integral = integral_fibers(crd, held[0])
-        if integral is None:
-            return None
         bad = crd.codes < CODE_DONE
         for ref in views[1:]:
             bad |= ref.codes != crd.codes
             bad |= ref.lens < crd.lens
-        return min(integral, int(bad.argmax()) if np.count_nonzero(bad) else len(bad))
+        return int(bad.argmax()) if np.count_nonzero(bad) else len(bad)
 
     def _side_keys(self, views, stride: int):
         """One side's viewed fibers as a single composite-key fiber.

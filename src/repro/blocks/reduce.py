@@ -47,7 +47,6 @@ from ..streams.timing import (
     front_fibers,
     front_stream,
     index_ramp,
-    integral_fibers,
     pair_chunks,
     window_capacity,
 )
@@ -94,7 +93,7 @@ def _dedup_regions(crds, vals, sizes):
     span = int(np.maximum.reduce(crds)) - lo + 1
     slots = len(sizes) * span
     fits = slots <= WORKSPACE_PER_PAIR * len(crds) + WORKSPACE_FLOOR
-    if fits and crds.dtype.kind == "i":
+    if fits:
         at = index_ramp(len(sizes)) * span
         at -= lo
         at = at.repeat(sizes)
@@ -347,13 +346,9 @@ class VectorReducer(Block):
         k = len(crd.codes)
         if k == 0:
             return False
-        integral = integral_fibers(crd, windows[0])
-        if integral is None:
-            return False
         pairing = pair_chunks(crd, val)
-        clean = min(pairing.clean, integral)
-        if clean < k:
-            self._raise_dirty(windows, clean)
+        if pairing.clean < k:
+            self._raise_dirty(windows, pairing.clean)
         # Phantom values are popped inside their boundary's cycle, so
         # they are no events, and the value terminator behind them —
         # stamps never decrease along a stream — already gates it.
@@ -439,14 +434,8 @@ class VectorReducer(Block):
         """Raise the protocol error of chunk *f*, the first dirty one:
         ``_run``'s checks over the chunk's token pairs, in its order."""
         crd, val = (front_fibers(w, f + 1) for w in windows)
-        crds = crd.data[int(crd.ends[f] - crd.lens[f]):]
-        tokens = crds.tolist()
-        if crds.dtype.kind != "i":
-            # a batch stores a mixed run as floats; only the fractional
-            # ones cannot have been integers on the scalar plane
-            tokens = [int(t) if t.is_integer() else t for t in tokens]
         vals = iter(val.tokens(f))
-        for token in tokens:
+        for token in crd.data[int(crd.ends[f] - crd.lens[f]):].tolist():
             self._check_pair(token, next(vals))
         close, other = decode_code(int(crd.codes[f])), next(vals)
         if is_data(close):  # a repeat signal is no coordinate
@@ -459,7 +448,6 @@ class VectorReducer(Block):
             self._check_stops(close, other)
         elif not (is_done(close) and is_done(other)):
             raise self._misaligned(close, other)
-        raise BlockError(f"{self.name}: non-integer coordinate {crds[0]}")
 
     # -- protocol checks, shared by both definitions ----------------------
     def _check_pair(self, crd, val) -> None:

@@ -22,10 +22,9 @@ import numpy as np
 
 from ..formats.compressed import CompressedLevel
 from ..formats.linkedlist import LinkedListLevel
-from ..streams.batch import filled
+from ..streams.batch import filled, first_non_coordinate
 from ..streams.channel import Channel
 from ..streams.timing import (
-    I64_MAX,
     blank_fibers,
     common_front,
     consume,
@@ -103,35 +102,16 @@ class _BadValue(Exception):
         self.at, self.error = at, error
 
 
-def _fits_int64(value) -> bool:
-    try:
-        return bool(value % 1 == 0) and -I64_MAX - 1 <= value <= I64_MAX
-    except TypeError:  # no number at all
-        return False
-
-
 def _coordinates(name: str, values) -> np.ndarray:
     """*values* as a fresh int64 array, or the error naming the first that
-    is no int64.  A float passes when it is integral: a batch stores a
-    mixed run as floats (the rule ``VectorReducer._integral_chunks``
-    applies to its windows)."""
-    try:
-        arr = np.asarray(values)
-        kind = arr.dtype.kind if arr.ndim == 1 else "O"
-    except ValueError:  # ragged: a sequence among the coordinates
-        arr, kind = values, "O"
-    if kind in "bi":
-        return arr.astype(np.int64)
-    if kind == "u":
-        ok = arr <= I64_MAX
-    elif kind == "f":
-        with np.errstate(invalid="ignore"):  # NaN and inf % 1 are NaN: not 0
-            ok = (arr % 1 == 0) & (arr >= -2.0 ** 63) & (arr < 2.0 ** 63)
-    else:
-        ok = np.array([_fits_int64(v) for v in values], dtype=bool)
-    bad = (~ok).nonzero()[0]
-    if len(bad):
-        at = int(bad[0])
+    is no coordinate (:func:`~repro.streams.batch.first_non_coordinate`:
+    a float, integral or not, a ``bool``, an integer past int64, no
+    number).  A window's integer array is one; a list the generator
+    filled is walked, since numpy would make ``[1, True]`` integers."""
+    if values.__class__ is np.ndarray and values.dtype.kind == "i":
+        return values.astype(np.int64)
+    at = first_non_coordinate(values)
+    if at >= 0:
         raise _BadValue(at, BlockError(
             f"{name}: non-integer coordinate {token_repr(values[at])}"
         ))
@@ -185,8 +165,6 @@ class CompressedLevelWriter(Block):
                 yield True
                 return
             yield True
-
-    fuse_role = "write"
 
     def commit_window(self, data, cpos, ccode, cctrl, ends_done) -> None:
         # the stops first: a rejected coordinate leaves what the

@@ -33,7 +33,7 @@ absorbs, and the interior-link token counts.
 
 Two segment kinds are compiled (``report.fusion["kinds"]`` counts them
 per run), both chains (:class:`_ChainUnit`): ``value-chain`` and
-``writer-tail`` (a chain closed by a level/vals writer).  Scanners,
+``writer-tail`` (a chain closed by the value writer).  Scanners,
 locators, mergers and repeaters carry no fuse role: they run their one
 ``drain_timed`` on the plain timed plane here exactly as under
 ``timed-batch`` — a scanner hands its fibers to the locator or merger

@@ -19,10 +19,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from ...streams.batch import UnbatchableTokens, batch_kind
+from ...streams.batch import (
+    TokenBatch,
+    UnbatchableTokens,
+    batch_kind,
+    first_non_coordinate,
+)
 from ...streams.channel import Channel
+from ...streams.token import token_repr
 
 
 def _off_plane(block) -> Optional[str]:
@@ -37,14 +43,69 @@ def _off_plane(block) -> Optional[str]:
     return None
 
 
-def _unbatchable(channel: Channel) -> bool:
-    """Whether a token queued on *channel* before the run does not batch."""
+def _queued(channel: Channel, coordinates: bool) -> Optional[str]:
+    """Why the tokens queued on *channel* before the run keep it off
+    windows, or None: one does not batch, or, on a channel read as
+    coordinates, one is no coordinate (a batch queued whole is judged by
+    its dtype)."""
+    tokens = list(channel.queue)
     try:
-        for token in channel.queue:
+        for token in tokens:
             batch_kind(token)
     except UnbatchableTokens:
-        return True
-    return False
+        return "a token queued before the run does not batch"
+    if coordinates:
+        at = first_non_coordinate([
+            0 if t.__class__ is TokenBatch
+            and (t.data.dtype.kind == "i" or not len(t.data)) else t
+            for t in tokens])
+        if at >= 0:
+            return ("a token queued before the run is no coordinate: "
+                    f"{token_repr(tokens[at])}")
+    return None
+
+
+def _declared(block, direction: str, port: str) -> Optional[str]:
+    """The stream kind *block*'s *port* declares (None: any kind)."""
+    spec = type(block).spec_for(direction, port)
+    return None if spec is None else spec.kind
+
+
+def _read_as_coordinates(blocks, channels, ins, producer) -> Dict[int, Optional[str]]:
+    """The channels whose tokens a window hook reads as coordinates, each
+    with why it may carry something else (None: it carries coordinates).
+
+    A channel is read as coordinates when a port declaring ``crd`` reads
+    it, or when a port that declares no kind writes it (a fanout, a
+    dropper's inner stream, a reference pass-through): then so are the
+    writer's inputs that declare none.  Such a channel must be a ``crd``
+    stream — a feeder checks the tokens it plays onto one when it is
+    built — no port declaring another kind may write it, and every token
+    queued on it before the run must be a coordinate.  Hand-wired blocks
+    (``run_blocks``) can break each rule; a bound graph's validation
+    already holds it to the first two.
+    """
+    port_of = {ch: port for block in blocks for port, ch in block.outputs.items()}
+    work = [k for i, block in enumerate(blocks)
+            for port, k in zip(block.inputs, ins[i])
+            if _declared(block, "in", port) == "crd"]
+    links: Dict[int, Optional[str]] = {}
+    while work:
+        k = work.pop()
+        if k in links:
+            continue
+        ch, p = channels[k], producer[k]
+        kind = None if p is None else _declared(blocks[p], "out", port_of[ch])
+        if ch.kind != "crd":
+            links[k] = f"a {ch.kind!r} stream read as coordinates"
+        elif kind not in (None, "crd"):
+            links[k] = f"a {kind!r} port writes a stream read as coordinates"
+        else:
+            links[k] = _queued(ch, True) if ch.queue else None
+        if p is not None and kind is None:
+            work += [j for port, j in zip(blocks[p].inputs, ins[p])
+                     if _declared(blocks[p], "in", port) is None]
+    return links
 
 
 def wiring(blocks):
@@ -127,11 +188,12 @@ class Plan:
     reasons: Tuple[Optional[str], ...]
     handoff: Optional[str]
     order: Tuple[int, ...]
-    deltas: Tuple[Tuple[int, int], ...]
+    deltas: Tuple[int, ...]
     producer: Tuple[Optional[int], ...]
     consumer: Tuple[Optional[int], ...]
     handovers: Tuple[Tuple[int, int, int, int, int], ...]
     segments: Optional[Tuple[Segment, ...]]
+    coordinates: FrozenSet[int]
 
     def live(self, blocks) -> Optional[List[Channel]]:
         """The channels of *blocks* in plan order when this plan still
@@ -139,17 +201,19 @@ class Plan:
 
         Re-checked on every run, since each may change after a bind: the
         wiring, each channel's capacity and
-        ``record``, a token queued before the run that does not batch,
-        and each block's own verdict, whose ``timed_capable()`` may also
-        prepare the instance for its hook.
+        ``record``, a token queued before the run that does not batch or,
+        on a channel read as coordinates, is no coordinate, and each
+        block's own verdict, whose ``timed_capable()`` may also prepare
+        the instance for its hook.
         """
         index, outs, ins = wiring(blocks)
         if outs != self.outs or ins != self.ins:
             return None
         channels = list(index)
-        for ch, capacity, record in zip(channels, self.capacity, self.record):
+        for k, (ch, capacity, record) in enumerate(
+                zip(channels, self.capacity, self.record)):
             if ch.capacity != capacity or ch.record != record or (
-                    ch.queue and _unbatchable(ch)):
+                    ch.queue and _queued(ch, k in self.coordinates)):
                 return None
         if tuple([_off_plane(b) for b in blocks]) != self.base:
             return None
@@ -180,8 +244,12 @@ def plan_blocks(blocks, fuse: bool = True) -> Tuple[Plan, List[Channel]]:
     The plane rule: every block is timed, or none is.  A block
     qualifies when :func:`_off_plane` finds no reason against it; both
     endpoints of a channel holding a token queued before the run that
-    cannot be batched fail, and so do both endpoints of a finite FIFO
-    unless they are a credit-aware pair.  Touches no channel.
+    cannot be batched fail, and so do both endpoints of a finite FIFO:
+    windows model the paper's unbounded queues, ``cycle`` models
+    back-pressure.  A window hook reads a coordinate stream as int64, so
+    both endpoints of a channel read as coordinates that may carry
+    something else fail too (:func:`_read_as_coordinates`): ``cycle``'s
+    generators name the token.  Touches no channel.
     """
     index, outs, ins = wiring(blocks)
     channels = list(index)
@@ -199,46 +267,28 @@ def plan_blocks(blocks, fuse: bool = True) -> Tuple[Plan, List[Channel]]:
     reasons = list(base)
     timed = [reason is None for reason in reasons]
 
-    def demote(k: int, why: str) -> bool:
-        changed = False
+    def demote(k: int, why: str) -> None:
         for i in (producer[k], consumer[k]):
             if i is not None and timed[i]:
                 timed[i] = False
                 reasons[i] = f"channel {channels[k].name!r}: {why}"
-                changed = True
-        return changed
 
+    coordinates = _read_as_coordinates(blocks, channels, ins, producer)
     for k, ch in enumerate(channels):
-        if ch.queue and _unbatchable(ch):
-            demote(k, "a token queued before the run does not batch")
-    # Finite-capacity channels need credit-aware endpoints on the
-    # batched plane (producer push schedules gated by recorded pop
-    # cycles; see Block.timed_credit_producer/consumer — the stock
-    # pairing is StreamFeeder -> Sink).
-    changed = True
-    while changed:
-        changed = False
-        for k, ch in enumerate(channels):
-            if ch.capacity is None:
-                continue
-            p, c = producer[k], consumer[k]
-            keep = (
-                p is not None
-                and c is not None
-                and timed[p]
-                and timed[c]
-                and blocks[p].timed_credit_producer
-                and blocks[c].timed_credit_consumer
-            )
-            if not keep:
-                changed |= demote(
-                    k, f"capacity {ch.capacity} without a credit pair")
+        if k in coordinates:
+            why = coordinates[k]
+        else:
+            why = _queued(ch, False) if ch.queue else None
+        if why:
+            demote(k, why)
+        if ch.capacity is not None:
+            demote(k, f"capacity {ch.capacity}: a finite FIFO runs on cycle")
     handoff = next((reason for reason in reasons if reason is not None), None)
 
-    # (delta, delta_pop): 0 where the reader steps after the writer
+    # a push is visible in its own cycle where the reader steps after
+    # the writer
     deltas = tuple([
-        (0, 0) if p is None or c is None
-        else (0, 1) if c > p else (1, 0) if p > c else (1, 1)
+        int(p is not None and c is not None and c <= p)
         for p, c in zip(producer, consumer)
     ])
     # A consumer input — a merger side, an untargeted locator — that
@@ -258,6 +308,7 @@ def plan_blocks(blocks, fuse: bool = True) -> Tuple[Plan, List[Channel]]:
         base, base if reasons == list(base) else tuple(reasons), handoff,
         tuple(dependency_order(n, producer, consumer)),
         deltas, tuple(producer), tuple(consumer), tuple(handovers), segments,
+        frozenset(coordinates),
     )
     return plan, channels
 
@@ -274,7 +325,7 @@ def _segments(blocks, index, deltas) -> Tuple[Segment, ...]:
             links,
             tuple(None if f is None else (f[0], index[f[1]]) for f in seg.feeders),
             seg.kind,
-            segment_plan_key(blocks, seg, [deltas[k][0] for k in links]),
+            segment_plan_key(blocks, seg, [deltas[k] for k in links]),
             tuple(m for m in seg.members
                   if any(ch not in interior for ch in blocks[m].outputs.values())),
         ))

@@ -17,11 +17,7 @@ facts making this exact:
 * every block is a fully pipelined rate-1 machine: one generator
   ``yield`` per cycle gated only by token arrivals, so an entire
   segment's schedule is the max-plus scan ``c[k] = max(c[k-1] + 1,
-  arrival[k])``;
-* finite-capacity FIFOs stay exact through the channel's credit log
-  (:meth:`~repro.streams.channel.Channel.record_pops`): a batched
-  producer's push *g* is additionally gated by the cycle slot ``g -
-  capacity`` was freed.
+  arrival[k])``.
 
 **The structure comes from the plan** (:mod:`repro.sim.backends.plan`):
 the plane, the wiring, the worklist's seed, each channel's visibility
@@ -31,8 +27,8 @@ frozen graph when the run comes from :func:`repro.graph.bind.bind`,
 which hands the plan in (:attr:`Engine.plan`; re-checked by
 :meth:`~repro.sim.backends.plan.Plan.live`), else once per run.  A run
 is all windows when every block has a window hook it can use on this
-instance, every finite FIFO is a credit pair and every token queued
-before the run batches.  Otherwise the whole run goes to
+instance, no channel is a finite FIFO and every token queued before the
+run batches.  Otherwise the whole run goes to
 :class:`~repro.sim.backends.cycle.CycleEngine` — the same report by the
 repository's invariant — and ``report.handoff`` names the first block
 or channel that decided it.  A window run then pairs scanners with the
@@ -42,9 +38,8 @@ A window run is a worklist seeded in dependency order (the plan's
 ``order``: producers before consumers), so a stock window
 block is first visited once every producer has pushed its whole stream,
 and takes it in one visit.  A block is visited again after a producer
-pushed onto one of its inputs (or a reader popped a finite FIFO it
-fills), and after any visit that made progress: credit pairs and a hook
-that pushes one slice a visit need those re-visits.  The seed is a
+pushed onto one of its inputs, and after any visit that made progress:
+a hook that pushes one slice a visit needs those re-visits.  The seed is a
 cost, never a result: any seed gives the same report
 (``tests/sim/test_visit_order.py``).  **No block changes plane
 mid-run**: a window hook takes every well-formed stream, and input it
@@ -116,16 +111,15 @@ class TimedBatchEngine(Engine):
             return self._report(cycles, plan.handoff)
         # every channel's stamped state; tokens queued before the run
         # become visible at cycle 1
-        for ch, (delta, delta_pop) in zip(channels, plan.deltas):
-            ch.init_timed(delta, delta_pop)
+        for ch, delta in zip(channels, plan.deltas):
+            ch.init_timed(delta)
             if ch.queue:
                 ch.stamp_queue(1)
         for i, side, crd, ref, p in plan.handovers:
             block = blocks[i]
             block.runs[side] = blocks[p].hand_over(channels[crd], channels[ref])
         units = self._compile_segments(blocks, plan, channels)
-        producer, consumer = plan.producer, plan.consumer
-        outs, ins, capacity = plan.outs, plan.ins, plan.capacity
+        outs, consumer = plan.outs, plan.consumer
 
         n = len(blocks)
         finished = [b.finished for b in blocks]
@@ -148,11 +142,6 @@ class TimedBatchEngine(Engine):
                 c = consumer[k]
                 if c is not None:
                     mark(c)
-            for k in ins[i]:
-                if capacity[k] is not None:
-                    p = producer[k]
-                    if p is not None:
-                        mark(p)
 
         def dissolve(unit) -> None:
             """Mid-run fallback: members rejoin the plain timed plane."""

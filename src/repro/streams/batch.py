@@ -3,8 +3,9 @@
 A :class:`TokenBatch` encodes a contiguous slice of a SAM stream as two
 parallel structures:
 
-* ``data`` — a 1-D numpy array (int64 for coordinate/reference streams,
-  float64 for value streams) holding the *data* tokens in arrival order;
+* ``data`` — a 1-D numpy array (int64 for coordinate streams, whose
+  feeders refuse anything else, and most reference streams; float64 for
+  value streams) holding the *data* tokens in arrival order;
 * ``ctrl_pos`` / ``ctrl_code`` — int64 arrays placing each *control*
   token in the stream: the control token ``ctrl_code[i]`` arrives after
   the first ``ctrl_pos[i]`` data tokens.  Codes ``>= 0`` are stop levels
@@ -123,6 +124,28 @@ def batch_kind(token) -> str:
     elif cls is TokenBatch or isinstance(token, (np.signedinteger, np.floating)):
         return "x"
     raise UnbatchableTokens(f"cannot batch data token {token!r}")
+
+
+def first_non_coordinate(tokens, batch: Optional["TokenBatch"] = None) -> int:
+    """Where in *tokens* the first data token a coordinate stream may not
+    carry lies, or -1 when every one is a coordinate: an ``int`` within
+    int64 or a numpy signed integer — no ``bool``, no float, integral or
+    not, no unsigned numpy integer, no tuple.
+
+    *batch*, when given, is ``TokenBatch.from_tokens(tokens)``: a list of
+    coordinates batches as int64 (or holds no data), so only a list that
+    does not is walked, to find the token at fault.
+    """
+    if batch is not None and (batch.data.dtype.kind == "i" or not len(batch.data)):
+        return -1
+    for at, token in enumerate(tokens):
+        if token.__class__ is int:
+            if -_INT64_SPAN <= token < _INT64_SPAN:
+                continue
+        elif encode_token(token) is not None or isinstance(token, np.signedinteger):
+            continue
+        return at
+    return -1
 
 
 def decode_code(code: int):

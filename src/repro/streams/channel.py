@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
-import numpy as np
-
 from .batch import TokenBatch, concat_batches, filled
 from .token import DONE, EMPTY, Stop
 
@@ -26,7 +24,8 @@ class Channel:
 
     The paper's cycle-approximate simulator assumes infinite input queues;
     a ``capacity`` may still be given to model finite hardware FIFOs, in
-    which case :meth:`full` lets producers stall.
+    which case :meth:`full` lets producers stall (a run with one goes to
+    ``cycle``, :func:`~repro.sim.backends.plan.plan_blocks`).
     """
 
     __slots__ = (
@@ -161,9 +160,9 @@ class Channel:
     # into ``queue`` when the run ends.  Token statistics are counted once,
     # at push time, exactly as on the other planes; requeues and
     # materialisation never touch them.
-    def init_timed(self, delta: int = 0, delta_pop: int = 0) -> "TimedChannelState":
+    def init_timed(self, delta: int = 0) -> "TimedChannelState":
         """Attach (or reset) timed-plane state; see TimedChannelState."""
-        self.timed = TimedChannelState(delta, delta_pop)
+        self.timed = TimedChannelState(delta)
         return self.timed
 
     def push_batch_timed(self, batch, sdata, sctrl) -> None:
@@ -235,36 +234,19 @@ class Channel:
             if not batch.exhausted:
                 self.queue.append(batch)
 
-    def record_pops(self, stamps) -> None:
-        """Record consumer pop cycles (credit accounting, finite FIFOs).
-
-        ``stamps`` are producer-visible cycles: the cycle from which the
-        producer can observe each freed slot.  The timed producer's epoch
-        advance turns these into per-push release times, so batch-level
-        back-pressure reproduces the scalar ``_put`` stall pattern
-        exactly.
-        """
-        self.timed.pop_stamps.extend(int(s) for s in np.asarray(stamps).ravel())
-
 
 class TimedChannelState:
     """Timed-plane bookkeeping the timed-batch backend hangs off a channel.
 
     * ``pending`` — stamped batches not yet visible/consumed:
       ``(TokenBatch, sdata, sctrl)`` with consumer-visible cycle stamps;
-    * ``delta`` / ``delta_pop`` — intra-cycle visibility: a push (pop) by
-      block *j* during cycle *s* is visible to the peer *i* in the same
-      cycle iff *i* steps after *j* in the engine's block order, else at
-      ``s + 1``;
-    * ``pop_stamps`` — occupancy log for finite-capacity channels: the
-      producer-visible cycle each queue slot was freed, letting a batched
-      producer compute exact credit-limited push schedules.
+    * ``delta`` — intra-cycle visibility: a push by block *j* during
+      cycle *s* is visible to its reader *i* in the same cycle iff *i*
+      steps after *j* in the engine's block order, else at ``s + 1``.
     """
 
-    __slots__ = ("delta", "delta_pop", "pending", "pop_stamps")
+    __slots__ = ("delta", "pending")
 
-    def __init__(self, delta: int = 0, delta_pop: int = 0):
+    def __init__(self, delta: int = 0):
         self.delta = delta
-        self.delta_pop = delta_pop
         self.pending: Deque = deque()
-        self.pop_stamps: list = []

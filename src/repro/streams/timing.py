@@ -487,37 +487,6 @@ def common_front(views: List[Fibers]) -> List[Fibers]:
     return [v.head(k, tail) for v in views]
 
 
-def integral_fibers(crd: Fibers, entry) -> Optional[int]:
-    """How many leading fibers of a coordinate view hold integers only,
-    or None while that is not known yet.
-
-    A batch stores a mixed run as floats, and a block that passes its
-    tokens on one at a time hands them on as floats: a float view is
-    judged against the stream up to its ``D``.  The fiber of the first
-    fractional coordinate is the error; when one lies past the view (in
-    *entry*, the held entry the view reads), the view's floats are
-    integers stored beside it; when none does and no ``D`` has arrived,
-    the rest of the stream decides; else the first fiber with data is
-    the error (an integral float).  The vector reducer and the mergers
-    read their coordinate streams through it.
-    """
-    if crd.data.dtype.kind == "i" or not len(crd.data):
-        return len(crd.codes)
-    fiber = index_ramp(len(crd.codes)).repeat(crd.lens)
-    batch = entry[0]
-    done = (batch.ctrl_code[batch._c:] == CODE_DONE).nonzero()[0]
-    end = int(batch.ctrl_pos[batch._c + done[0]]) if len(done) else len(batch.data)
-    with np.errstate(invalid="ignore"):  # inf % 1 is NaN: not 0
-        odd = fiber[crd.data % 1 != 0]
-        rest = batch.data[batch._d + len(crd.data):end]
-        later = bool(np.count_nonzero(rest % 1 != 0))
-    if len(odd):
-        return int(odd[0])
-    if later:
-        return len(crd.codes)
-    return int(fiber[0]) if len(done) else None
-
-
 def consume(entry, ndata: int, nctrl: int) -> None:
     """Move a held entry past its next *ndata* data, *nctrl* control tokens."""
     if ndata or nctrl:

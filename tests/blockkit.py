@@ -5,9 +5,12 @@ visit, and the timed engines visit a block again after every visit that
 made progress.  The blocks here push one slice a visit, stamped as
 their generators push it: a :class:`Slicer` or a :class:`Relay` in
 front of the block under test cuts its input into windows, and a
-``Relay`` behind it reads its outputs a token a cycle.
+``Relay`` behind it reads its outputs a token a cycle; a
+:class:`Clocked` sink logs the cycle each output token is taken in.
 :func:`window_log` and :func:`assert_windows_sliced` check,
-wall-clock-free, that the cuts reached it.
+wall-clock-free, that the cuts reached it.  Tokens these blocks put on
+a coordinate stream are checked as a ``StreamFeeder`` checks them
+(:func:`check_coordinates`).
 
 ``tests/conftest.py`` puts this directory on ``sys.path``; import it as
 ``from blockkit import ...``.
@@ -23,12 +26,14 @@ from contextlib import contextmanager
 import numpy as np
 
 import repro.blocks
-from repro.blocks import Block, StreamFeeder
+from repro.blocks import Block, BlockError, StreamFeeder
 from repro.blocks.base import PortSpec, StreamXfer
 from repro.sim import BACKENDS, TimedBatchEngine
 from repro.streams import Channel
-from repro.streams.batch import TokenBatch, UnbatchableTokens, batch_kind
-from repro.streams.token import is_data, is_done, is_empty
+from repro.streams.batch import (
+    TokenBatch, UnbatchableTokens, batch_kind, first_non_coordinate,
+)
+from repro.streams.token import is_data, is_done, is_empty, token_repr
 
 #: every registered engine once: the keys that name their own class
 ENGINES = tuple(
@@ -51,10 +56,21 @@ def rebind_input(block, port, channel):
             value[:] = [channel if item is old else item for item in value]
 
 
-def push_stamped(channel, tokens, stamp):
+def check_coordinates(tokens, channel, name):
+    """Refuse *tokens* on a coordinate *channel* as a ``StreamFeeder``
+    named *name* does: the test blocks' way into a graph, checked by the
+    same rule."""
+    at = first_non_coordinate(tokens) if channel.kind == "crd" else -1
+    if at >= 0:
+        raise BlockError(f"{name}: non-integer coordinate {token_repr(tokens[at])}")
+
+
+def push_stamped(channel, tokens, stamp, name="push"):
     """Push *tokens* onto *channel*'s stamped plane, all pushed at *stamp*:
-    one batch per run of one type of datum, so the coordinate ``1`` does
-    not become ``1.0`` because a value shares its slice."""
+    one batch per run of one type of datum, so the value ``1`` does not
+    become ``1.0`` because a float shares its slice.  Coordinates are
+    checked as a feeder checks them (:func:`check_coordinates`)."""
+    check_coordinates(tokens, channel, name)
     runs, kind = [[]], ""
     for token in tokens:
         now = batch_kind(token)
@@ -140,8 +156,37 @@ class Relay(Block):
         if self.finished or not len(reader):
             return False
         token, stamp = reader.pop()
-        push_stamped(self.out, [token], self._t_event(stamp))
+        push_stamped(self.out, [token], self._t_event(stamp), self.name)
         self.finished = is_done(token)
+        return True
+
+
+class Clocked(Block):
+    """Sink that logs every token it takes with the cycle of its event:
+    a stamp that moves no report total still shows in the log."""
+
+    def __init__(self, in_, name):
+        super().__init__(name)
+        self.in_ = self._in("in_", in_)
+        self.log = []
+
+    def _run(self):
+        while True:
+            token = yield from self._get(self.in_)
+            # the cycles gone by, and this one: cycles count from 1
+            self.log.append((canon(token), self.busy_cycles + self.stall_cycles + 1))
+            yield True
+            if is_done(token):
+                return
+
+    def drain_timed(self):
+        reader = self._treader(self.in_)
+        if self.finished or not len(reader):
+            return False
+        while len(reader) and not self.finished:
+            token, stamp = reader.pop()
+            self.log.append((canon(token), self._t_event(stamp)))
+            self.finished = is_done(token)
         return True
 
 
@@ -158,6 +203,7 @@ class Slicer(Block):
 
     def __init__(self, tokens, plan, out, name):
         super().__init__(name)
+        check_coordinates(tokens, out, name)
         self.tokens, self.plan = list(tokens), plan
         self.out = self._out("out", out)
         self._cycles = None  # what the generator pushes each cycle
@@ -190,7 +236,7 @@ class Slicer(Block):
             self._cycles = [n for size, gap in self.plan for n in [size] + [0] * gap]
             self._cycles.append(len(self.tokens))
         size = self._cycles.pop(0)
-        push_stamped(self.out, self.tokens[:size], self._t_event())
+        push_stamped(self.out, self.tokens[:size], self._t_event(), self.name)
         del self.tokens[:size]
         self.finished = not self._cycles
         return True

@@ -1,6 +1,7 @@
 """Array (Definition 3.5) and level writer (Definition 3.8) tests."""
 
 import random
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -145,8 +146,8 @@ class TestOtherWriters:
 class TestWriterStorage:
     """What a writer stores, read back as values: the same arrays on every
     engine, however the stream was windowed, and with a ``True`` in the
-    stream (the batched plane cannot hold it: the timed engines hand the
-    run to ``cycle``)."""
+    value stream (the batched plane cannot hold it: the timed engines
+    hand the run to ``cycle``)."""
 
     CRD = [0, 3, Stop(0), Stop(0), 1, Stop(0), 2, 4, 7, Stop(1), 5, DONE]
     VALS = [1.5, Stop(0), EMPTY, 2.0, Stop(0), -0.0, 3.25, Stop(1), 4.0, DONE]
@@ -154,7 +155,7 @@ class TestWriterStorage:
     def _run(self, backend, delivery, bail):
         crd_tokens, val_tokens = list(self.CRD), list(self.VALS)
         if bail:
-            crd_tokens[4], val_tokens[3] = True, True
+            val_tokens[3] = True
         blocks = []
         writers = []
         for tokens, cls, kind in ((crd_tokens, CompressedLevelWriter, "crd"),
@@ -172,7 +173,7 @@ class TestWriterStorage:
             writers.append(cls(channel, name=f"w{kind}"))
         report = run_blocks(blocks + writers, backend=backend)
         if bail and backend in TIMED:  # the source plays the True on cycle
-            assert report.handoff.startswith("block 'fcrd'"), backend
+            assert report.handoff.startswith("block 'fvals'"), backend
         crd, vals = writers
         stored = (crd.crd, crd.seg, crd.level.crd, crd.level.seg, vals.vals)
         for array, dtype in zip(stored, (np.int64,) * 4 + (np.float64,)):
@@ -192,39 +193,57 @@ class TestWriterStorage:
             assert got == want, backend
             assert got_cycles == cycles, backend
 
-    #: the error every engine raises -> coordinate streams that raise it
-    #: (the writer used to store int(1.5) == 1, or raise numpy's
-    #: ValueError / OverflowError; a feeder used to batch [1, 2**63] as
-    #: floats, naming 9.223372036854776e+18 off the generator plane)
+    #: a coordinate no int64 holds, as the error prints it -> coordinate
+    #: streams that hold it (the writer used to store int(1.5) == 1, or
+    #: raise numpy's ValueError / OverflowError, to store an integral
+    #: float as the integer it equals, and to store ``True`` as 1)
     COORDINATE_ERRORS = {
-        "wr_comp: non-integer coordinate 1.5": ([1.5, 2, Stop(0), DONE],),
-        "wr_comp: non-integer coordinate nan": ([0, float("nan"), Stop(0), DONE],),
-        "wr_comp: non-integer coordinate inf": ([float("inf"), Stop(0), DONE],),
-        "wr_comp: non-integer coordinate 9.223372036854776e+18":
-            ([1, Stop(0), 2.0 ** 63, Stop(0), DONE],),
-        "wr_comp: non-integer coordinate 9223372036854775808":
-            ([2 ** 63, Stop(0), DONE], [1, 2 ** 63, Stop(0), DONE]),
-        "wr_comp: non-integer coordinate (3, 4)": ([1, (3, 4), Stop(0), DONE],),
+        "1.5": ([1.5, 2, Stop(0), DONE],),
+        "nan": ([0, float("nan"), Stop(0), DONE],),
+        "inf": ([float("inf"), Stop(0), DONE],),
+        "2.0": ([1, 2.0, Stop(0), -3.0, DONE],),
+        "True": ([1, True, Stop(0), DONE], [True, Stop(0), DONE]),
+        "9.223372036854776e+18": ([1, Stop(0), 2.0 ** 63, Stop(0), DONE],),
+        "9223372036854775808": ([2 ** 63, Stop(0), DONE], [1, 2 ** 63, Stop(0), DONE]),
+        "(3, 4)": ([1, (3, 4), Stop(0), DONE],),
     }
 
-    @pytest.mark.parametrize("message", COORDINATE_ERRORS)
-    @pytest.mark.parametrize("relay", [False, True])
-    def test_a_coordinate_no_int64_holds_is_a_named_error(self, message, relay):
-        for tokens in self.COORDINATE_ERRORS[message]:
-            for backend in ENGINES:
-                crd, raw = Channel("c"), Channel("raw")
-                blocks = ([StreamFeeder(tokens, raw, name="f"), Relay(raw, crd, "r")]
-                          if relay else [StreamFeeder(tokens, crd, name="f")])
-                with pytest.raises(BlockError) as caught:
-                    run_blocks(blocks + [CompressedLevelWriter(crd)], backend=backend)
-                assert str(caught.value) == message, (tokens, backend)
+    #: how the coordinates reach the writer: a feeder on the coordinate
+    #: channel refuses them when it is built; queued on the channel before
+    #: the run, or played onto a value channel wired to the writer, bare or
+    #: through a relay, they reach the writer, whose run the plan hands to
+    #: ``cycle``
+    ROUTES = ("feeder", "queued", "vals-link", "vals-relay")
 
-    def test_integral_floats_are_coordinates(self):
-        # a batch stores a mixed run as floats: 2.0 was the integer 2
-        for backend in ENGINES:
-            crd = Channel("c")
-            writer = CompressedLevelWriter(crd)
-            run_blocks([StreamFeeder([1, 2.0, Stop(0), -3.0, DONE], crd), writer],
-                       backend=backend)
-            assert writer.crd.tolist() == [1, 2, -3], backend
-            assert writer.seg.tolist() == [0, 2, 3], backend
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("bad", COORDINATE_ERRORS)
+    def test_a_coordinate_no_int64_holds_is_a_named_error(self, bad, route):
+        for tokens in self.COORDINATE_ERRORS[bad]:
+            outcomes = set()
+            for backend in ENGINES:
+                with pytest.raises(BlockError) as caught:
+                    crd = Channel("c")
+                    raw = Channel("raw", kind="vals")
+                    writer = CompressedLevelWriter(crd)
+                    if route == "queued":
+                        blocks = []
+                        for token in tokens:
+                            crd.push(token)
+                    elif route == "vals-relay":
+                        blocks = [StreamFeeder(tokens, raw, name="f"), Relay(raw, crd, "r")]
+                    else:
+                        blocks = [StreamFeeder(tokens, crd if route == "feeder" else raw,
+                                               name="f")]
+                        writer.in_crd = writer.inputs["in_crd"] = blocks[0].out
+                    run_blocks(blocks + [writer], backend=backend)
+                # what the writer keeps when it raises: the coordinates
+                # in front of the one it names
+                outcomes.add((str(caught.value), tuple(writer._crd.array().tolist())))
+            owner = "f" if route == "feeder" else "wr_comp"
+            assert len(outcomes) == 1, (tokens, outcomes)
+            (message, kept), = outcomes
+            assert message == f"{owner}: non-integer coordinate {bad}", tokens
+            if route != "feeder":
+                data = [t for t in tokens if not isinstance(t, Stop) and t is not DONE]
+                assert kept == tuple(takewhile(
+                    lambda t: type(t) is int and -2 ** 63 <= t < 2 ** 63, data))

@@ -7,10 +7,11 @@ from repro.sim import run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 
 
-def fiber_drop(outer_tokens, inner_tokens, drop_zeros=False, *, backend):
-    outer, inner = Channel("o"), Channel("i")
+def fiber_drop(outer_tokens, inner_tokens, drop_zeros=False, inner_kind="crd", *,
+               backend):
+    outer, inner = Channel("o"), Channel("i", kind=inner_kind)
     oo = Channel("oo", record=True)
-    oi = Channel("oi", record=True)
+    oi = Channel("oi", kind=inner_kind, record=True)
     dropper = CoordDropper(outer, inner, oo, oi, drop_zeros=drop_zeros)
     run_blocks([
         StreamFeeder(outer_tokens, outer, name="fo"),
@@ -76,6 +77,7 @@ class TestFiberDropper:
             [0, 1, Stop(0), DONE],
             [0.0, Stop(0), 3.0, Stop(1), DONE],
             drop_zeros=True,
+            inner_kind="vals",
             backend=engine,
         )
         assert oo == [1, Stop(0), DONE]

@@ -32,15 +32,24 @@ def scalar_reduce(tokens, empty_policy="zero", *, backend):
     return list(out.history)
 
 
-def vector_reduce(crd_tokens, val_tokens, flush_level=1, *, backend):
-    crd, val = Channel("c"), Channel("v", kind="vals")
+def vector_reduce(crd_tokens, val_tokens, flush_level=1, *, backend, route="feeder"):
+    """*route*: how the coordinates enter — a feeder on the coordinate
+    channel, queued on it before the run, or a feeder on a value channel
+    wired to the coordinate port."""
+    crd, val = Channel("c", kind="vals" if route == "vals-link" else "crd"), Channel(
+        "v", kind="vals")
     oc = Channel("oc", record=True)
     ov = Channel("ov", kind="vals", record=True)
-    run_blocks([
-        StreamFeeder(crd_tokens, crd, name="fc"),
+    blocks = [
         StreamFeeder(val_tokens, val, name="fv"),
         VectorReducer(crd, val, oc, ov, flush_level=flush_level),
-    ], backend=backend)
+    ]
+    if route == "queued":
+        for token in crd_tokens:
+            crd.push(token)
+    else:
+        blocks.insert(0, StreamFeeder(crd_tokens, crd, name="fc"))
+    run_blocks(blocks, backend=backend)
     return list(oc.history), list(ov.history)
 
 
@@ -130,24 +139,26 @@ class TestVectorReducerProtocolErrors:
     """Malformed input is one named ``BlockError`` on every engine: both
     definitions of the block (``_run``, ``drain_timed``) run the same
     checks, so neither a raw ``TypeError`` nor a silently truncated
-    coordinate can come out of one plane only."""
+    coordinate can come out of one plane only; a coordinate that is no
+    integer is refused by its feeder, and reaches the block only by a
+    route no feeder checks, where the run goes to ``cycle``."""
 
     CASES = {
         "fractional coordinates": (
             [1.5, 1.2, Stop(1), DONE], [1.0, 2.0, Stop(1), DONE],
-            "reduce1: non-integer coordinate 1.5",
+            "fc: non-integer coordinate 1.5",
         ),
         "fractional after integers": (
             [1, 2.5, Stop(1), DONE], [1.0, 2.0, Stop(1), DONE],
-            "reduce1: non-integer coordinate 2.5",
+            "fc: non-integer coordinate 2.5",
         ),
         "bool coordinates": (
             [True, Stop(1), DONE], [1.0, Stop(1), DONE],
-            "reduce1: non-integer coordinate True",
+            "fc: non-integer coordinate True",
         ),
         "infinite coordinate": (
             [1, float("inf"), Stop(1), DONE], [1.0, 2.0, Stop(1), DONE],
-            "reduce1: non-integer coordinate inf",
+            "fc: non-integer coordinate inf",
         ),
         "value run short": (
             [1, 2, Stop(1), DONE], [1.0, Stop(1), DONE],
@@ -185,40 +196,46 @@ class TestVectorReducerProtocolErrors:
                 vector_reduce(list(crd), list(val), backend=backend)
         assert str(caught.value) == message
 
-    #: A ``TokenBatch`` stores a run of data tokens as ONE int64 or
-    #: float64 array.  ``True`` never joins one: ``TokenBatch.from_tokens``
-    #: judges every datum by ``batch_kind``, as a channel does a pushed
-    #: one, so a feeder holding it hands the stream to the generators and
-    #: every engine names it.  Known gap, below the reducer: *within a
-    #: mixed run* the timed plane cannot tell ``2.0`` from ``2`` (refusing
-    #: to batch such runs would push every value stream that mixes ``3``
-    #: with ``0.5`` off the timed plane), so it blames the run's first
-    #: token for ``[1, 2.0]``.  Strict xfails: closing the gap must delete
-    #: them.
-    BATCH_GAPS = {
+    #: A non-integer coordinate is refused by the feeder that plays it,
+    #: when the graph is built, so every engine names it — also inside a
+    #: run of integers, where a batch of the stream would store ``2.0``
+    #: as it stores ``2`` (the window engines used to blame the run's
+    #: first token).
+    MIXED_RUNS = {
         "bool among integers": (
             [True, 2, Stop(1), DONE], [1.0, 2.0, Stop(1), DONE],
-            "reduce1: non-integer coordinate True",
+            "fc: non-integer coordinate True",
         ),
         "integral float among integers": (
             [1, 2.0, Stop(1), DONE], [1.0, 2.0, Stop(1), DONE],
-            "reduce1: non-integer coordinate 2.0",
+            "fc: non-integer coordinate 2.0",
         ),
     }
 
-    @pytest.mark.parametrize("case, backend", [
-        (case, backend)
-        if case == "bool among integers" or backend not in TIMED
-        else pytest.param(case, backend, marks=pytest.mark.xfail(
-            strict=True, reason="a batch erases types within a mixed run"
-        ))
-        for case in sorted(BATCH_GAPS) for backend in ENGINES
-    ])
+    @pytest.mark.parametrize("backend", ENGINES)
+    @pytest.mark.parametrize("case", sorted(MIXED_RUNS))
     def test_mixed_type_runs(self, case, backend):
-        crd, val, message = self.BATCH_GAPS[case]
+        crd, val, message = self.MIXED_RUNS[case]
         with pytest.raises(BlockError) as caught:
             vector_reduce(list(crd), list(val), backend=backend)
         assert str(caught.value) == message
+
+    #: the cases whose coordinate is no integer -> the token at fault
+    NON_INTEGER = {"fractional coordinates": "1.5", "fractional after integers": "2.5",
+                   "bool coordinates": "True", "infinite coordinate": "inf",
+                   "bool among integers": "True", "integral float among integers": "2.0"}
+
+    @pytest.mark.parametrize("route", ["queued", "vals-link"])
+    @pytest.mark.parametrize("backend", ENGINES)
+    @pytest.mark.parametrize("case", sorted(NON_INTEGER))
+    def test_the_reducer_names_what_no_feeder_checked(self, case, backend, route):
+        # queued before the run, or on a value stream read as coordinates:
+        # the plan hands the run to cycle, whose generator names the token
+        # (a window engine used to truncate it, or raise numpy's error)
+        crd, val, _ = {**self.CASES, **self.MIXED_RUNS}[case]
+        with pytest.raises(BlockError) as caught:
+            vector_reduce(list(crd), list(val), backend=backend, route=route)
+        assert str(caught.value) == f"reduce1: non-integer coordinate {self.NON_INTEGER[case]}"
 
     @pytest.mark.parametrize("backend", ENGINES)
     def test_the_first_error_in_stream_order_wins(self, backend):

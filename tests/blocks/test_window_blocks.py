@@ -61,10 +61,11 @@ from repro.formats import CompressedLevel, DenseLevel
 from repro.sim import graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, EMPTY, Stop
 from repro.streams.timing import window_capacity
-from repro.streams.token import is_data, is_done, is_stop
+from repro.streams.token import is_data, is_stop
 
 from blockkit import (
-    ENGINES, TIMED, Exp, Relay, Slicer, assert_windows_sliced, canon, fed, window_log,
+    ENGINES, TIMED, Clocked, Exp, Relay, Slicer, assert_windows_sliced, canon, fed,
+    window_log,
 )
 from numpy_counters import numpy_calls
 
@@ -668,9 +669,8 @@ REDUCE_ERRORS = Errors(
     ("red: misaligned stops S0/S1", {"crd": "4 S0 D", "val": "1.0 S1 D"}),
     ("red: misaligned inputs (5 vs S0)", {"crd": "4 5 S0 D", "val": "1.0 S0 D"}),
     ("red: misaligned inputs (N vs 1.0)", {"crd": "N S0 D", "val": "1.0 S0 D"}),
-    # behind clean chunks relayed or sliced, a view of integers a mixed
-    # batch stores as floats is clean: the fractional one lies past it
-    ("red: non-integer coordinate 2.5", {"crd": "2.5 S0 D", "val": "1.0 S0 D"}),
+    # a float coordinate is refused where it enters, under every delivery
+    ("feed_crd: non-integer coordinate 2.5", {"crd": "2.5 S0 D", "val": "1.0 S0 D"}),
     ("red: misaligned inputs (S0 vs D)", {"crd": "4 S0 D", "val": "1.0 D"}),
     ("red: misaligned inputs (D vs S0)", {"crd": "4 D", "val": "1.0 S0 D"}),
 ])
@@ -903,7 +903,9 @@ def push_groups(streams, delivery):
 
 # -- the harness ---------------------------------------------------------------
 def build(case, params, streams, delivery):
-    """``(blocks, recorded outputs, blocks under test)`` of one run."""
+    """``(blocks, recorded outputs, blocks under test)`` of one run: each
+    recorded output read by a :class:`Clocked` sink, which logs the
+    cycle of every token it takes."""
     blocks, ins, recorded = [], {}, []
     plans = slice_plans(streams, delivery.seed) if delivery.kind == "slices" else {}
     for port, tokens in streams.items():
@@ -925,7 +927,7 @@ def build(case, params, streams, delivery):
 
     def out(name, kind):
         channel = Channel(name, kind=kind, record=True)
-        recorded.append(channel)
+        recorded.append(Clocked(channel, f"log_{name}"))
         if delivery.kind != "relay" or delivery.port != "out":
             return channel
         mid = Channel(f"mid_{name}", kind=kind)
@@ -933,7 +935,7 @@ def build(case, params, streams, delivery):
         return mid
 
     under = case.make(params, ins, out)
-    blocks += under
+    blocks += under + recorded
     return blocks, recorded, under
 
 
@@ -965,8 +967,9 @@ def counted(block):
 
 
 def run(case, params, streams, delivery, backend):
-    """Everything a backend may not change — or ``("raises", message)``
-    of its ``BlockError`` — the window log, and the blocks under test."""
+    """Everything a backend may not change — each output token and the
+    cycle its sink took it in included — or ``("raises", message)`` of
+    its ``BlockError``, the window log, and the blocks under test."""
     blocks, recorded, under = build(case, params, streams, delivery)
     for block in under:
         counted(block)
@@ -976,7 +979,8 @@ def run(case, params, streams, delivery, backend):
         except BlockError as error:
             return ("raises", str(error)), log, under
     got = (report.cycles, report.block_activity(), graph_token_counts(blocks),
-           [[canon(t) for t in ch.history] for ch in recorded], case.counters(under))
+           [[canon(t) for t in sink.in_.history] for sink in recorded],
+           [sink.log for sink in recorded], case.counters(under))
     return got, log, under
 
 
@@ -1128,9 +1132,6 @@ REGRESSIONS = [
     # reference and a hit beside an N reference, stops of three levels
     ("locate", {"level": [[0, 3, 5, 9]]},
      {"crd": "S0 0 1 3 S1 N 9 S0 5 7 S2 D", "ref": "S0 20 21 22 S1 23 N S0 24 25 S2 D"}),
-    # a float coordinate behind misaligned stops: the fibers in front of
-    # it are integers a float batch stores, so the stops raise first
-    ("intersect", {"malformed": True}, {"crd0": "0 S0 1 S1 D", "crd1": "0 S1 1.5 S0 D"}),
     # a fold at a window's end (every boundary cuts in front of the
     # reference S0 the last fiber's S1 folds), a bare reference stop
     # between two folds, an N reference's run
@@ -1194,6 +1195,54 @@ def test_regression_streams(regression, delivery, backend):
     check(BY_NAME[row], params, streams, delivery, *windows, engines=(backend,))
 
 
+#: (row, params, streams as :func:`toks` text, the message its source
+#: refuses the float coordinate with, the message ``cycle``'s block
+#: raises when it was queued before the run): a float behind misaligned
+#: stops, fractional and integral, and a float among a reducer's
+#: integers.  A float on a coordinate link the harness prefills reaches
+#: the block: the plan hands the run to ``cycle`` (the window engines
+#: used to blame the side, raise numpy's error or truncate the float)
+FLOAT_COORDINATES = [
+    ("intersect", {"malformed": False, "base": 0},
+     {"crd0": "0 S0 1 S1 D", "crd1": "0 S1 1.5 S0 D"},
+     "feed_crd1: non-integer coordinate 1.5", "merge: misaligned stops [S0, S1]"),
+    ("intersect", {"malformed": False, "base": 0},
+     {"crd0": "0 S0 1 S0 D", "crd1": "0 S1 1.0 S0 D"},
+     "feed_crd1: non-integer coordinate 1.0", "merge: misaligned stops [S0, S1]"),
+    ("reduce", {"flush_level": 1}, {"crd": "0 1.5 S0 D", "val": "1.0 2.0 S0 D"},
+     "feed_crd: non-integer coordinate 1.5", "red: non-integer coordinate 1.5"),
+    ("reduce", {"flush_level": 1}, {"crd": "0 S0 1.0 S1 D", "val": "1.0 S0 2.0 S1 D"},
+     "feed_crd: non-integer coordinate 1.0", "red: non-integer coordinate 1.0"),
+]
+FLOAT_RUNS = [
+    pytest.param(row, d,
+                 id=f"{row[0]}-{row[3].split()[-1]}-{d.kind}-{d.port or d.seed}@{d.at}")
+    for row in FLOAT_COORDINATES
+    for streams in [{port: toks(text) for port, text in row[2].items()}]
+    for d in list(every_delivery(streams)) + list(every_boundary(streams))
+]
+
+
+@pytest.mark.parametrize("row, delivery", FLOAT_RUNS)
+def test_a_float_coordinate_is_one_message(row, delivery):
+    """A feeder, a slicer and a relay refuse a float on a coordinate
+    stream when the graph is built, naming it; queued on the link before
+    the run, it is ``cycle``'s block that names it, or the fault before
+    it, on every engine."""
+    name, params, texts, entered, queued = row
+    streams = {port: toks(text) for port, text in texts.items()}
+    port, at = next((port, at) for port, tokens in streams.items()
+                    if kind_of(port) == "crd"
+                    for at, token in enumerate(tokens) if isinstance(token, float))
+    prefilled = (delivery.kind, delivery.port) == ("prefill", port) and delivery.at > at
+    for backend in ENGINES:
+        with pytest.raises(BlockError) as caught:
+            run_blocks(build(BY_NAME[name], params, streams, delivery)[0],
+                       backend=backend)
+        want = queued if prefilled else entered
+        assert str(caught.value) == want, (backend, delivery)
+
+
 # -- the error runner ----------------------------------------------------------
 #: the deliveries a defect is raised under; a relay's and a cut's port
 #: index is resolved against the row's ports
@@ -1227,8 +1276,8 @@ def test_protocol_error_is_one_message(case, row, how, clean):
 #: timed blocks whose differential lives elsewhere, by the test file
 EXEMPT = {name: path for path, names in {
     "tests/sim/test_fused_units.py": "ArrayLoad ScalarALU ScalarReducer Sink "
-    "ValsWriter CompressedLevelWriter LevelScanner "
-    "UncompressedLevelScanner",
+    "ValsWriter LevelScanner UncompressedLevelScanner",
+    "tests/blocks/test_array_writer.py": "CompressedLevelWriter",
     "tests/sim/test_window_identity.py": "Fanout",
     "tests/sim/test_plane_rule.py": "Parallelizer",
     "tests/sim/test_timed_batch.py": "StreamFeeder",
@@ -1321,35 +1370,6 @@ def test_repeater_runs_unfused():
     report = run_blocks(build(BY_NAME["repeat"], params, streams, WHOLE)[0],
                         backend="compiled")
     assert report.fusion["kinds"] == {} and report.fusion["fallbacks"] == 0
-
-
-class Clocked(Block):
-    """Sink that logs every token it takes with the cycle of its event:
-    a stamp that moves no report total still shows in the log."""
-
-    def __init__(self, in_, name):
-        super().__init__(name)
-        self.in_ = self._in("in_", in_)
-        self.log = []
-
-    def _run(self):
-        while True:
-            token = yield from self._get(self.in_)
-            # the cycles gone by, and this one: cycles count from 1
-            self.log.append((canon(token), self.busy_cycles + self.stall_cycles + 1))
-            yield True
-            if is_done(token):
-                return
-
-    def drain_timed(self):
-        reader = self._treader(self.in_)
-        if self.finished or not len(reader):
-            return False
-        while len(reader) and not self.finished:
-            token, stamp = reader.pop()
-            self.log.append((canon(token), self._t_event(stamp)))
-            self.finished = is_done(token)
-        return True
 
 
 #: (row, outer port, the other input): an intersecter's output is the
@@ -1656,7 +1676,8 @@ def test_region_spanning_three_windows_flushes_once(monkeypatch):
             blocks[list(streams).index(port)].plan = plan
         report = run_blocks(blocks, backend=backend)
         return (report.cycles, report.block_activity(),
-                [list(ch.history) for ch in recorded])
+                [list(sink.in_.history) for sink in recorded],
+                [sink.log for sink in recorded])
 
     want = go(ORACLE)
     assert want[2][0] == [1, 4, 9, Stop(0), DONE]

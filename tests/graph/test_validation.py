@@ -91,7 +91,7 @@ def _rejected(*args, **kwargs) -> str:
 
 class TestWiringErrors:
     def test_kind_mismatch_named_at_bind_time(self):
-        feed_a, a = _feed("a", [1.0, DONE], kind="crd")  # wrong kind for an ALU
+        feed_a, a = _feed("a", [1, DONE], kind="crd")  # wrong kind for an ALU
         feed_b, b = _feed("b", [2.0, DONE])
         x = _vals("x")
         blocks = [feed_a, feed_b, ALU("mul", a, b, x, name="mul"),
@@ -155,7 +155,7 @@ class TestWiringErrors:
             g.connect("r", "ref", "s", "in", kind="velocity")
 
     def test_all_violations_reported_together(self):
-        feed, a = _feed("a", [1.0, DONE], kind="crd")
+        feed, a = _feed("a", [1, DONE], kind="crd")
         blocks = [feed, ALU("mul", a, _vals("b"), _vals("x"), name="mul")]
         with pytest.raises(GraphValidationError) as err:
             validate_blocks(blocks)

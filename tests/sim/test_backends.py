@@ -175,7 +175,7 @@ class TestTimedDeadlock:
     @pytest.mark.parametrize("backend", TIMED)
     def test_deadlock_message_matches_reference(self, backend):
         def build():
-            a, b, out = Channel("a"), Channel("b"), Channel("o")
+            a, b, out = (Channel(name, kind="vals") for name in "abo")
             return [StreamFeeder([1.0, DONE], a), ALU("add", a, b, out)]
 
         with pytest.raises(DeadlockError) as exc_cycle:

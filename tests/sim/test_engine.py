@@ -30,8 +30,8 @@ class TestEngine:
 
     def test_deadlock_detected(self, engine):
         # An ALU whose second input never arrives.
-        a, b = Channel("a"), Channel("b")
-        out = Channel("o")
+        a, b = Channel("a", kind="vals"), Channel("b", kind="vals")
+        out = Channel("o", kind="vals")
         with pytest.raises(DeadlockError):
             run_blocks([StreamFeeder([1.0, DONE], a), ALU("add", a, b, out)],
                        backend=engine)

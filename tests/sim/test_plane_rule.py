@@ -16,9 +16,10 @@ wall-clock-free:
 * **late inputs stay on windows** — a merger's ``N`` reference that
   arrives late, behind idle cycles, gives ``cycle``'s full report and
   steps no generator; a parallelizer's ``N`` is one error everywhere;
-* **a late unbatchable token hands off** — a tuple or ``bool`` played
-  late, behind idle cycles, into blocks that have a window hook: the
-  run goes to ``cycle`` whole.
+* **a late unbatchable token hands off** — a tuple played late, behind
+  idle cycles, into blocks that have a window hook: the run goes to
+  ``cycle`` whole; on a coordinate stream it is refused where it
+  enters, and a value stream wired to a coordinate port hands off too.
 """
 
 import re
@@ -321,10 +322,13 @@ def test_union_references_through_an_intersect_stay_on_windows(stepped):
 
 
 class TestLateUnbatchableToken:
-    """A token no batch holds, played late into an ALU, a repeater, a
-    writer, an idle chain and a reducer: its source cannot batch its
-    list, so no block runs its hook, and every engine gives ``cycle``'s
-    result (or its error, at the same state)."""
+    """A token no batch holds, played late into an ALU, a repeater and an
+    idle chain: its source cannot batch its list, so no block runs its
+    hook, and every engine gives ``cycle``'s result.  A source on a
+    coordinate stream refuses such a token where it enters; played onto
+    a value stream wired to a writer's or a reducer's coordinate port it
+    reaches the block, and every engine raises its error at the same
+    state."""
 
     HANDOFF = "block 'src' (Slicer): its window hook cannot run here"
 
@@ -368,7 +372,7 @@ class TestLateUnbatchableToken:
         tokens = [1, 2, Stop(0), (3, 4), 5, Stop(0), DONE]
         for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2]):
             def build():
-                a, b, c = Channel("a"), Channel("b"), Channel("c")
+                a, b, c = (Channel(x, kind="ref") for x in "abc")
                 blocks = [late(tokens, 3, LATE, a, "src"), Fanout(a, [b], name="f1"),
                           Fanout(b, [c], name="f2"), Sink(c, name="sink")]
                 return [blocks[i] for i in order]
@@ -379,16 +383,24 @@ class TestLateUnbatchableToken:
     @pytest.mark.parametrize("bad, kept, build", [
         ((3, 4), tuple(range(LATE)),
          lambda crds, vals: [CompressedLevelWriter(crds, name="wr")]),
+        (2.5, tuple(range(LATE)),
+         lambda crds, vals: [CompressedLevelWriter(crds, name="wr")]),
         (True, (), lambda crds, vals: [
             StreamFeeder([1.0] * (LATE + 1) + [Stop(1), DONE], vals, name="fv"),
             VectorReducer(crds, vals, Channel("oc"), Channel("ov", kind="vals"),
                           name="wr")]),
-    ], ids=["writer-tuple", "reducer-bool"])
+        (2.0, (), lambda crds, vals: [
+            StreamFeeder([1.0] * (LATE + 1) + [Stop(1), DONE], vals, name="fv"),
+            VectorReducer(crds, vals, Channel("oc"), Channel("ov", kind="vals"),
+                          name="wr")]),
+    ], ids=["writer-tuple", "writer-float", "reducer-bool", "reducer-integral-float"])
     def test_errors_are_cycle_s(self, bad, kept, build):
-        # the same message everywhere; the writer's level holds the
-        # same coordinates when it raises
+        # the source plays onto a value stream wired to the coordinate
+        # port, which no source checks: the plan hands the run to cycle,
+        # so the message is the same everywhere, and the writer's level
+        # holds the same coordinates when it raises
         def blocks():
-            crds, vals = Channel("crd"), Channel("v", kind="vals")
+            crds, vals = Channel("crd", kind="vals"), Channel("v", kind="vals")
             tokens = list(range(LATE)) + [bad, Stop(1), DONE]
             return [late(tokens, LATE - 2, 5, crds, "src")] + build(crds, vals)
 
@@ -400,3 +412,12 @@ class TestLateUnbatchableToken:
             crd = getattr(graph[-1], "crd", [])
             seen.add((str(caught.value), tuple(int(c) for c in crd)))
         assert seen == {(f"wr: non-integer coordinate {bad!r}", kept)}
+
+    @pytest.mark.parametrize("bad", [(3, 4), True], ids=["tuple", "bool"])
+    def test_a_coordinate_stream_refuses_it_where_it_enters(self, bad):
+        # a writer and a reducer used to raise it, from their generators,
+        # once it arrived; now no engine starts
+        tokens = list(range(LATE)) + [bad, Stop(1), DONE]
+        with pytest.raises(BlockError) as caught:
+            late(tokens, LATE - 2, 5, Channel("crd"), "src")
+        assert str(caught.value) == f"src: non-integer coordinate {bad!r}"

@@ -28,6 +28,8 @@ from repro.lang import compile_expression
 from repro.sim import graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, Stop
 
+from blockkit import TIMED
+
 B = random_sparse_matrix(20, 24, 0.2, seed=1)
 C = random_sparse_matrix(24, 18, 0.2, seed=2)
 VEC = urandom_vector(24, 10, seed=3)
@@ -225,7 +227,8 @@ class TestPerBlockFallback:
         tokens = [(0, 5), (1, 7), DONE]
 
         def build():
-            src, a, b = Channel("s"), Channel("a"), Channel("b")
+            # opaque payload: a reference stream, not a coordinate one
+            src, a, b = (Channel(name, kind="ref") for name in "sab")
             blocks = [
                 StreamFeeder(tokens, src),
                 Fanout(src, [a, b]),
@@ -263,11 +266,27 @@ class TestPerBlockFallback:
         assert ref == timed
 
 
-class TestCapacityCredits:
-    """Batch-level credit accounting reproduces _put back-pressure."""
+class TestFiniteFifos:
+    """A finite FIFO hands the run to ``cycle``, which models
+    back-pressure: every timed engine's report is ``cycle``'s, and its
+    handoff names the channel."""
+
+    @staticmethod
+    def same_as_cycle(build, channel, capacity):
+        blocks_c, sink_c = build()
+        rc = run_blocks(blocks_c, backend="cycle")
+        for backend in TIMED:
+            blocks_t, sink_t = build()
+            rt = run_blocks(blocks_t, backend=backend)
+            assert rt.cycles == rc.cycles, backend
+            assert rt.block_activity() == rc.block_activity(), backend
+            assert graph_token_counts(blocks_t) == graph_token_counts(blocks_c)
+            assert sink_t.tokens == sink_c.tokens, backend
+            assert rt.handoff == (
+                f"channel {channel!r}: capacity {capacity}: a finite FIFO runs on cycle")
 
     @pytest.mark.parametrize("capacity", [1, 2, 3, 7])
-    def test_feeder_sink_credits(self, capacity):
+    def test_feeder_sink_fifo(self, capacity):
         from repro.blocks import Sink, StreamFeeder
 
         tokens = list(range(10)) + [Stop(0), DONE]
@@ -277,17 +296,9 @@ class TestCapacityCredits:
             sink = Sink(src)
             return [StreamFeeder(tokens, src), sink], sink
 
-        blocks_c, sink_c = build()
-        rc = run_blocks(blocks_c, backend="cycle")
-        blocks_t, sink_t = build()
-        rt = run_blocks(blocks_t, backend="timed-batch")
-        assert rc.cycles == rt.cycles
-        assert rc.block_activity() == rt.block_activity()
-        assert sink_c.tokens == sink_t.tokens
+        self.same_as_cycle(build, "s", capacity)
 
     def test_slow_consumer_backpressure(self):
-        # A finite channel into a non-credit-aware consumer drops both
-        # endpoints to the scalar timed path: still exact.
         from repro.blocks import ALU, Sink, StreamFeeder
 
         def build():
@@ -303,10 +314,4 @@ class TestCapacityCredits:
             ]
             return blocks, sink
 
-        blocks_c, sink_c = build()
-        rc = run_blocks(blocks_c, backend="cycle")
-        blocks_t, sink_t = build()
-        rt = run_blocks(blocks_t, backend="timed-batch")
-        assert rc.cycles == rt.cycles
-        assert rc.block_activity() == rt.block_activity()
-        assert sink_c.tokens == sink_t.tokens
+        self.same_as_cycle(build, "a", 1)

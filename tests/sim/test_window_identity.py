@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.streams
-from repro.blocks import Block, Fanout, ScalarALU, Sink, StreamFeeder
+from repro.blocks import ALU, Block, Fanout, ScalarALU, Sink, StreamFeeder
 from repro.data import DatasetRegistry
 from repro.data.synthetic import random_sparse_matrix, urandom_vector
 from repro.formats import FiberTensor
@@ -38,7 +38,7 @@ from repro.sim import BACKENDS, DeadlockError, graph_token_counts, run_blocks
 from repro.streams import Channel, DONE, Stop
 from repro.streams.token import is_done
 
-from blockkit import block_classes
+from blockkit import TIMED, Slicer, block_classes
 
 B = random_sparse_matrix(20, 24, 0.2, seed=1)
 C = random_sparse_matrix(24, 18, 0.2, seed=2)
@@ -216,7 +216,8 @@ class TestUnbatchableTokens:
         tokens = payload + [DONE]
         runs = {}
         for backend in ("cycle", "timed-batch"):
-            src, a, b = Channel("s"), Channel("a"), Channel("b")
+            # opaque payload: a reference stream, not a coordinate one
+            src, a, b = (Channel(name, kind="ref") for name in "sab")
             blocks = [
                 StreamFeeder(tokens, src, name="feed"),
                 Fanout(src, [a, b]),
@@ -322,6 +323,28 @@ def mixed_pipeline(fibers, stages, cap_link, prefill_link, prefill, tuple_at,
     return blocks, (a, b)
 
 
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_a_finite_fifo_that_bites_runs_on_cycle(capacity):
+    """An ALU whose second operand idles: on ``cycle`` the first
+    operand's feeder stalls on its full FIFO; every timed engine hands
+    the run to ``cycle`` and gives its report."""
+    def build():
+        a = Channel("a", kind="vals", capacity=capacity)
+        b, out = Channel("b", kind="vals"), Channel("out", kind="vals")
+        values = [1.0, 2.0, 3.0, 4.0, Stop(0), DONE]
+        return [StreamFeeder(values, a, name="fa"), Slicer(values, [(1, 6)], b, "fb"),
+                ALU("add", a, b, out, name="alu"), Sink(out, name="sink")]
+
+    blocks = build()
+    want = full_report(blocks, run_blocks(blocks, backend="cycle"))
+    assert want[1]["fa"]["stall"] > 0  # the FIFO bites
+    for backend in TIMED:
+        blocks = build()
+        report = run_blocks(blocks, backend=backend)
+        assert full_report(blocks, report) == want, backend
+        assert report.handoff.startswith("channel 'a': capacity"), backend
 
 
 class TestMixedPlaneDifferential:

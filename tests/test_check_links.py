@@ -78,3 +78,16 @@ def test_a_dotted_name_the_package_lacks_is_refused(tmp_path):
     assert refused == ["repro.data.io.read_tns", "repro.data.load_all",
                        "repro.data.io.CooTensor.to_fibertensor",
                        "repro.nothing.here"]
+
+
+def test_a_roadmap_item_the_roadmap_lacks_is_refused(tmp_path):
+    root = tree(tmp_path, "x = 1\n",
+                "ROADMAP item 2, ROADMAP items 3(d), 7 and 9, ROADMAP item 4\n")
+    (tmp_path / "ROADMAP.md").write_text(
+        "## Open items\n\nSuggested order:\n1. Item 9 first.\n\n"
+        "2. **Two engines.**\n3. **Windows.**\n\n"
+        "Items 5 and 7 are done.\n- Item 4 (a front end): done in a PR.\n")
+    (tmp_path / "CHANGES.md").write_text("Serves ROADMAP item 6.\n")
+    cited = [message.split("item ")[-1].split(",")[0]
+             for _, message in check_links.check_roadmap_refs(root)]
+    assert cited == ["9", "6"]

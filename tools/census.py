@@ -114,7 +114,6 @@ ALLOWLIST = {
     "repro.blocks.drop:CoordDropper._mid_fiber": ERROR,
     "repro.blocks.repeat:Repeater._mid_fiber": ERROR,
     "repro.blocks.writer:_BadValue.__init__": ERROR,
-    "repro.blocks.writer:_fits_int64": ERROR,
     "repro.streams.timing:Fibers.tokens": ERROR,
     "repro.streams.token:is_control": ERROR,
     "repro.streams.token:show_value": ERROR,
@@ -133,8 +132,7 @@ ALLOWLIST = {
     "repro.formats.tensor:FiberTensor.from_coords_reference": ORACLE,
     # a hand-built run the plan sends to `cycle` before it starts: a
     # token queued before the run that does not batch, a finite FIFO
-    # without a credit pair
-    "repro.sim.backends.plan:_unbatchable": HANDOFF,
+    "repro.sim.backends.plan:_queued": HANDOFF,
     "repro.sim.backends.plan:plan_blocks.demote": HANDOFF,
     # a fused unit hands its operand windows back and dissolves
     "repro.sim.backends.compiled:_Side.put_back": COMPILED,
@@ -201,8 +199,6 @@ ALLOWLIST = {
     "repro.harness.cache:ResultCache.evict": PUBLIC,
     "repro.harness.cache:ResultCache.iter_entries": PUBLIC,
     "repro.harness.cache:ResultCache.size": PUBLIC,
-    # finite FIFOs, which `repro lint` models: a sink's pop credits
-    "repro.streams.channel:Channel.record_pops": PUBLIC,
     # containers and their printed form
     "repro.blocks.base:Block.__repr__": PUBLIC,
     "repro.formats.tensor:FiberTensor.__repr__": PUBLIC,
@@ -210,7 +206,6 @@ ALLOWLIST = {
     "repro.graph.ir:SamGraph.__repr__": PUBLIC,
     "repro.lang.compile:CompiledProgram.__repr__": PUBLIC,
     "repro.sim.backends.base:SimulationReport.__repr__": PUBLIC,
-    "repro.streams.batch:TokenBatch.__len__": PUBLIC,
     "repro.streams.batch:TokenBatch.__repr__": PUBLIC,
     "repro.streams.channel:Channel.__len__": PUBLIC,
     "repro.streams.timing:TimedReader.__len__": PUBLIC,

@@ -25,7 +25,12 @@ Fails (exit 1) when:
 * the same documents name a ``repro <word>`` command that is no
   subcommand of ``src/repro/cli.py``, or an ``--opt KEY=`` that no
   study under ``src/repro/studies/`` declares (an ``Option("KEY"`` row)
-  -- a deleted command or option lingering in prose.
+  -- a deleted command or option lingering in prose;
+* the same documents or CHANGES.md cite a ``ROADMAP item N`` (or
+  ``ROADMAP items N, M``) that ROADMAP.md neither lists as an open item
+  (a ``N. **Title**`` entry) nor names as done (``Items 10 and 14 are
+  done``, ``- Item 15 (...): done``) -- an item number cited after it
+  was renumbered or never existed.
 
 Usage::
 
@@ -69,6 +74,15 @@ REPRO_COMMAND = re.compile(r"\brepro(?:\s+--engine[\s=]+[\w-]+)*\s+([a-z][\w-]*)
 OPT_KEY = re.compile(r"--opt[\s=]+([a-z_]\w*)=")
 SUBCOMMAND = re.compile(r"add_parser\(\s*\"([\w-]+)\"")
 OPTION_ROW = re.compile(r"\bOption\(\s*\"(\w+)\"")
+
+#: a cited ROADMAP item (or items: ``ROADMAP items 3(d), 4``), and how
+#: ROADMAP.md lists an open item and names a done one
+_ITEM = r"\d+(?:\([a-z]\))?"
+ROADMAP_REF = re.compile(rf"\bROADMAP items? ({_ITEM}(?:(?:, | and ){_ITEM})*)")
+ROADMAP_OPEN = re.compile(r"^(\d+)\. \*\*", re.M)
+ROADMAP_DONE = re.compile(
+    r"\bItems? ((?:\d+(?:, | and ))*\d+) (?:are|is) done|^- Item (\d+)\b[^\n]*: done",
+    re.M)
 
 #: meta files that quote paths from *other* repositories (exemplar
 #: snippets, related-work notes) — not claims about this tree
@@ -145,6 +159,30 @@ def check_commands(root: str):
                     line = text.count("\n", 0, match.start()) + 1
                     yield path, (f"line {line}: `{match.group(0)}` names no "
                                  f"{what}")
+
+
+def roadmap_items(root: str) -> set:
+    """The item numbers ROADMAP.md lists as open or names as done."""
+    path = os.path.join(root, "ROADMAP.md")
+    text = open(path, encoding="utf-8").read() if os.path.isfile(path) else ""
+    items = set(ROADMAP_OPEN.findall(text))
+    for done in ROADMAP_DONE.finditer(text):
+        items.update(re.findall(r"\d+", done.group(1) or done.group(2)))
+    return items
+
+
+def check_roadmap_refs(root: str):
+    items = roadmap_items(root)
+    changes = os.path.join(root, "CHANGES.md")
+    paths = list(named_doc_paths(root)) + ([changes] if os.path.isfile(changes) else [])
+    for path in paths:
+        text = open(path, encoding="utf-8").read()
+        for match in ROADMAP_REF.finditer(text):
+            for number in re.findall(r"(?<![(\w])\d+", match.group(1)):
+                if number not in items:
+                    line = text.count("\n", 0, match.start()) + 1
+                    yield path, (f"line {line}: `{match.group(0)}` cites item "
+                                 f"{number}, which ROADMAP.md does not list")
 
 
 def check_names(root: str):
@@ -259,7 +297,7 @@ def main(argv=None) -> int:
     root = os.path.abspath((argv or sys.argv[1:] or ["."])[0])
     problems = (list(check_markdown(root)) + list(check_python_doc_refs(root))
                 + list(check_names(root)) + list(check_dotted(root))
-                + list(check_commands(root)))
+                + list(check_commands(root)) + list(check_roadmap_refs(root)))
     for path, message in problems:
         print(f"{os.path.relpath(path, root)}: {message}")
     if problems:

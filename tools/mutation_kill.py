@@ -14,8 +14,10 @@ Usage::
 
     python tools/mutation_kill.py
 
-It mutates this checkout's ``src/``: the window hooks are judged by
-``tests/blocks/test_window_blocks.py``, the engines' plane rule and the
+It mutates this checkout's ``src/``: the window hooks and the
+coordinate check of a feeder and of the plan are judged by
+``tests/blocks/test_window_blocks.py`` (a value stream read as
+coordinates by ``tests/blocks/test_reduce.py``), the engines' plane rule and the
 parallelizer's ``N`` by ``tests/sim/test_plane_rule.py`` (the plane rule's
 finite-FIFO gate by ``tests/sim/test_window_identity.py``, the
 worklist's dependency-order seed by ``tests/sim/test_visit_order.py``),
@@ -49,6 +51,7 @@ VISITS = "tests/sim/test_visit_order.py"
 BUDGET = "tests/sim/test_call_budget.py"
 COMPILE = "tests/lang/test_compile_once.py"
 LAZY_SCIPY = "tests/test_scipy_on_first_use.py"
+REDUCE = "tests/blocks/test_reduce.py"
 #: seconds one mutation's test run may take (a hang counts as killed)
 TIMEOUT = 900
 
@@ -133,6 +136,20 @@ MUTATIONS = (
              "repro/blocks/merge.py",
              "and self._last[index] < crd <= MAX_COORDINATE):",
              "and crd <= MAX_COORDINATE):"),
+    # -- typed coordinate streams: a feeder refuses a float when it is built
+    Mutation("feeder lets a float coordinate through", "repro/streams/batch.py",
+             'if batch is not None and (batch.data.dtype.kind == "i" '
+             'or not len(batch.data)):',
+             "if batch is not None:"),
+    # ... and a route no feeder checks hands the run to cycle
+    Mutation("plan lets a queued float coordinate onto windows",
+             "repro/sim/backends/plan.py",
+             "links[k] = _queued(ch, True) if ch.queue else None",
+             "links[k] = _queued(ch, False) if ch.queue else None"),
+    Mutation("plan reads a value stream as coordinates on windows",
+             "repro/sim/backends/plan.py",
+             '        if ch.kind != "crd":\n',
+             "        if False:\n", REDUCE),
     # -- the timed engines' plane rule, and the parallelizer's N
     Mutation("parallelizer window reads N as data", "repro/blocks/parallel.py",
              "        if np.count_nonzero(ccode == CODE_EMPTY):\n"
@@ -141,10 +158,10 @@ MUTATIONS = (
     Mutation("plane rule skips timed_capable()", "repro/sim/backends/plan.py",
              "if not block.timed_capable():",
              "if False:", PLANES),
-    Mutation("plane rule keeps a finite FIFO without a credit pair",
+    Mutation("plane rule keeps a finite FIFO on windows",
              "repro/sim/backends/plan.py",
-             "            if not keep:\n",
-             "            if False:\n", IDENTITY),
+             "        if ch.capacity is not None:\n",
+             "        if False:\n", IDENTITY),
     Mutation("worklist seeded in block order", "repro/sim/backends/plan.py",
              "tuple(dependency_order(n, producer, consumer))",
              "tuple(range(n))", VISITS),
