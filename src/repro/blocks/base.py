@@ -44,6 +44,13 @@ from ..streams.token import DONE, is_done, is_stop, token_repr
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
+#: the most a volume source materialises in one visit of a window run:
+#: a ``StreamFeeder`` pushes at most this many tokens, a ``LevelScanner``
+#: takes input references while their fibers total at most this many
+#: pairs (and always one); the worklist runs each slab down the graph
+#: before it visits the source again (docs/architecture.md, "Slabs")
+SLAB = 65536
+
 
 class TakenWindow(NamedTuple):
     """A stamped window up to its first ``D`` (:meth:`Block._t_take_window`)."""
@@ -224,6 +231,9 @@ class Block:
         #: event (a generator pop between two yields): applied to the next
         #: event's arrival by ``_t_event``/``_t_advance``
         self._t_carry = 0
+        #: whether the last window visit cut a slab: input is left that
+        #: the block takes on a later visit, with no new push
+        self._t_cut = False
 
     # -- wiring ---------------------------------------------------------
     @classmethod
@@ -341,6 +351,14 @@ class Block:
         reader.pull()
         return reader
 
+    def t_backlog(self, reader_of) -> int:
+        """What this block pushed that no reader has consumed yet, on its
+        fullest output: the window engine re-visits the cut source that
+        holds the least first.  ``reader_of(channel)`` is the cursor the
+        channel's consumer reads it through (None: none yet)."""
+        return max([ch.timed_backlog(reader_of(ch)) for ch in self.outputs.values()],
+                   default=0)
+
     def _tbuilder(self, channel: Channel) -> TimedBuilder:
         """Cached stamped output builder for *channel*."""
         try:
@@ -429,11 +447,15 @@ class Block:
         self._t_span(total, int(offs[-1]) + total - 1)
         return offs
 
-    def _t_take_window(self, channel) -> Optional[TakenWindow]:
+    def _t_take_window(self, channel, cut=None) -> Optional[TakenWindow]:
         """Take *channel*'s stamped window up to its first ``D``, or None
-        when nothing is waiting."""
-        window = self._treader(channel).take_window()
+        when nothing is waiting; ``cut(reader, window)``, when given,
+        hands back the part to take and puts the rest back."""
+        reader = self._treader(channel)
+        window = reader.take_window()
         if window is not None:
+            if cut is not None:
+                window = cut(reader, window)
             head, sd, sc, tail = split_done_stamped(*window)
             merged, di, ci = merge_stamps(head.remaining_arrays()[1], sd, sc)
             if len(merged):
@@ -572,6 +594,9 @@ class StreamFeeder(Block):
         """The list to play, batched once (``None`` when it does not
         batch) and checked on a coordinate channel."""
         self._tokens = list(tokens)
+        #: window plane: the tokens pushed so far and the token-order
+        #: indices of the list's data and control tokens
+        self._t_played: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
         try:
             self._tbatch = TokenBatch.from_tokens(self._tokens)
         except UnbatchableTokens:
@@ -600,16 +625,27 @@ class StreamFeeder(Block):
         return self._tbatch is not None
 
     def drain_timed(self) -> bool:
-        """Timed drain: the whole list in one visit, one token a cycle."""
+        """Timed drain: one token a cycle, at most :data:`SLAB` a visit."""
         if self.finished:
             return False
-        self.finished = True
         batch = self._tbatch
-        if batch.exhausted:
+        if self._t_played is None:
+            self._t_played = (0, *token_order_indices(batch.ctrl_pos,
+                                                      len(batch.data)))
+        start, di, ci = self._t_played
+        n = len(di) + len(ci)
+        end = min(start + SLAB, n)
+        self.finished = end == n
+        self._t_cut = not self.finished
+        self._t_played = (end, di, ci)
+        if end == start:
             return False
-        c = self._t_advance(np.zeros(len(batch), dtype=np.int64))
-        di, ci = token_order_indices(batch.ctrl_pos, len(batch.data))
-        self.out.push_batch_timed(batch, c[di], c[ci])
+        c = self._t_advance(np.zeros(end - start, dtype=np.int64))
+        d0, d1 = di.searchsorted((start, end))
+        c0, c1 = ci.searchsorted((start, end))
+        slab = TokenBatch(batch.data[d0:d1], batch.ctrl_pos[c0:c1] - d0,
+                          batch.ctrl_code[c0:c1])
+        self.out.push_batch_timed(slab, c[di[d0:d1] - start], c[ci[c0:c1] - start])
         return True
 
 

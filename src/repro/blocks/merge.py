@@ -471,7 +471,8 @@ class _Merger(Block):
         ``_merge_events`` schedule, read where it is emitted.
         """
         k = len(view.lens)
-        fiber, crd = np.divmod(keys, stride)
+        fiber = keys // stride
+        crd = keys - fiber * stride
         real = crd != stride - 1
         fa, xa = fiber[real], crd[real]
         lens, start = view.lens[fa], view.start[fa]
@@ -623,7 +624,8 @@ class _Merger(Block):
         values = np.empty(len(tokens), dtype=np.int64)
         for key, (at, where) in zip(keys, picks):
             values[where] = key[at]
-        fiber, crd = np.divmod(values, stride)
+        fiber = values // stride
+        crd = values - fiber * stride
         real = crd != stride - 1
         code = np.where(real, CODE_EMPTY, codes[fiber])
         cycles = cycles[tokens]

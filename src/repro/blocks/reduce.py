@@ -104,7 +104,8 @@ def _dedup_regions(crds, vals, sizes):
         touched = np.zeros(slots, dtype=bool)
         touched[at] = True
         hit = touched.nonzero()[0]
-        region, uniq = np.divmod(hit, span)
+        region = hit // span
+        uniq = hit - region * span
         uniq += lo
         return uniq, sums[hit], np.bincount(region, minlength=len(sizes))
     region = index_ramp(len(sizes)).repeat(sizes)

@@ -31,9 +31,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ..formats.level import Level
-from ..streams.batch import CODE_DONE, CODE_EMPTY, filled, index_ramp
+from ..streams.batch import CODE_DONE, CODE_EMPTY, TokenBatch, filled, index_ramp
 from ..streams.channel import Channel
 from ..streams.token import DONE, Stop, is_data, is_done, is_empty, is_stop
+from . import base
 from .base import Block, PortSpec, BlockError, StreamXfer
 
 
@@ -168,6 +169,35 @@ class LevelScanner(Block):
         arrivals[pos] = val
         return self._t_advance(arrivals)
 
+    def _t_slab(self, reader, window):
+        """Cut an input window to a slab: the leading references whose
+        fibers total at most :data:`~repro.blocks.base.SLAB` pairs, and
+        always one, with the control tokens up to the next reference.
+        The rest goes back to *reader* (:attr:`_t_cut`); a cut past the
+        first ``D`` is not made."""
+        batch, sd, sc = window  # a fresh batch: its cursors are at 0
+        refs, slab = batch.data, base.SLAB
+        self._t_cut = False
+        if len(refs) < 2:
+            return window
+        lens = self.level.fiber_lens(refs[:slab + 1])
+        if len(refs) <= slab and np.add.reduce(lens) <= slab:
+            return window
+        m = int(lens.cumsum().searchsorted(slab, "right")) or 1
+        cpos, ccode = batch.ctrl_pos, batch.ctrl_code
+        nc = int(cpos.searchsorted(m, "right"))
+        if m == len(refs) or np.count_nonzero(ccode[:nc] == CODE_DONE):
+            return window
+        batch._d, batch._c = m, nc
+        reader.put_back(window)
+        self._t_cut = True
+        return TokenBatch(refs[:m], cpos[:nc], ccode[:nc]), sd[:m], sc[:nc]
+
+    def t_backlog(self, reader_of) -> int:
+        if self.runs is not None:
+            return self.runs.backlog()
+        return super().t_backlog(reader_of)
+
     def _t_take_events(self, fibers):
         """One input window's event layout, or None when none waits.
 
@@ -183,7 +213,7 @@ class LevelScanner(Block):
         references (``fiber_arrays`` or ``fiber_bounds``): the fibers'
         lengths last.
         """
-        taken = self._t_take_window(self.in_ref)
+        taken = self._t_take_window(self.in_ref, self._t_slab)
         if taken is None:
             return None
         head, stamps, di, ci, tail, *_ = taken
@@ -280,9 +310,9 @@ class LevelScanner(Block):
         return self.runs
 
     def drain_timed(self) -> bool:
-        """Timed drain: a whole window, one schedule.
+        """Timed drain: a slab of the input window, one schedule.
 
-        The window's events (:meth:`_t_take_events`) make one schedule,
+        The slab's events (:meth:`_t_take_events`) make one schedule,
         one ``fiber_arrays`` gather and one control layout shared by both
         outputs — or, paired with the consumer of both outputs,
         :meth:`_scan_runs` hands it the window's fibers as runs.
@@ -391,6 +421,13 @@ class FiberRuns:
 
     def consume(self, k: int) -> None:
         self.at += k
+        if self.at == len(self._held.lens):  # keep no consumed window
+            self._held, self.at = _NO_SPANS, 0
+
+    def backlog(self) -> int:
+        """Pairs and terminators of the complete fibers not yet consumed."""
+        lens = self._held.lens[self.at:]
+        return int(np.add.reduce(lens)) + len(lens)
 
     def pairs(self, runs: FiberSpans) -> tuple:
         """``(positions, stamps)`` of every pair of *runs*."""

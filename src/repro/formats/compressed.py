@@ -105,6 +105,11 @@ class CompressedLevel(Level):
         children = np.arange(total, dtype=np.int64) + (starts - before).repeat(lens)
         return self.crd[children], children, lens
 
+    def fiber_lens(self, refs: np.ndarray) -> np.ndarray:
+        """The pair counts of the fibers at *refs*."""
+        refs = np.asarray(refs, dtype=np.int64)
+        return self.seg[refs + 1] - self.seg[refs]
+
     def fiber_bounds(self, refs: np.ndarray):
         """``(starts, lens)`` of the fibers at *refs*: fiber *i* is the
         positions ``starts[i]..starts[i] + lens[i]``, each its own child

@@ -53,6 +53,12 @@ class DenseLevel(Level):
         lens.fill(size)
         return crds, children, lens
 
+    def fiber_lens(self, refs: np.ndarray) -> np.ndarray:
+        """The pair counts of the fibers at *refs*: each is ``size``."""
+        lens = np.empty(len(refs), dtype=np.int64)
+        lens.fill(self.size)
+        return lens
+
     def locate_arrays(self, ref: int, coordinates: np.ndarray):
         """Vectorized :meth:`locate`: in-range coordinates always hit."""
         coordinates = np.asarray(coordinates, dtype=np.int64)

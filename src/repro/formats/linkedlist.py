@@ -76,14 +76,7 @@ class LinkedListLevel(Level):
         every list out in list order.  The layout is built once per size
         of the level: a reader's many windows share it.
         """
-        size = (len(self.node_parent), len(self.heads))
-        if self._layout is None or self._layout[0] != size:
-            parent = np.asarray(self.node_parent, dtype=np.int64)
-            seg = np.zeros(size[1] + 1, dtype=np.int64)
-            np.bincount(parent, minlength=size[1]).cumsum(out=seg[1:])
-            self._layout = (size, parent.argsort(kind="stable"), seg,
-                            np.asarray(self.node_crd, dtype=np.int64))
-        _, order, seg, crd = self._layout
+        _, order, seg, crd = self._lists()
         refs = np.asarray(refs, dtype=np.int64)
         starts = seg[refs]
         lens = seg[refs + 1] - starts
@@ -91,6 +84,24 @@ class LinkedListLevel(Level):
         children = order[np.arange(int(np.add.reduce(lens)), dtype=np.int64)
                          + (starts - before).repeat(lens)]
         return crd[children], children, lens
+
+    def fiber_lens(self, refs: np.ndarray) -> np.ndarray:
+        """The node counts of the lists at *refs*."""
+        seg = self._lists()[2]
+        refs = np.asarray(refs, dtype=np.int64)
+        return seg[refs + 1] - seg[refs]
+
+    def _lists(self):
+        """``(size, order, seg, crd)``: the nodes laid out list by list,
+        built once per size of the level."""
+        size = (len(self.node_parent), len(self.heads))
+        if self._layout is None or self._layout[0] != size:
+            parent = np.asarray(self.node_parent, dtype=np.int64)
+            seg = np.zeros(size[1] + 1, dtype=np.int64)
+            np.bincount(parent, minlength=size[1]).cumsum(out=seg[1:])
+            self._layout = (size, parent.argsort(kind="stable"), seg,
+                            np.asarray(self.node_crd, dtype=np.int64))
+        return self._layout
 
     def __repr__(self) -> str:
         return f"LinkedListLevel(fibers={len(self.heads)}, nodes={len(self.node_crd)})"

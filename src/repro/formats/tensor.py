@@ -49,8 +49,11 @@ def dense_nonzeros(array) -> Tuple[np.ndarray, np.ndarray]:
     array = np.asarray(array, dtype=float)
     if array.ndim == 0:  # nonzero() refuses a 0-d array
         return np.argwhere(array != 0).astype(np.int64, copy=False), np.empty(0)
-    where = (array != 0).nonzero()
-    return np.array(where, dtype=np.int64).T, array[where]
+    # one flat pass over the mask and one unravel: a 2-D nonzero() walks
+    # the mask once per dimension
+    flat = array.ravel()
+    at = (flat != 0).nonzero()[0]
+    return np.array(np.unravel_index(at, array.shape), dtype=np.int64).T, flat[at]
 
 
 def segment_offsets(counts: np.ndarray) -> np.ndarray:
@@ -460,7 +463,7 @@ class FiberTensor:
         out = np.zeros(self.shape, dtype=float)
         coords, values = self.to_coo()
         if coords.size:
-            out[tuple(coords.T)] = values
+            out.ravel()[np.ravel_multi_index(tuple(coords.T), self.shape)] = values
         return out
 
     def __repr__(self) -> str:

@@ -213,7 +213,10 @@ def bind(
     chans = [Channel(name, kind=kind, record=rec)
              for name, kind, rec in zip(wiring.names, wiring.kinds, wiring.records)]
     bound.channels = dict(zip(wiring.names, chans))
-    bound.unchecked.update(id(chans[k]) for k in wiring.unused)
+    # an output its kind leaves open has no reader: it counts, keeps nothing
+    for k in wiring.unused:
+        chans[k].drops = True
+        bound.unchecked.add(id(chans[k]))
     blocks = bound.blocks
     for hub, legs, name in wiring.fanouts:
         blocks.append(Fanout(chans[hub], [chans[k] for k in legs], name=name))

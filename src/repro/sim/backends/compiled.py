@@ -190,6 +190,13 @@ class _Side:
 
     def put_back(self):
         self.reader.put_back(self.window)
+        self.clear()
+
+    def clear(self):
+        """Drop the acquisition's window: a side keeps none between steps."""
+        self.reader = self.window = self.tail = None
+        self.merged = self.di = self.ci = self.sd = self.sc = None
+        self.data = self.cpos = self.ccode = self.empty = self.post = None
 
     def commit(self):
         """Advance the feeder (stats + counters) and produce the operand
@@ -319,7 +326,10 @@ class _ChainUnit:
         vals = blk._fn(va, vb)
         # both arrival arrays are fresh — reuse one for the zip max
         np.maximum(arr_a, arr_b, out=arr_a)
-        return (vals, pa, ca), arr_a, di, ci, ends_done, None
+        tails = [side.tail for side in self.sides]
+        side_a.clear()
+        side_b.clear()
+        return (vals, pa, ca), arr_a, di, ci, ends_done, tails
 
     def _acquire_map(self):
         taken = self.head._t_take_window(self.head_in)
@@ -376,13 +386,14 @@ class _ChainUnit:
             out.data_with_ctrl(vals, cpos, ccode, c[di], cctrl)
             out.flush()
         if ends_done:
-            if tail is not None:
-                self.head_in.timed_requeue_front(*tail)
-            if self.sides is not None:
-                for side in self.sides:
+            if self.sides is None:
+                if tail is not None:
+                    self.head_in.timed_requeue_front(*tail)
+            else:
+                for side, side_tail in zip(self.sides, tail):
                     if side.feeder is not None:
-                        if side.tail is not None:
-                            side.channel.timed_requeue_front(*side.tail)
+                        if side_tail is not None:
+                            side.channel.timed_requeue_front(*side_tail)
                         side.feeder.finished = True
             for blk in self.blocks:
                 blk.finished = True

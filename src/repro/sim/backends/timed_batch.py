@@ -34,14 +34,19 @@ repository's invariant — and ``report.handoff`` names the first block
 or channel that decided it.  A window run then pairs scanners with the
 locators and merger sides that read both their outputs.
 
-A window run is a worklist seeded in dependency order (the plan's
-``order``: producers before consumers), so a stock window
-block is first visited once every producer has pushed its whole stream,
-and takes it in one visit.  A block is visited again after a producer
-pushed onto one of its inputs, and after any visit that made progress:
-a hook that pushes one slice a visit needs those re-visits.  The seed is a
-cost, never a result: any seed gives the same report
-(``tests/sim/test_visit_order.py``).  **No block changes plane
+A window run is a worklist visited in dependency order (the plan's
+``order``: producers before consumers), so a block is visited once
+every producer has pushed what it has, and takes all of it in one
+visit.  A block is visited again after a producer pushed onto one of
+its inputs.  **A run holds a slab, not the whole run**: a volume source
+(a ``StreamFeeder``, a ``LevelScanner``) takes at most
+:data:`~repro.blocks.base.SLAB` a visit and says it left the rest
+(``_t_cut``); the worklist runs that slab down the graph, and only when
+no block is left to visit does the cut source whose outputs hold the
+fewest unconsumed tokens (``t_backlog``) take its next slab.  The order
+is a cost, never a result: any order and any cut give the same report
+(``tests/sim/test_visit_order.py``, ``tests/sim/test_slab_rule.py``).
+**No block changes plane
 mid-run**: a window hook takes every well-formed stream, and input it
 cannot take is malformed and raises the ``BlockError`` the block's
 generator raises on ``cycle`` (a merger's malformed side, a
@@ -64,7 +69,7 @@ every hook below is a no-op for it.
 
 from __future__ import annotations
 
-from collections import deque
+from heapq import heappop, heappush
 from typing import List, Optional, Tuple
 
 from ...streams.channel import Channel
@@ -123,19 +128,32 @@ class TimedBatchEngine(Engine):
 
         n = len(blocks)
         finished = [b.finished for b in blocks]
-        # a fused unit is seeded at its last member: by then every
+        # a fused unit is visited at its last member: by then every
         # producer outside the unit has been visited
         last = {id(units[i]): i for i in plan.order if i in units}
-        dirty = deque([i for i in plan.order
-                       if i not in units or last[id(units[i])] == i])
+        rank = [0] * n
+        for k, i in enumerate(plan.order):
+            rank[i] = k
+        dirty = [(rank[i], i) for i in plan.order
+                 if i not in units or last[id(units[i])] == i]
         queued = [False] * n
-        for i in dirty:
+        for _, i in dirty:
             queued[i] = True
+        cut: List[int] = []  # sources holding the rest of a cut slab
+        index = {ch: k for k, ch in enumerate(channels)}
+
+        def reader_of(ch: Channel):
+            """The cursor *ch*'s consumer reads it through, once it has read."""
+            c = consumer[index[ch]]
+            return None if c is None else getattr(blocks[c], "_timed_readers", {}).get(ch)
 
         def mark(i: int) -> None:
+            unit = units.get(i)
+            if unit is not None:
+                i = last[id(unit)]
             if not (finished[i] or queued[i]):
                 queued[i] = True
-                dirty.append(i)
+                heappush(dirty, (rank[i], i))
 
         def wake_after(i: int) -> None:
             for k in outs[i]:
@@ -162,20 +180,28 @@ class TimedBatchEngine(Engine):
                 if outcome:
                     for m in unit.emitters:
                         wake_after(m)
-                    mark(i)
                 return
             block = blocks[i]
             progressed = block.drain_timed()
             finished[i] = block.finished
             if progressed:
                 wake_after(i)
-                mark(i)
+                if block._t_cut and i not in cut:
+                    cut.append(i)
 
-        while dirty:
-            i = dirty.popleft()
-            queued[i] = False
-            if not finished[i]:
-                visit(i)
+        while True:
+            while dirty:
+                i = heappop(dirty)[1]
+                queued[i] = False
+                if not finished[i]:
+                    visit(i)
+            # every slab is as far down the graph as it goes: the cut
+            # source whose outputs hold the least takes its next slab
+            cut[:] = [i for i in cut if blocks[i]._t_cut and not finished[i]]
+            if not cut:
+                break
+            held = [blocks[i].t_backlog(reader_of) for i in cut]
+            mark(cut.pop(held.index(min(held))))
 
         cycles = self._cycles_so_far()
         if not all(finished):

@@ -39,6 +39,7 @@ class Channel:
         "pushed_empty",
         "history",
         "record",
+        "drops",
         "timed",
     )
 
@@ -58,6 +59,9 @@ class Channel:
         self.pushed_done = 0
         self.pushed_empty = 0
         self.record = record
+        #: no block reads this channel: it counts what is pushed, keeps
+        #: nothing (``bind`` sets it on the outputs a node kind leaves open)
+        self.drops = False
         self.history: list = []
         #: timed-plane state (stamped pending queue + credit accounting);
         #: attached by the timed-batch backend via :meth:`init_timed`
@@ -67,7 +71,8 @@ class Channel:
     def push(self, token) -> None:
         if self.capacity is not None and len(self.queue) >= self.capacity:
             raise OverflowError(f"channel {self.name!r} is full")
-        self.queue.append(token)
+        if not self.drops:
+            self.queue.append(token)
         if self.record:
             self.history.append(token)
         # Classification fast path: the overwhelming majority of tokens are
@@ -189,7 +194,8 @@ class Channel:
         self.pushed_empty += n_empty
         if self.record:
             self.history.extend(batch.tokens())
-        state.pending.append((batch, sdata, sctrl))
+        if not self.drops:
+            state.pending.append((batch, sdata, sctrl))
 
     def stamp_queue(self, stamp: int) -> bool:
         """Move every queued token onto the stamped plane as one batch,
@@ -217,6 +223,15 @@ class Channel:
         taken = list(state.pending)
         state.pending.clear()
         return taken
+
+    def timed_backlog(self, reader) -> int:
+        """Tokens pushed onto the stamped plane that its reader has not
+        consumed yet: those pending, and those *reader* (its consumer's
+        cursor; None before the first read) holds."""
+        held = sum(len(entry[0]) for entry in self.timed.pending)
+        if reader is not None:
+            held += len(reader)
+        return held
 
     def timed_requeue_front(self, batch, sdata, sctrl) -> None:
         """Put an (already counted) stamped batch back at the front."""

@@ -136,7 +136,9 @@ class Exp(Block):
 
 class Relay(Block):
     """Pass-through, one token a cycle.  Its window hook moves one token
-    a visit, so its consumer is fed one-token windows."""
+    a visit and says it left the rest (``_t_cut``), so the engine runs
+    that token down the graph before it visits the relay again: its
+    consumer is fed one-token windows."""
 
     def __init__(self, in_, out, name):
         super().__init__(name)
@@ -158,6 +160,7 @@ class Relay(Block):
         token, stamp = reader.pop()
         push_stamped(self.out, [token], self._t_event(stamp), self.name)
         self.finished = is_done(token)
+        self._t_cut = bool(len(reader))
         return True
 
 
@@ -196,7 +199,8 @@ class Slicer(Block):
     *plan* is ``[(size, gap), ...]``: push *size* tokens, idle *gap*
     cycles; whatever the plan leaves is pushed last.  Its window hook
     makes one of the generator's cycles a visit (a slice, or an idle
-    cycle), so the block downstream sees windows that end wherever a
+    cycle) and says it left the rest (``_t_cut``), as a slabbed source
+    does, so the block downstream sees windows that end wherever a
     slice does — mid-fiber, between a coordinate and its references,
     after the stop — in the order of their cycles.
     """
@@ -239,6 +243,7 @@ class Slicer(Block):
         push_stamped(self.out, self.tokens[:size], self._t_event(), self.name)
         del self.tokens[:size]
         self.finished = not self._cycles
+        self._t_cut = not self.finished
         return True
 
 

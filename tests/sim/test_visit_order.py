@@ -1,17 +1,22 @@
-"""Wall-clock-free guard: a window run visits each block once, producers first.
+"""Wall-clock-free guard: a window run visits each block once a slab, producers first.
 
-``TimedBatchEngine.run`` seeds its worklist in dependency order
+``TimedBatchEngine.run`` visits its worklist in dependency order
 (:func:`~repro.sim.backends.plan.dependency_order`, the plan's
-``order``) and a fused
-unit at its last member, so every producer of a block has run — and
-pushed its whole stream — before the block is first visited.  Counted
-here, with no clock: on the twelve Table-1 programs, Gamma,
-``spmv_locate``, OuterSPACE and every quick-sweep graph that stays on
-windows, under every timed engine,
+``order``), a fused unit at its last member, so every producer of a
+block has pushed its slab before the block is visited.  A volume source
+pushes at most a slab a visit (:data:`~repro.blocks.base.SLAB`); the
+worklist runs each slab down the graph before it visits the source
+again, and a block is visited when a producer pushed onto one of its
+inputs.  Counted here, with no clock: on the twelve Table-1 programs,
+Gamma, ``spmv_locate``, OuterSPACE and every quick-sweep graph that
+stays on windows, under every timed engine — all far below a slab —
 
 * every block outside a fused unit enters ``drain_timed`` exactly once;
 * every fused unit steps exactly once;
-* no visit comes back without progress.
+* no visit comes back without progress;
+
+and on ``spmv_locate`` with the slab patched small, every block below
+the cut scanner enters (every fused unit steps) exactly once a slab.
 
 A graph handed to ``cycle`` (``report.handoff`` names the block that
 decided it) runs no worklist and is skipped.
@@ -38,6 +43,7 @@ from repro.harness.registry import execute_spec, get_study
 from repro.kernels import gamma, gamma_spmm, outerspace, outerspace_spmm, spmv, spmv_locate
 from repro.lang import compile_expression, parse
 from repro.sim import graph_token_counts
+from repro.blocks import base
 from repro.sim.backends import plan, timed_batch
 from repro.sim.backends.compiled import _ChainUnit
 from repro.studies.table1 import ENTRIES, _random_inputs
@@ -170,6 +176,39 @@ def test_quick_sweep_blocks_visited_once(backend, census, default_engine):
         for spec in study.enumerate(backend=backend, options=study.quick_options):
             execute_spec(spec)
     assert assert_each_visited_once(census) > 0
+
+
+def slab_count(lens, slab):
+    """How many visits the slab rule cuts a scanner input into, its
+    fibers *lens* long: the leading fibers that total at most *slab*
+    pairs, and always one, a visit."""
+    count, at = 0, 0
+    while at < len(lens):
+        at += max(int(np.searchsorted(np.cumsum(lens[at:at + slab + 1]), slab,
+                                      "right")), 1)
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("backend", TIMED)
+def test_each_block_below_a_cut_visited_once_a_slab(backend, census, monkeypatch):
+    monkeypatch.setattr(base, "SLAB", 16)
+    B, _ = operands()
+    slabs = slab_count(np.count_nonzero(B, axis=1)[B.any(axis=1)], 16)
+    assert slabs > 3
+    spmv_locate_case()(backend)
+    (engine, report, entries, steps), = census
+    units = engine._segment_log[0] if hasattr(engine, "_segment_log") else []
+    fused = {i for unit in units for i in unit.members}
+    for i, block in enumerate(engine.blocks):
+        if i in fused:
+            want = []
+        elif block.name in ("root_B", "scan_Bi"):
+            want = [True]
+        else:
+            want = [True] * slabs
+        assert entries.get(i, []) == want, (block.name, entries.get(i))
+    assert [outcome for _, outcome in steps] == [True] * slabs * len(units)
 
 
 def bits(value):

@@ -20,7 +20,8 @@ coordinate check of a feeder and of the plan are judged by
 coordinates by ``tests/blocks/test_reduce.py``), the engines' plane rule and the
 parallelizer's ``N`` by ``tests/sim/test_plane_rule.py`` (the plane rule's
 finite-FIFO gate by ``tests/sim/test_window_identity.py``, the
-worklist's dependency-order seed by ``tests/sim/test_visit_order.py``),
+worklist's dependency-order seed by ``tests/sim/test_visit_order.py``,
+the slab rule and the open outputs by ``tests/sim/test_slab_rule.py``),
 the ``.mtx`` reader's byte-grammar check and its one-thread parse by
 ``tests/data/test_io.py``, the fibertree build's grouping passes by
 ``tests/formats/test_sorted_ingest.py``, the Table-1 pass's fixed cost
@@ -52,6 +53,7 @@ BUDGET = "tests/sim/test_call_budget.py"
 COMPILE = "tests/lang/test_compile_once.py"
 LAZY_SCIPY = "tests/test_scipy_on_first_use.py"
 REDUCE = "tests/blocks/test_reduce.py"
+SLABS = "tests/sim/test_slab_rule.py"
 #: seconds one mutation's test run may take (a hang counts as killed)
 TIMEOUT = 900
 
@@ -165,6 +167,23 @@ MUTATIONS = (
     Mutation("worklist seeded in block order", "repro/sim/backends/plan.py",
              "tuple(dependency_order(n, producer, consumer))",
              "tuple(range(n))", VISITS),
+    # -- the slab rule: a window run holds a slab, not the whole run
+    Mutation("a cut source takes its next slab before this one is down",
+             "repro/sim/backends/timed_batch.py",
+             "                if block._t_cut and i not in cut:\n"
+             "                    cut.append(i)\n",
+             "                if block._t_cut:\n"
+             "                    mark(i)\n", SLABS),
+    Mutation("the next slab ignores what each cut source holds",
+             "repro/sim/backends/timed_batch.py",
+             "mark(cut.pop(held.index(min(held))))",
+             "mark(cut.pop(0))", SLABS),
+    Mutation("a scanner takes its whole window", "repro/blocks/scanner.py",
+             "if m == len(refs) or np.count_nonzero(ccode[:nc] == CODE_DONE):",
+             "if True:", SLABS),
+    Mutation("an open output keeps its tokens", "repro/streams/channel.py",
+             "        if not self.drops:\n            state.pending.append(",
+             "        if True:\n            state.pending.append(", SLABS),
     # -- plan once per frozen graph: a warm bind re-plans nothing
     Mutation("plan memo off (every bind validates and re-plans)",
              "repro/graph/bind.py",
