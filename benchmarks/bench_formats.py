@@ -67,8 +67,8 @@ def _assert_same(fast: FiberTensor, slow: FiberTensor) -> None:
             assert np.array_equal(la.seg, lb.seg), "seg arrays differ"
             assert np.array_equal(la.crd, lb.crd), "crd arrays differ"
         elif la.format_name == "bitvector":
-            # Compare the flat storage directly — the fibers_words
-            # compatibility view would be slow at benchmark scale.
+            # the flat storage: equal words and word segments are equal
+            # fibers, without expanding a bit per pair
             assert np.array_equal(la._word_seg, lb._word_seg), \
                 "bitvector word segments differ"
             assert np.array_equal(la._words, lb._words), \

@@ -325,10 +325,9 @@ class Block:
         """Whether this block's timed hook can run on this instance.
 
         Subclasses refine this for instance-level constraints the hook
-        cannot express (level formats without array interfaces, wired
-        skip channels, unsupported arities).  Channel-level constraints
-        (finite capacities, unbatchable queue contents) are checked by
-        the engine.
+        cannot express (wired skip channels, unsupported arities).
+        Channel-level constraints (finite capacities, unbatchable queue
+        contents) are checked by the engine.
         """
         return True
 

@@ -125,9 +125,6 @@ class Locator(Block):
                 self.out_ref_in.push(ref)
             yield True
 
-    def timed_capable(self) -> bool:
-        return hasattr(self.level, "locate_arrays")
-
     def run_inputs(self):
         """``(0, in_crd, in_ref)``: a scanner can hand this locator its
         fibers as runs."""

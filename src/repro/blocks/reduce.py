@@ -38,7 +38,6 @@ from ..streams.batch import (
     decode_code,
     exact_segment_sums,
     filled,
-    sequential_segment_sums,
 )
 from ..streams.channel import Channel
 from ..streams.timing import (
@@ -167,16 +166,16 @@ class ScalarReducer(Block):
         self.in_val = self._in("in_val", in_val)
         self.out_val = self._out("out_val", out_val)
         self.empty_policy = empty_policy
-        #: timed-drain carry: unflushed value run + whether the open
-        #: region has seen a value (mirrors the generator's locals)
+        #: timed-drain carry: the open region's values so far (the
+        #: generator's ``acc``, unsummed)
         self._acc_parts: List[np.ndarray] = []
-        self._acc_saw = False
 
     def _region_sums(self, data, cpos, ccode):
         """Region aggregation of one timed window.
 
-        Region boundaries are the window's control tokens; sums go
-        through :func:`~repro.streams.batch.exact_segment_sums`, which
+        Region boundaries are the window's control tokens, and the
+        carried open region leads the first; sums go through
+        :func:`~repro.streams.batch.exact_segment_sums`, which
         accumulates in the exact order of the generator's running
         ``acc`` so results are bit-identical to the generator.
         Consumes the carried open-region state; returns ``(sums, emit,
@@ -184,22 +183,16 @@ class ScalarReducer(Block):
         empty policy, the level-elevated boundaries, and the
         emitted-prefix counts.
         """
-        starts = np.concatenate([np.zeros(1, dtype=np.int64), cpos[:-1]])
-        lens = cpos - starts
-        sums = exact_segment_sums(data[: int(cpos[-1])], starts, lens)
-        saw = lens > 0
+        head = data[: int(cpos[-1])]
         if self._acc_parts:
-            region0 = np.concatenate(self._acc_parts + [data[: int(cpos[0])]])
-            sums[0] = sequential_segment_sums(
-                region0, np.zeros(1, dtype=np.int64),
-                np.asarray([len(region0)], dtype=np.int64),
-            )[0]
-            saw[0] = True
+            head = np.concatenate(self._acc_parts + [head])
             self._acc_parts = []
-        saw[0] |= self._acc_saw
-        self._acc_saw = False
+        ends = cpos + (len(head) - int(cpos[-1]))
+        starts = np.concatenate([np.zeros(1, dtype=np.int64), ends[:-1]])
+        lens = ends - starts
+        sums = exact_segment_sums(head, starts, lens)
         stops = ccode >= 0
-        emit = stops if self.empty_policy == "zero" else (stops & saw)
+        emit = stops if self.empty_policy == "zero" else (stops & (lens > 0))
         elevated = stops & (ccode >= 1)
         return sums, emit, elevated, emit.cumsum()
 
@@ -217,7 +210,6 @@ class ScalarReducer(Block):
             # No region boundary in the window yet: carry and wait.
             if len(data):
                 self._acc_parts.append(data)
-                self._acc_saw = True
             return
         out = self._tbuilder(self.out_val)
         sums, emit, elevated, pref = self._region_sums(data, cpos, ccode)
@@ -231,7 +223,6 @@ class ScalarReducer(Block):
             rest = data[int(cpos[-1]):]
             if len(rest):
                 self._acc_parts.append(rest)
-                self._acc_saw = True
         out.flush()
 
     def drain_timed(self) -> bool:

@@ -30,6 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ..formats.compressed import CompressedLevel
 from ..formats.level import Level
 from ..streams.batch import CODE_DONE, CODE_EMPTY, TokenBatch, filled, index_ramp
 from ..streams.channel import Channel
@@ -159,7 +160,7 @@ class LevelScanner(Block):
         # Skip hints are consumed by *polling* mid-scan, which ties the
         # scanner's schedule to the intersecter's: the graph runs on
         # ``cycle``.
-        return self.in_skip is None and hasattr(self.level, "fiber_arrays")
+        return self.in_skip is None
 
     def _t_run(self, pos, val, total):
         """Busy schedule of one window's *total* events from its sparse
@@ -297,11 +298,11 @@ class LevelScanner(Block):
         """Pair this scanner with the consumer reading *crd* and *ref*:
         the fiber runs it will read instead of the two outputs' tokens,
         or None when the pair cannot hold — *crd*/*ref* are not exactly
-        its outputs, a skip input is wired, the level is not a
-        position-range one (``fiber_bounds``), or a link is finite,
-        recorded or already holds tokens."""
+        its outputs, a skip input is wired, the level is not compressed
+        (whose fibers are position ranges: ``fiber_bounds``), or a link
+        is finite, recorded or already holds tokens."""
         links = (self.out_crd, self.out_ref)
-        if (not hasattr(self.level, "fiber_bounds") or (crd, ref) != links
+        if (not isinstance(self.level, CompressedLevel) or (crd, ref) != links
                 or self.in_skip is not None
                 or any(ch.capacity is not None or ch.record or ch.queue
                        or ch.timed.pending for ch in links)):

@@ -34,7 +34,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..formats.tensor import dense_nonzeros, segment_offsets
+from ..formats.level import fiber_positions
+from ..formats.tensor import dense_nonzeros
 
 
 @dataclass(frozen=True)
@@ -524,7 +525,7 @@ def read_mtx(path: str) -> CooTensor:
             col_idx = np.arange(cols, dtype=np.int64)
             counts = np.maximum(rows - (col_idx + first), 0)
             c_rep = np.repeat(col_idx, counts)
-            r_idx = c_rep + first + segment_offsets(counts)
+            r_idx = fiber_positions(col_idx + first, counts)
             if body.size != r_idx.size:
                 raise ValueError(f"{path}: triangular array size mismatch")
             dense[r_idx, c_rep] = body

@@ -1,6 +1,6 @@
 """Fibertree tensor formats (paper section 3.1, Figures 1 and 3)."""
 
-from .bitvector import BitvectorLevel, coords_to_words, popcount, word_coords
+from .bitvector import BitvectorLevel, coords_to_words, popcount
 from .compressed import CompressedLevel
 from .dense import DenseLevel
 from .level import Level
@@ -18,5 +18,4 @@ __all__ = [
     "coords_to_words",
     "popcount",
     "scalar_tensor",
-    "word_coords",
 ]

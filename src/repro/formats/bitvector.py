@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .level import Level
+from .level import Level, fiber_positions
 
 
 def popcount(word: int) -> int:
@@ -62,12 +62,6 @@ def coords_to_words(coords: Sequence[int], size: int, bits_per_word: int) -> Lis
             raise ValueError(f"coordinate {crd} outside dimension of size {size}")
         words[crd // bits_per_word] |= 1 << (crd % bits_per_word)
     return words
-
-
-def word_coords(word: int, word_index: int, bits_per_word: int) -> List[int]:
-    """Expand one word back into its absolute coordinates."""
-    base = word_index * bits_per_word
-    return [base + bit for bit in range(bits_per_word) if word >> bit & 1]
 
 
 class BitvectorLevel(Level):
@@ -143,14 +137,6 @@ class BitvectorLevel(Level):
         return level
 
     # -- bitvector-specific interface ----------------------------------------
-    @property
-    def fibers_words(self) -> List[List[int]]:
-        """Per-fiber word lists (compatibility view over the flat storage)."""
-        return [
-            self._words[self._word_seg[i]:self._word_seg[i + 1]].tolist()
-            for i in range(self.num_fibers())
-        ]
-
     def words(self, ref: int) -> List[Tuple[int, int, int]]:
         """``(word_index, word, child_base_ref)`` for every word in fiber *ref*.
 
@@ -166,12 +152,23 @@ class BitvectorLevel(Level):
     def num_fibers(self) -> int:
         return self._word_seg.size - 1
 
-    def fiber(self, ref: int) -> List[Tuple[int, int]]:
-        pairs = []
-        for idx, word, base in self.words(ref):
-            for offset, crd in enumerate(word_coords(word, idx, self.bits_per_word)):
-                pairs.append((crd, base + offset))
-        return pairs
+    def fiber_arrays(self, refs: np.ndarray):
+        """Every set bit is a pair: its coordinate is its word's index in
+        the fiber times the word width plus the bit, and its child is the
+        word's ``cum_pop`` plus the bit's rank within the word — so a
+        fiber's children run on from the popcount of the words before it.
+        """
+        refs = np.asarray(refs, dtype=np.int64)
+        first, last = self._word_seg[refs], self._word_seg[refs + 1]
+        nwords = last - first
+        word = fiber_positions(first, nwords)
+        bits = np.unpackbits(self._words[word].astype("<u8").view(np.uint8),
+                             bitorder="little").reshape(-1, 64)
+        at, bit = bits.nonzero()  # row-major: words, then bits, ascending
+        crds = (word - first.repeat(nwords))[at] * self.bits_per_word + bit
+        starts = self._cum_pop[first]
+        lens = self._cum_pop[last] - starts
+        return crds, fiber_positions(starts, lens), lens
 
     def __repr__(self) -> str:
         return (

@@ -8,19 +8,17 @@ the paper's DCSR example where segment ``[3, 5)`` refers to coordinates
 at positions 3 and 4.
 
 Both arrays are stored as contiguous ``int64`` numpy arrays so that
-million-nnz operands construct and validate in vectorized time; the
-:class:`~repro.formats.level.Level` scan/locate interface still hands
-plain Python ints to the scanners.
+million-nnz operands construct and validate in vectorized time, and a
+run of fibers is read with one gather (:meth:`CompressedLevel.fiber_arrays`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .level import Level
+from .level import Level, fiber_positions
 
 
 class CompressedLevel(Level):
@@ -41,17 +39,8 @@ class CompressedLevel(Level):
             )
         if np.count_nonzero(self.seg[1:] < self.seg[:-1]):
             raise ValueError("segment array must be non-decreasing")
-        #: lazily materialised list view of crd for the per-token
-        #: locate/skip_to hot path (bisect over a list is ~7x faster per
-        #: call than np.searchsorted on a fresh slice)
-        self._crd_list: Optional[List[int]] = None
         #: ``sorted_keys()``' result, by the crd array it was built on
         self._keys: Optional[tuple] = None
-
-    def _crd_as_list(self) -> List[int]:
-        if self._crd_list is None:
-            self._crd_list = self.crd.tolist()
-        return self._crd_list
 
     @classmethod
     def from_fibers(cls, fibers: Sequence[Sequence[int]]) -> "CompressedLevel":
@@ -67,42 +56,11 @@ class CompressedLevel(Level):
     def num_fibers(self) -> int:
         return self.seg.size - 1
 
-    def fiber(self, ref: int) -> List[Tuple[int, int]]:
-        start, stop = int(self.seg[ref]), int(self.seg[ref + 1])
-        return list(zip(self.crd[start:stop].tolist(), range(start, stop)))
-
-    def locate(self, ref: int, coordinate: int) -> Optional[int]:
-        start, stop = int(self.seg[ref]), int(self.seg[ref + 1])
-        crd = self._crd_as_list()
-        pos = bisect_left(crd, coordinate, start, stop)
-        if pos < stop and crd[pos] == coordinate:
-            return pos
-        return None
-
-    def skip_to(self, ref: int, position: int, coordinate: int) -> int:
-        start, stop = int(self.seg[ref]), int(self.seg[ref + 1])
-        pos = bisect_left(self._crd_as_list(), coordinate, start + position, stop)
-        return pos - start
-
-    # -- batched data plane --------------------------------------------------
     def fiber_arrays(self, refs: np.ndarray):
-        """Vectorized :meth:`fiber` over a run of references.
-
-        Returns ``(crds, children, lens)``: the concatenated coordinates
-        and child references of every requested fiber, plus per-fiber
-        lengths (so callers can place the fiber-separating stop tokens).
-        """
-        refs = np.asarray(refs, dtype=np.int64)
-        starts = self.seg[refs]
-        lens = self.seg[refs + 1] - starts
-        total = int(np.add.reduce(lens))
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, lens
-        # Global position p of local index q within fiber i is
-        # starts[i] + q; build it as arange(total) rebased per fiber.
-        before = np.concatenate(([0], lens[:-1].cumsum()))
-        children = np.arange(total, dtype=np.int64) + (starts - before).repeat(lens)
+        """Fiber *i* is the positions ``seg[refs[i]]..seg[refs[i] + 1]``,
+        each its own child reference."""
+        starts, lens = self.fiber_bounds(refs)
+        children = fiber_positions(starts, lens)
         return self.crd[children], children, lens
 
     def fiber_lens(self, refs: np.ndarray) -> np.ndarray:
@@ -136,28 +94,6 @@ class CompressedLevel(Level):
                     keys = None
             self._keys = (crd, None if keys is None else (keys, stride))
         return self._keys[1]
-
-    def locate_arrays(self, ref: int, coordinates: np.ndarray):
-        """Vectorized :meth:`locate` of many coordinates in one fiber.
-
-        Returns ``(found, hits)``: candidate child references and a hit
-        mask (``found`` entries are only meaningful where ``hits``).
-        """
-        start, stop = int(self.seg[ref]), int(self.seg[ref + 1])
-        coordinates = np.asarray(coordinates, dtype=np.int64)
-        width = stop - start
-        if width == 0:
-            return np.zeros(len(coordinates), dtype=np.int64), np.zeros(
-                len(coordinates), dtype=bool
-            )
-        window = self.crd[start:stop]
-        pos = window.searchsorted(coordinates)
-        hits = pos < width
-        hits &= window[np.minimum(pos, width - 1)] == coordinates
-        return start + pos, hits
-
-    def fiber_size(self, ref: int) -> int:
-        return int(self.seg[ref + 1] - self.seg[ref])
 
     def __repr__(self) -> str:
         return f"CompressedLevel(seg={self.seg.tolist()}, crd={self.crd.tolist()})"

@@ -56,18 +56,6 @@ def dense_nonzeros(array) -> Tuple[np.ndarray, np.ndarray]:
     return np.array(np.unravel_index(at, array.shape), dtype=np.int64).T, flat[at]
 
 
-def segment_offsets(counts: np.ndarray) -> np.ndarray:
-    """Within-segment offsets ``[0..c0), [0..c1), ...`` for ragged expansion.
-
-    For ``counts = [2, 3]`` returns ``[0, 1, 0, 1, 2]`` — the vectorized
-    building block for expanding per-fiber counts into flat positions
-    (used by :meth:`FiberTensor.to_coo` and the ``.mtx`` array reader).
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(np.add.reduce(counts))
-    return np.arange(total, dtype=np.int64) - (counts.cumsum() - counts).repeat(counts)
-
-
 def _coerce_coo(
     shape: Tuple[int, ...],
     coords: Sequence[Sequence[int]],
@@ -415,39 +403,17 @@ class FiberTensor:
 
         Coordinates are *logical* (``mode_order`` already applied), of
         shape ``(n, order)``; value slots holding explicit zeros are
-        included.  Compressed and dense levels expand vectorized; other
-        level formats fall back to the generic ``fiber()`` walk.
+        included.  Each level expands every fiber the level above
+        reached with one :meth:`~repro.formats.level.Level.fiber_arrays`
+        gather.
         """
         refs = np.zeros(1, dtype=np.int64)
         columns: List[np.ndarray] = []
         for level in self.levels:
-            if isinstance(level, CompressedLevel):
-                counts = level.seg[refs + 1] - level.seg[refs]
-                rep = np.arange(refs.size).repeat(counts)
-                positions = level.seg[refs][rep] + segment_offsets(counts)
-                columns = [c[rep] for c in columns]
-                columns.append(level.crd[positions])
-                refs = positions
-            elif isinstance(level, DenseLevel):
-                size = level.size
-                rep = np.arange(refs.size).repeat(size)
-                crd = np.tile(np.arange(size, dtype=np.int64), refs.size)
-                columns = [c[rep] for c in columns]
-                columns.append(crd)
-                refs = refs[rep] * size + crd
-            else:
-                rep_list: List[int] = []
-                crd_list: List[int] = []
-                ref_list: List[int] = []
-                for i, ref in enumerate(refs.tolist()):
-                    for crd, child in level.fiber(ref):
-                        rep_list.append(i)
-                        crd_list.append(crd)
-                        ref_list.append(child)
-                rep = np.asarray(rep_list, dtype=np.int64)
-                columns = [c[rep] for c in columns]
-                columns.append(np.asarray(crd_list, dtype=np.int64))
-                refs = np.asarray(ref_list, dtype=np.int64)
+            crds, refs, lens = level.fiber_arrays(refs)
+            rep = np.arange(len(lens)).repeat(lens)
+            columns = [c[rep] for c in columns]
+            columns.append(crds)
         if not self.order:
             return np.empty((0, 0), dtype=np.int64), self.vals[:1].copy()
         values = self.vals[refs]

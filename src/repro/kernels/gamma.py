@@ -121,7 +121,7 @@ def gamma_spmm(
     ct = FiberTensor.from_numpy(C, name="C")
     # A lane with zero rows would contribute a phantom empty region when
     # rejoined; clamp the lane count to the number of nonempty rows.
-    nonempty_rows = bt.levels[0].fiber_size(0)
+    nonempty_rows = int(bt.levels[0].fiber_lens(np.zeros(1, dtype=np.int64))[0])
     lanes = max(1, min(lanes, nonempty_rows)) if nonempty_rows else 1
     bound = bind(gamma_graph(lanes), {"B": bt, "C": ct})
     report = bound.run(backend=backend)

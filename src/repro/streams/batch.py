@@ -361,17 +361,6 @@ def _validate_segments(ndata: int, starts: np.ndarray,
             raise ValueError("segment ends must be non-decreasing")
 
 
-def _sequential_sums_loop(data: np.ndarray, starts: np.ndarray,
-                          lens: np.ndarray) -> np.ndarray:
-    """Scalar reference loop shared by both sum entry points (no
-    validation — callers have already checked the table)."""
-    out = np.empty(len(starts))
-    values = data.tolist()
-    for i, (start, length) in enumerate(zip(starts.tolist(), lens.tolist())):
-        out[i] = sum(values[start:start + length], 0.0) if length else 0.0
-    return out
-
-
 def sequential_segment_sums(data: np.ndarray, starts: np.ndarray,
                             lens: np.ndarray) -> np.ndarray:
     """Per-segment left-to-right sums, bit-identical to a scalar loop.
@@ -390,26 +379,23 @@ def sequential_segment_sums(data: np.ndarray, starts: np.ndarray,
     starts = np.asarray(starts, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
     _validate_segments(len(data), starts, lens)
-    return _sequential_sums_loop(data, starts, lens)
+    out = np.empty(len(starts))
+    values = data.tolist()
+    for i, (start, length) in enumerate(zip(starts.tolist(), lens.tolist())):
+        out[i] = sum(values[start:start + length], 0.0)
+    return out
 
 
 def exact_segment_sums(data: np.ndarray, starts: np.ndarray,
                        lens: np.ndarray) -> np.ndarray:
     """Vectorised per-segment sums, bit-identical to the sequential loop.
 
-    Same contract as :func:`sequential_segment_sums`, but the work is one
-    elementwise float64 add per *step* instead of a Python loop per
-    *element*: segments are stably sorted by length descending so the
-    segments still active at step ``k`` form a prefix, and step ``k``
-    adds each active segment's ``k``-th element into its accumulator with
-    a single vectorised ``+=``.  Every accumulator therefore sees exactly
-    the left-to-right sequence of float64 additions the scalar loop
-    performs, so the results match bit for bit (numpy's pairwise
+    Same contract as :func:`sequential_segment_sums`, but one unbuffered
+    ``np.add.at`` does the work: it adds the segments' values into a
+    zeroed accumulator per segment one at a time, in index order, so
+    every accumulator sees exactly the left-to-right sequence of float64
+    additions the scalar loop performs (numpy's pairwise
     ``np.sum``/``np.add.reduceat`` would not).
-
-    The step loop runs ``max(lens)`` times, which degenerates when one
-    segment dwarfs the rest; overlong segments are delegated to the
-    scalar path, keeping the cost O(total elements + sort).
     """
     n = len(starts)
     if n == 0:
@@ -418,46 +404,9 @@ def exact_segment_sums(data: np.ndarray, starts: np.ndarray,
     lens = np.asarray(lens, dtype=np.int64)
     data = np.asarray(data, dtype=np.float64)
     _validate_segments(len(data), starts, lens)
-    if n < 16:
-        return _sequential_sums_loop(data, starts, lens)
-    out = np.empty(n)
-    # Segments much longer than typical would stretch the step loop for
-    # everyone; sum those the scalar way and column-walk the rest.
-    cap = max(64, 4 * int(np.add.reduce(lens)) // n)
-    long = lens > cap
-    if np.count_nonzero(long):
-        out[long] = _sequential_sums_loop(data, starts[long], lens[long])
-        keep = ~long
-        starts, lens = starts[keep], lens[keep]
-        if len(starts) == 0:
-            return out
-    else:
-        keep = None
-    # Descending-stable order by length.  The key is biased into uint16
-    # when it fits (post-cap lengths almost always do): numpy's stable
-    # argsort radix-sorts small integer dtypes but merge-sorts int64,
-    # and the sort dominates this function's cost on large windows.
-    max_len_key = int(np.maximum.reduce(lens)) if len(lens) else 0
-    if max_len_key < (1 << 16):
-        order = (max_len_key - lens).astype(np.uint16).argsort(kind="stable")
-    else:
-        order = (-lens).argsort(kind="stable")
-    s_sorted = starts[order]
-    l_sorted = lens[order]
-    acc = np.zeros(len(order))
-    max_len = int(l_sorted[0])
-    if max_len:
-        # active[k] = how many segments still have a k-th element — a
-        # prefix of the length-sorted order.
-        neg = -l_sorted
-        active = neg.searchsorted(-np.arange(max_len, dtype=np.int64), side="left")
-        for k in range(max_len):
-            m = int(active[k])
-            acc[:m] += data[s_sorted[:m] + k]
-    unsorted = np.empty(len(order))
-    unsorted[order] = acc
-    if keep is None:
-        out[:] = unsorted
-    else:
-        out[keep] = unsorted
+    before = lens.cumsum() - lens
+    at = (starts - before).repeat(lens)
+    at += index_ramp(len(at))
+    out = np.zeros(n)
+    np.add.at(out, index_ramp(n).repeat(lens), data[at])
     return out

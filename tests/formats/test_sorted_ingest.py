@@ -36,7 +36,9 @@ def tree_bytes(tensor):
         if level.format_name == "compressed":
             stored.append(("compressed", level.seg.tobytes(), level.crd.tobytes()))
         elif level.format_name == "bitvector":
-            stored.append(("bitvector", level.size, level.fibers_words))
+            pairs = level.fiber_arrays(np.arange(level.num_fibers()))
+            stored.append(("bitvector", level.size, level.bits_per_word,
+                           *(a.tobytes() for a in pairs)))
         else:
             stored.append(("dense", level.size, level.num_fibers()))
     return stored

@@ -167,8 +167,9 @@ def assert_same_structure(a, b):
         if la.format_name == "compressed":
             assert la.seg.tolist() == lb.seg.tolist()
             assert la.crd.tolist() == lb.crd.tolist()
-        elif la.format_name == "bitvector":
-            assert la.fibers_words == lb.fibers_words
+        refs = np.arange(la.num_fibers())
+        for a, b in zip(la.fiber_arrays(refs), lb.fiber_arrays(refs)):
+            assert a.tolist() == b.tolist()
         for ref in range(la.num_fibers()):
             assert la.fiber(ref) == lb.fiber(ref)
 

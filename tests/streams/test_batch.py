@@ -329,9 +329,8 @@ class TestSequentialSegmentSums:
             assert fn(data, starts, lens).tolist() == [1.5, 0.0, 6.25, 0.0, 0.0]
 
     def test_exact_bit_identical_on_adversarial_floats(self):
-        # >= 16 segments, so exact_segment_sums takes its vectorised
-        # column walk (plus the overlong-segment delegation) rather than
-        # the shared scalar loop; the reducer calls it on every plane.
+        # forty segments, one of them ~70x the mean length, over signed
+        # values and specials; the reducer calls it on every plane.
         rng = np.random.default_rng(11)
         lens = rng.integers(0, 12, 40).astype(np.int64)
         lens[3] = 5

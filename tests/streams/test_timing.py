@@ -224,14 +224,14 @@ SUM_FUNCTIONS = [sequential_segment_sums, exact_segment_sums]
 @pytest.mark.parametrize("fn", SUM_FUNCTIONS)
 class TestSegmentSums:
     def test_few_segments(self, fn):
-        # n < 16: exact_segment_sums shares the scalar loop
+        # a short table: nine segments of up to 40 values
         rng = np.random.default_rng(2)
         starts, lens = _table(rng.integers(0, 40, 9))
         data = _wide_floats(rng, int(lens.sum()))
         assert _bits(fn(data, starts, lens)) == _bits(_sum_loop(data, starts, lens))
 
     def test_many_segments_with_an_overlong_one(self, fn):
-        # n >= 16: the column walk, plus the overlong delegation
+        # forty segments, one of them ~70x the mean length
         rng = np.random.default_rng(3)
         lens = rng.integers(0, 12, 40)
         lens[7] = 400
@@ -240,7 +240,7 @@ class TestSegmentSums:
         assert _bits(fn(data, starts, lens)) == _bits(_sum_loop(data, starts, lens))
 
     def test_only_empty_segments_left_to_walk(self, fn):
-        # the one non-empty segment is overlong: the walk takes no step
+        # every segment empty but the last
         lens = [0] * 20 + [300]
         starts, lens = _table(lens)
         data = _wide_floats(np.random.default_rng(4), 300)

@@ -18,7 +18,8 @@ ROADMAP.md items: the code waits on them.
 
 Exits 1 when a function nobody enters is neither, when an allowlist row
 names a function that is now entered or no longer exists, or when a
-path fails.  Prints the function reach (entered / defined).
+path fails.  Prints the count of unentered functions per reason and the
+function reach (entered / defined).
 
 Usage::
 
@@ -160,34 +161,23 @@ ALLOWLIST = {
     # the interfaces a new block, engine or level format implements
     "repro.blocks.base:Block._run": PUBLIC,
     "repro.sim.backends.base:Engine.run": PUBLIC,
-    "repro.formats.level:Level.fiber": PUBLIC,
-    "repro.formats.level:Level.fiber_size": PUBLIC,
-    "repro.formats.level:Level.locate": PUBLIC,
+    "repro.formats.level:Level.fiber_arrays": PUBLIC,
+    "repro.formats.level:Level.locate_arrays": PUBLIC,
     "repro.formats.level:Level.num_fibers": PUBLIC,
-    "repro.formats.level:Level.skip_to": PUBLIC,
     # level formats no study builds or probes: bitvector, dense, linked list
     "repro.formats.bitvector:BitvectorLevel.__repr__": PUBLIC,
-    "repro.formats.bitvector:BitvectorLevel.fiber": PUBLIC,
-    "repro.formats.bitvector:BitvectorLevel.fibers_words": PUBLIC,
+    "repro.formats.bitvector:BitvectorLevel.fiber_arrays": PUBLIC,
     "repro.formats.bitvector:BitvectorLevel.from_arrays": PUBLIC,
     "repro.formats.bitvector:BitvectorLevel.num_fibers": PUBLIC,
-    "repro.formats.bitvector:word_coords": PUBLIC,
     "repro.formats.compressed:CompressedLevel.__repr__": PUBLIC,
-    "repro.formats.compressed:CompressedLevel.locate": PUBLIC,
-    "repro.formats.compressed:CompressedLevel.locate_arrays": PUBLIC,
     "repro.formats.compressed:CompressedLevel.num_fibers": PUBLIC,
     "repro.formats.dense:DenseLevel.__repr__": PUBLIC,
-    "repro.formats.dense:DenseLevel.fiber_size": PUBLIC,
     "repro.formats.dense:DenseLevel.num_fibers": PUBLIC,
-    "repro.formats.dense:DenseLevel.skip_to": PUBLIC,
     "repro.formats.linkedlist:LinkedListLevel.__repr__": PUBLIC,
     "repro.formats.linkedlist:LinkedListLevel.num_fibers": PUBLIC,
-    # a numeric literal in an expression (lang/lower.py lowers it to ScalarALU)
-    "repro.blocks.compute:ScalarALU.__init__": PUBLIC,
+    # a numeric literal on `cycle` (README's quick-start runs ScalarALU on
+    # the default engine); a scalar operand given as a plain number
     "repro.blocks.compute:ScalarALU._run": PUBLIC,
-    "repro.blocks.compute:ScalarALU.drain_timed": PUBLIC,
-    "repro.blocks.compute:ScalarALU.map_parts": PUBLIC,
-    "repro.blocks.compute:ScalarALU.plan_tag": PUBLIC,
     "repro.formats.tensor:scalar_tensor": PUBLIC,
     # operands and specs a library caller builds: a .mtx in the array format
     # or with float-spelled indices, numpy scalars in a sweep point
@@ -336,6 +326,9 @@ def report(functions: dict, entered: set, allowlist: dict, out=sys.stdout) -> in
         print(f"unentered {name} [{reason or 'NO REASON'}]", file=out)
     for problem in problems:
         print(f"census: {problem}", file=out)
+    for reason in REASONS:
+        count = sum(r == reason for r in unentered.values())
+        print(f"unentered [{reason}]: {count}", file=out)
     total = len(functions)
     reach = (total - len(unentered)) / total if total else 1.0
     print(f"function reach: {100 * reach:.1f} % "
